@@ -1,10 +1,15 @@
+//go:build !race
+
 package wls_test
+
+// The race runtime drops sync.Pool items at random, so allocation counts
+// only mean something without it; `make race` skips this file.
 
 // Allocation gates for the zero-alloc request path (E31). Each test pins
 // the allocations/request of one tier boundary with testing.AllocsPerRun;
 // the pooled request/response/session objects, reused encoders, and the
 // no-alloc routing decision are what keep these numbers single-digit. The
-// pins carry a little slack over the measured values (6.0 full echo, 0.0
+// pins carry a little slack over the measured values (4.0 full echo, 0.0
 // direct echo at the time of writing) so GC noise does not flake the
 // suite, but a pooling regression of even a few allocs/request trips them.
 
@@ -14,6 +19,7 @@ import (
 
 	"wls"
 	"wls/internal/servlet"
+	"wls/internal/wire"
 )
 
 func allocGateCluster(t *testing.T) *wls.Cluster {
@@ -122,5 +128,79 @@ func TestAllocGateServletDirect(t *testing.T) {
 	t.Logf("servlet direct (session write + replication): %.1f allocs/request", n)
 	if n > 12 {
 		t.Fatalf("servlet session-write path allocates %.1f/request, gate is 12", n)
+	}
+}
+
+// The same gates on the real TCP fabric. Per RPC hop the floor is the
+// response body copied for the caller and the stub's *Result; everything
+// else on the hop (call slot, inbound task, request buffer, response frame
+// and its encoder) is pooled.
+
+// TestAllocGateTransportEcho pins a bare Transport.Call at 3 allocations:
+// the caller-owned response body plus the two this test's handler makes
+// itself (E27 measured 7.0 before the hop was pooled).
+func TestAllocGateTransportEcho(t *testing.T) {
+	cl, srv := listenTCP(t), listenTCP(t)
+	srv.SetHandler(func(string, wire.Frame) *wire.Frame { return &wire.Frame{Body: []byte("ok")} })
+	ctx := context.Background()
+	body := make([]byte, 128)
+	call := func() {
+		if _, err := cl.Call(ctx, srv.Addr(), wire.Frame{Body: body}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 64; i++ {
+		call()
+	}
+	n := testing.AllocsPerRun(500, call)
+	t.Logf("transport echo: %.1f allocs/call", n)
+	if n > 3 {
+		t.Fatalf("bare Transport.Call allocates %.1f/call, gate is 3", n)
+	}
+}
+
+// routeAllocs warms a session on path and measures one proxy.Route.
+func routeAllocs(t *testing.T, c *tcpCluster, path string, body []byte) float64 {
+	t.Helper()
+	ctx := context.Background()
+	cookie := ""
+	route := func() {
+		r, err := c.proxy.Route(ctx, path, cookie, body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cookie = r.Cookie
+	}
+	for i := 0; i < 64; i++ {
+		route()
+	}
+	return testing.AllocsPerRun(300, route)
+}
+
+// TestAllocGateTCPEcho pins proxy → TCP → servlet echo at measured (2.0:
+// the hop's floor and nothing else) + 2.
+func TestAllocGateTCPEcho(t *testing.T) {
+	c := newTCPCluster(t)
+	c.handle("/echo", func(r *servlet.Request) servlet.Response { return servlet.Response{Body: r.Body} })
+	n := routeAllocs(t, c, "/echo", []byte("hello"))
+	t.Logf("TCP full path (echo): %.1f allocs/request", n)
+	if n > 4 {
+		t.Fatalf("TCP echo path allocates %.1f/request, gate is 4", n)
+	}
+}
+
+// TestAllocGateTCPSessionWrite pins the same path with a session write — a
+// second TCP hop ships the delta to the secondary before the reply — at
+// measured (7.0) + 2.
+func TestAllocGateTCPSessionWrite(t *testing.T) {
+	c := newTCPCluster(t)
+	c.handle("/count", func(r *servlet.Request) servlet.Response {
+		r.Session.Set("n", "1")
+		return servlet.Response{Body: []byte("ok")}
+	})
+	n := routeAllocs(t, c, "/count", nil)
+	t.Logf("TCP full path (session write + replication): %.1f allocs/request", n)
+	if n > 9 {
+		t.Fatalf("TCP session-write path allocates %.1f/request, gate is 9", n)
 	}
 }

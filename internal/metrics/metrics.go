@@ -12,6 +12,7 @@ package metrics
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"sort"
 	"strings"
 	"sync"
@@ -71,13 +72,31 @@ type Histogram struct {
 	mu      sync.Mutex // serializes min updates only
 }
 
-// bucketIndex maps a value to its bucket.
+// subBucketFloor[j] is 2^(j/16) scaled so that 1.0 is 1<<63: the smallest
+// mantissa that falls in sub-bucket j of its octave.
+var subBucketFloor = func() (t [bucketsPerOctave]uint64) {
+	for j := range t {
+		t[j] = uint64(math.Exp2(63 + float64(j)/bucketsPerOctave))
+	}
+	return t
+}()
+
+// bucketIndex maps a value to its bucket, floor(16·log2 v), without
+// floating point: the octave is the position of the top bit, and the
+// sub-bucket is found by comparing the mantissa against the 16 thresholds.
 func bucketIndex(v int64) int {
 	if v < 1 {
 		return 0
 	}
-	lg := math.Log2(float64(v))
-	idx := int(lg * bucketsPerOctave)
+	octave := bits.Len64(uint64(v)) - 1
+	mantissa := uint64(v) << (63 - octave)
+	sub := 0
+	for step := bucketsPerOctave / 2; step > 0; step /= 2 {
+		if mantissa >= subBucketFloor[sub+step] {
+			sub += step
+		}
+	}
+	idx := octave*bucketsPerOctave + sub
 	if idx >= numBuckets {
 		idx = numBuckets - 1
 	}

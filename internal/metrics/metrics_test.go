@@ -2,6 +2,7 @@ package metrics
 
 import (
 	"math"
+	"math/rand"
 	"strings"
 	"sync"
 	"testing"
@@ -273,5 +274,59 @@ func TestBucketMonotonicity(t *testing.T) {
 	}
 	if bucketIndex(math.MaxInt64) != numBuckets-1 {
 		t.Fatal("huge values must clamp to the last bucket")
+	}
+}
+
+// TestBucketIndexMatchesLog2 pins the integer bucketing to the layout the
+// floating-point formula floor(16·log2 v) defined: same bucket for every
+// value, except exactly on a boundary where the two roundings may differ
+// by one — and there bucketLower must still bracket the value.
+func TestBucketIndexMatchesLog2(t *testing.T) {
+	check := func(v int64) {
+		if v < 1 {
+			return
+		}
+		got := bucketIndex(v)
+		want := int(math.Log2(float64(v)) * bucketsPerOctave)
+		if want >= numBuckets {
+			want = numBuckets - 1
+		}
+		if got == want {
+			return
+		}
+		if d := got - want; d < -1 || d > 1 || got == numBuckets-1 ||
+			bucketLower(got) > v || bucketLower(got+1) < v {
+			t.Fatalf("bucketIndex(%d) = %d, log2 formula gives %d", v, got, want)
+		}
+	}
+	for v := int64(1); v < 1<<16; v++ {
+		check(v)
+	}
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 200000; i++ {
+		check(rng.Int63() >> uint(rng.Intn(63)))
+	}
+	for i := 0; i < numBuckets; i++ {
+		lo := bucketLower(i)
+		check(lo)
+		check(lo + 1)
+		if lo > 1 {
+			check(lo - 1)
+		}
+	}
+	if bucketIndex(0) != 0 || bucketIndex(-5) != 0 || bucketIndex(math.MaxInt64) != numBuckets-1 {
+		t.Fatal("edge values misbucketed")
+	}
+}
+
+var histSink *Histogram
+
+func BenchmarkHistogramRecord(b *testing.B) {
+	h := &Histogram{}
+	histSink = h
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		h.Record(int64(i)*37 + 1)
 	}
 }

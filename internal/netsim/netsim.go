@@ -405,7 +405,14 @@ type delivery struct {
 	ctx   context.Context
 	from  string
 	f     wire.Frame
-	reply chan *wire.Frame
+	reply chan response
+}
+
+// response is what a Call waits for: the handler's frame, already the
+// caller's own, or ok=false when nothing answered.
+type response struct {
+	f  wire.Frame
+	ok bool
 }
 
 var deliveryPool = sync.Pool{New: func() any { return new(delivery) }}
@@ -425,7 +432,7 @@ func (d *delivery) process() {
 	if err := ep.waitThaw(ctx); err != nil {
 		if reply != nil {
 			select {
-			case reply <- nil:
+			case reply <- response{}:
 			default:
 			}
 		}
@@ -441,14 +448,33 @@ func (d *delivery) process() {
 	}
 	if reply != nil {
 		select {
-		case reply <- resp:
+		case reply <- own(resp):
 		default:
 		}
+	} else {
+		resp.Release()
 	}
 }
 
+// own applies the Node ownership rule at the fabric's delivery edge: the
+// body of a pooled response is copied for the caller and the frame
+// released. A frame that is not pooled is already the caller's to keep —
+// its body is the handler's own allocation, or aliases the request copy
+// Call made on entry, which nothing recycles — and is handed over as is.
+func own(resp *wire.Frame) response {
+	if resp == nil {
+		return response{}
+	}
+	f := wire.Frame{Kind: resp.Kind, Corr: resp.Corr, Body: resp.Body}
+	if resp.Encoder() != nil {
+		f = cloneBody(f)
+		resp.Release()
+	}
+	return response{f: f, ok: true}
+}
+
 // deliver runs the handler for an inbound frame after the link latency.
-func (e *Endpoint) deliver(ctx context.Context, from string, f wire.Frame, lat time.Duration, reply chan *wire.Frame) {
+func (e *Endpoint) deliver(ctx context.Context, from string, f wire.Frame, lat time.Duration, reply chan response) {
 	d := deliveryPool.Get().(*delivery)
 	*d = delivery{ep: e, ctx: ctx, from: from, f: f, reply: reply}
 	if lat > 0 {
@@ -460,7 +486,7 @@ func (e *Endpoint) deliver(ctx context.Context, from string, f wire.Frame, lat t
 
 // replyPool recycles Call reply channels (buffered, capacity 1). Only the
 // receive path returns them; abandoned channels fall to the GC.
-var replyPool = sync.Pool{New: func() any { return make(chan *wire.Frame, 1) }}
+var replyPool = sync.Pool{New: func() any { return make(chan response, 1) }}
 
 // cloneBody detaches f's body from the caller's buffer. Like the TCP
 // transport, the fabric copies frame bodies on entry so callers may reuse
@@ -518,12 +544,12 @@ func (e *Endpoint) Call(ctx context.Context, to string, f wire.Frame) (wire.Fram
 	// recycled. The abandonment path (ctx done before the reply arrives)
 	// must NOT recycle: a late handler may still deposit its response, and
 	// a recycled channel would leak that stale frame into a future call.
-	reply := replyPool.Get().(chan *wire.Frame)
+	reply := replyPool.Get().(chan response)
 	dst.deliver(ctx, e.addr, f, lat, reply)
 	select {
 	case resp := <-reply:
 		replyPool.Put(reply)
-		if resp == nil {
+		if !resp.ok {
 			return wire.Frame{}, ErrUnreachable
 		}
 		// Response also pays link latency; check the reverse path is alive.
@@ -539,7 +565,7 @@ func (e *Endpoint) Call(ctx context.Context, to string, f wire.Frame) (wire.Fram
 				return wire.Frame{}, ctx.Err()
 			}
 		}
-		return *resp, nil
+		return resp.f, nil
 	case <-ctx.Done():
 		return wire.Frame{}, ctx.Err()
 	}

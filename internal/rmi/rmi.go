@@ -31,13 +31,15 @@ import (
 // Node is the transport endpoint the registry and stubs ride on. Both
 // netsim.Endpoint and transport.Transport satisfy it.
 //
-// Contract: Send and Call must not retain f.Body after returning (both
-// implementations copy it into their delivery path), which lets stubs
-// encode requests into pooled buffers. Symmetrically, the Body of the
-// frame Call returns is owned by the caller: the transport clones
-// response bodies out of its read buffer before delivery, and netsim
-// hands over the handler's freshly encoded response buffer. Stubs rely
-// on this to decode responses without copying.
+// Contract — one ownership rule, the same on both fabrics: a frame body
+// belongs to whoever produced it until the node has copied it to the
+// delivery edge. Send and Call copy f.Body before they return, so stubs
+// encode requests into pooled buffers and release them right after. The
+// handler is lent the inbound body for the duration of the call, and the
+// frame it returns stays its own until the node has copied the body out
+// and released it (see wire.Handler), so a response may be pooled and may
+// alias the request. The Body of the frame Call returns is that one copy,
+// owned by the caller: stubs decode it in place and hand out sub-slices.
 type Node interface {
 	Addr() string
 	Send(ctx context.Context, to string, f wire.Frame) error
@@ -87,7 +89,8 @@ func IsNotDeployed(err error) bool {
 //
 // The registry recycles Call objects through a pool: a handler must not
 // retain the *Call, its Args, or any sub-slice of Args after it returns
-// (copy what must outlive the call). Args aliases the inbound frame body.
+// (copy what must outlive the call). Args aliases the inbound frame body,
+// which the node recycles once the response has been copied out.
 //
 //wls:pooled
 type Call struct {
@@ -103,6 +106,24 @@ type Call struct {
 	// ConvID is the propagated conversation/session identifier, empty for
 	// stateless calls.
 	ConvID string
+
+	// reply is the response frame's encoder (set by execute); replyMark is
+	// non-zero once Reply has opened the result field in it.
+	reply     *wire.Encoder
+	replyMark int
+	servedBy  string
+}
+
+// Reply returns the encoder the response envelope is being built in,
+// positioned inside the result field. A handler that appends its result
+// there, instead of returning a []byte for the registry to copy in, returns
+// (nil, nil); a returned error or body discards whatever was written.
+func (c *Call) Reply() *wire.Encoder {
+	if c.replyMark == 0 {
+		appendResponseHead(c.reply, respOK, c.servedBy, "")
+		c.replyMark = c.reply.BeginBytes()
+	}
+	return c.reply
 }
 
 // Handler implements one service method. Returning an error of type
@@ -169,16 +190,23 @@ func releaseCall(c *Call) {
 	callPool.Put(c)
 }
 
-func encodeResponse(status byte, servedBy, errMsg string, body []byte) []byte {
-	// A fresh (non-pooled) buffer on purpose: the response body is handed
-	// to the node, and Node.Call's ownership contract promises the caller
-	// an owned body. A value encoder makes that one allocation, not two.
-	e := wire.MakeEncoder(32 + len(body))
+// The response wire format is: status byte, servedBy and errMsg as
+// length-prefixed strings, then the result as a length-prefixed field.
+func appendResponseHead(e *wire.Encoder, status byte, servedBy, errMsg string) {
 	e.Byte(status)
 	e.String(servedBy)
 	e.String(errMsg)
+}
+
+// responseFrame builds a complete response in a pooled frame, which the
+// node releases after copying the body out (see the Node contract).
+func responseFrame(corr uint64, status byte, servedBy, errMsg string, body []byte) *wire.Frame {
+	fr := wire.AcquireFrame()
+	e := fr.Encoder()
+	appendResponseHead(e, status, servedBy, errMsg)
 	e.Bytes2(body)
-	return e.Bytes()
+	fr.Kind, fr.Corr, fr.Body = wire.KindResponse, corr, e.Bytes()
+	return fr
 }
 
 type response struct {
@@ -346,32 +374,25 @@ func (r *Registry) handle(from string, f wire.Frame) *wire.Frame {
 	txB := d.BytesNoCopy()
 	convB := d.BytesNoCopy()
 	argsB := d.BytesNoCopy()
-	if d.Err() != nil {
-		return &wire.Frame{Kind: wire.KindResponse, Corr: f.Corr, //wls:nolint hotalloc -- malformed-request reply, never taken on healthy traffic
-			Body: encodeResponse(respSystemError, r.node.Addr(), "malformed request", nil)}
-	}
+	// Both parsers pass on an error the field decodes above left in d.
 	remaining, hasBudget, err := parseDeadline(d)
-	if err != nil {
-		return &wire.Frame{Kind: wire.KindResponse, Corr: f.Corr, //wls:nolint hotalloc -- malformed-request reply, never taken on healthy traffic
-			Body: encodeResponse(respSystemError, r.node.Addr(), "malformed request", nil)}
+	var sc trace.SpanContext
+	if err == nil {
+		sc, err = trace.ParseEnvelope(d)
 	}
-	sc, err := trace.ParseEnvelope(d)
 	if err != nil {
-		return &wire.Frame{Kind: wire.KindResponse, Corr: f.Corr, //wls:nolint hotalloc -- malformed-request reply, never taken on healthy traffic
-			Body: encodeResponse(respSystemError, r.node.Addr(), "malformed request", nil)}
+		return responseFrame(f.Corr, respSystemError, r.node.Addr(), "malformed request", nil)
 	}
 
 	r.mu.Lock()
 	svc, ok := r.services[string(svcB)] // compiler-recognized no-alloc lookup
 	r.mu.Unlock()
 	if !ok {
-		return &wire.Frame{Kind: wire.KindResponse, Corr: f.Corr, //wls:nolint hotalloc -- unknown-service reply, deploy-time misconfiguration path
-			Body: encodeResponse(respNoSuchService, self, "no such service: "+string(svcB), nil)}
+		return responseFrame(f.Corr, respNoSuchService, self, "no such service: "+string(svcB), nil) //wls:nolint hotalloc -- unknown-service reply, deploy-time misconfiguration path
 	}
 	m, ok := svc.Methods[string(methB)]
 	if !ok {
-		return &wire.Frame{Kind: wire.KindResponse, Corr: f.Corr, //wls:nolint hotalloc -- unknown-method reply, deploy-time misconfiguration path
-			Body: encodeResponse(respNoSuchService, self, "no such method: "+string(svcB)+"."+string(methB), nil)}
+		return responseFrame(f.Corr, respNoSuchService, self, "no such method: "+string(svcB)+"."+string(methB), nil) //wls:nolint hotalloc -- unknown-method reply, deploy-time misconfiguration path
 	}
 
 	// Re-derive the caller's budget against this server's clock. Work that
@@ -413,8 +434,7 @@ func (r *Registry) handle(from string, f wire.Frame) *wire.Frame {
 
 func (r *Registry) busyFrame(corr uint64, self, msg string) *wire.Frame {
 	r.busy.Inc()
-	return &wire.Frame{Kind: wire.KindResponse, Corr: corr,
-		Body: encodeResponse(respBusy, self, msg, nil)}
+	return responseFrame(corr, respBusy, self, msg, nil)
 }
 
 // dispatchQueued routes one admitted-or-refused request through the
@@ -458,11 +478,16 @@ func (r *Registry) dispatchQueued(ctx context.Context, q Admission, corr uint64,
 	return <-done
 }
 
-// execute runs one request's handler and encodes the response.
+// execute runs one request's handler and encodes the response — once: the
+// handler either returns its result, which is appended to the envelope, or
+// has already written it inside the envelope through call.Reply.
 //
 //wls:hotpath
 func (r *Registry) execute(ctx context.Context, corr uint64, self string,
 	call *Call, sc trace.SpanContext, m MethodSpec) *wire.Frame {
+	fr := wire.AcquireFrame()
+	e := fr.Encoder()
+	call.reply, call.servedBy = e, self
 	var span *trace.Span
 	if tr := r.tracer.Load(); tr != nil && sc.Sampled {
 		ctx, span = tr.StartRemote(ctx, sc, "rmi.serve "+call.Service+"."+call.Method, trace.KindServer)
@@ -473,17 +498,22 @@ func (r *Registry) execute(ctx context.Context, corr uint64, self string,
 		span.SetError(err)
 		span.Finish()
 	}
-	switch {
-	case err == nil:
-		return &wire.Frame{Kind: wire.KindResponse, Corr: corr,
-			Body: encodeResponse(respOK, self, "", body)}
-	case IsAppError(err):
-		return &wire.Frame{Kind: wire.KindResponse, Corr: corr,
-			Body: encodeResponse(respAppError, self, err.Error(), nil)}
-	default:
-		return &wire.Frame{Kind: wire.KindResponse, Corr: corr,
-			Body: encodeResponse(respSystemError, self, err.Error(), nil)}
+	if err == nil && body == nil && call.replyMark != 0 {
+		e.EndBytes(call.replyMark)
+	} else {
+		e.Reset()
+		status, errMsg := respOK, ""
+		if err != nil {
+			status, errMsg, body = respSystemError, err.Error(), nil
+			if IsAppError(err) {
+				status = respAppError
+			}
+		}
+		appendResponseHead(e, status, self, errMsg)
+		e.Bytes2(body)
 	}
+	fr.Kind, fr.Corr, fr.Body = wire.KindResponse, corr, e.Bytes()
+	return fr
 }
 
 // ---------------------------------------------------------------------------

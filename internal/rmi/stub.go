@@ -499,10 +499,10 @@ func requestNeverSent(err error) bool {
 }
 
 func (s *Stub) callOne(ctx context.Context, addr, method string, args []byte, txID, convID string) (*Result, error) {
-	// Both Node implementations copy the frame body before Call returns
-	// (the transport into its batched send queue, netsim on entry), so the
-	// pooled encoder can be released as soon as the exchange completes.
-	// The request fields are encoded directly — no intermediate Call.
+	// Node.Call copies the frame body before it returns (see the Node
+	// contract), so the pooled encoder is released as soon as the exchange
+	// completes. The request fields are encoded directly — no intermediate
+	// Call.
 	enc := wire.AcquireEncoder()
 	defer enc.Release()
 	enc.String(s.service)

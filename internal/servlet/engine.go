@@ -191,8 +191,8 @@ func (e *Engine) serve(ctx context.Context, path string, c Cookie, body []byte) 
 }
 
 // handleRequest is the RMI surface used by the presentation tier. Fields
-// are decoded without copying (the body aliases the frame buffer, which is
-// valid for the duration of the call and serialized out before return),
+// are decoded without copying (the body aliases the inbound frame, which is
+// lent for the duration of the call and serialized out before return),
 // the path is interned, and repeat cookies resolve through the decode
 // cache directly from the wire bytes.
 //
@@ -219,24 +219,28 @@ func (e *Engine) handleRequest(ctx context.Context, call *rmi.Call) ([]byte, err
 	} else {
 		c, err = DecodeCookieBytes(cookieB)
 	}
+	var resp Response
 	if err != nil {
-		return EncodeResponse(Response{Status: 400, Body: []byte("bad cookie"), ServedBy: e.serverName}), nil
+		resp = Response{Status: 400, Body: []byte("bad cookie"), ServedBy: e.serverName}
+	} else {
+		resp = e.serve(ctx, path, c, body)
 	}
-	resp := e.serve(ctx, path, c, body)
-	return EncodeResponse(resp), nil
+	// Encoded once, inside the RMI response envelope. resp.Body may alias
+	// the inbound frame (an echo servlet): it is copied here, before the
+	// node recycles that buffer.
+	AppendResponse(call.Reply(), resp)
+	return nil, nil
 }
 
-// EncodeResponse serializes a Response for the RMI surface.
-func EncodeResponse(r Response) []byte {
-	enc := wire.MakeEncoder(64 + len(r.Body))
+// AppendResponse serializes a Response for the RMI surface.
+func AppendResponse(enc *wire.Encoder, r Response) {
 	enc.Int(r.Status)
 	enc.String(r.Cookie)
 	enc.String(r.ServedBy)
 	enc.Bytes2(r.Body)
-	return enc.Bytes()
 }
 
-// DecodeResponse reverses EncodeResponse.
+// DecodeResponse reverses AppendResponse.
 func DecodeResponse(b []byte) (Response, error) {
 	d := wire.NewDecoder(b)
 	r := Response{

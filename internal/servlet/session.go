@@ -259,6 +259,11 @@ type SessionManager struct {
 	parts     atomic.Pointer[partition.Views]
 	ringMoves atomic.Uint64
 
+	// attrKeys interns the attribute names of replica deltas: applications
+	// use a small fixed vocabulary of keys, and a map assignment through
+	// string(bytes) allocates the key even when it is already resident.
+	attrKeys *wire.Interner
+
 	mu       sync.Mutex
 	sessions map[string]*sessState
 	seq      uint64
@@ -276,6 +281,7 @@ func newSessionManager(mode SessionMode, service string, member *cluster.Member,
 		db:          db,
 		selfName:    member.Name(),
 		selfMachine: member.Self().Machine,
+		attrKeys:    wire.NewInterner(1024),
 		sessions:    make(map[string]*sessState),
 		repl:        make(map[string]*replBatcher),
 	}
@@ -706,9 +712,10 @@ func (sm *SessionManager) handleUpdateBatch(args []byte) error {
 
 // applyUpdate consumes one delta entry from d and applies it. The entry is
 // always fully consumed — even when the generation check skips the apply —
-// so batched entries stay framed. Keys and values are only converted to
-// owned strings when they actually change the stored state; a steady
-// same-key update applies without allocating on the replica.
+// so batched entries stay framed. Keys resolve through the attribute-name
+// interner and a value is converted to an owned string only when it changes
+// the stored state, so an update of existing keys costs one allocation per
+// changed value and a same-value update none.
 func (sm *SessionManager) applyUpdate(d *wire.Decoder) error {
 	idB := d.BytesNoCopy()
 	gen := d.Uint64()
@@ -734,7 +741,7 @@ func (sm *SessionManager) applyUpdate(d *wire.Decoder) error {
 			continue
 		}
 		if cur, exists := st.data[string(kb)]; !exists || cur != string(vb) {
-			st.data[string(kb)] = string(vb)
+			st.data[sm.attrKeys.Intern(kb)] = string(vb)
 		}
 	}
 	return d.Err()

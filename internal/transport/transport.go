@@ -10,15 +10,18 @@
 //
 // A connection doubles as both directions of traffic: if A dialed B, B
 // sends its own requests to A over the same TCP connection rather than
-// dialing back.
+// dialing back. A connection is never closed for being a duplicate (both
+// ends dialed at once, or a server dialed its own address): the peer may
+// already have calls in flight on it.
 //
 // The hot path is built for concentration economics (§2.1–2.2): frames
 // queued by concurrent callers are coalesced by a per-connection writer
 // goroutine into single buffered flushes (many frames, one syscall), the
 // correlation-id → waiter table is sharded to keep concurrent callers off
 // one mutex, inbound requests run on a bounded worker pool instead of a
-// goroutine per frame, and encode/read buffers are pooled/reused so the
-// steady state does not allocate per frame.
+// goroutine per frame, and call slots, inbound tasks and request buffers
+// are pooled under the ownership rule stated on wire.Handler, so a call
+// allocates only the response body its caller gets to keep.
 package transport
 
 import (
@@ -75,17 +78,18 @@ type Transport struct {
 	handler atomic.Value // Handler
 	opts    Options
 	reg     *metrics.Registry
-	pool    *workerPool
+	tasks   chan inbound // the worker pool's queue
 
 	framesOut, bytesOut     *metrics.Counter
 	framesIn, bytesIn       *metrics.Counter
 	batchFrames, batchBytes *metrics.Histogram
 
-	mu     sync.Mutex
-	conns  map[string]*conn   // primary conn per advertised remote address
-	extras map[*conn]struct{} // duplicate inbound conns, tracked so Close reaps them
-	closed bool
-	wg     sync.WaitGroup
+	mu      sync.Mutex
+	conns   map[string]*conn         // the conn calls to a peer go out on, by advertised address
+	extras  map[*conn]struct{}       // other live conns to the same peers, tracked so Close reaps them
+	dialing map[string]chan struct{} // dials in progress, closed when done: one per peer at a time
+	closed  bool
+	wg      sync.WaitGroup
 }
 
 // Listen starts a transport on the given TCP address ("127.0.0.1:0" picks a
@@ -117,7 +121,7 @@ func ListenOpts(addr string, opts Options) (*Transport, error) {
 		addr:        ln.Addr().String(),
 		opts:        opts,
 		reg:         reg,
-		pool:        newWorkerPool(opts.Workers, opts.QueueDepth),
+		tasks:       make(chan inbound, opts.QueueDepth),
 		framesOut:   reg.Counter("transport.frames.out"),
 		bytesOut:    reg.Counter("transport.bytes.out"),
 		framesIn:    reg.Counter("transport.frames.in"),
@@ -126,8 +130,16 @@ func ListenOpts(addr string, opts Options) (*Transport, error) {
 		batchBytes:  reg.Histogram("transport.batch.bytes"),
 		conns:       make(map[string]*conn),
 		extras:      make(map[*conn]struct{}),
+		dialing:     make(map[string]chan struct{}),
 	}
 	t.handler.Store(Handler(func(string, wire.Frame) *wire.Frame { return nil }))
+	for i := 0; i < opts.Workers; i++ {
+		go func() {
+			for task := range t.tasks {
+				task.run()
+			}
+		}()
+	}
 	t.wg.Add(1)
 	go t.acceptLoop()
 	return t, nil
@@ -167,7 +179,7 @@ func (t *Transport) Close() error {
 	// the pool anymore; workers drain the queue and exit. In-flight
 	// handlers finish on their own goroutines, as before.
 	t.wg.Wait()
-	t.pool.close()
+	close(t.tasks)
 	return err
 }
 
@@ -202,48 +214,77 @@ func (t *Transport) handleInbound(nc net.Conn) {
 		c.close(ErrClosed)
 		return
 	}
-	// Keep at most one cached conn per peer for the send path; a
-	// duplicate (we already dialed them, or they dialed twice) still
-	// serves traffic and is tracked in extras so Close reaps it and its
-	// read loop instead of leaking them.
-	if _, ok := t.conns[remote]; ok {
-		t.extras[c] = struct{}{}
-	} else {
-		t.conns[remote] = c
-	}
+	t.track(c)
 	t.mu.Unlock()
 	c.readLoop()
-	t.dropConn(remote, c)
+	t.dropConn(c)
 }
 
-func (t *Transport) dropConn(remote string, c *conn) {
+// track files c under its peer: as the conn the send path uses when the
+// peer has no live one, otherwise beside it in extras. Callers hold t.mu.
+func (t *Transport) track(c *conn) {
+	if cur := t.conns[c.remote]; cur != nil && cur.dead.Load() == nil {
+		t.extras[c] = struct{}{}
+	} else {
+		t.conns[c.remote] = c
+	}
+}
+
+func (t *Transport) dropConn(c *conn) {
 	t.mu.Lock()
-	if t.conns[remote] == c {
-		delete(t.conns, remote)
+	if t.conns[c.remote] == c {
+		delete(t.conns, c.remote)
 	}
 	delete(t.extras, c)
 	t.mu.Unlock()
 }
 
 // getConn returns a live connection to the peer, dialing if necessary.
+// Concurrent callers wait for one dial and then look again; if it failed —
+// perhaps only because its caller's context ran out — the next one dials.
 func (t *Transport) getConn(ctx context.Context, to string) (*conn, error) {
-	t.mu.Lock()
-	if t.closed {
+	for {
+		t.mu.Lock()
+		if t.closed {
+			t.mu.Unlock()
+			return nil, ErrClosed
+		}
+		if c := t.conns[to]; c != nil && c.dead.Load() == nil {
+			t.mu.Unlock()
+			return c, nil
+		}
+		done := t.dialing[to]
+		if done == nil {
+			done = make(chan struct{}) //wls:nolint hotalloc -- connection establishment, once per peer
+			t.dialing[to] = done
+			t.mu.Unlock()
+			c, err := t.dial(ctx, to)
+			t.mu.Lock()
+			delete(t.dialing, to)
+			t.mu.Unlock()
+			close(done)
+			return c, err
+		}
 		t.mu.Unlock()
-		return nil, ErrClosed
+		select {
+		case <-done:
+		case <-ctx.Done():
+			return nil, ctx.Err()
+		}
 	}
-	if c, ok := t.conns[to]; ok {
-		t.mu.Unlock()
-		return c, nil
-	}
-	t.mu.Unlock()
+}
 
+// dial opens, announces and tracks a connection to the peer. It returns the
+// conn calls should use: the new one, or the one the peer's own dial (on a
+// self-call, the accept half of this very socket) registered meanwhile.
+func (t *Transport) dial(ctx context.Context, to string) (*conn, error) {
 	var d net.Dialer
 	nc, err := d.DialContext(ctx, "tcp", to)
 	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrDial, err)
+		return nil, fmt.Errorf("%w: %v", ErrDial, err) //wls:nolint hotalloc -- connection establishment, once per peer
 	}
 	// Handshake: announce our advertised address.
+	//wls:nolint hotalloc -- connection establishment, once per peer
 	if err := wire.WriteFrame(nc, wire.Frame{Kind: wire.KindAnnounce, Body: []byte(t.addr)}); err != nil {
 		_ = nc.Close() // conn is being abandoned anyway
 		return nil, err
@@ -256,22 +297,17 @@ func (t *Transport) getConn(ctx context.Context, to string) (*conn, error) {
 		c.close(ErrClosed)
 		return nil, ErrClosed
 	}
-	if existing, ok := t.conns[to]; ok {
-		// Lost the race; use the existing one.
-		t.mu.Unlock()
-		c.close(ErrClosed)
-		return existing, nil
-	}
-	t.conns[to] = c
+	t.track(c)
+	use := t.conns[to]
+	t.wg.Add(1)
 	t.mu.Unlock()
 
-	t.wg.Add(1)
-	go func() {
+	go func() { //wls:nolint hotalloc -- connection establishment, once per peer
 		defer t.wg.Done()
 		c.readLoop()
-		t.dropConn(to, c)
+		t.dropConn(c)
 	}()
-	return c, nil
+	return use, nil
 }
 
 // Send transmits a one-way frame. The frame is copied into the
@@ -287,8 +323,11 @@ func (t *Transport) Send(ctx context.Context, to string, f wire.Frame) error {
 	return c.write(f)
 }
 
-// Call performs a request/response exchange, retrying once on a stale
-// cached connection. Like Send, f.Body is not retained past the return.
+// Call performs a request/response exchange. Like Send, f.Body is not
+// retained past the return; the Body of the returned frame is the caller's.
+// A call that finds its connection dead is retried once on a fresh dial: a
+// restarted peer leaves a cached conn behind whose death may not have been
+// read yet (TestReconnectAfterPeerRestart).
 //
 //wls:hotpath
 func (t *Transport) Call(ctx context.Context, to string, f wire.Frame) (wire.Frame, error) {
@@ -298,17 +337,11 @@ func (t *Transport) Call(ctx context.Context, to string, f wire.Frame) (wire.Fra
 			return wire.Frame{}, err
 		}
 		resp, err := c.call(ctx, f)
-		if err == nil {
-			return resp, nil
+		// No retry once the caller's context is done: re-arming it would
+		// only dial again to fail.
+		if err == nil || attempt > 0 || !errors.Is(err, errConnDead) || ctx.Err() != nil {
+			return resp, err
 		}
-		// A write on a connection the peer already closed surfaces here;
-		// retry once with a fresh dial — unless the caller's context is
-		// already done, in which case re-arming the retry would only dial
-		// again to fail.
-		if attempt == 0 && errors.Is(err, errConnDead) && ctx.Err() == nil {
-			continue
-		}
-		return wire.Frame{}, err
 	}
 }
 
@@ -334,9 +367,22 @@ const pendingShards = 16
 
 type pendingShard struct {
 	mu   sync.Mutex
-	m    map[uint64]chan wire.Frame
+	m    map[uint64]*callSlot
 	dead bool
 }
+
+// callSlot is where one caller waits for its response. Slots are pooled,
+// which is safe because whoever removes a slot from the pending table —
+// deliver, the connection's close, or the caller giving up — is the only
+// party that may complete it, by exactly one send on done; no channel is
+// ever closed (see abandon for the caller that loses that race).
+type callSlot struct {
+	done chan struct{} // capacity 1
+	resp wire.Frame
+	err  error
+}
+
+var slotPool = sync.Pool{New: func() any { return &callSlot{done: make(chan struct{}, 1)} }}
 
 type conn struct {
 	t      *Transport
@@ -347,14 +393,13 @@ type conn struct {
 	nextID atomic.Uint64
 	shards [pendingShards]pendingShard
 
-	deadMu  sync.Mutex
-	deadErr error
+	dead atomic.Pointer[error] // why the conn died; nil while it is alive
 }
 
 func newConn(t *Transport, nc net.Conn, remote string) *conn {
 	c := &conn{t: t, nc: nc, remote: remote}
 	for i := range c.shards {
-		c.shards[i].m = make(map[uint64]chan wire.Frame)
+		c.shards[i].m = make(map[uint64]*callSlot) //wls:nolint hotalloc -- connection establishment, once per peer
 	}
 	c.w = newConnWriter(nc, !t.opts.UnbatchedWrites, c.writeFailed, t.batchFrames, t.batchBytes)
 	return c
@@ -370,44 +415,52 @@ func (c *conn) shard(id uint64) *pendingShard { return &c.shards[id%pendingShard
 
 // register installs a response waiter, failing if the conn is already dead
 // (the close path will never visit a waiter added after the drain).
-func (c *conn) register(id uint64, ch chan wire.Frame) error {
+func (c *conn) register(id uint64, slot *callSlot) error {
 	s := c.shard(id)
 	s.mu.Lock()
 	if s.dead {
 		s.mu.Unlock()
 		return c.deadReason()
 	}
-	s.m[id] = ch
+	s.m[id] = slot
 	s.mu.Unlock()
 	return nil
 }
 
-func (c *conn) deregister(id uint64) {
+// take removes and returns the waiter for id, if it is still registered.
+func (c *conn) take(id uint64) *callSlot {
 	s := c.shard(id)
 	s.mu.Lock()
+	slot := s.m[id]
 	delete(s.m, id)
 	s.mu.Unlock()
+	return slot
 }
 
-// deliver hands an inbound response to its waiter, if still present.
+// deliver hands an inbound response to its waiter, if still present. The
+// body is copied out of the read buffer here: it is the caller's from now.
 func (c *conn) deliver(f wire.Frame) {
-	s := c.shard(f.Corr)
-	s.mu.Lock()
-	ch, ok := s.m[f.Corr]
-	if ok {
-		delete(s.m, f.Corr)
+	if slot := c.take(f.Corr); slot != nil {
+		f.Body = append([]byte(nil), f.Body...) //wls:nolint hotalloc -- the one copy per call, owned by the caller
+		slot.resp = f
+		slot.done <- struct{}{}
 	}
-	s.mu.Unlock()
-	if ok {
-		ch <- f
+}
+
+// abandon stops waiting on slot and returns it to the pool. If the slot is
+// no longer registered, deliver or close has claimed it and its one send is
+// on the way; wait for it so the slot is pooled with an empty channel.
+func (c *conn) abandon(id uint64, slot *callSlot) {
+	if c.take(id) == nil {
+		<-slot.done
 	}
+	slot.resp, slot.err = wire.Frame{}, nil
+	slotPool.Put(slot)
 }
 
 func (c *conn) deadReason() error {
-	c.deadMu.Lock()
-	defer c.deadMu.Unlock()
-	if c.deadErr != nil {
-		return c.deadErr
+	if p := c.dead.Load(); p != nil {
+		return *p
 	}
 	return errConnDead
 }
@@ -434,36 +487,33 @@ func (c *conn) call(ctx context.Context, f wire.Frame) (wire.Frame, error) {
 		return wire.Frame{}, fmt.Errorf("transport: Call with frame kind %v (want request or unset)", f.Kind)
 	}
 	id := c.nextID.Add(1)
-	ch := make(chan wire.Frame, 1)
-	if err := c.register(id, ch); err != nil {
+	slot := slotPool.Get().(*callSlot)
+	if err := c.register(id, slot); err != nil {
+		slotPool.Put(slot)
 		return wire.Frame{}, err
 	}
 	f.Kind = wire.KindRequest
 	f.Corr = id
 	if err := c.write(f); err != nil {
-		c.deregister(id)
+		c.abandon(id, slot)
 		return wire.Frame{}, err
 	}
 	select {
-	case resp, ok := <-ch:
-		if !ok {
-			return wire.Frame{}, errConnDead
-		}
-		return resp, nil
+	case <-slot.done:
+		resp, err := slot.resp, slot.err
+		slot.resp, slot.err = wire.Frame{}, nil
+		slotPool.Put(slot)
+		return resp, err
 	case <-ctx.Done():
-		c.deregister(id)
+		c.abandon(id, slot)
 		return wire.Frame{}, ctx.Err()
 	}
 }
 
 func (c *conn) close(reason error) {
-	c.deadMu.Lock()
-	if c.deadErr != nil {
-		c.deadMu.Unlock()
+	if !c.dead.CompareAndSwap(nil, &reason) {
 		return
 	}
-	c.deadErr = reason
-	c.deadMu.Unlock()
 	c.w.close()
 	_ = c.nc.Close() // best effort; the conn is already condemned
 	for i := range c.shards {
@@ -473,17 +523,45 @@ func (c *conn) close(reason error) {
 		pend := s.m
 		s.m = nil
 		s.mu.Unlock()
-		for _, ch := range pend {
-			close(ch)
+		for _, slot := range pend {
+			slot.err = reason
+			slot.done <- struct{}{}
 		}
 	}
 }
 
-// readLoop dispatches inbound frames until the connection dies. Frames
-// are decoded through a buffered, buffer-reusing FrameReader; kinds whose
-// handling outlives this loop iteration (responses handed to waiters,
-// requests dispatched to the pool) get their body copied out, while
-// heartbeats run inline on the zero-copy buffer.
+// inbound is one request or one-way frame on its way to a pool worker; buf
+// is the read buffer its body lives in, detached from the frame reader.
+type inbound struct {
+	c   *conn
+	f   wire.Frame
+	buf *wire.Encoder
+}
+
+// run executes the handler and, for a request, queues the response: copied
+// into the send buffer first, then released, and only then is the request's
+// buffer (which the response may alias) recycled.
+//
+//wls:hotpath
+func (in inbound) run() {
+	c := in.c
+	h := c.t.handler.Load().(Handler)
+	resp := h(c.remote, in.f)
+	if in.f.Kind == wire.KindRequest {
+		out := wire.Frame{Kind: wire.KindResponse, Corr: in.f.Corr}
+		if resp != nil {
+			out.Body = resp.Body
+		}
+		_ = c.write(out) // a dead conn already fails the caller's pending wait
+	}
+	resp.Release()
+	in.buf.Release()
+}
+
+// readLoop dispatches inbound frames until the connection dies. Frames are
+// decoded zero-copy through a buffered FrameReader: a response is copied
+// once, for its caller; a heartbeat runs inline on the read buffer; any
+// other frame takes the read buffer with it to the worker pool.
 //
 //wls:hotpath
 func (c *conn) readLoop() {
@@ -499,43 +577,17 @@ func (c *conn) readLoop() {
 		c.t.bytesIn.Add(int64(f.WireSize()))
 		switch f.Kind {
 		case wire.KindResponse:
-			f.Body = cloneBody(f.Body)
 			c.deliver(f)
 		case wire.KindHeartbeat:
 			// Heartbeats keep failure detectors alive and never retain
 			// the body: dispatch inline, zero-copy, ahead of any queued
 			// pool work.
 			h := c.t.handler.Load().(Handler)
-			h(c.remote, f)
-		case wire.KindRequest:
-			f.Body = cloneBody(f.Body)
-			req := f
-			c.t.pool.submit(func() {
-				h := c.t.handler.Load().(Handler)
-				resp := h(c.remote, req)
-				if resp == nil {
-					resp = &wire.Frame{}
-				}
-				resp.Kind = wire.KindResponse
-				resp.Corr = req.Corr
-				_ = c.write(*resp) // a dead conn already fails the caller's pending wait
-			})
+			h(c.remote, f).Release()
 		default:
-			f.Body = cloneBody(f.Body)
-			req := f
-			c.t.pool.submit(func() {
-				h := c.t.handler.Load().(Handler)
-				h(c.remote, req)
-			})
+			c.t.submit(inbound{c: c, f: f, buf: fr.Detach()})
 		}
 	}
-}
-
-func cloneBody(b []byte) []byte {
-	if len(b) == 0 {
-		return nil
-	}
-	return append([]byte(nil), b...)
 }
 
 // ---------------------------------------------------------------------------
@@ -701,36 +753,16 @@ func (w *connWriter) close() {
 // ---------------------------------------------------------------------------
 // Worker pool
 
-// workerPool is the bounded set of goroutines servicing inbound frames —
-// the execute-thread pool of a WebLogic server rather than one thread per
-// request. submit never blocks the read loop: when the queue is full it
-// overflows to a fresh goroutine, because a bounded queue with no escape
+// submit hands an inbound frame to the bounded set of goroutines servicing
+// them — the execute-thread pool of a WebLogic server rather than one
+// thread per request. It never blocks the read loop: when the queue is full
+// it overflows to a fresh goroutine, because a bounded queue with no escape
 // valve deadlocks two servers whose pools are saturated with requests to
 // each other.
-type workerPool struct {
-	tasks chan func()
-}
-
-func newWorkerPool(workers, depth int) *workerPool {
-	p := &workerPool{tasks: make(chan func(), depth)}
-	for i := 0; i < workers; i++ {
-		go func() {
-			for task := range p.tasks {
-				task()
-			}
-		}()
-	}
-	return p
-}
-
-func (p *workerPool) submit(task func()) {
+func (t *Transport) submit(task inbound) {
 	select {
-	case p.tasks <- task:
+	case t.tasks <- task:
 	default:
-		go task()
+		go task.run()
 	}
 }
-
-// close stops the workers once the queue drains. Callers must guarantee no
-// further submits (the transport closes every read loop first).
-func (p *workerPool) close() { close(p.tasks) }

@@ -208,6 +208,231 @@ func TestReconnectAfterPeerRestart(t *testing.T) {
 	}
 }
 
+// TestSelfCall is the regression test for the connection-identity race: a
+// server calling its own address (a round-robin stub picking the local
+// member) dials a socket whose accept half registers under the same key.
+// The dialer used to "lose the race", close its own end and hand the caller
+// the dead accept half — 28 failures in 200 at the time.
+func TestSelfCall(t *testing.T) {
+	for i := 0; i < 200; i++ {
+		tr, err := Listen("127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		tr.SetHandler(func(_ string, f wire.Frame) *wire.Frame { return &wire.Frame{Body: f.Body} })
+		for j := 0; j < 3; j++ {
+			resp, err := tr.Call(context.Background(), tr.Addr(), wire.Frame{Body: []byte("me")})
+			if err != nil || string(resp.Body) != "me" {
+				t.Fatalf("transport %d self-call %d: %q, %v", i, j, resp.Body, err)
+			}
+		}
+		tr.Close()
+	}
+}
+
+// TestSimultaneousOpenKeepsCallsInFlight: two transports dial each other at
+// the same moment with calls already riding on whichever conn registered
+// first. Neither duplicate may be closed — the peer may be using it — so
+// every call must complete.
+func TestSimultaneousOpenKeepsCallsInFlight(t *testing.T) {
+	const rounds, callers = 40, 8
+	for r := 0; r < rounds; r++ {
+		a, b := newT(t), newT(t)
+		slowEcho := func(_ string, f wire.Frame) *wire.Frame {
+			time.Sleep(200 * time.Microsecond) // keep calls in flight across the other side's dial
+			return &wire.Frame{Body: f.Body}
+		}
+		a.SetHandler(slowEcho)
+		b.SetHandler(slowEcho)
+		start := make(chan struct{})
+		errs := make(chan error, 2*callers)
+		var wg sync.WaitGroup
+		for i := 0; i < 2*callers; i++ {
+			src, dst := a, b
+			if i%2 == 1 {
+				src, dst = b, a
+			}
+			wg.Add(1)
+			go func(i int) {
+				defer wg.Done()
+				<-start
+				for j := 0; j < 5; j++ {
+					body := []byte(fmt.Sprintf("r%d-c%d-j%d", r, i, j))
+					resp, err := src.Call(context.Background(), dst.Addr(), wire.Frame{Body: body})
+					if err != nil {
+						errs <- fmt.Errorf("round %d caller %d call %d: %w", r, i, j, err)
+						return
+					}
+					if string(resp.Body) != string(body) {
+						errs <- fmt.Errorf("round %d: cross-wired: got %q want %q", r, resp.Body, body)
+						return
+					}
+				}
+			}(i)
+		}
+		close(start)
+		wg.Wait()
+		close(errs)
+		for err := range errs {
+			t.Fatal(err)
+		}
+		a.Close()
+		b.Close()
+	}
+}
+
+// TestSharedDialFailureIsNotInherited: callers to a new peer share one dial,
+// but a dial that failed only because its own caller had given up must not
+// fail the callers waiting behind it.
+func TestSharedDialFailureIsNotInherited(t *testing.T) {
+	for r := 0; r < 50; r++ {
+		a, b := newT(t), newT(t)
+		b.SetHandler(func(string, wire.Frame) *wire.Frame { return &wire.Frame{} })
+		gone, cancel := context.WithCancel(context.Background())
+		cancel()
+		var wg sync.WaitGroup
+		for i := 0; i < 8; i++ {
+			ctx := context.Background()
+			if i%2 == 0 {
+				ctx = gone
+			}
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				if _, err := a.Call(ctx, b.Addr(), wire.Frame{}); err != nil && ctx != gone {
+					t.Errorf("round %d: live caller failed behind a cancelled dial: %v", r, err)
+				}
+			}()
+		}
+		wg.Wait()
+		a.Close()
+		b.Close()
+	}
+}
+
+// TestCancelledCallsDoNotPoisonPooledSlots races cancellation against
+// delivery: half the callers give up at about the moment their response
+// arrives, so slots go back to the pool from every side of that race (the
+// caller deregistered first; deliver claimed the slot first). A slot pooled
+// with a pending send, or completed twice, hands a later call someone
+// else's response.
+func TestCancelledCallsDoNotPoisonPooledSlots(t *testing.T) {
+	a, b := newT(t), newT(t)
+	b.SetHandler(func(_ string, f wire.Frame) *wire.Frame {
+		if len(f.Body) > 0 && f.Body[0] == 's' {
+			time.Sleep(100 * time.Microsecond)
+		}
+		return &wire.Frame{Body: append([]byte(nil), f.Body...)}
+	})
+	if _, err := a.Call(context.Background(), b.Addr(), wire.Frame{}); err != nil {
+		t.Fatal(err) // dial here, not under a 50µs deadline
+	}
+	var wg sync.WaitGroup
+	errs := make(chan error, 16)
+	for i := 0; i < 16; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			for j := 0; j < 300; j++ {
+				ctx, cancel := context.Background(), context.CancelFunc(func() {})
+				kind := "fast"
+				if i%2 == 0 {
+					kind = "slow"
+					ctx, cancel = context.WithTimeout(ctx, time.Duration(50+j%150)*time.Microsecond)
+				}
+				body := []byte(fmt.Sprintf("%s-%d-%d", kind, i, j))
+				resp, err := a.Call(ctx, b.Addr(), wire.Frame{Body: body})
+				cancel()
+				if err == nil && string(resp.Body) != string(body) {
+					errs <- fmt.Errorf("caller %d call %d got %q, want %q", i, j, resp.Body, body)
+					return
+				}
+				if err != nil && (kind == "fast" || err != context.DeadlineExceeded) {
+					errs <- fmt.Errorf("caller %d call %d: %v", i, j, err)
+					return
+				}
+			}
+		}(i)
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+}
+
+// TestRequestBufferHeldUntilResponseQueued pins the release order of the
+// pooled request buffers with poisoning on: a handler may block while its
+// neighbours' buffers are recycled, and may return a frame whose body
+// aliases the request — the buffer must survive until that response has
+// been copied into the send buffer.
+func TestRequestBufferHeldUntilResponseQueued(t *testing.T) {
+	wire.PoisonReleased(true)
+	defer wire.PoisonReleased(false)
+	a, b := newT(t), newT(t)
+	b.SetHandler(func(_ string, f wire.Frame) *wire.Frame {
+		before := string(f.Body)
+		if len(before) > 0 && before[0] == 's' {
+			time.Sleep(time.Millisecond)
+		}
+		if string(f.Body) != before {
+			t.Errorf("request body changed under its handler: %q -> %q", before, f.Body)
+		}
+		return &wire.Frame{Body: f.Body}
+	})
+	var wg sync.WaitGroup
+	for i := 0; i < 16; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			for j := 0; j < 150; j++ {
+				kind := "fast"
+				if (i+j)%8 == 0 {
+					kind = "slow"
+				}
+				body := []byte(fmt.Sprintf("%s-%d-%d", kind, i, j))
+				resp, err := a.Call(context.Background(), b.Addr(), wire.Frame{Body: body})
+				if err != nil || string(resp.Body) != string(body) {
+					t.Errorf("caller %d call %d: got %q, %v; want %q", i, j, resp.Body, err, body)
+					return
+				}
+			}
+		}(i)
+	}
+	wg.Wait()
+}
+
+// TestCloseFailsPendingCalls: Transport.Close with calls in flight
+// completes every pooled slot exactly once, with an error.
+func TestCloseFailsPendingCalls(t *testing.T) {
+	a, b := newT(t), newT(t)
+	release := make(chan struct{})
+	b.SetHandler(func(string, wire.Frame) *wire.Frame { <-release; return &wire.Frame{} })
+	defer close(release)
+	const n = 20
+	errCh := make(chan error, n)
+	for i := 0; i < n; i++ {
+		go func() {
+			_, err := a.Call(context.Background(), b.Addr(), wire.Frame{})
+			errCh <- err
+		}()
+	}
+	for b.Metrics().Counter("transport.frames.in").Value() < n {
+		time.Sleep(time.Millisecond)
+	}
+	a.Close()
+	for i := 0; i < n; i++ {
+		select {
+		case err := <-errCh:
+			if err == nil {
+				t.Fatal("call survived Close of its transport")
+			}
+		case <-time.After(3 * time.Second):
+			t.Fatal("pending call hung after Close")
+		}
+	}
+}
+
 func TestCloseIdempotent(t *testing.T) {
 	a := newT(t)
 	if err := a.Close(); err != nil {
@@ -244,6 +469,13 @@ func TestManyClientsConcentrate(t *testing.T) {
 	wg.Wait()
 	if inboundHandled.Load() != 100 {
 		t.Fatalf("handled %d, want 100", inboundHandled.Load())
+	}
+	// The 100 first calls shared one dial: one socket, not a herd of them.
+	backend.mu.Lock()
+	socks := len(backend.conns) + len(backend.extras)
+	backend.mu.Unlock()
+	if socks != 1 {
+		t.Fatalf("backend holds %d connections from one front end, want 1", socks)
 	}
 }
 

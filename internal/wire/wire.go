@@ -24,6 +24,7 @@ import (
 	"io"
 	"math"
 	"sync"
+	"sync/atomic"
 )
 
 // Kind identifies the role of a frame within a connection.
@@ -63,6 +64,12 @@ func (k Kind) String() string {
 // the return value is ignored. Both the simulated fabric (internal/netsim)
 // and the TCP transport (internal/transport) deliver frames to a Handler, so
 // protocol code above them is transport-agnostic.
+//
+// Ownership: f.Body is the node's, recycled once the handler has returned
+// and its response has been copied out, so a handler must not retain it
+// (the response may alias it). The returned frame stays the handler's until
+// the node has copied it to its delivery edge; the node then calls Release
+// on it, which recycles a frame from AcquireFrame and ignores any other.
 type Handler func(from string, f Frame) *Frame
 
 // MaxFrameSize bounds a single frame; larger frames indicate corruption or
@@ -81,6 +88,54 @@ type Frame struct {
 	Corr uint64
 	// Body is the kind-specific payload.
 	Body []byte
+
+	// enc is the pooled encoder Body was built in; set only on frames
+	// from AcquireFrame.
+	enc *Encoder
+}
+
+var framePool = sync.Pool{New: func() any { return new(Frame) }}
+
+// AcquireFrame returns a pooled frame for a Handler to return. Build the
+// body in f.Encoder() and set f.Body = f.Encoder().Bytes(); the node that
+// receives the frame releases it after copying the body.
+func AcquireFrame() *Frame {
+	f := framePool.Get().(*Frame)
+	f.enc = AcquireEncoder()
+	return f
+}
+
+// Encoder returns the pooled encoder of a frame from AcquireFrame.
+func (f *Frame) Encoder() *Encoder { return f.enc }
+
+// Release recycles a frame obtained from AcquireFrame, and its encoder,
+// once the body has been copied; neither may be used afterwards. It is a
+// no-op on nil and on frames built any other way.
+func (f *Frame) Release() {
+	if f == nil || f.enc == nil {
+		return
+	}
+	f.enc.Release()
+	*f = Frame{}
+	framePool.Put(f)
+}
+
+// poisonReleased makes every Release overwrite the buffer it recycles.
+var poisonReleased atomic.Bool
+
+// PoisonReleased is a test hook: while on, every released Encoder (pooled
+// frames and read buffers are Encoders too) is overwritten with 0xDB before
+// it returns to the pool, so a use-after-release reads garbage instead of
+// plausible stale bytes.
+func PoisonReleased(on bool) { poisonReleased.Store(on) }
+
+func poison(b []byte) {
+	if poisonReleased.Load() {
+		b = b[:cap(b)]
+		for i := range b {
+			b[i] = 0xDB
+		}
+	}
 }
 
 // frameHeaderLen is kind byte + correlation id.
@@ -112,24 +167,16 @@ func AppendFrame(dst []byte, f Frame) []byte {
 	return append(dst, f.Body...)
 }
 
-// frameBufPool recycles WriteFrame's encode buffers. The pointer wrapper
-// keeps Get/Put free of slice-header allocations.
-var frameBufPool = sync.Pool{New: func() any { return &frameBuf{buf: make([]byte, 0, 4096)} }}
-
-type frameBuf struct{ buf []byte }
-
 // WriteFrame writes f to w as a single length-prefixed frame. The encode
 // buffer comes from a pool, so steady-state writes do not allocate.
 func WriteFrame(w io.Writer, f Frame) error {
 	if frameHeaderLen+len(f.Body) > MaxFrameSize {
 		return ErrFrameTooLarge
 	}
-	fb := frameBufPool.Get().(*frameBuf)
-	fb.buf = AppendFrame(fb.buf[:0], f)
-	_, err := w.Write(fb.buf)
-	if cap(fb.buf) <= maxRetainedBuf {
-		frameBufPool.Put(fb)
-	}
+	e := AcquireEncoder()
+	e.buf = AppendFrame(e.buf, f)
+	_, err := w.Write(e.buf)
+	e.Release()
 	return err
 }
 
@@ -158,19 +205,19 @@ func ReadFrame(r io.Reader) (Frame, error) {
 	}, nil
 }
 
-// FrameReader reads a stream of frames from r, reusing one internal
-// payload buffer across calls so the per-frame `make` of ReadFrame
-// disappears from the steady state.
+// FrameReader reads a stream of frames from r, reusing one pooled payload
+// buffer across calls so the per-frame `make` of ReadFrame disappears from
+// the steady state.
 //
 // By default each returned Frame carries a freshly copied Body that the
 // caller owns. In zero-copy mode (SetZeroCopy) the Body aliases the
-// reader's internal buffer and is valid only until the next call to Next —
-// the mode is opt-in for dispatch loops whose handlers do not retain the
-// body (heartbeats, frames copied-out during decode).
+// reader's payload buffer and is valid only until the next call to Next —
+// unless the caller takes the buffer over with Detach, which is how a
+// dispatch loop hands a request to a worker without copying it.
 type FrameReader struct {
 	r        io.Reader
-	hdr      [4]byte // length-prefix scratch; a field so it never escapes
-	buf      []byte
+	hdr      [4]byte  // length-prefix scratch; a field so it never escapes
+	buf      *Encoder // pooled payload buffer; nil after Detach, until the next frame
 	zeroCopy bool
 }
 
@@ -207,22 +254,27 @@ func (fr *FrameReader) Next() (Frame, error) {
 	return f, nil
 }
 
-// payload returns an n-byte read buffer, reusing (and growing) the
-// internal one for ordinary frames; oversized frames get a one-shot
-// allocation so they are not retained.
+// Detach hands the caller the pooled buffer backing the Body of the frame
+// Next just returned in zero-copy mode: the Body stays valid until the
+// caller Releases it, and the reader reads its next frame into another.
+func (fr *FrameReader) Detach() *Encoder {
+	b := fr.buf
+	fr.buf = nil
+	return b
+}
+
+// payload returns an n-byte read buffer, reusing (and growing) the pooled
+// one. A buffer an oversized frame grew past maxRetainedBuf is replaced at
+// the next frame and dropped by Release, so it is never retained.
 func (fr *FrameReader) payload(n int) []byte {
-	if n <= cap(fr.buf) {
-		return fr.buf[:n]
+	if fr.buf == nil || cap(fr.buf.buf) > maxRetainedBuf {
+		fr.buf = AcquireEncoder()
 	}
-	if n <= maxRetainedBuf {
-		c := n
-		if c < 4096 {
-			c = 4096
-		}
-		fr.buf = make([]byte, n, c)
-		return fr.buf
+	if n > cap(fr.buf.buf) {
+		fr.buf.buf = make([]byte, n, max(n, 4096))
 	}
-	return make([]byte, n)
+	fr.buf.buf = fr.buf.buf[:n]
+	return fr.buf.buf
 }
 
 // ---------------------------------------------------------------------------
@@ -267,6 +319,7 @@ func AcquireEncoder() *Encoder {
 // overwritten by the next AcquireEncoder. Oversized buffers are dropped
 // rather than retained.
 func (e *Encoder) Release() {
+	poison(e.buf)
 	if cap(e.buf) <= maxRetainedBuf {
 		encoderPool.Put(e)
 	}
@@ -321,6 +374,25 @@ func (e *Encoder) String(s string) {
 func (e *Encoder) Bytes2(b []byte) {
 	e.Uint64(uint64(len(b)))
 	e.buf = append(e.buf, b...)
+}
+
+// BeginBytes opens a length-prefixed field whose length is not known yet:
+// append the payload with any Encoder method, then pass the returned mark
+// to EndBytes. The bytes produced equal Bytes2 of the payload, so a nested
+// message is encoded once, in place, instead of into a buffer of its own.
+func (e *Encoder) BeginBytes() (mark int) {
+	var pad [binary.MaxVarintLen64]byte
+	e.buf = append(e.buf, pad[:]...) //wls:nolint hotalloc -- amortized growth of a pooled buffer, like every Encoder append
+	return len(e.buf)
+}
+
+// EndBytes closes the field opened at mark: it writes the payload length
+// into the reserved prefix and moves the payload down over the slack.
+func (e *Encoder) EndBytes(mark int) {
+	start := mark - binary.MaxVarintLen64
+	k := binary.PutUvarint(e.buf[start:mark], uint64(len(e.buf)-mark))
+	n := copy(e.buf[start+k:], e.buf[mark:])
+	e.buf = e.buf[:start+k+n]
 }
 
 // StringSlice appends a length-prefixed slice of strings.

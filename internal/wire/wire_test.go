@@ -560,3 +560,113 @@ func BenchmarkEncodeDecode(b *testing.B) {
 		_ = d.Bytes()
 	}
 }
+
+// ---------------------------------------------------------------------------
+// Pooled frames, detached read buffers, in-place nested fields.
+
+// TestBeginEndBytesMatchesBytes2 pins the in-place nested field to the wire
+// format of Bytes2 at every uvarint width boundary, with fields before and
+// after it.
+func TestBeginEndBytesMatchesBytes2(t *testing.T) {
+	for _, n := range []int{0, 1, 127, 128, 300, 16383, 16384, 70000} {
+		payload := bytes.Repeat([]byte{0xA5}, n)
+		var want, got Encoder
+		want.String("head")
+		want.Bytes2(payload)
+		want.Uint64(7)
+
+		got.String("head")
+		mark := got.BeginBytes()
+		got.buf = append(got.buf, payload...)
+		got.EndBytes(mark)
+		got.Uint64(7)
+		if !bytes.Equal(got.Bytes(), want.Bytes()) {
+			t.Fatalf("n=%d: in-place field differs from Bytes2 (%d vs %d bytes)", n, got.Len(), want.Len())
+		}
+	}
+}
+
+// TestPooledFrameLifecycle: a frame from AcquireFrame carries an encoder,
+// Release recycles both without allocating in the steady state, and Release
+// is a no-op on nil and on frames built by hand.
+func TestPooledFrameLifecycle(t *testing.T) {
+	var nilFrame *Frame
+	nilFrame.Release()
+	plain := &Frame{Kind: KindResponse, Body: []byte("mine")}
+	plain.Release()
+	if plain.Encoder() != nil || string(plain.Body) != "mine" {
+		t.Fatal("Release touched a frame that was not pooled")
+	}
+	if allocs := testing.AllocsPerRun(500, func() {
+		f := AcquireFrame()
+		if f.Encoder().Len() != 0 || f.Body != nil || f.Kind != 0 || f.Corr != 0 {
+			t.Fatalf("recycled frame not reset: %+v", f)
+		}
+		f.Encoder().String("payload")
+		f.Kind, f.Corr, f.Body = KindResponse, 9, f.Encoder().Bytes()
+		f.Release()
+	}); allocs != 0 {
+		t.Fatalf("pooled frame steady state: %v allocs/op, want 0", allocs)
+	}
+}
+
+// TestFrameReaderDetach: a detached buffer keeps the frame's body intact
+// while the reader decodes later frames into other buffers, and taking it
+// over costs no allocation once the pool is warm.
+func TestFrameReaderDetach(t *testing.T) {
+	var stream []byte
+	for i := 0; i < 4; i++ {
+		stream = AppendFrame(stream, Frame{Kind: KindRequest, Corr: uint64(i), Body: bytes.Repeat([]byte{byte('a' + i)}, 64)})
+	}
+	rd := bytes.NewReader(stream)
+	fr := NewFrameReader(rd)
+	fr.SetZeroCopy(true)
+	first, err := fr.Next()
+	if err != nil {
+		t.Fatal(err)
+	}
+	held := fr.Detach()
+	for i := 1; i < 4; i++ {
+		f, err := fr.Next()
+		if err != nil || f.Corr != uint64(i) || f.Body[0] != byte('a'+i) {
+			t.Fatalf("frame %d after Detach: %+v, %v", i, f, err)
+		}
+	}
+	if !bytes.Equal(first.Body, bytes.Repeat([]byte{'a'}, 64)) {
+		t.Fatalf("detached body overwritten by later frames: %q", first.Body)
+	}
+	held.Release()
+
+	if allocs := testing.AllocsPerRun(500, func() {
+		rd.Reset(stream)
+		if _, err := fr.Next(); err != nil {
+			t.Fatal(err)
+		}
+		fr.Detach().Release()
+	}); allocs != 0 {
+		t.Fatalf("Next+Detach+Release steady state: %v allocs/op, want 0", allocs)
+	}
+}
+
+// TestPoisonReleased: with the hook on, released encoders and pooled
+// frames read back as 0xDB through any slice still held.
+func TestPoisonReleased(t *testing.T) {
+	PoisonReleased(true)
+	defer PoisonReleased(false)
+	allDB := func(b []byte) bool { return bytes.Equal(b, bytes.Repeat([]byte{0xDB}, len(b))) }
+
+	e := AcquireEncoder()
+	e.String("secret")
+	stale := e.Bytes()
+	e.Release()
+
+	f := AcquireFrame()
+	f.Encoder().String("secret")
+	f.Body = f.Encoder().Bytes()
+	staleBody := f.Body
+	f.Release()
+
+	if !allDB(stale) || !allDB(staleBody) {
+		t.Fatalf("released bytes still readable: %q %q", stale, staleBody)
+	}
+}
