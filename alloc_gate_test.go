@@ -15,10 +15,16 @@ package wls_test
 
 import (
 	"context"
+	"path/filepath"
+	"strconv"
 	"testing"
 
 	"wls"
+	"wls/internal/kv"
 	"wls/internal/servlet"
+	"wls/internal/store"
+	"wls/internal/tx"
+	"wls/internal/vclock"
 	"wls/internal/wire"
 )
 
@@ -202,5 +208,64 @@ func TestAllocGateTCPSessionWrite(t *testing.T) {
 	t.Logf("TCP full path (session write + replication): %.1f allocs/request", n)
 	if n > 9 {
 		t.Fatalf("TCP session-write path allocates %.1f/request, gate is 9", n)
+	}
+}
+
+// TestAllocGateDurableCheckout pins the durable commit path: one
+// transaction inserting an order in one WAL-backed store and updating a
+// stock row in another, two-phase committed over a file transaction log —
+// the benchmark's /checkout without the request path. Measured 28.0
+// (of which the application's two field maps and order key are 5); the
+// parent commit made 79 on the same path.
+func TestAllocGateDurableCheckout(t *testing.T) {
+	dir := t.TempDir()
+	open := func(name string) *store.Store {
+		w, err := kv.OpenWAL(filepath.Join(dir, name+".db"), kv.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		s, err := store.Open(name, vclock.System, w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { s.Close() })
+		return s
+	}
+	orders, inventory := open("orders"), open("inventory")
+	tlog, err := tx.OpenFileLog(filepath.Join(dir, "tlog"), false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { tlog.Close() })
+	mgr := tx.NewManager("s1", vclock.System, tlog, nil)
+	inventory.Put("stock", "sku-1", map[string]string{"qty": "100"})
+
+	n := 0
+	checkout := func() {
+		n++
+		key := "o-" + strconv.Itoa(n)
+		txn := mgr.Begin(0)
+		so := orders.Session(txn.ID())
+		so.Insert("orders", key, map[string]string{"sku": "sku-1", "session": "s"})
+		si := inventory.Session(txn.ID())
+		si.Update("stock", "sku-1", map[string]string{"last": key})
+		if err := txn.Enlist("orders", so); err != nil {
+			t.Fatal(err)
+		}
+		if err := txn.Enlist("inventory", si); err != nil {
+			t.Fatal(err)
+		}
+		if err := txn.Commit(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 64; i++ {
+		checkout()
+	}
+	got := testing.AllocsPerRun(300, checkout)
+	mgr.Drain()
+	t.Logf("durable two-store checkout: %.1f allocs/commit", got)
+	if got > 30 {
+		t.Fatalf("durable checkout allocates %.1f/commit, gate is 30", got)
 	}
 }

@@ -177,9 +177,14 @@ func (cf *crashFile) Read(p []byte) (int, error) {
 
 func (cf *crashFile) Write(p []byte) (int, error) {
 	cf.fs.mu.Lock()
+	dead := cf.fs.crashed
 	if cf.fs.step() {
 		// Torn write: a prefix of the bytes lands, then the machine dies.
+		// A write issued after that (another goroutine's, say) lands nothing.
 		n := len(p) * cf.fs.tearNum / cf.fs.tearDen
+		if dead {
+			n = 0
+		}
 		cf.fs.record("write %s %d/%d CRASH", cf.name, n, len(p))
 		cf.fs.mu.Unlock()
 		if n > 0 {

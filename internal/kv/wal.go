@@ -356,7 +356,10 @@ func (w *WAL) Delete(key string) error {
 
 // Apply implements Store: one frame per batch, atomic by checksum — a
 // crash mid-append leaves a frame that fails validation and is truncated
-// on recovery, so either every op of the batch survives or none does.
+// on recovery, so either every op of the batch survives or none does. The
+// frame is built in one pooled buffer and appended with one write.
+//
+//wls:hotpath every durable store commit ends here
 func (w *WAL) Apply(ops []Op) error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
@@ -365,18 +368,18 @@ func (w *WAL) Apply(ops []Op) error {
 	}
 	e := wire.AcquireEncoder()
 	defer e.Release()
+	for i := 0; i < frameHdrLen; i++ {
+		e.Byte(0) // the header's place; filled in once the payload is known
+	}
 	encodeOps(e, ops)
-	payload := e.Bytes()
+	frame := e.Bytes()
+	payload := frame[frameHdrLen:]
 	seq := w.seq + 1
 	sum := frameSum(w.prevSum, seq, payload)
-	var fh [frameHdrLen]byte
-	binary.BigEndian.PutUint32(fh[0:4], uint32(len(payload)))
-	binary.BigEndian.PutUint64(fh[4:12], seq)
-	binary.BigEndian.PutUint64(fh[12:20], sum)
-	if _, err := w.wal.Write(fh[:]); err != nil {
-		return err
-	}
-	if _, err := w.wal.Write(payload); err != nil {
+	binary.BigEndian.PutUint32(frame[0:4], uint32(len(payload)))
+	binary.BigEndian.PutUint64(frame[4:12], seq)
+	binary.BigEndian.PutUint64(frame[12:20], sum)
+	if _, err := w.wal.Write(frame); err != nil {
 		return err
 	}
 	w.reg.Counter("kv.appends").Inc()
@@ -392,7 +395,7 @@ func (w *WAL) Apply(ops []Op) error {
 	for _, op := range ops {
 		switch op.Kind {
 		case OpPut:
-			w.img.put(op.Key, append([]byte(nil), op.Value...))
+			w.img.put(op.Key, append([]byte(nil), op.Value...)) //wls:nolint hotalloc -- copy-on-entry: the image's own copy
 		case OpDelete:
 			w.img.del(op.Key)
 		}
@@ -419,6 +422,8 @@ func (w *WAL) Checkpoint() error {
 // rename and the log reset the log's generation is stale and recovery
 // discards it (its frames are all inside the new main file); a torn log
 // header is rewritten. Caller holds w.mu.
+//
+//wls:coldpath Apply gets here once per CheckpointBytes of log, not per commit
 func (w *WAL) checkpointLocked() error {
 	tmpPath := w.path + ".ckpt"
 	tmp, err := w.fs.OpenFile(tmpPath, os.O_CREATE|os.O_TRUNC|os.O_RDWR, 0o644)

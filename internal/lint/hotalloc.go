@@ -49,6 +49,11 @@ import (
 //
 // Calls through function values and interfaces don't propagate hotness
 // (no static callee); annotate the concrete implementation instead.
+//
+// A hot function may call one that runs rarely by construction — the
+// rollback after a no vote, the checkpoint a log takes once per megabyte.
+// //wls:coldpath <why> in that function's doc comment cuts the closure
+// there: its sites are not reported and its calls are not followed.
 func HotAlloc() *Analyzer {
 	a := &Analyzer{
 		Name: "hotalloc",
@@ -68,6 +73,7 @@ type AllocSite struct {
 // hotallocFact summarizes one module function for the hot-closure walk.
 type hotallocFact struct {
 	Hot     bool // carries a //wls:hotpath annotation
+	Cold    bool // carries a //wls:coldpath annotation
 	Sites   []AllocSite
 	Callees []*types.Func // module-internal static callees, in source order
 }
@@ -160,6 +166,9 @@ func hotAllocRun(pass *Pass) {
 				if strings.HasPrefix(c.Text, "//wls:hotpath") && !inDoc[c] {
 					pass.Reportf(c.Pos(), "//wls:hotpath must appear in a function's doc comment to mark a hot-path root")
 				}
+				if strings.HasPrefix(c.Text, "//wls:coldpath") && !inDoc[c] {
+					pass.Reportf(c.Pos(), "//wls:coldpath must appear in a function's doc comment to cut the hot closure")
+				}
 				if strings.HasPrefix(c.Text, "//wls:pooled") && !inTypeDoc[c] {
 					pass.Reportf(c.Pos(), "//wls:pooled must appear in a type declaration's doc comment to mark a pooled type")
 				}
@@ -175,7 +184,7 @@ func hotAllocRun(pass *Pass) {
 			if !ok {
 				continue
 			}
-			fact := &hotallocFact{Hot: hasHotPathDoc(fd)}
+			fact := &hotallocFact{Hot: hasFuncDirective(fd, "//wls:hotpath"), Cold: hasFuncDirective(fd, "//wls:coldpath")}
 			collectAllocs(info, fd.Body, fact, pooled)
 			seen := map[*types.Func]bool{}
 			walkSkippingFuncLits(fd.Body, func(n ast.Node) {
@@ -195,12 +204,12 @@ func hotAllocRun(pass *Pass) {
 	}
 }
 
-func hasHotPathDoc(fd *ast.FuncDecl) bool {
+func hasFuncDirective(fd *ast.FuncDecl, directive string) bool {
 	if fd.Doc == nil {
 		return false
 	}
 	for _, c := range fd.Doc.List {
-		if strings.HasPrefix(c.Text, "//wls:hotpath") {
+		if strings.HasPrefix(c.Text, directive) {
 			return true
 		}
 	}
@@ -568,7 +577,7 @@ func hotAllocFinish(g *GlobalPass) {
 		queue = queue[1:]
 		for _, callee := range facts[fn].Callees {
 			if !hot[callee] {
-				if _, known := facts[callee]; known {
+				if f, known := facts[callee]; known && !f.Cold {
 					hot[callee] = true
 					queue = append(queue, callee)
 				}

@@ -43,11 +43,14 @@
 //	//wls:wallclock <reason>           – suppress walltime (reason required)
 //	//wls:nolint <a>[,<b>] -- <reason> – suppress the named analyzers
 //
-// Three further directives feed analyzers instead of suppressing them:
+// Four further directives feed analyzers instead of suppressing them:
 //
 //	//wls:lockorder A<B   – assert that lock class A is acquired before B
 //	//wls:hotpath <why>   – mark the function declared below as a hot-path
 //	                        root for hotalloc
+//	//wls:coldpath <why>  – mark the function declared below as off the hot
+//	                        path even when hot functions call it (abort and
+//	                        maintenance branches); hotalloc stops there
 //	//wls:pooled <why>    – mark the type declared below as pool-recycled;
 //	                        hotalloc then flags interface boxing of its
 //	                        instances and closures capturing them on hot
@@ -275,6 +278,14 @@ func parseDirectives(fset *token.FileSet, f *ast.File, known map[string]bool, re
 				// below as a hot-path root for hotalloc, which also
 				// verifies the comment is attached to a function.
 				continue
+			case "coldpath":
+				// Annotation that shrinks hotalloc's closure, so like the
+				// suppressions it must say why.
+				if rest == "" {
+					report(Diagnostic{Analyzer: "directive", Pos: pos,
+						Message: "//wls:coldpath directive requires a reason (//wls:coldpath <why this runs rarely>)"})
+				}
+				continue
 			case "pooled":
 				// Annotation, not suppression: marks the type declared below
 				// as pool-recycled for hotalloc, which also verifies the
@@ -282,7 +293,7 @@ func parseDirectives(fset *token.FileSet, f *ast.File, known map[string]bool, re
 				continue
 			default:
 				report(Diagnostic{Analyzer: "directive", Pos: pos,
-					Message: fmt.Sprintf("unknown //wls: directive %q (want wallclock, nolint, lockorder, hotpath, or pooled)", kind)})
+					Message: fmt.Sprintf("unknown //wls: directive %q (want wallclock, nolint, lockorder, hotpath, coldpath, or pooled)", kind)})
 				continue
 			}
 			out = append(out, d)

@@ -107,8 +107,29 @@ func lookup(s sink, b []byte, p *frame) {
 	s.accept(b)     // want "boxing []byte into any"
 }
 
+// respond is a hot root whose failure branch is cut out of the closure:
+// nothing in fail, or in what only fail calls, is reported.
+//
+//wls:hotpath
+func respond(ok bool) []int {
+	if !ok {
+		return fail()
+	}
+	return make([]int, 1) // want "make of"
+}
+
+// fail runs once per failed request at most.
+//
+//wls:coldpath the error branch
+func fail() []int {
+	return failDetail()
+}
+
+func failDetail() []int { return make([]int, 64) }
+
 // dangling directives annotate nothing and are reported where they sit.
 func misannotated() {
 	/* want "must appear in a function's doc comment" */ //wls:hotpath
+	/* want "must appear in a function's doc comment to cut" */ //wls:coldpath x
 	/* want "must appear in a type declaration's doc comment" */ //wls:pooled
 }

@@ -29,38 +29,22 @@ func newLockTable(clock vclock.Clock) *lockTable {
 }
 
 // acquire blocks until the row lock is granted to txID or timeout elapses.
+// An uncontended acquire — nearly all of them — neither reads the clock
+// nor arms a timer, which would stay live until it fired.
 func (lt *lockTable) acquire(txID, table, key string, timeout time.Duration) error {
 	ref := rowRef{table, key}
+	if lt.tryAcquire(ref, txID, nil) {
+		return nil
+	}
 	deadline := lt.clock.Now().Add(timeout)
-	// One timer covers the whole acquisition: re-arming clock.After on
-	// every contention wakeup would allocate a timer per loop iteration
-	// that lives until its deadline (wlslint: afterloop).
+	// One timer covers the whole wait: re-arming per contention wakeup
+	// would leave a timer live per iteration (wlslint: afterloop).
 	expired := lt.clock.After(timeout)
 	for {
-		lt.mu.Lock()
-		l, ok := lt.locks[ref]
-		if !ok {
-			lt.locks[ref] = &rowLock{owner: txID, depth: 1}
-			lt.mu.Unlock()
+		ch := make(chan struct{}) //wls:nolint hotalloc -- contended only
+		if lt.tryAcquire(ref, txID, ch) {
 			return nil
 		}
-		if l.owner == txID {
-			l.depth++
-			lt.mu.Unlock()
-			return nil
-		}
-		if l.owner == "" {
-			// Released with waiters woken; first contender takes it.
-			l.owner = txID
-			l.depth = 1
-			lt.mu.Unlock()
-			return nil
-		}
-		// Queue up.
-		ch := make(chan struct{})
-		l.waiters = append(l.waiters, ch)
-		lt.mu.Unlock()
-
 		if !deadline.After(lt.clock.Now()) {
 			lt.abandon(ref, ch)
 			return ErrLockTimeout
@@ -75,8 +59,33 @@ func (lt *lockTable) acquire(txID, table, key string, timeout time.Duration) err
 	}
 }
 
+// tryAcquire grants the row to txID if it is free, handed to its waiters,
+// or already txID's; otherwise it queues wait (if any) and reports false.
+func (lt *lockTable) tryAcquire(ref rowRef, txID string, wait chan struct{}) bool {
+	lt.mu.Lock()
+	defer lt.mu.Unlock()
+	l, ok := lt.locks[ref]
+	switch {
+	case !ok:
+		lt.locks[ref] = &rowLock{owner: txID, depth: 1} //wls:nolint hotalloc -- the lock entry itself, the one allocation of an uncontended acquire
+	case l.owner == txID:
+		l.depth++
+	case l.owner == "":
+		// Released with waiters woken; first contender takes it.
+		l.owner, l.depth = txID, 1
+	default:
+		if wait != nil {
+			l.waiters = append(l.waiters, wait) //wls:nolint hotalloc -- contended only
+		}
+		return false
+	}
+	return true
+}
+
 // abandon removes a waiter that gave up; if the lock was already handed to
 // that waiter (channel closed), pass the wake-up along.
+//
+//wls:coldpath runs only when a lock wait times out
 func (lt *lockTable) abandon(ref rowRef, ch chan struct{}) {
 	lt.mu.Lock()
 	defer lt.mu.Unlock()

@@ -157,9 +157,10 @@ func DecodeBinary(b []byte) (*RowSet, error) {
 }
 
 func encodeFieldMap(e *wire.Encoder, m map[string]string) {
-	keys := make([]string, 0, len(m))
+	var few [8]string // most rows have a handful of fields: sort them on the stack
+	keys := few[:0]
 	for k := range m {
-		keys = append(keys, k)
+		keys = append(keys, k) //wls:nolint hotalloc -- allocates only past eight fields
 	}
 	sort.Strings(keys)
 	e.Int(len(keys))

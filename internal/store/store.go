@@ -30,9 +30,12 @@
 // never splits a transaction.
 //
 // The in-memory image (tables, tombstones) is a write-through cache:
-// reads never touch the backend. A backend write failure fail-stops the
-// store — subsequent commits are refused — because a database that
-// silently diverges from its log is worse than one that stops.
+// reads never touch the backend, nor wait for it: a commit updates the
+// image, releases the image lock and then flushes, so a reader can see a
+// commit that is not yet durable — never one not yet acknowledged and
+// then lost, since the ack waits for the flush. A backend write failure
+// fail-stops the store — subsequent commits are refused — because a
+// database that silently diverges from its log is worse than one that stops.
 package store
 
 import (
@@ -137,15 +140,21 @@ type Store struct {
 	reg   *metrics.Registry
 	tp    *tuple.Store
 
-	// mu guards the image and the change ring; expiry sweeps lock each
-	// Session, counters are bumped, and backend batches are applied while
-	// it is held.
+	// commitMu is the commit-order lock: held from the moment a commit
+	// takes its LSNs in the image until its batch has been applied by the
+	// backend, so LSN-bearing batches reach kv in LSN order.
 	//
-	//wls:lockorder store.Store.mu<store.Session.mu
+	//wls:lockorder store.Store.commitMu<store.Store.mu
+	commitMu sync.Mutex
+
+	// mu guards the image, the change ring and everything below; counters
+	// are bumped while it is held. It is never held across a backend call,
+	// so readers, Session and staging never queue behind an fsync.
+	//
 	//wls:lockorder store.Store.mu<metrics.Registry.mu
-	//wls:lockorder store.Store.mu<tuple.Store.mu
-	mu        sync.Mutex
+	mu        sync.RWMutex
 	tables    map[string]map[string]Row
+	spaces    map[string]string            // table → its tuple space name
 	tombs     map[string]map[string]uint64 // deleted key → last version
 	sessions  map[string]*Session
 	pendingTx map[string][]stagedWrite // durably prepared, unresolved
@@ -185,6 +194,7 @@ func Open(name string, clock vclock.Clock, kvs kv.Store) (*Store, error) {
 		reg:       metrics.NewRegistry(),
 		tp:        tp,
 		tables:    make(map[string]map[string]Row),
+		spaces:    make(map[string]string),
 		tombs:     make(map[string]map[string]uint64),
 		sessions:  make(map[string]*Session),
 		pendingTx: make(map[string][]stagedWrite),
@@ -267,8 +277,8 @@ func (s *Store) SetChangeCap(n int) {
 
 // Get returns a committed row.
 func (s *Store) Get(table, key string) (Row, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
+	s.mu.RLock()
+	defer s.mu.RUnlock()
 	s.reg.Counter("store.reads").Inc()
 	r, ok := s.tables[table][key]
 	if !ok {
@@ -291,21 +301,13 @@ func (s *Store) Put(table, key string, fields map[string]string) Row {
 
 // PutE is Put with the backend error surfaced.
 func (s *Store) PutE(table, key string, fields map[string]string) (Row, error) {
-	s.mu.Lock()
-	if s.broken != nil {
-		err := s.broken
-		s.mu.Unlock()
-		return Row{}, err
-	}
-	row := s.applyPut(table, key, fields, "autocommit")
-	trigs, ch := s.triggersFor(table), s.lastChange()
-	err := s.flushLocked(s.rowOp(table, key))
-	s.mu.Unlock()
+	w := [1]stagedWrite{{kind: writePut, table: table, key: key, fields: cloneFields(fields)}}
+	res, err := s.commit(w[:], "autocommit", "")
 	if err != nil {
 		return Row{}, err
 	}
-	fire(trigs, ch)
-	return row, nil
+	s.fire(res.fired)
+	return res.last.clone(), nil
 }
 
 // Delete removes a row outside any transaction. Like Put it panics on a
@@ -320,36 +322,20 @@ func (s *Store) Delete(table, key string) bool {
 
 // DeleteE is Delete with the backend error surfaced.
 func (s *Store) DeleteE(table, key string) (bool, error) {
-	s.mu.Lock()
-	if s.broken != nil {
-		err := s.broken
-		s.mu.Unlock()
-		return false, err
-	}
-	_, existed := s.tables[table][key]
-	var err error
-	var trigs []Trigger
-	var ch Change
-	if existed {
-		s.applyDelete(table, key, "autocommit")
-		trigs, ch = s.triggersFor(table), s.lastChange()
-		err = s.flushLocked(s.rowOp(table, key))
-	}
-	s.mu.Unlock()
+	w := [1]stagedWrite{{kind: writeDelete, table: table, key: key}}
+	res, err := s.commit(w[:], "autocommit", "")
 	if err != nil {
 		return false, err
 	}
-	if existed {
-		fire(trigs, ch)
-	}
-	return existed, nil
+	s.fire(res.fired)
+	return res.applied == 1, nil
 }
 
 // Scan returns all rows of a table matching filter (nil matches all), in
 // key order.
 func (s *Store) Scan(table string, filter func(Row) bool) []Row {
-	s.mu.Lock()
-	defer s.mu.Unlock()
+	s.mu.RLock()
+	defer s.mu.RUnlock()
 	s.reg.Counter("store.scans").Inc()
 	var out []Row
 	for _, r := range s.tables[table] {
@@ -363,15 +349,15 @@ func (s *Store) Scan(table string, filter func(Row) bool) []Row {
 
 // Count returns the number of rows in a table.
 func (s *Store) Count(table string) int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
+	s.mu.RLock()
+	defer s.mu.RUnlock()
 	return len(s.tables[table])
 }
 
 // Tables lists the tables holding at least one live row, sorted.
 func (s *Store) Tables() []string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
+	s.mu.RLock()
+	defer s.mu.RUnlock()
 	out := make([]string, 0, len(s.tables))
 	for t, rows := range s.tables {
 		if len(rows) > 0 {
@@ -394,8 +380,8 @@ func (s *Store) RegisterTrigger(table string, t Trigger) {
 // or the store restarted — it returns ErrChangesTrimmed and the sniffer
 // must resynchronize with a Scan and resume from LastLSN.
 func (s *Store) Changes(since uint64) ([]Change, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
+	s.mu.RLock()
+	defer s.mu.RUnlock()
 	if since < s.trimLSN {
 		return nil, ErrChangesTrimmed
 	}
@@ -408,16 +394,16 @@ func (s *Store) Changes(since uint64) ([]Change, error) {
 
 // LastLSN returns the newest committed LSN.
 func (s *Store) LastLSN() uint64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
+	s.mu.RLock()
+	defer s.mu.RUnlock()
 	return s.lsn
 }
 
 // InDoubt lists transactions that were durably prepared but neither
 // committed nor rolled back — after a crash the coordinator resolves them.
 func (s *Store) InDoubt() []string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
+	s.mu.RLock()
+	defer s.mu.RUnlock()
 	out := make([]string, 0, len(s.pendingTx))
 	for id := range s.pendingTx {
 		out = append(out, id)
@@ -431,33 +417,40 @@ func (s *Store) InDoubt() []string {
 // versions, LSNs, the change log and triggers behave exactly as they
 // would have without the crash.
 func (s *Store) ResolveInDoubt(txID string, commit bool) error {
-	s.mu.Lock()
+	s.mu.RLock()
 	writes, ok := s.pendingTx[txID]
+	s.mu.RUnlock()
 	if !ok {
-		s.mu.Unlock()
 		return nil // already resolved; idempotent for recovery
 	}
 	if !commit {
-		err := s.tp.Delete(txSpace, txID)
-		if err == nil {
-			delete(s.pendingTx, txID)
-		}
-		s.mu.Unlock()
-		return err
+		return s.discardStage(txID)
 	}
-	fired, err := s.commitLocked(writes, txID, true)
-	s.mu.Unlock()
+	res, err := s.commit(writes, txID, tuple.FlatKey(txSpace, txID))
 	if err != nil {
 		return err
 	}
-	for _, f := range fired {
-		fire(f.trigs, f.ch)
+	s.fire(res.fired)
+	return nil
+}
+
+// discardStage retires a prepared transaction's durable vote unapplied
+// (rollback). Like the vote itself it is written outside both store locks.
+func (s *Store) discardStage(txID string) error {
+	if err := s.tp.Delete(txSpace, txID); err != nil {
+		return err
 	}
+	s.mu.Lock()
+	delete(s.pendingTx, txID)
+	s.mu.Unlock()
 	return nil
 }
 
 // --- internal commit helpers (s.mu held) ----------------------------------
 
+// applyPut installs fields as the row's next version and returns the image
+// row. The image adopts the map: image rows are only ever handed out as
+// clones, and a field map is never modified once installed.
 func (s *Store) applyPut(table, key string, fields map[string]string, txID string) Row {
 	t, ok := s.tables[table]
 	if !ok {
@@ -471,11 +464,10 @@ func (s *Store) applyPut(table, key string, fields map[string]string, txID strin
 		// stay monotone across delete-then-recreate.
 		base = s.tombs[table][key]
 	}
-	f := make(map[string]string, len(fields))
-	for k, v := range fields {
-		f[k] = v
+	if fields == nil {
+		fields = map[string]string{} //wls:nolint hotalloc -- only for a row written without fields
 	}
-	row := Row{Key: key, Fields: f, Version: base + 1}
+	row := Row{Key: key, Fields: fields, Version: base + 1}
 	t[key] = row
 	if !live {
 		delete(s.tombs[table], key)
@@ -483,14 +475,14 @@ func (s *Store) applyPut(table, key string, fields map[string]string, txID strin
 	s.lsn++
 	s.appendChange(Change{LSN: s.lsn, Table: table, Key: key, Op: OpPut, TxID: txID})
 	s.reg.Counter("store.writes").Inc()
-	return row.clone()
+	return row
 }
 
 func (s *Store) applyDelete(table, key, txID string) {
 	prev := s.tables[table][key]
 	delete(s.tables[table], key)
 	if s.tombs[table] == nil {
-		s.tombs[table] = make(map[string]uint64)
+		s.tombs[table] = make(map[string]uint64) //wls:nolint hotalloc -- a table's first delete
 	}
 	s.tombs[table][key] = prev.Version
 	s.lsn++
@@ -516,145 +508,150 @@ func (s *Store) trimToCapLocked() {
 	}
 }
 
-// flushLocked pushes the current image deltas of one commit to the
-// backend as a single atomic batch: every row touched since the batch was
-// started (extra carries them), the LSN, and optionally the staged-vote
-// retirement. On failure the store fail-stops.
-func (s *Store) flushLocked(extra []tuple.Op) error {
-	e := wire.NewEncoder(16)
-	e.Uint64(s.lsn)
-	ops := append(extra, tuple.Op{Kind: kv.OpPut, Space: metaSpace, Key: lsnKey, Value: e.Bytes()})
-	if err := s.tp.Apply(ops); err != nil {
-		s.broken = fmt.Errorf("store: backend write failed, store is fail-stop: %w", err)
-		return s.broken
-	}
-	return nil
+// lsnFlatKey is the backend key of the LSN record, part of every commit.
+var lsnFlatKey = tuple.FlatKey(metaSpace, lsnKey)
+
+// commitResult is what a commit leaves for its caller: the last put's image
+// row, how many writes changed the image, and the changes whose triggers
+// to fire once the caller has let go of its row locks.
+type commitResult struct {
+	last    Row
+	applied int
+	fired   []Change
 }
 
-// rowOp renders the backend record for one touched row — the autocommit
-// path, which never needs rowOps' per-key dedup. Must run after the
-// in-memory image was updated.
-func (s *Store) rowOp(table, key string) []tuple.Op {
-	space := rowSpacePrefix + table
+// rowOp appends the backend record for one touched row to ops, encoding
+// its value into e. Must run after the image was updated, s.mu held.
+func (s *Store) rowOp(ops []tuple.Op, e *wire.Encoder, table, key string) []tuple.Op {
+	start := e.Len()
 	if row, ok := s.tables[table][key]; ok {
-		return []tuple.Op{{Kind: kv.OpPut, Space: space, Key: key, Value: encodeLiveRecord(row)}}
+		encodeLiveRecord(e, row)
+	} else if tomb, ok := s.tombs[table][key]; ok {
+		encodeTombRecord(e, tomb)
+	} else {
+		return ops // never existed (unconditional delete of a missing row): no record
 	}
-	if tomb, ok := s.tombs[table][key]; ok {
-		return []tuple.Op{{Kind: kv.OpPut, Space: space, Key: key, Value: encodeTombRecord(tomb)}}
+	space, ok := s.spaces[table]
+	if !ok {
+		space = rowSpacePrefix + table
+		s.spaces[table] = space
 	}
-	// Never existed (unconditional delete of a missing row): no record.
-	return nil
+	// The slice stays valid if a later append moves the encoder's buffer:
+	// bytes already written are never touched again.
+	return append(ops, tuple.Op{Kind: kv.OpPut, Space: space, Key: key, Value: e.Bytes()[start:]}) //wls:nolint hotalloc -- the caller's stack buffer holds the usual batch
 }
 
-// rowOps renders the current backend records for the rows the write set
-// touched. Must run after the in-memory image was updated.
-func (s *Store) rowOps(writes []stagedWrite) []tuple.Op {
-	type ref struct{ table, key string }
-	seen := map[ref]bool{}
-	ops := make([]tuple.Op, 0, len(writes)+2)
-	for _, w := range writes {
-		r := ref{w.table, w.key}
-		if seen[r] {
-			continue // one record per key: the image already holds the net state
-		}
-		seen[r] = true
-		space := rowSpacePrefix + w.table
-		if row, ok := s.tables[w.table][w.key]; ok {
-			ops = append(ops, tuple.Op{Kind: kv.OpPut, Space: space, Key: w.key, Value: encodeLiveRecord(row)})
-			continue
-		}
-		if tomb, ok := s.tombs[w.table][w.key]; ok {
-			ops = append(ops, tuple.Op{Kind: kv.OpPut, Space: space, Key: w.key, Value: encodeTombRecord(tomb)})
-			continue
-		}
-		// Never existed (unconditional delete of a missing row): no record.
-	}
-	return ops
-}
-
-type firedTrigger struct {
-	trigs []Trigger
-	ch    Change
-}
-
-// commitLocked applies a validated write set: in-memory image first (it
+// commit applies a validated write set: the in-memory image first (it
 // assigns versions and LSNs), then ONE atomic backend batch carrying the
-// row records, the LSN and — when the vote was durably staged — the
-// staged-record retirement. retireStage distinguishes two-phase commits
-// (and recovery) from one-phase commits that never staged durably.
-func (s *Store) commitLocked(writes []stagedWrite, txID string, retireStage bool) ([]firedTrigger, error) {
+// row records, the LSN and — when stageKey names the transaction's
+// durable vote (two-phase commits and recovery; one-phase commits never
+// stage) — the vote's retirement. The image lock is released before the
+// batch is flushed; the commit-order lock is held until it has been.
+// Triggers are left to the caller (fire), who may still hold row locks.
+func (s *Store) commit(writes []stagedWrite, txID, stageKey string) (commitResult, error) {
+	var res commitResult
+	s.commitMu.Lock()
+	defer s.commitMu.Unlock()
+	s.mu.Lock()
 	if s.broken != nil {
-		return nil, s.broken
+		s.mu.Unlock()
+		return res, s.broken
 	}
-	var fired []firedTrigger
+	if stageKey != "" {
+		if _, ok := s.pendingTx[txID]; !ok {
+			s.mu.Unlock()
+			return res, nil // already resolved; idempotent for recovery
+		}
+		delete(s.pendingTx, txID)
+	}
 	for _, w := range writes {
 		switch w.kind {
 		case writePut:
-			s.applyPut(w.table, w.key, w.fields, txID)
+			res.last = s.applyPut(w.table, w.key, w.fields, txID)
 		case writeDelete:
-			if _, ok := s.tables[w.table][w.key]; ok {
-				s.applyDelete(w.table, w.key, txID)
-			} else {
+			if _, ok := s.tables[w.table][w.key]; !ok {
 				continue
 			}
+			s.applyDelete(w.table, w.key, txID)
 		}
-		fired = append(fired, firedTrigger{s.triggersFor(w.table), s.lastChange()})
+		res.applied++
+		if len(s.triggers[w.table]) > 0 {
+			res.fired = append(res.fired, s.changes[len(s.changes)-1]) //wls:nolint hotalloc -- only for tables with triggers
+		}
 	}
-	ops := s.rowOps(writes)
-	if retireStage {
-		ops = append(ops, tuple.Op{Kind: kv.OpDelete, Space: txSpace, Key: txID})
+	if res.applied == 0 && stageKey == "" {
+		s.mu.Unlock()
+		return res, nil // nothing changed and nothing to retire
 	}
-	if err := s.flushLocked(ops); err != nil {
-		return nil, err
+	e := wire.AcquireEncoder()
+	defer e.Release() // after Apply: the backend copies what it keeps
+	var buf [4]tuple.Op
+	ops := buf[:0]
+	// One record per key: the image already holds the net state.
+	var seen map[rowRef]bool
+	if len(writes) > 1 {
+		seen = make(map[rowRef]bool, len(writes)) //wls:nolint hotalloc -- not for the one-row write set
 	}
-	if retireStage {
-		delete(s.pendingTx, txID)
+	for _, w := range writes {
+		if seen != nil {
+			ref := rowRef{w.table, w.key}
+			if seen[ref] {
+				continue
+			}
+			seen[ref] = true
+		}
+		ops = s.rowOp(ops, e, w.table, w.key)
 	}
-	return fired, nil
+	start := e.Len()
+	e.Uint64(s.lsn)
+	ops = append(ops, tuple.Op{Kind: kv.OpPut, Flat: lsnFlatKey, Value: e.Bytes()[start:]}) //wls:nolint hotalloc -- buf holds the usual batch
+	if stageKey != "" {
+		ops = append(ops, tuple.Op{Kind: kv.OpDelete, Flat: stageKey}) //wls:nolint hotalloc -- buf holds the usual batch
+	}
+	s.mu.Unlock()
+
+	if err := s.tp.Apply(ops); err != nil {
+		return commitResult{}, s.failStop(err)
+	}
+	return res, nil
 }
 
-func (s *Store) triggersFor(table string) []Trigger {
-	return append([]Trigger{}, s.triggers[table]...)
-}
-
-func (s *Store) lastChange() Change {
-	live := s.changes[s.head:]
-	if len(live) == 0 {
-		return Change{}
+// failStop records the first backend write failure and returns the error
+// every later commit will get.
+//
+//wls:coldpath the store stops on the first call
+func (s *Store) failStop(err error) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.broken == nil {
+		s.broken = fmt.Errorf("store: backend write failed, store is fail-stop: %w", err)
 	}
-	return live[len(live)-1]
+	return s.broken
 }
 
-func fire(trigs []Trigger, ch Change) {
-	for _, t := range trigs {
-		t(ch)
+// fire runs the triggers of committed changes, outside every store lock.
+func (s *Store) fire(changes []Change) {
+	for _, ch := range changes {
+		s.mu.RLock()
+		trigs := s.triggers[ch.Table] // append-only: this view is never written
+		s.mu.RUnlock()
+		for _, t := range trigs {
+			t(ch)
+		}
 	}
 }
 
 // --- record encoding -------------------------------------------------------
 
-func encodeLiveRecord(row Row) []byte {
-	e := wire.NewEncoder(64)
+func encodeLiveRecord(e *wire.Encoder, row Row) {
 	e.Byte(recLive)
 	e.Uint64(row.Version)
-	e.Int(len(row.Fields))
-	keys := make([]string, 0, len(row.Fields))
-	for k := range row.Fields {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys) // deterministic records
-	for _, k := range keys {
-		e.String(k)
-		e.String(row.Fields[k])
-	}
-	return e.Bytes()
+	encodeFieldMap(e, row.Fields)
 }
 
-func encodeTombRecord(version uint64) []byte {
-	e := wire.NewEncoder(10)
+func encodeTombRecord(e *wire.Encoder, version uint64) {
 	e.Byte(recTomb)
 	e.Uint64(version)
-	return e.Bytes()
 }
 
 func decodeRowRecord(key string, b []byte) (row Row, tomb uint64, isTomb bool, err error) {
@@ -686,8 +683,7 @@ func decodeRowRecord(key string, b []byte) (row Row, tomb uint64, isTomb bool, e
 	}
 }
 
-func encodeStagedWrites(writes []stagedWrite) []byte {
-	e := wire.NewEncoder(128)
+func encodeStagedWrites(e *wire.Encoder, writes []stagedWrite) {
 	e.Int(len(writes))
 	for _, w := range writes {
 		e.Byte(byte(w.kind))
@@ -698,7 +694,6 @@ func encodeStagedWrites(writes []stagedWrite) []byte {
 		encodeOptFieldMap(e, w.fields)
 		encodeOptFieldMap(e, w.expectFields)
 	}
-	return e.Bytes()
 }
 
 // encodeOptFieldMap wraps rowset.go's field-map codec with a presence
@@ -786,11 +781,14 @@ type Session struct {
 	txID  string
 
 	mu       sync.Mutex
-	writes   []stagedWrite
-	locked   []rowRef // pessimistic locks held (to tx end)
-	prepared bool
+	writes   []stagedWrite // append-only until Commit/Rollback drop it
+	locked   []rowRef      // pessimistic locks held (to tx end)
+	stageKey string        // backend key of the durable vote; set once Prepare has voted
 	// LockTimeout bounds pessimistic lock waits.
 	LockTimeout time.Duration
+
+	writeBuf [1]stagedWrite // backs writes and locked for the one-row transaction
+	lockBuf  [1]rowRef
 }
 
 type rowRef struct{ table, key string }
@@ -802,6 +800,7 @@ func (s *Store) Session(txID string) *Session {
 	sess, ok := s.sessions[txID]
 	if !ok {
 		sess = &Session{store: s, txID: txID, LockTimeout: 5 * time.Second}
+		sess.writes, sess.locked = sess.writeBuf[:0], sess.lockBuf[:0]
 		s.sessions[txID] = sess
 	}
 	return sess
@@ -890,82 +889,98 @@ func (se *Session) GetForUpdate(table, key string) (Row, bool, error) {
 // Prepare implements tx.Resource: it locks the write set, validates every
 // optimistic condition, and durably records the yes vote — a prepared
 // transaction survives a crash and resurfaces through InDoubt.
+//
+//wls:hotpath phase one of every two-phase commit
 func (se *Session) Prepare(txID string) error {
-	return se.prepare(txID, true)
+	return se.prepare(true)
 }
 
-func (se *Session) prepare(txID string, durable bool) error {
+func (se *Session) prepare(durable bool) error {
+	// Shared, not copied: staged entries are never modified once appended.
 	se.mu.Lock()
-	writes := append([]stagedWrite{}, se.writes...)
+	writes := se.writes
 	timeout := se.LockTimeout
 	se.mu.Unlock()
 
 	// Lock the write set (short-duration prepare locks) so validation and
-	// commit are atomic with respect to other transactions.
-	seen := map[rowRef]bool{}
+	// commit are atomic with respect to other transactions. (Across stores
+	// two transactions can each win one row; the timeout then aborts one.)
 	for _, w := range writes {
 		ref := rowRef{w.table, w.key}
-		if seen[ref] || se.holdsLock(ref) {
+		if se.holdsLock(ref) { // taken by Lock, or an earlier write to the row
 			continue
 		}
 		if err := se.store.locks.acquire(se.txID, w.table, w.key, timeout); err != nil {
 			return err
 		}
 		se.mu.Lock()
-		se.locked = append(se.locked, ref)
+		se.locked = append(se.locked, ref) //wls:nolint hotalloc -- lockBuf holds the one-row case
 		se.mu.Unlock()
-		seen[ref] = true
 	}
 
 	// Validate WHERE conditions against committed state.
 	s := se.store
-	s.mu.Lock()
-	defer s.mu.Unlock()
+	s.mu.RLock()
+	err := s.validate(writes)
+	if err == nil && durable {
+		err = s.broken
+	}
+	s.mu.RUnlock()
+	if err != nil {
+		return err
+	}
+	if durable {
+		// The yes vote: staged writes become durable before Prepare returns,
+		// so a post-crash coordinator can still commit this transaction. It
+		// is this transaction's own record, without an LSN: no store lock.
+		stageKey := tuple.FlatKey(txSpace, se.txID)
+		e := wire.AcquireEncoder()
+		encodeStagedWrites(e, writes)
+		vote := [1]tuple.Op{{Kind: kv.OpPut, Flat: stageKey, Value: e.Bytes()}}
+		err := s.tp.Apply(vote[:])
+		e.Release()
+		if err != nil {
+			return s.failStop(err)
+		}
+		s.mu.Lock()
+		s.pendingTx[se.txID] = writes
+		s.mu.Unlock()
+		se.mu.Lock()
+		se.stageKey = stageKey
+		se.mu.Unlock()
+	}
+	return nil
+}
+
+// validate checks every write's WHERE condition against the image (s.mu
+// held).
+func (s *Store) validate(writes []stagedWrite) error {
 	for _, w := range writes {
 		cur, exists := s.tables[w.table][w.key]
 		if w.insert && exists {
-			return fmt.Errorf("%w: %s/%s", ErrDuplicate, w.table, w.key)
+			return fmt.Errorf("%w: %s/%s", ErrDuplicate, w.table, w.key) //wls:nolint hotalloc -- no vote
 		}
 		if w.expectVersion != 0 {
 			if !exists || cur.Version != w.expectVersion {
 				s.reg.Counter("store.conflicts").Inc()
-				return fmt.Errorf("%w: %s/%s version %d != expected %d",
+				return fmt.Errorf("%w: %s/%s version %d != expected %d", //wls:nolint hotalloc -- no vote
 					ErrConflict, w.table, w.key, cur.Version, w.expectVersion)
 			}
 		}
 		if w.expectFields != nil {
 			if !exists {
 				s.reg.Counter("store.conflicts").Inc()
-				return fmt.Errorf("%w: %s/%s deleted", ErrConflict, w.table, w.key)
+				return fmt.Errorf("%w: %s/%s deleted", ErrConflict, w.table, w.key) //wls:nolint hotalloc -- no vote
 			}
 			for k, v := range w.expectFields {
 				if cur.Fields[k] != v {
 					s.reg.Counter("store.conflicts").Inc()
-					return fmt.Errorf("%w: %s/%s field %s = %q, expected %q",
+					return fmt.Errorf("%w: %s/%s field %s = %q, expected %q", //wls:nolint hotalloc -- no vote
 						ErrConflict, w.table, w.key, k, cur.Fields[k], v)
 				}
 			}
 		}
-		if w.kind == writeDelete && w.expectVersion == 0 && !exists {
-			// Unconditional delete of a missing row is a no-op, not an error.
-			continue
-		}
 	}
-	if durable {
-		// The yes vote: staged writes become durable before Prepare returns,
-		// so a post-crash coordinator can still commit this transaction.
-		if s.broken != nil {
-			return s.broken
-		}
-		if err := s.tp.Put(txSpace, se.txID, encodeStagedWrites(writes)); err != nil {
-			s.broken = fmt.Errorf("store: backend write failed, store is fail-stop: %w", err)
-			return s.broken
-		}
-		s.pendingTx[se.txID] = writes
-	}
-	se.mu.Lock()
-	se.prepared = durable
-	se.mu.Unlock()
 	return nil
 }
 
@@ -984,53 +999,43 @@ func (se *Session) holdsLock(ref rowRef) bool {
 // the transaction) Prepare may not have run; Commit validates in that case
 // without durably staging the vote — the commit batch itself is atomic, so
 // a separate staged record would buy nothing.
+//
+//wls:hotpath phase two of every commit
 func (se *Session) Commit(txID string) error {
 	se.mu.Lock()
-	prepared := se.prepared
+	stageKey := se.stageKey
 	se.mu.Unlock()
-	if !prepared {
-		if err := se.prepare(txID, false); err != nil {
+	if stageKey == "" { // one-phase: Prepare has not run
+		if err := se.prepare(false); err != nil {
 			se.release()
 			return err
 		}
 	}
 	se.mu.Lock()
-	writes := append([]stagedWrite{}, se.writes...)
+	writes := se.writes
 	se.writes = nil
 	se.mu.Unlock()
 
 	s := se.store
-	s.mu.Lock()
-	fired, err := s.commitLocked(writes, se.txID, prepared)
-	s.mu.Unlock()
+	res, err := s.commit(writes, se.txID, stageKey)
 	se.release()
 	s.dropSession(se.txID)
 	if err != nil {
 		return err
 	}
-	for _, f := range fired {
-		fire(f.trigs, f.ch)
-	}
+	s.fire(res.fired)
 	return nil
 }
 
 // Rollback implements tx.Resource.
 func (se *Session) Rollback(txID string) error {
 	se.mu.Lock()
-	prepared := se.prepared
-	se.writes = nil
-	se.prepared = false
+	voted := se.stageKey != ""
+	se.writes, se.stageKey = nil, ""
 	se.mu.Unlock()
 	var err error
-	if prepared {
-		s := se.store
-		s.mu.Lock()
-		if _, ok := s.pendingTx[se.txID]; ok {
-			if err = s.tp.Delete(txSpace, se.txID); err == nil {
-				delete(s.pendingTx, se.txID)
-			}
-		}
-		s.mu.Unlock()
+	if voted {
+		err = se.store.discardStage(se.txID)
 	}
 	se.release()
 	se.store.dropSession(se.txID)

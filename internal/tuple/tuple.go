@@ -35,11 +35,14 @@ type Op struct {
 	Kind  kv.OpKind
 	Space string
 	Key   string
+	// Flat, when set, replaces Space and Key: FlatKey of them, built once
+	// by a caller that writes the same record again and again.
+	Flat  string
 	Value []byte
 }
 
-// dataKey maps a space-addressed key onto the flat kv keyspace.
-func dataKey(space, key string) string { return space + "\x00" + key }
+// FlatKey maps a space-addressed key onto the flat kv keyspace.
+func FlatKey(space, key string) string { return space + "\x00" + key }
 
 // Store layers spaces and XA sessions over a kv backend.
 type Store struct {
@@ -79,30 +82,30 @@ func (st *Store) KV() kv.Store { return st.kv }
 
 // Get reads one key from a space.
 func (st *Store) Get(space, key string) ([]byte, bool) {
-	return st.kv.Get(dataKey(space, key))
+	return st.kv.Get(FlatKey(space, key))
 }
 
 // Put writes one key in a space.
 func (st *Store) Put(space, key string, value []byte) error {
-	return st.kv.Put(dataKey(space, key), value)
+	return st.kv.Put(FlatKey(space, key), value)
 }
 
 // Delete removes one key from a space.
 func (st *Store) Delete(space, key string) error {
-	return st.kv.Delete(dataKey(space, key))
+	return st.kv.Delete(FlatKey(space, key))
 }
 
 // Scan visits a space's keys carrying prefix, in ascending key order.
 func (st *Store) Scan(space, prefix string, fn func(key string, value []byte) bool) {
 	skip := len(space) + 1
-	st.kv.Scan(dataKey(space, prefix), func(k string, v []byte) bool {
+	st.kv.Scan(FlatKey(space, prefix), func(k string, v []byte) bool {
 		return fn(k[skip:], v)
 	})
 }
 
 // Count reports how many keys in a space carry the prefix.
 func (st *Store) Count(space, prefix string) int {
-	return st.kv.Count(dataKey(space, prefix))
+	return st.kv.Count(FlatKey(space, prefix))
 }
 
 // Spaces lists the distinct spaces holding at least one key.
@@ -125,18 +128,32 @@ func (st *Store) Spaces() []string {
 	return out
 }
 
-// mapOps translates space-addressed ops to kv ops.
-func mapOps(ops []Op) []kv.Op {
-	out := make([]kv.Op, len(ops))
-	for i, o := range ops {
-		out[i] = kv.Op{Kind: o.Kind, Key: dataKey(o.Space, o.Key), Value: o.Value}
+// mapOps appends the kv form of space-addressed ops to out.
+func mapOps(out []kv.Op, ops []Op) []kv.Op {
+	for _, o := range ops {
+		key := o.Flat
+		if key == "" {
+			key = FlatKey(o.Space, o.Key)
+		}
+		out = append(out, kv.Op{Kind: o.Kind, Key: key, Value: o.Value}) //wls:nolint hotalloc -- Apply passes a pooled slice
 	}
 	return out
 }
 
-// Apply commits a cross-space batch atomically.
+// kvOpsPool recycles the kv form of a batch: backends copy what they keep.
+var kvOpsPool = sync.Pool{New: func() any { return new([]kv.Op) }}
+
+// Apply commits a cross-space batch atomically; like kv, it keeps copies.
+//
+//wls:hotpath every store commit and prepare vote is one Apply
 func (st *Store) Apply(ops []Op) error {
-	return st.kv.Apply(mapOps(ops))
+	buf := kvOpsPool.Get().(*[]kv.Op)
+	kops := mapOps((*buf)[:0], ops)
+	err := st.kv.Apply(kops)
+	clear(kops)
+	*buf = kops[:0]
+	kvOpsPool.Put(buf)
+	return err
 }
 
 // Close closes the underlying backend.
@@ -254,7 +271,7 @@ func (st *Store) commitLocked(txID string) error {
 	if !ok {
 		return nil // already resolved; idempotent for recovery
 	}
-	batch := append(mapOps(ops), kv.Op{Kind: kv.OpDelete, Key: stagePrefix + txID})
+	batch := append(mapOps(make([]kv.Op, 0, len(ops)+1), ops), kv.Op{Kind: kv.OpDelete, Key: stagePrefix + txID})
 	if err := st.kv.Apply(batch); err != nil {
 		return err
 	}

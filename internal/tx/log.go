@@ -1,11 +1,13 @@
 package tx
 
 import (
+	"errors"
 	"fmt"
 	"io"
 	"os"
 	"sync"
 
+	"wls/internal/kv"
 	"wls/internal/wire"
 )
 
@@ -62,10 +64,11 @@ func (l *MemLog) Records() ([]Record, error) {
 
 // FileLog is a durable, append-only coordinator log ("tlog" in WebLogic
 // terms). Each record is one wire frame; a torn final record (crash during
-// append) is ignored on replay.
+// append) is cut off when the log is next opened, so the records appended
+// after the restart follow the last whole one.
 type FileLog struct {
 	mu   sync.Mutex
-	f    *os.File
+	f    kv.File
 	sync bool
 }
 
@@ -73,16 +76,33 @@ type FileLog struct {
 // syncEvery is true every append is fsynced — the durable configuration;
 // benchmarks can disable it to isolate the fsync cost.
 func OpenFileLog(path string, syncEvery bool) (*FileLog, error) {
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_RDWR|os.O_APPEND, 0o644)
+	return OpenFileLogFS(kv.OSFS(), path, syncEvery)
+}
+
+// OpenFileLogFS is OpenFileLog on a given filesystem (the transaction crash
+// sweep runs the log and its stores on one kvtest.CrashFS).
+func OpenFileLogFS(fsys kv.FS, path string, syncEvery bool) (*FileLog, error) {
+	f, err := fsys.OpenFile(path, os.O_CREATE|os.O_RDWR|os.O_APPEND, 0o644)
 	if err != nil {
 		return nil, err
 	}
-	return &FileLog{f: f, sync: syncEvery}, nil
+	l := &FileLog{f: f, sync: syncEvery}
+	_, whole, err := l.scan()
+	if err == nil {
+		err = f.Truncate(whole) // cuts a torn final record, if any
+	}
+	if err != nil {
+		return nil, errors.Join(err, f.Close())
+	}
+	return l, nil
 }
 
 // Append implements Log.
+//
+//wls:hotpath two appends per two-phase commit
 func (l *FileLog) Append(r Record) error {
-	e := wire.NewEncoder(16)
+	e := wire.AcquireEncoder()
+	defer e.Release()
 	e.Byte(byte(r.Kind))
 	e.String(r.TxID)
 	l.mu.Lock()
@@ -100,29 +120,34 @@ func (l *FileLog) Append(r Record) error {
 func (l *FileLog) Records() ([]Record, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
+	recs, _, err := l.scan()
+	return recs, err
+}
+
+// scan reads the log from the start and returns its records and the
+// offset at which the last whole frame ends.
+func (l *FileLog) scan() (recs []Record, whole int64, err error) {
 	if _, err := l.f.Seek(0, io.SeekStart); err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	defer l.f.Seek(0, io.SeekEnd) //nolint:errcheck // append mode restores position
-	var out []Record
 	for {
 		f, err := wire.ReadFrame(l.f)
-		if err == io.EOF {
-			return out, nil
+		if err == io.EOF || err == io.ErrUnexpectedEOF {
+			return recs, whole, nil // the end, or a torn tail from a crash mid-append
 		}
 		if err != nil {
-			// Torn tail from a crash mid-append: stop replay here.
-			if err == io.ErrUnexpectedEOF {
-				return out, nil
-			}
-			return out, err
+			return recs, whole, err
 		}
 		d := wire.NewDecoder(f.Body)
 		r := Record{Kind: RecordKind(d.Byte()), TxID: d.String()}
 		if d.Err() != nil {
-			return out, fmt.Errorf("tx: corrupt log record: %v", d.Err())
+			return recs, whole, fmt.Errorf("tx: corrupt log record: %v", d.Err())
 		}
-		out = append(out, r)
+		recs = append(recs, r)
+		if whole, err = l.f.Seek(0, io.SeekCurrent); err != nil {
+			return recs, whole, err
+		}
 	}
 }
 

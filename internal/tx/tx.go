@@ -21,7 +21,12 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
+	"sort"
+	"strconv"
+	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"wls/internal/metrics"
@@ -39,26 +44,18 @@ type ContextResource interface {
 	RollbackCtx(ctx context.Context, txID string) error
 }
 
-func prepareResource(ctx context.Context, r Resource, txID string) error {
-	if cr, ok := r.(ContextResource); ok {
-		return cr.PrepareCtx(ctx, txID)
-	}
-	return r.Prepare(txID)
+// message is one 2PC verb in its two forms.
+type message struct {
+	verb   string
+	plain  func(Resource, string) error
+	traced func(ContextResource, context.Context, string) error
 }
 
-func commitResource(ctx context.Context, r Resource, txID string) error {
-	if cr, ok := r.(ContextResource); ok {
-		return cr.CommitCtx(ctx, txID)
-	}
-	return r.Commit(txID)
-}
-
-func rollbackResource(ctx context.Context, r Resource, txID string) error {
-	if cr, ok := r.(ContextResource); ok {
-		return cr.RollbackCtx(ctx, txID)
-	}
-	return r.Rollback(txID)
-}
+var (
+	prepareMsg  = message{"prepare", Resource.Prepare, ContextResource.PrepareCtx}
+	commitMsg   = message{"commit", Resource.Commit, ContextResource.CommitCtx}
+	rollbackMsg = message{"rollback", Resource.Rollback, ContextResource.RollbackCtx}
+)
 
 // Resource is an XA-style transaction participant.
 type Resource interface {
@@ -124,7 +121,16 @@ type Manager struct {
 	nextID   uint64
 	active   map[string]*Tx
 	branches map[string]*Branch
+
+	// doneMu guards the done records waiting for the drainer (logDone).
+	doneMu   sync.Mutex
+	doneCond sync.Cond // on doneMu: the queue shrank, or the drainer exited
+	doneQ    []string
+	draining bool
 }
+
+// maxDoneBacklog bounds the done-record queue: committers wait when it is full.
+const maxDoneBacklog = 1024
 
 // NewManager creates a manager for the named server. log may be nil, in
 // which case an in-memory log is used (recovery then only works within the
@@ -136,13 +142,15 @@ func NewManager(server string, clock vclock.Clock, log Log, reg *metrics.Registr
 	if reg == nil {
 		reg = metrics.NewRegistry()
 	}
-	return &Manager{
+	m := &Manager{
 		server: server,
 		clock:  clock,
 		log:    log,
 		reg:    reg,
 		active: make(map[string]*Tx),
 	}
+	m.doneCond.L = &m.doneMu
+	return m
 }
 
 // Begin starts a transaction coordinated by this server. A non-zero
@@ -159,14 +167,15 @@ func (m *Manager) Begin(timeout time.Duration) *Tx {
 func (m *Manager) BeginCtx(ctx context.Context, timeout time.Duration) *Tx {
 	m.mu.Lock()
 	m.nextID++
-	id := fmt.Sprintf("%s-tx-%d", m.server, m.nextID)
+	buf := append(append(make([]byte, 0, 48), m.server...), "-tx-"...)
+	id := string(strconv.AppendUint(buf, m.nextID, 10))
 	t := &Tx{
-		id:      id,
-		mgr:     m,
-		ctx:     ctx,
-		servers: map[string]bool{m.server: true},
-		done:    make(chan struct{}),
+		id:   id,
+		mgr:  m,
+		ctx:  ctx,
+		done: make(chan struct{}),
 	}
+	t.resources = t.resBuf[:0]
 	if parent := trace.FromContext(ctx); parent != nil {
 		t.ctx, t.span = parent.NewChild(ctx, "tx "+id, trace.KindTx)
 		t.span.Annotate("coordinator", m.server)
@@ -219,12 +228,13 @@ type Tx struct {
 
 	mu        sync.Mutex
 	state     State
-	resources []enlisted
-	servers   map[string]bool
+	resources []enlisted  // frozen once the state leaves StateActive
+	resBuf    [2]enlisted // backs resources for the common two-resource case
+	servers   []string    // touched, beyond the coordinator
 	before    []func() error
 	after     []func(committed bool)
 	timer     vclock.Timer
-	timedOut  atomicBool
+	timedOut  atomic.Bool
 	done      chan struct{} // closed when the state becomes terminal
 }
 
@@ -232,15 +242,6 @@ type enlisted struct {
 	name string
 	r    Resource
 }
-
-// atomicBool avoids importing sync/atomic for one flag with CAS semantics.
-type atomicBool struct {
-	mu sync.Mutex
-	v  bool
-}
-
-func (b *atomicBool) Store(v bool) { b.mu.Lock(); b.v = v; b.mu.Unlock() }
-func (b *atomicBool) Load() bool   { b.mu.Lock(); defer b.mu.Unlock(); return b.v }
 
 // ID returns the transaction identifier.
 func (t *Tx) ID() string { return t.id }
@@ -274,18 +275,17 @@ func (t *Tx) Enlist(name string, r Resource) error {
 func (t *Tx) TouchServer(name string) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	t.servers[name] = true
+	if name != t.mgr.server && !slices.Contains(t.servers, name) {
+		t.servers = append(t.servers, name)
+	}
 }
 
-// Servers lists the servers this transaction has touched.
+// Servers lists the servers this transaction has touched, the coordinator
+// first.
 func (t *Tx) Servers() []string {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	out := make([]string, 0, len(t.servers))
-	for s := range t.servers {
-		out = append(out, s)
-	}
-	return out
+	return append([]string{t.mgr.server}, t.servers...)
 }
 
 // BeforeCompletion registers a callback run before the prepare phase (the
@@ -346,13 +346,18 @@ func (t *Tx) waitOutcome() error {
 // Commit drives the transaction to completion: beforeCompletion hooks,
 // prepare (skipped for a single resource — the one-phase optimization),
 // a durable commit record, then commit on every resource.
+// Each phase goes to all resources at once, so a two-phase commit waits
+// for three flushes — prepares, decision record, commits — and returns only
+// once every resource has answered: the reply never runs ahead of a flush.
+//
+//wls:hotpath the durable commit path (benchmark checkout-durable, E32)
 func (t *Tx) Commit() error {
 	t.mu.Lock()
 	if t.state != StateActive {
 		t.mu.Unlock()
 		return t.waitOutcome()
 	}
-	before := append([]func() error{}, t.before...)
+	before := t.before // append-only: a hook registering another hook appends past this view
 	timer := t.timer
 	t.mu.Unlock()
 
@@ -370,11 +375,11 @@ func (t *Tx) Commit() error {
 				t.mu.Unlock()
 				return t.waitOutcome()
 			}
-			resources := append([]enlisted{}, t.resources...)
+			resources := t.resources
 			t.state = StatePreparing
 			t.mu.Unlock()
-			t.abort(resources, false)
-			return fmt.Errorf("%w: beforeCompletion: %v", ErrAborted, err)
+			t.abort(resources)
+			return fmt.Errorf("%w: beforeCompletion: %v", ErrAborted, err) //wls:nolint hotalloc -- abort path
 		}
 	}
 
@@ -384,47 +389,47 @@ func (t *Tx) Commit() error {
 		return t.waitOutcome()
 	}
 	t.state = StatePreparing
-	resources := append([]enlisted{}, t.resources...)
+	resources := t.resources // Enlist refuses from here on: no copy needed
 	t.mu.Unlock()
 
 	m := t.mgr
 	switch {
 	case len(resources) > 1:
-		// Phase 1: prepare.
 		m.reg.Counter("tx.2pc").Inc()
 		t.span.Annotate("mode", "2pc")
-		for _, e := range resources {
-			pctx, sp := t.phaseSpan("prepare", e.name)
-			err := prepareResource(pctx, e.r, t.id)
-			sp.SetError(err)
-			sp.Finish()
-			if err != nil {
-				// Roll back everything, including already-prepared ones.
-				t.abort(resources, true)
-				return fmt.Errorf("%w: %s voted no: %v", ErrAborted, e.name, err)
-			}
+		// Phase 1: every vote is in before anything is decided, so a no vote
+		// never races a prepare in flight; it rolls back the yes voters too.
+		if i, err := t.phase(prepareMsg, resources); err != nil {
+			t.abort(resources)
+			return fmt.Errorf("%w: %s voted no: %w", ErrAborted, resources[i].name, err) //wls:nolint hotalloc -- abort path
 		}
 		// Decision point: durably record the commit.
 		if err := m.log.Append(Record{TxID: t.id, Kind: RecordCommit}); err != nil {
-			t.abort(resources, true)
-			return fmt.Errorf("%w: commit record: %v", ErrAborted, err)
+			t.abort(resources)
+			return fmt.Errorf("%w: commit record: %v", ErrAborted, err) //wls:nolint hotalloc -- abort path
 		}
+		// Phase 2. After the decision is logged, failures are retried by
+		// recovery, not reported as aborts; the done record follows only if
+		// every resource committed, else Recover must re-drive the rest.
+		_, err := t.phase(commitMsg, resources)
+		if err == nil {
+			m.logDone(t.id)
+		}
+		t.complete()
+		if err != nil {
+			return fmt.Errorf("tx: committed with in-doubt resource (recovery will retry): %v", err) //wls:nolint hotalloc -- a resource failed after the decision
+		}
+		return nil
 	case len(resources) == 1:
 		// One-phase optimization: a single resource decides the outcome
 		// itself, so a commit failure here is an abort, not an in-doubt
 		// state — no decision was ever logged.
 		m.reg.Counter("tx.1pc").Inc()
 		t.span.Annotate("mode", "1pc")
-		cctx, sp := t.phaseSpan("commit", resources[0].name)
-		err := commitResource(cctx, resources[0].r, t.id)
-		sp.SetError(err)
-		sp.Finish()
-		if err != nil {
-			t.abort(resources, false)
-			return fmt.Errorf("%w: %v", ErrAborted, err)
+		if err := t.send(commitMsg, resources[0]); err != nil {
+			t.abort(resources)
+			return fmt.Errorf("%w: %v", ErrAborted, err) //wls:nolint hotalloc -- abort path
 		}
-		t.complete()
-		return nil
 	default:
 		// No resources enlisted: nothing to prepare or commit. This is not
 		// a one-phase commit; count it apart so the 1pc/2pc ratio stays an
@@ -432,37 +437,98 @@ func (t *Tx) Commit() error {
 		m.reg.Counter("tx.0pc").Inc()
 		t.span.Annotate("mode", "0pc")
 	}
+	t.complete()
+	return nil
+}
 
-	// Phase 2: commit every resource. After the decision is logged,
-	// failures here are retried by recovery, not reported as aborts.
-	var firstErr error
-	for _, e := range resources {
-		cctx, sp := t.phaseSpan("commit", e.name)
-		err := commitResource(cctx, e.r, t.id)
-		sp.SetError(err)
-		sp.Finish()
-		if err != nil && firstErr == nil {
-			firstErr = err
+// phase sends one 2PC message to every resource at once — their flushes
+// overlap into one wait — and, once all have answered, returns the first
+// error in enlist order. The first resource is served on this goroutine.
+func (t *Tx) phase(m message, resources []enlisted) (int, error) {
+	errs := make([]error, len(resources)) //wls:nolint hotalloc -- the price of the overlap: one slice and one closure per extra resource and phase
+	var wg sync.WaitGroup
+	wg.Add(len(resources) - 1)
+	for i := 1; i < len(resources); i++ {
+		go func() { //wls:nolint hotalloc -- see errs
+			defer wg.Done()
+			errs[i] = t.send(m, resources[i])
+		}()
+	}
+	errs[0] = t.send(m, resources[0])
+	wg.Wait()
+	for i, err := range errs {
+		if err != nil {
+			return i, err
 		}
 	}
-	// The done record may only be written once every resource committed;
-	// otherwise the transaction must stay in doubt so Recover re-drives it.
-	if len(resources) > 1 && firstErr == nil {
-		_ = m.log.Append(Record{TxID: t.id, Kind: RecordDone})
-	}
+	return 0, nil
+}
 
-	t.complete()
-	if firstErr != nil {
-		return fmt.Errorf("tx: committed with in-doubt resource (recovery will retry): %v", firstErr)
+// send delivers one 2PC message to one resource under its phase span.
+func (t *Tx) send(m message, e enlisted) error {
+	ctx, sp := t.phaseSpan(m.verb, e.name)
+	var err error
+	if cr, ok := e.r.(ContextResource); ok {
+		err = m.traced(cr, ctx, t.id)
+	} else {
+		err = m.plain(e.r, t.id)
 	}
-	return nil
+	sp.SetError(err)
+	sp.Finish()
+	return err
+}
+
+// logDone queues the transaction's done record for the drainer — started
+// by the first queued record, gone when the queue is empty — and does not
+// wait for its flush: losing the record in a crash costs recovery one
+// re-commit, idempotent by the Resource contract. Each record is still an
+// Append of its own, in the order the transactions finished.
+func (m *Manager) logDone(txID string) {
+	m.doneMu.Lock()
+	for len(m.doneQ) >= maxDoneBacklog {
+		m.doneCond.Wait()
+	}
+	m.doneQ = append(m.doneQ, txID) //wls:nolint hotalloc -- the drainer hands its emptied slices back
+	if !m.draining {
+		m.draining = true
+		go m.drainDone()
+	}
+	m.doneMu.Unlock()
+}
+
+func (m *Manager) drainDone() {
+	var batch []string
+	m.doneMu.Lock()
+	for len(m.doneQ) > 0 {
+		batch, m.doneQ = m.doneQ, batch[:0]
+		m.doneCond.Broadcast()
+		m.doneMu.Unlock()
+		for _, id := range batch {
+			_ = m.log.Append(Record{TxID: id, Kind: RecordDone}) // see logDone
+		}
+		m.doneMu.Lock()
+	}
+	m.doneQ = batch[:0] // keep a backing array for the next burst
+	m.draining = false
+	m.doneCond.Broadcast()
+	m.doneMu.Unlock()
+}
+
+// Drain waits until every done record queued so far is in the log: before
+// reading the log back, and before closing it on shutdown.
+func (m *Manager) Drain() {
+	m.doneMu.Lock()
+	for m.draining {
+		m.doneCond.Wait()
+	}
+	m.doneMu.Unlock()
 }
 
 // complete finalizes a committed transaction and runs after hooks.
 func (t *Tx) complete() {
 	t.mu.Lock()
 	t.state = StateCommitted
-	after := append([]func(bool){}, t.after...)
+	after := t.after
 	close(t.done)
 	t.mu.Unlock()
 	t.mgr.finish(t)
@@ -484,25 +550,26 @@ func (t *Tx) Rollback() error {
 		return ErrNotActive
 	}
 	t.state = StatePreparing
-	resources := append([]enlisted{}, t.resources...)
+	resources := t.resources
 	timer := t.timer
 	t.mu.Unlock()
 	if timer != nil {
 		timer.Stop()
 	}
-	t.abort(resources, false)
+	t.abort(resources)
 	return nil
 }
 
-func (t *Tx) abort(resources []enlisted, prepared bool) {
+// abort rolls every resource back and finishes the transaction as aborted.
+//
+//wls:coldpath rollback: a no vote, a failed hook, a timeout or the application's own Rollback
+func (t *Tx) abort(resources []enlisted) {
 	for _, e := range resources {
-		rctx, sp := t.phaseSpan("rollback", e.name)
-		sp.SetError(rollbackResource(rctx, e.r, t.id))
-		sp.Finish()
+		_ = t.send(rollbackMsg, e) // recorded on the phase span; the outcome is abort either way
 	}
 	t.mu.Lock()
 	t.state = StateAborted
-	after := append([]func(bool){}, t.after...)
+	after := t.after
 	close(t.done)
 	t.mu.Unlock()
 	t.mgr.finish(t)
@@ -516,10 +583,26 @@ func (t *Tx) abort(resources []enlisted, prepared bool) {
 	}
 }
 
+// InDoubtError is returned by Recover for transactions some resource did
+// not re-commit: they get no done record, so a later Recover drives them.
+type InDoubtError struct {
+	IDs   []string // still in doubt, sorted
+	Cause error    // the resource failures
+}
+
+func (e *InDoubtError) Error() string {
+	return fmt.Sprintf("tx: still in doubt after recovery: %s: %v", strings.Join(e.IDs, ", "), e.Cause)
+}
+
+func (e *InDoubtError) Unwrap() error { return e.Cause }
+
 // Recover replays the coordinator log: transactions with a commit record
 // but no done record are re-committed against the resources supplied by
-// name. It returns the ids it re-committed.
+// name, and get their done record once every resource has committed. It
+// returns the ids it completed; if a resource failed, the error is an
+// *InDoubtError naming the transactions left for the next Recover.
 func (m *Manager) Recover(resources map[string]Resource) ([]string, error) {
+	m.Drain() // this manager's own finished transactions are not in doubt
 	recs, err := m.log.Records()
 	if err != nil {
 		return nil, err
@@ -534,14 +617,26 @@ func (m *Manager) Recover(resources map[string]Resource) ([]string, error) {
 		}
 	}
 	var done []string
+	var left InDoubtError
 	for id := range inDoubt {
+		var failed error
 		for _, r := range resources {
-			_ = r.Commit(id) // commit must be idempotent for recovery
+			failed = errors.Join(failed, r.Commit(id)) // idempotent by the Resource contract
+		}
+		if failed != nil {
+			left.IDs = append(left.IDs, id)
+			left.Cause = errors.Join(left.Cause, failed)
+			continue
 		}
 		if err := m.log.Append(Record{TxID: id, Kind: RecordDone}); err != nil {
 			return done, err
 		}
 		done = append(done, id)
+	}
+	sort.Strings(done)
+	if left.IDs != nil {
+		sort.Strings(left.IDs)
+		return done, &left
 	}
 	return done, nil
 }
