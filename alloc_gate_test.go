@@ -16,6 +16,7 @@ package wls_test
 import (
 	"context"
 	"path/filepath"
+	"runtime"
 	"strconv"
 	"testing"
 
@@ -267,5 +268,58 @@ func TestAllocGateDurableCheckout(t *testing.T) {
 	t.Logf("durable two-store checkout: %.1f allocs/commit", got)
 	if got > 30 {
 		t.Fatalf("durable checkout allocates %.1f/commit, gate is 30", got)
+	}
+}
+
+// TestAllocGateSessionFootprint pins what a resident session costs: 8 192
+// replicated sessions holding two short attributes, live heap after two
+// collections, divided by the count — both copies (primary record and
+// secondary replica), both session-table entries and the cached response
+// cookie. Measured
+// 584 B/session, pinned at that + 10 %; the parent commit, which kept a
+// map[string]string per copy, measured 1 127 B on the same test (DESIGN.md
+// "Session state" has the breakdown).
+func TestAllocGateSessionFootprint(t *testing.T) {
+	c := allocGateCluster(t)
+	for _, s := range c.Servers {
+		s.Web.Handle("/cart", func(r *servlet.Request) servlet.Response {
+			r.Session.Set("n", "12")
+			r.Session.Set("item", string(r.Body))
+			return servlet.Response{}
+		})
+	}
+	liveHeap := func() uint64 {
+		var m runtime.MemStats
+		runtime.GC()
+		runtime.GC()
+		runtime.ReadMemStats(&m)
+		return m.HeapAlloc
+	}
+	create := func(n int) {
+		body := []byte("sku-0042")
+		for i := 0; i < n; i++ {
+			if resp := c.Servers[i%len(c.Servers)].Web.Serve("/cart", "", body); resp.Status != 200 {
+				t.Fatalf("session %d: status %d", i, resp.Status)
+			}
+		}
+	}
+	// The cookie decode cache holds 4 096 entries and is dropped wholesale
+	// when full: fill it first and create a multiple of its size, so it is
+	// equally full at both readings and cancels out.
+	const warm, sessions = 4096, 8192
+	create(warm)
+	before := liveHeap()
+	create(sessions)
+	per := float64(liveHeap()-before) / sessions
+	resident := 0
+	for _, s := range c.Servers {
+		resident += s.Web.Sessions().ResidentSessions()
+	}
+	if resident != 2*(warm+sessions) {
+		t.Fatalf("%d copies resident, want %d", resident, 2*(warm+sessions))
+	}
+	t.Logf("replicated session, two short attributes: %.0f B resident (both copies)", per)
+	if per > 642 {
+		t.Fatalf("a resident session costs %.0f B, gate is 642", per)
 	}
 }

@@ -39,10 +39,6 @@ type Request struct {
 
 var requestPool = sync.Pool{New: func() any { return new(Request) }}
 
-// serverNames interns ServedBy strings decoded off the wire (the cluster
-// has a bounded set of server names).
-var serverNames = wire.NewInterner(512)
-
 // Response is a servlet's result.
 type Response struct {
 	Status int
@@ -96,9 +92,6 @@ func NewEngine(registry *rmi.Registry, cfg Config) *Engine {
 			// primary's ship under load would silently strand secondaries,
 			// so replication bypasses admission (System) while the "request"
 			// path above is subject to it.
-			"session.update": {System: true, Handler: func(ctx context.Context, c *rmi.Call) ([]byte, error) {
-				return nil, e.sessions.handleUpdate(c.Args)
-			}},
 			"session.update.batch": {System: true, Handler: func(ctx context.Context, c *rmi.Call) ([]byte, error) {
 				return nil, e.sessions.handleUpdateBatch(c.Args)
 			}},
@@ -158,10 +151,7 @@ func (e *Engine) ServeCtx(ctx context.Context, path, cookie string, body []byte)
 //
 //wls:hotpath
 func (e *Engine) serve(ctx context.Context, path string, c Cookie, body []byte) Response {
-	sess, err := e.sessions.resolve(ctx, c)
-	if err != nil {
-		return Response{Status: 500, Body: []byte(err.Error()), ServedBy: e.serverName}
-	}
+	sess := e.sessions.resolve(ctx, c)
 	if sp := trace.FromContext(ctx); sp != nil {
 		sp.Annotate("session", sess.ID)
 	}
@@ -180,12 +170,8 @@ func (e *Engine) serve(ctx context.Context, path string, c Cookie, body []byte) 
 	if resp.Status == 0 {
 		resp.Status = 200
 	}
-	cookieStr, err := e.sessions.finish(ctx, sess)
+	resp.Cookie = e.sessions.finish(ctx, sess)
 	releaseSession(sess)
-	if err != nil {
-		return Response{Status: 500, Body: []byte(err.Error()), ServedBy: e.serverName}
-	}
-	resp.Cookie = cookieStr
 	resp.ServedBy = e.serverName
 	return resp
 }
@@ -232,61 +218,35 @@ func (e *Engine) handleRequest(ctx context.Context, call *rmi.Call) ([]byte, err
 	return nil, nil
 }
 
-// AppendResponse serializes a Response for the RMI surface.
+// AppendResponse serializes a Response for the RMI surface. ServedBy is
+// not written: the rmi envelope around the reply already names the server
+// (rmi.Result.ServedBy), and the caller fills the field from there.
 func AppendResponse(enc *wire.Encoder, r Response) {
 	enc.Int(r.Status)
 	enc.String(r.Cookie)
-	enc.String(r.ServedBy)
 	enc.Bytes2(r.Body)
 }
 
-// DecodeResponse reverses AppendResponse.
-func DecodeResponse(b []byte) (Response, error) {
-	d := wire.NewDecoder(b)
-	r := Response{
-		Status:   d.Int(),
-		Cookie:   d.String(),
-		ServedBy: d.String(),
-		Body:     d.Bytes(),
-	}
-	return r, d.Err()
-}
-
-// DecodeResponseNoCopy is DecodeResponse for hot callers that own b (per
-// the Node.Call contract): Body aliases b, the cookie resolves through the
-// decode cache (returning its canonical string), and the server name is
-// interned.
+// DecodeResponseNoCopy reverses AppendResponse for callers that own b (per
+// the Node.Call contract): Body aliases b and the cookie resolves through
+// the decode cache (returning its canonical string). ServedBy is left for
+// the caller to take from the rmi result.
 func DecodeResponseNoCopy(b []byte) (Response, error) {
 	d := wire.NewDecoder(b)
 	r := Response{Status: d.Int()}
 	cookieB := d.BytesNoCopy()
-	r.ServedBy = serverNames.Intern(d.BytesNoCopy())
 	r.Body = d.BytesNoCopy()
-	if len(cookieB) > 0 {
-		cookieCache.RLock()
-		c, ok := cookieCache.m[string(cookieB)]
-		cookieCache.RUnlock()
-		if ok && c.raw != "" {
-			r.Cookie = c.raw
-		} else {
-			r.Cookie = string(cookieB)
-		}
+	if c, ok := cachedCookie(cookieB); ok && c.raw != "" {
+		r.Cookie = c.raw
+	} else {
+		r.Cookie = string(cookieB)
 	}
 	return r, d.Err()
 }
 
-// EncodeRequest serializes a request for the RMI surface.
-func EncodeRequest(path, cookie string, body []byte) []byte {
-	e := wire.MakeEncoder(64 + len(body))
-	e.String(path)
-	e.String(cookie)
-	e.Bytes2(body)
-	return e.Bytes()
-}
-
-// AppendRequest encodes a request into an existing encoder (the webtier
-// routes through a pooled encoder so the proxy hop allocates no request
-// buffer).
+// AppendRequest serializes a request for the RMI surface into an existing
+// encoder (the webtier routes through a pooled one, so the proxy hop
+// allocates no request buffer).
 func AppendRequest(e *wire.Encoder, path, cookie string, body []byte) {
 	e.String(path)
 	e.String(cookie)

@@ -22,13 +22,13 @@ func (sm *SessionManager) Partitions() *partition.Views { return sm.parts.Load()
 // ringSecondary picks the session's ring-placed secondary: the first live
 // replica of key that is not this server, preferring a replica on another
 // machine (preserving the §3.2 anti-affinity property the old ring-order
-// rule had).
-func (sm *SessionManager) ringSecondary(v *partition.View, key string) (string, bool) {
+// rule had), and never avoid (see chooseSecondary).
+func (sm *SessionManager) ringSecondary(v *partition.View, key, avoid string) (string, bool) {
 	var buf [8]string
 	reps := v.Ring.ReplicasInto(key, buf[:0])
 	fallback := ""
 	for _, name := range reps {
-		if name == sm.selfName {
+		if name == sm.selfName || name == avoid {
 			continue
 		}
 		info, ok := sm.member.Lookup(name)
@@ -51,8 +51,8 @@ func (sm *SessionManager) ringSecondary(v *partition.View, key string) (string, 
 // background goroutine races the request flow): when the ring epoch moved
 // since the session was last placed, recompute the ring secondary and, if
 // it changed, re-seed the new secondary with the full state. The response
-// cookie re-encodes automatically (finish notices cookieSec != secondary),
-// so the client learns the new pair on this very response. The old
+// cookie re-encodes automatically (setSecondary drops the cached one), so
+// the client learns the new pair on this very response. The old
 // secondary keeps its copy, which is what makes the handoff lossless: until
 // the client has the new cookie, a primary failure still finds state at the
 // cookie-named replica.
@@ -64,17 +64,17 @@ func (sm *SessionManager) maybeRebalance(ctx context.Context, st *sessState) {
 		return
 	}
 	v := vs.Current()
-	if v == nil || st.epoch.Load() == v.Epoch {
+	if v == nil || st.epoch.Load() == uint32(v.Epoch) {
 		return // steady state: two atomic loads, no allocation
 	}
-	st.epoch.Store(v.Epoch)
-	want, ok := sm.ringSecondary(v, st.id)
+	st.epoch.Store(uint32(v.Epoch))
+	want, ok := sm.ringSecondary(v, st.id, "")
 	if !ok || want == st.secondary {
 		return
 	}
-	st.secondary = want
+	st.setSecondary(want)
 	sm.ringMoves.Add(1)
-	sm.shipFull(ctx, st)
+	sm.ship(ctx, st, nil)
 }
 
 // PartitionStats is the session manager's view of the ring for the admin
@@ -104,11 +104,11 @@ type PartitionStats struct {
 func (sm *SessionManager) PartitionStats() PartitionStats {
 	ps := PartitionStats{RingMoves: sm.ringMoves.Load()}
 	vs := sm.parts.Load()
-	var cur uint64
+	var cur uint32
 	if vs != nil {
 		ps.Attached = true
 		if v := vs.Current(); v != nil {
-			cur = v.Epoch
+			cur = uint32(v.Epoch)
 			ps.Epoch = v.Epoch
 			ps.Fingerprint = v.Ring.Fingerprint()
 			ps.Members = v.Ring.Len()

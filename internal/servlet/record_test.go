@@ -1,0 +1,294 @@
+package servlet
+
+import (
+	"context"
+	"fmt"
+	"math/rand"
+	"strings"
+	"sync"
+	"testing"
+
+	"wls/internal/simtest"
+	"wls/internal/store"
+	"wls/internal/wire"
+)
+
+// opServlet runs the body's ops against the session — "S key value" sets,
+// "G key" gets — and answers with the gets' values and the attribute
+// count, one per line.
+func opServlet(r *Request) Response {
+	var out []string
+	for _, op := range strings.Split(string(r.Body), "\n") {
+		f := strings.Split(op, " ")
+		switch f[0] {
+		case "S":
+			r.Session.Set(f[1], f[2])
+		case "G":
+			out = append(out, r.Session.Get(f[1]))
+		}
+	}
+	out = append(out, fmt.Sprint(r.Session.Len()))
+	return Response{Body: []byte(strings.Join(out, "\n"))}
+}
+
+func modelEngines(t *testing.T, n int, mode SessionMode) []*Engine {
+	t.Helper()
+	f := simtest.New(simtest.Options{Servers: n})
+	t.Cleanup(f.Stop)
+	cfg := Config{Sessions: mode}
+	if mode == SessionsPersistent {
+		cfg.DB = store.New("backend", f.Clock)
+	}
+	var engines []*Engine
+	for _, s := range f.Servers {
+		e := NewEngine(s.Registry, cfg)
+		e.Handle("/op", opServlet)
+		engines = append(engines, e)
+	}
+	f.Settle(2)
+	return engines
+}
+
+// held returns a resident session's attributes and generation (nil if e
+// does not hold the session).
+func held(t *testing.T, e *Engine, id string) (map[string]string, uint64) {
+	t.Helper()
+	sm := e.sessions
+	sm.mu.Lock()
+	st := sm.sessions[id]
+	sm.mu.Unlock()
+	if st == nil {
+		return nil, 0
+	}
+	st.rec.mu.Lock()
+	defer st.rec.mu.Unlock()
+	return attrMap(t, st.rec.attrs), st.rec.gen
+}
+
+func attrMap(t *testing.T, attrs []attr) map[string]string {
+	t.Helper()
+	m := make(map[string]string, len(attrs))
+	for _, a := range attrs {
+		if _, dup := m[a.key]; dup {
+			t.Fatalf("record holds key %q twice: %v", a.key, attrs)
+		}
+		m[a.key] = a.value
+	}
+	return m
+}
+
+func sameState(t *testing.T, what string, got, want map[string]string) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: holds %v, model %v", what, got, want)
+	}
+	for k, v := range want {
+		if g, ok := got[k]; !ok || g != v {
+			t.Fatalf("%s: holds %v, model %v", what, got, want)
+		}
+	}
+}
+
+// TestSessionRecordModel drives random sequences of requests (sets and gets
+// in one request), failovers to the other engine (Fig 2 promotion in
+// replicated mode), Fig 3 fetches, and hand-built deltas with fresh and
+// stale generations, and compares everything the record answers — to the
+// servlet, to a fetch, on the replica — with a plain map.
+func TestSessionRecordModel(t *testing.T) {
+	keys := []string{"n", "item", "user", "k3", "k4", "k5", "k6"}
+	modes := []struct {
+		name string
+		mode SessionMode
+	}{{"replicated", SessionsReplicated}, {"persistent", SessionsPersistent}, {"client-cookie", SessionsClientCookie}}
+	for _, m := range modes {
+		t.Run(m.name, func(t *testing.T) {
+			for seed := int64(1); seed <= 12; seed++ {
+				rng := rand.New(rand.NewSource(seed))
+				engines := modelEngines(t, 2, m.mode)
+				model := map[string]string{}
+				cookie, id, at := "", "", 0
+
+				// A replica-only session on engine 1, fed by hand.
+				replica, replicaGen := map[string]string{}, uint64(0)
+				const replicaID = "model-replica"
+
+				for step := 0; step < 250; step++ {
+					switch p := rng.Intn(10); {
+					case p < 6: // one request: a few sets and gets
+						var ops, wantOut []string
+						wrote := false
+						for i := rng.Intn(4) + 1; i > 0; i-- {
+							k := keys[rng.Intn(len(keys))]
+							if rng.Intn(2) == 0 {
+								v := fmt.Sprint(rng.Intn(5)) // few values: same-value writes happen
+								if rng.Intn(8) == 0 {
+									v = ""
+								}
+								ops = append(ops, "S "+k+" "+v)
+								model[k] = v
+								wrote = true
+							} else {
+								ops = append(ops, "G "+k)
+								wantOut = append(wantOut, model[k])
+							}
+						}
+						wantOut = append(wantOut, fmt.Sprint(len(model)))
+						resp := engines[at].Serve("/op", cookie, []byte(strings.Join(ops, "\n")))
+						if got := string(resp.Body); resp.Status != 200 || got != strings.Join(wantOut, "\n") {
+							t.Fatalf("seed %d step %d: ops %q answered %d %q, model %q", seed, step, ops, resp.Status, got, wantOut)
+						}
+						if m.mode == SessionsClientCookie && !wrote && cookie != "" && resp.Cookie != cookie {
+							t.Fatalf("seed %d step %d: equal state, different cookie", seed, step)
+						}
+						cookie = resp.Cookie
+						c, err := DecodeCookie(cookie)
+						if err != nil {
+							t.Fatal(err)
+						}
+						if id == "" {
+							id = c.ID
+						}
+						if m.mode == SessionsClientCookie {
+							sameState(t, "cookie", c.State, model)
+						}
+					case p < 7: // the next request goes to the other engine
+						if id != "" {
+							at = 1 - at
+						}
+					case p < 8: // Fig 3's fetch, from the engine not serving
+						if m.mode != SessionsReplicated || len(model) == 0 {
+							continue
+						}
+						attrs, err := engines[at].sessions.fetchFrom(context.Background(), engines[1-at].serverName, id)
+						if err != nil {
+							t.Fatalf("seed %d step %d: fetch: %v", seed, step, err)
+						}
+						sameState(t, "fetch", attrMap(t, attrs), model)
+					default: // a hand-built batch of deltas, fresh and stale
+						e := wire.NewEncoder(64)
+						for i := rng.Intn(3) + 1; i > 0; i-- {
+							gen := replicaGen + uint64(rng.Intn(3)) + 1
+							stale := replicaGen > 0 && rng.Intn(3) == 0
+							if stale {
+								gen = uint64(rng.Int63n(int64(replicaGen))) + 1
+							}
+							e.String(replicaID)
+							e.Uint64(gen)
+							n := rng.Intn(4)
+							e.Int(n)
+							for ; n > 0; n-- {
+								k, v := keys[rng.Intn(len(keys))], fmt.Sprint(rng.Intn(5))
+								e.String(k)
+								e.String(v)
+								if !stale {
+									replica[k] = v
+								}
+							}
+							if !stale {
+								replicaGen = gen
+							}
+						}
+						if err := engines[1].sessions.handleUpdateBatch(e.Bytes()); err != nil {
+							t.Fatal(err)
+						}
+						got, gen := held(t, engines[1], replicaID)
+						if gen != replicaGen {
+							t.Fatalf("seed %d step %d: replica at generation %d, model %d", seed, step, gen, replicaGen)
+						}
+						sameState(t, "hand-fed replica", got, replica)
+					}
+					if m.mode == SessionsReplicated && len(model) > 0 {
+						// Synchronous replication: after every reply both
+						// copies hold the model, at one generation.
+						p, pgen := held(t, engines[at], id)
+						sameState(t, "serving copy", p, model)
+						s, sgen := held(t, engines[1-at], id)
+						sameState(t, "other copy", s, model)
+						if sgen != pgen {
+							t.Fatalf("seed %d step %d: copies at generations %d and %d", seed, step, pgen, sgen)
+						}
+					}
+				}
+			}
+		})
+	}
+}
+
+// TestConcurrentRequestsOneSession is a browser with parallel requests:
+// four goroutines write one session through its primary while a third
+// engine keeps fetching it from the secondary (Fig 3). The record's lock
+// must make that race-clean, and a delta's generation must be its place on
+// the wire, so that once the writers stop the secondary holds exactly what
+// the primary does.
+func TestConcurrentRequestsOneSession(t *testing.T) {
+	engines := modelEngines(t, 3, SessionsReplicated)
+	first := engines[0].Serve("/op", "", []byte("S n 0\nS item none"))
+	c, err := DecodeCookie(first.Cookie)
+	if err != nil || c.Secondary == "" {
+		t.Fatalf("cookie %+v err=%v", c, err)
+	}
+	var secondary, third *Engine
+	for _, e := range engines[1:] {
+		if e.serverName == c.Secondary {
+			secondary = e
+		} else {
+			third = e
+		}
+	}
+
+	const workers, reqs = 4, 2000
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < reqs; i++ {
+				body := fmt.Sprintf("G n\nS n %d\nS item w%d-%d\nS w%d %d", i, w, i, w, i)
+				if resp := engines[0].Serve("/op", first.Cookie, []byte(body)); resp.Status != 200 {
+					t.Errorf("worker %d request %d: status %d %q", w, i, resp.Status, resp.Body)
+					return
+				}
+			}
+		}(w)
+	}
+	stop := make(chan struct{})
+	fetched := make(chan int)
+	go func() {
+		n := 0
+		for {
+			select {
+			case <-stop:
+				fetched <- n
+				return
+			default:
+			}
+			attrs, err := third.sessions.fetchFrom(context.Background(), c.Secondary, c.ID)
+			if err != nil || len(attrs) < 2 {
+				t.Errorf("fetch %d: %v err=%v", n, attrs, err)
+				fetched <- n
+				return
+			}
+			n++
+		}
+	}()
+	wg.Wait()
+	close(stop)
+	if n := <-fetched; n == 0 {
+		t.Error("no fetch completed while the writers ran")
+	}
+
+	p, pgen := held(t, engines[0], c.ID)
+	s, sgen := held(t, secondary, c.ID)
+	if want := uint64(1 + workers*reqs); pgen != want || sgen != want {
+		t.Fatalf("generations: primary %d, secondary %d, want %d (one per write request)", pgen, sgen, want)
+	}
+	if len(p) != 2+workers {
+		t.Fatalf("primary holds %v", p)
+	}
+	sameState(t, "secondary", s, p)
+	for w := 0; w < workers; w++ {
+		if got := p[fmt.Sprintf("w%d", w)]; got != fmt.Sprint(reqs-1) {
+			t.Fatalf("worker %d's last write lost: %q", w, got)
+		}
+	}
+}

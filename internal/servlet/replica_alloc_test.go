@@ -47,7 +47,8 @@ func TestReplicaUpdateAllocsPerChangedValue(t *testing.T) {
 	if changed != 2 {
 		t.Fatalf("update of 2 existing keys with new values: %.1f allocs, want 2 (one per changed value)", changed)
 	}
-	if got := sm.sessions["s1-sess-1"].data["n"]; got != strconv.Itoa(1000+runs+1) {
+	rec := &sm.sessions["s1-sess-1"].rec
+	if got := rec.attrs[rec.find("n")].value; got != strconv.Itoa(1000+runs+1) {
 		t.Fatalf("replica holds n=%q after the updates", got)
 	}
 

@@ -49,7 +49,7 @@ func TestCookieRoundTripProperty(t *testing.T) {
 			}
 		}
 		out, err := servlet.DecodeCookie(c.Encode())
-		if err != nil {
+		if err != nil || out.Encode() != c.Encode() { // equal state, equal cookie
 			return false
 		}
 		if out.ID != c.ID || out.Primary != c.Primary || out.Secondary != c.Secondary {
@@ -139,6 +139,32 @@ func TestSecondaryPromotionKeepsState(t *testing.T) {
 	}
 	if c3.Secondary == "" || c3.Secondary == c3.Primary || c3.Secondary == c.Primary {
 		t.Fatalf("new secondary = %q", c3.Secondary)
+	}
+}
+
+func TestDeadSecondaryIsReplacedAtOnce(t *testing.T) {
+	// The secondary dies and the primary writes before the failure
+	// detector has dropped it from the view: the ship fails, and the
+	// primary must seed a different server rather than pick the dead one
+	// again (which used to recurse until the stack overflowed).
+	f, engines := newEngines(t, 3, servlet.Config{})
+	resp := engines[0].Serve("/count", "", nil)
+	c, _ := servlet.DecodeCookie(resp.Cookie)
+	f.Crash(c.Secondary)
+
+	resp2 := engines[0].Serve("/count", resp.Cookie, nil)
+	c2, _ := servlet.DecodeCookie(resp2.Cookie)
+	if string(resp2.Body) != "2" || c2.Secondary == "" || c2.Secondary == c.Secondary || c2.Secondary == c.Primary {
+		t.Fatalf("after the secondary %s died: body %q, cookie %+v", c.Secondary, resp2.Body, c2)
+	}
+	// The new secondary holds the whole state: promote it.
+	f.Crash(c.Primary)
+	for i, e := range engines {
+		if fmt.Sprintf("server-%d", i+1) == c2.Secondary {
+			if resp3 := e.Serve("/count", resp2.Cookie, nil); string(resp3.Body) != "3" {
+				t.Fatalf("state not on the replacement secondary: %q", resp3.Body)
+			}
+		}
 	}
 }
 

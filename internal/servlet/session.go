@@ -20,7 +20,9 @@ package servlet
 import (
 	"context"
 	"encoding/base64"
+	"errors"
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -60,17 +62,23 @@ type Cookie struct {
 	raw string
 }
 
-// Encode serializes the cookie to its wire string.
+// Encode serializes the cookie to its wire string. State is written in key
+// order, so equal cookies encode equally.
 func (c Cookie) Encode() string {
+	var state record
+	state.load(c.State)
+	return encodeCookie(c.ID, c.Primary, c.Secondary, state.attrs)
+}
+
+// encodeCookie is Encode over a record's attributes, which the caller owns:
+// they are put in key order first, so equal state yields an equal cookie.
+func encodeCookie(id, primary, secondary string, state []attr) string {
 	e := wire.MakeEncoder(64)
-	e.String(c.ID)
-	e.String(c.Primary)
-	e.String(c.Secondary)
-	e.Int(len(c.State))
-	for k, v := range c.State {
-		e.String(k)
-		e.String(v)
-	}
+	e.String(id)
+	e.String(primary)
+	e.String(secondary)
+	slices.SortFunc(state, byKey)
+	appendAttrs(&e, state, nil)
 	return base64.RawURLEncoding.EncodeToString(e.Bytes())
 }
 
@@ -88,9 +96,11 @@ var cookieCache = struct {
 
 const cookieCacheMax = 4096
 
-func cachedCookie(s string) (Cookie, bool) {
+// cachedCookie looks a cookie up by its string or, without materializing
+// one, by its bytes still in a wire buffer.
+func cachedCookie[K string | []byte](k K) (Cookie, bool) {
 	cookieCache.RLock()
-	c, ok := cookieCache.m[s]
+	c, ok := cookieCache.m[string(k)] // compiler-recognized no-alloc lookup
 	cookieCache.RUnlock()
 	return c, ok
 }
@@ -111,10 +121,7 @@ func cacheCookie(s string, c Cookie) {
 
 // DecodeCookie parses a cookie string ("" yields a zero cookie).
 func DecodeCookie(s string) (Cookie, error) {
-	if s == "" {
-		return Cookie{}, nil
-	}
-	if c, ok := cachedCookie(s); ok {
+	if c, ok := cachedCookie(s); ok || s == "" {
 		return c, nil
 	}
 	c, err := decodeCookieSlow(s)
@@ -129,21 +136,10 @@ func DecodeCookie(s string) (Cookie, error) {
 // raw bytes, so the RMI surface never materializes the cookie string on
 // repeat requests.
 func DecodeCookieBytes(b []byte) (Cookie, error) {
-	if len(b) == 0 {
-		return Cookie{}, nil
-	}
-	cookieCache.RLock()
-	c, ok := cookieCache.m[string(b)] // compiler-recognized no-alloc lookup
-	cookieCache.RUnlock()
-	if ok {
+	if c, ok := cachedCookie(b); ok || len(b) == 0 {
 		return c, nil
 	}
-	s := string(b)
-	c, err := decodeCookieSlow(s)
-	if err == nil {
-		cacheCookie(s, c)
-	}
-	return c, err
+	return DecodeCookie(string(b))
 }
 
 func decodeCookieSlow(s string) (Cookie, error) {
@@ -153,19 +149,127 @@ func decodeCookieSlow(s string) (Cookie, error) {
 	}
 	d := wire.NewDecoder(raw)
 	c := Cookie{ID: d.String(), Primary: d.String(), Secondary: d.String()}
-	n := d.Int()
-	if err := d.Err(); err != nil {
+	n, err := attrCount(d)
+	if err != nil {
 		return Cookie{}, err
 	}
 	if n > 0 {
 		c.State = make(map[string]string, n)
-		for i := 0; i < n; i++ {
+		for ; n > 0; n-- {
 			k := d.String()
-			v := d.String()
-			c.State[k] = v
+			c.State[k] = d.String()
 		}
 	}
 	return c, d.Err()
+}
+
+// attr is one session attribute: a 32 B slot plus the bytes of its value
+// (keys decoded off the wire are interned; applications use few).
+type attr struct{ key, value string }
+
+// record is a session's attributes and replication generation: the one
+// representation wherever a session lives (primary, replica, the stateless
+// modes' request-owned state) and what every encoder writes from. A flat
+// list searched linearly: sessions hold a handful of short attributes,
+// where a map spends ~340 B on header and group before the first byte of
+// data. Attributes are only added or overwritten, so an index into attrs
+// stays valid for the record's life (Session.dirty relies on it).
+//
+// Lock rule: mu guards attrs and gen, nothing else. It is never held across
+// an RPC nor together with SessionManager.mu (look up under sm.mu, release,
+// then lock the record). The one lock taken under it is a replBatcher's mu:
+// a delta takes its generation and its place in the secondary's pending
+// batch in one step, so per-session wire order equals generation order.
+type record struct {
+	//wls:lockorder servlet.record.mu<servlet.replBatcher.mu
+	mu    sync.Mutex
+	attrs []attr
+	// gen numbers the deltas shipped from (primary) or applied to
+	// (secondary) this record.
+	gen uint64
+}
+
+func byKey(a, b attr) int { return strings.Compare(a.key, b.key) }
+
+// find returns the index of key in r.attrs, or -1. Caller holds r.mu.
+func (r *record) find(key string) int {
+	for i := range r.attrs {
+		if r.attrs[i].key == key {
+			return i
+		}
+	}
+	return -1
+}
+
+// add appends one attribute and returns its index. A full list grows by
+// room (a replica's first delta passes its attribute count), at least two
+// slots (a session's first write) and at least double: the first growth is
+// the one allocation a map's was. Caller holds r.mu.
+func (r *record) add(key, value string, room int) int {
+	n := len(r.attrs)
+	if n == cap(r.attrs) {
+		grown := make([]attr, n, n+max(room, n, 2))
+		copy(grown, r.attrs)
+		r.attrs = grown
+	}
+	r.attrs = r.attrs[:n+1]
+	r.attrs[n] = attr{key, value}
+	return n
+}
+
+// load fills an empty record from Cookie.State or a persistent store row.
+func (r *record) load(m map[string]string) {
+	for k, v := range m {
+		r.add(k, v, len(m))
+	}
+}
+
+// appendAttrs writes the list format a delta entry's tail, the fetch reply
+// and the cookie state share — a count, then the key/value pairs at the
+// dirty indexes, or all of attrs when dirty is nil — and returns the count.
+func appendAttrs(e *wire.Encoder, attrs []attr, dirty []int) int {
+	if dirty == nil {
+		e.Int(len(attrs))
+		for _, a := range attrs {
+			e.String(a.key)
+			e.String(a.value)
+		}
+		return len(attrs)
+	}
+	e.Int(len(dirty))
+	for _, i := range dirty {
+		e.String(attrs[i].key)
+		e.String(attrs[i].value)
+	}
+	return len(dirty)
+}
+
+var errAttrCount = errors.New("servlet: attribute count exceeds payload")
+
+// attrCount reads a list's count and checks it against what d still holds
+// (a pair is two length bytes or more): cookies come from outside.
+func attrCount(d *wire.Decoder) (int, error) {
+	n := d.Int()
+	if err := d.Err(); err != nil {
+		return 0, err
+	}
+	if n < 0 || n > d.Remaining()/2 {
+		return 0, errAttrCount
+	}
+	return n, nil
+}
+
+// decodeAttrs reads an attribute list into a fresh slice, keys interned.
+func decodeAttrs(d *wire.Decoder, keys *wire.Interner) ([]attr, error) {
+	n, err := attrCount(d)
+	if n == 0 {
+		return nil, err
+	}
+	attrs := make([]attr, n)
+	for i := range attrs {
+		attrs[i] = attr{keys.Intern(d.BytesNoCopy()), d.String()}
+	}
+	return attrs, d.Err()
 }
 
 // Session is the request-scoped view of one browser session's state.
@@ -176,66 +280,88 @@ func decodeCookieSlow(s string) (Cookie, error) {
 //
 //wls:pooled
 type Session struct {
-	ID    string
-	data  map[string]string
-	dirty map[string]bool
+	ID string
+	// st holds the record: engine-resident, or (stateless modes) the request's.
+	st *sessState
+	// dirty lists the indexes in st.rec.attrs this request wrote.
+	dirty []int
 	isNew bool
 }
 
-// sessionPool recycles the request-scoped Session view (the struct and its
-// dirty-key map; the attribute data map belongs to the engine-resident
-// state, not to the view).
-var sessionPool = sync.Pool{
-	New: func() any { return &Session{dirty: make(map[string]bool, 4)} },
-}
+// sessionPool recycles the view and its dirty list, never a record.
+var sessionPool = sync.Pool{New: func() any { return new(Session) }}
 
-func acquireSession(id string, data map[string]string, isNew bool) *Session {
+func acquireSession(st *sessState, isNew bool) *Session {
 	s := sessionPool.Get().(*Session)
-	s.ID, s.data, s.isNew = id, data, isNew
+	s.ID, s.st, s.isNew = st.id, st, isNew
 	return s
 }
 
 func releaseSession(s *Session) {
-	for k := range s.dirty {
-		delete(s.dirty, k)
-	}
-	s.ID, s.data, s.isNew = "", nil, false
+	s.ID, s.st, s.dirty, s.isNew = "", nil, s.dirty[:0], false
 	sessionPool.Put(s)
 }
 
 // Get reads a session attribute.
-func (s *Session) Get(key string) string { return s.data[key] }
+func (s *Session) Get(key string) string {
+	r := &s.st.rec
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if i := r.find(key); i >= 0 {
+		return r.attrs[i].value
+	}
+	return ""
+}
 
 // Set writes a session attribute.
 func (s *Session) Set(key, value string) {
-	s.data[key] = value
-	s.dirty[key] = true
+	r := &s.st.rec
+	r.mu.Lock()
+	i := r.find(key)
+	if i >= 0 {
+		r.attrs[i].value = value
+	} else {
+		i = r.add(key, value, 0)
+	}
+	r.mu.Unlock()
+	if !slices.Contains(s.dirty, i) {
+		s.dirty = append(s.dirty, i)
+	}
+}
+
+// Len returns the number of attributes.
+func (s *Session) Len() int {
+	s.st.rec.mu.Lock()
+	defer s.st.rec.mu.Unlock()
+	return len(s.st.rec.attrs)
 }
 
 // IsNew reports whether the session was created by this request.
 func (s *Session) IsNew() bool { return s.isNew }
 
-// Len returns the number of attributes.
-func (s *Session) Len() int { return len(s.data) }
-
-// sessState is the engine-resident state of one session.
+// sessState is one session's record plus where its copies live. The
+// placement fields (secondary, primary, cookie) are outside the record's
+// lock: they change only with the replication topology, on the request
+// path of the session they belong to.
 type sessState struct {
 	id        string
-	data      map[string]string
 	secondary string
-	primary   bool
-	gen       uint64
+	// cookie caches the encoded response cookie; setSecondary clears it, so
+	// encoding (and its base64) happens only when the topology changes.
+	cookie string
+	rec    record
 
-	// cookie caches the encoded response cookie, valid while the session's
-	// secondary stays cookieSec and this server stays primary. Encoding
-	// (and its base64) happens only when the topology changes.
-	cookie    string
-	cookieSec string
+	// epoch is the low half of the ring epoch this session's placement was
+	// last checked against (0 = never ring-placed). Atomic because the
+	// admin stats scan reads it while the request path stamps it.
+	epoch   atomic.Uint32
+	primary bool
+}
 
-	// epoch is the partition-ring epoch this session's placement was last
-	// checked against (0 = never ring-placed). Atomic because the admin
-	// stats scan reads it while the request path stamps it.
-	epoch atomic.Uint64
+func (st *sessState) setSecondary(name string) {
+	if st.secondary != name {
+		st.secondary, st.cookie = name, ""
+	}
 }
 
 // SessionManager holds one engine's sessions and implements the §3.2
@@ -259,9 +385,8 @@ type SessionManager struct {
 	parts     atomic.Pointer[partition.Views]
 	ringMoves atomic.Uint64
 
-	// attrKeys interns the attribute names of replica deltas: applications
-	// use a small fixed vocabulary of keys, and a map assignment through
-	// string(bytes) allocates the key even when it is already resident.
+	// attrKeys interns the attribute names that arrive in replica deltas
+	// and fetch replies, so every record shares one copy of each key.
 	attrKeys *wire.Interner
 
 	mu       sync.Mutex
@@ -287,14 +412,12 @@ func newSessionManager(mode SessionMode, service string, member *cluster.Member,
 	}
 }
 
-func (sm *SessionManager) self() string { return sm.selfName }
-
 func (sm *SessionManager) newID() string {
 	sm.mu.Lock()
 	sm.seq++
 	n := sm.seq
 	sm.mu.Unlock()
-	return sm.self() + "-sess-" + strconv.FormatUint(n, 10)
+	return sm.selfName + "-sess-" + strconv.FormatUint(n, 10)
 }
 
 // ResidentSessions reports how many sessions (primary or replica) live in
@@ -310,50 +433,41 @@ func (sm *SessionManager) ResidentSessions() int {
 // returned Session is pooled: the engine releases it after finish.
 //
 //wls:hotpath
-func (sm *SessionManager) resolve(ctx context.Context, c Cookie) (*Session, error) {
-	switch sm.mode {
-	case SessionsClientCookie:
-		data := c.State
-		isNew := false
-		if data == nil {
-			data = make(map[string]string)
-			isNew = true
-		}
-		id := c.ID
-		if id == "" {
-			id = sm.newID()
-		}
-		return acquireSession(id, data, isNew), nil
-
-	case SessionsPersistent:
-		id := c.ID
-		isNew := id == ""
-		data := make(map[string]string)
-		if isNew {
-			id = sm.newID()
-		} else if row, ok := sm.db.Get("wls.sessions", id); ok {
-			for k, v := range row.Fields {
-				data[k] = v
-			}
-		}
-		return acquireSession(id, data, isNew), nil
-
-	default: // SessionsReplicated
+func (sm *SessionManager) resolve(ctx context.Context, c Cookie) *Session {
+	if sm.mode == SessionsReplicated {
 		return sm.resolveReplicated(ctx, c)
 	}
+	// The stateless modes: the request owns its state, filled from the
+	// cookie or from shared storage and never entered in the table.
+	st, isNew := &sessState{id: c.ID}, c.ID == ""
+	if isNew {
+		st.id = sm.newID()
+	}
+	if sm.mode == SessionsClientCookie {
+		isNew = c.State == nil
+		st.rec.load(c.State)
+	} else if !isNew {
+		if row, ok := sm.db.Get("wls.sessions", st.id); ok {
+			st.rec.load(row.Fields)
+		}
+	}
+	return acquireSession(st, isNew)
+}
+
+// fresh starts an empty session under id, this server its primary.
+func (sm *SessionManager) fresh(id string) *Session {
+	st := &sessState{id: id, primary: true}
+	sm.chooseSecondary(st, "")
+	sm.mu.Lock()
+	sm.sessions[id] = st
+	sm.mu.Unlock()
+	return acquireSession(st, true)
 }
 
 //wls:hotpath
-func (sm *SessionManager) resolveReplicated(ctx context.Context, c Cookie) (*Session, error) {
+func (sm *SessionManager) resolveReplicated(ctx context.Context, c Cookie) *Session {
 	if c.ID == "" {
-		// New session: this server is the primary; pick a secondary by the
-		// ring algorithm among servers running this engine.
-		st := &sessState{id: sm.newID(), data: make(map[string]string), primary: true}
-		sm.chooseSecondary(st)
-		sm.mu.Lock()
-		sm.sessions[st.id] = st
-		sm.mu.Unlock()
-		return acquireSession(st.id, st.data, true), nil
+		return sm.fresh(sm.newID())
 	}
 
 	sm.mu.Lock()
@@ -362,102 +476,94 @@ func (sm *SessionManager) resolveReplicated(ctx context.Context, c Cookie) (*Ses
 	if ok {
 		if st.primary {
 			sm.maybeRebalance(ctx, st)
-		}
-		if !st.primary {
+		} else {
 			// Fig 2 failover: the plug-in routed to us, the secondary. We
 			// become the primary and create a new secondary.
 			if sp := trace.FromContext(ctx); sp != nil {
 				sp.Annotate("session-promoted", st.id)
 			}
 			st.primary = true
-			sm.chooseSecondary(st)
-			sm.shipFull(ctx, st)
+			sm.chooseSecondary(st, "")
+			sm.ship(ctx, st, nil)
 		}
-		return acquireSession(st.id, st.data, false), nil
+		return acquireSession(st, false)
 	}
 
 	// Fig 3 failover: external routing sent the request to an arbitrary
 	// server. "The servlet engine inspects the cookie, contacts the
 	// secondary to obtain a copy of the state, becomes the primary, and
 	// then rewrites the cookie leaving the secondary unchanged."
-	if c.Secondary != "" && c.Secondary != sm.self() {
-		if data, err := sm.fetchFrom(ctx, c.Secondary, c.ID); err == nil {
-			st := &sessState{id: c.ID, data: data, primary: true, secondary: c.Secondary}
-			sm.shipFull(ctx, st)
+	if c.Secondary != "" && c.Secondary != sm.selfName {
+		if attrs, err := sm.fetchFrom(ctx, c.Secondary, c.ID); err == nil {
+			st := &sessState{id: c.ID, primary: true, secondary: c.Secondary}
+			st.rec.attrs = attrs
+			sm.ship(ctx, st, nil)
 			sm.mu.Lock()
 			sm.sessions[c.ID] = st
 			sm.mu.Unlock()
-			// The cookie named the secondary; the ring may place it
-			// elsewhere now.
+			// The cookie named the secondary; the ring may place it elsewhere.
 			sm.maybeRebalance(ctx, st)
-			return acquireSession(st.id, st.data, false), nil
+			return acquireSession(st, false)
 		}
 	}
 	// Both replicas gone: the session state is lost; start fresh under the
 	// same id (the paper's in-memory sessions are "not expected to survive
 	// failures" beyond one).
-	st = &sessState{id: c.ID, data: make(map[string]string), primary: true}
-	sm.chooseSecondary(st)
-	sm.mu.Lock()
-	sm.sessions[c.ID] = st
-	sm.mu.Unlock()
-	return acquireSession(st.id, st.data, true), nil
+	return sm.fresh(c.ID)
 }
 
 // chooseSecondary picks the session's secondary: the consistent-hash ring
 // when one is attached (SetPartitions), falling back to the §3.2
-// next-in-name-order algorithm among live engines otherwise.
-func (sm *SessionManager) chooseSecondary(st *sessState) {
+// next-in-name-order algorithm among live engines otherwise. It never picks
+// avoid, the secondary a ship just failed against ("" on first placement):
+// a dead server stays in the view until the failure detector drops it.
+func (sm *SessionManager) chooseSecondary(st *sessState, avoid string) {
 	if vs := sm.parts.Load(); vs != nil {
 		if v := vs.Current(); v != nil {
-			st.epoch.Store(v.Epoch)
-			if sec, ok := sm.ringSecondary(v, st.id); ok {
-				st.secondary = sec
+			st.epoch.Store(uint32(v.Epoch))
+			if sec, ok := sm.ringSecondary(v, st.id, avoid); ok {
+				st.setSecondary(sec)
 				return
 			}
 		}
 	}
-	sec, ok := cluster.ChooseSecondaryFrom(sm.member.Self(), sm.member.OffersOf(sm.service))
-	if !ok {
-		st.secondary = ""
-		return
+	offers := sm.member.OffersOf(sm.service)
+	if avoid != "" { // rare; offers is the member's shared cache, so filter a copy
+		offers = slices.DeleteFunc(slices.Clone(offers), func(m cluster.MemberInfo) bool { return m.Name == avoid })
 	}
-	st.secondary = sec.Name
+	sec, _ := cluster.ChooseSecondaryFrom(sm.member.Self(), offers)
+	st.setSecondary(sec.Name)
 }
 
 // finish persists/replicates the session after the servlet ran, and
 // returns the encoded cookie the response must carry. Replicated sessions
-// cache the encoded string on the session state — it only changes when the
-// replication topology does — and their deltas ride the per-secondary
-// batcher instead of making one RPC per mutation.
+// cache the encoded string on the session state (it changes only with the
+// replication topology) and their deltas ride the per-secondary batcher.
 //
 //wls:hotpath
-func (sm *SessionManager) finish(ctx context.Context, s *Session) (string, error) {
+func (sm *SessionManager) finish(ctx context.Context, s *Session) string {
 	switch sm.mode {
 	case SessionsClientCookie:
-		return Cookie{ID: s.ID, State: s.data}.Encode(), nil
+		return encodeCookie(s.ID, "", "", s.st.rec.attrs)
 	case SessionsPersistent:
-		sm.db.Put("wls.sessions", s.ID, s.data)
-		return Cookie{ID: s.ID}.Encode(), nil
+		fields := make(map[string]string, len(s.st.rec.attrs))
+		for _, a := range s.st.rec.attrs {
+			fields[a.key] = a.value
+		}
+		sm.db.Put("wls.sessions", s.ID, fields)
+		return Cookie{ID: s.ID}.Encode()
 	default:
-		sm.mu.Lock()
-		st := sm.sessions[s.ID]
-		sm.mu.Unlock()
-		if st == nil {
-			return Cookie{ID: s.ID, Primary: sm.selfName}.Encode(), nil
+		st := s.st
+		if len(s.dirty) > 0 {
+			sm.ship(ctx, st, s.dirty)
 		}
-		if len(s.dirty) > 0 && st.secondary != "" {
-			sm.shipDelta(ctx, st, s)
-		}
-		if st.cookie == "" || st.cookieSec != st.secondary {
-			c := Cookie{ID: st.id, Primary: sm.selfName, Secondary: st.secondary}
-			st.cookie = c.Encode()
-			st.cookieSec = st.secondary
+		if st.cookie == "" {
+			st.cookie = encodeCookie(st.id, sm.selfName, st.secondary, nil)
 			// Prime the decode cache: the client returns this exact string
 			// with its next request.
-			cacheCookie(st.cookie, c)
+			cacheCookie(st.cookie, Cookie{ID: st.id, Primary: sm.selfName, Secondary: st.secondary})
 		}
-		return st.cookie, nil
+		return st.cookie
 	}
 }
 
@@ -470,7 +576,7 @@ func (sm *SessionManager) finish(ctx context.Context, s *Session) (string, error
 // leader's RPC is in flight append their deltas to the pending batch, and
 // the next leader flushes them all in one "session.update.batch" call.
 // Under serial load every request is its own leader carrying exactly one
-// delta, which degenerates to the old one-RPC-per-mutation behaviour.
+// delta: a batch of one.
 type replBatcher struct {
 	sm  *SessionManager
 	sec string // secondary server name
@@ -504,14 +610,32 @@ func (sm *SessionManager) batcherFor(sec string) *replBatcher {
 	return rb
 }
 
-// shipDelta synchronously replicates s's dirty keys to st's secondary via
-// the batcher (the response must not be returned before the secondary has
-// the delta, §3.2). On error it re-chooses a secondary and re-seeds it —
-// the same recovery as the unbatched ship path.
+// ship synchronously replicates st's record to its secondary before the
+// response is returned (§3.2): the attributes at the dirty indexes, or the
+// whole record when dirty is nil (seeding a new secondary). If the
+// secondary cannot be reached it seeds another with the whole record,
+// once; should that fail too, the session's next write tries again.
 //
 //wls:hotpath
-func (sm *SessionManager) shipDelta(ctx context.Context, st *sessState, s *Session) {
+func (sm *SessionManager) ship(ctx context.Context, st *sessState, dirty []int) {
+	if st.secondary == "" {
+		return
+	}
+	if err := sm.shipTo(ctx, st, dirty); err != nil {
+		sm.chooseSecondary(st, st.secondary)
+		if st.secondary != "" {
+			_ = sm.shipTo(ctx, st, nil) // the next write retries; the flush span carries the error
+		}
+	}
+}
+
+// shipTo sends one delta entry through st.secondary's batcher.
+//
+//wls:hotpath
+func (sm *SessionManager) shipTo(ctx context.Context, st *sessState, dirty []int) error {
 	rb := sm.batcherFor(st.secondary)
+	r := &st.rec
+	r.mu.Lock()
 	rb.mu.Lock()
 	b := rb.pending
 	leader := b == nil
@@ -519,62 +643,47 @@ func (sm *SessionManager) shipDelta(ctx context.Context, st *sessState, s *Sessi
 		b = &replBatch{enc: wire.AcquireEncoder()}
 		rb.pending = b
 	}
-	st.gen++
-	e := b.enc
-	e.String(st.id)
-	e.Uint64(st.gen)
-	e.Int(len(s.dirty))
-	for k := range s.dirty {
-		e.String(k)
-		e.String(s.data[k])
-	}
+	r.gen++
+	b.enc.String(st.id)
+	b.enc.Uint64(r.gen)
+	nkeys := appendAttrs(b.enc, r.attrs, dirty)
 	b.count++
-	var done chan struct{}
-	if !leader {
-		if b.done == nil {
-			b.done = make(chan struct{})
-		}
-		done = b.done
+	if !leader && b.done == nil {
+		b.done = make(chan struct{})
 	}
-	nkeys := len(s.dirty)
+	done := b.done
 	rb.mu.Unlock()
+	r.mu.Unlock()
 
-	var err error
-	if leader {
-		rb.flushMu.Lock()
-		// Detach the batch: once pending is nil no new participant can
-		// join it, so count and done are frozen below.
-		rb.mu.Lock()
-		rb.pending = nil
-		count, followers := b.count, b.done
-		rb.mu.Unlock()
-		// Holding flushMu across the RPC is the point: it serializes
-		// leader flushes so batches reach the secondary in generation
-		// order. It is a leaf lock — rb.mu is never held while blocking
-		// here, and followers wait on the done channel, not the lock.
-		//wls:nolint lockheld -- flushMu is a flush-serialization lock, held across the RPC by design
-		err = rb.flush(ctx, b.enc.Bytes(), count, nkeys)
-		b.err = err
-		if followers != nil {
-			close(followers)
-		}
-		rb.flushMu.Unlock()
-		b.enc.Release()
-	} else {
+	if !leader {
 		<-done
-		err = b.err
+		return b.err
 	}
-	if err != nil {
-		sm.chooseSecondary(st)
-		sm.shipFull(ctx, st)
+	rb.flushMu.Lock()
+	// Detach the batch: once pending is nil no new participant can
+	// join it, so count and done are frozen below.
+	rb.mu.Lock()
+	rb.pending = nil
+	count, followers := b.count, b.done
+	rb.mu.Unlock()
+	// Holding flushMu across the RPC is the point: it serializes
+	// leader flushes so batches reach the secondary in generation
+	// order. It is a leaf lock — rb.mu is never held while blocking
+	// here, and followers wait on the done channel, not the lock.
+	//wls:nolint lockheld -- flushMu is a flush-serialization lock, held across the RPC by design
+	err := rb.flush(ctx, b.enc.Bytes(), count, nkeys)
+	b.err = err
+	if followers != nil {
+		close(followers)
 	}
+	rb.flushMu.Unlock()
+	b.enc.Release()
+	return err
 }
 
-// flush sends one batch to the secondary under the leader's context. The
-// trace span mirrors the unbatched ship: the name and the "to"/"keys"
-// annotations (keys = the leader's own key count) are identical, so serial
-// timelines are unchanged; a "batched" annotation is added only when
-// followers piggybacked.
+// flush sends one batch to the secondary under the leader's context, as a
+// "session.replicate" span that continues the trace there (keys = the
+// leader's own key count; "batched" only when followers piggybacked).
 func (rb *replBatcher) flush(ctx context.Context, payload []byte, count, leaderKeys int) error {
 	sm := rb.sm
 	info, ok := sm.member.Lookup(rb.sec)
@@ -597,66 +706,13 @@ func (rb *replBatcher) flush(ctx context.Context, payload []byte, count, leaderK
 	_, err := rb.stub.Invoke(ctx, "session.update.batch", payload)
 	if err != nil {
 		span.SetError(err)
-		span.Finish()
-		return err
 	}
 	span.Finish()
-	return nil
-}
-
-// ship synchronously transmits a delta to the secondary. A trace span in
-// ctx makes the write a "session.replicate" child span that continues the
-// trace on the secondary.
-func (sm *SessionManager) ship(ctx context.Context, st *sessState, delta map[string]string) {
-	info, ok := sm.member.Lookup(st.secondary)
-	if !ok {
-		sm.chooseSecondary(st)
-		if st.secondary == "" {
-			return
-		}
-		sm.shipFull(ctx, st)
-		return
-	}
-	st.gen++
-	e := wire.NewEncoder(128)
-	e.String(st.id)
-	e.Uint64(st.gen)
-	e.Int(len(delta))
-	for k, v := range delta {
-		e.String(k)
-		e.String(v)
-	}
-	var span *trace.Span
-	if parent := trace.FromContext(ctx); parent != nil {
-		ctx, span = parent.NewChild(ctx, "session.replicate", trace.KindSession)
-		span.Annotate("to", st.secondary)
-		span.AnnotateInt("keys", len(delta))
-	}
-	stub := rmi.NewStub(sm.service, sm.node, rmi.StaticView(info.Addr))
-	if _, err := stub.Invoke(ctx, "session.update", e.Bytes()); err != nil {
-		span.SetError(err)
-		span.Finish()
-		sm.chooseSecondary(st)
-		sm.shipFull(ctx, st)
-		return
-	}
-	span.Finish()
-}
-
-// shipFull seeds (or re-seeds) the secondary with the whole state.
-func (sm *SessionManager) shipFull(ctx context.Context, st *sessState) {
-	if st.secondary == "" {
-		return
-	}
-	full := make(map[string]string, len(st.data))
-	for k, v := range st.data {
-		full[k] = v
-	}
-	sm.ship(ctx, st, full)
+	return err
 }
 
 // fetchFrom copies session state from another engine (Fig 3).
-func (sm *SessionManager) fetchFrom(ctx context.Context, server, id string) (map[string]string, error) {
+func (sm *SessionManager) fetchFrom(ctx context.Context, server, id string) ([]attr, error) {
 	info, ok := sm.member.Lookup(server)
 	if !ok {
 		return nil, fmt.Errorf("servlet: %s not in view", server)
@@ -675,29 +731,11 @@ func (sm *SessionManager) fetchFrom(ctx context.Context, server, id string) (map
 		span.SetError(err)
 		return nil, err
 	}
-	d := wire.NewDecoder(res.Body)
-	n := d.Int()
-	if err := d.Err(); err != nil {
-		return nil, err
-	}
-	data := make(map[string]string, n)
-	for i := 0; i < n; i++ {
-		k := d.String()
-		v := d.String()
-		data[k] = v
-	}
-	return data, d.Err()
+	return decodeAttrs(wire.NewDecoder(res.Body), sm.attrKeys)
 }
 
-// handleUpdate applies a replica delta (RMI handler).
-func (sm *SessionManager) handleUpdate(args []byte) error {
-	d := wire.NewDecoder(args)
-	return sm.applyUpdate(d)
-}
-
-// handleUpdateBatch applies a batch of delta entries, in order. The
-// payload is a plain concatenation of single-update entries, consumed
-// until the buffer is exhausted.
+// handleUpdateBatch applies a batch of delta entries, in order: a plain
+// concatenation, consumed until the buffer is exhausted.
 //
 //wls:hotpath
 func (sm *SessionManager) handleUpdateBatch(args []byte) error {
@@ -710,38 +748,49 @@ func (sm *SessionManager) handleUpdateBatch(args []byte) error {
 	return nil
 }
 
-// applyUpdate consumes one delta entry from d and applies it. The entry is
-// always fully consumed — even when the generation check skips the apply —
-// so batched entries stay framed. Keys resolve through the attribute-name
-// interner and a value is converted to an owned string only when it changes
-// the stored state, so an update of existing keys costs one allocation per
-// changed value and a same-value update none.
+// applyUpdate consumes one delta entry from d — all of it, even when the
+// generation check skips the apply, so batched entries stay framed. Keys
+// are compared as bytes and interned when new, and a value becomes an owned
+// string only when it changes the stored state: an update of existing keys
+// costs one allocation per changed value, a same-value update none.
 func (sm *SessionManager) applyUpdate(d *wire.Decoder) error {
 	idB := d.BytesNoCopy()
 	gen := d.Uint64()
-	n := d.Int()
-	if err := d.Err(); err != nil {
+	n, err := attrCount(d)
+	if err != nil {
 		return err
 	}
 	sm.mu.Lock()
-	defer sm.mu.Unlock()
 	st, ok := sm.sessions[string(idB)] // no-alloc lookup
 	if !ok {
-		st = &sessState{id: string(idB), data: make(map[string]string)}
+		st = &sessState{id: string(idB)}
 		sm.sessions[st.id] = st
 	}
-	apply := gen > st.gen || st.gen == 0
+	sm.mu.Unlock()
+	r := &st.rec
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	apply := gen > r.gen || r.gen == 0
 	if apply {
-		st.gen = gen
+		r.gen = gen
 	}
-	for i := 0; i < n; i++ {
+	for ; n > 0; n-- {
 		kb := d.BytesNoCopy()
 		vb := d.BytesNoCopy()
-		if !apply {
+		if !apply || d.Err() != nil {
 			continue
 		}
-		if cur, exists := st.data[string(kb)]; !exists || cur != string(vb) {
-			st.data[sm.attrKeys.Intern(kb)] = string(vb)
+		i := 0
+		for i < len(r.attrs) && r.attrs[i].key != string(kb) {
+			i++
+		}
+		if i < len(r.attrs) && r.attrs[i].value == string(vb) {
+			continue
+		}
+		if v := string(vb); i < len(r.attrs) {
+			r.attrs[i].value = v
+		} else {
+			r.add(sm.attrKeys.Intern(kb), v, n)
 		}
 	}
 	return d.Err()
@@ -756,23 +805,14 @@ func (sm *SessionManager) handleFetch(args []byte) ([]byte, error) {
 	}
 	sm.mu.Lock()
 	st, ok := sm.sessions[id]
-	var snapshot map[string]string
-	if ok {
-		snapshot = make(map[string]string, len(st.data))
-		for k, v := range st.data {
-			snapshot[k] = v
-		}
-	}
 	sm.mu.Unlock()
 	if !ok {
 		return nil, &rmi.AppError{Msg: "no such session: " + id}
 	}
 	e := wire.NewEncoder(128)
-	e.Int(len(snapshot))
-	for k, v := range snapshot {
-		e.String(k)
-		e.String(v)
-	}
+	st.rec.mu.Lock()
+	appendAttrs(e, st.rec.attrs, nil)
+	st.rec.mu.Unlock()
 	return e.Bytes(), nil
 }
 

@@ -106,7 +106,9 @@ func (sc *stubCache) call(ctx context.Context, name, addr, path, cookie string, 
 	if err != nil {
 		return servlet.Response{}, err
 	}
-	return servlet.DecodeResponseNoCopy(res.Body)
+	resp, err := servlet.DecodeResponseNoCopy(res.Body)
+	resp.ServedBy = res.ServedBy
+	return resp, err
 }
 
 // breakerOpen reports whether name's circuit breaker is open. Routers use
