@@ -37,14 +37,15 @@ lint-strict:
 	$(GO) run ./cmd/wlslint ./...
 
 # check is the pre-PR gate: vet, build, the baselined lint suite, then
-# the race detector over the lock-heaviest packages (lease/tx/transport,
-# the servlet session records, and the chaos harness that drives them all
-# at once).
+# the race detector over the lock-heaviest packages (membership, whose join
+# answers publish from inside a bus delivery; lease/tx/transport; the
+# servlet session records; and the chaos harness that drives them all at
+# once).
 check:
 	$(GO) vet ./...
 	$(GO) build ./...
 	$(GO) run ./cmd/wlslint -baseline ./...
-	$(GO) test -race ./internal/lease ./internal/tx ./internal/transport ./internal/servlet ./internal/chaos
+	$(GO) test -race ./internal/cluster ./internal/lease ./internal/tx ./internal/transport ./internal/servlet ./internal/chaos
 
 bench:
 	$(GO) run ./cmd/wlsbench -all

@@ -77,7 +77,7 @@ func main() {
 	defer cluster.Stop()
 
 	deployDemoApp(cluster)
-	cluster.Settle(3)
+	cluster.AwaitConverged()
 
 	// Application traffic: one HTTP listener fronting the proxy plug-in.
 	proxy := cluster.ProxyPlugin("webserver:80")

@@ -27,7 +27,7 @@ func TestAdminPartitionsEndpoint(t *testing.T) {
 	}
 	defer cluster.Stop()
 	deployDemoApp(cluster)
-	cluster.Settle(3)
+	cluster.AwaitConverged()
 
 	srv := httptest.NewServer(newAdminMux(cluster))
 	defer srv.Close()
@@ -80,14 +80,28 @@ func TestAdminPartitionsEndpoint(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("addserver status %d", resp.StatusCode)
 	}
+	// The joiner's peers answered its announcement before it built a ring:
+	// its first ring is the full one, and it never shrinks to itself alone.
+	joiner := cluster.Servers[len(cluster.Servers)-1]
+	if v := joiner.Partitions().Current(); v.Epoch != 1 || v.Ring.Len() != 9 {
+		t.Fatalf("joiner's first ring: epoch %d over %v, want epoch 1 over all nine", v.Epoch, v.Ring.Members())
+	}
+	joiner.Partitions().OnChange(func(_, v *partition.View) {
+		if v.Ring.Len() == 1 {
+			t.Errorf("joiner published a one-member ring at epoch %d while its peers are alive", v.Epoch)
+		}
+	})
 	cluster.Settle(4)
 	after := fetch()
 	if len(after) != 9 {
 		t.Fatalf("got %d reports after addserver, want 9", len(after))
 	}
 	for _, r := range after {
-		if r.Members != 9 || r.Epoch < 2 {
+		if r.Members != 9 || (r.Server != joiner.Name && r.Epoch < 2) {
 			t.Fatalf("server %s did not absorb the join: %+v", r.Server, r)
+		}
+		if r.Fingerprint != after[0].Fingerprint {
+			t.Fatalf("rings diverge after join: %s has %s, want %s", r.Server, r.Fingerprint, after[0].Fingerprint)
 		}
 	}
 }

@@ -2,6 +2,7 @@ package bench
 
 import (
 	"fmt"
+	"sort"
 	"time"
 
 	"wls/internal/cluster"
@@ -17,7 +18,7 @@ func init() {
 }
 
 // buildMembers starts n members on a fresh virtual clock + bus.
-func buildMembers(n int, hb, timeout time.Duration, loss float64, seed int64) (*vclock.Virtual, []*cluster.Member) {
+func buildMembers(n int, hb, timeout time.Duration, loss float64, seed int64) (*vclock.Virtual, *gossip.InMemory, []*cluster.Member) {
 	clk := vclock.NewVirtualAtZero()
 	bus := gossip.NewInMemory(clk, seed)
 	if loss > 0 {
@@ -33,7 +34,7 @@ func buildMembers(n int, hb, timeout time.Duration, loss float64, seed int64) (*
 		m.Start()
 		ms = append(ms, m)
 	}
-	return clk, ms
+	return clk, bus, ms
 }
 
 // runA01: sweep the heartbeat interval; measure how long after a crash the
@@ -47,7 +48,7 @@ func runA01() *Table {
 	for _, hb := range []time.Duration{50 * time.Millisecond, 100 * time.Millisecond,
 		500 * time.Millisecond, 2 * time.Second} {
 		timeout := hb*3 + hb/2
-		clk, ms := buildMembers(4, hb, timeout, 0, 1)
+		clk, _, ms := buildMembers(4, hb, timeout, 0, 1)
 		step := hb / 2
 		for i := 0; i < 12; i++ {
 			clk.Advance(step)
@@ -73,35 +74,51 @@ func runA01() *Table {
 }
 
 // runA02: sweep announcement loss; measure how many heartbeat rounds a
-// 6-server cluster needs to converge to full membership.
+// 6-server cluster needs to converge to full membership (0 = converged when
+// the last Start returned, on join answers alone) and how many heartbeats
+// that took. Which deliveries a lossy bus drops varies from run to run, so
+// each rate is the median (and worst) of 21 bus seeds.
 func runA02() *Table {
+	const seeds, maxRounds = 21, 400
 	t := &Table{ID: "A02", Title: "Announcement loss vs membership convergence",
 		Source:  "ablation",
-		Columns: []string{"loss_rate", "rounds_to_converge", "converged"},
-		Notes:   "periodic re-announcement makes the protocol robust to heavy loss: convergence degrades gracefully instead of failing (the property lossy IP multicast demands)"}
+		Columns: []string{"loss_rate", "rounds_to_converge_p50", "rounds_max", "heartbeats_published_p50", "converged"},
+		Notes: "a heard join is answered at once, so without loss the cluster converges with no periodic round at all " +
+			"(6 announcements + 15 answers + 5 closing heartbeats); under loss the periodic re-announcement repairs what " +
+			"was dropped and every first hearing still draws an answer: convergence degrades gracefully instead of " +
+			"failing (the property lossy IP multicast demands). At 75% the 800ms failure timeout also declares live " +
+			"peers dead now and then, which is what the worst case waits out."}
 
 	for _, loss := range []float64{0, 0.25, 0.5, 0.75} {
-		clk, ms := buildMembers(6, 100*time.Millisecond, 800*time.Millisecond, loss, 42)
-		converged := false
-		rounds := 0
-		for ; rounds < 200; rounds++ {
-			all := true
-			for _, m := range ms {
-				if len(m.Alive()) != 6 {
-					all = false
-					break
+		var rounds, published []int
+		converged := 0
+		for seed := int64(1); seed <= seeds; seed++ {
+			clk, bus, ms := buildMembers(6, 100*time.Millisecond, 800*time.Millisecond, loss, seed)
+			full := func() bool {
+				for _, m := range ms {
+					if len(m.Alive()) != len(ms) {
+						return false
+					}
 				}
+				return true
 			}
-			if all {
-				converged = true
-				break
+			r := 0
+			for ; r < maxRounds && !full(); r++ {
+				clk.Advance(100 * time.Millisecond)
 			}
-			clk.Advance(100 * time.Millisecond)
+			if full() {
+				converged++
+			}
+			p, _ := bus.Stats()
+			rounds, published = append(rounds, r), append(published, int(p))
+			for _, m := range ms {
+				m.Stop()
+			}
 		}
-		t.AddRow(fmt.Sprintf("%.0f%%", loss*100), rounds, converged)
-		for _, m := range ms {
-			m.Stop()
-		}
+		sort.Ints(rounds)
+		sort.Ints(published)
+		t.AddRow(fmt.Sprintf("%.0f%%", loss*100), rounds[seeds/2], rounds[seeds-1], published[seeds/2],
+			fmt.Sprintf("%d/%d", converged, seeds))
 	}
 	return t
 }

@@ -73,6 +73,7 @@ func e33Run(p e33Params) *Table {
 		panic(err)
 	}
 	defer c.Stop()
+	bootBeats, _ := c.Bus().Stats()
 	handler := func(r *servlet.Request) servlet.Response {
 		n, _ := strconv.Atoi(r.Session.Get("n"))
 		n++
@@ -176,10 +177,14 @@ func e33Run(p e33Params) *Table {
 	before := lost.Load()
 	oldRing := c.Servers[0].Partitions().Current().Ring
 	keys := liveKeys()
+	beats0, _ := c.Bus().Stats()
 	joined, err := c.AddServer()
 	if err != nil {
 		panic(err)
 	}
+	joinBeats, _ := c.Bus().Stats()
+	joinBeats -= beats0
+	joinedMembers := joined.Partitions().Current().Ring.Len()
 	joined.Web.Handle("/scale/count", handler)
 	c.Settle(5)
 	newRing := c.Servers[0].Partitions().Current().Ring
@@ -241,8 +246,12 @@ func e33Run(p e33Params) *Table {
 	t.Notes = fmt.Sprintf("ring lookup: %.2f allocs/op on a %d-member ring. "+
 		"lost counts counter discontinuities: the join and leave rows must show 0 (sessions survive the "+
 		"rebalance epoch change), moved_frac must stay under bound_2/N, and the saturate row should refuse "+
-		"its excess as denied/shed while the served p99 stays near the steady tail.",
-		allocs, p.servers+1)
+		"its excess as denied/shed while the served p99 stays near the steady tail. "+
+		"membership: %d heartbeats were published while the %d-server cold boot ran (New returns converged) and "+
+		"%d while AddServer ran — the joiner's announcement, one answer from each of the %d servers up, its one "+
+		"closing heartbeat, a beat per service deployed, and the periodic beats that fell in the window — and "+
+		"the joiner's first ring already held %d members.",
+		allocs, p.servers+1, bootBeats, p.servers, joinBeats, p.servers, joinedMembers)
 	return t
 }
 

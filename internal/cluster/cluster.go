@@ -9,6 +9,12 @@
 // maintains a view of its peers and declares a peer failed when heartbeats
 // stop arriving for a configurable timeout.
 //
+// Joining is event-driven: a member that hears a heartbeat it records as a
+// join answers with its own, so a server that starts after its peers has
+// the whole view one announcement round trip after Start — not one
+// HeartbeatInterval later. The periodic beat is for liveness and for
+// repairing lost datagrams. See onHeartbeat.
+//
 // The package also implements:
 //
 //   - replication groups and the ring algorithm of §3.2 that picks where a
@@ -178,6 +184,9 @@ type Member struct {
 	hbTimer   vclock.Timer
 	sweep     vclock.Timer
 	unsub     func()
+	// publishing is set while a goroutine is announcing for this member;
+	// republish asks it for one more heartbeat (see publish).
+	publishing, republish bool
 
 	// version counts view-visible membership changes (join, fail, service
 	// advertisement). The request path consults the view on every call, so
@@ -224,7 +233,17 @@ func (m *Member) Start() {
 	m.version++
 	m.mu.Unlock()
 
-	m.unsub = m.bus.Subscribe(m.topic(), m.onHeartbeat)
+	// Subscribed before the first beat: the answers it draws (onHeartbeat)
+	// arrive while that beat is still being delivered.
+	unsub := m.bus.Subscribe(m.topic(), m.onHeartbeat)
+	m.mu.Lock()
+	if m.stopped { // a Stop raced this restart and found nothing to cancel
+		m.mu.Unlock()
+		unsub()
+		return
+	}
+	m.unsub = unsub
+	m.mu.Unlock()
 	m.beat()
 	m.scheduleSweep()
 }
@@ -273,9 +292,12 @@ func (m *Member) Clock() vclock.Clock { return m.clock }
 // Bus returns the gossip bus the member announces on.
 func (m *Member) Bus() gossip.Bus { return m.bus }
 
-// Advertise adds a service name to this member's advertisement. The change
-// propagates with the next heartbeat; Advertise also beats immediately so
-// deployment is visible cluster-wide without waiting an interval.
+// Advertise adds a service name to this member's advertisement and beats
+// at once, so deployment is visible cluster-wide without waiting an
+// interval: servers already up hear this beat, and a server that starts
+// later hears the service in the answer its first announcement draws from
+// this member (onHeartbeat). Only a lost datagram waits for the periodic
+// beat.
 func (m *Member) Advertise(service string) {
 	m.mu.Lock()
 	if !m.self.OffersService(service) {
@@ -283,11 +305,8 @@ func (m *Member) Advertise(service string) {
 		sort.Strings(m.self.Services)
 		m.version++
 	}
-	stopped := m.stopped || !m.started
 	m.mu.Unlock()
-	if !stopped {
-		m.publish()
-	}
+	m.publish()
 }
 
 // Withdraw removes a service from this member's advertisement.
@@ -301,11 +320,8 @@ func (m *Member) Withdraw(service string) {
 	}
 	m.self.Services = out
 	m.version++
-	stopped := m.stopped || !m.started
 	m.mu.Unlock()
-	if !stopped {
-		m.publish()
-	}
+	m.publish()
 }
 
 // OnEvent registers a listener for membership events. Listeners run on the
@@ -328,12 +344,35 @@ func (m *Member) beat() {
 	m.mu.Unlock()
 }
 
+// publish announces this member's current info; a member that is not
+// running stays silent. One goroutine at a time announces for a member: a
+// publish that arrives while another is on the bus — from another goroutine
+// (Advertise racing a join answer on the UDP read loop), or nested inside
+// the synchronous delivery of this member's own beat — asks the one in
+// progress to go round again instead. So heartbeats leave in the order
+// their contents were read, the last one out carries the latest services,
+// and a joiner answers all the peers that answered it with one heartbeat.
 func (m *Member) publish() {
 	m.mu.Lock()
-	body := m.self.encode()
-	from := m.self.Name
+	if m.publishing {
+		m.republish = true
+		m.mu.Unlock()
+		return
+	}
+	m.publishing = true
+	for !m.stopped && m.started {
+		m.republish = false
+		body := m.self.encode()
+		from := m.self.Name
+		m.mu.Unlock()
+		m.bus.Publish(gossip.Message{Topic: m.topic(), From: from, Payload: body})
+		m.mu.Lock()
+		if !m.republish {
+			break
+		}
+	}
+	m.publishing = false
 	m.mu.Unlock()
-	m.bus.Publish(gossip.Message{Topic: m.topic(), From: from, Payload: body})
 }
 
 // scheduleSweep schedules periodic failure detection.
@@ -372,6 +411,20 @@ func (m *Member) sweepOnce() {
 }
 
 // onHeartbeat processes a peer announcement.
+//
+// A heartbeat recorded as a join — a name heard for the first time, a
+// failed peer heard again, or a higher incarnation — is answered with this
+// member's own heartbeat, after the listeners have run and with no lock
+// held. The answer is what gives a joiner its view: every running member
+// hears the joiner's first beat, each answers once, and the joiner has
+// heard them all (services included) before its Start returns on the
+// synchronous bus, one datagram round trip later on UDP. The exchange ends
+// by itself: the joiner in turn answers the peers it heard for the first
+// time (with one heartbeat on the synchronous bus, see publish), and that
+// answer finds the joiner already known, which is no event and draws
+// nothing. EventUpdated and EventFailed draw no answer. A lost
+// announcement or answer is repaired by the next periodic beat, which is
+// answered the same way if it is the first one heard.
 func (m *Member) onHeartbeat(msg gossip.Message) {
 	info, err := decodeMemberInfo(msg.Payload)
 	if err != nil {
@@ -383,18 +436,19 @@ func (m *Member) onHeartbeat(msg gossip.Message) {
 		return
 	}
 	var events []Event
+	joined := false
 	p, ok := m.peers[info.Name]
 	switch {
 	case !ok:
 		m.peers[info.Name] = &peerState{info: info, lastHeard: m.clock.Now()}
 		m.version++
-		events = append(events, Event{Kind: EventJoined, Member: info.clone()})
+		joined = true
 	case p.failed || info.Incarnation > p.info.Incarnation:
 		p.info = info
 		p.failed = false
 		p.lastHeard = m.clock.Now()
 		m.version++
-		events = append(events, Event{Kind: EventJoined, Member: info.clone()})
+		joined = true
 	case info.Incarnation == p.info.Incarnation:
 		changed := !equalStrings(p.info.Services, info.Services)
 		p.info = info
@@ -406,12 +460,18 @@ func (m *Member) onHeartbeat(msg gossip.Message) {
 	default:
 		// Stale incarnation: ignore.
 	}
+	if joined {
+		events = append(events, Event{Kind: EventJoined, Member: info.clone()})
+	}
 	listeners := append([]func(Event){}, m.listeners...)
 	m.mu.Unlock()
 	for _, ev := range events {
 		for _, fn := range listeners {
 			fn(ev)
 		}
+	}
+	if joined {
+		m.publish()
 	}
 }
 
@@ -455,15 +515,18 @@ func (m *Member) AlivePeers() []MemberInfo {
 	return out
 }
 
-// Lookup returns the live member with the given name.
+// Lookup returns the live member with the given name. Like OffersOf it is
+// served from the memoized view and SHARED: the Services and
+// PreferredSecondaryGroups slices of the result are read-only. The
+// replication path looks up an address per request, so this must not clone.
 func (m *Member) Lookup(name string) (MemberInfo, bool) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if name == m.self.Name {
-		return m.self.clone(), true
-	}
-	if p, ok := m.peers[name]; ok && !p.failed {
-		return p.info.clone(), true
+	m.refreshCacheLocked()
+	for i := range m.aliveCache {
+		if m.aliveCache[i].Name == name {
+			return m.aliveCache[i], true
+		}
 	}
 	return MemberInfo{}, false
 }

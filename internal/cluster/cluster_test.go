@@ -440,3 +440,204 @@ func TestOffersServiceAndClone(t *testing.T) {
 		t.Fatal("clone aliases Services")
 	}
 }
+
+// --- event-driven join ------------------------------------------------------
+
+// joinCounter records, per observing member, how many EventJoined it fired
+// for each peer name.
+type joinCounter struct {
+	mu    sync.Mutex
+	joins map[string]map[string]int // observer -> peer -> count
+}
+
+func (jc *joinCounter) watch(m *Member) {
+	observer := m.Name()
+	m.OnEvent(func(ev Event) {
+		if ev.Kind != EventJoined {
+			return
+		}
+		jc.mu.Lock()
+		defer jc.mu.Unlock()
+		if jc.joins == nil {
+			jc.joins = make(map[string]map[string]int)
+		}
+		if jc.joins[observer] == nil {
+			jc.joins[observer] = make(map[string]int)
+		}
+		jc.joins[observer][ev.Member.Name]++
+	})
+}
+
+func (jc *joinCounter) count(observer, peer string) int {
+	jc.mu.Lock()
+	defer jc.mu.Unlock()
+	return jc.joins[observer][peer]
+}
+
+// startStaggered starts n members one after another on one lossless bus
+// without ever advancing the clock.
+func startStaggered(t *testing.T, n int) (*gossip.InMemory, []*Member, *joinCounter) {
+	t.Helper()
+	clk := vclock.NewVirtualAtZero()
+	bus := gossip.NewInMemory(clk, 1)
+	cfg := Config{Name: "c", HeartbeatInterval: 100 * time.Millisecond, FailureTimeout: 350 * time.Millisecond}
+	ms, jc := startStaggeredOn(t, clk, bus, cfg, n)
+	return bus, ms, jc
+}
+
+// startStaggeredOn starts n members one after another on the given bus,
+// each advertising a service once started (the order wls.newServer uses:
+// Start, then deploy).
+func startStaggeredOn(t *testing.T, clk vclock.Clock, bus gossip.Bus, cfg Config, n int) ([]*Member, *joinCounter) {
+	t.Helper()
+	jc := &joinCounter{}
+	var ms []*Member
+	for i := 1; i <= n; i++ {
+		m := NewMember(cfg, clk, bus, MemberInfo{Name: fmt.Sprintf("s%d", i), Machine: fmt.Sprintf("m%d", i)})
+		jc.watch(m)
+		ms = append(ms, m)
+		m.Start()
+		m.Advertise("svc")
+		t.Cleanup(m.Stop)
+	}
+	return ms, jc
+}
+
+// requireFullViews fails unless every member sees all of ms, each offering
+// "svc".
+func requireFullViews(t *testing.T, ms []*Member) {
+	t.Helper()
+	for _, m := range ms {
+		if got := len(m.Alive()); got != len(ms) {
+			t.Fatalf("%s sees %d members, want %d", m.Name(), got, len(ms))
+		}
+		if got := len(m.OffersOf("svc")); got != len(ms) {
+			t.Fatalf("%s sees %d offers of svc, want %d", m.Name(), got, len(ms))
+		}
+	}
+}
+
+// A joiner's announcement is answered: eight members started one after
+// another have full views — services included — with the clock never
+// advanced, every peer fired exactly one EventJoined per other member, and
+// the exchange has ended (a second look publishes nothing more).
+func TestJoinConvergesWithoutAdvance(t *testing.T) {
+	const n = 8
+	bus, ms, jc := startStaggered(t, n)
+	requireFullViews(t, ms)
+	for _, a := range ms {
+		for _, b := range ms {
+			if a == b {
+				continue
+			}
+			if got := jc.count(a.Name(), b.Name()); got != 1 {
+				t.Fatalf("%s fired %d EventJoined for %s, want 1", a.Name(), got, b.Name())
+			}
+		}
+	}
+	// A joiner with k ≥ 1 peers up publishes its announcement, one heartbeat
+	// answering its peers' answers, and its Advertise beat; each peer
+	// publishes one answer: k+3 per join, and 2 for the first server.
+	published, _ := bus.Stats()
+	if want := int64(n*(n-1)/2 + 3*(n-1) + 2); published != want {
+		t.Fatalf("cold boot of %d published %d heartbeats, want %d", n, published, want)
+	}
+	requireFullViews(t, ms)
+	if again, _ := bus.Stats(); again != published {
+		t.Fatalf("join exchange did not end: %d published, then %d", published, again)
+	}
+}
+
+// A crashed server that comes back as a new process (fresh Member, higher
+// incarnation) has the full view when Start returns, and each peer fires
+// one EventJoined for it — the clock still never advanced.
+func TestRestartRejoinsWithoutAdvance(t *testing.T) {
+	bus, ms, jc := startStaggered(t, 4)
+	old := ms[1]
+	old.Stop()
+	before, _ := bus.Stats()
+
+	self := old.Self()
+	reborn := NewMember(old.Config(), old.Clock(), bus, MemberInfo{
+		Name: self.Name, Machine: self.Machine, Incarnation: self.Incarnation,
+	})
+	reborn.Start()
+	reborn.Advertise("svc")
+	t.Cleanup(reborn.Stop)
+	ms[1] = reborn
+
+	requireFullViews(t, ms)
+	for i, m := range ms {
+		if i == 1 {
+			continue
+		}
+		if got := jc.count(m.Name(), self.Name); got != 2 { // first boot + this restart
+			t.Fatalf("%s fired %d EventJoined for %s over boot and restart, want 2", m.Name(), got, self.Name)
+		}
+		if info, _ := m.Lookup(self.Name); info.Incarnation != self.Incarnation+1 {
+			t.Fatalf("%s holds incarnation %d of %s, want %d", m.Name(), info.Incarnation, self.Name, self.Incarnation+1)
+		}
+	}
+	after, _ := bus.Stats()
+	if got, want := after-before, int64(3+3); got != want {
+		t.Fatalf("rejoin into 3 peers published %d heartbeats, want %d", got, want)
+	}
+}
+
+// Half of all deliveries lost: answers get lost like any other datagram, the
+// periodic beat repairs that, and views — once full — stay full (a long
+// failure timeout keeps loss from being mistaken for death).
+func TestJoinUnderHalfLossConvergesAndHolds(t *testing.T) {
+	clk := vclock.NewVirtualAtZero()
+	bus := gossip.NewInMemory(clk, 11)
+	bus.SetLossRate(0.5)
+	cfg := Config{Name: "c", HeartbeatInterval: 100 * time.Millisecond, FailureTimeout: 5 * time.Second}
+	ms, _ := startStaggeredOn(t, clk, bus, cfg, 6)
+	full := func() bool {
+		for _, m := range ms {
+			if len(m.OffersOf("svc")) != len(ms) {
+				return false
+			}
+		}
+		return true
+	}
+	rounds := 0
+	for ; !full() && rounds < 20; rounds++ {
+		clk.Advance(cfg.HeartbeatInterval)
+	}
+	if !full() {
+		t.Fatalf("views not full after %d rounds at 50%% loss", rounds)
+	}
+	for i := 0; i < 20; i++ {
+		clk.Advance(cfg.HeartbeatInterval)
+		if !full() {
+			t.Fatalf("views diverged %d rounds after converging", i+1)
+		}
+	}
+	// The exchange stays bounded under loss too: at most one answer per
+	// (member, peer) pair on top of the periodic beats.
+	published, _ := bus.Stats()
+	n := int64(len(ms))
+	if max := n*int64(rounds+20+2) + n*(n-1); published > max {
+		t.Fatalf("published %d heartbeats over %d rounds, want at most %d", published, rounds+20, max)
+	}
+}
+
+// Start racing Stop must leave neither a data race on the subscription nor
+// a subscription behind.
+func TestStartStopRace(t *testing.T) {
+	clk := vclock.NewVirtualAtZero()
+	bus := gossip.NewInMemory(clk, 1)
+	m := NewMember(Config{Name: "c"}, clk, bus, MemberInfo{Name: "s1"})
+	for i := 0; i < 200; i++ {
+		var wg sync.WaitGroup
+		wg.Add(2)
+		go func() { defer wg.Done(); m.Start() }()
+		go func() { defer wg.Done(); m.Stop() }()
+		wg.Wait()
+		m.Stop()
+		if n := bus.Subscribers(m.topic()); n != 0 {
+			t.Fatalf("iteration %d: %d subscriptions left after Stop", i, n)
+		}
+	}
+}

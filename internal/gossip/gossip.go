@@ -38,7 +38,10 @@ type Bus interface {
 	// synchronously on the publisher's goroutine — subscriber callbacks
 	// must therefore be fast and must never block. Synchronous delivery is
 	// what keeps virtual-time simulations deterministic: a heartbeat
-	// published at virtual time T is visible to every peer at T.
+	// published at virtual time T is visible to every peer at T. A callback
+	// may itself Publish (membership answers a heard join from inside the
+	// delivery that carried it), so implementations hold no lock of their
+	// own while they call subscribers.
 	Publish(m Message)
 	// Subscribe registers fn for every message whose topic matches topic
 	// exactly. It returns a cancel function.

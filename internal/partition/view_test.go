@@ -103,3 +103,39 @@ func TestAttachTracksMembership(t *testing.T) {
 		t.Fatalf("single leave moved %.3f of keys", got)
 	}
 }
+
+// A server that starts after its peers hears them answer its announcement
+// before Attach builds a ring, so the first ring it publishes is the full
+// one: a subscriber registered before Attach never sees the joiner alone on
+// a ring while peers are alive, and the clock is never advanced.
+func TestAttachFirstRingIsTheFullRing(t *testing.T) {
+	clk := vclock.NewVirtualAtZero()
+	bus := gossip.NewInMemory(clk, 1)
+	cfg := cluster.Config{Name: "c", HeartbeatInterval: 100 * time.Millisecond, FailureTimeout: 350 * time.Millisecond}
+	const svc = "wls.http"
+	var views []*Views
+	for i := 1; i <= 5; i++ {
+		name := fmt.Sprintf("s%d", i)
+		m := cluster.NewMember(cfg, clk, bus, cluster.MemberInfo{Name: name})
+		m.Start() // the order wls.newServer uses: join, deploy, attach
+		t.Cleanup(m.Stop)
+		m.Advertise(svc)
+		vs := NewViews(Config{Seed: 5})
+		peersUp := i - 1
+		vs.OnChange(func(_, v *View) {
+			if peersUp > 0 && v.Ring.Len() == 1 {
+				t.Errorf("%s published a one-member ring at epoch %d with %d peers alive", name, v.Epoch, peersUp)
+			}
+		})
+		Attach(vs, m, svc)
+		if v := vs.Current(); v.Epoch != 1 || v.Ring.Len() != i {
+			t.Fatalf("%s: first ring is epoch %d over %v, want epoch 1 over %d members", name, v.Epoch, v.Ring.Members(), i)
+		}
+		views = append(views, vs)
+	}
+	for i, vs := range views {
+		if fp, want := vs.Current().Ring.Fingerprint(), views[0].Current().Ring.Fingerprint(); fp != want {
+			t.Fatalf("server %d ring diverged with zero Advance: %016x vs %016x", i+1, fp, want)
+		}
+	}
+}

@@ -24,3 +24,32 @@ func TestUncontendedAcquireAllocs(t *testing.T) {
 		t.Fatalf("uncontended acquire/release allocates %.1f, want at most the lock entry", n)
 	}
 }
+
+// TestLockThenUpdateFitsInline: a transaction that locks a row and then
+// updates it holds the row twice (the Lock and the write's prepare hold).
+// Both holds fit the session's inline lock buffer, so it allocates nothing
+// the plain update does not.
+func TestLockThenUpdateFitsInline(t *testing.T) {
+	s := New("db", vclock.System)
+	s.Put("stock", "sku1", map[string]string{"qty": "1"})
+	fields := map[string]string{"qty": "2"}
+	commit := func(lock bool) func() {
+		return func() {
+			se := s.Session("t")
+			if lock {
+				if err := se.Lock("stock", "sku1"); err != nil {
+					t.Fatal(err)
+				}
+			}
+			se.Update("stock", "sku1", fields)
+			if err := se.Commit("t"); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	plain := testing.AllocsPerRun(500, commit(false))
+	locked := testing.AllocsPerRun(500, commit(true))
+	if locked > plain {
+		t.Fatalf("lock-then-update allocates %.1f/commit, plain update %.1f", locked, plain)
+	}
+}

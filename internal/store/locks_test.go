@@ -73,3 +73,80 @@ func TestContendedWaitTimesOutFromEntry(t *testing.T) {
 		t.Fatal("the holder lost its lock")
 	}
 }
+
+// lockEntries reports how many rows the table holds an entry for.
+func (lt *lockTable) lockEntries() int {
+	lt.mu.Lock()
+	defer lt.mu.Unlock()
+	return len(lt.locks)
+}
+
+// TestReentrantHoldsReleaseWithTheTransaction: a transaction that locks a
+// row and then writes it twice holds the row three deep (the explicit Lock
+// plus one prepare hold per write). Whether it commits or aborts, every
+// hold is released: the lock table ends empty and a transaction waiting on
+// the row is granted it.
+func TestReentrantHoldsReleaseWithTheTransaction(t *testing.T) {
+	for _, end := range []string{"commit", "abort"} {
+		t.Run(end, func(t *testing.T) {
+			s := New("db", vclock.System)
+			seed := s.Session("seed")
+			seed.Insert("stock", "sku1", map[string]string{"qty": "10"})
+			if err := seed.Commit("seed"); err != nil {
+				t.Fatal(err)
+			}
+
+			se := s.Session("t1")
+			if _, _, err := se.GetForUpdate("stock", "sku1"); err != nil {
+				t.Fatal(err)
+			}
+			se.Update("stock", "sku1", map[string]string{"qty": "9"})
+			se.Update("stock", "sku1", map[string]string{"qty": "8"})
+			if err := se.Prepare("t1"); err != nil {
+				t.Fatal(err)
+			}
+			if owner := s.locks.ownerOf("stock", "sku1"); owner != "t1" {
+				t.Fatalf("row owned by %q after prepare, want t1", owner)
+			}
+
+			granted := make(chan error, 1)
+			go func() { granted <- s.Session("t2").Lock("stock", "sku1") }()
+			select {
+			case err := <-granted:
+				t.Fatalf("waiter got the row while t1 still held it (err %v)", err)
+			case <-time.After(20 * time.Millisecond):
+			}
+
+			var err error
+			if end == "commit" {
+				err = se.Commit("t1")
+			} else {
+				err = se.Rollback("t1")
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			select {
+			case err := <-granted:
+				if err != nil {
+					t.Fatalf("waiter: %v", err)
+				}
+			case <-time.After(5 * time.Second):
+				t.Fatal("waiter never granted: a hold of t1 was not released")
+			}
+			if owner := s.locks.ownerOf("stock", "sku1"); owner != "t2" {
+				t.Fatalf("row owned by %q, want the waiter t2", owner)
+			}
+			if err := s.Session("t2").Rollback("t2"); err != nil {
+				t.Fatal(err)
+			}
+			if n := s.locks.lockEntries(); n != 0 {
+				t.Fatalf("%d lock entries left after both transactions ended", n)
+			}
+			want := map[string]string{"commit": "8", "abort": "10"}[end]
+			if row, _ := s.Get("stock", "sku1"); row.Fields["qty"] != want {
+				t.Fatalf("qty = %q after %s, want %s", row.Fields["qty"], end, want)
+			}
+		})
+	}
+}

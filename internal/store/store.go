@@ -787,8 +787,11 @@ type Session struct {
 	// LockTimeout bounds pessimistic lock waits.
 	LockTimeout time.Duration
 
-	writeBuf [1]stagedWrite // backs writes and locked for the one-row transaction
-	lockBuf  [1]rowRef
+	// writeBuf and lockBuf back writes and locked for the one-row
+	// transaction: one staged write, and up to two holds of its row (an
+	// explicit Lock plus the prepare lock of the write to it).
+	writeBuf [1]stagedWrite
+	lockBuf  [2]rowRef
 }
 
 type rowRef struct{ table, key string }
@@ -905,16 +908,15 @@ func (se *Session) prepare(durable bool) error {
 	// Lock the write set (short-duration prepare locks) so validation and
 	// commit are atomic with respect to other transactions. (Across stores
 	// two transactions can each win one row; the timeout then aborts one.)
+	// Every write takes its own hold: the lock table is re-entrant, so a row
+	// already held — by Lock, or by an earlier write to it — is one more
+	// depth, matched by one more release.
 	for _, w := range writes {
-		ref := rowRef{w.table, w.key}
-		if se.holdsLock(ref) { // taken by Lock, or an earlier write to the row
-			continue
-		}
 		if err := se.store.locks.acquire(se.txID, w.table, w.key, timeout); err != nil {
 			return err
 		}
 		se.mu.Lock()
-		se.locked = append(se.locked, ref) //wls:nolint hotalloc -- lockBuf holds the one-row case
+		se.locked = append(se.locked, rowRef{w.table, w.key}) //wls:nolint hotalloc -- lockBuf holds the one-row case
 		se.mu.Unlock()
 	}
 
@@ -982,17 +984,6 @@ func (s *Store) validate(writes []stagedWrite) error {
 		}
 	}
 	return nil
-}
-
-func (se *Session) holdsLock(ref rowRef) bool {
-	se.mu.Lock()
-	defer se.mu.Unlock()
-	for _, l := range se.locked {
-		if l == ref {
-			return true
-		}
-	}
-	return false
 }
 
 // Commit implements tx.Resource. For one-phase commits (single resource in

@@ -23,6 +23,7 @@ package wls
 import (
 	"fmt"
 	"path/filepath"
+	"slices"
 	"time"
 
 	"wls/internal/cluster"
@@ -247,7 +248,7 @@ func New(opts Options) (*Cluster, error) {
 		c.Admin.registry.Register(c.Leases.RMIService())
 		c.Leases.Start()
 	}
-	c.Settle(3)
+	c.AwaitConverged()
 	return c, nil
 }
 
@@ -450,6 +451,71 @@ func (c *Cluster) Settle(n int) {
 		} else {
 			c.fix.clock.Sleep(c.fix.cfg.HeartbeatInterval)
 		}
+	}
+}
+
+// Converged reports whether every server (the admin server included) holds
+// the same membership view — same servers, incarnations and advertised
+// services — and, with Options.Partition, every ring has the same
+// fingerprint. A crashed server's view goes stale, so it is false until
+// the server is back.
+func (c *Cluster) Converged() bool {
+	all := append([]*Server{}, c.Servers...)
+	if c.Admin != nil {
+		all = append(all, c.Admin)
+	}
+	var view []cluster.MemberInfo
+	var ring *partition.Ring
+	for _, s := range all {
+		v := s.member.Alive()
+		if view == nil {
+			view = v
+		} else if !sameView(view, v) {
+			return false
+		}
+		if s.parts == nil {
+			continue
+		}
+		pv := s.parts.Current()
+		if pv == nil {
+			return false
+		}
+		if ring == nil {
+			ring = pv.Ring
+		} else if pv.Ring.Fingerprint() != ring.Fingerprint() {
+			return false
+		}
+	}
+	return true
+}
+
+func sameView(a, b []cluster.MemberInfo) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if a[i].Name != b[i].Name || a[i].Incarnation != b[i].Incarnation ||
+			!slices.Equal(a[i].Services, b[i].Services) {
+			return false
+		}
+	}
+	return true
+}
+
+// AwaitConverged lets a boot or a deployment reach every server. Peers
+// answer a joiner's announcement and advertisements beat at once, so with
+// RealClock this normally returns without sleeping; it polls Converged for
+// at most three heartbeat intervals, the time a lost announcement needs to
+// be repaired by the periodic beat. Under the virtual clock it is
+// Settle(3): simulated timelines advance exactly as they always have.
+func (c *Cluster) AwaitConverged() {
+	if c.fix.vclk != nil {
+		c.Settle(3)
+		return
+	}
+	deadline := c.fix.clock.Now().Add(3 * c.fix.cfg.HeartbeatInterval)
+	for !c.Converged() && c.fix.clock.Now().Before(deadline) {
+		c.fix.clock.Sleep(time.Millisecond)
 	}
 }
 

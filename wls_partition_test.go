@@ -69,11 +69,22 @@ func TestClusterPartitionWiring(t *testing.T) {
 	}
 
 	// Scale out: the fifth server joins the membership and every ring
-	// converges on the five-member fingerprint at a higher epoch.
+	// converges on the five-member fingerprint — at a higher epoch on the
+	// servers that were up, and as the joiner's very first ring: its peers
+	// answered its announcement before it built one, so it never owned a
+	// ring of itself alone.
 	s5, err := c.AddServer()
 	if err != nil {
 		t.Fatal(err)
 	}
+	if v := s5.Partitions().Current(); v.Epoch != 1 || v.Ring.Len() != 5 {
+		t.Fatalf("joiner's first ring: epoch %d over %v, want epoch 1 over all five", v.Epoch, v.Ring.Members())
+	}
+	s5.Partitions().OnChange(func(_, v *partition.View) {
+		if v.Ring.Len() == 1 {
+			t.Errorf("joiner published a one-member ring at epoch %d while its peers are alive", v.Epoch)
+		}
+	})
 	countHandler(s5)
 	c.Settle(4)
 	reports2 := c.PartitionsReport(256)
@@ -81,7 +92,7 @@ func TestClusterPartitionWiring(t *testing.T) {
 		t.Fatalf("got %d reports after AddServer", len(reports2))
 	}
 	for i, r := range reports2 {
-		if r.Members != 5 || r.Epoch < 2 {
+		if r.Members != 5 || (r.Server != s5.Name && r.Epoch < 2) {
 			t.Fatalf("server %s did not absorb the join: %+v", r.Server, r)
 		}
 		if r.Fingerprint != reports2[0].Fingerprint {

@@ -9,6 +9,7 @@ import (
 	"wls"
 	"wls/internal/ejb"
 	"wls/internal/jms"
+	"wls/internal/partition"
 	"wls/internal/rmi"
 	"wls/internal/servlet"
 	"wls/internal/singleton"
@@ -177,5 +178,44 @@ func TestNamingAcrossServers(t *testing.T) {
 	v, ok := c.Servers[1].Naming.Lookup("ejb/OrderHome")
 	if !ok || string(v) != "server-1" {
 		t.Fatalf("lookup: %q ok=%v", v, ok)
+	}
+}
+
+// On the wall clock a cold boot is ready when New returns, and New returns
+// without waiting for a heartbeat: peers answer each joiner's announcement,
+// so views (and rings) agree as soon as the last server has started. It
+// used to sleep three 100 ms intervals.
+func TestRealClockBootDoesNotWaitForAHeartbeat(t *testing.T) {
+	start := time.Now()
+	c, err := wls.New(wls.Options{Servers: 3, RealClock: true, WithAdmin: true, Partition: &partition.Config{Seed: 1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Stop()
+	took := time.Since(start)
+	if !c.Converged() {
+		t.Fatal("New returned before views and rings agreed")
+	}
+	for _, s := range append([]*wls.Server{c.Admin}, c.Servers...) {
+		if got := len(s.Member().Alive()); got != 4 {
+			t.Fatalf("%s sees %d servers when New returns, want 4", s.Name, got)
+		}
+	}
+	if took >= 100*time.Millisecond {
+		t.Fatalf("New took %v, one heartbeat interval or more", took)
+	}
+
+	// A deployment reaches every server the same way.
+	for _, s := range c.Servers {
+		s.Web.Handle("/x", func(*servlet.Request) servlet.Response { return servlet.Response{} })
+		s.Member().Advertise("late-service")
+	}
+	start = time.Now()
+	c.AwaitConverged()
+	if took := time.Since(start); took >= 100*time.Millisecond || !c.Converged() {
+		t.Fatalf("AwaitConverged after a deployment took %v (converged %v)", took, c.Converged())
+	}
+	if got := len(c.Admin.Member().OffersOf("late-service")); got != 3 {
+		t.Fatalf("admin sees %d offers of the late service, want 3", got)
 	}
 }
