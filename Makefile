@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test race lint lint-strict check bench bench-transport bench-trace bench-overload bench-store bench-scale chaos
+.PHONY: all build test race lint lint-strict check bench-smoke bench bench-transport bench-trace bench-overload bench-store bench-scale chaos
 
 all: build test race lint
 
@@ -36,16 +36,29 @@ lint-strict:
 	$(GO) vet ./...
 	$(GO) run ./cmd/wlslint ./...
 
-# check is the pre-PR gate: vet, build, the baselined lint suite, then
-# the race detector over the lock-heaviest packages (membership, whose join
-# answers publish from inside a bus delivery; lease/tx/transport; the
-# servlet session records; and the chaos harness that drives them all at
-# once).
+# check is the pre-PR gate: vet, build, the baselined lint suite, the race
+# detector over the lock-heaviest packages (membership, whose join answers
+# publish from inside a bus delivery; lease/tx/transport; the wire codec and
+# the servlet session records and webtier above it; and the chaos harness
+# that drives them all at once), then the contract benchmark's smoke run.
 check:
 	$(GO) vet ./...
 	$(GO) build ./...
 	$(GO) run ./cmd/wlslint -baseline ./...
-	$(GO) test -race ./internal/cluster ./internal/lease ./internal/tx ./internal/transport ./internal/servlet ./internal/chaos
+	$(GO) test -race ./internal/cluster ./internal/lease ./internal/tx ./internal/wire ./internal/transport ./internal/servlet ./internal/webtier ./internal/chaos
+	$(MAKE) bench-smoke
+
+# bench-smoke builds the contract benchmark (BENCHMARK.json) against the
+# tree and runs every workload for 3 s, untraced and traced. The benchmark
+# exits non-zero when a reply fails its check, so a change that breaks its
+# build or the bytes it verifies is caught here, not after submission.
+BENCH_WORKLOADS = echo-hot session-wide checkout-durable shop-mix
+bench-smoke:
+	$(GO) vet ./benchmark
+	@set -e; for w in $(BENCH_WORKLOADS); do for tr in 0 1; do \
+		echo "benchmark --workload $$w --trace $$tr"; \
+		out=$$($(GO) run ./benchmark --workload $$w --seed 1 --seconds 3 --trace $$tr 2>&1) || { echo "$$out"; exit 1; }; \
+	done; done
 
 bench:
 	$(GO) run ./cmd/wlsbench -all

@@ -19,6 +19,7 @@ import (
 	"runtime"
 	"strconv"
 	"testing"
+	"time"
 
 	"wls"
 	"wls/internal/kv"
@@ -166,8 +167,9 @@ func TestAllocGateTransportEcho(t *testing.T) {
 	}
 }
 
-// routeAllocs warms a session on path and measures one proxy.Route.
-func routeAllocs(t *testing.T, c *tcpCluster, path string, body []byte) float64 {
+// routeLoop returns one proxy.Route on path that follows its session's
+// cookie, already warmed by warm requests.
+func routeLoop(t *testing.T, c *tcpCluster, path string, body []byte, warm int) func() {
 	t.Helper()
 	ctx := context.Background()
 	cookie := ""
@@ -178,10 +180,16 @@ func routeAllocs(t *testing.T, c *tcpCluster, path string, body []byte) float64 
 		}
 		cookie = r.Cookie
 	}
-	for i := 0; i < 64; i++ {
+	for i := 0; i < warm; i++ {
 		route()
 	}
-	return testing.AllocsPerRun(300, route)
+	return route
+}
+
+// routeAllocs warms a session on path and measures one proxy.Route.
+func routeAllocs(t *testing.T, c *tcpCluster, path string, body []byte) float64 {
+	t.Helper()
+	return testing.AllocsPerRun(300, routeLoop(t, c, path, body, 64))
 }
 
 // TestAllocGateTCPEcho pins proxy → TCP → servlet echo at measured (2.0:
@@ -210,6 +218,56 @@ func TestAllocGateTCPSessionWrite(t *testing.T) {
 	t.Logf("TCP full path (session write + replication): %.1f allocs/request", n)
 	if n > 8 {
 		t.Fatalf("TCP session-write path allocates %.1f/request, gate is 8", n)
+	}
+}
+
+// routeBytes is routeAllocs for the wire: bytes per routed request that all
+// four nodes put on their sockets, from transport.bytes.out. The warm-up is
+// long enough that every connection's correlation ids are two bytes, as
+// they are for all but the first 127 calls of a connection's life.
+func routeBytes(t *testing.T, c *tcpCluster, path string, body []byte) float64 {
+	t.Helper()
+	route := routeLoop(t, c, path, body, 200)
+	const n = 300
+	before := c.bytesOut()
+	for i := 0; i < n; i++ {
+		route()
+	}
+	// The last response is counted just after it is queued, which the
+	// caller may be ahead of; the servers are idle a moment later.
+	time.Sleep(10 * time.Millisecond)
+	return float64(c.bytesOut()-before) / n
+}
+
+// TestWireGateTCPEcho pins what one echo request costs between the proxy
+// and its server at measured (108 B: an 84-byte request frame, 48 of them
+// the cookie field, and a 24-byte reply that names no cookie) + 4. With the
+// fixed 13-byte frame header and the cookie echoed it was 174 B (DESIGN.md
+// "Request path" has the fields).
+func TestWireGateTCPEcho(t *testing.T) {
+	c := newTCPCluster(t)
+	c.handle("/echo", func(r *servlet.Request) servlet.Response { return servlet.Response{Body: r.Body} })
+	n := routeBytes(t, c, "/echo", []byte("hello"))
+	t.Logf("TCP full path (echo): %.1f B/request", n)
+	if n > 112 {
+		t.Fatalf("TCP echo path puts %.1f B/request on the wire, gate is 112", n)
+	}
+}
+
+// TestWireGateTCPSessionWrite pins the same path with a session write: the
+// delta to the secondary (60 B) and its acknowledgement (16 B) ride on top
+// of an 80-byte request and a 21-byte reply, at measured (177 B) + 4. It
+// was 261 B.
+func TestWireGateTCPSessionWrite(t *testing.T) {
+	c := newTCPCluster(t)
+	c.handle("/count", func(r *servlet.Request) servlet.Response {
+		r.Session.Set("n", "1")
+		return servlet.Response{Body: []byte("ok")}
+	})
+	n := routeBytes(t, c, "/count", nil)
+	t.Logf("TCP full path (session write + replication): %.1f B/request", n)
+	if n > 181 {
+		t.Fatalf("TCP session-write path puts %.1f B/request on the wire, gate is 181", n)
 	}
 }
 

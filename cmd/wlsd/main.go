@@ -10,6 +10,7 @@
 //
 //	curl localhost:7001/hello
 //	curl -c c.txt -b c.txt localhost:7001/count   # replicated session
+//	curl -d 'any body' localhost:7001/echo         # POST bodies reach the servlet (1 MiB at most)
 //	wlsadmin -addr localhost:7002 servers
 //	wlsadmin -addr localhost:7002 crash server-2  # watch sessions survive
 //
@@ -82,23 +83,7 @@ func main() {
 	// Application traffic: one HTTP listener fronting the proxy plug-in.
 	proxy := cluster.ProxyPlugin("webserver:80")
 	appMux := http.NewServeMux()
-	appMux.HandleFunc("/", func(w http.ResponseWriter, r *http.Request) {
-		var cookie string
-		if c, err := r.Cookie("WLSESSION"); err == nil {
-			cookie = c.Value
-		}
-		resp, err := proxy.Route(r.Context(), r.URL.Path, cookie, nil)
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusBadGateway)
-			return
-		}
-		if resp.Cookie != "" {
-			http.SetCookie(w, &http.Cookie{Name: "WLSESSION", Value: resp.Cookie, Path: "/"})
-		}
-		w.Header().Set("X-Served-By", resp.ServedBy)
-		w.WriteHeader(resp.Status)
-		w.Write(resp.Body)
-	})
+	appMux.Handle("/", newAppHandler(proxy.Route))
 
 	adminMux := newAdminMux(cluster)
 
@@ -113,6 +98,34 @@ func main() {
 		log.Fatal(err)
 	}
 }
+
+// newAppHandler is the application listener's handler: the WLSESSION cookie
+// and the request body (at most servlet.MaxHTTPBody, 413 beyond) go to
+// route — the proxy plug-in's Route — and its reply comes back with the
+// rewritten cookie.
+func newAppHandler(route func(ctx context.Context, path, cookie string, body []byte) (servlet.Response, error)) http.Handler {
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		var cookie string
+		if c, err := r.Cookie(sessionCookie); err == nil {
+			cookie = c.Value
+		}
+		body, ok := servlet.ReadHTTPBody(w, r)
+		if !ok {
+			return
+		}
+		resp, err := route(r.Context(), r.URL.Path, cookie, body)
+		if err != nil {
+			http.Error(w, err.Error(), http.StatusBadGateway)
+			return
+		}
+		if err := servlet.WriteHTTPResponse(w, sessionCookie, resp); err != nil {
+			log.Printf("wlsd: %s %s: reply not delivered: %v", r.Method, r.URL.Path, err)
+		}
+	})
+}
+
+// sessionCookie is the HTTP cookie the session cookie of §3.2 rides in.
+const sessionCookie = "WLSESSION"
 
 // newAdminMux builds the admin surface for cmd/wlsadmin.
 func newAdminMux(cluster *wls.Cluster) *http.ServeMux {
@@ -215,6 +228,9 @@ func deployDemoAppOn(cluster *wls.Cluster, s *wls.Server) {
 	name := s.Name
 	s.Web.Handle("/hello", func(r *servlet.Request) servlet.Response {
 		return servlet.Response{Body: []byte("hello from " + name + "\n")}
+	})
+	s.Web.Handle("/echo", func(r *servlet.Request) servlet.Response {
+		return servlet.Response{Body: r.Body}
 	})
 	s.Web.Handle("/count", func(r *servlet.Request) servlet.Response {
 		n, _ := strconv.Atoi(r.Session.Get("n"))

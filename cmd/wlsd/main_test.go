@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bytes"
 	"encoding/json"
 	"io"
 	"net/http"
@@ -9,6 +10,7 @@ import (
 
 	"wls"
 	"wls/internal/partition"
+	"wls/internal/servlet"
 )
 
 // TestAdminPartitionsEndpoint drives the admin surface wlsadmin talks to
@@ -103,5 +105,63 @@ func TestAdminPartitionsEndpoint(t *testing.T) {
 		if r.Fingerprint != after[0].Fingerprint {
 			t.Fatalf("rings diverge after join: %s has %s, want %s", r.Server, r.Fingerprint, after[0].Fingerprint)
 		}
+	}
+}
+
+// TestAppHandlerForwardsBody drives the application listener's handler in
+// front of a live proxy plug-in: a POST body reaches the servlet (it used to
+// be dropped), a body of exactly servlet.MaxHTTPBody still does, and one
+// byte more is answered 413 without reaching the cluster.
+func TestAppHandlerForwardsBody(t *testing.T) {
+	cluster, err := wls.New(wls.Options{Servers: 2, RealClock: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cluster.Stop()
+	deployDemoApp(cluster)
+	cluster.AwaitConverged()
+
+	srv := httptest.NewServer(newAppHandler(cluster.ProxyPlugin("webserver:80").Route))
+	defer srv.Close()
+
+	post := func(body []byte) (int, []byte, string) {
+		t.Helper()
+		resp, err := http.Post(srv.URL+"/echo", "application/octet-stream", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		got, _ := io.ReadAll(resp.Body)
+		var cookie string
+		for _, c := range resp.Cookies() {
+			if c.Name == sessionCookie {
+				cookie = c.Value
+			}
+		}
+		return resp.StatusCode, got, cookie
+	}
+
+	status, got, cookie := post([]byte("a body, not nil"))
+	if status != http.StatusOK || string(got) != "a body, not nil" {
+		t.Fatalf("POST /echo: %d %q", status, got)
+	}
+	if cookie == "" {
+		t.Fatal("POST /echo: no session cookie in the reply")
+	}
+	full := bytes.Repeat([]byte{'x'}, servlet.MaxHTTPBody)
+	if status, got, _ = post(full); status != http.StatusOK || !bytes.Equal(got, full) {
+		t.Fatalf("POST /echo with exactly MaxHTTPBody: %d, %d bytes back", status, len(got))
+	}
+	if status, _, _ = post(append(full, 'y')); status != http.StatusRequestEntityTooLarge {
+		t.Fatalf("POST /echo with MaxHTTPBody+1: status %d, want 413", status)
+	}
+	// A request with no body is still one.
+	resp, err := http.Get(srv.URL + "/hello")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if hello, _ := io.ReadAll(resp.Body); resp.StatusCode != http.StatusOK || !bytes.HasPrefix(hello, []byte("hello from server-")) {
+		t.Fatalf("GET /hello: %d %q", resp.StatusCode, hello)
 	}
 }

@@ -364,7 +364,15 @@ func (b *Broker) RMIService() *rmi.Service {
 			return false, nil
 		}
 		if b.fs != nil {
-			_ = b.fs.Put(dedupRegion, m.ID, nil)
+			if err := b.fs.Put(dedupRegion, m.ID, nil); err != nil {
+				// Not remembered durably: do not remember it at all, and
+				// fail the delivery so the sender keeps the message and
+				// redelivers it.
+				seenMu.Lock()
+				delete(seen, m.ID)
+				seenMu.Unlock()
+				return false, err
+			}
 		}
 		if _, err := b.Queue(queue).Send(m); err != nil {
 			return false, err

@@ -2,7 +2,6 @@ package kv
 
 import (
 	"bufio"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -132,36 +131,23 @@ func (l *Log) replay() error {
 		return err
 	}
 	br := bufio.NewReaderSize(l.f, 1<<16)
+	fr := wire.NewFrameReader(br)
 	var good int64 // offset after the last fully-valid frame
-	var hdr [4]byte
 	torn := false
 	for {
-		if _, err := io.ReadFull(br, hdr[:]); err != nil {
-			if err == io.EOF {
-				break
-			}
-			if err == io.ErrUnexpectedEOF {
-				torn = true
-				break
-			}
-			return err
+		f, err := fr.Next()
+		if err == io.EOF {
+			break
 		}
-		n := binary.BigEndian.Uint32(hdr[:])
-		if n < 1+8 || n > wire.MaxFrameSize {
-			// A length no valid append ever wrote: garbage tail.
+		if err == io.ErrUnexpectedEOF || err == wire.ErrBadFrame || err == wire.ErrFrameTooLarge {
+			// Cut short, or a header no valid append ever wrote: garbage tail.
 			torn = true
 			break
 		}
-		buf := make([]byte, n)
-		if _, err := io.ReadFull(br, buf); err != nil {
-			if err == io.EOF || err == io.ErrUnexpectedEOF {
-				torn = true
-				break
-			}
+		if err != nil {
 			return err
 		}
-		body := buf[9:] // skip frame kind + correlation id
-		d := wire.NewDecoder(body)
+		d := wire.NewDecoder(f.Body)
 		if d.Byte() != recBatch {
 			torn = true
 			break
@@ -174,7 +160,7 @@ func (l *Log) replay() error {
 			break
 		}
 		l.img.apply(ops)
-		good += int64(4 + n)
+		good += int64(f.WireSize())
 	}
 	if torn {
 		if err := l.f.Truncate(good); err != nil {

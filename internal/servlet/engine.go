@@ -2,7 +2,8 @@ package servlet
 
 import (
 	"context"
-
+	"errors"
+	"io"
 	"net/http"
 	"sync"
 
@@ -214,32 +215,42 @@ func (e *Engine) handleRequest(ctx context.Context, call *rmi.Call) ([]byte, err
 	// Encoded once, inside the RMI response envelope. resp.Body may alias
 	// the inbound frame (an echo servlet): it is copied here, before the
 	// node recycles that buffer.
-	AppendResponse(call.Reply(), resp)
+	AppendResponse(call.Reply(), resp, cookieB)
 	return nil, nil
 }
 
-// AppendResponse serializes a Response for the RMI surface. ServedBy is
-// not written: the rmi envelope around the reply already names the server
+// AppendResponse serializes a Response for the RMI surface: status, body,
+// then the cookie — unless it is, byte for byte, the cookie the request
+// carried (sent). A session's cookie changes only on creation, promotion
+// or a new secondary, so on every other reply the caller already holds it:
+// the reply then ends after the body, and no cookie on the RMI surface
+// means "the one you sent". A cookie that differs, the empty one of an
+// error reply included, travels in full. ServedBy is not written either:
+// the rmi envelope around the reply already names the server
 // (rmi.Result.ServedBy), and the caller fills the field from there.
-func AppendResponse(enc *wire.Encoder, r Response) {
+func AppendResponse(enc *wire.Encoder, r Response, sent []byte) {
 	enc.Int(r.Status)
-	enc.String(r.Cookie)
 	enc.Bytes2(r.Body)
+	if r.Cookie != string(sent) {
+		enc.String(r.Cookie)
+	}
 }
 
-// DecodeResponseNoCopy reverses AppendResponse for callers that own b (per
-// the Node.Call contract): Body aliases b and the cookie resolves through
-// the decode cache (returning its canonical string). ServedBy is left for
-// the caller to take from the rmi result.
-func DecodeResponseNoCopy(b []byte) (Response, error) {
+// DecodeResponseNoCopy reverses AppendResponse for the caller that sent the
+// request with cookie sent and owns b (per the Node.Call contract): Body
+// aliases b, a cookie the reply left out is sent, and one it carries
+// resolves through the decode cache (returning its canonical string).
+// ServedBy is left for the caller to take from the rmi result.
+func DecodeResponseNoCopy(b []byte, sent string) (Response, error) {
 	d := wire.NewDecoder(b)
-	r := Response{Status: d.Int()}
-	cookieB := d.BytesNoCopy()
-	r.Body = d.BytesNoCopy()
-	if c, ok := cachedCookie(cookieB); ok && c.raw != "" {
-		r.Cookie = c.raw
-	} else {
-		r.Cookie = string(cookieB)
+	r := Response{Status: d.Int(), Body: d.BytesNoCopy(), Cookie: sent}
+	if d.Remaining() > 0 {
+		cookieB := d.BytesNoCopy()
+		if c, ok := cachedCookie(cookieB); ok && c.raw != "" {
+			r.Cookie = c.raw
+		} else {
+			r.Cookie = string(cookieB)
+		}
 	}
 	return r, d.Err()
 }
@@ -256,6 +267,43 @@ func AppendRequest(e *wire.Encoder, path, cookie string, body []byte) {
 // ---------------------------------------------------------------------------
 // net/http adapter (for real deployments via cmd/wlsd)
 
+// MaxHTTPBody bounds the request body the net/http adapters accept; a
+// larger one is answered 413.
+const MaxHTTPBody = 1 << 20
+
+// ReadHTTPBody reads the body of r, at most MaxHTTPBody bytes of it. When
+// ok is false the error reply (413 for a body over the bound, 400 for one
+// that could not be read) has been written and the handler is done.
+func ReadHTTPBody(w http.ResponseWriter, r *http.Request) (body []byte, ok bool) {
+	if r.Body == nil || r.ContentLength == 0 {
+		return nil, true
+	}
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, MaxHTTPBody))
+	if err != nil {
+		status := http.StatusBadRequest
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			status = http.StatusRequestEntityTooLarge
+		}
+		http.Error(w, err.Error(), status)
+		return nil, false
+	}
+	return body, true
+}
+
+// WriteHTTPResponse writes resp as the HTTP reply: the session cookie under
+// cookieName when there is one, the serving engine in X-Served-By, status
+// and body. The error is the body write's: the client has gone away.
+func WriteHTTPResponse(w http.ResponseWriter, cookieName string, resp Response) error {
+	if resp.Cookie != "" {
+		http.SetCookie(w, &http.Cookie{Name: cookieName, Value: resp.Cookie, Path: "/"})
+	}
+	w.Header().Set("X-Served-By", resp.ServedBy)
+	w.WriteHeader(resp.Status)
+	_, err := w.Write(resp.Body)
+	return err
+}
+
 // HTTPHandler adapts the engine to net/http: the session cookie rides in
 // the standard Cookie header under the given name.
 func (e *Engine) HTTPHandler(cookieName string) http.Handler {
@@ -267,23 +315,11 @@ func (e *Engine) HTTPHandler(cookieName string) http.Handler {
 		if c, err := r.Cookie(cookieName); err == nil {
 			cookie = c.Value
 		}
-		body := make([]byte, 0)
-		if r.Body != nil {
-			buf := make([]byte, 1<<16)
-			for {
-				n, err := r.Body.Read(buf)
-				body = append(body, buf[:n]...)
-				if err != nil {
-					break
-				}
-			}
+		body, ok := ReadHTTPBody(w, r)
+		if !ok {
+			return
 		}
-		resp := e.Serve(r.URL.Path, cookie, body)
-		if resp.Cookie != "" {
-			http.SetCookie(w, &http.Cookie{Name: cookieName, Value: resp.Cookie, Path: "/"})
-		}
-		w.Header().Set("X-Served-By", resp.ServedBy)
-		w.WriteHeader(resp.Status)
-		_, _ = w.Write(resp.Body)
+		// A failed write means the client left; there is no one to tell.
+		_ = WriteHTTPResponse(w, cookieName, e.ServeCtx(r.Context(), r.URL.Path, cookie, body))
 	})
 }

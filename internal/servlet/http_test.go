@@ -1,6 +1,7 @@
 package servlet_test
 
 import (
+	"bytes"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -72,5 +73,34 @@ func TestHTTPHandlerServedByHeader(t *testing.T) {
 	defer resp.Body.Close()
 	if got := resp.Header.Get("X-Served-By"); !strings.HasPrefix(got, "server-") {
 		t.Fatalf("X-Served-By = %q", got)
+	}
+}
+
+// TestHTTPHandlerBoundedBody: the adapter hands the servlet the POST body,
+// up to MaxHTTPBody, and answers 413 to anything longer.
+func TestHTTPHandlerBoundedBody(t *testing.T) {
+	f := simtest.New(simtest.Options{Servers: 1})
+	defer f.Stop()
+	e := servlet.NewEngine(f.Servers[0].Registry, servlet.Config{})
+	e.Handle("/echo", func(r *servlet.Request) servlet.Response {
+		return servlet.Response{Body: r.Body}
+	})
+	srv := httptest.NewServer(e.HTTPHandler(""))
+	defer srv.Close()
+
+	full := bytes.Repeat([]byte{'x'}, servlet.MaxHTTPBody)
+	for _, tc := range []struct {
+		body []byte
+		want int
+	}{{[]byte("small"), 200}, {nil, 200}, {full, 200}, {append(full, 'y'), 413}} {
+		resp, err := srv.Client().Post(srv.URL+"/echo", "application/octet-stream", bytes.NewReader(tc.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != tc.want || (tc.want == 200 && !bytes.Equal(got, tc.body)) {
+			t.Fatalf("%d-byte body: status %d (want %d), %d bytes back", len(tc.body), resp.StatusCode, tc.want, len(got))
+		}
 	}
 }

@@ -28,8 +28,8 @@ func (sc SpanContext) Valid() bool { return !sc.Trace.IsZero() && sc.Span != 0 }
 // deliberately ignores trailing bytes, so an old node simply never looks
 // at the header (traced caller → untraced handler works), and a new node
 // reading an old request sees zero remaining bytes and starts no span
-// (untraced caller → traced handler works). The raw 13-byte wire frame
-// header is untouched.
+// (untraced caller → traced handler works). The wire frame header is
+// untouched.
 const (
 	envelopeMagic   byte = 0xC7
 	envelopeVersion byte = 1

@@ -198,15 +198,24 @@ func (t *Transport) acceptLoop() {
 	}
 }
 
-// handleInbound performs the server side of the handshake: the dialer's
-// first frame announces its advertised address.
+// helloFrame is the dialer's first frame: the wire format it speaks, then
+// its advertised address.
+func helloFrame(addr string) wire.Frame {
+	//wls:nolint hotalloc -- connection establishment, once per peer
+	return wire.Frame{Kind: wire.KindAnnounce, Body: append([]byte{wire.FormatVersion}, addr...)}
+}
+
+// handleInbound performs the server side of the handshake. A peer that
+// speaks another frame format is closed here, before any of its frames
+// could be misread: its hello either fails to parse or carries another
+// version byte.
 func (t *Transport) handleInbound(nc net.Conn) {
 	hello, err := wire.ReadFrame(nc)
-	if err != nil || hello.Kind != wire.KindAnnounce {
+	if err != nil || hello.Kind != wire.KindAnnounce || len(hello.Body) == 0 || hello.Body[0] != wire.FormatVersion {
 		_ = nc.Close() // handshake failed; nothing to recover
 		return
 	}
-	remote := string(hello.Body)
+	remote := string(hello.Body[1:])
 	c := newConn(t, nc, remote)
 	t.mu.Lock()
 	if t.closed {
@@ -283,9 +292,8 @@ func (t *Transport) dial(ctx context.Context, to string) (*conn, error) {
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrDial, err) //wls:nolint hotalloc -- connection establishment, once per peer
 	}
-	// Handshake: announce our advertised address.
-	//wls:nolint hotalloc -- connection establishment, once per peer
-	if err := wire.WriteFrame(nc, wire.Frame{Kind: wire.KindAnnounce, Body: []byte(t.addr)}); err != nil {
+	// Handshake: announce our frame format and advertised address.
+	if err := wire.WriteFrame(nc, helloFrame(t.addr)); err != nil {
 		_ = nc.Close() // conn is being abandoned anyway
 		return nil, err
 	}
@@ -468,7 +476,7 @@ func (c *conn) deadReason() error {
 // write queues f on the connection. The body is copied into the send
 // queue before write returns.
 func (c *conn) write(f wire.Frame) error {
-	if f.WireSize() > 4+wire.MaxFrameSize {
+	if f.Oversize() {
 		return wire.ErrFrameTooLarge
 	}
 	if err := c.w.enqueue(f); err != nil {

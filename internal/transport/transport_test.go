@@ -2,8 +2,11 @@ package transport
 
 import (
 	"context"
+	"encoding/binary"
+	"errors"
 	"fmt"
 	"net"
+	"os"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -542,7 +545,7 @@ func TestDuplicateInboundConnClosed(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := wire.WriteFrame(nc, wire.Frame{Kind: wire.KindAnnounce, Body: []byte("198.51.100.1:7001")}); err != nil {
+		if err := wire.WriteFrame(nc, helloFrame("198.51.100.1:7001")); err != nil {
 			t.Fatal(err)
 		}
 		return nc
@@ -754,4 +757,126 @@ func BenchmarkCallRoundTrip(b *testing.B) {
 			}
 		}
 	})
+}
+
+// TestHandshakeRefusesOtherFrameFormats: a peer built with the fixed 13-byte
+// header (wire format 1) is closed on its hello instead of having its
+// frames misread, and so is a hello in today's framing that names another
+// version or none.
+func TestHandshakeRefusesOtherFrameFormats(t *testing.T) {
+	tr := newT(t)
+	var handled atomic.Int32
+	tr.SetHandler(func(string, wire.Frame) *wire.Frame { handled.Add(1); return &wire.Frame{} })
+	const addr = "198.51.100.1:7001"
+
+	// uint32 length, kind, uint64 correlation id, then the bare address.
+	oldHello := binary.BigEndian.AppendUint32(nil, uint32(1+8+len(addr)))
+	oldHello = append(oldHello, byte(wire.KindAnnounce))
+	oldHello = binary.BigEndian.AppendUint64(oldHello, 0)
+	oldHello = append(oldHello, addr...)
+	oldRequest := binary.BigEndian.AppendUint32(nil, 1+8)
+	oldRequest = append(oldRequest, byte(wire.KindRequest))
+	oldRequest = binary.BigEndian.AppendUint64(oldRequest, 1)
+
+	otherVersion := helloFrame(addr)
+	otherVersion.Body[0] = wire.FormatVersion + 1
+	for name, hello := range map[string][]byte{
+		"fixed-header hello": append(oldHello, oldRequest...),
+		"other version":      wire.AppendFrame(nil, otherVersion),
+		"no version":         wire.AppendFrame(nil, wire.Frame{Kind: wire.KindAnnounce}),
+		"not a hello":        wire.AppendFrame(nil, wire.Frame{Kind: wire.KindRequest, Corr: 1, Body: helloFrame(addr).Body}),
+	} {
+		nc, err := net.Dial("tcp", tr.Addr())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := nc.Write(hello); err != nil {
+			t.Fatal(err)
+		}
+		nc.SetReadDeadline(time.Now().Add(2 * time.Second)) //wls:wallclock test-only I/O deadline
+		if n, err := nc.Read(make([]byte, 1)); n != 0 || err == nil || errors.Is(err, os.ErrDeadlineExceeded) {
+			t.Errorf("%s: read %d bytes, err %v; want the connection closed", name, n, err)
+		}
+		nc.Close()
+	}
+	if tr.NumConns() != 0 || handled.Load() != 0 {
+		t.Fatalf("%d conns tracked, %d frames handled from peers that were refused", tr.NumConns(), handled.Load())
+	}
+}
+
+// TestBytesOutIsWhatThePeerReceives puts a byte-counting relay between two
+// transports: transport.bytes.out on either side is exactly what crossed
+// the socket towards the other (the dialer's hello aside, which is not
+// counted), at every width of the length and correlation varints.
+func TestBytesOutIsWhatThePeerReceives(t *testing.T) {
+	a, b := newT(t), newT(t)
+	b.SetHandler(func(_ string, f wire.Frame) *wire.Frame {
+		return &wire.Frame{Body: f.Body[:len(f.Body)/2]}
+	})
+
+	relay, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer relay.Close()
+	var toB, toA atomic.Int64
+	go func() {
+		from, err := relay.Accept()
+		if err != nil {
+			return
+		}
+		to, err := net.Dial("tcp", b.Addr())
+		if err != nil {
+			from.Close()
+			return
+		}
+		pipe := func(dst, src net.Conn, n *atomic.Int64) {
+			defer dst.Close()
+			buf := make([]byte, 32<<10)
+			for {
+				k, err := src.Read(buf)
+				n.Add(int64(k))
+				if _, werr := dst.Write(buf[:k]); err != nil || werr != nil {
+					return
+				}
+			}
+		}
+		go pipe(to, from, &toB)
+		pipe(from, to, &toA)
+	}()
+
+	ctx := context.Background()
+	body := make([]byte, 40000)
+	// 300 calls take the correlation id from 1 to 2 bytes; the body sizes
+	// take the length prefix through 1, 2 and 3 bytes.
+	for i := 0; i < 300; i++ {
+		n := []int{0, 1, 120, 121, 122, 123, 124, 125, 126, 127, 128, 129, 300, 16380, 16384, 40000}[i%16]
+		if i%3 == 0 {
+			if err := a.Send(ctx, relay.Addr().String(), wire.Frame{Kind: wire.KindOneWay, Corr: uint64(i) << 20, Body: body[:n]}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		resp, err := a.Call(ctx, relay.Addr().String(), wire.Frame{Body: body[:n]})
+		if err != nil || len(resp.Body) != n/2 {
+			t.Fatalf("call %d: %d bytes back, err %v", i, len(resp.Body), err)
+		}
+	}
+	hello := int64(helloFrame(a.Addr()).WireSize())
+	outA := a.Metrics().Counter("transport.bytes.out")
+	outB := b.Metrics().Counter("transport.bytes.out")
+	// A side counts a frame just after queueing it, so the last response
+	// may reach the caller a moment before b has counted it.
+	deadline := time.Now().Add(2 * time.Second) //wls:wallclock test-only poll bound
+	for outB.Value() != toA.Load() && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	if got, want := outA.Value(), toB.Load()-hello; got != want {
+		t.Errorf("a: transport.bytes.out = %d, b's socket was sent %d (after a %d-byte hello)", got, want, hello)
+	}
+	if got, want := outB.Value(), toA.Load(); got != want {
+		t.Errorf("b: transport.bytes.out = %d, a's socket was sent %d", got, want)
+	}
+	if got, want := b.Metrics().Counter("transport.bytes.in").Value(), toB.Load()-hello; got != want {
+		t.Errorf("b: transport.bytes.in = %d, its socket was sent %d", got, want)
+	}
 }

@@ -1,6 +1,7 @@
 package tx
 
 import (
+	"bufio"
 	"errors"
 	"fmt"
 	"io"
@@ -131,8 +132,9 @@ func (l *FileLog) scan() (recs []Record, whole int64, err error) {
 		return nil, 0, err
 	}
 	defer l.f.Seek(0, io.SeekEnd) //nolint:errcheck // append mode restores position
+	fr := wire.NewFrameReader(bufio.NewReader(l.f))
 	for {
-		f, err := wire.ReadFrame(l.f)
+		f, err := fr.Next()
 		if err == io.EOF || err == io.ErrUnexpectedEOF {
 			return recs, whole, nil // the end, or a torn tail from a crash mid-append
 		}
@@ -145,9 +147,7 @@ func (l *FileLog) scan() (recs []Record, whole int64, err error) {
 			return recs, whole, fmt.Errorf("tx: corrupt log record: %v", d.Err())
 		}
 		recs = append(recs, r)
-		if whole, err = l.f.Seek(0, io.SeekCurrent); err != nil {
-			return recs, whole, err
-		}
+		whole += int64(f.WireSize())
 	}
 }
 

@@ -94,7 +94,11 @@ func (sc *stubCache) get(name, addr string) *rmi.Stub {
 }
 
 // call invokes the servlet engine on a specific member, encoding the
-// request through a pooled encoder and decoding the response in place.
+// request through a pooled encoder and decoding the response in place. It
+// is the one decoder of engine replies, and it holds the request: a reply
+// that names no cookie means the one just sent (servlet.AppendResponse),
+// so every router above returns the Response it would have with the
+// cookie echoed.
 //
 //wls:hotpath
 func (sc *stubCache) call(ctx context.Context, name, addr, path, cookie string, body []byte) (servlet.Response, error) {
@@ -106,7 +110,7 @@ func (sc *stubCache) call(ctx context.Context, name, addr, path, cookie string, 
 	if err != nil {
 		return servlet.Response{}, err
 	}
-	resp, err := servlet.DecodeResponseNoCopy(res.Body)
+	resp, err := servlet.DecodeResponseNoCopy(res.Body, cookie)
 	resp.ServedBy = res.ServedBy
 	return resp, err
 }

@@ -6,12 +6,20 @@
 // what makes "session concentration" (§2.1) possible — many client sockets
 // multiplexed over few back-end connections.
 //
-// Frames are length-prefixed:
+// Frames are length-prefixed, and everything ahead of the body is as short
+// as its value allows:
 //
-//	uint32  payload length (big endian, excludes the prefix itself)
+//	uvarint payload length: everything after this prefix, at most MaxFrameSize
 //	byte    frame kind
-//	uint64  correlation id
+//	uvarint correlation id (a per-connection counter, so 1-3 bytes in practice)
 //	...     kind-specific body encoded with Encoder
+//
+// That is 3 bytes ahead of a body under 126 bytes on a young connection and
+// 4-6 for the bodies and counters a busy one sees. Both varints must be
+// minimal, so a frame has exactly one encoding and Frame.WireSize is what a
+// peer's socket receives; a length prefix never needs more than 4 bytes.
+// There is one format and no negotiation: connection handshakes carry
+// FormatVersion and refuse any other (see internal/transport).
 //
 // The package also provides Encoder/Decoder, a compact append-style binary
 // encoding (uvarint lengths, no reflection) used for all message bodies.
@@ -23,6 +31,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"math/bits"
 	"sync"
 	"sync/atomic"
 )
@@ -76,9 +85,21 @@ type Handler func(from string, f Frame) *Frame
 // an unreasonable payload and are rejected before allocation.
 const MaxFrameSize = 64 << 20 // 64 MiB
 
+// FormatVersion names the frame layout in the package comment (1 was a
+// fixed 13-byte header: uint32 length, kind, uint64 correlation id). A
+// transport sends it in its handshake and refuses a peer that sends
+// anything else, so a build with another header is turned away instead of
+// misparsed.
+const FormatVersion byte = 2
+
 // ErrFrameTooLarge is returned when a frame header announces a payload
 // exceeding MaxFrameSize.
 var ErrFrameTooLarge = errors.New("wire: frame exceeds maximum size")
+
+// ErrBadFrame is returned for a frame header no AppendFrame writes: a
+// length too short to hold kind and correlation id, an over-long or
+// non-minimal varint, or a correlation id that runs past the length.
+var ErrBadFrame = errors.New("wire: malformed frame header")
 
 // Frame is a decoded wire frame.
 type Frame struct {
@@ -138,18 +159,29 @@ func poison(b []byte) {
 	}
 }
 
-// frameHeaderLen is kind byte + correlation id.
-const frameHeaderLen = 1 + 8
-
 // maxRetainedBuf bounds how large a reused buffer (pooled encode buffers,
 // FrameReader's read buffer) is allowed to grow before it is dropped back
 // to the allocator: one oversized frame must not pin megabytes per
 // connection forever.
 const maxRetainedBuf = 64 << 10
 
-// WireSize returns the number of bytes f occupies on the wire, including
-// the 4-byte length prefix.
-func (f Frame) WireSize() int { return 4 + frameHeaderLen + len(f.Body) }
+// uvarintLen is the number of bytes binary.AppendUvarint writes for v.
+func uvarintLen(v uint64) int { return (bits.Len64(v|1) + 6) / 7 }
+
+// payloadLen is what the length prefix of f announces: kind, correlation
+// id and body.
+func (f Frame) payloadLen() int { return 1 + uvarintLen(f.Corr) + len(f.Body) }
+
+// WireSize returns the exact number of bytes f occupies on the wire, length
+// prefix included.
+func (f Frame) WireSize() int {
+	n := f.payloadLen()
+	return uvarintLen(uint64(n)) + n
+}
+
+// Oversize reports whether f is too large to send: a reader rejects a
+// payload over MaxFrameSize.
+func (f Frame) Oversize() bool { return f.payloadLen() > MaxFrameSize }
 
 // AppendFrame appends f to dst as a single length-prefixed frame and
 // returns the extended slice. It is the allocation-free building block
@@ -158,19 +190,19 @@ func (f Frame) WireSize() int { return 4 + frameHeaderLen + len(f.Body) }
 //
 // AppendFrame performs no size validation so the steady-state path stays
 // free of error plumbing; callers accepting frames from untrusted sources
-// must reject f.WireSize() > 4+MaxFrameSize themselves (WriteFrame and the
-// transport both do).
+// must reject f.Oversize() themselves (WriteFrame and the transport both
+// do).
 func AppendFrame(dst []byte, f Frame) []byte {
-	dst = binary.BigEndian.AppendUint32(dst, uint32(frameHeaderLen+len(f.Body)))
+	dst = binary.AppendUvarint(dst, uint64(f.payloadLen()))
 	dst = append(dst, byte(f.Kind))
-	dst = binary.BigEndian.AppendUint64(dst, f.Corr)
+	dst = binary.AppendUvarint(dst, f.Corr)
 	return append(dst, f.Body...)
 }
 
 // WriteFrame writes f to w as a single length-prefixed frame. The encode
 // buffer comes from a pool, so steady-state writes do not allocate.
 func WriteFrame(w io.Writer, f Frame) error {
-	if frameHeaderLen+len(f.Body) > MaxFrameSize {
+	if f.Oversize() {
 		return ErrFrameTooLarge
 	}
 	e := AcquireEncoder()
@@ -180,78 +212,121 @@ func WriteFrame(w io.Writer, f Frame) error {
 	return err
 }
 
-// ReadFrame reads the next frame from r. Each call allocates the returned
-// Body; stream readers that want buffer reuse should use FrameReader.
+// ReadFrame reads the next frame from r and nothing past it. Each call
+// allocates the returned Body; stream readers that want buffer reuse should
+// use FrameReader.
 func ReadFrame(r io.Reader) (Frame, error) {
-	var lenBuf [4]byte
-	if _, err := io.ReadFull(r, lenBuf[:]); err != nil {
-		return Frame{}, err
+	fr := NewFrameReader(r)
+	f, err := fr.Next()
+	if fr.buf != nil {
+		fr.buf.Release()
 	}
-	n := binary.BigEndian.Uint32(lenBuf[:])
-	if n > MaxFrameSize {
-		return Frame{}, ErrFrameTooLarge
-	}
-	if n < frameHeaderLen {
-		return Frame{}, fmt.Errorf("wire: short frame (%d bytes)", n)
-	}
-	buf := make([]byte, n)
-	if _, err := io.ReadFull(r, buf); err != nil {
-		return Frame{}, err
-	}
-	return Frame{
-		Kind: Kind(buf[0]),
-		Corr: binary.BigEndian.Uint64(buf[1:9]),
-		Body: buf[9:],
-	}, nil
+	return f, err
 }
 
-// FrameReader reads a stream of frames from r, reusing one pooled payload
-// buffer across calls so the per-frame `make` of ReadFrame disappears from
-// the steady state.
+// FrameReader reads a stream of frames from r, reusing one pooled body
+// buffer across calls so a per-frame `make` never appears in the steady
+// state. The header is read a byte at a time, which costs nothing on a
+// buffered reader (anything with ReadByte is used directly).
 //
 // By default each returned Frame carries a freshly copied Body that the
 // caller owns. In zero-copy mode (SetZeroCopy) the Body aliases the
-// reader's payload buffer and is valid only until the next call to Next —
-// unless the caller takes the buffer over with Detach, which is how a
-// dispatch loop hands a request to a worker without copying it.
+// reader's buffer and is valid only until the next call to Next — unless
+// the caller takes the buffer over with Detach, which is how a dispatch
+// loop hands a request to a worker without copying it.
 type FrameReader struct {
 	r        io.Reader
-	hdr      [4]byte  // length-prefix scratch; a field so it never escapes
-	buf      *Encoder // pooled payload buffer; nil after Detach, until the next frame
+	br       io.ByteReader // r, when it can hand out single bytes itself
+	one      [1]byte       // readByte scratch otherwise; a field so it never escapes
+	buf      *Encoder      // pooled body buffer; nil after Detach, until the next frame
 	zeroCopy bool
 }
 
 // NewFrameReader returns a FrameReader over r in copying (safe) mode.
-func NewFrameReader(r io.Reader) *FrameReader { return &FrameReader{r: r} }
+func NewFrameReader(r io.Reader) *FrameReader {
+	br, _ := r.(io.ByteReader)
+	return &FrameReader{r: r, br: br}
+}
 
 // SetZeroCopy toggles zero-copy mode: when on, the Body of a returned
 // frame aliases the reader's internal buffer until the next call to Next.
 func (fr *FrameReader) SetZeroCopy(on bool) { fr.zeroCopy = on }
 
-// Next returns the next frame from the stream.
+// Next returns the next frame from the stream. The whole header is checked
+// before a body buffer is sized from it: a length over MaxFrameSize, an
+// over-long, non-minimal or cut-off varint, or a correlation id that runs
+// past the announced length is an error that allocates nothing.
 func (fr *FrameReader) Next() (Frame, error) {
-	if _, err := io.ReadFull(fr.r, fr.hdr[:]); err != nil {
-		return Frame{}, err
+	// MaxFrameSize < 2^28: a legal length prefix has at most 4 bytes.
+	n, _, err := fr.uvarint(4)
+	if err != nil {
+		return Frame{}, err // io.EOF here is the clean end of the stream
 	}
-	n := binary.BigEndian.Uint32(fr.hdr[:])
 	if n > MaxFrameSize {
 		return Frame{}, ErrFrameTooLarge
 	}
-	if n < frameHeaderLen {
-		return Frame{}, fmt.Errorf("wire: short frame (%d bytes)", n)
+	if n < 2 {
+		return Frame{}, ErrBadFrame
 	}
-	buf := fr.payload(int(n))
-	if _, err := io.ReadFull(fr.r, buf); err != nil {
-		return Frame{}, err
+	kind, err := fr.readByte()
+	if err != nil {
+		return Frame{}, midFrame(err)
 	}
-	f := Frame{Kind: Kind(buf[0]), Corr: binary.BigEndian.Uint64(buf[1:9])}
-	body := buf[frameHeaderLen:]
+	corr, k, err := fr.uvarint(min(int(n)-1, binary.MaxVarintLen64))
+	if err != nil {
+		return Frame{}, midFrame(err)
+	}
+	body := fr.payload(int(n) - 1 - k)
+	if _, err := io.ReadFull(fr.r, body); err != nil {
+		return Frame{}, midFrame(err)
+	}
+	f := Frame{Kind: Kind(kind), Corr: corr}
 	if fr.zeroCopy {
 		f.Body = body
 	} else if len(body) > 0 {
 		f.Body = append([]byte(nil), body...)
 	}
 	return f, nil
+}
+
+// midFrame turns the end of the stream inside a frame into the error it is.
+func midFrame(err error) error {
+	if err == io.EOF {
+		return io.ErrUnexpectedEOF
+	}
+	return err
+}
+
+func (fr *FrameReader) readByte() (byte, error) {
+	if fr.br != nil {
+		return fr.br.ReadByte()
+	}
+	_, err := io.ReadFull(fr.r, fr.one[:])
+	return fr.one[0], err
+}
+
+// uvarint reads a minimally encoded uvarint of at most limit bytes and
+// reports how many it took. Only the varint's own bytes are consumed.
+func (fr *FrameReader) uvarint(limit int) (v uint64, k int, err error) {
+	for k < limit {
+		b, err := fr.readByte()
+		if err != nil {
+			if k > 0 {
+				err = midFrame(err)
+			}
+			return 0, 0, err
+		}
+		shift := 7 * uint(k)
+		k++
+		if b < 0x80 {
+			if (b == 0 && k > 1) || (k == binary.MaxVarintLen64 && b > 1) {
+				break // padded with a zero group, or past 64 bits
+			}
+			return v | uint64(b)<<shift, k, nil
+		}
+		v |= uint64(b&0x7f) << shift
+	}
+	return 0, 0, ErrBadFrame
 }
 
 // Detach hands the caller the pooled buffer backing the Body of the frame
@@ -263,7 +338,7 @@ func (fr *FrameReader) Detach() *Encoder {
 	return b
 }
 
-// payload returns an n-byte read buffer, reusing (and growing) the pooled
+// payload returns an n-byte body buffer, reusing (and growing) the pooled
 // one. A buffer an oversized frame grew past maxRetainedBuf is replaced at
 // the next frame and dropped by Release, so it is never retained.
 func (fr *FrameReader) payload(n int) []byte {

@@ -75,9 +75,8 @@ func TestReadFrameTruncated(t *testing.T) {
 }
 
 func TestReadFrameTooLarge(t *testing.T) {
-	var hdr [4]byte
-	binary.BigEndian.PutUint32(hdr[:], MaxFrameSize+1)
-	_, err := ReadFrame(bytes.NewReader(hdr[:]))
+	hdr := binary.AppendUvarint(nil, MaxFrameSize+1)
+	_, err := ReadFrame(bytes.NewReader(hdr))
 	if err != ErrFrameTooLarge {
 		t.Fatalf("want ErrFrameTooLarge, got %v", err)
 	}
@@ -91,11 +90,14 @@ func TestWriteFrameTooLarge(t *testing.T) {
 }
 
 func TestReadFrameShortHeader(t *testing.T) {
-	var hdr [4]byte
-	binary.BigEndian.PutUint32(hdr[:], 3) // less than kind+corr
-	buf := append(hdr[:], 1, 2, 3)
-	if _, err := ReadFrame(bytes.NewReader(buf)); err == nil {
-		t.Fatal("want error for short frame")
+	for _, buf := range [][]byte{
+		{0},                       // no room for a kind
+		{1, byte(KindRequest)},    // no room for a correlation id
+		{0, 0, 0, 13, 5, 0, 0, 0}, // what the fixed header (FormatVersion 1) began with
+	} {
+		if _, err := ReadFrame(bytes.NewReader(buf)); err != ErrBadFrame {
+			t.Fatalf("% x: want ErrBadFrame, got %v", buf, err)
+		}
 	}
 }
 
@@ -386,13 +388,14 @@ func TestFrameSizeEdgeCases(t *testing.T) {
 	}
 
 	// Exactly MaxFrameSize payload: the largest legal frame.
-	maxBody := make([]byte, MaxFrameSize-9) // payload = header(9) + body = MaxFrameSize
+	maxBody := make([]byte, MaxFrameSize-2) // payload = kind + 1-byte corr + body = MaxFrameSize
 	maxBody[0], maxBody[len(maxBody)-1] = 0xAA, 0xBB
 	buf.Reset()
 	if err := WriteFrame(&buf, Frame{Kind: KindOneWay, Corr: 1, Body: maxBody}); err != nil {
 		t.Fatalf("exactly MaxFrameSize should encode: %v", err)
 	}
 	fr = NewFrameReader(bytes.NewReader(buf.Bytes()))
+	fr.SetZeroCopy(true) // one 64 MiB buffer is enough
 	f, err := fr.Next()
 	if err != nil {
 		t.Fatalf("exactly MaxFrameSize should decode: %v", err)
@@ -401,24 +404,23 @@ func TestFrameSizeEdgeCases(t *testing.T) {
 		t.Fatal("max-size body corrupted")
 	}
 
-	// One byte over: rejected on write and on read.
-	if err := WriteFrame(io.Discard, Frame{Body: make([]byte, MaxFrameSize-9+1)}); err != ErrFrameTooLarge {
+	// One byte over (the same body behind a 2-byte correlation id):
+	// rejected on write and on read.
+	if err := WriteFrame(io.Discard, Frame{Corr: 128, Body: maxBody}); err != ErrFrameTooLarge {
 		t.Fatalf("MaxFrameSize+1 write: want ErrFrameTooLarge, got %v", err)
 	}
-	var hdr [4]byte
-	binary.BigEndian.PutUint32(hdr[:], MaxFrameSize+1)
-	fr = NewFrameReader(bytes.NewReader(hdr[:]))
+	fr = NewFrameReader(bytes.NewReader(binary.AppendUvarint(nil, MaxFrameSize+1)))
 	if _, err := fr.Next(); err != ErrFrameTooLarge {
 		t.Fatalf("MaxFrameSize+1 read: want ErrFrameTooLarge, got %v", err)
 	}
 
 	// Truncated header mid-stream: one good frame, then 2 bytes of a
-	// length prefix.
+	// 3-byte length prefix.
 	buf.Reset()
 	if err := WriteFrame(&buf, Frame{Kind: KindRequest, Corr: 7, Body: []byte("ok")}); err != nil {
 		t.Fatal(err)
 	}
-	buf.Write([]byte{0x00, 0x00})
+	buf.Write([]byte{0x80, 0x80})
 	fr = NewFrameReader(bytes.NewReader(buf.Bytes()))
 	if f, err := fr.Next(); err != nil || string(f.Body) != "ok" {
 		t.Fatalf("first frame: %+v, %v", f, err)
