@@ -27,6 +27,7 @@ import (
 	"wls/internal/store"
 	"wls/internal/tx"
 	"wls/internal/vclock"
+	"wls/internal/webtier"
 	"wls/internal/wire"
 )
 
@@ -81,25 +82,11 @@ func TestAllocGateWebtierEcho(t *testing.T) {
 
 // TestAllocGateWebtierSessionWrite pins the same path with a session write,
 // which adds the synchronous batched replication flush to the secondary.
+// Every call is a different live session, so nothing keyed on the cookie
+// can be warm: a cache in front of the parser or the table would show.
 func TestAllocGateWebtierSessionWrite(t *testing.T) {
 	c := allocGateCluster(t)
-	proxy := c.ProxyPlugin("webserver:80")
-	ctx := context.Background()
-	cookie := ""
-	for i := 0; i < 64; i++ {
-		r, err := proxy.Route(ctx, "/count", cookie, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		cookie = r.Cookie
-	}
-	n := testing.AllocsPerRun(300, func() {
-		r, err := proxy.Route(ctx, "/count", cookie, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		cookie = r.Cookie
-	})
+	n := routeAllocs(t, c.ProxyPlugin("webserver:80"), "/count", nil, 512)
 	t.Logf("webtier full path (session write + replication): %.1f allocs/request", n)
 	if n > 18 {
 		t.Fatalf("webtier session-write path allocates %.1f/request, gate is 18", n)
@@ -167,29 +154,32 @@ func TestAllocGateTransportEcho(t *testing.T) {
 	}
 }
 
-// routeLoop returns one proxy.Route on path that follows its session's
-// cookie, already warmed by warm requests.
-func routeLoop(t *testing.T, c *tcpCluster, path string, body []byte, warm int) func() {
+// routeLoop returns one proxy.Route on path, taking turns over sessions live
+// sessions (each follows its own cookie), every one of them already warmed
+// by warm requests.
+func routeLoop(t *testing.T, proxy *webtier.ProxyPlugin, path string, body []byte, sessions, warm int) func() {
 	t.Helper()
 	ctx := context.Background()
-	cookie := ""
+	cookies := make([]string, sessions)
+	i := 0
 	route := func() {
-		r, err := c.proxy.Route(ctx, path, cookie, body)
+		r, err := proxy.Route(ctx, path, cookies[i%sessions], body)
 		if err != nil {
 			t.Fatal(err)
 		}
-		cookie = r.Cookie
+		cookies[i%sessions] = r.Cookie
+		i++
 	}
-	for i := 0; i < warm; i++ {
+	for j := 0; j < sessions*warm; j++ {
 		route()
 	}
 	return route
 }
 
-// routeAllocs warms a session on path and measures one proxy.Route.
-func routeAllocs(t *testing.T, c *tcpCluster, path string, body []byte) float64 {
+// routeAllocs measures one proxy.Route on path over warmed sessions.
+func routeAllocs(t *testing.T, proxy *webtier.ProxyPlugin, path string, body []byte, sessions int) float64 {
 	t.Helper()
-	return testing.AllocsPerRun(300, routeLoop(t, c, path, body, 64))
+	return testing.AllocsPerRun(300, routeLoop(t, proxy, path, body, sessions, 128/sessions+2))
 }
 
 // TestAllocGateTCPEcho pins proxy → TCP → servlet echo at measured (2.0:
@@ -197,7 +187,7 @@ func routeAllocs(t *testing.T, c *tcpCluster, path string, body []byte) float64 
 func TestAllocGateTCPEcho(t *testing.T) {
 	c := newTCPCluster(t)
 	c.handle("/echo", func(r *servlet.Request) servlet.Response { return servlet.Response{Body: r.Body} })
-	n := routeAllocs(t, c, "/echo", []byte("hello"))
+	n := routeAllocs(t, c.proxy, "/echo", []byte("hello"), 1)
 	t.Logf("TCP full path (echo): %.1f allocs/request", n)
 	if n > 4 {
 		t.Fatalf("TCP echo path allocates %.1f/request, gate is 4", n)
@@ -206,15 +196,16 @@ func TestAllocGateTCPEcho(t *testing.T) {
 
 // TestAllocGateTCPSessionWrite pins the same path with a session write — a
 // second TCP hop ships the delta to the secondary before the reply — at
-// measured (6.0) + 2. It was 7.0 while Member.Lookup cloned the secondary's
-// MemberInfo to hand the replication flush an address.
+// measured (6.0) + 2, every call a different live session as in
+// TestAllocGateWebtierSessionWrite. It was 7.0 while Member.Lookup cloned
+// the secondary's MemberInfo to hand the replication flush an address.
 func TestAllocGateTCPSessionWrite(t *testing.T) {
 	c := newTCPCluster(t)
 	c.handle("/count", func(r *servlet.Request) servlet.Response {
 		r.Session.Set("n", "1")
 		return servlet.Response{Body: []byte("ok")}
 	})
-	n := routeAllocs(t, c, "/count", nil)
+	n := routeAllocs(t, c.proxy, "/count", nil, 512)
 	t.Logf("TCP full path (session write + replication): %.1f allocs/request", n)
 	if n > 8 {
 		t.Fatalf("TCP session-write path allocates %.1f/request, gate is 8", n)
@@ -227,7 +218,7 @@ func TestAllocGateTCPSessionWrite(t *testing.T) {
 // they are for all but the first 127 calls of a connection's life.
 func routeBytes(t *testing.T, c *tcpCluster, path string, body []byte) float64 {
 	t.Helper()
-	route := routeLoop(t, c, path, body, 200)
+	route := routeLoop(t, c.proxy, path, body, 1, 200)
 	const n = 300
 	before := c.bytesOut()
 	for i := 0; i < n; i++ {
@@ -352,11 +343,12 @@ func TestAllocGateDurableCheckout(t *testing.T) {
 // TestAllocGateSessionFootprint pins what a resident session costs: 8 192
 // replicated sessions holding two short attributes, live heap after two
 // collections, divided by the count — both copies (primary record and
-// secondary replica), both session-table entries and the cached response
-// cookie. Measured
-// 584 B/session, pinned at that + 10 %; the parent commit, which kept a
-// map[string]string per copy, measured 1 127 B on the same test (DESIGN.md
-// "Session state" has the breakdown).
+// secondary replica) and both session-table entries. Measured
+// 417 B/session, pinned at that + 10 %. Created after 4 096 others, which is
+// how earlier figures were taken, it is 456 B; it was 584 B while each
+// primary kept its encoded cookie and the placement sat in loose fields, and
+// 1 127 B with a map[string]string per copy (DESIGN.md "Session state" has
+// the breakdown).
 func TestAllocGateSessionFootprint(t *testing.T) {
 	c := allocGateCluster(t)
 	for _, s := range c.Servers {
@@ -381,11 +373,7 @@ func TestAllocGateSessionFootprint(t *testing.T) {
 			}
 		}
 	}
-	// The cookie decode cache holds 4 096 entries and is dropped wholesale
-	// when full: fill it first and create a multiple of its size, so it is
-	// equally full at both readings and cancels out.
-	const warm, sessions = 4096, 8192
-	create(warm)
+	const sessions = 8192
 	before := liveHeap()
 	create(sessions)
 	per := float64(liveHeap()-before) / sessions
@@ -393,11 +381,11 @@ func TestAllocGateSessionFootprint(t *testing.T) {
 	for _, s := range c.Servers {
 		resident += s.Web.Sessions().ResidentSessions()
 	}
-	if resident != 2*(warm+sessions) {
-		t.Fatalf("%d copies resident, want %d", resident, 2*(warm+sessions))
+	if resident != 2*sessions {
+		t.Fatalf("%d copies resident, want %d", resident, 2*sessions)
 	}
 	t.Logf("replicated session, two short attributes: %.0f B resident (both copies)", per)
-	if per > 642 {
-		t.Fatalf("a resident session costs %.0f B, gate is 642", per)
+	if per > 459 {
+		t.Fatalf("a resident session costs %.0f B, gate is 459", per)
 	}
 }

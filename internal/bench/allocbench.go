@@ -43,7 +43,8 @@ func runE31() *Table {
 		Source:  "Fig 2 + §2.1",
 		Columns: []string{"section", "path", "callers", "calls", "allocs/call", "calls/s", "p99"},
 		Notes: "seed rows: recorded before pooled requests/encoders/sessions and the no-alloc routing decision. " +
-			"now rows: this tree, same paths (webtier = proxy plug-in + RMI hop + engine + replication on writes). " +
+			"now rows: this tree, same paths (webtier = proxy plug-in + RMI hop + engine + replication on writes); " +
+			"the wide row makes every call a different live session, where the hot rows repeat one cookie. " +
 			"load rows: full webtier echo path under concurrency; allocs/call must stay flat as callers grow."}
 
 	for _, s := range e31Seed {
@@ -85,26 +86,37 @@ func runE31() *Table {
 			return eng.Serve(path, cookie, body).Cookie
 		}
 	}
+	// The wide row takes turns over 8 192 live sessions, so every measured
+	// call is the request of the session idle longest: whatever is keyed on
+	// the cookie and smaller than that (the decode cache that was, 4 096
+	// entries) misses every time.
+	const calls = 2000
 	for _, p := range []struct {
-		name string
-		call func(cookie string) string
+		name     string
+		call     func(cookie string) string
+		sessions int
 	}{
-		{"webtier echo", proxyPath("/echo")},
-		{"webtier session write", proxyPath("/count")},
-		{"servlet direct echo", enginePath("/echo")},
-		{"servlet direct session write", enginePath("/count")},
+		{"webtier echo", proxyPath("/echo"), 1},
+		{"webtier session write", proxyPath("/count"), 1},
+		{"servlet direct echo", enginePath("/echo"), 1},
+		{"servlet direct session write", enginePath("/count"), 1},
+		{"webtier session write, wide", proxyPath("/count"), 8192},
 	} {
-		const calls = 2000
-		cookie := ""
-		for i := 0; i < 64; i++ {
-			cookie = p.call(cookie)
+		cookies := make([]string, p.sessions)
+		next := 0
+		call := func() {
+			cookies[next%p.sessions] = p.call(cookies[next%p.sessions])
+			next++
+		}
+		for i := 0; i < 64 || i < p.sessions; i++ {
+			call()
 		}
 		runtime.GC()
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
 		start := wall.Now()
 		for i := 0; i < calls; i++ {
-			cookie = p.call(cookie)
+			call()
 		}
 		elapsed := wall.Since(start)
 		runtime.ReadMemStats(&after)

@@ -1,0 +1,111 @@
+package servlet
+
+import (
+	"encoding/base64"
+	"maps"
+	"strings"
+	"testing"
+
+	"wls/internal/wire"
+)
+
+// rawCookie encodes fields and an attribute count the way encodeCookie
+// does, without its checks: the count may lie and tail may be anything.
+func rawCookie(id, primary, secondary string, count int, tail ...string) string {
+	e := wire.NewEncoder(64)
+	e.String(id)
+	e.String(primary)
+	e.String(secondary)
+	e.Int(count)
+	for _, s := range tail {
+		e.String(s)
+	}
+	return base64.RawURLEncoding.EncodeToString(e.Bytes())
+}
+
+// cookieCases is what the request path may be handed: valid, truncated,
+// not base64, over-long, state-bearing, and lying about its attributes.
+func cookieCases() []string {
+	valid := encodeCookie("server-1-sess-1234", "server-1", "server-2", nil)
+	long := strings.Repeat("n", len(CookieBuf{}))
+	cases := []string{
+		valid,
+		encodeCookie("server-1-sess-1", "server-1", "", nil),
+		Cookie{ID: "s-1"}.Encode(),
+		rawCookie("", "", "", 0),
+		rawCookie("id", "p", "s", 0, "trailing", "bytes"),
+		// Exactly the array, one byte over it, far over it.
+		rawCookie(long[:len(CookieBuf{})-7], "p", "s", 0),
+		rawCookie(long[:len(CookieBuf{})-6], "p", "s", 0),
+		encodeCookie("id-"+long, "primary-"+long, "secondary-"+long, nil),
+		// State.
+		Cookie{ID: "s-1", State: map[string]string{"n": "1"}}.Encode(),
+		Cookie{ID: "s-1", Primary: "p", Secondary: "s", State: map[string]string{"n": "1", "item": long}}.Encode(),
+		// Lying counts: more than the payload holds, negative, short by one.
+		rawCookie("id", "p", "s", 1),
+		rawCookie("id", "p", "s", 1<<40, "k", "v"),
+		rawCookie("id", "p", "s", -1),
+		rawCookie("id", "p", "s", 1, "k", "v", "k2", "v2"),
+		// Not base64, base64 of nothing useful, base64 the decoder skips over.
+		"!!!not-base64!!!",
+		"not-a-cookie",
+		"A",
+		"AAAA",
+		valid[:4] + "\n" + valid[4:],
+		valid + "=",
+		strings.Repeat("A", 4*len(CookieBuf{})/3+1),
+	}
+	for cut := 1; cut < len(valid); cut += 3 {
+		cases = append(cases, valid[:cut])
+	}
+	return cases
+}
+
+// checkParse holds ParseCookie to the general decoder on one input: the
+// same accept/reject and the same fields, from the string and from the
+// bytes — and no allocation for an accepted cookie that is state-less and
+// fits the array.
+func checkParse(t *testing.T, s string) {
+	t.Helper()
+	want, wantErr := decodeCookieSlow(s)
+	for _, form := range []string{"string", "bytes"} {
+		var buf CookieBuf
+		parse := func() (CookieRef, error) { return ParseCookie(s, &buf) }
+		if b := []byte(s); form == "bytes" {
+			parse = func() (CookieRef, error) { return ParseCookie(b, &buf) }
+		}
+		c, err := parse()
+		if s == "" {
+			wantErr = nil // "" is the cookie-less request, not a malformed cookie
+		}
+		if (err != nil) != (wantErr != nil) {
+			t.Fatalf("%q (%s): ParseCookie error %v, general decoder %v", s, form, err, wantErr)
+		}
+		if err != nil {
+			continue
+		}
+		if string(c.ID) != want.ID || string(c.Primary) != want.Primary || string(c.Secondary) != want.Secondary || !maps.Equal(c.State, want.State) {
+			t.Fatalf("%q (%s): ParseCookie (%q, %q, %q, %v), general decoder %+v", s, form, c.ID, c.Primary, c.Secondary, c.State, want)
+		}
+		if want.State == nil && base64.RawURLEncoding.DecodedLen(len(s)) <= len(CookieBuf{}) {
+			if n := testing.AllocsPerRun(10, func() { c, _ = parse() }); n != 0 {
+				t.Fatalf("%q (%s): %.0f allocations for a state-less cookie", s, form, n)
+			}
+		}
+	}
+}
+
+func TestParseCookieMatchesGeneralDecoder(t *testing.T) {
+	for _, s := range append(cookieCases(), "") {
+		checkParse(t, s)
+	}
+}
+
+// FuzzParseCookie: testdata/fuzz/FuzzParseCookie holds the seed corpus (the
+// same shapes as cookieCases, as files the fuzzer can start from).
+func FuzzParseCookie(f *testing.F) {
+	for _, s := range cookieCases() {
+		f.Add(s)
+	}
+	f.Fuzz(checkParse)
+}

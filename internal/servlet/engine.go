@@ -139,19 +139,29 @@ func (e *Engine) ServeCtx(ctx context.Context, path, cookie string, body []byte)
 			cookie = urlTok
 		}
 	}
-	c, err := DecodeCookie(cookie)
+	var buf CookieBuf
+	c, err := ParseCookie(cookie, &buf)
 	if err != nil {
-		return Response{Status: 400, Body: []byte("bad cookie"), ServedBy: e.serverName}
+		return e.badCookie()
 	}
-	return e.serve(ctx, path, c, body)
+	resp, same := e.serve(ctx, path, &c, body)
+	if same {
+		resp.Cookie = cookie
+	}
+	return resp
+}
+
+func (e *Engine) badCookie() Response {
+	return Response{Status: 400, Body: []byte("bad cookie"), ServedBy: e.serverName}
 }
 
 // serve is the common core behind ServeCtx and the RMI surface: resolve
 // the session, run the servlet (through a pooled Request), replicate, and
-// attach the response cookie.
+// attach the response cookie — or report same: the cookie c was parsed from
+// still holds, and the caller has it.
 //
 //wls:hotpath
-func (e *Engine) serve(ctx context.Context, path string, c Cookie, body []byte) Response {
+func (e *Engine) serve(ctx context.Context, path string, c *CookieRef, body []byte) (resp Response, same bool) {
 	sess := e.sessions.resolve(ctx, c)
 	if sp := trace.FromContext(ctx); sp != nil {
 		sp.Annotate("session", sess.ID)
@@ -161,27 +171,26 @@ func (e *Engine) serve(ctx context.Context, path string, c Cookie, body []byte) 
 	e.mu.Unlock()
 	if !ok {
 		releaseSession(sess)
-		return Response{Status: 404, Body: []byte("no servlet at " + path), ServedBy: e.serverName}
+		return Response{Status: 404, Body: []byte("no servlet at " + path), ServedBy: e.serverName}, false
 	}
 	req := requestPool.Get().(*Request)
 	req.Path, req.Body, req.Session, req.Server = path, body, sess, e.serverName
-	resp := h(req)
+	resp = h(req)
 	*req = Request{}
 	requestPool.Put(req)
 	if resp.Status == 0 {
 		resp.Status = 200
 	}
-	resp.Cookie = e.sessions.finish(ctx, sess)
+	resp.Cookie, same = e.sessions.finish(ctx, sess, c)
 	releaseSession(sess)
 	resp.ServedBy = e.serverName
-	return resp
+	return resp, same
 }
 
 // handleRequest is the RMI surface used by the presentation tier. Fields
 // are decoded without copying (the body aliases the inbound frame, which is
 // lent for the duration of the call and serialized out before return),
-// the path is interned, and repeat cookies resolve through the decode
-// cache directly from the wire bytes.
+// the path is interned, and the cookie is parsed from the wire bytes.
 //
 //wls:hotpath
 func (e *Engine) handleRequest(ctx context.Context, call *rmi.Call) ([]byte, error) {
@@ -193,64 +202,51 @@ func (e *Engine) handleRequest(ctx context.Context, call *rmi.Call) ([]byte, err
 		return nil, err
 	}
 	path := e.paths.Intern(pathB)
-	var c Cookie
-	var err error
-	if bare, urlTok := SplitURL(path); urlTok != "" {
-		// URL-rewritten token (rare): fall back to the string path.
-		path = bare
-		if len(cookieB) == 0 {
-			c, err = DecodeCookie(urlTok)
-		} else {
-			c, err = DecodeCookieBytes(cookieB)
-		}
-	} else {
-		c, err = DecodeCookieBytes(cookieB)
-	}
+	bare, urlTok := SplitURL(path)
 	var resp Response
-	if err != nil {
-		resp = Response{Status: 400, Body: []byte("bad cookie"), ServedBy: e.serverName}
+	var buf CookieBuf
+	same := false
+	if urlTok != "" && len(cookieB) == 0 {
+		// URL-rewritten token and no Cookie header (rare): the request sent
+		// no cookie, so its reply names one, changed or not.
+		resp = e.ServeCtx(ctx, path, "", body)
+	} else if c, err := ParseCookie(cookieB, &buf); err != nil {
+		resp = e.badCookie()
 	} else {
-		resp = e.serve(ctx, path, c, body)
+		resp, same = e.serve(ctx, bare, &c, body)
 	}
 	// Encoded once, inside the RMI response envelope. resp.Body may alias
 	// the inbound frame (an echo servlet): it is copied here, before the
 	// node recycles that buffer.
-	AppendResponse(call.Reply(), resp, cookieB)
+	AppendResponse(call.Reply(), resp, same || resp.Cookie == string(cookieB))
 	return nil, nil
 }
 
 // AppendResponse serializes a Response for the RMI surface: status, body,
-// then the cookie — unless it is, byte for byte, the cookie the request
-// carried (sent). A session's cookie changes only on creation, promotion
-// or a new secondary, so on every other reply the caller already holds it:
-// the reply then ends after the body, and no cookie on the RMI surface
-// means "the one you sent". A cookie that differs, the empty one of an
-// error reply included, travels in full. ServedBy is not written either:
-// the rmi envelope around the reply already names the server
-// (rmi.Result.ServedBy), and the caller fills the field from there.
-func AppendResponse(enc *wire.Encoder, r Response, sent []byte) {
+// then the cookie — unless it is the cookie the request carried (same). A
+// session's cookie changes only on creation, promotion or a new secondary,
+// so on every other reply the caller already holds it: the reply then ends
+// after the body, and no cookie on the RMI surface means "the one you
+// sent". A cookie that differs, the empty one of an error reply included,
+// travels in full. ServedBy is not written either: the rmi envelope names
+// the server (rmi.Result.ServedBy), and the caller fills the field from it.
+func AppendResponse(enc *wire.Encoder, r Response, same bool) {
 	enc.Int(r.Status)
 	enc.Bytes2(r.Body)
-	if r.Cookie != string(sent) {
+	if !same {
 		enc.String(r.Cookie)
 	}
 }
 
 // DecodeResponseNoCopy reverses AppendResponse for the caller that sent the
 // request with cookie sent and owns b (per the Node.Call contract): Body
-// aliases b, a cookie the reply left out is sent, and one it carries
-// resolves through the decode cache (returning its canonical string).
-// ServedBy is left for the caller to take from the rmi result.
+// aliases b, and a cookie the reply left out is sent. ServedBy is left for
+// the caller to take from the rmi result.
 func DecodeResponseNoCopy(b []byte, sent string) (Response, error) {
 	d := wire.NewDecoder(b)
 	r := Response{Status: d.Int(), Body: d.BytesNoCopy(), Cookie: sent}
 	if d.Remaining() > 0 {
-		cookieB := d.BytesNoCopy()
-		if c, ok := cachedCookie(cookieB); ok && c.raw != "" {
-			r.Cookie = c.raw
-		} else {
-			r.Cookie = string(cookieB)
-		}
+		r.Cookie = d.String()
 	}
 	return r, d.Err()
 }

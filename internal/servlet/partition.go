@@ -46,35 +46,34 @@ func (sm *SessionManager) ringSecondary(v *partition.View, key, avoid string) (s
 	return fallback, fallback != ""
 }
 
-// maybeRebalance runs on the request path of a primary session (which
-// serializes all access to the session's placement fields, so no
-// background goroutine races the request flow): when the ring epoch moved
-// since the session was last placed, recompute the ring secondary and, if
-// it changed, re-seed the new secondary with the full state. The response
-// cookie re-encodes automatically (setSecondary drops the cached one), so
-// the client learns the new pair on this very response. The old
-// secondary keeps its copy, which is what makes the handoff lossless: until
-// the client has the new cookie, a primary failure still finds state at the
-// cookie-named replica.
+// maybeRebalance runs on the request path of a primary session placed at
+// p: when the ring epoch moved since the placement was last checked,
+// recompute the ring secondary and, if it changed, re-seed the new secondary
+// with the full state. Parallel requests of the session may all get here:
+// the placement changes by compare-and-swap, so one ships and counts the
+// move and the others look again. The response cookie names the new pair at
+// once. The old secondary keeps its copy, which makes the handoff lossless:
+// until the client has the new cookie, a primary failure still finds state
+// at the cookie-named replica.
 //
 //wls:hotpath
-func (sm *SessionManager) maybeRebalance(ctx context.Context, st *sessState) {
+func (sm *SessionManager) maybeRebalance(ctx context.Context, st *sessState, p placement) {
 	vs := sm.parts.Load()
 	if vs == nil {
 		return
 	}
-	v := vs.Current()
-	if v == nil || st.epoch.Load() == uint32(v.Epoch) {
-		return // steady state: two atomic loads, no allocation
+	v := vs.Current() // the steady state is two atomic loads and no iteration
+	for ; v != nil && p.epoch() != uint32(v.Epoch); p = st.placed() {
+		want, ok := sm.ringSecondary(v, st.id, "")
+		if !ok || want == sm.secName(p.sec()) {
+			if st.place.CompareAndSwap(uint64(p), uint64(primaryAt(uint32(v.Epoch), p.sec()))) {
+				return
+			}
+		} else if sm.ship(ctx, st, nil, p, primaryAt(uint32(v.Epoch), sm.secIndex(want))) {
+			sm.ringMoves.Add(1)
+			return
+		}
 	}
-	st.epoch.Store(uint32(v.Epoch))
-	want, ok := sm.ringSecondary(v, st.id, "")
-	if !ok || want == st.secondary {
-		return
-	}
-	st.setSecondary(want)
-	sm.ringMoves.Add(1)
-	sm.ship(ctx, st, nil)
 }
 
 // PartitionStats is the session manager's view of the ring for the admin
@@ -117,7 +116,7 @@ func (sm *SessionManager) PartitionStats() PartitionStats {
 	sm.mu.Lock()
 	ps.Resident = len(sm.sessions)
 	for _, st := range sm.sessions {
-		if e := st.epoch.Load(); e != 0 && e < cur {
+		if e := st.placed().epoch(); e != 0 && e < cur {
 			ps.SessionsBehind++
 		}
 	}

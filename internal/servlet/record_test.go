@@ -7,7 +7,9 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"unsafe"
 
+	"wls/internal/partition"
 	"wls/internal/simtest"
 	"wls/internal/store"
 	"wls/internal/wire"
@@ -41,12 +43,16 @@ func modelEngines(t *testing.T, n int, mode SessionMode) []*Engine {
 	}
 	var engines []*Engine
 	for _, s := range f.Servers {
-		e := NewEngine(s.Registry, cfg)
-		e.Handle("/op", opServlet)
-		engines = append(engines, e)
+		engines = append(engines, modelEngine(s, cfg))
 	}
 	f.Settle(2)
 	return engines
+}
+
+func modelEngine(s *simtest.Server, cfg Config) *Engine {
+	e := NewEngine(s.Registry, cfg)
+	e.Handle("/op", opServlet)
+	return e
 }
 
 // held returns a resident session's attributes and generation (nil if e
@@ -63,6 +69,15 @@ func held(t *testing.T, e *Engine, id string) (map[string]string, uint64) {
 	st.rec.mu.Lock()
 	defer st.rec.mu.Unlock()
 	return attrMap(t, st.rec.attrs), st.rec.gen
+}
+
+// fetch is Fig 3's copy of session id from the engine on server.
+func fetch(e *Engine, server, id string) ([]attr, uint64, error) {
+	from, ok := e.sessions.member.Lookup(server)
+	if !ok {
+		return nil, 0, fmt.Errorf("%s not in view", server)
+	}
+	return e.sessions.fetchFrom(context.Background(), from, []byte(id))
 }
 
 func attrMap(t *testing.T, attrs []attr) map[string]string {
@@ -86,6 +101,14 @@ func sameState(t *testing.T, what string, got, want map[string]string) {
 		if g, ok := got[k]; !ok || g != v {
 			t.Fatalf("%s: holds %v, model %v", what, got, want)
 		}
+	}
+}
+
+// TestSessStateSize: every resident copy of every session pays this (DESIGN.md
+// "Session state"); a field added beside the placement word makes it 80.
+func TestSessStateSize(t *testing.T) {
+	if got := unsafe.Sizeof(sessState{}); got != 64 {
+		t.Fatalf("sessState is %d bytes, want 64", got)
 	}
 }
 
@@ -159,11 +182,14 @@ func TestSessionRecordModel(t *testing.T) {
 						if m.mode != SessionsReplicated || len(model) == 0 {
 							continue
 						}
-						attrs, err := engines[at].sessions.fetchFrom(context.Background(), engines[1-at].serverName, id)
+						attrs, gen, err := fetch(engines[at], engines[1-at].serverName, id)
 						if err != nil {
 							t.Fatalf("seed %d step %d: fetch: %v", seed, step, err)
 						}
 						sameState(t, "fetch", attrMap(t, attrs), model)
+						if _, holds := held(t, engines[1-at], id); gen != holds {
+							t.Fatalf("seed %d step %d: fetched generation %d of a record at %d", seed, step, gen, holds)
+						}
 					default: // a hand-built batch of deltas, fresh and stale
 						e := wire.NewEncoder(64)
 						for i := rng.Intn(3) + 1; i > 0; i-- {
@@ -262,7 +288,7 @@ func TestConcurrentRequestsOneSession(t *testing.T) {
 				return
 			default:
 			}
-			attrs, err := third.sessions.fetchFrom(context.Background(), c.Secondary, c.ID)
+			attrs, _, err := fetch(third, c.Secondary, c.ID)
 			if err != nil || len(attrs) < 2 {
 				t.Errorf("fetch %d: %v err=%v", n, attrs, err)
 				fetched <- n
@@ -291,4 +317,140 @@ func TestConcurrentRequestsOneSession(t *testing.T) {
 			t.Fatalf("worker %d's last write lost: %q", w, got)
 		}
 	}
+}
+
+// TestConcurrentTopologyOneSession races a browser's parallel requests
+// with each way a session's placement changes: a ring-epoch move (a server
+// joins and the ring gives it the session's secondary), a promotion (Fig 2:
+// the requests go to the secondary) and a failing ship (the secondary dies
+// unnoticed). Every request writes, so the generation counts what was
+// shipped: one delta per request and one whole record per change of
+// placement, however many of the requests saw the change coming — and the
+// secondary of the moment ends up with exactly the primary's record.
+func TestConcurrentTopologyOneSession(t *testing.T) {
+	f := simtest.New(simtest.Options{Servers: 5})
+	t.Cleanup(f.Stop)
+	engines := map[string]*Engine{}
+	join := func(s *simtest.Server) {
+		e := modelEngine(s, Config{})
+		vs := partition.NewViews(partition.Config{Seed: 99})
+		partition.Attach(vs, s.Member, ServiceName)
+		e.SetPartitions(vs)
+		engines[s.Name] = e
+	}
+	for _, s := range f.Servers[:4] {
+		join(s)
+	}
+	f.Settle(3)
+
+	// Sessions on server-1, then server-5 joins: take one whose ring
+	// secondary is now the joiner.
+	first := engines["server-1"]
+	cookies := map[string]string{}
+	for i := 0; i < 64; i++ {
+		resp := first.Serve("/op", "", []byte("S n 0\nS item none"))
+		c, err := DecodeCookie(resp.Cookie)
+		if err != nil || c.Secondary == "" {
+			t.Fatalf("cookie %+v err=%v", c, err)
+		}
+		cookies[c.ID] = resp.Cookie
+	}
+	join(f.Servers[4])
+	f.Settle(3)
+	id, cookie := "", ""
+	for sid, ck := range cookies {
+		if sec, _ := first.sessions.ringSecondary(first.sessions.parts.Load().Current(), sid, ""); sec == "server-5" && sid > id {
+			id, cookie = sid, ck
+		}
+	}
+	if id == "" {
+		t.Fatal("the join moved no session's secondary to the joiner")
+	}
+
+	// burst sends parallel writing requests of the session to e, while the
+	// admin scan reads every placement, and returns the settled cookie.
+	const workers, reqs = 4, 150
+	burst := func(e *Engine) Cookie {
+		t.Helper()
+		stop, scanned := make(chan struct{}), make(chan struct{})
+		go func() {
+			defer close(scanned)
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+					e.sessions.PartitionStats()
+				}
+			}
+		}()
+		var wg sync.WaitGroup
+		start := make(chan struct{}) // so the first requests, which meet the change, collide
+		for w := 0; w < workers; w++ {
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				<-start
+				for i := 0; i < reqs; i++ {
+					body := fmt.Sprintf("S n %d\nS w%d %s-%d", i, w, e.serverName, i)
+					if resp := e.Serve("/op", cookie, []byte(body)); resp.Status != 200 {
+						t.Errorf("%s: worker %d request %d: status %d %q", e.serverName, w, i, resp.Status, resp.Body)
+						return
+					}
+				}
+			}(w)
+		}
+		close(start)
+		wg.Wait()
+		close(stop)
+		<-scanned
+		resp := e.Serve("/op", cookie, []byte("G n"))
+		c, err := DecodeCookie(resp.Cookie)
+		if err != nil || c.ID != id || c.Primary != e.serverName {
+			t.Fatalf("%s: settled cookie %+v err=%v", e.serverName, c, err)
+		}
+		if again := e.Serve("/op", resp.Cookie, []byte("G n")); again.Cookie != resp.Cookie {
+			t.Fatalf("%s: cookie changed twice: %q then %q", e.serverName, resp.Cookie, again.Cookie)
+		}
+		cookie = resp.Cookie
+		return c
+	}
+	// converged checks the generation arithmetic and that the secondary
+	// holds the primary's record.
+	converged := func(what string, c Cookie, wantGen uint64) uint64 {
+		t.Helper()
+		p, pgen := held(t, engines[c.Primary], id)
+		s, sgen := held(t, engines[c.Secondary], id)
+		if pgen != wantGen || sgen != wantGen {
+			t.Fatalf("%s: primary %s at generation %d, secondary %s at %d, want %d (a delta per request, one seed)", what, c.Primary, pgen, c.Secondary, sgen, wantGen)
+		}
+		sameState(t, what+": secondary "+c.Secondary, s, p)
+		for w := 0; w < workers; w++ {
+			if got, want := p[fmt.Sprintf("w%d", w)], fmt.Sprintf("%s-%d", c.Primary, reqs-1); got != want {
+				t.Fatalf("%s: worker %d's last write is %q, want %q", what, w, got, want)
+			}
+		}
+		return pgen
+	}
+	_, gen := held(t, first, id)
+
+	c := burst(first)
+	if c.Secondary != "server-5" {
+		t.Fatalf("ring-epoch move: secondary %s, the ring says server-5", c.Secondary)
+	}
+	if moves := first.sessions.PartitionStats().RingMoves; moves != 1 {
+		t.Fatalf("ring-epoch move: %d moves counted for one session's one move", moves)
+	}
+	gen = converged("ring-epoch move", c, gen+workers*reqs+1)
+
+	c = burst(engines["server-5"])
+	gen = converged("promotion", c, gen+workers*reqs+1)
+
+	f.Crash(c.Secondary) // and the failure detector has not noticed
+	dead := c.Secondary
+	c = burst(engines["server-5"])
+	if c.Secondary == dead || c.Secondary == "" {
+		t.Fatalf("failing ship: secondary %q after %s died", c.Secondary, dead)
+	}
+	converged("failing ship", c, gen+workers*reqs+1)
 }

@@ -196,6 +196,41 @@ func TestFetchFromSecondaryOnArbitraryServer(t *testing.T) {
 	}
 }
 
+func TestFig3FailoverContinuesTheGeneration(t *testing.T) {
+	// The new primary of Fig 3 leaves the secondary unchanged, so its first
+	// delta must be one that secondary applies: it carries on from the
+	// generation the fetched copy had. (Starting over at 1, the secondary
+	// ignored every delta until the count passed its own.)
+	f, engines := newEngines(t, 3, servlet.Config{})
+	engine := func(name string) *servlet.Engine {
+		for i, s := range f.Servers {
+			if s.Name == name {
+				return engines[i]
+			}
+		}
+		t.Fatalf("no server %q", name)
+		return nil
+	}
+	resp := engines[0].Serve("/count", "", nil)
+	for i := 0; i < 6; i++ {
+		resp = engines[0].Serve("/count", resp.Cookie, nil)
+	}
+	c, _ := servlet.DecodeCookie(resp.Cookie)
+	third := "server-2"
+	if c.Secondary == third {
+		third = "server-3"
+	}
+	moved := engine(third).Serve("/count", resp.Cookie, nil)
+	c2, _ := servlet.DecodeCookie(moved.Cookie)
+	if string(moved.Body) != "8" || c2.Primary != third || c2.Secondary != c.Secondary {
+		t.Fatalf("Fig 3 failover to %s: body %q, cookie %+v (was %+v)", third, moved.Body, c2, c)
+	}
+	f.Crash(third)
+	if promoted := engine(c.Secondary).Serve("/count", moved.Cookie, nil); string(promoted.Body) != "9" {
+		t.Fatalf("the unchanged secondary %s missed the new primary's first write: counted %q, want 9", c.Secondary, promoted.Body)
+	}
+}
+
 func TestBothReplicasGoneStartsFresh(t *testing.T) {
 	f, engines := newEngines(t, 3, servlet.Config{})
 	resp := engines[0].Serve("/count", "", nil)

@@ -55,11 +55,6 @@ type Cookie struct {
 	Primary   string
 	Secondary string
 	State     map[string]string // SessionsClientCookie only
-
-	// raw is the encoded string this cookie was decoded from (set by the
-	// decode cache), letting hot paths that need the string form back —
-	// e.g. the webtier's response decode — reuse the canonical copy.
-	raw string
 }
 
 // Encode serializes the cookie to its wire string. State is written in key
@@ -82,64 +77,13 @@ func encodeCookie(id, primary, secondary string, state []attr) string {
 	return base64.RawURLEncoding.EncodeToString(e.Bytes())
 }
 
-// cookieCache memoizes DecodeCookie. Decoding is a pure function of the
-// cookie string, a session's cookie repeats on every request of that
-// session, and decoding costs base64 plus several field copies — so the
-// steady state should be one map lookup and zero allocations. Only
-// state-less cookies are cached (replicated/persistent modes); client-state
-// cookies change whenever the session data does and would only churn the
-// cache. The cache is dropped wholesale when full, like wire.Interner.
-var cookieCache = struct {
-	sync.RWMutex
-	m map[string]Cookie
-}{m: make(map[string]Cookie)}
-
-const cookieCacheMax = 4096
-
-// cachedCookie looks a cookie up by its string or, without materializing
-// one, by its bytes still in a wire buffer.
-func cachedCookie[K string | []byte](k K) (Cookie, bool) {
-	cookieCache.RLock()
-	c, ok := cookieCache.m[string(k)] // compiler-recognized no-alloc lookup
-	cookieCache.RUnlock()
-	return c, ok
-}
-
-// cacheCookie records a decoded (or just-encoded) state-less cookie.
-func cacheCookie(s string, c Cookie) {
-	if c.State != nil || s == "" {
-		return
-	}
-	c.raw = s
-	cookieCache.Lock()
-	if len(cookieCache.m) >= cookieCacheMax {
-		cookieCache.m = make(map[string]Cookie, cookieCacheMax/4)
-	}
-	cookieCache.m[s] = c
-	cookieCache.Unlock()
-}
-
-// DecodeCookie parses a cookie string ("" yields a zero cookie).
+// DecodeCookie parses a cookie string ("" yields a zero cookie): the general
+// decoder. The request path reads cookies through ParseCookie.
 func DecodeCookie(s string) (Cookie, error) {
-	if c, ok := cachedCookie(s); ok || s == "" {
-		return c, nil
+	if s == "" {
+		return Cookie{}, nil
 	}
-	c, err := decodeCookieSlow(s)
-	if err == nil {
-		cacheCookie(s, c)
-	}
-	return c, err
-}
-
-// DecodeCookieBytes is DecodeCookie for a cookie still sitting in a wire
-// buffer: the cache hit path performs a no-allocation lookup keyed on the
-// raw bytes, so the RMI surface never materializes the cookie string on
-// repeat requests.
-func DecodeCookieBytes(b []byte) (Cookie, error) {
-	if c, ok := cachedCookie(b); ok || len(b) == 0 {
-		return c, nil
-	}
-	return DecodeCookie(string(b))
+	return decodeCookieSlow(s)
 }
 
 func decodeCookieSlow(s string) (Cookie, error) {
@@ -161,6 +105,43 @@ func decodeCookieSlow(s string) (Cookie, error) {
 		}
 	}
 	return c, d.Err()
+}
+
+// CookieBuf is where ParseCookie decodes a cookie it can parse in place: a
+// 128-character cookie, two and a half times a replicated session's.
+type CookieBuf [96]byte
+
+// CookieRef is a request's cookie as the request path reads it: the fields
+// are bytes, to compare against names the receiver already holds, never to
+// keep. A state-less cookie that fits the CookieBuf is parsed there without
+// allocating, and the fields alias it; others go to the general decoder.
+type CookieRef struct {
+	ID, Primary, Secondary []byte
+	State                  map[string]string // SessionsClientCookie only
+}
+
+// ParseCookie parses the cookie of a request, from its header string or
+// from the bytes still in a wire buffer ("" yields a zero CookieRef).
+//
+//wls:hotpath
+func ParseCookie[K string | []byte](s K, buf *CookieBuf) (CookieRef, error) {
+	if len(s) == 0 {
+		return CookieRef{}, nil
+	}
+	var in [len(buf) / 3 * 4]byte
+	if len(s) <= len(in) {
+		if n, err := base64.RawURLEncoding.Decode(buf[:], in[:copy(in[:], s)]); err == nil {
+			d := wire.NewDecoder(buf[:n])
+			c := CookieRef{ID: d.BytesNoCopy(), Primary: d.BytesNoCopy(), Secondary: d.BytesNoCopy()}
+			if count, err := attrCount(d); err == nil && count == 0 {
+				return c, nil
+			}
+		}
+	}
+	// Carries state, too long, or malformed: the general decoder decides.
+	c, err := decodeCookieSlow(string(s))
+	b, i, j := []byte(c.ID+c.Primary+c.Secondary), len(c.ID), len(c.ID)+len(c.Primary)
+	return CookieRef{b[:i], b[i:j], b[j:], c.State}, err
 }
 
 // attr is one session attribute: a 32 B slot plus the bytes of its value
@@ -339,30 +320,33 @@ func (s *Session) Len() int {
 // IsNew reports whether the session was created by this request.
 func (s *Session) IsNew() bool { return s.isNew }
 
-// sessState is one session's record plus where its copies live. The
-// placement fields (secondary, primary, cookie) are outside the record's
-// lock: they change only with the replication topology, on the request
-// path of the session they belong to.
+// sessState is one session's record plus where its copies live, 64 bytes:
+// place is a placement, changed only by compare-and-swap (in shipTo, unless
+// it is the epoch alone).
 type sessState struct {
-	id        string
-	secondary string
-	// cookie caches the encoded response cookie; setSecondary clears it, so
-	// encoding (and its base64) happens only when the topology changes.
-	cookie string
-	rec    record
-
-	// epoch is the low half of the ring epoch this session's placement was
-	// last checked against (0 = never ring-placed). Atomic because the
-	// admin stats scan reads it while the request path stamps it.
-	epoch   atomic.Uint32
-	primary bool
+	id    string
+	rec   record
+	place atomic.Uint64
 }
 
-func (st *sessState) setSecondary(name string) {
-	if st.secondary != name {
-		st.secondary, st.cookie = name, ""
-	}
+// placement is where a session's copies live, in one word: the low half of
+// the ring epoch it was last checked against (0 = never ring-placed), the
+// secondary as an index into SessionManager.repl (0 = none), and whether
+// this server is the primary.
+type placement uint64
+
+const placedPrimary placement = 1 << 63
+
+func (p placement) epoch() uint32 { return uint32(p) }
+func (p placement) sec() uint32   { return uint32(p>>32) &^ (1 << 31) }
+func (p placement) primary() bool { return p&placedPrimary != 0 }
+
+// primaryAt is the placement of a primary whose secondary is sec.
+func primaryAt(epoch, sec uint32) placement {
+	return placedPrimary | placement(sec)<<32 | placement(epoch)
 }
+
+func (st *sessState) placed() placement { return placement(st.place.Load()) }
 
 // SessionManager holds one engine's sessions and implements the §3.2
 // replication and failover flows.
@@ -389,16 +373,18 @@ type SessionManager struct {
 	// and fetch replies, so every record shares one copy of each key.
 	attrKeys *wire.Interner
 
+	// repl is the server-name table a placement's secondary indexes, with
+	// each name's replication batcher: append-only and copied on write, read
+	// without a lock. Entry 0 is "", no secondary; names are the view's.
+	repl atomic.Pointer[[]*replBatcher]
+	seq  atomic.Uint64
+
 	mu       sync.Mutex
 	sessions map[string]*sessState
-	seq      uint64
-	// repl holds one replication batcher per secondary server (guarded by
-	// mu; the batchers themselves have their own locking).
-	repl map[string]*replBatcher
 }
 
 func newSessionManager(mode SessionMode, service string, member *cluster.Member, node rmi.Node, db *store.Store) *SessionManager {
-	return &SessionManager{
+	sm := &SessionManager{
 		mode:        mode,
 		service:     service,
 		member:      member,
@@ -408,16 +394,29 @@ func newSessionManager(mode SessionMode, service string, member *cluster.Member,
 		selfMachine: member.Self().Machine,
 		attrKeys:    wire.NewInterner(1024),
 		sessions:    make(map[string]*sessState),
-		repl:        make(map[string]*replBatcher),
 	}
+	sm.repl.Store(&[]*replBatcher{{}})
+	return sm
 }
 
 func (sm *SessionManager) newID() string {
-	sm.mu.Lock()
-	sm.seq++
-	n := sm.seq
-	sm.mu.Unlock()
-	return sm.selfName + "-sess-" + strconv.FormatUint(n, 10)
+	return sm.selfName + "-sess-" + strconv.FormatUint(sm.seq.Add(1), 10)
+}
+
+// secName is the server index i of repl names; secIndex enters name on first use.
+func (sm *SessionManager) secName(i uint32) string { return (*sm.repl.Load())[i].sec }
+
+func (sm *SessionManager) secIndex(name string) uint32 {
+	for {
+		tab := sm.repl.Load()
+		for i, rb := range *tab {
+			if rb.sec == name {
+				return uint32(i)
+			}
+		}
+		grown := append(slices.Clone(*tab), &replBatcher{sm: sm, sec: name})
+		sm.repl.CompareAndSwap(tab, &grown)
+	}
 }
 
 // ResidentSessions reports how many sessions (primary or replica) live in
@@ -433,13 +432,13 @@ func (sm *SessionManager) ResidentSessions() int {
 // returned Session is pooled: the engine releases it after finish.
 //
 //wls:hotpath
-func (sm *SessionManager) resolve(ctx context.Context, c Cookie) *Session {
+func (sm *SessionManager) resolve(ctx context.Context, c *CookieRef) *Session {
 	if sm.mode == SessionsReplicated {
 		return sm.resolveReplicated(ctx, c)
 	}
 	// The stateless modes: the request owns its state, filled from the
 	// cookie or from shared storage and never entered in the table.
-	st, isNew := &sessState{id: c.ID}, c.ID == ""
+	st, isNew := &sessState{id: string(c.ID)}, len(c.ID) == 0
 	if isNew {
 		st.id = sm.newID()
 	}
@@ -454,76 +453,79 @@ func (sm *SessionManager) resolve(ctx context.Context, c Cookie) *Session {
 	return acquireSession(st, isNew)
 }
 
-// fresh starts an empty session under id, this server its primary.
-func (sm *SessionManager) fresh(id string) *Session {
-	st := &sessState{id: id, primary: true}
-	sm.chooseSecondary(st, "")
-	sm.mu.Lock()
-	sm.sessions[id] = st
-	sm.mu.Unlock()
-	return acquireSession(st, true)
-}
-
 //wls:hotpath
-func (sm *SessionManager) resolveReplicated(ctx context.Context, c Cookie) *Session {
-	if c.ID == "" {
-		return sm.fresh(sm.newID())
+func (sm *SessionManager) resolveReplicated(ctx context.Context, c *CookieRef) *Session {
+	var st *sessState
+	if len(c.ID) > 0 {
+		sm.mu.Lock()
+		st = sm.sessions[string(c.ID)] // no-alloc lookup
+		sm.mu.Unlock()
 	}
-
-	sm.mu.Lock()
-	st, ok := sm.sessions[c.ID]
-	sm.mu.Unlock()
-	if ok {
-		if st.primary {
-			sm.maybeRebalance(ctx, st)
-		} else {
-			// Fig 2 failover: the plug-in routed to us, the secondary. We
-			// become the primary and create a new secondary.
-			if sp := trace.FromContext(ctx); sp != nil {
-				sp.Annotate("session-promoted", st.id)
-			}
-			st.primary = true
-			sm.chooseSecondary(st, "")
-			sm.ship(ctx, st, nil)
-		}
-		return acquireSession(st, false)
+	isNew := st == nil
+	if isNew {
+		st, isNew = sm.adopt(ctx, c)
 	}
-
-	// Fig 3 failover: external routing sent the request to an arbitrary
-	// server. "The servlet engine inspects the cookie, contacts the
-	// secondary to obtain a copy of the state, becomes the primary, and
-	// then rewrites the cookie leaving the secondary unchanged."
-	if c.Secondary != "" && c.Secondary != sm.selfName {
-		if attrs, err := sm.fetchFrom(ctx, c.Secondary, c.ID); err == nil {
-			st := &sessState{id: c.ID, primary: true, secondary: c.Secondary}
-			st.rec.attrs = attrs
-			sm.ship(ctx, st, nil)
-			sm.mu.Lock()
-			sm.sessions[c.ID] = st
-			sm.mu.Unlock()
-			// The cookie named the secondary; the ring may place it elsewhere.
-			sm.maybeRebalance(ctx, st)
-			return acquireSession(st, false)
+	if p := st.placed(); p.primary() {
+		sm.maybeRebalance(ctx, st, p)
+	} else if sm.ship(ctx, st, nil, p, sm.chooseSecondary(st.id, p, "")) {
+		// Fig 2 failover: the plug-in routed to us, the secondary. We became
+		// the primary and created a new secondary.
+		if sp := trace.FromContext(ctx); sp != nil {
+			sp.Annotate("session-promoted", st.id)
 		}
 	}
-	// Both replicas gone: the session state is lost; start fresh under the
-	// same id (the paper's in-memory sessions are "not expected to survive
-	// failures" beyond one).
-	return sm.fresh(c.ID)
+	return acquireSession(st, isNew)
 }
 
-// chooseSecondary picks the session's secondary: the consistent-hash ring
-// when one is attached (SetPartitions), falling back to the §3.2
+// adopt makes this server the primary of a session it does not hold: a
+// new one, or (Fig 3) one external routing sent to an arbitrary server. "The
+// servlet engine inspects the cookie, contacts the secondary to obtain a
+// copy of the state, becomes the primary, and then rewrites the cookie
+// leaving the secondary unchanged" — and ready for this primary's next
+// delta, as the copy brings its generation. With both replicas gone the
+// session starts fresh under the same id (in-memory sessions are "not
+// expected to survive failures" beyond one).
+func (sm *SessionManager) adopt(ctx context.Context, c *CookieRef) (*sessState, bool) {
+	st, isNew := &sessState{id: string(c.ID)}, true
+	if st.id == "" {
+		st.id = sm.newID()
+	}
+	for _, sec := range sm.member.OffersOf(sm.service) {
+		if sec.Name != string(c.Secondary) || sec.Name == sm.selfName {
+			continue
+		}
+		if attrs, gen, err := sm.fetchFrom(ctx, sec, c.ID); err == nil {
+			st.rec.attrs, st.rec.gen, isNew = attrs, gen, false
+			// Epoch 0: the cookie named the secondary; the ring may place it elsewhere.
+			st.place.Store(uint64(primaryAt(0, sm.secIndex(sec.Name))))
+		}
+		break
+	}
+	if isNew {
+		st.place.Store(uint64(sm.chooseSecondary(st.id, 0, "")))
+	}
+	sm.mu.Lock()
+	defer sm.mu.Unlock()
+	if cur, ok := sm.sessions[st.id]; ok {
+		return cur, false // a parallel request of the session got here first
+	}
+	sm.sessions[st.id] = st
+	return st, isNew
+}
+
+// chooseSecondary returns p as a primary's placement with a newly picked
+// secondary: from the consistent-hash ring when one is attached
+// (SetPartitions), at the ring's epoch, falling back to the §3.2
 // next-in-name-order algorithm among live engines otherwise. It never picks
 // avoid, the secondary a ship just failed against ("" on first placement):
 // a dead server stays in the view until the failure detector drops it.
-func (sm *SessionManager) chooseSecondary(st *sessState, avoid string) {
+func (sm *SessionManager) chooseSecondary(id string, p placement, avoid string) placement {
+	epoch := p.epoch()
 	if vs := sm.parts.Load(); vs != nil {
 		if v := vs.Current(); v != nil {
-			st.epoch.Store(uint32(v.Epoch))
-			if sec, ok := sm.ringSecondary(v, st.id, avoid); ok {
-				st.setSecondary(sec)
-				return
+			epoch = uint32(v.Epoch)
+			if sec, ok := sm.ringSecondary(v, id, avoid); ok {
+				return primaryAt(epoch, sm.secIndex(sec))
 			}
 		}
 	}
@@ -532,38 +534,37 @@ func (sm *SessionManager) chooseSecondary(st *sessState, avoid string) {
 		offers = slices.DeleteFunc(slices.Clone(offers), func(m cluster.MemberInfo) bool { return m.Name == avoid })
 	}
 	sec, _ := cluster.ChooseSecondaryFrom(sm.member.Self(), offers)
-	st.setSecondary(sec.Name)
+	return primaryAt(epoch, sm.secIndex(sec.Name))
 }
 
 // finish persists/replicates the session after the servlet ran, and
-// returns the encoded cookie the response must carry. Replicated sessions
-// cache the encoded string on the session state (it changes only with the
-// replication topology) and their deltas ride the per-secondary batcher.
+// returns the cookie the response must carry — or same: c, which the
+// request carried, names this replicated session, this server and its
+// secondary, so it still holds and none is encoded. Deltas ride the
+// per-secondary batcher.
 //
 //wls:hotpath
-func (sm *SessionManager) finish(ctx context.Context, s *Session) string {
+func (sm *SessionManager) finish(ctx context.Context, s *Session, c *CookieRef) (cookie string, same bool) {
 	switch sm.mode {
 	case SessionsClientCookie:
-		return encodeCookie(s.ID, "", "", s.st.rec.attrs)
+		return encodeCookie(s.ID, "", "", s.st.rec.attrs), false
 	case SessionsPersistent:
 		fields := make(map[string]string, len(s.st.rec.attrs))
 		for _, a := range s.st.rec.attrs {
 			fields[a.key] = a.value
 		}
 		sm.db.Put("wls.sessions", s.ID, fields)
-		return Cookie{ID: s.ID}.Encode()
+		return Cookie{ID: s.ID}.Encode(), false
 	default:
 		st := s.st
 		if len(s.dirty) > 0 {
-			sm.ship(ctx, st, s.dirty)
+			sm.ship(ctx, st, s.dirty, 0, 0)
 		}
-		if st.cookie == "" {
-			st.cookie = encodeCookie(st.id, sm.selfName, st.secondary, nil)
-			// Prime the decode cache: the client returns this exact string
-			// with its next request.
-			cacheCookie(st.cookie, Cookie{ID: st.id, Primary: sm.selfName, Secondary: st.secondary})
+		sec := sm.secName(st.placed().sec())
+		if string(c.ID) == st.id && string(c.Primary) == sm.selfName && string(c.Secondary) == sec {
+			return "", true
 		}
-		return st.cookie
+		return encodeCookie(st.id, sm.selfName, sec, nil), false
 	}
 }
 
@@ -599,43 +600,55 @@ type replBatch struct {
 	err   error         // written by the leader before close(done)
 }
 
-func (sm *SessionManager) batcherFor(sec string) *replBatcher {
-	sm.mu.Lock()
-	rb, ok := sm.repl[sec]
-	if !ok {
-		rb = &replBatcher{sm: sm, sec: sec}
-		sm.repl[sec] = rb
-	}
-	sm.mu.Unlock()
-	return rb
-}
+var errMoved = errors.New("servlet: placement moved") // shipTo: from is no longer the placement
 
 // ship synchronously replicates st's record to its secondary before the
 // response is returned (§3.2): the attributes at the dirty indexes, or the
-// whole record when dirty is nil (seeding a new secondary). If the
-// secondary cannot be reached it seeds another with the whole record,
-// once; should that fail too, the session's next write tries again.
+// whole record when dirty is nil. With to != 0 it changes the placement from
+// → to and seeds to's secondary — or reports false: a parallel request
+// changed it first, and did the shipping. If the secondary cannot be reached
+// it places and seeds another, once; if that fails too, the next write retries.
 //
 //wls:hotpath
-func (sm *SessionManager) ship(ctx context.Context, st *sessState, dirty []int) {
-	if st.secondary == "" {
-		return
+func (sm *SessionManager) ship(ctx context.Context, st *sessState, dirty []int, from, to placement) bool {
+	failed, err := sm.shipTo(ctx, st, dirty, from, to)
+	if err == errMoved {
+		return false
 	}
-	if err := sm.shipTo(ctx, st, dirty); err != nil {
-		sm.chooseSecondary(st, st.secondary)
-		if st.secondary != "" {
-			_ = sm.shipTo(ctx, st, nil) // the next write retries; the flush span carries the error
+	for err != nil {
+		from = st.placed()
+		if from.sec() != failed {
+			break // a parallel request has re-placed it, and seeded after our write
+		}
+		to = sm.chooseSecondary(st.id, from, sm.secName(failed))
+		if _, err = sm.shipTo(ctx, st, nil, from, to); err != errMoved {
+			break // seeded, or the next write retries; the flush span carries the error
 		}
 	}
+	return true
 }
 
-// shipTo sends one delta entry through st.secondary's batcher.
+// shipTo sends one delta entry through the batcher of st's secondary and
+// returns that secondary's index. With to != 0 it first replaces the
+// placement from with to, or fails with errMoved — under the record's lock,
+// in the step that takes the seed's generation and place on the wire, so a
+// change ships exactly once: a parallel request's delta came before (to the
+// old secondary; the seed holds its write) or follows the seed to the new.
 //
 //wls:hotpath
-func (sm *SessionManager) shipTo(ctx context.Context, st *sessState, dirty []int) error {
-	rb := sm.batcherFor(st.secondary)
+func (sm *SessionManager) shipTo(ctx context.Context, st *sessState, dirty []int, from, to placement) (sec uint32, err error) {
 	r := &st.rec
 	r.mu.Lock()
+	if to == 0 {
+		to = st.placed()
+	} else if !st.place.CompareAndSwap(uint64(from), uint64(to)) {
+		err = errMoved
+	}
+	if sec = to.sec(); sec == 0 || err != nil {
+		r.mu.Unlock()
+		return 0, err
+	}
+	rb := (*sm.repl.Load())[sec]
 	rb.mu.Lock()
 	b := rb.pending
 	leader := b == nil
@@ -657,7 +670,7 @@ func (sm *SessionManager) shipTo(ctx context.Context, st *sessState, dirty []int
 
 	if !leader {
 		<-done
-		return b.err
+		return sec, b.err
 	}
 	rb.flushMu.Lock()
 	// Detach the batch: once pending is nil no new participant can
@@ -671,14 +684,14 @@ func (sm *SessionManager) shipTo(ctx context.Context, st *sessState, dirty []int
 	// order. It is a leaf lock — rb.mu is never held while blocking
 	// here, and followers wait on the done channel, not the lock.
 	//wls:nolint lockheld -- flushMu is a flush-serialization lock, held across the RPC by design
-	err := rb.flush(ctx, b.enc.Bytes(), count, nkeys)
+	err = rb.flush(ctx, b.enc.Bytes(), count, nkeys)
 	b.err = err
 	if followers != nil {
 		close(followers)
 	}
 	rb.flushMu.Unlock()
 	b.enc.Release()
-	return err
+	return sec, err
 }
 
 // flush sends one batch to the secondary under the leader's context, as a
@@ -711,27 +724,26 @@ func (rb *replBatcher) flush(ctx context.Context, payload []byte, count, leaderK
 	return err
 }
 
-// fetchFrom copies session state from another engine (Fig 3).
-func (sm *SessionManager) fetchFrom(ctx context.Context, server, id string) ([]attr, error) {
-	info, ok := sm.member.Lookup(server)
-	if !ok {
-		return nil, fmt.Errorf("servlet: %s not in view", server)
-	}
+// fetchFrom copies a session's state and generation from server's engine (Fig 3).
+func (sm *SessionManager) fetchFrom(ctx context.Context, server cluster.MemberInfo, id []byte) ([]attr, uint64, error) {
 	e := wire.NewEncoder(32)
-	e.String(id)
+	e.Bytes2(id)
 	var span *trace.Span
 	if parent := trace.FromContext(ctx); parent != nil {
 		ctx, span = parent.NewChild(ctx, "session.fetch", trace.KindSession)
-		span.Annotate("from", server)
+		span.Annotate("from", server.Name)
 		defer span.Finish()
 	}
-	stub := rmi.NewStub(sm.service, sm.node, rmi.StaticView(info.Addr))
+	stub := rmi.NewStub(sm.service, sm.node, rmi.StaticView(server.Addr))
 	res, err := stub.Invoke(ctx, "session.fetch", e.Bytes())
 	if err != nil {
 		span.SetError(err)
-		return nil, err
+		return nil, 0, err
 	}
-	return decodeAttrs(wire.NewDecoder(res.Body), sm.attrKeys)
+	d := wire.NewDecoder(res.Body)
+	gen := d.Uint64()
+	attrs, err := decodeAttrs(d, sm.attrKeys)
+	return attrs, gen, err
 }
 
 // handleUpdateBatch applies a batch of delta entries, in order: a plain
@@ -796,7 +808,7 @@ func (sm *SessionManager) applyUpdate(d *wire.Decoder) error {
 	return d.Err()
 }
 
-// handleFetch returns a replica's state (RMI handler).
+// handleFetch returns a replica's generation and state (RMI handler).
 func (sm *SessionManager) handleFetch(args []byte) ([]byte, error) {
 	d := wire.NewDecoder(args)
 	id := d.String()
@@ -811,6 +823,7 @@ func (sm *SessionManager) handleFetch(args []byte) ([]byte, error) {
 	}
 	e := wire.NewEncoder(128)
 	st.rec.mu.Lock()
+	e.Uint64(st.rec.gen)
 	appendAttrs(e, st.rec.attrs, nil)
 	st.rec.mu.Unlock()
 	return e.Bytes(), nil

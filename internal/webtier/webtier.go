@@ -173,13 +173,14 @@ func (p *ProxyPlugin) backends() []cluster.MemberInfo {
 	return p.view.Candidates(servlet.ServiceName)
 }
 
-func (p *ProxyPlugin) addrOf(server string) (string, bool) {
+// backend finds the live engine a cookie field names (bytes only compared).
+func (p *ProxyPlugin) backend(name []byte) (cluster.MemberInfo, bool) {
 	for _, m := range p.backends() {
-		if m.Name == server {
-			return m.Addr, true
+		if m.Name == string(name) {
+			return m, true
 		}
 	}
-	return "", false
+	return cluster.MemberInfo{}, false
 }
 
 // Route forwards one request: cookie-primary first, then cookie-secondary,
@@ -193,40 +194,31 @@ func (p *ProxyPlugin) Route(ctx context.Context, path, cookie string, body []byt
 		span.Annotate("router", "proxy-plugin")
 		defer span.Finish()
 	}
-	c, err := servlet.DecodeCookie(cookie)
+	var buf servlet.CookieBuf
+	c, err := servlet.ParseCookie(cookie, &buf)
 	if err != nil {
 		span.SetError(err)
 		return servlet.Response{}, err
 	}
-	// Cookie-directed routing: primary first, then secondary. Written as
-	// two explicit attempts (not a loop over a fresh slice) so the routing
-	// decision allocates nothing.
-	for i := 0; i < 2; i++ {
-		target := c.Primary
-		decision := "cookie-primary"
-		if i == 1 {
-			target = c.Secondary
-			decision = "cookie-secondary"
-		}
-		if target == "" {
-			continue
-		}
-		addr, ok := p.addrOf(target)
+	// Cookie-directed routing: primary first, then secondary (an array, not
+	// a fresh slice, so the routing decision allocates nothing).
+	for i, named := range [2][]byte{c.Primary, c.Secondary} {
+		target, ok := p.backend(named)
 		if !ok {
-			continue // not in the current view (failed): try next
+			continue // none named, or not in the current view (failed): try next
 		}
-		resp, err := p.stubs.call(ctx, target, addr, path, cookie, body)
+		resp, err := p.stubs.call(ctx, target.Name, target.Addr, path, cookie, body)
 		if err == nil {
 			p.routed.Inc()
 			if span != nil {
-				span.Annotate("decision", decision)
-				span.Annotate("served", target)
+				span.Annotate("decision", [2]string{"cookie-primary", "cookie-secondary"}[i])
+				span.Annotate("served", target.Name)
 			}
 			return resp, nil
 		}
 		p.failovers.Inc()
 		if span != nil {
-			span.Annotate("failover-from", target)
+			span.Annotate("failover-from", target.Name)
 		}
 	}
 	// No cookie, or both replicas unreachable: load balance. Two passes
