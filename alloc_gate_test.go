@@ -284,9 +284,11 @@ func TestAllocGateMemberLookup(t *testing.T) {
 // TestAllocGateDurableCheckout pins the durable commit path: one
 // transaction inserting an order in one WAL-backed store and updating a
 // stock row in another, two-phase committed over a file transaction log —
-// the benchmark's /checkout without the request path. Measured 28.0
-// (of which the application's two field maps and order key are 5); the
-// parent commit made 79 on the same path.
+// the benchmark's /checkout without the request path. Measured 26.0
+// (of which the application's two field maps and order key are 5); it was
+// 28.0 while each staged write cloned its field map into a map (two
+// allocations) rather than a sorted list (one), and 79 before the commit
+// path was pooled.
 func TestAllocGateDurableCheckout(t *testing.T) {
 	dir := t.TempDir()
 	open := func(name string) *store.Store {
@@ -335,8 +337,8 @@ func TestAllocGateDurableCheckout(t *testing.T) {
 	got := testing.AllocsPerRun(300, checkout)
 	mgr.Drain()
 	t.Logf("durable two-store checkout: %.1f allocs/commit", got)
-	if got > 30 {
-		t.Fatalf("durable checkout allocates %.1f/commit, gate is 30", got)
+	if got > 28 {
+		t.Fatalf("durable checkout allocates %.1f/commit, gate is 28", got)
 	}
 }
 

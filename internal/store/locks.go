@@ -16,6 +16,7 @@ type lockTable struct {
 
 	mu    sync.Mutex
 	locks map[rowRef]*rowLock
+	peak  int // the most entries locks has held (see drop)
 }
 
 type rowLock struct {
@@ -68,6 +69,7 @@ func (lt *lockTable) tryAcquire(ref rowRef, txID string, wait chan struct{}) boo
 	switch {
 	case !ok:
 		lt.locks[ref] = &rowLock{owner: txID, depth: 1} //wls:nolint hotalloc -- the lock entry itself, the one allocation of an uncontended acquire
+		lt.peak = max(lt.peak, len(lt.locks))
 	case l.owner == txID:
 		l.depth++
 	case l.owner == "":
@@ -108,7 +110,7 @@ func (lt *lockTable) abandon(ref rowRef, ch chan struct{}) {
 			l.waiters = l.waiters[1:]
 			close(next)
 		} else if l.owner == "" && l.depth == 0 {
-			delete(lt.locks, ref)
+			lt.drop(ref)
 		}
 	default:
 	}
@@ -137,7 +139,17 @@ func (lt *lockTable) release(txID, table, key string) {
 		close(next)
 		return
 	}
+	lt.drop(ref)
+}
+
+// drop deletes ref's entry. A Go map keeps the buckets it grew, so once
+// the table empties after holding more than 64 entries (a bulk
+// transaction's) it is replaced by a fresh map.
+func (lt *lockTable) drop(ref rowRef) {
 	delete(lt.locks, ref)
+	if len(lt.locks) == 0 && lt.peak > 64 {
+		lt.locks, lt.peak = make(map[rowRef]*rowLock), 0 //wls:nolint hotalloc -- only once a bulk transaction has ended
+	}
 }
 
 // owner reports the current lock owner (for tests).

@@ -176,13 +176,13 @@ func TestChangeRingBoundedAndTrimSentinel(t *testing.T) {
 	if _, err := s.Changes(s.LastLSN() - 20); !errors.Is(err, ErrChangesTrimmed) {
 		t.Fatalf("Changes(lsn-20): err = %v, want ErrChangesTrimmed", err)
 	}
-	// The ring itself stays bounded: the backing slice is compacted once
-	// the dead prefix dominates, so it can never exceed ~2× the cap.
+	// The ring itself is exactly the cap: full, the newest change
+	// overwrites the oldest in place.
 	s.mu.Lock()
-	ringLen := len(s.changes)
+	ringLen, live := len(s.changes), s.n
 	s.mu.Unlock()
-	if ringLen > 2*8 {
-		t.Fatalf("ring holds %d entries with cap 8 — unbounded growth", ringLen)
+	if ringLen != 8 || live != 8 {
+		t.Fatalf("ring of %d entries holding %d with cap 8, want exactly 8", ringLen, live)
 	}
 	// The exact boundary: the oldest retained LSN is readable, one older
 	// is not.
@@ -196,6 +196,23 @@ func TestChangeRingBoundedAndTrimSentinel(t *testing.T) {
 		if _, err := s.Changes(trim - 1); !errors.Is(err, ErrChangesTrimmed) {
 			t.Fatalf("Changes(trimLSN-1): err = %v, want ErrChangesTrimmed", err)
 		}
+	}
+	// Shrinking the cap of a full, wrapped ring keeps the newest changes;
+	// growing it again lets the window grow back.
+	s.SetChangeCap(3)
+	last := s.LastLSN()
+	if ch, err := s.Changes(last - 3); err != nil || len(ch) != 3 || ch[0].LSN != last-2 {
+		t.Fatalf("after shrinking to 3: Changes(last-3) = %v, %v", ch, err)
+	}
+	if _, err := s.Changes(last - 4); !errors.Is(err, ErrChangesTrimmed) {
+		t.Fatalf("after shrinking to 3: Changes(last-4) err = %v, want ErrChangesTrimmed", err)
+	}
+	s.SetChangeCap(100)
+	for i := 0; i < 20; i++ {
+		s.Put("t", "grow", fields("n", fmt.Sprint(i)))
+	}
+	if ch, err := s.Changes(last - 3); err != nil || len(ch) != 23 || ch[22].LSN != s.LastLSN() {
+		t.Fatalf("after growing to 100: Changes = %d changes, %v; want 23", len(ch), err)
 	}
 }
 

@@ -3,7 +3,7 @@ package store
 import (
 	"encoding/xml"
 	"fmt"
-	"sort"
+	"maps"
 
 	"wls/internal/wire"
 )
@@ -35,8 +35,8 @@ func (s *Store) Query(table string, filter func(Row) bool) *RowSet {
 	for _, r := range s.Scan(table, filter) {
 		rs.Rows = append(rs.Rows, RowSetRow{
 			Key:  r.Key,
-			Orig: cloneFields(r.Fields),
-			Cur:  cloneFields(r.Fields),
+			Orig: r.Fields,
+			Cur:  maps.Clone(r.Fields),
 		})
 	}
 	return rs
@@ -106,7 +106,7 @@ func (rs *RowSet) Submit(sess *Session) {
 		if r.Deleted {
 			sess.stage(stagedWrite{
 				kind: writeDelete, table: rs.Table, key: r.Key,
-				expectFields: cloneFields(r.Orig),
+				expectFields: fieldsOf(r.Orig),
 			})
 			continue
 		}
@@ -125,8 +125,8 @@ func (rs *RowSet) EncodeBinary() []byte {
 	for _, r := range rs.Rows {
 		e.String(r.Key)
 		e.Bool(r.Deleted)
-		encodeFieldMap(e, r.Orig)
-		encodeFieldMap(e, r.Cur)
+		encodeFields(e, fieldsOf(r.Orig))
+		encodeFields(e, fieldsOf(r.Cur))
 	}
 	return e.Bytes()
 }
@@ -144,50 +144,51 @@ func DecodeBinary(b []byte) (*RowSet, error) {
 	}
 	for i := 0; i < n; i++ {
 		r := RowSetRow{Key: d.String(), Deleted: d.Bool()}
-		var err error
-		if r.Orig, err = decodeFieldMap(d); err != nil {
+		orig, err := decodeFields(d)
+		if err != nil {
 			return nil, err
 		}
-		if r.Cur, err = decodeFieldMap(d); err != nil {
+		cur, err := decodeFields(d)
+		if err != nil {
 			return nil, err
 		}
+		r.Orig, r.Cur = fieldMap(orig), fieldMap(cur)
 		rs.Rows = append(rs.Rows, r)
 	}
 	return rs, d.Err()
 }
 
-func encodeFieldMap(e *wire.Encoder, m map[string]string) {
-	var few [8]string // most rows have a handful of fields: sort them on the stack
-	keys := few[:0]
-	for k := range m {
-		keys = append(keys, k) //wls:nolint hotalloc -- allocates only past eight fields
-	}
-	sort.Strings(keys)
-	e.Int(len(keys))
-	for _, k := range keys {
-		e.String(k)
-		e.String(m[k])
+// encodeFields writes a sorted field list: the count, then each key and
+// value. Row records, staged votes and binary RowSets all use it.
+func encodeFields(e *wire.Encoder, fs []field) {
+	e.Int(len(fs))
+	for _, f := range fs {
+		e.String(f.k)
+		e.String(f.v)
 	}
 }
 
-func decodeFieldMap(d *wire.Decoder) (map[string]string, error) {
+// decodeFields reads what encodeFields wrote; the result is never nil.
+// Keys must come in strictly ascending order, as encodeFields writes them.
+func decodeFields(d *wire.Decoder) ([]field, error) {
 	n := d.Int()
 	if err := d.Err(); err != nil {
 		return nil, err
 	}
-	if n < 0 || n > 1<<20 {
+	if n < 0 || n > d.Remaining()/2 { // a field takes at least two bytes
 		return nil, fmt.Errorf("store: absurd field count %d", n)
 	}
-	m := make(map[string]string, n)
-	for i := 0; i < n; i++ {
-		k := d.String()
-		v := d.String()
+	fs := make([]field, n)
+	for i := range fs {
+		fs[i] = field{d.String(), d.String()}
 		if err := d.Err(); err != nil {
 			return nil, err
 		}
-		m[k] = v
+		if i > 0 && fs[i-1].k >= fs[i].k {
+			return nil, fmt.Errorf("store: field %q out of order", fs[i].k)
+		}
 	}
-	return m, nil
+	return fs, nil
 }
 
 // ---------------------------------------------------------------------------
@@ -212,14 +213,9 @@ type xmlField struct {
 }
 
 func toXMLFields(m map[string]string) []xmlField {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	out := make([]xmlField, 0, len(keys))
-	for _, k := range keys {
-		out = append(out, xmlField{Name: k, Value: m[k]})
+	out := make([]xmlField, 0, len(m))
+	for _, f := range fieldsOf(m) {
+		out = append(out, xmlField{Name: f.k, Value: f.v})
 	}
 	return out
 }

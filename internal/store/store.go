@@ -29,8 +29,11 @@
 // atomic batch (row records + LSN + staged-vote retirement), so a crash
 // never splits a transaction.
 //
-// The in-memory image (tables, tombstones) is a write-through cache:
-// reads never touch the backend, nor wait for it: a commit updates the
+// The in-memory image (tables, tombstones) is a write-through cache. It
+// keeps each row as one flat record: the version and a field list sorted
+// by key, the order the row's backend record lists them in; the field
+// maps of the API are built at its edge. Reads never touch the backend,
+// nor wait for it: a commit updates the
 // image, releases the image lock and then flushes, so a reader can see a
 // commit that is not yet durable — never one not yet acknowledged and
 // then lost, since the ack waits for the flush. A backend write failure
@@ -41,6 +44,7 @@ package store
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -102,12 +106,53 @@ type Row struct {
 	Version uint64
 }
 
-func (r Row) clone() Row {
-	f := make(map[string]string, len(r.Fields))
-	for k, v := range r.Fields {
-		f[k] = v
+// record is a row as the store keeps it: its version and its fields, sorted
+// by key. Field lists are never modified once built, so they are shared.
+type record struct {
+	version uint64
+	fields  []field
+}
+
+// field is one column of a row.
+type field struct{ k, v string }
+
+// row builds the Row the API hands out, with a field map of its own.
+func (r record) row(key string) Row {
+	return Row{Key: key, Fields: fieldMap(r.fields), Version: r.version}
+}
+
+// fieldsOf flattens a caller's field map into a new sorted list. nil stays
+// nil: a staged write tells "no condition" from "no fields" by it.
+func fieldsOf(m map[string]string) []field {
+	if m == nil {
+		return nil
 	}
-	return Row{Key: r.Key, Fields: f, Version: r.Version}
+	fs, i := make([]field, len(m)), 0
+	for k, v := range m {
+		fs[i] = field{k, v}
+		i++
+	}
+	slices.SortFunc(fs, byKey)
+	return fs
+}
+
+func byKey(a, b field) int { return strings.Compare(a.k, b.k) }
+
+// fieldMap is fs as a new map, never nil.
+func fieldMap(fs []field) map[string]string {
+	m := make(map[string]string, len(fs))
+	for _, f := range fs {
+		m[f.k] = f.v
+	}
+	return m
+}
+
+// lookup returns field k's value, "" when there is no such field.
+func lookup(fs []field, k string) string {
+	if i, ok := slices.BinarySearchFunc(fs, field{k: k}, byKey); ok {
+		return fs[i].v
+	}
+	return ""
 }
 
 // Op is a change-log operation kind.
@@ -147,25 +192,26 @@ type Store struct {
 	//wls:lockorder store.Store.commitMu<store.Store.mu
 	commitMu sync.Mutex
 
-	// mu guards the image, the change ring and everything below; counters
-	// are bumped while it is held. It is never held across a backend call,
-	// so readers, Session and staging never queue behind an fsync.
-	//
-	//wls:lockorder store.Store.mu<metrics.Registry.mu
+	// mu guards the image, the change ring and everything below. It is
+	// never held across a backend call, so readers, Session and staging
+	// never queue behind an fsync.
 	mu        sync.RWMutex
-	tables    map[string]map[string]Row
+	tables    map[string]map[string]record
 	spaces    map[string]string            // table → its tuple space name
 	tombs     map[string]map[string]uint64 // deleted key → last version
 	sessions  map[string]*Session
 	pendingTx map[string][]stagedWrite // durably prepared, unresolved
-	changes   []Change
-	head      int // changes[head:] is the live window
+	changes   []Change                 // a ring (see appendChange)
+	head, n   int                      // the live window: n changes from changes[head] on
 	changeCap int
 	trimLSN   uint64 // newest LSN no longer in the window (0 = none)
 	lsn       uint64
 	broken    error // first backend write failure; store is fail-stop
 	triggers  map[string][]Trigger
 	locks     *lockTable
+
+	// Counters, resolved once: bumping one takes no lock.
+	reads, scans, writes, conflicts, lockTimeouts *metrics.Counter
 }
 
 // New creates an empty in-memory store — the pre-refactor behaviour,
@@ -188,18 +234,24 @@ func Open(name string, clock vclock.Clock, kvs kv.Store) (*Store, error) {
 	if err != nil {
 		return nil, err
 	}
+	reg := metrics.NewRegistry()
 	s := &Store{
-		name:      name,
-		clock:     clock,
-		reg:       metrics.NewRegistry(),
-		tp:        tp,
-		tables:    make(map[string]map[string]Row),
-		spaces:    make(map[string]string),
-		tombs:     make(map[string]map[string]uint64),
-		sessions:  make(map[string]*Session),
-		pendingTx: make(map[string][]stagedWrite),
-		changeCap: defaultChangeCap,
-		triggers:  make(map[string][]Trigger),
+		name:         name,
+		clock:        clock,
+		reg:          reg,
+		tp:           tp,
+		tables:       make(map[string]map[string]record),
+		spaces:       make(map[string]string),
+		tombs:        make(map[string]map[string]uint64),
+		sessions:     make(map[string]*Session),
+		pendingTx:    make(map[string][]stagedWrite),
+		changeCap:    defaultChangeCap,
+		triggers:     make(map[string][]Trigger),
+		reads:        reg.Counter("store.reads"),
+		scans:        reg.Counter("store.scans"),
+		writes:       reg.Counter("store.writes"),
+		conflicts:    reg.Counter("store.conflicts"),
+		lockTimeouts: reg.Counter("store.lock_timeouts"),
 	}
 	s.locks = newLockTable(clock)
 	var derr error
@@ -209,7 +261,7 @@ func Open(name string, clock vclock.Clock, kvs kv.Store) (*Store, error) {
 		}
 		table := sp[len(rowSpacePrefix):]
 		tp.Scan(sp, "", func(k string, v []byte) bool {
-			row, tomb, isTomb, err := decodeRowRecord(k, v)
+			rec, tomb, isTomb, err := decodeRowRecord(v)
 			if err != nil {
 				derr = fmt.Errorf("store: table %s key %s: %w", table, k, err)
 				return false
@@ -222,9 +274,9 @@ func Open(name string, clock vclock.Clock, kvs kv.Store) (*Store, error) {
 				return true
 			}
 			if s.tables[table] == nil {
-				s.tables[table] = make(map[string]Row)
+				s.tables[table] = make(map[string]record)
 			}
-			s.tables[table][k] = row
+			s.tables[table][k] = rec
 			return true
 		})
 		if derr != nil {
@@ -272,19 +324,21 @@ func (s *Store) SetChangeCap(n int) {
 		n = 1
 	}
 	s.changeCap = n
-	s.trimToCapLocked()
+	if len(s.changes) > n {
+		s.resizeRing(n)
+	}
 }
 
 // Get returns a committed row.
 func (s *Store) Get(table, key string) (Row, bool) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	s.reg.Counter("store.reads").Inc()
+	s.reads.Inc()
 	r, ok := s.tables[table][key]
 	if !ok {
 		return Row{}, false
 	}
-	return r.clone(), true
+	return r.row(key), true
 }
 
 // Put writes a row outside any transaction (auto-commit). It is also the
@@ -301,13 +355,13 @@ func (s *Store) Put(table, key string, fields map[string]string) Row {
 
 // PutE is Put with the backend error surfaced.
 func (s *Store) PutE(table, key string, fields map[string]string) (Row, error) {
-	w := [1]stagedWrite{{kind: writePut, table: table, key: key, fields: cloneFields(fields)}}
+	w := [1]stagedWrite{{kind: writePut, table: table, key: key, fields: fieldsOf(fields)}}
 	res, err := s.commit(w[:], "autocommit", "")
 	if err != nil {
 		return Row{}, err
 	}
 	s.fire(res.fired)
-	return res.last.clone(), nil
+	return res.last.row(key), nil
 }
 
 // Delete removes a row outside any transaction. Like Put it panics on a
@@ -336,11 +390,11 @@ func (s *Store) DeleteE(table, key string) (bool, error) {
 func (s *Store) Scan(table string, filter func(Row) bool) []Row {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	s.reg.Counter("store.scans").Inc()
+	s.scans.Inc()
 	var out []Row
-	for _, r := range s.tables[table] {
-		if filter == nil || filter(r) {
-			out = append(out, r.clone())
+	for key, r := range s.tables[table] {
+		if row := r.row(key); filter == nil || filter(row) {
+			out = append(out, row)
 		}
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Key < out[j].Key })
@@ -385,10 +439,11 @@ func (s *Store) Changes(since uint64) ([]Change, error) {
 	if since < s.trimLSN {
 		return nil, ErrChangesTrimmed
 	}
-	live := s.changes[s.head:]
-	i := sort.Search(len(live), func(i int) bool { return live[i].LSN > since })
-	out := make([]Change, len(live)-i)
-	copy(out, live[i:])
+	i := sort.Search(s.n, func(i int) bool { return s.change(i).LSN > since })
+	out := make([]Change, s.n-i)
+	for j := range out {
+		out[j] = s.change(i + j)
+	}
 	return out, nil
 }
 
@@ -449,33 +504,29 @@ func (s *Store) discardStage(txID string) error {
 // --- internal commit helpers (s.mu held) ----------------------------------
 
 // applyPut installs fields as the row's next version and returns the image
-// row. The image adopts the map: image rows are only ever handed out as
-// clones, and a field map is never modified once installed.
-func (s *Store) applyPut(table, key string, fields map[string]string, txID string) Row {
+// record. The image adopts the list: it is never modified once built.
+func (s *Store) applyPut(table, key string, fields []field, txID string) record {
 	t, ok := s.tables[table]
 	if !ok {
-		t = make(map[string]Row)
+		t = make(map[string]record)
 		s.tables[table] = t
 	}
 	prev, live := t[key]
-	base := prev.Version
+	base := prev.version
 	if !live {
 		// Resume from the tombstone's high-water mark: versions for a key
 		// stay monotone across delete-then-recreate.
 		base = s.tombs[table][key]
 	}
-	if fields == nil {
-		fields = map[string]string{} //wls:nolint hotalloc -- only for a row written without fields
-	}
-	row := Row{Key: key, Fields: fields, Version: base + 1}
-	t[key] = row
+	rec := record{version: base + 1, fields: fields}
+	t[key] = rec
 	if !live {
 		delete(s.tombs[table], key)
 	}
 	s.lsn++
 	s.appendChange(Change{LSN: s.lsn, Table: table, Key: key, Op: OpPut, TxID: txID})
-	s.reg.Counter("store.writes").Inc()
-	return row
+	s.writes.Inc()
+	return rec
 }
 
 func (s *Store) applyDelete(table, key, txID string) {
@@ -484,38 +535,53 @@ func (s *Store) applyDelete(table, key, txID string) {
 	if s.tombs[table] == nil {
 		s.tombs[table] = make(map[string]uint64) //wls:nolint hotalloc -- a table's first delete
 	}
-	s.tombs[table][key] = prev.Version
+	s.tombs[table][key] = prev.version
 	s.lsn++
 	s.appendChange(Change{LSN: s.lsn, Table: table, Key: key, Op: OpDelete, TxID: txID})
-	s.reg.Counter("store.writes").Inc()
+	s.writes.Inc()
 }
 
-// appendChange adds to the bounded ring, trimming the oldest entries.
+// change returns the i-th oldest change in the ring.
+func (s *Store) change(i int) Change { return s.changes[(s.head+i)%len(s.changes)] }
+
+// appendChange adds to the bounded ring. It grows by doubling up to
+// changeCap; full, the newest change overwrites the oldest.
 func (s *Store) appendChange(ch Change) {
-	s.changes = append(s.changes, ch)
-	s.trimToCapLocked()
+	if s.n == len(s.changes) {
+		if s.n == s.changeCap {
+			s.trimLSN = s.changes[s.head].LSN
+			s.changes[s.head] = ch
+			s.head = (s.head + 1) % s.n
+			return
+		}
+		s.resizeRing(min(max(2*s.n, 16), s.changeCap))
+	}
+	s.changes[(s.head+s.n)%len(s.changes)] = ch
+	s.n++
 }
 
-func (s *Store) trimToCapLocked() {
-	for len(s.changes)-s.head > s.changeCap {
+// resizeRing re-lays the window oldest-first into a new array of size
+// entries, trimming the oldest changes that do not fit.
+func (s *Store) resizeRing(size int) {
+	for ; s.n > size; s.n-- {
 		s.trimLSN = s.changes[s.head].LSN
-		s.head++
+		s.head = (s.head + 1) % len(s.changes)
 	}
-	// Reclaim the dead prefix once it dominates the backing array.
-	if s.head > s.changeCap {
-		s.changes = append(s.changes[:0:0], s.changes[s.head:]...)
-		s.head = 0
+	ring := make([]Change, size) //wls:nolint hotalloc -- the ring's growth: a few doublings per store, then never
+	for i := range ring[:s.n] {
+		ring[i] = s.change(i)
 	}
+	s.changes, s.head = ring, 0
 }
 
 // lsnFlatKey is the backend key of the LSN record, part of every commit.
 var lsnFlatKey = tuple.FlatKey(metaSpace, lsnKey)
 
 // commitResult is what a commit leaves for its caller: the last put's image
-// row, how many writes changed the image, and the changes whose triggers
-// to fire once the caller has let go of its row locks.
+// record, how many writes changed the image, and the changes whose
+// triggers to fire once the caller has let go of its row locks.
 type commitResult struct {
-	last    Row
+	last    record
 	applied int
 	fired   []Change
 }
@@ -524,8 +590,8 @@ type commitResult struct {
 // its value into e. Must run after the image was updated, s.mu held.
 func (s *Store) rowOp(ops []tuple.Op, e *wire.Encoder, table, key string) []tuple.Op {
 	start := e.Len()
-	if row, ok := s.tables[table][key]; ok {
-		encodeLiveRecord(e, row)
+	if rec, ok := s.tables[table][key]; ok {
+		encodeLiveRecord(e, rec)
 	} else if tomb, ok := s.tombs[table][key]; ok {
 		encodeTombRecord(e, tomb)
 	} else {
@@ -576,7 +642,7 @@ func (s *Store) commit(writes []stagedWrite, txID, stageKey string) (commitResul
 		}
 		res.applied++
 		if len(s.triggers[w.table]) > 0 {
-			res.fired = append(res.fired, s.changes[len(s.changes)-1]) //wls:nolint hotalloc -- only for tables with triggers
+			res.fired = append(res.fired, s.change(s.n-1)) //wls:nolint hotalloc -- only for tables with triggers
 		}
 	}
 	if res.applied == 0 && stageKey == "" {
@@ -643,10 +709,10 @@ func (s *Store) fire(changes []Change) {
 
 // --- record encoding -------------------------------------------------------
 
-func encodeLiveRecord(e *wire.Encoder, row Row) {
+func encodeLiveRecord(e *wire.Encoder, rec record) {
 	e.Byte(recLive)
-	e.Uint64(row.Version)
-	encodeFieldMap(e, row.Fields)
+	e.Uint64(rec.version)
+	encodeFields(e, rec.fields)
 }
 
 func encodeTombRecord(e *wire.Encoder, version uint64) {
@@ -654,32 +720,18 @@ func encodeTombRecord(e *wire.Encoder, version uint64) {
 	e.Uint64(version)
 }
 
-func decodeRowRecord(key string, b []byte) (row Row, tomb uint64, isTomb bool, err error) {
+func decodeRowRecord(b []byte) (rec record, tomb uint64, isTomb bool, err error) {
 	d := wire.NewDecoder(b)
 	switch d.Byte() {
 	case recTomb:
 		tomb = d.Uint64()
-		if d.Err() != nil {
-			return Row{}, 0, false, d.Err()
-		}
-		return Row{}, tomb, true, nil
+		return record{}, tomb, true, d.Err()
 	case recLive:
-		row = Row{Key: key, Version: d.Uint64()}
-		n := d.Int()
-		if d.Err() != nil || n < 0 || n > 1<<20 {
-			return Row{}, 0, false, fmt.Errorf("row field count %d", n)
-		}
-		row.Fields = make(map[string]string, n)
-		for i := 0; i < n; i++ {
-			k := d.String()
-			row.Fields[k] = d.String()
-		}
-		if d.Err() != nil {
-			return Row{}, 0, false, d.Err()
-		}
-		return row, 0, false, nil
+		rec.version = d.Uint64()
+		rec.fields, err = decodeFields(d)
+		return rec, 0, false, err
 	default:
-		return Row{}, 0, false, fmt.Errorf("unknown row record kind")
+		return record{}, 0, false, fmt.Errorf("unknown row record kind")
 	}
 }
 
@@ -691,27 +743,27 @@ func encodeStagedWrites(e *wire.Encoder, writes []stagedWrite) {
 		e.String(w.key)
 		e.Bool(w.insert)
 		e.Uint64(w.expectVersion)
-		encodeOptFieldMap(e, w.fields)
-		encodeOptFieldMap(e, w.expectFields)
+		encodeOptFields(e, w.fields)
+		encodeOptFields(e, w.expectFields)
 	}
 }
 
-// encodeOptFieldMap wraps rowset.go's field-map codec with a presence
+// encodeOptFields wraps rowset.go's field-list codec with a presence
 // flag: staged writes distinguish a nil condition from an empty one.
-func encodeOptFieldMap(e *wire.Encoder, m map[string]string) {
-	if m == nil {
+func encodeOptFields(e *wire.Encoder, fs []field) {
+	if fs == nil {
 		e.Bool(false)
 		return
 	}
 	e.Bool(true)
-	encodeFieldMap(e, m)
+	encodeFields(e, fs)
 }
 
-func decodeOptFieldMap(d *wire.Decoder) (map[string]string, error) {
+func decodeOptFields(d *wire.Decoder) ([]field, error) {
 	if !d.Bool() {
 		return nil, d.Err()
 	}
-	return decodeFieldMap(d)
+	return decodeFields(d)
 }
 
 func decodeStagedWrites(b []byte) ([]stagedWrite, error) {
@@ -728,10 +780,10 @@ func decodeStagedWrites(b []byte) ([]stagedWrite, error) {
 		w.insert = d.Bool()
 		w.expectVersion = d.Uint64()
 		var err error
-		if w.fields, err = decodeOptFieldMap(d); err != nil {
+		if w.fields, err = decodeOptFields(d); err != nil {
 			return nil, err
 		}
-		if w.expectFields, err = decodeOptFieldMap(d); err != nil {
+		if w.expectFields, err = decodeOptFields(d); err != nil {
 			return nil, err
 		}
 		if d.Err() != nil {
@@ -761,13 +813,13 @@ type stagedWrite struct {
 	kind   writeKind
 	table  string
 	key    string
-	fields map[string]string
+	fields []field
 	// expectVersion, when non-zero, is the version the row must still have
 	// at prepare time (optimistic, version-field flavour).
 	expectVersion uint64
 	// expectFields, when non-nil, are field values that must still match at
 	// prepare time (optimistic, data-field flavour).
-	expectFields map[string]string
+	expectFields []field
 	// insert requires the row to be absent.
 	insert bool
 }
@@ -824,19 +876,19 @@ func (se *Session) Get(table, key string) (Row, bool) {
 // Insert stages a row creation; prepare fails with ErrDuplicate if the key
 // exists by then.
 func (se *Session) Insert(table, key string, fields map[string]string) {
-	se.stage(stagedWrite{kind: writePut, table: table, key: key, fields: cloneFields(fields), insert: true})
+	se.stage(stagedWrite{kind: writePut, table: table, key: key, fields: fieldsOf(fields), insert: true})
 }
 
 // Update stages an unconditional (last-writer-wins) update.
 func (se *Session) Update(table, key string, fields map[string]string) {
-	se.stage(stagedWrite{kind: writePut, table: table, key: key, fields: cloneFields(fields)})
+	se.stage(stagedWrite{kind: writePut, table: table, key: key, fields: fieldsOf(fields)})
 }
 
 // UpdateVersioned stages an update that only commits if the row still has
 // the given version — the application-level version-field variant of the
 // paper's optimistic concurrency.
 func (se *Session) UpdateVersioned(table, key string, expectVersion uint64, fields map[string]string) {
-	se.stage(stagedWrite{kind: writePut, table: table, key: key, fields: cloneFields(fields), expectVersion: expectVersion})
+	se.stage(stagedWrite{kind: writePut, table: table, key: key, fields: fieldsOf(fields), expectVersion: expectVersion})
 }
 
 // UpdateWhere stages an update that only commits if the listed fields still
@@ -844,7 +896,7 @@ func (se *Session) UpdateVersioned(table, key string, expectVersion uint64, fiel
 // are compared with those in the database using an additional WHERE clause
 // in the UPDATE statement").
 func (se *Session) UpdateWhere(table, key string, expect, fields map[string]string) {
-	se.stage(stagedWrite{kind: writePut, table: table, key: key, fields: cloneFields(fields), expectFields: cloneFields(expect)})
+	se.stage(stagedWrite{kind: writePut, table: table, key: key, fields: fieldsOf(fields), expectFields: fieldsOf(expect)})
 }
 
 // Delete stages a row removal.
@@ -871,7 +923,7 @@ func (se *Session) Lock(table, key string) error {
 	timeout := se.LockTimeout
 	se.mu.Unlock()
 	if err := se.store.locks.acquire(se.txID, table, key, timeout); err != nil {
-		se.store.reg.Counter("store.lock_timeouts").Inc()
+		se.store.lockTimeouts.Inc()
 		return err
 	}
 	se.mu.Lock()
@@ -963,22 +1015,22 @@ func (s *Store) validate(writes []stagedWrite) error {
 			return fmt.Errorf("%w: %s/%s", ErrDuplicate, w.table, w.key) //wls:nolint hotalloc -- no vote
 		}
 		if w.expectVersion != 0 {
-			if !exists || cur.Version != w.expectVersion {
-				s.reg.Counter("store.conflicts").Inc()
+			if !exists || cur.version != w.expectVersion {
+				s.conflicts.Inc()
 				return fmt.Errorf("%w: %s/%s version %d != expected %d", //wls:nolint hotalloc -- no vote
-					ErrConflict, w.table, w.key, cur.Version, w.expectVersion)
+					ErrConflict, w.table, w.key, cur.version, w.expectVersion)
 			}
 		}
 		if w.expectFields != nil {
 			if !exists {
-				s.reg.Counter("store.conflicts").Inc()
+				s.conflicts.Inc()
 				return fmt.Errorf("%w: %s/%s deleted", ErrConflict, w.table, w.key) //wls:nolint hotalloc -- no vote
 			}
-			for k, v := range w.expectFields {
-				if cur.Fields[k] != v {
-					s.reg.Counter("store.conflicts").Inc()
+			for _, f := range w.expectFields {
+				if got := lookup(cur.fields, f.k); got != f.v {
+					s.conflicts.Inc()
 					return fmt.Errorf("%w: %s/%s field %s = %q, expected %q", //wls:nolint hotalloc -- no vote
-						ErrConflict, w.table, w.key, k, cur.Fields[k], v)
+						ErrConflict, w.table, w.key, f.k, got, f.v)
 				}
 			}
 		}
@@ -1041,15 +1093,4 @@ func (se *Session) release() {
 	for _, ref := range locked {
 		se.store.locks.release(se.txID, ref.table, ref.key)
 	}
-}
-
-func cloneFields(f map[string]string) map[string]string {
-	if f == nil {
-		return nil
-	}
-	out := make(map[string]string, len(f))
-	for k, v := range f {
-		out[k] = v
-	}
-	return out
 }
