@@ -39,13 +39,14 @@ lint-strict:
 # check is the pre-PR gate: vet, build, the baselined lint suite, the race
 # detector over the lock-heaviest packages (membership, whose join answers
 # publish from inside a bus delivery; lease/tx/transport; the wire codec and
-# the servlet session records and webtier above it; and the chaos harness
-# that drives them all at once), then the contract benchmark's smoke run.
+# the session records — of the servlet engine and of stateful beans — and
+# the webtier above them; and the chaos harness that drives them all at
+# once), then the contract benchmark's smoke run.
 check:
 	$(GO) vet ./...
 	$(GO) build ./...
 	$(GO) run ./cmd/wlslint -baseline ./...
-	$(GO) test -race ./internal/cluster ./internal/lease ./internal/tx ./internal/wire ./internal/transport ./internal/servlet ./internal/webtier ./internal/chaos
+	$(GO) test -race ./internal/cluster ./internal/lease ./internal/tx ./internal/wire ./internal/transport ./internal/servlet ./internal/ejb ./internal/webtier ./internal/chaos
 	$(MAKE) bench-smoke
 
 # bench-smoke builds the contract benchmark (BENCHMARK.json) against the

@@ -181,9 +181,13 @@ func newAdminMux(cluster *wls.Cluster) *http.ServeMux {
 	})
 	adminMux.HandleFunc("/admin/restart", func(w http.ResponseWriter, r *http.Request) {
 		name := strings.TrimSpace(r.URL.Query().Get("server"))
-		s := cluster.Restart(name)
-		if s == nil {
+		if cluster.Server(name) == nil {
 			http.Error(w, "no such server", http.StatusNotFound)
+			return
+		}
+		s, err := cluster.Restart(name)
+		if err != nil {
+			http.Error(w, err.Error(), http.StatusInternalServerError)
 			return
 		}
 		deployDemoAppOn(cluster, s)

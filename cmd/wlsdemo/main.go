@@ -81,7 +81,9 @@ func main() {
 	}
 	say("  crashed %s → request served by %s with state intact (visits=%s)",
 		ck.Primary, resp.ServedBy, resp.Body)
-	cluster.Restart(ck.Primary)
+	if _, err := cluster.Restart(ck.Primary); err != nil {
+		log.Fatal(err)
+	}
 	cluster.Settle(3)
 
 	// 3. Cached.

@@ -96,7 +96,9 @@ func main() {
 
 	fmt.Println("\n== the supplier restarts; the durable conversation survives (§5.1) ==")
 	cluster.Crash(supplier.Name)
-	supplier = cluster.Restart(supplier.Name)
+	if supplier, err = cluster.Restart(supplier.Name); err != nil {
+		log.Fatal(err)
+	}
 	supplierPort2 := wsdl.NewPort(supplier.Registry(), supplierStore)
 	supplierPort2.Offer(procurement)
 	recovered := supplierPort2.Recover()

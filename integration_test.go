@@ -124,7 +124,10 @@ func TestRollingRestartKeepsServiceAvailable(t *testing.T) {
 				t.Fatalf("round %d: request failed during restart of %s: %v", round, victim, err)
 			}
 		}
-		s := c.Restart(victim)
+		s, err := c.Restart(victim)
+		if err != nil {
+			t.Fatal(err)
+		}
 		deploy(s) // the upgraded server redeploys its applications
 		c.Settle(5)
 		if len(c.Servers[clientIdx].Member().Alive()) != 3 {

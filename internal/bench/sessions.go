@@ -202,8 +202,7 @@ func runE08() *Table {
 				},
 			})
 			if home == nil {
-				h2 := h
-				home = h2
+				home = h
 			}
 		}
 		c.Settle(2)
@@ -230,13 +229,7 @@ func runE08() *Table {
 		// Anomaly check: drop one delta ship, crash the primary, observe
 		// the count rolled back one boundary (per-tx) or not (per-update
 		// loses only the final Set).
-		var primaryContainer *ejb.Container
-		for _, s := range c.Servers {
-			if s.Name == h.Primary() {
-				primaryContainer = s.EJB
-			}
-		}
-		primaryContainer.StatefulStore("Cart").DropNextShips(5)
+		c.Server(h.Primary()).EJB.StatefulStore("Cart").DropNextShips(5)
 		h.Invoke(context.Background(), "add", []byte("y"))
 		c.Crash(h.Primary())
 		out, err := h.Invoke(context.Background(), "count", nil)

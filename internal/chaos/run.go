@@ -134,7 +134,9 @@ func (h *Harness) apply(s Step) {
 		c.Crash(s.A)
 		h.State.Down[s.A] = true
 	case OpRestart:
-		c.Restart(s.A)
+		if _, err := c.Restart(s.A); err != nil {
+			h.Violatef("restart %s: %v", s.A, err)
+		}
 		delete(h.State.Down, s.A)
 		h.State.Restarted[s.A]++
 	case OpFreeze:

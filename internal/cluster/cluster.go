@@ -573,13 +573,6 @@ func (m *Member) refreshCacheLocked() {
 	m.cacheVer = m.version
 }
 
-// ChooseSecondary picks the server to host this member's secondaries using
-// the §3.2 ring algorithm. It returns false when no other live member
-// exists on a different machine.
-func (m *Member) ChooseSecondary() (MemberInfo, bool) {
-	return ChooseSecondaryFrom(m.Self(), m.Alive())
-}
-
 // ChooseSecondaryFrom is the pure ring algorithm, exposed for testing and
 // for components that evaluate placement for servers other than themselves:
 // candidates are organized into a logical ring in name order, scanning

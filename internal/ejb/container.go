@@ -5,9 +5,10 @@
 //     RMI service; any instance on any server is as good as any other, so
 //     scalability is "simply deploying multiple instances in a cluster".
 //   - Stateful session beans (§3.2): conversational services, hardwired to
-//     the server that created them, made available through
-//     primary/secondary replication with update deltas shipped at
-//     transaction boundaries (the Tandem process-pairs scheme) — including
+//     the server that created them, made available through the same
+//     primary/secondary replication as HTTP sessions — each conversation is
+//     a record of a servlet session manager — with update deltas shipped at
+//     transaction boundaries (the Tandem process-pairs scheme), including
 //     the paper's documented anomaly that non-transactional conversational
 //     state can roll back to the last boundary on failover.
 //   - Entity beans (§3.3): cached persistent components over the backend
@@ -19,7 +20,6 @@ package ejb
 
 import (
 	"context"
-	"fmt"
 	"sync"
 	"sync/atomic"
 
@@ -49,16 +49,14 @@ type Container struct {
 	// parts is the optional partition-ring attachment (see partition.go).
 	parts atomic.Pointer[partition.Views]
 
-	mu        sync.Mutex
-	stateless map[string]*statelessPool
-	stateful  map[string]*statefulStore
-	entities  map[string]*EntityHome
+	mu       sync.Mutex
+	stateful map[string]*statefulStore
 }
 
 // NewContainer wires a container to its server's registry, transaction
 // manager, backend database and cluster bus.
 func NewContainer(registry *rmi.Registry, txm *tx.Manager, db *store.Store, bus gossip.Bus) *Container {
-	c := &Container{
+	return &Container{
 		registry:   registry,
 		member:     registry.Member(),
 		serverName: registry.Member().Name(),
@@ -67,11 +65,8 @@ func NewContainer(registry *rmi.Registry, txm *tx.Manager, db *store.Store, bus 
 		db:         db,
 		bus:        bus,
 		reg:        registry.Metrics(),
-		stateless:  make(map[string]*statelessPool),
 		stateful:   make(map[string]*statefulStore),
-		entities:   make(map[string]*EntityHome),
 	}
-	return c
 }
 
 // ServerName returns the hosting server's name.
@@ -170,10 +165,6 @@ func (sh *statelessHandler) invoke(ctx context.Context, call *rmi.Call) ([]byte,
 // the clustered service name to create stubs against.
 func (c *Container) DeployStateless(spec StatelessSpec) string {
 	pool := newStatelessPool(spec.PoolSize, spec.New)
-	c.mu.Lock()
-	c.stateless[spec.Name] = pool
-	c.mu.Unlock()
-
 	idem := make(map[string]bool, len(spec.Idempotent))
 	for _, m := range spec.Idempotent {
 		idem[m] = true
@@ -197,18 +188,4 @@ func (c *Container) DeployStateless(spec StatelessSpec) string {
 // the default policy (round robin + local preference + tx affinity).
 func (c *Container) StatelessStub(name string, opts ...rmi.StubOption) *rmi.Stub {
 	return rmi.NewStub(name, c.registry.Node(), rmi.MemberView{Member: c.member}, opts...)
-}
-
-// beanID generates unique component identifiers.
-var beanSeq struct {
-	mu sync.Mutex
-	n  uint64
-}
-
-func nextBeanID(server, bean string) string {
-	beanSeq.mu.Lock()
-	beanSeq.n++
-	n := beanSeq.n
-	beanSeq.mu.Unlock()
-	return fmt.Sprintf("%s/%s/%d", server, bean, n)
 }

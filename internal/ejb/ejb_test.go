@@ -245,6 +245,99 @@ func TestStatefulFailoverToSecondary(t *testing.T) {
 	}
 }
 
+// TestStatefulParallelInvokes shares one handle among four goroutines that
+// each add 200 items at the primary: the container runs one invocation of
+// a conversation at a time, so no read-modify-write is lost, and every
+// delta reaches the secondary, which serves the full count after the
+// primary dies.
+func TestStatefulParallelInvokes(t *testing.T) {
+	const workers, calls = 4, 200
+	fx := newEJBFixture(t, 3)
+	home := deployCart(fx, ejb.DeltaPerTx)
+	h, err := home.Create(context.Background(), rmi.WithPolicy(pinServer("server-2")))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < calls; i++ {
+				if _, err := h.Invoke(context.Background(), "add", []byte("x")); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if t.Failed() {
+		return
+	}
+	oldPrimary := h.Primary()
+	fx.f.Crash(oldPrimary)
+	out, err := h.Invoke(context.Background(), "count", nil)
+	if err != nil {
+		t.Fatalf("failover invoke: %v", err)
+	}
+	if string(out) != strconv.Itoa(workers*calls) {
+		t.Fatalf("count through the promoted secondary = %q, want %d", out, workers*calls)
+	}
+	if h.Primary() == oldPrimary {
+		t.Fatalf("handle still names the dead primary %s", oldPrimary)
+	}
+}
+
+// TestStatefulIDsOutliveRestart creates a conversation, fails it over off
+// a crashed server (not server-1, where the client lives), restarts that server with the bean redeployed and
+// creates another there: the new one gets its own id, so its ships neither
+// land on the first conversation's records nor are taken for stale, and
+// each fails over to its own state.
+func TestStatefulIDsOutliveRestart(t *testing.T) {
+	ctx := context.Background()
+	fx := newEJBFixture(t, 3)
+	home := deployCart(fx, ejb.DeltaPerTx)
+	add := func(h *ejb.Handle, n int) {
+		t.Helper()
+		for i := 0; i < n; i++ {
+			if _, err := h.Invoke(ctx, "add", []byte("x")); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	count := func(h *ejb.Handle, want string) {
+		t.Helper()
+		if out, err := h.Invoke(ctx, "count", nil); err != nil || string(out) != want {
+			t.Fatalf("%s count = %q, %v; want %s", h.ID(), out, err, want)
+		}
+	}
+
+	first, err := home.Create(ctx, rmi.WithPolicy(pinServer("server-2")))
+	if err != nil {
+		t.Fatal(err)
+	}
+	add(first, 3)
+	fx.f.Crash("server-2")
+	count(first, "3") // promoted on its secondary
+
+	s := fx.f.Restart("server-2")
+	c := ejb.NewContainer(s.Registry, tx.NewManager(s.Name, fx.f.Clock, nil, s.Metrics), fx.db, fx.f.Bus)
+	deployCart(&ejbFixture{f: fx.f, containers: []*ejb.Container{c}}, ejb.DeltaPerTx)
+	second, err := home.Create(ctx, rmi.WithPolicy(pinServer("server-2")))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if second.Primary() != "server-2" || second.ID() == first.ID() {
+		t.Fatalf("conversation after restart: %s at %s, first was %s", second.ID(), second.Primary(), first.ID())
+	}
+	add(second, 1)
+	count(first, "3")
+	fx.f.Crash("server-2")
+	count(second, "1")
+	count(first, "3")
+}
+
 func TestStatefulRollbackAnomaly(t *testing.T) {
 	// §3.2: "failure of the primary can result in unexpected roll back upon
 	// failover to the secondary" — a delta that never shipped is lost.

@@ -85,9 +85,6 @@ func (c *Container) DeployEntity(spec EntitySpec) *EntityHome {
 			TTL:  spec.TTL,
 		}, c.clock, c.bus, c.reg, loader),
 	}
-	c.mu.Lock()
-	c.entities[spec.Name] = h
-	c.mu.Unlock()
 	return h
 }
 
@@ -292,11 +289,4 @@ func (e *Entity) afterCompletion(committed bool) {
 	default:
 		h.cache.Flush(e.key)
 	}
-}
-
-// Home returns the container's home for a deployed entity bean.
-func (c *Container) Home(name string) *EntityHome {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.entities[name]
 }

@@ -3,12 +3,13 @@ package ejb
 import (
 	"context"
 	"fmt"
-	"sort"
 	"sync"
+	"sync/atomic"
 
 	"wls/internal/cluster"
 	"wls/internal/metrics"
 	"wls/internal/rmi"
+	"wls/internal/servlet"
 	"wls/internal/trace"
 	"wls/internal/wire"
 )
@@ -28,36 +29,26 @@ const (
 	DeltaPerUpdate
 )
 
-// StatefulCtx is the view of conversational state a business method gets.
+// StatefulCtx is the view of conversational state a business method gets:
+// the conversation's session record, which §3.2's one primary/secondary
+// scheme keeps for stateful beans exactly as for HTTP sessions. It is valid
+// while the method runs.
 type StatefulCtx struct {
-	bean  *beanState
-	store *statefulStore
-	// dirty records keys changed by this invocation.
-	dirty map[string]bool
+	ctx context.Context
+	s   *servlet.Session
+	ss  *statefulStore
 }
 
 // Get reads a state field.
-func (sc *StatefulCtx) Get(key string) string { return sc.bean.state[key] }
+func (sc *StatefulCtx) Get(key string) string { return sc.s.Get(key) }
 
 // Set writes a state field. Under DeltaPerUpdate the change ships to the
 // secondary immediately.
 func (sc *StatefulCtx) Set(key, value string) {
-	sc.bean.state[key] = value
-	sc.dirty[key] = true
-	if sc.store.spec.Deltas == DeltaPerUpdate {
-		sc.store.ship(sc.bean, map[string]string{key: value})
-		delete(sc.dirty, key)
+	sc.s.Set(key, value)
+	if sc.ss.spec.Deltas == DeltaPerUpdate {
+		sc.ss.flush(sc.ctx, sc.s)
 	}
-}
-
-// Keys lists the state's keys, sorted.
-func (sc *StatefulCtx) Keys() []string {
-	out := make([]string, 0, len(sc.bean.state))
-	for k := range sc.bean.state {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
 }
 
 // StatefulMethod is one business method of a stateful bean.
@@ -73,33 +64,26 @@ type StatefulSpec struct {
 	Deltas DeltaPolicy
 }
 
-// beanState is one conversation's state on one server.
-type beanState struct {
-	id        string
-	state     map[string]string
-	secondary string // server name hosting the replica ("" = unreplicated)
-	primary   bool
-	gen       uint64 // replica generation, guards stale delta application
-}
-
-// statefulStore is the per-server container state for one bean type.
+// statefulStore is the per-server container state for one bean type. Its
+// conversations are the records of sessions, a replicated session manager
+// of the bean's own: created here, promoted where a handle fails over to,
+// shipped through the manager's per-secondary batcher.
 type statefulStore struct {
-	c    *Container
-	spec StatefulSpec
+	c        *Container
+	spec     StatefulSpec
+	sessions *servlet.SessionManager
+	turns    convTurns
 	// spanNames precomputes "ejb <bean>.<method>" per declared method so
 	// the invoke root does no per-call concatenation.
 	spanNames map[string]string
 	// Deploy-time-resolved counters (metric-name lookups allocate).
-	calls, creates, deltas, replicaUpdates, promotions *metrics.Counter
+	calls, creates, replicaUpdates, promotions *metrics.Counter
 
 	mu    sync.Mutex
-	beans map[string]*beanState // primaries and replicas
-	paged map[string][]byte     // passivated conversational state
+	paged map[string]servlet.Parked // passivated conversations
 	// dropShips injects the §3.2 anomaly in tests: the next N delta ships
 	// are lost (primary dies between mutating memory and shipping).
 	dropShips int
-
-	passivations int
 }
 
 // DeployStateful deploys a stateful session bean and returns its home.
@@ -107,14 +91,14 @@ func (c *Container) DeployStateful(spec StatefulSpec) *StatefulHome {
 	ss := &statefulStore{
 		c:              c,
 		spec:           spec,
+		sessions:       servlet.NewReplicatedManager(c.registry, spec.Name),
 		spanNames:      make(map[string]string, len(spec.Methods)),
 		calls:          c.reg.Counter("ejb.stateful.calls"),
 		creates:        c.reg.Counter("ejb.stateful.creates"),
-		deltas:         c.reg.Counter("ejb.stateful.deltas"),
 		replicaUpdates: c.reg.Counter("ejb.stateful.replica_updates"),
 		promotions:     c.reg.Counter("ejb.stateful.promotions"),
-		beans:          make(map[string]*beanState),
-		paged:          make(map[string][]byte),
+		turns:          convTurns{m: make(map[string]*convTurn)},
+		paged:          make(map[string]servlet.Parked),
 	}
 	for name := range spec.Methods {
 		ss.spanNames[name] = "ejb " + spec.Name + "." + name
@@ -125,181 +109,60 @@ func (c *Container) DeployStateful(spec StatefulSpec) *StatefulHome {
 
 	c.registry.Register(&rmi.Service{
 		Name: spec.Name,
-		Methods: map[string]rmi.MethodSpec{
-			"create":         {Handler: ss.handleCreate},
-			"invoke":         {Handler: ss.handleInvoke},
-			"remove":         {Handler: ss.handleRemove},
-			"replica.update": {Handler: ss.handleReplicaUpdate},
-		},
+		Methods: ss.sessions.ReplicaMethods(map[string]rmi.MethodSpec{
+			"create": {Handler: ss.handleCreate},
+			"invoke": {Handler: ss.handleInvoke},
+			"remove": {Handler: ss.handleRemove},
+		}),
 	})
 	return &StatefulHome{container: c, bean: spec.Name}
 }
 
-// envelope encodes the routing header every stateful response carries: the
-// current primary and secondary, so client handles rewrite themselves the
-// way §3.2's session cookies do.
-func respEnvelope(primary, secondary string, body []byte) []byte {
-	e := wire.MakeEncoder(64 + len(body))
-	e.String(primary)
-	e.String(secondary)
+// reply ends a use of s with the envelope every stateful call answers with,
+// written into the response: the current primary and secondary — so client
+// handles rewrite themselves the way §3.2's session cookies do — then body.
+func (ss *statefulStore) reply(call *rmi.Call, s *servlet.Session, body []byte) {
+	e := call.Reply()
+	e.String(ss.c.ServerName())
+	e.String(ss.sessions.Close(s))
 	e.Bytes2(body)
-	return e.Bytes()
 }
 
-// handleCreate makes a new conversation on this server; load balancing
-// already happened when the home picked this server (§3.2).
+// handleCreate makes a new conversation on this server, its secondary
+// seeded with the empty state, and answers its id; load balancing already
+// happened when the home picked this server (§3.2).
 func (ss *statefulStore) handleCreate(ctx context.Context, call *rmi.Call) ([]byte, error) {
-	self := ss.c.ServerName()
-	id := nextBeanID(self, ss.spec.Name)
-	b := &beanState{id: id, state: make(map[string]string), primary: true}
-	ss.chooseSecondary(b)
-	ss.mu.Lock()
-	ss.beans[id] = b
-	ss.mu.Unlock()
+	s, seeded := ss.sessions.Create(ctx)
+	if seeded {
+		ss.replicaUpdates.Inc()
+	}
 	ss.creates.Inc()
-
-	e := wire.MakeEncoder(64)
-	e.String(id)
-	return respEnvelope(self, b.secondary, e.Bytes()), nil
-}
-
-// chooseSecondary applies the §3.2 ring algorithm among servers offering
-// this bean.
-func (ss *statefulStore) chooseSecondary(b *beanState) {
-	self := ss.c.member.Self()
-	cands := ss.c.member.OffersOf(ss.spec.Name)
-	sec, ok := cluster.ChooseSecondaryFrom(self, cands)
-	if !ok {
-		b.secondary = ""
-		return
-	}
-	b.secondary = sec.Name
-	// Ship the full state to seed the replica.
-	ss.ship(b, b.state)
-}
-
-// ship sends a delta to the bean's secondary synchronously ("the primary
-// ... synchronously transmits a delta for any updates to the secondary
-// before returning the response").
-func (ss *statefulStore) ship(b *beanState, delta map[string]string) {
-	ss.mu.Lock()
-	if ss.dropShips > 0 {
-		ss.dropShips--
-		ss.mu.Unlock()
-		return
-	}
-	sec := b.secondary
-	if sec == "" {
-		ss.mu.Unlock()
-		return
-	}
-	b.gen++
-	gen := b.gen
-	ss.mu.Unlock()
-	info, ok := ss.c.member.Lookup(sec)
-	if !ok {
-		// Secondary died; pick a fresh one and ship everything.
-		ss.chooseSecondaryAndReship(b)
-		return
-	}
-	e := wire.AcquireEncoder()
-	e.String(b.id)
-	e.Uint64(gen)
-	e.Int(len(delta))
-	for k, v := range delta {
-		e.String(k)
-		e.String(v)
-	}
-	stub := rmi.NewStub(ss.spec.Name, ss.c.registry.Node(), rmi.StaticView(info.Addr))
-	_, err := stub.Invoke(context.Background(), "replica.update", e.Bytes())
-	e.Release()
-	if err != nil {
-		ss.chooseSecondaryAndReship(b)
-	}
-	ss.deltas.Inc()
-}
-
-func (ss *statefulStore) chooseSecondaryAndReship(b *beanState) {
-	self := ss.c.member.Self()
-	cands := ss.c.member.OffersOf(ss.spec.Name)
-	sec, ok := cluster.ChooseSecondaryFrom(self, cands)
-	if !ok || sec.Name == b.secondary {
-		if !ok {
-			b.secondary = ""
-		}
-		return
-	}
-	b.secondary = sec.Name
-	info, ok := ss.c.member.Lookup(sec.Name)
-	if !ok {
-		b.secondary = ""
-		return
-	}
-	b.gen++
-	e := wire.AcquireEncoder()
-	e.String(b.id)
-	e.Uint64(b.gen)
-	e.Int(len(b.state))
-	for k, v := range b.state {
-		e.String(k)
-		e.String(v)
-	}
-	stub := rmi.NewStub(ss.spec.Name, ss.c.registry.Node(), rmi.StaticView(info.Addr))
-	_, _ = stub.Invoke(context.Background(), "replica.update", e.Bytes())
-	e.Release()
-}
-
-// handleReplicaUpdate applies a delta on the secondary. Keys and values
-// decode without copying; strings materialize only when the replica's map
-// does not already hold the value (steady-state repeat updates of the same
-// pairs allocate nothing).
-//
-//wls:hotpath
-func (ss *statefulStore) handleReplicaUpdate(ctx context.Context, call *rmi.Call) ([]byte, error) {
-	d := wire.NewDecoder(call.Args)
-	idB := d.BytesNoCopy()
-	gen := d.Uint64()
-	n := d.Int()
-	if err := d.Err(); err != nil {
-		return nil, err
-	}
-	ss.mu.Lock()
-	defer ss.mu.Unlock()
-	b, ok := ss.beans[string(idB)]
-	if !ok {
-		b = &beanState{id: string(idB), state: make(map[string]string)}
-		ss.beans[b.id] = b
-	}
-	apply := !(gen <= b.gen && b.gen != 0) // stale delta from a deposed primary
-	if apply {
-		b.gen = gen
-	}
-	// Pairs are always consumed (wire framing) even when the delta is stale.
-	for i := 0; i < n; i++ {
-		kb := d.BytesNoCopy()
-		vb := d.BytesNoCopy()
-		if !apply {
-			continue
-		}
-		if cur, exists := b.state[string(kb)]; !exists || cur != string(vb) {
-			b.state[string(kb)] = string(vb)
-		}
-	}
-	if err := d.Err(); err != nil {
-		return nil, err
-	}
-	if !apply {
-		return nil, nil
-	}
-	ss.replicaUpdates.Inc()
+	ss.reply(call, s, []byte(s.ID))
 	return nil, nil
 }
 
-// handleInvoke runs a business method; if this server holds only the
-// replica, it promotes itself first (failover). The id and method decode
-// without copying — both resolve through no-alloc map lookups, and the
-// payload aliases the frame body (valid for the duration of the call; the
-// response envelope is serialized before return).
+// flush ships what s wrote since its last ship ("the primary ...
+// synchronously transmits a delta for any updates to the secondary before
+// returning the response") and counts the acknowledgement — unless an
+// injected DropNextShips fault eats it.
+func (ss *statefulStore) flush(ctx context.Context, s *servlet.Session) {
+	ss.mu.Lock()
+	drop := ss.dropShips > 0
+	if drop {
+		ss.dropShips--
+	}
+	ss.mu.Unlock()
+	if !drop && ss.sessions.Flush(ctx, s) {
+		ss.replicaUpdates.Inc()
+	}
+}
+
+// handleInvoke runs a business method on the conversation's record,
+// promoting a replica first when the handle failed over to this server
+// (§3.2's promote-and-rewrite-cookie flow). Invocations of one conversation
+// run one at a time. The id and method decode without copying — both
+// resolve through no-alloc map lookups — and the payload aliases the frame
+// body, valid for the call; the reply is written into the response envelope.
 //
 //wls:hotpath
 func (ss *statefulStore) handleInvoke(ctx context.Context, call *rmi.Call) ([]byte, error) {
@@ -310,64 +173,72 @@ func (ss *statefulStore) handleInvoke(ctx context.Context, call *rmi.Call) ([]by
 	if err := d.Err(); err != nil {
 		return nil, err
 	}
-	var span *trace.Span
-	if parent := trace.FromContext(ctx); parent != nil {
-		spanName, cached := ss.spanNames[string(methB)]
-		if !cached {
-			spanName = "ejb " + ss.spec.Name + "." + string(methB)
-		}
-		_, span = parent.NewChild(ctx, spanName, trace.KindInternal)
-		span.Annotate("bean", string(idB))
-		defer span.Finish()
-	}
 	impl, ok := ss.spec.Methods[string(methB)]
 	if !ok {
-		err := &rmi.AppError{Msg: "no such method: " + string(methB)}
-		span.SetError(err)
-		return nil, err
+		return nil, noSuch("method", methB)
 	}
-
-	ss.mu.Lock()
-	b, found := ss.beans[string(idB)]
-	if !found {
-		if raw, paged := ss.paged[string(idB)]; paged {
-			b = ss.activate(string(idB), raw)
-			found = true
+	var span *trace.Span
+	if parent := trace.FromContext(ctx); parent != nil {
+		_, span = parent.NewChild(ctx, ss.spanNames[string(methB)], trace.KindInternal)
+		defer span.Finish()
+	}
+	s, promoted := ss.sessions.Open(ctx, idB)
+	if s == nil {
+		if s, promoted = ss.activate(ctx, idB); s == nil {
+			err := noSuch("bean", idB)
+			span.SetError(err)
+			return nil, err
 		}
 	}
-	if !found {
-		ss.mu.Unlock()
-		err := &rmi.AppError{Msg: "no such bean: " + string(idB)}
-		span.SetError(err)
-		return nil, err
-	}
-	if !b.primary {
-		// Failover: the replica becomes the primary and recruits a new
-		// secondary (§3.2's promote-and-rewrite-cookie flow).
-		b.primary = true
-		ss.mu.Unlock()
-		ss.chooseSecondaryAndReship(b)
+	if promoted {
 		ss.promotions.Inc()
-		ss.mu.Lock()
 	}
-	sc := &StatefulCtx{bean: b, store: ss, dirty: make(map[string]bool)}
-	ss.mu.Unlock()
+	span.Annotate("bean", s.ID)
 
-	out, err := impl(sc, payload)
+	out, err := ss.run(ctx, s, impl, payload)
 	if err != nil {
+		ss.sessions.Close(s)
 		span.SetError(err)
 		return nil, err
-	}
-	// Transaction boundary: ship accumulated dirty keys.
-	if ss.spec.Deltas == DeltaPerTx && len(sc.dirty) > 0 {
-		delta := make(map[string]string, len(sc.dirty))
-		for k := range sc.dirty {
-			delta[k] = b.state[k]
-		}
-		ss.ship(b, delta)
 	}
 	ss.calls.Inc()
-	return respEnvelope(ss.c.ServerName(), b.secondary, out), nil
+	ss.reply(call, s, out)
+	return nil, nil
+}
+
+// run takes the conversation's turn and runs the method on its record,
+// shipping what it wrote at the method boundary under DeltaPerTx.
+func (ss *statefulStore) run(ctx context.Context, s *servlet.Session, impl StatefulMethod, args []byte) ([]byte, error) {
+	turn, err := ss.turns.wait(ctx, s.ID)
+	if err != nil {
+		return nil, err
+	}
+	defer ss.turns.done(s.ID, turn)
+	out, err := impl(&StatefulCtx{ctx: ctx, s: s, ss: ss}, args)
+	if err == nil && ss.spec.Deltas == DeltaPerTx {
+		ss.flush(ctx, s)
+	}
+	return out, err
+}
+
+// noSuch is the application error for an unknown method or bean.
+//
+//wls:coldpath error reply
+func noSuch(what string, name []byte) error {
+	return &rmi.AppError{Msg: "no such " + what + ": " + string(name)}
+}
+
+// activate reactivates a passivated conversation and opens it.
+//
+//wls:coldpath page-in, once per reactivation
+func (ss *statefulStore) activate(ctx context.Context, id []byte) (*servlet.Session, bool) {
+	ss.mu.Lock()
+	if p, ok := ss.paged[string(id)]; ok {
+		ss.sessions.Unpark(p)
+		delete(ss.paged, string(id))
+	}
+	ss.mu.Unlock()
+	return ss.sessions.Open(ctx, id)
 }
 
 func (ss *statefulStore) handleRemove(ctx context.Context, call *rmi.Call) ([]byte, error) {
@@ -376,11 +247,58 @@ func (ss *statefulStore) handleRemove(ctx context.Context, call *rmi.Call) ([]by
 	if err := d.Err(); err != nil {
 		return nil, err
 	}
+	ss.sessions.Remove(id)
 	ss.mu.Lock()
-	delete(ss.beans, id)
 	delete(ss.paged, id)
 	ss.mu.Unlock()
 	return nil, nil
+}
+
+// convTurns gives each conversation one invocation at a time: a stateful
+// bean serves one client, so a second call waits — within its deadline —
+// for the first to finish and ship. An entry lives while a call runs or
+// waits on it.
+type convTurns struct {
+	mu sync.Mutex
+	m  map[string]*convTurn
+}
+
+// convTurn is one conversation's turn: the token is held by the running
+// invocation; refs counts it and those waiting.
+type convTurn struct {
+	token chan struct{} // capacity 1
+	refs  int           // guarded by convTurns.mu
+}
+
+func (ct *convTurns) wait(ctx context.Context, id string) (*convTurn, error) {
+	ct.mu.Lock()
+	t := ct.m[id]
+	if t == nil {
+		t = &convTurn{token: make(chan struct{}, 1)}
+		ct.m[id] = t
+	}
+	t.refs++
+	ct.mu.Unlock()
+	select {
+	case t.token <- struct{}{}:
+		return t, nil
+	case <-ctx.Done():
+		ct.release(id, t)
+		return nil, ctx.Err()
+	}
+}
+
+func (ct *convTurns) done(id string, t *convTurn) {
+	<-t.token
+	ct.release(id, t)
+}
+
+func (ct *convTurns) release(id string, t *convTurn) {
+	ct.mu.Lock()
+	if t.refs--; t.refs == 0 {
+		delete(ct.m, id)
+	}
+	ct.mu.Unlock()
 }
 
 // --- passivation (§3.2: "Conversational state may be paged out on an
@@ -390,58 +308,28 @@ func (ss *statefulStore) handleRemove(ctx context.Context, call *rmi.Call) ([]by
 // PassivateIdle pages out primaries beyond maxResident (oldest IDs first —
 // a stand-in for LRU). Replicas are never passivated.
 func (ss *statefulStore) PassivateIdle(maxResident int) int {
-	ss.mu.Lock()
-	defer ss.mu.Unlock()
-	var primaries []string
-	for id, b := range ss.beans {
-		if b.primary {
-			primaries = append(primaries, id)
-		}
-	}
-	if len(primaries) <= maxResident {
+	ids := ss.sessions.Primaries()
+	if len(ids) <= maxResident {
 		return 0
 	}
-	sort.Strings(primaries)
-	evict := primaries[:len(primaries)-maxResident]
-	for _, id := range evict {
-		b := ss.beans[id]
-		e := wire.NewEncoder(128)
-		e.String(b.secondary)
-		e.Uint64(b.gen)
-		e.Int(len(b.state))
-		for k, v := range b.state {
-			e.String(k)
-			e.String(v)
+	ss.mu.Lock()
+	defer ss.mu.Unlock()
+	n := 0
+	for _, id := range ids[:len(ids)-maxResident] {
+		if p, ok := ss.sessions.Park(id); ok {
+			ss.paged[id] = p
+			n++
 		}
-		ss.paged[id] = e.Bytes()
-		delete(ss.beans, id)
-		ss.passivations++
 	}
-	return len(evict)
+	return n
 }
 
-// activate re-reads paged state (ss.mu held).
-func (ss *statefulStore) activate(id string, raw []byte) *beanState {
-	d := wire.NewDecoder(raw)
-	b := &beanState{id: id, state: make(map[string]string), primary: true}
-	b.secondary = d.String()
-	b.gen = d.Uint64()
-	n := d.Int()
-	for i := 0; i < n; i++ {
-		k := d.String()
-		v := d.String()
-		b.state[k] = v
-	}
-	delete(ss.paged, id)
-	ss.beans[id] = b
-	return b
-}
-
-// Resident reports (in-memory, passivated) conversation counts.
+// Resident reports (in-memory, passivated) conversation counts; in memory
+// counts primaries and replicas.
 func (ss *statefulStore) Resident() (mem, paged int) {
 	ss.mu.Lock()
 	defer ss.mu.Unlock()
-	return len(ss.beans), len(ss.paged)
+	return ss.sessions.ResidentSessions(), len(ss.paged)
 }
 
 // DropNextShips injects delta-ship loss for anomaly tests.
@@ -474,13 +362,13 @@ type StatefulHome struct {
 
 // Handle is the client-side reference to one conversation: hardwired to the
 // primary, aware of the secondary, rewritten from every response envelope.
+// One handle may be shared by goroutines, the way a cookie jar is.
 type Handle struct {
-	bean      string
-	id        string
-	primary   string
-	secondary string
-	node      rmi.Node
-	member    *cluster.Member
+	bean   string
+	id     string
+	node   rmi.Node
+	member *cluster.Member
+	route  atomic.Pointer[[2]string] // primary, secondary; replaced whole
 }
 
 // Create starts a conversation on a server chosen by the stub policy
@@ -492,32 +380,33 @@ func (h *StatefulHome) Create(ctx context.Context, opts ...rmi.StubOption) (*Han
 	if err != nil {
 		return nil, err
 	}
-	d := wire.NewDecoder(res.Body)
-	primary, secondary, body := d.String(), d.String(), d.Bytes()
+	hd := &Handle{bean: h.bean, node: h.container.registry.Node(), member: h.container.member}
+	hd.route.Store(new([2]string))
+	id, err := hd.rewrite(res.Body)
+	hd.id = string(id)
+	return hd, err
+}
+
+// rewrite takes the routing header off a response envelope (the
+// cookie-rewrite analogue) and returns the body, which aliases env.
+func (h *Handle) rewrite(env []byte) ([]byte, error) {
+	d := wire.NewDecoder(env)
+	primary, secondary, body := d.BytesNoCopy(), d.BytesNoCopy(), d.BytesNoCopy()
 	if err := d.Err(); err != nil {
 		return nil, err
 	}
-	d2 := wire.NewDecoder(body)
-	id := d2.String()
-	if err := d2.Err(); err != nil {
-		return nil, err
+	if r := h.route.Load(); string(primary) != r[0] || string(secondary) != r[1] {
+		h.route.Store(&[2]string{string(primary), string(secondary)})
 	}
-	return &Handle{
-		bean:      h.bean,
-		id:        id,
-		primary:   primary,
-		secondary: secondary,
-		node:      h.container.registry.Node(),
-		member:    h.container.member,
-	}, nil
+	return body, nil
 }
 
 // ID returns the conversation id.
 func (h *Handle) ID() string { return h.id }
 
 // Primary and Secondary report the current replication pair.
-func (h *Handle) Primary() string   { return h.primary }
-func (h *Handle) Secondary() string { return h.secondary }
+func (h *Handle) Primary() string   { return h.route.Load()[0] }
+func (h *Handle) Secondary() string { return h.route.Load()[1] }
 
 // Invoke calls a business method on the primary, failing over to the
 // secondary when the primary is unreachable.
@@ -527,47 +416,35 @@ func (h *Handle) Invoke(ctx context.Context, method string, args []byte) ([]byte
 	e.String(h.id)
 	e.String(method)
 	e.Bytes2(args)
-	req := e.Bytes()
-
-	try := func(server string) ([]byte, error) {
-		info, ok := h.member.Lookup(server)
-		if !ok {
-			return nil, fmt.Errorf("ejb: server %s not in view", server)
-		}
-		stub := rmi.NewStub(h.bean, h.node, rmi.StaticView(info.Addr))
-		res, err := stub.Invoke(ctx, "invoke", req)
-		if err != nil {
-			return nil, err
-		}
-		d := wire.NewDecoder(res.Body)
-		primary, secondary, body := d.String(), d.String(), d.Bytes()
-		if err := d.Err(); err != nil {
-			return nil, err
-		}
-		// Rewrite the handle (the cookie-rewrite analogue).
-		h.primary, h.secondary = primary, secondary
-		return body, nil
+	r := h.route.Load()
+	out, err := h.invokeAt(ctx, r[0], e.Bytes())
+	if err == nil || rmi.IsAppError(err) || r[1] == "" {
+		return out, err
 	}
+	return h.invokeAt(ctx, r[1], e.Bytes())
+}
 
-	out, err := try(h.primary)
-	if err == nil {
-		return out, nil
+// invokeAt sends an invoke to server and rewrites the handle from the reply.
+func (h *Handle) invokeAt(ctx context.Context, server string, req []byte) ([]byte, error) {
+	info, ok := h.member.Lookup(server)
+	if !ok {
+		return nil, fmt.Errorf("ejb: server %s not in view", server)
 	}
-	if rmi.IsAppError(err) || h.secondary == "" {
+	res, err := rmi.NewStub(h.bean, h.node, rmi.StaticView(info.Addr)).Invoke(ctx, "invoke", req)
+	if err != nil {
 		return nil, err
 	}
-	return try(h.secondary)
+	return h.rewrite(res.Body)
 }
 
 // Remove ends the conversation.
 func (h *Handle) Remove(ctx context.Context) error {
 	e := wire.NewEncoder(32)
 	e.String(h.id)
-	info, ok := h.member.Lookup(h.primary)
+	info, ok := h.member.Lookup(h.Primary())
 	if !ok {
 		return nil
 	}
-	stub := rmi.NewStub(h.bean, h.node, rmi.StaticView(info.Addr))
-	_, err := stub.Invoke(ctx, "remove", e.Bytes())
+	_, err := rmi.NewStub(h.bean, h.node, rmi.StaticView(info.Addr)).Invoke(ctx, "remove", e.Bytes())
 	return err
 }

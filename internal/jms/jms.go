@@ -340,9 +340,9 @@ const ServiceName = "wls.jms"
 // dedupSpace holds one mark per message ID the SAF receiving end accepted.
 const dedupSpace = "jms.dedup"
 
-// RMIService exposes the broker. The "deliver" and "deliver.batch" methods
-// are the SAF receiving end: they deduplicate by message ID (persistently
-// when a store is attached), making redelivery after lost ACKs harmless.
+// RMIService exposes the broker. The "deliver" method is the SAF receiving
+// end: it deduplicates by message ID (persistently when a store is
+// attached), making redelivery after lost ACKs harmless.
 func (b *Broker) RMIService() *rmi.Service {
 	seen := make(map[string]bool)
 	var seenMu sync.Mutex
@@ -407,37 +407,20 @@ func (b *Broker) RMIService() *rmi.Service {
 				e.String(id)
 				return e.Bytes(), nil
 			}},
-			// deliver: exactly-once SAF delivery (idempotent: the ACK is
-			// the RPC response; retries hit the dedup table).
+			// deliver: exactly-once SAF delivery of the messages that follow
+			// the queue name, until the arguments run out — one, or a drain
+			// batch grouped the way the transport's loopyWriter groups frames
+			// per connection flush. The ACK is the RPC response; dedup is per
+			// message, so a retry that partially landed is still exactly-once
+			// (idempotent).
 			"deliver": {Idempotent: true, Handler: func(ctx context.Context, c *rmi.Call) ([]byte, error) {
-				d := wire.NewDecoder(c.Args)
-				queue := d.String()
-				m, err := decodeMessageTail(d)
-				if err != nil {
-					return nil, err
-				}
-				accepted, err := deliverOne(queue, m)
-				if sp := trace.FromContext(ctx); sp != nil {
-					if accepted {
-						sp.Annotate("dedup", "accept")
-					} else {
-						sp.Annotate("dedup", "drop")
-					}
-				}
-				return nil, err
-			}},
-			// deliver.batch: one RPC carrying a whole drain batch, grouped
-			// the way the transport's loopyWriter groups frames per
-			// connection flush. Dedup stays per message, so a batch retry
-			// that partially landed is still exactly-once.
-			"deliver.batch": {Idempotent: true, Handler: func(ctx context.Context, c *rmi.Call) ([]byte, error) {
 				d := wire.NewDecoder(c.Args)
 				queue := d.String()
 				if err := d.Err(); err != nil {
 					return nil, err
 				}
-				accepted, dropped := 0, 0
-				for d.Remaining() > 0 {
+				n, accepted := 0, 0
+				for ; d.Remaining() > 0; n++ {
 					m, err := decodeMessageTail(d)
 					if err != nil {
 						return nil, err
@@ -448,15 +431,11 @@ func (b *Broker) RMIService() *rmi.Service {
 					}
 					if ok {
 						accepted++
-					} else {
-						dropped++
 					}
 				}
 				if sp := trace.FromContext(ctx); sp != nil {
 					sp.AnnotateInt("accepted", accepted)
-					if dropped > 0 {
-						sp.AnnotateInt("deduped", dropped)
-					}
+					sp.AnnotateInt("deduped", n-accepted)
 				}
 				return nil, nil
 			}},
@@ -517,17 +496,15 @@ func ReceiveRemote(ctx context.Context, node rmi.Node, addr, queue string) (Mess
 // ---------------------------------------------------------------------------
 // Store-and-forward (§4)
 
-// safBatchMax bounds how many messages one deliver.batch RPC carries.
+// safBatchMax bounds how many messages one deliver RPC carries.
 const safBatchMax = 32
 
 // Forwarder drains a local buffer queue to a remote destination,
 // "buffering work to handle temporarily disconnected or overloaded
 // systems". A drain groups up to safBatchMax buffered messages into one
-// deliver.batch RPC (the per-connection flush batching the transport's
+// deliver RPC (the per-connection flush batching the transport's
 // loopyWriter applies to frames); the response is the ACK; no response →
-// retry with backoff; the receiver deduplicates per message. Peers that
-// predate deliver.batch are detected via NotDeployedError and drained one
-// deliver RPC at a time.
+// retry with backoff; the receiver deduplicates per message.
 type Forwarder struct {
 	local      *Queue
 	node       rmi.Node
@@ -548,9 +525,6 @@ type Forwarder struct {
 	timer   vclock.Timer
 	backoff time.Duration
 	stopped bool
-	// noBatch is set when the remote rejects deliver.batch as not deployed
-	// (mixed-version cluster): fall back to per-message delivery for good.
-	noBatch bool
 	// gen is the agent's epoch, bumped by Start and Stop. Timer callbacks
 	// and drain loops carry the epoch they were started under and go
 	// inert when it changes, so a drain already in flight when Stop lands
@@ -624,20 +598,8 @@ func (f *Forwarder) current(g uint64) bool {
 	return !f.stopped && g == f.gen
 }
 
-// batchLimit reports how many messages the next delivery may group.
-func (f *Forwarder) batchLimit() int {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if f.noBatch {
-		return 1
-	}
-	return safBatchMax
-}
-
-// deliver ships one drain batch. A single message goes out over the
-// original "deliver" method, so a lightly-loaded agent is byte-for-byte
-// (and trace-for-trace) identical to the unbatched one; only when the
-// buffer has a backlog does "deliver.batch" flush the group in one RPC.
+// deliver ships one drain batch in one "deliver" RPC: the queue name, then
+// each message in turn. A lightly loaded agent sends batches of one.
 func (f *Forwarder) deliver(msgs []Message) error {
 	e := wire.AcquireEncoder()
 	defer e.Release()
@@ -647,10 +609,6 @@ func (f *Forwarder) deliver(msgs []Message) error {
 		e.String(m.Key)
 		e.Bytes2(m.Body)
 	}
-	method := "deliver"
-	if len(msgs) > 1 {
-		method = "deliver.batch"
-	}
 	sctx := context.Background()
 	var span *trace.Span
 	if f.tracer != nil {
@@ -659,12 +617,10 @@ func (f *Forwarder) deliver(msgs []Message) error {
 		sctx, span = f.tracer.StartRoot(sctx, "jms.saf "+f.remoteQ, trace.KindJMS)
 		span.Annotate("msg", msgs[0].ID)
 		span.Annotate("to", f.remoteAddr)
-		if len(msgs) > 1 {
-			span.AnnotateInt("batched", len(msgs))
-		}
+		span.AnnotateInt("batched", len(msgs))
 	}
 	ctx, cancel := context.WithTimeout(sctx, 2*time.Second)
-	_, err := f.stub.Invoke(ctx, method, e.Bytes())
+	_, err := f.stub.Invoke(ctx, "deliver", e.Bytes())
 	cancel()
 	if span != nil {
 		if err != nil {
@@ -683,8 +639,7 @@ func (f *Forwarder) drain(g uint64) {
 	var msgs []Message
 	for f.current(g) {
 		msgs = msgs[:0]
-		limit := f.batchLimit()
-		for len(msgs) < limit {
+		for len(msgs) < safBatchMax {
 			m, err := f.local.Receive()
 			if err != nil {
 				break
@@ -710,14 +665,6 @@ func (f *Forwarder) drain(g uint64) {
 		// original order (Nack prepends).
 		for i := len(msgs) - 1; i >= 0; i-- {
 			f.local.Nack(msgs[i].ID)
-		}
-		if len(msgs) > 1 && rmi.IsNotDeployed(err) {
-			// Mixed-version peer without deliver.batch: drop to per-message
-			// delivery permanently and retry the batch right away.
-			f.mu.Lock()
-			f.noBatch = true
-			f.mu.Unlock()
-			continue
 		}
 		// No ACK: messages back to the buffer, back off, retry later.
 		f.mu.Lock()

@@ -1,19 +1,16 @@
 package jms
 
 import (
-	"context"
 	"fmt"
 	"testing"
 	"time"
 
-	"wls/internal/rmi"
 	"wls/internal/simtest"
-	"wls/internal/wire"
 )
 
 // TestSAFBatchDrainGroupsBacklog pins the batched drain path: a backlog
-// that accumulated during an outage is flushed over deliver.batch — one
-// RPC for the group, the way the transport's loopyWriter groups frames —
+// that accumulated during an outage is flushed in batched deliver calls —
+// one RPC for the group, the way the transport's loopyWriter groups frames —
 // while delivery stays exactly-once and in order. White-box via the
 // remote's per-service request counter: 20 messages must cross in far
 // fewer than 20 RPCs.
@@ -62,73 +59,5 @@ func TestSAFBatchDrainGroupsBacklog(t *testing.T) {
 	}
 	if fwd := f.Servers[0].Metrics.Counter("jms.saf_forwarded").Value(); fwd != n {
 		t.Fatalf("saf_forwarded = %d, want %d", fwd, n)
-	}
-}
-
-// legacyReceiver registers a wls.jms service that predates deliver.batch:
-// only the per-message "deliver" method exists, decoding the same frame
-// the modern forwarder emits for a single message.
-func legacyReceiver(b *Broker) *rmi.Service {
-	return &rmi.Service{
-		Name:   ServiceName,
-		System: true,
-		Methods: map[string]rmi.MethodSpec{
-			"deliver": {Idempotent: true, Handler: func(ctx context.Context, c *rmi.Call) ([]byte, error) {
-				d := wire.NewDecoder(c.Args)
-				queue := d.String()
-				m, err := decodeMessageTail(d)
-				if err != nil {
-					return nil, err
-				}
-				_, err = b.Queue(queue).Send(m)
-				return nil, err
-			}},
-		},
-	}
-}
-
-// TestSAFFallsBackToLegacyDeliver pins the mixed-version contract: when
-// the receiving broker predates deliver.batch, the first batched flush
-// comes back NotDeployed, the agent drops to per-message delivery for
-// good, and the backlog still arrives complete and in order.
-func TestSAFFallsBackToLegacyDeliver(t *testing.T) {
-	f := simtest.New(simtest.Options{Servers: 2})
-	defer f.Stop()
-	remote := NewBroker("server-2", f.Clock, nil, f.Servers[1].Metrics)
-	f.Servers[1].Registry.Register(legacyReceiver(remote))
-	f.Settle(2)
-
-	local := NewBroker("server-1", f.Clock, nil, f.Servers[0].Metrics)
-	lq := local.Queue("buffer")
-	const n = 8
-	for i := 0; i < n; i++ {
-		if _, err := lq.Send(Message{Body: []byte(fmt.Sprintf("m%d", i))}); err != nil {
-			t.Fatalf("send %d: %v", i, err)
-		}
-	}
-
-	fw := NewForwarder(lq, f.Servers[0].Endpoint, f.Servers[1].Endpoint.Addr(), "dst", f.Clock, 100*time.Millisecond)
-	fw.Start()
-	defer fw.Stop()
-
-	deadline := time.Now().Add(5 * time.Second)
-	for time.Now().Before(deadline) && remote.Queue("dst").Len() < n {
-		f.Settle(4)
-		time.Sleep(2 * time.Millisecond)
-	}
-	if got := remote.Queue("dst").Len(); got != n {
-		t.Fatalf("delivered %d of %d against a legacy receiver", got, n)
-	}
-	for i := 0; i < n; i++ {
-		m, err := remote.Queue("dst").Receive()
-		if err != nil || string(m.Body) != fmt.Sprintf("m%d", i) {
-			t.Fatalf("order broken at %d: %q err=%v", i, m.Body, err)
-		}
-	}
-	fw.mu.Lock()
-	noBatch := fw.noBatch
-	fw.mu.Unlock()
-	if !noBatch {
-		t.Fatal("forwarder never recorded the legacy peer; batch fallback untested")
 	}
 }

@@ -70,20 +70,11 @@ func IsAppError(err error) bool {
 }
 
 // NotDeployedError reports that the target server answered but does not
-// deploy the requested service or method. The request definitely had no
-// side effects, so stubs fail over freely; callers that speak optional
-// methods (e.g. batched SAF delivery to a mixed-version peer) use
-// IsNotDeployed to fall back to the older protocol instead of retrying.
+// deploy the requested service or method (a stale view). The request
+// definitely had no side effects, so stubs fail over freely.
 type NotDeployedError struct{ Msg string }
 
 func (e *NotDeployedError) Error() string { return e.Msg }
-
-// IsNotDeployed reports whether err means the remote answered
-// "no such service/method".
-func IsNotDeployed(err error) bool {
-	var nd *NotDeployedError
-	return errors.As(err, &nd)
-}
 
 // Call carries one inbound invocation to a service method.
 //

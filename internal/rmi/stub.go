@@ -553,9 +553,7 @@ func (s *Stub) callOne(ctx context.Context, addr, method string, args []byte, tx
 		return nil, &AppError{Msg: resp.errMsg}
 	case respNoSuchService:
 		// The service is not deployed there (stale view); certainly no side
-		// effects, so failover is always safe. The typed error also lets
-		// callers detect "peer doesn't speak this method" for protocol
-		// fallback (see IsNotDeployed).
+		// effects, so failover is always safe.
 		return nil, &retryableErr{&NotDeployedError{Msg: resp.errMsg}}
 	case respBusy:
 		return nil, &BusyError{Server: resp.servedBy, Msg: resp.errMsg}

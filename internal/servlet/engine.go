@@ -87,19 +87,9 @@ func NewEngine(registry *rmi.Registry, cfg Config) *Engine {
 	e.sessions = newSessionManager(cfg.Sessions, ServiceName, registry.Member(), registry.Node(), cfg.DB)
 	registry.Register(&rmi.Service{
 		Name: ServiceName,
-		Methods: map[string]rmi.MethodSpec{
+		Methods: e.sessions.ReplicaMethods(map[string]rmi.MethodSpec{
 			"request": {Handler: e.handleRequest},
-			// Session replication is cluster infrastructure: denying a
-			// primary's ship under load would silently strand secondaries,
-			// so replication bypasses admission (System) while the "request"
-			// path above is subject to it.
-			"session.update.batch": {System: true, Handler: func(ctx context.Context, c *rmi.Call) ([]byte, error) {
-				return nil, e.sessions.handleUpdateBatch(c.Args)
-			}},
-			"session.fetch": {System: true, Handler: func(ctx context.Context, c *rmi.Call) ([]byte, error) {
-				return e.sessions.handleFetch(c.Args)
-			}},
-		},
+		}),
 	})
 	return e
 }

@@ -1,0 +1,126 @@
+package servlet
+
+import (
+	"context"
+	"slices"
+
+	"wls/internal/rmi"
+)
+
+// §3.2 keeps stateful session beans available by the same scheme as HTTP
+// sessions: the EJB container keeps each bean's conversations in the records
+// of a replicated manager of its own, through the calls below.
+
+// NewReplicatedManager builds an in-memory replicated manager for service:
+// its secondaries are the other servers offering service, in §3.2 name
+// order, and service's method table must carry ReplicaMethods.
+func NewReplicatedManager(registry *rmi.Registry, service string) *SessionManager {
+	return newSessionManager(SessionsReplicated, service, registry.Member(), registry.Node(), nil)
+}
+
+// ReplicaMethods adds the methods a manager's peers call —
+// "session.update.batch" and "session.fetch" — to methods and returns it.
+// Replication is cluster infrastructure: denying a primary's ship under
+// load would silently strand secondaries, so both bypass admission.
+func (sm *SessionManager) ReplicaMethods(methods map[string]rmi.MethodSpec) map[string]rmi.MethodSpec {
+	methods["session.update.batch"] = rmi.MethodSpec{System: true, Handler: func(ctx context.Context, c *rmi.Call) ([]byte, error) {
+		return nil, sm.handleUpdateBatch(c.Args)
+	}}
+	methods["session.fetch"] = rmi.MethodSpec{System: true, Handler: func(ctx context.Context, c *rmi.Call) ([]byte, error) {
+		return sm.handleFetch(c.Args)
+	}}
+	return methods
+}
+
+// Create enters a new, empty primary record and seeds the secondary chosen
+// for it; seeded reports the secondary's acknowledgement.
+func (sm *SessionManager) Create(ctx context.Context) (s *Session, seeded bool) {
+	st, _ := sm.adopt(ctx, &CookieRef{}) // no cookie: a new session
+	return acquireSession(st, true), sm.shipAcked(ctx, st, nil)
+}
+
+// Open returns a view of record id, promoting a replica first by the same
+// compare-and-swap as a Fig 2 promotion (promoted: this call did it). An id
+// this server does not hold yields nil: Open never adopts.
+func (sm *SessionManager) Open(ctx context.Context, id []byte) (s *Session, promoted bool) {
+	sm.mu.Lock()
+	st := sm.sessions[string(id)] // no-alloc lookup
+	sm.mu.Unlock()
+	if st == nil {
+		return nil, false
+	}
+	if p := st.placed(); !p.primary() {
+		promoted = sm.ship(ctx, st, nil, p, sm.chooseSecondary(st.id, p, ""))
+	}
+	return acquireSession(st, false), promoted
+}
+
+// Flush ships what s wrote since it was opened or last flushed, as a
+// request's finish does, and reports the secondary's acknowledgement.
+func (sm *SessionManager) Flush(ctx context.Context, s *Session) bool {
+	acked := len(s.dirty) > 0 && sm.shipAcked(ctx, s.st, s.dirty)
+	s.dirty = s.dirty[:0]
+	return acked
+}
+
+// Close ends a use of s, shipping nothing, and returns the record's
+// secondary ("" for none).
+func (sm *SessionManager) Close(s *Session) (secondary string) {
+	secondary = sm.secName(s.st.placed().sec())
+	releaseSession(s)
+	return secondary
+}
+
+// Remove deletes record id from the table.
+func (sm *SessionManager) Remove(id string) {
+	sm.mu.Lock()
+	delete(sm.sessions, id)
+	sm.mu.Unlock()
+}
+
+// Primaries lists the ids of the table's primary records, sorted.
+func (sm *SessionManager) Primaries() []string {
+	sm.mu.Lock()
+	defer sm.mu.Unlock()
+	var ids []string
+	for id, st := range sm.sessions {
+		if st.placed().primary() {
+			ids = append(ids, id)
+		}
+	}
+	slices.Sort(ids)
+	return ids
+}
+
+// Parked is a primary record out of the table (passivated) until Unpark.
+type Parked struct{ st *sessState }
+
+// Park takes primary record id out of the table; a replica stays.
+func (sm *SessionManager) Park(id string) (Parked, bool) {
+	sm.mu.Lock()
+	defer sm.mu.Unlock()
+	st, ok := sm.sessions[id]
+	if !ok || !st.placed().primary() {
+		return Parked{}, false
+	}
+	delete(sm.sessions, id)
+	return Parked{st}, true
+}
+
+// Unpark puts a parked record back in the table.
+func (sm *SessionManager) Unpark(p Parked) {
+	sm.mu.Lock()
+	sm.sessions[p.st.id] = p.st
+	sm.mu.Unlock()
+}
+
+// shipAcked ships dirty (nil: the whole record) and reports whether st's
+// secondary took it; one it could not reach is replaced and seeded, as ship
+// does.
+func (sm *SessionManager) shipAcked(ctx context.Context, st *sessState, dirty []int) bool {
+	sec, err := sm.shipTo(ctx, st, dirty, 0, 0)
+	if p := st.placed(); err != nil && p.sec() == sec {
+		sm.ship(ctx, st, nil, p, sm.chooseSecondary(st.id, p, sm.secName(sec)))
+	}
+	return err == nil && sec != 0
+}

@@ -395,10 +395,13 @@ func newSessionManager(mode SessionMode, service string, member *cluster.Member,
 		attrKeys:    wire.NewInterner(1024),
 		sessions:    make(map[string]*sessState),
 	}
+	sm.seq.Store((max(member.Self().Incarnation, 1) - 1) << 32)
 	sm.repl.Store(&[]*replBatcher{{}})
 	return sm
 }
 
+// newID names a record <server>-sess-<n>. A restarted server counts from
+// (incarnation-1)<<32, so it reuses no id a peer may still hold a record of.
 func (sm *SessionManager) newID() string {
 	return sm.selfName + "-sess-" + strconv.FormatUint(sm.seq.Add(1), 10)
 }

@@ -85,12 +85,13 @@ type Handler func(from string, f Frame) *Frame
 // an unreasonable payload and are rejected before allocation.
 const MaxFrameSize = 64 << 20 // 64 MiB
 
-// FormatVersion names the frame layout in the package comment (1 was a
-// fixed 13-byte header: uint32 length, kind, uint64 correlation id). A
-// transport sends it in its handshake and refuses a peer that sends
-// anything else, so a build with another header is turned away instead of
-// misparsed.
-const FormatVersion byte = 2
+// FormatVersion names the frame layout in the package comment and the
+// method bodies it carries: 1 was a fixed 13-byte header (uint32 length,
+// kind, uint64 correlation id), 2 the varint header, 3 a JMS "deliver" of
+// many messages and a stateful "create" answering the bare id. A transport
+// sends it in its handshake and refuses a peer that sends anything else, so
+// a build with other frames or bodies is turned away instead of misparsed.
+const FormatVersion byte = 3
 
 // ErrFrameTooLarge is returned when a frame header announces a payload
 // exceeding MaxFrameSize.

@@ -129,13 +129,12 @@ type Server struct {
 
 	cluster  *Cluster
 	endpoint *netsim.Endpoint
-	member   *cluster2Member
+	member   *cluster.Member
 	registry *rmi.Registry
 	reg      *metrics.Registry
 	tracer   *trace.Tracer      // nil unless Options.TraceSample > 0
 	queue    *core.ExecuteQueue // nil unless Options.Admission
 	res      *rmi.Resilience    // nil unless Options.Resilience
-	resSeed  int64              // per-server jitter seed (survives Restart)
 	parts    *partition.Views   // nil unless Options.Partition
 
 	// Tx is the server's transaction manager.
@@ -158,9 +157,6 @@ type Server struct {
 	// cluster-wide as the wls.health service.
 	Health *core.HealthMonitor
 }
-
-// cluster2Member aliases to keep struct fields tidy.
-type cluster2Member = cluster.Member
 
 // fixture is the simulation plumbing (mirrors internal/simtest, duplicated
 // here so the public package does not expose test helpers).
@@ -232,7 +228,7 @@ func New(opts Options) (*Cluster, error) {
 		if isAdmin {
 			name = "admin"
 		}
-		s, err := c.newServer(i, name, isAdmin)
+		s, err := c.newServer(i, name)
 		if err != nil {
 			c.Stop()
 			return nil, err
@@ -257,84 +253,101 @@ func New(opts Options) (*Cluster, error) {
 	return c, nil
 }
 
-func (c *Cluster) newServer(i int, name string, isAdmin bool) (*Server, error) {
+func (c *Cluster) newServer(i int, name string) (*Server, error) {
 	fix := c.fix
 	addr := fmt.Sprintf("10.0.0.%d:7001", i+1)
-	machine := fmt.Sprintf("machine-%d", i/c.opts.ServersPerMachine+1)
 	group := ""
 	if len(c.opts.ReplicationGroups) > 0 {
 		group = c.opts.ReplicationGroups[i%len(c.opts.ReplicationGroups)]
 	}
-	ep := fix.net.Endpoint(addr)
-	reg := metrics.NewRegistry()
-	member := cluster.NewMember(fix.cfg, fix.clock, fix.bus, cluster.MemberInfo{
-		Name:                     name,
-		Addr:                     addr,
-		Machine:                  machine,
-		ReplicationGroup:         group,
-		PreferredSecondaryGroups: c.opts.PreferredSecondaryGroups,
-	})
-	registry := rmi.NewRegistry(ep, member, reg)
-	member.Start()
-
 	s := &Server{
 		Name:     name,
 		cluster:  c,
-		endpoint: ep,
-		member:   member,
-		registry: registry,
-		reg:      reg,
-		Tx:       tx.NewManager(name, fix.clock, nil, reg),
-		Naming:   naming.New(c.opts.ClusterName, name, fix.bus),
+		endpoint: fix.net.Endpoint(addr),
+		member: cluster.NewMember(fix.cfg, fix.clock, fix.bus, cluster.MemberInfo{
+			Name:                     name,
+			Addr:                     addr,
+			Machine:                  fmt.Sprintf("machine-%d", i/c.opts.ServersPerMachine+1),
+			ReplicationGroup:         group,
+			PreferredSecondaryGroups: c.opts.PreferredSecondaryGroups,
+		}),
+		Naming: naming.New(c.opts.ClusterName, name, fix.bus),
 	}
+	if err := c.assemble(s); err != nil {
+		return nil, err
+	}
+	return s, nil
+}
+
+// assemble builds a server on its endpoint and member — the one
+// construction path, for a new server and for a restarted one: a fresh
+// metrics registry with the server's store opened on it, then an RMI
+// registry, the member started, and the containers, each registered and
+// advertised. A store that does not open fails it before it touches s.
+// What survives a reboot is reused: the partition views (they follow the
+// member) and the tracer.
+func (c *Cluster) assemble(s *Server) error {
+	fix := c.fix
+	reg := metrics.NewRegistry()
 	if c.opts.DataDir != "" {
 		if err := os.MkdirAll(c.opts.DataDir, 0o755); err != nil {
-			return nil, err
+			return err
 		}
 		// Tuple spaces over a WAL that fsyncs every commit — a persistent
 		// message is on disk before Send returns — and counts into the
 		// server's registry.
-		w, err := kv.OpenWAL(filepath.Join(c.opts.DataDir, name+".store"), kv.Options{SyncEveryCommit: true, Metrics: reg})
+		w, err := kv.OpenWAL(filepath.Join(c.opts.DataDir, s.Name+".store"), kv.Options{SyncEveryCommit: true, Metrics: reg})
 		if err != nil {
-			return nil, fmt.Errorf("wls: store for %s: %w", name, err)
+			return fmt.Errorf("wls: store for %s: %w", s.Name, err)
 		}
 		if s.Files, err = tuple.New(w); err != nil {
-			return nil, fmt.Errorf("wls: store for %s: %w", name, errors.Join(err, w.Close()))
+			return fmt.Errorf("wls: store for %s: %w", s.Name, errors.Join(err, w.Close()))
 		}
 	}
-	s.EJB = ejb.NewContainer(registry, s.Tx, c.DB, fix.bus)
-	s.Web = servlet.NewEngine(registry, servlet.Config{Sessions: c.opts.Sessions, DB: c.DB})
-	if c.opts.Partition != nil && !isAdmin {
-		// Attach after the servlet engine registers, so the ring's very
-		// first view already contains this server. The admin server also
-		// advertises wls.http but must never own partitions: application
-		// state lives on managed servers only.
-		s.parts = partition.NewViews(*c.opts.Partition)
-		partition.Attach(s.parts, member, servlet.ServiceName, "admin")
+	s.reg = reg
+	s.registry = rmi.NewRegistry(s.endpoint, s.member, s.reg)
+	s.member.Start()
+	s.Tx = tx.NewManager(s.Name, fix.clock, nil, s.reg)
+	s.EJB = ejb.NewContainer(s.registry, s.Tx, c.DB, fix.bus)
+	s.Web = servlet.NewEngine(s.registry, servlet.Config{Sessions: c.opts.Sessions, DB: c.DB})
+	if c.opts.Partition != nil && s.Name != "admin" {
+		if s.parts == nil {
+			// Attach after the servlet engine registers, so the ring's very
+			// first view already contains this server. The admin server also
+			// advertises wls.http but must never own partitions: application
+			// state lives on managed servers only.
+			s.parts = partition.NewViews(*c.opts.Partition)
+			partition.Attach(s.parts, s.member, servlet.ServiceName, "admin")
+		}
 		s.Web.SetPartitions(s.parts)
 		s.EJB.SetPartitions(s.parts)
 	}
-	s.JMS = jms.NewBroker(name, fix.clock, s.Files, reg)
-	s.WS = wsdl.NewPort(registry, s.Files)
+	s.JMS = jms.NewBroker(s.Name, fix.clock, s.Files, s.reg)
+	s.WS = wsdl.NewPort(s.registry, s.Files)
 	s.Health = core.NewHealthMonitor()
 	s.Health.SetLifecycle(core.LifecycleRunning)
-	registry.Register(s.JMS.RMIService())
-	registry.Register(s.Tx.Service())
-	registry.Register(s.Health.Service())
-	if s.tracer = c.newTracer(name); s.tracer != nil {
-		registry.SetTracer(s.tracer)
+	s.registry.Register(s.JMS.RMIService())
+	s.registry.Register(s.Tx.Service())
+	s.registry.Register(s.Health.Service())
+	if s.tracer == nil {
+		s.tracer = c.newTracer(s.Name)
+	}
+	if s.tracer != nil {
+		s.registry.SetTracer(s.tracer)
 	}
 	if c.opts.Admission != nil {
-		s.queue = core.NewExecuteQueue(*c.opts.Admission, fix.clock, reg)
-		registry.SetAdmission(s.queue)
+		s.queue = core.NewExecuteQueue(*c.opts.Admission, fix.clock, s.reg)
+		s.registry.SetAdmission(s.queue)
 	}
 	if c.opts.Resilience != nil {
+		// A rebooted server has no memory of old breaker state or banked
+		// retry tokens; its jitter seed follows its name, so timelines stay
+		// reproducible.
 		rc := *c.opts.Resilience
-		s.resSeed = seedFor(c.seedBase(rc.Seed), name)
-		rc.Seed = s.resSeed
-		s.res = rmi.NewResilience(rc, fix.clock, reg)
+		rc.Seed = seedFor(c.seedBase(rc.Seed), s.Name)
+		s.res = rmi.NewResilience(rc, fix.clock, s.reg)
 	}
-	return s, nil
+	return nil
 }
 
 // seedBase picks the base jitter seed: an explicit ResilienceConfig.Seed
@@ -589,58 +602,28 @@ func (c *Cluster) Partition(a, b string, broken bool) {
 }
 
 // Restart brings a crashed server back with fresh containers (applications
-// must be redeployed, as on a real reboot).
-func (c *Cluster) Restart(name string) *Server {
+// must be redeployed, as on a real reboot) and its store reopened; the new
+// broker recovers from it. A store that does not reopen leaves the server
+// down as the crash left it, with no store.
+func (c *Cluster) Restart(name string) (*Server, error) {
 	s := c.Server(name)
 	if s == nil {
-		return nil
+		return nil, fmt.Errorf("wls: no server %q", name)
 	}
-	ep := c.fix.net.Restart(s.endpoint.Addr())
-	s.endpoint = ep
 	if s.queue != nil {
 		s.queue.Close()
-		s.queue = nil
 	}
-	s.reg = metrics.NewRegistry()
-	s.registry = rmi.NewRegistry(ep, s.member, s.reg)
-	if c.opts.Admission != nil {
-		s.queue = core.NewExecuteQueue(*c.opts.Admission, c.fix.clock, s.reg)
-		s.registry.SetAdmission(s.queue)
+	if s.Files != nil {
+		// A crash leaves the file as it was; closing drops the old handle.
+		_ = s.Files.Close()
+		s.Files = nil
 	}
-	if c.opts.Resilience != nil {
-		// A rebooted server has no memory of old breaker state or banked
-		// retry tokens; the jitter seed survives so timelines stay
-		// reproducible.
-		rc := *c.opts.Resilience
-		rc.Seed = s.resSeed
-		s.res = rmi.NewResilience(rc, c.fix.clock, s.reg)
+	s.endpoint = c.fix.net.Restart(s.endpoint.Addr())
+	if err := c.assemble(s); err != nil {
+		s.endpoint.Close()
+		return nil, err
 	}
-	s.Tx = tx.NewManager(s.Name, c.fix.clock, nil, s.reg)
-	s.EJB = ejb.NewContainer(s.registry, s.Tx, c.DB, c.fix.bus)
-	s.Web = servlet.NewEngine(s.registry, servlet.Config{Sessions: c.opts.Sessions, DB: c.DB})
-	if s.parts != nil {
-		// The views object survives the reboot (it is attached to the
-		// member, which also survives); only the fresh containers need
-		// re-wiring.
-		s.Web.SetPartitions(s.parts)
-		s.EJB.SetPartitions(s.parts)
-	}
-	// The store stays open across the reboot (its kv counters stay on the
-	// registry it was opened with); the new broker recovers from it.
-	s.JMS = jms.NewBroker(s.Name, c.fix.clock, s.Files, s.reg)
-	s.WS = wsdl.NewPort(s.registry, s.Files)
-	s.Health = core.NewHealthMonitor()
-	s.Health.SetLifecycle(core.LifecycleRunning)
-	s.registry.Register(s.JMS.RMIService())
-	s.registry.Register(s.Tx.Service())
-	s.registry.Register(s.Health.Service())
-	if s.tracer != nil {
-		// The tracer survives the reboot (same name, same clock); only the
-		// fresh registry needs re-wiring.
-		s.registry.SetTracer(s.tracer)
-	}
-	s.member.Start()
-	return s
+	return s, nil
 }
 
 // ProxyPlugin builds a Fig 2 presentation-tier router with its own

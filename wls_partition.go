@@ -31,7 +31,7 @@ func (s *Server) PartitionedSingletonHost(cfg singleton.Config, impl singleton.A
 func (c *Cluster) AddServer() (*Server, error) {
 	i := c.nextIdx
 	name := fmt.Sprintf("server-%d", i+1)
-	s, err := c.newServer(i, name, false)
+	s, err := c.newServer(i, name)
 	if err != nil {
 		return nil, err
 	}

@@ -2,6 +2,8 @@ package wls_test
 
 import (
 	"context"
+	"os"
+	"path/filepath"
 	"strconv"
 	"testing"
 	"time"
@@ -170,6 +172,67 @@ func TestClusterDurableWithDataDir(t *testing.T) {
 	// server's own registry.
 	if n := c.Servers[0].Metrics().Counter("kv.syncs").Value(); n < 1 {
 		t.Fatalf("kv.syncs = %d after a persistent send, want >= 1", n)
+	}
+}
+
+// A restarted server is assembled like a new one: its store is reopened on
+// the registry Server.Metrics returns, so a persistent send after the
+// reboot moves kv.syncs there, and the backlog sent before the crash is
+// recovered from the reopened file. A store that does not reopen fails the
+// restart and leaves the server down with no store, to be restarted again.
+func TestRestartedStoreCountsIntoServerMetrics(t *testing.T) {
+	dir := t.TempDir()
+	c, err := wls.New(wls.Options{Servers: 1, DataDir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Stop()
+	if _, err := c.Servers[0].JMS.Queue("orders").Send(jms.Message{ID: "o-1", Body: []byte("before")}); err != nil {
+		t.Fatal(err)
+	}
+	c.Crash("server-1")
+	s, err := c.Restart("server-1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	syncs := s.Metrics().Counter("kv.syncs")
+	before := syncs.Value()
+	q := s.JMS.Queue("orders")
+	if _, err := q.Send(jms.Message{ID: "o-2", Body: []byte("after")}); err != nil {
+		t.Fatal(err)
+	}
+	if syncs.Value() <= before {
+		t.Fatalf("kv.syncs = %d after a persistent send on the restarted server, want > %d", syncs.Value(), before)
+	}
+	if n := q.Len(); n != 2 {
+		t.Fatalf("restarted queue holds %d messages, want 2", n)
+	}
+	if _, err := c.Restart("server-9"); err == nil {
+		t.Fatal("restarting an unknown server reported no error")
+	}
+
+	c.Crash("server-1")
+	main := filepath.Join(dir, "server-1.store")
+	if err := os.WriteFile(main+".foreign", []byte("not a store"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Rename(main+".foreign", main); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Restart("server-1"); err == nil {
+		t.Fatal("restart over a foreign store file reported no error")
+	}
+	if s.Files != nil {
+		t.Fatal("a failed restart left the server a store")
+	}
+	if err := os.Remove(main); err != nil {
+		t.Fatal(err)
+	}
+	if s, err = c.Restart("server-1"); err != nil {
+		t.Fatalf("restart after the foreign file is gone: %v", err)
+	}
+	if _, err := s.JMS.Queue("orders").Send(jms.Message{ID: "o-3"}); err != nil {
+		t.Fatal(err)
 	}
 }
 
