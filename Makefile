@@ -38,7 +38,8 @@ lint-strict:
 
 # check is the pre-PR gate: vet, build, the baselined lint suite, the race
 # detector over the lock-heaviest packages (membership, whose join answers
-# publish from inside a bus delivery; lease/tx/transport; the wire codec and
+# publish from inside a bus delivery, and the partition rings it feeds;
+# lease/tx/transport and the singletons the leases elect; the wire codec and
 # the session records — of the servlet engine and of stateful beans — and
 # the webtier above them; and the chaos harness that drives them all at
 # once), then the contract benchmark's smoke run.
@@ -46,7 +47,7 @@ check:
 	$(GO) vet ./...
 	$(GO) build ./...
 	$(GO) run ./cmd/wlslint -baseline ./...
-	$(GO) test -race ./internal/cluster ./internal/lease ./internal/tx ./internal/wire ./internal/transport ./internal/servlet ./internal/ejb ./internal/webtier ./internal/chaos
+	$(GO) test -race ./internal/cluster ./internal/partition ./internal/lease ./internal/singleton ./internal/tx ./internal/wire ./internal/transport ./internal/servlet ./internal/ejb ./internal/webtier ./internal/chaos
 	$(MAKE) bench-smoke
 
 # bench-smoke builds the contract benchmark (BENCHMARK.json) against the

@@ -49,7 +49,7 @@ func main() {
 	queueLen := flag.Int("queue-len", 64, "execute-queue capacity per server (with -queue-workers > 0)")
 	queueDeny := flag.Bool("queue-deny", true, "refuse requests when the execute queue is full (false blocks instead)")
 	resilient := flag.Bool("resilient", false, "enable client-side retry budget, backoff and per-server circuit breakers")
-	partitioned := flag.Bool("partition", true, "place session secondaries and entity homes on a consistent-hash ring (enables /admin/partitions and live scale-out)")
+	partitioned := flag.Bool("partition", true, "place session secondaries by walking a consistent-hash ring instead of name order (enables /admin/partitions and live scale-out)")
 	flag.Parse()
 
 	opts := wls.Options{

@@ -71,8 +71,13 @@ func TestCheapExperimentsProduceSaneTables(t *testing.T) {
 func TestE09ZeroViolations(t *testing.T) {
 	e, _ := Find("E09")
 	tbl := e.Run()
-	if tbl.Rows[0][4] != "0" {
-		t.Fatalf("ring placement violations: %s", tbl.Rows[0][4])
+	if len(tbl.Rows) != 2 {
+		t.Fatalf("want a row per placement order, got %v", tbl.Rows)
+	}
+	for _, row := range tbl.Rows {
+		if row[2] != row[1] || row[5] != "0" {
+			t.Fatalf("%s order: placed %s of %s configs with %s violations", row[0], row[2], row[1], row[5])
+		}
 	}
 }
 

@@ -10,9 +10,9 @@ import (
 	"wls/internal/cluster"
 	"wls/internal/ejb"
 	"wls/internal/metrics"
+	"wls/internal/partition"
 	"wls/internal/rmi"
 	"wls/internal/servlet"
-	"wls/internal/workload"
 )
 
 func init() {
@@ -250,68 +250,84 @@ func runE08() *Table {
 	return t
 }
 
-// runE09: measure ring placement over many random configurations — this
-// experiment is also covered by property tests; the bench reports the
-// placement quality statistics.
+// runE09 places one secondary in each of 2000 random cluster
+// configurations with the picker the servers run (cluster.Picker), fed in
+// each of its two orders: name order, as without a partition ring, and a
+// seeded ring's walk of a session key. TestE09RingPlacement checks the same
+// property.
 func runE09() *Table {
 	t := &Table{ID: "E09", Title: "Ring placement of secondaries",
 		Source:  "§3.2",
-		Columns: []string{"configs", "placed", "in_preferred_group", "crossed_machines", "violations"},
-		Notes:   "every placement is on a different machine; the most-preferred satisfiable group always wins (violations must be 0)"}
+		Columns: []string{"order", "configs", "placed", "in_preferred_group", "crossed_machines", "violations"},
+		Notes: "a secondary lands on its primary's machine only when no other machine has a candidate, " +
+			"and the most-preferred satisfiable group always wins (violations must be 0)"}
 
-	rng := workload.NewUniform(3, 1<<30)
-	_ = rng
 	const trials = 2000
-	placed, inGroup, crossed, violations := 0, 0, 0, 0
 	groups := []string{"gA", "gB", "gC"}
-	seed := int64(12345)
-	next := func(n int) int {
-		seed = seed*6364136223846793005 + 1442695040888963407
-		v := int(seed>>33) % n
-		if v < 0 {
-			v = -v
+	for _, order := range []string{"name", "ring"} {
+		seed := int64(12345) // the same configurations for both orders
+		next := func(n int) int {
+			seed = seed*6364136223846793005 + 1442695040888963407
+			v := int(seed>>33) % n
+			if v < 0 {
+				v = -v
+			}
+			return v
 		}
-		return v
-	}
-	for trial := 0; trial < trials; trial++ {
-		n := 2 + next(10)
-		var cands []cluster.MemberInfo
-		for i := 0; i < n; i++ {
-			cands = append(cands, cluster.MemberInfo{
-				Name:             fmt.Sprintf("s%02d", i),
-				Machine:          fmt.Sprintf("m%d", next(4)),
-				ReplicationGroup: groups[next(3)],
-			})
-		}
-		self := cands[next(n)]
-		self.PreferredSecondaryGroups = groups[:next(4)]
-		sec, ok := cluster.ChooseSecondaryFrom(self, cands)
-		if !ok {
-			continue
-		}
-		placed++
-		if sec.Machine != self.Machine {
-			crossed++
-		} else {
-			violations++
-		}
-		for _, g := range self.PreferredSecondaryGroups {
-			eligible := false
+		placed, inGroup, crossed, violations := 0, 0, 0, 0
+		for trial := 0; trial < trials; trial++ {
+			n := 2 + next(10)
+			cands := make([]cluster.MemberInfo, n)
+			names := make([]string, n)
+			for i := range cands {
+				names[i] = fmt.Sprintf("s%02d", i)
+				cands[i] = cluster.MemberInfo{Name: names[i], Machine: fmt.Sprintf("m%d", next(4)), ReplicationGroup: groups[next(3)]}
+			}
+			self := cands[next(n)]
+			self.PreferredSecondaryGroups = groups[:next(4)]
+			pick := cluster.NewPicker(self, cands, "")
+			if order == "ring" {
+				ring := partition.New(partition.Config{Seed: int64(trial)}, names)
+				ring.Walk(self.Name+"-sess-"+strconv.Itoa(trial), pick.Offer)
+			} else {
+				pick.OfferNameOrder()
+			}
+			var sec cluster.MemberInfo
 			for _, c := range cands {
-				if c.Name != self.Name && c.Machine != self.Machine && c.ReplicationGroup == g {
-					eligible = true
+				if c.Name == pick.Pick() {
+					sec = c
 				}
 			}
-			if eligible {
-				if sec.ReplicationGroup == g {
-					inGroup++
-				} else {
-					violations++
+			if sec.Name == "" || sec.Name == self.Name {
+				violations++
+				continue
+			}
+			placed++
+			otherMachine := func(group string) bool {
+				for _, c := range cands {
+					if c.Machine != self.Machine && (group == "" || c.ReplicationGroup == group) {
+						return true
+					}
 				}
-				break
+				return false
+			}
+			if sec.Machine != self.Machine {
+				crossed++
+			} else if otherMachine("") {
+				violations++
+			}
+			for _, g := range self.PreferredSecondaryGroups {
+				if otherMachine(g) {
+					if sec.ReplicationGroup == g && sec.Machine != self.Machine {
+						inGroup++
+					} else {
+						violations++
+					}
+					break
+				}
 			}
 		}
+		t.AddRow(order, trials, placed, inGroup, crossed, violations)
 	}
-	t.AddRow(trials, placed, inGroup, crossed, violations)
 	return t
 }

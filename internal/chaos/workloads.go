@@ -481,16 +481,12 @@ func (w *sessionWorkload) Setup(h *Harness) error {
 	for _, s := range h.Cluster.Servers {
 		s.Web.Handle("/chaos/count", w.handler)
 	}
-	// The admin server's engine advertises wls.http like everyone else's,
-	// so the router's round-robin can land there: deploy there too.
-	h.Cluster.Admin.Web.Handle("/chaos/count", w.handler)
 	// The router uses the admin server's membership view: the admin is
 	// never faulted, so the proxy's picture of the cluster converges the
 	// way a healthy presentation tier's would.
 	node := h.Cluster.Net().Endpoint("10.0.99.1:80")
 	w.proxy = webtier.NewProxyPlugin(node, rmi.MemberView{Member: h.Cluster.Admin.Member()}, nil)
-	// Seed placement on a faultable server: an empty cookie would let the
-	// round-robin park the session on the never-faulted admin.
+	// The session starts on server-1, the primary the checks begin from.
 	w.cookie = servlet.Cookie{Primary: "server-1"}.Encode()
 	w.lastP = "server-1"
 	return nil

@@ -17,10 +17,10 @@
 //
 // The package also implements:
 //
-//   - replication groups and the ring algorithm of §3.2 that picks where a
-//     server's secondaries live ("organizes the candidates into a logical
-//     ring and looks for the first one in the desired replication group
-//     that is on a different machine");
+//   - replication groups and the §3.2 rule that picks where a server's
+//     secondaries live ("organizes the candidates into a logical ring and
+//     looks for the first one in the desired replication group that is on a
+//     different machine"), in placement.go;
 //   - member join/fail listeners, used by the singleton master and the
 //     session replication machinery;
 //   - the node-manager pattern of §3.4 (detect a failed server and restart
@@ -76,9 +76,9 @@ type MemberInfo struct {
 	Name string
 	// Addr is the transport address RMI traffic should use.
 	Addr string
-	// Machine identifies the physical machine hosting the server; the
-	// secondary-selection ring never places a replica on the primary's
-	// machine.
+	// Machine identifies the physical machine hosting the server; secondary
+	// placement (Picker) puts a replica on the primary's machine only when
+	// no other machine has a candidate.
 	Machine string
 	// ReplicationGroup is the named group this server belongs to (§3.2).
 	ReplicationGroup string
@@ -535,9 +535,9 @@ func (m *Member) Lookup(name string) (MemberInfo, bool) {
 // (name) order. The result is memoized per membership version and SHARED:
 // callers must treat the slice and the MemberInfo values in it (including
 // their Services slices) as read-only snapshots. Every consumer on the
-// request path — stub policies, routers, the secondary-selection ring —
-// copies before reordering, which is what makes the routing decision
-// allocation-free between membership changes.
+// request path — stub policies, routers, the secondary Picker — reads it in
+// place or copies before reordering, which is what makes the routing
+// decision allocation-free between membership changes.
 func (m *Member) OffersOf(service string) []MemberInfo {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -571,50 +571,6 @@ func (m *Member) refreshCacheLocked() {
 	m.aliveCache = out
 	m.offersCache = make(map[string][]MemberInfo)
 	m.cacheVer = m.version
-}
-
-// ChooseSecondaryFrom is the pure ring algorithm, exposed for testing and
-// for components that evaluate placement for servers other than themselves:
-// candidates are organized into a logical ring in name order, scanning
-// starts just after self, and the first candidate in the most-preferred
-// replication group on a different machine wins. If no candidate matches
-// any preferred group, the first candidate on a different machine wins; if
-// even that fails, the first non-self candidate wins.
-func ChooseSecondaryFrom(self MemberInfo, candidates []MemberInfo) (MemberInfo, bool) {
-	ring := append([]MemberInfo(nil), candidates...)
-	sort.Slice(ring, func(i, j int) bool { return ring[i].Name < ring[j].Name })
-
-	// Find scan start: first entry strictly after self in ring order.
-	start := sort.Search(len(ring), func(i int) bool { return ring[i].Name > self.Name })
-
-	scan := func(match func(MemberInfo) bool) (MemberInfo, bool) {
-		for i := 0; i < len(ring); i++ {
-			c := ring[(start+i)%len(ring)]
-			if c.Name == self.Name {
-				continue
-			}
-			if match(c) {
-				return c, true
-			}
-		}
-		return MemberInfo{}, false
-	}
-
-	// Preferred groups in priority order, different machine.
-	for _, group := range self.PreferredSecondaryGroups {
-		if c, ok := scan(func(c MemberInfo) bool {
-			return c.ReplicationGroup == group && c.Machine != self.Machine
-		}); ok {
-			return c, true
-		}
-	}
-	// Any different machine.
-	if c, ok := scan(func(c MemberInfo) bool { return c.Machine != self.Machine }); ok {
-		return c, true
-	}
-	// Last resort: any other server (co-located replica is better than none
-	// only when explicitly allowed; the caller may reject this).
-	return MemberInfo{}, false
 }
 
 // EncodeMembers serializes a member list (used by the built-in cluster-view

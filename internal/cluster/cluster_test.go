@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"fmt"
-	"math/rand"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -204,132 +203,6 @@ func TestConfigDefaults(t *testing.T) {
 	d := DefaultConfig("y")
 	if d.Name != "y" || d.FailureTimeout <= d.HeartbeatInterval {
 		t.Fatalf("DefaultConfig: %+v", d)
-	}
-}
-
-// --- Ring algorithm (§3.2) ---------------------------------------------
-
-func mi(name, machine, group string, preferred ...string) MemberInfo {
-	return MemberInfo{Name: name, Machine: machine, ReplicationGroup: group, PreferredSecondaryGroups: preferred}
-}
-
-func TestRingPrefersConfiguredGroup(t *testing.T) {
-	self := mi("s1", "m1", "gA", "gB")
-	cands := []MemberInfo{
-		self,
-		mi("s2", "m1", "gB"), // preferred group but same machine
-		mi("s3", "m2", "gA"), // different machine, wrong group
-		mi("s4", "m3", "gB"), // preferred group, different machine ← winner
-	}
-	sec, ok := ChooseSecondaryFrom(self, cands)
-	if !ok || sec.Name != "s4" {
-		t.Fatalf("sec = %v ok=%v, want s4", sec.Name, ok)
-	}
-}
-
-func TestRingScanStartsAfterSelf(t *testing.T) {
-	// Ring order: s1 s2 s3. Starting after s2, the scan should pick s3
-	// before wrapping to s1.
-	self := mi("s2", "m2", "g", "g")
-	cands := []MemberInfo{
-		mi("s1", "m1", "g"),
-		self,
-		mi("s3", "m3", "g"),
-	}
-	sec, ok := ChooseSecondaryFrom(self, cands)
-	if !ok || sec.Name != "s3" {
-		t.Fatalf("sec = %v, want s3 (ring order)", sec.Name)
-	}
-	// And for s3, the scan wraps to s1.
-	self3 := mi("s3", "m3", "g", "g")
-	cands[2] = self3
-	sec, ok = ChooseSecondaryFrom(self3, cands)
-	if !ok || sec.Name != "s1" {
-		t.Fatalf("sec = %v, want s1 (wrap)", sec.Name)
-	}
-}
-
-func TestRingFallsBackToAnyOtherMachine(t *testing.T) {
-	self := mi("s1", "m1", "gA", "gZ") // nobody in gZ
-	cands := []MemberInfo{
-		self,
-		mi("s2", "m1", "gA"), // same machine
-		mi("s3", "m2", "gA"), // ← winner (different machine, no group match)
-	}
-	sec, ok := ChooseSecondaryFrom(self, cands)
-	if !ok || sec.Name != "s3" {
-		t.Fatalf("sec = %v, want s3", sec.Name)
-	}
-}
-
-func TestRingNoCandidateOnOtherMachine(t *testing.T) {
-	self := mi("s1", "m1", "g", "g")
-	cands := []MemberInfo{self, mi("s2", "m1", "g")}
-	if _, ok := ChooseSecondaryFrom(self, cands); ok {
-		t.Fatal("must refuse to place a secondary on the primary's machine")
-	}
-}
-
-func TestRingGroupPriorityOrder(t *testing.T) {
-	self := mi("s1", "m1", "gA", "gB", "gC")
-	cands := []MemberInfo{
-		self,
-		mi("s2", "m2", "gC"),
-		mi("s3", "m3", "gB"), // gB outranks gC even though s2 is earlier in ring
-	}
-	sec, ok := ChooseSecondaryFrom(self, cands)
-	if !ok || sec.Name != "s3" {
-		t.Fatalf("sec = %v, want s3 (gB preferred over gC)", sec.Name)
-	}
-}
-
-// TestE09RingPlacement is the E09 property test from DESIGN.md: for random
-// cluster configurations the chosen secondary is (a) never self, (b) never
-// on self's machine, and (c) in the most-preferred group that has any
-// eligible member.
-func TestE09RingPlacement(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		n := 2 + rng.Intn(10)
-		groups := []string{"gA", "gB", "gC"}
-		var cands []MemberInfo
-		for i := 0; i < n; i++ {
-			cands = append(cands, MemberInfo{
-				Name:             fmt.Sprintf("s%02d", i),
-				Machine:          fmt.Sprintf("m%d", rng.Intn(4)),
-				ReplicationGroup: groups[rng.Intn(len(groups))],
-			})
-		}
-		self := cands[rng.Intn(n)]
-		nPref := rng.Intn(len(groups) + 1)
-		self.PreferredSecondaryGroups = append([]string(nil), groups[:nPref]...)
-
-		sec, ok := ChooseSecondaryFrom(self, cands)
-		eligible := func(match func(MemberInfo) bool) bool {
-			for _, c := range cands {
-				if c.Name != self.Name && c.Machine != self.Machine && match(c) {
-					return true
-				}
-			}
-			return false
-		}
-		anyOther := eligible(func(MemberInfo) bool { return true })
-		if !ok {
-			return !anyOther // may only fail when nothing is eligible
-		}
-		if sec.Name == self.Name || sec.Machine == self.Machine {
-			return false
-		}
-		// Most-preferred satisfiable group must win.
-		for _, g := range self.PreferredSecondaryGroups {
-			if eligible(func(c MemberInfo) bool { return c.ReplicationGroup == g }) {
-				return sec.ReplicationGroup == g
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
-		t.Fatal(err)
 	}
 }
 

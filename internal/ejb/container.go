@@ -21,12 +21,10 @@ package ejb
 import (
 	"context"
 	"sync"
-	"sync/atomic"
 
 	"wls/internal/cluster"
 	"wls/internal/gossip"
 	"wls/internal/metrics"
-	"wls/internal/partition"
 	"wls/internal/rmi"
 	"wls/internal/store"
 	"wls/internal/trace"
@@ -45,9 +43,6 @@ type Container struct {
 	db         *store.Store
 	bus        gossip.Bus
 	reg        *metrics.Registry
-
-	// parts is the optional partition-ring attachment (see partition.go).
-	parts atomic.Pointer[partition.Views]
 
 	mu       sync.Mutex
 	stateful map[string]*statefulStore

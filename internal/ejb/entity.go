@@ -55,8 +55,6 @@ type EntityHome struct {
 	c     *Container
 	spec  EntitySpec
 	cache *cache.Cache
-	// keyPrefix namespaces this bean type's keys on the partition ring.
-	keyPrefix string
 }
 
 // DeployEntity deploys an entity bean type.
@@ -75,17 +73,15 @@ func (c *Container) DeployEntity(spec EntitySpec) *EntityHome {
 		}
 		return encodeEntity(row), row.Version, true
 	}
-	h := &EntityHome{
-		c:         c,
-		spec:      spec,
-		keyPrefix: spec.Name + "/",
+	return &EntityHome{
+		c:    c,
+		spec: spec,
 		cache: cache.New(cache.Config{
 			Name: spec.Name,
 			Mode: mode,
 			TTL:  spec.TTL,
 		}, c.clock, c.bus, c.reg, loader),
 	}
-	return h
 }
 
 func encodeEntity(row store.Row) []byte {

@@ -49,25 +49,3 @@ func MovedFraction(old, new *Ring, sample int) float64 {
 	}
 	return float64(moved) / float64(sample)
 }
-
-// ReplicaChanged reports whether key's replica set differs between the
-// two rings (order-sensitive: a primary/secondary swap counts). Session
-// rebalancing uses it to find sessions whose secondary must re-ship after
-// an epoch change.
-func ReplicaChanged(old, new *Ring, key string) bool {
-	if old == nil {
-		return true
-	}
-	var a, b [8]string
-	ra := old.ReplicasInto(key, a[:0])
-	rb := new.ReplicasInto(key, b[:0])
-	if len(ra) != len(rb) {
-		return true
-	}
-	for i := range ra {
-		if ra[i] != rb[i] {
-			return true
-		}
-	}
-	return false
-}

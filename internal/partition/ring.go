@@ -144,36 +144,45 @@ func (r *Ring) search(h uint64) int {
 	return lo
 }
 
-// ReplicasInto fills out with the key's replica set — the owner first,
-// then the next distinct members clockwise — up to cfg.Replicas entries
-// (fewer when the ring is smaller). out is truncated and appended to; a
-// caller-provided buffer with sufficient capacity makes the lookup
-// allocation-free.
+// Walk calls yield with every member once, clockwise from key — the owner
+// first, then each next distinct member — until yield returns false. It is
+// the order secondary placement walks (cluster.Picker), and it allocates
+// nothing on a ring of up to 256 members.
 //
 //wls:hotpath
-func (r *Ring) ReplicasInto(key string, out []string) []string {
-	out = out[:0]
+func (r *Ring) Walk(key string, yield func(member string) bool) {
 	if len(r.points) == 0 {
-		return out
+		return
 	}
-	want := r.cfg.Replicas
-	if want > len(r.members) {
-		want = len(r.members)
+	var small [4]uint64
+	seen := small[:]
+	if words := (len(r.members) + 63) / 64; words > len(small) {
+		seen = make([]uint64, words) //wls:nolint hotalloc -- rings of over 256 members only
 	}
 	start := r.search(hashString(key))
-	for i := 0; i < len(r.points) && len(out) < want; i++ {
-		m := r.members[r.points[(start+i)%len(r.points)].member]
-		dup := false
-		for _, have := range out {
-			if have == m {
-				dup = true
-				break
-			}
+	for i, left := 0, len(r.members); left > 0; i++ {
+		m := r.points[(start+i)%len(r.points)].member
+		if seen[m/64]&(1<<(m%64)) != 0 {
+			continue
 		}
-		if !dup {
-			out = append(out, m) //wls:nolint hotalloc -- grows only when the caller's buffer is under cfg.Replicas; hot callers pass cap ≥ Replicas (pinned by TestRingLookupZeroAlloc)
+		seen[m/64] |= 1 << (m % 64)
+		left--
+		if !yield(r.members[m]) {
+			return
 		}
 	}
+}
+
+// ReplicasInto fills out with the key's replica set — the first
+// cfg.Replicas members of its Walk (fewer when the ring is smaller). out is
+// truncated and appended to; a caller-provided buffer with sufficient
+// capacity makes the lookup allocation-free.
+func (r *Ring) ReplicasInto(key string, out []string) []string {
+	out = out[:0]
+	r.Walk(key, func(m string) bool {
+		out = append(out, m)
+		return len(out) < r.cfg.Replicas
+	})
 	return out
 }
 

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"slices"
 	"testing"
 )
 
@@ -142,33 +143,45 @@ func TestRingLookupZeroAlloc(t *testing.T) {
 	}); a != 0 {
 		t.Fatalf("ReplicasInto allocates %.1f/op, want 0", a)
 	}
+	// The full walk, as secondary placement runs it: every member visited.
+	n := 0
+	count := func(string) bool { n++; return true }
+	if a := testing.AllocsPerRun(1000, func() {
+		n = 0
+		r.Walk("session-abc-123", count)
+	}); a != 0 || n != 32 {
+		t.Fatalf("Walk allocates %.1f/op and visits %d of 32 members, want 0 and 32", a, n)
+	}
 	_ = sink
 }
 
-func TestReplicaChanged(t *testing.T) {
-	cfg := Config{VNodes: 64, Replicas: 2, Seed: 11}
-	old := New(cfg, names(8))
-	same := New(cfg, names(8))
-	grown := New(cfg, names(9))
-	changed := 0
-	for i := 0; i < 2000; i++ {
-		key := fmt.Sprintf("k-%d", i)
-		if ReplicaChanged(old, same, key) {
-			t.Fatalf("identical rings report replica change for %s", key)
+// Walk visits every member exactly once, the replica set first, and stops
+// when told to — on a ring past the 256 members it tracks on the stack, too.
+func TestRingWalk(t *testing.T) {
+	for _, size := range []int{1, 10, 300} {
+		r := New(Config{VNodes: 8, Replicas: 3, Seed: 3}, names(size))
+		for i := 0; i < 50; i++ {
+			key := fmt.Sprintf("k-%d", i)
+			var order []string
+			r.Walk(key, func(m string) bool { order = append(order, m); return true })
+			seen := map[string]bool{}
+			for _, m := range order {
+				if seen[m] {
+					t.Fatalf("size %d key %s: %s visited twice", size, key, m)
+				}
+				seen[m] = true
+			}
+			if len(order) != size {
+				t.Fatalf("size %d key %s: visited %d members", size, key, len(order))
+			}
+			if reps := r.Replicas(key); !slices.Equal(reps, order[:len(reps)]) {
+				t.Fatalf("size %d key %s: replicas %v are not the walk's first %v", size, key, reps, order[:len(reps)])
+			}
+			visited := 0
+			r.Walk(key, func(string) bool { visited++; return false })
+			if visited != 1 {
+				t.Fatalf("size %d: walk went on after yield returned false (%d visits)", size, visited)
+			}
 		}
-		if ReplicaChanged(old, grown, key) {
-			changed++
-		}
-	}
-	if changed == 0 {
-		t.Fatal("growing the ring changed no replica set")
-	}
-	// Roughly 2/(N+1) of pairs should involve the new server; far more
-	// means placement is unstable.
-	if frac := float64(changed) / 2000; frac > 0.5 {
-		t.Fatalf("%.2f of replica sets changed on a single join", frac)
-	}
-	if !ReplicaChanged(nil, grown, "k") {
-		t.Fatal("nil old ring must count as changed")
 	}
 }

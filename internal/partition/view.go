@@ -117,23 +117,13 @@ func sameMembers(ringMembers, candidate []string) bool {
 // tracks the live members offering the given service, rebuilding (and
 // bumping the epoch) as servers join, fail, or change advertisements.
 // Call after the member is constructed; the initial ring is published
-// immediately from the current view. exclude names servers that must never
-// own partitions even though they advertise the service (an admin server).
-func Attach(vs *Views, m *cluster.Member, service string, exclude ...string) {
+// immediately from the current view.
+func Attach(vs *Views, m *cluster.Member, service string) {
 	update := func() {
 		offers := m.OffersOf(service)
 		names := make([]string, 0, len(offers))
 		for _, mi := range offers {
-			skip := false
-			for _, x := range exclude {
-				if mi.Name == x {
-					skip = true
-					break
-				}
-			}
-			if !skip {
-				names = append(names, mi.Name)
-			}
+			names = append(names, mi.Name)
 		}
 		vs.Update(names)
 	}

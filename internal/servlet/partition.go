@@ -7,8 +7,8 @@ import (
 )
 
 // SetPartitions attaches a consistent-hash ring to the engine's session
-// manager: new sessions pick their secondary from the key's ring replica
-// set instead of the ad-hoc next-in-ring-order rule, and existing primary
+// manager: new sessions place their secondary by walking the session key's
+// ring clockwise instead of the engines in name order, and existing primary
 // sessions re-ship to their new secondary when an epoch change moves their
 // placement (see SessionManager.maybeRebalance).
 func (e *Engine) SetPartitions(vs *partition.Views) { e.sessions.SetPartitions(vs) }
@@ -19,36 +19,17 @@ func (sm *SessionManager) SetPartitions(vs *partition.Views) { sm.parts.Store(vs
 // Partitions returns the attached views (nil if none).
 func (sm *SessionManager) Partitions() *partition.Views { return sm.parts.Load() }
 
-// ringSecondary picks the session's ring-placed secondary: the first live
-// replica of key that is not this server, preferring a replica on another
-// machine (preserving the §3.2 anti-affinity property the old ring-order
-// rule had), and never avoid (see chooseSecondary).
-func (sm *SessionManager) ringSecondary(v *partition.View, key, avoid string) (string, bool) {
-	var buf [8]string
-	reps := v.Ring.ReplicasInto(key, buf[:0])
-	fallback := ""
-	for _, name := range reps {
-		if name == sm.selfName || name == avoid {
-			continue
-		}
-		info, ok := sm.member.Lookup(name)
-		if !ok {
-			continue // ring lags membership; skip the dead replica
-		}
-		if sm.selfMachine != "" && info.Machine == sm.selfMachine {
-			if fallback == "" {
-				fallback = name
-			}
-			continue
-		}
-		return name, true
+// ringView returns the attached ring's current view (nil without one).
+func (sm *SessionManager) ringView() *partition.View {
+	if vs := sm.parts.Load(); vs != nil {
+		return vs.Current()
 	}
-	return fallback, fallback != ""
+	return nil
 }
 
 // maybeRebalance runs on the request path of a primary session placed at
 // p: when the ring epoch moved since the placement was last checked,
-// recompute the ring secondary and, if it changed, re-seed the new secondary
+// recompute the secondary and, if it changed, re-seed the new secondary
 // with the full state. Parallel requests of the session may all get here:
 // the placement changes by compare-and-swap, so one ships and counts the
 // move and the others look again. The response cookie names the new pair at
@@ -58,18 +39,14 @@ func (sm *SessionManager) ringSecondary(v *partition.View, key, avoid string) (s
 //
 //wls:hotpath
 func (sm *SessionManager) maybeRebalance(ctx context.Context, st *sessState, p placement) {
-	vs := sm.parts.Load()
-	if vs == nil {
-		return
-	}
-	v := vs.Current() // the steady state is two atomic loads and no iteration
+	v := sm.ringView() // the steady state is two atomic loads and no iteration
 	for ; v != nil && p.epoch() != uint32(v.Epoch); p = st.placed() {
-		want, ok := sm.ringSecondary(v, st.id, "")
-		if !ok || want == sm.secName(p.sec()) {
-			if st.place.CompareAndSwap(uint64(p), uint64(primaryAt(uint32(v.Epoch), p.sec()))) {
+		to := sm.chooseSecondary(st.id, p, "")
+		if to.sec() == 0 || to.sec() == p.sec() {
+			if st.place.CompareAndSwap(uint64(p), uint64(primaryAt(to.epoch(), p.sec()))) {
 				return
 			}
-		} else if sm.ship(ctx, st, nil, p, primaryAt(uint32(v.Epoch), sm.secIndex(want))) {
+		} else if sm.ship(ctx, st, nil, p, to) {
 			sm.ringMoves.Add(1)
 			return
 		}

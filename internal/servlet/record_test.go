@@ -359,7 +359,7 @@ func TestConcurrentTopologyOneSession(t *testing.T) {
 	f.Settle(3)
 	id, cookie := "", ""
 	for sid, ck := range cookies {
-		if sec, _ := first.sessions.ringSecondary(first.sessions.parts.Load().Current(), sid, ""); sec == "server-5" && sid > id {
+		if sec := first.sessions.secName(first.sessions.chooseSecondary(sid, 0, "").sec()); sec == "server-5" && sid > id {
 			id, cookie = sid, ck
 		}
 	}

@@ -6,6 +6,8 @@ import (
 	"strconv"
 	"testing"
 
+	"wls/internal/partition"
+	"wls/internal/simtest"
 	"wls/internal/wire"
 )
 
@@ -68,5 +70,40 @@ func TestReplicaUpdateAllocsPerChangedValue(t *testing.T) {
 	})
 	if unchanged != 0 {
 		t.Fatalf("update with unchanged values: %.1f allocs, want 0", unchanged)
+	}
+}
+
+// TestPlacementAllocFree pins secondary placement at zero allocations, in
+// both orders and with a secondary to avoid: it runs for every new session,
+// every promotion, every failed ship and every ring-epoch re-check.
+func TestPlacementAllocFree(t *testing.T) {
+	f := simtest.New(simtest.Options{Servers: 4,
+		ReplicationGroups: []string{"gA", "gB"}, PreferredSecondaryGroups: []string{"gB"}})
+	t.Cleanup(f.Stop)
+	var engines []*Engine
+	for _, s := range f.Servers {
+		engines = append(engines, NewEngine(s.Registry, Config{}))
+	}
+	f.Settle(2)
+	sm := engines[0].sessions
+	vs := partition.NewViews(partition.Config{Seed: 3})
+	partition.Attach(vs, f.Servers[0].Member, ServiceName)
+	for _, order := range []string{"name", "ring"} {
+		if order == "ring" {
+			sm.SetPartitions(vs)
+		}
+		// server-2 and server-4 are the preferred group gB; avoiding server-2
+		// sends the walk past its best candidate.
+		for _, avoid := range []string{"", "server-2"} {
+			var p placement
+			if a := testing.AllocsPerRun(200, func() {
+				p = sm.chooseSecondary("server-1-sess-7", 0, avoid)
+			}); a != 0 {
+				t.Errorf("%s order, avoid %q: chooseSecondary allocates %.1f/op, want 0", order, avoid, a)
+			}
+			if sec := sm.secName(p.sec()); sec != "server-2" && sec != "server-4" || sec == avoid {
+				t.Errorf("%s order, avoid %q: picked %q, want the other gB server", order, avoid, sec)
+			}
+		}
 	}
 }

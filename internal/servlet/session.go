@@ -357,11 +357,12 @@ type SessionManager struct {
 	node    rmi.Node
 	db      *store.Store // SessionsPersistent only
 
-	// selfName/selfMachine cache the (immutable) local identity:
-	// Member.Self() deep-copies the whole MemberInfo, far too expensive per
-	// request.
+	// selfName, selfMachine and selfGroups cache the (immutable) local
+	// identity: Member.Self() deep-copies the whole MemberInfo, far too
+	// expensive per request.
 	selfName    string
 	selfMachine string
+	selfGroups  []string // preferred secondary groups
 
 	// parts is the optional partition-ring attachment (see partition.go);
 	// ringMoves counts sessions re-shipped because an epoch change moved
@@ -384,18 +385,20 @@ type SessionManager struct {
 }
 
 func newSessionManager(mode SessionMode, service string, member *cluster.Member, node rmi.Node, db *store.Store) *SessionManager {
+	self := member.Self()
 	sm := &SessionManager{
 		mode:        mode,
 		service:     service,
 		member:      member,
 		node:        node,
 		db:          db,
-		selfName:    member.Name(),
-		selfMachine: member.Self().Machine,
+		selfName:    self.Name,
+		selfMachine: self.Machine,
+		selfGroups:  self.PreferredSecondaryGroups,
 		attrKeys:    wire.NewInterner(1024),
 		sessions:    make(map[string]*sessState),
 	}
-	sm.seq.Store((max(member.Self().Incarnation, 1) - 1) << 32)
+	sm.seq.Store((max(self.Incarnation, 1) - 1) << 32)
 	sm.repl.Store(&[]*replBatcher{{}})
 	return sm
 }
@@ -517,27 +520,23 @@ func (sm *SessionManager) adopt(ctx context.Context, c *CookieRef) (*sessState, 
 }
 
 // chooseSecondary returns p as a primary's placement with a newly picked
-// secondary: from the consistent-hash ring when one is attached
-// (SetPartitions), at the ring's epoch, falling back to the §3.2
-// next-in-name-order algorithm among live engines otherwise. It never picks
-// avoid, the secondary a ship just failed against ("" on first placement):
-// a dead server stays in the view until the failure detector drops it.
+// secondary among the live engines (cluster.Picker), fed in one of two
+// orders: the session's clockwise walk of the consistent-hash ring when one
+// is attached (SetPartitions), at the ring's epoch; the engines after this
+// one in name order otherwise. It never picks avoid, the secondary a ship
+// just failed against ("" on first placement): a dead server stays in the
+// view until the failure detector drops it.
 func (sm *SessionManager) chooseSecondary(id string, p placement, avoid string) placement {
 	epoch := p.epoch()
-	if vs := sm.parts.Load(); vs != nil {
-		if v := vs.Current(); v != nil {
-			epoch = uint32(v.Epoch)
-			if sec, ok := sm.ringSecondary(v, id, avoid); ok {
-				return primaryAt(epoch, sm.secIndex(sec))
-			}
-		}
+	self := cluster.MemberInfo{Name: sm.selfName, Machine: sm.selfMachine, PreferredSecondaryGroups: sm.selfGroups}
+	pick := cluster.NewPicker(self, sm.member.OffersOf(sm.service), avoid)
+	if v := sm.ringView(); v != nil {
+		epoch = uint32(v.Epoch)
+		v.Ring.Walk(id, pick.Offer)
+	} else {
+		pick.OfferNameOrder()
 	}
-	offers := sm.member.OffersOf(sm.service)
-	if avoid != "" { // rare; offers is the member's shared cache, so filter a copy
-		offers = slices.DeleteFunc(slices.Clone(offers), func(m cluster.MemberInfo) bool { return m.Name == avoid })
-	}
-	sec, _ := cluster.ChooseSecondaryFrom(sm.member.Self(), offers)
-	return primaryAt(epoch, sm.secIndex(sec.Name))
+	return primaryAt(epoch, sm.secIndex(pick.Pick()))
 }
 
 // finish persists/replicates the session after the servlet ran, and

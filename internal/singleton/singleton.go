@@ -85,12 +85,6 @@ type Config struct {
 	// means every cluster member is an equal candidate (ring order
 	// breaks ties).
 	Preferred []string
-	// Owner, when set, names the dynamic best host (the partition ring's
-	// owner for the service key — see NewPartitionedHost). It is consulted
-	// before Preferred; ok=false or a dead owner falls back to
-	// preference/ring-order election, which is how a ring-owned service
-	// heals while its owner is down.
-	Owner func() (server string, ok bool)
 	// RetryInterval is how often a non-owner candidate re-attempts the
 	// lease (defaults to the lease TTL).
 	RetryInterval time.Duration
@@ -176,19 +170,8 @@ func (h *Host) handoffService() *rmi.Service {
 }
 
 // outranks reports whether requester is a strictly better host than this
-// server: the dynamic owner when one is configured, preference rank
-// otherwise.
+// server by preference rank.
 func (h *Host) outranks(requester string) bool {
-	if h.cfg.Owner != nil {
-		if own, ok := h.cfg.Owner(); ok && own != "" {
-			if own == requester {
-				return true
-			}
-			if own == h.server {
-				return false
-			}
-		}
-	}
 	return h.rankOf(requester) < h.rank()
 }
 
@@ -284,13 +267,6 @@ func (h *Host) isBestCandidate() bool {
 	aliveSet := make(map[string]bool, len(alive))
 	for _, m := range alive {
 		aliveSet[m.Name] = true
-	}
-	if h.cfg.Owner != nil {
-		if own, ok := h.cfg.Owner(); ok && own != "" && aliveSet[own] {
-			// The ring names a live owner: it hosts, everyone else stands
-			// down. A dead or unknown owner falls through to election.
-			return own == h.server
-		}
 	}
 	if len(h.cfg.Preferred) == 0 {
 		// Ring order breaks ties: first live server wins.

@@ -98,9 +98,8 @@ type Options struct {
 	Resilience *rmi.ResilienceConfig
 	// Partition, when set, gives every managed server an epoch-versioned
 	// consistent-hash ring over the live servlet tier: session secondaries
-	// are ring-placed (and re-ship on membership changes), entity-bean
-	// homes become computable on every server, and
-	// Server.PartitionedSingletonHost places singletons by ring ownership.
+	// are placed by walking the session's ring (and re-ship on membership
+	// changes) instead of the servers in name order.
 	Partition *partition.Config
 }
 
@@ -141,7 +140,8 @@ type Server struct {
 	Tx *tx.Manager
 	// EJB is the server's EJB container.
 	EJB *ejb.Container
-	// Web is the server's servlet engine.
+	// Web is the server's servlet engine (nil on the admin server, which
+	// holds no application sessions).
 	Web *servlet.Engine
 	// JMS is the server's message broker.
 	JMS *jms.Broker
@@ -309,18 +309,20 @@ func (c *Cluster) assemble(s *Server) error {
 	s.member.Start()
 	s.Tx = tx.NewManager(s.Name, fix.clock, nil, s.reg)
 	s.EJB = ejb.NewContainer(s.registry, s.Tx, c.DB, fix.bus)
-	s.Web = servlet.NewEngine(s.registry, servlet.Config{Sessions: c.opts.Sessions, DB: c.DB})
-	if c.opts.Partition != nil && s.Name != "admin" {
+	// Application sessions live on managed servers only: the admin server
+	// deploys no servlet engine, so it never offers wls.http and no router
+	// or secondary placement can choose it.
+	if s.Name != "admin" {
+		s.Web = servlet.NewEngine(s.registry, servlet.Config{Sessions: c.opts.Sessions, DB: c.DB})
+	}
+	if c.opts.Partition != nil && s.Web != nil {
 		if s.parts == nil {
 			// Attach after the servlet engine registers, so the ring's very
-			// first view already contains this server. The admin server also
-			// advertises wls.http but must never own partitions: application
-			// state lives on managed servers only.
+			// first view already contains this server.
 			s.parts = partition.NewViews(*c.opts.Partition)
-			partition.Attach(s.parts, s.member, servlet.ServiceName, "admin")
+			partition.Attach(s.parts, s.member, servlet.ServiceName)
 		}
 		s.Web.SetPartitions(s.parts)
-		s.EJB.SetPartitions(s.parts)
 	}
 	s.JMS = jms.NewBroker(s.Name, fix.clock, s.Files, s.reg)
 	s.WS = wsdl.NewPort(s.registry, s.Files)

@@ -5,22 +5,10 @@ import (
 	"sort"
 
 	"wls/internal/partition"
-	"wls/internal/singleton"
 )
 
 // Partitions returns the server's ring views (nil unless Options.Partition).
 func (s *Server) Partitions() *partition.Views { return s.parts }
-
-// PartitionedSingletonHost creates this server's candidacy for a singleton
-// whose placement follows the ring owner of cfg.Service instead of a static
-// preference list (requires Options.Partition and Options.WithAdmin; the
-// lease still arbitrates, so a stale ring view cannot cause split-brain).
-func (s *Server) PartitionedSingletonHost(cfg singleton.Config, impl singleton.Activatable) *singleton.Host {
-	if s.parts == nil {
-		panic("wls: PartitionedSingletonHost requires Options.Partition")
-	}
-	return singleton.NewPartitionedHost(cfg, s.parts, s.member, s.registry, impl, s.cluster.fix.admins...)
-}
 
 // AddServer boots one more managed server into the running cluster
 // (scale-out). The new server takes the next free address index, joins

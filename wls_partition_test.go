@@ -7,7 +7,6 @@ import (
 	"wls"
 	"wls/internal/partition"
 	"wls/internal/servlet"
-	"wls/internal/singleton"
 )
 
 func countHandler(s *wls.Server) {
@@ -111,39 +110,5 @@ func TestClusterPartitionWiring(t *testing.T) {
 	r := c.Server("server-2").PartitionReport(0)
 	if !r.Attached || r.Members != 5 {
 		t.Fatalf("restarted server lost its ring: %+v", r)
-	}
-}
-
-// PartitionedSingletonHost places the service on the ring owner via the
-// facade.
-func TestClusterPartitionedSingleton(t *testing.T) {
-	c, err := wls.New(wls.Options{
-		Servers: 3, WithAdmin: true, Partition: &partition.Config{Seed: 5},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Stop()
-	var hosts []*singleton.Host
-	for _, s := range c.Servers {
-		h := s.PartitionedSingletonHost(singleton.Config{Service: "ring-q"}, singleton.FuncService{})
-		h.Start()
-		defer h.Stop()
-		hosts = append(hosts, h)
-	}
-	c.Settle(8)
-
-	owner := c.Servers[0].Partitions().Current().Ring.Owner("ring-q")
-	active := ""
-	for i, h := range hosts {
-		if h.Active() {
-			if active != "" {
-				t.Fatalf("two active hosts: %s and %s", active, c.Servers[i].Name)
-			}
-			active = c.Servers[i].Name
-		}
-	}
-	if active != owner {
-		t.Fatalf("active on %q, ring owner is %q", active, owner)
 	}
 }
