@@ -231,24 +231,42 @@ func routeBytes(t *testing.T, c *tcpCluster, path string, body []byte) float64 {
 }
 
 // TestWireGateTCPEcho pins what one echo request costs between the proxy
-// and its server at measured (108 B: an 84-byte request frame, 48 of them
-// the cookie field, and a 24-byte reply that names no cookie) + 4. With the
-// fixed 13-byte frame header and the cookie echoed it was 174 B (DESIGN.md
-// "Request path" has the fields).
+// and its server at measured (83 B) + 4. Field by field:
+//
+//	request, 69 B: frame length 1, kind 1, correlation id 2, service
+//	wls.http 1 and method request 1 (one-byte codes), txID and convID 2,
+//	args length 1, path /echo 6, cookie 48 (47 characters), body hello 6
+//	reply, 14 B: frame length 1, kind 1, correlation id 2, rmi status 1,
+//	result length 1, servlet status 200 2, body hello 6
+//
+// The reply names no server (the proxy called it) and no cookie (the one it
+// sent). It was 108 B while both names were spelled out (17 B) and the reply
+// carried served-by (9 B) and an empty error message, and 174 B with the
+// fixed 13-byte frame header and the cookie echoed (DESIGN.md "The bytes of
+// a hop" has the tables).
 func TestWireGateTCPEcho(t *testing.T) {
 	c := newTCPCluster(t)
 	c.handle("/echo", func(r *servlet.Request) servlet.Response { return servlet.Response{Body: r.Body} })
 	n := routeBytes(t, c, "/echo", []byte("hello"))
 	t.Logf("TCP full path (echo): %.1f B/request", n)
-	if n > 112 {
-		t.Fatalf("TCP echo path puts %.1f B/request on the wire, gate is 112", n)
+	if n > 87 {
+		t.Fatalf("TCP echo path puts %.1f B/request on the wire, gate is 87", n)
 	}
 }
 
-// TestWireGateTCPSessionWrite pins the same path with a session write: the
-// delta to the secondary (60 B) and its acknowledgement (16 B) ride on top
-// of an 80-byte request and a 21-byte reply, at measured (177 B) + 4. It
-// was 261 B.
+// TestWireGateTCPSessionWrite pins the same path with a session write at
+// measured (114 B) + 4. Field by field:
+//
+//	request, 65 B: as the echo's, with path /count 7 and an empty body 1
+//	reply, 11 B: header 4, rmi status 1, result length 1, servlet status 2,
+//	body ok 3
+//	delta to the secondary, 32 B: header 4, service wls.http 1 and method
+//	session.update.batch 1 (codes), txID and convID 2, args length 1, then
+//	22 B of session id, generation and the attribute
+//	its acknowledgement, 6 B: header 4, rmi status 1, empty result 1
+//
+// It was 177 B with the names spelled (30 B on the delta) and served-by in
+// both replies, and 261 B before that.
 func TestWireGateTCPSessionWrite(t *testing.T) {
 	c := newTCPCluster(t)
 	c.handle("/count", func(r *servlet.Request) servlet.Response {
@@ -257,8 +275,8 @@ func TestWireGateTCPSessionWrite(t *testing.T) {
 	})
 	n := routeBytes(t, c, "/count", nil)
 	t.Logf("TCP full path (session write + replication): %.1f B/request", n)
-	if n > 181 {
-		t.Fatalf("TCP session-write path puts %.1f B/request on the wire, gate is 181", n)
+	if n > 118 {
+		t.Fatalf("TCP session-write path puts %.1f B/request on the wire, gate is 118", n)
 	}
 }
 

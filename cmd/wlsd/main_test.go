@@ -165,3 +165,76 @@ func TestAppHandlerForwardsBody(t *testing.T) {
 		t.Fatalf("GET /hello: %d %q", resp.StatusCode, hello)
 	}
 }
+
+// TestServedByHeaderFollowsThePrimary drives a replicated session through
+// the application listener: X-Served-By names the session's primary on
+// every routed request, and once the primary is stopped through the admin
+// surface it names the secondary, which promoted itself (Fig 2). No reply
+// frame names its server, so the header comes from the member the proxy
+// called.
+func TestServedByHeaderFollowsThePrimary(t *testing.T) {
+	cluster, err := wls.New(wls.Options{Servers: 3, RealClock: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cluster.Stop()
+	deployDemoApp(cluster)
+	cluster.AwaitConverged()
+	app := httptest.NewServer(newAppHandler(cluster.ProxyPlugin("webserver:80").Route))
+	defer app.Close()
+	admin := httptest.NewServer(newAdminMux(cluster))
+	defer admin.Close()
+
+	cookie := ""
+	count := func() (servedBy string, session servlet.Cookie) {
+		t.Helper()
+		req, _ := http.NewRequest(http.MethodGet, app.URL+"/count", nil)
+		if cookie != "" {
+			req.AddCookie(&http.Cookie{Name: sessionCookie, Value: cookie})
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("GET /count: status %d", resp.StatusCode)
+		}
+		for _, c := range resp.Cookies() {
+			if c.Name == sessionCookie {
+				cookie = c.Value
+			}
+		}
+		session, err = servlet.DecodeCookie(cookie)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp.Header.Get("X-Served-By"), session
+	}
+
+	was := servlet.Cookie{}
+	for i := 0; i < 3; i++ {
+		servedBy, session := count()
+		if session.Primary == "" || session.Secondary == "" || servedBy != session.Primary {
+			t.Fatalf("request %d: X-Served-By %q, session %+v; want its primary", i, servedBy, session)
+		}
+		if i > 0 && (session.ID != was.ID || session.Primary != was.Primary) {
+			t.Fatalf("request %d: session %+v, was %+v", i, session, was)
+		}
+		was = session
+	}
+
+	resp, err := http.Get(admin.URL + "/admin/crash?server=" + was.Primary)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("crash %s: status %d", was.Primary, resp.StatusCode)
+	}
+	servedBy, session := count()
+	if servedBy != was.Secondary || session.Primary != was.Secondary || session.ID != was.ID {
+		t.Fatalf("after stopping %s: X-Served-By %q, session %+v; want the promoted secondary %s", was.Primary, servedBy, session, was.Secondary)
+	}
+}

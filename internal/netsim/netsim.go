@@ -24,6 +24,7 @@ import (
 	"fmt"
 	"math/rand"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"wls/internal/vclock"
@@ -54,6 +55,8 @@ type Network struct {
 	fenced      map[string]bool
 	defLatency  time.Duration
 	onFault     func(FaultEvent)
+	// tap sees every frame an endpoint sends (see Tap).
+	tap atomic.Pointer[func(from, to string, f wire.Frame)]
 
 	// Stats.
 	sent    int64
@@ -94,6 +97,25 @@ func (n *Network) recordFault(op, a, b string, p float64) {
 	n.mu.Unlock()
 	if fn != nil {
 		fn(FaultEvent{At: now, Op: op, A: a, B: b, P: p})
+	}
+}
+
+// Tap installs fn to see every frame an endpoint of this network sends,
+// requests and one-way frames alike, as it enters the fabric — tests sniff
+// what crosses the wire with it. fn runs on the sender's goroutine and must
+// neither modify nor retain f.Body. A nil fn removes the tap.
+func (n *Network) Tap(fn func(from, to string, f wire.Frame)) {
+	if fn == nil {
+		n.tap.Store(nil)
+		return
+	}
+	n.tap.Store(&fn)
+}
+
+// tapped hands f to the tap, if one is installed.
+func (n *Network) tapped(from, to string, f wire.Frame) {
+	if fn := n.tap.Load(); fn != nil {
+		(*fn)(from, to, f)
 	}
 }
 
@@ -505,6 +527,7 @@ func cloneBody(f wire.Frame) wire.Frame {
 // frame body is copied before Send returns.
 func (e *Endpoint) Send(ctx context.Context, to string, f wire.Frame) error {
 	f = cloneBody(f)
+	e.net.tapped(e.addr, to, f)
 	if e.Closed() {
 		return ErrClosed
 	}
@@ -529,6 +552,7 @@ func (e *Endpoint) Send(ctx context.Context, to string, f wire.Frame) error {
 // enqueue-copies semantics.
 func (e *Endpoint) Call(ctx context.Context, to string, f wire.Frame) (wire.Frame, error) {
 	f = cloneBody(f)
+	e.net.tapped(e.addr, to, f)
 	if e.Closed() {
 		return wire.Frame{}, ErrClosed
 	}

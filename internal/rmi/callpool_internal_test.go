@@ -66,7 +66,6 @@ func newDispatchRegistry() *Registry {
 	reg := metrics.NewRegistry()
 	return &Registry{
 		reg:      reg,
-		selfName: "s1",
 		requests: reg.Counter("rmi.requests"),
 		busy:     reg.Counter("rmi.busy"),
 		services: make(map[string]*Service),
@@ -89,7 +88,7 @@ func TestQueuedCallAbandonedAtDeadlineIsNotTouchedByWorker(t *testing.T) {
 	call.Args = []byte("payload")
 
 	budget := Budget{clock: vclock.System, deadline: vclock.System.Now().Add(10 * time.Millisecond)}
-	fr := r.dispatchQueued(context.Background(), q, 7, "s1", call, trace.SpanContext{}, m, budget)
+	fr := r.dispatchQueued(context.Background(), q, 7, call, trace.SpanContext{}, m, budget)
 	if fr == nil {
 		t.Fatal("no frame for abandoned request")
 	}
@@ -122,7 +121,7 @@ func TestRefusedSubmitReleasesPooledCall(t *testing.T) {
 	call.Method = "m"
 	call.Args = []byte("payload")
 
-	fr := r.dispatchQueued(context.Background(), q, 9, "s1", call, trace.SpanContext{},
+	fr := r.dispatchQueued(context.Background(), q, 9, call, trace.SpanContext{},
 		MethodSpec{name: "m"}, Budget{})
 	if fr == nil {
 		t.Fatal("no frame for refused request")
@@ -161,7 +160,7 @@ func TestClaimedCallRunsExactlyOnce(t *testing.T) {
 	go func() {
 		defer close(done)
 		budget := Budget{clock: vclock.System, deadline: vclock.System.Now().Add(5 * time.Second)}
-		fr := r.dispatchQueued(context.Background(), q, 11, "s1", call, trace.SpanContext{}, m, budget)
+		fr := r.dispatchQueued(context.Background(), q, 11, call, trace.SpanContext{}, m, budget)
 		if fr == nil {
 			t.Error("no frame for claimed request")
 		}

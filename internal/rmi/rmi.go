@@ -102,7 +102,6 @@ type Call struct {
 	// non-zero once Reply has opened the result field in it.
 	reply     *wire.Encoder
 	replyMark int
-	servedBy  string
 }
 
 // Reply returns the encoder the response envelope is being built in,
@@ -111,7 +110,7 @@ type Call struct {
 // (nil, nil); a returned error or body discards whatever was written.
 func (c *Call) Reply() *wire.Encoder {
 	if c.replyMark == 0 {
-		appendResponseHead(c.reply, respOK, c.servedBy, "")
+		c.reply.Byte(respOK)
 		c.replyMark = c.reply.BeginBytes()
 	}
 	return c.reply
@@ -166,10 +165,11 @@ const (
 	respBusy          // admission refused (queue full / budget expired): no side effects
 )
 
-// The request wire format is: service, method, txID, convID as
-// length-prefixed strings, then the args payload, then the optional
-// deadline block and trace envelope. Stub.callOne encodes it field by
-// field into a pooled encoder; handle decodes it in place below.
+// The request wire format is: service and method as names (see names.go:
+// a one-byte code for the system's own, spelled out otherwise), txID and
+// convID as length-prefixed strings, then the args payload, then the
+// optional deadline block and trace envelope. Stub.callOne encodes it field
+// by field into a pooled encoder; handle decodes it in place below.
 
 // callPool recycles server-side Call objects. handle acquires one per
 // request and releases it after the handler's response frame is built
@@ -181,47 +181,47 @@ func releaseCall(c *Call) {
 	callPool.Put(c)
 }
 
-// The response wire format is: status byte, servedBy and errMsg as
-// length-prefixed strings, then the result as a length-prefixed field.
-func appendResponseHead(e *wire.Encoder, status byte, servedBy, errMsg string) {
-	e.Byte(status)
-	e.String(servedBy)
-	e.String(errMsg)
-}
+// The response wire format is the status byte, then on OK the result as a
+// length-prefixed field, and otherwise the error message as a
+// length-prefixed string. A reply does not name its server: the caller chose
+// it (Stub fills Result.ServedBy and BusyError.Server from the candidate it
+// called), so no served-by means the server you called.
 
-// responseFrame builds a complete response in a pooled frame, which the
-// node releases after copying the body out (see the Node contract).
-func responseFrame(corr uint64, status byte, servedBy, errMsg string, body []byte) *wire.Frame {
+// errorFrame builds a failure response in a pooled frame, which the node
+// releases after copying the body out (see the Node contract).
+func errorFrame(corr uint64, status byte, errMsg string) *wire.Frame {
 	fr := wire.AcquireFrame()
 	e := fr.Encoder()
-	appendResponseHead(e, status, servedBy, errMsg)
-	e.Bytes2(body)
+	e.Byte(status)
+	e.String(errMsg)
 	fr.Kind, fr.Corr, fr.Body = wire.KindResponse, corr, e.Bytes()
 	return fr
 }
 
 type response struct {
-	status   byte
-	servedBy string
-	errMsg   string
-	body     []byte
+	status byte
+	errMsg string
+	body   []byte
 }
 
-// serverNames interns the servedBy field of responses: a client talks to a
-// bounded set of servers, so after warmup every response resolves its
-// server name without allocating.
-var serverNames = wire.NewInterner(512)
+// errTrailingBytes reports a reply that goes on past its last field.
+var errTrailingBytes = errors.New("rmi: trailing bytes after the reply")
 
 // decodeResponse decodes without copying: body aliases b, which is safe
 // because Node.Call hands the caller an owned response body (see the Node
-// contract). errMsg is empty on the happy path, where converting the empty
-// slice does not allocate.
+// contract). Only a failure carries a message, so the happy path converts
+// no string.
 func decodeResponse(b []byte) (response, error) {
 	d := wire.NewDecoder(b)
 	r := response{status: d.Byte()}
-	r.servedBy = serverNames.Intern(d.BytesNoCopy())
-	r.errMsg = d.String()
-	r.body = d.BytesNoCopy()
+	if r.status == respOK {
+		r.body = d.BytesNoCopy()
+	} else {
+		r.errMsg = d.String()
+	}
+	if d.Err() == nil && d.Remaining() > 0 {
+		return r, errTrailingBytes
+	}
 	return r, d.Err()
 }
 
@@ -252,10 +252,6 @@ type Registry struct {
 	// pass through (atomic for the same wiring-order reason as tracer).
 	admission atomic.Pointer[Admission]
 
-	// selfName caches the (immutable) local server name; Member.Self()
-	// deep-copies the whole MemberInfo, which is too expensive per request.
-	selfName string
-
 	// requests counts all inbound calls; resolved once at construction
 	// to keep metric lookups off the per-request path.
 	requests *metrics.Counter
@@ -278,7 +274,6 @@ func NewRegistry(node Node, member *cluster.Member, reg *metrics.Registry) *Regi
 		member:   member,
 		reg:      reg,
 		clock:    member.Clock(),
-		selfName: member.Name(),
 		requests: reg.Counter("rmi.requests"),
 		busy:     reg.Counter("rmi.busy"),
 		services: make(map[string]*Service),
@@ -349,19 +344,19 @@ func (r *Registry) Deployed(name string) bool {
 
 // handle is the node frame handler. The request fields are decoded
 // in place: service and method resolve through no-allocation map lookups
-// on the raw wire bytes, the Call comes from a pool, and its Args alias
-// the frame body (both node implementations hand the handler an owned
-// body for the duration of the call, and handlers must not retain it).
+// on the table's bytes or the spelled name's, the Call comes from a pool,
+// and its Args alias the frame body (both node implementations hand the
+// handler an owned body for the duration of the call, and handlers must
+// not retain it).
 //
 //wls:hotpath
 func (r *Registry) handle(from string, f wire.Frame) *wire.Frame {
 	if f.Kind != wire.KindRequest {
 		return nil
 	}
-	self := r.selfName
 	d := wire.NewDecoder(f.Body)
-	svcB := d.BytesNoCopy()
-	methB := d.BytesNoCopy()
+	svcB := readName(d)
+	methB := readName(d)
 	txB := d.BytesNoCopy()
 	convB := d.BytesNoCopy()
 	argsB := d.BytesNoCopy()
@@ -371,19 +366,19 @@ func (r *Registry) handle(from string, f wire.Frame) *wire.Frame {
 	if err == nil {
 		sc, err = trace.ParseEnvelope(d)
 	}
-	if err != nil {
-		return responseFrame(f.Corr, respSystemError, r.node.Addr(), "malformed request", nil)
+	if err != nil || svcB == nil || methB == nil {
+		return errorFrame(f.Corr, respSystemError, "malformed request")
 	}
 
 	r.mu.Lock()
 	svc, ok := r.services[string(svcB)] // compiler-recognized no-alloc lookup
 	r.mu.Unlock()
 	if !ok {
-		return responseFrame(f.Corr, respNoSuchService, self, "no such service: "+string(svcB), nil) //wls:nolint hotalloc -- unknown-service reply, deploy-time misconfiguration path
+		return errorFrame(f.Corr, respNoSuchService, "no such service: "+string(svcB)) //wls:nolint hotalloc -- unknown-service reply, deploy-time misconfiguration path
 	}
 	m, ok := svc.Methods[string(methB)]
 	if !ok {
-		return responseFrame(f.Corr, respNoSuchService, self, "no such method: "+string(svcB)+"."+string(methB), nil) //wls:nolint hotalloc -- unknown-method reply, deploy-time misconfiguration path
+		return errorFrame(f.Corr, respNoSuchService, "no such method: "+string(svcB)+"."+string(methB)) //wls:nolint hotalloc -- unknown-method reply, deploy-time misconfiguration path
 	}
 
 	// Re-derive the caller's budget against this server's clock. Work that
@@ -394,7 +389,7 @@ func (r *Registry) handle(from string, f wire.Frame) *wire.Frame {
 	var budget Budget
 	if hasBudget {
 		if remaining <= 0 {
-			return r.busyFrame(f.Corr, self, "deadline expired on arrival")
+			return r.busyFrame(f.Corr, "deadline expired on arrival")
 		}
 		budget = Budget{clock: r.clock, deadline: r.clock.Now().Add(remaining)}
 		ctx = context.WithValue(ctx, budgetKey{}, budget)
@@ -416,16 +411,16 @@ func (r *Registry) handle(from string, f wire.Frame) *wire.Frame {
 	}
 
 	if qp := r.admission.Load(); qp != nil && !m.System && !svc.System {
-		return r.dispatchQueued(ctx, *qp, f.Corr, self, call, sc, m, budget)
+		return r.dispatchQueued(ctx, *qp, f.Corr, call, sc, m, budget)
 	}
-	fr := r.execute(ctx, f.Corr, self, call, sc, m)
+	fr := r.execute(ctx, f.Corr, call, sc, m)
 	releaseCall(call)
 	return fr
 }
 
-func (r *Registry) busyFrame(corr uint64, self, msg string) *wire.Frame {
+func (r *Registry) busyFrame(corr uint64, msg string) *wire.Frame {
 	r.busy.Inc()
-	return responseFrame(corr, respBusy, self, msg, nil)
+	return errorFrame(corr, respBusy, msg)
 }
 
 // dispatchQueued routes one admitted-or-refused request through the
@@ -435,20 +430,20 @@ func (r *Registry) busyFrame(corr uint64, self, msg string) *wire.Frame {
 // or the timeout abandons it while still queued and BUSY's no-side-effects
 // promise stays truthful.
 func (r *Registry) dispatchQueued(ctx context.Context, q Admission, corr uint64,
-	self string, call *Call, sc trace.SpanContext, m MethodSpec, budget Budget) *wire.Frame {
+	call *Call, sc trace.SpanContext, m MethodSpec, budget Budget) *wire.Frame {
 	done := make(chan *wire.Frame, 1)
 	var claimed atomic.Bool
 	err := q.Submit(func() {
 		if !claimed.CompareAndSwap(false, true) {
 			return // abandoned at deadline while queued: BUSY already sent
 		}
-		fr := r.execute(ctx, corr, self, call, sc, m)
+		fr := r.execute(ctx, corr, call, sc, m)
 		releaseCall(call)
 		done <- fr
 	})
 	if err != nil {
 		releaseCall(call) // never submitted: the closure will not run
-		return r.busyFrame(corr, self, err.Error())
+		return r.busyFrame(corr, err.Error())
 	}
 	if budget.Valid() {
 		select {
@@ -459,7 +454,7 @@ func (r *Registry) dispatchQueued(ctx context.Context, q Admission, corr uint64,
 				// Winning the claim means the queued closure will return
 				// without touching call, so recycling it here is safe.
 				releaseCall(call)
-				return r.busyFrame(corr, self, "deadline expired in queue")
+				return r.busyFrame(corr, "deadline expired in queue")
 			}
 			// A worker claimed it first: the handler is running, so report
 			// its true outcome (the caller's own deadline gate discards it).
@@ -474,11 +469,11 @@ func (r *Registry) dispatchQueued(ctx context.Context, q Admission, corr uint64,
 // has already written it inside the envelope through call.Reply.
 //
 //wls:hotpath
-func (r *Registry) execute(ctx context.Context, corr uint64, self string,
+func (r *Registry) execute(ctx context.Context, corr uint64,
 	call *Call, sc trace.SpanContext, m MethodSpec) *wire.Frame {
 	fr := wire.AcquireFrame()
 	e := fr.Encoder()
-	call.reply, call.servedBy = e, self
+	call.reply = e
 	var span *trace.Span
 	if tr := r.tracer.Load(); tr != nil && sc.Sampled {
 		ctx, span = tr.StartRemote(ctx, sc, "rmi.serve "+call.Service+"."+call.Method, trace.KindServer)
@@ -493,15 +488,17 @@ func (r *Registry) execute(ctx context.Context, corr uint64, self string,
 		e.EndBytes(call.replyMark)
 	} else {
 		e.Reset()
-		status, errMsg := respOK, ""
-		if err != nil {
-			status, errMsg, body = respSystemError, err.Error(), nil
+		if err == nil {
+			e.Byte(respOK)
+			e.Bytes2(body)
+		} else {
+			status := respSystemError
 			if IsAppError(err) {
 				status = respAppError
 			}
+			e.Byte(status)
+			e.String(err.Error())
 		}
-		appendResponseHead(e, status, self, errMsg)
-		e.Bytes2(body)
 	}
 	fr.Kind, fr.Corr, fr.Body = wire.KindResponse, corr, e.Bytes()
 	return fr

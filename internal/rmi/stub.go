@@ -270,7 +270,8 @@ func NewStub(service string, node Node, view View, opts ...StubOption) *Stub {
 type Result struct {
 	// Body is the method's encoded return payload.
 	Body []byte
-	// ServedBy is the name of the server that executed the request; the
+	// ServedBy is the name of the server that executed the request — the
+	// candidate the stub called, which the reply does not repeat; the
 	// transaction layer records it to build affinity.
 	ServedBy string
 }
@@ -378,7 +379,7 @@ func (s *Stub) invoke(ctx context.Context, method string, args []byte, txID, con
 				att.Annotate("breaker", s.res.State(cand.Name).String())
 			}
 		}
-		res, err := s.callOne(attemptCtx, cand.Addr, method, args, txID, convID)
+		res, err := s.callOne(attemptCtx, cand.Name, cand.Addr, method, args, txID, convID)
 		if err == nil {
 			if s.res != nil {
 				s.res.recordSuccess(cand.Name)
@@ -446,9 +447,18 @@ func sleepCtx(ctx context.Context, clock vclock.Clock, d time.Duration) error {
 
 // InvokeOn calls the method on a specific server, bypassing load balancing.
 // Conversational stubs are "hardwired to the chosen server so requests are
-// naturally routed to the right place" (§3.2).
+// naturally routed to the right place" (§3.2). The stub's view names the
+// server; an address the view does not list names itself, as a StaticView
+// candidate does.
 func (s *Stub) InvokeOn(ctx context.Context, serverAddr, method string, args []byte) (*Result, error) {
-	return s.callOne(ctx, serverAddr, method, args, "", "")
+	name := serverAddr
+	for _, c := range s.view.Candidates(s.service) {
+		if c.Addr == serverAddr {
+			name = c.Name
+			break
+		}
+	}
+	return s.callOne(ctx, name, serverAddr, method, args, "", "")
 }
 
 // retryableErr marks failures that are guaranteed to have produced no side
@@ -462,7 +472,7 @@ func (e *retryableErr) Unwrap() error { return e.err }
 // at admission (execute queue full, or the budget had already expired), so
 // no application code ran and failing over is always safe.
 type BusyError struct {
-	// Server is the refusing server's name.
+	// Server is the refusing server's name: the candidate the stub called.
 	Server string
 	// Msg says why (queue full vs expired).
 	Msg string
@@ -498,15 +508,17 @@ func requestNeverSent(err error) bool {
 		errors.Is(err, transport.ErrDial)
 }
 
-func (s *Stub) callOne(ctx context.Context, addr, method string, args []byte, txID, convID string) (*Result, error) {
+// callOne makes one attempt on the server name at addr. The reply does not
+// name its server, so a result and a BUSY refusal are attributed to name.
+func (s *Stub) callOne(ctx context.Context, name, addr, method string, args []byte, txID, convID string) (*Result, error) {
 	// Node.Call copies the frame body before it returns (see the Node
 	// contract), so the pooled encoder is released as soon as the exchange
 	// completes. The request fields are encoded directly — no intermediate
 	// Call.
 	enc := wire.AcquireEncoder()
 	defer enc.Release()
-	enc.String(s.service)
-	enc.String(method)
+	appendName(enc, s.service)
+	appendName(enc, method)
 	enc.String(txID)
 	enc.String(convID)
 	enc.Bytes2(args)
@@ -548,7 +560,7 @@ func (s *Stub) callOne(ctx context.Context, addr, method string, args []byte, tx
 	}
 	switch resp.status {
 	case respOK:
-		return &Result{Body: resp.body, ServedBy: resp.servedBy}, nil
+		return &Result{Body: resp.body, ServedBy: name}, nil
 	case respAppError:
 		return nil, &AppError{Msg: resp.errMsg}
 	case respNoSuchService:
@@ -556,7 +568,7 @@ func (s *Stub) callOne(ctx context.Context, addr, method string, args []byte, tx
 		// effects, so failover is always safe.
 		return nil, &retryableErr{&NotDeployedError{Msg: resp.errMsg}}
 	case respBusy:
-		return nil, &BusyError{Server: resp.servedBy, Msg: resp.errMsg}
+		return nil, &BusyError{Server: name, Msg: resp.errMsg}
 	default:
 		return nil, fmt.Errorf("%w: %s", ErrNotRetryable, resp.errMsg)
 	}

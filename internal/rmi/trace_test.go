@@ -243,25 +243,27 @@ func TestUnsampledEchoAllocs(t *testing.T) {
 }
 
 // FuzzRequestBody feeds arbitrary request bodies straight into a live
-// server's frame handler: malformed bodies (including corrupt trace
-// envelopes) must produce an error response, never a panic.
+// server's frame handler: malformed bodies (including corrupt names and
+// trace envelopes) must produce an error response, never a panic.
 func FuzzRequestBody(f *testing.F) {
-	e := wire.NewEncoder(64)
-	e.String("Echo")
-	e.String("echo")
-	e.String("")
-	e.String("")
-	e.Bytes2([]byte("hi"))
-	base := append([]byte(nil), e.Bytes()...)
+	base := append([]byte(nil), rawRequest().Bytes()...)
 	f.Add(base)
-	f.Add(append(base, 0xC7))             // truncated envelope
-	f.Add(append(base, 0xC7, 0x01))       // still truncated
-	f.Add(append(base, 0x00, 0x01, 0x02)) // garbage tail
-	f.Add([]byte{})                       // empty body
-	f.Add([]byte{0xFF, 0xFF, 0xFF})       // garbage body
-	f.Add(append(base, 0xD9))             // truncated deadline block
-	f.Add(append(base, 0xD9, 0x02))       // unknown deadline version
-	f.Add(append(base, 0xD9, 0x01, 0x80)) // truncated remaining varint
+	// Names as codes: wls.cluster is entry 4 of the built-in table and view
+	// entry 5, so {8, 10} names the cluster-view method every server deploys.
+	f.Add([]byte{8, 10, 0, 0, 0})
+	f.Add([]byte{8, 0x80})                   // truncated code
+	f.Add([]byte{8, 0xFE, 0x01, 0, 0, 0})    // an index past the table's end
+	f.Add([]byte{8, 1, 0, 0, 0})             // an empty literal
+	f.Add([]byte{8, 0x41, 'v', 'i', 'e'})    // a literal longer than the body
+	f.Add(append([]byte{0x07}, base[1:]...)) // "Echo" spelled a byte short: the rest misparses
+	f.Add(append(base, 0xC7))                // truncated envelope
+	f.Add(append(base, 0xC7, 0x01))          // still truncated
+	f.Add(append(base, 0x00, 0x01, 0x02))    // garbage tail
+	f.Add([]byte{})                          // empty body
+	f.Add([]byte{0xFF, 0xFF, 0xFF})          // garbage body
+	f.Add(append(base, 0xD9))                // truncated deadline block
+	f.Add(append(base, 0xD9, 0x02))          // unknown deadline version
+	f.Add(append(base, 0xD9, 0x01, 0x80))    // truncated remaining varint
 	withDeadline := append(append([]byte(nil), base...), 0xD9, 0x01, 0x00)
 	f.Add(withDeadline)                     // expired on arrival
 	f.Add(append(withDeadline, 0xC7))       // valid deadline, truncated envelope

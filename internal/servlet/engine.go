@@ -218,8 +218,8 @@ func (e *Engine) handleRequest(ctx context.Context, call *rmi.Call) ([]byte, err
 // so on every other reply the caller already holds it: the reply then ends
 // after the body, and no cookie on the RMI surface means "the one you
 // sent". A cookie that differs, the empty one of an error reply included,
-// travels in full. ServedBy is not written either: the rmi envelope names
-// the server (rmi.Result.ServedBy), and the caller fills the field from it.
+// travels in full. ServedBy is not written either: the caller called the
+// server, and fills the field from rmi.Result.ServedBy.
 func AppendResponse(enc *wire.Encoder, r Response, same bool) {
 	enc.Int(r.Status)
 	enc.Bytes2(r.Body)

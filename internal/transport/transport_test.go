@@ -762,7 +762,9 @@ func BenchmarkCallRoundTrip(b *testing.B) {
 // TestHandshakeRefusesOtherFrameFormats: a peer built with the fixed 13-byte
 // header (wire format 1) is closed on its hello instead of having its
 // frames misread, and so is a hello in today's framing that names another
-// version — the previous one, whose method bodies differ, included — or none.
+// version — the previous one, whose method bodies differ, included, and
+// version 3, whose RMI requests spell every name and whose replies name
+// their server — or none.
 func TestHandshakeRefusesOtherFrameFormats(t *testing.T) {
 	tr := newT(t)
 	var handled atomic.Int32
@@ -782,10 +784,13 @@ func TestHandshakeRefusesOtherFrameFormats(t *testing.T) {
 	otherVersion.Body[0] = wire.FormatVersion + 1
 	prevVersion := helloFrame(addr)
 	prevVersion.Body[0] = wire.FormatVersion - 1
+	version3 := helloFrame(addr)
+	version3.Body[0] = 3
 	for name, hello := range map[string][]byte{
 		"fixed-header hello": append(oldHello, oldRequest...),
 		"other version":      wire.AppendFrame(nil, otherVersion),
 		"previous version":   wire.AppendFrame(nil, prevVersion),
+		"version 3":          wire.AppendFrame(nil, version3),
 		"no version":         wire.AppendFrame(nil, wire.Frame{Kind: wire.KindAnnounce}),
 		"not a hello":        wire.AppendFrame(nil, wire.Frame{Kind: wire.KindRequest, Corr: 1, Body: helloFrame(addr).Body}),
 	} {

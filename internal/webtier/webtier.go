@@ -82,12 +82,14 @@ func (sc *stubCache) get(name, addr string) *rmi.Stub {
 	if stub, ok = sc.m[k]; ok {
 		return stub
 	}
-	// Breakers are keyed by member name: dialing through a named view keeps
-	// the stub's outcome recording aligned with the routers' breaker checks.
+	// The named view is what the stub reports as the serving server (a reply
+	// does not name it), and breakers are keyed by member name, so the
+	// stub's outcome recording stays aligned with the routers' checks.
+	view := rmi.NamedStaticView(name, addr)
 	if sc.res != nil {
-		stub = rmi.NewStub(servlet.ServiceName, sc.node, rmi.NamedStaticView(name, addr), rmi.WithResilience(sc.res))
+		stub = rmi.NewStub(servlet.ServiceName, sc.node, view, rmi.WithResilience(sc.res))
 	} else {
-		stub = rmi.NewStub(servlet.ServiceName, sc.node, rmi.StaticView(addr))
+		stub = rmi.NewStub(servlet.ServiceName, sc.node, view)
 	}
 	sc.m[k] = stub
 	return stub
@@ -97,8 +99,8 @@ func (sc *stubCache) get(name, addr string) *rmi.Stub {
 // request through a pooled encoder and decoding the response in place. It
 // is the one decoder of engine replies, and it holds the request: a reply
 // that names no cookie means the one just sent (servlet.AppendResponse),
-// so every router above returns the Response it would have with the
-// cookie echoed.
+// and no reply names its server, which is the member called — so every
+// router above returns the Response it would have with both echoed.
 //
 //wls:hotpath
 func (sc *stubCache) call(ctx context.Context, name, addr, path, cookie string, body []byte) (servlet.Response, error) {

@@ -19,7 +19,8 @@
 // minimal, so a frame has exactly one encoding and Frame.WireSize is what a
 // peer's socket receives; a length prefix never needs more than 4 bytes.
 // There is one format and no negotiation: connection handshakes carry
-// FormatVersion and refuse any other (see internal/transport).
+// FormatVersion (4: the RMI envelope codes built-in names and names no
+// server in a reply) and refuse any other (see internal/transport).
 //
 // The package also provides Encoder/Decoder, a compact append-style binary
 // encoding (uvarint lengths, no reflection) used for all message bodies.
@@ -88,10 +89,13 @@ const MaxFrameSize = 64 << 20 // 64 MiB
 // FormatVersion names the frame layout in the package comment and the
 // method bodies it carries: 1 was a fixed 13-byte header (uint32 length,
 // kind, uint64 correlation id), 2 the varint header, 3 a JMS "deliver" of
-// many messages and a stateful "create" answering the bare id. A transport
-// sends it in its handshake and refuses a peer that sends anything else, so
-// a build with other frames or bodies is turned away instead of misparsed.
-const FormatVersion byte = 3
+// many messages and a stateful "create" answering the bare id, 4 an RMI
+// envelope that says only what its receiver cannot know — the system's own
+// service and method names as one-byte codes of a fixed table, and no
+// server name in a reply, whose caller chose the server. A transport sends
+// it in its handshake and refuses a peer that sends anything else, so a
+// build with other frames or bodies is turned away instead of misparsed.
+const FormatVersion byte = 4
 
 // ErrFrameTooLarge is returned when a frame header announces a payload
 // exceeding MaxFrameSize.
@@ -443,8 +447,12 @@ func (e *Encoder) Float64(v float64) {
 // String appends a length-prefixed string.
 func (e *Encoder) String(s string) {
 	e.Uint64(uint64(len(s)))
-	e.buf = append(e.buf, s...)
+	e.Raw(s)
 }
+
+// Raw appends s with no length prefix: the caller's own field says how
+// long it is.
+func (e *Encoder) Raw(s string) { e.buf = append(e.buf, s...) }
 
 // Bytes2 appends a length-prefixed byte slice.
 func (e *Encoder) Bytes2(b []byte) {
@@ -617,8 +625,11 @@ func (d *Decoder) Bytes() []byte {
 // buffer); anything retained past the buffer's lifetime must use Bytes.
 // String-encoded fields share the wire format, so this also reads fields
 // written with String.
-func (d *Decoder) BytesNoCopy() []byte {
-	n := d.Uint64()
+func (d *Decoder) BytesNoCopy() []byte { return d.Raw(d.Uint64()) }
+
+// Raw reads n bytes that carry no length prefix, without copying (see
+// BytesNoCopy for how long the result is valid).
+func (d *Decoder) Raw(n uint64) []byte {
 	if d.err != nil {
 		return nil
 	}
