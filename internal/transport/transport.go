@@ -539,7 +539,7 @@ func (c *conn) close(reason error) {
 }
 
 // inbound is one request or one-way frame on its way to a pool worker; buf
-// is the read buffer its body lives in, detached from the frame reader.
+// is the body buffer its body lives in, detached from the frame reader.
 type inbound struct {
 	c   *conn
 	f   wire.Frame
@@ -566,14 +566,19 @@ func (in inbound) run() {
 	in.buf.Release()
 }
 
-// readLoop dispatches inbound frames until the connection dies. Frames are
-// decoded zero-copy through a buffered FrameReader: a response is copied
-// once, for its caller; a heartbeat runs inline on the read buffer; any
-// other frame takes the read buffer with it to the worker pool.
+// readLoop dispatches inbound frames until the connection dies. It reads
+// the socket through a 4 KiB buffer, so small frames arrive many to a
+// syscall, while a body at least that large is read straight into its
+// pooled body buffer (bufio.Reader.Read bypasses its own buffer for such
+// reads). Frames are decoded zero-copy: a response is copied once, for its
+// caller; a heartbeat runs inline on the body buffer; any other frame takes
+// the body buffer with it to the worker pool. The reader gives a body
+// buffer back when it looks for the next frame, so a conn waiting for one
+// holds only the socket buffer.
 //
 //wls:hotpath
 func (c *conn) readLoop() {
-	fr := wire.NewFrameReader(bufio.NewReaderSize(c.nc, 64<<10))
+	fr := wire.NewFrameReader(bufio.NewReader(c.nc))
 	fr.SetZeroCopy(true)
 	for {
 		f, err := fr.Next()
@@ -606,11 +611,6 @@ func (c *conn) readLoop() {
 // peer surfaces as slow calls rather than unbounded memory.
 const maxQueuedBytes = 1 << 20
 
-// maxRetainedBatch bounds the recycled flush buffer; a burst may grow a
-// batch past this, but the oversized buffer is then released rather than
-// pinned for the connection's lifetime.
-const maxRetainedBatch = 256 << 10
-
 var errWriterClosed = errors.New("transport: writer closed")
 
 // connWriter coalesces frames queued by concurrent callers into single
@@ -619,17 +619,19 @@ var errWriterClosed = errors.New("transport: writer closed")
 // buffer and shipped by the next syscall. Under concurrency this turns N
 // small writes into one large one; with a single quiet caller it degrades
 // gracefully to one write per frame with no added latency beyond a
-// goroutine wakeup.
+// goroutine wakeup. Batch buffers are pooled encoders, borrowed by the
+// first frame of a batch and given back once it is written, so a writer
+// with nothing queued holds none, and one a burst grew past the pool's cap
+// goes back to the allocator.
 type connWriter struct {
 	nc       net.Conn
 	batching bool
 	onFatal  func(error) // invoked (once) when a flush fails
 
 	mu     sync.Mutex
-	cond   *sync.Cond // signals drain to callers blocked on backpressure
-	buf    []byte     // frames encoded and waiting for the writer goroutine
-	frames int        // frame count in buf
-	spare  []byte     // recycled flush buffer, swapped with buf at each flush
+	cond   *sync.Cond    // signals drain to callers blocked on backpressure
+	buf    *wire.Encoder // frames encoded and waiting for the writer goroutine; nil when none are
+	frames int           // frame count in buf
 	err    error
 	closed bool
 	wake   chan struct{} // capacity 1: writer-goroutine run signal
@@ -660,7 +662,7 @@ func (w *connWriter) enqueue(f wire.Frame) error {
 		return w.writeDirect(f)
 	}
 	w.mu.Lock()
-	for len(w.buf) >= maxQueuedBytes && w.err == nil && !w.closed {
+	for w.buf != nil && w.buf.Len() >= maxQueuedBytes && w.err == nil && !w.closed {
 		w.cond.Wait()
 	}
 	if w.err != nil || w.closed {
@@ -671,7 +673,10 @@ func (w *connWriter) enqueue(f wire.Frame) error {
 		}
 		return err
 	}
-	w.buf = wire.AppendFrame(w.buf, f)
+	if w.buf == nil {
+		w.buf = wire.AcquireEncoder()
+	}
+	w.buf.Frame(f)
 	w.frames++
 	w.mu.Unlock()
 	select {
@@ -682,8 +687,11 @@ func (w *connWriter) enqueue(f wire.Frame) error {
 }
 
 // writeDirect is the unbatched (ablation) path: one locked Write per
-// frame, still through a reused encode buffer.
+// frame, encoded into a pooled buffer before the lock is taken.
 func (w *connWriter) writeDirect(f wire.Frame) error {
+	e := wire.AcquireEncoder()
+	defer e.Release()
+	e.Frame(f)
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	if w.err != nil {
@@ -692,35 +700,30 @@ func (w *connWriter) writeDirect(f wire.Frame) error {
 	if w.closed {
 		return errWriterClosed
 	}
-	w.spare = wire.AppendFrame(w.spare[:0], f)
-	if _, err := w.nc.Write(w.spare); err != nil {
+	if _, err := w.nc.Write(e.Bytes()); err != nil {
 		w.err = err
 		return err
 	}
 	return nil
 }
 
-// loop is the writer goroutine: swap out whatever accumulated, flush it
-// with one syscall, repeat until the queue is empty, then sleep on wake.
+// loop is the writer goroutine: take whatever accumulated, flush it with
+// one syscall and give its buffer back, repeat until the queue is empty,
+// then sleep on wake.
 func (w *connWriter) loop() {
 	for range w.wake {
 		w.mu.Lock()
-		for len(w.buf) > 0 && w.err == nil {
-			batch := w.buf
-			nframes := w.frames
-			w.buf = w.spare[:0]
-			w.frames = 0
-			w.spare = nil
+		for w.buf != nil && w.err == nil {
+			batch, nframes := w.buf, w.frames
+			w.buf, w.frames = nil, 0
 			w.mu.Unlock()
 
-			_, err := w.nc.Write(batch)
+			_, err := w.nc.Write(batch.Bytes())
 			w.batchFrames.Record(int64(nframes))
-			w.batchBytes.Record(int64(len(batch)))
+			w.batchBytes.Record(int64(batch.Len()))
+			batch.Release()
 
 			w.mu.Lock()
-			if cap(batch) <= maxRetainedBatch {
-				w.spare = batch[:0]
-			}
 			if err != nil {
 				w.err = err
 			}

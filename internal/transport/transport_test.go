@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"bytes"
 	"context"
 	"encoding/binary"
 	"errors"
@@ -402,6 +403,137 @@ func TestRequestBufferHeldUntilResponseQueued(t *testing.T) {
 			}
 		}(i)
 	}
+	wg.Wait()
+}
+
+// patterned returns n bytes that differ with seed and repeat every 257
+// bytes, a period no buffer size divides, so a body that came back shifted,
+// cut, poisoned or someone else's does not compare equal.
+func patterned(n, seed int) []byte {
+	b := make([]byte, n)
+	for i := 0; i < n && i < 257; i++ {
+		b[i] = byte(seed*7 + i*i)
+	}
+	for k := 257; k < n; k *= 2 {
+		copy(b[k:], b[:k])
+	}
+	return b
+}
+
+func echoHandler(_ string, f wire.Frame) *wire.Frame { return &wire.Frame{Body: f.Body} }
+
+// echoBurst makes 64 concurrent 200 KiB echo calls from one transport to
+// another: every batch on the connection, both ways, grows past what a
+// pooled buffer may keep.
+func echoBurst(t *testing.T, from, to *Transport) {
+	t.Helper()
+	body := patterned(200<<10, 1)
+	var wg sync.WaitGroup
+	for i := 0; i < 64; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			resp, err := from.Call(context.Background(), to.Addr(), wire.Frame{Body: body})
+			if err != nil || !bytes.Equal(resp.Body, body) {
+				t.Errorf("200 KiB echo: %d bytes back, err %v", len(resp.Body), err)
+			}
+		}()
+	}
+	wg.Wait()
+}
+
+// liveConns returns every conn tr tracks.
+func liveConns(tr *Transport) []*conn {
+	tr.mu.Lock()
+	defer tr.mu.Unlock()
+	var cs []*conn
+	for _, c := range tr.conns {
+		cs = append(cs, c)
+	}
+	for c := range tr.extras {
+		cs = append(cs, c)
+	}
+	return cs
+}
+
+// waitWritersIdle waits, for up to two seconds, until no writer of trs'
+// connections holds a batch buffer, and returns how many still do.
+func waitWritersIdle(trs ...*Transport) (holding int) {
+	holds := func(w *connWriter) bool {
+		w.mu.Lock()
+		defer w.mu.Unlock()
+		return w.buf != nil
+	}
+	deadline := time.Now().Add(2 * time.Second) //wls:wallclock test-only poll bound
+	for _, tr := range trs {
+		for _, c := range liveConns(tr) {
+			for holds(c.w) && time.Now().Before(deadline) {
+				time.Sleep(time.Millisecond)
+			}
+			if holds(c.w) {
+				holding++
+			}
+		}
+	}
+	return holding
+}
+
+// TestIdleWritersHoldNoBuffer: a burst of 200 KiB echoes grows the batch
+// buffers at both ends of the connection; once it is idle, neither writer
+// holds one. A writer that kept its last two batch buffers for the life of
+// the connection pinned up to 512 KiB per end after one burst.
+func TestIdleWritersHoldNoBuffer(t *testing.T) {
+	a, b := newT(t), newT(t)
+	b.SetHandler(echoHandler)
+	echoBurst(t, a, b)
+	if ends := len(liveConns(a)) + len(liveConns(b)); ends != 2 {
+		t.Fatalf("%d connection ends, want 2", ends)
+	}
+	if n := waitWritersIdle(a, b); n > 0 {
+		t.Fatalf("%d of 2 idle writers still hold a batch buffer", n)
+	}
+}
+
+// TestFramesSpanningTheReadBuffer: concurrent callers' frames share write
+// batches and socket reads, so bodies on either side of the 4 KiB socket
+// buffer — and past it, up to one near MaxFrameSize, which the reader takes
+// straight into its body buffer — start and end at every offset of it.
+// With every released buffer poisoned, each echo must come back
+// byte-identical.
+func TestFramesSpanningTheReadBuffer(t *testing.T) {
+	wire.PoisonReleased(true)
+	defer wire.PoisonReleased(false)
+	a, b := newT(t), newT(t)
+	b.SetHandler(echoHandler)
+	call := func(n, seed int) {
+		want := patterned(n, seed)
+		resp, err := a.Call(context.Background(), b.Addr(), wire.Frame{Body: want})
+		if err != nil || !bytes.Equal(resp.Body, want) {
+			t.Errorf("%d-byte echo (seed %d): %d bytes back, equal %v, err %v", n, seed, len(resp.Body), bytes.Equal(resp.Body, want), err)
+		}
+	}
+	const callers, rounds = 4, 8
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for _, n := range []int{0, 1, 4095, 4096, 4097, 65537} {
+		for c := 0; c < callers; c++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				<-start
+				for r := 0; r < rounds; r++ {
+					call(n, c*rounds+r)
+				}
+			}()
+		}
+	}
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		<-start
+		call(wire.MaxFrameSize-16, 0)
+	}()
+	close(start)
 	wg.Wait()
 }
 

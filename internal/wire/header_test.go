@@ -1,11 +1,13 @@
 package wire
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/binary"
 	"io"
 	"math"
 	"testing"
+	"testing/iotest"
 	"testing/quick"
 )
 
@@ -136,7 +138,10 @@ func TestFrameHeaderRejected(t *testing.T) {
 }
 
 // FuzzFrameReaderNext: no input panics the reader, and a frame it accepts
-// has exactly one encoding — the bytes it was read from.
+// has exactly one encoding — the bytes it was read from. Each input is also
+// fed through short reads — one byte, half of what was asked, and a 16-byte
+// bufio.Reader over half reads — so headers and bodies split across reads
+// and across buffer refills at every offset the stream puts them.
 func FuzzFrameReaderNext(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0x80})
@@ -144,8 +149,21 @@ func FuzzFrameReaderNext(f *testing.F) {
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0x0f, 1, 1})
 	f.Add(AppendFrame(nil, Frame{Kind: KindRequest, Corr: 1, Body: []byte("abc")}))
 	f.Add(AppendFrame(AppendFrame(nil, Frame{Kind: KindOneWay, Corr: math.MaxUint64}), Frame{Kind: KindResponse, Corr: 300, Body: make([]byte, 200)}))
+	// A 15-byte frame, so the next one's 2-byte length and 2-byte id
+	// straddle the 16-byte buffer's first refill.
+	f.Add(AppendFrame(AppendFrame(nil, Frame{Kind: KindRequest, Corr: 1, Body: make([]byte, 12)}), Frame{Kind: KindResponse, Corr: 300, Body: make([]byte, 200)}))
+	// Bodies on either side of the transport's 4 KiB socket buffer.
+	f.Add(AppendFrame(AppendFrame(nil, Frame{Kind: KindRequest, Corr: 2, Body: make([]byte, 4095)}), Frame{Kind: KindRequest, Corr: 128, Body: make([]byte, 4097)}))
+	// A 3-byte id, then a header cut short.
+	f.Add(append(AppendFrame(nil, Frame{Kind: KindHeartbeat, Corr: 16384, Body: []byte("hb")}), 0x80, 0x80))
 	f.Fuzz(func(t *testing.T, in []byte) {
-		for _, r := range []io.Reader{bytes.NewReader(in), onlyReader{bytes.NewReader(in)}} {
+		for _, r := range []io.Reader{
+			bytes.NewReader(in),
+			onlyReader{bytes.NewReader(in)},
+			iotest.OneByteReader(bytes.NewReader(in)),
+			iotest.HalfReader(bytes.NewReader(in)),
+			bufio.NewReaderSize(iotest.HalfReader(bytes.NewReader(in)), 16),
+		} {
 			fr := NewFrameReader(r)
 			fr.SetZeroCopy(true)
 			rest := in

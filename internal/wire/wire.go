@@ -164,10 +164,11 @@ func poison(b []byte) {
 	}
 }
 
-// maxRetainedBuf bounds how large a reused buffer (pooled encode buffers,
-// FrameReader's read buffer) is allowed to grow before it is dropped back
-// to the allocator: one oversized frame must not pin megabytes per
-// connection forever.
+// maxRetainedBuf bounds how large a pooled Encoder's buffer may be and
+// still go back to the pool on Release. Every reused buffer is one —
+// encode buffers, pooled response frames, FrameReader's body buffers, the
+// transport's batch buffers — so one oversized frame is handed back to the
+// allocator instead of being pinned by a pool or a connection.
 const maxRetainedBuf = 64 << 10
 
 // uvarintLen is the number of bytes binary.AppendUvarint writes for v.
@@ -211,7 +212,7 @@ func WriteFrame(w io.Writer, f Frame) error {
 		return ErrFrameTooLarge
 	}
 	e := AcquireEncoder()
-	e.buf = AppendFrame(e.buf, f)
+	e.Frame(f)
 	_, err := w.Write(e.buf)
 	e.Release()
 	return err
@@ -220,30 +221,24 @@ func WriteFrame(w io.Writer, f Frame) error {
 // ReadFrame reads the next frame from r and nothing past it. Each call
 // allocates the returned Body; stream readers that want buffer reuse should
 // use FrameReader.
-func ReadFrame(r io.Reader) (Frame, error) {
-	fr := NewFrameReader(r)
-	f, err := fr.Next()
-	if fr.buf != nil {
-		fr.buf.Release()
-	}
-	return f, err
-}
+func ReadFrame(r io.Reader) (Frame, error) { return NewFrameReader(r).Next() }
 
-// FrameReader reads a stream of frames from r, reusing one pooled body
-// buffer across calls so a per-frame `make` never appears in the steady
-// state. The header is read a byte at a time, which costs nothing on a
-// buffered reader (anything with ReadByte is used directly).
+// FrameReader reads a stream of frames from r. The header is read a byte
+// at a time, which costs nothing on a buffered reader (anything with
+// ReadByte is used directly).
 //
-// By default each returned Frame carries a freshly copied Body that the
-// caller owns. In zero-copy mode (SetZeroCopy) the Body aliases the
-// reader's buffer and is valid only until the next call to Next — unless
-// the caller takes the buffer over with Detach, which is how a dispatch
-// loop hands a request to a worker without copying it.
+// By default each returned Frame carries a Body read straight into memory
+// the caller owns. In zero-copy mode (SetZeroCopy) the Body is a pooled
+// buffer the reader takes once a header has arrived and gives back at the
+// start of the next call to Next, so the Body is valid only until then and
+// a reader blocked between frames holds none — unless the caller takes the
+// buffer over with Detach, which is how a dispatch loop hands a request to
+// a worker without copying it.
 type FrameReader struct {
 	r        io.Reader
 	br       io.ByteReader // r, when it can hand out single bytes itself
 	one      [1]byte       // readByte scratch otherwise; a field so it never escapes
-	buf      *Encoder      // pooled body buffer; nil after Detach, until the next frame
+	buf      *Encoder      // the zero-copy body buffer of the last frame, until Next or Detach
 	zeroCopy bool
 }
 
@@ -254,7 +249,7 @@ func NewFrameReader(r io.Reader) *FrameReader {
 }
 
 // SetZeroCopy toggles zero-copy mode: when on, the Body of a returned
-// frame aliases the reader's internal buffer until the next call to Next.
+// frame aliases the reader's pooled buffer until the next call to Next.
 func (fr *FrameReader) SetZeroCopy(on bool) { fr.zeroCopy = on }
 
 // Next returns the next frame from the stream. The whole header is checked
@@ -262,6 +257,10 @@ func (fr *FrameReader) SetZeroCopy(on bool) { fr.zeroCopy = on }
 // over-long, non-minimal or cut-off varint, or a correlation id that runs
 // past the announced length is an error that allocates nothing.
 func (fr *FrameReader) Next() (Frame, error) {
+	if fr.buf != nil { // the last zero-copy body's life ends here
+		fr.buf.Release()
+		fr.buf = nil
+	}
 	// MaxFrameSize < 2^28: a legal length prefix has at most 4 bytes.
 	n, _, err := fr.uvarint(4)
 	if err != nil {
@@ -281,17 +280,16 @@ func (fr *FrameReader) Next() (Frame, error) {
 	if err != nil {
 		return Frame{}, midFrame(err)
 	}
-	body := fr.payload(int(n) - 1 - k)
+	var body []byte
+	if size := int(n) - 1 - k; fr.zeroCopy {
+		body = fr.payload(size)
+	} else if size > 0 {
+		body = make([]byte, size) //wls:nolint hotalloc -- copying mode: the body is the caller's
+	}
 	if _, err := io.ReadFull(fr.r, body); err != nil {
 		return Frame{}, midFrame(err)
 	}
-	f := Frame{Kind: Kind(kind), Corr: corr}
-	if fr.zeroCopy {
-		f.Body = body
-	} else if len(body) > 0 {
-		f.Body = append([]byte(nil), body...)
-	}
-	return f, nil
+	return Frame{Kind: Kind(kind), Corr: corr, Body: body}, nil
 }
 
 // midFrame turns the end of the stream inside a frame into the error it is.
@@ -343,13 +341,10 @@ func (fr *FrameReader) Detach() *Encoder {
 	return b
 }
 
-// payload returns an n-byte body buffer, reusing (and growing) the pooled
-// one. A buffer an oversized frame grew past maxRetainedBuf is replaced at
-// the next frame and dropped by Release, so it is never retained.
+// payload takes a pooled body buffer and sizes it to n bytes. One grown
+// past maxRetainedBuf by an oversized frame is dropped by its Release.
 func (fr *FrameReader) payload(n int) []byte {
-	if fr.buf == nil || cap(fr.buf.buf) > maxRetainedBuf {
-		fr.buf = AcquireEncoder()
-	}
+	fr.buf = AcquireEncoder()
 	if n > cap(fr.buf.buf) {
 		fr.buf.buf = make([]byte, n, max(n, 4096))
 	}
@@ -382,8 +377,8 @@ func MakeEncoder(sizeHint int) Encoder {
 }
 
 // encoderPool recycles encoders for hot encode paths (RMI stub requests,
-// the transport handshake). Steady-state encoding through the pool is
-// allocation-free.
+// pooled frames, the transport's batch and body buffers). Steady-state
+// encoding through the pool is allocation-free.
 var encoderPool = sync.Pool{New: func() any { return &Encoder{buf: make([]byte, 0, 512)} }}
 
 // AcquireEncoder returns an empty pooled encoder. Release it with
@@ -453,6 +448,10 @@ func (e *Encoder) String(s string) {
 // Raw appends s with no length prefix: the caller's own field says how
 // long it is.
 func (e *Encoder) Raw(s string) { e.buf = append(e.buf, s...) }
+
+// Frame appends f as one length-prefixed frame (AppendFrame), so frames
+// can be batched in a pooled buffer.
+func (e *Encoder) Frame(f Frame) { e.buf = AppendFrame(e.buf, f) }
 
 // Bytes2 appends a length-prefixed byte slice.
 func (e *Encoder) Bytes2(b []byte) {

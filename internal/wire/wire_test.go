@@ -344,7 +344,11 @@ func TestFrameReaderZeroCopyAliasing(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// Zero-copy: the first body is overwritten by the next Next call.
+	// Zero-copy: the next Next call gives the first body's buffer back to
+	// the pool, which (poisoned) overwrites it — or hands it straight back
+	// for the second body.
+	PoisonReleased(true)
+	defer PoisonReleased(false)
 	fr := NewFrameReader(bytes.NewReader(buf.Bytes()))
 	fr.SetZeroCopy(true)
 	f1, err := fr.Next()
@@ -355,8 +359,8 @@ func TestFrameReaderZeroCopyAliasing(t *testing.T) {
 	if _, err := fr.Next(); err != nil {
 		t.Fatal(err)
 	}
-	if string(retained) != "secnd" {
-		t.Fatalf("zero-copy body should alias the reuse buffer; got %q", retained)
+	if string(retained) == "first" {
+		t.Fatal("zero-copy body survived the next Next: its buffer was not given back")
 	}
 	// Copying mode: the body survives subsequent reads.
 	fr = NewFrameReader(bytes.NewReader(buf.Bytes()))
@@ -370,6 +374,31 @@ func TestFrameReaderZeroCopyAliasing(t *testing.T) {
 	}
 	if string(retained) != "first" {
 		t.Fatalf("copying body should be stable; got %q", retained)
+	}
+}
+
+// TestFrameReaderHoldsNoBufferBetweenFrames: a zero-copy reader takes a
+// body buffer only once a header has arrived and gives it back when it
+// looks for the next frame, so one blocked between frames holds none. A
+// copying reader never takes one.
+func TestFrameReaderHoldsNoBufferBetweenFrames(t *testing.T) {
+	stream := AppendFrame(nil, Frame{Kind: KindResponse, Corr: 1, Body: []byte("reply")})
+	stream = append(stream, 0x80) // the first byte of a header that never completes
+	for _, zeroCopy := range []bool{false, true} {
+		fr := NewFrameReader(bytes.NewReader(stream))
+		fr.SetZeroCopy(zeroCopy)
+		if f, err := fr.Next(); err != nil || string(f.Body) != "reply" {
+			t.Fatalf("zeroCopy=%v: %+v, %v", zeroCopy, f, err)
+		}
+		if held := fr.buf != nil; held != zeroCopy {
+			t.Fatalf("zeroCopy=%v: holds a body buffer %v while its body is live", zeroCopy, held)
+		}
+		if _, err := fr.Next(); err != io.ErrUnexpectedEOF {
+			t.Fatalf("zeroCopy=%v: cut header: %v", zeroCopy, err)
+		}
+		if fr.buf != nil {
+			t.Fatalf("zeroCopy=%v: still holds a body buffer while reading a header", zeroCopy)
+		}
 	}
 }
 
