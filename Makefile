@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test race lint lint-strict check bench-smoke bench bench-transport bench-trace bench-overload bench-store bench-scale chaos
+.PHONY: all build test race lint check bench-smoke bench bench-transport bench-trace bench-overload bench-alloc bench-store bench-scale chaos
 
 all: build test race lint
 
@@ -20,23 +20,15 @@ race:
 	$(GO) test -race ./...
 
 # lint = the Go toolchain's vet plus this repo's own analyzers (walltime,
-# lockheld, errdrop, afterloop, spanleak, lockorder, goleak, hotalloc —
-# see DESIGN.md "Determinism & lint rules"). Baselined: pre-existing
-# hotalloc findings recorded in internal/lint/hotalloc_baseline.json are
-# tolerated; everything else must be clean. internal/lint/repo_test.go
-# runs the same gate under `make test`, so CI fails even without this
-# target.
+# lockheld, errdrop, afterloop, spanleak, lockorder, goleak — see DESIGN.md
+# "Determinism & lint rules"); every one must be clean.
+# internal/lint/repo_test.go runs the same gate under `make test`, so CI
+# fails even without this target.
 lint:
-	$(GO) vet ./...
-	$(GO) run ./cmd/wlslint -baseline ./...
-
-# lint-strict ignores the hotalloc baseline: every accepted hot-path
-# allocation is reported too. Useful when hunting for debt to pay down.
-lint-strict:
 	$(GO) vet ./...
 	$(GO) run ./cmd/wlslint ./...
 
-# check is the pre-PR gate: vet, build, the baselined lint suite, the race
+# check is the pre-PR gate: vet, build, the lint suite, the race
 # detector over the lock-heaviest packages (membership, whose join answers
 # publish from inside a bus delivery, and the partition rings it feeds;
 # lease/tx/transport and the singletons the leases elect; the wire codec and
@@ -46,7 +38,7 @@ lint-strict:
 check:
 	$(GO) vet ./...
 	$(GO) build ./...
-	$(GO) run ./cmd/wlslint -baseline ./...
+	$(GO) run ./cmd/wlslint ./...
 	$(GO) test -race ./internal/cluster ./internal/partition ./internal/lease ./internal/singleton ./internal/tx ./internal/wire ./internal/transport ./internal/servlet ./internal/ejb ./internal/webtier ./internal/chaos
 	$(MAKE) bench-smoke
 

@@ -5,17 +5,16 @@
 //	go run ./cmd/wlslint ./internal/bench             # one package
 //	go run ./cmd/wlslint -list                        # describe the analyzers
 //	go run ./cmd/wlslint -json ./...                  # machine-readable output
-//	go run ./cmd/wlslint -baseline ./...              # tolerate baselined hotalloc debt
-//	go run ./cmd/wlslint -update-baseline ./...       # regenerate the debt ledger
 //
 // It prints one line per diagnostic (file:line:col: message [analyzer])
-// and exits 1 when any are found. See DESIGN.md "Determinism & lint
-// rules" for what the rules enforce and how to suppress a finding.
+// and exits 1 when any are found, or when a pattern matches no package.
+// See DESIGN.md "Determinism & lint rules" for what the rules enforce and
+// how to suppress a finding.
 //
 // The whole module is always analyzed regardless of the package patterns
-// — cross-package analyzers (lockorder, goleak, hotalloc, lockheld) need
-// facts from every dependency — but only diagnostics in the selected
-// packages are reported.
+// — cross-package analyzers (lockorder, goleak, lockheld) need facts from
+// every dependency — but only diagnostics in the selected packages are
+// reported.
 package main
 
 import (
@@ -29,10 +28,6 @@ import (
 	"wls/internal/lint"
 )
 
-// defaultBaseline is where the hotalloc debt ledger lives, relative to
-// the module root (the same file internal/lint/repo_test.go enforces).
-const defaultBaseline = "internal/lint/hotalloc_baseline.json"
-
 // jsonDiagnostic is the -json output shape, one object per finding.
 type jsonDiagnostic struct {
 	Analyzer string `json:"analyzer"`
@@ -45,10 +40,8 @@ type jsonDiagnostic struct {
 func main() {
 	list := flag.Bool("list", false, "list analyzers and exit")
 	jsonOut := flag.Bool("json", false, "emit diagnostics as a JSON array instead of text lines")
-	useBaseline := flag.Bool("baseline", false, "filter hotalloc findings through "+defaultBaseline)
-	updateBaseline := flag.Bool("update-baseline", false, "rewrite "+defaultBaseline+" from the current findings and exit")
 	flag.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: wlslint [-list] [-json] [-baseline | -update-baseline] [packages]\n\npackages are ./-relative patterns; ./... (the default) means the whole module\n")
+		fmt.Fprintf(os.Stderr, "usage: wlslint [-list] [-json] [packages]\n\npackages are ./-relative patterns; ./... (the default) means the whole module\n")
 		flag.PrintDefaults()
 	}
 	flag.Parse()
@@ -83,48 +76,25 @@ func main() {
 		patterns = []string{"./..."}
 	}
 	selectedDir := map[string]bool{}
-	nSelected := 0
-	for _, pkg := range pkgs {
-		if matchesAny(loader, cwd, pkg, patterns) {
-			selectedDir[pkg.Dir] = true
-			nSelected++
+	for _, pat := range patterns {
+		n := 0
+		for _, pkg := range pkgs {
+			if matches(loader, cwd, pkg, pat) {
+				selectedDir[pkg.Dir] = true
+				n++
+			}
+		}
+		if n == 0 {
+			fatal(fmt.Errorf("no packages match %s", pat))
 		}
 	}
 
 	// Facts flow across the whole module, so always analyze everything
 	// and filter the report to the requested packages afterwards.
-	all := lint.Run(pkgs, analyzers)
 	var diags []lint.Diagnostic
-	for _, d := range all {
+	for _, d := range lint.Run(pkgs, analyzers) {
 		if selectedDir[filepath.Dir(d.Pos.Filename)] {
 			diags = append(diags, d)
-		}
-	}
-
-	baselinePath := filepath.Join(root, filepath.FromSlash(defaultBaseline))
-	if *updateBaseline {
-		// The ledger always covers the whole module, not the selection.
-		b := lint.NewBaseline(all, root)
-		if err := b.Save(baselinePath); err != nil {
-			fatal(err)
-		}
-		fmt.Fprintf(os.Stderr, "wlslint: wrote %s (%d accepted finding(s))\n", defaultBaseline, b.Count())
-		return
-	}
-	if *useBaseline {
-		baseline, err := lint.LoadBaseline(baselinePath)
-		if os.IsNotExist(err) {
-			baseline = &lint.Baseline{}
-		} else if err != nil {
-			fatal(err)
-		}
-		kept, _ := baseline.Filter(diags, root)
-		// Staleness is a whole-module property: with a narrow package
-		// selection, out-of-selection entries are not stale, just unselected.
-		_, stale := baseline.Filter(all, root)
-		diags = kept
-		for _, e := range stale {
-			fmt.Fprintf(os.Stderr, "wlslint: stale baseline entry (run -update-baseline): %s: %s (count %d)\n", e.File, e.Message, e.Count)
 		}
 	}
 
@@ -150,7 +120,7 @@ func main() {
 		}
 	}
 	if len(diags) > 0 {
-		fmt.Fprintf(os.Stderr, "wlslint: %d diagnostic(s) in %d package(s)\n", len(diags), nSelected)
+		fmt.Fprintf(os.Stderr, "wlslint: %d diagnostic(s) in %d package(s)\n", len(diags), len(selectedDir))
 		os.Exit(1)
 	}
 }
@@ -163,49 +133,31 @@ func relTo(dir, filename string) string {
 	return filename
 }
 
-// matchesAny reports whether pkg matches one of the ./-relative patterns.
-// A trailing /... matches the prefix recursively, mirroring the go tool.
-func matchesAny(loader *lint.Loader, cwd string, pkg *lint.Package, patterns []string) bool {
-	for _, pat := range patterns {
-		var base string
-		switch {
-		case pat == "all" || pat == loader.Module+"/...":
-			return true
-		case strings.HasPrefix(pat, loader.Module):
-			// Import-path pattern.
-			if trimmed, ok := strings.CutSuffix(pat, "/..."); ok {
-				if pkg.Path == trimmed || strings.HasPrefix(pkg.Path, trimmed+"/") {
-					return true
-				}
-			} else if pkg.Path == pat {
-				return true
-			}
-			continue
-		default:
-			// Directory pattern, relative to the current directory.
-			base = pat
-		}
-		recursive := false
-		if trimmed, ok := strings.CutSuffix(base, "/..."); ok {
-			recursive = true
-			base = trimmed
-			if base == "." || base == "" {
-				base = "."
-			}
-		}
-		abs := base
-		if !filepath.IsAbs(abs) {
-			abs = filepath.Join(cwd, base)
-		}
-		abs = filepath.Clean(abs)
-		if pkg.Dir == abs {
-			return true
-		}
-		if recursive && strings.HasPrefix(pkg.Dir, abs+string(filepath.Separator)) {
-			return true
-		}
+// matches reports whether pkg matches the ./-relative or import-path
+// pattern pat. A trailing /... matches the prefix recursively, mirroring
+// the go tool.
+func matches(loader *lint.Loader, cwd string, pkg *lint.Package, pat string) bool {
+	if pat == "all" || pat == loader.Module+"/..." {
+		return true
 	}
-	return false
+	if strings.HasPrefix(pat, loader.Module) {
+		// Import-path pattern.
+		if trimmed, ok := strings.CutSuffix(pat, "/..."); ok {
+			return pkg.Path == trimmed || strings.HasPrefix(pkg.Path, trimmed+"/")
+		}
+		return pkg.Path == pat
+	}
+	// Directory pattern, relative to the current directory.
+	base, recursive := strings.CutSuffix(pat, "/...")
+	if base == "" {
+		base = "."
+	}
+	abs := base
+	if !filepath.IsAbs(abs) {
+		abs = filepath.Join(cwd, base)
+	}
+	abs = filepath.Clean(abs)
+	return pkg.Dir == abs || recursive && strings.HasPrefix(pkg.Dir, abs+string(filepath.Separator))
 }
 
 func fatal(err error) {

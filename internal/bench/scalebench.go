@@ -256,7 +256,7 @@ func e33Run(p e33Params) *Table {
 }
 
 // e33RingAllocs measures the per-lookup heap cost of Owner+ReplicasInto on
-// a standalone ring (the //wls:hotpath contract is 0).
+// a standalone ring (TestRingLookupZeroAlloc pins it at 0).
 func e33RingAllocs(n int) float64 {
 	members := make([]string, n)
 	for i := range members {

@@ -197,8 +197,6 @@ func (q *ExecuteQueue) removeWorker() {
 
 // Submit enqueues work. Under Deny it fails fast when the queue is full;
 // under Degrade it blocks until there is room.
-//
-//wls:hotpath
 func (q *ExecuteQueue) Submit(task func()) error {
 	q.mu.Lock()
 	closed := q.closed

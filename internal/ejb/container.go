@@ -137,7 +137,6 @@ type statelessHandler struct {
 	calls    *metrics.Counter
 }
 
-//wls:hotpath
 func (sh *statelessHandler) invoke(ctx context.Context, call *rmi.Call) ([]byte, error) {
 	var span *trace.Span
 	if parent := trace.FromContext(ctx); parent != nil {

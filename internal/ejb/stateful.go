@@ -163,8 +163,6 @@ func (ss *statefulStore) flush(ctx context.Context, s *servlet.Session) {
 // run one at a time. The id and method decode without copying — both
 // resolve through no-alloc map lookups — and the payload aliases the frame
 // body, valid for the call; the reply is written into the response envelope.
-//
-//wls:hotpath
 func (ss *statefulStore) handleInvoke(ctx context.Context, call *rmi.Call) ([]byte, error) {
 	d := wire.NewDecoder(call.Args)
 	idB := d.BytesNoCopy()
@@ -222,15 +220,11 @@ func (ss *statefulStore) run(ctx context.Context, s *servlet.Session, impl State
 }
 
 // noSuch is the application error for an unknown method or bean.
-//
-//wls:coldpath error reply
 func noSuch(what string, name []byte) error {
 	return &rmi.AppError{Msg: "no such " + what + ": " + string(name)}
 }
 
 // activate reactivates a passivated conversation and opens it.
-//
-//wls:coldpath page-in, once per reactivation
 func (ss *statefulStore) activate(ctx context.Context, id []byte) (*servlet.Session, bool) {
 	ss.mu.Lock()
 	if p, ok := ss.paged[string(id)]; ok {

@@ -415,8 +415,6 @@ func (w *WAL) Delete(key string) error {
 // crash mid-append leaves a frame that fails validation and is truncated
 // on recovery, so either every op of the batch survives or none does. The
 // frame is built in one pooled buffer and appended with one write.
-//
-//wls:hotpath every durable store commit ends here
 func (w *WAL) Apply(ops []Op) error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
@@ -452,7 +450,7 @@ func (w *WAL) Apply(ops []Op) error {
 	for _, op := range ops {
 		switch op.Kind {
 		case OpPut:
-			w.img.put(op.Key, append([]byte(nil), op.Value...)) //wls:nolint hotalloc -- copy-on-entry: the image's own copy
+			w.img.put(op.Key, append([]byte(nil), op.Value...)) // copy-on-entry: the image's own copy
 		case OpDelete:
 			w.img.del(op.Key)
 		}
@@ -479,8 +477,6 @@ func (w *WAL) Checkpoint() error {
 // rename and the log reset the log's generation is stale and recovery
 // discards it (its frames are all inside the new main file); a torn log
 // header is rewritten. Caller holds w.mu.
-//
-//wls:coldpath Apply gets here once per CheckpointBytes of log, not per commit
 func (w *WAL) checkpointLocked() error {
 	tmpPath := w.path + ".ckpt"
 	tmp, err := w.fs.OpenFile(tmpPath, os.O_CREATE|os.O_TRUNC|os.O_RDWR, 0o644)

@@ -33,28 +33,18 @@
 //   - goleak:    flags go statements whose goroutine has no reachable
 //     termination path (an inescapable infinite loop or empty select,
 //     directly or through the functions it calls).
-//   - hotalloc:  flags allocation sites inside functions annotated
-//     //wls:hotpath and everything they transitively call within the
-//     module; pre-existing findings are tracked in a checked-in baseline
-//     (see Baseline) and ratcheted down, never added to.
+//
+// Request-path allocations are not a lint rule: the AllocsPerRun gates in
+// alloc_gate_test.go measure them (DESIGN.md "Determinism & lint rules").
 //
 // Diagnostics can be suppressed line-by-line with directives:
 //
 //	//wls:wallclock <reason>           – suppress walltime (reason required)
 //	//wls:nolint <a>[,<b>] -- <reason> – suppress the named analyzers
 //
-// Four further directives feed analyzers instead of suppressing them:
+// One further directive feeds an analyzer instead of suppressing it:
 //
 //	//wls:lockorder A<B   – assert that lock class A is acquired before B
-//	//wls:hotpath <why>   – mark the function declared below as a hot-path
-//	                        root for hotalloc
-//	//wls:coldpath <why>  – mark the function declared below as off the hot
-//	                        path even when hot functions call it (abort and
-//	                        maintenance branches); hotalloc stops there
-//	//wls:pooled <why>    – mark the type declared below as pool-recycled;
-//	                        hotalloc then flags interface boxing of its
-//	                        instances and closures capturing them on hot
-//	                        paths (escape → use-after-release hazards)
 //
 // A suppressing directive covers matching diagnostics on its own line and,
 // when it stands alone on a line, on the line directly below it.
@@ -62,7 +52,7 @@
 // The suite is self-enforcing: internal/lint/repo_test.go runs every
 // analyzer over the whole module, so `go test ./...` fails on new
 // violations. The cmd/wlslint driver exposes the same checks on the
-// command line (with -json and -baseline output modes).
+// command line (with a -json output mode).
 package lint
 
 import (
@@ -127,7 +117,7 @@ func (d Diagnostic) String() string {
 func Default() []*Analyzer {
 	return []*Analyzer{
 		Walltime(), LockHeld(), ErrDrop(), AfterLoop(), SpanLeak(),
-		LockOrder(), GoLeak(), HotAlloc(),
+		LockOrder(), GoLeak(),
 	}
 }
 
@@ -273,27 +263,9 @@ func parseDirectives(fset *token.FileSet, f *ast.File, known map[string]bool, re
 						Message: fmt.Sprintf("malformed //wls:lockorder directive: %v (want //wls:lockorder A<B)", err)})
 				}
 				continue
-			case "hotpath":
-				// Annotation, not suppression: marks the function declared
-				// below as a hot-path root for hotalloc, which also
-				// verifies the comment is attached to a function.
-				continue
-			case "coldpath":
-				// Annotation that shrinks hotalloc's closure, so like the
-				// suppressions it must say why.
-				if rest == "" {
-					report(Diagnostic{Analyzer: "directive", Pos: pos,
-						Message: "//wls:coldpath directive requires a reason (//wls:coldpath <why this runs rarely>)"})
-				}
-				continue
-			case "pooled":
-				// Annotation, not suppression: marks the type declared below
-				// as pool-recycled for hotalloc, which also verifies the
-				// comment is attached to a type declaration.
-				continue
 			default:
 				report(Diagnostic{Analyzer: "directive", Pos: pos,
-					Message: fmt.Sprintf("unknown //wls: directive %q (want wallclock, nolint, lockorder, hotpath, coldpath, or pooled)", kind)})
+					Message: fmt.Sprintf("unknown //wls: directive %q (want wallclock, nolint, or lockorder)", kind)})
 				continue
 			}
 			out = append(out, d)

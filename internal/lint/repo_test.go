@@ -1,42 +1,14 @@
 package lint
 
-import (
-	"os"
-	"path/filepath"
-	"sync"
-	"testing"
-)
-
-// hotallocBaselinePath is the checked-in debt ledger for the hotalloc
-// analyzer, relative to the module root.
-const hotallocBaselinePath = "internal/lint/hotalloc_baseline.json"
-
-// repoDiags runs every analyzer over every package of the module once
-// per test binary; both the clean gate and the ratchet read it.
-var repoDiags = sync.OnceValues(func() ([]Diagnostic, error) {
-	loader, err := sharedLoader()
-	if err != nil {
-		return nil, err
-	}
-	pkgs, err := loader.LoadAll()
-	if err != nil {
-		return nil, err
-	}
-	return Run(pkgs, Default()), nil
-})
+import "testing"
 
 // TestRepoIsLintClean is the self-enforcing gate: it runs every analyzer
 // over every package of this module, so a plain `go test ./...` fails the
 // moment someone reintroduces a direct wall-clock call, holds a mutex
 // across a blocking operation, drops a wire/transport/store/tx error,
 // re-arms time.After inside a loop, starts a trace span without
-// finishing it, inverts a lock hierarchy, spawns a goroutine with no
-// termination path, or adds an allocation to the hot path.
-//
-// hotalloc findings are checked against the baseline in
-// internal/lint/hotalloc_baseline.json: accepted debt is tolerated, new
-// findings are not (and TestHotallocRatchet keeps the debt shrinking).
-// Every other analyzer must be completely clean.
+// finishing it, inverts a lock hierarchy, or spawns a goroutine with no
+// termination path.
 //
 // To see the same diagnostics from the command line:
 //
@@ -51,56 +23,15 @@ func TestRepoIsLintClean(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	diags, err := repoDiags()
+	pkgs, err := loader.LoadAll()
 	if err != nil {
 		t.Fatal(err)
 	}
-	baseline, err := LoadBaseline(filepath.Join(loader.Root, hotallocBaselinePath))
-	if os.IsNotExist(err) {
-		baseline = &Baseline{}
-	} else if err != nil {
-		t.Fatal(err)
-	}
-	kept, _ := baseline.Filter(diags, loader.Root)
-	for _, d := range kept {
+	diags := Run(pkgs, Default())
+	for _, d := range diags {
 		t.Errorf("%s", d)
 	}
-	if len(kept) > 0 {
-		t.Logf("wlslint found %d violation(s); see DESIGN.md \"Determinism & lint rules\"", len(kept))
-		t.Logf("for a pre-existing hot-path allocation, regenerate the ledger: go run ./cmd/wlslint -update-baseline ./...")
-	}
-}
-
-// TestHotallocRatchet pins the hot-path allocation debt: the baseline may
-// only shrink. A finding that disappears (fixed, or its function left the
-// hot closure) makes its baseline entry stale, and a stale entry fails
-// this test until the ledger is regenerated — so the checked-in count
-// ratchets monotonically downward and paid-off debt can't silently come
-// back later.
-func TestHotallocRatchet(t *testing.T) {
-	loader, err := sharedLoader()
-	if err != nil {
-		t.Fatal(err)
-	}
-	diags, err := repoDiags()
-	if err != nil {
-		t.Fatal(err)
-	}
-	baseline, err := LoadBaseline(filepath.Join(loader.Root, hotallocBaselinePath))
-	if os.IsNotExist(err) {
-		t.Skipf("no %s: nothing to ratchet", hotallocBaselinePath)
-	} else if err != nil {
-		t.Fatal(err)
-	}
-	current := NewBaseline(diags, loader.Root)
-	if got, accepted := current.Count(), baseline.Count(); got > accepted {
-		t.Errorf("hotalloc findings grew: %d current vs %d baselined (new findings are reported by TestRepoIsLintClean)", got, accepted)
-	}
-	_, stale := baseline.Filter(diags, loader.Root)
-	for _, e := range stale {
-		t.Errorf("stale baseline entry (debt already paid — ratchet it): %s: %s (count %d)", e.File, e.Message, e.Count)
-	}
-	if len(stale) > 0 {
-		t.Logf("regenerate the ledger with: go run ./cmd/wlslint -update-baseline ./...")
+	if len(diags) > 0 {
+		t.Logf("wlslint found %d violation(s); see DESIGN.md \"Determinism & lint rules\"", len(diags))
 	}
 }

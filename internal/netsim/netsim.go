@@ -420,8 +420,6 @@ func (e *Endpoint) waitThaw(ctx context.Context) error {
 // delivery carries one inbound frame to its handler goroutine. Deliveries
 // are pooled: the closure pair the old code allocated per message (timer
 // thunk + goroutine body) was a measurable share of hot-path allocations.
-//
-//wls:pooled
 type delivery struct {
 	ep    *Endpoint
 	ctx   context.Context

@@ -116,8 +116,6 @@ func (r *Ring) Fingerprint() uint64 {
 
 // Owner returns the member owning key ("" on an empty ring). This is the
 // ring-lookup hot path: a hash and a binary search, no allocation.
-//
-//wls:hotpath
 func (r *Ring) Owner(key string) string {
 	if len(r.points) == 0 {
 		return ""
@@ -148,8 +146,6 @@ func (r *Ring) search(h uint64) int {
 // first, then each next distinct member — until yield returns false. It is
 // the order secondary placement walks (cluster.Picker), and it allocates
 // nothing on a ring of up to 256 members.
-//
-//wls:hotpath
 func (r *Ring) Walk(key string, yield func(member string) bool) {
 	if len(r.points) == 0 {
 		return
@@ -157,7 +153,7 @@ func (r *Ring) Walk(key string, yield func(member string) bool) {
 	var small [4]uint64
 	seen := small[:]
 	if words := (len(r.members) + 63) / 64; words > len(small) {
-		seen = make([]uint64, words) //wls:nolint hotalloc -- rings of over 256 members only
+		seen = make([]uint64, words)
 	}
 	start := r.search(hashString(key))
 	for i, left := 0, len(r.members); left > 0; i++ {

@@ -49,8 +49,6 @@ func (vs *Views) Config() Config { return vs.cfg }
 
 // Current returns the latest view (nil before the first Update). The
 // returned view and its rings are immutable.
-//
-//wls:hotpath
 func (vs *Views) Current() *View { return vs.cur.Load() }
 
 // OnChange subscribes to epoch changes. fn runs synchronously on the

@@ -107,11 +107,11 @@ func parseDeadline(d *wire.Decoder) (remaining time.Duration, ok bool, err error
 	d.Byte() // consume magic
 	version := d.Byte()
 	if d.Err() != nil || version != deadlineVersion {
-		return 0, false, fmt.Errorf("%w: unsupported version %d", ErrBadDeadline, version) //wls:nolint hotalloc -- malformed-deadline error path, never taken on healthy traffic
+		return 0, false, fmt.Errorf("%w: unsupported version %d", ErrBadDeadline, version)
 	}
 	nanos := d.Uint64()
 	if d.Err() != nil {
-		return 0, false, fmt.Errorf("%w: truncated", ErrBadDeadline) //wls:nolint hotalloc -- malformed-deadline error path, never taken on healthy traffic
+		return 0, false, fmt.Errorf("%w: truncated", ErrBadDeadline)
 	}
 	return time.Duration(nanos), true, nil
 }

@@ -168,8 +168,6 @@ func (r *Resilience) setState(b *breaker, s BreakerState) {
 // issued: always while its breaker is closed, never while open (until the
 // cooldown promotes it to half-open), and for at most one in-flight probe
 // while half-open.
-//
-//wls:hotpath
 func (r *Resilience) Allow(server string) bool {
 	r.mu.Lock()
 	defer r.mu.Unlock()

@@ -82,8 +82,6 @@ func (e *NotDeployedError) Error() string { return e.Msg }
 // retain the *Call, its Args, or any sub-slice of Args after it returns
 // (copy what must outlive the call). Args aliases the inbound frame body,
 // which the node recycles once the response has been copied out.
-//
-//wls:pooled
 type Call struct {
 	// From is the advertised address of the calling server (or client).
 	From string
@@ -348,8 +346,6 @@ func (r *Registry) Deployed(name string) bool {
 // and its Args alias the frame body (both node implementations hand the
 // handler an owned body for the duration of the call, and handlers must
 // not retain it).
-//
-//wls:hotpath
 func (r *Registry) handle(from string, f wire.Frame) *wire.Frame {
 	if f.Kind != wire.KindRequest {
 		return nil
@@ -374,11 +370,11 @@ func (r *Registry) handle(from string, f wire.Frame) *wire.Frame {
 	svc, ok := r.services[string(svcB)] // compiler-recognized no-alloc lookup
 	r.mu.Unlock()
 	if !ok {
-		return errorFrame(f.Corr, respNoSuchService, "no such service: "+string(svcB)) //wls:nolint hotalloc -- unknown-service reply, deploy-time misconfiguration path
+		return errorFrame(f.Corr, respNoSuchService, "no such service: "+string(svcB))
 	}
 	m, ok := svc.Methods[string(methB)]
 	if !ok {
-		return errorFrame(f.Corr, respNoSuchService, "no such method: "+string(svcB)+"."+string(methB)) //wls:nolint hotalloc -- unknown-method reply, deploy-time misconfiguration path
+		return errorFrame(f.Corr, respNoSuchService, "no such method: "+string(svcB)+"."+string(methB))
 	}
 
 	// Re-derive the caller's budget against this server's clock. Work that
@@ -467,8 +463,6 @@ func (r *Registry) dispatchQueued(ctx context.Context, q Admission, corr uint64,
 // execute runs one request's handler and encodes the response — once: the
 // handler either returns its result, which is appended to the envelope, or
 // has already written it inside the envelope through call.Reply.
-//
-//wls:hotpath
 func (r *Registry) execute(ctx context.Context, corr uint64,
 	call *Call, sc trace.SpanContext, m MethodSpec) *wire.Frame {
 	fr := wire.AcquireFrame()

@@ -277,8 +277,6 @@ type Result struct {
 }
 
 // Invoke calls service.method with load balancing and failover.
-//
-//wls:hotpath
 func (s *Stub) Invoke(ctx context.Context, method string, args []byte) (*Result, error) {
 	return s.invoke(ctx, method, args, "", "")
 }

@@ -24,8 +24,6 @@ const ServiceName = "wls.http"
 // must outlive the request; returning a Response whose Body aliases the
 // request Body is fine — the engine serializes the response before the
 // buffers are recycled).
-//
-//wls:pooled
 type Request struct {
 	// Path selects the servlet.
 	Path string
@@ -118,8 +116,6 @@ func (e *Engine) Serve(path, cookie string, body []byte) Response {
 // (the RMI surface's server span, typically), session replication and
 // fetch traffic runs under child spans and carries the trace to the
 // replica servers.
-//
-//wls:hotpath
 func (e *Engine) ServeCtx(ctx context.Context, path, cookie string, body []byte) Response {
 	// URL rewriting (§3.2): a cookie-less client may carry the session
 	// token in the path instead.
@@ -149,8 +145,6 @@ func (e *Engine) badCookie() Response {
 // the session, run the servlet (through a pooled Request), replicate, and
 // attach the response cookie — or report same: the cookie c was parsed from
 // still holds, and the caller has it.
-//
-//wls:hotpath
 func (e *Engine) serve(ctx context.Context, path string, c *CookieRef, body []byte) (resp Response, same bool) {
 	sess := e.sessions.resolve(ctx, c)
 	if sp := trace.FromContext(ctx); sp != nil {
@@ -181,8 +175,6 @@ func (e *Engine) serve(ctx context.Context, path string, c *CookieRef, body []by
 // are decoded without copying (the body aliases the inbound frame, which is
 // lent for the duration of the call and serialized out before return),
 // the path is interned, and the cookie is parsed from the wire bytes.
-//
-//wls:hotpath
 func (e *Engine) handleRequest(ctx context.Context, call *rmi.Call) ([]byte, error) {
 	d := wire.NewDecoder(call.Args)
 	pathB := d.BytesNoCopy()

@@ -36,8 +36,6 @@ func (sm *SessionManager) ringView() *partition.View {
 // once. The old secondary keeps its copy, which makes the handoff lossless:
 // until the client has the new cookie, a primary failure still finds state
 // at the cookie-named replica.
-//
-//wls:hotpath
 func (sm *SessionManager) maybeRebalance(ctx context.Context, st *sessState, p placement) {
 	v := sm.ringView() // the steady state is two atomic loads and no iteration
 	for ; v != nil && p.epoch() != uint32(v.Epoch); p = st.placed() {

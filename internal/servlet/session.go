@@ -122,8 +122,6 @@ type CookieRef struct {
 
 // ParseCookie parses the cookie of a request, from its header string or
 // from the bytes still in a wire buffer ("" yields a zero CookieRef).
-//
-//wls:hotpath
 func ParseCookie[K string | []byte](s K, buf *CookieBuf) (CookieRef, error) {
 	if len(s) == 0 {
 		return CookieRef{}, nil
@@ -258,8 +256,6 @@ func decodeAttrs(d *wire.Decoder, keys *wire.Interner) ([]attr, error) {
 // Sessions are pooled by the engine: a servlet must not retain the *Session
 // past the end of its HandlerFunc (copy attribute values out if they must
 // outlive the request).
-//
-//wls:pooled
 type Session struct {
 	ID string
 	// st holds the record: engine-resident, or (stateless modes) the request's.
@@ -436,8 +432,6 @@ func (sm *SessionManager) ResidentSessions() int {
 // resolve produces the Session for a request's cookie, performing
 // creation, promotion (Fig 2), or state fetch (Fig 3) as needed. The
 // returned Session is pooled: the engine releases it after finish.
-//
-//wls:hotpath
 func (sm *SessionManager) resolve(ctx context.Context, c *CookieRef) *Session {
 	if sm.mode == SessionsReplicated {
 		return sm.resolveReplicated(ctx, c)
@@ -459,7 +453,6 @@ func (sm *SessionManager) resolve(ctx context.Context, c *CookieRef) *Session {
 	return acquireSession(st, isNew)
 }
 
-//wls:hotpath
 func (sm *SessionManager) resolveReplicated(ctx context.Context, c *CookieRef) *Session {
 	var st *sessState
 	if len(c.ID) > 0 {
@@ -544,8 +537,6 @@ func (sm *SessionManager) chooseSecondary(id string, p placement, avoid string) 
 // request carried, names this replicated session, this server and its
 // secondary, so it still holds and none is encoded. Deltas ride the
 // per-secondary batcher.
-//
-//wls:hotpath
 func (sm *SessionManager) finish(ctx context.Context, s *Session, c *CookieRef) (cookie string, same bool) {
 	switch sm.mode {
 	case SessionsClientCookie:
@@ -610,8 +601,6 @@ var errMoved = errors.New("servlet: placement moved") // shipTo: from is no long
 // → to and seeds to's secondary — or reports false: a parallel request
 // changed it first, and did the shipping. If the secondary cannot be reached
 // it places and seeds another, once; if that fails too, the next write retries.
-//
-//wls:hotpath
 func (sm *SessionManager) ship(ctx context.Context, st *sessState, dirty []int, from, to placement) bool {
 	failed, err := sm.shipTo(ctx, st, dirty, from, to)
 	if err == errMoved {
@@ -636,8 +625,6 @@ func (sm *SessionManager) ship(ctx context.Context, st *sessState, dirty []int, 
 // in the step that takes the seed's generation and place on the wire, so a
 // change ships exactly once: a parallel request's delta came before (to the
 // old secondary; the seed holds its write) or follows the seed to the new.
-//
-//wls:hotpath
 func (sm *SessionManager) shipTo(ctx context.Context, st *sessState, dirty []int, from, to placement) (sec uint32, err error) {
 	r := &st.rec
 	r.mu.Lock()
@@ -750,8 +737,6 @@ func (sm *SessionManager) fetchFrom(ctx context.Context, server cluster.MemberIn
 
 // handleUpdateBatch applies a batch of delta entries, in order: a plain
 // concatenation, consumed until the buffer is exhausted.
-//
-//wls:hotpath
 func (sm *SessionManager) handleUpdateBatch(args []byte) error {
 	d := wire.NewDecoder(args)
 	for d.Remaining() > 0 {

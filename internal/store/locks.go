@@ -42,7 +42,7 @@ func (lt *lockTable) acquire(txID, table, key string, timeout time.Duration) err
 	// would leave a timer live per iteration (wlslint: afterloop).
 	expired := lt.clock.After(timeout)
 	for {
-		ch := make(chan struct{}) //wls:nolint hotalloc -- contended only
+		ch := make(chan struct{})
 		if lt.tryAcquire(ref, txID, ch) {
 			return nil
 		}
@@ -68,7 +68,7 @@ func (lt *lockTable) tryAcquire(ref rowRef, txID string, wait chan struct{}) boo
 	l, ok := lt.locks[ref]
 	switch {
 	case !ok:
-		lt.locks[ref] = &rowLock{owner: txID, depth: 1} //wls:nolint hotalloc -- the lock entry itself, the one allocation of an uncontended acquire
+		lt.locks[ref] = &rowLock{owner: txID, depth: 1} // the lock entry itself, the one allocation of an uncontended acquire
 		lt.peak = max(lt.peak, len(lt.locks))
 	case l.owner == txID:
 		l.depth++
@@ -77,7 +77,7 @@ func (lt *lockTable) tryAcquire(ref rowRef, txID string, wait chan struct{}) boo
 		l.owner, l.depth = txID, 1
 	default:
 		if wait != nil {
-			l.waiters = append(l.waiters, wait) //wls:nolint hotalloc -- contended only
+			l.waiters = append(l.waiters, wait)
 		}
 		return false
 	}
@@ -86,8 +86,6 @@ func (lt *lockTable) tryAcquire(ref rowRef, txID string, wait chan struct{}) boo
 
 // abandon removes a waiter that gave up; if the lock was already handed to
 // that waiter (channel closed), pass the wake-up along.
-//
-//wls:coldpath runs only when a lock wait times out
 func (lt *lockTable) abandon(ref rowRef, ch chan struct{}) {
 	lt.mu.Lock()
 	defer lt.mu.Unlock()
@@ -148,7 +146,7 @@ func (lt *lockTable) release(txID, table, key string) {
 func (lt *lockTable) drop(ref rowRef) {
 	delete(lt.locks, ref)
 	if len(lt.locks) == 0 && lt.peak > 64 {
-		lt.locks, lt.peak = make(map[rowRef]*rowLock), 0 //wls:nolint hotalloc -- only once a bulk transaction has ended
+		lt.locks, lt.peak = make(map[rowRef]*rowLock), 0
 	}
 }
 

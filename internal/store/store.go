@@ -533,7 +533,7 @@ func (s *Store) applyDelete(table, key, txID string) {
 	prev := s.tables[table][key]
 	delete(s.tables[table], key)
 	if s.tombs[table] == nil {
-		s.tombs[table] = make(map[string]uint64) //wls:nolint hotalloc -- a table's first delete
+		s.tombs[table] = make(map[string]uint64)
 	}
 	s.tombs[table][key] = prev.version
 	s.lsn++
@@ -567,7 +567,7 @@ func (s *Store) resizeRing(size int) {
 		s.trimLSN = s.changes[s.head].LSN
 		s.head = (s.head + 1) % len(s.changes)
 	}
-	ring := make([]Change, size) //wls:nolint hotalloc -- the ring's growth: a few doublings per store, then never
+	ring := make([]Change, size) // the ring's growth: a few doublings per store, then never
 	for i := range ring[:s.n] {
 		ring[i] = s.change(i)
 	}
@@ -604,7 +604,7 @@ func (s *Store) rowOp(ops []tuple.Op, e *wire.Encoder, table, key string) []tupl
 	}
 	// The slice stays valid if a later append moves the encoder's buffer:
 	// bytes already written are never touched again.
-	return append(ops, tuple.Op{Kind: kv.OpPut, Space: space, Key: key, Value: e.Bytes()[start:]}) //wls:nolint hotalloc -- the caller's stack buffer holds the usual batch
+	return append(ops, tuple.Op{Kind: kv.OpPut, Space: space, Key: key, Value: e.Bytes()[start:]}) // the caller's stack buffer holds the usual batch
 }
 
 // commit applies a validated write set: the in-memory image first (it
@@ -642,7 +642,7 @@ func (s *Store) commit(writes []stagedWrite, txID, stageKey string) (commitResul
 		}
 		res.applied++
 		if len(s.triggers[w.table]) > 0 {
-			res.fired = append(res.fired, s.change(s.n-1)) //wls:nolint hotalloc -- only for tables with triggers
+			res.fired = append(res.fired, s.change(s.n-1))
 		}
 	}
 	if res.applied == 0 && stageKey == "" {
@@ -656,7 +656,7 @@ func (s *Store) commit(writes []stagedWrite, txID, stageKey string) (commitResul
 	// One record per key: the image already holds the net state.
 	var seen map[rowRef]bool
 	if len(writes) > 1 {
-		seen = make(map[rowRef]bool, len(writes)) //wls:nolint hotalloc -- not for the one-row write set
+		seen = make(map[rowRef]bool, len(writes))
 	}
 	for _, w := range writes {
 		if seen != nil {
@@ -670,9 +670,9 @@ func (s *Store) commit(writes []stagedWrite, txID, stageKey string) (commitResul
 	}
 	start := e.Len()
 	e.Uint64(s.lsn)
-	ops = append(ops, tuple.Op{Kind: kv.OpPut, Flat: lsnFlatKey, Value: e.Bytes()[start:]}) //wls:nolint hotalloc -- buf holds the usual batch
+	ops = append(ops, tuple.Op{Kind: kv.OpPut, Flat: lsnFlatKey, Value: e.Bytes()[start:]})
 	if stageKey != "" {
-		ops = append(ops, tuple.Op{Kind: kv.OpDelete, Flat: stageKey}) //wls:nolint hotalloc -- buf holds the usual batch
+		ops = append(ops, tuple.Op{Kind: kv.OpDelete, Flat: stageKey})
 	}
 	s.mu.Unlock()
 
@@ -684,8 +684,6 @@ func (s *Store) commit(writes []stagedWrite, txID, stageKey string) (commitResul
 
 // failStop records the first backend write failure and returns the error
 // every later commit will get.
-//
-//wls:coldpath the store stops on the first call
 func (s *Store) failStop(err error) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -944,8 +942,6 @@ func (se *Session) GetForUpdate(table, key string) (Row, bool, error) {
 // Prepare implements tx.Resource: it locks the write set, validates every
 // optimistic condition, and durably records the yes vote — a prepared
 // transaction survives a crash and resurfaces through InDoubt.
-//
-//wls:hotpath phase one of every two-phase commit
 func (se *Session) Prepare(txID string) error {
 	return se.prepare(true)
 }
@@ -968,7 +964,7 @@ func (se *Session) prepare(durable bool) error {
 			return err
 		}
 		se.mu.Lock()
-		se.locked = append(se.locked, rowRef{w.table, w.key}) //wls:nolint hotalloc -- lockBuf holds the one-row case
+		se.locked = append(se.locked, rowRef{w.table, w.key}) // lockBuf holds the one-row case
 		se.mu.Unlock()
 	}
 
@@ -1012,24 +1008,24 @@ func (s *Store) validate(writes []stagedWrite) error {
 	for _, w := range writes {
 		cur, exists := s.tables[w.table][w.key]
 		if w.insert && exists {
-			return fmt.Errorf("%w: %s/%s", ErrDuplicate, w.table, w.key) //wls:nolint hotalloc -- no vote
+			return fmt.Errorf("%w: %s/%s", ErrDuplicate, w.table, w.key)
 		}
 		if w.expectVersion != 0 {
 			if !exists || cur.version != w.expectVersion {
 				s.conflicts.Inc()
-				return fmt.Errorf("%w: %s/%s version %d != expected %d", //wls:nolint hotalloc -- no vote
+				return fmt.Errorf("%w: %s/%s version %d != expected %d",
 					ErrConflict, w.table, w.key, cur.version, w.expectVersion)
 			}
 		}
 		if w.expectFields != nil {
 			if !exists {
 				s.conflicts.Inc()
-				return fmt.Errorf("%w: %s/%s deleted", ErrConflict, w.table, w.key) //wls:nolint hotalloc -- no vote
+				return fmt.Errorf("%w: %s/%s deleted", ErrConflict, w.table, w.key)
 			}
 			for _, f := range w.expectFields {
 				if got := lookup(cur.fields, f.k); got != f.v {
 					s.conflicts.Inc()
-					return fmt.Errorf("%w: %s/%s field %s = %q, expected %q", //wls:nolint hotalloc -- no vote
+					return fmt.Errorf("%w: %s/%s field %s = %q, expected %q",
 						ErrConflict, w.table, w.key, f.k, got, f.v)
 				}
 			}
@@ -1042,8 +1038,6 @@ func (s *Store) validate(writes []stagedWrite) error {
 // the transaction) Prepare may not have run; Commit validates in that case
 // without durably staging the vote — the commit batch itself is atomic, so
 // a separate staged record would buy nothing.
-//
-//wls:hotpath phase two of every commit
 func (se *Session) Commit(txID string) error {
 	se.mu.Lock()
 	stageKey := se.stageKey

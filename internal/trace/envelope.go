@@ -69,11 +69,11 @@ func ParseEnvelope(d *wire.Decoder) (SpanContext, error) {
 		return SpanContext{}, nil
 	}
 	if magic := d.Byte(); d.Err() != nil || magic != envelopeMagic {
-		return SpanContext{}, fmt.Errorf("%w: bad magic", ErrBadEnvelope) //wls:nolint hotalloc -- malformed-envelope error path, never taken on healthy traffic
+		return SpanContext{}, fmt.Errorf("%w: bad magic", ErrBadEnvelope)
 	}
 	version := d.Byte()
 	if d.Err() != nil || version != envelopeVersion {
-		return SpanContext{}, fmt.Errorf("%w: unsupported version %d", ErrBadEnvelope, version) //wls:nolint hotalloc -- malformed-envelope error path, never taken on healthy traffic
+		return SpanContext{}, fmt.Errorf("%w: unsupported version %d", ErrBadEnvelope, version)
 	}
 	var sc SpanContext
 	sc.Trace.Hi = d.Uint64()
@@ -81,14 +81,14 @@ func ParseEnvelope(d *wire.Decoder) (SpanContext, error) {
 	sc.Span = SpanID(d.Uint64())
 	flags := d.Byte()
 	if d.Err() != nil {
-		return SpanContext{}, fmt.Errorf("%w: truncated", ErrBadEnvelope) //wls:nolint hotalloc -- malformed-envelope error path, never taken on healthy traffic
+		return SpanContext{}, fmt.Errorf("%w: truncated", ErrBadEnvelope)
 	}
 	if d.Remaining() != 0 {
-		return SpanContext{}, fmt.Errorf("%w: %d trailing bytes", ErrBadEnvelope, d.Remaining()) //wls:nolint hotalloc -- malformed-envelope error path, never taken on healthy traffic
+		return SpanContext{}, fmt.Errorf("%w: %d trailing bytes", ErrBadEnvelope, d.Remaining())
 	}
 	sc.Sampled = flags&flagSampled != 0
 	if !sc.Valid() {
-		return SpanContext{}, fmt.Errorf("%w: zero ids", ErrBadEnvelope) //wls:nolint hotalloc -- malformed-envelope error path, never taken on healthy traffic
+		return SpanContext{}, fmt.Errorf("%w: zero ids", ErrBadEnvelope)
 	}
 	return sc, nil
 }

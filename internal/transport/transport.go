@@ -201,7 +201,6 @@ func (t *Transport) acceptLoop() {
 // helloFrame is the dialer's first frame: the wire format it speaks, then
 // its advertised address.
 func helloFrame(addr string) wire.Frame {
-	//wls:nolint hotalloc -- connection establishment, once per peer
 	return wire.Frame{Kind: wire.KindAnnounce, Body: append([]byte{wire.FormatVersion}, addr...)}
 }
 
@@ -264,7 +263,7 @@ func (t *Transport) getConn(ctx context.Context, to string) (*conn, error) {
 		}
 		done := t.dialing[to]
 		if done == nil {
-			done = make(chan struct{}) //wls:nolint hotalloc -- connection establishment, once per peer
+			done = make(chan struct{})
 			t.dialing[to] = done
 			t.mu.Unlock()
 			c, err := t.dial(ctx, to)
@@ -290,7 +289,7 @@ func (t *Transport) dial(ctx context.Context, to string) (*conn, error) {
 	var d net.Dialer
 	nc, err := d.DialContext(ctx, "tcp", to)
 	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrDial, err) //wls:nolint hotalloc -- connection establishment, once per peer
+		return nil, fmt.Errorf("%w: %v", ErrDial, err)
 	}
 	// Handshake: announce our frame format and advertised address.
 	if err := wire.WriteFrame(nc, helloFrame(t.addr)); err != nil {
@@ -310,7 +309,7 @@ func (t *Transport) dial(ctx context.Context, to string) (*conn, error) {
 	t.wg.Add(1)
 	t.mu.Unlock()
 
-	go func() { //wls:nolint hotalloc -- connection establishment, once per peer
+	go func() {
 		defer t.wg.Done()
 		c.readLoop()
 		t.dropConn(c)
@@ -321,8 +320,6 @@ func (t *Transport) dial(ctx context.Context, to string) (*conn, error) {
 // Send transmits a one-way frame. The frame is copied into the
 // connection's send queue before Send returns, so the caller may reuse
 // f.Body (e.g. release it to a pool) immediately afterwards.
-//
-//wls:hotpath
 func (t *Transport) Send(ctx context.Context, to string, f wire.Frame) error {
 	c, err := t.getConn(ctx, to)
 	if err != nil {
@@ -336,8 +333,6 @@ func (t *Transport) Send(ctx context.Context, to string, f wire.Frame) error {
 // A call that finds its connection dead is retried once on a fresh dial: a
 // restarted peer leaves a cached conn behind whose death may not have been
 // read yet (TestReconnectAfterPeerRestart).
-//
-//wls:hotpath
 func (t *Transport) Call(ctx context.Context, to string, f wire.Frame) (wire.Frame, error) {
 	for attempt := 0; ; attempt++ {
 		c, err := t.getConn(ctx, to)
@@ -407,7 +402,7 @@ type conn struct {
 func newConn(t *Transport, nc net.Conn, remote string) *conn {
 	c := &conn{t: t, nc: nc, remote: remote}
 	for i := range c.shards {
-		c.shards[i].m = make(map[uint64]*callSlot) //wls:nolint hotalloc -- connection establishment, once per peer
+		c.shards[i].m = make(map[uint64]*callSlot)
 	}
 	c.w = newConnWriter(nc, !t.opts.UnbatchedWrites, c.writeFailed, t.batchFrames, t.batchBytes)
 	return c
@@ -449,7 +444,7 @@ func (c *conn) take(id uint64) *callSlot {
 // body is copied out of the read buffer here: it is the caller's from now.
 func (c *conn) deliver(f wire.Frame) {
 	if slot := c.take(f.Corr); slot != nil {
-		f.Body = append([]byte(nil), f.Body...) //wls:nolint hotalloc -- the one copy per call, owned by the caller
+		f.Body = append([]byte(nil), f.Body...)
 		slot.resp = f
 		slot.done <- struct{}{}
 	}
@@ -549,8 +544,6 @@ type inbound struct {
 // run executes the handler and, for a request, queues the response: copied
 // into the send buffer first, then released, and only then is the request's
 // buffer (which the response may alias) recycled.
-//
-//wls:hotpath
 func (in inbound) run() {
 	c := in.c
 	h := c.t.handler.Load().(Handler)
@@ -575,8 +568,6 @@ func (in inbound) run() {
 // the body buffer with it to the worker pool. The reader gives a body
 // buffer back when it looks for the next frame, so a conn waiting for one
 // holds only the socket buffer.
-//
-//wls:hotpath
 func (c *conn) readLoop() {
 	fr := wire.NewFrameReader(bufio.NewReader(c.nc))
 	fr.SetZeroCopy(true)

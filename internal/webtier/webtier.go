@@ -101,8 +101,6 @@ func (sc *stubCache) get(name, addr string) *rmi.Stub {
 // that names no cookie means the one just sent (servlet.AppendResponse),
 // and no reply names its server, which is the member called — so every
 // router above returns the Response it would have with both echoed.
-//
-//wls:hotpath
 func (sc *stubCache) call(ctx context.Context, name, addr, path, cookie string, body []byte) (servlet.Response, error) {
 	stub := sc.get(name, addr)
 	enc := wire.AcquireEncoder()
@@ -187,8 +185,6 @@ func (p *ProxyPlugin) backend(name []byte) (cluster.MemberInfo, bool) {
 
 // Route forwards one request: cookie-primary first, then cookie-secondary,
 // then round robin over live engines (session creation).
-//
-//wls:hotpath
 func (p *ProxyPlugin) Route(ctx context.Context, path, cookie string, body []byte) (servlet.Response, error) {
 	var span *trace.Span
 	if p.tracer != nil {
@@ -338,8 +334,6 @@ func (lb *ExternalLB) backends() []cluster.MemberInfo {
 // Route forwards a request for clientID, maintaining affinity. On target
 // failure, affinity switches to an arbitrary live member; the engine there
 // recovers the session from the secondary named in the cookie.
-//
-//wls:hotpath
 func (lb *ExternalLB) Route(ctx context.Context, clientID, path, cookie string, body []byte) (servlet.Response, error) {
 	var span *trace.Span
 	if lb.tracer != nil {

@@ -284,7 +284,7 @@ func (fr *FrameReader) Next() (Frame, error) {
 	if size := int(n) - 1 - k; fr.zeroCopy {
 		body = fr.payload(size)
 	} else if size > 0 {
-		body = make([]byte, size) //wls:nolint hotalloc -- copying mode: the body is the caller's
+		body = make([]byte, size)
 	}
 	if _, err := io.ReadFull(fr.r, body); err != nil {
 		return Frame{}, midFrame(err)
@@ -465,7 +465,7 @@ func (e *Encoder) Bytes2(b []byte) {
 // message is encoded once, in place, instead of into a buffer of its own.
 func (e *Encoder) BeginBytes() (mark int) {
 	var pad [binary.MaxVarintLen64]byte
-	e.buf = append(e.buf, pad[:]...) //wls:nolint hotalloc -- amortized growth of a pooled buffer, like every Encoder append
+	e.buf = append(e.buf, pad[:]...)
 	return len(e.buf)
 }
 
