@@ -49,6 +49,15 @@ const (
 	gateAdmittedEcho        = 8
 )
 
+// Bytes per routed request on the TCP fabric (TestWireGate*), at measured
+// + 4, and the live heap of a resident session (both copies), at measured
+// + 10 %.
+const (
+	gateWireTCPEcho         = 65
+	gateWireTCPSessionWrite = 96
+	gateSessionFootprint    = 441
+)
+
 // allocGate logs what a path measured and fails t when it is over gate,
 // naming the constant that holds it.
 func allocGate(t *testing.T, what string, got float64, name string, gate float64) {
@@ -302,42 +311,39 @@ func routeBytes(t *testing.T, c *tcpCluster, path string, body []byte) float64 {
 }
 
 // TestWireGateTCPEcho pins what one echo request costs between the proxy
-// and its server at measured (83 B) + 4. Field by field:
+// and its server, 61 B, at gateWireTCPEcho. Field by field (wire format 5):
 //
-//	request, 69 B: frame length 1, kind 1, correlation id 2, service
+//	request, 47 B: frame length 1, kind 1, correlation id 2, service
 //	wls.http 1 and method request 1 (one-byte codes), txID and convID 2,
-//	args length 1, path /echo 6, cookie 48 (47 characters), body hello 6
+//	args length 1, path /echo 6, session field 26 (flag 1, id 16,
+//	secondary server-N 9; the primary is the callee and is left out),
+//	body hello 6
 //	reply, 14 B: frame length 1, kind 1, correlation id 2, rmi status 1,
 //	result length 1, servlet status 200 2, body hello 6
 //
 // The reply names no server (the proxy called it) and no cookie (the one it
-// sent). It was 108 B while both names were spelled out (17 B) and the reply
-// carried served-by (9 B) and an empty error message, and 174 B with the
-// fixed 13-byte frame header and the cookie echoed (DESIGN.md "The bytes of
-// a hop" has the tables).
+// sent). DESIGN.md "The bytes of a hop" has the table.
 func TestWireGateTCPEcho(t *testing.T) {
 	c := newTCPCluster(t)
 	c.handle("/echo", func(r *servlet.Request) servlet.Response { return servlet.Response{Body: r.Body} })
 	n := routeBytes(t, c, "/echo", []byte("hello"))
 	t.Logf("TCP full path (echo): %.1f B/request", n)
-	if n > 87 {
-		t.Fatalf("TCP echo path puts %.1f B/request on the wire, gate is 87", n)
+	if n > gateWireTCPEcho {
+		t.Fatalf("TCP echo path puts %.1f B/request on the wire, over gateWireTCPEcho = %d", n, gateWireTCPEcho)
 	}
 }
 
-// TestWireGateTCPSessionWrite pins the same path with a session write at
-// measured (114 B) + 4. Field by field:
+// TestWireGateTCPSessionWrite pins the same path with a session write, 92
+// B, at gateWireTCPSessionWrite. Field by field (wire format 5):
 //
-//	request, 65 B: as the echo's, with path /count 7 and an empty body 1
+//	request, 43 B: as the echo's, with path /count 7 and an empty body 1
 //	reply, 11 B: header 4, rmi status 1, result length 1, servlet status 2,
 //	body ok 3
 //	delta to the secondary, 32 B: header 4, service wls.http 1 and method
 //	session.update.batch 1 (codes), txID and convID 2, args length 1, then
-//	22 B of session id, generation and the attribute
+//	the session id 16 (no length prefix), generation 1 and the attribute 5
+//	(count 1, key n 2, value 1 2)
 //	its acknowledgement, 6 B: header 4, rmi status 1, empty result 1
-//
-// It was 177 B with the names spelled (30 B on the delta) and served-by in
-// both replies, and 261 B before that.
 func TestWireGateTCPSessionWrite(t *testing.T) {
 	c := newTCPCluster(t)
 	c.handle("/count", func(r *servlet.Request) servlet.Response {
@@ -346,8 +352,8 @@ func TestWireGateTCPSessionWrite(t *testing.T) {
 	})
 	n := routeBytes(t, c, "/count", nil)
 	t.Logf("TCP full path (session write + replication): %.1f B/request", n)
-	if n > 118 {
-		t.Fatalf("TCP session-write path puts %.1f B/request on the wire, gate is 118", n)
+	if n > gateWireTCPSessionWrite {
+		t.Fatalf("TCP session-write path puts %.1f B/request on the wire, over gateWireTCPSessionWrite = %d", n, gateWireTCPSessionWrite)
 	}
 }
 
@@ -429,11 +435,8 @@ func TestAllocGateDurableCheckout(t *testing.T) {
 // replicated sessions holding two short attributes, live heap after two
 // collections, divided by the count — both copies (primary record and
 // secondary replica) and both session-table entries. Measured
-// 417 B/session, pinned at that + 10 %. Created after 4 096 others, which is
-// how earlier figures were taken, it is 456 B; it was 584 B while each
-// primary kept its encoded cookie and the placement sat in loose fields, and
-// 1 127 B with a map[string]string per copy (DESIGN.md "Session state" has
-// the breakdown).
+// 401 B/session, pinned at gateSessionFootprint, that + 10 % (DESIGN.md
+// "What a resident session costs" has the breakdown).
 func TestAllocGateSessionFootprint(t *testing.T) {
 	c := allocGateCluster(t, wls.Options{})
 	for _, s := range c.Servers {
@@ -470,7 +473,7 @@ func TestAllocGateSessionFootprint(t *testing.T) {
 		t.Fatalf("%d copies resident, want %d", resident, 2*sessions)
 	}
 	t.Logf("replicated session, two short attributes: %.0f B resident (both copies)", per)
-	if per > 459 {
-		t.Fatalf("a resident session costs %.0f B, gate is 459", per)
+	if per > gateSessionFootprint {
+		t.Fatalf("a resident session costs %.0f B, over gateSessionFootprint = %d", per, gateSessionFootprint)
 	}
 }

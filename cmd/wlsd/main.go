@@ -105,10 +105,7 @@ func main() {
 // rewritten cookie.
 func newAppHandler(route func(ctx context.Context, path, cookie string, body []byte) (servlet.Response, error)) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		var cookie string
-		if c, err := r.Cookie(sessionCookie); err == nil {
-			cookie = c.Value
-		}
+		cookie := servlet.CookieValue(r.Header, sessionCookie)
 		body, ok := servlet.ReadHTTPBody(w, r)
 		if !ok {
 			return
@@ -240,7 +237,7 @@ func deployDemoAppOn(cluster *wls.Cluster, s *wls.Server) {
 		n, _ := strconv.Atoi(r.Session.Get("n"))
 		n++
 		r.Session.Set("n", strconv.Itoa(n))
-		return servlet.Response{Body: []byte(fmt.Sprintf("count=%d (session %s)\n", n, r.Session.ID))}
+		return servlet.Response{Body: []byte(fmt.Sprintf("count=%d (session %x)\n", n, r.Session.ID))}
 	})
 	s.EJB.DeployStateless(ejb.StatelessSpec{
 		Name: "PingBean",

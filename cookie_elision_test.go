@@ -186,8 +186,9 @@ func TestCookieElisionReplicated(t *testing.T) {
 			// A URL-rewritten token and no Cookie header: the router holds
 			// no cookie to put back, so the reply names it. (The plug-in
 			// routes on the header alone, so the request lands anywhere and
-			// the session moves there, Fig 3: same session, new primary.)
-			other := r.step(t, "/echo", "", body).Cookie
+			// the session moves there, Fig 3: same session, new primary. It
+			// is written first, so that its secondary holds a copy to fetch.)
+			other := r.step(t, "/bump", "", body).Cookie
 			viaURL := r.step(t, servlet.EncodeURL("/echo", other), "", body)
 			a, _ := servlet.DecodeCookie(other)
 			if b, _ := servlet.DecodeCookie(viaURL.Cookie); b.ID != a.ID {
@@ -280,8 +281,9 @@ func TestCookieElisionClientCookie(t *testing.T) {
 }
 
 // TestCookieElisionOtherRouters: the appliance and the DNS clients go
-// through the same call, and neither parses cookies, so they also see the
-// engine's answer to a cookie it cannot read.
+// through the same call, and neither routes on cookies; one they cannot
+// parse is forwarded as such, so they also see the engine's answer to a
+// cookie it cannot read.
 func TestCookieElisionOtherRouters(t *testing.T) {
 	c, err := wls.New(wls.Options{Servers: 3, RealClock: true})
 	if err != nil {

@@ -49,6 +49,11 @@ type Config struct {
 	// FailureTimeout is how long after the last heartbeat a peer is
 	// declared failed. Should be a small multiple of HeartbeatInterval.
 	FailureTimeout time.Duration
+	// IDSeed, when nonzero, makes the record ids NewID draws a reproducible
+	// stream seeded from it (virtual-clock clusters, so seeded runs replay);
+	// members sharing a seed draw the same ids, so each needs its own. Zero,
+	// the default, draws them from crypto/rand.
+	IDSeed int64
 }
 
 // DefaultConfig returns production-flavored defaults for the given cluster
@@ -196,6 +201,8 @@ type Member struct {
 	cacheVer    uint64
 	aliveCache  []MemberInfo
 	offersCache map[string][]MemberInfo
+
+	ids idSource
 }
 
 type peerState struct {
@@ -215,6 +222,7 @@ func NewMember(cfg Config, clock vclock.Clock, bus gossip.Bus, self MemberInfo) 
 		bus:   bus,
 		self:  self.clone(),
 		peers: make(map[string]*peerState),
+		ids:   newIDSource(cfg.IDSeed),
 	}
 }
 

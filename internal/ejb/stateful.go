@@ -173,7 +173,7 @@ func (ss *statefulStore) handleInvoke(ctx context.Context, call *rmi.Call) ([]by
 	}
 	impl, ok := ss.spec.Methods[string(methB)]
 	if !ok {
-		return nil, noSuch("method", methB)
+		return nil, noSuch("method", string(methB))
 	}
 	var span *trace.Span
 	if parent := trace.FromContext(ctx); parent != nil {
@@ -183,7 +183,7 @@ func (ss *statefulStore) handleInvoke(ctx context.Context, call *rmi.Call) ([]by
 	s, promoted := ss.sessions.Open(ctx, idB)
 	if s == nil {
 		if s, promoted = ss.activate(ctx, idB); s == nil {
-			err := noSuch("bean", idB)
+			err := noSuch("bean", cluster.IDString(string(idB)))
 			span.SetError(err)
 			return nil, err
 		}
@@ -191,7 +191,9 @@ func (ss *statefulStore) handleInvoke(ctx context.Context, call *rmi.Call) ([]by
 	if promoted {
 		ss.promotions.Inc()
 	}
-	span.Annotate("bean", s.ID)
+	if span != nil {
+		span.Annotate("bean", cluster.IDString(s.ID))
+	}
 
 	out, err := ss.run(ctx, s, impl, payload)
 	if err != nil {
@@ -220,8 +222,8 @@ func (ss *statefulStore) run(ctx context.Context, s *servlet.Session, impl State
 }
 
 // noSuch is the application error for an unknown method or bean.
-func noSuch(what string, name []byte) error {
-	return &rmi.AppError{Msg: "no such " + what + ": " + string(name)}
+func noSuch(what, name string) error {
+	return &rmi.AppError{Msg: "no such " + what + ": " + name}
 }
 
 // activate reactivates a passivated conversation and opens it.

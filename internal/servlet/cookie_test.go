@@ -23,29 +23,41 @@ func rawCookie(id, primary, secondary string, count int, tail ...string) string 
 	return base64.RawURLEncoding.EncodeToString(e.Bytes())
 }
 
+// testID is a record id, as a cookie carries one: 16 bytes.
+const testID = "\x00\x01sixteen-bytes\xff"
+
 // cookieCases is what the request path may be handed: valid, truncated,
-// not base64, over-long, state-bearing, and lying about its attributes.
+// not base64, over-long, state-bearing, lying about its attributes, and
+// naming an id that is no record id.
 func cookieCases() []string {
-	valid := encodeCookie("server-1-sess-1234", "server-1", "server-2", nil)
+	valid := encodeCookie(testID, "server-1", "server-2", nil)
 	long := strings.Repeat("n", len(CookieBuf{}))
 	cases := []string{
 		valid,
-		encodeCookie("server-1-sess-1", "server-1", "", nil),
-		Cookie{ID: "s-1"}.Encode(),
+		encodeCookie(testID, "server-1", "", nil),
+		Cookie{ID: testID}.Encode(),
 		rawCookie("", "", "", 0),
-		rawCookie("id", "p", "s", 0, "trailing", "bytes"),
-		// Exactly the array, one byte over it, far over it.
-		rawCookie(long[:len(CookieBuf{})-7], "p", "s", 0),
-		rawCookie(long[:len(CookieBuf{})-6], "p", "s", 0),
-		encodeCookie("id-"+long, "primary-"+long, "secondary-"+long, nil),
-		// State.
+		rawCookie(testID, "p", "s", 0, "trailing", "bytes"),
+		// Exactly the array (id 17 + primary 1+75 + secondary 2 + count 1),
+		// one byte over it, far over it.
+		rawCookie(testID, long[:75], "s", 0),
+		rawCookie(testID, long[:76], "s", 0),
+		encodeCookie(testID, "primary-"+long, "secondary-"+long, nil),
+		// Ids that are no record id: short, long, one byte off, far over.
+		rawCookie("s-1", "p", "s", 0),
+		rawCookie("server-1-sess-1234", "server-1", "server-2", 0),
+		rawCookie(testID[:15], "p", "s", 0),
+		rawCookie(testID+"x", "p", "s", 0),
+		rawCookie("id-"+long, "p", "s", 0),
 		Cookie{ID: "s-1", State: map[string]string{"n": "1"}}.Encode(),
-		Cookie{ID: "s-1", Primary: "p", Secondary: "s", State: map[string]string{"n": "1", "item": long}}.Encode(),
+		// State.
+		Cookie{ID: testID, State: map[string]string{"n": "1"}}.Encode(),
+		Cookie{ID: testID, Primary: "p", Secondary: "s", State: map[string]string{"n": "1", "item": long}}.Encode(),
 		// Lying counts: more than the payload holds, negative, short by one.
-		rawCookie("id", "p", "s", 1),
-		rawCookie("id", "p", "s", 1<<40, "k", "v"),
-		rawCookie("id", "p", "s", -1),
-		rawCookie("id", "p", "s", 1, "k", "v", "k2", "v2"),
+		rawCookie(testID, "p", "s", 1),
+		rawCookie(testID, "p", "s", 1<<40, "k", "v"),
+		rawCookie(testID, "p", "s", -1),
+		rawCookie(testID, "p", "s", 1, "k", "v", "k2", "v2"),
 		// Not base64, base64 of nothing useful, base64 the decoder skips over.
 		"!!!not-base64!!!",
 		"not-a-cookie",

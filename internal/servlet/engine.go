@@ -5,8 +5,11 @@ import (
 	"errors"
 	"io"
 	"net/http"
+	"slices"
+	"strings"
 	"sync"
 
+	"wls/internal/cluster"
 	"wls/internal/rmi"
 	"wls/internal/store"
 	"wls/internal/trace"
@@ -55,8 +58,11 @@ type HandlerFunc func(r *Request) Response
 type Engine struct {
 	registry *rmi.Registry
 	sessions *SessionManager
-	// serverName caches the (immutable) hosting server's name.
+	// serverName caches the (immutable) hosting server's name; self is its
+	// bytes, a forwarded cookie's primary when the cookie's field leaves it
+	// out (readSession).
 	serverName string
+	self       []byte
 	// paths interns request paths decoded off the wire so repeat requests
 	// to the same servlet never materialize a fresh path string.
 	paths *wire.Interner
@@ -79,6 +85,7 @@ func NewEngine(registry *rmi.Registry, cfg Config) *Engine {
 	e := &Engine{
 		registry:   registry,
 		serverName: registry.Member().Name(),
+		self:       []byte(registry.Member().Name()),
 		paths:      wire.NewInterner(256),
 		servlets:   make(map[string]HandlerFunc),
 	}
@@ -148,7 +155,7 @@ func (e *Engine) badCookie() Response {
 func (e *Engine) serve(ctx context.Context, path string, c *CookieRef, body []byte) (resp Response, same bool) {
 	sess := e.sessions.resolve(ctx, c)
 	if sp := trace.FromContext(ctx); sp != nil {
-		sp.Annotate("session", sess.ID)
+		sp.Annotate("session", cluster.IDString(sess.ID))
 	}
 	e.mu.Lock()
 	h, ok := e.servlets[path]
@@ -174,44 +181,48 @@ func (e *Engine) serve(ctx context.Context, path string, c *CookieRef, body []by
 // handleRequest is the RMI surface used by the presentation tier. Fields
 // are decoded without copying (the body aliases the inbound frame, which is
 // lent for the duration of the call and serialized out before return),
-// the path is interned, and the cookie is parsed from the wire bytes.
+// the path is interned, and the session field is read in place: a field
+// the engine cannot read is answered as a cookie it cannot parse, 400.
 func (e *Engine) handleRequest(ctx context.Context, call *rmi.Call) ([]byte, error) {
 	d := wire.NewDecoder(call.Args)
 	pathB := d.BytesNoCopy()
-	cookieB := d.BytesNoCopy()
+	c, bad := readSession(d, e.self)
 	body := d.BytesNoCopy()
 	if err := d.Err(); err != nil {
 		return nil, err
 	}
+	if bad != nil {
+		AppendResponse(call.Reply(), e.badCookie(), false)
+		return nil, nil
+	}
 	path := e.paths.Intern(pathB)
 	bare, urlTok := SplitURL(path)
 	var resp Response
-	var buf CookieBuf
-	same := false
-	if urlTok != "" && len(cookieB) == 0 {
+	same, sent := false, !c.empty()
+	if urlTok != "" && !sent {
 		// URL-rewritten token and no Cookie header (rare): the request sent
 		// no cookie, so its reply names one, changed or not.
 		resp = e.ServeCtx(ctx, path, "", body)
-	} else if c, err := ParseCookie(cookieB, &buf); err != nil {
-		resp = e.badCookie()
 	} else {
 		resp, same = e.serve(ctx, bare, &c, body)
 	}
 	// Encoded once, inside the RMI response envelope. resp.Body may alias
 	// the inbound frame (an echo servlet): it is copied here, before the
 	// node recycles that buffer.
-	AppendResponse(call.Reply(), resp, same || resp.Cookie == string(cookieB))
+	AppendResponse(call.Reply(), resp, same || !sent && resp.Cookie == "")
 	return nil, nil
 }
 
 // AppendResponse serializes a Response for the RMI surface: status, body,
 // then the cookie — unless it is the cookie the request carried (same). A
-// session's cookie changes only on creation, promotion or a new secondary,
-// so on every other reply the caller already holds it: the reply then ends
-// after the body, and no cookie on the RMI surface means "the one you
-// sent". A cookie that differs, the empty one of an error reply included,
-// travels in full. ServedBy is not written either: the caller called the
-// server, and fills the field from rmi.Result.ServedBy.
+// session's cookie changes only on creation, promotion or a new secondary
+// (and on a client-cookie write), so on every other reply the caller
+// already holds it: the reply then ends after the body, and no cookie on
+// the RMI surface means "the one you sent". A cookie that differs, the
+// empty one of an error reply to a request that sent one included, travels
+// in full, as text: it is what the browser gets. ServedBy is not written
+// either: the caller called the server, and fills the field from
+// rmi.Result.ServedBy.
 func AppendResponse(enc *wire.Encoder, r Response, same bool) {
 	enc.Int(r.Status)
 	enc.Bytes2(r.Body)
@@ -233,13 +244,108 @@ func DecodeResponseNoCopy(b []byte, sent string) (Response, error) {
 	return r, d.Err()
 }
 
-// AppendRequest serializes a request for the RMI surface into an existing
-// encoder (the webtier routes through a pooled one, so the proxy hop
-// allocates no request buffer).
-func AppendRequest(e *wire.Encoder, path, cookie string, body []byte) {
+// AppendRequest serializes a request for the RMI surface of the engine
+// named callee into an existing encoder (the webtier routes through a
+// pooled one, so the proxy hop allocates no request buffer): the path, the
+// session field (appendSession) and the body. c is the request's cookie as
+// ParseCookie read it, nil when it did not parse.
+func AppendRequest(e *wire.Encoder, path string, c *CookieRef, callee string, body []byte) {
 	e.String(path)
-	e.String(cookie)
+	appendSession(e, c, callee)
 	e.Bytes2(body)
+}
+
+// The session field of a routed request is the cookie its router parsed,
+// in binary: base64 is for the browser, the hop is binary. A flag byte says
+// what follows. 0 is no cookie and fwdBad one that did not parse; anything
+// else is fwdCookie and the parts it lists, in this order: the 16-byte id
+// (fwdID), the secondary's name, the primary's name (fwdPrimary: only when
+// the callee is not the primary, the Fig 2 failover case), and the
+// client-cookie state as an attribute list (fwdState).
+const (
+	fwdCookie = 1 << iota
+	fwdID
+	fwdPrimary
+	fwdState
+	fwdBad
+)
+
+var errSessionField = errors.New("servlet: malformed session field")
+
+// empty reports whether c names nothing: no cookie was sent.
+func (c *CookieRef) empty() bool {
+	return len(c.ID) == 0 && len(c.Primary) == 0 && len(c.Secondary) == 0 && c.State == nil
+}
+
+func appendSession(e *wire.Encoder, c *CookieRef, callee string) {
+	switch {
+	case c == nil:
+		e.Byte(fwdBad)
+		return
+	case c.empty():
+		e.Byte(0)
+		return
+	}
+	flag := byte(fwdCookie)
+	if len(c.ID) > 0 {
+		flag |= fwdID
+	}
+	if string(c.Primary) != callee {
+		flag |= fwdPrimary
+	}
+	if len(c.State) > 0 {
+		flag |= fwdState
+	}
+	e.Byte(flag)
+	e.RawBytes(c.ID)
+	e.Bytes2(c.Secondary)
+	if flag&fwdPrimary != 0 {
+		e.Bytes2(c.Primary)
+	}
+	if flag&fwdState != 0 {
+		var state record
+		state.load(c.State)
+		slices.SortFunc(state.attrs, byKey)
+		appendAttrs(e, state.attrs, nil)
+	}
+}
+
+// readSession reads a session field for the engine whose name is self,
+// without copying: the id and names alias d's buffer, and a primary the
+// field leaves out is self. Only client-cookie state allocates.
+func readSession(d *wire.Decoder, self []byte) (CookieRef, error) {
+	flag := d.Byte()
+	switch {
+	case d.Err() != nil:
+		return CookieRef{}, d.Err()
+	case flag == 0:
+		return CookieRef{}, nil
+	case flag&fwdCookie == 0 || flag&^(fwdCookie|fwdID|fwdPrimary|fwdState) != 0:
+		return CookieRef{}, errSessionField
+	}
+	var c CookieRef
+	if flag&fwdID != 0 {
+		c.ID = d.Raw(cluster.IDLen)
+	}
+	c.Secondary, c.Primary = d.BytesNoCopy(), self
+	if flag&fwdPrimary != 0 {
+		c.Primary = d.BytesNoCopy()
+	}
+	if flag&fwdState != 0 {
+		n, err := attrCount(d)
+		if err != nil {
+			return CookieRef{}, err
+		}
+		c.State = make(map[string]string, n)
+		for ; n > 0; n-- {
+			k := d.String()
+			c.State[k] = d.String()
+		}
+	}
+	if err := d.Err(); err != nil {
+		return CookieRef{}, err
+	}
+	return c, nil
 }
 
 // ---------------------------------------------------------------------------
@@ -282,6 +388,30 @@ func WriteHTTPResponse(w http.ResponseWriter, cookieName string, resp Response) 
 	return err
 }
 
+// CookieValue returns the value of the cookie called name in h's Cookie
+// headers, "" when there is none: the first match, across repeated
+// headers, with one pair of surrounding double quotes taken off, as
+// http.Request.Cookie reads it. The value is a substring of the header, so
+// nothing is allocated, where Request.Cookie parses every cookie of the
+// request into an *http.Cookie.
+func CookieValue(h http.Header, name string) string {
+	for _, line := range h["Cookie"] {
+		for line != "" {
+			var part string
+			part, line, _ = strings.Cut(line, ";")
+			k, v, ok := strings.Cut(strings.TrimSpace(part), "=")
+			if !ok || k != name {
+				continue
+			}
+			if len(v) > 1 && v[0] == '"' && v[len(v)-1] == '"' {
+				v = v[1 : len(v)-1]
+			}
+			return v
+		}
+	}
+	return ""
+}
+
 // HTTPHandler adapts the engine to net/http: the session cookie rides in
 // the standard Cookie header under the given name.
 func (e *Engine) HTTPHandler(cookieName string) http.Handler {
@@ -289,10 +419,7 @@ func (e *Engine) HTTPHandler(cookieName string) http.Handler {
 		cookieName = "WLSESSION"
 	}
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		var cookie string
-		if c, err := r.Cookie(cookieName); err == nil {
-			cookie = c.Value
-		}
+		cookie := CookieValue(r.Header, cookieName)
 		body, ok := ReadHTTPBody(w, r)
 		if !ok {
 			return

@@ -104,3 +104,38 @@ func TestHTTPHandlerBoundedBody(t *testing.T) {
 		}
 	}
 }
+
+// TestCookieValue holds servlet.CookieValue to http.Request.Cookie on the
+// shapes a Cookie header takes: one value among several, repeated headers,
+// a quoted value, a name that ends in the one asked for, and none at all.
+func TestCookieValue(t *testing.T) {
+	for _, tc := range []struct {
+		headers []string
+		want    string
+	}{
+		{[]string{"WLSESSION=abc"}, "abc"},
+		{[]string{"theme=dark; WLSESSION=abc; lang=en"}, "abc"},
+		{[]string{"theme=dark;WLSESSION=abc"}, "abc"},
+		{[]string{"theme=dark", "lang=en; WLSESSION=abc"}, "abc"},
+		{[]string{"WLSESSION=first", "WLSESSION=second"}, "first"},
+		{[]string{`WLSESSION="quoted-value"`}, "quoted-value"},
+		{[]string{"XWLSESSION=decoy"}, ""},
+		{[]string{"XWLSESSION=decoy; WLSESSION=abc"}, "abc"},
+		{[]string{"WLSESSION="}, ""},
+		{[]string{"theme=dark; lang=en"}, ""},
+		{nil, ""},
+	} {
+		r := httptest.NewRequest(http.MethodGet, "/", nil)
+		for _, h := range tc.headers {
+			r.Header.Add("Cookie", h)
+		}
+		got := servlet.CookieValue(r.Header, "WLSESSION")
+		var std string
+		if c, err := r.Cookie("WLSESSION"); err == nil {
+			std = c.Value
+		}
+		if got != tc.want || got != std {
+			t.Errorf("Cookie %q: CookieValue %q, Request.Cookie %q, want %q", tc.headers, got, std, tc.want)
+		}
+	}
+}

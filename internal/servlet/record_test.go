@@ -133,13 +133,13 @@ func TestSessionRecordModel(t *testing.T) {
 
 				// A replica-only session on engine 1, fed by hand.
 				replica, replicaGen := map[string]string{}, uint64(0)
-				const replicaID = "model-replica"
+				const replicaID = "model-replica-id" // a record id: 16 bytes
 
 				for step := 0; step < 250; step++ {
 					switch p := rng.Intn(10); {
 					case p < 6: // one request: a few sets and gets
 						var ops, wantOut []string
-						wrote := false
+						wrote, had := false, len(model) > 0
 						for i := rng.Intn(4) + 1; i > 0; i-- {
 							k := keys[rng.Intn(len(keys))]
 							if rng.Intn(2) == 0 {
@@ -168,9 +168,13 @@ func TestSessionRecordModel(t *testing.T) {
 						if err != nil {
 							t.Fatal(err)
 						}
-						if id == "" {
-							id = c.ID
+						// The id changes only where no copy holds state: a
+						// session never written has none on its secondary,
+						// so a request there starts one under a new id.
+						if c.ID != id && id != "" && had {
+							t.Fatalf("seed %d step %d: session %x of state %v renamed %x", seed, step, id, model, c.ID)
 						}
+						id = c.ID
 						if m.mode == SessionsClientCookie {
 							sameState(t, "cookie", c.State, model)
 						}
@@ -198,7 +202,7 @@ func TestSessionRecordModel(t *testing.T) {
 							if stale {
 								gen = uint64(rng.Int63n(int64(replicaGen))) + 1
 							}
-							e.String(replicaID)
+							e.Raw(replicaID)
 							e.Uint64(gen)
 							n := rng.Intn(4)
 							e.Int(n)

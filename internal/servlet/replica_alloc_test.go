@@ -16,12 +16,13 @@ import (
 // string per value that changed — never the key again — and nothing at all
 // when the values are unchanged.
 func TestReplicaUpdateAllocsPerChangedValue(t *testing.T) {
+	const replicaID = "0123456789abcdef"
 	sm := &SessionManager{attrKeys: wire.NewInterner(0), sessions: make(map[string]*sessState)}
 	var gen uint64
 	delta := func(n, item string) []byte {
 		gen++
 		e := wire.NewEncoder(64)
-		e.String("s1-sess-1")
+		e.Raw(replicaID)
 		e.Uint64(gen)
 		e.Int(2)
 		e.String("n")
@@ -49,7 +50,7 @@ func TestReplicaUpdateAllocsPerChangedValue(t *testing.T) {
 	if changed != 2 {
 		t.Fatalf("update of 2 existing keys with new values: %.1f allocs, want 2 (one per changed value)", changed)
 	}
-	rec := &sm.sessions["s1-sess-1"].rec
+	rec := &sm.sessions[replicaID].rec
 	if got := rec.attrs[rec.find("n")].value; got != strconv.Itoa(1000+runs+1) {
 		t.Fatalf("replica holds n=%q after the updates", got)
 	}
@@ -97,7 +98,7 @@ func TestPlacementAllocFree(t *testing.T) {
 		for _, avoid := range []string{"", "server-2"} {
 			var p placement
 			if a := testing.AllocsPerRun(200, func() {
-				p = sm.chooseSecondary("server-1-sess-7", 0, avoid)
+				p = sm.chooseSecondary("0123456789abcdef", 0, avoid)
 			}); a != 0 {
 				t.Errorf("%s order, avoid %q: chooseSecondary allocates %.1f/op, want 0", order, avoid, a)
 			}

@@ -36,7 +36,11 @@ func newEngines(t *testing.T, n int, cfg servlet.Config) (*simtest.Fixture, []*s
 }
 
 func TestCookieRoundTripProperty(t *testing.T) {
-	f := func(id, primary, secondary string, keys, vals []string) bool {
+	f := func(rawID [16]byte, noID bool, primary, secondary string, keys, vals []string) bool {
+		id := string(rawID[:]) // a record id, or none
+		if noID {
+			id = ""
+		}
 		c := servlet.Cookie{ID: id, Primary: primary, Secondary: secondary}
 		if len(keys) > 0 {
 			c.State = map[string]string{}
@@ -251,6 +255,70 @@ func TestBothReplicasGoneStartsFresh(t *testing.T) {
 	}
 }
 
+// TestForgedCookieStartsAFreshSession: a cookie naming an id no server
+// holds a copy of — here one the client made up — gets a new session under
+// an id of the server's choosing, wherever it lands: the primary it names,
+// the secondary, a third server. A client cannot pick a live session's id.
+func TestForgedCookieStartsAFreshSession(t *testing.T) {
+	_, engines := newEngines(t, 3, servlet.Config{})
+	const forgedID = "0123456789abcdef"
+	forged := servlet.Cookie{ID: forgedID, Primary: "server-1", Secondary: "server-2"}.Encode()
+	for i, e := range engines {
+		resp := e.Serve("/count", forged, nil)
+		c, err := servlet.DecodeCookie(resp.Cookie)
+		if err != nil || string(resp.Body) != "1" || c.ID == forgedID || len(c.ID) != 16 {
+			t.Fatalf("forged cookie at server-%d: body %q, cookie %+v (%v)", i+1, resp.Body, c, err)
+		}
+		if again := e.Serve("/count", resp.Cookie, nil); string(again.Body) != "2" {
+			t.Fatalf("the fresh session at server-%d does not continue: %q", i+1, again.Body)
+		}
+	}
+}
+
+// TestFetchCutByPartitionStartsAFreshSession is Fig 3 with the fetch cut:
+// the primary is gone, the request lands on a third server, and a netsim
+// partition keeps that server from the secondary. The session starts afresh
+// under a new id, so once the partition heals the replica the secondary
+// still holds (at a higher generation) is not mistaken for the new
+// session's: the new session's writes reach the secondary, and a promotion
+// there serves them. Keeping the id, the new primary's deltas fell below
+// the stale replica's generation and the promotion served the old state.
+func TestFetchCutByPartitionStartsAFreshSession(t *testing.T) {
+	f, engines := newEngines(t, 3, servlet.Config{})
+	for _, e := range engines {
+		e.Handle("/get", func(r *servlet.Request) servlet.Response {
+			return servlet.Response{Body: []byte(r.Session.Get("n"))}
+		})
+	}
+	resp := engines[0].Serve("/count", "", nil)
+	for i := 0; i < 4; i++ {
+		resp = engines[0].Serve("/count", resp.Cookie, nil)
+	}
+	was, _ := servlet.DecodeCookie(resp.Cookie)
+	if string(resp.Body) != "5" || was.Primary != "server-1" || was.Secondary != "server-2" {
+		t.Fatalf("setup: body %q, cookie %+v", resp.Body, was)
+	}
+	f.Crash("server-1")
+	f.SettleTimeout() // server-2 is the one engine server-3 can place a secondary on
+
+	f.Partition("server-3", "server-2", true)
+	moved := engines[2].Serve("/get", resp.Cookie, nil)
+	now, _ := servlet.DecodeCookie(moved.Cookie)
+	if string(moved.Body) != "" || now.ID == was.ID || now.Primary != "server-3" || now.Secondary != "server-2" {
+		t.Fatalf("fetch cut: body %q, cookie %+v (was %+v); want a fresh session under a new id", moved.Body, now, was)
+	}
+	f.Partition("server-3", "server-2", false)
+
+	wrote := engines[2].Serve("/count", moved.Cookie, nil)
+	if string(wrote.Body) != "1" {
+		t.Fatalf("first write of the fresh session counted %q", wrote.Body)
+	}
+	f.Crash("server-3")
+	if promoted := engines[1].Serve("/get", wrote.Cookie, nil); string(promoted.Body) != "1" {
+		t.Fatalf("promoted on server-2, the session reads n=%q; its primary wrote 1", promoted.Body)
+	}
+}
+
 func TestPersistentSessionsAreStateless(t *testing.T) {
 	f := simtest.New(simtest.Options{Servers: 2})
 	defer f.Stop()
@@ -268,8 +336,13 @@ func TestPersistentSessionsAreStateless(t *testing.T) {
 	if string(resp2.Body) != "2" {
 		t.Fatalf("persistent session not shared: %q", resp2.Body)
 	}
+	// A cookie naming no stored session gets a fresh one, under a new id.
+	forged := servlet.Cookie{ID: "0123456789abcdef"}.Encode()
+	if resp3 := engines[1].Serve("/count", forged, nil); string(resp3.Body) != "1" || resp3.Cookie == forged {
+		t.Fatalf("forged persistent cookie: body %q, cookie %q", resp3.Body, resp3.Cookie)
+	}
 	// State survives both servers dying (it is in the database).
-	if db.Count("wls.sessions") != 1 {
+	if db.Count("wls.sessions") != 2 {
 		t.Fatalf("sessions in db = %d", db.Count("wls.sessions"))
 	}
 }

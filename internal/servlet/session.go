@@ -23,7 +23,6 @@ import (
 	"errors"
 	"fmt"
 	"slices"
-	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -49,7 +48,9 @@ const (
 // Cookie is the parsed session cookie. For replicated sessions it embeds
 // the primary and secondary ("the hosting server embed[s] its location in a
 // session cookie that the client returns with each new request"); for
-// client-state sessions it carries the state itself.
+// client-state sessions it carries the state itself. ID is a record id, 16
+// bytes (cluster.IDLen), or empty: a cookie naming anything else is
+// malformed.
 type Cookie struct {
 	ID        string
 	Primary   string
@@ -86,6 +87,11 @@ func DecodeCookie(s string) (Cookie, error) {
 	return decodeCookieSlow(s)
 }
 
+var errCookieID = errors.New("servlet: cookie id is not a record id")
+
+// validID reports whether a cookie's id is a record id or empty.
+func validID[K string | []byte](id K) bool { return len(id) == 0 || len(id) == cluster.IDLen }
+
 func decodeCookieSlow(s string) (Cookie, error) {
 	raw, err := base64.RawURLEncoding.DecodeString(s)
 	if err != nil {
@@ -96,6 +102,9 @@ func decodeCookieSlow(s string) (Cookie, error) {
 	n, err := attrCount(d)
 	if err != nil {
 		return Cookie{}, err
+	}
+	if !validID(c.ID) {
+		return Cookie{}, errCookieID
 	}
 	if n > 0 {
 		c.State = make(map[string]string, n)
@@ -131,7 +140,7 @@ func ParseCookie[K string | []byte](s K, buf *CookieBuf) (CookieRef, error) {
 		if n, err := base64.RawURLEncoding.Decode(buf[:], in[:copy(in[:], s)]); err == nil {
 			d := wire.NewDecoder(buf[:n])
 			c := CookieRef{ID: d.BytesNoCopy(), Primary: d.BytesNoCopy(), Secondary: d.BytesNoCopy()}
-			if count, err := attrCount(d); err == nil && count == 0 {
+			if count, err := attrCount(d); err == nil && count == 0 && validID(c.ID) {
 				return c, nil
 			}
 		}
@@ -374,7 +383,6 @@ type SessionManager struct {
 	// each name's replication batcher: append-only and copied on write, read
 	// without a lock. Entry 0 is "", no secondary; names are the view's.
 	repl atomic.Pointer[[]*replBatcher]
-	seq  atomic.Uint64
 
 	mu       sync.Mutex
 	sessions map[string]*sessState
@@ -394,15 +402,15 @@ func newSessionManager(mode SessionMode, service string, member *cluster.Member,
 		attrKeys:    wire.NewInterner(1024),
 		sessions:    make(map[string]*sessState),
 	}
-	sm.seq.Store((max(self.Incarnation, 1) - 1) << 32)
 	sm.repl.Store(&[]*replBatcher{{}})
 	return sm
 }
 
-// newID names a record <server>-sess-<n>. A restarted server counts from
-// (incarnation-1)<<32, so it reuses no id a peer may still hold a record of.
+// newID names a new record: 16 bytes from the member's id source, which
+// no client can count its way to and a restarted server does not repeat.
 func (sm *SessionManager) newID() string {
-	return sm.selfName + "-sess-" + strconv.FormatUint(sm.seq.Add(1), 10)
+	id := sm.member.NewID()
+	return string(id[:])
 }
 
 // secName is the server index i of repl names; secIndex enters name on first use.
@@ -439,16 +447,21 @@ func (sm *SessionManager) resolve(ctx context.Context, c *CookieRef) *Session {
 	// The stateless modes: the request owns its state, filled from the
 	// cookie or from shared storage and never entered in the table.
 	st, isNew := &sessState{id: string(c.ID)}, len(c.ID) == 0
-	if isNew {
-		st.id = sm.newID()
-	}
-	if sm.mode == SessionsClientCookie {
+	switch {
+	case sm.mode == SessionsClientCookie:
 		isNew = c.State == nil
 		st.rec.load(c.State)
-	} else if !isNew {
-		if row, ok := sm.db.Get("wls.sessions", st.id); ok {
-			st.rec.load(row.Fields)
+	case !isNew:
+		// A persistent id with no row names no session: it gets a fresh
+		// one, as adopt's do.
+		row, ok := sm.db.Get("wls.sessions", st.id)
+		st.rec.load(row.Fields)
+		if !ok {
+			st.id, isNew = "", true
 		}
+	}
+	if st.id == "" {
+		st.id = sm.newID()
 	}
 	return acquireSession(st, isNew)
 }
@@ -470,7 +483,7 @@ func (sm *SessionManager) resolveReplicated(ctx context.Context, c *CookieRef) *
 		// Fig 2 failover: the plug-in routed to us, the secondary. We became
 		// the primary and created a new secondary.
 		if sp := trace.FromContext(ctx); sp != nil {
-			sp.Annotate("session-promoted", st.id)
+			sp.Annotate("session-promoted", cluster.IDString(st.id))
 		}
 	}
 	return acquireSession(st, isNew)
@@ -481,32 +494,35 @@ func (sm *SessionManager) resolveReplicated(ctx context.Context, c *CookieRef) *
 // servlet engine inspects the cookie, contacts the secondary to obtain a
 // copy of the state, becomes the primary, and then rewrites the cookie
 // leaving the secondary unchanged" — and ready for this primary's next
-// delta, as the copy brings its generation. With both replicas gone the
-// session starts fresh under the same id (in-memory sessions are "not
-// expected to survive failures" beyond one).
+// delta, as the copy brings its generation. A cookie naming a session no
+// copy of which can be found — both replicas gone (in-memory sessions are
+// "not expected to survive failures" beyond one), a fetch that failed, an
+// id no server ever issued — starts a fresh session under a new id: a
+// client cannot choose the id of a live session, and a replica left on a
+// secondary the fetch could not reach is never seeded over at generation 1,
+// below the generation it holds.
 func (sm *SessionManager) adopt(ctx context.Context, c *CookieRef) (*sessState, bool) {
-	st, isNew := &sessState{id: string(c.ID)}, true
-	if st.id == "" {
-		st.id = sm.newID()
-	}
+	st := &sessState{}
 	for _, sec := range sm.member.OffersOf(sm.service) {
-		if sec.Name != string(c.Secondary) || sec.Name == sm.selfName {
+		if len(c.ID) == 0 || sec.Name != string(c.Secondary) || sec.Name == sm.selfName {
 			continue
 		}
 		if attrs, gen, err := sm.fetchFrom(ctx, sec, c.ID); err == nil {
-			st.rec.attrs, st.rec.gen, isNew = attrs, gen, false
+			st.id, st.rec.attrs, st.rec.gen = string(c.ID), attrs, gen
 			// Epoch 0: the cookie named the secondary; the ring may place it elsewhere.
 			st.place.Store(uint64(primaryAt(0, sm.secIndex(sec.Name))))
 		}
 		break
 	}
+	isNew := st.id == ""
 	if isNew {
+		st.id = sm.newID()
 		st.place.Store(uint64(sm.chooseSecondary(st.id, 0, "")))
 	}
 	sm.mu.Lock()
 	defer sm.mu.Unlock()
 	if cur, ok := sm.sessions[st.id]; ok {
-		return cur, false // a parallel request of the session got here first
+		return cur, false // a parallel request of the fetched session got here first
 	}
 	sm.sessions[st.id] = st
 	return st, isNew
@@ -534,12 +550,18 @@ func (sm *SessionManager) chooseSecondary(id string, p placement, avoid string) 
 
 // finish persists/replicates the session after the servlet ran, and
 // returns the cookie the response must carry — or same: c, which the
-// request carried, names this replicated session, this server and its
-// secondary, so it still holds and none is encoded. Deltas ride the
-// per-secondary batcher.
+// request carried, still says all the response's cookie would, so none is
+// encoded. A replicated session's does when it names this session, this
+// server and its secondary; a stateless session's when it names this
+// session and no servers, and (client-cookie mode) the request wrote no
+// state. Deltas ride the per-secondary batcher.
 func (sm *SessionManager) finish(ctx context.Context, s *Session, c *CookieRef) (cookie string, same bool) {
+	namesOnlyIt := string(c.ID) == s.ID && len(c.Primary) == 0 && len(c.Secondary) == 0
 	switch sm.mode {
 	case SessionsClientCookie:
+		if namesOnlyIt && len(s.dirty) == 0 {
+			return "", true
+		}
 		return encodeCookie(s.ID, "", "", s.st.rec.attrs), false
 	case SessionsPersistent:
 		fields := make(map[string]string, len(s.st.rec.attrs))
@@ -547,6 +569,9 @@ func (sm *SessionManager) finish(ctx context.Context, s *Session, c *CookieRef) 
 			fields[a.key] = a.value
 		}
 		sm.db.Put("wls.sessions", s.ID, fields)
+		if namesOnlyIt && c.State == nil {
+			return "", true
+		}
 		return Cookie{ID: s.ID}.Encode(), false
 	default:
 		st := s.st
@@ -646,7 +671,7 @@ func (sm *SessionManager) shipTo(ctx context.Context, st *sessState, dirty []int
 		rb.pending = b
 	}
 	r.gen++
-	b.enc.String(st.id)
+	b.enc.Raw(st.id)
 	b.enc.Uint64(r.gen)
 	nkeys := appendAttrs(b.enc, r.attrs, dirty)
 	b.count++
@@ -747,13 +772,14 @@ func (sm *SessionManager) handleUpdateBatch(args []byte) error {
 	return nil
 }
 
-// applyUpdate consumes one delta entry from d — all of it, even when the
+// applyUpdate consumes one delta entry from d — the record's 16-byte id,
+// its generation and an attribute list — all of it, even when the
 // generation check skips the apply, so batched entries stay framed. Keys
 // are compared as bytes and interned when new, and a value becomes an owned
 // string only when it changes the stored state: an update of existing keys
 // costs one allocation per changed value, a same-value update none.
 func (sm *SessionManager) applyUpdate(d *wire.Decoder) error {
-	idB := d.BytesNoCopy()
+	idB := d.Raw(cluster.IDLen)
 	gen := d.Uint64()
 	n, err := attrCount(d)
 	if err != nil {
@@ -806,7 +832,7 @@ func (sm *SessionManager) handleFetch(args []byte) ([]byte, error) {
 	st, ok := sm.sessions[id]
 	sm.mu.Unlock()
 	if !ok {
-		return nil, &rmi.AppError{Msg: "no such session: " + id}
+		return nil, &rmi.AppError{Msg: "no such session: " + cluster.IDString(id)}
 	}
 	e := wire.NewEncoder(128)
 	st.rec.mu.Lock()

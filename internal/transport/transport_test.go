@@ -918,11 +918,14 @@ func TestHandshakeRefusesOtherFrameFormats(t *testing.T) {
 	prevVersion.Body[0] = wire.FormatVersion - 1
 	version3 := helloFrame(addr)
 	version3.Body[0] = 3
+	version4 := helloFrame(addr) // cookies forwarded as base64 text
+	version4.Body[0] = 4
 	for name, hello := range map[string][]byte{
 		"fixed-header hello": append(oldHello, oldRequest...),
 		"other version":      wire.AppendFrame(nil, otherVersion),
 		"previous version":   wire.AppendFrame(nil, prevVersion),
 		"version 3":          wire.AppendFrame(nil, version3),
+		"version 4":          wire.AppendFrame(nil, version4),
 		"no version":         wire.AppendFrame(nil, wire.Frame{Kind: wire.KindAnnounce}),
 		"not a hello":        wire.AppendFrame(nil, wire.Frame{Kind: wire.KindRequest, Corr: 1, Body: helloFrame(addr).Body}),
 	} {

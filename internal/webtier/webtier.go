@@ -97,14 +97,17 @@ func (sc *stubCache) get(name, addr string) *rmi.Stub {
 
 // call invokes the servlet engine on a specific member, encoding the
 // request through a pooled encoder and decoding the response in place. It
+// is the one encoder of engine requests: the cookie travels as c, the
+// router's parse of its text (nil: it did not parse, and the engine answers
+// 400), in the binary form servlet.AppendRequest writes for this callee. It
 // is the one decoder of engine replies, and it holds the request: a reply
 // that names no cookie means the one just sent (servlet.AppendResponse),
 // and no reply names its server, which is the member called — so every
 // router above returns the Response it would have with both echoed.
-func (sc *stubCache) call(ctx context.Context, name, addr, path, cookie string, body []byte) (servlet.Response, error) {
+func (sc *stubCache) call(ctx context.Context, name, addr, path, cookie string, c *servlet.CookieRef, body []byte) (servlet.Response, error) {
 	stub := sc.get(name, addr)
 	enc := wire.AcquireEncoder()
-	servlet.AppendRequest(enc, path, cookie, body)
+	servlet.AppendRequest(enc, path, c, name, body)
 	res, err := stub.Invoke(ctx, "request", enc.Bytes())
 	enc.Release()
 	if err != nil {
@@ -113,6 +116,16 @@ func (sc *stubCache) call(ctx context.Context, name, addr, path, cookie string, 
 	resp, err := servlet.DecodeResponseNoCopy(res.Body, cookie)
 	resp.ServedBy = res.ServedBy
 	return resp, err
+}
+
+// parseForward parses the cookie of a router that does not route on it, for
+// the hop: nil when it does not parse, which the engine answers with 400.
+func parseForward(cookie string, buf *servlet.CookieBuf) *servlet.CookieRef {
+	c, err := servlet.ParseCookie(cookie, buf)
+	if err != nil {
+		return nil
+	}
+	return &c
 }
 
 // breakerOpen reports whether name's circuit breaker is open. Routers use
@@ -205,7 +218,7 @@ func (p *ProxyPlugin) Route(ctx context.Context, path, cookie string, body []byt
 		if !ok {
 			continue // none named, or not in the current view (failed): try next
 		}
-		resp, err := p.stubs.call(ctx, target.Name, target.Addr, path, cookie, body)
+		resp, err := p.stubs.call(ctx, target.Name, target.Addr, path, cookie, &c, body)
 		if err == nil {
 			p.routed.Inc()
 			if span != nil {
@@ -236,7 +249,7 @@ func (p *ProxyPlugin) Route(ctx context.Context, path, cookie string, body []byt
 			if breakerOpen(p.res, b.Name) != (pass == 1) {
 				continue
 			}
-			resp, err := p.stubs.call(ctx, b.Name, b.Addr, path, cookie, body)
+			resp, err := p.stubs.call(ctx, b.Name, b.Addr, path, cookie, &c, body)
 			if err == nil {
 				p.routed.Inc()
 				if span != nil {
@@ -260,7 +273,8 @@ func (p *ProxyPlugin) Route(ctx context.Context, path, cookie string, body []byt
 // Fig 3: external load-balancing appliance
 
 // ExternalLB models an IP appliance: it knows client identities (source
-// addresses) and sticky affinity, but never parses cookies.
+// addresses) and sticky affinity, and never routes on cookies (it parses
+// one only to forward it, as every router's hop does).
 type ExternalLB struct {
 	node   rmi.Node
 	view   View
@@ -352,10 +366,12 @@ func (lb *ExternalLB) Route(ctx context.Context, clientID, path, cookie string, 
 	target, hasAffinity := lb.affinity.get(clientID)
 	lb.mu.Unlock()
 
+	var buf servlet.CookieBuf
+	c := parseForward(cookie, &buf)
 	tryServer := func(name string) (servlet.Response, bool) {
 		for _, b := range backs {
 			if b.Name == name {
-				resp, err := lb.stubs.call(ctx, b.Name, b.Addr, path, cookie, body)
+				resp, err := lb.stubs.call(ctx, b.Name, b.Addr, path, cookie, c, body)
 				if err == nil {
 					lb.mu.Lock()
 					lb.affinity.put(clientID, name)
@@ -459,7 +475,8 @@ func (d *DNSClients) Route(ctx context.Context, clientID, path, cookie string, b
 		b := backs[int(d.rr.Add(1)-1)%len(backs)]
 		name, addr = b.Name, b.Addr
 	}
-	resp, err := d.stubs.call(ctx, name, addr, path, cookie, body)
+	var buf servlet.CookieBuf
+	resp, err := d.stubs.call(ctx, name, addr, path, cookie, parseForward(cookie, &buf), body)
 	if err != nil {
 		// Client notices the dead server and re-resolves on the next call.
 		d.mu.Lock()

@@ -19,8 +19,8 @@
 // minimal, so a frame has exactly one encoding and Frame.WireSize is what a
 // peer's socket receives; a length prefix never needs more than 4 bytes.
 // There is one format and no negotiation: connection handshakes carry
-// FormatVersion (4: the RMI envelope codes built-in names and names no
-// server in a reply) and refuse any other (see internal/transport).
+// FormatVersion (5: a routed request carries its session cookie parsed,
+// in binary) and refuse any other (see internal/transport).
 //
 // The package also provides Encoder/Decoder, a compact append-style binary
 // encoding (uvarint lengths, no reflection) used for all message bodies.
@@ -92,10 +92,14 @@ const MaxFrameSize = 64 << 20 // 64 MiB
 // many messages and a stateful "create" answering the bare id, 4 an RMI
 // envelope that says only what its receiver cannot know — the system's own
 // service and method names as one-byte codes of a fixed table, and no
-// server name in a reply, whose caller chose the server. A transport sends
-// it in its handshake and refuses a peer that sends anything else, so a
-// build with other frames or bodies is turned away instead of misparsed.
-const FormatVersion byte = 4
+// server name in a reply, whose caller chose the server, 5 a routed request
+// whose session cookie travels as the router parsed it — a flag byte, the
+// 16-byte session id, the secondary, and the primary only when it is not
+// the callee — and a session delta naming its session by those 16 bytes. A
+// transport sends it in its handshake and refuses a peer that sends
+// anything else, so a build with other frames or bodies is turned away
+// instead of misparsed.
+const FormatVersion byte = 5
 
 // ErrFrameTooLarge is returned when a frame header announces a payload
 // exceeding MaxFrameSize.
@@ -448,6 +452,9 @@ func (e *Encoder) String(s string) {
 // Raw appends s with no length prefix: the caller's own field says how
 // long it is.
 func (e *Encoder) Raw(s string) { e.buf = append(e.buf, s...) }
+
+// RawBytes is Raw for a byte slice.
+func (e *Encoder) RawBytes(b []byte) { e.buf = append(e.buf, b...) }
 
 // Frame appends f as one length-prefixed frame (AppendFrame), so frames
 // can be batched in a pooled buffer.

@@ -260,11 +260,17 @@ func (c *Cluster) newServer(i int, name string) (*Server, error) {
 	if len(c.opts.ReplicationGroups) > 0 {
 		group = c.opts.ReplicationGroups[i%len(c.opts.ReplicationGroups)]
 	}
+	cfg := fix.cfg
+	if fix.vclk != nil {
+		// Record ids follow the seed on a virtual clock, so a seeded run
+		// replays; on the wall clock they come from crypto/rand.
+		cfg.IDSeed = seedFor(c.opts.Seed, name)
+	}
 	s := &Server{
 		Name:     name,
 		cluster:  c,
 		endpoint: fix.net.Endpoint(addr),
-		member: cluster.NewMember(fix.cfg, fix.clock, fix.bus, cluster.MemberInfo{
+		member: cluster.NewMember(cfg, fix.clock, fix.bus, cluster.MemberInfo{
 			Name:                     name,
 			Addr:                     addr,
 			Machine:                  fmt.Sprintf("machine-%d", i/c.opts.ServersPerMachine+1),
@@ -361,10 +367,10 @@ func (c *Cluster) seedBase(explicit int64) int64 {
 	return c.opts.Seed
 }
 
-// seedFor de-correlates backoff jitter across callers deterministically:
-// each server/router mixes its name into the base seed, so concurrent
-// retry waves de-synchronize while every (cluster seed, name) pair stays
-// reproducible.
+// seedFor de-correlates backoff jitter and record ids across callers
+// deterministically: each server/router mixes its name into the base seed,
+// so concurrent retry waves de-synchronize and servers draw distinct ids,
+// while every (cluster seed, name) pair stays reproducible.
 func seedFor(base int64, name string) int64 {
 	h := uint64(14695981039346656037) // FNV-1a offset basis
 	for i := 0; i < len(name); i++ {
