@@ -42,7 +42,7 @@ const (
 	gateTransportEcho       = 3
 	gateTCPEcho             = 2
 	gateTCPSessionWrite     = 6
-	gateDurableCheckout     = 26
+	gateDurableCheckout     = 24
 	gateExternalLBEcho      = 4
 	gateStatelessInvoke     = 5
 	gateStatefulInvoke      = 20

@@ -140,8 +140,8 @@ func newQueue(b *Broker, name string) *Queue {
 	if b.st != nil {
 		// Recover the persistent backlog (including messages that were
 		// in flight at crash: un-acked means un-consumed).
-		b.st.Scan(q.space, "", func(id string, raw []byte) bool {
-			if m, err := decodeMessage(raw); err == nil {
+		b.st.Scan(q.space, "", func(id, raw string) bool {
+			if m, err := decodeMessage([]byte(raw)); err == nil {
 				q.pending[id] = m
 				q.order = append(q.order, id)
 			}
@@ -347,7 +347,7 @@ func (b *Broker) RMIService() *rmi.Service {
 	seen := make(map[string]bool)
 	var seenMu sync.Mutex
 	if b.st != nil {
-		b.st.Scan(dedupSpace, "", func(id string, _ []byte) bool {
+		b.st.Scan(dedupSpace, "", func(id, _ string) bool {
 			seen[id] = true
 			return true
 		})
@@ -372,7 +372,7 @@ func (b *Broker) RMIService() *rmi.Service {
 			// sender's redelivery into a dropped "duplicate".
 			err := b.st.Apply([]tuple.Op{
 				{Kind: kv.OpPut, Space: dedupSpace, Key: m.ID},
-				{Kind: kv.OpPut, Space: q.space, Key: m.ID, Value: encodeMessage(m)},
+				{Kind: kv.OpPut, Space: q.space, Key: m.ID, Value: string(encodeMessage(m))},
 			})
 			if err != nil {
 				// Not remembered durably: do not remember it at all, and

@@ -222,7 +222,7 @@ func TestStoreStaysBoundedUnderChurn(t *testing.T) {
 		// Over the fixed part: the live image must account for the rest
 		// (each record framed with two length varints of at most 10 bytes).
 		var live int64
-		st.KV().Scan("", func(k string, v []byte) bool {
+		st.KV().Scan("", func(k, v string) bool {
 			live += int64(len(k) + len(v) + 20)
 			return true
 		})

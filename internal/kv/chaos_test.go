@@ -78,7 +78,7 @@ func chaosWorkload(seed int64, n int) []chaosAction {
 				ops = append(ops, kv.Op{
 					Kind:  kv.OpPut,
 					Key:   key,
-					Value: []byte(fmt.Sprintf("v%d.%d", i, j)),
+					Value: fmt.Sprintf("v%d.%d", i, j),
 				})
 			}
 		}
@@ -90,7 +90,7 @@ func chaosWorkload(seed int64, n int) []chaosAction {
 func applyToModel(m map[string]string, ops []kv.Op) {
 	for _, op := range ops {
 		if op.Kind == kv.OpPut {
-			m[op.Key] = string(op.Value)
+			m[op.Key] = op.Value
 		} else {
 			delete(m, op.Key)
 		}

@@ -58,8 +58,8 @@ func forEachBackend(t *testing.T, fn func(t *testing.T, bc backendCase)) {
 // dump captures the full visible state of a store.
 func dump(s kv.Store) map[string]string {
 	out := map[string]string{}
-	s.Scan("", func(k string, v []byte) bool {
-		out[k] = string(v)
+	s.Scan("", func(k, v string) bool {
+		out[k] = v
 		return true
 	})
 	return out
@@ -127,7 +127,7 @@ func TestConformanceScanOrderAndPrefix(t *testing.T) {
 			}
 		}
 		var keys []string
-		s.Scan("b/", func(k string, v []byte) bool {
+		s.Scan("b/", func(k, _ string) bool {
 			keys = append(keys, k)
 			return true
 		})
@@ -137,7 +137,7 @@ func TestConformanceScanOrderAndPrefix(t *testing.T) {
 		}
 		// Early stop.
 		n := 0
-		s.Scan("", func(k string, v []byte) bool {
+		s.Scan("", func(_, _ string) bool {
 			n++
 			return n < 3
 		})
@@ -164,10 +164,10 @@ func TestConformanceApplyBatch(t *testing.T) {
 			t.Fatal(err)
 		}
 		err := s.Apply([]kv.Op{
-			{Kind: kv.OpPut, Key: "a", Value: []byte("1")},
-			{Kind: kv.OpPut, Key: "b", Value: []byte("2")},
+			{Kind: kv.OpPut, Key: "a", Value: "1"},
+			{Kind: kv.OpPut, Key: "b", Value: "2"},
 			{Kind: kv.OpDelete, Key: "gone"},
-			{Kind: kv.OpPut, Key: "a", Value: []byte("1b")}, // last-write-wins inside a batch
+			{Kind: kv.OpPut, Key: "a", Value: "1b"}, // last-write-wins inside a batch
 		})
 		if err != nil {
 			t.Fatalf("Apply: %v", err)

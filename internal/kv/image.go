@@ -4,25 +4,31 @@ import "sort"
 
 // image is the in-memory picture of a store's live data, shared by every
 // backend: Mem serves from it directly, WAL rebuilds it on open and
-// keep it current as commits land. The sorted-key index is built lazily —
+// keeps it current as commits land. Values are immutable strings, so View
+// can hand them out without a copy. The sorted-key index is built lazily —
 // writes invalidate it, the next Scan rebuilds it — so write-heavy phases
 // pay O(1) per op and scan-heavy phases pay one sort after the last write.
 type image struct {
-	m    map[string][]byte
+	m    map[string]string
 	keys []string // sorted; nil when stale
 }
 
 func newImage() *image {
-	return &image{m: make(map[string][]byte)}
+	return &image{m: make(map[string]string)}
 }
 
-func (im *image) get(key string) ([]byte, bool) {
+func (im *image) get(key string) (string, bool) {
 	v, ok := im.m[key]
 	return v, ok
 }
 
-// put stores value as given; the caller is responsible for copy semantics.
-func (im *image) put(key string, value []byte) {
+// view looks a key up without converting it to a string on the heap.
+func (im *image) view(key []byte) (string, bool) {
+	v, ok := im.m[string(key)]
+	return v, ok
+}
+
+func (im *image) put(key, value string) {
 	if _, existed := im.m[key]; !existed {
 		im.keys = nil
 	}
@@ -37,8 +43,8 @@ func (im *image) del(key string) {
 }
 
 func (im *image) apply(ops []Op) {
-	for _, op := range ops {
-		switch op.Kind {
+	for i := range ops {
+		switch op := &ops[i]; op.Kind {
 		case OpPut:
 			im.put(op.Key, op.Value)
 		case OpDelete:
@@ -62,9 +68,9 @@ func (im *image) sorted() []string {
 	return im.keys
 }
 
-// scan visits keys with the prefix in ascending order. The values passed
-// to fn alias the image; callers that hand them out must copy.
-func (im *image) scan(prefix string, fn func(key string, value []byte) bool) {
+// scan visits keys with the prefix in ascending order. It may rebuild the
+// key index, so it needs the image exclusively.
+func (im *image) scan(prefix string, fn func(key, value string) bool) {
 	keys := im.sorted()
 	i := sort.SearchStrings(keys, prefix)
 	for ; i < len(keys); i++ {

@@ -7,7 +7,8 @@
 // That is the shape §3.3 and §5.1 of the paper assume: middle-tier data
 // "is accessed only in limited ways, e.g., by key or through a sequential
 // scan", so the narrow waist of the stack is exactly Get/Put/Delete/Scan
-// plus an atomic batch.
+// plus an atomic batch — and View, a Get without the copy, through which
+// the table layer reads its rows from the image instead of keeping them.
 //
 // Two backends ship with the package:
 //
@@ -50,27 +51,33 @@ const (
 
 // Op is one operation of an atomic batch.
 type Op struct {
-	Kind  OpKind
-	Key   string
-	Value []byte // nil for OpDelete
+	Kind OpKind
+	Key  string
+	// Value is a put's value, "" for OpDelete. A string cannot change, so
+	// the backend keeps it as it is given: the image's copy is the caller's.
+	Value string
 }
 
 // Store is a flat key-value store ordered by the byte order of its keys.
 //
 // Concurrency: every method is safe for concurrent use. Scan holds the
 // store's internal lock while invoking fn; fn must not call back into the
-// store.
+// store. No read waits for a commit's flush.
 //
-// Ownership: values returned by Get and passed to Scan's fn are copies the
-// caller owns; values passed to Put/Apply are copied on entry, so the
-// caller may reuse its buffers.
+// Ownership: values are immutable strings. View and Scan hand out the
+// backend's own, Get a copy the caller owns; Put copies its value on
+// entry, so the caller may reuse its buffer.
 type Store interface {
 	// Get returns the value for key.
 	Get(key string) ([]byte, bool)
+	// View returns the value for key without copying it: the backend's own
+	// string, which a later write replaces but never changes. key is only
+	// read during the call, so a caller may pass a reused buffer.
+	View(key []byte) (string, bool)
 	// Scan visits every key with the given prefix in ascending byte
 	// order; fn returning false stops the scan early. An empty prefix
 	// scans the whole store.
-	Scan(prefix string, fn func(key string, value []byte) bool)
+	Scan(prefix string, fn func(key, value string) bool)
 	// Count returns the number of keys with the given prefix.
 	Count(prefix string) int
 	// Put durably commits key=value.

@@ -2,14 +2,15 @@ package kv
 
 import "sync"
 
-// Mem is the in-memory backend: the image with a mutex around it. It is
+// Mem is the in-memory backend: the image with a lock around it. It is
 // the latency floor the durable backend is measured against (E32) and
 // the default engine under store.New, which preserves the pre-refactor
 // behaviour of a purely in-memory database substrate.
 type Mem struct {
-	// mu guards img; Get copies out under it and Scan runs its callback
-	// under it (the Store contract forbids reentrancy from fn).
-	mu     sync.Mutex
+	// mu guards img. Get and View read under a read lock; Scan and Count
+	// may rebuild the key index, so they hold it exclusively, and Scan runs
+	// its callback under it (the Store contract forbids reentrancy from fn).
+	mu     sync.RWMutex
 	img    *image
 	closed bool
 }
@@ -21,22 +22,27 @@ func NewMem() *Mem {
 
 // Get implements Store.
 func (m *Mem) Get(key string) ([]byte, bool) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
+	m.mu.RLock()
+	defer m.mu.RUnlock()
 	v, ok := m.img.get(key)
 	if !ok {
 		return nil, false
 	}
-	return append([]byte(nil), v...), true
+	return []byte(v), true
+}
+
+// View implements Store.
+func (m *Mem) View(key []byte) (string, bool) {
+	m.mu.RLock()
+	defer m.mu.RUnlock()
+	return m.img.view(key)
 }
 
 // Scan implements Store.
-func (m *Mem) Scan(prefix string, fn func(key string, value []byte) bool) {
+func (m *Mem) Scan(prefix string, fn func(key, value string) bool) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	m.img.scan(prefix, func(k string, v []byte) bool {
-		return fn(k, append([]byte(nil), v...))
-	})
+	m.img.scan(prefix, fn)
 }
 
 // Count implements Store.
@@ -48,24 +54,12 @@ func (m *Mem) Count(prefix string) int {
 
 // Put implements Store.
 func (m *Mem) Put(key string, value []byte) error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.closed {
-		return ErrClosed
-	}
-	m.img.put(key, append([]byte(nil), value...))
-	return nil
+	return m.Apply([]Op{{Kind: OpPut, Key: key, Value: string(value)}})
 }
 
 // Delete implements Store.
 func (m *Mem) Delete(key string) error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.closed {
-		return ErrClosed
-	}
-	m.img.del(key)
-	return nil
+	return m.Apply([]Op{{Kind: OpDelete, Key: key}})
 }
 
 // Apply implements Store. In-memory application under one lock hold is
@@ -76,14 +70,7 @@ func (m *Mem) Apply(ops []Op) error {
 	if m.closed {
 		return ErrClosed
 	}
-	for _, op := range ops {
-		switch op.Kind {
-		case OpPut:
-			m.img.put(op.Key, append([]byte(nil), op.Value...))
-		case OpDelete:
-			m.img.del(op.Key)
-		}
-	}
+	m.img.apply(ops)
 	return nil
 }
 

@@ -46,10 +46,15 @@ type WAL struct {
 	fs      FS
 	reg     *metrics.Registry
 
-	// mu guards the image, the WAL file, and the checkpoint swap.
+	// mu guards the WAL file and the checkpoint swap, and is held across
+	// the fsync. The image has a lock of its own, taken by a commit only to
+	// apply its ops once they are durable, so no read waits for a flush:
+	// imgMu is written only with mu held.
 	//
 	//wls:lockorder kv.WAL.mu<metrics.Registry.mu
+	//wls:lockorder kv.WAL.mu<kv.WAL.imgMu
 	mu       sync.Mutex
+	imgMu    sync.RWMutex
 	wal      File
 	img      *image
 	closed   bool
@@ -104,7 +109,7 @@ func encodeOps(e *wire.Encoder, ops []Op) {
 		e.Byte(byte(op.Kind))
 		e.String(op.Key)
 		if op.Kind == OpPut {
-			e.Bytes2(op.Value)
+			e.String(op.Value)
 		}
 	}
 }
@@ -121,7 +126,7 @@ func decodeOps(d *wire.Decoder) ([]Op, error) {
 		op.Key = d.String()
 		switch op.Kind {
 		case OpPut:
-			op.Value = d.Bytes()
+			op.Value = d.String()
 		case OpDelete:
 		default:
 			return nil, corruptf("op kind %d", op.Kind)
@@ -237,7 +242,7 @@ func (w *WAL) loadMain() error {
 	d := wire.NewDecoder(payload)
 	for i := uint64(0); i < records; i++ {
 		key := d.String()
-		val := d.Bytes()
+		val := d.String()
 		if d.Err() != nil {
 			return corruptf("main record stream: %v", d.Err())
 		}
@@ -376,34 +381,39 @@ func frameSum(prev, seq uint64, payload []byte) uint64 {
 
 // Get implements Store.
 func (w *WAL) Get(key string) ([]byte, bool) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
+	w.imgMu.RLock()
+	defer w.imgMu.RUnlock()
 	v, ok := w.img.get(key)
 	if !ok {
 		return nil, false
 	}
-	return append([]byte(nil), v...), true
+	return []byte(v), true
+}
+
+// View implements Store.
+func (w *WAL) View(key []byte) (string, bool) {
+	w.imgMu.RLock()
+	defer w.imgMu.RUnlock()
+	return w.img.view(key)
 }
 
 // Scan implements Store.
-func (w *WAL) Scan(prefix string, fn func(key string, value []byte) bool) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	w.img.scan(prefix, func(k string, v []byte) bool {
-		return fn(k, append([]byte(nil), v...))
-	})
+func (w *WAL) Scan(prefix string, fn func(key, value string) bool) {
+	w.imgMu.Lock()
+	defer w.imgMu.Unlock()
+	w.img.scan(prefix, fn)
 }
 
 // Count implements Store.
 func (w *WAL) Count(prefix string) int {
-	w.mu.Lock()
-	defer w.mu.Unlock()
+	w.imgMu.Lock()
+	defer w.imgMu.Unlock()
 	return w.img.count(prefix)
 }
 
 // Put implements Store.
 func (w *WAL) Put(key string, value []byte) error {
-	return w.Apply([]Op{{Kind: OpPut, Key: key, Value: value}})
+	return w.Apply([]Op{{Kind: OpPut, Key: key, Value: string(value)}})
 }
 
 // Delete implements Store.
@@ -414,7 +424,9 @@ func (w *WAL) Delete(key string) error {
 // Apply implements Store: one frame per batch, atomic by checksum — a
 // crash mid-append leaves a frame that fails validation and is truncated
 // on recovery, so either every op of the batch survives or none does. The
-// frame is built in one pooled buffer and appended with one write.
+// frame is built in one pooled buffer and appended with one write. The
+// image takes the ops once the frame is durable: a reader sees the batch
+// no earlier than a crash would keep it.
 func (w *WAL) Apply(ops []Op) error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
@@ -447,14 +459,9 @@ func (w *WAL) Apply(ops []Op) error {
 	w.seq = seq
 	w.prevSum = sum
 	w.walSize += int64(frameHdrLen) + int64(len(payload))
-	for _, op := range ops {
-		switch op.Kind {
-		case OpPut:
-			w.img.put(op.Key, append([]byte(nil), op.Value...)) // copy-on-entry: the image's own copy
-		case OpDelete:
-			w.img.del(op.Key)
-		}
-	}
+	w.imgMu.Lock()
+	w.img.apply(ops) // the image keeps each value as it is given
+	w.imgMu.Unlock()
 	if w.ckptAt > 0 && w.walSize >= w.ckptAt {
 		return w.checkpointLocked()
 	}
@@ -491,14 +498,16 @@ func (w *WAL) checkpointLocked() error {
 		return err
 	}
 	// Record stream in key order: deterministic page images.
+	w.imgMu.Lock()
 	e := wire.NewEncoder(w.img.len() * 32)
 	records := uint64(0)
-	w.img.scan("", func(k string, v []byte) bool {
+	w.img.scan("", func(k, v string) bool {
 		e.String(k)
-		e.Bytes2(v)
+		e.String(v)
 		records++
 		return true
 	})
+	w.imgMu.Unlock()
 	payload := e.Bytes()
 	newGen := w.gen + 1
 

@@ -20,13 +20,15 @@ import (
 	"wls/internal/vclock"
 )
 
-// gateFS parks every Sync while armed, announcing each on parked.
+// gateFS parks every Sync while armed, announcing each on parked; once
+// released, a parked Sync fails with fail when that is set.
 type gateFS struct {
 	kv.FS
 	mu      sync.Mutex
 	armed   bool
 	parked  chan struct{}
 	release chan struct{}
+	fail    error
 }
 
 func (g *gateFS) OpenFile(name string, flag int, perm os.FileMode) (kv.File, error) {
@@ -49,6 +51,9 @@ func (f *gateFile) Sync() error {
 	if armed {
 		f.g.parked <- struct{}{}
 		<-f.g.release
+		if f.g.fail != nil {
+			return f.g.fail
+		}
 	}
 	return f.File.Sync()
 }
@@ -116,6 +121,103 @@ func TestReadersAndStagingDoNotWaitForFlush(t *testing.T) {
 	if err := <-acked; err != nil {
 		t.Fatal(err)
 	}
+}
+
+// TestInFlightCommitReadsAsOneState parks a three-row commit — an update,
+// a delete and an insert in a second table — inside its Sync. The kv image
+// holds only what is durable, so it still shows the old rows; every read
+// of the store shows the commit whole, and together with its changes: a
+// log-sniffer that sees a change and then reads the row never reads the
+// row from before it. After the flush the backend shows the same state.
+// When the flush fails the commit is refused, the store stops, and reads
+// stay where it stopped: the commit in flight is never taken back, since a
+// reader may have seen it and the change log keeps it.
+func TestInFlightCommitReadsAsOneState(t *testing.T) {
+	t.Run("flush succeeds", func(t *testing.T) { inFlightCommitReadsAsOneState(t, nil) })
+	t.Run("flush fails", func(t *testing.T) { inFlightCommitReadsAsOneState(t, errors.New("disk gone")) })
+}
+
+func inFlightCommitReadsAsOneState(t *testing.T, syncErr error) {
+	g := &gateFS{FS: kv.OSFS(), parked: make(chan struct{}, 1), release: make(chan struct{}), fail: syncErr}
+	w, err := kv.OpenWAL(filepath.Join(t.TempDir(), "store.db"), kv.Options{SyncEveryCommit: true, FS: g})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := Open("db", vclock.System, w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	s.Put("stock", "a", fields("qty", "1"))
+	s.Put("stock", "b", fields("qty", "1"))
+	since := s.LastLSN()
+
+	g.mu.Lock()
+	g.armed = true
+	g.mu.Unlock()
+	acked := make(chan error, 1)
+	go func() {
+		se := s.Session("tx-1")
+		se.Update("stock", "a", fields("qty", "2"))
+		se.Delete("stock", "b")
+		se.Insert("orders", "o-1", fields("sku", "a"))
+		acked <- se.Commit("tx-1")
+	}()
+	<-g.parked
+
+	oneState := func(when string) {
+		t.Helper()
+		changes, err := s.Changes(since)
+		if err != nil || len(changes) != 3 {
+			t.Fatalf("%s: Changes = %v, %v; want the commit's three", when, changes, err)
+		}
+		if r, ok := s.Get("stock", "a"); !ok || r.Fields["qty"] != "2" || r.Version != 2 {
+			t.Errorf("%s: stock/a = %+v, %v; want qty 2 at v2", when, r, ok)
+		}
+		if _, ok := s.Get("stock", "b"); ok {
+			t.Errorf("%s: stock/b still reads after its delete", when)
+		}
+		if r, ok := s.Get("orders", "o-1"); !ok || r.Version != 1 {
+			t.Errorf("%s: orders/o-1 = %+v, %v", when, r, ok)
+		}
+		if rows := s.Scan("stock", nil); len(rows) != 1 || rows[0].Key != "a" || rows[0].Fields["qty"] != "2" {
+			t.Errorf("%s: Scan(stock) = %+v", when, rows)
+		}
+		if n, m := s.Count("stock"), s.Count("orders"); n != 1 || m != 1 {
+			t.Errorf("%s: Count stock %d orders %d, want 1 and 1", when, n, m)
+		}
+		if got := s.Tables(); len(got) != 2 || got[0] != "orders" || got[1] != "stock" {
+			t.Errorf("%s: Tables = %v", when, got)
+		}
+	}
+	imageStillOld := func(when string) {
+		t.Helper()
+		if v, _ := s.tp.Get("t:stock", "a"); string(v) != "\x01\x01\x02\x03qty\x011" { // live, v1, {qty: 1}
+			t.Errorf("the kv image shows stock/a as %x %s", v, when)
+		}
+	}
+	within(t, "reads of the commit in flight", func() {
+		oneState("during the flush")
+		imageStillOld("before the flush ended")
+	})
+	close(g.release)
+	err = <-acked
+	if syncErr == nil {
+		if err != nil {
+			t.Fatal(err)
+		}
+		oneState("after the flush")
+		return
+	}
+	if !errors.Is(err, syncErr) {
+		t.Fatalf("a commit whose flush failed returned %v", err)
+	}
+	oneState("after the failed flush")
+	imageStillOld("after its flush failed")
+	if _, err := s.PutE("stock", "c", fields("qty", "1")); !errors.Is(err, syncErr) {
+		t.Fatalf("a commit after the failure returned %v; want the store stopped", err)
+	}
+	oneState("after a refused commit")
 }
 
 // checkout is the two-store transaction of the benchmark's /checkout: an

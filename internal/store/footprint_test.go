@@ -25,13 +25,20 @@ func liveHeap() uint64 {
 	return m.HeapAlloc
 }
 
+// Bytes per stored row over a WAL (TestStoreRowFootprint), at measured +
+// 10 %, and allocations per read of a two-field row (TestStoreGetAllocs).
+const (
+	gateStoreRowOneField  = 163
+	gateStoreRowTwoFields = 180
+	gateStoreGet          = 2
+)
+
 // TestStoreRowFootprint pins what a stored row costs over a WAL: 8 192 rows
 // written one autocommit at a time, live heap after two collections,
-// divided by the row count. That is the image's table slot and field list,
-// the kv image's key and record, and the change ring amortised over the
-// rows. Measured 306 B (one field) and 354 B (two), pinned at that + 10 %;
-// with a field map per row it was 646 and 663 B (DESIGN.md "What a stored
-// row costs" has the breakdown).
+// divided by the row count. That is the kv image's slot, flat key and
+// record — the row's one copy — and the change ring amortised over the
+// rows. Measured 148 B (one field) and 164 B (two); DESIGN.md "What a
+// stored row costs" has the breakdown.
 func TestStoreRowFootprint(t *testing.T) {
 	const rows = 8192
 	for _, tc := range []struct {
@@ -39,8 +46,8 @@ func TestStoreRowFootprint(t *testing.T) {
 		fields map[string]string
 		gate   float64
 	}{
-		{"one field", map[string]string{"last": "o-1"}, 337},
-		{"two fields", map[string]string{"sku": "sku-0042", "session": "s"}, 389},
+		{"one field", map[string]string{"last": "o-1"}, gateStoreRowOneField},
+		{"two fields", map[string]string{"sku": "sku-0042", "session": "s"}, gateStoreRowTwoFields},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			w, err := kv.OpenWAL(filepath.Join(t.TempDir(), "store.db"), kv.Options{})
@@ -66,6 +73,33 @@ func TestStoreRowFootprint(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestStoreGetAllocs: a read walks the row's record in the kv image in
+// place, so the field map it hands out is all it allocates — its keys and
+// values are substrings of the record — and the caller's key is neither
+// copied nor kept.
+func TestStoreGetAllocs(t *testing.T) {
+	w, err := kv.OpenWAL(filepath.Join(t.TempDir(), "store.db"), kv.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := Open("db", vclock.System, w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	s.Put("catalog", "sku-0042", map[string]string{"desc": "a catalog row", "price": "12"})
+	key := []byte("sku-0042") // a key the caller builds, as a servlet does from a request
+	n := testing.AllocsPerRun(1000, func() {
+		if row, ok := s.Get("catalog", string(key)); !ok || row.Fields["price"] != "12" {
+			t.Fatal("Get does not read the row back")
+		}
+	})
+	if n > gateStoreGet {
+		t.Fatalf("a read of a two-field row allocates %.1f, over gateStoreGet = %d", n, gateStoreGet)
+	}
+	t.Logf("a read of a two-field row: %.1f allocs", n)
 }
 
 // TestLockTableGivesBackItsMap: a Go map keeps the buckets it grew after

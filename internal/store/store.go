@@ -23,22 +23,21 @@
 // transaction votes are tuple-space records (wls/internal/tuple) over a
 // pluggable kv backend (wls/internal/kv) — in-memory or WAL. New opens an
 // in-memory store exactly as before; Open layers the same semantics over
-// any backend and recovers tables, row versions, tombstones, the LSN
+// any backend, whose records are the rows, and recovers the LSN
 // high-water mark and in-doubt transactions from it.
 // Every commit — autocommit or transactional — reaches the backend as ONE
 // atomic batch (row records + LSN + staged-vote retirement), so a crash
 // never splits a transaction.
 //
-// The in-memory image (tables, tombstones) is a write-through cache. It
-// keeps each row as one flat record: the version and a field list sorted
-// by key, the order the row's backend record lists them in; the field
-// maps of the API are built at its edge. Reads never touch the backend,
-// nor wait for it: a commit updates the
-// image, releases the image lock and then flushes, so a reader can see a
-// commit that is not yet durable — never one not yet acknowledged and
-// then lost, since the ack waits for the flush. A backend write failure
-// fail-stops the store — subsequent commits are refused — because a
-// database that silently diverges from its log is worse than one that stops.
+// The store keeps no image of its own: a row is its record in the kv
+// image, read in place (record.go), and the field maps of the API are
+// built at its edge. Reads never wait for a flush: a commit publishes its
+// records as the commit in flight, releases its lock and then flushes, so
+// a reader can see a commit that is not yet durable — never one not yet
+// acknowledged and then lost, since the ack waits for the flush. A backend
+// write failure fail-stops the store — subsequent commits are refused —
+// because a database that silently diverges from its log is worse than
+// one that stops.
 package store
 
 import (
@@ -48,6 +47,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"wls/internal/kv"
@@ -84,16 +84,6 @@ const (
 	lsnKey         = "lsn"
 )
 
-// Row-record kinds on the backend.
-const (
-	recLive byte = 1
-	// recTomb is a tombstone: the row is deleted but its last version is
-	// retained, so a later re-insert continues the version sequence
-	// instead of restarting at 1 (optimistic readers must never see a
-	// version number repeat for a key).
-	recTomb byte = 2
-)
-
 // defaultChangeCap bounds the in-memory change log. Sniffers further
 // behind than this get ErrChangesTrimmed instead of an unbounded buffer.
 const defaultChangeCap = 4096
@@ -106,20 +96,10 @@ type Row struct {
 	Version uint64
 }
 
-// record is a row as the store keeps it: its version and its fields, sorted
-// by key. Field lists are never modified once built, so they are shared.
-type record struct {
-	version uint64
-	fields  []field
-}
-
-// field is one column of a row.
+// field is one column of a row. Staged writes keep their fields as a list
+// sorted by key, the order a row record lists them in; staged lists are
+// never modified once built, so they are shared.
 type field struct{ k, v string }
-
-// row builds the Row the API hands out, with a field map of its own.
-func (r record) row(key string) Row {
-	return Row{Key: key, Fields: fieldMap(r.fields), Version: r.version}
-}
 
 // fieldsOf flattens a caller's field map into a new sorted list. nil stays
 // nil: a staged write tells "no condition" from "no fields" by it.
@@ -145,14 +125,6 @@ func fieldMap(fs []field) map[string]string {
 		m[f.k] = f.v
 	}
 	return m
-}
-
-// lookup returns field k's value, "" when there is no such field.
-func lookup(fs []field, k string) string {
-	if i, ok := slices.BinarySearchFunc(fs, field{k: k}, byKey); ok {
-		return fs[i].v
-	}
-	return ""
 }
 
 // Op is a change-log operation kind.
@@ -183,22 +155,32 @@ type Store struct {
 	name  string
 	clock vclock.Clock
 	reg   *metrics.Registry
-	tp    *tuple.Store
+	tp    *tuple.Store // its backend's image holds the rows
 
 	// commitMu is the commit-order lock: held from the moment a commit
-	// takes its LSNs in the image until its batch has been applied by the
-	// backend, so LSN-bearing batches reach kv in LSN order.
+	// takes its LSNs until its batch has been applied by the backend, so
+	// LSN-bearing batches reach kv in LSN order, and one commit at a time
+	// is in flight.
 	//
 	//wls:lockorder store.Store.commitMu<store.Store.mu
 	commitMu sync.Mutex
 
-	// mu guards the image, the change ring and everything below. It is
-	// never held across a backend call, so readers, Session and staging
-	// never queue behind an fsync.
-	mu        sync.RWMutex
-	tables    map[string]map[string]record
-	spaces    map[string]string            // table → its tuple space name
-	tombs     map[string]map[string]uint64 // deleted key → last version
+	// mu guards the commit in flight, the change ring and everything
+	// below. It is never held across a backend write, so readers, Session
+	// and staging never queue behind an fsync. A read that finds a commit
+	// in flight (flying) holds it across its View of the backend: the
+	// records of the commit in flight and the backend's then read as one
+	// state. flying is cleared only once the backend holds the records.
+	//
+	//wls:lockorder store.Store.mu<kv.WAL.imgMu
+	mu sync.RWMutex
+	// flight is the commit in flight: the net state and record of every
+	// row it writes, published with its LSNs and changes, and cleared once
+	// the backend holds the records. flightAt indexes it when the commit
+	// writes more than one row.
+	flight    []flightRow
+	flightAt  map[rowRef]int
+	flying    atomic.Bool // set, under mu, while a commit is in flight
 	sessions  map[string]*Session
 	pendingTx map[string][]stagedWrite // durably prepared, unresolved
 	changes   []Change                 // a ring (see appendChange)
@@ -225,10 +207,12 @@ func New(name string, clock vclock.Clock) *Store {
 	return s
 }
 
-// Open layers a store over an already-open kv backend, recovering tables,
-// row versions, tombstones, the LSN high-water mark and in-doubt
-// transactions from it. The change ring starts empty: Changes(since) for
-// a pre-restart LSN reports ErrChangesTrimmed and the sniffer rescans.
+// Open layers a store over an already-open kv backend, recovering the LSN
+// high-water mark and in-doubt transactions from it; rows, versions and
+// tombstones are the backend's records and stay there, but a record the
+// store could not have written refuses the open. The change ring starts
+// empty: Changes(since) for a pre-restart LSN reports ErrChangesTrimmed
+// and the sniffer rescans.
 func Open(name string, clock vclock.Clock, kvs kv.Store) (*Store, error) {
 	tp, err := tuple.New(kvs)
 	if err != nil {
@@ -240,9 +224,6 @@ func Open(name string, clock vclock.Clock, kvs kv.Store) (*Store, error) {
 		clock:        clock,
 		reg:          reg,
 		tp:           tp,
-		tables:       make(map[string]map[string]record),
-		spaces:       make(map[string]string),
-		tombs:        make(map[string]map[string]uint64),
 		sessions:     make(map[string]*Session),
 		pendingTx:    make(map[string][]stagedWrite),
 		changeCap:    defaultChangeCap,
@@ -256,27 +237,15 @@ func Open(name string, clock vclock.Clock, kvs kv.Store) (*Store, error) {
 	s.locks = newLockTable(clock)
 	var derr error
 	for _, sp := range tp.Spaces() {
-		if !strings.HasPrefix(sp, rowSpacePrefix) {
+		table, ok := strings.CutPrefix(sp, rowSpacePrefix)
+		if !ok {
 			continue
 		}
-		table := sp[len(rowSpacePrefix):]
-		tp.Scan(sp, "", func(k string, v []byte) bool {
-			rec, tomb, isTomb, err := decodeRowRecord(v)
-			if err != nil {
+		tp.Scan(sp, "", func(k, rec string) bool {
+			if err := checkRecord(rec); err != nil {
 				derr = fmt.Errorf("store: table %s key %s: %w", table, k, err)
 				return false
 			}
-			if isTomb {
-				if s.tombs[table] == nil {
-					s.tombs[table] = make(map[string]uint64)
-				}
-				s.tombs[table][k] = tomb
-				return true
-			}
-			if s.tables[table] == nil {
-				s.tables[table] = make(map[string]record)
-			}
-			s.tables[table][k] = rec
 			return true
 		})
 		if derr != nil {
@@ -292,8 +261,8 @@ func Open(name string, clock vclock.Clock, kvs kv.Store) (*Store, error) {
 	}
 	// Every pre-restart change is outside the (empty) ring.
 	s.trimLSN = s.lsn
-	tp.Scan(txSpace, "", func(txID string, v []byte) bool {
-		writes, err := decodeStagedWrites(v)
+	tp.Scan(txSpace, "", func(txID, v string) bool {
+		writes, err := decodeStagedWrites([]byte(v))
 		if err != nil {
 			derr = fmt.Errorf("store: staged tx %s: %w", txID, err)
 			return false
@@ -329,16 +298,85 @@ func (s *Store) SetChangeCap(n int) {
 	}
 }
 
-// Get returns a committed row.
+// Get returns a committed row. While no commit is in flight the backend's
+// record is the row, and Get takes no store lock.
 func (s *Store) Get(table, key string) (Row, bool) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
 	s.reads.Inc()
-	r, ok := s.tables[table][key]
-	if !ok {
+	var r rowRecord
+	var ok bool
+	if s.flying.Load() {
+		s.mu.RLock()
+		r, ok = s.record(table, key)
+		s.mu.RUnlock()
+	} else {
+		r, ok = s.committed(table, key)
+	}
+	if !ok || !r.live {
 		return Row{}, false
 	}
 	return r.row(key), true
+}
+
+// record returns the record of table/key as the store sees it: the commit
+// in flight's, else the backend's. s.mu held.
+func (s *Store) record(table, key string) (rowRecord, bool) {
+	if i, ok := s.inFlight(table, key); ok && s.flight[i].rec != "" {
+		return parseRecord(s.flight[i].rec), true
+	}
+	return s.committed(table, key)
+}
+
+// committed returns the backend's record of table/key.
+func (s *Store) committed(table, key string) (rowRecord, bool) {
+	rec, ok := s.tp.View(rowSpacePrefix+table, key)
+	if !ok {
+		return rowRecord{}, false
+	}
+	return parseRecord(rec), true
+}
+
+// inFlight finds table/key among the rows of the commit in flight. s.mu
+// held.
+func (s *Store) inFlight(table, key string) (int, bool) {
+	if s.flightAt != nil {
+		i, ok := s.flightAt[rowRef{table, key}]
+		return i, ok
+	}
+	for i := range s.flight {
+		if s.flight[i].table == table && s.flight[i].key == key {
+			return i, true
+		}
+	}
+	return 0, false
+}
+
+// eachRecord visits every row record of a table as the store sees it, in
+// no particular order. fn runs inside the backend's Scan: it must not call
+// into the store, and should be brief — the scan holds the backend's image
+// exclusively. s.mu held.
+func (s *Store) eachRecord(table string, fn func(key string, r rowRecord)) {
+	for _, f := range s.flight {
+		if f.table == table && f.rec != "" {
+			fn(f.key, parseRecord(f.rec))
+		}
+	}
+	s.tp.Scan(rowSpacePrefix+table, "", func(key, rec string) bool {
+		if i, ok := s.inFlight(table, key); !ok || s.flight[i].rec == "" {
+			fn(key, parseRecord(rec))
+		}
+		return true
+	})
+}
+
+// count returns the number of live rows of a table. s.mu held.
+func (s *Store) count(table string) int {
+	n := 0
+	s.eachRecord(table, func(_ string, r rowRecord) {
+		if r.live {
+			n++
+		}
+	})
+	return n
 }
 
 // Put writes a row outside any transaction (auto-commit). It is also the
@@ -361,7 +399,7 @@ func (s *Store) PutE(table, key string, fields map[string]string) (Row, error) {
 		return Row{}, err
 	}
 	s.fire(res.fired)
-	return res.last.row(key), nil
+	return Row{Key: key, Fields: fieldMap(res.fields), Version: res.version}, nil
 }
 
 // Delete removes a row outside any transaction. Like Put it panics on a
@@ -386,18 +424,30 @@ func (s *Store) DeleteE(table, key string) (bool, error) {
 }
 
 // Scan returns all rows of a table matching filter (nil matches all), in
-// key order.
+// key order. Under the locks it only collects the live records, which are
+// immutable strings; their field maps are built, and the filter runs,
+// once the locks are released.
 func (s *Store) Scan(table string, filter func(Row) bool) []Row {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
 	s.scans.Inc()
+	type keyed struct {
+		key string
+		r   rowRecord
+	}
+	var live []keyed
+	s.mu.RLock()
+	s.eachRecord(table, func(key string, r rowRecord) {
+		if r.live {
+			live = append(live, keyed{key, r})
+		}
+	})
+	s.mu.RUnlock()
 	var out []Row
-	for key, r := range s.tables[table] {
-		if row := r.row(key); filter == nil || filter(row) {
+	for _, k := range live {
+		if row := k.r.row(k.key); filter == nil || filter(row) {
 			out = append(out, row)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Key < out[j].Key })
+	slices.SortFunc(out, func(a, b Row) int { return strings.Compare(a.Key, b.Key) })
 	return out
 }
 
@@ -405,16 +455,25 @@ func (s *Store) Scan(table string, filter func(Row) bool) []Row {
 func (s *Store) Count(table string) int {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	return len(s.tables[table])
+	return s.count(table)
 }
 
 // Tables lists the tables holding at least one live row, sorted.
 func (s *Store) Tables() []string {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	out := make([]string, 0, len(s.tables))
-	for t, rows := range s.tables {
-		if len(rows) > 0 {
+	tables := make(map[string]bool)
+	for _, f := range s.flight {
+		tables[f.table] = true
+	}
+	for _, sp := range s.tp.Spaces() {
+		if t, ok := strings.CutPrefix(sp, rowSpacePrefix); ok {
+			tables[t] = true
+		}
+	}
+	out := make([]string, 0, len(tables))
+	for t := range tables {
+		if s.count(t) > 0 {
 			out = append(out, t)
 		}
 	}
@@ -503,42 +562,46 @@ func (s *Store) discardStage(txID string) error {
 
 // --- internal commit helpers (s.mu held) ----------------------------------
 
-// applyPut installs fields as the row's next version and returns the image
-// record. The image adopts the list: it is never modified once built.
-func (s *Store) applyPut(table, key string, fields []field, txID string) record {
-	t, ok := s.tables[table]
-	if !ok {
-		t = make(map[string]record)
-		s.tables[table] = t
-	}
-	prev, live := t[key]
-	base := prev.version
-	if !live {
-		// Resume from the tombstone's high-water mark: versions for a key
-		// stay monotone across delete-then-recreate.
-		base = s.tombs[table][key]
-	}
-	rec := record{version: base + 1, fields: fields}
-	t[key] = rec
-	if !live {
-		delete(s.tombs[table], key)
-	}
-	s.lsn++
-	s.appendChange(Change{LSN: s.lsn, Table: table, Key: key, Op: OpPut, TxID: txID})
-	s.writes.Inc()
-	return rec
+// flightRow is one row the commit in flight writes: its state as the
+// commit's writes leave it and, once the commit publishes, the record that
+// carries that state to the backend — and to readers until the backend
+// holds it.
+type flightRow struct {
+	table, key string
+	live       bool
+	version    uint64 // a tombstone's is the row's last version; 0 for a row never written
+	fields     []field
+	touched    bool   // a write changed the row; an untouched row gets no record
+	rec        string // the encoded record; "" until published
 }
 
-func (s *Store) applyDelete(table, key, txID string) {
-	prev := s.tables[table][key]
-	delete(s.tables[table], key)
-	if s.tombs[table] == nil {
-		s.tombs[table] = make(map[string]uint64)
+// flightRow returns the commit's entry for table/key, adding one that
+// starts from the row's committed record.
+func (s *Store) flightRow(table, key string) *flightRow {
+	if i, ok := s.inFlight(table, key); ok {
+		return &s.flight[i]
 	}
-	s.tombs[table][key] = prev.version
-	s.lsn++
-	s.appendChange(Change{LSN: s.lsn, Table: table, Key: key, Op: OpDelete, TxID: txID})
-	s.writes.Inc()
+	f := flightRow{table: table, key: key}
+	if r, ok := s.record(table, key); ok {
+		f.live, f.version = r.live, r.version
+	}
+	if s.flightAt != nil {
+		s.flightAt[rowRef{table, key}] = len(s.flight)
+	}
+	s.flight = append(s.flight, f) // reused from commit to commit (see land)
+	return &s.flight[len(s.flight)-1]
+}
+
+// land ends the commit in flight: the backend holds its records. (After a
+// failed write it never lands; the store has stopped.) A bulk commit's
+// array is not kept for the next one.
+func (s *Store) land() {
+	s.flying.Store(false)
+	clear(s.flight)
+	s.flight, s.flightAt = s.flight[:0], nil
+	if cap(s.flight) > 64 {
+		s.flight = nil
+	}
 }
 
 // change returns the i-th oldest change in the ring.
@@ -577,43 +640,26 @@ func (s *Store) resizeRing(size int) {
 // lsnFlatKey is the backend key of the LSN record, part of every commit.
 var lsnFlatKey = tuple.FlatKey(metaSpace, lsnKey)
 
-// commitResult is what a commit leaves for its caller: the last put's image
-// record, how many writes changed the image, and the changes whose
-// triggers to fire once the caller has let go of its row locks.
+// commitResult is what a commit leaves for its caller: the last put's
+// version and fields, how many writes changed a row, and the changes
+// whose triggers to fire once the caller has let go of its row locks.
 type commitResult struct {
-	last    record
+	version uint64
+	fields  []field
 	applied int
 	fired   []Change
 }
 
-// rowOp appends the backend record for one touched row to ops, encoding
-// its value into e. Must run after the image was updated, s.mu held.
-func (s *Store) rowOp(ops []tuple.Op, e *wire.Encoder, table, key string) []tuple.Op {
-	start := e.Len()
-	if rec, ok := s.tables[table][key]; ok {
-		encodeLiveRecord(e, rec)
-	} else if tomb, ok := s.tombs[table][key]; ok {
-		encodeTombRecord(e, tomb)
-	} else {
-		return ops // never existed (unconditional delete of a missing row): no record
-	}
-	space, ok := s.spaces[table]
-	if !ok {
-		space = rowSpacePrefix + table
-		s.spaces[table] = space
-	}
-	// The slice stays valid if a later append moves the encoder's buffer:
-	// bytes already written are never touched again.
-	return append(ops, tuple.Op{Kind: kv.OpPut, Space: space, Key: key, Value: e.Bytes()[start:]}) // the caller's stack buffer holds the usual batch
-}
-
-// commit applies a validated write set: the in-memory image first (it
-// assigns versions and LSNs), then ONE atomic backend batch carrying the
-// row records, the LSN and — when stageKey names the transaction's
-// durable vote (two-phase commits and recovery; one-phase commits never
-// stage) — the vote's retirement. The image lock is released before the
-// batch is flushed; the commit-order lock is held until it has been.
-// Triggers are left to the caller (fire), who may still hold row locks.
+// commit applies a validated write set. Under mu it assigns versions and
+// LSNs, encodes one record per row written — its net state — and
+// publishes them as the commit in flight, so readers see the commit from
+// here on. Then ONE atomic backend batch carries the records, the LSN and
+// — when stageKey names the transaction's durable vote (two-phase commits
+// and recovery; one-phase commits never stage) — the vote's retirement.
+// mu is released before the batch is flushed; the commit-order lock is
+// held until it has been. The backend keeps each record as it is: it is
+// the row's one copy. Triggers are left to the caller (fire), who may
+// still hold row locks.
 func (s *Store) commit(writes []stagedWrite, txID, stageKey string) (commitResult, error) {
 	var res commitResult
 	s.commitMu.Lock()
@@ -630,55 +676,84 @@ func (s *Store) commit(writes []stagedWrite, txID, stageKey string) (commitResul
 		}
 		delete(s.pendingTx, txID)
 	}
+	if len(writes) > 1 {
+		s.flightAt = make(map[rowRef]int, len(writes))
+	}
+	if cap(s.flight) < len(writes) {
+		s.flight = make([]flightRow, 0, len(writes))
+	}
 	for _, w := range writes {
-		switch w.kind {
-		case writePut:
-			res.last = s.applyPut(w.table, w.key, w.fields, txID)
-		case writeDelete:
-			if _, ok := s.tables[w.table][w.key]; !ok {
-				continue
-			}
-			s.applyDelete(w.table, w.key, txID)
+		f, op := s.flightRow(w.table, w.key), OpPut
+		switch {
+		case w.kind == writePut:
+			// A tombstone's version carries on: versions for a key stay
+			// monotone across delete-then-recreate.
+			f.live, f.version, f.fields = true, f.version+1, w.fields
+			res.version, res.fields = f.version, w.fields
+		case f.live:
+			f.live, op = false, OpDelete
+		default:
+			continue // a delete of a row that is not there
 		}
+		f.touched = true
+		s.lsn++
+		s.appendChange(Change{LSN: s.lsn, Table: w.table, Key: w.key, Op: op, TxID: txID})
+		s.writes.Inc()
 		res.applied++
 		if len(s.triggers[w.table]) > 0 {
 			res.fired = append(res.fired, s.change(s.n-1))
 		}
 	}
 	if res.applied == 0 && stageKey == "" {
+		s.land()
 		s.mu.Unlock()
 		return res, nil // nothing changed and nothing to retire
 	}
+	// Every record is a string of its own but the LSN record, which shares
+	// the first row record's: one allocation for the usual one-row commit.
 	e := wire.AcquireEncoder()
-	defer e.Release() // after Apply: the backend copies what it keeps
+	e.Uint64(s.lsn)
+	lsn := ""
 	var buf [4]tuple.Op
 	ops := buf[:0]
-	// One record per key: the image already holds the net state.
-	var seen map[rowRef]bool
-	if len(writes) > 1 {
-		seen = make(map[rowRef]bool, len(writes))
+	if n := len(s.flight) + 2; n > len(buf) {
+		ops = make([]tuple.Op, 0, n)
 	}
-	for _, w := range writes {
-		if seen != nil {
-			ref := rowRef{w.table, w.key}
-			if seen[ref] {
-				continue
-			}
-			seen[ref] = true
+	for i := range s.flight {
+		f := &s.flight[i]
+		if !f.touched {
+			continue
 		}
-		ops = s.rowOp(ops, e, w.table, w.key)
+		start := e.Len()
+		encodeRecord(e, f.live, f.version, f.fields)
+		if lsn == "" {
+			b := string(e.Bytes())
+			lsn, f.rec = b[:start], b[start:]
+		} else {
+			f.rec = string(e.Bytes()[start:])
+		}
+		f.fields = nil
+		ops = append(ops, tuple.Op{Kind: kv.OpPut, Flat: tuple.FlatKey(rowSpacePrefix+f.table, f.key), Value: f.rec}) // the caller's stack buffer holds the usual batch
 	}
-	start := e.Len()
-	e.Uint64(s.lsn)
-	ops = append(ops, tuple.Op{Kind: kv.OpPut, Flat: lsnFlatKey, Value: e.Bytes()[start:]})
+	if lsn == "" { // no row written: e holds the LSN alone
+		lsn = string(e.Bytes())
+	}
+	e.Release()
+	ops = append(ops, tuple.Op{Kind: kv.OpPut, Flat: lsnFlatKey, Value: lsn})
 	if stageKey != "" {
 		ops = append(ops, tuple.Op{Kind: kv.OpDelete, Flat: stageKey})
 	}
+	s.flying.Store(true)
 	s.mu.Unlock()
 
 	if err := s.tp.Apply(ops); err != nil {
+		// The commit stays in flight: readers may have seen it, and LastLSN
+		// and Changes keep it, so reads stay where the store stopped.
 		return commitResult{}, s.failStop(err)
 	}
+	s.mu.Lock()
+	s.land()
+	s.mu.Unlock()
 	return res, nil
 }
 
@@ -705,33 +780,7 @@ func (s *Store) fire(changes []Change) {
 	}
 }
 
-// --- record encoding -------------------------------------------------------
-
-func encodeLiveRecord(e *wire.Encoder, rec record) {
-	e.Byte(recLive)
-	e.Uint64(rec.version)
-	encodeFields(e, rec.fields)
-}
-
-func encodeTombRecord(e *wire.Encoder, version uint64) {
-	e.Byte(recTomb)
-	e.Uint64(version)
-}
-
-func decodeRowRecord(b []byte) (rec record, tomb uint64, isTomb bool, err error) {
-	d := wire.NewDecoder(b)
-	switch d.Byte() {
-	case recTomb:
-		tomb = d.Uint64()
-		return record{}, tomb, true, d.Err()
-	case recLive:
-		rec.version = d.Uint64()
-		rec.fields, err = decodeFields(d)
-		return rec, 0, false, err
-	default:
-		return record{}, 0, false, fmt.Errorf("unknown row record kind")
-	}
-}
+// --- staged-vote encoding (row records: record.go) -------------------------
 
 func encodeStagedWrites(e *wire.Encoder, writes []stagedWrite) {
 	e.Int(len(writes))
@@ -986,7 +1035,7 @@ func (se *Session) prepare(durable bool) error {
 		stageKey := tuple.FlatKey(txSpace, se.txID)
 		e := wire.AcquireEncoder()
 		encodeStagedWrites(e, writes)
-		vote := [1]tuple.Op{{Kind: kv.OpPut, Flat: stageKey, Value: e.Bytes()}}
+		vote := [1]tuple.Op{{Kind: kv.OpPut, Flat: stageKey, Value: string(e.Bytes())}}
 		err := s.tp.Apply(vote[:])
 		e.Release()
 		if err != nil {
@@ -1002,11 +1051,12 @@ func (se *Session) prepare(durable bool) error {
 	return nil
 }
 
-// validate checks every write's WHERE condition against the image (s.mu
-// held).
+// validate checks every write's WHERE condition against the committed rows
+// (s.mu held).
 func (s *Store) validate(writes []stagedWrite) error {
 	for _, w := range writes {
-		cur, exists := s.tables[w.table][w.key]
+		cur, ok := s.record(w.table, w.key)
+		exists := ok && cur.live
 		if w.insert && exists {
 			return fmt.Errorf("%w: %s/%s", ErrDuplicate, w.table, w.key)
 		}
@@ -1023,7 +1073,7 @@ func (s *Store) validate(writes []stagedWrite) error {
 				return fmt.Errorf("%w: %s/%s deleted", ErrConflict, w.table, w.key)
 			}
 			for _, f := range w.expectFields {
-				if got := lookup(cur.fields, f.k); got != f.v {
+				if got := cur.field(f.k); got != f.v {
 					s.conflicts.Inc()
 					return fmt.Errorf("%w: %s/%s field %s = %q, expected %q",
 						ErrConflict, w.table, w.key, f.k, got, f.v)

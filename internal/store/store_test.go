@@ -3,6 +3,7 @@ package store
 import (
 	"errors"
 	"fmt"
+	"strconv"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -382,6 +383,41 @@ func TestHotRowAtomicIncrementProperty(t *testing.T) {
 	if r.Fields["n"] != fmt.Sprint(writers*perWriter) {
 		t.Fatalf("lost updates: n=%s want %d", r.Fields["n"], writers*perWriter)
 	}
+}
+
+// TestReadsNeverTrailTheChangeLog: while commits land, a reader that has
+// seen LastLSN L then reads a row no older than L, and whole — whether it
+// finds a commit in flight or reads the backend alone. One row is written,
+// so its version counts the changes.
+func TestReadsNeverTrailTheChangeLog(t *testing.T) {
+	s := newStore()
+	s.Put("t", "k", fields("v", "1"))
+	done := make(chan struct{})
+	var wg sync.WaitGroup
+	for r := 0; r < 2; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-done:
+					return
+				default:
+				}
+				lsn := s.LastLSN()
+				row, ok := s.Get("t", "k")
+				if !ok || row.Version < lsn || row.Fields["v"] != strconv.FormatUint(row.Version, 10) {
+					t.Errorf("after LastLSN %d, Get = %+v, %v", lsn, row, ok)
+					return
+				}
+			}
+		}()
+	}
+	for i := 2; i <= 2000; i++ {
+		s.Put("t", "k", fields("v", strconv.Itoa(i)))
+	}
+	close(done)
+	wg.Wait()
 }
 
 func TestSessionIdentityPerTx(t *testing.T) {

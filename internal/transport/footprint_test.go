@@ -24,19 +24,22 @@ func liveHeap() uint64 {
 	return m.HeapAlloc
 }
 
+// gateIdleConnEnd is the live heap of an idle connection end in bytes, at
+// measured + 10 %.
+const gateIdleConnEnd = 6920
+
 // TestIdleConnFootprint pins what an idle connection end holds. One
 // transport dials 32 peers and makes one call to each; the live heap that
 // added, net of the 33 transports built beforehand, is divided by the 64
 // connection ends. That is the 4 KiB socket buffer, the conn with its
 // call-slot shards, the writer, the TCP conn and the tracking maps; no body
 // buffer, no batch buffer (DESIGN.md "What a connection end holds" has the
-// breakdown). Measured 6 290 B, pinned at that + 10 %; with a 64 KiB socket
-// buffer and a body buffer kept between frames it was ≈ 68 KiB. A burst of
-// 64 concurrent 200 KiB echoes over one of the connections must leave
-// nothing behind: the same gate holds after it (it read ≈ 82 KiB then).
+// breakdown). Measured 6 290 B, pinned at gateIdleConnEnd. A burst of 64
+// concurrent 200 KiB echoes over one of the connections must leave nothing
+// behind: the same gate holds after it.
 func TestIdleConnFootprint(t *testing.T) {
 	const peers = 32
-	const gate = 6920.0 // bytes per connection end
+	const gate = float64(gateIdleConnEnd)
 	hub := newT(t)
 	ps := make([]*Transport, peers)
 	for i := range ps {

@@ -84,7 +84,7 @@ func TestServerStoreScanSortedAndCount(t *testing.T) {
 		st.Put("r", k, []byte("x"))
 	}
 	var keys []string
-	st.Scan("r", "", func(k string, _ []byte) bool { keys = append(keys, k); return true })
+	st.Scan("r", "", func(k, _ string) bool { keys = append(keys, k); return true })
 	if !reflect.DeepEqual(keys, []string{"a", "b", "c"}) {
 		t.Fatalf("keys = %v", keys)
 	}

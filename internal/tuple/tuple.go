@@ -35,10 +35,11 @@ type Op struct {
 	Kind  kv.OpKind
 	Space string
 	Key   string
-	// Flat, when set, replaces Space and Key: FlatKey of them, built once
-	// by a caller that writes the same record again and again.
+	// Flat, when set, replaces Space and Key: FlatKey of them, built by the
+	// caller — once, for a record written again and again, or in one
+	// concatenation where Space would be built for the op.
 	Flat  string
-	Value []byte
+	Value string // kept as it is (kv.Op.Value)
 }
 
 // FlatKey maps a space-addressed key onto the flat kv keyspace.
@@ -61,9 +62,9 @@ type Store struct {
 func New(kvs kv.Store) (*Store, error) {
 	st := &Store{kv: kvs, pending: make(map[string][]Op)}
 	var derr error
-	kvs.Scan(stagePrefix, func(k string, v []byte) bool {
+	kvs.Scan(stagePrefix, func(k, v string) bool {
 		txID := k[len(stagePrefix):]
-		ops, err := decodeStaged(v)
+		ops, err := decodeStaged([]byte(v))
 		if err != nil {
 			derr = fmt.Errorf("tuple: stage record for %q: %w", txID, err)
 			return false
@@ -85,6 +86,21 @@ func (st *Store) Get(space, key string) ([]byte, bool) {
 	return st.kv.Get(FlatKey(space, key))
 }
 
+// View returns a space's value for key without copying it (kv.Store.View).
+// The flat key is built in a pooled buffer, so a read allocates nothing.
+func (st *Store) View(space, key string) (string, bool) {
+	bp := keyBufs.Get().(*[]byte)
+	flat := append(append(append((*bp)[:0], space...), 0), key...) // FlatKey
+	v, ok := st.kv.View(flat)
+	*bp = flat
+	keyBufs.Put(bp)
+	return v, ok
+}
+
+// keyBufs holds the flat keys View looks up: a key passed through the kv
+// interface escapes, so a read borrows a buffer rather than allocate one.
+var keyBufs = sync.Pool{New: func() any { return new([]byte) }}
+
 // Put writes one key in a space.
 func (st *Store) Put(space, key string, value []byte) error {
 	return st.kv.Put(FlatKey(space, key), value)
@@ -95,10 +111,11 @@ func (st *Store) Delete(space, key string) error {
 	return st.kv.Delete(FlatKey(space, key))
 }
 
-// Scan visits a space's keys carrying prefix, in ascending key order.
-func (st *Store) Scan(space, prefix string, fn func(key string, value []byte) bool) {
+// Scan visits a space's keys carrying prefix, in ascending key order. The
+// values are the backend's own (kv.Store.Scan).
+func (st *Store) Scan(space, prefix string, fn func(key, value string) bool) {
 	skip := len(space) + 1
-	st.kv.Scan(FlatKey(space, prefix), func(k string, v []byte) bool {
+	st.kv.Scan(FlatKey(space, prefix), func(k, v string) bool {
 		return fn(k[skip:], v)
 	})
 }
@@ -111,7 +128,7 @@ func (st *Store) Count(space, prefix string) int {
 // Spaces lists the distinct spaces holding at least one key.
 func (st *Store) Spaces() []string {
 	seen := map[string]bool{}
-	st.kv.Scan("", func(k string, v []byte) bool {
+	st.kv.Scan("", func(k, _ string) bool {
 		if strings.HasPrefix(k, "\x00") {
 			return true // reserved namespace
 		}
@@ -140,10 +157,11 @@ func mapOps(out []kv.Op, ops []Op) []kv.Op {
 	return out
 }
 
-// kvOpsPool recycles the kv form of a batch: backends copy what they keep.
+// kvOpsPool recycles the kv form of a batch: backends keep its strings,
+// never the slice.
 var kvOpsPool = sync.Pool{New: func() any { return new([]kv.Op) }}
 
-// Apply commits a cross-space batch atomically; like kv, it keeps copies.
+// Apply commits a cross-space batch atomically.
 func (st *Store) Apply(ops []Op) error {
 	buf := kvOpsPool.Get().(*[]kv.Op)
 	kops := mapOps((*buf)[:0], ops)
@@ -166,7 +184,7 @@ func encodeStaged(ops []Op) []byte {
 		e.String(o.Space)
 		e.String(o.Key)
 		if o.Kind == kv.OpPut {
-			e.Bytes2(o.Value)
+			e.String(o.Value)
 		}
 	}
 	return e.Bytes()
@@ -185,7 +203,7 @@ func decodeStaged(b []byte) ([]Op, error) {
 		o.Key = d.String()
 		switch o.Kind {
 		case kv.OpPut:
-			o.Value = d.Bytes()
+			o.Value = d.String()
 		case kv.OpDelete:
 		default:
 			return nil, fmt.Errorf("staged op kind %d", o.Kind)
@@ -217,7 +235,7 @@ func (st *Store) Session() *Session { return &Session{st: st} }
 func (s *Session) Put(space, key string, value []byte) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.ops = append(s.ops, Op{Kind: kv.OpPut, Space: space, Key: key, Value: append([]byte(nil), value...)})
+	s.ops = append(s.ops, Op{Kind: kv.OpPut, Space: space, Key: key, Value: string(value)})
 }
 
 // Delete stages a removal.

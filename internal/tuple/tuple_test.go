@@ -68,7 +68,7 @@ func TestSpacesAreIsolated(t *testing.T) {
 		// The space boundary is exact: "a" does not see "ab"'s keys even
 		// though "ab" is a string-prefix of neither-space's encoding.
 		n := 0
-		st.Scan("a", "", func(k string, v []byte) bool { n++; return true })
+		st.Scan("a", "", func(_, _ string) bool { n++; return true })
 		if n != 1 {
 			t.Fatalf("Scan(a) crossed into space ab: %d keys", n)
 		}
@@ -86,8 +86,8 @@ func TestApplyCrossSpaceAtomicVisible(t *testing.T) {
 		st := open(t, kc, t.TempDir())
 		defer st.Close()
 		err := st.Apply([]tuple.Op{
-			{Kind: kv.OpPut, Space: "queue", Key: "m1", Value: []byte("msg")},
-			{Kind: kv.OpPut, Space: "conv", Key: "c1", Value: []byte("state")},
+			{Kind: kv.OpPut, Space: "queue", Key: "m1", Value: "msg"},
+			{Kind: kv.OpPut, Space: "conv", Key: "c1", Value: "state"},
 		})
 		if err != nil {
 			t.Fatal(err)

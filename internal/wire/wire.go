@@ -648,6 +648,86 @@ func (d *Decoder) Raw(n uint64) []byte {
 	return b
 }
 
+// StringDecoder is a Decoder over a string that reads in place: String
+// returns a substring of the input, so a record kept as a string is read
+// without a copy. Like Decoder it records the first error and returns zero
+// values thereafter.
+type StringDecoder struct {
+	s   string
+	err error
+}
+
+// NewStringDecoder wraps s for decoding.
+func NewStringDecoder(s string) StringDecoder { return StringDecoder{s: s} }
+
+// Err returns the first decoding error encountered, if any.
+func (d *StringDecoder) Err() error { return d.err }
+
+// Remaining returns the number of unread bytes.
+func (d *StringDecoder) Remaining() int { return len(d.s) }
+
+func (d *StringDecoder) fail() {
+	if d.err == nil {
+		d.err = errShortBuffer
+	}
+	d.s = ""
+}
+
+// Byte reads one raw byte.
+func (d *StringDecoder) Byte() byte {
+	if d.s == "" {
+		d.fail()
+		return 0
+	}
+	b := d.s[0]
+	d.s = d.s[1:]
+	return b
+}
+
+// Uint64 reads a uvarint; one that overflows 64 bits is an error, as in
+// binary.Uvarint.
+func (d *StringDecoder) Uint64() uint64 {
+	var v uint64
+	for i := 0; i < len(d.s) && i < binary.MaxVarintLen64; i++ {
+		b := d.s[i]
+		if b < 0x80 {
+			if i == binary.MaxVarintLen64-1 && b > 1 {
+				break
+			}
+			d.s = d.s[i+1:]
+			return v | uint64(b)<<(7*i)
+		}
+		v |= uint64(b&0x7f) << (7 * i)
+	}
+	d.fail()
+	return 0
+}
+
+// Int reads a zig-zag varint and narrows it.
+func (d *StringDecoder) Int() int {
+	u := d.Uint64()
+	return int(int64(u>>1) ^ -int64(u&1))
+}
+
+// String reads a length-prefixed string, as a substring of the input.
+func (d *StringDecoder) String() string {
+	n := d.Uint64()
+	if uint64(len(d.s)) < n {
+		d.fail()
+		return ""
+	}
+	s := d.s[:n]
+	d.s = d.s[n:]
+	return s
+}
+
+// Rest returns the unread input, consuming it.
+func (d *StringDecoder) Rest() string {
+	s := d.s
+	d.s = ""
+	return s
+}
+
 // ---------------------------------------------------------------------------
 // Interner
 

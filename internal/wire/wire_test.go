@@ -701,3 +701,55 @@ func TestPoisonReleased(t *testing.T) {
 		t.Fatalf("released bytes still readable: %q %q", stale, staleBody)
 	}
 }
+
+// TestStringDecoderAgreesWithDecoder reads arbitrary bytes with both
+// decoders through the same sequence of calls: every value and the error
+// state agree, so a record kept as a string reads as its bytes would.
+func TestStringDecoderAgreesWithDecoder(t *testing.T) {
+	f := func(in []byte, calls []uint8) bool {
+		d, sd := NewDecoder(in), NewStringDecoder(string(in))
+		for _, c := range calls {
+			switch c % 4 {
+			case 0:
+				if d.Byte() != sd.Byte() {
+					return false
+				}
+			case 1:
+				if d.Uint64() != sd.Uint64() {
+					return false
+				}
+			case 2:
+				if d.Int() != sd.Int() {
+					return false
+				}
+			case 3:
+				if d.String() != sd.String() {
+					return false
+				}
+			}
+			if (d.Err() == nil) != (sd.Err() == nil) || (d.Err() == nil && d.Remaining() != sd.Remaining()) {
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 5000}); err != nil {
+		t.Fatal(err)
+	}
+	// Edge cases quick rarely draws: an overflowing uvarint, the largest
+	// one, and a string longer than its input.
+	for _, in := range [][]byte{
+		{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x02},
+		{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01},
+		{0x05, 'a', 'b'},
+	} {
+		d, sd := NewDecoder(in), NewStringDecoder(string(in))
+		if d.Uint64() != sd.Uint64() || (d.Err() == nil) != (sd.Err() == nil) {
+			t.Fatalf("%x: the decoders disagree", in)
+		}
+		d, sd = NewDecoder(in), NewStringDecoder(string(in))
+		if d.String() != sd.String() || (d.Err() == nil) != (sd.Err() == nil) {
+			t.Fatalf("%x: the decoders disagree on a string", in)
+		}
+	}
+}

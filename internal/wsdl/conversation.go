@@ -160,8 +160,8 @@ func (p *Port) Recover() int {
 		return 0
 	}
 	var saved []*Conversation
-	p.st.Scan(convSpace, "", func(id string, raw []byte) bool {
-		d := wire.NewDecoder(raw)
+	p.st.Scan(convSpace, "", func(id, raw string) bool {
+		d := wire.NewDecoder([]byte(raw))
 		service := d.String()
 		cnt := d.Int()
 		if d.Err() != nil {
