@@ -55,7 +55,8 @@ const (
 const (
 	gateWireTCPEcho         = 65
 	gateWireTCPSessionWrite = 96
-	gateSessionFootprint    = 441
+	gateSessionFootprint    = 300
+	gateBeanFootprint       = 328
 )
 
 // allocGate logs what a path measured and fails t when it is over gate,
@@ -446,13 +447,6 @@ func TestAllocGateSessionFootprint(t *testing.T) {
 			return servlet.Response{}
 		})
 	}
-	liveHeap := func() uint64 {
-		var m runtime.MemStats
-		runtime.GC()
-		runtime.GC()
-		runtime.ReadMemStats(&m)
-		return m.HeapAlloc
-	}
 	create := func(n int) {
 		body := []byte("sku-0042")
 		for i := 0; i < n; i++ {
@@ -476,4 +470,70 @@ func TestAllocGateSessionFootprint(t *testing.T) {
 	if per > gateSessionFootprint {
 		t.Fatalf("a resident session costs %.0f B, over gateSessionFootprint = %d", per, gateSessionFootprint)
 	}
+}
+
+// TestAllocGateBeanFootprint pins what a stateful bean's conversation
+// costs, measured as TestAllocGateSessionFootprint measures a session:
+// 8 192 beans created and written once with two short attributes, live
+// heap after two collections, divided by the count — both copies of the
+// record and both table entries; the client handles are dropped. Pinned
+// at gateBeanFootprint, measured + 10 % (DESIGN.md "Stateful session beans
+// ride the same records").
+func TestAllocGateBeanFootprint(t *testing.T) {
+	c := allocGateCluster(t, wls.Options{})
+	var home *ejb.StatefulHome
+	for _, s := range c.Servers {
+		h := s.EJB.DeployStateful(ejb.StatefulSpec{
+			Name: "Cart",
+			Methods: map[string]ejb.StatefulMethod{
+				"add": func(sc *ejb.StatefulCtx, args []byte) ([]byte, error) {
+					sc.Set("n", "12")
+					sc.Set("item", string(args))
+					return nil, nil
+				},
+			},
+		})
+		if home == nil {
+			home = h
+		}
+	}
+	c.Settle(2)
+	ctx := context.Background()
+	create := func(n int) {
+		for i := 0; i < n; i++ {
+			h, err := home.Create(ctx)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := h.Invoke(ctx, "add", []byte("sku-0042")); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	create(64) // the stubs, pools and tables the first calls build
+	const beans = 8192
+	before := liveHeap()
+	create(beans)
+	per := float64(liveHeap()-before) / beans
+	resident := 0
+	for _, s := range c.Servers {
+		mem, _ := s.EJB.StatefulStore("Cart").Resident()
+		resident += mem
+	}
+	if want := 2 * (beans + 64); resident != want {
+		t.Fatalf("%d copies resident, want %d", resident, want)
+	}
+	t.Logf("stateful bean, two short attributes: %.0f B resident (both copies)", per)
+	if per > gateBeanFootprint {
+		t.Fatalf("a resident bean costs %.0f B, over gateBeanFootprint = %d", per, gateBeanFootprint)
+	}
+}
+
+// liveHeap is the heap in use after two collections.
+func liveHeap() uint64 {
+	var m runtime.MemStats
+	runtime.GC()
+	runtime.GC()
+	runtime.ReadMemStats(&m)
+	return m.HeapAlloc
 }

@@ -40,8 +40,11 @@ func TestSAFBatchDrainGroupsBacklog(t *testing.T) {
 	before := jmsRequests.Value()
 
 	f.Net.SetPartitioned(f.Servers[0].Endpoint.Addr(), f.Servers[1].Endpoint.Addr(), false)
+	// The forwarder counts a message once the remote enqueue has returned,
+	// so the counter may trail the queue by a moment: wait for both.
+	forwarded := f.Servers[0].Metrics.Counter("jms.saf_forwarded")
 	deadline := time.Now().Add(5 * time.Second)
-	for time.Now().Before(deadline) && remote.Queue("dst").Len() < n {
+	for time.Now().Before(deadline) && (remote.Queue("dst").Len() < n || forwarded.Value() < n) {
 		f.Settle(4)
 		time.Sleep(2 * time.Millisecond)
 	}
@@ -57,7 +60,7 @@ func TestSAFBatchDrainGroupsBacklog(t *testing.T) {
 	if rpcs := jmsRequests.Value() - before; rpcs >= n/2 {
 		t.Fatalf("backlog of %d crossed in %d jms RPCs; expected a batched flush", n, rpcs)
 	}
-	if fwd := f.Servers[0].Metrics.Counter("jms.saf_forwarded").Value(); fwd != n {
+	if fwd := forwarded.Value(); fwd != n {
 		t.Fatalf("saf_forwarded = %d, want %d", fwd, n)
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"io"
 	"net/http"
-	"slices"
 	"strings"
 	"sync"
 
@@ -274,7 +273,7 @@ var errSessionField = errors.New("servlet: malformed session field")
 
 // empty reports whether c names nothing: no cookie was sent.
 func (c *CookieRef) empty() bool {
-	return len(c.ID) == 0 && len(c.Primary) == 0 && len(c.Secondary) == 0 && c.State == nil
+	return len(c.ID) == 0 && len(c.Primary) == 0 && len(c.Secondary) == 0 && len(c.State) == 0
 }
 
 func appendSession(e *wire.Encoder, c *CookieRef, callee string) {
@@ -303,16 +302,13 @@ func appendSession(e *wire.Encoder, c *CookieRef, callee string) {
 		e.Bytes2(c.Primary)
 	}
 	if flag&fwdState != 0 {
-		var state record
-		state.load(c.State)
-		slices.SortFunc(state.attrs, byKey)
-		appendAttrs(e, state.attrs, nil)
+		e.RawBytes(c.State)
 	}
 }
 
 // readSession reads a session field for the engine whose name is self,
-// without copying: the id and names alias d's buffer, and a primary the
-// field leaves out is self. Only client-cookie state allocates.
+// without copying: the id, the names and the state alias d's buffer, and a
+// primary the field leaves out is self.
 func readSession(d *wire.Decoder, self []byte) (CookieRef, error) {
 	flag := d.Byte()
 	switch {
@@ -332,14 +328,12 @@ func readSession(d *wire.Decoder, self []byte) (CookieRef, error) {
 		c.Primary = d.BytesNoCopy()
 	}
 	if flag&fwdState != 0 {
-		n, err := attrCount(d)
+		state, n, err := readList(d)
 		if err != nil {
 			return CookieRef{}, err
 		}
-		c.State = make(map[string]string, n)
-		for ; n > 0; n-- {
-			k := d.String()
-			c.State[k] = d.String()
+		if n > 0 {
+			c.State = state
 		}
 	}
 	if err := d.Err(); err != nil {

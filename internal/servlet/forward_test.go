@@ -1,7 +1,7 @@
 package servlet
 
 import (
-	"maps"
+	"bytes"
 	"testing"
 
 	"wls/internal/wire"
@@ -32,7 +32,7 @@ func checkForwarded(t *testing.T, in []byte) {
 			t.Fatalf("cookie %q forwarded to %q: %v, %d bytes left", in, callee, err, d.Remaining())
 		}
 		if string(got.ID) != string(sent.ID) || string(got.Primary) != string(sent.Primary) ||
-			string(got.Secondary) != string(sent.Secondary) || !maps.Equal(got.State, sent.State) {
+			string(got.Secondary) != string(sent.Secondary) || !bytes.Equal(got.State, sent.State) {
 			t.Fatalf("cookie %q forwarded to %q reads back (%q, %q, %q, %v), sent (%q, %q, %q, %v)", in, callee,
 				got.ID, got.Primary, got.Secondary, got.State, sent.ID, sent.Primary, sent.Secondary, sent.State)
 		}
@@ -55,7 +55,7 @@ func TestForwardedSessionFields(t *testing.T) {
 // in place, with no allocation.
 func TestForwardedSessionReadsInPlace(t *testing.T) {
 	var buf CookieBuf
-	c, err := ParseCookie(encodeCookie(testID, "server-1", "server-2", nil), &buf)
+	c, err := ParseCookie(encodeCookie(testID, "server-1", "server-2", noAttrs), &buf)
 	if err != nil {
 		t.Fatal(err)
 	}

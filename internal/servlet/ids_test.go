@@ -31,7 +31,7 @@ func TestIDsAreUnguessable(t *testing.T) {
 		if len(id) != 16 {
 			t.Fatalf("id %d is %d bytes", i, len(id))
 		}
-		copy(ids[i][:], id)
+		ids[i] = id
 		for b := range ones {
 			ones[b] += int(id[b/8] >> (b % 8) & 1)
 		}

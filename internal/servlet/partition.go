@@ -39,7 +39,7 @@ func (sm *SessionManager) ringView() *partition.View {
 func (sm *SessionManager) maybeRebalance(ctx context.Context, st *sessState, p placement) {
 	v := sm.ringView() // the steady state is two atomic loads and no iteration
 	for ; v != nil && p.epoch() != uint32(v.Epoch); p = st.placed() {
-		to := sm.chooseSecondary(st.id, p, "")
+		to := sm.chooseSecondary(st.id(), p, "")
 		if to.sec() == 0 || to.sec() == p.sec() {
 			if st.place.CompareAndSwap(uint64(p), uint64(primaryAt(to.epoch(), p.sec()))) {
 				return

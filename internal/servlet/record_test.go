@@ -3,12 +3,14 @@ package servlet
 import (
 	"context"
 	"fmt"
+	"maps"
 	"math/rand"
 	"strings"
 	"sync"
 	"testing"
 	"unsafe"
 
+	"wls/internal/cluster"
 	"wls/internal/partition"
 	"wls/internal/simtest"
 	"wls/internal/store"
@@ -56,23 +58,29 @@ func modelEngine(s *simtest.Server, cfg Config) *Engine {
 }
 
 // held returns a resident session's attributes and generation (nil if e
-// does not hold the session).
+// does not hold the session), failing t when the record is not well-formed.
 func held(t *testing.T, e *Engine, id string) (map[string]string, uint64) {
 	t.Helper()
 	sm := e.sessions
+	key, _ := tableKey(id)
 	sm.mu.Lock()
-	st := sm.sessions[id]
+	st := sm.sessions[key]
 	sm.mu.Unlock()
 	if st == nil {
 		return nil, 0
 	}
 	st.rec.mu.Lock()
 	defer st.rec.mu.Unlock()
-	return attrMap(t, st.rec.attrs), st.rec.gen
+	m, err := checkRecord(st.rec.data)
+	if err != nil || st.rec.data[:len(id)] != id {
+		t.Fatalf("record %q of session %x: %v", st.rec.data, id, err)
+	}
+	return m, st.rec.gen
 }
 
-// fetch is Fig 3's copy of session id from the engine on server.
-func fetch(e *Engine, server, id string) ([]attr, uint64, error) {
+// fetch is Fig 3's copy of session id from the engine on server: its
+// attribute list and generation.
+func fetch(e *Engine, server, id string) ([]byte, uint64, error) {
 	from, ok := e.sessions.member.Lookup(server)
 	if !ok {
 		return nil, 0, fmt.Errorf("%s not in view", server)
@@ -80,16 +88,43 @@ func fetch(e *Engine, server, id string) ([]attr, uint64, error) {
 	return e.sessions.fetchFrom(context.Background(), from, []byte(id))
 }
 
-func attrMap(t *testing.T, attrs []attr) map[string]string {
+// attrMap reads a fetched attribute list, failing t unless it is a
+// record's: keys ascending, each once, canonically encoded.
+func attrMap(t *testing.T, list []byte) map[string]string {
 	t.Helper()
-	m := make(map[string]string, len(attrs))
-	for _, a := range attrs {
-		if _, dup := m[a.key]; dup {
-			t.Fatalf("record holds key %q twice: %v", a.key, attrs)
-		}
-		m[a.key] = a.value
+	m, err := checkRecord(testID + string(list))
+	if err != nil {
+		t.Fatalf("fetched list %q: %v", list, err)
 	}
 	return m
+}
+
+// checkRecord reads a record into a map, or says how it is not
+// well-formed: a 16-byte id, then an attribute list whose keys ascend
+// strictly, every length in bounds and nothing after it — the bytes a
+// sorted map encodes to, exactly.
+func checkRecord(rec string) (map[string]string, error) {
+	if len(rec) < cluster.IDLen {
+		return nil, fmt.Errorf("record of %d bytes holds no id", len(rec))
+	}
+	d := wire.NewDecoder([]byte(rec[cluster.IDLen:]))
+	list, n, err := readList(d)
+	if err != nil {
+		return nil, err
+	}
+	if d.Remaining() > 0 {
+		return nil, fmt.Errorf("%d bytes after the list", d.Remaining())
+	}
+	m := listMap(list)
+	if len(m) != n {
+		return nil, fmt.Errorf("a key held twice in %q", list)
+	}
+	e := wire.NewEncoder(len(list))
+	appendMap(e, m)
+	if string(e.Bytes()) != string(list) {
+		return nil, fmt.Errorf("list %q is not %q, its keys in order", list, e.Bytes())
+	}
+	return m, nil
 }
 
 func sameState(t *testing.T, what string, got, want map[string]string) {
@@ -107,8 +142,8 @@ func sameState(t *testing.T, what string, got, want map[string]string) {
 // TestSessStateSize: every resident copy of every session pays this (DESIGN.md
 // "Session state"); a field added beside the placement word makes it 80.
 func TestSessStateSize(t *testing.T) {
-	if got := unsafe.Sizeof(sessState{}); got != 64 {
-		t.Fatalf("sessState is %d bytes, want 64", got)
+	if got := unsafe.Sizeof(sessState{}); got != 40 {
+		t.Fatalf("sessState is %d bytes, want 40", got)
 	}
 }
 
@@ -293,7 +328,7 @@ func TestConcurrentRequestsOneSession(t *testing.T) {
 			default:
 			}
 			attrs, _, err := fetch(third, c.Secondary, c.ID)
-			if err != nil || len(attrs) < 2 {
+			if err != nil || len(listMap(attrs)) < 2 {
 				t.Errorf("fetch %d: %v err=%v", n, attrs, err)
 				fetched <- n
 				return
@@ -457,4 +492,108 @@ func TestConcurrentTopologyOneSession(t *testing.T) {
 		t.Fatalf("failing ship: secondary %q after %s died", c.Secondary, dead)
 	}
 	converged("failing ship", c, gen+workers*reqs+1)
+}
+
+// listOf encodes pairs — key, value, key, value — as an attribute list.
+func listOf(pairs ...string) []byte {
+	e := wire.NewEncoder(64)
+	appendPairs(e, pairs)
+	return e.Bytes()
+}
+
+// checkRecordInputs holds everything that becomes a record to one rule: any
+// bytes give an error or a well-formed record (checkRecord), never a
+// panic, and a record holds what a map model holds. base and delta are
+// read as attribute lists — a record built from base, then delta written
+// over it — and base also as each input a record is made from: a batch of
+// delta entries, a fetch reply, a cookie.
+func checkRecordInputs(t *testing.T, base, delta []byte) {
+	model := map[string]string{}
+	apply := func(list []byte) {
+		d := wire.NewDecoder(list)
+		for n := d.Int(); n > 0; n-- {
+			k := d.String()
+			model[k] = d.String()
+		}
+	}
+	same := func(what, rec string) {
+		t.Helper()
+		m, err := checkRecord(rec)
+		if err != nil {
+			t.Fatalf("%s: record %q: %v", what, rec, err)
+		}
+		if rec[:cluster.IDLen] != testID || len(m) != len(model) {
+			t.Fatalf("%s: record %q holds %v, model %v", what, rec, m, model)
+		}
+		for k, v := range model {
+			if got, ok := lookup(rec, k); !ok || got != v || m[k] != v {
+				t.Fatalf("%s: record %q holds %q=%q, model %q", what, rec, k, got, v)
+			}
+		}
+	}
+	if list, _, err := readList(wire.NewDecoder(base)); err == nil {
+		rec := merge("", []byte(testID), list)
+		apply(list)
+		same("new record", rec)
+		if list, _, err := readList(wire.NewDecoder(delta)); err == nil {
+			before := maps.Clone(model)
+			next := merge(rec, nil, list)
+			apply(list)
+			same("merged record", next)
+			if maps.Equal(before, model) && next != rec {
+				t.Fatalf("a delta that changes nothing made record %q of %q", next, rec)
+			}
+		}
+	}
+
+	// Any bytes as a batch of delta entries: an error, or records.
+	sm := &SessionManager{sessions: make(map[[cluster.IDLen]byte]*sessState)}
+	_ = sm.handleUpdateBatch(base)
+	for key, st := range sm.sessions {
+		if _, err := checkRecord(st.rec.data); err != nil || st.rec.data[:cluster.IDLen] != string(key[:]) {
+			t.Fatalf("batch %x made record %q under %x: %v", base, st.rec.data, key, err)
+		}
+	}
+	// As a fetch reply, and as a cookie.
+	if list, _, err := readFetchReply(base); err == nil {
+		if _, err := checkRecord(merge("", []byte(testID), list)); err != nil {
+			t.Fatalf("fetch reply %x: %v", base, err)
+		}
+	}
+	if c, err := readCookie(base); err == nil {
+		if !validID(c.ID) {
+			t.Fatalf("cookie %x read with a %d-byte id", base, len(c.ID))
+		}
+		if _, err := checkRecord(merge("", []byte(testID), c.State)); err != nil {
+			t.Fatalf("cookie %x: state %v", base, err)
+		}
+	}
+}
+
+// FuzzSessionRecord: seeds are lists in and out of key order, a key
+// written twice, empty values, lying counts, and a batch of two entries.
+func FuzzSessionRecord(f *testing.F) {
+	batch := wire.NewEncoder(64)
+	for gen := uint64(1); gen <= 2; gen++ {
+		batch.Raw(testID)
+		batch.Uint64(gen)
+		batch.RawBytes(listOf("n", fmt.Sprint(gen), "item", "sku"))
+	}
+	lists := [][]byte{
+		listOf(),
+		listOf("item", "sku-0042", "n", "12"),
+		listOf("n", "13", "item", "sku-7"),
+		listOf("n", "1", "n", "2", "a", ""),
+		listOf("", "", "k", "v"),
+		{0x02},
+		{0x01, 0x01, 'k'},
+		{0x7f},
+		batch.Bytes(),
+	}
+	for _, a := range lists {
+		for _, b := range lists {
+			f.Add(a, b)
+		}
+	}
+	f.Fuzz(checkRecordInputs)
 }

@@ -43,14 +43,18 @@ func (sm *SessionManager) Create(ctx context.Context) (s *Session, seeded bool) 
 // compare-and-swap as a Fig 2 promotion (promoted: this call did it). An id
 // this server does not hold yields nil: Open never adopts.
 func (sm *SessionManager) Open(ctx context.Context, id []byte) (s *Session, promoted bool) {
+	key, ok := tableKey(id)
+	if !ok {
+		return nil, false
+	}
 	sm.mu.Lock()
-	st := sm.sessions[string(id)] // no-alloc lookup
+	st := sm.sessions[key]
 	sm.mu.Unlock()
 	if st == nil {
 		return nil, false
 	}
 	if p := st.placed(); !p.primary() {
-		promoted = sm.ship(ctx, st, nil, p, sm.chooseSecondary(st.id, p, ""))
+		promoted = sm.ship(ctx, st, nil, p, sm.chooseSecondary(st.id(), p, ""))
 	}
 	return acquireSession(st, false), promoted
 }
@@ -58,14 +62,19 @@ func (sm *SessionManager) Open(ctx context.Context, id []byte) (s *Session, prom
 // Flush ships what s wrote since it was opened or last flushed, as a
 // request's finish does, and reports the secondary's acknowledgement.
 func (sm *SessionManager) Flush(ctx context.Context, s *Session) bool {
-	acked := len(s.dirty) > 0 && sm.shipAcked(ctx, s.st, s.dirty)
-	s.dirty = s.dirty[:0]
-	return acked
+	l := s.pendingList()
+	if l == nil {
+		return false
+	}
+	defer l.Release()
+	return sm.shipAcked(ctx, s.st, l.Bytes())
 }
 
-// Close ends a use of s, shipping nothing, and returns the record's
-// secondary ("" for none).
+// Close ends a use of s, shipping nothing — what it wrote since the last
+// Flush lands in the record only — and returns the record's secondary (""
+// for none).
 func (sm *SessionManager) Close(s *Session) (secondary string) {
+	s.land()
 	secondary = sm.secName(s.st.placed().sec())
 	releaseSession(s)
 	return secondary
@@ -73,9 +82,11 @@ func (sm *SessionManager) Close(s *Session) (secondary string) {
 
 // Remove deletes record id from the table.
 func (sm *SessionManager) Remove(id string) {
-	sm.mu.Lock()
-	delete(sm.sessions, id)
-	sm.mu.Unlock()
+	if key, ok := tableKey(id); ok {
+		sm.mu.Lock()
+		delete(sm.sessions, key)
+		sm.mu.Unlock()
+	}
 }
 
 // Primaries lists the ids of the table's primary records, sorted.
@@ -83,9 +94,9 @@ func (sm *SessionManager) Primaries() []string {
 	sm.mu.Lock()
 	defer sm.mu.Unlock()
 	var ids []string
-	for id, st := range sm.sessions {
+	for key, st := range sm.sessions {
 		if st.placed().primary() {
-			ids = append(ids, id)
+			ids = append(ids, string(key[:]))
 		}
 	}
 	slices.Sort(ids)
@@ -97,30 +108,35 @@ type Parked struct{ st *sessState }
 
 // Park takes primary record id out of the table; a replica stays.
 func (sm *SessionManager) Park(id string) (Parked, bool) {
+	key, ok := tableKey(id)
+	if !ok {
+		return Parked{}, false
+	}
 	sm.mu.Lock()
 	defer sm.mu.Unlock()
-	st, ok := sm.sessions[id]
+	st, ok := sm.sessions[key]
 	if !ok || !st.placed().primary() {
 		return Parked{}, false
 	}
-	delete(sm.sessions, id)
+	delete(sm.sessions, key)
 	return Parked{st}, true
 }
 
 // Unpark puts a parked record back in the table.
 func (sm *SessionManager) Unpark(p Parked) {
+	key, _ := tableKey(p.st.id())
 	sm.mu.Lock()
-	sm.sessions[p.st.id] = p.st
+	sm.sessions[key] = p.st
 	sm.mu.Unlock()
 }
 
-// shipAcked ships dirty (nil: the whole record) and reports whether st's
+// shipAcked ships delta (nil: the whole record) and reports whether st's
 // secondary took it; one it could not reach is replaced and seeded, as ship
 // does.
-func (sm *SessionManager) shipAcked(ctx context.Context, st *sessState, dirty []int) bool {
-	sec, err := sm.shipTo(ctx, st, dirty, 0, 0)
+func (sm *SessionManager) shipAcked(ctx context.Context, st *sessState, delta []byte) bool {
+	sec, err := sm.shipTo(ctx, st, delta, 0, 0)
 	if p := st.placed(); err != nil && p.sec() == sec {
-		sm.ship(ctx, st, nil, p, sm.chooseSecondary(st.id, p, sm.secName(sec)))
+		sm.ship(ctx, st, nil, p, sm.chooseSecondary(st.id(), p, sm.secName(sec)))
 	}
 	return err == nil && sec != 0
 }

@@ -3,9 +3,11 @@
 package servlet
 
 import (
+	"fmt"
 	"strconv"
 	"testing"
 
+	"wls/internal/cluster"
 	"wls/internal/partition"
 	"wls/internal/simtest"
 	"wls/internal/wire"
@@ -13,11 +15,11 @@ import (
 
 // TestReplicaUpdateAllocsPerChangedValue pins the secondary's steady state:
 // applying a delta to keys the replica already holds allocates exactly one
-// string per value that changed — never the key again — and nothing at all
-// when the values are unchanged.
+// string, the merged record, however many of its values changed, and
+// nothing at all when the values are unchanged.
 func TestReplicaUpdateAllocsPerChangedValue(t *testing.T) {
 	const replicaID = "0123456789abcdef"
-	sm := &SessionManager{attrKeys: wire.NewInterner(0), sessions: make(map[string]*sessState)}
+	sm := &SessionManager{sessions: make(map[[cluster.IDLen]byte]*sessState)}
 	var gen uint64
 	delta := func(n, item string) []byte {
 		gen++
@@ -47,11 +49,11 @@ func TestReplicaUpdateAllocsPerChangedValue(t *testing.T) {
 		}
 		i++
 	})
-	if changed != 2 {
-		t.Fatalf("update of 2 existing keys with new values: %.1f allocs, want 2 (one per changed value)", changed)
+	if changed != 1 {
+		t.Fatalf("update of 2 existing keys with new values: %.1f allocs, want 1 (the merged record)", changed)
 	}
-	rec := &sm.sessions[replicaID].rec
-	if got := rec.attrs[rec.find("n")].value; got != strconv.Itoa(1000+runs+1) {
+	key, _ := tableKey(replicaID)
+	if got, _ := lookup(sm.sessions[key].rec.data, "n"); got != strconv.Itoa(1000+runs+1) {
 		t.Fatalf("replica holds n=%q after the updates", got)
 	}
 
@@ -71,6 +73,62 @@ func TestReplicaUpdateAllocsPerChangedValue(t *testing.T) {
 	})
 	if unchanged != 0 {
 		t.Fatalf("update with unchanged values: %.1f allocs, want 0", unchanged)
+	}
+
+	// A session's first delta: its sessState and its record, nothing else
+	// (the table is sized, so no growth is counted).
+	sm.sessions = make(map[[cluster.IDLen]byte]*sessState, 2*runs)
+	first := make([][]byte, 0, runs+1)
+	for i := 0; i <= runs; i++ {
+		e := wire.NewEncoder(64)
+		e.Raw(fmt.Sprintf("%016d", i))
+		e.Uint64(1)
+		e.RawBytes(listOf("n", "1", "item", "sku-1"))
+		first = append(first, e.Bytes())
+	}
+	i = 0
+	if n := testing.AllocsPerRun(runs, func() {
+		if err := sm.handleUpdateBatch(first[i]); err != nil {
+			t.Fatal(err)
+		}
+		i++
+	}); n != 2 {
+		t.Fatalf("first delta of a session: %.1f allocs, want 2 (sessState and record)", n)
+	}
+}
+
+// TestPrimaryWriteAllocs pins the primary's side: a request's writes land
+// as one new record string when a value changes and none when every value
+// written is the one held, and reading an attribute allocates nothing.
+func TestPrimaryWriteAllocs(t *testing.T) {
+	st := &sessState{}
+	st.rec.data = merge("", []byte("0123456789abcdef"), listOf("item", "sku-0", "n", "0"))
+	values := make([]string, 202)
+	for i := range values {
+		values[i] = strconv.Itoa(i)
+	}
+	s := acquireSession(st, false)
+	defer releaseSession(s)
+	write := func(v string) {
+		s.Set("n", v)
+		s.Set("item", "sku-0")
+		if s.Get("n") != v {
+			t.Fatalf("Get after Set reads %q", s.Get("n"))
+		}
+		s.land()
+	}
+	i := 0
+	if n := testing.AllocsPerRun(200, func() { write(values[i]); i++ }); n != 1 {
+		t.Fatalf("a write that changes a value: %.1f allocs, want 1 (the record)", n)
+	}
+	if n := testing.AllocsPerRun(200, func() { write("7") }); n != 0 {
+		t.Fatalf("a write of the values held: %.1f allocs, want 0", n)
+	}
+	if n := testing.AllocsPerRun(200, func() { _ = s.Get("item") + s.Get("n") }); n != 0 {
+		t.Fatalf("reads: %.1f allocs, want 0", n)
+	}
+	if got := s.Get("n"); got != "7" || s.Len() != 2 {
+		t.Fatalf("record holds n=%q in %d attributes", got, s.Len())
 	}
 }
 

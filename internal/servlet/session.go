@@ -61,30 +61,37 @@ type Cookie struct {
 // Encode serializes the cookie to its wire string. State is written in key
 // order, so equal cookies encode equally.
 func (c Cookie) Encode() string {
-	var state record
-	state.load(c.State)
-	return encodeCookie(c.ID, c.Primary, c.Secondary, state.attrs)
+	e := wire.MakeEncoder(64)
+	appendMap(&e, c.State)
+	return encodeCookie(c.ID, c.Primary, c.Secondary, string(e.Bytes()))
 }
 
-// encodeCookie is Encode over a record's attributes, which the caller owns:
-// they are put in key order first, so equal state yields an equal cookie.
-func encodeCookie(id, primary, secondary string, state []attr) string {
+// encodeCookie is Encode with the state an attribute list: a record's, in
+// key order already, or noAttrs.
+func encodeCookie(id, primary, secondary, state string) string {
 	e := wire.MakeEncoder(64)
 	e.String(id)
 	e.String(primary)
 	e.String(secondary)
-	slices.SortFunc(state, byKey)
-	appendAttrs(&e, state, nil)
+	e.Raw(state)
 	return base64.RawURLEncoding.EncodeToString(e.Bytes())
 }
 
-// DecodeCookie parses a cookie string ("" yields a zero cookie): the general
-// decoder. The request path reads cookies through ParseCookie.
+// DecodeCookie parses a cookie string ("" yields a zero cookie) into owned
+// fields. The request path reads cookies through ParseCookie.
 func DecodeCookie(s string) (Cookie, error) {
 	if s == "" {
 		return Cookie{}, nil
 	}
-	return decodeCookieSlow(s)
+	raw, err := base64.RawURLEncoding.DecodeString(s)
+	if err != nil {
+		return Cookie{}, err
+	}
+	c, err := readCookie(raw)
+	if err != nil {
+		return Cookie{}, err
+	}
+	return Cookie{ID: string(c.ID), Primary: string(c.Primary), Secondary: string(c.Secondary), State: listMap(c.State)}, nil
 }
 
 var errCookieID = errors.New("servlet: cookie id is not a record id")
@@ -92,28 +99,21 @@ var errCookieID = errors.New("servlet: cookie id is not a record id")
 // validID reports whether a cookie's id is a record id or empty.
 func validID[K string | []byte](id K) bool { return len(id) == 0 || len(id) == cluster.IDLen }
 
-func decodeCookieSlow(s string) (Cookie, error) {
-	raw, err := base64.RawURLEncoding.DecodeString(s)
-	if err != nil {
-		return Cookie{}, err
-	}
+// readCookie reads a decoded cookie's fields, aliasing raw.
+func readCookie(raw []byte) (CookieRef, error) {
 	d := wire.NewDecoder(raw)
-	c := Cookie{ID: d.String(), Primary: d.String(), Secondary: d.String()}
-	n, err := attrCount(d)
+	c := CookieRef{ID: d.BytesNoCopy(), Primary: d.BytesNoCopy(), Secondary: d.BytesNoCopy()}
+	state, n, err := readList(d)
 	if err != nil {
-		return Cookie{}, err
+		return CookieRef{}, err
 	}
 	if !validID(c.ID) {
-		return Cookie{}, errCookieID
+		return CookieRef{}, errCookieID
 	}
 	if n > 0 {
-		c.State = make(map[string]string, n)
-		for ; n > 0; n-- {
-			k := d.String()
-			c.State[k] = d.String()
-		}
+		c.State = state
 	}
-	return c, d.Err()
+	return c, nil
 }
 
 // CookieBuf is where ParseCookie decodes a cookie it can parse in place: a
@@ -122,11 +122,13 @@ type CookieBuf [96]byte
 
 // CookieRef is a request's cookie as the request path reads it: the fields
 // are bytes, to compare against names the receiver already holds, never to
-// keep. A state-less cookie that fits the CookieBuf is parsed there without
-// allocating, and the fields alias it; others go to the general decoder.
+// keep. A cookie that fits the CookieBuf is parsed there without
+// allocating, and the fields alias it; longer ones are decoded apart.
 type CookieRef struct {
 	ID, Primary, Secondary []byte
-	State                  map[string]string // SessionsClientCookie only
+	// State is the client-cookie state as the cookie carries it, an
+	// attribute list, or nil for none (SessionsClientCookie only).
+	State []byte
 }
 
 // ParseCookie parses the cookie of a request, from its header string or
@@ -136,128 +138,18 @@ func ParseCookie[K string | []byte](s K, buf *CookieBuf) (CookieRef, error) {
 		return CookieRef{}, nil
 	}
 	var in [len(buf) / 3 * 4]byte
-	if len(s) <= len(in) {
-		if n, err := base64.RawURLEncoding.Decode(buf[:], in[:copy(in[:], s)]); err == nil {
-			d := wire.NewDecoder(buf[:n])
-			c := CookieRef{ID: d.BytesNoCopy(), Primary: d.BytesNoCopy(), Secondary: d.BytesNoCopy()}
-			if count, err := attrCount(d); err == nil && count == 0 && validID(c.ID) {
-				return c, nil
-			}
+	if len(s) > len(in) {
+		raw, err := base64.RawURLEncoding.DecodeString(string(s))
+		if err != nil {
+			return CookieRef{}, err
 		}
+		return readCookie(raw)
 	}
-	// Carries state, too long, or malformed: the general decoder decides.
-	c, err := decodeCookieSlow(string(s))
-	b, i, j := []byte(c.ID+c.Primary+c.Secondary), len(c.ID), len(c.ID)+len(c.Primary)
-	return CookieRef{b[:i], b[i:j], b[j:], c.State}, err
-}
-
-// attr is one session attribute: a 32 B slot plus the bytes of its value
-// (keys decoded off the wire are interned; applications use few).
-type attr struct{ key, value string }
-
-// record is a session's attributes and replication generation: the one
-// representation wherever a session lives (primary, replica, the stateless
-// modes' request-owned state) and what every encoder writes from. A flat
-// list searched linearly: sessions hold a handful of short attributes,
-// where a map spends ~340 B on header and group before the first byte of
-// data. Attributes are only added or overwritten, so an index into attrs
-// stays valid for the record's life (Session.dirty relies on it).
-//
-// Lock rule: mu guards attrs and gen, nothing else. It is never held across
-// an RPC nor together with SessionManager.mu (look up under sm.mu, release,
-// then lock the record). The one lock taken under it is a replBatcher's mu:
-// a delta takes its generation and its place in the secondary's pending
-// batch in one step, so per-session wire order equals generation order.
-type record struct {
-	//wls:lockorder servlet.record.mu<servlet.replBatcher.mu
-	mu    sync.Mutex
-	attrs []attr
-	// gen numbers the deltas shipped from (primary) or applied to
-	// (secondary) this record.
-	gen uint64
-}
-
-func byKey(a, b attr) int { return strings.Compare(a.key, b.key) }
-
-// find returns the index of key in r.attrs, or -1. Caller holds r.mu.
-func (r *record) find(key string) int {
-	for i := range r.attrs {
-		if r.attrs[i].key == key {
-			return i
-		}
+	n, err := base64.RawURLEncoding.Decode(buf[:], in[:copy(in[:], s)])
+	if err != nil {
+		return CookieRef{}, err
 	}
-	return -1
-}
-
-// add appends one attribute and returns its index. A full list grows by
-// room (a replica's first delta passes its attribute count), at least two
-// slots (a session's first write) and at least double: the first growth is
-// the one allocation a map's was. Caller holds r.mu.
-func (r *record) add(key, value string, room int) int {
-	n := len(r.attrs)
-	if n == cap(r.attrs) {
-		grown := make([]attr, n, n+max(room, n, 2))
-		copy(grown, r.attrs)
-		r.attrs = grown
-	}
-	r.attrs = r.attrs[:n+1]
-	r.attrs[n] = attr{key, value}
-	return n
-}
-
-// load fills an empty record from Cookie.State or a persistent store row.
-func (r *record) load(m map[string]string) {
-	for k, v := range m {
-		r.add(k, v, len(m))
-	}
-}
-
-// appendAttrs writes the list format a delta entry's tail, the fetch reply
-// and the cookie state share — a count, then the key/value pairs at the
-// dirty indexes, or all of attrs when dirty is nil — and returns the count.
-func appendAttrs(e *wire.Encoder, attrs []attr, dirty []int) int {
-	if dirty == nil {
-		e.Int(len(attrs))
-		for _, a := range attrs {
-			e.String(a.key)
-			e.String(a.value)
-		}
-		return len(attrs)
-	}
-	e.Int(len(dirty))
-	for _, i := range dirty {
-		e.String(attrs[i].key)
-		e.String(attrs[i].value)
-	}
-	return len(dirty)
-}
-
-var errAttrCount = errors.New("servlet: attribute count exceeds payload")
-
-// attrCount reads a list's count and checks it against what d still holds
-// (a pair is two length bytes or more): cookies come from outside.
-func attrCount(d *wire.Decoder) (int, error) {
-	n := d.Int()
-	if err := d.Err(); err != nil {
-		return 0, err
-	}
-	if n < 0 || n > d.Remaining()/2 {
-		return 0, errAttrCount
-	}
-	return n, nil
-}
-
-// decodeAttrs reads an attribute list into a fresh slice, keys interned.
-func decodeAttrs(d *wire.Decoder, keys *wire.Interner) ([]attr, error) {
-	n, err := attrCount(d)
-	if n == 0 {
-		return nil, err
-	}
-	attrs := make([]attr, n)
-	for i := range attrs {
-		attrs[i] = attr{keys.Intern(d.BytesNoCopy()), d.String()}
-	}
-	return attrs, d.Err()
+	return readCookie(buf[:n])
 }
 
 // Session is the request-scoped view of one browser session's state.
@@ -266,72 +158,147 @@ func decodeAttrs(d *wire.Decoder, keys *wire.Interner) ([]attr, error) {
 // past the end of its HandlerFunc (copy attribute values out if they must
 // outlive the request).
 type Session struct {
+	// ID is the record's id, a substring of the record.
 	ID string
 	// st holds the record: engine-resident, or (stateless modes) the request's.
 	st *sessState
-	// dirty lists the indexes in st.rec.attrs this request wrote.
-	dirty []int
-	isNew bool
+	// pending is what this use of the view wrote — key, value, key, value,
+	// each key once, in first-write order — until it lands in the record
+	// (finish, Flush or Close) and, as a delta, ships.
+	pending []string
+	isNew   bool
 }
 
-// sessionPool recycles the view and its dirty list, never a record.
+// sessionPool recycles the view and its pending list, never a record.
 var sessionPool = sync.Pool{New: func() any { return new(Session) }}
 
 func acquireSession(st *sessState, isNew bool) *Session {
 	s := sessionPool.Get().(*Session)
-	s.ID, s.st, s.isNew = st.id, st, isNew
+	s.ID, s.st, s.isNew = st.id(), st, isNew
 	return s
 }
 
 func releaseSession(s *Session) {
-	s.ID, s.st, s.dirty, s.isNew = "", nil, s.dirty[:0], false
+	clear(s.pending)
+	s.ID, s.st, s.pending, s.isNew = "", nil, s.pending[:0], false
 	sessionPool.Put(s)
 }
 
-// Get reads a session attribute.
+// Get reads a session attribute: this request's write of it, or the
+// record's value, a substring of the record.
 func (s *Session) Get(key string) string {
-	r := &s.st.rec
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if i := r.find(key); i >= 0 {
-		return r.attrs[i].value
+	if i := s.written(key); i >= 0 {
+		return s.pending[i+1]
 	}
-	return ""
+	v, _ := lookup(s.st.data(), key)
+	return v
 }
 
-// Set writes a session attribute.
+// Set writes a session attribute. The write lands in the record when the
+// request finishes.
 func (s *Session) Set(key, value string) {
-	r := &s.st.rec
-	r.mu.Lock()
-	i := r.find(key)
-	if i >= 0 {
-		r.attrs[i].value = value
-	} else {
-		i = r.add(key, value, 0)
+	if i := s.written(key); i >= 0 {
+		s.pending[i+1] = value
+		return
 	}
-	r.mu.Unlock()
-	if !slices.Contains(s.dirty, i) {
-		s.dirty = append(s.dirty, i)
+	s.pending = append(s.pending, key, value)
+}
+
+// written returns the index of key in s.pending, or -1.
+func (s *Session) written(key string) int {
+	for i := 0; i < len(s.pending); i += 2 {
+		if s.pending[i] == key {
+			return i
+		}
 	}
+	return -1
 }
 
 // Len returns the number of attributes.
 func (s *Session) Len() int {
-	s.st.rec.mu.Lock()
-	defer s.st.rec.mu.Unlock()
-	return len(s.st.rec.attrs)
+	rec := s.st.data()
+	n := recordLen(rec)
+	for i := 0; i < len(s.pending); i += 2 {
+		if _, ok := lookup(rec, s.pending[i]); !ok {
+			n++
+		}
+	}
+	return n
 }
 
 // IsNew reports whether the session was created by this request.
 func (s *Session) IsNew() bool { return s.isNew }
 
-// sessState is one session's record plus where its copies live, 64 bytes:
+// pendingList encodes s's writes as an attribute list — a delta's — into a
+// pooled encoder the caller releases; nil when s wrote nothing.
+func (s *Session) pendingList() *wire.Encoder {
+	if len(s.pending) == 0 {
+		return nil
+	}
+	e := wire.AcquireEncoder()
+	appendPairs(e, s.pending)
+	clear(s.pending)
+	s.pending = s.pending[:0]
+	return e
+}
+
+// land writes s's pending writes into its record, shipping nothing.
+func (s *Session) land() {
+	if l := s.pendingList(); l != nil {
+		r := &s.st.rec
+		r.mu.Lock()
+		r.data = merge(r.data, nil, l.Bytes())
+		r.mu.Unlock()
+		l.Release()
+	}
+}
+
+// record is a session's record string and replication generation, the one
+// representation wherever a session lives (primary, replica, the stateless
+// modes' request-owned state).
+//
+// Lock rule: mu guards data and gen, nothing else. It is never held across
+// an RPC nor together with SessionManager.mu (look up under sm.mu, release,
+// then lock the record). The one lock taken under it is a replBatcher's mu:
+// a delta lands, takes its generation and its place in the secondary's
+// pending batch in one step, so per-session wire order equals generation
+// order, and both equal the order writes landed in.
+type record struct {
+	//wls:lockorder servlet.record.mu<servlet.replBatcher.mu
+	mu sync.Mutex
+	// data is the record: the id, then the attribute list (see record.go).
+	data string
+	// gen numbers the deltas shipped from (primary) or applied to
+	// (secondary) this record.
+	gen uint64
+}
+
+// sessState is one session's record plus where its copies live, 40 bytes:
 // place is a placement, changed only by compare-and-swap (in shipTo, unless
 // it is the epoch alone).
 type sessState struct {
-	id    string
 	rec   record
 	place atomic.Uint64
+}
+
+// data returns the record's current string.
+func (st *sessState) data() string {
+	st.rec.mu.Lock()
+	defer st.rec.mu.Unlock()
+	return st.rec.data
+}
+
+// id returns the record's id, a substring of the record.
+func (st *sessState) id() string { return st.data()[:cluster.IDLen] }
+
+// tableKey returns id as a session-table key; ok is false for anything but
+// a record id, 16 bytes.
+func tableKey[K string | []byte](id K) (key [cluster.IDLen]byte, ok bool) {
+	if len(id) != cluster.IDLen {
+		return key, false
+	}
+	copy(key[:], id)
+	return key, true
 }
 
 // placement is where a session's copies live, in one word: the low half of
@@ -375,17 +342,13 @@ type SessionManager struct {
 	parts     atomic.Pointer[partition.Views]
 	ringMoves atomic.Uint64
 
-	// attrKeys interns the attribute names that arrive in replica deltas
-	// and fetch replies, so every record shares one copy of each key.
-	attrKeys *wire.Interner
-
 	// repl is the server-name table a placement's secondary indexes, with
 	// each name's replication batcher: append-only and copied on write, read
 	// without a lock. Entry 0 is "", no secondary; names are the view's.
 	repl atomic.Pointer[[]*replBatcher]
 
 	mu       sync.Mutex
-	sessions map[string]*sessState
+	sessions map[[cluster.IDLen]byte]*sessState
 }
 
 func newSessionManager(mode SessionMode, service string, member *cluster.Member, node rmi.Node, db *store.Store) *SessionManager {
@@ -399,8 +362,7 @@ func newSessionManager(mode SessionMode, service string, member *cluster.Member,
 		selfName:    self.Name,
 		selfMachine: self.Machine,
 		selfGroups:  self.PreferredSecondaryGroups,
-		attrKeys:    wire.NewInterner(1024),
-		sessions:    make(map[string]*sessState),
+		sessions:    make(map[[cluster.IDLen]byte]*sessState),
 	}
 	sm.repl.Store(&[]*replBatcher{{}})
 	return sm
@@ -408,10 +370,7 @@ func newSessionManager(mode SessionMode, service string, member *cluster.Member,
 
 // newID names a new record: 16 bytes from the member's id source, which
 // no client can count its way to and a restarted server does not repeat.
-func (sm *SessionManager) newID() string {
-	id := sm.member.NewID()
-	return string(id[:])
-}
+func (sm *SessionManager) newID() [cluster.IDLen]byte { return sm.member.NewID() }
 
 // secName is the server index i of repl names; secIndex enters name on first use.
 func (sm *SessionManager) secName(i uint32) string { return (*sm.repl.Load())[i].sec }
@@ -446,31 +405,35 @@ func (sm *SessionManager) resolve(ctx context.Context, c *CookieRef) *Session {
 	}
 	// The stateless modes: the request owns its state, filled from the
 	// cookie or from shared storage and never entered in the table.
-	st, isNew := &sessState{id: string(c.ID)}, len(c.ID) == 0
+	st, isNew := &sessState{}, len(c.ID) == 0
+	id, list := c.ID, []byte(nil)
 	switch {
 	case sm.mode == SessionsClientCookie:
-		isNew = c.State == nil
-		st.rec.load(c.State)
+		isNew, list = c.State == nil, c.State
 	case !isNew:
 		// A persistent id with no row names no session: it gets a fresh
 		// one, as adopt's do.
-		row, ok := sm.db.Get("wls.sessions", st.id)
-		st.rec.load(row.Fields)
+		row, ok := sm.db.Get("wls.sessions", string(c.ID))
 		if !ok {
-			st.id, isNew = "", true
+			id, isNew = nil, true
 		}
+		e := wire.MakeEncoder(64)
+		appendMap(&e, row.Fields)
+		list = e.Bytes()
 	}
-	if st.id == "" {
-		st.id = sm.newID()
+	if len(id) == 0 {
+		nid := sm.newID()
+		id = nid[:]
 	}
+	st.rec.data = merge("", id, list)
 	return acquireSession(st, isNew)
 }
 
 func (sm *SessionManager) resolveReplicated(ctx context.Context, c *CookieRef) *Session {
 	var st *sessState
-	if len(c.ID) > 0 {
+	if key, ok := tableKey(c.ID); ok {
 		sm.mu.Lock()
-		st = sm.sessions[string(c.ID)] // no-alloc lookup
+		st = sm.sessions[key]
 		sm.mu.Unlock()
 	}
 	isNew := st == nil
@@ -479,11 +442,11 @@ func (sm *SessionManager) resolveReplicated(ctx context.Context, c *CookieRef) *
 	}
 	if p := st.placed(); p.primary() {
 		sm.maybeRebalance(ctx, st, p)
-	} else if sm.ship(ctx, st, nil, p, sm.chooseSecondary(st.id, p, "")) {
+	} else if sm.ship(ctx, st, nil, p, sm.chooseSecondary(st.id(), p, "")) {
 		// Fig 2 failover: the plug-in routed to us, the secondary. We became
 		// the primary and created a new secondary.
 		if sp := trace.FromContext(ctx); sp != nil {
-			sp.Annotate("session-promoted", cluster.IDString(st.id))
+			sp.Annotate("session-promoted", cluster.IDString(st.id()))
 		}
 	}
 	return acquireSession(st, isNew)
@@ -507,24 +470,26 @@ func (sm *SessionManager) adopt(ctx context.Context, c *CookieRef) (*sessState, 
 		if len(c.ID) == 0 || sec.Name != string(c.Secondary) || sec.Name == sm.selfName {
 			continue
 		}
-		if attrs, gen, err := sm.fetchFrom(ctx, sec, c.ID); err == nil {
-			st.id, st.rec.attrs, st.rec.gen = string(c.ID), attrs, gen
+		if list, gen, err := sm.fetchFrom(ctx, sec, c.ID); err == nil {
+			st.rec.data, st.rec.gen = merge("", c.ID, list), gen
 			// Epoch 0: the cookie named the secondary; the ring may place it elsewhere.
 			st.place.Store(uint64(primaryAt(0, sm.secIndex(sec.Name))))
 		}
 		break
 	}
-	isNew := st.id == ""
+	isNew := st.rec.data == ""
 	if isNew {
-		st.id = sm.newID()
-		st.place.Store(uint64(sm.chooseSecondary(st.id, 0, "")))
+		id := sm.newID()
+		st.rec.data = merge("", id[:], nil)
+		st.place.Store(uint64(sm.chooseSecondary(st.rec.data[:cluster.IDLen], 0, "")))
 	}
+	key, _ := tableKey(st.rec.data[:cluster.IDLen])
 	sm.mu.Lock()
 	defer sm.mu.Unlock()
-	if cur, ok := sm.sessions[st.id]; ok {
+	if cur, ok := sm.sessions[key]; ok {
 		return cur, false // a parallel request of the fetched session got here first
 	}
-	sm.sessions[st.id] = st
+	sm.sessions[key] = st
 	return st, isNew
 }
 
@@ -559,30 +524,29 @@ func (sm *SessionManager) finish(ctx context.Context, s *Session, c *CookieRef) 
 	namesOnlyIt := string(c.ID) == s.ID && len(c.Primary) == 0 && len(c.Secondary) == 0
 	switch sm.mode {
 	case SessionsClientCookie:
-		if namesOnlyIt && len(s.dirty) == 0 {
+		if namesOnlyIt && len(s.pending) == 0 {
 			return "", true
 		}
-		return encodeCookie(s.ID, "", "", s.st.rec.attrs), false
+		s.land()
+		return encodeCookie(s.ID, "", "", s.st.rec.data[cluster.IDLen:]), false
 	case SessionsPersistent:
-		fields := make(map[string]string, len(s.st.rec.attrs))
-		for _, a := range s.st.rec.attrs {
-			fields[a.key] = a.value
-		}
-		sm.db.Put("wls.sessions", s.ID, fields)
+		s.land()
+		sm.db.Put("wls.sessions", s.ID, listMap([]byte(s.st.rec.data[cluster.IDLen:])))
 		if namesOnlyIt && c.State == nil {
 			return "", true
 		}
 		return Cookie{ID: s.ID}.Encode(), false
 	default:
 		st := s.st
-		if len(s.dirty) > 0 {
-			sm.ship(ctx, st, s.dirty, 0, 0)
+		if l := s.pendingList(); l != nil {
+			sm.ship(ctx, st, l.Bytes(), 0, 0)
+			l.Release()
 		}
 		sec := sm.secName(st.placed().sec())
-		if string(c.ID) == st.id && string(c.Primary) == sm.selfName && string(c.Secondary) == sec {
+		if string(c.ID) == s.ID && string(c.Primary) == sm.selfName && string(c.Secondary) == sec {
 			return "", true
 		}
-		return encodeCookie(st.id, sm.selfName, sec, nil), false
+		return encodeCookie(s.ID, sm.selfName, sec, noAttrs), false
 	}
 }
 
@@ -621,13 +585,14 @@ type replBatch struct {
 var errMoved = errors.New("servlet: placement moved") // shipTo: from is no longer the placement
 
 // ship synchronously replicates st's record to its secondary before the
-// response is returned (§3.2): the attributes at the dirty indexes, or the
-// whole record when dirty is nil. With to != 0 it changes the placement from
-// → to and seeds to's secondary — or reports false: a parallel request
-// changed it first, and did the shipping. If the secondary cannot be reached
-// it places and seeds another, once; if that fails too, the next write retries.
-func (sm *SessionManager) ship(ctx context.Context, st *sessState, dirty []int, from, to placement) bool {
-	failed, err := sm.shipTo(ctx, st, dirty, from, to)
+// response is returned (§3.2): delta, the attribute list a request wrote,
+// or the whole record when delta is nil. With to != 0 it changes the
+// placement from → to and seeds to's secondary — or reports false: a
+// parallel request changed it first, and did the shipping. If the secondary
+// cannot be reached it places and seeds another, once; if that fails too,
+// the next write retries.
+func (sm *SessionManager) ship(ctx context.Context, st *sessState, delta []byte, from, to placement) bool {
+	failed, err := sm.shipTo(ctx, st, delta, from, to)
 	if err == errMoved {
 		return false
 	}
@@ -636,7 +601,7 @@ func (sm *SessionManager) ship(ctx context.Context, st *sessState, dirty []int, 
 		if from.sec() != failed {
 			break // a parallel request has re-placed it, and seeded after our write
 		}
-		to = sm.chooseSecondary(st.id, from, sm.secName(failed))
+		to = sm.chooseSecondary(st.id(), from, sm.secName(failed))
 		if _, err = sm.shipTo(ctx, st, nil, from, to); err != errMoved {
 			break // seeded, or the next write retries; the flush span carries the error
 		}
@@ -644,15 +609,20 @@ func (sm *SessionManager) ship(ctx context.Context, st *sessState, dirty []int, 
 	return true
 }
 
-// shipTo sends one delta entry through the batcher of st's secondary and
-// returns that secondary's index. With to != 0 it first replaces the
-// placement from with to, or fails with errMoved — under the record's lock,
-// in the step that takes the seed's generation and place on the wire, so a
-// change ships exactly once: a parallel request's delta came before (to the
-// old secondary; the seed holds its write) or follows the seed to the new.
-func (sm *SessionManager) shipTo(ctx context.Context, st *sessState, dirty []int, from, to placement) (sec uint32, err error) {
+// shipTo lands delta in st's record, if there is one, and sends it — or
+// the whole record — as one delta entry through the batcher of st's
+// secondary, and returns that secondary's index. With to != 0 it first
+// replaces the placement from with to, or fails with errMoved — under the
+// record's lock, in the step that takes the seed's generation and place on
+// the wire, so a change ships exactly once: a parallel request's delta
+// came before (to the old secondary; the seed holds its write) or follows
+// the seed to the new. A delta lands even when there is no secondary.
+func (sm *SessionManager) shipTo(ctx context.Context, st *sessState, delta []byte, from, to placement) (sec uint32, err error) {
 	r := &st.rec
 	r.mu.Lock()
+	if delta != nil {
+		r.data = merge(r.data, nil, delta)
+	}
 	if to == 0 {
 		to = st.placed()
 	} else if !st.place.CompareAndSwap(uint64(from), uint64(to)) {
@@ -671,9 +641,15 @@ func (sm *SessionManager) shipTo(ctx context.Context, st *sessState, dirty []int
 		rb.pending = b
 	}
 	r.gen++
-	b.enc.Raw(st.id)
+	b.enc.Raw(r.data[:cluster.IDLen])
 	b.enc.Uint64(r.gen)
-	nkeys := appendAttrs(b.enc, r.attrs, dirty)
+	keys := recordLen(r.data)
+	if delta == nil {
+		b.enc.Raw(r.data[cluster.IDLen:])
+	} else {
+		b.enc.RawBytes(delta)
+		keys = wire.NewDecoder(delta).Int()
+	}
 	b.count++
 	if !leader && b.done == nil {
 		b.done = make(chan struct{})
@@ -698,7 +674,7 @@ func (sm *SessionManager) shipTo(ctx context.Context, st *sessState, dirty []int
 	// order. It is a leaf lock — rb.mu is never held while blocking
 	// here, and followers wait on the done channel, not the lock.
 	//wls:nolint lockheld -- flushMu is a flush-serialization lock, held across the RPC by design
-	err = rb.flush(ctx, b.enc.Bytes(), count, nkeys)
+	err = rb.flush(ctx, b.enc.Bytes(), count, keys)
 	b.err = err
 	if followers != nil {
 		close(followers)
@@ -738,8 +714,9 @@ func (rb *replBatcher) flush(ctx context.Context, payload []byte, count, leaderK
 	return err
 }
 
-// fetchFrom copies a session's state and generation from server's engine (Fig 3).
-func (sm *SessionManager) fetchFrom(ctx context.Context, server cluster.MemberInfo, id []byte) ([]attr, uint64, error) {
+// fetchFrom copies a session's attribute list and generation from server's
+// engine (Fig 3). The list is one readList accepted, with nothing after it.
+func (sm *SessionManager) fetchFrom(ctx context.Context, server cluster.MemberInfo, id []byte) ([]byte, uint64, error) {
 	e := wire.NewEncoder(32)
 	e.Bytes2(id)
 	var span *trace.Span
@@ -754,10 +731,20 @@ func (sm *SessionManager) fetchFrom(ctx context.Context, server cluster.MemberIn
 		span.SetError(err)
 		return nil, 0, err
 	}
-	d := wire.NewDecoder(res.Body)
+	return readFetchReply(res.Body)
+}
+
+var errTrailing = errors.New("servlet: bytes after the attribute list")
+
+// readFetchReply reads a fetch reply: the generation, then the list.
+func readFetchReply(b []byte) ([]byte, uint64, error) {
+	d := wire.NewDecoder(b)
 	gen := d.Uint64()
-	attrs, err := decodeAttrs(d, sm.attrKeys)
-	return attrs, gen, err
+	list, _, err := readList(d)
+	if err == nil && d.Remaining() > 0 {
+		err = errTrailing
+	}
+	return list, gen, err
 }
 
 // handleUpdateBatch applies a batch of delta entries, in order: a plain
@@ -774,71 +761,59 @@ func (sm *SessionManager) handleUpdateBatch(args []byte) error {
 
 // applyUpdate consumes one delta entry from d — the record's 16-byte id,
 // its generation and an attribute list — all of it, even when the
-// generation check skips the apply, so batched entries stay framed. Keys
-// are compared as bytes and interned when new, and a value becomes an owned
-// string only when it changes the stored state: an update of existing keys
-// costs one allocation per changed value, a same-value update none.
+// generation check skips the apply, so batched entries stay framed. The
+// entry merges into the replica's record as one new string, or none when
+// every value it carries is the one held; a record the replica does not
+// hold yet is that string and its sessState.
 func (sm *SessionManager) applyUpdate(d *wire.Decoder) error {
 	idB := d.Raw(cluster.IDLen)
 	gen := d.Uint64()
-	n, err := attrCount(d)
+	list, _, err := readList(d)
 	if err != nil {
 		return err
 	}
+	key, _ := tableKey(idB) // whole: readList fails after an id cut short
 	sm.mu.Lock()
-	st, ok := sm.sessions[string(idB)] // no-alloc lookup
-	if !ok {
-		st = &sessState{id: string(idB)}
-		sm.sessions[st.id] = st
+	st := sm.sessions[key]
+	if st == nil {
+		sm.sessions[key] = &sessState{rec: record{data: merge("", idB, list), gen: gen}}
+		sm.mu.Unlock()
+		return nil
 	}
 	sm.mu.Unlock()
 	r := &st.rec
 	r.mu.Lock()
-	defer r.mu.Unlock()
-	apply := gen > r.gen || r.gen == 0
-	if apply {
+	if gen > r.gen || r.gen == 0 {
 		r.gen = gen
+		r.data = merge(r.data, nil, list)
 	}
-	for ; n > 0; n-- {
-		kb := d.BytesNoCopy()
-		vb := d.BytesNoCopy()
-		if !apply || d.Err() != nil {
-			continue
-		}
-		i := 0
-		for i < len(r.attrs) && r.attrs[i].key != string(kb) {
-			i++
-		}
-		if i < len(r.attrs) && r.attrs[i].value == string(vb) {
-			continue
-		}
-		if v := string(vb); i < len(r.attrs) {
-			r.attrs[i].value = v
-		} else {
-			r.add(sm.attrKeys.Intern(kb), v, n)
-		}
-	}
-	return d.Err()
+	r.mu.Unlock()
+	return nil
 }
 
-// handleFetch returns a replica's generation and state (RMI handler).
+// handleFetch returns a replica's generation and attribute list (RMI
+// handler).
 func (sm *SessionManager) handleFetch(args []byte) ([]byte, error) {
 	d := wire.NewDecoder(args)
-	id := d.String()
+	id := d.BytesNoCopy()
 	if err := d.Err(); err != nil {
 		return nil, err
 	}
-	sm.mu.Lock()
-	st, ok := sm.sessions[id]
-	sm.mu.Unlock()
-	if !ok {
-		return nil, &rmi.AppError{Msg: "no such session: " + cluster.IDString(id)}
+	var st *sessState
+	if key, ok := tableKey(id); ok {
+		sm.mu.Lock()
+		st = sm.sessions[key]
+		sm.mu.Unlock()
 	}
-	e := wire.NewEncoder(128)
+	if st == nil {
+		return nil, &rmi.AppError{Msg: "no such session: " + cluster.IDString(string(id))}
+	}
 	st.rec.mu.Lock()
-	e.Uint64(st.rec.gen)
-	appendAttrs(e, st.rec.attrs, nil)
+	gen, rec := st.rec.gen, st.rec.data
 	st.rec.mu.Unlock()
+	e := wire.NewEncoder(len(rec))
+	e.Uint64(gen)
+	e.Raw(rec[cluster.IDLen:])
 	return e.Bytes(), nil
 }
 
