@@ -8,7 +8,7 @@ import (
 
 func init() {
 	register(Experiment{ID: "E28", Title: "Deterministic chaos sweep over the HA stack",
-		Source: "§3–5: clustering claims must hold under crashes, partitions, freezes and message loss", Run: runE28})
+		Source: "§3–5: clustering claims must hold under crashes, partitions, freezes and fencing", Run: runE28})
 }
 
 // runE28: drive a block of seeds through the fault generator and report

@@ -96,7 +96,7 @@ func runE27() *Table {
 			"(client+server, both directions). frames/s = 2×calls/s (request + response)."}
 
 	for _, callers := range []int{1, 64, 1024} {
-		sim := netsim.New(wall, 1)
+		sim := netsim.New(wall)
 		a := sim.Endpoint("a")
 		b := sim.Endpoint("b")
 		b.SetHandler(func(string, wire.Frame) *wire.Frame { return &wire.Frame{Kind: wire.KindResponse, Body: []byte("ok")} })

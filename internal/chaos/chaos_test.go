@@ -1,9 +1,17 @@
 package chaos
 
 import (
+	"context"
+	"errors"
 	"os"
+	"sort"
 	"strconv"
 	"testing"
+	"time"
+
+	"wls"
+	"wls/internal/netsim"
+	"wls/internal/wire"
 )
 
 // TestScheduleDeterministic pins the reproducibility contract: the
@@ -88,10 +96,6 @@ func TestScheduleHealsEverything(t *testing.T) {
 				note("part"+st.A+st.B, +1)
 			case OpHeal:
 				note("part"+st.A+st.B, -1)
-			case OpDrop:
-				note("drop"+st.A+st.B, +1)
-			case OpClearDrop:
-				note("drop"+st.A+st.B, -1)
 			case OpSlow:
 				note("slow"+st.A, +1)
 			case OpClearSlow:
@@ -228,5 +232,91 @@ func TestChaosExtended(t *testing.T) {
 	t.Logf("\n%s", res.Report())
 	if fails := res.Failures(); len(fails) > 0 {
 		t.Fatalf("%d seed(s) violated invariants:\n%s", len(fails), res.Report())
+	}
+}
+
+// TestEveryChaosFaultActs holds each fault kind the generator emits to an
+// effect the fabric shows: applied through the harness to a fresh cluster,
+// it must change what a call between the servers it names gets back, and
+// its heal must restore the call. A kind with no probe here fails the test,
+// so the generator cannot carry a fault that injects nothing.
+func TestEveryChaosFaultActs(t *testing.T) {
+	// What a call into the fault gets: an error, or no reply at all
+	// (errNoReply) while virtual time stands still.
+	errNoReply := errors.New("no reply")
+	want := map[OpKind]error{
+		OpCrash:     netsim.ErrUnreachable,
+		OpPartition: netsim.ErrUnreachable,
+		OpFence:     netsim.ErrFenced,
+		OpFreeze:    errNoReply,
+		OpSlow:      errNoReply,
+	}
+	heals := map[OpKind]bool{OpRestart: true, OpThaw: true, OpUnfence: true, OpHeal: true, OpClearSlow: true}
+
+	emitted := map[OpKind]Step{}
+	for _, cfg := range []Config{{}, {Overload: true}} {
+		for seed := int64(1); seed <= 32; seed++ {
+			for _, st := range Generate(seed, cfg).Steps {
+				if st.Kind == OpAdvance || st.Kind == OpBurst || heals[st.Kind] {
+					continue
+				}
+				if _, ok := emitted[st.Kind]; !ok {
+					emitted[st.Kind] = st
+				}
+			}
+		}
+	}
+	kinds := make([]OpKind, 0, len(emitted))
+	for k := range emitted {
+		kinds = append(kinds, k)
+	}
+	sort.Slice(kinds, func(i, j int) bool { return kinds[i] < kinds[j] })
+
+	for _, kind := range kinds {
+		st := emitted[kind]
+		expect, ok := want[kind]
+		if !ok {
+			t.Errorf("%s: no probe for this fault kind (first emitted as %q)", kind, st)
+			continue
+		}
+		t.Run(kind.String(), func(t *testing.T) {
+			c, err := wls.New(wls.Options{Servers: 3, WithAdmin: true, Seed: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer c.Stop()
+			h := &Harness{Cluster: c, Seed: 1, State: newState()}
+			// A partition is probed across its link; a server fault from
+			// the admin server, which no schedule faults.
+			from, to := "admin", st.A
+			if st.B != "" {
+				from, to = st.A, st.B
+			}
+			probe := func() error {
+				ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
+				defer cancel()
+				before := c.Clock().Now()
+				_, err := h.Server(from).Node().Call(ctx, h.Server(to).Addr(), wire.Frame{Kind: wire.KindRequest})
+				if errors.Is(err, context.DeadlineExceeded) && c.Clock().Now().Equal(before) {
+					return errNoReply
+				}
+				return err
+			}
+			if err := probe(); err != nil {
+				t.Fatalf("before %q: %s -> %s: %v", st, from, to, err)
+			}
+			h.apply(st)
+			if err := probe(); !errors.Is(err, expect) {
+				t.Errorf("after %q: %s -> %s got %v, want %v", st, from, to, err, expect)
+			}
+			heal := fault{kind: st.Kind, a: st.A, b: st.B}.heal()
+			h.apply(heal)
+			if err := probe(); err != nil {
+				t.Errorf("after %q healed by %q: %s -> %s: %v", st, heal, from, to, err)
+			}
+			if len(h.violations) > 0 {
+				t.Errorf("harness: %v", h.violations)
+			}
+		})
 	}
 }

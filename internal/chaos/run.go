@@ -24,7 +24,6 @@ type State struct {
 	Frozen map[string]bool
 	Fenced map[string]bool
 	Parts  map[string]bool // "a|b" partitioned
-	Drops  map[string]bool // "a|b" lossy
 	Slow   map[string]bool // latency-inflated (overload configs)
 	// Bursts counts pending flash crowds; the overload workload consumes
 	// them as oversized volleys.
@@ -41,7 +40,6 @@ func newState() *State {
 		Frozen:    map[string]bool{},
 		Fenced:    map[string]bool{},
 		Parts:     map[string]bool{},
-		Drops:     map[string]bool{},
 		Slow:      map[string]bool{},
 		Restarted: map[string]int{},
 	}
@@ -157,12 +155,6 @@ func (h *Harness) apply(s Step) {
 	case OpHeal:
 		c.Partition(s.A, s.B, false)
 		delete(h.State.Parts, key)
-	case OpDrop:
-		c.Net().SetDropRate(h.Server(s.A).Addr(), h.Server(s.B).Addr(), s.P)
-		h.State.Drops[key] = true
-	case OpClearDrop:
-		c.Net().SetDropRate(h.Server(s.A).Addr(), h.Server(s.B).Addr(), 0)
-		delete(h.State.Drops, key)
 	case OpSlow:
 		c.Net().SetSlow(h.Server(s.A).Addr(), slowLatency)
 		h.State.Slow[s.A] = true

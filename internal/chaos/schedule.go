@@ -1,9 +1,9 @@
 // Package chaos is a deterministic fault-injection harness for the HA
 // stack. A seeded scenario generator composes netsim faults — crash,
-// restart, freeze/thaw, fence, pairwise partition, announcement loss —
-// over a configurable horizon while a workload exercises the cluster on
-// the virtual clock, and cross-cutting invariants are checked after every
-// step and again at quiescence:
+// restart, freeze/thaw, fence, pairwise partition — over a configurable
+// horizon while a workload exercises the cluster on the virtual clock, and
+// cross-cutting invariants are checked after every step and again at
+// quiescence:
 //
 //   - at most one live singleton owner per service, with fencing-epoch
 //     monotonicity (§3.4)
@@ -99,8 +99,6 @@ const (
 	OpUnfence
 	OpPartition
 	OpHeal
-	OpDrop
-	OpClearDrop
 	// OpSlow inflates every link touching a server (a slow server that
 	// still answers, late); OpClearSlow heals it. Overload configs only.
 	OpSlow
@@ -130,10 +128,6 @@ func (k OpKind) String() string {
 		return "partition"
 	case OpHeal:
 		return "heal"
-	case OpDrop:
-		return "drop"
-	case OpClearDrop:
-		return "cleardrop"
 	case OpSlow:
 		return "slow"
 	case OpClearSlow:
@@ -150,8 +144,6 @@ type Step struct {
 	Kind OpKind
 	// A is the target server (and B the peer for pairwise ops).
 	A, B string
-	// P is the one-way frame-loss probability for OpDrop.
-	P float64
 	// D is the advance duration for OpAdvance.
 	D time.Duration
 }
@@ -162,10 +154,6 @@ func (s Step) String() string {
 		return fmt.Sprintf("advance %v", s.D)
 	case OpPartition, OpHeal:
 		return fmt.Sprintf("%s %s %s", s.Kind, s.A, s.B)
-	case OpDrop:
-		return fmt.Sprintf("drop %s %s p=%.1f", s.A, s.B, s.P)
-	case OpClearDrop:
-		return fmt.Sprintf("cleardrop %s %s", s.A, s.B)
 	case OpBurst:
 		return "burst"
 	default:
@@ -197,7 +185,7 @@ func (s *Schedule) String() string {
 
 // fault is one outstanding injected fault during generation.
 type fault struct {
-	kind OpKind // OpCrash, OpFreeze, OpFence, OpPartition or OpDrop
+	kind OpKind // OpCrash, OpFreeze, OpFence, OpPartition or OpSlow
 	a, b string
 }
 
@@ -212,10 +200,8 @@ func (f fault) heal() Step {
 		return Step{Kind: OpUnfence, A: f.a}
 	case OpPartition:
 		return Step{Kind: OpHeal, A: f.a, B: f.b}
-	case OpSlow:
-		return Step{Kind: OpClearSlow, A: f.a}
 	default:
-		return Step{Kind: OpClearDrop, A: f.a, B: f.b}
+		return Step{Kind: OpClearSlow, A: f.a}
 	}
 }
 
@@ -238,7 +224,6 @@ func Generate(seed int64, cfg Config) *Schedule {
 		active  []fault
 		srvBusy = map[string]bool{} // server-level fault outstanding
 		pairs   = map[string]bool{} // "a|b" partitioned
-		drops   = map[string]bool{} // "a|b" lossy
 	)
 	pairKey := func(a, b string) string { return a + "|" + b }
 
@@ -250,8 +235,6 @@ func Generate(seed int64, cfg Config) *Schedule {
 			delete(srvBusy, f.a)
 		case OpPartition:
 			delete(pairs, pairKey(f.a, f.b))
-		case OpDrop:
-			delete(drops, pairKey(f.a, f.b))
 		}
 		return f
 	}
@@ -301,34 +284,27 @@ func Generate(seed int64, cfg Config) *Schedule {
 					return Step{Kind: kind, A: t}, fault{kind: kind, a: t}, true
 				}
 			}
-			pairOp := func(kind OpKind, taken map[string]bool) func() (Step, fault, bool) {
-				return func() (Step, fault, bool) {
-					var cand [][2]string
-					for i := 0; i < len(servers); i++ {
-						for j := i + 1; j < len(servers); j++ {
-							if !taken[pairKey(servers[i], servers[j])] {
-								cand = append(cand, [2]string{servers[i], servers[j]})
-							}
+			partition := func() (Step, fault, bool) {
+				var cand [][2]string
+				for i := 0; i < len(servers); i++ {
+					for j := i + 1; j < len(servers); j++ {
+						if !pairs[pairKey(servers[i], servers[j])] {
+							cand = append(cand, [2]string{servers[i], servers[j]})
 						}
 					}
-					if len(cand) == 0 {
-						return Step{}, fault{}, false
-					}
-					p := cand[rng.Intn(len(cand))]
-					taken[pairKey(p[0], p[1])] = true
-					st := Step{Kind: kind, A: p[0], B: p[1]}
-					if kind == OpDrop {
-						st.P = []float64{0.3, 0.6, 0.9}[rng.Intn(3)]
-					}
-					return st, fault{kind: kind, a: p[0], b: p[1]}, true
 				}
+				if len(cand) == 0 {
+					return Step{}, fault{}, false
+				}
+				p := cand[rng.Intn(len(cand))]
+				pairs[pairKey(p[0], p[1])] = true
+				return Step{Kind: OpPartition, A: p[0], B: p[1]}, fault{kind: OpPartition, a: p[0], b: p[1]}, true
 			}
 			actions := []action{
 				{3, serverOp(OpCrash)},
 				{2, serverOp(OpFreeze)},
 				{2, serverOp(OpFence)},
-				{2, pairOp(OpPartition, pairs)},
-				{1, pairOp(OpDrop, drops)},
+				{2, partition},
 			}
 			if cfg.Overload {
 				actions = append(actions, action{2, serverOp(OpSlow)})

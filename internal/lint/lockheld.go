@@ -7,7 +7,7 @@ import (
 )
 
 // LockHeld reports blocking operations — channel sends and receives,
-// selects without a default, Clock.Sleep/time.Sleep, transport sends,
+// selects without a default, Clock.Sleep/time.Sleep, transport calls,
 // WaitGroup.Wait — performed while a sync.Mutex/RWMutex is held. Holding
 // a lock across a blocking point is the classic cluster deadlock: the
 // goroutine that would unblock the operation needs the same lock.
@@ -22,7 +22,7 @@ import (
 // Blocking is interprocedural: every module function that may block —
 // directly or through its callees — exports a blocksFact, so a call to
 // it while a lock is held is flagged in any package, with the reason
-// chain ("call to jms.Broker.deliver (may block: transport.Send)") in
+// chain ("call to jms.Broker.deliver (may block: transport.Call)") in
 // the message.
 func LockHeld() *Analyzer {
 	a := &Analyzer{
@@ -409,8 +409,8 @@ func knownBlockingCall(info *types.Info, call *ast.CallExpr) (string, bool) {
 			return "Clock.Sleep", true
 		}
 	case "wls/internal/transport":
-		if obj.Name() == "Send" || obj.Name() == "Call" {
-			return "transport." + obj.Name(), true
+		if obj.Name() == "Call" {
+			return "transport.Call", true
 		}
 	case "sync":
 		// WaitGroup.Wait blocks; Cond.Wait is *supposed* to hold the

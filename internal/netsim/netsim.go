@@ -11,7 +11,6 @@
 //   - router-level fencing      → Network.Fence — the platform-dependent
 //     isolation step of §3.4; a fenced server's outbound messages are
 //     dropped by the fabric itself
-//   - lossy multicast (§3.1)    → per-link drop rate for one-way frames
 //   - LAN/WAN latency           → per-link latency, applied on the fabric's
 //     virtual clock
 //
@@ -22,7 +21,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math/rand"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -44,23 +42,19 @@ var (
 // Network is the fabric connecting simulated endpoints.
 type Network struct {
 	clock vclock.Clock
-	rng   *rand.Rand
 
 	mu          sync.Mutex
 	endpoints   map[string]*Endpoint
 	partitioned map[linkKey]bool
 	latency     map[linkKey]time.Duration
 	slow        map[string]time.Duration // per-endpoint latency inflation
-	dropRate    map[linkKey]float64
 	fenced      map[string]bool
 	defLatency  time.Duration
 	onFault     func(FaultEvent)
 	// tap sees every frame an endpoint sends (see Tap).
 	tap atomic.Pointer[func(from, to string, f wire.Frame)]
 
-	// Stats.
-	sent    int64
-	dropped int64
+	sent int64 // frames that entered the fabric; see Stats
 }
 
 // FaultEvent is one fault-injection action on the fabric, as observed by
@@ -71,16 +65,14 @@ type FaultEvent struct {
 	// At is the fabric clock time of the injection.
 	At time.Time
 	// Op names the action: "partition", "heal", "fence", "unfence",
-	// "freeze", "thaw", "stop", "restart", "droprate", "slow".
+	// "freeze", "thaw", "stop", "restart", "slow".
 	Op string
 	// A is the affected endpoint; B is the peer for link-level ops.
 	A, B string
-	// P is the drop probability (droprate only).
-	P float64
 }
 
 // OnFault installs a hook observing every fault injection (partitions,
-// fencing, freezes, crashes, restarts, drop-rate changes). The hook runs
+// fencing, freezes, crashes, restarts, slow servers). The hook runs
 // on the injecting goroutine after the fabric state has changed and must
 // not call back into the Network. A nil fn removes the hook.
 func (n *Network) OnFault(fn func(FaultEvent)) {
@@ -90,20 +82,20 @@ func (n *Network) OnFault(fn func(FaultEvent)) {
 }
 
 // recordFault delivers a FaultEvent to the hook, outside n.mu.
-func (n *Network) recordFault(op, a, b string, p float64) {
+func (n *Network) recordFault(op, a, b string) {
 	n.mu.Lock()
 	fn := n.onFault
 	now := n.clock.Now()
 	n.mu.Unlock()
 	if fn != nil {
-		fn(FaultEvent{At: now, Op: op, A: a, B: b, P: p})
+		fn(FaultEvent{At: now, Op: op, A: a, B: b})
 	}
 }
 
-// Tap installs fn to see every frame an endpoint of this network sends,
-// requests and one-way frames alike, as it enters the fabric — tests sniff
-// what crosses the wire with it. fn runs on the sender's goroutine and must
-// neither modify nor retain f.Body. A nil fn removes the tap.
+// Tap installs fn to see every request an endpoint of this network sends,
+// as it enters the fabric — tests sniff what crosses the wire with it. fn
+// runs on the sender's goroutine and must neither modify nor retain f.Body.
+// A nil fn removes the tap.
 func (n *Network) Tap(fn func(from, to string, f wire.Frame)) {
 	if fn == nil {
 		n.tap.Store(nil)
@@ -128,17 +120,14 @@ func link(a, b string) linkKey {
 	return linkKey{a, b}
 }
 
-// New returns an empty fabric driven by clock. seed makes drop decisions
-// reproducible.
-func New(clock vclock.Clock, seed int64) *Network {
+// New returns an empty fabric driven by clock.
+func New(clock vclock.Clock) *Network {
 	return &Network{
 		clock:       clock,
-		rng:         rand.New(rand.NewSource(seed)),
 		endpoints:   make(map[string]*Endpoint),
 		partitioned: make(map[linkKey]bool),
 		latency:     make(map[linkKey]time.Duration),
 		slow:        make(map[string]time.Duration),
-		dropRate:    make(map[linkKey]float64),
 		fenced:      make(map[string]bool),
 	}
 }
@@ -186,17 +175,7 @@ func (n *Network) SetSlow(addr string, extra time.Duration) {
 		n.slow[addr] = extra
 	}
 	n.mu.Unlock()
-	n.recordFault("slow", addr, "", extra.Seconds())
-}
-
-// SetDropRate sets the probability (0..1) that a one-way frame between a and
-// b is silently lost. Request/response traffic is never dropped by rate —
-// it models TCP — only by partitions, fencing, and crashes.
-func (n *Network) SetDropRate(a, b string, p float64) {
-	n.mu.Lock()
-	n.dropRate[link(a, b)] = p
-	n.mu.Unlock()
-	n.recordFault("droprate", a, b, p)
+	n.recordFault("slow", addr, "")
 }
 
 // SetPartitioned splits or heals the link between a and b.
@@ -205,9 +184,9 @@ func (n *Network) SetPartitioned(a, b string, broken bool) {
 	n.partitioned[link(a, b)] = broken
 	n.mu.Unlock()
 	if broken {
-		n.recordFault("partition", a, b, 0)
+		n.recordFault("partition", a, b)
 	} else {
-		n.recordFault("heal", a, b, 0)
+		n.recordFault("heal", a, b)
 	}
 }
 
@@ -221,9 +200,9 @@ func (n *Network) Isolate(addr string, broken bool) {
 	}
 	n.mu.Unlock()
 	if broken {
-		n.recordFault("partition", addr, "*", 0)
+		n.recordFault("partition", addr, "*")
 	} else {
-		n.recordFault("heal", addr, "*", 0)
+		n.recordFault("heal", addr, "*")
 	}
 }
 
@@ -234,9 +213,9 @@ func (n *Network) Fence(addr string, fenced bool) {
 	n.fenced[addr] = fenced
 	n.mu.Unlock()
 	if fenced {
-		n.recordFault("fence", addr, "", 0)
+		n.recordFault("fence", addr, "")
 	} else {
-		n.recordFault("unfence", addr, "", 0)
+		n.recordFault("unfence", addr, "")
 	}
 }
 
@@ -251,9 +230,9 @@ func (n *Network) Freeze(addr string, frozen bool) {
 	if ep != nil {
 		ep.freeze(frozen)
 		if frozen {
-			n.recordFault("freeze", addr, "", 0)
+			n.recordFault("freeze", addr, "")
 		} else {
-			n.recordFault("thaw", addr, "", 0)
+			n.recordFault("thaw", addr, "")
 		}
 	}
 }
@@ -278,27 +257,28 @@ func (n *Network) Restart(addr string) *Endpoint {
 		ep.handler = nil
 		ep.mu.Unlock()
 		n.mu.Unlock()
-		n.recordFault("restart", addr, "", 0)
+		n.recordFault("restart", addr, "")
 		return ep
 	}
 	ep := &Endpoint{net: n, addr: addr}
 	n.endpoints[addr] = ep
 	n.mu.Unlock()
-	n.recordFault("restart", addr, "", 0)
+	n.recordFault("restart", addr, "")
 	return ep
 }
 
-// Stats reports (sent, dropped) frame counts.
-func (n *Network) Stats() (sent, dropped int64) {
+// Stats reports how many frames have entered the fabric, requests and
+// responses alike.
+func (n *Network) Stats() (sent int64) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	return n.sent, n.dropped
+	return n.sent
 }
 
 // route decides whether a frame from src to dst may pass and with what
-// latency. It returns the destination endpoint, the latency, and whether
-// the frame is dropped.
-func (n *Network) route(src, dst string, oneWay bool) (*Endpoint, time.Duration, error) {
+// latency. It returns the destination endpoint and the latency, or why the
+// frame cannot pass.
+func (n *Network) route(src, dst string) (*Endpoint, time.Duration, error) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	if n.fenced[src] || n.fenced[dst] {
@@ -318,12 +298,6 @@ func (n *Network) route(src, dst string, oneWay bool) (*Endpoint, time.Duration,
 		return nil, 0, ErrUnreachable
 	}
 	n.sent++
-	if oneWay {
-		if p := n.dropRate[link(src, dst)]; p > 0 && n.rng.Float64() < p {
-			n.dropped++
-			return nil, 0, nil // silently dropped: ep==nil, no error
-		}
-	}
 	lat, ok := n.latency[link(src, dst)]
 	if !ok {
 		lat = n.defLatency
@@ -368,7 +342,7 @@ func (e *Endpoint) Close() error {
 	}
 	e.mu.Unlock()
 	if wasOpen {
-		e.net.recordFault("stop", e.addr, "", 0)
+		e.net.recordFault("stop", e.addr, "")
 	}
 	return nil
 }
@@ -450,11 +424,9 @@ func (d *delivery) process() {
 	deliveryPool.Put(d)
 
 	if err := ep.waitThaw(ctx); err != nil {
-		if reply != nil {
-			select {
-			case reply <- response{}:
-			default:
-			}
+		select {
+		case reply <- response{}:
+		default:
 		}
 		return
 	}
@@ -466,13 +438,9 @@ func (d *delivery) process() {
 	if h != nil && !closed {
 		resp = h(from, f)
 	}
-	if reply != nil {
-		select {
-		case reply <- own(resp):
-		default:
-		}
-	} else {
-		resp.Release()
+	select {
+	case reply <- own(resp):
+	default:
 	}
 }
 
@@ -493,7 +461,7 @@ func own(resp *wire.Frame) response {
 	return response{f: f, ok: true}
 }
 
-// deliver runs the handler for an inbound frame after the link latency.
+// deliver runs the handler for an inbound request after the link latency.
 func (e *Endpoint) deliver(ctx context.Context, from string, f wire.Frame, lat time.Duration, reply chan response) {
 	d := deliveryPool.Get().(*delivery)
 	*d = delivery{ep: e, ctx: ctx, from: from, f: f, reply: reply}
@@ -510,37 +478,13 @@ var replyPool = sync.Pool{New: func() any { return make(chan response, 1) }}
 
 // cloneBody detaches f's body from the caller's buffer. Like the TCP
 // transport, the fabric copies frame bodies on entry so callers may reuse
-// (or release to a pool) their encode buffers as soon as Send/Call
-// returns — delivery may run arbitrarily later on a frozen or slow link.
+// (or release to a pool) their encode buffers as soon as Call returns —
+// delivery may run arbitrarily later on a frozen or slow link.
 func cloneBody(f wire.Frame) wire.Frame {
 	if len(f.Body) > 0 {
 		f.Body = append([]byte(nil), f.Body...)
 	}
 	return f
-}
-
-// Send transmits a one-way frame to the destination address. Lost frames
-// (drop rate) return nil error, like UDP. A frozen sender blocks until it
-// thaws: a frozen process executes nothing, including its own sends. The
-// frame body is copied before Send returns.
-func (e *Endpoint) Send(ctx context.Context, to string, f wire.Frame) error {
-	f = cloneBody(f)
-	e.net.tapped(e.addr, to, f)
-	if e.Closed() {
-		return ErrClosed
-	}
-	if err := e.waitThaw(ctx); err != nil {
-		return err
-	}
-	dst, lat, err := e.net.route(e.addr, to, true)
-	if err != nil {
-		return err
-	}
-	if dst == nil {
-		return nil // dropped
-	}
-	dst.deliver(ctx, e.addr, f, lat, nil)
-	return nil
 }
 
 // Call performs a request/response exchange. The response frame's kind is
@@ -557,7 +501,7 @@ func (e *Endpoint) Call(ctx context.Context, to string, f wire.Frame) (wire.Fram
 	if err := e.waitThaw(ctx); err != nil {
 		return wire.Frame{}, err
 	}
-	dst, lat, err := e.net.route(e.addr, to, false)
+	dst, lat, err := e.net.route(e.addr, to)
 	if err != nil {
 		return wire.Frame{}, err
 	}
@@ -575,7 +519,7 @@ func (e *Endpoint) Call(ctx context.Context, to string, f wire.Frame) (wire.Fram
 			return wire.Frame{}, ErrUnreachable
 		}
 		// Response also pays link latency; check the reverse path is alive.
-		if _, _, err := e.net.route(to, e.addr, false); err != nil {
+		if _, _, err := e.net.route(to, e.addr); err != nil {
 			return wire.Frame{}, err
 		}
 		if lat > 0 {

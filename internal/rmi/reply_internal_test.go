@@ -82,9 +82,8 @@ func TestReplyInPlaceIsByteIdentical(t *testing.T) {
 // replyNode is a Node whose every call is answered with one fixed body.
 type replyNode struct{ body []byte }
 
-func (replyNode) Addr() string                                   { return "client:0" }
-func (replyNode) Send(context.Context, string, wire.Frame) error { return nil }
-func (replyNode) SetHandler(wire.Handler)                        {}
+func (replyNode) Addr() string            { return "client:0" }
+func (replyNode) SetHandler(wire.Handler) {}
 func (n replyNode) Call(context.Context, string, wire.Frame) (wire.Frame, error) {
 	return wire.Frame{Kind: wire.KindResponse, Body: n.body}, nil
 }

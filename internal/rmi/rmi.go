@@ -33,8 +33,8 @@ import (
 //
 // Contract — one ownership rule, the same on both fabrics: a frame body
 // belongs to whoever produced it until the node has copied it to the
-// delivery edge. Send and Call copy f.Body before they return, so stubs
-// encode requests into pooled buffers and release them right after. The
+// delivery edge. Call copies f.Body before it returns, so stubs encode
+// requests into pooled buffers and release them right after. The
 // handler is lent the inbound body for the duration of the call, and the
 // frame it returns stays its own until the node has copied the body out
 // and released it (see wire.Handler), so a response may be pooled and may
@@ -42,7 +42,6 @@ import (
 // owned by the caller: stubs decode it in place and hand out sub-slices.
 type Node interface {
 	Addr() string
-	Send(ctx context.Context, to string, f wire.Frame) error
 	Call(ctx context.Context, to string, f wire.Frame) (wire.Frame, error)
 	SetHandler(h wire.Handler)
 }

@@ -54,7 +54,7 @@ type Options struct {
 	ReplicationGroups []string
 	// PreferredSecondaryGroups is copied to every member.
 	PreferredSecondaryGroups []string
-	// Seed for deterministic fabric/bus randomness.
+	// Seed for deterministic announcement-bus randomness.
 	Seed int64
 	// RealClock uses the wall clock instead of a virtual one (for
 	// benchmarks that measure real throughput).
@@ -103,7 +103,7 @@ func New(opts Options) *Fixture {
 	f := &Fixture{
 		Clock:  clk,
 		VClock: vclk,
-		Net:    netsim.New(clk, opts.Seed),
+		Net:    netsim.New(clk),
 		Bus:    gossip.NewInMemory(clk, opts.Seed),
 		cfg: cluster.Config{
 			Name:              opts.ClusterName,
@@ -215,16 +215,6 @@ func (f *Fixture) Partition(a, b string, broken bool) {
 	sa, sb := f.Server(a), f.Server(b)
 	if sa != nil && sb != nil {
 		f.Net.SetPartitioned(sa.Endpoint.Addr(), sb.Endpoint.Addr(), broken)
-	}
-}
-
-// SetDropRate sets the one-way frame loss probability between two named
-// servers (announcement traffic; request/response models TCP and is never
-// rate-dropped).
-func (f *Fixture) SetDropRate(a, b string, p float64) {
-	sa, sb := f.Server(a), f.Server(b)
-	if sa != nil && sb != nil {
-		f.Net.SetDropRate(sa.Endpoint.Addr(), sb.Endpoint.Addr(), p)
 	}
 }
 

@@ -1,6 +1,6 @@
 // Package transport is the production counterpart of internal/netsim: the
-// same Node interface (Addr/Send/Call/SetHandler/Close) implemented over
-// real TCP connections with wire framing.
+// same Node interface (Addr/Call/SetHandler/Close) implemented over real
+// TCP connections with wire framing.
 //
 // Like WebLogic's T3 protocol, a single connection between two servers
 // multiplexes many concurrent requests using correlation identifiers, and
@@ -56,16 +56,6 @@ type Options struct {
 	// transport.batch.frames, transport.batch.bytes). Nil allocates a
 	// private registry, readable via Transport.Metrics.
 	Metrics *metrics.Registry
-	// Workers bounds the inbound worker pool — the execute-thread pool of
-	// a WebLogic server rather than one goroutine per request. Zero means
-	// 4×GOMAXPROCS (minimum 8).
-	Workers int
-	// QueueDepth is the worker pool's task queue length (default 256).
-	// When every worker is busy and the queue is full, dispatch overflows
-	// to a fresh goroutine: a bounded queue with no escape valve can
-	// deadlock two servers whose pools are saturated with requests to
-	// each other.
-	QueueDepth int
 	// UnbatchedWrites disables write coalescing, reverting to one Write
 	// syscall per frame. Kept for the transportbench ablation (E27).
 	UnbatchedWrites bool
@@ -103,15 +93,6 @@ func ListenOpts(addr string, opts Options) (*Transport, error) {
 	if err != nil {
 		return nil, err
 	}
-	if opts.Workers <= 0 {
-		opts.Workers = 4 * runtime.GOMAXPROCS(0)
-		if opts.Workers < 8 {
-			opts.Workers = 8
-		}
-	}
-	if opts.QueueDepth <= 0 {
-		opts.QueueDepth = 256
-	}
 	reg := opts.Metrics
 	if reg == nil {
 		reg = metrics.NewRegistry()
@@ -121,7 +102,7 @@ func ListenOpts(addr string, opts Options) (*Transport, error) {
 		addr:        ln.Addr().String(),
 		opts:        opts,
 		reg:         reg,
-		tasks:       make(chan inbound, opts.QueueDepth),
+		tasks:       make(chan inbound, queueDepth),
 		framesOut:   reg.Counter("transport.frames.out"),
 		bytesOut:    reg.Counter("transport.bytes.out"),
 		framesIn:    reg.Counter("transport.frames.in"),
@@ -133,7 +114,7 @@ func ListenOpts(addr string, opts Options) (*Transport, error) {
 		dialing:     make(map[string]chan struct{}),
 	}
 	t.handler.Store(Handler(func(string, wire.Frame) *wire.Frame { return nil }))
-	for i := 0; i < opts.Workers; i++ {
+	for i := 0; i < workers(); i++ {
 		go func() {
 			for task := range t.tasks {
 				task.run()
@@ -317,19 +298,10 @@ func (t *Transport) dial(ctx context.Context, to string) (*conn, error) {
 	return use, nil
 }
 
-// Send transmits a one-way frame. The frame is copied into the
-// connection's send queue before Send returns, so the caller may reuse
-// f.Body (e.g. release it to a pool) immediately afterwards.
-func (t *Transport) Send(ctx context.Context, to string, f wire.Frame) error {
-	c, err := t.getConn(ctx, to)
-	if err != nil {
-		return err
-	}
-	return c.write(f)
-}
-
-// Call performs a request/response exchange. Like Send, f.Body is not
-// retained past the return; the Body of the returned frame is the caller's.
+// Call performs a request/response exchange. The request is copied into the
+// connection's send queue, so the caller may reuse f.Body (e.g. release it
+// to a pool) as soon as Call returns; the Body of the returned frame is the
+// caller's.
 // A call that finds its connection dead is retried once on a fresh dial: a
 // restarted peer leaves a cached conn behind whose death may not have been
 // read yet (TestReconnectAfterPeerRestart).
@@ -533,28 +505,26 @@ func (c *conn) close(reason error) {
 	}
 }
 
-// inbound is one request or one-way frame on its way to a pool worker; buf
-// is the body buffer its body lives in, detached from the frame reader.
+// inbound is one request on its way to a pool worker; buf is the body
+// buffer its body lives in, detached from the frame reader.
 type inbound struct {
 	c   *conn
 	f   wire.Frame
 	buf *wire.Encoder
 }
 
-// run executes the handler and, for a request, queues the response: copied
-// into the send buffer first, then released, and only then is the request's
-// buffer (which the response may alias) recycled.
+// run executes the handler and queues the response: copied into the send
+// buffer first, then released, and only then is the request's buffer (which
+// the response may alias) recycled.
 func (in inbound) run() {
 	c := in.c
 	h := c.t.handler.Load().(Handler)
 	resp := h(c.remote, in.f)
-	if in.f.Kind == wire.KindRequest {
-		out := wire.Frame{Kind: wire.KindResponse, Corr: in.f.Corr}
-		if resp != nil {
-			out.Body = resp.Body
-		}
-		_ = c.write(out) // a dead conn already fails the caller's pending wait
+	out := wire.Frame{Kind: wire.KindResponse, Corr: in.f.Corr}
+	if resp != nil {
+		out.Body = resp.Body
 	}
+	_ = c.write(out) // a dead conn already fails the caller's pending wait
 	resp.Release()
 	in.buf.Release()
 }
@@ -564,31 +534,28 @@ func (in inbound) run() {
 // syscall, while a body at least that large is read straight into its
 // pooled body buffer (bufio.Reader.Read bypasses its own buffer for such
 // reads). Frames are decoded zero-copy: a response is copied once, for its
-// caller; a heartbeat runs inline on the body buffer; any other frame takes
-// the body buffer with it to the worker pool. The reader gives a body
-// buffer back when it looks for the next frame, so a conn waiting for one
-// holds only the socket buffer.
+// caller; a request takes the body buffer with it to the worker pool. The
+// reader gives a body buffer back when it looks for the next frame, so a
+// conn waiting for one holds only the socket buffer. A frame of any other
+// kind closes the connection, as a bad hello does: past the handshake a
+// peer sends requests and responses only.
 func (c *conn) readLoop() {
 	fr := wire.NewFrameReader(bufio.NewReader(c.nc))
 	fr.SetZeroCopy(true)
 	for {
 		f, err := fr.Next()
+		if err == nil && f.Kind != wire.KindRequest && f.Kind != wire.KindResponse {
+			err = fmt.Errorf("unexpected %v frame", f.Kind)
+		}
 		if err != nil {
 			c.close(fmt.Errorf("%w: %v", errConnDead, err))
 			return
 		}
 		c.t.framesIn.Inc()
 		c.t.bytesIn.Add(int64(f.WireSize()))
-		switch f.Kind {
-		case wire.KindResponse:
+		if f.Kind == wire.KindResponse {
 			c.deliver(f)
-		case wire.KindHeartbeat:
-			// Heartbeats keep failure detectors alive and never retain
-			// the body: dispatch inline, zero-copy, ahead of any queued
-			// pool work.
-			h := c.t.handler.Load().(Handler)
-			h(c.remote, f).Release()
-		default:
+		} else {
 			c.t.submit(inbound{c: c, f: f, buf: fr.Detach()})
 		}
 	}
@@ -754,6 +721,12 @@ func (w *connWriter) close() {
 
 // ---------------------------------------------------------------------------
 // Worker pool
+
+// queueDepth is the worker pool's task queue length.
+const queueDepth = 256
+
+// workers is the worker pool's size: 4×GOMAXPROCS, at least 8.
+func workers() int { return max(8, 4*runtime.GOMAXPROCS(0)) }
 
 // submit hands an inbound frame to the bounded set of goroutines servicing
 // them — the execute-thread pool of a WebLogic server rather than one

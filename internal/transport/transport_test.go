@@ -6,6 +6,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"os"
 	"sync"
@@ -52,26 +53,6 @@ func TestHandlerSeesAdvertisedAddress(t *testing.T) {
 	}
 	if got := <-fromCh; got != a.Addr() {
 		t.Fatalf("from = %q, want %q", got, a.Addr())
-	}
-}
-
-func TestOneWaySend(t *testing.T) {
-	a, b := newT(t), newT(t)
-	got := make(chan wire.Frame, 1)
-	b.SetHandler(func(from string, f wire.Frame) *wire.Frame {
-		got <- f
-		return nil
-	})
-	if err := a.Send(context.Background(), b.Addr(), wire.Frame{Kind: wire.KindOneWay, Corr: 5, Body: []byte("msg")}); err != nil {
-		t.Fatal(err)
-	}
-	select {
-	case f := <-got:
-		if f.Corr != 5 || string(f.Body) != "msg" {
-			t.Fatalf("frame = %+v", f)
-		}
-	case <-time.After(2 * time.Second):
-		t.Fatal("one-way not delivered")
 	}
 }
 
@@ -746,22 +727,29 @@ func TestCallNoRetryAfterContextDone(t *testing.T) {
 	}
 }
 
+// TestWorkerPoolBounded holds every handler on a gate and makes more
+// calls than the pool has workers and queue slots together: the calls the
+// queue cannot take must each run on an overflow goroutine, so all of them
+// besides the queued ones reach a handler while the gate is shut, and all
+// complete once it opens. A submit that waited for queue space instead
+// would stall the read loop with only the workers' calls started.
 func TestWorkerPoolBounded(t *testing.T) {
-	// A 2-worker pool with a tiny queue still serves a burst correctly
-	// (overflow dispatch keeps liveness).
-	srv, err := ListenOpts("127.0.0.1:0", Options{Workers: 2, QueueDepth: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { srv.Close() })
+	srv, cl := newT(t), newT(t)
+	gate := make(chan struct{})
+	var open sync.Once
+	release := func() { open.Do(func() { close(gate) }) }
+	defer release()
+	var entered atomic.Int64
 	srv.SetHandler(func(_ string, f wire.Frame) *wire.Frame {
-		time.Sleep(time.Millisecond)
+		entered.Add(1)
+		<-gate
 		return &wire.Frame{Body: f.Body}
 	})
-	cl := newT(t)
+	const overflow = 8
+	calls := workers() + queueDepth + overflow
 	var wg sync.WaitGroup
-	errs := make(chan error, 50)
-	for i := 0; i < 50; i++ {
+	errs := make(chan error, calls)
+	for i := 0; i < calls; i++ {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
@@ -776,10 +764,49 @@ func TestWorkerPoolBounded(t *testing.T) {
 			}
 		}(i)
 	}
+	// Every worker's call, plus the overflow, runs while the gate is shut.
+	running := int64(calls - queueDepth)
+	deadline := time.Now().Add(5 * time.Second) //wls:wallclock test-only poll bound
+	for entered.Load() < running && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	if got := entered.Load(); got < running {
+		t.Errorf("%d of %d calls reached a handler behind the gate; want %d (%d workers + %d overflow)", got, calls, running, workers(), overflow)
+	}
+	release()
 	wg.Wait()
 	close(errs)
 	for err := range errs {
 		t.Fatal(err)
+	}
+}
+
+// TestUnknownFrameKindClosesTheConnection: past the hello a peer may send
+// requests and responses only. Any other frame kind — a one-way frame, the
+// unassigned kind 4, a second hello — closes the connection before a
+// handler sees it.
+func TestUnknownFrameKindClosesTheConnection(t *testing.T) {
+	tr := newT(t)
+	var handled atomic.Int32
+	tr.SetHandler(func(string, wire.Frame) *wire.Frame { handled.Add(1); return &wire.Frame{} })
+	for _, kind := range []wire.Kind{wire.KindOneWay, wire.Kind(4), wire.KindAnnounce} {
+		nc, err := net.Dial("tcp", tr.Addr())
+		if err != nil {
+			t.Fatal(err)
+		}
+		stream := wire.AppendFrame(nil, helloFrame("198.51.100.1:7001"))
+		stream = wire.AppendFrame(stream, wire.Frame{Kind: kind, Corr: 1, Body: []byte("msg")})
+		if _, err := nc.Write(stream); err != nil {
+			t.Fatal(err)
+		}
+		nc.SetReadDeadline(time.Now().Add(2 * time.Second)) //wls:wallclock test-only I/O deadline
+		if n, err := nc.Read(make([]byte, 1)); n != 0 || err != io.EOF {
+			t.Errorf("%v frame: read %d bytes, err %v; want EOF", kind, n, err)
+		}
+		nc.Close()
+	}
+	if n := handled.Load(); n != 0 {
+		t.Fatalf("%d frames of unknown kinds reached the handler", n)
 	}
 }
 
@@ -950,7 +977,8 @@ func TestHandshakeRefusesOtherFrameFormats(t *testing.T) {
 // TestBytesOutIsWhatThePeerReceives puts a byte-counting relay between two
 // transports: transport.bytes.out on either side is exactly what crossed
 // the socket towards the other (the dialer's hello aside, which is not
-// counted), at every width of the length and correlation varints.
+// counted), at every width of the length varint and at 1- and 2-byte
+// correlation ids.
 func TestBytesOutIsWhatThePeerReceives(t *testing.T) {
 	a, b := newT(t), newT(t)
 	b.SetHandler(func(_ string, f wire.Frame) *wire.Frame {
@@ -994,11 +1022,6 @@ func TestBytesOutIsWhatThePeerReceives(t *testing.T) {
 	// take the length prefix through 1, 2 and 3 bytes.
 	for i := 0; i < 300; i++ {
 		n := []int{0, 1, 120, 121, 122, 123, 124, 125, 126, 127, 128, 129, 300, 16380, 16384, 40000}[i%16]
-		if i%3 == 0 {
-			if err := a.Send(ctx, relay.Addr().String(), wire.Frame{Kind: wire.KindOneWay, Corr: uint64(i) << 20, Body: body[:n]}); err != nil {
-				t.Fatal(err)
-			}
-		}
 		resp, err := a.Call(ctx, relay.Addr().String(), wire.Frame{Body: body[:n]})
 		if err != nil || len(resp.Body) != n/2 {
 			t.Fatalf("call %d: %d bytes back, err %v", i, len(resp.Body), err)

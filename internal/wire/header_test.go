@@ -38,7 +38,7 @@ func TestFrameHeaderRoundTrip(t *testing.T) {
 				t.Fatalf("corr %d body %d: WireSize %d, %d bytes encoded", corr, n, in.WireSize(), len(enc))
 			}
 			// A second frame behind it proves the reader stopped on the boundary.
-			stream := AppendFrame(enc, Frame{Kind: KindHeartbeat, Corr: 5})
+			stream := AppendFrame(enc, Frame{Kind: KindAnnounce, Corr: 5})
 			for _, r := range []io.Reader{bytes.NewReader(stream), onlyReader{bytes.NewReader(stream)}} {
 				fr := NewFrameReader(r)
 				fr.SetZeroCopy(true)
@@ -46,7 +46,7 @@ func TestFrameHeaderRoundTrip(t *testing.T) {
 				if err != nil || out.Kind != in.Kind || out.Corr != corr || !bytes.Equal(out.Body, in.Body) {
 					t.Fatalf("corr %d body %d: got kind %v corr %d, %d body bytes, err %v", corr, n, out.Kind, out.Corr, len(out.Body), err)
 				}
-				if next, err := fr.Next(); err != nil || next.Kind != KindHeartbeat || next.Corr != 5 {
+				if next, err := fr.Next(); err != nil || next.Kind != KindAnnounce || next.Corr != 5 {
 					t.Fatalf("corr %d body %d: frame behind it: %+v, %v", corr, n, next, err)
 				}
 			}
@@ -155,7 +155,7 @@ func FuzzFrameReaderNext(f *testing.F) {
 	// Bodies on either side of the transport's 4 KiB socket buffer.
 	f.Add(AppendFrame(AppendFrame(nil, Frame{Kind: KindRequest, Corr: 2, Body: make([]byte, 4095)}), Frame{Kind: KindRequest, Corr: 128, Body: make([]byte, 4097)}))
 	// A 3-byte id, then a header cut short.
-	f.Add(append(AppendFrame(nil, Frame{Kind: KindHeartbeat, Corr: 16384, Body: []byte("hb")}), 0x80, 0x80))
+	f.Add(append(AppendFrame(nil, Frame{Kind: KindAnnounce, Corr: 16384, Body: []byte("hb")}), 0x80, 0x80))
 	f.Fuzz(func(t *testing.T, in []byte) {
 		for _, r := range []io.Reader{
 			bytes.NewReader(in),

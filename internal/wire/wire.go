@@ -40,15 +40,15 @@ import (
 // Kind identifies the role of a frame within a connection.
 type Kind byte
 
-// Frame kinds. Request/Response implement RPC; OneWay carries asynchronous
-// messages (JMS, SAF, callbacks); Heartbeat keeps connections and failure
-// detectors alive; Announce carries cluster service advertisements when the
-// gossip bus runs over TCP.
+// Frame kinds. Request/Response implement RPC, the only traffic a
+// connection carries once open; Announce is a connection's hello (see
+// internal/transport); OneWay frames the records of a transaction log
+// file. Numbers are never reused: 4 was a heartbeat.
 const (
 	KindRequest Kind = iota + 1
 	KindResponse
 	KindOneWay
-	KindHeartbeat
+	_
 	KindAnnounce
 )
 
@@ -60,8 +60,6 @@ func (k Kind) String() string {
 		return "response"
 	case KindOneWay:
 		return "oneway"
-	case KindHeartbeat:
-		return "heartbeat"
 	case KindAnnounce:
 		return "announce"
 	default:
@@ -69,11 +67,11 @@ func (k Kind) String() string {
 	}
 }
 
-// Handler processes an inbound frame on a node. For KindRequest frames the
-// returned frame (if non-nil) is sent back as the response; for other kinds
-// the return value is ignored. Both the simulated fabric (internal/netsim)
-// and the TCP transport (internal/transport) deliver frames to a Handler, so
-// protocol code above them is transport-agnostic.
+// Handler serves a request arriving on a node: the returned frame (if
+// non-nil) is sent back as the response to the caller's Call. Both the
+// simulated fabric (internal/netsim) and the TCP transport
+// (internal/transport) deliver requests to a Handler, so protocol code above
+// them is transport-agnostic.
 //
 // Ownership: f.Body is the node's, recycled once the handler has returned
 // and its response has been copied out, so a handler must not retain it
@@ -113,8 +111,7 @@ var ErrBadFrame = errors.New("wire: malformed frame header")
 // Frame is a decoded wire frame.
 type Frame struct {
 	Kind Kind
-	// Corr correlates a Response to its Request. OneWay frames may use it
-	// as a deduplication identifier.
+	// Corr correlates a Response to its Request.
 	Corr uint64
 	// Body is the kind-specific payload.
 	Body []byte

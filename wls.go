@@ -198,7 +198,7 @@ func New(opts Options) (*Cluster, error) {
 	fix := &fixture{
 		clock: clk,
 		vclk:  vclk,
-		net:   netsim.New(clk, opts.Seed),
+		net:   netsim.New(clk),
 		bus:   gossip.NewInMemory(clk, opts.Seed),
 		cfg: cluster.Config{
 			Name:              opts.ClusterName,
