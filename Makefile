@@ -31,15 +31,16 @@ lint:
 # check is the pre-PR gate: vet, build, the lint suite, the race
 # detector over the lock-heaviest packages (membership, whose join answers
 # publish from inside a bus delivery, and the partition rings it feeds;
-# lease/tx/transport and the singletons the leases elect; the wire codec and
-# the session records — of the servlet engine and of stateful beans — and
-# the webtier above them; and the chaos harness that drives them all at
-# once), then the contract benchmark's smoke run.
+# lease/tx/transport and the singletons the leases elect; the kv image,
+# whose scans share its lock with commits, and the tuple sessions over it;
+# the wire codec and the session records — of the servlet engine and of
+# stateful beans — and the webtier above them; and the chaos harness that
+# drives them all at once), then the contract benchmark's smoke run.
 check:
 	$(GO) vet ./...
 	$(GO) build ./...
 	$(GO) run ./cmd/wlslint ./...
-	$(GO) test -race ./internal/cluster ./internal/partition ./internal/lease ./internal/singleton ./internal/tx ./internal/wire ./internal/transport ./internal/servlet ./internal/ejb ./internal/webtier ./internal/chaos
+	$(GO) test -race ./internal/cluster ./internal/partition ./internal/lease ./internal/singleton ./internal/tx ./internal/kv ./internal/tuple ./internal/wire ./internal/transport ./internal/servlet ./internal/ejb ./internal/webtier ./internal/chaos
 	$(MAKE) bench-smoke
 
 # bench-smoke builds the contract benchmark (BENCHMARK.json) against the

@@ -370,7 +370,7 @@ func (b *Broker) RMIService() *rmi.Service {
 			// The dedup mark and the message land in one batch: a crash
 			// leaves both or neither, never a mark that turns the
 			// sender's redelivery into a dropped "duplicate".
-			err := b.st.Apply([]tuple.Op{
+			err := b.st.Apply([]kv.Op{
 				{Kind: kv.OpPut, Space: dedupSpace, Key: m.ID},
 				{Kind: kv.OpPut, Space: q.space, Key: m.ID, Value: string(encodeMessage(m))},
 			})

@@ -58,7 +58,7 @@ func maintain(s kv.Store) error {
 }
 
 // chaosWorkload builds a deterministic action list: batches of 1-4 ops
-// over a small key space (so deletes hit live keys), with maintenance
+// over a small key space in three spaces (so deletes hit live keys), with maintenance
 // every eighth action.
 func chaosWorkload(seed int64, n int) []chaosAction {
 	rng := rand.New(rand.NewSource(seed))
@@ -71,12 +71,13 @@ func chaosWorkload(seed int64, n int) []chaosAction {
 		nops := 1 + rng.Intn(4)
 		ops := make([]kv.Op, 0, nops)
 		for j := 0; j < nops; j++ {
-			key := fmt.Sprintf("k%02d", rng.Intn(20))
+			space, key := fmt.Sprintf("s%d", rng.Intn(3)), fmt.Sprintf("k%02d", rng.Intn(20))
 			if rng.Intn(4) == 0 {
-				ops = append(ops, kv.Op{Kind: kv.OpDelete, Key: key})
+				ops = append(ops, kv.Op{Kind: kv.OpDelete, Space: space, Key: key})
 			} else {
 				ops = append(ops, kv.Op{
 					Kind:  kv.OpPut,
+					Space: space,
 					Key:   key,
 					Value: fmt.Sprintf("v%d.%d", i, j),
 				})
@@ -87,18 +88,18 @@ func chaosWorkload(seed int64, n int) []chaosAction {
 	return actions
 }
 
-func applyToModel(m map[string]string, ops []kv.Op) {
+func applyToModel(m map[[2]string]string, ops []kv.Op) {
 	for _, op := range ops {
 		if op.Kind == kv.OpPut {
-			m[op.Key] = op.Value
+			m[[2]string{op.Space, op.Key}] = op.Value
 		} else {
-			delete(m, op.Key)
+			delete(m, [2]string{op.Space, op.Key})
 		}
 	}
 }
 
-func cloneModel(m map[string]string) map[string]string {
-	out := make(map[string]string, len(m))
+func cloneModel(m map[[2]string]string) map[[2]string]string {
+	out := make(map[[2]string]string, len(m))
 	for k, v := range m {
 		out[k] = v
 	}
@@ -138,7 +139,7 @@ func runCrashAt(t *testing.T, bc chaosBackend, actions []chaosAction, step, tear
 	cfs := kvtest.NewCrashFS(nil, step)
 	cfs.SetTear(tearNum, tearDen)
 
-	acked := map[string]string{}
+	acked := map[[2]string]string{}
 	var inflight []kv.Op
 
 	s, err := bc.open(dir, cfs)
@@ -180,7 +181,7 @@ func runCrashAt(t *testing.T, bc chaosBackend, actions []chaosAction, step, tear
 			step, got, acked, withInflight)
 	}
 	// Recovery must be idempotent and leave a writable store.
-	if err := s2.Put("post-crash", []byte("ok")); err != nil {
+	if err := s2.Put("s\x00post-crash", []byte("ok")); err != nil {
 		t.Fatalf("step %d: recovered store rejects writes: %v", step, err)
 	}
 	if err := s2.Close(); err != nil {
@@ -190,7 +191,7 @@ func runCrashAt(t *testing.T, bc chaosBackend, actions []chaosAction, step, tear
 	if err != nil {
 		t.Fatalf("step %d: second reopen failed: %v", step, err)
 	}
-	if v, ok := s3.Get("post-crash"); !ok || string(v) != "ok" {
+	if v, ok := get(s3, "post-crash"); !ok || v != "ok" {
 		t.Fatalf("step %d: write after recovery lost on reopen", step)
 	}
 	if err := s3.Close(); err != nil {

@@ -2,16 +2,14 @@ package kv
 
 import "sync"
 
-// Mem is the in-memory backend: the image with a lock around it. It is
-// the latency floor the durable backend is measured against (E32) and
-// the default engine under store.New, which preserves the pre-refactor
+// Mem is the in-memory backend: the image and nothing else. It is the
+// latency floor the durable backend is measured against (E32) and the
+// default engine under store.New, which preserves the pre-refactor
 // behaviour of a purely in-memory database substrate.
 type Mem struct {
-	// mu guards img. Get and View read under a read lock; Scan and Count
-	// may rebuild the key index, so they hold it exclusively, and Scan runs
-	// its callback under it (the Store contract forbids reentrancy from fn).
-	mu     sync.RWMutex
-	img    *image
+	img *Image
+	// mu guards closed, and is held across a batch so Close waits for it.
+	mu     sync.Mutex
 	closed bool
 }
 
@@ -20,51 +18,23 @@ func NewMem() *Mem {
 	return &Mem{img: newImage()}
 }
 
-// Get implements Store.
-func (m *Mem) Get(key string) ([]byte, bool) {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	v, ok := m.img.get(key)
-	if !ok {
-		return nil, false
-	}
-	return []byte(v), true
-}
-
-// View implements Store.
-func (m *Mem) View(key []byte) (string, bool) {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	return m.img.view(key)
-}
-
-// Scan implements Store.
-func (m *Mem) Scan(prefix string, fn func(key, value string) bool) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.img.scan(prefix, fn)
-}
-
-// Count implements Store.
-func (m *Mem) Count(prefix string) int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.img.count(prefix)
-}
+// Image implements Store.
+func (m *Mem) Image() *Image { return m.img }
 
 // Put implements Store.
 func (m *Mem) Put(key string, value []byte) error {
-	return m.Apply([]Op{{Kind: OpPut, Key: key, Value: string(value)}})
+	return applyFlat(m, OpPut, key, string(value))
 }
 
 // Delete implements Store.
-func (m *Mem) Delete(key string) error {
-	return m.Apply([]Op{{Kind: OpDelete, Key: key}})
-}
+func (m *Mem) Delete(key string) error { return applyFlat(m, OpDelete, key, "") }
 
 // Apply implements Store. In-memory application under one lock hold is
 // trivially atomic.
 func (m *Mem) Apply(ops []Op) error {
+	if err := checkOps(ops); err != nil {
+		return err
+	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if m.closed {

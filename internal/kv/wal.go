@@ -7,6 +7,7 @@ import (
 	"hash/crc64"
 	"io"
 	"os"
+	"strings"
 	"sync"
 
 	"wls/internal/metrics"
@@ -25,8 +26,8 @@ import (
 //
 //	<path>      main file: header page + fixed-size data pages, each page
 //	            ending in a CRC-64 of its payload; the pages carry the
-//	            record stream (key/value pairs in key order) of the image
-//	            as of generation G.
+//	            record stream (flat key space\x00key / value pairs, in
+//	            flat-key order) of the image as of generation G.
 //	<path>-wal  write-ahead log: header {magic, version, generation, salt,
 //	            crc} then frames {len, seq, chained crc, op batch}. The
 //	            generation ties the log to the main file it extends: a
@@ -49,14 +50,13 @@ type WAL struct {
 	// mu guards the WAL file and the checkpoint swap, and is held across
 	// the fsync. The image has a lock of its own, taken by a commit only to
 	// apply its ops once they are durable, so no read waits for a flush:
-	// imgMu is written only with mu held.
+	// the image is written only with mu held.
 	//
 	//wls:lockorder kv.WAL.mu<metrics.Registry.mu
-	//wls:lockorder kv.WAL.mu<kv.WAL.imgMu
+	//wls:lockorder kv.WAL.mu<kv.Image.mu
 	mu       sync.Mutex
-	imgMu    sync.RWMutex
 	wal      File
-	img      *image
+	img      *Image
 	closed   bool
 	gen      uint64
 	salt     uint64
@@ -102,12 +102,28 @@ type Options struct {
 	CheckpointBytes int64
 }
 
+// encodeKey appends the flat key of space and key, space\x00key, as one
+// length-prefixed string: the bytes wire.Encoder.String writes for it.
+func encodeKey(e *wire.Encoder, space, key string) {
+	e.Uint64(uint64(len(space) + 1 + len(key)))
+	e.Raw(space)
+	e.Byte(0)
+	e.Raw(key)
+}
+
+// decodeKey reads a flat key written by encodeKey and splits it at its
+// first NUL; ok is false if it has none, and space is then all of it. The
+// space and key share the decoded string.
+func decodeKey(d *wire.Decoder) (space, key string, ok bool) {
+	return strings.Cut(d.String(), "\x00")
+}
+
 // encodeOps appends the op stream encoding of ops to e.
 func encodeOps(e *wire.Encoder, ops []Op) {
 	e.Int(len(ops))
 	for _, op := range ops {
 		e.Byte(byte(op.Kind))
-		e.String(op.Key)
+		encodeKey(e, op.Space, op.Key)
 		if op.Kind == OpPut {
 			e.String(op.Value)
 		}
@@ -123,7 +139,8 @@ func decodeOps(d *wire.Decoder) ([]Op, error) {
 	ops := make([]Op, 0, n)
 	for i := 0; i < n; i++ {
 		op := Op{Kind: OpKind(d.Byte())}
-		op.Key = d.String()
+		var spaced bool
+		op.Space, op.Key, spaced = decodeKey(d)
 		switch op.Kind {
 		case OpPut:
 			op.Value = d.String()
@@ -133,6 +150,9 @@ func decodeOps(d *wire.Decoder) ([]Op, error) {
 		}
 		if d.Err() != nil {
 			return nil, corruptf("op stream: %v", d.Err())
+		}
+		if !spaced {
+			return nil, corruptf("op stream: key %q names no space", op.Space)
 		}
 		ops = append(ops, op)
 	}
@@ -241,12 +261,15 @@ func (w *WAL) loadMain() error {
 	}
 	d := wire.NewDecoder(payload)
 	for i := uint64(0); i < records; i++ {
-		key := d.String()
+		space, key, spaced := decodeKey(d)
 		val := d.String()
 		if d.Err() != nil {
 			return corruptf("main record stream: %v", d.Err())
 		}
-		w.img.put(key, val)
+		if !spaced {
+			return corruptf("main record stream: key %q names no space", space)
+		}
+		w.img.apply([]Op{{Kind: OpPut, Space: space, Key: key, Value: val}})
 	}
 	w.gen = gen
 	return nil
@@ -379,47 +402,16 @@ func frameSum(prev, seq uint64, payload []byte) uint64 {
 	return crc64.Update(sum, crcTab, payload)
 }
 
-// Get implements Store.
-func (w *WAL) Get(key string) ([]byte, bool) {
-	w.imgMu.RLock()
-	defer w.imgMu.RUnlock()
-	v, ok := w.img.get(key)
-	if !ok {
-		return nil, false
-	}
-	return []byte(v), true
-}
-
-// View implements Store.
-func (w *WAL) View(key []byte) (string, bool) {
-	w.imgMu.RLock()
-	defer w.imgMu.RUnlock()
-	return w.img.view(key)
-}
-
-// Scan implements Store.
-func (w *WAL) Scan(prefix string, fn func(key, value string) bool) {
-	w.imgMu.Lock()
-	defer w.imgMu.Unlock()
-	w.img.scan(prefix, fn)
-}
-
-// Count implements Store.
-func (w *WAL) Count(prefix string) int {
-	w.imgMu.Lock()
-	defer w.imgMu.Unlock()
-	return w.img.count(prefix)
-}
+// Image implements Store.
+func (w *WAL) Image() *Image { return w.img }
 
 // Put implements Store.
 func (w *WAL) Put(key string, value []byte) error {
-	return w.Apply([]Op{{Kind: OpPut, Key: key, Value: string(value)}})
+	return applyFlat(w, OpPut, key, string(value))
 }
 
 // Delete implements Store.
-func (w *WAL) Delete(key string) error {
-	return w.Apply([]Op{{Kind: OpDelete, Key: key}})
-}
+func (w *WAL) Delete(key string) error { return applyFlat(w, OpDelete, key, "") }
 
 // Apply implements Store: one frame per batch, atomic by checksum — a
 // crash mid-append leaves a frame that fails validation and is truncated
@@ -428,6 +420,9 @@ func (w *WAL) Delete(key string) error {
 // image takes the ops once the frame is durable: a reader sees the batch
 // no earlier than a crash would keep it.
 func (w *WAL) Apply(ops []Op) error {
+	if err := checkOps(ops); err != nil {
+		return err
+	}
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	if w.closed {
@@ -459,9 +454,7 @@ func (w *WAL) Apply(ops []Op) error {
 	w.seq = seq
 	w.prevSum = sum
 	w.walSize += int64(frameHdrLen) + int64(len(payload))
-	w.imgMu.Lock()
-	w.img.apply(ops) // the image keeps each value as it is given
-	w.imgMu.Unlock()
+	w.img.apply(ops) // the image keeps each string as it is given
 	if w.ckptAt > 0 && w.walSize >= w.ckptAt {
 		return w.checkpointLocked()
 	}
@@ -497,17 +490,19 @@ func (w *WAL) checkpointLocked() error {
 		}
 		return err
 	}
-	// Record stream in key order: deterministic page images.
-	w.imgMu.Lock()
-	e := wire.NewEncoder(w.img.len() * 32)
+	// Record stream in flat-key order, space\x00key — space by space, then
+	// key by key, as no space name holds a NUL: deterministic page images.
+	// Only a commit, which holds w.mu, changes the image.
+	e := wire.NewEncoder(4096)
 	records := uint64(0)
-	w.img.scan("", func(k, v string) bool {
-		e.String(k)
-		e.String(v)
-		records++
-		return true
-	})
-	w.imgMu.Unlock()
+	for _, space := range w.img.Spaces() {
+		w.img.Scan(space, "", func(k, v string) bool {
+			encodeKey(e, space, k)
+			e.String(v)
+			records++
+			return true
+		})
+	}
 	payload := e.Bytes()
 	newGen := w.gen + 1
 

@@ -25,10 +25,10 @@ var manualCkpt = kv.Options{CheckpointBytes: -1}
 func TestWALTornFinalFrameTruncated(t *testing.T) {
 	dir := t.TempDir()
 	w := openWAL(t, dir, manualCkpt)
-	if err := w.Put("a", []byte("1")); err != nil {
+	if err := w.Put("s\x00a", []byte("1")); err != nil {
 		t.Fatal(err)
 	}
-	if err := w.Put("b", []byte("2")); err != nil {
+	if err := w.Put("s\x00b", []byte("2")); err != nil {
 		t.Fatal(err)
 	}
 	if err := w.Close(); err != nil {
@@ -45,14 +45,14 @@ func TestWALTornFinalFrameTruncated(t *testing.T) {
 	}
 	w2 := openWAL(t, dir, manualCkpt)
 	defer w2.Close()
-	if _, ok := w2.Get("a"); !ok {
+	if _, ok := get(w2, "a"); !ok {
 		t.Fatalf("frame before the torn one was lost")
 	}
-	if _, ok := w2.Get("b"); ok {
+	if _, ok := get(w2, "b"); ok {
 		t.Fatalf("torn frame survived recovery")
 	}
 	// The store keeps working after the truncation.
-	if err := w2.Put("c", []byte("3")); err != nil {
+	if err := w2.Put("s\x00c", []byte("3")); err != nil {
 		t.Fatalf("Put after torn-tail recovery: %v", err)
 	}
 }
@@ -61,7 +61,7 @@ func TestWALCorruptMiddleFrameStopsReplay(t *testing.T) {
 	dir := t.TempDir()
 	w := openWAL(t, dir, manualCkpt)
 	for _, k := range []string{"a", "b", "c"} {
-		if err := w.Put(k, []byte(k)); err != nil {
+		if err := w.Put("s\x00"+k, []byte(k)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -85,10 +85,10 @@ func TestWALCorruptMiddleFrameStopsReplay(t *testing.T) {
 	}
 	w2 := openWAL(t, dir, manualCkpt)
 	defer w2.Close()
-	if _, ok := w2.Get("a"); !ok {
+	if _, ok := get(w2, "a"); !ok {
 		t.Fatalf("frames before the corruption were lost")
 	}
-	if _, ok := w2.Get("c"); ok {
+	if _, ok := get(w2, "c"); ok {
 		t.Fatalf("frame after a corrupt one survived replay")
 	}
 }
@@ -97,7 +97,7 @@ func TestWALCheckpointFoldsLogAndBumpsGeneration(t *testing.T) {
 	dir := t.TempDir()
 	w := openWAL(t, dir, manualCkpt)
 	for i := 0; i < 20; i++ {
-		if err := w.Put(string(rune('a'+i)), []byte{byte(i)}); err != nil {
+		if err := w.Put("s\x00"+string(rune('a'+i)), []byte{byte(i)}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -119,7 +119,7 @@ func TestWALCheckpointFoldsLogAndBumpsGeneration(t *testing.T) {
 		t.Fatalf("checkpoint changed visible state")
 	}
 	// More commits, second checkpoint, reopen: all state from main file.
-	if err := w.Put("zz", []byte("tail")); err != nil {
+	if err := w.Put("s\x00zz", []byte("tail")); err != nil {
 		t.Fatal(err)
 	}
 	if err := w.Checkpoint(); err != nil {
@@ -133,7 +133,7 @@ func TestWALCheckpointFoldsLogAndBumpsGeneration(t *testing.T) {
 	if w2.Generation() != 2 {
 		t.Fatalf("generation after reopen = %d", w2.Generation())
 	}
-	if v, ok := w2.Get("zz"); !ok || string(v) != "tail" {
+	if v, ok := get(w2, "zz"); !ok || v != "tail" {
 		t.Fatalf("post-checkpoint commit lost: %q %v", v, ok)
 	}
 }
@@ -144,13 +144,13 @@ func TestWALStaleLogDiscarded(t *testing.T) {
 	// discarded wholesale, because every frame in it was checkpointed.
 	dir := t.TempDir()
 	w := openWAL(t, dir, manualCkpt)
-	if err := w.Put("committed", []byte("yes")); err != nil {
+	if err := w.Put("s\x00committed", []byte("yes")); err != nil {
 		t.Fatal(err)
 	}
 	if err := w.Checkpoint(); err != nil { // gen 1, log reset
 		t.Fatal(err)
 	}
-	if err := w.Put("in-log", []byte("yes")); err != nil {
+	if err := w.Put("s\x00in-log", []byte("yes")); err != nil {
 		t.Fatal(err)
 	}
 	// Save the gen-1 log, checkpoint to gen 2, then put the stale gen-1
@@ -171,17 +171,17 @@ func TestWALStaleLogDiscarded(t *testing.T) {
 	}
 	w2 := openWAL(t, dir, manualCkpt)
 	defer w2.Close()
-	if _, ok := w2.Get("committed"); !ok {
+	if _, ok := get(w2, "committed"); !ok {
 		t.Fatalf("checkpointed state lost")
 	}
-	if v, ok := w2.Get("in-log"); !ok || string(v) != "yes" {
+	if v, ok := get(w2, "in-log"); !ok || v != "yes" {
 		t.Fatalf("frame from stale log not recovered from main file: %q %v", v, ok)
 	}
 	// The stale log must have been reset, not appended to.
 	if w2.Generation() != 2 {
 		t.Fatalf("generation = %d, want 2", w2.Generation())
 	}
-	if err := w2.Put("after", []byte("ok")); err != nil {
+	if err := w2.Put("s\x00after", []byte("ok")); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -189,7 +189,7 @@ func TestWALStaleLogDiscarded(t *testing.T) {
 func TestWALGarbledHeaderReset(t *testing.T) {
 	dir := t.TempDir()
 	w := openWAL(t, dir, manualCkpt)
-	if err := w.Put("a", []byte("1")); err != nil {
+	if err := w.Put("s\x00a", []byte("1")); err != nil {
 		t.Fatal(err)
 	}
 	if err := w.Checkpoint(); err != nil {
@@ -205,10 +205,10 @@ func TestWALGarbledHeaderReset(t *testing.T) {
 	}
 	w2 := openWAL(t, dir, manualCkpt)
 	defer w2.Close()
-	if _, ok := w2.Get("a"); !ok {
+	if _, ok := get(w2, "a"); !ok {
 		t.Fatalf("main-file state lost under garbled log header")
 	}
-	if err := w2.Put("b", []byte("2")); err != nil {
+	if err := w2.Put("s\x00b", []byte("2")); err != nil {
 		t.Fatalf("store unusable after log header reset: %v", err)
 	}
 }
@@ -217,7 +217,7 @@ func TestWALCorruptMainFileRejected(t *testing.T) {
 	dir := t.TempDir()
 	w := openWAL(t, dir, manualCkpt)
 	for i := 0; i < 100; i++ {
-		if err := w.Put(strings.Repeat("k", i%7+1)+string(rune('a'+i%26)), []byte(strings.Repeat("v", 50))); err != nil {
+		if err := w.Put("s\x00"+strings.Repeat("k", i%7+1)+string(rune('a'+i%26)), []byte(strings.Repeat("v", 50))); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -269,7 +269,7 @@ func TestWALAutoCheckpoint(t *testing.T) {
 	w := openWAL(t, dir, kv.Options{CheckpointBytes: 2048})
 	val := make([]byte, 256)
 	for i := 0; i < 64; i++ {
-		if err := w.Put(string(rune('a'+i%26))+string(rune('0'+i/26)), val); err != nil {
+		if err := w.Put("s\x00"+string(rune('a'+i%26))+string(rune('0'+i/26)), val); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -299,10 +299,10 @@ func TestWALPageSpanningRecords(t *testing.T) {
 	for i := range big {
 		big[i] = byte(i * 7)
 	}
-	if err := w.Put("big", big); err != nil {
+	if err := w.Put("s\x00big", big); err != nil {
 		t.Fatal(err)
 	}
-	if err := w.Put("small", []byte("s")); err != nil {
+	if err := w.Put("s\x00small", []byte("s")); err != nil {
 		t.Fatal(err)
 	}
 	if err := w.Checkpoint(); err != nil {
@@ -316,11 +316,11 @@ func TestWALPageSpanningRecords(t *testing.T) {
 	}
 	w2 := openWAL(t, dir, manualCkpt)
 	defer w2.Close()
-	v, ok := w2.Get("big")
-	if !ok || !reflect.DeepEqual(v, big) {
+	v, ok := get(w2, "big")
+	if !ok || v != string(big) {
 		t.Fatalf("page-spanning record damaged (ok=%v len=%d)", ok, len(v))
 	}
-	if _, ok := w2.Get("small"); !ok {
+	if _, ok := get(w2, "small"); !ok {
 		t.Fatalf("record after the spanning one lost")
 	}
 }
@@ -328,13 +328,13 @@ func TestWALPageSpanningRecords(t *testing.T) {
 func TestWALDeleteDurable(t *testing.T) {
 	dir := t.TempDir()
 	w := openWAL(t, dir, manualCkpt)
-	if err := w.Put("k", []byte("v")); err != nil {
+	if err := w.Put("s\x00k", []byte("v")); err != nil {
 		t.Fatal(err)
 	}
 	if err := w.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
-	if err := w.Delete("k"); err != nil {
+	if err := w.Delete("s\x00k"); err != nil {
 		t.Fatal(err)
 	}
 	if err := w.Close(); err != nil {
@@ -342,7 +342,7 @@ func TestWALDeleteDurable(t *testing.T) {
 	}
 	w2 := openWAL(t, dir, manualCkpt)
 	defer w2.Close()
-	if _, ok := w2.Get("k"); ok {
+	if _, ok := get(w2, "k"); ok {
 		t.Fatalf("delete frame lost: checkpointed put resurrected")
 	}
 }

@@ -25,8 +25,9 @@ func liveHeap() uint64 {
 	return m.HeapAlloc
 }
 
-// Bytes per stored row over a WAL (TestStoreRowFootprint), at measured +
-// 10 %, and allocations per read of a two-field row (TestStoreGetAllocs).
+// Bytes per stored row over a WAL (TestStoreRowFootprint), measured
+// 148 / 164 B when they were set at that + 10 % and not raised since, and
+// allocations per read of a two-field row (TestStoreGetAllocs).
 const (
 	gateStoreRowOneField  = 163
 	gateStoreRowTwoFields = 180
@@ -35,10 +36,10 @@ const (
 
 // TestStoreRowFootprint pins what a stored row costs over a WAL: 8 192 rows
 // written one autocommit at a time, live heap after two collections,
-// divided by the row count. That is the kv image's slot, flat key and
-// record — the row's one copy — and the change ring amortised over the
-// rows. Measured 148 B (one field) and 164 B (two); DESIGN.md "What a
-// stored row costs" has the breakdown.
+// divided by the row count. That is the kv image's slot, its space's
+// ordered index, the row key and the record — the row's one copy — and
+// the change ring amortised over the rows. Measured 161 B (one field) and
+// 177 B (two); DESIGN.md "What a stored row costs" has the breakdown.
 func TestStoreRowFootprint(t *testing.T) {
 	const rows = 8192
 	for _, tc := range []struct {
@@ -121,7 +122,7 @@ func TestLockTableGivesBackItsMap(t *testing.T) {
 	}
 	held := liveHeap()
 	s.locks.mu.Lock()
-	s.locks.locks = make(map[rowRef]*rowLock)
+	s.locks.locks = make(map[rowRef]rowLock)
 	s.locks.mu.Unlock()
 	extra := int64(held) - int64(liveHeap())
 	runtime.KeepAlive(s)

@@ -14,8 +14,11 @@ import (
 type lockTable struct {
 	clock vclock.Clock
 
-	mu    sync.Mutex
-	locks map[rowRef]*rowLock
+	mu sync.Mutex
+	// locks holds each entry by value: an uncontended acquire adds one to
+	// the map's own storage and allocates nothing. A change to an entry
+	// is written back.
+	locks map[rowRef]rowLock
 	peak  int // the most entries locks has held (see drop)
 }
 
@@ -26,7 +29,7 @@ type rowLock struct {
 }
 
 func newLockTable(clock vclock.Clock) *lockTable {
-	return &lockTable{clock: clock, locks: make(map[rowRef]*rowLock)}
+	return &lockTable{clock: clock, locks: make(map[rowRef]rowLock)}
 }
 
 // acquire blocks until the row lock is granted to txID or timeout elapses.
@@ -68,8 +71,7 @@ func (lt *lockTable) tryAcquire(ref rowRef, txID string, wait chan struct{}) boo
 	l, ok := lt.locks[ref]
 	switch {
 	case !ok:
-		lt.locks[ref] = &rowLock{owner: txID, depth: 1} // the lock entry itself, the one allocation of an uncontended acquire
-		lt.peak = max(lt.peak, len(lt.locks))
+		l = rowLock{owner: txID, depth: 1}
 	case l.owner == txID:
 		l.depth++
 	case l.owner == "":
@@ -78,9 +80,12 @@ func (lt *lockTable) tryAcquire(ref rowRef, txID string, wait chan struct{}) boo
 	default:
 		if wait != nil {
 			l.waiters = append(l.waiters, wait)
+			lt.locks[ref] = l
 		}
 		return false
 	}
+	lt.locks[ref] = l
+	lt.peak = max(lt.peak, len(lt.locks))
 	return true
 }
 
@@ -96,6 +101,7 @@ func (lt *lockTable) abandon(ref rowRef, ch chan struct{}) {
 	for i, w := range l.waiters {
 		if w == ch {
 			l.waiters = append(l.waiters[:i], l.waiters[i+1:]...)
+			lt.locks[ref] = l
 			return
 		}
 	}
@@ -106,6 +112,7 @@ func (lt *lockTable) abandon(ref rowRef, ch chan struct{}) {
 		if len(l.waiters) > 0 {
 			next := l.waiters[0]
 			l.waiters = l.waiters[1:]
+			lt.locks[ref] = l
 			close(next)
 		} else if l.owner == "" && l.depth == 0 {
 			lt.drop(ref)
@@ -125,19 +132,20 @@ func (lt *lockTable) release(txID, table, key string) {
 		return
 	}
 	l.depth--
-	if l.depth > 0 {
-		return
-	}
-	if len(l.waiters) > 0 {
+	switch {
+	case l.depth > 0:
+		lt.locks[ref] = l
+	case len(l.waiters) > 0:
 		// Hand off: clear ownership, wake the head; it re-contends and
 		// wins because the lock entry has no owner.
 		l.owner = ""
 		next := l.waiters[0]
 		l.waiters = l.waiters[1:]
+		lt.locks[ref] = l
 		close(next)
-		return
+	default:
+		lt.drop(ref)
 	}
-	lt.drop(ref)
 }
 
 // drop deletes ref's entry. A Go map keeps the buckets it grew, so once
@@ -146,7 +154,7 @@ func (lt *lockTable) release(txID, table, key string) {
 func (lt *lockTable) drop(ref rowRef) {
 	delete(lt.locks, ref)
 	if len(lt.locks) == 0 && lt.peak > 64 {
-		lt.locks, lt.peak = make(map[rowRef]*rowLock), 0
+		lt.locks, lt.peak = make(map[rowRef]rowLock), 0
 	}
 }
 

@@ -79,7 +79,7 @@ func TestRecordsAreByteIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ops = append(ops, kv.Op{Kind: kv.OpPut, Key: g.space + "\x00" + g.key, Value: string(b)})
+		ops = append(ops, kv.Op{Kind: kv.OpPut, Space: g.space, Key: g.key, Value: string(b)})
 	}
 	if err := mem.Apply(ops); err != nil {
 		t.Fatal(err)

@@ -43,6 +43,7 @@ package store
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"slices"
 	"sort"
 	"strings"
@@ -164,6 +165,10 @@ type Store struct {
 	//
 	//wls:lockorder store.Store.commitMu<store.Store.mu
 	commitMu sync.Mutex
+	// batch backs the kv batch of the commit in flight, reused from commit
+	// to commit under commitMu: the backend keeps the strings of a batch,
+	// never its slice. A bulk commit's array is not kept.
+	batch []kv.Op
 
 	// mu guards the commit in flight, the change ring and everything
 	// below. It is never held across a backend write, so readers, Session
@@ -172,7 +177,7 @@ type Store struct {
 	// records of the commit in flight and the backend's then read as one
 	// state. flying is cleared only once the backend holds the records.
 	//
-	//wls:lockorder store.Store.mu<kv.WAL.imgMu
+	//wls:lockorder store.Store.mu<kv.Image.mu
 	mu sync.RWMutex
 	// flight is the commit in flight: the net state and record of every
 	// row it writes, published with its LSNs and changes, and cleared once
@@ -188,7 +193,8 @@ type Store struct {
 	changeCap int
 	trimLSN   uint64 // newest LSN no longer in the window (0 = none)
 	lsn       uint64
-	broken    error // first backend write failure; store is fail-stop
+	rowSpaces map[string]string // table → the space of its rows, built once per table
+	broken    error             // first backend write failure; store is fail-stop
 	triggers  map[string][]Trigger
 	locks     *lockTable
 
@@ -226,6 +232,7 @@ func Open(name string, clock vclock.Clock, kvs kv.Store) (*Store, error) {
 		tp:           tp,
 		sessions:     make(map[string]*Session),
 		pendingTx:    make(map[string][]stagedWrite),
+		rowSpaces:    make(map[string]string),
 		changeCap:    defaultChangeCap,
 		triggers:     make(map[string][]Trigger),
 		reads:        reg.Counter("store.reads"),
@@ -351,21 +358,34 @@ func (s *Store) inFlight(table, key string) (int, bool) {
 }
 
 // eachRecord visits every row record of a table as the store sees it, in
-// no particular order. fn runs inside the backend's Scan: it must not call
-// into the store, and should be brief — the scan holds the backend's image
-// exclusively. s.mu held.
+// key order: the records of the commit in flight merged into the backend's
+// scan, in place of the backend's own for the rows they write. fn runs
+// inside the scan, which holds the kv image's read lock: it must not write
+// to the store. s.mu held.
 func (s *Store) eachRecord(table string, fn func(key string, r rowRecord)) {
-	for _, f := range s.flight {
-		if f.table == table && f.rec != "" {
-			fn(f.key, parseRecord(f.rec))
+	var buf [4]*flightRow
+	fl := buf[:0]
+	for i := range s.flight {
+		if f := &s.flight[i]; f.table == table && f.rec != "" {
+			fl = append(fl, f)
 		}
 	}
+	slices.SortFunc(fl, func(a, b *flightRow) int { return strings.Compare(a.key, b.key) })
 	s.tp.Scan(rowSpacePrefix+table, "", func(key, rec string) bool {
-		if i, ok := s.inFlight(table, key); !ok || s.flight[i].rec == "" {
-			fn(key, parseRecord(rec))
+		for len(fl) > 0 && fl[0].key <= key {
+			f := fl[0]
+			fl = fl[1:]
+			fn(f.key, parseRecord(f.rec))
+			if f.key == key {
+				return true // the commit in flight's record is the row's
+			}
 		}
+		fn(key, parseRecord(rec))
 		return true
 	})
+	for _, f := range fl {
+		fn(f.key, parseRecord(f.rec))
+	}
 }
 
 // count returns the number of live rows of a table. s.mu held.
@@ -394,7 +414,7 @@ func (s *Store) Put(table, key string, fields map[string]string) Row {
 // PutE is Put with the backend error surfaced.
 func (s *Store) PutE(table, key string, fields map[string]string) (Row, error) {
 	w := [1]stagedWrite{{kind: writePut, table: table, key: key, fields: fieldsOf(fields)}}
-	res, err := s.commit(w[:], "autocommit", "")
+	res, err := s.commit(w[:], "autocommit", false)
 	if err != nil {
 		return Row{}, err
 	}
@@ -415,7 +435,7 @@ func (s *Store) Delete(table, key string) bool {
 // DeleteE is Delete with the backend error surfaced.
 func (s *Store) DeleteE(table, key string) (bool, error) {
 	w := [1]stagedWrite{{kind: writeDelete, table: table, key: key}}
-	res, err := s.commit(w[:], "autocommit", "")
+	res, err := s.commit(w[:], "autocommit", false)
 	if err != nil {
 		return false, err
 	}
@@ -424,30 +444,39 @@ func (s *Store) DeleteE(table, key string) (bool, error) {
 }
 
 // Scan returns all rows of a table matching filter (nil matches all), in
-// key order. Under the locks it only collects the live records, which are
-// immutable strings; their field maps are built, and the filter runs,
-// once the locks are released.
+// key order, the order the records are visited in. Under the locks it only
+// collects the live records, which are immutable strings; their field maps
+// are built, and the filter runs, once the locks are released.
+//
+// Then it yields its processor. Scans share every lock they take, so a
+// surge of scanning goroutines never parks on one, and each would keep its
+// processor for a whole scheduler slice (10 ms) while a request woken
+// behind it waits to run: E24's local OLTP p99 read 5–10 ms that way, and
+// under 0.5 ms with the yield.
 func (s *Store) Scan(table string, filter func(Row) bool) []Row {
 	s.scans.Inc()
 	type keyed struct {
 		key string
 		r   rowRecord
 	}
-	var live []keyed
 	s.mu.RLock()
+	live := make([]keyed, 0, s.tp.Count(rowSpacePrefix+table, "")+len(s.flight))
 	s.eachRecord(table, func(key string, r rowRecord) {
 		if r.live {
 			live = append(live, keyed{key, r})
 		}
 	})
 	s.mu.RUnlock()
+	runtime.Gosched()
 	var out []Row
 	for _, k := range live {
 		if row := k.r.row(k.key); filter == nil || filter(row) {
+			if out == nil {
+				out = make([]Row, 0, len(live))
+			}
 			out = append(out, row)
 		}
 	}
-	slices.SortFunc(out, func(a, b Row) int { return strings.Compare(a.Key, b.Key) })
 	return out
 }
 
@@ -540,7 +569,7 @@ func (s *Store) ResolveInDoubt(txID string, commit bool) error {
 	if !commit {
 		return s.discardStage(txID)
 	}
-	res, err := s.commit(writes, txID, tuple.FlatKey(txSpace, txID))
+	res, err := s.commit(writes, txID, true)
 	if err != nil {
 		return err
 	}
@@ -637,9 +666,6 @@ func (s *Store) resizeRing(size int) {
 	s.changes, s.head = ring, 0
 }
 
-// lsnFlatKey is the backend key of the LSN record, part of every commit.
-var lsnFlatKey = tuple.FlatKey(metaSpace, lsnKey)
-
 // commitResult is what a commit leaves for its caller: the last put's
 // version and fields, how many writes changed a row, and the changes
 // whose triggers to fire once the caller has let go of its row locks.
@@ -654,13 +680,15 @@ type commitResult struct {
 // LSNs, encodes one record per row written — its net state — and
 // publishes them as the commit in flight, so readers see the commit from
 // here on. Then ONE atomic backend batch carries the records, the LSN and
-// — when stageKey names the transaction's durable vote (two-phase commits
+// — if staged, when the transaction has a durable vote (two-phase commits
 // and recovery; one-phase commits never stage) — the vote's retirement.
+// Every op names strings that already exist: the table's space, the
+// caller's row key, the txID and the record.
 // mu is released before the batch is flushed; the commit-order lock is
 // held until it has been. The backend keeps each record as it is: it is
 // the row's one copy. Triggers are left to the caller (fire), who may
 // still hold row locks.
-func (s *Store) commit(writes []stagedWrite, txID, stageKey string) (commitResult, error) {
+func (s *Store) commit(writes []stagedWrite, txID string, staged bool) (commitResult, error) {
 	var res commitResult
 	s.commitMu.Lock()
 	defer s.commitMu.Unlock()
@@ -669,7 +697,7 @@ func (s *Store) commit(writes []stagedWrite, txID, stageKey string) (commitResul
 		s.mu.Unlock()
 		return res, s.broken
 	}
-	if stageKey != "" {
+	if staged {
 		if _, ok := s.pendingTx[txID]; !ok {
 			s.mu.Unlock()
 			return res, nil // already resolved; idempotent for recovery
@@ -704,7 +732,7 @@ func (s *Store) commit(writes []stagedWrite, txID, stageKey string) (commitResul
 			res.fired = append(res.fired, s.change(s.n-1))
 		}
 	}
-	if res.applied == 0 && stageKey == "" {
+	if res.applied == 0 && !staged {
 		s.land()
 		s.mu.Unlock()
 		return res, nil // nothing changed and nothing to retire
@@ -714,11 +742,7 @@ func (s *Store) commit(writes []stagedWrite, txID, stageKey string) (commitResul
 	e := wire.AcquireEncoder()
 	e.Uint64(s.lsn)
 	lsn := ""
-	var buf [4]tuple.Op
-	ops := buf[:0]
-	if n := len(s.flight) + 2; n > len(buf) {
-		ops = make([]tuple.Op, 0, n)
-	}
+	ops := s.batch[:0]
 	for i := range s.flight {
 		f := &s.flight[i]
 		if !f.touched {
@@ -733,20 +757,25 @@ func (s *Store) commit(writes []stagedWrite, txID, stageKey string) (commitResul
 			f.rec = string(e.Bytes()[start:])
 		}
 		f.fields = nil
-		ops = append(ops, tuple.Op{Kind: kv.OpPut, Flat: tuple.FlatKey(rowSpacePrefix+f.table, f.key), Value: f.rec}) // the caller's stack buffer holds the usual batch
+		ops = append(ops, kv.Op{Kind: kv.OpPut, Space: s.rowSpace(f.table), Key: f.key, Value: f.rec})
 	}
 	if lsn == "" { // no row written: e holds the LSN alone
 		lsn = string(e.Bytes())
 	}
 	e.Release()
-	ops = append(ops, tuple.Op{Kind: kv.OpPut, Flat: lsnFlatKey, Value: lsn})
-	if stageKey != "" {
-		ops = append(ops, tuple.Op{Kind: kv.OpDelete, Flat: stageKey})
+	ops = append(ops, kv.Op{Kind: kv.OpPut, Space: metaSpace, Key: lsnKey, Value: lsn})
+	if staged {
+		ops = append(ops, kv.Op{Kind: kv.OpDelete, Space: txSpace, Key: txID})
 	}
 	s.flying.Store(true)
 	s.mu.Unlock()
 
-	if err := s.tp.Apply(ops); err != nil {
+	err := s.tp.Apply(ops)
+	clear(ops)
+	if s.batch = ops[:0]; cap(ops) > 64 {
+		s.batch = nil
+	}
+	if err != nil {
 		// The commit stays in flight: readers may have seen it, and LastLSN
 		// and Changes keep it, so reads stay where the store stopped.
 		return commitResult{}, s.failStop(err)
@@ -755,6 +784,16 @@ func (s *Store) commit(writes []stagedWrite, txID, stageKey string) (commitResul
 	s.land()
 	s.mu.Unlock()
 	return res, nil
+}
+
+// rowSpace returns the space of table's rows. s.mu held for writing.
+func (s *Store) rowSpace(table string) string {
+	sp, ok := s.rowSpaces[table]
+	if !ok {
+		sp = rowSpacePrefix + table
+		s.rowSpaces[table] = sp
+	}
+	return sp
 }
 
 // failStop records the first backend write failure and returns the error
@@ -879,18 +918,20 @@ type Session struct {
 	store *Store
 	txID  string
 
-	mu       sync.Mutex
-	writes   []stagedWrite // append-only until Commit/Rollback drop it
-	locked   []rowRef      // pessimistic locks held (to tx end)
-	stageKey string        // backend key of the durable vote; set once Prepare has voted
+	mu     sync.Mutex
+	writes []stagedWrite // append-only until Commit/Rollback drop it
+	locked []rowRef      // pessimistic locks held (to tx end)
+	voted  bool          // Prepare has written the durable vote
 	// LockTimeout bounds pessimistic lock waits.
 	LockTimeout time.Duration
 
 	// writeBuf and lockBuf back writes and locked for the one-row
 	// transaction: one staged write, and up to two holds of its row (an
-	// explicit Lock plus the prepare lock of the write to it).
+	// explicit Lock plus the prepare lock of the write to it). vote is the
+	// kv batch of the durable vote.
 	writeBuf [1]stagedWrite
 	lockBuf  [2]rowRef
+	vote     [1]kv.Op
 }
 
 type rowRef struct{ table, key string }
@@ -1032,11 +1073,11 @@ func (se *Session) prepare(durable bool) error {
 		// The yes vote: staged writes become durable before Prepare returns,
 		// so a post-crash coordinator can still commit this transaction. It
 		// is this transaction's own record, without an LSN: no store lock.
-		stageKey := tuple.FlatKey(txSpace, se.txID)
 		e := wire.AcquireEncoder()
 		encodeStagedWrites(e, writes)
-		vote := [1]tuple.Op{{Kind: kv.OpPut, Flat: stageKey, Value: string(e.Bytes())}}
-		err := s.tp.Apply(vote[:])
+		se.vote[0] = kv.Op{Kind: kv.OpPut, Space: txSpace, Key: se.txID, Value: string(e.Bytes())}
+		err := s.tp.Apply(se.vote[:])
+		se.vote[0] = kv.Op{}
 		e.Release()
 		if err != nil {
 			return s.failStop(err)
@@ -1045,7 +1086,7 @@ func (se *Session) prepare(durable bool) error {
 		s.pendingTx[se.txID] = writes
 		s.mu.Unlock()
 		se.mu.Lock()
-		se.stageKey = stageKey
+		se.voted = true
 		se.mu.Unlock()
 	}
 	return nil
@@ -1090,9 +1131,9 @@ func (s *Store) validate(writes []stagedWrite) error {
 // a separate staged record would buy nothing.
 func (se *Session) Commit(txID string) error {
 	se.mu.Lock()
-	stageKey := se.stageKey
+	voted := se.voted
 	se.mu.Unlock()
-	if stageKey == "" { // one-phase: Prepare has not run
+	if !voted { // one-phase: Prepare has not run
 		if err := se.prepare(false); err != nil {
 			se.release()
 			return err
@@ -1104,7 +1145,7 @@ func (se *Session) Commit(txID string) error {
 	se.mu.Unlock()
 
 	s := se.store
-	res, err := s.commit(writes, se.txID, stageKey)
+	res, err := s.commit(writes, se.txID, voted)
 	se.release()
 	s.dropSession(se.txID)
 	if err != nil {
@@ -1117,8 +1158,8 @@ func (se *Session) Commit(txID string) error {
 // Rollback implements tx.Resource.
 func (se *Session) Rollback(txID string) error {
 	se.mu.Lock()
-	voted := se.stageKey != ""
-	se.writes, se.stageKey = nil, ""
+	voted := se.voted
+	se.writes, se.voted = nil, false
 	se.mu.Unlock()
 	var err error
 	if voted {

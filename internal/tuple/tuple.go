@@ -1,68 +1,57 @@
-// Package tuple is the middle layer of the persistence stack: named
-// keyspaces ("spaces") and XA transaction sessions, implemented on the
-// flat ordered bytes of a kv.Store. The layering is
+// Package tuple is the middle layer of the persistence stack: XA
+// transaction sessions over the named keyspaces ("spaces") of a kv.Store.
+// The layering is
 //
-//	kv      flat ordered key → value, atomic batches, mem or WAL backend
-//	tuple   spaces, cross-space batches, two-phase-commit sessions
+//	kv      spaces of ordered key → value, atomic batches, mem or WAL backend
+//	tuple   cross-space sessions with two-phase commit
 //	store   tables, versioned rows, triggers, change log (wls/internal/store)
 //
-// A space's entries live under the kv prefix "<space>\x00", so per-space
-// scans are kv prefix scans and spaces cannot collide. Two-phase staging
-// does NOT extend the kv interface: a prepared transaction's ops are
-// encoded into an ordinary kv record under the reserved "\x00tx\x00"
-// prefix (no space may start with NUL, so data scans never see it).
-// Prepare durably writes that record — the yes vote survives a crash —
-// and Commit applies the staged ops AND deletes the stage record in one
-// atomic kv batch, so recovery sees a transaction as either pending,
-// committed, or aborted, never half-applied.
+// A space is a kv space, so a per-space read or scan goes straight to the
+// backend's image, and a batch is handed to the backend as it is. Two-phase
+// staging does NOT extend the kv interface: a prepared transaction's ops
+// are encoded into an ordinary kv record in the reserved space "", under
+// the key "tx\x00<id>" (on disk, the flat key "\x00tx\x00<id>"; Spaces
+// leaves the reserved space out). Prepare durably writes that record — the
+// yes vote survives a crash — and Commit applies the staged ops AND deletes
+// the stage record in one atomic kv batch, so recovery sees a transaction
+// as either pending, committed, or aborted, never half-applied.
 package tuple
 
 import (
 	"fmt"
+	"slices"
 	"sort"
-	"strings"
 	"sync"
 
 	"wls/internal/kv"
 	"wls/internal/wire"
 )
 
-// stagePrefix is the reserved kv prefix for prepared-transaction records.
-const stagePrefix = "\x00tx\x00"
+// The reserved space and key prefix of prepared-transaction records.
+const (
+	stageSpace  = ""
+	stagePrefix = "tx\x00"
+)
 
-// Op is one space-addressed mutation.
-type Op struct {
-	Kind  kv.OpKind
-	Space string
-	Key   string
-	// Flat, when set, replaces Space and Key: FlatKey of them, built by the
-	// caller — once, for a record written again and again, or in one
-	// concatenation where Space would be built for the op.
-	Flat  string
-	Value string // kept as it is (kv.Op.Value)
-}
-
-// FlatKey maps a space-addressed key onto the flat kv keyspace.
-func FlatKey(space, key string) string { return space + "\x00" + key }
-
-// Store layers spaces and XA sessions over a kv backend.
+// Store layers XA sessions over a kv backend.
 type Store struct {
-	kv kv.Store
+	kv  kv.Store
+	img *kv.Image
 
 	// mu guards pending; kv calls made under it take the backend's own
 	// lock, never the other way around.
 	//
 	//wls:lockorder tuple.Store.mu<tuple.Session.mu
 	mu      sync.Mutex
-	pending map[string][]Op
+	pending map[string][]kv.Op
 }
 
 // New wraps a kv backend, recovering prepared-but-unresolved transactions
 // from their durable stage records.
 func New(kvs kv.Store) (*Store, error) {
-	st := &Store{kv: kvs, pending: make(map[string][]Op)}
+	st := &Store{kv: kvs, img: kvs.Image(), pending: make(map[string][]kv.Op)}
 	var derr error
-	kvs.Scan(stagePrefix, func(k, v string) bool {
+	st.img.Scan(stageSpace, stagePrefix, func(k, v string) bool {
 		txID := k[len(stagePrefix):]
 		ops, err := decodeStaged([]byte(v))
 		if err != nil {
@@ -81,102 +70,54 @@ func New(kvs kv.Store) (*Store, error) {
 // KV exposes the underlying backend (benchmarks size it, tests poke it).
 func (st *Store) KV() kv.Store { return st.kv }
 
-// Get reads one key from a space.
+// Get reads one key from a space, as a copy the caller owns.
 func (st *Store) Get(space, key string) ([]byte, bool) {
-	return st.kv.Get(FlatKey(space, key))
+	v, ok := st.img.View(space, key)
+	if !ok {
+		return nil, false
+	}
+	return []byte(v), true
 }
 
-// View returns a space's value for key without copying it (kv.Store.View).
-// The flat key is built in a pooled buffer, so a read allocates nothing.
+// View returns a space's value for key without copying it (kv.Image.View).
 func (st *Store) View(space, key string) (string, bool) {
-	bp := keyBufs.Get().(*[]byte)
-	flat := append(append(append((*bp)[:0], space...), 0), key...) // FlatKey
-	v, ok := st.kv.View(flat)
-	*bp = flat
-	keyBufs.Put(bp)
-	return v, ok
+	return st.img.View(space, key)
 }
-
-// keyBufs holds the flat keys View looks up: a key passed through the kv
-// interface escapes, so a read borrows a buffer rather than allocate one.
-var keyBufs = sync.Pool{New: func() any { return new([]byte) }}
 
 // Put writes one key in a space.
 func (st *Store) Put(space, key string, value []byte) error {
-	return st.kv.Put(FlatKey(space, key), value)
+	return st.kv.Apply([]kv.Op{{Kind: kv.OpPut, Space: space, Key: key, Value: string(value)}})
 }
 
 // Delete removes one key from a space.
 func (st *Store) Delete(space, key string) error {
-	return st.kv.Delete(FlatKey(space, key))
+	return st.kv.Apply([]kv.Op{{Kind: kv.OpDelete, Space: space, Key: key}})
 }
 
 // Scan visits a space's keys carrying prefix, in ascending key order. The
-// values are the backend's own (kv.Store.Scan).
+// values are the backend's own (kv.Image.Scan).
 func (st *Store) Scan(space, prefix string, fn func(key, value string) bool) {
-	skip := len(space) + 1
-	st.kv.Scan(FlatKey(space, prefix), func(k, v string) bool {
-		return fn(k[skip:], v)
-	})
+	st.img.Scan(space, prefix, fn)
 }
 
 // Count reports how many keys in a space carry the prefix.
 func (st *Store) Count(space, prefix string) int {
-	return st.kv.Count(FlatKey(space, prefix))
+	return st.img.Count(space, prefix)
 }
 
-// Spaces lists the distinct spaces holding at least one key.
+// Spaces lists the distinct spaces holding at least one key, sorted.
 func (st *Store) Spaces() []string {
-	seen := map[string]bool{}
-	st.kv.Scan("", func(k, _ string) bool {
-		if strings.HasPrefix(k, "\x00") {
-			return true // reserved namespace
-		}
-		if i := strings.IndexByte(k, 0); i >= 0 {
-			seen[k[:i]] = true
-		}
-		return true
-	})
-	out := make([]string, 0, len(seen))
-	for s := range seen {
-		out = append(out, s)
-	}
-	sort.Strings(out)
-	return out
+	return slices.DeleteFunc(st.img.Spaces(), func(s string) bool { return s == stageSpace })
 }
-
-// mapOps appends the kv form of space-addressed ops to out.
-func mapOps(out []kv.Op, ops []Op) []kv.Op {
-	for _, o := range ops {
-		key := o.Flat
-		if key == "" {
-			key = FlatKey(o.Space, o.Key)
-		}
-		out = append(out, kv.Op{Kind: o.Kind, Key: key, Value: o.Value}) // Apply passes a pooled slice
-	}
-	return out
-}
-
-// kvOpsPool recycles the kv form of a batch: backends keep its strings,
-// never the slice.
-var kvOpsPool = sync.Pool{New: func() any { return new([]kv.Op) }}
 
 // Apply commits a cross-space batch atomically.
-func (st *Store) Apply(ops []Op) error {
-	buf := kvOpsPool.Get().(*[]kv.Op)
-	kops := mapOps((*buf)[:0], ops)
-	err := st.kv.Apply(kops)
-	clear(kops)
-	*buf = kops[:0]
-	kvOpsPool.Put(buf)
-	return err
-}
+func (st *Store) Apply(ops []kv.Op) error { return st.kv.Apply(ops) }
 
 // Close closes the underlying backend.
 func (st *Store) Close() error { return st.kv.Close() }
 
 // encodeStaged renders a prepared transaction's ops for its stage record.
-func encodeStaged(ops []Op) []byte {
+func encodeStaged(ops []kv.Op) string {
 	e := wire.NewEncoder(64)
 	e.Int(len(ops))
 	for _, o := range ops {
@@ -187,18 +128,18 @@ func encodeStaged(ops []Op) []byte {
 			e.String(o.Value)
 		}
 	}
-	return e.Bytes()
+	return string(e.Bytes())
 }
 
-func decodeStaged(b []byte) ([]Op, error) {
+func decodeStaged(b []byte) ([]kv.Op, error) {
 	d := wire.NewDecoder(b)
 	n := d.Int()
 	if d.Err() != nil || n < 0 || n > 1<<24 {
 		return nil, fmt.Errorf("staged op count %d", n)
 	}
-	ops := make([]Op, 0, n)
+	ops := make([]kv.Op, 0, n)
 	for i := 0; i < n; i++ {
-		o := Op{Kind: kv.OpKind(d.Byte())}
+		o := kv.Op{Kind: kv.OpKind(d.Byte())}
 		o.Space = d.String()
 		o.Key = d.String()
 		switch o.Kind {
@@ -224,7 +165,7 @@ type Session struct {
 
 	// mu guards the staged ops; it nests inside Store.mu.
 	mu     sync.Mutex
-	ops    []Op
+	ops    []kv.Op
 	staged bool
 }
 
@@ -235,26 +176,27 @@ func (st *Store) Session() *Session { return &Session{st: st} }
 func (s *Session) Put(space, key string, value []byte) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.ops = append(s.ops, Op{Kind: kv.OpPut, Space: space, Key: key, Value: string(value)})
+	s.ops = append(s.ops, kv.Op{Kind: kv.OpPut, Space: space, Key: key, Value: string(value)})
 }
 
 // Delete stages a removal.
 func (s *Session) Delete(space, key string) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.ops = append(s.ops, Op{Kind: kv.OpDelete, Space: space, Key: key})
+	s.ops = append(s.ops, kv.Op{Kind: kv.OpDelete, Space: space, Key: key})
 }
 
 // Prepare implements tx.Resource: the staged ops are written durably
 // under the transaction's stage record before the yes vote returns.
 func (s *Session) Prepare(txID string) error {
 	s.mu.Lock()
-	ops := append([]Op{}, s.ops...)
+	ops := slices.Clone(s.ops)
 	s.mu.Unlock()
 	st := s.st
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	if err := st.kv.Put(stagePrefix+txID, encodeStaged(ops)); err != nil {
+	vote := []kv.Op{{Kind: kv.OpPut, Space: stageSpace, Key: stagePrefix + txID, Value: encodeStaged(ops)}}
+	if err := st.kv.Apply(vote); err != nil {
 		return err
 	}
 	st.pending[txID] = ops
@@ -287,7 +229,7 @@ func (st *Store) commitLocked(txID string) error {
 	if !ok {
 		return nil // already resolved; idempotent for recovery
 	}
-	batch := append(mapOps(make([]kv.Op, 0, len(ops)+1), ops), kv.Op{Kind: kv.OpDelete, Key: stagePrefix + txID})
+	batch := append(slices.Clip(ops), kv.Op{Kind: kv.OpDelete, Space: stageSpace, Key: stagePrefix + txID})
 	if err := st.kv.Apply(batch); err != nil {
 		return err
 	}
@@ -310,7 +252,7 @@ func (s *Session) Rollback(txID string) error {
 }
 
 func (st *Store) rollbackLocked(txID string) error {
-	if err := st.kv.Delete(stagePrefix + txID); err != nil {
+	if err := st.Delete(stageSpace, stagePrefix+txID); err != nil {
 		return err
 	}
 	delete(st.pending, txID)

@@ -85,7 +85,7 @@ func TestApplyCrossSpaceAtomicVisible(t *testing.T) {
 	forEachKV(t, func(t *testing.T, kc kvCase) {
 		st := open(t, kc, t.TempDir())
 		defer st.Close()
-		err := st.Apply([]tuple.Op{
+		err := st.Apply([]kv.Op{
 			{Kind: kv.OpPut, Space: "queue", Key: "m1", Value: "msg"},
 			{Kind: kv.OpPut, Space: "conv", Key: "c1", Value: "state"},
 		})

@@ -230,12 +230,16 @@ type Tx struct {
 	state     State
 	resources []enlisted  // frozen once the state leaves StateActive
 	resBuf    [2]enlisted // backs resources for the common two-resource case
-	servers   []string    // touched, beyond the coordinator
-	before    []func() error
-	after     []func(committed bool)
-	timer     vclock.Timer
-	timedOut  atomic.Bool
-	done      chan struct{} // closed when the state becomes terminal
+	// errBuf and phaseWG are the scratch of one 2PC phase (see phase);
+	// the phases run one after another.
+	errBuf   [2]error
+	phaseWG  sync.WaitGroup
+	servers  []string // touched, beyond the coordinator
+	before   []func() error
+	after    []func(committed bool)
+	timer    vclock.Timer
+	timedOut atomic.Bool
+	done     chan struct{} // closed when the state becomes terminal
 }
 
 type enlisted struct {
@@ -443,8 +447,8 @@ func (t *Tx) Commit() error {
 // overlap into one wait — and, once all have answered, returns the first
 // error in enlist order. The first resource is served on this goroutine.
 func (t *Tx) phase(m message, resources []enlisted) (int, error) {
-	errs := make([]error, len(resources)) // the price of the overlap: one slice and one closure per extra resource and phase
-	var wg sync.WaitGroup
+	errs := t.phaseErrs(len(resources))
+	wg := &t.phaseWG // the price of the overlap: one closure per extra resource and phase
 	wg.Add(len(resources) - 1)
 	for i := 1; i < len(resources); i++ {
 		go func() {
@@ -460,6 +464,17 @@ func (t *Tx) phase(m message, resources []enlisted) (int, error) {
 		}
 	}
 	return 0, nil
+}
+
+// phaseErrs returns n cleared error slots for one phase: the Tx's own for
+// up to two resources.
+func (t *Tx) phaseErrs(n int) []error {
+	if n > len(t.errBuf) {
+		return make([]error, n)
+	}
+	errs := t.errBuf[:n]
+	clear(errs)
+	return errs
 }
 
 // send delivers one 2PC message to one resource under its phase span.
