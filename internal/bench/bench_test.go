@@ -68,6 +68,21 @@ func TestCheapExperimentsProduceSaneTables(t *testing.T) {
 	}
 }
 
+// TestE05NonIdempotentNeverRunsTwice: through a crash and through replies
+// lost after their handler ran, no non-idempotent op executes twice.
+func TestE05NonIdempotentNeverRunsTwice(t *testing.T) {
+	e, _ := Find("E05")
+	tbl := e.Run()
+	if len(tbl.Rows) != 4 {
+		t.Fatalf("want a row per fault and method, got %v", tbl.Rows)
+	}
+	for _, row := range tbl.Rows {
+		if row[1] == "non-idempotent" && row[5] != "0" {
+			t.Fatalf("%s, %s: %s duplicate executions", row[0], row[1], row[5])
+		}
+	}
+}
+
 func TestE09ZeroViolations(t *testing.T) {
 	e, _ := Find("E09")
 	tbl := e.Run()

@@ -314,63 +314,84 @@ func runE04() *Table {
 	return t
 }
 
-// runE05: a server crashes mid-workload; compare ops completed and
-// duplicate executions for idempotent vs non-idempotent methods.
+// runE05: a server crashes mid-workload, or the link back to the caller
+// drops while a handler runs; compare ops completed and duplicate
+// executions.
 func runE05() *Table {
 	t := &Table{ID: "E05", Title: "Failover safety",
 		Source:  "§3.1",
-		Columns: []string{"method", "attempts", "succeeded", "failed", "duplicate_execs"},
-		Notes:   "idempotent methods retry through the crash (some fail only while membership catches up); non-idempotent methods never double-execute — failures surface instead"}
+		Columns: []string{"fault", "method", "attempts", "succeeded", "failed", "duplicate_execs"},
+		Notes: "a crashed server refuses before anything runs, so both methods fail over (some fail only while membership catches up); " +
+			"a lost reply follows a run, so only the idempotent method fails over and runs again — the non-idempotent one surfaces the error and never double-executes"}
 
-	for _, idempotent := range []bool{true, false} {
-		c, err := wls.New(wls.Options{Servers: 3, RealClock: true})
-		if err != nil {
-			panic(err)
-		}
-		var executions sync.Map // opID → count
-		for _, s := range c.Servers {
-			s.Registry().Register(&rmi.Service{
-				Name: "Op",
-				Methods: map[string]rmi.MethodSpec{
-					"do": {Idempotent: idempotent, Handler: func(ctx context.Context, call *rmi.Call) ([]byte, error) {
-						n, _ := executions.LoadOrStore(string(call.Args), new(atomic.Int64))
-						n.(*atomic.Int64).Add(1)
-						return nil, nil
-					}},
-				},
+	for _, fault := range []string{"crash", "reply lost"} {
+		for _, idempotent := range []bool{true, false} {
+			c, err := wls.New(wls.Options{Servers: 3, RealClock: true})
+			if err != nil {
+				panic(err)
+			}
+			var executions sync.Map // opID → count
+			// loseReply is set for an op whose reply the link drops: the
+			// first server other than the caller to run it cuts itself off
+			// from the caller before it returns.
+			var loseReply atomic.Bool
+			for _, s := range c.Servers {
+				self := s.Addr()
+				s.Registry().Register(&rmi.Service{
+					Name: "Op",
+					Methods: map[string]rmi.MethodSpec{
+						"do": {Idempotent: idempotent, Handler: func(ctx context.Context, call *rmi.Call) ([]byte, error) {
+							n, _ := executions.LoadOrStore(string(call.Args), new(atomic.Int64))
+							n.(*atomic.Int64).Add(1)
+							if call.From != self && loseReply.CompareAndSwap(true, false) {
+								c.Net().SetPartitioned(self, call.From, true)
+							}
+							return nil, nil
+						}},
+					},
+				})
+			}
+			c.Settle(2)
+			opts := []rmi.StubOption{rmi.WithPolicy(rmi.NewRoundRobin())}
+			if idempotent {
+				opts = append(opts, rmi.WithIdempotent("do"))
+			}
+			caller := c.Servers[1]
+			stub := caller.Stub("Op", opts...)
+			const attempts = 300
+			succeeded, failed := 0, 0
+			for i := 0; i < attempts; i++ {
+				drop := fault == "reply lost" && i%10 == 0
+				if fault == "crash" && i == attempts/2 {
+					c.Crash("server-3")
+				}
+				loseReply.Store(drop)
+				if _, err := stub.Invoke(context.Background(), "do", []byte(fmt.Sprintf("op-%d", i))); err != nil {
+					failed++
+				} else {
+					succeeded++
+				}
+				if drop {
+					loseReply.Store(false)
+					for _, s := range c.Servers {
+						c.Net().SetPartitioned(s.Addr(), caller.Addr(), false)
+					}
+				}
+			}
+			dups := 0
+			executions.Range(func(_, v any) bool {
+				if v.(*atomic.Int64).Load() > 1 {
+					dups++
+				}
+				return true
 			})
-		}
-		c.Settle(2)
-		opts := []rmi.StubOption{rmi.WithPolicy(rmi.NewRoundRobin())}
-		if idempotent {
-			opts = append(opts, rmi.WithIdempotent("do"))
-		}
-		stub := c.Servers[1].Stub("Op", opts...)
-		const attempts = 300
-		succeeded, failed := 0, 0
-		for i := 0; i < attempts; i++ {
-			if i == attempts/2 {
-				c.Crash("server-3")
+			label := "non-idempotent"
+			if idempotent {
+				label = "idempotent"
 			}
-			if _, err := stub.Invoke(context.Background(), "do", []byte(fmt.Sprintf("op-%d", i))); err != nil {
-				failed++
-			} else {
-				succeeded++
-			}
+			t.AddRow(fault, label, attempts, succeeded, failed, dups)
+			c.Stop()
 		}
-		dups := 0
-		executions.Range(func(_, v any) bool {
-			if v.(*atomic.Int64).Load() > 1 {
-				dups++
-			}
-			return true
-		})
-		label := "non-idempotent"
-		if idempotent {
-			label = "idempotent"
-		}
-		t.AddRow(label, attempts, succeeded, failed, dups)
-		c.Stop()
 	}
 	return t
 }

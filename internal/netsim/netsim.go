@@ -32,12 +32,18 @@ import (
 // Handler is the shared frame-handler type; see wire.Handler.
 type Handler = wire.Handler
 
-// Errors returned by fabric operations.
+// Errors a Call returns before any handler ran for its request; each
+// satisfies wire.ErrNotRun.
 var (
-	ErrUnreachable = errors.New("netsim: destination unreachable")
-	ErrClosed      = errors.New("netsim: endpoint closed")
-	ErrFenced      = errors.New("netsim: endpoint fenced")
+	ErrUnreachable = wire.NotRun(errors.New("netsim: destination unreachable"))
+	ErrClosed      = wire.NotRun(errors.New("netsim: endpoint closed"))
+	ErrFenced      = wire.NotRun(errors.New("netsim: endpoint fenced"))
 )
+
+// errNoReply is a Call's error once the handler has run and no reply came
+// back: it returned none, or the route back failed. The request may have
+// run, so it does not satisfy wire.ErrNotRun.
+var errNoReply = errors.New("netsim: no reply")
 
 // Network is the fabric connecting simulated endpoints.
 type Network struct {
@@ -403,10 +409,10 @@ type delivery struct {
 }
 
 // response is what a Call waits for: the handler's frame, already the
-// caller's own, or ok=false when nothing answered.
+// caller's own, or why none came.
 type response struct {
-	f  wire.Frame
-	ok bool
+	f   wire.Frame
+	err error
 }
 
 var deliveryPool = sync.Pool{New: func() any { return new(delivery) }}
@@ -423,23 +429,18 @@ func (d *delivery) process() {
 	*d = delivery{}
 	deliveryPool.Put(d)
 
-	if err := ep.waitThaw(ctx); err != nil {
-		select {
-		case reply <- response{}:
-		default:
+	out := response{err: ErrUnreachable}
+	if ep.waitThaw(ctx) == nil {
+		ep.mu.Lock()
+		h := ep.handler
+		closed := ep.closed
+		ep.mu.Unlock()
+		if h != nil && !closed {
+			out = own(h(from, f))
 		}
-		return
-	}
-	ep.mu.Lock()
-	h := ep.handler
-	closed := ep.closed
-	ep.mu.Unlock()
-	var resp *wire.Frame
-	if h != nil && !closed {
-		resp = h(from, f)
 	}
 	select {
-	case reply <- own(resp):
+	case reply <- out:
 	default:
 	}
 }
@@ -451,14 +452,14 @@ func (d *delivery) process() {
 // Call made on entry, which nothing recycles — and is handed over as is.
 func own(resp *wire.Frame) response {
 	if resp == nil {
-		return response{}
+		return response{err: errNoReply}
 	}
 	f := wire.Frame{Kind: resp.Kind, Corr: resp.Corr, Body: resp.Body}
 	if resp.Encoder() != nil {
 		f = cloneBody(f)
 		resp.Release()
 	}
-	return response{f: f, ok: true}
+	return response{f: f}
 }
 
 // deliver runs the handler for an inbound request after the link latency.
@@ -491,14 +492,12 @@ func cloneBody(f wire.Frame) wire.Frame {
 // whatever the remote handler produced (normally KindResponse). A frozen
 // caller blocks until it thaws, like a frozen process would. The frame
 // body is copied before dispatch, mirroring the TCP transport's
-// enqueue-copies semantics.
+// enqueue-copies semantics. An error that satisfies wire.ErrNotRun proves
+// the request reached no handler; any other may follow a handler's run.
 func (e *Endpoint) Call(ctx context.Context, to string, f wire.Frame) (wire.Frame, error) {
 	f = cloneBody(f)
 	e.net.tapped(e.addr, to, f)
-	if e.Closed() {
-		return wire.Frame{}, ErrClosed
-	}
-	if err := e.waitThaw(ctx); err != nil {
+	if err := e.waitThaw(ctx); err != nil { // ErrClosed from a crashed caller
 		return wire.Frame{}, err
 	}
 	dst, lat, err := e.net.route(e.addr, to)
@@ -515,12 +514,12 @@ func (e *Endpoint) Call(ctx context.Context, to string, f wire.Frame) (wire.Fram
 	select {
 	case resp := <-reply:
 		replyPool.Put(reply)
-		if !resp.ok {
-			return wire.Frame{}, ErrUnreachable
+		if resp.err != nil {
+			return wire.Frame{}, resp.err
 		}
 		// Response also pays link latency; check the reverse path is alive.
 		if _, _, err := e.net.route(to, e.addr); err != nil {
-			return wire.Frame{}, err
+			return wire.Frame{}, fmt.Errorf("%w: %v", errNoReply, err)
 		}
 		if lat > 0 {
 			done := make(chan struct{})

@@ -2,6 +2,7 @@ package netsim
 
 import (
 	"context"
+	"errors"
 	"testing"
 	"time"
 
@@ -213,5 +214,51 @@ func TestStatsCountSent(t *testing.T) {
 	}
 	if sent := a.net.Stats(); sent < 5 {
 		t.Fatalf("sent = %d, want >= 5", sent)
+	}
+}
+
+// TestNotRunOnlyBeforeDelivery: every error a Call returns before a handler
+// ran satisfies wire.ErrNotRun and still names its fault; once a handler
+// has run — its reply lost on the way back, or none returned — the error
+// does not.
+func TestNotRunOnlyBeforeDelivery(t *testing.T) {
+	call := func(a *Endpoint, to string) error {
+		_, err := a.Call(context.Background(), to, wire.Frame{Kind: wire.KindRequest})
+		return err
+	}
+	n, a, b := newPair(t)
+	n.SetPartitioned("a:1", "b:1", true)
+	if err := call(a, "b:1"); !errors.Is(err, wire.ErrNotRun) || !errors.Is(err, ErrUnreachable) {
+		t.Fatalf("partitioned: %v", err)
+	}
+	n.SetPartitioned("a:1", "b:1", false)
+	n.Fence("b:1", true)
+	if err := call(a, "b:1"); !errors.Is(err, wire.ErrNotRun) || !errors.Is(err, ErrFenced) {
+		t.Fatalf("fenced: %v", err)
+	}
+	n.Fence("b:1", false)
+	n.Endpoint("idle:1") // no handler
+	if err := call(a, "idle:1"); !errors.Is(err, wire.ErrNotRun) {
+		t.Fatalf("no handler: %v", err)
+	}
+	b.SetHandler(func(string, wire.Frame) *wire.Frame {
+		n.SetPartitioned("a:1", "b:1", true)
+		return &wire.Frame{Kind: wire.KindResponse}
+	})
+	if err := call(a, "b:1"); err == nil || errors.Is(err, wire.ErrNotRun) {
+		t.Fatalf("reply lost after the handler ran: %v", err)
+	}
+	n.SetPartitioned("a:1", "b:1", false)
+	b.SetHandler(func(string, wire.Frame) *wire.Frame { return nil })
+	if err := call(a, "b:1"); err == nil || errors.Is(err, wire.ErrNotRun) {
+		t.Fatalf("handler returned no reply: %v", err)
+	}
+	b.Close()
+	if err := call(a, "b:1"); !errors.Is(err, wire.ErrNotRun) {
+		t.Fatalf("closed destination: %v", err)
+	}
+	a.Close()
+	if err := call(a, "b:1"); !errors.Is(err, wire.ErrNotRun) || !errors.Is(err, ErrClosed) {
+		t.Fatalf("closed caller: %v", err)
 	}
 }

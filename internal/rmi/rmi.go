@@ -31,6 +31,11 @@ import (
 // Node is the transport endpoint the registry and stubs ride on. Both
 // netsim.Endpoint and transport.Transport satisfy it.
 //
+// Errors: an error from Call that satisfies errors.Is(err, wire.ErrNotRun)
+// proves that no handler ran for the request; any other error means it may
+// have run. A node never sends a request twice — whether to send it again
+// is the stub's decision (see Stub.mayFailOver).
+//
 // Contract — one ownership rule, the same on both fabrics: a frame body
 // belongs to whoever produced it until the node has copied it to the
 // delivery edge. Call copies f.Body before it returns, so stubs encode
@@ -74,6 +79,9 @@ func IsAppError(err error) bool {
 type NotDeployedError struct{ Msg string }
 
 func (e *NotDeployedError) Error() string { return e.Msg }
+
+// Is makes a not-deployed reply satisfy wire.ErrNotRun.
+func (e *NotDeployedError) Is(target error) bool { return target == wire.ErrNotRun }
 
 // Call carries one inbound invocation to a service method.
 //

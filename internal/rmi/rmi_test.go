@@ -176,8 +176,8 @@ func TestFailoverOnCrashBeforeSend(t *testing.T) {
 	deployEcho(f.Servers...)
 	f.Settle(2)
 
-	// Crash server-1; its endpoint refuses traffic, which the stub treats
-	// as request-never-sent and safely fails over, even though membership
+	// Crash server-1; its endpoint refuses traffic, an error that
+	// satisfies wire.ErrNotRun, so the stub safely fails over even though membership
 	// has not yet noticed the failure.
 	f.Crash("server-1")
 	stub := f.Servers[1].Stub("Echo", rmi.WithPolicy(rmi.NewRoundRobin()))

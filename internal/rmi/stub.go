@@ -10,9 +10,7 @@ import (
 	"time"
 
 	"wls/internal/cluster"
-	"wls/internal/netsim"
 	"wls/internal/trace"
-	"wls/internal/transport"
 	"wls/internal/vclock"
 	"wls/internal/wire"
 )
@@ -40,12 +38,13 @@ func (p *RoundRobin) Order(_ context.Context, _ string, cands []cluster.MemberIn
 	if len(cands) == 0 {
 		return nil
 	}
-	start := int(p.n.Add(1)-1) % len(cands)
+	return rotate(cands, int(p.n.Add(1)-1)%len(cands))
+}
+
+// rotate returns cands in ring order from index start.
+func rotate(cands []cluster.MemberInfo, start int) []cluster.MemberInfo {
 	out := make([]cluster.MemberInfo, 0, len(cands))
-	for i := 0; i < len(cands); i++ {
-		out = append(out, cands[(start+i)%len(cands)])
-	}
-	return out
+	return append(append(out, cands[start:]...), cands[:start]...)
 }
 
 // Random picks a uniformly random starting candidate.
@@ -67,11 +66,7 @@ func (p *Random) Order(_ context.Context, _ string, cands []cluster.MemberInfo) 
 	p.mu.Lock()
 	start := p.rng.Intn(len(cands))
 	p.mu.Unlock()
-	out := make([]cluster.MemberInfo, 0, len(cands))
-	for i := 0; i < len(cands); i++ {
-		out = append(out, cands[(start+i)%len(cands)])
-	}
-	return out
+	return rotate(cands, start)
 }
 
 // WeightBased orders candidates by configured weight with weighted random
@@ -118,11 +113,7 @@ func (p *WeightBased) Order(_ context.Context, _ string, cands []cluster.MemberI
 			break
 		}
 	}
-	out := make([]cluster.MemberInfo, 0, len(cands))
-	for i := 0; i < len(cands); i++ {
-		out = append(out, cands[(start+i)%len(cands)])
-	}
-	return out
+	return rotate(cands, start)
 }
 
 // LocalPreference wraps another policy and, for internal clients, always
@@ -459,13 +450,6 @@ func (s *Stub) InvokeOn(ctx context.Context, serverAddr, method string, args []b
 	return s.callOne(ctx, name, serverAddr, method, args, "", "")
 }
 
-// retryableErr marks failures that are guaranteed to have produced no side
-// effects on the target.
-type retryableErr struct{ err error }
-
-func (e *retryableErr) Error() string { return e.err.Error() }
-func (e *retryableErr) Unwrap() error { return e.err }
-
 // BusyError is a wire-level BUSY response: the server refused the request
 // at admission (execute queue full, or the budget had already expired), so
 // no application code ran and failing over is always safe.
@@ -478,32 +462,21 @@ type BusyError struct {
 
 func (e *BusyError) Error() string { return "rmi: " + e.Server + " busy: " + e.Msg }
 
+// Is makes a BUSY refusal satisfy wire.ErrNotRun.
+func (e *BusyError) Is(target error) bool { return target == wire.ErrNotRun }
+
 // IsBusy reports whether err is a server's admission refusal.
 func IsBusy(err error) bool {
 	var be *BusyError
 	return errors.As(err, &be)
 }
 
+// mayFailOver is §3.1's rule: an application error means the request ran
+// and the application said no; any other failure is sent to the next
+// candidate when the method is idempotent or the failure proves that no
+// application code ran (wire.ErrNotRun: the node's, BUSY's, not deployed's).
 func (s *Stub) mayFailOver(method string, err error) bool {
-	if IsAppError(err) {
-		return false // the request executed; the application said no
-	}
-	if IsBusy(err) {
-		return true // refused at admission: guaranteed no side effects
-	}
-	if s.idempotent[method] {
-		return true
-	}
-	var re *retryableErr
-	return errors.As(err, &re)
-}
-
-// requestNeverSent classifies transport errors that occur before a request
-// could have reached the target's application code.
-func requestNeverSent(err error) bool {
-	return errors.Is(err, netsim.ErrUnreachable) ||
-		errors.Is(err, netsim.ErrFenced) ||
-		errors.Is(err, transport.ErrDial)
+	return !IsAppError(err) && (s.idempotent[method] || errors.Is(err, wire.ErrNotRun))
 }
 
 // callOne makes one attempt on the server name at addr. The reply does not
@@ -547,8 +520,8 @@ func (s *Stub) callOne(ctx context.Context, name, addr, method string, args []by
 		return nil, fmt.Errorf("%w: no response from %s within budget", ErrBudgetExceeded, addr)
 	}
 	if err != nil {
-		if requestNeverSent(err) {
-			return nil, &retryableErr{err}
+		if errors.Is(err, wire.ErrNotRun) {
+			return nil, err
 		}
 		return nil, fmt.Errorf("%w: %v", ErrNotRetryable, err)
 	}
@@ -562,9 +535,8 @@ func (s *Stub) callOne(ctx context.Context, name, addr, method string, args []by
 	case respAppError:
 		return nil, &AppError{Msg: resp.errMsg}
 	case respNoSuchService:
-		// The service is not deployed there (stale view); certainly no side
-		// effects, so failover is always safe.
-		return nil, &retryableErr{&NotDeployedError{Msg: resp.errMsg}}
+		// The service is not deployed there (stale view): nothing ran.
+		return nil, &NotDeployedError{Msg: resp.errMsg}
 	case respBusy:
 		return nil, &BusyError{Server: name, Msg: resp.errMsg}
 	default:

@@ -56,7 +56,8 @@ func TestFullStackOverRealTCP(t *testing.T) {
 	time.Sleep(200 * time.Millisecond) // real heartbeats converge
 
 	stub := rmi.NewStub("Echo", servers[0].tr,
-		rmi.MemberView{Member: servers[0].m}, rmi.WithPolicy(rmi.NewRoundRobin()))
+		rmi.MemberView{Member: servers[0].m}, rmi.WithPolicy(rmi.NewRoundRobin()),
+		rmi.WithIdempotent("echo"))
 	seen := map[string]bool{}
 	for i := 0; i < 9; i++ {
 		res, err := stub.Invoke(context.Background(), "echo", []byte("x"))
@@ -69,8 +70,9 @@ func TestFullStackOverRealTCP(t *testing.T) {
 		t.Fatalf("TCP round robin hit %d servers, want 3", len(seen))
 	}
 
-	// Failover over TCP: kill one server; dial failures are classified as
-	// request-never-sent and retried on the survivors.
+	// Failover over TCP: kill one server; echo is idempotent, so a dial
+	// failure (not run) and a call lost on the dead conn (may have run)
+	// are both retried on the survivors.
 	servers[2].m.Stop()
 	servers[2].tr.Close()
 	for i := 0; i < 6; i++ {

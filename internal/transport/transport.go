@@ -1,5 +1,5 @@
 // Package transport is the production counterpart of internal/netsim: the
-// same Node interface (Addr/Call/SetHandler/Close) implemented over real
+// same node (Addr, Call, SetHandler; see rmi.Node) implemented over real
 // TCP connections with wire framing.
 //
 // Like WebLogic's T3 protocol, a single connection between two servers
@@ -41,13 +41,12 @@ import (
 // Handler is the shared frame-handler type; see wire.Handler.
 type Handler = wire.Handler
 
-// ErrClosed is returned after Close.
-var ErrClosed = errors.New("transport: closed")
+// ErrClosed is returned by a Call made after Close. Like ErrDial it
+// satisfies wire.ErrNotRun: the request never left this server.
+var ErrClosed = wire.NotRun(errors.New("transport: closed"))
 
-// ErrDial wraps connection-establishment failures. A request that failed
-// with ErrDial never left this server, so the RMI layer may fail it over to
-// another candidate even for non-idempotent methods (§3.1).
-var ErrDial = errors.New("transport: dial failed")
+// ErrDial wraps connection-establishment failures, the handshake included.
+var ErrDial = wire.NotRun(errors.New("transport: dial failed"))
 
 // Options tunes a Transport. The zero value gives production defaults.
 type Options struct {
@@ -153,8 +152,11 @@ func (t *Transport) Close() error {
 	}
 	t.mu.Unlock()
 	err := t.ln.Close()
+	// A call pending on a conn may have run on the peer: it fails with
+	// errConnDead, not with ErrClosed, which says it never left.
+	reason := fmt.Errorf("%w: transport closed", errConnDead)
 	for _, c := range conns {
-		c.close(ErrClosed)
+		c.close(reason)
 	}
 	// All read loops have exited once wg returns, so nothing submits to
 	// the pool anymore; workers drain the queue and exit. In-flight
@@ -275,7 +277,7 @@ func (t *Transport) dial(ctx context.Context, to string) (*conn, error) {
 	// Handshake: announce our frame format and advertised address.
 	if err := wire.WriteFrame(nc, helloFrame(t.addr)); err != nil {
 		_ = nc.Close() // conn is being abandoned anyway
-		return nil, err
+		return nil, fmt.Errorf("%w: hello: %v", ErrDial, err)
 	}
 	c := newConn(t, nc, to)
 
@@ -301,23 +303,15 @@ func (t *Transport) dial(ctx context.Context, to string) (*conn, error) {
 // Call performs a request/response exchange. The request is copied into the
 // connection's send queue, so the caller may reuse f.Body (e.g. release it
 // to a pool) as soon as Call returns; the Body of the returned frame is the
-// caller's.
-// A call that finds its connection dead is retried once on a fresh dial: a
-// restarted peer leaves a cached conn behind whose death may not have been
-// read yet (TestReconnectAfterPeerRestart).
+// caller's. Call never sends a request twice: an error that satisfies
+// wire.ErrNotRun says the request never left, and the caller decides
+// whether to send it again.
 func (t *Transport) Call(ctx context.Context, to string, f wire.Frame) (wire.Frame, error) {
-	for attempt := 0; ; attempt++ {
-		c, err := t.getConn(ctx, to)
-		if err != nil {
-			return wire.Frame{}, err
-		}
-		resp, err := c.call(ctx, f)
-		// No retry once the caller's context is done: re-arming it would
-		// only dial again to fail.
-		if err == nil || attempt > 0 || !errors.Is(err, errConnDead) || ctx.Err() != nil {
-			return resp, err
-		}
+	c, err := t.getConn(ctx, to)
+	if err != nil {
+		return wire.Frame{}, err
 	}
+	return c.call(ctx, f)
 }
 
 // NumConns reports the number of live cached connections — the measure of
@@ -389,13 +383,14 @@ func (c *conn) writeFailed(err error) {
 func (c *conn) shard(id uint64) *pendingShard { return &c.shards[id%pendingShards] }
 
 // register installs a response waiter, failing if the conn is already dead
-// (the close path will never visit a waiter added after the drain).
+// (the close path will never visit a waiter added after the drain). The
+// request has not been written then, so the error satisfies wire.ErrNotRun.
 func (c *conn) register(id uint64, slot *callSlot) error {
 	s := c.shard(id)
 	s.mu.Lock()
 	if s.dead {
 		s.mu.Unlock()
-		return c.deadReason()
+		return wire.NotRun(c.deadReason())
 	}
 	s.m[id] = slot
 	s.mu.Unlock()
@@ -441,13 +436,14 @@ func (c *conn) deadReason() error {
 }
 
 // write queues f on the connection. The body is copied into the send
-// queue before write returns.
+// queue before write returns. A frame the writer refused never reached the
+// peer whole, so that error satisfies wire.ErrNotRun.
 func (c *conn) write(f wire.Frame) error {
 	if f.Oversize() {
 		return wire.ErrFrameTooLarge
 	}
 	if err := c.w.enqueue(f); err != nil {
-		return c.deadReason()
+		return wire.NotRun(c.deadReason())
 	}
 	c.t.framesOut.Inc()
 	c.t.bytesOut.Add(int64(f.WireSize()))

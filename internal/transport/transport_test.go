@@ -128,8 +128,8 @@ func TestCallToDeadPeerFails(t *testing.T) {
 	dead.Close()
 	ctx, cancel := context.WithTimeout(context.Background(), 500*time.Millisecond)
 	defer cancel()
-	if _, err := a.Call(ctx, addr, wire.Frame{}); err == nil {
-		t.Fatal("call to dead peer should fail")
+	if _, err := a.Call(ctx, addr, wire.Frame{}); !errors.Is(err, ErrDial) || !errors.Is(err, wire.ErrNotRun) {
+		t.Fatalf("call to dead peer: got %v, want ErrDial, which satisfies wire.ErrNotRun", err)
 	}
 }
 
@@ -158,6 +158,13 @@ func TestPeerCrashMidCallFails(t *testing.T) {
 	}
 }
 
+// TestReconnectAfterPeerRestart: a peer restarts on the same address behind
+// a cached conn whose death may not have been read yet. The first call after
+// the restart reaches the new peer, or fails: the transport never sends a
+// request twice, so one written to the stale conn fails with an error that
+// does not satisfy wire.ErrNotRun, and one that does satisfy it (the conn's
+// death was read between lookup and write) ran nowhere. No call returns the
+// old peer's reply, and the call after it reaches the new peer.
 func TestReconnectAfterPeerRestart(t *testing.T) {
 	a, b := newT(t), newT(t)
 	b.SetHandler(func(string, wire.Frame) *wire.Frame { return &wire.Frame{Body: []byte("v1")} })
@@ -180,16 +187,28 @@ func TestReconnectAfterPeerRestart(t *testing.T) {
 		t.Skipf("could not rebind %s: %v", addr, err)
 	}
 	defer b2.Close()
-	b2.SetHandler(func(string, wire.Frame) *wire.Frame { return &wire.Frame{Body: []byte("v2")} })
-	// First call may hit the stale cached conn; Call retries internally.
+	var runs atomic.Int64
+	b2.SetHandler(func(string, wire.Frame) *wire.Frame {
+		runs.Add(1)
+		return &wire.Frame{Body: []byte("v2")}
+	})
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
 	defer cancel()
 	resp, err := a.Call(ctx, addr, wire.Frame{})
+	switch {
+	case err == nil && string(resp.Body) != "v2":
+		t.Fatalf("first call after restart: resp = %q, want v2", resp.Body)
+	case errors.Is(err, context.DeadlineExceeded):
+		t.Fatalf("first call after restart hung on the stale conn: %v", err)
+	case err != nil && runs.Load() != 0:
+		t.Fatalf("first call after restart failed (%v) after the new peer ran it", err)
+	}
+	resp, err = a.Call(ctx, addr, wire.Frame{})
 	if err != nil {
-		t.Fatalf("call after restart: %v", err)
+		t.Fatalf("second call after restart: %v", err)
 	}
 	if string(resp.Body) != "v2" {
-		t.Fatalf("resp = %q, want v2", resp.Body)
+		t.Fatalf("second call after restart: resp = %q, want v2", resp.Body)
 	}
 }
 
@@ -519,7 +538,8 @@ func TestFramesSpanningTheReadBuffer(t *testing.T) {
 }
 
 // TestCloseFailsPendingCalls: Transport.Close with calls in flight
-// completes every pooled slot exactly once, with an error.
+// completes every pooled slot exactly once, with an error that does not
+// satisfy wire.ErrNotRun: the peer may have run them.
 func TestCloseFailsPendingCalls(t *testing.T) {
 	a, b := newT(t), newT(t)
 	release := make(chan struct{})
@@ -543,6 +563,9 @@ func TestCloseFailsPendingCalls(t *testing.T) {
 			if err == nil {
 				t.Fatal("call survived Close of its transport")
 			}
+			if errors.Is(err, wire.ErrNotRun) {
+				t.Fatalf("call pending at Close claims it never ran: %v", err)
+			}
 		case <-time.After(3 * time.Second):
 			t.Fatal("pending call hung after Close")
 		}
@@ -557,8 +580,8 @@ func TestCloseIdempotent(t *testing.T) {
 	if err := a.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := a.Call(context.Background(), "127.0.0.1:1", wire.Frame{}); err != ErrClosed {
-		t.Fatalf("want ErrClosed, got %v", err)
+	if _, err := a.Call(context.Background(), "127.0.0.1:1", wire.Frame{}); err != ErrClosed || !errors.Is(err, wire.ErrNotRun) {
+		t.Fatalf("want ErrClosed, which satisfies wire.ErrNotRun, got %v", err)
 	}
 }
 
@@ -704,8 +727,8 @@ func TestCallRejectsConflictingKind(t *testing.T) {
 }
 
 // TestCallNoRetryAfterContextDone: a stale cached conn plus an
-// already-expired context must fail immediately instead of re-arming the
-// retry dial.
+// already-expired context must fail immediately: Call sends nothing again
+// and dials nothing.
 func TestCallNoRetryAfterContextDone(t *testing.T) {
 	a, b := newT(t), newT(t)
 	b.SetHandler(func(string, wire.Frame) *wire.Frame { return &wire.Frame{} })

@@ -80,6 +80,22 @@ func (k Kind) String() string {
 // on it, which recycles a frame from AcquireFrame and ignores any other.
 type Handler func(from string, f Frame) *Frame
 
+// ErrNotRun is the error half of the node contract (see rmi.Node): an error
+// from a node's Call that satisfies errors.Is(err, ErrNotRun) proves that no
+// handler ran for the request — it never left the caller, or it reached no
+// handler — so sending it again, anywhere, cannot run it twice. Any other
+// error from Call means the request may have run.
+var ErrNotRun = errors.New("wire: request not run")
+
+// NotRun marks err as such a proof: the result reads as err and satisfies
+// errors.Is for both err and ErrNotRun.
+func NotRun(err error) error { return notRun{err} }
+
+type notRun struct{ error }
+
+func (e notRun) Unwrap() error      { return e.error }
+func (notRun) Is(target error) bool { return target == ErrNotRun }
+
 // MaxFrameSize bounds a single frame; larger frames indicate corruption or
 // an unreasonable payload and are rejected before allocation.
 const MaxFrameSize = 64 << 20 // 64 MiB

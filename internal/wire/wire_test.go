@@ -3,12 +3,26 @@ package wire
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"io"
 	"math"
 	"reflect"
 	"testing"
 	"testing/quick"
 )
+
+// TestNotRunKeepsItsCause: a NotRun error reads as its cause and matches
+// both the cause and ErrNotRun; the cause alone does not match ErrNotRun.
+func TestNotRunKeepsItsCause(t *testing.T) {
+	cause := errors.New("link down")
+	err := NotRun(cause)
+	if err.Error() != "link down" || !errors.Is(err, cause) || !errors.Is(err, ErrNotRun) {
+		t.Fatalf("NotRun(%v) = %v", cause, err)
+	}
+	if errors.Is(cause, ErrNotRun) {
+		t.Fatal("the cause itself matches ErrNotRun")
+	}
+}
 
 func TestFrameRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
