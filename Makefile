@@ -28,15 +28,17 @@ lint:
 	$(GO) vet ./...
 	$(GO) run ./cmd/wlslint ./...
 
-# check is the pre-PR gate: vet, build, the lint suite, the race
-# detector over the lock-heaviest packages (membership, whose join answers
-# publish from inside a bus delivery, and the partition rings it feeds;
+# check is the pre-PR gate: gofmt (as CI's first step runs it), vet,
+# build, the lint suite, the race detector over the lock-heaviest
+# packages (membership, whose join answers publish from inside a bus
+# delivery, and the partition rings it feeds;
 # lease/tx/transport and the singletons the leases elect; the kv image,
 # whose scans share its lock with commits, and the tuple sessions over it;
 # the wire codec and the session records — of the servlet engine and of
 # stateful beans — and the webtier above them; and the chaos harness that
 # drives them all at once), then the contract benchmark's smoke run.
 check:
+	@test -z "$$(gofmt -l .)" || { gofmt -l .; exit 1; }
 	$(GO) vet ./...
 	$(GO) build ./...
 	$(GO) run ./cmd/wlslint ./...

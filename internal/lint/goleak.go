@@ -21,7 +21,7 @@ import (
 //     goroutine (panic, runtime.Goexit, os.Exit, log.Fatal*);
 //   - a zero-case `select {}`, which blocks forever by definition;
 //   - a statement-level call to a function that itself never returns,
-//     established transitively across packages through noReturnFacts.
+//     established transitively across packages through summary facts.
 //
 // Loops that block on channels, select on a done signal, or range over a
 // channel are all assumed terminating (`for range ch` exits when the
@@ -38,97 +38,30 @@ func GoLeak() *Analyzer {
 	return a
 }
 
-// noReturnFact marks a module function that can never return; Why holds a
-// human-readable reason chain for the diagnostic.
-type noReturnFact struct {
-	Why string
-}
-
-func (*noReturnFact) AFact() {}
-
 func goLeakRun(pass *Pass) {
 	info := pass.Pkg.Info
+	// A function never returns when its own body cannot, or when one of
+	// its statement-level calls never does: a call in expression
+	// position must return a value to its context.
+	sums := summarize(pass, summaryRule{
+		direct: func(body *ast.BlockStmt) (summaryFact, []*types.Func) {
+			var callees []*types.Func
+			for _, s := range body.List {
+				if es, ok := s.(*ast.ExprStmt); ok {
+					if call, ok := es.X.(*ast.CallExpr); ok {
+						if callee := moduleFunc(pass.Pkg.Module, calleeObject(info, call)); callee != nil {
+							callees = append(callees, callee)
+						}
+					}
+				}
+			}
+			return summaryFact{Why: nonTermWhy(pass, body)}, callees
+		},
+		extend: chainWhy("calls %s, which never returns (%s)"),
+	})
 
-	// Pass 1: summarize every declared function — does its body alone
-	// prove it never returns, and which module functions does it call at
-	// statement level (the only calls that propagate non-termination:
-	// an expression-position call must return a value to its context).
-	type goSummary struct {
-		why     string
-		callees []*types.Func // statement-level module callees, with positions
-		callPos []token.Pos
-	}
-	summaries := map[*types.Func]*goSummary{}
-	var order []*types.Func
-	for _, f := range pass.Pkg.Files {
-		for _, d := range f.Decls {
-			fd, ok := d.(*ast.FuncDecl)
-			if !ok || fd.Body == nil {
-				continue
-			}
-			fn, ok := info.Defs[fd.Name].(*types.Func)
-			if !ok {
-				continue
-			}
-			sum := &goSummary{why: nonTermWhy(pass, fd.Body)}
-			for _, s := range fd.Body.List {
-				es, ok := s.(*ast.ExprStmt)
-				if !ok {
-					continue
-				}
-				call, ok := es.X.(*ast.CallExpr)
-				if !ok {
-					continue
-				}
-				if callee := moduleFunc(pass.Pkg.Module, calleeObject(info, call)); callee != nil {
-					sum.callees = append(sum.callees, callee)
-					sum.callPos = append(sum.callPos, call.Pos())
-				}
-			}
-			summaries[fn] = sum
-			order = append(order, fn)
-		}
-	}
-
-	// Pass 2: in-package fixpoint for call-propagated non-termination;
-	// cross-package callees resolve through imported facts.
-	factWhy := func(fn *types.Func) (string, bool) {
-		if sum, ok := summaries[fn]; ok {
-			if sum.why != "" {
-				return sum.why, true
-			}
-			return "", false
-		}
-		var fact noReturnFact
-		if pass.ImportObjectFact(fn, &fact) {
-			return fact.Why, true
-		}
-		return "", false
-	}
-	for changed := true; changed; {
-		changed = false
-		for _, fn := range order {
-			sum := summaries[fn]
-			if sum.why != "" {
-				continue
-			}
-			for _, callee := range sum.callees {
-				if why, ok := factWhy(callee); ok {
-					sum.why = "calls " + funcLabel(callee) + ", which never returns (" + why + ")"
-					changed = true
-					break
-				}
-			}
-		}
-	}
-	for _, fn := range order {
-		if why := summaries[fn].why; why != "" {
-			pass.ExportObjectFact(fn, &noReturnFact{Why: why})
-		}
-	}
-
-	// Pass 3: inspect every go statement, including ones nested inside
-	// function literals.
+	// Inspect every go statement, including ones nested inside function
+	// literals.
 	for _, f := range pass.Pkg.Files {
 		ast.Inspect(f, func(n ast.Node) bool {
 			gs, ok := n.(*ast.GoStmt)
@@ -137,46 +70,20 @@ func goLeakRun(pass *Pass) {
 			}
 			switch fun := ast.Unparen(gs.Call.Fun).(type) {
 			case *ast.FuncLit:
-				if why := goLitWhy(pass, fun.Body, factWhy); why != "" {
+				if why := sums.body(fun.Body).Why; why != "" {
 					pass.Reportf(gs.Pos(), "goroutine never terminates: %s; give it a done/stop escape or bound the loop", why)
 				}
 			default:
 				if callee := moduleFunc(pass.Pkg.Module, calleeObject(info, gs.Call)); callee != nil {
-					if why, ok := factWhy(callee); ok {
+					if cs, _ := sums.of(callee); cs.Why != "" {
 						pass.Reportf(gs.Pos(), "goroutine never terminates: %s never returns (%s); give it a done/stop escape or bound the loop",
-							funcLabel(callee), why)
+							funcLabel(callee), cs.Why)
 					}
 				}
 			}
 			return true
 		})
 	}
-}
-
-// goLitWhy decides non-termination for a go-statement function literal:
-// its own body shape plus statement-level calls to never-returning
-// functions.
-func goLitWhy(pass *Pass, body *ast.BlockStmt, factWhy func(*types.Func) (string, bool)) string {
-	if why := nonTermWhy(pass, body); why != "" {
-		return why
-	}
-	info := pass.Pkg.Info
-	for _, s := range body.List {
-		es, ok := s.(*ast.ExprStmt)
-		if !ok {
-			continue
-		}
-		call, ok := es.X.(*ast.CallExpr)
-		if !ok {
-			continue
-		}
-		if callee := moduleFunc(pass.Pkg.Module, calleeObject(info, call)); callee != nil {
-			if why, ok := factWhy(callee); ok {
-				return "calls " + funcLabel(callee) + ", which never returns (" + why + ")"
-			}
-		}
-	}
-	return ""
 }
 
 // nonTermWhy reports why body provably never returns, or "" when it has a

@@ -2,11 +2,13 @@
 // go/token, go/types — no x/tools) that enforces the determinism and
 // concurrency invariants the reproduction depends on.
 //
-// Since PR 6 it is a whole-program, cross-package engine: packages are
-// analyzed in dependency order, analyzers export per-object facts (see
-// Fact) from each package and import them when analyzing dependents, and
-// an optional Finish phase runs once after every package for global
-// reporting (cycle detection, reachability closures).
+// It is a whole-program, cross-package engine: packages are analyzed in
+// dependency order, analyzers export per-object facts (see Fact) from each
+// package and import them when analyzing dependents, and an optional
+// Finish phase runs once after every package for global reporting (cycle
+// detection, reachability closures). lockheld, lockorder and goleak share
+// one summary engine and, for the two lock analyzers, one lock walk (see
+// interproc.go).
 //
 // The analyzers:
 //
@@ -14,9 +16,9 @@
 //     the time package, or the deterministic failure simulations in
 //     EXPERIMENTS.md silently stop being deterministic.
 //   - lockheld:  a mutex held across a blocking operation (channel send or
-//     receive, select, Clock.Sleep, transport call — directly or via a
-//     call to a function that blocks, tracked interprocedurally through
-//     facts) is a deadlock hazard in the cluster/lease/singleton
+//     receive, select, Clock.Sleep, transport or node call — directly or
+//     via a call to a function that blocks, tracked interprocedurally
+//     through facts) is a deadlock hazard in the cluster/lease/singleton
 //     protocols.
 //   - errdrop:   errors from the wire codec, the transport, the store, and
 //     transaction-log writes carry recovery obligations; discarding one on

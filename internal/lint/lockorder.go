@@ -14,14 +14,14 @@ import (
 //
 // Locks are grouped into classes by declaration site — "pkg.Type.field"
 // for a struct-field mutex, "pkg.var" for a package-level one — because a
-// static analysis cannot tell instances apart. Within one function a
-// source-order walk tracks which classes are held when another
-// Lock/RLock happens (a direct A→B edge); at every call site the callee's
-// exported acquiresFact supplies the classes it may take transitively, so
-// edges cross function and package boundaries (the go/analysis-style
-// facts layer). A cycle A→…→A in the resulting graph means two goroutines
-// can take the same classes in opposite orders — the classic cluster
-// deadlock.
+// static analysis cannot tell instances apart. Within one function the
+// source-order lock walk (see lockWalk) tracks which classes are held
+// when another Lock/RLock happens (a direct A→B edge); at every call site
+// the callee's summary fact supplies the classes it may take
+// transitively, so edges cross function and package boundaries (the
+// go/analysis-style facts layer). A cycle A→…→A in the resulting graph
+// means two goroutines can take the same classes in opposite orders — the
+// classic cluster deadlock.
 //
 // Intended hierarchies are asserted with
 //
@@ -44,14 +44,6 @@ func LockOrder() *Analyzer {
 	a.Finish = lockOrderFinish
 	return a
 }
-
-// acquiresFact is exported for every module function that may acquire at
-// least one classed mutex, directly or via its callees.
-type acquiresFact struct {
-	Classes []string
-}
-
-func (*acquiresFact) AFact() {}
 
 // lockOrderEdge is one observed "B acquired while A held" pair.
 type lockOrderEdge struct {
@@ -89,16 +81,8 @@ func parseLockOrderAssertion(rest string) (before, after string, err error) {
 	return b, a, nil
 }
 
-// lockFuncSummary is the per-function intermediate before the in-package
-// fixpoint: classes acquired directly plus module callees.
-type lockFuncSummary struct {
-	direct  []string
-	callees []*types.Func
-}
-
 func lockOrderRun(pass *Pass) {
 	st := pass.State(newLockOrderState).(*lockOrderState)
-	info := pass.Pkg.Info
 
 	// Assertions can sit in any file of any package.
 	for _, f := range pass.Pkg.Files {
@@ -118,170 +102,64 @@ func lockOrderRun(pass *Pass) {
 		}
 	}
 
-	// Pass 1: per-function summaries (direct acquires + module callees),
-	// excluding nested function literals — a literal runs on its own
-	// schedule, so its acquisitions are not part of the enclosing call's
-	// lock footprint. Literal bodies get their own edge walk below.
-	type declared struct {
-		fn   *types.Func
-		decl *ast.FuncDecl
-	}
-	var decls []declared
-	summaries := map[*types.Func]*lockFuncSummary{}
-	for _, f := range pass.Pkg.Files {
-		for _, d := range f.Decls {
-			fd, ok := d.(*ast.FuncDecl)
-			if !ok || fd.Body == nil {
-				continue
-			}
-			fn, ok := info.Defs[fd.Name].(*types.Func)
-			if !ok {
-				continue
-			}
-			sum := &lockFuncSummary{}
-			walkSkippingFuncLits(fd.Body, func(n ast.Node) {
-				call, ok := n.(*ast.CallExpr)
-				if !ok {
-					return
+	sums := summarize(pass, summaryRule{
+		direct: func(body *ast.BlockStmt) (sum summaryFact, callees []*types.Func) {
+			w := &lockWalk{pass: pass, summary: true}
+			w.acquire = func(l heldLock) {
+				if l.class != "" {
+					sum.Classes = append(sum.Classes, l.class)
 				}
-				if class, op, ok := lockAcquisition(info, call); ok {
-					if isAcquireOp(op) {
-						sum.direct = append(sum.direct, class)
-						st.classes[class] = true
-					}
-					return
-				}
-				if callee := moduleFunc(pass.Pkg.Module, calleeObject(info, call)); callee != nil {
-					sum.callees = append(sum.callees, callee)
-				}
-			})
-			summaries[fn] = sum
-			decls = append(decls, declared{fn: fn, decl: fd})
-		}
-	}
-
-	// Pass 2: in-package fixpoint over the call graph; cross-package
-	// callees contribute through their already-exported facts (imports
-	// are analyzed first).
-	acquires := map[*types.Func][]string{}
-	lookup := func(fn *types.Func) []string {
-		if cs, ok := acquires[fn]; ok {
-			return cs
-		}
-		var fact acquiresFact
-		if pass.ImportObjectFact(fn, &fact) {
-			return fact.Classes
-		}
-		return nil
-	}
-	for _, d := range decls {
-		acquires[d.fn] = dedupSorted(summaries[d.fn].direct)
-	}
-	for changed := true; changed; {
-		changed = false
-		for _, d := range decls {
-			merged := acquires[d.fn]
-			for _, callee := range summaries[d.fn].callees {
-				merged = append(merged, lookup(callee)...)
 			}
-			merged = dedupSorted(merged)
-			if len(merged) != len(acquires[d.fn]) {
-				acquires[d.fn] = merged
-				changed = true
+			w.call = func(_ *ast.CallExpr, callee *types.Func) {
+				if callee != nil {
+					callees = append(callees, callee)
+				}
 			}
-		}
-	}
-	for _, d := range decls {
-		if cs := acquires[d.fn]; len(cs) > 0 {
-			pass.ExportObjectFact(d.fn, &acquiresFact{Classes: cs})
-		}
-	}
-
-	// Pass 3: the edge walk. Function literals are walked with a fresh
-	// held set (own goroutine/schedule), declared functions with theirs.
-	transitive := func(fn *types.Func) []string {
-		if _, local := summaries[fn]; local {
-			return acquires[fn]
-		}
-		return lookup(fn)
-	}
-	for _, d := range decls {
-		w := &lockOrderWalk{pass: pass, st: st, held: map[string]int{}, transitive: transitive}
-		w.walkBody(d.decl.Body)
-	}
-}
-
-// lockOrderWalk tracks held lock classes in source order through one
-// function body, recording acquisition-order edges.
-type lockOrderWalk struct {
-	pass       *Pass
-	st         *lockOrderState
-	held       map[string]int
-	heldPos    []string // acquisition order, for deterministic edge froms
-	transitive func(*types.Func) []string
-	lits       []*ast.FuncLit
-}
-
-func (w *lockOrderWalk) walkBody(body *ast.BlockStmt) {
-	ast.Inspect(body, func(n ast.Node) bool {
-		switch n := n.(type) {
-		case *ast.FuncLit:
-			w.lits = append(w.lits, n)
-			return false
-		case *ast.DeferStmt:
-			// A deferred Unlock keeps the class held to the end of the
-			// body, which the "never released" state already models; a
-			// deferred acquiring call runs outside this walk's order.
-			return false
-		case *ast.CallExpr:
-			w.call(n)
-		}
-		return true
+			w.walk(body)
+			sum.Classes = dedupSorted(sum.Classes)
+			return sum, callees
+		},
+		extend: func(s *summaryFact, _ *types.Func, cs summaryFact) bool {
+			merged := dedupSorted(append(s.Classes, cs.Classes...))
+			grew := len(merged) != len(s.Classes)
+			s.Classes = merged
+			return grew
+		},
 	})
-	for _, lit := range w.lits {
-		inner := &lockOrderWalk{pass: w.pass, st: w.st, held: map[string]int{}, transitive: w.transitive}
-		inner.walkBody(lit.Body)
+
+	// The edge walk: every class held when another is acquired, directly
+	// or through a callee's summary.
+	w := &lockWalk{pass: pass}
+	w.acquire = func(l heldLock) {
+		if l.class != "" {
+			st.classes[l.class] = true
+			st.edgesTo(w.held, l.class, l.pos, "")
+		}
+	}
+	w.call = func(call *ast.CallExpr, callee *types.Func) {
+		if callee != nil {
+			cs, _ := sums.of(callee)
+			for _, class := range cs.Classes {
+				st.edgesTo(w.held, class, call.Pos(), funcLabel(callee))
+			}
+		}
+	}
+	for _, fd := range sums.decls {
+		w.run(fd.Body)
 	}
 }
 
-func (w *lockOrderWalk) call(call *ast.CallExpr) {
-	info := w.pass.Pkg.Info
-	if class, op, ok := lockAcquisition(info, call); ok {
-		switch {
-		case isAcquireOp(op):
-			w.edgeTo(class, call.Pos(), "")
-			if w.held[class] == 0 {
-				w.heldPos = append(w.heldPos, class)
-			}
-			w.held[class]++
-		case op == "Unlock" || op == "RUnlock":
-			if w.held[class] > 0 {
-				w.held[class]--
-				if w.held[class] == 0 {
-					w.heldPos = removeString(w.heldPos, class)
-				}
-			}
+// edgesTo records an edge to class to from the class of every held lock,
+// keeping the first observation of each.
+func (st *lockOrderState) edgesTo(held []heldLock, to string, pos token.Pos, via string) {
+	for _, h := range held {
+		if h.class == "" || h.class == to {
+			continue // unclassed, or a self-edge: instance identity is invisible; see analyzer doc
 		}
-		return
-	}
-	if callee := moduleFunc(w.pass.Pkg.Module, calleeObject(info, call)); callee != nil {
-		for _, class := range w.transitive(callee) {
-			w.edgeTo(class, call.Pos(), funcLabel(callee))
-		}
-	}
-}
-
-// edgeTo records from→to edges from every held class to the class being
-// acquired (directly or via a callee).
-func (w *lockOrderWalk) edgeTo(to string, pos token.Pos, via string) {
-	for _, from := range w.heldPos {
-		if from == to {
-			continue // instance identity is invisible; see analyzer doc
-		}
-		key := [2]string{from, to}
-		if _, seen := w.st.edges[key]; !seen {
-			w.st.edges[key] = lockOrderEdge{from: from, to: to, pos: pos, via: via}
-			w.st.edgeOrder = append(w.st.edgeOrder, key)
+		key := [2]string{h.class, to}
+		if _, seen := st.edges[key]; !seen {
+			st.edges[key] = lockOrderEdge{from: h.class, to: to, pos: pos, via: via}
+			st.edgeOrder = append(st.edgeOrder, key)
 		}
 	}
 }
@@ -452,37 +330,6 @@ func viaSuffix(via string) string {
 	return " (via call to " + via + ")"
 }
 
-// lockAcquisition reports whether call is a sync.Mutex/RWMutex lock-state
-// method on a classable mutex, returning the class and the method name.
-func lockAcquisition(info *types.Info, call *ast.CallExpr) (class, op string, ok bool) {
-	sel, isSel := ast.Unparen(call.Fun).(*ast.SelectorExpr)
-	if !isSel {
-		return "", "", false
-	}
-	switch sel.Sel.Name {
-	case "Lock", "RLock", "TryLock", "TryRLock", "Unlock", "RUnlock":
-	default:
-		return "", "", false
-	}
-	obj := calleeObject(info, call)
-	if pkgPathOf(obj) != "sync" {
-		return "", "", false
-	}
-	class, ok = lockClassOf(info, sel.X)
-	if !ok {
-		return "", "", false
-	}
-	return class, sel.Sel.Name, true
-}
-
-func isAcquireOp(op string) bool {
-	switch op {
-	case "Lock", "RLock", "TryLock", "TryRLock":
-		return true
-	}
-	return false
-}
-
 // lockClassOf maps a mutex expression to its declaration-site class:
 // "pkg.Type.field" for struct fields, "pkg.var" for package-level
 // variables, "pkg.Type" for a named type embedding the mutex. Local
@@ -539,20 +386,6 @@ func typeClass(n *types.Named) string {
 	return pkg + n.Obj().Name()
 }
 
-// walkSkippingFuncLits visits every node of body except those inside
-// nested function literals.
-func walkSkippingFuncLits(body *ast.BlockStmt, visit func(ast.Node)) {
-	ast.Inspect(body, func(n ast.Node) bool {
-		if _, isLit := n.(*ast.FuncLit); isLit {
-			return false
-		}
-		if n != nil {
-			visit(n)
-		}
-		return true
-	})
-}
-
 func dedupSorted(in []string) []string {
 	if len(in) == 0 {
 		return nil
@@ -562,16 +395,6 @@ func dedupSorted(in []string) []string {
 	for _, s := range in[1:] {
 		if s != out[len(out)-1] {
 			out = append(out, s)
-		}
-	}
-	return out
-}
-
-func removeString(in []string, s string) []string {
-	out := in[:0]
-	for _, v := range in {
-		if v != s {
-			out = append(out, v)
 		}
 	}
 	return out

@@ -2,7 +2,7 @@
 // can prove non-termination propagates across packages through facts.
 package sub
 
-// Forever spins with no escape; goleak exports a noReturnFact for it.
+// Forever spins with no escape; goleak exports a never-returns fact for it.
 func Forever() {
 	for {
 	}

@@ -39,6 +39,30 @@ func (g *guarded) okNonBlockingCallee(ch chan int) {
 	g.mu.Unlock()
 }
 
+// okCalleeOnlySpawns calls a function that only starts a goroutine which
+// blocks: the go statement's callee is no call of spawnRecv, so spawnRecv
+// does not block.
+func (g *guarded) okCalleeOnlySpawns(ch chan int) {
+	g.mu.Lock()
+	spawnRecv(ch)
+	g.mu.Unlock()
+}
+
+func spawnRecv(ch chan int) {
+	go recvLocal(ch)
+}
+
+// badCallInComm: a select with a default never waits, but the call in its
+// comm clause runs first, and it blocks.
+func (g *guarded) badCallInComm(ch, other chan int) {
+	g.mu.Lock()
+	select {
+	case ch <- recvLocal(other): // want "call to lockheld.recvLocal (may block: channel receive)"
+	default:
+	}
+	g.mu.Unlock()
+}
+
 func (g *guarded) okCalleeAfterUnlock(ch chan int) {
 	g.mu.Lock()
 	g.mu.Unlock()

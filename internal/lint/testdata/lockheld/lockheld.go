@@ -4,10 +4,13 @@
 package lockheld
 
 import (
+	"context"
 	"sync"
 	"time"
 
+	"wls/internal/rmi"
 	"wls/internal/vclock"
+	"wls/internal/wire"
 )
 
 func badSend(mu *sync.Mutex, ch chan int) {
@@ -40,6 +43,14 @@ func badClockSleep(mu *sync.Mutex, clk vclock.Clock) {
 func badWaitGroup(mu *sync.Mutex, wg *sync.WaitGroup) {
 	mu.Lock()
 	wg.Wait() // want "WaitGroup.Wait while mu is locked"
+	mu.Unlock()
+}
+
+// badNodeCall calls through the seam rmi reaches a fabric by: an
+// interface method, known to block by name.
+func badNodeCall(mu *sync.Mutex, n rmi.Node, f wire.Frame) {
+	mu.Lock()
+	n.Call(context.Background(), "peer", f) // want "rmi.Node.Call while mu is locked"
 	mu.Unlock()
 }
 

@@ -2,7 +2,7 @@
 // package, proving may-block propagates through exported facts.
 package sub
 
-// Wait blocks on a channel receive; lockheld exports a blocksFact for it.
+// Wait blocks on a channel receive; lockheld exports a may-block fact for it.
 func Wait(ch chan int) int {
 	return <-ch
 }

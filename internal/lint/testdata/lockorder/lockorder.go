@@ -1,7 +1,9 @@
 // Package lockorder exercises the cross-package lock acquisition-order
 // analyzer: a deliberate two-lock cycle, an asserted hierarchy that gets
 // violated, an interprocedural edge through a fact from the sub package,
-// a stale assertion, and a suppressed cycle.
+// a stale assertion, a suppressed cycle, a deferred literal walked with
+// its own held set, and goroutines started under a lock, which record no
+// edge.
 package lockorder
 
 import (
@@ -99,4 +101,57 @@ func lockFE() {
 	e.mu.Lock()
 	e.mu.Unlock()
 	f.mu.Unlock()
+}
+
+type H struct{ mu sync.Mutex }
+
+type I struct{ mu sync.Mutex }
+
+var (
+	h H
+	i I
+)
+
+//wls:lockorder lockorder.H.mu<lockorder.I.mu
+
+func lockH() {
+	h.mu.Lock()
+	h.mu.Unlock()
+}
+
+// spawnLockH only starts lockH; its own summary acquires nothing.
+func spawnLockH() {
+	go lockH()
+}
+
+// goUnderI starts goroutines that take H while I is held. They take it on
+// their own schedule, so neither records an I→H edge against the
+// assertion.
+func goUnderI() {
+	i.mu.Lock()
+	go lockH()
+	spawnLockH()
+	i.mu.Unlock()
+}
+
+type J struct{ mu sync.Mutex }
+
+type K struct{ mu sync.Mutex }
+
+var (
+	j J
+	k K
+)
+
+//wls:lockorder lockorder.J.mu<lockorder.K.mu
+
+// deferKJ inverts the asserted order inside a deferred literal, which is
+// walked with a fresh held set like any other literal.
+func deferKJ() {
+	defer func() {
+		k.mu.Lock()
+		j.mu.Lock() // want "lock order violation: lockorder.J.mu acquired while lockorder.K.mu is held"
+		j.mu.Unlock()
+		k.mu.Unlock()
+	}()
 }

@@ -11,7 +11,7 @@ type Store struct {
 }
 
 // Put acquires sub.Store.mu; callers holding other locks pick this up
-// through the acquiresFact exported for Put.
+// through the summary fact exported for Put.
 func (s *Store) Put(v int) {
 	s.mu.Lock()
 	s.n = v
