@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test race lint check bench-smoke bench bench-transport bench-trace bench-overload bench-alloc bench-store bench-scale chaos
+.PHONY: all build test race lint check gates bench-smoke bench bench-transport bench-trace bench-overload bench-alloc bench-store bench-scale chaos
 
 all: build test race lint
 
@@ -44,6 +44,21 @@ check:
 	$(GO) run ./cmd/wlslint ./...
 	$(GO) test -race ./internal/cluster ./internal/partition ./internal/lease ./internal/singleton ./internal/tx ./internal/kv ./internal/tuple ./internal/wire ./internal/transport ./internal/rmi ./internal/netsim ./internal/servlet ./internal/ejb ./internal/webtier ./internal/chaos
 	$(MAKE) bench-smoke
+
+# gates is CI's "Alloc and wire gates" step, which runs exactly this
+# target (see the comment there): the request-path allocation gates on one
+# and four CPUs twenty times over, the wire gates, the placement, row,
+# lock-table and connection footprints, and the pool-recycling stress.
+# Allocation counts need a build without -race; the last two lines are
+# race-only checks.
+gates:
+	$(GO) test -run 'TestAllocGate' -count=20 -cpu 1,4 .
+	$(GO) test -run 'TestWireGate' -v -count=1 .
+	$(GO) test -run 'TestPlacementAllocFree' -v -count=1 ./internal/servlet
+	$(GO) test -run 'TestStoreRowFootprint|TestLockTableGivesBackItsMap' -v -count=1 ./internal/store
+	$(GO) test -run 'TestIdleConnFootprint' -v -count=1 ./internal/transport
+	$(GO) test -race -run 'TestIdleWritersHoldNoBuffer|TestFramesSpanningTheReadBuffer' -v -count=1 ./internal/transport
+	$(GO) test -race -run 'TestPoolRecycling' -count=1 .
 
 # bench-smoke builds the contract benchmark (BENCHMARK.json) against the
 # tree and runs every workload for 3 s, untraced and traced. The benchmark

@@ -6,11 +6,15 @@ package wls_test
 // only mean something without it; `make race` skips this file.
 
 // Allocation gates for the request path (E31). Each test measures the
-// allocations per request of one root with testing.AllocsPerRun, and each
-// gate is the value that root measures: 20 of 20 runs read exactly it
-// (`go test -count=20 -cpu 1,4 -run TestAllocGate .`), so one more
-// allocation per request fails. A change that saves one lowers the
-// constant with it. DESIGN.md "Determinism & lint rules" maps every
+// allocations per request of one root with allocsPerRun, and each gate is
+// the highest value that root reads in 20 of 20 runs
+// (`go test -count=20 -cpu 1,4 -run TestAllocGate .`) plus 0.05, rounded
+// up to 0.1, and never above the whole number it was pinned at before the
+// fraction was kept. The 0.05 — 15 mallocs in a 300-call window — is for
+// goroutines the package's other tests leave behind: under `go test ./...`
+// a gate that reads exactly 3 alone read 3.003. One more allocation per
+// request still fails, and a change that saves one lowers the constant
+// with it. DESIGN.md "Determinism & lint rules" maps every
 // request-path root to the gate that reaches it.
 
 import (
@@ -35,18 +39,18 @@ import (
 
 // Allocations per request (per call, per commit) of each gated path.
 const (
-	gateWebtierEcho         = 4
-	gateWebtierSessionWrite = 10
-	gateServletDirectEcho   = 0
-	gateServletDirectWrite  = 6
-	gateTransportEcho       = 3
-	gateTCPEcho             = 2
-	gateTCPSessionWrite     = 6
-	gateDurableCheckout     = 14
-	gateExternalLBEcho      = 4
-	gateStatelessInvoke     = 5
-	gateStatefulInvoke      = 20
-	gateAdmittedEcho        = 8
+	gateWebtierEcho         = 3.1
+	gateWebtierSessionWrite = 7.1
+	gateServletDirectEcho   = 0.0
+	gateServletDirectWrite  = 4.1
+	gateTransportEcho       = 3.0
+	gateTCPEcho             = 1.1
+	gateTCPSessionWrite     = 3.1
+	gateDurableCheckout     = 13.1
+	gateExternalLBEcho      = 3.1
+	gateStatelessInvoke     = 4.8
+	gateStatefulInvoke      = 17.1
+	gateAdmittedEcho        = 7.1
 )
 
 // Bytes per routed request on the TCP fabric (TestWireGate*), at measured
@@ -64,9 +68,24 @@ const (
 func allocGate(t *testing.T, what string, got float64, name string, gate float64) {
 	t.Helper()
 	if got > gate {
-		t.Fatalf("%s allocates %.1f, over %s = %v", what, got, name, gate)
+		t.Fatalf("%s allocates %.3f, over %s = %v", what, got, name, gate)
 	}
-	t.Logf("%s: %.1f allocs", what, got)
+	t.Logf("%s: %.3f allocs", what, got)
+}
+
+// allocsPerRun is testing.AllocsPerRun without its truncation: on one
+// processor, after one warm-up call, the mallocs of runs calls divided by
+// runs, fraction kept — a path that allocates 5.67 reads 5.67, not 5.
+func allocsPerRun(runs int, f func()) float64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	f()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return float64(after.Mallocs-before.Mallocs) / float64(runs)
 }
 
 // callAllocs warms call up and measures it over runs calls.
@@ -74,7 +93,16 @@ func callAllocs(runs int, call func()) float64 {
 	for i := 0; i < 64; i++ {
 		call()
 	}
-	return testing.AllocsPerRun(runs, call)
+	return allocsPerRun(runs, call)
+}
+
+// quiet stops the heartbeats of c's members, once the test has deployed
+// and settled: the views stay as they converged, and no beat — about 40
+// allocations on the real clock — lands inside a measurement.
+func quiet(c *wls.Cluster) {
+	for _, s := range c.Servers {
+		s.Member().Stop()
+	}
 }
 
 func allocGateCluster(t *testing.T, opts wls.Options) *wls.Cluster {
@@ -103,6 +131,7 @@ func allocGateCluster(t *testing.T, opts wls.Options) *wls.Cluster {
 // disabled.
 func TestAllocGateWebtierEcho(t *testing.T) {
 	c := allocGateCluster(t, wls.Options{})
+	quiet(c)
 	n := routeAllocs(t, c.ProxyPlugin("webserver:80").Route, "/echo", []byte("hello"), 1)
 	allocGate(t, "webtier echo, per request", n, "gateWebtierEcho", gateWebtierEcho)
 }
@@ -113,6 +142,7 @@ func TestAllocGateWebtierEcho(t *testing.T) {
 // can be warm: a cache in front of the parser or the table would show.
 func TestAllocGateWebtierSessionWrite(t *testing.T) {
 	c := allocGateCluster(t, wls.Options{})
+	quiet(c)
 	n := routeAllocs(t, c.ProxyPlugin("webserver:80").Route, "/count", nil, 512)
 	allocGate(t, "webtier session write, per request", n, "gateWebtierSessionWrite", gateWebtierSessionWrite)
 }
@@ -121,6 +151,7 @@ func TestAllocGateWebtierSessionWrite(t *testing.T) {
 // lookup and refresh, the RMI hop, the servlet engine.
 func TestAllocGateExternalLBEcho(t *testing.T) {
 	c := allocGateCluster(t, wls.Options{})
+	quiet(c)
 	lb := c.ExternalLB("lb:80")
 	route := func(ctx context.Context, path, cookie string, body []byte) (servlet.Response, error) {
 		return lb.Route(ctx, "client-1", path, cookie, body)
@@ -137,6 +168,7 @@ func TestAllocGateAdmittedEcho(t *testing.T) {
 		Admission:  &core.QueueConfig{Policy: core.Deny},
 		Resilience: &rmi.ResilienceConfig{},
 	})
+	quiet(c)
 	n := routeAllocs(t, c.ProxyPlugin("webserver:80").Route, "/echo", []byte("hello"), 1)
 	allocGate(t, "admitted echo, per request", n, "gateAdmittedEcho", gateAdmittedEcho)
 }
@@ -146,6 +178,7 @@ func TestAllocGateAdmittedEcho(t *testing.T) {
 // path pays only for the replication delta.
 func TestAllocGateServletDirect(t *testing.T) {
 	c := allocGateCluster(t, wls.Options{})
+	quiet(c)
 	eng := c.Servers[0].Web
 	body := []byte("hello")
 
@@ -165,7 +198,7 @@ func TestAllocGateServletDirect(t *testing.T) {
 // its stub: the bean's pool checkout and the RMI hop. The cluster runs on
 // the virtual clock, which the measurement does not advance: no heartbeat,
 // gossip round or timer runs beside the calls, so the count is theirs
-// alone. (On the real clock a beat landing inside AllocsPerRun read 6.)
+// alone. (On the real clock a beat landing inside the measurement read 6.)
 func TestAllocGateStatelessInvoke(t *testing.T) {
 	c, err := wls.New(wls.Options{Servers: 3})
 	if err != nil {
@@ -213,6 +246,7 @@ func TestAllocGateStatefulInvoke(t *testing.T) {
 		}
 	}
 	c.Settle(2)
+	quiet(c)
 	ctx := context.Background()
 	h, err := home.Create(ctx)
 	if err != nil {
@@ -227,9 +261,9 @@ func TestAllocGateStatefulInvoke(t *testing.T) {
 }
 
 // The same gates on the real TCP fabric. Per RPC hop the floor is the
-// response body copied for the caller and the stub's *Result; everything
-// else on the hop (call slot, inbound task, request buffer, response frame
-// and its encoder) is pooled.
+// response body copied for the caller: the stub returns its Result by
+// value, and everything else on the hop (call slot, inbound task, request
+// buffer, response frame and its encoder) is pooled.
 
 // TestAllocGateTransportEcho pins a bare Transport.Call: the caller-owned
 // response body plus the two this test's handler makes itself.
@@ -275,7 +309,7 @@ func routeLoop(t *testing.T, route router, path string, body []byte, sessions, w
 // routeAllocs measures one route on path over warmed sessions.
 func routeAllocs(t *testing.T, route router, path string, body []byte, sessions int) float64 {
 	t.Helper()
-	return testing.AllocsPerRun(300, routeLoop(t, route, path, body, sessions, 128/sessions+2))
+	return allocsPerRun(300, routeLoop(t, route, path, body, sessions, 128/sessions+2))
 }
 
 // TestAllocGateTCPEcho pins proxy → TCP → servlet echo: the hop's floor and
@@ -283,6 +317,7 @@ func routeAllocs(t *testing.T, route router, path string, body []byte, sessions 
 func TestAllocGateTCPEcho(t *testing.T) {
 	c := newTCPCluster(t)
 	c.handle("/echo", func(r *servlet.Request) servlet.Response { return servlet.Response{Body: r.Body} })
+	c.quiet()
 	n := routeAllocs(t, c.proxy.Route, "/echo", []byte("hello"), 1)
 	allocGate(t, "TCP echo, per request", n, "gateTCPEcho", gateTCPEcho)
 }
@@ -296,8 +331,16 @@ func TestAllocGateTCPSessionWrite(t *testing.T) {
 		r.Session.Set("n", "1")
 		return servlet.Response{Body: []byte("ok")}
 	})
+	c.quiet()
 	n := routeAllocs(t, c.proxy.Route, "/count", nil, 512)
 	allocGate(t, "TCP session write, per request", n, "gateTCPSessionWrite", gateTCPSessionWrite)
+}
+
+// quiet stops the members' heartbeats, as quiet does for a wls cluster.
+func (c *tcpCluster) quiet() {
+	for _, s := range c.servers {
+		s.member.Stop()
+	}
 }
 
 // routeBytes is routeAllocs for the wire: bytes per routed request that all
@@ -371,9 +414,10 @@ func TestWireGateTCPSessionWrite(t *testing.T) {
 // snapshot, for self and for a peer alike.
 func TestAllocGateMemberLookup(t *testing.T) {
 	c := allocGateCluster(t, wls.Options{})
+	quiet(c)
 	m := c.Servers[0].Member()
 	for _, name := range []string{"server-1", "server-2"} {
-		n := testing.AllocsPerRun(300, func() {
+		n := allocsPerRun(300, func() {
 			if info, ok := m.Lookup(name); !ok || info.Addr == "" {
 				t.Fatalf("Lookup(%s) = %+v, %v", name, info, ok)
 			}
@@ -434,7 +478,7 @@ func TestAllocGateDurableCheckout(t *testing.T) {
 	for i := 0; i < 64; i++ {
 		checkout()
 	}
-	got := testing.AllocsPerRun(300, checkout)
+	got := allocsPerRun(300, checkout)
 	mgr.Drain()
 	allocGate(t, "durable two-store checkout, per commit", got, "gateDurableCheckout", gateDurableCheckout)
 }

@@ -116,7 +116,7 @@ func TestDocsQuoteGatesAsPinned(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	quoted := regexp.MustCompile("`(" + gatePattern + ")`( = [0-9]+)?")
+	quoted := regexp.MustCompile("`(" + gatePattern + ")`( = [0-9]+(?:\\.[0-9]+)?)?")
 	checked := 0
 	check := func(line, name, figure string) {
 		checked++

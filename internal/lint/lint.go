@@ -36,7 +36,7 @@
 //     termination path (an inescapable infinite loop or empty select,
 //     directly or through the functions it calls).
 //
-// Request-path allocations are not a lint rule: the AllocsPerRun gates in
+// Request-path allocations are not a lint rule: the allocation gates in
 // alloc_gate_test.go measure them (DESIGN.md "Determinism & lint rules").
 //
 // Diagnostics can be suppressed line-by-line with directives:

@@ -257,9 +257,12 @@ func NewStub(service string, node Node, view View, opts ...StubOption) *Stub {
 	return s
 }
 
-// Result is a successful invocation outcome.
+// Result is a successful invocation outcome, returned by value so that a
+// call allocates nothing for it.
 type Result struct {
-	// Body is the method's encoded return payload.
+	// Body is the method's encoded return payload. It is the caller's: the
+	// node copied it out of the frame it read (see Node.Call), and nothing
+	// pools or reuses it.
 	Body []byte
 	// ServedBy is the name of the server that executed the request — the
 	// candidate the stub called, which the reply does not repeat; the
@@ -268,28 +271,28 @@ type Result struct {
 }
 
 // Invoke calls service.method with load balancing and failover.
-func (s *Stub) Invoke(ctx context.Context, method string, args []byte) (*Result, error) {
+func (s *Stub) Invoke(ctx context.Context, method string, args []byte) (Result, error) {
 	return s.invoke(ctx, method, args, "", "")
 }
 
 // InvokeTx calls service.method propagating a transaction identifier.
-func (s *Stub) InvokeTx(ctx context.Context, txID, method string, args []byte) (*Result, error) {
+func (s *Stub) InvokeTx(ctx context.Context, txID, method string, args []byte) (Result, error) {
 	return s.invoke(ctx, method, args, txID, "")
 }
 
 // InvokeConv calls service.method propagating a conversation identifier.
-func (s *Stub) InvokeConv(ctx context.Context, convID, method string, args []byte) (*Result, error) {
+func (s *Stub) InvokeConv(ctx context.Context, convID, method string, args []byte) (Result, error) {
 	return s.invoke(ctx, method, args, "", convID)
 }
 
-func (s *Stub) invoke(ctx context.Context, method string, args []byte, txID, convID string) (*Result, error) {
+func (s *Stub) invoke(ctx context.Context, method string, args []byte, txID, convID string) (Result, error) {
 	cands := s.view.Candidates(s.service)
 	if len(cands) == 0 {
-		return nil, fmt.Errorf("%w: %s", ErrNoServers, s.service)
+		return Result{}, fmt.Errorf("%w: %s", ErrNoServers, s.service)
 	}
 	budget, hasBudget := BudgetFrom(ctx)
 	if hasBudget && budget.Expired() {
-		return nil, fmt.Errorf("%w: before %s.%s", ErrBudgetExceeded, s.service, method)
+		return Result{}, fmt.Errorf("%w: before %s.%s", ErrBudgetExceeded, s.service, method)
 	}
 	// With a single candidate there is nothing to order: every policy is a
 	// permutation, so skip the policy chain (and its slice allocations)
@@ -317,12 +320,12 @@ func (s *Stub) invoke(ctx context.Context, method string, args []byte, txID, con
 		if err := ctx.Err(); err != nil {
 			err = fmt.Errorf("rmi: %s.%s abandoned before attempt %d: %w", s.service, method, i+1, err)
 			span.SetError(err)
-			return nil, errJoin(err, lastErr)
+			return Result{}, errJoin(err, lastErr)
 		}
 		if hasBudget && budget.Expired() {
 			err := fmt.Errorf("%w: at %s.%s attempt %d", ErrBudgetExceeded, s.service, method, i+1)
 			span.SetError(err)
-			return nil, errJoin(err, lastErr)
+			return Result{}, errJoin(err, lastErr)
 		}
 		if s.res != nil {
 			// Breaker gate. If every candidate is refused (all breakers
@@ -337,7 +340,7 @@ func (s *Stub) invoke(ctx context.Context, method string, args []byte, txID, con
 				if !s.res.SpendRetry() {
 					err := fmt.Errorf("rmi: retry budget exhausted for %s.%s: %w", s.service, method, lastErr)
 					span.SetError(err)
-					return nil, err
+					return Result{}, err
 				}
 				d := s.res.backoff(attempts)
 				if hasBudget {
@@ -347,12 +350,12 @@ func (s *Stub) invoke(ctx context.Context, method string, args []byte, txID, con
 				}
 				if err := sleepCtx(ctx, s.res.clock, d); err != nil {
 					span.SetError(err)
-					return nil, errJoin(err, lastErr)
+					return Result{}, errJoin(err, lastErr)
 				}
 				if hasBudget && budget.Expired() {
 					err := fmt.Errorf("%w: during backoff before %s.%s attempt %d", ErrBudgetExceeded, s.service, method, i+1)
 					span.SetError(err)
-					return nil, errJoin(err, lastErr)
+					return Result{}, errJoin(err, lastErr)
 				}
 			}
 			s.res.markAttempt(cand.Name)
@@ -402,13 +405,13 @@ func (s *Stub) invoke(ctx context.Context, method string, args []byte, txID, con
 		}
 		if !failover {
 			span.SetError(err)
-			return nil, err
+			return Result{}, err
 		}
 	}
 	err := fmt.Errorf("rmi: all %d candidates failed for %s.%s: %w",
 		len(ordered), s.service, method, lastErr)
 	span.SetError(err)
-	return nil, err
+	return Result{}, err
 }
 
 // errJoin wraps a terminal condition (cancellation, budget expiry) with the
@@ -439,7 +442,7 @@ func sleepCtx(ctx context.Context, clock vclock.Clock, d time.Duration) error {
 // naturally routed to the right place" (§3.2). The stub's view names the
 // server; an address the view does not list names itself, as a StaticView
 // candidate does.
-func (s *Stub) InvokeOn(ctx context.Context, serverAddr, method string, args []byte) (*Result, error) {
+func (s *Stub) InvokeOn(ctx context.Context, serverAddr, method string, args []byte) (Result, error) {
 	name := serverAddr
 	for _, c := range s.view.Candidates(s.service) {
 		if c.Addr == serverAddr {
@@ -481,7 +484,7 @@ func (s *Stub) mayFailOver(method string, err error) bool {
 
 // callOne makes one attempt on the server name at addr. The reply does not
 // name its server, so a result and a BUSY refusal are attributed to name.
-func (s *Stub) callOne(ctx context.Context, name, addr, method string, args []byte, txID, convID string) (*Result, error) {
+func (s *Stub) callOne(ctx context.Context, name, addr, method string, args []byte, txID, convID string) (Result, error) {
 	// Node.Call copies the frame body before it returns (see the Node
 	// contract), so the pooled encoder is released as soon as the exchange
 	// completes. The request fields are encoded directly — no intermediate
@@ -497,7 +500,7 @@ func (s *Stub) callOne(ctx context.Context, name, addr, method string, args []by
 	if hasBudget {
 		remaining := budget.Remaining()
 		if remaining <= 0 {
-			return nil, fmt.Errorf("%w: before dialing %s", ErrBudgetExceeded, addr)
+			return Result{}, fmt.Errorf("%w: before dialing %s", ErrBudgetExceeded, addr)
 		}
 		appendDeadline(enc, remaining)
 		// Stop waiting at the deadline even if the server (frozen, slow,
@@ -517,29 +520,29 @@ func (s *Stub) callOne(ctx context.Context, name, addr, method string, args []by
 	if hasBudget && budget.Expired() {
 		// Whatever came back (or didn't) arrived after the caller's
 		// deadline: never deliver a late response.
-		return nil, fmt.Errorf("%w: no response from %s within budget", ErrBudgetExceeded, addr)
+		return Result{}, fmt.Errorf("%w: no response from %s within budget", ErrBudgetExceeded, addr)
 	}
 	if err != nil {
 		if errors.Is(err, wire.ErrNotRun) {
-			return nil, err
+			return Result{}, err
 		}
-		return nil, fmt.Errorf("%w: %v", ErrNotRetryable, err)
+		return Result{}, fmt.Errorf("%w: %v", ErrNotRetryable, err)
 	}
 	resp, err := decodeResponse(respFrame.Body)
 	if err != nil {
-		return nil, fmt.Errorf("%w: malformed response: %v", ErrNotRetryable, err)
+		return Result{}, fmt.Errorf("%w: malformed response: %v", ErrNotRetryable, err)
 	}
 	switch resp.status {
 	case respOK:
-		return &Result{Body: resp.body, ServedBy: name}, nil
+		return Result{Body: resp.body, ServedBy: name}, nil
 	case respAppError:
-		return nil, &AppError{Msg: resp.errMsg}
+		return Result{}, &AppError{Msg: resp.errMsg}
 	case respNoSuchService:
 		// The service is not deployed there (stale view): nothing ran.
-		return nil, &NotDeployedError{Msg: resp.errMsg}
+		return Result{}, &NotDeployedError{Msg: resp.errMsg}
 	case respBusy:
-		return nil, &BusyError{Server: name, Msg: resp.errMsg}
+		return Result{}, &BusyError{Server: name, Msg: resp.errMsg}
 	default:
-		return nil, fmt.Errorf("%w: %s", ErrNotRetryable, resp.errMsg)
+		return Result{}, fmt.Errorf("%w: %s", ErrNotRetryable, resp.errMsg)
 	}
 }

@@ -564,8 +564,11 @@ type replBatcher struct {
 	sm  *SessionManager
 	sec string // secondary server name
 
-	mu      sync.Mutex // guards pending
+	mu      sync.Mutex // guards pending and spare
 	pending *replBatch
+	// spare is the last batch no follower joined, zeroed: nothing but its
+	// leader held it, so the next leader takes it instead of allocating.
+	spare *replBatch
 
 	// flushMu serializes flushes; only the current leader holds it, and
 	// only the leader touches the stub fields below.
@@ -637,7 +640,11 @@ func (sm *SessionManager) shipTo(ctx context.Context, st *sessState, delta []byt
 	b := rb.pending
 	leader := b == nil
 	if leader {
-		b = &replBatch{enc: wire.AcquireEncoder()}
+		b, rb.spare = rb.spare, nil
+		if b == nil {
+			b = &replBatch{}
+		}
+		b.enc = wire.AcquireEncoder()
 		rb.pending = b
 	}
 	r.gen++
@@ -681,6 +688,13 @@ func (sm *SessionManager) shipTo(ctx context.Context, st *sessState, delta []byt
 	}
 	rb.flushMu.Unlock()
 	b.enc.Release()
+	if followers == nil {
+		// No follower reads b.err after done closes, so b is ours alone.
+		*b = replBatch{}
+		rb.mu.Lock()
+		rb.spare = b
+		rb.mu.Unlock()
+	}
 	return sec, err
 }
 

@@ -107,7 +107,7 @@ func (rs *RowSet) Submit(sess *Session) {
 			sess.stage(stagedWrite{
 				kind: writeDelete, table: rs.Table, key: r.Key,
 				expectFields: fieldsOf(r.Orig),
-			})
+			}, nil)
 			continue
 		}
 		sess.UpdateWhere(rs.Table, r.Key, r.Orig, r.Cur)

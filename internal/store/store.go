@@ -108,13 +108,16 @@ func fieldsOf(m map[string]string) []field {
 	if m == nil {
 		return nil
 	}
-	fs, i := make([]field, len(m)), 0
+	return sortedFields(make([]field, 0, len(m)), m)
+}
+
+// sortedFields fills buf, empty and non-nil, with m's fields sorted by key.
+func sortedFields(buf []field, m map[string]string) []field {
 	for k, v := range m {
-		fs[i] = field{k, v}
-		i++
+		buf = append(buf, field{k, v})
 	}
-	slices.SortFunc(fs, byKey)
-	return fs
+	slices.SortFunc(buf, byKey)
+	return buf
 }
 
 func byKey(a, b field) int { return strings.Compare(a.k, b.k) }
@@ -927,9 +930,11 @@ type Session struct {
 
 	// writeBuf and lockBuf back writes and locked for the one-row
 	// transaction: one staged write, and up to two holds of its row (an
-	// explicit Lock plus the prepare lock of the write to it). vote is the
-	// kv batch of the durable vote.
+	// explicit Lock plus the prepare lock of the write to it). fieldBuf
+	// holds the first staged write's fields when there are at most two.
+	// vote is the kv batch of the durable vote.
 	writeBuf [1]stagedWrite
+	fieldBuf [2]field
 	lockBuf  [2]rowRef
 	vote     [1]kv.Op
 }
@@ -964,19 +969,19 @@ func (se *Session) Get(table, key string) (Row, bool) {
 // Insert stages a row creation; prepare fails with ErrDuplicate if the key
 // exists by then.
 func (se *Session) Insert(table, key string, fields map[string]string) {
-	se.stage(stagedWrite{kind: writePut, table: table, key: key, fields: fieldsOf(fields), insert: true})
+	se.stage(stagedWrite{kind: writePut, table: table, key: key, insert: true}, fields)
 }
 
 // Update stages an unconditional (last-writer-wins) update.
 func (se *Session) Update(table, key string, fields map[string]string) {
-	se.stage(stagedWrite{kind: writePut, table: table, key: key, fields: fieldsOf(fields)})
+	se.stage(stagedWrite{kind: writePut, table: table, key: key}, fields)
 }
 
 // UpdateVersioned stages an update that only commits if the row still has
 // the given version — the application-level version-field variant of the
 // paper's optimistic concurrency.
 func (se *Session) UpdateVersioned(table, key string, expectVersion uint64, fields map[string]string) {
-	se.stage(stagedWrite{kind: writePut, table: table, key: key, fields: fieldsOf(fields), expectVersion: expectVersion})
+	se.stage(stagedWrite{kind: writePut, table: table, key: key, expectVersion: expectVersion}, fields)
 }
 
 // UpdateWhere stages an update that only commits if the listed fields still
@@ -984,22 +989,31 @@ func (se *Session) UpdateVersioned(table, key string, expectVersion uint64, fiel
 // are compared with those in the database using an additional WHERE clause
 // in the UPDATE statement").
 func (se *Session) UpdateWhere(table, key string, expect, fields map[string]string) {
-	se.stage(stagedWrite{kind: writePut, table: table, key: key, fields: fieldsOf(fields), expectFields: fieldsOf(expect)})
+	se.stage(stagedWrite{kind: writePut, table: table, key: key, expectFields: fieldsOf(expect)}, fields)
 }
 
 // Delete stages a row removal.
 func (se *Session) Delete(table, key string) {
-	se.stage(stagedWrite{kind: writeDelete, table: table, key: key})
+	se.stage(stagedWrite{kind: writeDelete, table: table, key: key}, nil)
 }
 
 // DeleteVersioned stages a removal conditioned on the row version.
 func (se *Session) DeleteVersioned(table, key string, expectVersion uint64) {
-	se.stage(stagedWrite{kind: writeDelete, table: table, key: key, expectVersion: expectVersion})
+	se.stage(stagedWrite{kind: writeDelete, table: table, key: key, expectVersion: expectVersion}, nil)
 }
 
-func (se *Session) stage(w stagedWrite) {
+// stage appends w with fields as its sorted field list. The first write a
+// session stages (writes is still writeBuf's empty slice) builds a list of
+// up to two fields in fieldBuf; it is never modified after, so sharing it
+// into pendingTx is safe.
+func (se *Session) stage(w stagedWrite, fields map[string]string) {
 	se.mu.Lock()
 	defer se.mu.Unlock()
+	if fields != nil && len(fields) <= len(se.fieldBuf) && se.writes != nil && len(se.writes) == 0 {
+		w.fields = sortedFields(se.fieldBuf[:0], fields)
+	} else {
+		w.fields = fieldsOf(fields)
+	}
 	se.writes = append(se.writes, w)
 }
 
