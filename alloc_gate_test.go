@@ -49,7 +49,7 @@ const (
 	gateDurableCheckout     = 13.1
 	gateExternalLBEcho      = 3.1
 	gateStatelessInvoke     = 4.8
-	gateStatefulInvoke      = 17.1
+	gateStatefulInvoke      = 9.1
 	gateAdmittedEcho        = 7.1
 )
 

@@ -268,3 +268,36 @@ func TestAppHandlerReadsTheCookieInPlace(t *testing.T) {
 		t.Fatalf("the handler allocates %.0f per request, over 1", n)
 	}
 }
+
+// TestAppHandlerAnswersAMalformedCookieWith400 sends the application
+// listener a session cookie that is not base64 and one whose id is 5
+// bytes: the plug-in forwards each unparsed, and the engine answers 400,
+// not a 502 for a router error.
+func TestAppHandlerAnswersAMalformedCookieWith400(t *testing.T) {
+	cluster, err := wls.New(wls.Options{Servers: 2, RealClock: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cluster.Stop()
+	deployDemoApp(cluster)
+	cluster.AwaitConverged()
+	app := httptest.NewServer(newAppHandler(cluster.ProxyPlugin("webserver:80").Route))
+	defer app.Close()
+
+	for _, cookie := range []string{
+		"%%not-base64%%",
+		servlet.Cookie{ID: "abcde", Primary: "server-1", Secondary: "server-2"}.Encode(),
+	} {
+		req, _ := http.NewRequest(http.MethodGet, app.URL+"/hello", nil)
+		req.Header.Set("Cookie", sessionCookie+"="+cookie)
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("cookie %q: status %d, want 400", cookie, resp.StatusCode)
+		}
+	}
+}

@@ -2,7 +2,7 @@ package wls_test
 
 // The reply of the RMI surface leaves the session cookie out when it is the
 // one the request carried (servlet.AppendResponse) and the webtier puts it
-// back (stubCache.call). These tests run one scripted client against the
+// back (webtier's reply). These tests run one scripted client against the
 // simulated fabric and against real TCP with a decorator on the router's
 // node that keeps every reply frame, and check both sides of the rule on
 // every request: the frame carries a cookie exactly when the cookie

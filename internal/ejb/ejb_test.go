@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"strconv"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -15,6 +16,7 @@ import (
 	"wls/internal/simtest"
 	"wls/internal/store"
 	"wls/internal/tx"
+	"wls/internal/wire"
 )
 
 // ejbFixture is a cluster of containers over one shared backend database.
@@ -660,5 +662,46 @@ func TestEntityCacheHitRate(t *testing.T) {
 	hits := fx.f.Servers[0].Metrics.Counter("cache.hits").Value()
 	if hits != 9 {
 		t.Fatalf("hits = %d, want 9", hits)
+	}
+}
+
+// TestStatefulLostReplyRunsOnce holds the handle to §3.1's rule: a method
+// whose reply is lost — it partitions its primary from the caller while it
+// runs — has run once, and the call surfaces an error that says it may
+// have run (neither "not run" nor the application's), instead of running
+// it again on the secondary.
+func TestStatefulLostReplyRunsOnce(t *testing.T) {
+	fx := newEJBFixture(t, 3)
+	var runs atomic.Int64
+	var home *ejb.StatefulHome
+	for _, c := range fx.containers {
+		h := c.DeployStateful(ejb.StatefulSpec{
+			Name: "Pay",
+			Methods: map[string]ejb.StatefulMethod{
+				"charge": func(sc *ejb.StatefulCtx, _ []byte) ([]byte, error) {
+					if runs.Add(1) == 1 {
+						fx.f.Partition("server-1", "server-2", true)
+					}
+					sc.Set("charged", "yes")
+					return nil, nil
+				},
+			},
+		})
+		if home == nil {
+			home = h
+		}
+	}
+	fx.f.Settle(2)
+	// The client lives on server-1; the conversation's primary is server-2.
+	h, err := home.Create(context.Background(), rmi.WithPolicy(pinServer("server-2")))
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = h.Invoke(context.Background(), "charge", nil)
+	if err == nil || errors.Is(err, wire.ErrNotRun) || rmi.IsAppError(err) {
+		t.Fatalf("lost reply: err %v; want one that says the call may have run", err)
+	}
+	if n := runs.Load(); n != 1 {
+		t.Fatalf("charge ran %d times, want once", n)
 	}
 }

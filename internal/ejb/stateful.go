@@ -2,7 +2,6 @@ package ejb
 
 import (
 	"context"
-	"fmt"
 	"sync"
 	"sync/atomic"
 
@@ -360,11 +359,12 @@ type StatefulHome struct {
 // primary, aware of the secondary, rewritten from every response envelope.
 // One handle may be shared by goroutines, the way a cookie jar is.
 type Handle struct {
-	bean   string
 	id     string
-	node   rmi.Node
 	member *cluster.Member
-	route  atomic.Pointer[[2]string] // primary, secondary; replaced whole
+	// stub has no candidates of its own: every call names the members it
+	// goes to, and the stub decides whether it may move on (§3.1).
+	stub  *rmi.Stub
+	route atomic.Pointer[[2]string] // primary, secondary; replaced whole
 }
 
 // Create starts a conversation on a server chosen by the stub policy
@@ -376,7 +376,10 @@ func (h *StatefulHome) Create(ctx context.Context, opts ...rmi.StubOption) (*Han
 	if err != nil {
 		return nil, err
 	}
-	hd := &Handle{bean: h.bean, node: h.container.registry.Node(), member: h.container.member}
+	hd := &Handle{
+		member: h.container.member,
+		stub:   rmi.NewStub(h.bean, h.container.registry.Node(), rmi.StaticView()),
+	}
 	hd.route.Store(new([2]string))
 	id, err := hd.rewrite(res.Body)
 	hd.id = string(id)
@@ -405,28 +408,23 @@ func (h *Handle) Primary() string   { return h.route.Load()[0] }
 func (h *Handle) Secondary() string { return h.route.Load()[1] }
 
 // Invoke calls a business method on the primary, failing over to the
-// secondary when the primary is unreachable.
+// secondary when the primary is unreachable. Stateful methods are not
+// idempotent: once the primary may have run the call, an error surfaces
+// rather than a second run on the secondary.
 func (h *Handle) Invoke(ctx context.Context, method string, args []byte) ([]byte, error) {
-	e := wire.AcquireEncoder()
-	defer e.Release()
-	e.String(h.id)
-	e.String(method)
-	e.Bytes2(args)
 	r := h.route.Load()
-	out, err := h.invokeAt(ctx, r[0], e.Bytes())
-	if err == nil || rmi.IsAppError(err) || r[1] == "" {
-		return out, err
+	var pair [2]cluster.MemberInfo
+	first := pair[:0]
+	for _, server := range r {
+		if info, ok := h.member.Lookup(server); ok {
+			first = append(first, info)
+		}
 	}
-	return h.invokeAt(ctx, r[1], e.Bytes())
-}
-
-// invokeAt sends an invoke to server and rewrites the handle from the reply.
-func (h *Handle) invokeAt(ctx context.Context, server string, req []byte) ([]byte, error) {
-	info, ok := h.member.Lookup(server)
-	if !ok {
-		return nil, fmt.Errorf("ejb: server %s not in view", server)
-	}
-	res, err := rmi.NewStub(h.bean, h.node, rmi.StaticView(info.Addr)).Invoke(ctx, "invoke", req)
+	res, err := h.stub.InvokeVia(ctx, first, "invoke", func(e *wire.Encoder, _ string) {
+		e.String(h.id)
+		e.String(method)
+		e.Bytes2(args)
+	})
 	if err != nil {
 		return nil, err
 	}
@@ -435,12 +433,12 @@ func (h *Handle) invokeAt(ctx context.Context, server string, req []byte) ([]byt
 
 // Remove ends the conversation.
 func (h *Handle) Remove(ctx context.Context) error {
-	e := wire.NewEncoder(32)
-	e.String(h.id)
 	info, ok := h.member.Lookup(h.Primary())
 	if !ok {
 		return nil
 	}
-	_, err := rmi.NewStub(h.bean, h.node, rmi.StaticView(info.Addr)).Invoke(ctx, "remove", e.Bytes())
+	_, err := h.stub.InvokeVia(ctx, []cluster.MemberInfo{info}, "remove", func(e *wire.Encoder, _ string) {
+		e.String(h.id)
+	})
 	return err
 }

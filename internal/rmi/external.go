@@ -170,8 +170,9 @@ func (c *ExternalClient) Stub(service string, opts ...StubOption) *Stub {
 func StaticView(addrs ...string) View { return makeStaticView("", addrs) }
 
 // NamedStaticView returns a single-member View with an explicit member
-// name. Client-side resilience keys breakers by candidate name, so
-// callers that dial a fixed address on a known member (routers, breaker
+// name. Client-side resilience keys breakers by candidate name, and a
+// Result names its server by it, so callers that dial a fixed address on
+// a known member (a session's replication to its secondary, breaker
 // probes) use this to share breaker state with stubs built from live
 // views; plain StaticView candidates are named by their address.
 func NamedStaticView(name, addr string) View {

@@ -272,36 +272,102 @@ type Result struct {
 
 // Invoke calls service.method with load balancing and failover.
 func (s *Stub) Invoke(ctx context.Context, method string, args []byte) (Result, error) {
-	return s.invoke(ctx, method, args, "", "")
+	return s.invoke(ctx, nil, method, "", "", args, nil)
 }
 
 // InvokeTx calls service.method propagating a transaction identifier.
 func (s *Stub) InvokeTx(ctx context.Context, txID, method string, args []byte) (Result, error) {
-	return s.invoke(ctx, method, args, txID, "")
+	return s.invoke(ctx, nil, method, txID, "", args, nil)
 }
 
 // InvokeConv calls service.method propagating a conversation identifier.
 func (s *Stub) InvokeConv(ctx context.Context, convID, method string, args []byte) (Result, error) {
-	return s.invoke(ctx, method, args, "", convID)
+	return s.invoke(ctx, nil, method, "", convID, args, nil)
 }
 
-func (s *Stub) invoke(ctx context.Context, method string, args []byte, txID, convID string) (Result, error) {
+// InvokeVia calls service.method on the members of first, in order (each
+// named once), then on the view's other candidates in the policy's order;
+// between two attempts the stub's failover rule applies as for Invoke. It
+// is how a router or a stateful handle, which knows where a call belongs
+// (a session's primary and secondary), hands the call to the one failover
+// rule. A member of first is attempted even while its breaker refuses it —
+// moving its calls elsewhere would promote a secondary of a live primary —
+// but its outcome is recorded like any other. args writes the method's
+// arguments for the member called, once per attempt.
+func (s *Stub) InvokeVia(ctx context.Context, first []cluster.MemberInfo, method string, args func(e *wire.Encoder, callee string)) (Result, error) {
+	return s.invoke(ctx, first, method, "", "", nil, args)
+}
+
+// order is the members one invocation may try: first, as its caller named
+// them, then the view's other candidates in the policy's order. It is
+// built past first only when first is used up, so a call its first target
+// serves consults no policy.
+type order struct {
+	first, all []cluster.MemberInfo // all is first until built
+	built      bool
+}
+
+// at returns the i-th member to try, if there is one.
+func (o *order) at(ctx context.Context, s *Stub, i int) (cluster.MemberInfo, bool) {
+	if i == len(o.all) && !o.built {
+		o.built = true
+		o.all = s.candidates(ctx, o.first)
+	}
+	if i >= len(o.all) {
+		return cluster.MemberInfo{}, false
+	}
+	return o.all[i], true
+}
+
+// last reports whether the i-th member is the last to try.
+func (o *order) last(ctx context.Context, s *Stub, i int) bool {
+	_, more := o.at(ctx, s, i+1)
+	return !more
+}
+
+// candidates is first, then the view's candidates in the policy's order
+// less the members first names. With a single candidate there is nothing
+// to order: every policy is a permutation, so the policy chain (and its
+// slice allocations) is skipped. The candidate slice may be shared with
+// the view's cache — it is only read here, never mutated.
+func (s *Stub) candidates(ctx context.Context, first []cluster.MemberInfo) []cluster.MemberInfo {
 	cands := s.view.Candidates(s.service)
-	if len(cands) == 0 {
+	if len(cands) > 1 {
+		cands = s.policy.Order(ctx, s.view.LocalName(), cands)
+	}
+	if len(first) == 0 {
+		return cands
+	}
+	all := append(make([]cluster.MemberInfo, 0, len(first)+len(cands)), first...)
+	for _, c := range cands {
+		if !named(first, c.Name) {
+			all = append(all, c)
+		}
+	}
+	return all
+}
+
+// named reports whether ms lists the member called name.
+func named(ms []cluster.MemberInfo, name string) bool {
+	for _, m := range ms {
+		if m.Name == name {
+			return true
+		}
+	}
+	return false
+}
+
+// invoke makes one invocation: every attempt sends method, the
+// transaction or conversation it propagates, and its arguments — args, or
+// what argsFor writes for the member called when it is not nil.
+func (s *Stub) invoke(ctx context.Context, first []cluster.MemberInfo, method, txID, convID string, args []byte, argsFor func(e *wire.Encoder, callee string)) (Result, error) {
+	o := order{first: first, all: first}
+	if _, ok := o.at(ctx, s, 0); !ok {
 		return Result{}, fmt.Errorf("%w: %s", ErrNoServers, s.service)
 	}
 	budget, hasBudget := BudgetFrom(ctx)
 	if hasBudget && budget.Expired() {
 		return Result{}, fmt.Errorf("%w: before %s.%s", ErrBudgetExceeded, s.service, method)
-	}
-	// With a single candidate there is nothing to order: every policy is a
-	// permutation, so skip the policy chain (and its slice allocations)
-	// entirely. The breaker gate below still applies per attempt. The
-	// candidate slice may be shared with the view's cache either way — it
-	// is only iterated here, never mutated.
-	ordered := cands
-	if len(cands) > 1 {
-		ordered = s.policy.Order(ctx, s.view.LocalName(), cands)
 	}
 	// One client span for the logical invocation, one child per attempt:
 	// failover retries become distinct, inspectable children. The span name
@@ -314,7 +380,12 @@ func (s *Stub) invoke(ctx context.Context, method string, args []byte, txID, con
 	}
 	var lastErr error
 	attempts := 0
-	for i, cand := range ordered {
+	var i int
+	for ; ; i++ {
+		cand, ok := o.at(ctx, s, i)
+		if !ok {
+			break
+		}
 		// A cancelled caller must not keep dialing the remaining
 		// candidates: the work it wanted is moot.
 		if err := ctx.Err(); err != nil {
@@ -328,11 +399,12 @@ func (s *Stub) invoke(ctx context.Context, method string, args []byte, txID, con
 			return Result{}, errJoin(err, lastErr)
 		}
 		if s.res != nil {
-			// Breaker gate. If every candidate is refused (all breakers
-			// open, none cooled down), the last candidate is attempted
-			// anyway: total lockout would otherwise be unrecoverable for
-			// callers that arrive between cooldowns.
-			if !s.res.Allow(cand.Name) && !(attempts == 0 && i == len(ordered)-1) {
+			// Breaker gate, for the members the caller did not name. If
+			// every candidate is refused (all breakers open, none cooled
+			// down), the last candidate is attempted anyway: total lockout
+			// would otherwise be unrecoverable for callers that arrive
+			// between cooldowns.
+			if !s.res.Allow(cand.Name) && i >= len(first) && !(attempts == 0 && o.last(ctx, s, i)) {
 				continue
 			}
 			if attempts > 0 {
@@ -371,7 +443,7 @@ func (s *Stub) invoke(ctx context.Context, method string, args []byte, txID, con
 				att.Annotate("breaker", s.res.State(cand.Name).String())
 			}
 		}
-		res, err := s.callOne(attemptCtx, cand.Name, cand.Addr, method, args, txID, convID)
+		res, err := s.callOne(attemptCtx, cand.Name, cand.Addr, method, txID, convID, args, argsFor)
 		if err == nil {
 			if s.res != nil {
 				s.res.recordSuccess(cand.Name)
@@ -398,7 +470,7 @@ func (s *Stub) invoke(ctx context.Context, method string, args []byte, txID, con
 		failover := s.mayFailOver(method, err) && !errors.Is(err, ErrBudgetExceeded)
 		if att != nil {
 			att.SetError(err)
-			if !failover || i == len(ordered)-1 {
+			if !failover || o.last(ctx, s, i) {
 				att.Annotate("final", "true")
 			}
 			att.Finish()
@@ -409,7 +481,7 @@ func (s *Stub) invoke(ctx context.Context, method string, args []byte, txID, con
 		}
 	}
 	err := fmt.Errorf("rmi: all %d candidates failed for %s.%s: %w",
-		len(ordered), s.service, method, lastErr)
+		i, s.service, method, lastErr)
 	span.SetError(err)
 	return Result{}, err
 }
@@ -450,7 +522,7 @@ func (s *Stub) InvokeOn(ctx context.Context, serverAddr, method string, args []b
 			break
 		}
 	}
-	return s.callOne(ctx, name, serverAddr, method, args, "", "")
+	return s.callOne(ctx, name, serverAddr, method, "", "", args, nil)
 }
 
 // BusyError is a wire-level BUSY response: the server refused the request
@@ -484,7 +556,7 @@ func (s *Stub) mayFailOver(method string, err error) bool {
 
 // callOne makes one attempt on the server name at addr. The reply does not
 // name its server, so a result and a BUSY refusal are attributed to name.
-func (s *Stub) callOne(ctx context.Context, name, addr, method string, args []byte, txID, convID string) (Result, error) {
+func (s *Stub) callOne(ctx context.Context, name, addr, method, txID, convID string, args []byte, argsFor func(e *wire.Encoder, callee string)) (Result, error) {
 	// Node.Call copies the frame body before it returns (see the Node
 	// contract), so the pooled encoder is released as soon as the exchange
 	// completes. The request fields are encoded directly — no intermediate
@@ -495,7 +567,13 @@ func (s *Stub) callOne(ctx context.Context, name, addr, method string, args []by
 	appendName(enc, method)
 	enc.String(txID)
 	enc.String(convID)
-	enc.Bytes2(args)
+	if argsFor != nil {
+		mark := enc.BeginBytes()
+		argsFor(enc, name)
+		enc.EndBytes(mark)
+	} else {
+		enc.Bytes2(args)
+	}
 	budget, hasBudget := BudgetFrom(ctx)
 	if hasBudget {
 		remaining := budget.Remaining()

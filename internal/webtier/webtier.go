@@ -37,89 +37,95 @@ type View = rmi.View
 // ErrNoBackends means no servlet engine is reachable.
 var ErrNoBackends = errors.New("webtier: no reachable servlet engine")
 
-// stubCache holds one engine stub per backend. Building a stub per routed
-// request (policy chain, idempotent map, view) was several allocations on
-// the routing hot path; the set of backends is bounded by the cluster
-// topology, so the cache is too. SetResilience invalidates it: cached
-// stubs bake in the resilience layer they were built with.
-type stubCache struct {
-	node rmi.Node
-
-	mu  sync.RWMutex
-	res *rmi.Resilience
-	m   map[stubKey]*rmi.Stub
+// router is what the two routers that fail over within a call share: one
+// stub over the engines of view, a tracer, and the routed/failovers
+// counters (resolved once: metric-name lookups allocate).
+type router struct {
+	node              rmi.Node
+	view              View
+	stub              *rmi.Stub
+	tracer            *trace.Tracer
+	routed, failovers *metrics.Counter
 }
 
-type stubKey struct{ name, addr string }
-
-func newStubCache(node rmi.Node) *stubCache {
-	return &stubCache{node: node, m: make(map[stubKey]*rmi.Stub)}
-}
-
-func (sc *stubCache) setResilience(r *rmi.Resilience) {
-	sc.mu.Lock()
-	sc.res = r
-	sc.m = make(map[stubKey]*rmi.Stub)
-	sc.mu.Unlock()
-}
-
-func (sc *stubCache) resilience() *rmi.Resilience {
-	sc.mu.RLock()
-	defer sc.mu.RUnlock()
-	return sc.res
-}
-
-func (sc *stubCache) get(name, addr string) *rmi.Stub {
-	k := stubKey{name, addr}
-	sc.mu.RLock()
-	stub, ok := sc.m[k]
-	sc.mu.RUnlock()
-	if ok {
-		return stub
+func newRouter(node rmi.Node, view View, reg *metrics.Registry) router {
+	if reg == nil {
+		reg = metrics.NewRegistry()
 	}
-	sc.mu.Lock()
-	defer sc.mu.Unlock()
-	if stub, ok = sc.m[k]; ok {
-		return stub
+	return router{
+		node:      node,
+		view:      view,
+		stub:      newStub(node, view, nil),
+		routed:    reg.Counter("webtier.routed"),
+		failovers: reg.Counter("webtier.failovers"),
 	}
-	// The named view is what the stub reports as the serving server (a reply
-	// does not name it), and breakers are keyed by member name, so the
-	// stub's outcome recording stays aligned with the routers' checks.
-	view := rmi.NamedStaticView(name, addr)
-	if sc.res != nil {
-		stub = rmi.NewStub(servlet.ServiceName, sc.node, view, rmi.WithResilience(sc.res))
+}
+
+// newStub is the one stub a router sends engine requests through: round
+// robin over the engines of view, breakers and retry budget from r when it
+// is not nil. It declares "request" idempotent, so any failure but an
+// application error moves on; which servlet paths are idempotent is not
+// declared yet.
+func newStub(node rmi.Node, view View, r *rmi.Resilience) *rmi.Stub {
+	opts := []rmi.StubOption{rmi.WithPolicy(rmi.NewRoundRobin()), rmi.WithIdempotent("request")}
+	if r != nil {
+		opts = append(opts, rmi.WithResilience(r))
+	}
+	return rmi.NewStub(servlet.ServiceName, node, view, opts...)
+}
+
+// SetTracer makes the router start a root span per routed request (wire it
+// before serving traffic).
+func (r *router) SetTracer(t *trace.Tracer) { r.tracer = t }
+
+// SetResilience gives the router a client-side resilience layer: engine
+// calls feed its per-server breakers, failovers spend its retry budget, and
+// new sessions skip servers whose breaker is open (wire it before serving
+// traffic).
+func (r *router) SetResilience(res *rmi.Resilience) { r.stub = newStub(r.node, r.view, res) }
+
+// route sends one request to the members of first, then wherever the
+// stub's failover rule takes it; a failover is a request the member it
+// went to first did not serve. It is the one encoder of routed engine
+// requests: the cookie travels as c, the router's parse of its text (nil:
+// it did not parse, and the engine answers 400), in the binary form
+// servlet.AppendRequest writes for each callee.
+func (r *router) route(ctx context.Context, span *trace.Span, first []cluster.MemberInfo, path, cookie string, c *servlet.CookieRef, body []byte) (servlet.Response, error) {
+	res, err := r.stub.InvokeVia(ctx, first, "request", func(e *wire.Encoder, callee string) {
+		servlet.AppendRequest(e, path, c, callee, body)
+	})
+	var resp servlet.Response
+	if err == nil {
+		resp, err = reply(res, cookie)
 	} else {
-		stub = rmi.NewStub(servlet.ServiceName, sc.node, view)
+		err = errors.Join(ErrNoBackends, err)
 	}
-	sc.m[k] = stub
-	return stub
-}
-
-// call invokes the servlet engine on a specific member, encoding the
-// request through a pooled encoder and decoding the response in place. It
-// is the one encoder of engine requests: the cookie travels as c, the
-// router's parse of its text (nil: it did not parse, and the engine answers
-// 400), in the binary form servlet.AppendRequest writes for this callee. It
-// is the one decoder of engine replies, and it holds the request: a reply
-// that names no cookie means the one just sent (servlet.AppendResponse),
-// and no reply names its server, which is the member called — so every
-// router above returns the Response it would have with both echoed.
-func (sc *stubCache) call(ctx context.Context, name, addr, path, cookie string, c *servlet.CookieRef, body []byte) (servlet.Response, error) {
-	stub := sc.get(name, addr)
-	enc := wire.AcquireEncoder()
-	servlet.AppendRequest(enc, path, c, name, body)
-	res, err := stub.Invoke(ctx, "request", enc.Bytes())
-	enc.Release()
+	if len(first) > 0 && res.ServedBy != first[0].Name {
+		r.failovers.Inc()
+		span.Annotate("failover-from", first[0].Name)
+	}
 	if err != nil {
+		span.SetError(err)
 		return servlet.Response{}, err
 	}
+	r.routed.Inc()
+	span.Annotate("served", res.ServedBy)
+	return resp, nil
+}
+
+// reply is the one decoder of engine replies, and it holds the request: a
+// reply that names no cookie means the one just sent
+// (servlet.AppendResponse), and no reply names its server, which is the
+// member called — so every router returns the Response it would have with
+// both echoed.
+func reply(res rmi.Result, cookie string) (servlet.Response, error) {
 	resp, err := servlet.DecodeResponseNoCopy(res.Body, cookie)
 	resp.ServedBy = res.ServedBy
 	return resp, err
 }
 
-// parseForward parses the cookie of a router that does not route on it, for
-// the hop: nil when it does not parse, which the engine answers with 400.
+// parseForward parses a request's cookie for the hop: nil when it does not
+// parse, which the engine answers with 400.
 func parseForward(cookie string, buf *servlet.CookieBuf) *servlet.CookieRef {
 	c, err := servlet.ParseCookie(cookie, buf)
 	if err != nil {
@@ -128,67 +134,9 @@ func parseForward(cookie string, buf *servlet.CookieBuf) *servlet.CookieRef {
 	return &c
 }
 
-// breakerOpen reports whether name's circuit breaker is open. Routers use
-// it to demote tripped servers to the back of the attempt order: they are
-// still reached when everything else is down (the stub's last-candidate
-// probe), but healthy members absorb the load while a tripped server
-// cools off.
-func breakerOpen(r *rmi.Resilience, name string) bool {
-	return r != nil && r.State(name) == rmi.BreakerOpen
-}
-
-// ---------------------------------------------------------------------------
-// Fig 2: routing in the web server / proxy plug-in
-
-// ProxyPlugin routes on the session cookie.
-type ProxyPlugin struct {
-	node   rmi.Node
-	view   View
-	rr     atomic.Uint64
-	reg    *metrics.Registry
-	tracer *trace.Tracer
-	res    *rmi.Resilience
-	stubs  *stubCache
-	// routed/failovers are resolved once: metric-name lookups allocate.
-	routed    *metrics.Counter
-	failovers *metrics.Counter
-}
-
-// SetTracer makes the plug-in start a root span per routed request (wire
-// it before serving traffic).
-func (p *ProxyPlugin) SetTracer(t *trace.Tracer) { p.tracer = t }
-
-// SetResilience gives the plug-in a client-side resilience layer: engine
-// calls feed its per-server breakers, and load-balancing demotes servers
-// whose breaker is open (wire it before serving traffic).
-func (p *ProxyPlugin) SetResilience(r *rmi.Resilience) {
-	p.res = r
-	p.stubs.setResilience(r)
-}
-
-// NewProxyPlugin creates a plug-in front end using the given node (its own
-// endpoint in the presentation tier) and cluster view.
-func NewProxyPlugin(node rmi.Node, view View, reg *metrics.Registry) *ProxyPlugin {
-	if reg == nil {
-		reg = metrics.NewRegistry()
-	}
-	return &ProxyPlugin{
-		node:      node,
-		view:      view,
-		reg:       reg,
-		stubs:     newStubCache(node),
-		routed:    reg.Counter("webtier.routed"),
-		failovers: reg.Counter("webtier.failovers"),
-	}
-}
-
-func (p *ProxyPlugin) backends() []cluster.MemberInfo {
-	return p.view.Candidates(servlet.ServiceName)
-}
-
-// backend finds the live engine a cookie field names (bytes only compared).
-func (p *ProxyPlugin) backend(name []byte) (cluster.MemberInfo, bool) {
-	for _, m := range p.backends() {
+// member finds the live engine called name (bytes only compared).
+func member[K string | []byte](view View, name K) (cluster.MemberInfo, bool) {
+	for _, m := range view.Candidates(servlet.ServiceName) {
 		if m.Name == string(name) {
 			return m, true
 		}
@@ -196,8 +144,22 @@ func (p *ProxyPlugin) backend(name []byte) (cluster.MemberInfo, bool) {
 	return cluster.MemberInfo{}, false
 }
 
-// Route forwards one request: cookie-primary first, then cookie-secondary,
-// then round robin over live engines (session creation).
+// ---------------------------------------------------------------------------
+// Fig 2: routing in the web server / proxy plug-in
+
+// ProxyPlugin routes on the session cookie.
+type ProxyPlugin struct{ router }
+
+// NewProxyPlugin creates a plug-in front end using the given node (its own
+// endpoint in the presentation tier) and cluster view.
+func NewProxyPlugin(node rmi.Node, view View, reg *metrics.Registry) *ProxyPlugin {
+	return &ProxyPlugin{newRouter(node, view, reg)}
+}
+
+// Route forwards one request: to the cookie's primary, then its secondary,
+// of those still in the view, then wherever the stub fails over to. A
+// request whose cookie names neither (none sent, or it did not parse) goes
+// where the stub's round robin sends it: session creation.
 func (p *ProxyPlugin) Route(ctx context.Context, path, cookie string, body []byte) (servlet.Response, error) {
 	var span *trace.Span
 	if p.tracer != nil {
@@ -206,67 +168,18 @@ func (p *ProxyPlugin) Route(ctx context.Context, path, cookie string, body []byt
 		defer span.Finish()
 	}
 	var buf servlet.CookieBuf
-	c, err := servlet.ParseCookie(cookie, &buf)
-	if err != nil {
-		span.SetError(err)
-		return servlet.Response{}, err
-	}
-	// Cookie-directed routing: primary first, then secondary (an array, not
-	// a fresh slice, so the routing decision allocates nothing).
-	for i, named := range [2][]byte{c.Primary, c.Secondary} {
-		target, ok := p.backend(named)
-		if !ok {
-			continue // none named, or not in the current view (failed): try next
-		}
-		resp, err := p.stubs.call(ctx, target.Name, target.Addr, path, cookie, &c, body)
-		if err == nil {
-			p.routed.Inc()
-			if span != nil {
-				span.Annotate("decision", [2]string{"cookie-primary", "cookie-secondary"}[i])
-				span.Annotate("served", target.Name)
+	c := parseForward(cookie, &buf)
+	// An array, not a fresh slice, so the routing decision allocates nothing.
+	var pair [2]cluster.MemberInfo
+	first := pair[:0]
+	if c != nil {
+		for _, name := range [2][]byte{c.Primary, c.Secondary} {
+			if m, ok := member(p.view, name); ok && (len(first) == 0 || first[0].Name != m.Name) {
+				first = append(first, m)
 			}
-			return resp, nil
-		}
-		p.failovers.Inc()
-		if span != nil {
-			span.Annotate("failover-from", target.Name)
 		}
 	}
-	// No cookie, or both replicas unreachable: load balance. Two passes
-	// over the rotated ring — healthy members first, then servers whose
-	// breaker is open — giving the same attempt order the old
-	// slice-building demoteOpen produced, without per-request allocation.
-	backs := p.backends()
-	if len(backs) == 0 {
-		span.SetError(ErrNoBackends)
-		return servlet.Response{}, ErrNoBackends
-	}
-	start := int(p.rr.Add(1)-1) % len(backs)
-	var lastErr error
-	for pass := 0; pass < 2; pass++ {
-		for i := 0; i < len(backs); i++ {
-			b := backs[(start+i)%len(backs)]
-			if breakerOpen(p.res, b.Name) != (pass == 1) {
-				continue
-			}
-			resp, err := p.stubs.call(ctx, b.Name, b.Addr, path, cookie, &c, body)
-			if err == nil {
-				p.routed.Inc()
-				if span != nil {
-					span.Annotate("decision", "load-balance")
-					span.Annotate("served", b.Name)
-				}
-				return resp, nil
-			}
-			lastErr = err
-		}
-		if p.res == nil {
-			break // no breakers: a second pass would retry everyone
-		}
-	}
-	err = errors.Join(ErrNoBackends, lastErr)
-	span.SetError(err)
-	return servlet.Response{}, err
+	return p.route(ctx, span, first, path, cookie, c, body)
 }
 
 // ---------------------------------------------------------------------------
@@ -276,46 +189,15 @@ func (p *ProxyPlugin) Route(ctx context.Context, path, cookie string, body []byt
 // addresses) and sticky affinity, and never routes on cookies (it parses
 // one only to forward it, as every router's hop does).
 type ExternalLB struct {
-	node   rmi.Node
-	view   View
-	rr     atomic.Uint64
-	reg    *metrics.Registry
-	tracer *trace.Tracer
-	res    *rmi.Resilience
-	stubs  *stubCache
-	// routed/failovers are resolved once: metric-name lookups allocate.
-	routed    *metrics.Counter
-	failovers *metrics.Counter
+	router
 
 	mu       sync.Mutex
 	affinity *affinityLRU // clientID → server name, LRU-bounded
 }
 
-// SetTracer makes the appliance start a root span per routed request
-// (wire it before serving traffic).
-func (lb *ExternalLB) SetTracer(t *trace.Tracer) { lb.tracer = t }
-
-// SetResilience gives the appliance a client-side resilience layer (see
-// ProxyPlugin.SetResilience).
-func (lb *ExternalLB) SetResilience(r *rmi.Resilience) {
-	lb.res = r
-	lb.stubs.setResilience(r)
-}
-
 // NewExternalLB creates an appliance front end.
 func NewExternalLB(node rmi.Node, view View, reg *metrics.Registry) *ExternalLB {
-	if reg == nil {
-		reg = metrics.NewRegistry()
-	}
-	return &ExternalLB{
-		node:      node,
-		view:      view,
-		reg:       reg,
-		stubs:     newStubCache(node),
-		routed:    reg.Counter("webtier.routed"),
-		failovers: reg.Counter("webtier.failovers"),
-		affinity:  newAffinityLRU(0),
-	}
+	return &ExternalLB{router: newRouter(node, view, reg), affinity: newAffinityLRU(0)}
 }
 
 // SetAffinityCap bounds the sticky-affinity table (default 65536 entries);
@@ -341,13 +223,11 @@ func (lb *ExternalLB) RecordAffinity(clientID, server string) {
 	lb.affinity.put(clientID, server)
 }
 
-func (lb *ExternalLB) backends() []cluster.MemberInfo {
-	return lb.view.Candidates(servlet.ServiceName)
-}
-
-// Route forwards a request for clientID, maintaining affinity. On target
-// failure, affinity switches to an arbitrary live member; the engine there
-// recovers the session from the secondary named in the cookie.
+// Route forwards a request for clientID, maintaining affinity: to the
+// client's sticky server while it is live, else to an arbitrary member (the
+// stub's round robin), and from there wherever the stub fails over to.
+// Affinity follows the member that served; the engine there recovers the
+// session from the secondary named in the cookie.
 func (lb *ExternalLB) Route(ctx context.Context, clientID, path, cookie string, body []byte) (servlet.Response, error) {
 	var span *trace.Span
 	if lb.tracer != nil {
@@ -356,73 +236,23 @@ func (lb *ExternalLB) Route(ctx context.Context, clientID, path, cookie string, 
 		span.Annotate("client", clientID)
 		defer span.Finish()
 	}
-	backs := lb.backends()
-	if len(backs) == 0 {
-		span.SetError(ErrNoBackends)
-		return servlet.Response{}, ErrNoBackends
-	}
-
 	lb.mu.Lock()
-	target, hasAffinity := lb.affinity.get(clientID)
+	target, _ := lb.affinity.get(clientID)
 	lb.mu.Unlock()
-
+	var one [1]cluster.MemberInfo
+	first := one[:0]
+	if m, ok := member(lb.view, target); ok {
+		first = append(first, m)
+	}
 	var buf servlet.CookieBuf
-	c := parseForward(cookie, &buf)
-	tryServer := func(name string) (servlet.Response, bool) {
-		for _, b := range backs {
-			if b.Name == name {
-				resp, err := lb.stubs.call(ctx, b.Name, b.Addr, path, cookie, c, body)
-				if err == nil {
-					lb.mu.Lock()
-					lb.affinity.put(clientID, name)
-					lb.mu.Unlock()
-					lb.routed.Inc()
-					if span != nil {
-						span.Annotate("served", name)
-					}
-					return resp, true
-				}
-			}
-		}
-		return servlet.Response{}, false
+	resp, err := lb.route(ctx, span, first, path, cookie, parseForward(cookie, &buf), body)
+	if err != nil {
+		return servlet.Response{}, err
 	}
-
-	if hasAffinity {
-		if resp, ok := tryServer(target); ok {
-			if span != nil {
-				span.Annotate("decision", "affinity")
-			}
-			return resp, nil
-		}
-		lb.failovers.Inc()
-		if span != nil {
-			span.Annotate("failover-from", target)
-		}
-	}
-	// Pick an arbitrary member (round robin) and stick to it. Two passes
-	// over the rotated ring: members whose breaker is closed first, then
-	// tripped ones (same order the old slice-building demoteOpen produced,
-	// without the per-request allocation).
-	start := int(lb.rr.Add(1)-1) % len(backs)
-	for pass := 0; pass < 2; pass++ {
-		for i := 0; i < len(backs); i++ {
-			b := backs[(start+i)%len(backs)]
-			if breakerOpen(lb.res, b.Name) != (pass == 1) {
-				continue
-			}
-			if resp, ok := tryServer(b.Name); ok {
-				if span != nil {
-					span.Annotate("decision", "arbitrary-member")
-				}
-				return resp, nil
-			}
-		}
-		if lb.res == nil {
-			break // no breakers: a second pass would retry everyone
-		}
-	}
-	span.SetError(ErrNoBackends)
-	return servlet.Response{}, ErrNoBackends
+	lb.mu.Lock()
+	lb.affinity.put(clientID, resp.ServedBy)
+	lb.mu.Unlock()
+	return resp, nil
 }
 
 // AffinityOf reports the sticky server for a client ("" if none).
@@ -438,12 +268,12 @@ func (lb *ExternalLB) AffinityOf(clientID string) string {
 // DNSClients models publishing the front-end servers "under a single DNS
 // name and allow[ing] the client to make the choice": each client resolves
 // once, sticks with that server, and only re-resolves on failure — the
-// "coarse control" the paper contrasts with appliances.
+// "coarse control" the paper contrasts with appliances. A call goes to the
+// chosen server only and never fails over: the client sees the failure.
 type DNSClients struct {
-	node  rmi.Node
-	view  View
-	rr    atomic.Uint64
-	stubs *stubCache
+	view View
+	rr   atomic.Uint64
+	stub *rmi.Stub
 
 	mu     sync.Mutex
 	chosen map[string]string
@@ -451,7 +281,7 @@ type DNSClients struct {
 
 // NewDNSClients creates the DNS-based client-side router.
 func NewDNSClients(node rmi.Node, view View) *DNSClients {
-	return &DNSClients{node: node, view: view, stubs: newStubCache(node), chosen: make(map[string]string)}
+	return &DNSClients{view: view, stub: newStub(node, view, nil), chosen: make(map[string]string)}
 }
 
 // Route issues a request from clientID with client-side server choice.
@@ -476,7 +306,14 @@ func (d *DNSClients) Route(ctx context.Context, clientID, path, cookie string, b
 		name, addr = b.Name, b.Addr
 	}
 	var buf servlet.CookieBuf
-	resp, err := d.stubs.call(ctx, name, addr, path, cookie, parseForward(cookie, &buf), body)
+	enc := wire.AcquireEncoder()
+	servlet.AppendRequest(enc, path, parseForward(cookie, &buf), name, body)
+	res, err := d.stub.InvokeOn(ctx, addr, "request", enc.Bytes())
+	enc.Release()
+	var resp servlet.Response
+	if err == nil {
+		resp, err = reply(res, cookie)
+	}
 	if err != nil {
 		// Client notices the dead server and re-resolves on the next call.
 		d.mu.Lock()
