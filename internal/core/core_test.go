@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"path/filepath"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -16,6 +17,7 @@ import (
 	"wls/internal/singleton"
 	"wls/internal/tuple"
 	"wls/internal/vclock"
+	"wls/internal/wire"
 )
 
 func TestServiceKindString(t *testing.T) {
@@ -281,6 +283,25 @@ func TestBootFromAdminAndLocalReplica(t *testing.T) {
 func TestBootFromLocalMissingReplica(t *testing.T) {
 	if _, err := core.BootFromLocal(openLocalStore(t), "nope"); err == nil {
 		t.Fatal("want error for missing replica")
+	}
+}
+
+// TestBootFromLocalRefusesALyingCount: a config replica whose attribute
+// count no record of its length can carry fails before anything is sized
+// by it, whether or not the count is absurd on its own: 2^20 was not.
+func TestBootFromLocalRefusesALyingCount(t *testing.T) {
+	st := openLocalStore(t)
+	e := wire.NewEncoder(8)
+	e.Int(1 << 20)
+	if err := st.Put("wls.config", "server-2", e.Bytes()); err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := core.BootFromLocal(st, "server-2")
+	runtime.ReadMemStats(&after)
+	if n := after.TotalAlloc - before.TotalAlloc; err == nil || n >= 1<<20 {
+		t.Fatalf("boot over a count of 2^20: %v, %d bytes allocated", err, n)
 	}
 }
 

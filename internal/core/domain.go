@@ -6,6 +6,7 @@ import (
 	"sort"
 	"sync"
 
+	"wls/internal/attrs"
 	"wls/internal/rmi"
 	"wls/internal/tuple"
 	"wls/internal/wire"
@@ -107,36 +108,20 @@ func (d *Domain) AdminService() *rmi.Service {
 	}
 }
 
+// encodeConfig writes a server's configuration as an attribute list in
+// key order.
 func encodeConfig(cfg map[string]string) []byte {
-	keys := make([]string, 0, len(cfg))
-	for k := range cfg {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
 	e := wire.NewEncoder(128)
-	e.Int(len(keys))
-	for _, k := range keys {
-		e.String(k)
-		e.String(cfg[k])
-	}
+	attrs.AppendMap(e, cfg)
 	return e.Bytes()
 }
 
 func decodeConfig(raw []byte) (map[string]string, error) {
-	d := wire.NewDecoder(raw)
-	n := d.Int()
-	if err := d.Err(); err != nil {
-		return nil, err
+	list, err := attrs.Read(wire.NewDecoder(raw), false)
+	if err != nil {
+		return nil, fmt.Errorf("core: config: %w", err)
 	}
-	if n < 0 || n > 1<<20 {
-		return nil, fmt.Errorf("core: absurd config size %d", n)
-	}
-	cfg := make(map[string]string, n)
-	for i := 0; i < n; i++ {
-		k := d.String()
-		cfg[k] = d.String()
-	}
-	return cfg, d.Err()
+	return attrs.Map(list), nil
 }
 
 // configSpace is the store space holding the local config replica.

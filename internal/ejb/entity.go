@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"time"
 
+	"wls/internal/attrs"
 	"wls/internal/cache"
 	"wls/internal/store"
 	"wls/internal/tx"
@@ -84,31 +85,23 @@ func (c *Container) DeployEntity(spec EntitySpec) *EntityHome {
 	}
 }
 
+// encodeEntity writes a bean's cache value: its version, then its fields
+// as an attribute list in key order.
 func encodeEntity(row store.Row) []byte {
 	e := wire.NewEncoder(128)
 	e.Uint64(row.Version)
-	e.Int(len(row.Fields))
-	for k, v := range row.Fields {
-		e.String(k)
-		e.String(v)
-	}
+	attrs.AppendMap(e, row.Fields)
 	return e.Bytes()
 }
 
 func decodeEntity(b []byte) (map[string]string, uint64, error) {
 	d := wire.NewDecoder(b)
 	version := d.Uint64()
-	n := d.Int()
-	if err := d.Err(); err != nil {
-		return nil, 0, err
+	list, err := attrs.Read(d, false)
+	if err != nil {
+		return nil, 0, fmt.Errorf("ejb: entity cache value: %w", err)
 	}
-	fields := make(map[string]string, n)
-	for i := 0; i < n; i++ {
-		k := d.String()
-		v := d.String()
-		fields[k] = v
-	}
-	return fields, version, d.Err()
+	return attrs.Map(list), version, nil
 }
 
 // Cache exposes the home's cache (benchmarks measure hit rates on it).

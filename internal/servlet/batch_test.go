@@ -9,6 +9,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"wls/internal/attrs"
 	"wls/internal/cluster"
 	"wls/internal/rmi"
 	"wls/internal/simtest"
@@ -62,7 +63,7 @@ func TestReusedBatchCarriesNothingStale(t *testing.T) {
 			for ; d.Remaining() > 0; n++ {
 				id := string(d.Raw(cluster.IDLen))
 				gen := d.Uint64()
-				list, _, err := readList(d)
+				list, err := attrs.Read(d, false)
 				if err != nil {
 					return nil, err
 				}
@@ -79,7 +80,7 @@ func TestReusedBatchCarriesNothingStale(t *testing.T) {
 	states := make([]*sessState, sessions)
 	for k := range states {
 		st := &sessState{}
-		st.rec.data = merge("", []byte(fmt.Sprintf("batch-session-%02d", k)), listOf("w0", "-", "w1", "-"))
+		st.rec.data = attrs.Merge("", cluster.IDLen, []byte(fmt.Sprintf("batch-session-%02d", k)), listOf("w0", "-", "w1", "-"))
 		st.place.Store(uint64(primaryAt(0, sec)))
 		states[k] = st
 	}

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"wls/internal/attrs"
 	"wls/internal/wire"
 )
 
@@ -30,11 +31,11 @@ const testID = "\x00\x01sixteen-bytes\xff"
 // not base64, over-long, state-bearing, lying about its attributes, and
 // naming an id that is no record id.
 func cookieCases() []string {
-	valid := encodeCookie(testID, "server-1", "server-2", noAttrs)
+	valid := encodeCookie(testID, "server-1", "server-2", attrs.Empty)
 	long := strings.Repeat("n", len(CookieBuf{}))
 	cases := []string{
 		valid,
-		encodeCookie(testID, "server-1", "", noAttrs),
+		encodeCookie(testID, "server-1", "", attrs.Empty),
 		Cookie{ID: testID}.Encode(),
 		rawCookie("", "", "", 0),
 		rawCookie(testID, "p", "s", 0, "trailing", "bytes"),
@@ -42,7 +43,7 @@ func cookieCases() []string {
 		// one byte over it, far over it.
 		rawCookie(testID, long[:75], "s", 0),
 		rawCookie(testID, long[:76], "s", 0),
-		encodeCookie(testID, "primary-"+long, "secondary-"+long, noAttrs),
+		encodeCookie(testID, "primary-"+long, "secondary-"+long, attrs.Empty),
 		// Ids that are no record id: short, long, one byte off, far over.
 		rawCookie("s-1", "p", "s", 0),
 		rawCookie("server-1-sess-1234", "server-1", "server-2", 0),
@@ -93,7 +94,7 @@ func checkParse(t *testing.T, s string) {
 		if err != nil {
 			continue
 		}
-		if string(c.ID) != want.ID || string(c.Primary) != want.Primary || string(c.Secondary) != want.Secondary || !maps.Equal(listMap(c.State), want.State) {
+		if string(c.ID) != want.ID || string(c.Primary) != want.Primary || string(c.Secondary) != want.Secondary || !maps.Equal(attrs.Map(c.State), want.State) {
 			t.Fatalf("%q (%s): ParseCookie (%q, %q, %q, %v), general decoder %+v", s, form, c.ID, c.Primary, c.Secondary, c.State, want)
 		}
 		if want.State == nil && base64.RawURLEncoding.DecodedLen(len(s)) <= len(CookieBuf{}) {

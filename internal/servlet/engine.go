@@ -8,6 +8,7 @@ import (
 	"strings"
 	"sync"
 
+	"wls/internal/attrs"
 	"wls/internal/cluster"
 	"wls/internal/rmi"
 	"wls/internal/store"
@@ -328,11 +329,11 @@ func readSession(d *wire.Decoder, self []byte) (CookieRef, error) {
 		c.Primary = d.BytesNoCopy()
 	}
 	if flag&fwdState != 0 {
-		state, n, err := readList(d)
+		state, err := attrs.Read(d, false)
 		if err != nil {
 			return CookieRef{}, err
 		}
-		if n > 0 {
+		if attrs.Len(state) > 0 {
 			c.State = state
 		}
 	}

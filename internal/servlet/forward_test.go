@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"testing"
 
+	"wls/internal/attrs"
 	"wls/internal/wire"
 )
 
@@ -55,7 +56,7 @@ func TestForwardedSessionFields(t *testing.T) {
 // in place, with no allocation.
 func TestForwardedSessionReadsInPlace(t *testing.T) {
 	var buf CookieBuf
-	c, err := ParseCookie(encodeCookie(testID, "server-1", "server-2", noAttrs), &buf)
+	c, err := ParseCookie(encodeCookie(testID, "server-1", "server-2", attrs.Empty), &buf)
 	if err != nil {
 		t.Fatal(err)
 	}

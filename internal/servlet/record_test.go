@@ -10,6 +10,7 @@ import (
 	"testing"
 	"unsafe"
 
+	"wls/internal/attrs"
 	"wls/internal/cluster"
 	"wls/internal/partition"
 	"wls/internal/simtest"
@@ -108,19 +109,20 @@ func checkRecord(rec string) (map[string]string, error) {
 		return nil, fmt.Errorf("record of %d bytes holds no id", len(rec))
 	}
 	d := wire.NewDecoder([]byte(rec[cluster.IDLen:]))
-	list, n, err := readList(d)
+	list, err := attrs.Read(d, false)
 	if err != nil {
 		return nil, err
 	}
+	n := attrs.Len(list)
 	if d.Remaining() > 0 {
 		return nil, fmt.Errorf("%d bytes after the list", d.Remaining())
 	}
-	m := listMap(list)
+	m := attrs.Map(list)
 	if len(m) != n {
 		return nil, fmt.Errorf("a key held twice in %q", list)
 	}
 	e := wire.NewEncoder(len(list))
-	appendMap(e, m)
+	attrs.AppendMap(e, m)
 	if string(e.Bytes()) != string(list) {
 		return nil, fmt.Errorf("list %q is not %q, its keys in order", list, e.Bytes())
 	}
@@ -221,11 +223,11 @@ func TestSessionRecordModel(t *testing.T) {
 						if m.mode != SessionsReplicated || len(model) == 0 {
 							continue
 						}
-						attrs, gen, err := fetch(engines[at], engines[1-at].serverName, id)
+						list, gen, err := fetch(engines[at], engines[1-at].serverName, id)
 						if err != nil {
 							t.Fatalf("seed %d step %d: fetch: %v", seed, step, err)
 						}
-						sameState(t, "fetch", attrMap(t, attrs), model)
+						sameState(t, "fetch", attrMap(t, list), model)
 						if _, holds := held(t, engines[1-at], id); gen != holds {
 							t.Fatalf("seed %d step %d: fetched generation %d of a record at %d", seed, step, gen, holds)
 						}
@@ -327,9 +329,9 @@ func TestConcurrentRequestsOneSession(t *testing.T) {
 				return
 			default:
 			}
-			attrs, _, err := fetch(third, c.Secondary, c.ID)
-			if err != nil || len(listMap(attrs)) < 2 {
-				t.Errorf("fetch %d: %v err=%v", n, attrs, err)
+			list, _, err := fetch(third, c.Secondary, c.ID)
+			if err != nil || len(attrs.Map(list)) < 2 {
+				t.Errorf("fetch %d: %v err=%v", n, list, err)
 				fetched <- n
 				return
 			}
@@ -496,8 +498,12 @@ func TestConcurrentTopologyOneSession(t *testing.T) {
 
 // listOf encodes pairs — key, value, key, value — as an attribute list.
 func listOf(pairs ...string) []byte {
+	ps := make([]attrs.Pair, 0, len(pairs)/2)
+	for i := 0; i+1 < len(pairs); i += 2 {
+		ps = append(ps, attrs.Pair{K: pairs[i], V: pairs[i+1]})
+	}
 	e := wire.NewEncoder(64)
-	appendPairs(e, pairs)
+	attrs.AppendPairs(e, ps)
 	return e.Bytes()
 }
 
@@ -526,18 +532,18 @@ func checkRecordInputs(t *testing.T, base, delta []byte) {
 			t.Fatalf("%s: record %q holds %v, model %v", what, rec, m, model)
 		}
 		for k, v := range model {
-			if got, ok := lookup(rec, k); !ok || got != v || m[k] != v {
+			if got, ok := attrs.Lookup(rec[cluster.IDLen:], k); !ok || got != v || m[k] != v {
 				t.Fatalf("%s: record %q holds %q=%q, model %q", what, rec, k, got, v)
 			}
 		}
 	}
-	if list, _, err := readList(wire.NewDecoder(base)); err == nil {
-		rec := merge("", []byte(testID), list)
+	if list, err := attrs.Read(wire.NewDecoder(base), false); err == nil {
+		rec := attrs.Merge("", cluster.IDLen, []byte(testID), list)
 		apply(list)
 		same("new record", rec)
-		if list, _, err := readList(wire.NewDecoder(delta)); err == nil {
+		if list, err := attrs.Read(wire.NewDecoder(delta), false); err == nil {
 			before := maps.Clone(model)
-			next := merge(rec, nil, list)
+			next := attrs.Merge(rec, cluster.IDLen, nil, list)
 			apply(list)
 			same("merged record", next)
 			if maps.Equal(before, model) && next != rec {
@@ -556,7 +562,7 @@ func checkRecordInputs(t *testing.T, base, delta []byte) {
 	}
 	// As a fetch reply, and as a cookie.
 	if list, _, err := readFetchReply(base); err == nil {
-		if _, err := checkRecord(merge("", []byte(testID), list)); err != nil {
+		if _, err := checkRecord(attrs.Merge("", cluster.IDLen, []byte(testID), list)); err != nil {
 			t.Fatalf("fetch reply %x: %v", base, err)
 		}
 	}
@@ -564,7 +570,7 @@ func checkRecordInputs(t *testing.T, base, delta []byte) {
 		if !validID(c.ID) {
 			t.Fatalf("cookie %x read with a %d-byte id", base, len(c.ID))
 		}
-		if _, err := checkRecord(merge("", []byte(testID), c.State)); err != nil {
+		if _, err := checkRecord(attrs.Merge("", cluster.IDLen, []byte(testID), c.State)); err != nil {
 			t.Fatalf("cookie %x: state %v", base, err)
 		}
 	}

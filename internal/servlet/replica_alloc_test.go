@@ -7,6 +7,7 @@ import (
 	"strconv"
 	"testing"
 
+	"wls/internal/attrs"
 	"wls/internal/cluster"
 	"wls/internal/partition"
 	"wls/internal/simtest"
@@ -53,7 +54,7 @@ func TestReplicaUpdateAllocsPerChangedValue(t *testing.T) {
 		t.Fatalf("update of 2 existing keys with new values: %.1f allocs, want 1 (the merged record)", changed)
 	}
 	key, _ := tableKey(replicaID)
-	if got, _ := lookup(sm.sessions[key].rec.data, "n"); got != strconv.Itoa(1000+runs+1) {
+	if got, _ := attrs.Lookup(sm.sessions[key].rec.data[cluster.IDLen:], "n"); got != strconv.Itoa(1000+runs+1) {
 		t.Fatalf("replica holds n=%q after the updates", got)
 	}
 
@@ -102,7 +103,7 @@ func TestReplicaUpdateAllocsPerChangedValue(t *testing.T) {
 // written is the one held, and reading an attribute allocates nothing.
 func TestPrimaryWriteAllocs(t *testing.T) {
 	st := &sessState{}
-	st.rec.data = merge("", []byte("0123456789abcdef"), listOf("item", "sku-0", "n", "0"))
+	st.rec.data = attrs.Merge("", cluster.IDLen, []byte("0123456789abcdef"), listOf("item", "sku-0", "n", "0"))
 	values := make([]string, 202)
 	for i := range values {
 		values[i] = strconv.Itoa(i)

@@ -27,6 +27,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"wls/internal/attrs"
 	"wls/internal/cluster"
 	"wls/internal/partition"
 	"wls/internal/rmi"
@@ -62,12 +63,12 @@ type Cookie struct {
 // order, so equal cookies encode equally.
 func (c Cookie) Encode() string {
 	e := wire.MakeEncoder(64)
-	appendMap(&e, c.State)
+	attrs.AppendMap(&e, c.State)
 	return encodeCookie(c.ID, c.Primary, c.Secondary, string(e.Bytes()))
 }
 
 // encodeCookie is Encode with the state an attribute list: a record's, in
-// key order already, or noAttrs.
+// key order already, or attrs.Empty.
 func encodeCookie(id, primary, secondary, state string) string {
 	e := wire.MakeEncoder(64)
 	e.String(id)
@@ -91,7 +92,11 @@ func DecodeCookie(s string) (Cookie, error) {
 	if err != nil {
 		return Cookie{}, err
 	}
-	return Cookie{ID: string(c.ID), Primary: string(c.Primary), Secondary: string(c.Secondary), State: listMap(c.State)}, nil
+	out := Cookie{ID: string(c.ID), Primary: string(c.Primary), Secondary: string(c.Secondary)}
+	if c.State != nil {
+		out.State = attrs.Map(c.State)
+	}
+	return out, nil
 }
 
 var errCookieID = errors.New("servlet: cookie id is not a record id")
@@ -103,14 +108,14 @@ func validID[K string | []byte](id K) bool { return len(id) == 0 || len(id) == c
 func readCookie(raw []byte) (CookieRef, error) {
 	d := wire.NewDecoder(raw)
 	c := CookieRef{ID: d.BytesNoCopy(), Primary: d.BytesNoCopy(), Secondary: d.BytesNoCopy()}
-	state, n, err := readList(d)
+	state, err := attrs.Read(d, false)
 	if err != nil {
 		return CookieRef{}, err
 	}
 	if !validID(c.ID) {
 		return CookieRef{}, errCookieID
 	}
-	if n > 0 {
+	if attrs.Len(state) > 0 {
 		c.State = state
 	}
 	return c, nil
@@ -162,10 +167,10 @@ type Session struct {
 	ID string
 	// st holds the record: engine-resident, or (stateless modes) the request's.
 	st *sessState
-	// pending is what this use of the view wrote — key, value, key, value,
-	// each key once, in first-write order — until it lands in the record
-	// (finish, Flush or Close) and, as a delta, ships.
-	pending []string
+	// pending is what this use of the view wrote, each key once, in
+	// first-write order, until it lands in the record (finish, Flush or
+	// Close) and, as a delta, ships.
+	pending []attrs.Pair
 	isNew   bool
 }
 
@@ -188,9 +193,9 @@ func releaseSession(s *Session) {
 // record's value, a substring of the record.
 func (s *Session) Get(key string) string {
 	if i := s.written(key); i >= 0 {
-		return s.pending[i+1]
+		return s.pending[i].V
 	}
-	v, _ := lookup(s.st.data(), key)
+	v, _ := attrs.Lookup(s.st.data()[cluster.IDLen:], key)
 	return v
 }
 
@@ -198,16 +203,16 @@ func (s *Session) Get(key string) string {
 // request finishes.
 func (s *Session) Set(key, value string) {
 	if i := s.written(key); i >= 0 {
-		s.pending[i+1] = value
+		s.pending[i].V = value
 		return
 	}
-	s.pending = append(s.pending, key, value)
+	s.pending = append(s.pending, attrs.Pair{K: key, V: value})
 }
 
 // written returns the index of key in s.pending, or -1.
 func (s *Session) written(key string) int {
-	for i := 0; i < len(s.pending); i += 2 {
-		if s.pending[i] == key {
+	for i := range s.pending {
+		if s.pending[i].K == key {
 			return i
 		}
 	}
@@ -216,10 +221,10 @@ func (s *Session) written(key string) int {
 
 // Len returns the number of attributes.
 func (s *Session) Len() int {
-	rec := s.st.data()
-	n := recordLen(rec)
-	for i := 0; i < len(s.pending); i += 2 {
-		if _, ok := lookup(rec, s.pending[i]); !ok {
+	list := s.st.data()[cluster.IDLen:]
+	n := attrs.Len(list)
+	for _, p := range s.pending {
+		if _, ok := attrs.Lookup(list, p.K); !ok {
 			n++
 		}
 	}
@@ -236,7 +241,7 @@ func (s *Session) pendingList() *wire.Encoder {
 		return nil
 	}
 	e := wire.AcquireEncoder()
-	appendPairs(e, s.pending)
+	attrs.AppendPairs(e, s.pending)
 	clear(s.pending)
 	s.pending = s.pending[:0]
 	return e
@@ -247,7 +252,7 @@ func (s *Session) land() {
 	if l := s.pendingList(); l != nil {
 		r := &s.st.rec
 		r.mu.Lock()
-		r.data = merge(r.data, nil, l.Bytes())
+		r.data = attrs.Merge(r.data, cluster.IDLen, nil, l.Bytes())
 		r.mu.Unlock()
 		l.Release()
 	}
@@ -266,7 +271,10 @@ func (s *Session) land() {
 type record struct {
 	//wls:lockorder servlet.record.mu<servlet.replBatcher.mu
 	mu sync.Mutex
-	// data is the record: the id, then the attribute list (see record.go).
+	// data is the record: the 16-byte id, then the attributes as an
+	// attribute list (internal/attrs) in key order, each key once. It is
+	// only ever built by attrs.Merge, so it is well-formed, and it is read
+	// in place.
 	data string
 	// gen numbers the deltas shipped from (primary) or applied to
 	// (secondary) this record.
@@ -418,14 +426,14 @@ func (sm *SessionManager) resolve(ctx context.Context, c *CookieRef) *Session {
 			id, isNew = nil, true
 		}
 		e := wire.MakeEncoder(64)
-		appendMap(&e, row.Fields)
+		attrs.AppendMap(&e, row.Fields)
 		list = e.Bytes()
 	}
 	if len(id) == 0 {
 		nid := sm.newID()
 		id = nid[:]
 	}
-	st.rec.data = merge("", id, list)
+	st.rec.data = attrs.Merge("", cluster.IDLen, id, list)
 	return acquireSession(st, isNew)
 }
 
@@ -471,7 +479,7 @@ func (sm *SessionManager) adopt(ctx context.Context, c *CookieRef) (*sessState, 
 			continue
 		}
 		if list, gen, err := sm.fetchFrom(ctx, sec, c.ID); err == nil {
-			st.rec.data, st.rec.gen = merge("", c.ID, list), gen
+			st.rec.data, st.rec.gen = attrs.Merge("", cluster.IDLen, c.ID, list), gen
 			// Epoch 0: the cookie named the secondary; the ring may place it elsewhere.
 			st.place.Store(uint64(primaryAt(0, sm.secIndex(sec.Name))))
 		}
@@ -480,7 +488,7 @@ func (sm *SessionManager) adopt(ctx context.Context, c *CookieRef) (*sessState, 
 	isNew := st.rec.data == ""
 	if isNew {
 		id := sm.newID()
-		st.rec.data = merge("", id[:], nil)
+		st.rec.data = attrs.Merge("", cluster.IDLen, id[:], nil)
 		st.place.Store(uint64(sm.chooseSecondary(st.rec.data[:cluster.IDLen], 0, "")))
 	}
 	key, _ := tableKey(st.rec.data[:cluster.IDLen])
@@ -531,7 +539,7 @@ func (sm *SessionManager) finish(ctx context.Context, s *Session, c *CookieRef) 
 		return encodeCookie(s.ID, "", "", s.st.rec.data[cluster.IDLen:]), false
 	case SessionsPersistent:
 		s.land()
-		sm.db.Put("wls.sessions", s.ID, listMap([]byte(s.st.rec.data[cluster.IDLen:])))
+		sm.db.Put("wls.sessions", s.ID, attrs.Map(s.st.rec.data[cluster.IDLen:]))
 		if namesOnlyIt && c.State == nil {
 			return "", true
 		}
@@ -546,7 +554,7 @@ func (sm *SessionManager) finish(ctx context.Context, s *Session, c *CookieRef) 
 		if string(c.ID) == s.ID && string(c.Primary) == sm.selfName && string(c.Secondary) == sec {
 			return "", true
 		}
-		return encodeCookie(s.ID, sm.selfName, sec, noAttrs), false
+		return encodeCookie(s.ID, sm.selfName, sec, attrs.Empty), false
 	}
 }
 
@@ -624,7 +632,7 @@ func (sm *SessionManager) shipTo(ctx context.Context, st *sessState, delta []byt
 	r := &st.rec
 	r.mu.Lock()
 	if delta != nil {
-		r.data = merge(r.data, nil, delta)
+		r.data = attrs.Merge(r.data, cluster.IDLen, nil, delta)
 	}
 	if to == 0 {
 		to = st.placed()
@@ -650,12 +658,12 @@ func (sm *SessionManager) shipTo(ctx context.Context, st *sessState, delta []byt
 	r.gen++
 	b.enc.Raw(r.data[:cluster.IDLen])
 	b.enc.Uint64(r.gen)
-	keys := recordLen(r.data)
+	keys := attrs.Len(r.data[cluster.IDLen:])
 	if delta == nil {
 		b.enc.Raw(r.data[cluster.IDLen:])
 	} else {
 		b.enc.RawBytes(delta)
-		keys = wire.NewDecoder(delta).Int()
+		keys = attrs.Len(delta)
 	}
 	b.count++
 	if !leader && b.done == nil {
@@ -729,7 +737,7 @@ func (rb *replBatcher) flush(ctx context.Context, payload []byte, count, leaderK
 }
 
 // fetchFrom copies a session's attribute list and generation from server's
-// engine (Fig 3). The list is one readList accepted, with nothing after it.
+// engine (Fig 3). The list is one attrs.Read accepted, with nothing after it.
 func (sm *SessionManager) fetchFrom(ctx context.Context, server cluster.MemberInfo, id []byte) ([]byte, uint64, error) {
 	e := wire.NewEncoder(32)
 	e.Bytes2(id)
@@ -754,7 +762,7 @@ var errTrailing = errors.New("servlet: bytes after the attribute list")
 func readFetchReply(b []byte) ([]byte, uint64, error) {
 	d := wire.NewDecoder(b)
 	gen := d.Uint64()
-	list, _, err := readList(d)
+	list, err := attrs.Read(d, false)
 	if err == nil && d.Remaining() > 0 {
 		err = errTrailing
 	}
@@ -782,15 +790,15 @@ func (sm *SessionManager) handleUpdateBatch(args []byte) error {
 func (sm *SessionManager) applyUpdate(d *wire.Decoder) error {
 	idB := d.Raw(cluster.IDLen)
 	gen := d.Uint64()
-	list, _, err := readList(d)
+	list, err := attrs.Read(d, false)
 	if err != nil {
 		return err
 	}
-	key, _ := tableKey(idB) // whole: readList fails after an id cut short
+	key, _ := tableKey(idB) // whole: attrs.Read fails after an id cut short
 	sm.mu.Lock()
 	st := sm.sessions[key]
 	if st == nil {
-		sm.sessions[key] = &sessState{rec: record{data: merge("", idB, list), gen: gen}}
+		sm.sessions[key] = &sessState{rec: record{data: attrs.Merge("", cluster.IDLen, idB, list), gen: gen}}
 		sm.mu.Unlock()
 		return nil
 	}
@@ -799,7 +807,7 @@ func (sm *SessionManager) applyUpdate(d *wire.Decoder) error {
 	r.mu.Lock()
 	if gen > r.gen || r.gen == 0 {
 		r.gen = gen
-		r.data = merge(r.data, nil, list)
+		r.data = attrs.Merge(r.data, cluster.IDLen, nil, list)
 	}
 	r.mu.Unlock()
 	return nil

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 
+	"wls/internal/attrs"
 	"wls/internal/wire"
 )
 
@@ -12,11 +13,11 @@ import (
 // image as the image's own immutable string (tuple.Store.View) and walk it
 // in place, so every field a read hands out is a substring of the record.
 //
-//	live:      recLive, uvarint version, zig-zag count, count × (key, value)
+//	live:      recLive, uvarint version, the row's fields as an attribute list
 //	tombstone: recTomb, uvarint version — the last one the row had
 //
-// Keys and values are uvarint-length-prefixed; field keys are strictly
-// ascending, as encodeFields writes them.
+// The attribute list (internal/attrs) lists the fields in key order, each
+// key once.
 
 // Row-record kinds on the backend.
 const (
@@ -37,19 +38,19 @@ func encodeRecord(e *wire.Encoder, live bool, version uint64, fs []field) {
 	}
 	e.Byte(recLive)
 	e.Uint64(version)
-	encodeFields(e, fs)
+	attrs.AppendPairs(e, fs)
 }
 
 // rowRecord is a parsed row record whose fields are still encoded.
 type rowRecord struct {
 	live    bool
 	version uint64
-	fields  string // a live row's field list
+	fields  string // a live row's attribute list
 }
 
 // parseRecord reads a record's kind and version. Open has checked every
 // record the backend held (checkRecord), and after it only the store
-// writes its row spaces; the decoder is bounds-checked all the same, so a
+// writes its row spaces; the readers are bounds-checked all the same, so a
 // record that does not parse reads short, never out of range.
 func parseRecord(rec string) rowRecord {
 	d := wire.NewStringDecoder(rec)
@@ -59,8 +60,8 @@ func parseRecord(rec string) rowRecord {
 }
 
 // checkRecord reports whether rec is a record the store could have
-// written: a known kind, and for a live row a field list that parses to
-// its end with its keys strictly ascending.
+// written: a known kind, and for a live row an attribute list that fills
+// the rest of it with its keys strictly ascending.
 func checkRecord(rec string) error {
 	d := wire.NewStringDecoder(rec)
 	kind := d.Byte()
@@ -71,46 +72,15 @@ func checkRecord(rec string) error {
 	if kind != recLive {
 		return fmt.Errorf("record kind %d", kind)
 	}
-	n, prev := d.Int(), ""
-	if n < 0 || n > d.Remaining() {
-		return fmt.Errorf("field count %d", n)
+	list := d.Rest()
+	size, err := attrs.Check(list, true)
+	if err == nil && size < len(list) {
+		err = errors.New("bytes past the last field")
 	}
-	for i := 0; i < n; i++ {
-		k, _ := d.String(), d.String()
-		if i > 0 && k <= prev {
-			return fmt.Errorf("field %q out of order", k)
-		}
-		prev = k
-	}
-	if d.Err() == nil && d.Remaining() > 0 {
-		return errors.New("bytes past the last field")
-	}
-	return d.Err()
+	return err
 }
 
 // row builds the Row the API hands out, with a field map of its own.
 func (r rowRecord) row(key string) Row {
-	d := wire.NewStringDecoder(r.fields)
-	n := max(d.Int(), 0)
-	m := make(map[string]string, min(n, d.Remaining()))
-	for ; n > 0 && d.Err() == nil; n-- {
-		k := d.String()
-		m[k] = d.String()
-	}
-	return Row{Key: key, Fields: m, Version: r.version}
-}
-
-// field returns field k's value, "" when there is no such field. The walk
-// stops at the first key past k.
-func (r rowRecord) field(k string) string {
-	d := wire.NewStringDecoder(r.fields)
-	for n := d.Int(); n > 0 && d.Err() == nil; n-- {
-		switch fk, v := d.String(), d.String(); {
-		case fk == k:
-			return v
-		case fk > k:
-			return ""
-		}
-	}
-	return ""
+	return Row{Key: key, Fields: attrs.Map(r.fields), Version: r.version}
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"maps"
 
+	"wls/internal/attrs"
 	"wls/internal/wire"
 )
 
@@ -117,7 +118,9 @@ func (rs *RowSet) Submit(sess *Session) {
 // ---------------------------------------------------------------------------
 // Binary serialization
 
-// EncodeBinary serializes the RowSet with the wire encoding.
+// EncodeBinary serializes the RowSet with the wire encoding: each row's
+// key, its deleted flag, then its original and current fields, each an
+// attribute list in key order.
 func (rs *RowSet) EncodeBinary() []byte {
 	e := wire.NewEncoder(256)
 	e.String(rs.Table)
@@ -125,8 +128,8 @@ func (rs *RowSet) EncodeBinary() []byte {
 	for _, r := range rs.Rows {
 		e.String(r.Key)
 		e.Bool(r.Deleted)
-		encodeFields(e, fieldsOf(r.Orig))
-		encodeFields(e, fieldsOf(r.Cur))
+		attrs.AppendMap(e, r.Orig)
+		attrs.AppendMap(e, r.Cur)
 	}
 	return e.Bytes()
 }
@@ -144,51 +147,18 @@ func DecodeBinary(b []byte) (*RowSet, error) {
 	}
 	for i := 0; i < n; i++ {
 		r := RowSetRow{Key: d.String(), Deleted: d.Bool()}
-		orig, err := decodeFields(d)
+		orig, err := attrs.Read(d, true)
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("store: rowset row %d: %w", i, err)
 		}
-		cur, err := decodeFields(d)
+		cur, err := attrs.Read(d, true)
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("store: rowset row %d: %w", i, err)
 		}
-		r.Orig, r.Cur = fieldMap(orig), fieldMap(cur)
+		r.Orig, r.Cur = attrs.Map(orig), attrs.Map(cur)
 		rs.Rows = append(rs.Rows, r)
 	}
 	return rs, d.Err()
-}
-
-// encodeFields writes a sorted field list: the count, then each key and
-// value. Row records, staged votes and binary RowSets all use it.
-func encodeFields(e *wire.Encoder, fs []field) {
-	e.Int(len(fs))
-	for _, f := range fs {
-		e.String(f.k)
-		e.String(f.v)
-	}
-}
-
-// decodeFields reads what encodeFields wrote; the result is never nil.
-// Keys must come in strictly ascending order, as encodeFields writes them.
-func decodeFields(d *wire.Decoder) ([]field, error) {
-	n := d.Int()
-	if err := d.Err(); err != nil {
-		return nil, err
-	}
-	if n < 0 || n > d.Remaining()/2 { // a field takes at least two bytes
-		return nil, fmt.Errorf("store: absurd field count %d", n)
-	}
-	fs := make([]field, n)
-	for i := range fs {
-		fs[i] = field{d.String(), d.String()}
-		if err := d.Err(); err != nil {
-			return nil, err
-		}
-		if i > 0 && fs[i-1].k >= fs[i].k {
-			return nil, fmt.Errorf("store: field %q out of order", fs[i].k)
-		}
-	}
-	return fs, nil
 }
 
 // ---------------------------------------------------------------------------
@@ -215,7 +185,7 @@ type xmlField struct {
 func toXMLFields(m map[string]string) []xmlField {
 	out := make([]xmlField, 0, len(m))
 	for _, f := range fieldsOf(m) {
-		out = append(out, xmlField{Name: f.k, Value: f.v})
+		out = append(out, xmlField{Name: f.K, Value: f.V})
 	}
 	return out
 }

@@ -51,6 +51,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"wls/internal/attrs"
 	"wls/internal/kv"
 	"wls/internal/metrics"
 	"wls/internal/tuple"
@@ -100,7 +101,7 @@ type Row struct {
 // field is one column of a row. Staged writes keep their fields as a list
 // sorted by key, the order a row record lists them in; staged lists are
 // never modified once built, so they are shared.
-type field struct{ k, v string }
+type field = attrs.Pair
 
 // fieldsOf flattens a caller's field map into a new sorted list. nil stays
 // nil: a staged write tells "no condition" from "no fields" by it.
@@ -108,25 +109,14 @@ func fieldsOf(m map[string]string) []field {
 	if m == nil {
 		return nil
 	}
-	return sortedFields(make([]field, 0, len(m)), m)
+	return attrs.Sorted(make([]field, 0, len(m)), m)
 }
-
-// sortedFields fills buf, empty and non-nil, with m's fields sorted by key.
-func sortedFields(buf []field, m map[string]string) []field {
-	for k, v := range m {
-		buf = append(buf, field{k, v})
-	}
-	slices.SortFunc(buf, byKey)
-	return buf
-}
-
-func byKey(a, b field) int { return strings.Compare(a.k, b.k) }
 
 // fieldMap is fs as a new map, never nil.
 func fieldMap(fs []field) map[string]string {
 	m := make(map[string]string, len(fs))
 	for _, f := range fs {
-		m[f.k] = f.v
+		m[f.K] = f.V
 	}
 	return m
 }
@@ -837,22 +827,32 @@ func encodeStagedWrites(e *wire.Encoder, writes []stagedWrite) {
 	}
 }
 
-// encodeOptFields wraps rowset.go's field-list codec with a presence
-// flag: staged writes distinguish a nil condition from an empty one.
+// encodeOptFields writes a field list behind a presence flag: staged
+// writes distinguish a nil condition from an empty one.
 func encodeOptFields(e *wire.Encoder, fs []field) {
 	if fs == nil {
 		e.Bool(false)
 		return
 	}
 	e.Bool(true)
-	encodeFields(e, fs)
+	attrs.AppendPairs(e, fs)
 }
 
+// decodeOptFields reads what encodeOptFields wrote: nil for no list, else
+// a non-nil list whose keys ascend strictly.
 func decodeOptFields(d *wire.Decoder) ([]field, error) {
 	if !d.Bool() {
 		return nil, d.Err()
 	}
-	return decodeFields(d)
+	list, err := attrs.Read(d, true)
+	if err != nil {
+		return nil, fmt.Errorf("store: staged fields: %w", err)
+	}
+	fs := make([]field, 0, attrs.Len(list))
+	for c := attrs.Walk(list); c.Next(); {
+		fs = append(fs, field{K: string(c.K), V: string(c.V)})
+	}
+	return fs, nil
 }
 
 func decodeStagedWrites(b []byte) ([]stagedWrite, error) {
@@ -1010,7 +1010,7 @@ func (se *Session) stage(w stagedWrite, fields map[string]string) {
 	se.mu.Lock()
 	defer se.mu.Unlock()
 	if fields != nil && len(fields) <= len(se.fieldBuf) && se.writes != nil && len(se.writes) == 0 {
-		w.fields = sortedFields(se.fieldBuf[:0], fields)
+		w.fields = attrs.Sorted(se.fieldBuf[:0], fields)
 	} else {
 		w.fields = fieldsOf(fields)
 	}
@@ -1128,10 +1128,10 @@ func (s *Store) validate(writes []stagedWrite) error {
 				return fmt.Errorf("%w: %s/%s deleted", ErrConflict, w.table, w.key)
 			}
 			for _, f := range w.expectFields {
-				if got := cur.field(f.k); got != f.v {
+				if got, _ := attrs.Lookup(cur.fields, f.K); got != f.V {
 					s.conflicts.Inc()
 					return fmt.Errorf("%w: %s/%s field %s = %q, expected %q",
-						ErrConflict, w.table, w.key, f.k, got, f.v)
+						ErrConflict, w.table, w.key, f.K, got, f.V)
 				}
 			}
 		}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 
+	"wls/internal/attrs"
 	"wls/internal/rmi"
 	"wls/internal/wire"
 )
@@ -142,11 +143,7 @@ func (p *Port) persist(c *Conversation) {
 	c.mu.Lock()
 	e := wire.NewEncoder(128)
 	e.String(c.Service)
-	e.Int(len(c.state))
-	for k, v := range c.state {
-		e.String(k)
-		e.String(v)
-	}
+	attrs.AppendMap(e, c.state)
 	body := e.Bytes()
 	c.mu.Unlock()
 	_ = p.st.Put(convSpace, c.ID, body)
@@ -163,16 +160,11 @@ func (p *Port) Recover() int {
 	p.st.Scan(convSpace, "", func(id, raw string) bool {
 		d := wire.NewDecoder([]byte(raw))
 		service := d.String()
-		cnt := d.Int()
-		if d.Err() != nil {
+		list, err := attrs.Read(d, false)
+		if err != nil {
 			return true
 		}
-		state := make(map[string]string, cnt)
-		for i := 0; i < cnt; i++ {
-			k := d.String()
-			state[k] = d.String()
-		}
-		saved = append(saved, &Conversation{ID: id, Service: service, role: RoleServer, port: p, state: state})
+		saved = append(saved, &Conversation{ID: id, Service: service, role: RoleServer, port: p, state: attrs.Map(list)})
 		return true
 	})
 	n := 0

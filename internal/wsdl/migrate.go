@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 
+	"wls/internal/attrs"
 	"wls/internal/wire"
 )
 
@@ -37,11 +38,7 @@ func (p *Port) Export(convID string) ([]byte, error) {
 	e := wire.NewEncoder(128)
 	e.String(c.ID)
 	e.String(c.Service)
-	e.Int(len(c.state))
-	for k, v := range c.state {
-		e.String(k)
-		e.String(v)
-	}
+	attrs.AppendMap(e, c.state)
 	return e.Bytes(), nil
 }
 
@@ -50,18 +47,11 @@ func (p *Port) Export(convID string) ([]byte, error) {
 func (p *Port) Import(data []byte) (*Conversation, error) {
 	d := wire.NewDecoder(data)
 	id, service := d.String(), d.String()
-	n := d.Int()
-	if err := d.Err(); err != nil {
-		return nil, err
+	list, err := attrs.Read(d, false)
+	if err != nil {
+		return nil, fmt.Errorf("wsdl: import: %w", err)
 	}
-	state := make(map[string]string, n)
-	for i := 0; i < n; i++ {
-		k := d.String()
-		state[k] = d.String()
-	}
-	if err := d.Err(); err != nil {
-		return nil, err
-	}
+	state := attrs.Map(list)
 	p.mu.Lock()
 	def, ok := p.services[service]
 	if !ok {
