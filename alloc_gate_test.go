@@ -26,7 +26,6 @@ import (
 	"time"
 
 	"wls"
-	"wls/internal/core"
 	"wls/internal/ejb"
 	"wls/internal/kv"
 	"wls/internal/rmi"
@@ -50,7 +49,7 @@ const (
 	gateExternalLBEcho      = 3.1
 	gateStatelessInvoke     = 4.8
 	gateStatefulInvoke      = 9.1
-	gateAdmittedEcho        = 7.1
+	gateAdmittedEcho        = 3.1
 )
 
 // Bytes per routed request on the TCP fabric (TestWireGate*), at measured
@@ -162,10 +161,10 @@ func TestAllocGateExternalLBEcho(t *testing.T) {
 
 // TestAllocGateAdmittedEcho pins the proxy echo on a cluster whose servers
 // run every request through an execute queue (§2.3) and whose router keeps
-// breakers: ExecuteQueue.Submit and Resilience.Allow on every request.
+// breakers: Gate.Admit, Gate.Done and Resilience.Allow on every request.
 func TestAllocGateAdmittedEcho(t *testing.T) {
 	c := allocGateCluster(t, wls.Options{
-		Admission:  &core.QueueConfig{Policy: core.Deny},
+		Admission:  &rmi.QueueConfig{Policy: rmi.Deny},
 		Resilience: &rmi.ResilienceConfig{},
 	})
 	quiet(c)

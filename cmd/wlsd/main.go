@@ -4,7 +4,11 @@
 // cmd/wlsadmin.
 //
 //	wlsd -servers 3 -http :7001 -admin :7002 [-data /var/wls] [-trace-sample 0.01]
-//	     [-queue-workers 8 -queue-len 64 -queue-deny] [-resilient]
+//	     [-queue-workers 8] [-resilient]
+//
+// -queue-workers N gives every server a Deny execute queue: N requests run
+// at once, 64 more wait in line, and the next is refused with BUSY (0, the
+// default, admits everything).
 //
 // Then:
 //
@@ -30,7 +34,6 @@ import (
 	"strings"
 
 	"wls"
-	"wls/internal/core"
 	"wls/internal/ejb"
 	"wls/internal/metrics"
 	"wls/internal/partition"
@@ -45,9 +48,7 @@ func main() {
 	adminAddr := flag.String("admin", ":7002", "admin HTTP address")
 	dataDir := flag.String("data", "", "data directory for the servers' middle-tier stores (optional)")
 	traceSample := flag.Float64("trace-sample", 0, "fraction of requests to trace (0 disables, 1 traces all)")
-	queueWorkers := flag.Int("queue-workers", 0, "execute-queue workers per server (0 disables admission control)")
-	queueLen := flag.Int("queue-len", 64, "execute-queue capacity per server (with -queue-workers > 0)")
-	queueDeny := flag.Bool("queue-deny", true, "refuse requests when the execute queue is full (false blocks instead)")
+	queueWorkers := flag.Int("queue-workers", 0, "requests each server runs at once, with 64 more in line (0 disables admission control)")
 	resilient := flag.Bool("resilient", false, "enable client-side retry budget, backoff and per-server circuit breakers")
 	partitioned := flag.Bool("partition", true, "place session secondaries by walking a consistent-hash ring instead of name order (enables /admin/partitions and live scale-out)")
 	flag.Parse()
@@ -62,11 +63,7 @@ func main() {
 		opts.Partition = &partition.Config{Seed: 1}
 	}
 	if *queueWorkers > 0 {
-		policy := core.Degrade
-		if *queueDeny {
-			policy = core.Deny
-		}
-		opts.Admission = &core.QueueConfig{Workers: *queueWorkers, QueueLen: *queueLen, Policy: policy}
+		opts.Admission = &rmi.QueueConfig{Workers: *queueWorkers, QueueLen: 64, Policy: rmi.Deny}
 	}
 	if *resilient {
 		opts.Resilience = &rmi.ResilienceConfig{}

@@ -4,20 +4,22 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 
-	"wls/internal/core"
 	"wls/internal/metrics"
+	"wls/internal/rmi"
 	"wls/internal/vclock"
 )
 
-// runE25: an open-loop burst hits a small worker pool under three
-// configurations.
+// runE25: an open-loop burst hits a small execute queue under three
+// configurations; each arrival is admitted on its own goroutine, as the
+// registry admits a request on the goroutine that delivered it.
 func runE25() *Table {
 	t := &Table{ID: "E25", Title: "Admission under a peak load",
 		Source:  "§2.3",
-		Columns: []string{"config", "offered", "completed", "accepted", "denied", "p99_sojourn", "final_workers"},
-		Notes:   "deny keeps latency flat by shedding the peak (the TP-monitor policy); degrade completes everything at high tail latency; self-tuning grows the pool and completes everything with a moderate tail. accepted/denied are the queue's own counters (queue.accepted / queue.denied)"}
+		Columns: []string{"config", "offered", "completed", "accepted", "denied", "p99_sojourn", "final_limit"},
+		Notes:   "deny keeps latency flat by shedding the peak (the TP-monitor policy); degrade completes everything at high tail latency; self-tuning raises the concurrency limit and completes everything with a moderate tail. accepted/denied are the queue's own counters (queue.accepted / queue.denied)"}
 
 	const (
 		offered = 400
@@ -25,44 +27,50 @@ func runE25() *Table {
 	)
 	type cfg struct {
 		name string
-		q    core.QueueConfig
+		q    rmi.QueueConfig
 	}
 	for _, c := range []cfg{
-		{"fixed+deny", core.QueueConfig{Workers: 4, QueueLen: 8, Policy: core.Deny}},
-		{"fixed+degrade", core.QueueConfig{Workers: 4, QueueLen: offered, Policy: core.Degrade}},
-		{"self-tuning", core.QueueConfig{Workers: 4, QueueLen: offered, Policy: core.Degrade,
+		{"fixed+deny", rmi.QueueConfig{Workers: 4, QueueLen: 8, Policy: rmi.Deny}},
+		{"fixed+degrade", rmi.QueueConfig{Workers: 4, QueueLen: offered, Policy: rmi.Degrade}},
+		{"self-tuning", rmi.QueueConfig{Workers: 4, QueueLen: offered, Policy: rmi.Degrade,
 			SelfTuning: true, MaxWorkers: 32, TuneInterval: 5 * time.Millisecond}},
 	} {
 		reg := metrics.NewRegistry()
-		q := core.NewExecuteQueue(c.q, vclock.System, reg)
+		g := rmi.NewGate(c.q, vclock.System, reg)
 		var hist metrics.Histogram
 		var wg sync.WaitGroup
-		denied := 0
+		var denied atomic.Int64
 		for i := 0; i < offered; i++ {
-			submitted := wall.Now()
+			arrived := wall.Now()
 			wg.Add(1)
-			err := q.Submit(func() {
+			go func() {
 				defer wg.Done()
-				wall.Sleep(svcTime)
-				hist.RecordDuration(wall.Since(submitted))
-			})
-			if err != nil {
-				wg.Done()
-				if errors.Is(err, core.ErrDenied) {
-					denied++
+				if err := g.Admit(rmi.Budget{}); err != nil {
+					if errors.Is(err, rmi.ErrDenied) {
+						denied.Add(1)
+					}
+					return
 				}
-			}
-			// Open loop: ~5000/s offered vs 800/s fixed-pool capacity.
+				wall.Sleep(svcTime)
+				g.Done()
+				hist.RecordDuration(wall.Since(arrived))
+			}()
+			// Open loop: ~5000/s offered vs 800/s fixed-limit capacity.
 			wall.Sleep(200 * time.Microsecond)
 		}
 		wg.Wait()
-		if got := reg.Counter("queue.denied").Value(); got != int64(denied) {
-			panic(fmt.Sprintf("E25 %s: queue.denied counter %d != %d observed denials", c.name, got, denied))
+		// The tuner lowers the limit one step per idle interval: give it
+		// those intervals before reading where the limit ended.
+		for i := c.q.MaxWorkers; i > 0 && g.Limit() > c.q.Workers; i-- {
+			wall.Sleep(c.q.TuneInterval)
+		}
+		if got := reg.Counter("queue.denied").Value(); got != denied.Load() {
+			panic(fmt.Sprintf("E25 %s: queue.denied counter %d != %d observed denials", c.name, got, denied.Load()))
 		}
 		t.AddRow(c.name, offered, hist.Count(),
 			reg.Counter("queue.accepted").Value(), reg.Counter("queue.denied").Value(),
-			time.Duration(hist.P99()).Round(100*time.Microsecond), q.Workers())
-		q.Close()
+			time.Duration(hist.P99()).Round(100*time.Microsecond), g.Limit())
+		g.Close()
 	}
 	return t
 }

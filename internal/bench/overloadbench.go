@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"wls"
-	"wls/internal/core"
 	"wls/internal/metrics"
 	"wls/internal/rmi"
 )
@@ -68,12 +67,12 @@ func runE30() *Table {
 func e30Run(cfg e30Config) []string {
 	opts := wls.Options{Servers: 3, WithAdmin: true, Seed: 1}
 	if cfg.resilient {
-		opts.Admission = &core.QueueConfig{Workers: 2, QueueLen: 8, Policy: core.Deny}
+		opts.Admission = &rmi.QueueConfig{Workers: 2, QueueLen: 8, Policy: rmi.Deny}
 		opts.Resilience = &rmi.ResilienceConfig{}
 	} else {
-		// Statically provisioned: same worker pool, but demand queues up
+		// Statically provisioned: same limit, but demand queues up
 		// instead of being refused, and the client never gives up.
-		opts.Admission = &core.QueueConfig{Workers: 2, QueueLen: 4096, Policy: core.Degrade}
+		opts.Admission = &rmi.QueueConfig{Workers: 2, QueueLen: 4096, Policy: rmi.Degrade}
 	}
 	c, err := wls.New(opts)
 	if err != nil {
@@ -140,7 +139,7 @@ func e30Run(cfg e30Config) []string {
 	}
 
 	// 3s of virtual time: steady 200 req/s, with a 0.4s burst at 2000 req/s
-	// (≈4x the 2-worker × 3-server × 5ms service capacity) in the middle.
+	// (≈4x the 3-server × 2-at-once × 5ms service capacity) in the middle.
 	for tick := 0; tick < 300; tick++ {
 		n := 2
 		if cfg.burst && tick >= 100 && tick < 140 {

@@ -10,9 +10,9 @@ import (
 	"time"
 
 	"wls"
-	"wls/internal/core"
 	"wls/internal/metrics"
 	"wls/internal/partition"
+	"wls/internal/rmi"
 	"wls/internal/servlet"
 	"wls/internal/workload"
 )
@@ -67,7 +67,7 @@ func e33Run(p e33Params) *Table {
 		RealClock: true,
 		Seed:      1,
 		Partition: &partition.Config{Seed: 1},
-		Admission: &core.QueueConfig{Workers: 2, QueueLen: 8, Policy: core.Deny},
+		Admission: &rmi.QueueConfig{Workers: 2, QueueLen: 8, Policy: rmi.Deny},
 	})
 	if err != nil {
 		panic(err)

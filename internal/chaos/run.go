@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"wls"
-	"wls/internal/core"
 	"wls/internal/netsim"
 	"wls/internal/partition"
 	"wls/internal/rmi"
@@ -228,7 +227,7 @@ func Run(seed int64, cfg Config) (*Result, error) {
 		// A deliberately small Deny queue so flash crowds actually shed, and
 		// the full client-side resilience stack so the invariants exercise
 		// budgets, retries and breakers together.
-		opts.Admission = &core.QueueConfig{Workers: 2, QueueLen: 8, Policy: core.Deny}
+		opts.Admission = &rmi.QueueConfig{Workers: 2, QueueLen: 8, Policy: rmi.Deny}
 		opts.Resilience = &rmi.ResilienceConfig{}
 	}
 	c, err := wls.New(opts)

@@ -595,12 +595,11 @@ func EncodeMembers(ms []MemberInfo) []byte {
 // DecodeMembers reverses EncodeMembers.
 func DecodeMembers(b []byte) ([]MemberInfo, error) {
 	d := wire.NewDecoder(b)
-	n := d.Int()
+	// A member is a length-prefixed record of four strings, two string
+	// lists and an incarnation: eight bytes at least.
+	n := d.Count(8)
 	if err := d.Err(); err != nil {
-		return nil, err
-	}
-	if n < 0 || n > 1<<20 {
-		return nil, fmt.Errorf("cluster: absurd member count %d", n)
+		return nil, fmt.Errorf("cluster: member count: %w", err)
 	}
 	out := make([]MemberInfo, 0, n)
 	for i := 0; i < n; i++ {

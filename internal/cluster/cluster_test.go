@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"fmt"
+	"runtime"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -9,6 +10,7 @@ import (
 
 	"wls/internal/gossip"
 	"wls/internal/vclock"
+	"wls/internal/wire"
 )
 
 // testCluster spins up n members named s1..sN on a shared virtual clock and
@@ -511,6 +513,27 @@ func TestStartStopRace(t *testing.T) {
 		m.Stop()
 		if n := bus.Subscribers(m.topic()); n != 0 {
 			t.Fatalf("iteration %d: %d subscriptions left after Stop", i, n)
+		}
+	}
+}
+
+// TestDecodeMembersRefusesALyingCount feeds DecodeMembers a short body
+// whose count is negative or far beyond what its bytes hold: it must
+// fail, not panic, and size nothing by the count.
+func TestDecodeMembersRefusesALyingCount(t *testing.T) {
+	for _, n := range []int{-1, 1 << 20, 1 << 40} {
+		e := wire.NewEncoder(8)
+		e.Int(n)
+		e.Byte(0)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		ms, err := DecodeMembers(e.Bytes())
+		runtime.ReadMemStats(&after)
+		if err == nil || ms != nil {
+			t.Fatalf("count %d: got %d members, %v; want an error", n, len(ms), err)
+		}
+		if got := after.TotalAlloc - before.TotalAlloc; got >= 1<<20 {
+			t.Fatalf("count %d: allocated %d bytes", n, got)
 		}
 	}
 }

@@ -13,6 +13,7 @@ import (
 	"wls/internal/core"
 	"wls/internal/kv"
 	"wls/internal/metrics"
+	"wls/internal/rmi"
 	"wls/internal/simtest"
 	"wls/internal/singleton"
 	"wls/internal/tuple"
@@ -31,16 +32,52 @@ func TestServiceKindString(t *testing.T) {
 	}
 }
 
+// --- Execute queue (§2.3) -------------------------------------------------------
+//
+// The execute queue is rmi.Gate: the registry admits each request on the
+// goroutine that delivered it, and runs it between Admit and Done. These
+// tests hold its admission policies.
+
+// admitted admits one request that runs until the test calls Done.
+func admitted(t *testing.T, g *rmi.Gate) {
+	t.Helper()
+	if err := g.Admit(rmi.Budget{}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// inLine waits until n requests wait in g's line.
+func inLine(t *testing.T, g *rmi.Gate, n int) {
+	t.Helper()
+	deadline := time.Now().Add(2 * time.Second)
+	for g.Backlog() != n {
+		if time.Now().After(deadline) {
+			t.Fatalf("line holds %d, want %d", g.Backlog(), n)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
 func TestExecuteQueueRunsTasks(t *testing.T) {
-	q := core.NewExecuteQueue(core.QueueConfig{Workers: 2}, vclock.System, nil)
-	defer q.Close()
-	var n atomic.Int64
+	g := rmi.NewGate(rmi.QueueConfig{Workers: 2}, vclock.System, nil)
+	defer g.Close()
+	var n, running atomic.Int64
 	var wg sync.WaitGroup
 	for i := 0; i < 50; i++ {
 		wg.Add(1)
-		if err := q.Submit(func() { n.Add(1); wg.Done() }); err != nil {
-			t.Fatal(err)
-		}
+		go func() {
+			defer wg.Done()
+			if err := g.Admit(rmi.Budget{}); err != nil {
+				t.Error(err)
+				return
+			}
+			if running.Add(1) > 2 {
+				t.Error("more than 2 ran at once")
+			}
+			n.Add(1)
+			running.Add(-1)
+			g.Done()
+		}()
 	}
 	wg.Wait()
 	if n.Load() != 50 {
@@ -49,17 +86,16 @@ func TestExecuteQueueRunsTasks(t *testing.T) {
 }
 
 func TestDenyPolicyRejectsWhenFull(t *testing.T) {
-	q := core.NewExecuteQueue(core.QueueConfig{Workers: 1, QueueLen: 2, Policy: core.Deny}, vclock.System, nil)
-	defer q.Close()
-	block := make(chan struct{})
-	defer close(block)
-	// Occupy the worker, then fill the queue.
-	q.Submit(func() { <-block })
-	time.Sleep(10 * time.Millisecond)
-	q.Submit(func() {})
-	q.Submit(func() {})
-	err := q.Submit(func() {})
-	if !errors.Is(err, core.ErrDenied) {
+	g := rmi.NewGate(rmi.QueueConfig{Workers: 1, QueueLen: 2, Policy: rmi.Deny}, vclock.System, nil)
+	defer g.Close()
+	// Occupy the only slot, then fill the line.
+	admitted(t, g)
+	defer g.Done()
+	go g.Admit(rmi.Budget{})
+	go g.Admit(rmi.Budget{})
+	inLine(t, g, 2)
+	err := g.Admit(rmi.Budget{})
+	if !errors.Is(err, rmi.ErrDenied) {
 		t.Fatalf("want ErrDenied, got %v", err)
 	}
 }
@@ -69,17 +105,22 @@ func TestDenyPolicyRejectsWhenFull(t *testing.T) {
 // the backlog drains.
 func TestQueueMetrics(t *testing.T) {
 	reg := metrics.NewRegistry()
-	q := core.NewExecuteQueue(core.QueueConfig{Workers: 1, QueueLen: 2, Policy: core.Deny}, vclock.System, reg)
-	defer q.Close()
-	block := make(chan struct{})
+	g := rmi.NewGate(rmi.QueueConfig{Workers: 1, QueueLen: 2, Policy: rmi.Deny}, vclock.System, reg)
+	defer g.Close()
+	admitted(t, g)
 	var wg sync.WaitGroup
-	wg.Add(3)
-	q.Submit(func() { <-block; wg.Done() })
-	time.Sleep(10 * time.Millisecond) // let the worker dequeue the blocker
-	q.Submit(func() { wg.Done() })
-	q.Submit(func() { wg.Done() })
-	if err := q.Submit(func() {}); !errors.Is(err, core.ErrDenied) {
-		t.Fatalf("4th submit: want ErrDenied, got %v", err)
+	for i := 0; i < 2; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if g.Admit(rmi.Budget{}) == nil {
+				g.Done()
+			}
+		}()
+	}
+	inLine(t, g, 2)
+	if err := g.Admit(rmi.Budget{}); !errors.Is(err, rmi.ErrDenied) {
+		t.Fatalf("4th admit: want ErrDenied, got %v", err)
 	}
 	if got := reg.Counter("queue.submitted").Value(); got != 4 {
 		t.Fatalf("queue.submitted = %d, want 4", got)
@@ -93,81 +134,97 @@ func TestQueueMetrics(t *testing.T) {
 	if got := reg.Gauge("queue.depth").Value(); got != 2 {
 		t.Fatalf("queue.depth with backlog = %d, want 2", got)
 	}
-	close(block)
+	g.Done()
 	wg.Wait()
-	deadline := time.Now().Add(time.Second)
-	for reg.Gauge("queue.depth").Value() != 0 {
-		if time.Now().After(deadline) {
-			t.Fatalf("queue.depth never drained: %d", reg.Gauge("queue.depth").Value())
-		}
-		time.Sleep(time.Millisecond)
+	if got := reg.Gauge("queue.depth").Value(); got != 0 {
+		t.Fatalf("queue.depth never drained: %d", got)
 	}
 }
 
 func TestDegradePolicyBlocksInsteadOfDenying(t *testing.T) {
-	q := core.NewExecuteQueue(core.QueueConfig{Workers: 1, QueueLen: 1, Policy: core.Degrade}, vclock.System, nil)
-	defer q.Close()
-	release := make(chan struct{})
-	q.Submit(func() { <-release })
-	time.Sleep(5 * time.Millisecond)
-	q.Submit(func() {}) // fills the queue
-	accepted := make(chan struct{})
-	go func() {
-		q.Submit(func() {}) // blocks until the worker drains
-		close(accepted)
-	}()
+	g := rmi.NewGate(rmi.QueueConfig{Workers: 1, QueueLen: 1, Policy: rmi.Degrade}, vclock.System, nil)
+	defer g.Close()
+	admitted(t, g)
+	admit := func() <-chan error {
+		out := make(chan error, 1)
+		go func() {
+			err := g.Admit(rmi.Budget{})
+			if err == nil {
+				g.Done()
+			}
+			out <- err
+		}()
+		return out
+	}
+	first := admit() // fills QueueLen
+	inLine(t, g, 1)
+	accepted := admit() // waits: Degrade's line is unbounded
+	inLine(t, g, 2)
 	select {
-	case <-accepted:
-		t.Fatal("degrade should have blocked while full")
+	case err := <-accepted:
+		t.Fatalf("degrade should have blocked while full, got %v", err)
 	case <-time.After(30 * time.Millisecond):
 	}
-	close(release)
-	select {
-	case <-accepted:
-	case <-time.After(time.Second):
-		t.Fatal("degrade never accepted after drain")
+	g.Done()
+	for _, ch := range []<-chan error{first, accepted} {
+		select {
+		case err := <-ch:
+			if err != nil {
+				t.Fatalf("degrade refused: %v", err)
+			}
+		case <-time.After(time.Second):
+			t.Fatal("degrade never admitted after drain")
+		}
 	}
 }
 
 func TestSelfTuningGrowsAndShrinks(t *testing.T) {
 	clk := vclock.NewVirtualAtZero()
-	q := core.NewExecuteQueue(core.QueueConfig{
+	g := rmi.NewGate(rmi.QueueConfig{
 		Workers: 1, MaxWorkers: 8, QueueLen: 128,
 		SelfTuning: true, TuneInterval: 100 * time.Millisecond,
 	}, clk, nil)
-	defer q.Close()
+	defer g.Close()
 
-	// Saturate: blocked tasks pile up backlog.
+	// Saturate: blocked requests pile up in line.
 	release := make(chan struct{})
+	var wg sync.WaitGroup
 	for i := 0; i < 32; i++ {
-		q.Submit(func() { <-release })
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if g.Admit(rmi.Budget{}) == nil {
+				<-release
+				g.Done()
+			}
+		}()
 	}
+	inLine(t, g, 31)
 	for i := 0; i < 10; i++ {
 		clk.Advance(100 * time.Millisecond)
-		time.Sleep(time.Millisecond)
 	}
-	grown := q.Workers()
+	grown := g.Limit()
 	if grown <= 1 {
-		t.Fatalf("pool did not grow under backlog: %d", grown)
+		t.Fatalf("limit did not grow under backlog: %d", grown)
 	}
-	// Drain and idle: pool shrinks back toward the floor.
+	// Drain and idle: the limit shrinks back toward the floor.
 	close(release)
-	for i := 0; i < 60 && q.Workers() > 1; i++ {
+	wg.Wait()
+	for i := 0; i < 60 && g.Limit() > 1; i++ {
 		clk.Advance(100 * time.Millisecond)
-		time.Sleep(time.Millisecond)
 	}
-	if q.Workers() != 1 {
-		t.Fatalf("pool did not shrink when idle: %d", q.Workers())
+	if g.Limit() != 1 {
+		t.Fatalf("limit did not shrink when idle: %d", g.Limit())
 	}
 }
 
 func TestQueueCloseRejects(t *testing.T) {
-	q := core.NewExecuteQueue(core.QueueConfig{}, vclock.System, nil)
-	q.Close()
-	if err := q.Submit(func() {}); !errors.Is(err, core.ErrQueueClosed) {
+	g := rmi.NewGate(rmi.QueueConfig{}, vclock.System, nil)
+	g.Close()
+	if err := g.Admit(rmi.Budget{}); !errors.Is(err, rmi.ErrQueueClosed) {
 		t.Fatalf("want ErrQueueClosed, got %v", err)
 	}
-	q.Close() // idempotent
+	g.Close() // idempotent
 }
 
 // --- Migratable targets ---------------------------------------------------------

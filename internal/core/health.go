@@ -189,13 +189,13 @@ func QueryHealth(ctx context.Context, node rmi.Node, addr string) (HealthState, 
 	d := wire.NewDecoder(res.Body)
 	overall := HealthState(d.Int())
 	lc := LifecycleState(d.Int())
-	n := d.Int()
-	if err := d.Err(); err != nil {
-		return HealthFailed, lc, nil, err
-	}
+	n := d.Count(2) // a subsystem is a name and a state
 	report := make([]SubsystemHealth, 0, n)
 	for i := 0; i < n; i++ {
 		report = append(report, SubsystemHealth{Subsystem: d.String(), State: HealthState(d.Int())})
 	}
-	return overall, lc, report, d.Err()
+	if err := d.Err(); err != nil {
+		return HealthFailed, lc, nil, err
+	}
+	return overall, lc, report, nil
 }

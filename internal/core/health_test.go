@@ -2,10 +2,13 @@ package core_test
 
 import (
 	"context"
+	"runtime"
 	"testing"
 
 	"wls/internal/core"
+	"wls/internal/rmi"
 	"wls/internal/simtest"
+	"wls/internal/wire"
 )
 
 func TestHealthMonitorAggregatesWorst(t *testing.T) {
@@ -80,5 +83,38 @@ func TestHealthQueryUnreachableIsFailed(t *testing.T) {
 		f.Servers[1].Endpoint, f.Servers[0].Endpoint.Addr())
 	if err == nil || overall != core.HealthFailed {
 		t.Fatalf("want failed+error, got %v %v", overall, err)
+	}
+}
+
+// TestQueryHealthRefusesALyingCount answers a health query with a short
+// reply whose subsystem count is negative or far beyond what its bytes
+// hold: QueryHealth must fail, not panic, return no report, and size
+// nothing by the count.
+func TestQueryHealthRefusesALyingCount(t *testing.T) {
+	f := simtest.New(simtest.Options{Servers: 2})
+	defer f.Stop()
+	replies := make(chan []byte, 1)
+	f.Servers[0].Registry.Register(&rmi.Service{Name: core.HealthServiceName, System: true,
+		Methods: map[string]rmi.MethodSpec{"check": {Idempotent: true,
+			Handler: func(context.Context, *rmi.Call) ([]byte, error) { return <-replies, nil }}}})
+	f.Settle(2)
+	for _, n := range []int{-1, 1 << 24, 1 << 40} {
+		e := wire.NewEncoder(8)
+		e.Int(int(core.HealthOK))
+		e.Int(int(core.LifecycleRunning))
+		e.Int(n)
+		e.Byte(0)
+		replies <- e.Bytes()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		overall, _, report, err := core.QueryHealth(context.Background(),
+			f.Servers[1].Endpoint, f.Servers[0].Endpoint.Addr())
+		runtime.ReadMemStats(&after)
+		if err == nil || report != nil || overall != core.HealthFailed {
+			t.Fatalf("count %d: got %v, %d entries, %v; want failed, no report and an error", n, overall, len(report), err)
+		}
+		if got := after.TotalAlloc - before.TotalAlloc; got >= 1<<20 {
+			t.Fatalf("count %d: allocated %d bytes", n, got)
+		}
 	}
 }

@@ -132,9 +132,9 @@ func encodeOps(e *wire.Encoder, ops []Op) {
 
 // decodeOps reads an op stream written by encodeOps.
 func decodeOps(d *wire.Decoder) ([]Op, error) {
-	n := d.Int()
-	if d.Err() != nil || n < 0 || n > 1<<24 {
-		return nil, corruptf("op stream count %d", n)
+	n := d.Count(2) // an op is a kind and a key at least
+	if d.Err() != nil {
+		return nil, corruptf("op stream count: %v", d.Err())
 	}
 	ops := make([]Op, 0, n)
 	for i := 0; i < n; i++ {

@@ -2,59 +2,22 @@ package rmi
 
 import (
 	"context"
-	"sync"
+	"errors"
 	"testing"
 	"time"
 
 	"wls/internal/metrics"
 	"wls/internal/trace"
 	"wls/internal/vclock"
+	"wls/internal/wire"
 )
 
-// White-box regression tests for the pooled server-side Call. Pooling
-// turned two dispatchQueued paths into use-after-release hazards:
-//
-//  1. a request abandoned at its deadline while still queued — the
-//     transport goroutine recycles the Call, so the queued closure must
-//     go inert instead of running the handler against a recycled object;
-//  2. a Submit refusal — the closure will never run, so dispatchQueued
-//     itself must hand the Call back or the pool leaks.
-//
-// Both are pinned against the release discipline itself: the test holds
-// the *Call pointer and checks it was zeroed (releaseCall's reset) at the
-// moment the contract says ownership returned to the pool. Reverting the
-// claim check or dropping either releaseCall call fails these tests.
-
-// manualQueue is an Admission that parks submitted tasks for the test to
-// run (or not) at a chosen moment, like a backed-up execute queue.
-type manualQueue struct {
-	mu     sync.Mutex
-	tasks  []func()
-	refuse error
-}
-
-func (q *manualQueue) Submit(f func()) error {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	if q.refuse != nil {
-		return q.refuse
-	}
-	q.tasks = append(q.tasks, f)
-	return nil
-}
-
-func (q *manualQueue) len() int {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	return len(q.tasks)
-}
-
-func (q *manualQueue) run(i int) {
-	q.mu.Lock()
-	f := q.tasks[i]
-	q.mu.Unlock()
-	f()
-}
+// White-box tests of the execute path's release discipline and of the
+// gate's line. A request's pooled Call goes back to the pool once, whether
+// the gate admits the request or refuses it; a request leaves the line
+// once, by whichever of Done, its budget's timer and Close reaches it
+// first. The tests hold the *Call pointer and check it was zeroed
+// (releaseCall's reset) when the contract says ownership went back.
 
 // callIsReset reports whether releaseCall's zeroing ran on c.
 func callIsReset(c *Call) bool {
@@ -72,118 +35,207 @@ func newDispatchRegistry() *Registry {
 	}
 }
 
-func TestQueuedCallAbandonedAtDeadlineIsNotTouchedByWorker(t *testing.T) {
-	r := newDispatchRegistry()
-	q := &manualQueue{}
-
-	ran := false
-	m := MethodSpec{name: "m", Handler: func(ctx context.Context, c *Call) ([]byte, error) {
-		ran = true
-		return nil, nil
-	}}
-
+func newTestCall() *Call {
 	call := callPool.Get().(*Call)
 	call.Service = "S"
 	call.Method = "m"
 	call.Args = []byte("payload")
+	return call
+}
 
-	budget := Budget{clock: vclock.System, deadline: vclock.System.Now().Add(10 * time.Millisecond)}
-	fr := r.dispatchQueued(context.Background(), q, 7, call, trace.SpanContext{}, m, budget)
+// countingMethod is a method whose handler counts its runs.
+func countingMethod(runs *int) MethodSpec {
+	return MethodSpec{name: "m", Handler: func(ctx context.Context, c *Call) ([]byte, error) {
+		*runs++
+		return []byte("ok"), nil
+	}}
+}
+
+// statusOf reads the response status and error message of a frame.
+func statusOf(t *testing.T, fr *wire.Frame) (byte, string) {
+	t.Helper()
 	if fr == nil {
-		t.Fatal("no frame for abandoned request")
+		t.Fatal("no response frame")
 	}
-	if got := r.busy.Value(); got != 1 {
-		t.Fatalf("busy = %d, want 1 (deadline expired in queue)", got)
+	resp, err := decodeResponse(fr.Body)
+	if err != nil {
+		t.Fatal(err)
 	}
-	// Ownership went back to the pool when BUSY was sent: the object the
-	// test still points at must have been reset by releaseCall.
-	if !callIsReset(call) {
-		t.Fatalf("abandoned Call not released: %+v", *call)
-	}
+	return resp.status, resp.errMsg
+}
 
-	// The worker finally reaches the parked task — the very window where a
-	// recycled Call would be observed by whatever request holds it now.
-	if q.len() != 1 {
-		t.Fatalf("queue holds %d tasks, want 1", q.len())
-	}
-	q.run(0)
-	if ran {
-		t.Fatal("handler ran for a request that was abandoned and recycled")
+// waitUntil polls cond for up to two seconds.
+func waitUntil(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	deadline := time.Now().Add(2 * time.Second)
+	for !cond() {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting until %s", what)
+		}
+		time.Sleep(time.Millisecond)
 	}
 }
 
-func TestRefusedSubmitReleasesPooledCall(t *testing.T) {
+// settled reports whether g has nothing running and nothing in line.
+func settled(g *Gate) bool {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	return g.running == 0 && len(g.line) == 0 && g.depth.Value() == 0
+}
+
+func TestRefusedAdmissionReleasesPooledCall(t *testing.T) {
 	r := newDispatchRegistry()
-	q := &manualQueue{refuse: context.DeadlineExceeded}
-
-	call := callPool.Get().(*Call)
-	call.Service = "S"
-	call.Method = "m"
-	call.Args = []byte("payload")
-
-	fr := r.dispatchQueued(context.Background(), q, 9, call, trace.SpanContext{},
-		MethodSpec{name: "m"}, Budget{})
-	if fr == nil {
-		t.Fatal("no frame for refused request")
+	g := NewGate(QueueConfig{}, vclock.System, nil)
+	g.Close()
+	runs := 0
+	call := newTestCall()
+	fr := r.execute(context.Background(), g, 9, call, trace.SpanContext{}, countingMethod(&runs), Budget{})
+	if st, msg := statusOf(t, fr); st != respBusy || msg != ErrQueueClosed.Error() {
+		t.Fatalf("status %d %q, want BUSY %q", st, msg, ErrQueueClosed)
 	}
 	if got := r.busy.Value(); got != 1 {
-		t.Fatalf("busy = %d, want 1 (admission refused)", got)
+		t.Fatalf("busy = %d, want 1", got)
 	}
-	// Submit's closure will never run, so dispatchQueued owned the release.
+	if runs != 0 {
+		t.Fatalf("refused request ran %d times", runs)
+	}
 	if !callIsReset(call) {
 		t.Fatalf("refused Call not released: %+v", *call)
 	}
 }
 
-// TestClaimedCallRunsExactlyOnce covers the other side of the race: the
-// worker wins the claim just before the deadline, so the handler's real
-// outcome is returned and the Call is released by the worker, not twice.
-func TestClaimedCallRunsExactlyOnce(t *testing.T) {
+func TestCallExpiredInLineNeverRuns(t *testing.T) {
+	clk := vclock.NewVirtualAtZero()
 	r := newDispatchRegistry()
-	q := &manualQueue{}
-
-	runs := 0
-	m := MethodSpec{name: "m", Handler: func(ctx context.Context, c *Call) ([]byte, error) {
-		runs++
-		if c.Service != "S" || string(c.Args) != "payload" {
-			t.Errorf("handler saw corrupted Call: %+v", *c)
-		}
-		return []byte("ok"), nil
-	}}
-
-	call := callPool.Get().(*Call)
-	call.Service = "S"
-	call.Method = "m"
-	call.Args = []byte("payload")
-
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		budget := Budget{clock: vclock.System, deadline: vclock.System.Now().Add(5 * time.Second)}
-		fr := r.dispatchQueued(context.Background(), q, 11, call, trace.SpanContext{}, m, budget)
-		if fr == nil {
-			t.Error("no frame for claimed request")
-		}
-	}()
-	deadline := time.Now().Add(time.Second)
-	for {
-		if q.len() == 1 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("task never submitted")
-		}
-		time.Sleep(time.Millisecond)
+	g := NewGate(QueueConfig{Workers: 1, Policy: Deny}, clk, nil)
+	if err := g.Admit(Budget{}); err != nil {
+		t.Fatal(err)
 	}
-	q.run(0)
-	<-done
+	runs := 0
+	call := newTestCall()
+	out := make(chan *wire.Frame, 1)
+	go func() {
+		budget := Budget{clock: clk, deadline: clk.Now().Add(10 * time.Millisecond)}
+		out <- r.execute(context.Background(), g, 7, call, trace.SpanContext{}, countingMethod(&runs), budget)
+	}()
+	waitUntil(t, "the request is in line", func() bool { return g.Backlog() == 1 })
+	clk.Advance(10 * time.Millisecond)
+	if st, msg := statusOf(t, <-out); st != respBusy || msg != "deadline expired in queue" {
+		t.Fatalf("status %d %q, want BUSY \"deadline expired in queue\"", st, msg)
+	}
+	if runs != 0 {
+		t.Fatalf("expired request ran %d times", runs)
+	}
+	if !callIsReset(call) {
+		t.Fatalf("expired Call not released: %+v", *call)
+	}
+	g.Done()
+	if !settled(g) {
+		t.Fatal("gate not settled after the holder's Done")
+	}
+}
+
+// TestSlotHandedAtExpiryRunsOnce covers the race between Done and a
+// budget: the slot reaches the waiter while its timer is already firing.
+// The waiter runs exactly once, the timer finds it gone, and the slot
+// comes back with its Done.
+func TestSlotHandedAtExpiryRunsOnce(t *testing.T) {
+	clk := vclock.NewVirtualAtZero()
+	r := newDispatchRegistry()
+	g := NewGate(QueueConfig{Workers: 1, Policy: Deny}, clk, nil)
+	if err := g.Admit(Budget{}); err != nil {
+		t.Fatal(err)
+	}
+	runs := 0
+	call := newTestCall()
+	out := make(chan *wire.Frame, 1)
+	go func() {
+		budget := Budget{clock: clk, deadline: clk.Now().Add(time.Second)}
+		out <- r.execute(context.Background(), g, 11, call, trace.SpanContext{}, countingMethod(&runs), budget)
+	}()
+	waitUntil(t, "the request is in line", func() bool { return g.Backlog() == 1 })
+
+	// Fire the budget's timer while the gate is locked: its callback waits
+	// on g.mu while the holder's Done hands the slot over.
+	g.mu.Lock()
+	advanced := make(chan struct{})
+	go func() {
+		clk.Advance(time.Second)
+		close(advanced)
+	}()
+	waitUntil(t, "the timer fires", func() bool { return clk.PendingTimers() == 0 })
+	g.running--
+	g.next()
+	g.mu.Unlock()
+	<-advanced
+
+	if st, _ := statusOf(t, <-out); st != respOK {
+		t.Fatalf("status %d, want OK", st)
+	}
 	if runs != 1 {
 		t.Fatalf("handler ran %d times, want 1", runs)
+	}
+	if got := r.busy.Value(); got != 0 {
+		t.Fatalf("busy = %d, want 0", got)
 	}
 	if !callIsReset(call) {
 		t.Fatalf("executed Call not released: %+v", *call)
 	}
-	if got := r.busy.Value(); got != 0 {
-		t.Fatalf("busy = %d, want 0", got)
+	if !settled(g) {
+		t.Fatal("gate not settled: the slot did not come back")
+	}
+}
+
+func TestLineIsFIFO(t *testing.T) {
+	g := NewGate(QueueConfig{Workers: 1}, vclock.System, nil)
+	defer g.Close()
+	if err := g.Admit(Budget{}); err != nil {
+		t.Fatal(err)
+	}
+	const n = 8
+	order := make(chan int, n)
+	for i := 0; i < n; i++ {
+		go func(i int) {
+			if err := g.Admit(Budget{}); err != nil {
+				t.Error(err)
+				return
+			}
+			order <- i
+			g.Done()
+		}(i)
+		waitUntil(t, "the request is in line", func() bool { return g.Backlog() == i+1 })
+	}
+	g.Done()
+	for want := 0; want < n; want++ {
+		if got := <-order; got != want {
+			t.Fatalf("admitted %d, want %d", got, want)
+		}
+	}
+	waitUntil(t, "the gate settles", func() bool { return settled(g) })
+}
+
+func TestCloseRefusesEveryoneInLine(t *testing.T) {
+	g := NewGate(QueueConfig{Workers: 1}, vclock.System, nil)
+	if err := g.Admit(Budget{}); err != nil {
+		t.Fatal(err)
+	}
+	const n = 3
+	errs := make(chan error, n)
+	for i := 0; i < n; i++ {
+		go func() { errs <- g.Admit(Budget{}) }()
+	}
+	waitUntil(t, "the line is full", func() bool { return g.Backlog() == n })
+	g.Close()
+	for i := 0; i < n; i++ {
+		if err := <-errs; !errors.Is(err, ErrQueueClosed) {
+			t.Fatalf("waiter %d: want ErrQueueClosed, got %v", i, err)
+		}
+	}
+	if err := g.Admit(Budget{}); !errors.Is(err, ErrQueueClosed) {
+		t.Fatalf("after Close: want ErrQueueClosed, got %v", err)
+	}
+	g.Done()
+	if !settled(g) {
+		t.Fatal("gate not settled after the holder's Done")
 	}
 }

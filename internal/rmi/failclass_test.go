@@ -175,10 +175,12 @@ func (p *linkProxy) close() {
 	p.kill()
 }
 
-// refuseAll is an execute queue with no room: every request is BUSY.
-type refuseAll struct{}
-
-func (refuseAll) Submit(func()) error { return errors.New("queue full") }
+// closedGate is an execute queue that refuses every request with BUSY.
+func closedGate() *rmi.Gate {
+	g := rmi.NewGate(rmi.QueueConfig{}, vclock.System, nil)
+	g.Close()
+	return g
+}
 
 // classWant is what one invocation of a failure class must come to.
 type classWant struct {
@@ -211,7 +213,7 @@ func TestFailureClassesOnBothFabrics(t *testing.T) {
 			// The caller's budget runs out while A's handler runs.
 			fx.inA = func() error { fx.budget.Advance(2 * time.Second); <-release; return nil }
 		}, classWant{attempts: 1, runsA: 1, err: "budget"}, classWant{attempts: 1, runsA: 1, err: "budget"}},
-		{"busy", func(_ *testing.T, fx *classFixture) { fx.regA.SetAdmission(refuseAll{}) },
+		{"busy", func(_ *testing.T, fx *classFixture) { fx.regA.SetGate(closedGate()) },
 			failover, failover},
 		{"not deployed", func(_ *testing.T, fx *classFixture) { fx.regA.Unregister("Pay") },
 			failover, failover},

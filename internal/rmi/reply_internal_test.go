@@ -32,8 +32,7 @@ func TestReplyInPlaceIsByteIdentical(t *testing.T) {
 	}
 	run := func(h Handler) []byte {
 		call := callPool.Get().(*Call)
-		fr := r.execute(context.Background(), 3, call, trace.SpanContext{}, MethodSpec{name: "m", Handler: h})
-		releaseCall(call)
+		fr := r.execute(context.Background(), nil, 3, call, trace.SpanContext{}, MethodSpec{name: "m", Handler: h}, Budget{})
 		if fr.Kind != wire.KindResponse || fr.Corr != 3 {
 			t.Fatalf("frame header %+v", fr)
 		}

@@ -8,7 +8,6 @@ import (
 	"testing"
 	"time"
 
-	"wls/internal/core"
 	"wls/internal/metrics"
 	"wls/internal/rmi"
 	"wls/internal/simtest"
@@ -138,28 +137,8 @@ func TestBusyFailoverToNextServer(t *testing.T) {
 	full := f.Servers[0]
 	next := f.Servers[1]
 
-	// Stuff server-1's execute queue: one task occupies the only worker,
-	// another fills the one queue slot, so the next submit is denied.
-	q := core.NewExecuteQueue(core.QueueConfig{Workers: 1, QueueLen: 1, Policy: core.Deny}, f.Clock, full.Metrics)
-	defer q.Close()
-	block := make(chan struct{})
-	defer close(block)
-	if err := q.Submit(func() { <-block }); err != nil {
-		t.Fatal(err)
-	}
-	deadline := time.Now().Add(2 * time.Second)
-	for {
-		// The worker dequeues the blocker asynchronously; keep topping the
-		// queue up until one filler sticks as the queued (undequeued) task.
-		if err := q.Submit(func() {}); err == nil && full.Metrics.Gauge("queue.depth").Value() > 0 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("could not fill the execute queue")
-		}
-		time.Sleep(time.Millisecond)
-	}
-	full.Registry.SetAdmission(q)
+	// Server-1's execute queue is closed: it refuses every request.
+	full.Registry.SetGate(closedGate())
 
 	stop := advancer(f)
 	defer stop()

@@ -233,16 +233,6 @@ func decodeResponse(b []byte) (response, error) {
 // ---------------------------------------------------------------------------
 // Registry (server side)
 
-// Admission is the execute-queue contract the registry dispatches
-// non-system requests through (an interface, not *core.ExecuteQueue,
-// because core sits above rmi in the import graph). Submit either accepts
-// the task for asynchronous execution or returns an error, which the
-// registry reports as a wire-level BUSY response: the request was refused
-// before any application code ran, so the caller may safely fail over.
-type Admission interface {
-	Submit(task func()) error
-}
-
 // Registry dispatches inbound invocations on one server and advertises its
 // services cluster-wide.
 type Registry struct {
@@ -253,9 +243,9 @@ type Registry struct {
 	// tracer continues inbound traces (atomic: it is wired after the
 	// handler is installed, and frames may already be arriving).
 	tracer atomic.Pointer[trace.Tracer]
-	// admission, when set, is the execute queue all non-system requests
-	// pass through (atomic for the same wiring-order reason as tracer).
-	admission atomic.Pointer[Admission]
+	// gate, when set, is the execute queue all non-system requests pass
+	// through (atomic for the same wiring-order reason as tracer).
+	gate atomic.Pointer[Gate]
 
 	// requests counts all inbound calls; resolved once at construction
 	// to keep metric lookups off the per-request path.
@@ -304,15 +294,9 @@ func (r *Registry) SetTracer(t *trace.Tracer) { r.tracer.Store(t) }
 // Tracer returns the installed tracer, or nil.
 func (r *Registry) Tracer() *trace.Tracer { return r.tracer.Load() }
 
-// SetAdmission routes all non-system inbound requests through q. A nil q
-// (the default) executes requests inline on the transport's goroutine.
-func (r *Registry) SetAdmission(q Admission) {
-	if q == nil {
-		r.admission.Store(nil)
-		return
-	}
-	r.admission.Store(&q)
-}
+// SetGate admits all non-system inbound requests through g, on the
+// goroutine that delivered them. A nil g (the default) admits everything.
+func (r *Registry) SetGate(g *Gate) { r.gate.Store(g) }
 
 // Register deploys a service on this server and advertises it.
 func (r *Registry) Register(s *Service) {
@@ -413,12 +397,11 @@ func (r *Registry) handle(from string, f wire.Frame) *wire.Frame {
 		call.ConvID = string(convB)
 	}
 
-	if qp := r.admission.Load(); qp != nil && !m.System && !svc.System {
-		return r.dispatchQueued(ctx, *qp, f.Corr, call, sc, m, budget)
+	g := r.gate.Load()
+	if m.System || svc.System {
+		g = nil
 	}
-	fr := r.execute(ctx, f.Corr, call, sc, m)
-	releaseCall(call)
-	return fr
+	return r.execute(ctx, g, f.Corr, call, sc, m, budget)
 }
 
 func (r *Registry) busyFrame(corr uint64, msg string) *wire.Frame {
@@ -426,52 +409,20 @@ func (r *Registry) busyFrame(corr uint64, msg string) *wire.Frame {
 	return errorFrame(corr, respBusy, msg)
 }
 
-// dispatchQueued routes one admitted-or-refused request through the
-// server's execute queue (§2.3). The transport goroutine blocks for the
-// outcome; under a budget it stops waiting at the deadline, and an atomic
-// claim decides the request's fate exactly once — either a worker runs it,
-// or the timeout abandons it while still queued and BUSY's no-side-effects
-// promise stays truthful.
-func (r *Registry) dispatchQueued(ctx context.Context, q Admission, corr uint64,
+// execute admits one request through g, when there is one, runs its
+// handler and encodes the response — once: the handler either returns its
+// result, which is appended to the envelope, or has already written it
+// inside the envelope through call.Reply. A refused request gets BUSY and
+// never runs. Either way the Call goes back to the pool.
+func (r *Registry) execute(ctx context.Context, g *Gate, corr uint64,
 	call *Call, sc trace.SpanContext, m MethodSpec, budget Budget) *wire.Frame {
-	done := make(chan *wire.Frame, 1)
-	var claimed atomic.Bool
-	err := q.Submit(func() {
-		if !claimed.CompareAndSwap(false, true) {
-			return // abandoned at deadline while queued: BUSY already sent
+	defer releaseCall(call)
+	if g != nil {
+		if err := g.Admit(budget); err != nil {
+			return r.busyFrame(corr, err.Error())
 		}
-		fr := r.execute(ctx, corr, call, sc, m)
-		releaseCall(call)
-		done <- fr
-	})
-	if err != nil {
-		releaseCall(call) // never submitted: the closure will not run
-		return r.busyFrame(corr, err.Error())
+		defer g.Done()
 	}
-	if budget.Valid() {
-		select {
-		case fr := <-done:
-			return fr
-		case <-budget.clock.After(budget.Remaining()):
-			if claimed.CompareAndSwap(false, true) {
-				// Winning the claim means the queued closure will return
-				// without touching call, so recycling it here is safe.
-				releaseCall(call)
-				return r.busyFrame(corr, "deadline expired in queue")
-			}
-			// A worker claimed it first: the handler is running, so report
-			// its true outcome (the caller's own deadline gate discards it).
-			return <-done
-		}
-	}
-	return <-done
-}
-
-// execute runs one request's handler and encodes the response — once: the
-// handler either returns its result, which is appended to the envelope, or
-// has already written it inside the envelope through call.Reply.
-func (r *Registry) execute(ctx context.Context, corr uint64,
-	call *Call, sc trace.SpanContext, m MethodSpec) *wire.Frame {
 	fr := wire.AcquireFrame()
 	e := fr.Encoder()
 	call.reply = e

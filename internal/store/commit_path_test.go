@@ -9,6 +9,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strconv"
 	"sync"
 	"testing"
@@ -18,6 +19,7 @@ import (
 	"wls/internal/kv/kvtest"
 	"wls/internal/tx"
 	"wls/internal/vclock"
+	"wls/internal/wire"
 )
 
 // gateFS parks every Sync while armed, announcing each on parked; once
@@ -474,4 +476,25 @@ func runTxSweep(t *testing.T, cut int) int {
 		t.Fatalf("cut %d: inventory LSN %d with %d changes applied", cut, got, want)
 	}
 	return cfs.MutatingOps()
+}
+
+// TestALyingStagedWriteCountFails feeds decodeStagedWrites a short vote
+// whose count is negative or far beyond what its bytes hold: it must
+// fail, not panic, and size nothing by the count.
+func TestALyingStagedWriteCountFails(t *testing.T) {
+	for _, n := range []int{-1, 1 << 24, 1 << 40} {
+		e := wire.NewEncoder(8)
+		e.Int(n)
+		e.Byte(byte(writePut))
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		writes, err := decodeStagedWrites(e.Bytes())
+		runtime.ReadMemStats(&after)
+		if err == nil || writes != nil {
+			t.Fatalf("count %d: got %d writes, %v; want an error", n, len(writes), err)
+		}
+		if got := after.TotalAlloc - before.TotalAlloc; got >= 1<<20 {
+			t.Fatalf("count %d: allocated %d bytes", n, got)
+		}
+	}
 }

@@ -857,9 +857,11 @@ func decodeOptFields(d *wire.Decoder) ([]field, error) {
 
 func decodeStagedWrites(b []byte) ([]stagedWrite, error) {
 	d := wire.NewDecoder(b)
-	n := d.Int()
-	if d.Err() != nil || n < 0 || n > 1<<24 {
-		return nil, fmt.Errorf("staged write count %d", n)
+	// A write is a kind, table, key, insert flag, version and two field
+	// flags: seven bytes at least.
+	n := d.Count(7)
+	if d.Err() != nil {
+		return nil, fmt.Errorf("staged write count: %w", d.Err())
 	}
 	writes := make([]stagedWrite, 0, n)
 	for i := 0; i < n; i++ {

@@ -565,6 +565,21 @@ func (d *Decoder) Uint32() uint32 { return uint32(d.Uint64()) }
 // Int reads a zig-zag varint and narrows it.
 func (d *Decoder) Int() int { return int(d.Int64()) }
 
+// Count reads an element count written with Int, for a list whose every
+// element takes at least minSize bytes. A count that is negative, or that
+// the bytes after it cannot hold, fails the decoder and reads as 0, so a
+// lying count fails before anything is sized by it.
+func (d *Decoder) Count(minSize int) int {
+	n := d.Int64()
+	if d.err == nil && (n < 0 || n > int64(d.Remaining()/minSize)) {
+		d.fail()
+	}
+	if d.err != nil {
+		return 0
+	}
+	return int(n)
+}
+
 // Byte reads one raw byte.
 func (d *Decoder) Byte() byte {
 	if d.err != nil {

@@ -773,3 +773,22 @@ func TestStringDecoderAgreesWithDecoder(t *testing.T) {
 		}
 	}
 }
+
+func TestCountRefusesALyingCount(t *testing.T) {
+	for _, n := range []int64{-1, 4, 1 << 40} {
+		e := NewEncoder(16)
+		e.Int64(n)
+		e.RawBytes([]byte{1, 2, 3, 4, 5, 6, 7, 8}) // room for 4 elements of 2 bytes
+		d := NewDecoder(e.Bytes())
+		got := d.Count(2)
+		if n == 4 {
+			if got != 4 || d.Err() != nil {
+				t.Fatalf("count 4 over 8 bytes: got %d, %v", got, d.Err())
+			}
+			continue
+		}
+		if got != 0 || d.Err() == nil {
+			t.Fatalf("count %d over 8 bytes: got %d, %v; want 0 and an error", n, got, d.Err())
+		}
+	}
+}

@@ -87,10 +87,10 @@ type Options struct {
 	// TraceBuffer is the shared span ring capacity (default 4096).
 	TraceBuffer int
 	// Admission, when set, gives every server an execute queue (§2.3) that
-	// all non-system RMI requests pass through; with Policy core.Deny a
-	// full queue refuses requests with a wire-level BUSY response that
-	// stubs treat as side-effect-free and fail over from.
-	Admission *core.QueueConfig
+	// admits all non-system RMI requests; with Policy rmi.Deny a full
+	// queue refuses requests with a wire-level BUSY response that stubs
+	// treat as side-effect-free and fail over from.
+	Admission *rmi.QueueConfig
 	// Resilience, when set, gives every server a shared client-side
 	// overload-protection layer — retry token bucket, capped jittered
 	// backoff, per-server circuit breakers — which Server.Stub wires into
@@ -131,10 +131,10 @@ type Server struct {
 	member   *cluster.Member
 	registry *rmi.Registry
 	reg      *metrics.Registry
-	tracer   *trace.Tracer      // nil unless Options.TraceSample > 0
-	queue    *core.ExecuteQueue // nil unless Options.Admission
-	res      *rmi.Resilience    // nil unless Options.Resilience
-	parts    *partition.Views   // nil unless Options.Partition
+	tracer   *trace.Tracer    // nil unless Options.TraceSample > 0
+	queue    *rmi.Gate        // nil unless Options.Admission
+	res      *rmi.Resilience  // nil unless Options.Resilience
+	parts    *partition.Views // nil unless Options.Partition
 
 	// Tx is the server's transaction manager.
 	Tx *tx.Manager
@@ -344,8 +344,8 @@ func (c *Cluster) assemble(s *Server) error {
 		s.registry.SetTracer(s.tracer)
 	}
 	if c.opts.Admission != nil {
-		s.queue = core.NewExecuteQueue(*c.opts.Admission, fix.clock, s.reg)
-		s.registry.SetAdmission(s.queue)
+		s.queue = rmi.NewGate(*c.opts.Admission, fix.clock, s.reg)
+		s.registry.SetGate(s.queue)
 	}
 	if c.opts.Resilience != nil {
 		// A rebooted server has no memory of old breaker state or banked
@@ -417,7 +417,7 @@ func (s *Server) Metrics() *metrics.Registry { return s.reg }
 func (s *Server) Tracer() *trace.Tracer { return s.tracer }
 
 // Queue returns the server's execute queue (nil unless Options.Admission).
-func (s *Server) Queue() *core.ExecuteQueue { return s.queue }
+func (s *Server) Queue() *rmi.Gate { return s.queue }
 
 // Resilience returns the server's shared client-side resilience layer (nil
 // unless Options.Resilience).
