@@ -36,7 +36,6 @@ import (
 	"wls"
 	"wls/internal/ejb"
 	"wls/internal/metrics"
-	"wls/internal/partition"
 	"wls/internal/rmi"
 	"wls/internal/servlet"
 	"wls/internal/trace"
@@ -50,7 +49,6 @@ func main() {
 	traceSample := flag.Float64("trace-sample", 0, "fraction of requests to trace (0 disables, 1 traces all)")
 	queueWorkers := flag.Int("queue-workers", 0, "requests each server runs at once, with 64 more in line (0 disables admission control)")
 	resilient := flag.Bool("resilient", false, "enable client-side retry budget, backoff and per-server circuit breakers")
-	partitioned := flag.Bool("partition", true, "place session secondaries by walking a consistent-hash ring instead of name order (enables /admin/partitions and live scale-out)")
 	flag.Parse()
 
 	opts := wls.Options{
@@ -58,9 +56,6 @@ func main() {
 		RealClock:   true,
 		DataDir:     *dataDir,
 		TraceSample: *traceSample,
-	}
-	if *partitioned {
-		opts.Partition = &partition.Config{Seed: 1}
 	}
 	if *queueWorkers > 0 {
 		opts.Admission = &rmi.QueueConfig{Workers: *queueWorkers, QueueLen: 64, Policy: rmi.Deny}
@@ -188,10 +183,6 @@ func newAdminMux(cluster *wls.Cluster) *http.ServeMux {
 		fmt.Fprintf(w, "restarted %s\n", name)
 	})
 	adminMux.HandleFunc("/admin/partitions", func(w http.ResponseWriter, r *http.Request) {
-		if len(cluster.Servers) == 0 || cluster.Servers[0].Partitions() == nil {
-			http.Error(w, "partitioning disabled; restart wlsd with -partition", http.StatusNotFound)
-			return
-		}
 		sample := 4096
 		if q := r.URL.Query().Get("sample"); q != "" {
 			n, err := strconv.Atoi(q)

@@ -15,7 +15,6 @@ import (
 	"testing"
 
 	"wls"
-	"wls/internal/partition"
 	"wls/internal/rmi"
 	"wls/internal/servlet"
 	"wls/internal/webtier"
@@ -65,7 +64,7 @@ func elisionHandlers(handle func(path string, h servlet.HandlerFunc)) {
 
 func netsimRig(t *testing.T, mode servlet.SessionMode) *elisionRig {
 	t.Helper()
-	c, err := wls.New(wls.Options{Servers: 3, RealClock: true, Sessions: mode, Partition: &partition.Config{Seed: 1}})
+	c, err := wls.New(wls.Options{Servers: 3, RealClock: true, Sessions: mode})
 	if err != nil {
 		t.Fatal(err)
 	}

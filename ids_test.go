@@ -16,7 +16,7 @@ import (
 // (E33's moved fraction, at small N); another seed draws other ids.
 func TestSeededClustersDrawTheSameIDs(t *testing.T) {
 	run := func(seed int64) (ids []string, moved string) {
-		c, err := wls.New(wls.Options{Servers: 4, Seed: seed, Partition: &partition.Config{Seed: 1}})
+		c, err := wls.New(wls.Options{Servers: 4, Seed: seed})
 		if err != nil {
 			t.Fatal(err)
 		}

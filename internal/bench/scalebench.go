@@ -66,7 +66,6 @@ func e33Run(p e33Params) *Table {
 		Servers:   p.servers,
 		RealClock: true,
 		Seed:      1,
-		Partition: &partition.Config{Seed: 1},
 		Admission: &rmi.QueueConfig{Workers: 2, QueueLen: 8, Policy: rmi.Deny},
 	})
 	if err != nil {

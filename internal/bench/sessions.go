@@ -251,8 +251,7 @@ func runE08() *Table {
 }
 
 // runE09 places one secondary in each of 2000 random cluster
-// configurations with the picker the servers run (cluster.Picker), fed in
-// each of its two orders: name order, as without a partition ring, and a
+// configurations with the picker the servers run (cluster.Picker), fed a
 // seeded ring's walk of a session key. TestE09RingPlacement checks the same
 // property.
 func runE09() *Table {
@@ -264,70 +263,63 @@ func runE09() *Table {
 
 	const trials = 2000
 	groups := []string{"gA", "gB", "gC"}
-	for _, order := range []string{"name", "ring"} {
-		seed := int64(12345) // the same configurations for both orders
-		next := func(n int) int {
-			seed = seed*6364136223846793005 + 1442695040888963407
-			v := int(seed>>33) % n
-			if v < 0 {
-				v = -v
-			}
-			return v
+	seed := int64(12345)
+	next := func(n int) int {
+		seed = seed*6364136223846793005 + 1442695040888963407
+		v := int(seed>>33) % n
+		if v < 0 {
+			v = -v
 		}
-		placed, inGroup, crossed, violations := 0, 0, 0, 0
-		for trial := 0; trial < trials; trial++ {
-			n := 2 + next(10)
-			cands := make([]cluster.MemberInfo, n)
-			names := make([]string, n)
-			for i := range cands {
-				names[i] = fmt.Sprintf("s%02d", i)
-				cands[i] = cluster.MemberInfo{Name: names[i], Machine: fmt.Sprintf("m%d", next(4)), ReplicationGroup: groups[next(3)]}
-			}
-			self := cands[next(n)]
-			self.PreferredSecondaryGroups = groups[:next(4)]
-			pick := cluster.NewPicker(self, cands, "")
-			if order == "ring" {
-				ring := partition.New(partition.Config{Seed: int64(trial)}, names)
-				ring.Walk(self.Name+"-sess-"+strconv.Itoa(trial), pick.Offer)
-			} else {
-				pick.OfferNameOrder()
-			}
-			var sec cluster.MemberInfo
-			for _, c := range cands {
-				if c.Name == pick.Pick() {
-					sec = c
-				}
-			}
-			if sec.Name == "" || sec.Name == self.Name {
-				violations++
-				continue
-			}
-			placed++
-			otherMachine := func(group string) bool {
-				for _, c := range cands {
-					if c.Machine != self.Machine && (group == "" || c.ReplicationGroup == group) {
-						return true
-					}
-				}
-				return false
-			}
-			if sec.Machine != self.Machine {
-				crossed++
-			} else if otherMachine("") {
-				violations++
-			}
-			for _, g := range self.PreferredSecondaryGroups {
-				if otherMachine(g) {
-					if sec.ReplicationGroup == g && sec.Machine != self.Machine {
-						inGroup++
-					} else {
-						violations++
-					}
-					break
-				}
-			}
-		}
-		t.AddRow(order, trials, placed, inGroup, crossed, violations)
+		return v
 	}
+	placed, inGroup, crossed, violations := 0, 0, 0, 0
+	for trial := 0; trial < trials; trial++ {
+		n := 2 + next(10)
+		cands := make([]cluster.MemberInfo, n)
+		names := make([]string, n)
+		for i := range cands {
+			names[i] = fmt.Sprintf("s%02d", i)
+			cands[i] = cluster.MemberInfo{Name: names[i], Machine: fmt.Sprintf("m%d", next(4)), ReplicationGroup: groups[next(3)]}
+		}
+		self := cands[next(n)]
+		self.PreferredSecondaryGroups = groups[:next(4)]
+		pick := cluster.NewPicker(self, cands, "")
+		partition.New(partition.Config{Seed: int64(trial)}, names).Walk(self.Name+"-sess-"+strconv.Itoa(trial), pick.Offer)
+		var sec cluster.MemberInfo
+		for _, c := range cands {
+			if c.Name == pick.Pick() {
+				sec = c
+			}
+		}
+		if sec.Name == "" || sec.Name == self.Name {
+			violations++
+			continue
+		}
+		placed++
+		otherMachine := func(group string) bool {
+			for _, c := range cands {
+				if c.Machine != self.Machine && (group == "" || c.ReplicationGroup == group) {
+					return true
+				}
+			}
+			return false
+		}
+		if sec.Machine != self.Machine {
+			crossed++
+		} else if otherMachine("") {
+			violations++
+		}
+		for _, g := range self.PreferredSecondaryGroups {
+			if otherMachine(g) {
+				if sec.ReplicationGroup == g && sec.Machine != self.Machine {
+					inGroup++
+				} else {
+					violations++
+				}
+				break
+			}
+		}
+	}
+	t.AddRow("ring", trials, placed, inGroup, crossed, violations)
 	return t
 }

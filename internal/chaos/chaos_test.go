@@ -169,30 +169,6 @@ func TestChaosReplay(t *testing.T) {
 	}
 }
 
-// TestChaosRebalance pins the rebalance invariant on fixed seeds: with the
-// consistent-hash ring placing session secondaries, crash/restart faults
-// force epoch changes, and no replicated session may lose its counter
-// across them (single-failure windows only; the session workload forgives
-// a dual-replica loss, which the generator's MaxFaults budget makes rare).
-// Ring mode adds no fault kinds, so these schedules are byte-identical to
-// the default-config ones and the seeds exercise crash/restart-heavy
-// timelines.
-func TestChaosRebalance(t *testing.T) {
-	if testing.Short() {
-		t.Skip("chaos rebalance seeds skipped in -short mode")
-	}
-	for _, seed := range []int64{1, 3, 7, 11} {
-		r, err := Run(seed, Config{Ring: true})
-		if err != nil {
-			t.Fatalf("seed %d: %v", seed, err)
-		}
-		if r.Failed() {
-			t.Fatalf("seed %d lost sessions across a rebalance — violations:\n  %s\ntimeline:\n%s",
-				seed, r.Violations, r.Timeline)
-		}
-	}
-}
-
 // TestChaosOverloadSweep drives the overload-protection stack through the
 // fault generator: flash bursts against Deny admission, slow servers
 // against budgets and breakers. Three invariants ride on it — every

@@ -1,15 +1,17 @@
 package chaos
 
+import "wls/internal/servlet"
+
 // ringWorkload asserts the partitioning layer's convergence invariants
-// while the session workload (running alongside it under Config.Ring)
-// carries the no-session-lost-across-rebalance check. It injects no load
+// while the session workload, whose secondaries the rings place, carries
+// the no-session-lost-across-rebalance check. It injects no load
 // of its own: it watches every managed server's Views and demands that,
 // once the cluster heals, all survivors agree on one ring that names
-// exactly the live managed servers, and that the fault schedule actually
-// forced epoch changes (otherwise the run never exercised a rebalance).
+// exactly the live managed servers, and that a membership change the
+// faults caused moved the epoch (the ring tracks membership).
 type ringWorkload struct {
 	epoch0   map[string]uint64
-	topology bool // a crash or restart occurred
+	topology bool // an unfaulted server's view lost a managed server
 }
 
 func newRingWorkload() *ringWorkload { return &ringWorkload{epoch0: map[string]uint64{}} }
@@ -18,24 +20,24 @@ func (w *ringWorkload) Name() string { return "ring" }
 
 func (w *ringWorkload) Setup(h *Harness) error {
 	for _, s := range h.Cluster.Servers {
-		if vs := s.Partitions(); vs != nil {
-			if v := vs.Current(); v != nil {
-				w.epoch0[s.Name] = v.Epoch
-			}
-		}
+		w.epoch0[s.Name] = s.Partitions().Current().Epoch
 	}
 	return nil
 }
 
-func (w *ringWorkload) OnFault(_ *Harness, s Step) {
-	if s.Kind == OpCrash || s.Kind == OpRestart {
-		w.topology = true
-	}
-}
+func (w *ringWorkload) OnFault(*Harness, Step) {}
 
 func (w *ringWorkload) Step(*Harness) {}
 
-func (w *ringWorkload) Check(*Harness) {}
+// Check notes whether a membership change took hold: a crash shorter than
+// the failure timeout, or a restart, leaves every view as it was.
+func (w *ringWorkload) Check(h *Harness) {
+	for _, s := range h.Cluster.Servers {
+		if !h.State.Faulted(s.Name) && len(s.Member().OffersOf(servlet.ServiceName)) < len(h.Cluster.Servers) {
+			w.topology = true
+		}
+	}
+}
 
 // Settled reports ring convergence across the servers that are currently
 // up: every live server's ring carries the same fingerprint and exactly
@@ -54,12 +56,8 @@ func (w *ringWorkload) Settled(h *Harness) bool {
 		if h.State.Down[s.Name] {
 			continue
 		}
-		vs := s.Partitions()
-		if vs == nil {
-			return false
-		}
-		v := vs.Current()
-		if v == nil || v.Ring.Len() != live {
+		v := s.Partitions().Current()
+		if v.Ring.Len() != live {
 			return false
 		}
 		if first {
@@ -77,10 +75,10 @@ func (w *ringWorkload) Quiesce(h *Harness) {
 		return
 	}
 	if !w.topology {
-		return // no crash/restart in this schedule: epochs may legally sit still
+		return // no view lost a server: epochs may legally sit still
 	}
 	// A crashed-then-restarted server can itself come back to an identical
-	// member set (no bump), but its departure and return must have moved
+	// member set (no bump), but a departure some view saw must have moved
 	// the epoch somewhere among the survivors.
 	bumped := 0
 	for _, s := range h.Cluster.Servers {

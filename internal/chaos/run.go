@@ -8,7 +8,6 @@ import (
 
 	"wls"
 	"wls/internal/netsim"
-	"wls/internal/partition"
 	"wls/internal/rmi"
 	"wls/internal/servlet"
 )
@@ -220,9 +219,6 @@ func Run(seed int64, cfg Config) (*Result, error) {
 		Sessions:  servlet.SessionsReplicated,
 		Seed:      seed,
 	}
-	if cfg.Ring {
-		opts.Partition = &partition.Config{Seed: seed}
-	}
 	if cfg.Overload {
 		// A deliberately small Deny queue so flash crowds actually shed, and
 		// the full client-side resilience stack so the invariants exercise
@@ -245,12 +241,10 @@ func Run(seed int64, cfg Config) (*Result, error) {
 		newTxWorkload(seed),
 		newJMSWorkload(seed),
 		newSessionWorkload(seed),
+		newRingWorkload(),
 	}
 	if cfg.Overload {
 		workloads = append(workloads, newOverloadWorkload(seed))
-	}
-	if cfg.Ring {
-		workloads = append(workloads, newRingWorkload())
 	}
 	for _, w := range workloads {
 		if err := w.Setup(h); err != nil {

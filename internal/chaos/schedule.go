@@ -56,13 +56,6 @@ type Config struct {
 	// workload. Off by default so the schedules of pinned regression seeds
 	// stay byte-identical.
 	Overload bool
-	// Ring boots the cluster with consistent-hash partitioning, so session
-	// secondaries are ring-placed and every crash/restart forces a
-	// rebalance epoch change while the session workload checks counter
-	// continuity — the no-session-lost-across-rebalance invariant. It adds
-	// a ring-convergence check but no new fault kinds, so schedules (and
-	// pinned seeds) are unaffected.
-	Ring bool
 }
 
 func (c Config) withDefaults() Config {

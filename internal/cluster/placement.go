@@ -1,10 +1,12 @@
 package cluster
 
+import "slices"
+
 // Picker is the §3.2 secondary-placement rule: "organizes the candidates
 // into a logical ring and looks for the first one in the desired
-// replication group that is on a different machine". The walk feeds it the
-// candidates in ring order (Offer, OfferNameOrder); it ranks each one,
-// best first:
+// replication group that is on a different machine". A walk of the
+// session key's consistent-hash ring feeds it the candidates (Offer); it
+// ranks each one, best first:
 //
 //  1. a member of the self's preferred replication groups, in priority
 //     order, on another machine;
@@ -35,47 +37,27 @@ func NewPicker(self MemberInfo, live []MemberInfo, avoid string) Picker {
 // and reports whether a later candidate could still be picked instead: a
 // walk may stop once it is false.
 func (p *Picker) Offer(name string) bool {
+	if name == p.self.Name || name == p.avoid {
+		return p.rank > 0
+	}
 	for i := range p.live {
-		if p.live[i].Name == name {
-			p.offer(&p.live[i])
-			break
+		c := &p.live[i]
+		if c.Name != name {
+			continue
 		}
+		groups := p.self.PreferredSecondaryGroups
+		rank := len(groups) // another machine
+		if c.Machine == p.self.Machine {
+			rank++
+		} else if i := slices.Index(groups, c.ReplicationGroup); i >= 0 {
+			rank = i
+		}
+		if rank < p.rank {
+			p.pick, p.rank = c.Name, rank
+		}
+		break
 	}
 	return p.rank > 0
-}
-
-// OfferNameOrder offers the live members in name order, from the first one
-// after self round to the last one before it: the logical ring when no
-// partition ring is attached.
-func (p *Picker) OfferNameOrder() {
-	start := 0
-	for start < len(p.live) && p.live[start].Name <= p.self.Name {
-		start++
-	}
-	for i := 0; i < len(p.live) && p.rank > 0; i++ {
-		p.offer(&p.live[(start+i)%len(p.live)])
-	}
-}
-
-func (p *Picker) offer(c *MemberInfo) {
-	if c.Name == p.self.Name || c.Name == p.avoid {
-		return
-	}
-	groups := p.self.PreferredSecondaryGroups
-	rank := len(groups) // another machine
-	if c.Machine == p.self.Machine {
-		rank++
-	} else {
-		for i, g := range groups {
-			if c.ReplicationGroup == g {
-				rank = i
-				break
-			}
-		}
-	}
-	if rank < p.rank {
-		p.pick, p.rank = c.Name, rank
-	}
 }
 
 // Pick returns the chosen secondary ("" when no candidate qualified).

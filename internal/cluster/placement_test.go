@@ -16,11 +16,15 @@ func mi(name, machine, group string, preferred ...string) cluster.MemberInfo {
 	return cluster.MemberInfo{Name: name, Machine: machine, ReplicationGroup: group, PreferredSecondaryGroups: preferred}
 }
 
-// nameOrder places self's secondary among live the way a server without a
-// partition ring does.
-func nameOrder(self cluster.MemberInfo, live []cluster.MemberInfo, avoid string) string {
+// walk places self's secondary among live, offered in the order a ring
+// walk would offer them: live's own order.
+func walk(self cluster.MemberInfo, live []cluster.MemberInfo, avoid string) string {
 	p := cluster.NewPicker(self, live, avoid)
-	p.OfferNameOrder()
+	for _, c := range live {
+		if !p.Offer(c.Name) {
+			break
+		}
+	}
 	return p.Pick()
 }
 
@@ -32,28 +36,21 @@ func TestRingPrefersConfiguredGroup(t *testing.T) {
 		mi("s3", "m2", "gA"), // different machine, wrong group
 		mi("s4", "m3", "gB"), // preferred group, different machine ← winner
 	}
-	if sec := nameOrder(self, cands, ""); sec != "s4" {
+	if sec := walk(self, cands, ""); sec != "s4" {
 		t.Fatalf("sec = %q, want s4", sec)
 	}
 }
 
+// Among candidates of one rank the walk's order decides: the first one
+// offered wins, wherever self falls in the walk.
 func TestRingScanStartsAfterSelf(t *testing.T) {
-	// Ring order: s1 s2 s3. Starting after s2, the scan should pick s3
-	// before wrapping to s1.
 	self := mi("s2", "m2", "g", "g")
-	cands := []cluster.MemberInfo{
-		mi("s1", "m1", "g"),
-		self,
-		mi("s3", "m3", "g"),
+	s1, s3 := mi("s1", "m1", "g"), mi("s3", "m3", "g")
+	if sec := walk(self, []cluster.MemberInfo{self, s3, s1}, ""); sec != "s3" {
+		t.Fatalf("sec = %q, want s3 (first offered after self)", sec)
 	}
-	if sec := nameOrder(self, cands, ""); sec != "s3" {
-		t.Fatalf("sec = %q, want s3 (ring order)", sec)
-	}
-	// And for s3, the scan wraps to s1.
-	self3 := mi("s3", "m3", "g", "g")
-	cands[2] = self3
-	if sec := nameOrder(self3, cands, ""); sec != "s1" {
-		t.Fatalf("sec = %q, want s1 (wrap)", sec)
+	if sec := walk(self, []cluster.MemberInfo{s1, self, s3}, ""); sec != "s1" {
+		t.Fatalf("sec = %q, want s1 (first offered)", sec)
 	}
 }
 
@@ -64,7 +61,7 @@ func TestRingFallsBackToAnyOtherMachine(t *testing.T) {
 		mi("s2", "m1", "gA"), // same machine
 		mi("s3", "m2", "gA"), // ← winner (different machine, no group match)
 	}
-	if sec := nameOrder(self, cands, ""); sec != "s3" {
+	if sec := walk(self, cands, ""); sec != "s3" {
 		t.Fatalf("sec = %q, want s3", sec)
 	}
 }
@@ -74,10 +71,10 @@ func TestRingFallsBackToAnyOtherMachine(t *testing.T) {
 func TestRingNoCandidateOnOtherMachine(t *testing.T) {
 	self := mi("s1", "m1", "g", "g")
 	cands := []cluster.MemberInfo{self, mi("s2", "m1", "g")}
-	if sec := nameOrder(self, cands, ""); sec != "s2" {
+	if sec := walk(self, cands, ""); sec != "s2" {
 		t.Fatalf("sec = %q, want the co-located s2", sec)
 	}
-	if sec := nameOrder(self, cands, "s2"); sec != "" {
+	if sec := walk(self, cands, "s2"); sec != "" {
 		t.Fatalf("sec = %q avoiding the only candidate, want none", sec)
 	}
 }
@@ -89,14 +86,14 @@ func TestRingGroupPriorityOrder(t *testing.T) {
 		mi("s2", "m2", "gC"),
 		mi("s3", "m3", "gB"), // gB outranks gC even though s2 is earlier in ring
 	}
-	if sec := nameOrder(self, cands, ""); sec != "s3" {
+	if sec := walk(self, cands, ""); sec != "s3" {
 		t.Fatalf("sec = %q, want s3 (gB preferred over gC)", sec)
 	}
 }
 
 // TestE09RingPlacement is the E09 property test from DESIGN.md: for random
-// cluster configurations, a server to avoid, and both orders the picker is
-// fed — name order and a seeded ring's walk of a key — the chosen secondary
+// cluster configurations, a server to avoid, and a seeded ring's walk of a
+// key feeding the picker, the chosen secondary
 // is (a) never self, avoid or a stranger, (b) chosen whenever any other
 // server is live, (c) on self's machine only when no other machine has a
 // candidate, and (d) in the most-preferred group that has a candidate on
@@ -134,7 +131,7 @@ func TestE09RingPlacement(t *testing.T) {
 
 		ringOrder := cluster.NewPicker(self, cands, avoid)
 		partition.New(partition.Config{Seed: seed}, names).Walk(fmt.Sprintf("key-%d", seed), ringOrder.Offer)
-		for _, name := range []string{nameOrder(self, cands, avoid), ringOrder.Pick()} {
+		for _, name := range []string{walk(self, cands, avoid), ringOrder.Pick()} {
 			var sec cluster.MemberInfo
 			for _, c := range cands {
 				if c.Name == name && name != self.Name && name != avoid {

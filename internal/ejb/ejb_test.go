@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -12,7 +13,9 @@ import (
 
 	"wls/internal/cluster"
 	"wls/internal/ejb"
+	"wls/internal/partition"
 	"wls/internal/rmi"
+	"wls/internal/servlet"
 	"wls/internal/simtest"
 	"wls/internal/store"
 	"wls/internal/tx"
@@ -165,6 +168,44 @@ func deployCart(fx *ejbFixture, policy ejb.DeltaPolicy) *ejb.StatefulHome {
 	}
 	fx.f.Settle(2)
 	return home
+}
+
+// TestManagersPlaceOnTheServiceRing builds a bare servlet engine and a
+// stateful bean on every server: each one's replicated manager places a
+// new record's secondary by walking a ring over every server that offers
+// its service — the first member after the primary on the record's walk.
+func TestManagersPlaceOnTheServiceRing(t *testing.T) {
+	fx := newEJBFixture(t, 4)
+	var engines []*servlet.Engine
+	var names []string
+	for _, s := range fx.f.Servers {
+		e := servlet.NewEngine(s.Registry, servlet.Config{})
+		e.Handle("/", func(*servlet.Request) servlet.Response { return servlet.Response{} })
+		engines = append(engines, e)
+		names = append(names, s.Name)
+	}
+	home := deployCart(fx, ejb.DeltaPerTx)
+	ring := partition.New(partition.Config{}, names)
+	walked := func(id, primary string) (sec string) {
+		ring.Walk(id, func(m string) bool {
+			sec = m
+			return m == primary
+		})
+		return sec
+	}
+	if got := engines[0].Sessions().Partitions().Current().Ring.Members(); !slices.Equal(got, names) {
+		t.Fatalf("the engine's ring holds %v, want %v", got, names)
+	}
+	for i := 0; i < 16; i++ {
+		c, err := servlet.DecodeCookie(engines[0].Serve("/", "", nil).Cookie)
+		if err != nil || c.Secondary != walked(c.ID, c.Primary) {
+			t.Fatalf("session %d: pair %s/%s, the ring walks to %s (err %v)", i, c.Primary, c.Secondary, walked(c.ID, c.Primary), err)
+		}
+		h, err := home.Create(context.Background())
+		if err != nil || h.Secondary() != walked(h.ID(), h.Primary()) {
+			t.Fatalf("bean %d: pair %s/%s, the ring walks to %s (err %v)", i, h.Primary(), h.Secondary(), walked(h.ID(), h.Primary()), err)
+		}
+	}
 }
 
 func TestStatefulConversationKeepsState(t *testing.T) {

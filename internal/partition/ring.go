@@ -20,28 +20,20 @@ import (
 	"sort"
 )
 
-// Config sizes a ring.
+const (
+	// VNodes is the number of virtual nodes per member: enough to keep
+	// each member's share of the key space within a small factor of even.
+	VNodes = 64
+	// Replicas is the replica-set size ReplicasInto fills: a primary and
+	// one secondary, the §3.2 pair.
+	Replicas = 2
+)
+
+// Config seeds a ring.
 type Config struct {
-	// VNodes is the number of virtual nodes per member (default 64).
-	// More vnodes smooth ownership variance at the cost of a larger
-	// lookup table.
-	VNodes int
-	// Replicas is the replica-set size Lookup fills (default 2: a
-	// primary and one secondary, the §3.2 pair).
-	Replicas int
 	// Seed perturbs vnode placement so distinct clusters (or tests) get
 	// distinct but reproducible rings.
 	Seed int64
-}
-
-func (c Config) withDefaults() Config {
-	if c.VNodes <= 0 {
-		c.VNodes = 64
-	}
-	if c.Replicas <= 0 {
-		c.Replicas = 2
-	}
-	return c
 }
 
 // point is one virtual node on the ring.
@@ -63,7 +55,6 @@ type Ring struct {
 // (cfg, member set): identical inputs yield byte-identical rings on every
 // server that computes them.
 func New(cfg Config, members []string) *Ring {
-	cfg = cfg.withDefaults()
 	ms := append([]string(nil), members...)
 	sort.Strings(ms)
 	uniq := ms[:0]
@@ -74,10 +65,10 @@ func New(cfg Config, members []string) *Ring {
 	}
 	ms = uniq
 	r := &Ring{cfg: cfg, members: ms}
-	r.points = make([]point, 0, len(ms)*cfg.VNodes)
+	r.points = make([]point, 0, len(ms)*VNodes)
 	for i, m := range ms {
 		h := mix(hashString(m), uint64(cfg.Seed))
-		for v := 0; v < cfg.VNodes; v++ {
+		for v := 0; v < VNodes; v++ {
 			h = splitmix64(h)
 			r.points = append(r.points, point{hash: h, member: int32(i)})
 		}
@@ -97,9 +88,6 @@ func (r *Ring) Len() int { return len(r.members) }
 
 // Members returns the sorted member set (shared; treat as read-only).
 func (r *Ring) Members() []string { return r.members }
-
-// Config returns the ring's configuration.
-func (r *Ring) Config() Config { return r.cfg }
 
 // Fingerprint folds the whole point table into one comparable value: two
 // rings agree on every placement iff their fingerprints agree (up to hash
@@ -170,21 +158,21 @@ func (r *Ring) Walk(key string, yield func(member string) bool) {
 }
 
 // ReplicasInto fills out with the key's replica set — the first
-// cfg.Replicas members of its Walk (fewer when the ring is smaller). out is
+// Replicas members of its Walk (fewer when the ring is smaller). out is
 // truncated and appended to; a caller-provided buffer with sufficient
 // capacity makes the lookup allocation-free.
 func (r *Ring) ReplicasInto(key string, out []string) []string {
 	out = out[:0]
 	r.Walk(key, func(m string) bool {
 		out = append(out, m)
-		return len(out) < r.cfg.Replicas
+		return len(out) < Replicas
 	})
 	return out
 }
 
 // Replicas is ReplicasInto with a fresh slice (convenience; allocates).
 func (r *Ring) Replicas(key string) []string {
-	return r.ReplicasInto(key, make([]string, 0, r.cfg.Replicas))
+	return r.ReplicasInto(key, make([]string, 0, Replicas))
 }
 
 // OwnershipShare returns each member's share of the key space, estimated
@@ -206,7 +194,7 @@ func (r *Ring) OwnershipShare(sample int) map[string]float64 {
 // String renders a compact description.
 func (r *Ring) String() string {
 	return fmt.Sprintf("ring{%d members, %d vnodes, seed %d, fp %016x}",
-		len(r.members), r.cfg.VNodes, r.cfg.Seed, r.Fingerprint())
+		len(r.members), VNodes, r.cfg.Seed, r.Fingerprint())
 }
 
 // ---------------------------------------------------------------------------

@@ -20,7 +20,7 @@ func names(n int) []string {
 // pure function every server computes independently.
 func TestRingDeterminism(t *testing.T) {
 	for _, n := range []int{1, 3, 16, 64} {
-		cfg := Config{VNodes: 64, Replicas: 2, Seed: 42}
+		cfg := Config{Seed: 42}
 		a := New(cfg, names(n))
 		b := New(cfg, names(n))
 		if !reflect.DeepEqual(a.points, b.points) || !reflect.DeepEqual(a.members, b.members) {
@@ -54,7 +54,7 @@ func TestRingDeterminism(t *testing.T) {
 func TestRingMinimalMovement(t *testing.T) {
 	const sample = 20000
 	for _, n := range []int{8, 16, 32} {
-		cfg := Config{VNodes: 64, Replicas: 2, Seed: 7}
+		cfg := Config{Seed: 7}
 		old := New(cfg, names(n))
 		grown := New(cfg, names(n+1))
 		frac := MovedFraction(old, grown, sample)
@@ -84,9 +84,9 @@ func TestRingMinimalMovement(t *testing.T) {
 	}
 }
 
-// Ownership must be reasonably balanced at 64 vnodes.
+// Ownership must be reasonably balanced at VNodes virtual nodes a member.
 func TestRingBalance(t *testing.T) {
-	r := New(Config{VNodes: 64, Seed: 3}, names(32))
+	r := New(Config{Seed: 3}, names(32))
 	share := r.OwnershipShare(50000)
 	for m, s := range share {
 		if s < 0.4/32 || s > 2.5/32 {
@@ -96,13 +96,13 @@ func TestRingBalance(t *testing.T) {
 }
 
 func TestReplicaSets(t *testing.T) {
-	r := New(Config{VNodes: 32, Replicas: 3, Seed: 9}, names(10))
+	r := New(Config{Seed: 9}, names(10))
 	var buf [4]string
 	for i := 0; i < 1000; i++ {
 		key := fmt.Sprintf("sess-%d", i)
 		reps := r.ReplicasInto(key, buf[:0])
-		if len(reps) != 3 {
-			t.Fatalf("key %s: replica set size %d, want 3", key, len(reps))
+		if len(reps) != Replicas {
+			t.Fatalf("key %s: replica set size %d, want %d", key, len(reps), Replicas)
 		}
 		seen := map[string]bool{}
 		for _, m := range reps {
@@ -116,9 +116,9 @@ func TestReplicaSets(t *testing.T) {
 		}
 	}
 	// Small rings cap the set at the member count.
-	r2 := New(Config{Replicas: 3}, names(2))
-	if got := len(r2.Replicas("k")); got != 2 {
-		t.Fatalf("2-member ring returned %d replicas, want 2", got)
+	r1 := New(Config{}, names(1))
+	if got := len(r1.Replicas("k")); got != 1 {
+		t.Fatalf("1-member ring returned %d replicas, want 1", got)
 	}
 	// Empty ring.
 	r0 := New(Config{}, nil)
@@ -129,7 +129,7 @@ func TestReplicaSets(t *testing.T) {
 
 // The ring lookup is on the request hot path: it must not allocate.
 func TestRingLookupZeroAlloc(t *testing.T) {
-	r := New(Config{VNodes: 64, Replicas: 2, Seed: 5}, names(32))
+	r := New(Config{Seed: 5}, names(32))
 	var buf [4]string
 	var sink string
 	if a := testing.AllocsPerRun(1000, func() {
@@ -159,7 +159,7 @@ func TestRingLookupZeroAlloc(t *testing.T) {
 // when told to — on a ring past the 256 members it tracks on the stack, too.
 func TestRingWalk(t *testing.T) {
 	for _, size := range []int{1, 10, 300} {
-		r := New(Config{VNodes: 8, Replicas: 3, Seed: 3}, names(size))
+		r := New(Config{Seed: 3}, names(size))
 		for i := 0; i < 50; i++ {
 			key := fmt.Sprintf("k-%d", i)
 			var order []string

@@ -41,11 +41,8 @@ type Views struct {
 
 // NewViews creates a publisher (no ring until the first Update).
 func NewViews(cfg Config) *Views {
-	return &Views{cfg: cfg.withDefaults()}
+	return &Views{cfg: cfg}
 }
-
-// Config returns the ring configuration every published view uses.
-func (vs *Views) Config() Config { return vs.cfg }
 
 // Current returns the latest view (nil before the first Update). The
 // returned view and its rings are immutable.

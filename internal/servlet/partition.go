@@ -6,25 +6,26 @@ import (
 	"wls/internal/partition"
 )
 
-// SetPartitions attaches a consistent-hash ring to the engine's session
-// manager: new sessions place their secondary by walking the session key's
-// ring clockwise instead of the engines in name order, and existing primary
-// sessions re-ship to their new secondary when an epoch change moves their
-// placement (see SessionManager.maybeRebalance).
-func (e *Engine) SetPartitions(vs *partition.Views) { e.sessions.SetPartitions(vs) }
+// SetPartitions substitutes vs, already attached to the membership layer
+// (partition.Attach), for the ring the engine's session manager would build
+// itself: for a caller that keeps one ring per server across engine
+// rebuilds, or seeds its own. Call it before the first request.
+func (e *Engine) SetPartitions(vs *partition.Views) { e.sessions.parts.Store(vs) }
 
-// SetPartitions attaches the ring views (see Engine.SetPartitions).
-func (sm *SessionManager) SetPartitions(vs *partition.Views) { sm.parts.Store(vs) }
-
-// Partitions returns the attached views (nil if none).
-func (sm *SessionManager) Partitions() *partition.Views { return sm.parts.Load() }
-
-// ringView returns the attached ring's current view (nil without one).
-func (sm *SessionManager) ringView() *partition.View {
+// Partitions returns the ring views the manager places secondaries on. A
+// manager no caller gave views to builds them the first time it needs
+// them, attached to the live members offering its service: by then the
+// service is advertised, so the ring's first view holds this server.
+func (sm *SessionManager) Partitions() *partition.Views {
 	if vs := sm.parts.Load(); vs != nil {
-		return vs.Current()
+		return vs
 	}
-	return nil
+	sm.attach.Do(func() {
+		vs := partition.NewViews(partition.Config{})
+		partition.Attach(vs, sm.member, sm.service)
+		sm.parts.CompareAndSwap(nil, vs)
+	})
+	return sm.parts.Load()
 }
 
 // maybeRebalance runs on the request path of a primary session placed at
@@ -37,9 +38,9 @@ func (sm *SessionManager) ringView() *partition.View {
 // until the client has the new cookie, a primary failure still finds state
 // at the cookie-named replica.
 func (sm *SessionManager) maybeRebalance(ctx context.Context, st *sessState, p placement) {
-	v := sm.ringView() // the steady state is two atomic loads and no iteration
-	for ; v != nil && p.epoch() != uint32(v.Epoch); p = st.placed() {
-		to := sm.chooseSecondary(st.id(), p, "")
+	v := sm.Partitions().Current() // the steady state is two atomic loads and no iteration
+	for ; p.epoch() != uint32(v.Epoch); p = st.placed() {
+		to := sm.chooseSecondary(st.id(), "")
 		if to.sec() == 0 || to.sec() == p.sec() {
 			if st.place.CompareAndSwap(uint64(p), uint64(primaryAt(to.epoch(), p.sec()))) {
 				return
@@ -54,10 +55,7 @@ func (sm *SessionManager) maybeRebalance(ctx context.Context, st *sessState, p p
 // PartitionStats is the session manager's view of the ring for the admin
 // surface (wlsadmin partitions).
 type PartitionStats struct {
-	// Attached reports whether a ring is wired at all.
-	Attached bool
-	// Epoch and Fingerprint identify the current view (0/0 before the
-	// first membership update).
+	// Epoch and Fingerprint identify the current view.
 	Epoch       uint64
 	Fingerprint uint64
 	// Members is the ring's member count.
@@ -74,20 +72,11 @@ type PartitionStats struct {
 	Resident int
 }
 
-// PartitionStats snapshots the ring attachment state.
+// PartitionStats snapshots the manager's ring state.
 func (sm *SessionManager) PartitionStats() PartitionStats {
-	ps := PartitionStats{RingMoves: sm.ringMoves.Load()}
-	vs := sm.parts.Load()
-	var cur uint32
-	if vs != nil {
-		ps.Attached = true
-		if v := vs.Current(); v != nil {
-			cur = uint32(v.Epoch)
-			ps.Epoch = v.Epoch
-			ps.Fingerprint = v.Ring.Fingerprint()
-			ps.Members = v.Ring.Len()
-		}
-	}
+	v := sm.Partitions().Current()
+	ps := PartitionStats{Epoch: v.Epoch, Fingerprint: v.Ring.Fingerprint(), Members: v.Ring.Len(), RingMoves: sm.ringMoves.Load()}
+	cur := uint32(v.Epoch)
 	sm.mu.Lock()
 	ps.Resident = len(sm.sessions)
 	for _, st := range sm.sessions {

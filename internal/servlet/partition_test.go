@@ -8,19 +8,15 @@ import (
 	"wls/internal/simtest"
 )
 
-// ringEngines builds n engines with a partition ring attached to each,
-// tracking the servlet service.
+// ringEngines builds n engines and returns each one's ring, the one its
+// session manager builds over the servlet service.
 func ringEngines(t *testing.T, n int) (*simtest.Fixture, []*servlet.Engine, []*partition.Views) {
 	t.Helper()
 	f, engines := newEngines(t, n, servlet.Config{})
 	var views []*partition.Views
-	for i, s := range f.Servers {
-		vs := partition.NewViews(partition.Config{Seed: 99})
-		partition.Attach(vs, s.Member, servlet.ServiceName)
-		engines[i].SetPartitions(vs)
-		views = append(views, vs)
+	for _, e := range engines {
+		views = append(views, e.Sessions().Partitions())
 	}
-	f.Settle(2)
 	return f, engines, views
 }
 
@@ -51,7 +47,7 @@ func TestRingPlacedSecondary(t *testing.T) {
 		t.Fatalf("secondary %q, ring says %q", c.Secondary, want)
 	}
 	stats := engines[0].Sessions().PartitionStats()
-	if !stats.Attached || stats.Members != 4 || stats.Epoch == 0 {
+	if stats.Members != 4 || stats.Epoch == 0 {
 		t.Fatalf("stats not wired: %+v", stats)
 	}
 }
@@ -126,5 +122,52 @@ func TestRebalanceOnMembershipChangeKeepsSessions(t *testing.T) {
 		if string(resp.Body) != "4" {
 			t.Fatalf("session %d lost state on failover to %s: got %q, want 4", i, c.Secondary, resp.Body)
 		}
+	}
+}
+
+// TestFig3UnderTheRingKeepsTheSecondary lands Fig 3 on the one server whose
+// ring walk of the session would pick the old primary, not the cookie's
+// secondary: the new primary still leaves the secondary unchanged, moves
+// nothing, and that secondary, promoted, serves the new primary's write.
+func TestFig3UnderTheRingKeepsTheSecondary(t *testing.T) {
+	f, engines, views := ringEngines(t, 3)
+	byName := map[string]int{}
+	for i, s := range f.Servers {
+		byName[s.Name] = i
+	}
+	for try := 0; ; try++ {
+		if try == 64 {
+			t.Fatal("no session in 64 whose third server's walk prefers the primary")
+		}
+		resp := engines[0].Serve("/count", "", nil)
+		c, _ := servlet.DecodeCookie(resp.Cookie)
+		third := ""
+		for _, s := range f.Servers {
+			if s.Name != c.Primary && s.Name != c.Secondary {
+				third = s.Name
+			}
+		}
+		walked := ""
+		views[byName[third]].Current().Ring.Walk(c.ID, func(m string) bool {
+			walked = m
+			return m == third
+		})
+		if walked != c.Primary {
+			continue
+		}
+		moved := engines[byName[third]].Serve("/count", resp.Cookie, nil)
+		c2, _ := servlet.DecodeCookie(moved.Cookie)
+		if string(moved.Body) != "2" || c2.Primary != third || c2.Secondary != c.Secondary {
+			t.Fatalf("Fig 3 at %s: body %q, pair %s/%s (was %s/%s); want the secondary unchanged",
+				third, moved.Body, c2.Primary, c2.Secondary, c.Primary, c.Secondary)
+		}
+		if n := engines[byName[third]].Sessions().PartitionStats().RingMoves; n != 0 {
+			t.Fatalf("Fig 3 at %s re-placed %d sessions", third, n)
+		}
+		f.Crash(third)
+		if promoted := engines[byName[c.Secondary]].Serve("/count", moved.Cookie, nil); string(promoted.Body) != "3" {
+			t.Fatalf("promoted at %s, the session counted %q; want 3", c.Secondary, promoted.Body)
+		}
+		return
 	}
 }

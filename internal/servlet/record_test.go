@@ -400,7 +400,7 @@ func TestConcurrentTopologyOneSession(t *testing.T) {
 	f.Settle(3)
 	id, cookie := "", ""
 	for sid, ck := range cookies {
-		if sec := first.sessions.secName(first.sessions.chooseSecondary(sid, 0, "").sec()); sec == "server-5" && sid > id {
+		if sec := first.sessions.secName(first.sessions.chooseSecondary(sid, "").sec()); sec == "server-5" && sid > id {
 			id, cookie = sid, ck
 		}
 	}

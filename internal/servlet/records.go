@@ -12,8 +12,8 @@ import (
 // of a replicated manager of its own, through the calls below.
 
 // NewReplicatedManager builds an in-memory replicated manager for service:
-// its secondaries are the other servers offering service, in §3.2 name
-// order, and service's method table must carry ReplicaMethods.
+// its secondaries are the other servers offering service, placed on a ring
+// over them (§3.2), and service's method table must carry ReplicaMethods.
 func NewReplicatedManager(registry *rmi.Registry, service string) *SessionManager {
 	return newSessionManager(SessionsReplicated, service, registry.Member(), registry.Node(), nil)
 }
@@ -54,7 +54,7 @@ func (sm *SessionManager) Open(ctx context.Context, id []byte) (s *Session, prom
 		return nil, false
 	}
 	if p := st.placed(); !p.primary() {
-		promoted = sm.ship(ctx, st, nil, p, sm.chooseSecondary(st.id(), p, ""))
+		promoted = sm.ship(ctx, st, nil, p, sm.chooseSecondary(st.id(), ""))
 	}
 	return acquireSession(st, false), promoted
 }
@@ -136,7 +136,7 @@ func (sm *SessionManager) Unpark(p Parked) {
 func (sm *SessionManager) shipAcked(ctx context.Context, st *sessState, delta []byte) bool {
 	sec, err := sm.shipTo(ctx, st, delta, 0, 0)
 	if p := st.placed(); err != nil && p.sec() == sec {
-		sm.ship(ctx, st, nil, p, sm.chooseSecondary(st.id(), p, sm.secName(sec)))
+		sm.ship(ctx, st, nil, p, sm.chooseSecondary(st.id(), sm.secName(sec)))
 	}
 	return err == nil && sec != 0
 }

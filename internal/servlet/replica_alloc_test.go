@@ -9,7 +9,6 @@ import (
 
 	"wls/internal/attrs"
 	"wls/internal/cluster"
-	"wls/internal/partition"
 	"wls/internal/simtest"
 	"wls/internal/wire"
 )
@@ -133,9 +132,9 @@ func TestPrimaryWriteAllocs(t *testing.T) {
 	}
 }
 
-// TestPlacementAllocFree pins secondary placement at zero allocations, in
-// both orders and with a secondary to avoid: it runs for every new session,
-// every promotion, every failed ship and every ring-epoch re-check.
+// TestPlacementAllocFree pins secondary placement at zero allocations, with
+// and without a secondary to avoid: it runs for every new session, every
+// promotion, every failed ship and every ring-epoch re-check.
 func TestPlacementAllocFree(t *testing.T) {
 	f := simtest.New(simtest.Options{Servers: 4,
 		ReplicationGroups: []string{"gA", "gB"}, PreferredSecondaryGroups: []string{"gB"}})
@@ -146,24 +145,17 @@ func TestPlacementAllocFree(t *testing.T) {
 	}
 	f.Settle(2)
 	sm := engines[0].sessions
-	vs := partition.NewViews(partition.Config{Seed: 3})
-	partition.Attach(vs, f.Servers[0].Member, ServiceName)
-	for _, order := range []string{"name", "ring"} {
-		if order == "ring" {
-			sm.SetPartitions(vs)
+	// server-2 and server-4 are the preferred group gB; avoiding server-2
+	// sends the walk past its best candidate.
+	for _, avoid := range []string{"", "server-2"} {
+		var p placement
+		if a := testing.AllocsPerRun(200, func() {
+			p = sm.chooseSecondary("0123456789abcdef", avoid)
+		}); a != 0 {
+			t.Errorf("avoid %q: chooseSecondary allocates %.1f/op, want 0", avoid, a)
 		}
-		// server-2 and server-4 are the preferred group gB; avoiding server-2
-		// sends the walk past its best candidate.
-		for _, avoid := range []string{"", "server-2"} {
-			var p placement
-			if a := testing.AllocsPerRun(200, func() {
-				p = sm.chooseSecondary("0123456789abcdef", 0, avoid)
-			}); a != 0 {
-				t.Errorf("%s order, avoid %q: chooseSecondary allocates %.1f/op, want 0", order, avoid, a)
-			}
-			if sec := sm.secName(p.sec()); sec != "server-2" && sec != "server-4" || sec == avoid {
-				t.Errorf("%s order, avoid %q: picked %q, want the other gB server", order, avoid, sec)
-			}
+		if sec := sm.secName(p.sec()); sec != "server-2" && sec != "server-4" || sec == avoid {
+			t.Errorf("avoid %q: picked %q, want the other gB server", avoid, sec)
 		}
 	}
 }

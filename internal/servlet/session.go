@@ -310,7 +310,7 @@ func tableKey[K string | []byte](id K) (key [cluster.IDLen]byte, ok bool) {
 }
 
 // placement is where a session's copies live, in one word: the low half of
-// the ring epoch it was last checked against (0 = never ring-placed), the
+// the ring epoch it was last checked against (0 on a replica), the
 // secondary as an index into SessionManager.repl (0 = none), and whether
 // this server is the primary.
 type placement uint64
@@ -344,10 +344,12 @@ type SessionManager struct {
 	selfMachine string
 	selfGroups  []string // preferred secondary groups
 
-	// parts is the optional partition-ring attachment (see partition.go);
+	// parts is the consistent-hash ring secondaries are placed on, built
+	// once by attach unless a caller substituted one (see partition.go);
 	// ringMoves counts sessions re-shipped because an epoch change moved
 	// their ring placement.
 	parts     atomic.Pointer[partition.Views]
+	attach    sync.Once
 	ringMoves atomic.Uint64
 
 	// repl is the server-name table a placement's secondary indexes, with
@@ -450,7 +452,7 @@ func (sm *SessionManager) resolveReplicated(ctx context.Context, c *CookieRef) *
 	}
 	if p := st.placed(); p.primary() {
 		sm.maybeRebalance(ctx, st, p)
-	} else if sm.ship(ctx, st, nil, p, sm.chooseSecondary(st.id(), p, "")) {
+	} else if sm.ship(ctx, st, nil, p, sm.chooseSecondary(st.id(), "")) {
 		// Fig 2 failover: the plug-in routed to us, the secondary. We became
 		// the primary and created a new secondary.
 		if sp := trace.FromContext(ctx); sp != nil {
@@ -480,8 +482,9 @@ func (sm *SessionManager) adopt(ctx context.Context, c *CookieRef) (*sessState, 
 		}
 		if list, gen, err := sm.fetchFrom(ctx, sec, c.ID); err == nil {
 			st.rec.data, st.rec.gen = attrs.Merge("", cluster.IDLen, c.ID, list), gen
-			// Epoch 0: the cookie named the secondary; the ring may place it elsewhere.
-			st.place.Store(uint64(primaryAt(0, sm.secIndex(sec.Name))))
+			// At the ring's current epoch: the secondary stays the cookie's,
+			// wherever the ring would place it, until the next epoch change.
+			st.place.Store(uint64(primaryAt(uint32(sm.Partitions().Current().Epoch), sm.secIndex(sec.Name))))
 		}
 		break
 	}
@@ -489,7 +492,7 @@ func (sm *SessionManager) adopt(ctx context.Context, c *CookieRef) (*sessState, 
 	if isNew {
 		id := sm.newID()
 		st.rec.data = attrs.Merge("", cluster.IDLen, id[:], nil)
-		st.place.Store(uint64(sm.chooseSecondary(st.rec.data[:cluster.IDLen], 0, "")))
+		st.place.Store(uint64(sm.chooseSecondary(st.rec.data[:cluster.IDLen], "")))
 	}
 	key, _ := tableKey(st.rec.data[:cluster.IDLen])
 	sm.mu.Lock()
@@ -501,24 +504,18 @@ func (sm *SessionManager) adopt(ctx context.Context, c *CookieRef) (*sessState, 
 	return st, isNew
 }
 
-// chooseSecondary returns p as a primary's placement with a newly picked
-// secondary among the live engines (cluster.Picker), fed in one of two
-// orders: the session's clockwise walk of the consistent-hash ring when one
-// is attached (SetPartitions), at the ring's epoch; the engines after this
-// one in name order otherwise. It never picks avoid, the secondary a ship
-// just failed against ("" on first placement): a dead server stays in the
-// view until the failure detector drops it.
-func (sm *SessionManager) chooseSecondary(id string, p placement, avoid string) placement {
-	epoch := p.epoch()
+// chooseSecondary returns a primary's placement with a newly picked
+// secondary among the live engines (cluster.Picker), fed the session's
+// clockwise walk of the consistent-hash ring, at the ring's epoch. It never
+// picks avoid, the secondary a ship just failed against ("" on first
+// placement): a dead server stays in the view until the failure detector
+// drops it.
+func (sm *SessionManager) chooseSecondary(id, avoid string) placement {
+	v := sm.Partitions().Current()
 	self := cluster.MemberInfo{Name: sm.selfName, Machine: sm.selfMachine, PreferredSecondaryGroups: sm.selfGroups}
 	pick := cluster.NewPicker(self, sm.member.OffersOf(sm.service), avoid)
-	if v := sm.ringView(); v != nil {
-		epoch = uint32(v.Epoch)
-		v.Ring.Walk(id, pick.Offer)
-	} else {
-		pick.OfferNameOrder()
-	}
-	return primaryAt(epoch, sm.secIndex(pick.Pick()))
+	v.Ring.Walk(id, pick.Offer)
+	return primaryAt(uint32(v.Epoch), sm.secIndex(pick.Pick()))
 }
 
 // finish persists/replicates the session after the servlet ran, and
@@ -612,7 +609,7 @@ func (sm *SessionManager) ship(ctx context.Context, st *sessState, delta []byte,
 		if from.sec() != failed {
 			break // a parallel request has re-placed it, and seeded after our write
 		}
-		to = sm.chooseSecondary(st.id(), from, sm.secName(failed))
+		to = sm.chooseSecondary(st.id(), sm.secName(failed))
 		if _, err = sm.shipTo(ctx, st, nil, from, to); err != errMoved {
 			break // seeded, or the next write retries; the flush span carries the error
 		}

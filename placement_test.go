@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"wls"
-	"wls/internal/partition"
 	"wls/internal/servlet"
 )
 
@@ -22,10 +21,10 @@ func newSession(t *testing.T, s *wls.Server) servlet.Cookie {
 	return ck
 }
 
-// With a ring attached, §3.2's preferred replication group still decides:
-// the ring only orders the candidates.
+// §3.2's preferred replication group decides where a secondary goes: the
+// ring only orders the candidates.
 func TestRingPlacementHonoursGroups(t *testing.T) {
-	c, err := wls.New(wls.Options{Servers: 4, Partition: &partition.Config{Seed: 12},
+	c, err := wls.New(wls.Options{Servers: 4,
 		ReplicationGroups: []string{"gA", "gB"}, PreferredSecondaryGroups: []string{"gB"}})
 	if err != nil {
 		t.Fatal(err)
@@ -47,8 +46,8 @@ func TestRingPlacementHonoursGroups(t *testing.T) {
 	}
 }
 
-// Three servers on one machine, no ring: every session still gets a
-// secondary, and it carries the session through its primary's crash.
+// Three servers on one machine: every session still gets a secondary, and
+// it carries the session through its primary's crash.
 func TestOneMachineStillReplicates(t *testing.T) {
 	c, err := wls.New(wls.Options{Servers: 3, ServersPerMachine: 3})
 	if err != nil {

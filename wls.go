@@ -96,11 +96,6 @@ type Options struct {
 	// backoff, per-server circuit breakers — which Server.Stub wires into
 	// every stub it creates (routers built from the cluster get their own).
 	Resilience *rmi.ResilienceConfig
-	// Partition, when set, gives every managed server an epoch-versioned
-	// consistent-hash ring over the live servlet tier: session secondaries
-	// are placed by walking the session's ring (and re-ship on membership
-	// changes) instead of the servers in name order.
-	Partition *partition.Config
 }
 
 // Cluster is a running group of application servers plus the shared
@@ -134,7 +129,7 @@ type Server struct {
 	tracer   *trace.Tracer    // nil unless Options.TraceSample > 0
 	queue    *rmi.Gate        // nil unless Options.Admission
 	res      *rmi.Resilience  // nil unless Options.Resilience
-	parts    *partition.Views // nil unless Options.Partition
+	parts    *partition.Views // nil on the admin server
 
 	// Tx is the server's transaction manager.
 	Tx *tx.Manager
@@ -291,7 +286,8 @@ func (c *Cluster) newServer(i int, name string) (*Server, error) {
 // registry, the member started, and the containers, each registered and
 // advertised. A store that does not open fails it before it touches s.
 // What survives a reboot is reused: the partition views (they follow the
-// member) and the tracer.
+// member; one ring per managed server, seeded from Options.Seed) and the
+// tracer.
 func (c *Cluster) assemble(s *Server) error {
 	fix := c.fix
 	reg := metrics.NewRegistry()
@@ -320,12 +316,10 @@ func (c *Cluster) assemble(s *Server) error {
 	// or secondary placement can choose it.
 	if s.Name != "admin" {
 		s.Web = servlet.NewEngine(s.registry, servlet.Config{Sessions: c.opts.Sessions, DB: c.DB})
-	}
-	if c.opts.Partition != nil && s.Web != nil {
 		if s.parts == nil {
 			// Attach after the servlet engine registers, so the ring's very
 			// first view already contains this server.
-			s.parts = partition.NewViews(*c.opts.Partition)
+			s.parts = partition.NewViews(partition.Config{Seed: c.opts.Seed})
 			partition.Attach(s.parts, s.member, servlet.ServiceName)
 		}
 		s.Web.SetPartitions(s.parts)
@@ -490,33 +484,23 @@ func (c *Cluster) Settle(n int) {
 
 // Converged reports whether every server (the admin server included) holds
 // the same membership view — same servers, incarnations and advertised
-// services — and, with Options.Partition, every ring has the same
-// fingerprint. A crashed server's view goes stale, so it is false until
-// the server is back.
+// services — and every managed server's ring has the same fingerprint. A
+// crashed server's view goes stale, so it is false until the server is
+// back.
 func (c *Cluster) Converged() bool {
 	all := append([]*Server{}, c.Servers...)
 	if c.Admin != nil {
 		all = append(all, c.Admin)
 	}
-	var view []cluster.MemberInfo
-	var ring *partition.Ring
-	for _, s := range all {
-		v := s.member.Alive()
-		if view == nil {
-			view = v
-		} else if !sameView(view, v) {
+	view := all[0].member.Alive()
+	for _, s := range all[1:] {
+		if !sameView(view, s.member.Alive()) {
 			return false
 		}
-		if s.parts == nil {
-			continue
-		}
-		pv := s.parts.Current()
-		if pv == nil {
-			return false
-		}
-		if ring == nil {
-			ring = pv.Ring
-		} else if pv.Ring.Fingerprint() != ring.Fingerprint() {
+	}
+	fp := c.Servers[0].parts.Current().Ring.Fingerprint()
+	for _, s := range c.Servers[1:] {
+		if s.parts.Current().Ring.Fingerprint() != fp {
 			return false
 		}
 	}

@@ -7,15 +7,15 @@ import (
 	"wls/internal/partition"
 )
 
-// Partitions returns the server's ring views (nil unless Options.Partition).
+// Partitions returns the server's ring views (nil on the admin server).
 func (s *Server) Partitions() *partition.Views { return s.parts }
 
 // AddServer boots one more managed server into the running cluster
 // (scale-out). The new server takes the next free address index, joins
-// membership, and advertises the full service set; with Options.Partition
-// its arrival bumps the ring epoch on every server as heartbeats propagate
-// (call Settle to converge). Names stay unique but may skip a number when
-// the admin server occupies an index.
+// membership, and advertises the full service set; its arrival bumps the
+// ring epoch on every server as heartbeats propagate (call Settle to
+// converge). Names stay unique but may skip a number when the admin server
+// occupies an index.
 func (c *Cluster) AddServer() (*Server, error) {
 	i := c.nextIdx
 	name := fmt.Sprintf("server-%d", i+1)
@@ -31,8 +31,7 @@ func (c *Cluster) AddServer() (*Server, error) {
 // PartitionReport is one server's view of the ring for the admin surface
 // (wlsadmin partitions, /admin/partitions).
 type PartitionReport struct {
-	Server   string `json:"server"`
-	Attached bool   `json:"attached"`
+	Server string `json:"server"`
 	// Epoch and Fingerprint identify the view this server currently acts
 	// on; converged servers agree on the fingerprint (epochs are local).
 	Epoch       uint64 `json:"epoch"`
@@ -57,7 +56,6 @@ func (s *Server) PartitionReport(sample int) PartitionReport {
 	st := s.Web.Sessions().PartitionStats()
 	r := PartitionReport{
 		Server:         s.Name,
-		Attached:       st.Attached,
 		Epoch:          st.Epoch,
 		Fingerprint:    fmt.Sprintf("%016x", st.Fingerprint),
 		Members:        st.Members,
@@ -65,10 +63,8 @@ func (s *Server) PartitionReport(sample int) PartitionReport {
 		SessionsBehind: st.SessionsBehind,
 		Resident:       st.Resident,
 	}
-	if sample > 0 && s.parts != nil {
-		if v := s.parts.Current(); v != nil {
-			r.Share = v.Ring.OwnershipShare(sample)
-		}
+	if sample > 0 {
+		r.Share = s.parts.Current().Ring.OwnershipShare(sample)
 	}
 	return r
 }

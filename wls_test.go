@@ -11,7 +11,6 @@ import (
 	"wls"
 	"wls/internal/ejb"
 	"wls/internal/jms"
-	"wls/internal/partition"
 	"wls/internal/rmi"
 	"wls/internal/servlet"
 	"wls/internal/singleton"
@@ -255,7 +254,7 @@ func TestNamingAcrossServers(t *testing.T) {
 // used to sleep three 100 ms intervals.
 func TestRealClockBootDoesNotWaitForAHeartbeat(t *testing.T) {
 	start := time.Now()
-	c, err := wls.New(wls.Options{Servers: 3, RealClock: true, WithAdmin: true, Partition: &partition.Config{Seed: 1}})
+	c, err := wls.New(wls.Options{Servers: 3, RealClock: true, WithAdmin: true})
 	if err != nil {
 		t.Fatal(err)
 	}
