@@ -58,8 +58,8 @@ const (
 const (
 	gateWireTCPEcho         = 65
 	gateWireTCPSessionWrite = 96
-	gateSessionFootprint    = 300
-	gateBeanFootprint       = 328
+	gateSessionFootprint    = 186
+	gateBeanFootprint       = 194
 )
 
 // allocGate logs what a path measured and fails t when it is over gate,
@@ -486,7 +486,7 @@ func TestAllocGateDurableCheckout(t *testing.T) {
 // replicated sessions holding two short attributes, live heap after two
 // collections, divided by the count — both copies (primary record and
 // secondary replica) and both session-table entries. Measured
-// 401 B/session, pinned at gateSessionFootprint, that + 10 % (DESIGN.md
+// 169 B/session, pinned at gateSessionFootprint, that + 10 % (DESIGN.md
 // "What a resident session costs" has the breakdown).
 func TestAllocGateSessionFootprint(t *testing.T) {
 	c := allocGateCluster(t, wls.Options{})

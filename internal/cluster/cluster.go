@@ -29,6 +29,7 @@ package cluster
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -183,7 +184,7 @@ type Member struct {
 	mu        sync.Mutex
 	self      MemberInfo
 	peers     map[string]*peerState // by name, excluding self
-	listeners []func(Event)
+	listeners []*func(Event)
 	started   bool
 	stopped   bool
 	hbTimer   vclock.Timer
@@ -332,12 +333,26 @@ func (m *Member) Withdraw(service string) {
 	m.publish()
 }
 
-// OnEvent registers a listener for membership events. Listeners run on the
-// bus delivery goroutine and must not block.
-func (m *Member) OnEvent(fn func(Event)) {
+// OnEvent registers a listener for membership events and returns the func
+// that removes it; an event already being delivered may still reach it.
+// Listeners run on the bus delivery goroutine and must not block.
+func (m *Member) OnEvent(fn func(Event)) (cancel func()) {
+	l := &fn
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	m.listeners = append(m.listeners, fn)
+	m.listeners = append(m.listeners, l)
+	return func() {
+		m.mu.Lock()
+		defer m.mu.Unlock()
+		m.listeners = slices.DeleteFunc(m.listeners, func(x *func(Event)) bool { return x == l })
+	}
+}
+
+// Listeners reports how many membership listeners are registered.
+func (m *Member) Listeners() int {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return len(m.listeners)
 }
 
 // beat publishes one heartbeat and schedules the next.
@@ -409,11 +424,11 @@ func (m *Member) sweepOnce() {
 			events = append(events, Event{Kind: EventFailed, Member: p.info.clone()})
 		}
 	}
-	listeners := append([]func(Event){}, m.listeners...)
+	listeners := slices.Clone(m.listeners)
 	m.mu.Unlock()
 	for _, ev := range events {
 		for _, fn := range listeners {
-			fn(ev)
+			(*fn)(ev)
 		}
 	}
 }
@@ -471,11 +486,11 @@ func (m *Member) onHeartbeat(msg gossip.Message) {
 	if joined {
 		events = append(events, Event{Kind: EventJoined, Member: info.clone()})
 	}
-	listeners := append([]func(Event){}, m.listeners...)
+	listeners := slices.Clone(m.listeners)
 	m.mu.Unlock()
 	for _, ev := range events {
 		for _, fn := range listeners {
-			fn(ev)
+			(*fn)(ev)
 		}
 	}
 	if joined {

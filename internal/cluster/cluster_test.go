@@ -91,6 +91,39 @@ func TestFailureDetection(t *testing.T) {
 	}
 }
 
+// TestCancelledListenerHearsNothing: the func OnEvent returns removes its
+// listener, and only it; calling it twice removes nothing more.
+func TestCancelledListenerHearsNothing(t *testing.T) {
+	clk, _, ms := testCluster(t, 3)
+	settle(clk, 3)
+	var mu sync.Mutex
+	heard := map[string]int{}
+	listen := func(name string) func() {
+		return ms[0].OnEvent(func(ev Event) {
+			if ev.Kind == EventFailed {
+				mu.Lock()
+				heard[name]++
+				mu.Unlock()
+			}
+		})
+	}
+	before := ms[0].Listeners()
+	cancel := listen("cancelled")
+	listen("kept")
+	cancel()
+	cancel()
+	if got := ms[0].Listeners(); got != before+1 {
+		t.Fatalf("%d listeners, want %d", got, before+1)
+	}
+	ms[2].Stop()
+	settle(clk, 6)
+	mu.Lock()
+	defer mu.Unlock()
+	if heard["cancelled"] != 0 || heard["kept"] != 1 {
+		t.Fatalf("failure events heard: %v, want only the kept listener's one", heard)
+	}
+}
+
 func TestRejoinWithNewIncarnation(t *testing.T) {
 	clk, _, ms := testCluster(t, 2)
 	settle(clk, 3)

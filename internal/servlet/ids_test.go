@@ -2,9 +2,15 @@ package servlet
 
 import (
 	"bytes"
+	"context"
+	"fmt"
+	"runtime"
 	"slices"
+	"strconv"
+	"strings"
 	"testing"
 
+	"wls/internal/rmi"
 	"wls/internal/simtest"
 )
 
@@ -61,4 +67,74 @@ func commonPrefix(a, b [16]byte) int {
 		}
 	}
 	return len(a)
+}
+
+// TestSessionIDIsTheRecordsID: Session.ID is a string over the state's key,
+// not a copy, so it must read the record's id however the list changes,
+// while the string alone keeps the state alive (ejb's turn table keys on
+// it), and across Park and Unpark.
+func TestSessionIDIsTheRecordsID(t *testing.T) {
+	f := simtest.New(simtest.Options{Servers: 2})
+	t.Cleanup(f.Stop)
+	const service = "idtest"
+	var sms []*SessionManager
+	for _, s := range f.Servers {
+		sm := NewReplicatedManager(s.Registry, service)
+		s.Registry.Register(&rmi.Service{Name: service, Methods: sm.ReplicaMethods(map[string]rmi.MethodSpec{})})
+		sms = append(sms, sm)
+	}
+	f.Settle(2)
+	ctx := context.Background()
+	sm := sms[0]
+	s, seeded := sm.Create(ctx)
+	if !seeded {
+		t.Fatal("the new record's secondary did not take its seed")
+	}
+	id := s.ID
+	want := string([]byte(id)) // a copy, over nothing the record holds
+	for i := 0; i < 100; i++ {
+		s.Set("n", strconv.Itoa(i))
+		s.Set(fmt.Sprintf("k%d", i%7), strings.Repeat("v", i))
+		if !sm.Flush(ctx, s) {
+			t.Fatalf("write %d: the secondary did not take it", i)
+		}
+		if s.ID != want {
+			t.Fatalf("after write %d the session's id reads %x, want %x", i, s.ID, want)
+		}
+	}
+	sm.Close(s)
+
+	p, ok := sm.Park(want)
+	if !ok {
+		t.Fatal("the primary record did not park")
+	}
+	if ids := sm.Primaries(); len(ids) != 0 {
+		t.Fatalf("a parked record is still listed: %x", ids)
+	}
+	sm.Unpark(p)
+	s, _ = sm.Open(ctx, []byte(want))
+	if s == nil || s.ID != want || s.Get("n") != "99" {
+		t.Fatalf("after Park and Unpark the record reads id %x, n=%q", s.ID, s.Get("n"))
+	}
+	if ids := sm.Primaries(); len(ids) != 1 || ids[0] != want {
+		t.Fatalf("primaries %x, want [%x]", ids, want)
+	}
+	id = s.ID
+	sm.Close(s)
+
+	sm.Remove(want)
+	sms[1].Remove(want)
+	if sm.ResidentSessions() != 0 || sms[1].ResidentSessions() != 0 {
+		t.Fatal("a removed record is still resident")
+	}
+	runtime.GC()
+	runtime.GC()
+	garbage := make([][]byte, 1<<10) // reuse any memory the GC freed
+	for i := range garbage {
+		garbage[i] = bytes.Repeat([]byte{0xa5}, 64)
+	}
+	if id != want {
+		t.Fatalf("an id held past its record's removal reads %x, want %x", id, want)
+	}
+	runtime.KeepAlive(garbage)
 }

@@ -78,12 +78,12 @@ func (sm *SessionManager) PartitionStats() PartitionStats {
 	ps := PartitionStats{Epoch: v.Epoch, Fingerprint: v.Ring.Fingerprint(), Members: v.Ring.Len(), RingMoves: sm.ringMoves.Load()}
 	cur := uint32(v.Epoch)
 	sm.mu.Lock()
-	ps.Resident = len(sm.sessions)
-	for _, st := range sm.sessions {
+	ps.Resident = sm.sessions.len()
+	sm.sessions.each(func(st *sessState) {
 		if e := st.placed().epoch(); e != 0 && e < cur {
 			ps.SessionsBehind++
 		}
-	}
+	})
 	sm.mu.Unlock()
 	return ps
 }

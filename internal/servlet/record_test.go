@@ -11,7 +11,6 @@ import (
 	"unsafe"
 
 	"wls/internal/attrs"
-	"wls/internal/cluster"
 	"wls/internal/partition"
 	"wls/internal/simtest"
 	"wls/internal/store"
@@ -65,18 +64,19 @@ func held(t *testing.T, e *Engine, id string) (map[string]string, uint64) {
 	sm := e.sessions
 	key, _ := tableKey(id)
 	sm.mu.Lock()
-	st := sm.sessions[key]
+	st := sm.sessions.get(key)
 	sm.mu.Unlock()
 	if st == nil {
 		return nil, 0
 	}
-	st.rec.mu.Lock()
-	defer st.rec.mu.Unlock()
-	m, err := checkRecord(st.rec.data)
-	if err != nil || st.rec.data[:len(id)] != id {
-		t.Fatalf("record %q of session %x: %v", st.rec.data, id, err)
+	l := st.lock()
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	m, err := checkList(st.list)
+	if err != nil || st.id() != id {
+		t.Fatalf("record %x: %q of session %x: %v", st.id(), st.list, id, err)
 	}
-	return m, st.rec.gen
+	return m, st.gen
 }
 
 // fetch is Fig 3's copy of session id from the engine on server: its
@@ -93,22 +93,18 @@ func fetch(e *Engine, server, id string) ([]byte, uint64, error) {
 // record's: keys ascending, each once, canonically encoded.
 func attrMap(t *testing.T, list []byte) map[string]string {
 	t.Helper()
-	m, err := checkRecord(testID + string(list))
+	m, err := checkList(string(list))
 	if err != nil {
 		t.Fatalf("fetched list %q: %v", list, err)
 	}
 	return m
 }
 
-// checkRecord reads a record into a map, or says how it is not
-// well-formed: a 16-byte id, then an attribute list whose keys ascend
-// strictly, every length in bounds and nothing after it — the bytes a
-// sorted map encodes to, exactly.
-func checkRecord(rec string) (map[string]string, error) {
-	if len(rec) < cluster.IDLen {
-		return nil, fmt.Errorf("record of %d bytes holds no id", len(rec))
-	}
-	d := wire.NewDecoder([]byte(rec[cluster.IDLen:]))
+// checkList reads a record's attribute list into a map, or says how it is
+// not well-formed: keys ascend strictly, every length is in bounds and
+// nothing follows the list — the bytes a sorted map encodes to, exactly.
+func checkList(rec string) (map[string]string, error) {
+	d := wire.NewDecoder([]byte(rec))
 	list, err := attrs.Read(d, false)
 	if err != nil {
 		return nil, err
@@ -142,10 +138,11 @@ func sameState(t *testing.T, what string, got, want map[string]string) {
 }
 
 // TestSessStateSize: every resident copy of every session pays this (DESIGN.md
-// "Session state"); a field added beside the placement word makes it 80.
+// "What a resident session costs"), exactly a size class; a field added
+// beside the placement word makes it 64.
 func TestSessStateSize(t *testing.T) {
-	if got := unsafe.Sizeof(sessState{}); got != 40 {
-		t.Fatalf("sessState is %d bytes, want 40", got)
+	if got := unsafe.Sizeof(sessState{}); got != 48 {
+		t.Fatalf("sessState is %d bytes, want 48", got)
 	}
 }
 
@@ -508,7 +505,7 @@ func listOf(pairs ...string) []byte {
 }
 
 // checkRecordInputs holds everything that becomes a record to one rule: any
-// bytes give an error or a well-formed record (checkRecord), never a
+// bytes give an error or a well-formed record (checkList), never a
 // panic, and a record holds what a map model holds. base and delta are
 // read as attribute lists — a record built from base, then delta written
 // over it — and base also as each input a record is made from: a batch of
@@ -524,26 +521,26 @@ func checkRecordInputs(t *testing.T, base, delta []byte) {
 	}
 	same := func(what, rec string) {
 		t.Helper()
-		m, err := checkRecord(rec)
+		m, err := checkList(rec)
 		if err != nil {
 			t.Fatalf("%s: record %q: %v", what, rec, err)
 		}
-		if rec[:cluster.IDLen] != testID || len(m) != len(model) {
+		if len(m) != len(model) {
 			t.Fatalf("%s: record %q holds %v, model %v", what, rec, m, model)
 		}
 		for k, v := range model {
-			if got, ok := attrs.Lookup(rec[cluster.IDLen:], k); !ok || got != v || m[k] != v {
+			if got, ok := attrs.Lookup(rec, k); !ok || got != v || m[k] != v {
 				t.Fatalf("%s: record %q holds %q=%q, model %q", what, rec, k, got, v)
 			}
 		}
 	}
 	if list, err := attrs.Read(wire.NewDecoder(base), false); err == nil {
-		rec := attrs.Merge("", cluster.IDLen, []byte(testID), list)
+		rec := attrs.Merge("", 0, nil, list)
 		apply(list)
 		same("new record", rec)
 		if list, err := attrs.Read(wire.NewDecoder(delta), false); err == nil {
 			before := maps.Clone(model)
-			next := attrs.Merge(rec, cluster.IDLen, nil, list)
+			next := attrs.Merge(rec, 0, nil, list)
 			apply(list)
 			same("merged record", next)
 			if maps.Equal(before, model) && next != rec {
@@ -553,16 +550,16 @@ func checkRecordInputs(t *testing.T, base, delta []byte) {
 	}
 
 	// Any bytes as a batch of delta entries: an error, or records.
-	sm := &SessionManager{sessions: make(map[[cluster.IDLen]byte]*sessState)}
+	sm := &SessionManager{}
 	_ = sm.handleUpdateBatch(base)
-	for key, st := range sm.sessions {
-		if _, err := checkRecord(st.rec.data); err != nil || st.rec.data[:cluster.IDLen] != string(key[:]) {
-			t.Fatalf("batch %x made record %q under %x: %v", base, st.rec.data, key, err)
+	sm.sessions.each(func(st *sessState) {
+		if _, err := checkList(st.list); err != nil || sm.sessions.get(st.key) != st {
+			t.Fatalf("batch %x made record %q under %x: %v", base, st.list, st.key, err)
 		}
-	}
+	})
 	// As a fetch reply, and as a cookie.
 	if list, _, err := readFetchReply(base); err == nil {
-		if _, err := checkRecord(attrs.Merge("", cluster.IDLen, []byte(testID), list)); err != nil {
+		if _, err := checkList(attrs.Merge("", 0, nil, list)); err != nil {
 			t.Fatalf("fetch reply %x: %v", base, err)
 		}
 	}
@@ -570,7 +567,7 @@ func checkRecordInputs(t *testing.T, base, delta []byte) {
 		if !validID(c.ID) {
 			t.Fatalf("cookie %x read with a %d-byte id", base, len(c.ID))
 		}
-		if _, err := checkRecord(attrs.Merge("", cluster.IDLen, []byte(testID), c.State)); err != nil {
+		if _, err := checkList(attrs.Merge("", 0, nil, c.State)); err != nil {
 			t.Fatalf("cookie %x: state %v", base, err)
 		}
 	}

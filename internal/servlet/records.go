@@ -48,7 +48,7 @@ func (sm *SessionManager) Open(ctx context.Context, id []byte) (s *Session, prom
 		return nil, false
 	}
 	sm.mu.Lock()
-	st := sm.sessions[key]
+	st := sm.sessions.get(key)
 	sm.mu.Unlock()
 	if st == nil {
 		return nil, false
@@ -84,7 +84,7 @@ func (sm *SessionManager) Close(s *Session) (secondary string) {
 func (sm *SessionManager) Remove(id string) {
 	if key, ok := tableKey(id); ok {
 		sm.mu.Lock()
-		delete(sm.sessions, key)
+		sm.sessions.del(key)
 		sm.mu.Unlock()
 	}
 }
@@ -94,11 +94,11 @@ func (sm *SessionManager) Primaries() []string {
 	sm.mu.Lock()
 	defer sm.mu.Unlock()
 	var ids []string
-	for key, st := range sm.sessions {
+	sm.sessions.each(func(st *sessState) {
 		if st.placed().primary() {
-			ids = append(ids, string(key[:]))
+			ids = append(ids, st.id())
 		}
-	}
+	})
 	slices.Sort(ids)
 	return ids
 }
@@ -114,19 +114,18 @@ func (sm *SessionManager) Park(id string) (Parked, bool) {
 	}
 	sm.mu.Lock()
 	defer sm.mu.Unlock()
-	st, ok := sm.sessions[key]
-	if !ok || !st.placed().primary() {
+	st := sm.sessions.get(key)
+	if st == nil || !st.placed().primary() {
 		return Parked{}, false
 	}
-	delete(sm.sessions, key)
+	sm.sessions.del(key)
 	return Parked{st}, true
 }
 
 // Unpark puts a parked record back in the table.
 func (sm *SessionManager) Unpark(p Parked) {
-	key, _ := tableKey(p.st.id())
 	sm.mu.Lock()
-	sm.sessions[key] = p.st
+	sm.sessions.put(p.st)
 	sm.mu.Unlock()
 }
 

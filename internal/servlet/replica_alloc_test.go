@@ -8,7 +8,6 @@ import (
 	"testing"
 
 	"wls/internal/attrs"
-	"wls/internal/cluster"
 	"wls/internal/simtest"
 	"wls/internal/wire"
 )
@@ -19,7 +18,7 @@ import (
 // nothing at all when the values are unchanged.
 func TestReplicaUpdateAllocsPerChangedValue(t *testing.T) {
 	const replicaID = "0123456789abcdef"
-	sm := &SessionManager{sessions: make(map[[cluster.IDLen]byte]*sessState)}
+	sm := &SessionManager{}
 	var gen uint64
 	delta := func(n, item string) []byte {
 		gen++
@@ -53,7 +52,7 @@ func TestReplicaUpdateAllocsPerChangedValue(t *testing.T) {
 		t.Fatalf("update of 2 existing keys with new values: %.1f allocs, want 1 (the merged record)", changed)
 	}
 	key, _ := tableKey(replicaID)
-	if got, _ := attrs.Lookup(sm.sessions[key].rec.data[cluster.IDLen:], "n"); got != strconv.Itoa(1000+runs+1) {
+	if got, _ := attrs.Lookup(sm.sessions.get(key).list, "n"); got != strconv.Itoa(1000+runs+1) {
 		t.Fatalf("replica holds n=%q after the updates", got)
 	}
 
@@ -77,7 +76,7 @@ func TestReplicaUpdateAllocsPerChangedValue(t *testing.T) {
 
 	// A session's first delta: its sessState and its record, nothing else
 	// (the table is sized, so no growth is counted).
-	sm.sessions = make(map[[cluster.IDLen]byte]*sessState, 2*runs)
+	sm.sessions.resize(2 * runs)
 	first := make([][]byte, 0, runs+1)
 	for i := 0; i <= runs; i++ {
 		e := wire.NewEncoder(64)
@@ -98,11 +97,10 @@ func TestReplicaUpdateAllocsPerChangedValue(t *testing.T) {
 }
 
 // TestPrimaryWriteAllocs pins the primary's side: a request's writes land
-// as one new record string when a value changes and none when every value
+// as one new attribute list when a value changes and none when every value
 // written is the one held, and reading an attribute allocates nothing.
 func TestPrimaryWriteAllocs(t *testing.T) {
-	st := &sessState{}
-	st.rec.data = attrs.Merge("", cluster.IDLen, []byte("0123456789abcdef"), listOf("item", "sku-0", "n", "0"))
+	st := newSessState("0123456789abcdef", attrs.Merge("", 0, nil, listOf("item", "sku-0", "n", "0")), 0)
 	values := make([]string, 202)
 	for i := range values {
 		values[i] = strconv.Itoa(i)

@@ -20,12 +20,14 @@ package servlet
 import (
 	"context"
 	"encoding/base64"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
+	"unsafe"
 
 	"wls/internal/attrs"
 	"wls/internal/cluster"
@@ -163,7 +165,7 @@ func ParseCookie[K string | []byte](s K, buf *CookieBuf) (CookieRef, error) {
 // past the end of its HandlerFunc (copy attribute values out if they must
 // outlive the request).
 type Session struct {
-	// ID is the record's id, a substring of the record.
+	// ID is the record's id, a string over the state's key.
 	ID string
 	// st holds the record: engine-resident, or (stateless modes) the request's.
 	st *sessState
@@ -190,12 +192,12 @@ func releaseSession(s *Session) {
 }
 
 // Get reads a session attribute: this request's write of it, or the
-// record's value, a substring of the record.
+// record's value, a substring of its attribute list.
 func (s *Session) Get(key string) string {
 	if i := s.written(key); i >= 0 {
 		return s.pending[i].V
 	}
-	v, _ := attrs.Lookup(s.st.data()[cluster.IDLen:], key)
+	v, _ := attrs.Lookup(s.st.data(), key)
 	return v
 }
 
@@ -221,7 +223,7 @@ func (s *Session) written(key string) int {
 
 // Len returns the number of attributes.
 func (s *Session) Len() int {
-	list := s.st.data()[cluster.IDLen:]
+	list := s.st.data()
 	n := attrs.Len(list)
 	for _, p := range s.pending {
 		if _, ok := attrs.Lookup(list, p.K); !ok {
@@ -250,54 +252,74 @@ func (s *Session) pendingList() *wire.Encoder {
 // land writes s's pending writes into its record, shipping nothing.
 func (s *Session) land() {
 	if l := s.pendingList(); l != nil {
-		r := &s.st.rec
-		r.mu.Lock()
-		r.data = attrs.Merge(r.data, cluster.IDLen, nil, l.Bytes())
-		r.mu.Unlock()
+		st, rl := s.st, s.st.lock()
+		rl.mu.Lock()
+		st.list = attrs.Merge(st.list, 0, nil, l.Bytes())
+		rl.mu.Unlock()
 		l.Release()
 	}
 }
 
-// record is a session's record string and replication generation, the one
-// representation wherever a session lives (primary, replica, the stateless
-// modes' request-owned state).
-//
-// Lock rule: mu guards data and gen, nothing else. It is never held across
-// an RPC nor together with SessionManager.mu (look up under sm.mu, release,
-// then lock the record). The one lock taken under it is a replBatcher's mu:
-// a delta lands, takes its generation and its place in the secondary's
-// pending batch in one step, so per-session wire order equals generation
-// order, and both equal the order writes landed in.
-type record struct {
-	//wls:lockorder servlet.record.mu<servlet.replBatcher.mu
-	mu sync.Mutex
-	// data is the record: the 16-byte id, then the attributes as an
-	// attribute list (internal/attrs) in key order, each key once. It is
-	// only ever built by attrs.Merge, so it is well-formed, and it is read
-	// in place.
-	data string
-	// gen numbers the deltas shipped from (primary) or applied to
-	// (secondary) this record.
-	gen uint64
-}
-
-// sessState is one session's record plus where its copies live, 40 bytes:
-// place is a placement, changed only by compare-and-swap (in shipTo, unless
-// it is the epoch alone).
+// sessState is one resident copy of a session, 48 bytes: its id, its
+// attribute list and replication generation, and where its copies live. It
+// is the one representation wherever a session lives (primary, replica, the
+// stateless modes' request-owned state).
 type sessState struct {
-	rec   record
+	// key is the record's id, written once by newSessState before the state
+	// is published, and read without a lock.
+	key [cluster.IDLen]byte
+	// list is the record's attributes as an attribute list (internal/attrs)
+	// in key order, each key once. It is only ever built by attrs.Merge, so
+	// it is well-formed, and it is read in place. The record lock guards it.
+	list string
+	// gen numbers the deltas shipped from (primary) or applied to
+	// (secondary) this record. The record lock guards it.
+	gen uint64
+	// place is a placement, changed only by compare-and-swap (in shipTo,
+	// unless it is the epoch alone).
 	place atomic.Uint64
 }
 
-// data returns the record's current string.
-func (st *sessState) data() string {
-	st.rec.mu.Lock()
-	defer st.rec.mu.Unlock()
-	return st.rec.data
+// newSessState makes the state of record id (16 bytes) holding list.
+func newSessState[K string | []byte](id K, list string, gen uint64) *sessState {
+	st := &sessState{list: list, gen: gen}
+	copy(st.key[:], id)
+	return st
 }
 
-// id returns the record's id, a substring of the record.
-func (st *sessState) id() string { return st.data()[:cluster.IDLen] }
+// recordLock is one stripe of the record locks, alone on its cache line.
+//
+// Lock rule: a record's stripe guards its list and gen, nothing else. It is
+// never held across an RPC nor together with SessionManager.mu (look up
+// under sm.mu, release, then lock the record), and never two at once. The
+// one lock taken under it is a replBatcher's mu: a delta lands, takes its
+// generation and its place in the secondary's pending batch in one step, so
+// per-session wire order equals generation order, and both equal the order
+// writes landed in.
+type recordLock struct {
+	//wls:lockorder servlet.recordLock.mu<servlet.replBatcher.mu
+	mu sync.Mutex
+	_  [64 - unsafe.Sizeof(sync.Mutex{})]byte
+}
+
+// recordLocks are the stripes, one per value of a record id's first byte:
+// ids are 16 random bytes (cluster.Member.NewID), so records spread evenly.
+var recordLocks [256]recordLock
+
+// lock returns st's stripe of the record locks.
+func (st *sessState) lock() *recordLock { return &recordLocks[st.key[0]] }
+
+// data returns the record's current attribute list.
+func (st *sessState) data() string {
+	l := st.lock()
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return st.list
+}
+
+// id returns the record's id: a string over st.key, which never changes, so
+// it costs neither an allocation nor a lock.
+func (st *sessState) id() string { return unsafe.String(&st.key[0], cluster.IDLen) }
 
 // tableKey returns id as a session-table key; ok is false for anything but
 // a record id, 16 bytes.
@@ -358,7 +380,7 @@ type SessionManager struct {
 	repl atomic.Pointer[[]*replBatcher]
 
 	mu       sync.Mutex
-	sessions map[[cluster.IDLen]byte]*sessState
+	sessions sessionTable
 }
 
 func newSessionManager(mode SessionMode, service string, member *cluster.Member, node rmi.Node, db *store.Store) *SessionManager {
@@ -372,7 +394,6 @@ func newSessionManager(mode SessionMode, service string, member *cluster.Member,
 		selfName:    self.Name,
 		selfMachine: self.Machine,
 		selfGroups:  self.PreferredSecondaryGroups,
-		sessions:    make(map[[cluster.IDLen]byte]*sessState),
 	}
 	sm.repl.Store(&[]*replBatcher{{}})
 	return sm
@@ -403,7 +424,7 @@ func (sm *SessionManager) secIndex(name string) uint32 {
 func (sm *SessionManager) ResidentSessions() int {
 	sm.mu.Lock()
 	defer sm.mu.Unlock()
-	return len(sm.sessions)
+	return sm.sessions.len()
 }
 
 // resolve produces the Session for a request's cookie, performing
@@ -415,7 +436,7 @@ func (sm *SessionManager) resolve(ctx context.Context, c *CookieRef) *Session {
 	}
 	// The stateless modes: the request owns its state, filled from the
 	// cookie or from shared storage and never entered in the table.
-	st, isNew := &sessState{}, len(c.ID) == 0
+	isNew := len(c.ID) == 0
 	id, list := c.ID, []byte(nil)
 	switch {
 	case sm.mode == SessionsClientCookie:
@@ -435,15 +456,14 @@ func (sm *SessionManager) resolve(ctx context.Context, c *CookieRef) *Session {
 		nid := sm.newID()
 		id = nid[:]
 	}
-	st.rec.data = attrs.Merge("", cluster.IDLen, id, list)
-	return acquireSession(st, isNew)
+	return acquireSession(newSessState(id, attrs.Merge("", 0, nil, list), 0), isNew)
 }
 
 func (sm *SessionManager) resolveReplicated(ctx context.Context, c *CookieRef) *Session {
 	var st *sessState
 	if key, ok := tableKey(c.ID); ok {
 		sm.mu.Lock()
-		st = sm.sessions[key]
+		st = sm.sessions.get(key)
 		sm.mu.Unlock()
 	}
 	isNew := st == nil
@@ -475,32 +495,31 @@ func (sm *SessionManager) resolveReplicated(ctx context.Context, c *CookieRef) *
 // secondary the fetch could not reach is never seeded over at generation 1,
 // below the generation it holds.
 func (sm *SessionManager) adopt(ctx context.Context, c *CookieRef) (*sessState, bool) {
-	st := &sessState{}
+	var st *sessState
 	for _, sec := range sm.member.OffersOf(sm.service) {
 		if len(c.ID) == 0 || sec.Name != string(c.Secondary) || sec.Name == sm.selfName {
 			continue
 		}
 		if list, gen, err := sm.fetchFrom(ctx, sec, c.ID); err == nil {
-			st.rec.data, st.rec.gen = attrs.Merge("", cluster.IDLen, c.ID, list), gen
+			st = newSessState(c.ID, attrs.Merge("", 0, nil, list), gen)
 			// At the ring's current epoch: the secondary stays the cookie's,
 			// wherever the ring would place it, until the next epoch change.
 			st.place.Store(uint64(primaryAt(uint32(sm.Partitions().Current().Epoch), sm.secIndex(sec.Name))))
 		}
 		break
 	}
-	isNew := st.rec.data == ""
+	isNew := st == nil
 	if isNew {
 		id := sm.newID()
-		st.rec.data = attrs.Merge("", cluster.IDLen, id[:], nil)
-		st.place.Store(uint64(sm.chooseSecondary(st.rec.data[:cluster.IDLen], "")))
+		st = newSessState(id[:], attrs.Empty, 0)
+		st.place.Store(uint64(sm.chooseSecondary(st.id(), "")))
 	}
-	key, _ := tableKey(st.rec.data[:cluster.IDLen])
 	sm.mu.Lock()
 	defer sm.mu.Unlock()
-	if cur, ok := sm.sessions[key]; ok {
+	if cur := sm.sessions.get(st.key); cur != nil {
 		return cur, false // a parallel request of the fetched session got here first
 	}
-	sm.sessions[key] = st
+	sm.sessions.put(st)
 	return st, isNew
 }
 
@@ -533,10 +552,10 @@ func (sm *SessionManager) finish(ctx context.Context, s *Session, c *CookieRef) 
 			return "", true
 		}
 		s.land()
-		return encodeCookie(s.ID, "", "", s.st.rec.data[cluster.IDLen:]), false
+		return encodeCookie(s.ID, "", "", s.st.list), false
 	case SessionsPersistent:
 		s.land()
-		sm.db.Put("wls.sessions", s.ID, attrs.Map(s.st.rec.data[cluster.IDLen:]))
+		sm.db.Put("wls.sessions", s.ID, attrs.Map(s.st.list))
 		if namesOnlyIt && c.State == nil {
 			return "", true
 		}
@@ -626,10 +645,10 @@ func (sm *SessionManager) ship(ctx context.Context, st *sessState, delta []byte,
 // came before (to the old secondary; the seed holds its write) or follows
 // the seed to the new. A delta lands even when there is no secondary.
 func (sm *SessionManager) shipTo(ctx context.Context, st *sessState, delta []byte, from, to placement) (sec uint32, err error) {
-	r := &st.rec
-	r.mu.Lock()
+	rl := st.lock()
+	rl.mu.Lock()
 	if delta != nil {
-		r.data = attrs.Merge(r.data, cluster.IDLen, nil, delta)
+		st.list = attrs.Merge(st.list, 0, nil, delta)
 	}
 	if to == 0 {
 		to = st.placed()
@@ -637,7 +656,7 @@ func (sm *SessionManager) shipTo(ctx context.Context, st *sessState, delta []byt
 		err = errMoved
 	}
 	if sec = to.sec(); sec == 0 || err != nil {
-		r.mu.Unlock()
+		rl.mu.Unlock()
 		return 0, err
 	}
 	rb := (*sm.repl.Load())[sec]
@@ -652,12 +671,12 @@ func (sm *SessionManager) shipTo(ctx context.Context, st *sessState, delta []byt
 		b.enc = wire.AcquireEncoder()
 		rb.pending = b
 	}
-	r.gen++
-	b.enc.Raw(r.data[:cluster.IDLen])
-	b.enc.Uint64(r.gen)
-	keys := attrs.Len(r.data[cluster.IDLen:])
+	st.gen++
+	b.enc.RawBytes(st.key[:])
+	b.enc.Uint64(st.gen)
+	keys := attrs.Len(st.list)
 	if delta == nil {
-		b.enc.Raw(r.data[cluster.IDLen:])
+		b.enc.Raw(st.list)
 	} else {
 		b.enc.RawBytes(delta)
 		keys = attrs.Len(delta)
@@ -668,7 +687,7 @@ func (sm *SessionManager) shipTo(ctx context.Context, st *sessState, delta []byt
 	}
 	done := b.done
 	rb.mu.Unlock()
-	r.mu.Unlock()
+	rl.mu.Unlock()
 
 	if !leader {
 		<-done
@@ -793,20 +812,20 @@ func (sm *SessionManager) applyUpdate(d *wire.Decoder) error {
 	}
 	key, _ := tableKey(idB) // whole: attrs.Read fails after an id cut short
 	sm.mu.Lock()
-	st := sm.sessions[key]
+	st := sm.sessions.get(key)
 	if st == nil {
-		sm.sessions[key] = &sessState{rec: record{data: attrs.Merge("", cluster.IDLen, idB, list), gen: gen}}
+		sm.sessions.put(newSessState(idB, attrs.Merge("", 0, nil, list), gen))
 		sm.mu.Unlock()
 		return nil
 	}
 	sm.mu.Unlock()
-	r := &st.rec
-	r.mu.Lock()
-	if gen > r.gen || r.gen == 0 {
-		r.gen = gen
-		r.data = attrs.Merge(r.data, cluster.IDLen, nil, list)
+	rl := st.lock()
+	rl.mu.Lock()
+	if gen > st.gen || st.gen == 0 {
+		st.gen = gen
+		st.list = attrs.Merge(st.list, 0, nil, list)
 	}
-	r.mu.Unlock()
+	rl.mu.Unlock()
 	return nil
 }
 
@@ -821,18 +840,19 @@ func (sm *SessionManager) handleFetch(args []byte) ([]byte, error) {
 	var st *sessState
 	if key, ok := tableKey(id); ok {
 		sm.mu.Lock()
-		st = sm.sessions[key]
+		st = sm.sessions.get(key)
 		sm.mu.Unlock()
 	}
 	if st == nil {
 		return nil, &rmi.AppError{Msg: "no such session: " + cluster.IDString(string(id))}
 	}
-	st.rec.mu.Lock()
-	gen, rec := st.rec.gen, st.rec.data
-	st.rec.mu.Unlock()
-	e := wire.NewEncoder(len(rec))
+	rl := st.lock()
+	rl.mu.Lock()
+	gen, list := st.gen, st.list
+	rl.mu.Unlock()
+	e := wire.NewEncoder(binary.MaxVarintLen64 + len(list))
 	e.Uint64(gen)
-	e.Raw(rec[cluster.IDLen:])
+	e.Raw(list)
 	return e.Bytes(), nil
 }
 

@@ -110,7 +110,8 @@ type Host struct {
 	active   bool
 	stopped  bool
 	retryT   vclock.Timer
-	freeSeen int // consecutive free-lease sightings (second-chance patience)
+	unwatch  func() // removes Start's membership listener
+	freeSeen int    // consecutive free-lease sightings (second-chance patience)
 }
 
 // NewHost creates a candidacy on the given server's RMI registry; the
@@ -188,10 +189,7 @@ func (h *Host) rankOf(server string) int {
 // Start begins competing for ownership and watching membership for
 // preference-based handoff.
 func (h *Host) Start() {
-	h.mu.Lock()
-	h.stopped = false
-	h.mu.Unlock()
-	h.member.OnEvent(func(ev cluster.Event) {
+	unwatch := h.member.OnEvent(func(ev cluster.Event) {
 		// A higher-preference candidate came back: hand off. A failure of
 		// the current owner: try to take over (the lease expiry also
 		// covers this; the event just makes it prompt).
@@ -200,6 +198,9 @@ func (h *Host) Start() {
 			h.evaluate()
 		}
 	})
+	h.mu.Lock()
+	h.stopped, h.unwatch = false, unwatch
+	h.mu.Unlock()
 	h.evaluate()
 	h.scheduleRetry()
 }
@@ -209,11 +210,14 @@ func (h *Host) Start() {
 func (h *Host) Stop() {
 	h.mu.Lock()
 	h.stopped = true
-	t := h.retryT
-	h.retryT = nil
+	t, unwatch := h.retryT, h.unwatch
+	h.retryT, h.unwatch = nil, nil
 	wasActive := h.active
 	h.active = false
 	h.mu.Unlock()
+	if unwatch != nil {
+		unwatch()
+	}
 	if t != nil {
 		t.Stop()
 	}

@@ -292,6 +292,29 @@ func TestStopReleasesPromptly(t *testing.T) {
 	}
 }
 
+// TestStartStopLeavesNoListener: each Start registers a membership
+// listener, and the Stop after it must remove it, or every restarted
+// candidacy runs evaluate once more on each join and failure.
+func TestStartStopLeavesNoListener(t *testing.T) {
+	sf := newSingletonFixture(t, 2, singleton.Config{
+		Service:   "q",
+		Preferred: []string{"server-1", "server-2"},
+	})
+	m := sf.f.Servers[0].Member
+	before := m.Listeners()
+	for i := 0; i < 5; i++ {
+		sf.hosts[0].Start()
+		if got := m.Listeners(); got != before+1 {
+			t.Fatalf("cycle %d: %d listeners while started, want %d", i, got, before+1)
+		}
+		sf.settle(2)
+		sf.hosts[0].Stop()
+	}
+	if got := m.Listeners(); got != before {
+		t.Fatalf("%d listeners after 5 start/stop cycles, want %d as before the first Start", got, before)
+	}
+}
+
 // --- On-demand singletons ---------------------------------------------------
 
 func odFixture(t *testing.T) (*simtest.Fixture, []*singleton.OnDemand, *tracker) {
