@@ -164,7 +164,7 @@ func TestAllocGateExternalLBEcho(t *testing.T) {
 // breakers: Gate.Admit, Gate.Done and Resilience.Allow on every request.
 func TestAllocGateAdmittedEcho(t *testing.T) {
 	c := allocGateCluster(t, wls.Options{
-		Admission:  &rmi.QueueConfig{Policy: rmi.Deny},
+		Admission:  &rmi.QueueConfig{},
 		Resilience: &rmi.ResilienceConfig{},
 	})
 	quiet(c)
@@ -486,8 +486,9 @@ func TestAllocGateDurableCheckout(t *testing.T) {
 // replicated sessions holding two short attributes, live heap after two
 // collections, divided by the count — both copies (primary record and
 // secondary replica) and both session-table entries. Measured
-// 169 B/session, pinned at gateSessionFootprint, that + 10 % (DESIGN.md
-// "What a resident session costs" has the breakdown).
+// 175 B/session (169 B before the table was split into a shard per record
+// lock stripe); gateSessionFootprint is 169 B + 10 % (DESIGN.md "What a
+// resident session costs" has the breakdown).
 func TestAllocGateSessionFootprint(t *testing.T) {
 	c := allocGateCluster(t, wls.Options{})
 	for _, s := range c.Servers {
@@ -526,9 +527,9 @@ func TestAllocGateSessionFootprint(t *testing.T) {
 // costs, measured as TestAllocGateSessionFootprint measures a session:
 // 8 192 beans created and written once with two short attributes, live
 // heap after two collections, divided by the count — both copies of the
-// record and both table entries; the client handles are dropped. Pinned
-// at gateBeanFootprint, measured + 10 % (DESIGN.md "Stateful session beans
-// ride the same records").
+// record and both table entries; the client handles are dropped. Measured
+// 180 B (176 B with one table); gateBeanFootprint is 176 B + 10 % (DESIGN.md
+// "Stateful session beans ride the same records").
 func TestAllocGateBeanFootprint(t *testing.T) {
 	c := allocGateCluster(t, wls.Options{})
 	var home *ejb.StatefulHome

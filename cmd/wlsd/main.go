@@ -6,7 +6,7 @@
 //	wlsd -servers 3 -http :7001 -admin :7002 [-data /var/wls] [-trace-sample 0.01]
 //	     [-queue-workers 8] [-resilient]
 //
-// -queue-workers N gives every server a Deny execute queue: N requests run
+// -queue-workers N gives every server an execute queue: N requests run
 // at once, 64 more wait in line, and the next is refused with BUSY (0, the
 // default, admits everything).
 //
@@ -58,7 +58,7 @@ func main() {
 		TraceSample: *traceSample,
 	}
 	if *queueWorkers > 0 {
-		opts.Admission = &rmi.QueueConfig{Workers: *queueWorkers, QueueLen: 64, Policy: rmi.Deny}
+		opts.Admission = &rmi.QueueConfig{Workers: *queueWorkers, QueueLen: 64}
 	}
 	if *resilient {
 		opts.Resilience = &rmi.ResilienceConfig{}

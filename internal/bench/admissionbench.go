@@ -30,9 +30,11 @@ func runE25() *Table {
 		q    rmi.QueueConfig
 	}
 	for _, c := range []cfg{
-		{"fixed+deny", rmi.QueueConfig{Workers: 4, QueueLen: 8, Policy: rmi.Deny}},
-		{"fixed+degrade", rmi.QueueConfig{Workers: 4, QueueLen: offered, Policy: rmi.Degrade}},
-		{"self-tuning", rmi.QueueConfig{Workers: 4, QueueLen: offered, Policy: rmi.Degrade,
+		{"fixed+deny", rmi.QueueConfig{Workers: 4, QueueLen: 8}},
+		// A line that holds every arrival: nothing is denied, and
+		// overload turns into time in line.
+		{"fixed+degrade", rmi.QueueConfig{Workers: 4, QueueLen: offered}},
+		{"self-tuning", rmi.QueueConfig{Workers: 4, QueueLen: offered,
 			SelfTuning: true, MaxWorkers: 32, TuneInterval: 5 * time.Millisecond}},
 	} {
 		reg := metrics.NewRegistry()

@@ -38,8 +38,8 @@ type e30Config struct {
 	slow      bool // one server answers e30Slow late each way
 }
 
-// runE30 compares a statically provisioned cluster (blocking Degrade
-// queues, no budgets, no breakers) against the full protection stack
+// runE30 compares a statically provisioned cluster (queues too long to
+// fill, no budgets, no breakers) against the full protection stack
 // (small Deny queues, request budgets, shared retry budget, per-server
 // breakers) under the same insult: a 4x flash burst while one of three
 // servers answers 150ms late. The reproduction target is the shape: the
@@ -67,12 +67,13 @@ func runE30() *Table {
 func e30Run(cfg e30Config) []string {
 	opts := wls.Options{Servers: 3, WithAdmin: true, Seed: 1}
 	if cfg.resilient {
-		opts.Admission = &rmi.QueueConfig{Workers: 2, QueueLen: 8, Policy: rmi.Deny}
+		opts.Admission = &rmi.QueueConfig{Workers: 2, QueueLen: 8}
 		opts.Resilience = &rmi.ResilienceConfig{}
 	} else {
 		// Statically provisioned: same limit, but demand queues up
-		// instead of being refused, and the client never gives up.
-		opts.Admission = &rmi.QueueConfig{Workers: 2, QueueLen: 4096, Policy: rmi.Degrade}
+		// instead of being refused — the arm offers 1 320 requests, so
+		// its line never fills — and the client never gives up.
+		opts.Admission = &rmi.QueueConfig{Workers: 2, QueueLen: 4096}
 	}
 	c, err := wls.New(opts)
 	if err != nil {

@@ -66,7 +66,7 @@ func e33Run(p e33Params) *Table {
 		Servers:   p.servers,
 		RealClock: true,
 		Seed:      1,
-		Admission: &rmi.QueueConfig{Workers: 2, QueueLen: 8, Policy: rmi.Deny},
+		Admission: &rmi.QueueConfig{Workers: 2, QueueLen: 8},
 	})
 	if err != nil {
 		panic(err)

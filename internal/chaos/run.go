@@ -223,7 +223,7 @@ func Run(seed int64, cfg Config) (*Result, error) {
 		// A deliberately small Deny queue so flash crowds actually shed, and
 		// the full client-side resilience stack so the invariants exercise
 		// budgets, retries and breakers together.
-		opts.Admission = &rmi.QueueConfig{Workers: 2, QueueLen: 8, Policy: rmi.Deny}
+		opts.Admission = &rmi.QueueConfig{Workers: 2, QueueLen: 8}
 		opts.Resilience = &rmi.ResilienceConfig{}
 	}
 	c, err := wls.New(opts)

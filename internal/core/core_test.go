@@ -86,7 +86,7 @@ func TestExecuteQueueRunsTasks(t *testing.T) {
 }
 
 func TestDenyPolicyRejectsWhenFull(t *testing.T) {
-	g := rmi.NewGate(rmi.QueueConfig{Workers: 1, QueueLen: 2, Policy: rmi.Deny}, vclock.System, nil)
+	g := rmi.NewGate(rmi.QueueConfig{Workers: 1, QueueLen: 2}, vclock.System, nil)
 	defer g.Close()
 	// Occupy the only slot, then fill the line.
 	admitted(t, g)
@@ -105,7 +105,7 @@ func TestDenyPolicyRejectsWhenFull(t *testing.T) {
 // the backlog drains.
 func TestQueueMetrics(t *testing.T) {
 	reg := metrics.NewRegistry()
-	g := rmi.NewGate(rmi.QueueConfig{Workers: 1, QueueLen: 2, Policy: rmi.Deny}, vclock.System, reg)
+	g := rmi.NewGate(rmi.QueueConfig{Workers: 1, QueueLen: 2}, vclock.System, reg)
 	defer g.Close()
 	admitted(t, g)
 	var wg sync.WaitGroup
@@ -141,8 +141,12 @@ func TestQueueMetrics(t *testing.T) {
 	}
 }
 
-func TestDegradePolicyBlocksInsteadOfDenying(t *testing.T) {
-	g := rmi.NewGate(rmi.QueueConfig{Workers: 1, QueueLen: 1, Policy: rmi.Degrade}, vclock.System, nil)
+// TestRequestsWaitWhileTheLineHasRoom: with every slot taken, a request
+// that finds room in the line waits there — it is not denied — and runs
+// once a slot comes back. A line longer than the callers can fill is how a
+// gate degrades instead of denying (E25's fixed+degrade row).
+func TestRequestsWaitWhileTheLineHasRoom(t *testing.T) {
+	g := rmi.NewGate(rmi.QueueConfig{Workers: 1, QueueLen: 2}, vclock.System, nil)
 	defer g.Close()
 	admitted(t, g)
 	admit := func() <-chan error {
@@ -156,24 +160,24 @@ func TestDegradePolicyBlocksInsteadOfDenying(t *testing.T) {
 		}()
 		return out
 	}
-	first := admit() // fills QueueLen
+	first := admit()
 	inLine(t, g, 1)
-	accepted := admit() // waits: Degrade's line is unbounded
+	second := admit() // fills the line
 	inLine(t, g, 2)
 	select {
-	case err := <-accepted:
-		t.Fatalf("degrade should have blocked while full, got %v", err)
+	case err := <-second:
+		t.Fatalf("a request with room in line should have waited, got %v", err)
 	case <-time.After(30 * time.Millisecond):
 	}
 	g.Done()
-	for _, ch := range []<-chan error{first, accepted} {
+	for _, ch := range []<-chan error{first, second} {
 		select {
 		case err := <-ch:
 			if err != nil {
-				t.Fatalf("degrade refused: %v", err)
+				t.Fatalf("a request in line was refused: %v", err)
 			}
 		case <-time.After(time.Second):
-			t.Fatal("degrade never admitted after drain")
+			t.Fatal("a request in line never ran after the slot came back")
 		}
 	}
 }

@@ -73,6 +73,16 @@ func (c *Container) Tx() *tx.Manager { return c.txm }
 // DB returns the backend store.
 func (c *Container) DB() *store.Store { return c.db }
 
+// Close stops its stateful beans' session managers, so their rings stop
+// following the membership, which outlives a container its server restarts.
+func (c *Container) Close() {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for _, ss := range c.stateful {
+		ss.sessions.Stop()
+	}
+}
+
 // ---------------------------------------------------------------------------
 // Stateless session beans (§3.1)
 

@@ -132,7 +132,10 @@ type heldLock struct {
 
 // lockWalk walks a function body in source order — a deliberate
 // approximation of control flow — and keeps the set of mutexes held: a
-// deferred Unlock keeps its lock held to the end of the body. It calls
+// deferred Unlock keeps its lock held to the end of the body, and a block
+// that cannot fall through (it ends in a return, a panic or an exit)
+// leaves the held set as it was before it, so an Unlock on an early-return
+// branch does not release the lock for the code after the branch. It calls
 // back at every acquire, every blocking channel operation and every other
 // call, with the module function the call reaches (nil if none); any
 // callback may be nil.
@@ -175,6 +178,15 @@ func (w *lockWalk) walk(root ast.Node) {
 		case *ast.FuncLit:
 			w.lits = append(w.lits, n)
 			return false
+		case *ast.BlockStmt:
+			w.stmts(n.List)
+			return false
+		case *ast.CaseClause:
+			for _, e := range n.List {
+				w.walk(e)
+			}
+			w.stmts(n.Body)
+			return false
 		case *ast.DeferStmt:
 			if w.summary {
 				return true
@@ -205,9 +217,7 @@ func (w *lockWalk) walk(root ast.Node) {
 					w.walk(cc.Comm)
 					w.inComm = false
 				}
-				for _, st := range cc.Body {
-					w.walk(st)
-				}
+				w.stmts(cc.Body)
 			}
 			return false
 		case *ast.CallExpr:
@@ -224,6 +234,31 @@ func (w *lockWalk) walk(root ast.Node) {
 		}
 		return true
 	})
+}
+
+// stmts walks a statement list. When the list cannot fall through, the
+// held set after it is the one from before it.
+func (w *lockWalk) stmts(list []ast.Stmt) {
+	held := append([]heldLock(nil), w.held...)
+	for _, st := range list {
+		w.walk(st)
+	}
+	if len(list) > 0 && terminates(list[len(list)-1]) {
+		w.held = held
+	}
+}
+
+// terminates reports whether st cannot fall through: a return, or a call
+// that ends the goroutine (callTerminatesGoroutine).
+func terminates(st ast.Stmt) bool {
+	switch st := st.(type) {
+	case *ast.ReturnStmt:
+		return true
+	case *ast.ExprStmt:
+		call, ok := st.X.(*ast.CallExpr)
+		return ok && callTerminatesGoroutine(call)
+	}
+	return false
 }
 
 // callParts walks what a go or defer statement evaluates in place: the

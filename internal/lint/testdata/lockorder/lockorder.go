@@ -2,8 +2,9 @@
 // analyzer: a deliberate two-lock cycle, an asserted hierarchy that gets
 // violated, an interprocedural edge through a fact from the sub package,
 // a stale assertion, a suppressed cycle, a deferred literal walked with
-// its own held set, and goroutines started under a lock, which record no
-// edge.
+// its own held set, goroutines started under a lock, which record no
+// edge, and branches that end in a return or a panic, whose held set ends
+// with them.
 package lockorder
 
 import (
@@ -154,4 +155,40 @@ func deferKJ() {
 		j.mu.Unlock()
 		k.mu.Unlock()
 	}()
+}
+
+type L struct{ mu sync.Mutex }
+
+type M struct{ mu sync.Mutex }
+
+var (
+	l L
+	m M
+)
+
+//wls:lockorder lockorder.L.mu<lockorder.M.mu
+
+// earlyReturnML releases M on a branch that returns, then takes L with M
+// still held on the path that falls through: the branch's Unlock does not
+// release M for the rest of the body.
+func earlyReturnML(done bool) {
+	m.mu.Lock()
+	if done {
+		m.mu.Unlock()
+		return
+	}
+	l.mu.Lock() // want "lock order violation: lockorder.L.mu acquired while lockorder.M.mu is held"
+	l.mu.Unlock()
+	m.mu.Unlock()
+}
+
+// panicOnlyML takes L under M in a branch that ends in a panic: what the
+// branch holds is its own, so the Lock after it records no edge.
+func panicOnlyML(bad bool) {
+	if bad {
+		m.mu.Lock()
+		panic("bad")
+	}
+	l.mu.Lock()
+	l.mu.Unlock()
 }

@@ -31,8 +31,6 @@ type Views struct {
 	// mu serializes ring rebuilds and change notifications, so
 	// subscribers observe epochs strictly in order. Subscribers run under
 	// it and must not block (spawn a goroutine for RPC work).
-	//
-	//wls:lockorder partition.Views.mu<servlet.SessionManager.mu
 	mu   sync.Mutex
 	subs []func(old, new *View)
 
@@ -112,8 +110,8 @@ func sameMembers(ringMembers, candidate []string) bool {
 // tracks the live members offering the given service, rebuilding (and
 // bumping the epoch) as servers join, fail, or change advertisements.
 // Call after the member is constructed; the initial ring is published
-// immediately from the current view.
-func Attach(vs *Views, m *cluster.Member, service string) {
+// immediately from the current view. Cancel detaches vs from m.
+func Attach(vs *Views, m *cluster.Member, service string) (cancel func()) {
 	update := func() {
 		offers := m.OffersOf(service)
 		names := make([]string, 0, len(offers))
@@ -122,6 +120,7 @@ func Attach(vs *Views, m *cluster.Member, service string) {
 		}
 		vs.Update(names)
 	}
-	m.OnEvent(func(cluster.Event) { update() })
+	cancel = m.OnEvent(func(cluster.Event) { update() })
 	update()
+	return cancel
 }

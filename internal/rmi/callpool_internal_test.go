@@ -107,7 +107,7 @@ func TestRefusedAdmissionReleasesPooledCall(t *testing.T) {
 func TestCallExpiredInLineNeverRuns(t *testing.T) {
 	clk := vclock.NewVirtualAtZero()
 	r := newDispatchRegistry()
-	g := NewGate(QueueConfig{Workers: 1, Policy: Deny}, clk, nil)
+	g := NewGate(QueueConfig{Workers: 1}, clk, nil)
 	if err := g.Admit(Budget{}); err != nil {
 		t.Fatal(err)
 	}
@@ -142,7 +142,7 @@ func TestCallExpiredInLineNeverRuns(t *testing.T) {
 func TestSlotHandedAtExpiryRunsOnce(t *testing.T) {
 	clk := vclock.NewVirtualAtZero()
 	r := newDispatchRegistry()
-	g := NewGate(QueueConfig{Workers: 1, Policy: Deny}, clk, nil)
+	g := NewGate(QueueConfig{Workers: 1}, clk, nil)
 	if err := g.Admit(Budget{}); err != nil {
 		t.Fatal(err)
 	}

@@ -12,26 +12,15 @@ import (
 
 // This file is a server's execute queue (§2.3): a gate the registry passes
 // every non-system request through, on the goroutine that delivered it. At
-// most a limit of admitted requests run at once; the rest wait in a FIFO
-// line, which Deny bounds — the TP monitor's "deny rather than degrade
-// service" — and Degrade does not. SelfTuning moves the limit between
-// Workers and MaxWorkers, the paper's need to "dynamically enlist computing
-// resources to handle peak loads".
-
-// AdmissionPolicy selects overload behaviour.
-type AdmissionPolicy int
-
-// Admission policies.
-const (
-	// Degrade admits every request; under overload, time in line grows.
-	Degrade AdmissionPolicy = iota
-	// Deny refuses requests when the line is full — the TP-monitor
-	// policy suited to well-provisioned, predictable workloads.
-	Deny
-)
+// most a limit of admitted requests run at once; the rest wait in a
+// bounded FIFO line, and a request that finds it full is denied — the TP
+// monitor's "deny rather than degrade service". A line longer than the
+// callers can fill degrades instead: every request waits its turn.
+// SelfTuning moves the limit between Workers and MaxWorkers, the paper's
+// need to "dynamically enlist computing resources to handle peak loads".
 
 var (
-	// ErrDenied is Admit's answer under Deny when the line is full.
+	// ErrDenied is Admit's answer when the line is full.
 	ErrDenied = errors.New("rmi: request denied (queue full)")
 	// ErrQueueClosed is Admit's answer after Close.
 	ErrQueueClosed = errors.New("rmi: execute queue closed")
@@ -43,10 +32,8 @@ var (
 type QueueConfig struct {
 	// Workers is how many admitted requests run at once (default 4).
 	Workers int
-	// QueueLen bounds the line under Deny (default 256).
+	// QueueLen bounds the line (default 256).
 	QueueLen int
-	// Policy selects Deny vs Degrade.
-	Policy AdmissionPolicy
 	// SelfTuning raises the limit toward MaxWorkers while the line is
 	// longer than the limit, and lowers it back to Workers when the line
 	// is empty — the paper's self-tuning need.
@@ -125,7 +112,7 @@ func NewGate(cfg QueueConfig, clock vclock.Clock, reg *metrics.Registry) *Gate {
 }
 
 // Admit waits until the request may run and returns nil; the caller then
-// owes one Done. It refuses with ErrDenied at once when Deny's line is full,
+// owes one Done. It refuses with ErrDenied at once when the line is full,
 // with ErrQueueClosed after Close, and, when b runs out while the request
 // is still in line, with "deadline expired in queue". A refused request
 // never ran.
@@ -142,7 +129,7 @@ func (g *Gate) Admit(b Budget) error {
 		g.accepted.Inc()
 		return nil
 	}
-	if g.cfg.Policy == Deny && len(g.line) >= g.cfg.QueueLen {
+	if len(g.line) >= g.cfg.QueueLen {
 		g.mu.Unlock()
 		g.denied.Inc()
 		return ErrDenied

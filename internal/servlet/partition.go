@@ -22,10 +22,18 @@ func (sm *SessionManager) Partitions() *partition.Views {
 	}
 	sm.attach.Do(func() {
 		vs := partition.NewViews(partition.Config{})
-		partition.Attach(vs, sm.member, sm.service)
+		sm.detach = partition.Attach(vs, sm.member, sm.service)
 		sm.parts.CompareAndSwap(nil, vs)
 	})
 	return sm.parts.Load()
+}
+
+// Stop detaches a ring the manager built from the membership, which outlives
+// it across a restart; secondaries are then placed on the ring's last view.
+func (sm *SessionManager) Stop() {
+	if sm.Partitions(); sm.detach != nil {
+		sm.detach()
+	}
 }
 
 // maybeRebalance runs on the request path of a primary session placed at
@@ -77,13 +85,11 @@ func (sm *SessionManager) PartitionStats() PartitionStats {
 	v := sm.Partitions().Current()
 	ps := PartitionStats{Epoch: v.Epoch, Fingerprint: v.Ring.Fingerprint(), Members: v.Ring.Len(), RingMoves: sm.ringMoves.Load()}
 	cur := uint32(v.Epoch)
-	sm.mu.Lock()
-	ps.Resident = sm.sessions.len()
-	sm.sessions.each(func(st *sessState) {
+	sm.each(func(st *sessState) {
+		ps.Resident++
 		if e := st.placed().epoch(); e != 0 && e < cur {
 			ps.SessionsBehind++
 		}
 	})
-	sm.mu.Unlock()
 	return ps
 }

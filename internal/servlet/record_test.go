@@ -61,11 +61,7 @@ func modelEngine(s *simtest.Server, cfg Config) *Engine {
 // does not hold the session), failing t when the record is not well-formed.
 func held(t *testing.T, e *Engine, id string) (map[string]string, uint64) {
 	t.Helper()
-	sm := e.sessions
-	key, _ := tableKey(id)
-	sm.mu.Lock()
-	st := sm.sessions.get(key)
-	sm.mu.Unlock()
+	st := e.sessions.get([]byte(id))
 	if st == nil {
 		return nil, 0
 	}
@@ -552,8 +548,8 @@ func checkRecordInputs(t *testing.T, base, delta []byte) {
 	// Any bytes as a batch of delta entries: an error, or records.
 	sm := &SessionManager{}
 	_ = sm.handleUpdateBatch(base)
-	sm.sessions.each(func(st *sessState) {
-		if _, err := checkList(st.list); err != nil || sm.sessions.get(st.key) != st {
+	sm.each(func(st *sessState) {
+		if _, err := checkList(st.list); err != nil || sm.shards[st.key[0]%stripes].get(st.key) != st {
 			t.Fatalf("batch %x made record %q under %x: %v", base, st.list, st.key, err)
 		}
 	})

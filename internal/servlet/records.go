@@ -43,13 +43,7 @@ func (sm *SessionManager) Create(ctx context.Context) (s *Session, seeded bool) 
 // compare-and-swap as a Fig 2 promotion (promoted: this call did it). An id
 // this server does not hold yields nil: Open never adopts.
 func (sm *SessionManager) Open(ctx context.Context, id []byte) (s *Session, promoted bool) {
-	key, ok := tableKey(id)
-	if !ok {
-		return nil, false
-	}
-	sm.mu.Lock()
-	st := sm.sessions.get(key)
-	sm.mu.Unlock()
+	st := sm.get(id)
 	if st == nil {
 		return nil, false
 	}
@@ -81,20 +75,12 @@ func (sm *SessionManager) Close(s *Session) (secondary string) {
 }
 
 // Remove deletes record id from the table.
-func (sm *SessionManager) Remove(id string) {
-	if key, ok := tableKey(id); ok {
-		sm.mu.Lock()
-		sm.sessions.del(key)
-		sm.mu.Unlock()
-	}
-}
+func (sm *SessionManager) Remove(id string) { sm.take(id, false) }
 
 // Primaries lists the ids of the table's primary records, sorted.
 func (sm *SessionManager) Primaries() []string {
-	sm.mu.Lock()
-	defer sm.mu.Unlock()
 	var ids []string
-	sm.sessions.each(func(st *sessState) {
+	sm.each(func(st *sessState) {
 		if st.placed().primary() {
 			ids = append(ids, st.id())
 		}
@@ -108,25 +94,29 @@ type Parked struct{ st *sessState }
 
 // Park takes primary record id out of the table; a replica stays.
 func (sm *SessionManager) Park(id string) (Parked, bool) {
-	key, ok := tableKey(id)
-	if !ok {
-		return Parked{}, false
+	st := sm.take(id, true)
+	return Parked{st}, st != nil
+}
+
+// take deletes record id (with primary, only a primary) and returns it.
+func (sm *SessionManager) take(id string, primary bool) *sessState {
+	if key, ok := tableKey(id); ok {
+		rl, tab := sm.shard(&key)
+		rl.mu.Lock()
+		defer rl.mu.Unlock()
+		if st := tab.get(key); st != nil && (!primary || st.placed().primary()) {
+			return tab.del(key)
+		}
 	}
-	sm.mu.Lock()
-	defer sm.mu.Unlock()
-	st := sm.sessions.get(key)
-	if st == nil || !st.placed().primary() {
-		return Parked{}, false
-	}
-	sm.sessions.del(key)
-	return Parked{st}, true
+	return nil
 }
 
 // Unpark puts a parked record back in the table.
 func (sm *SessionManager) Unpark(p Parked) {
-	sm.mu.Lock()
-	sm.sessions.put(p.st)
-	sm.mu.Unlock()
+	rl, tab := sm.shard(&p.st.key)
+	rl.mu.Lock()
+	tab.put(p.st)
+	rl.mu.Unlock()
 }
 
 // shipAcked ships delta (nil: the whole record) and reports whether st's

@@ -51,8 +51,7 @@ func TestReplicaUpdateAllocsPerChangedValue(t *testing.T) {
 	if changed != 1 {
 		t.Fatalf("update of 2 existing keys with new values: %.1f allocs, want 1 (the merged record)", changed)
 	}
-	key, _ := tableKey(replicaID)
-	if got, _ := attrs.Lookup(sm.sessions.get(key).list, "n"); got != strconv.Itoa(1000+runs+1) {
+	if got, _ := attrs.Lookup(sm.get([]byte(replicaID)).list, "n"); got != strconv.Itoa(1000+runs+1) {
 		t.Fatalf("replica holds n=%q after the updates", got)
 	}
 
@@ -75,8 +74,9 @@ func TestReplicaUpdateAllocsPerChangedValue(t *testing.T) {
 	}
 
 	// A session's first delta: its sessState and its record, nothing else
-	// (the table is sized, so no growth is counted).
-	sm.sessions.resize(2 * runs)
+	// (their shard is sized, so no growth is counted: every id below starts
+	// with '0').
+	sm.shards['0'%stripes].resize(2 * runs)
 	first := make([][]byte, 0, runs+1)
 	for i := 0; i <= runs; i++ {
 		e := wire.NewEncoder(64)

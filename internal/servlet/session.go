@@ -288,26 +288,29 @@ func newSessState[K string | []byte](id K, list string, gen uint64) *sessState {
 }
 
 // recordLock is one stripe of the record locks, alone on its cache line.
+// Stripe i guards shard i of every manager's table — which records it
+// holds — and the list and gen of each of those records.
 //
-// Lock rule: a record's stripe guards its list and gen, nothing else. It is
-// never held across an RPC nor together with SessionManager.mu (look up
-// under sm.mu, release, then lock the record), and never two at once. The
-// one lock taken under it is a replBatcher's mu: a delta lands, takes its
-// generation and its place in the secondary's pending batch in one step, so
-// per-session wire order equals generation order, and both equal the order
-// writes landed in.
+// Lock rule: a stripe is never held across an RPC or together with another
+// stripe, and a replBatcher's mu is the only lock taken under it: a delta
+// lands, takes its generation and its place in the secondary's pending
+// batch in one step, so per-session wire order equals generation order,
+// and both equal the order writes landed in.
 type recordLock struct {
 	//wls:lockorder servlet.recordLock.mu<servlet.replBatcher.mu
 	mu sync.Mutex
 	_  [64 - unsafe.Sizeof(sync.Mutex{})]byte
 }
 
-// recordLocks are the stripes, one per value of a record id's first byte:
-// ids are 16 random bytes (cluster.Member.NewID), so records spread evenly.
-var recordLocks [256]recordLock
+// recordLocks are the stripes, picked by a record id's first byte modulo
+// stripes: ids are 16 random bytes (cluster.Member.NewID), so records
+// spread evenly. A manager's table has a shard per stripe.
+var recordLocks [stripes]recordLock
+
+const stripes = 64
 
 // lock returns st's stripe of the record locks.
-func (st *sessState) lock() *recordLock { return &recordLocks[st.key[0]] }
+func (st *sessState) lock() *recordLock { return &recordLocks[st.key[0]%stripes] }
 
 // data returns the record's current attribute list.
 func (st *sessState) data() string {
@@ -368,10 +371,11 @@ type SessionManager struct {
 
 	// parts is the consistent-hash ring secondaries are placed on, built
 	// once by attach unless a caller substituted one (see partition.go);
-	// ringMoves counts sessions re-shipped because an epoch change moved
-	// their ring placement.
+	// detach cancels one it built. ringMoves counts sessions re-shipped
+	// because an epoch change moved their ring placement.
 	parts     atomic.Pointer[partition.Views]
 	attach    sync.Once
+	detach    func()
 	ringMoves atomic.Uint64
 
 	// repl is the server-name table a placement's secondary indexes, with
@@ -379,8 +383,8 @@ type SessionManager struct {
 	// without a lock. Entry 0 is "", no secondary; names are the view's.
 	repl atomic.Pointer[[]*replBatcher]
 
-	mu       sync.Mutex
-	sessions sessionTable
+	// shards is the session table, shard i under stripe i's lock.
+	shards [stripes]sessionTable
 }
 
 func newSessionManager(mode SessionMode, service string, member *cluster.Member, node rmi.Node, db *store.Store) *SessionManager {
@@ -421,10 +425,40 @@ func (sm *SessionManager) secIndex(name string) uint32 {
 
 // ResidentSessions reports how many sessions (primary or replica) live in
 // this engine's memory.
-func (sm *SessionManager) ResidentSessions() int {
-	sm.mu.Lock()
-	defer sm.mu.Unlock()
-	return sm.sessions.len()
+func (sm *SessionManager) ResidentSessions() (n int) {
+	for i := range sm.shards {
+		recordLocks[i].mu.Lock()
+		n += sm.shards[i].len()
+		recordLocks[i].mu.Unlock()
+	}
+	return n
+}
+
+// shard returns key's stripe and sm's shard of it, for the caller to lock.
+func (sm *SessionManager) shard(key *[cluster.IDLen]byte) (*recordLock, *sessionTable) {
+	return &recordLocks[key[0]%stripes], &sm.shards[key[0]%stripes]
+}
+
+// get returns the record of id, or nil.
+func (sm *SessionManager) get(id []byte) *sessState {
+	if key, ok := tableKey(id); ok {
+		rl, tab := sm.shard(&key)
+		rl.mu.Lock()
+		defer rl.mu.Unlock()
+		return tab.get(key)
+	}
+	return nil
+}
+
+// each calls fn with every record, one stripe at a time under its lock, so
+// fn must not lock, block or change the table.
+func (sm *SessionManager) each(fn func(*sessState)) {
+	for i := range sm.shards {
+		rl := &recordLocks[i]
+		rl.mu.Lock()
+		sm.shards[i].each(fn)
+		rl.mu.Unlock()
+	}
 }
 
 // resolve produces the Session for a request's cookie, performing
@@ -460,12 +494,7 @@ func (sm *SessionManager) resolve(ctx context.Context, c *CookieRef) *Session {
 }
 
 func (sm *SessionManager) resolveReplicated(ctx context.Context, c *CookieRef) *Session {
-	var st *sessState
-	if key, ok := tableKey(c.ID); ok {
-		sm.mu.Lock()
-		st = sm.sessions.get(key)
-		sm.mu.Unlock()
-	}
+	st := sm.get(c.ID)
 	isNew := st == nil
 	if isNew {
 		st, isNew = sm.adopt(ctx, c)
@@ -514,12 +543,13 @@ func (sm *SessionManager) adopt(ctx context.Context, c *CookieRef) (*sessState, 
 		st = newSessState(id[:], attrs.Empty, 0)
 		st.place.Store(uint64(sm.chooseSecondary(st.id(), "")))
 	}
-	sm.mu.Lock()
-	defer sm.mu.Unlock()
-	if cur := sm.sessions.get(st.key); cur != nil {
+	rl, tab := sm.shard(&st.key)
+	rl.mu.Lock()
+	defer rl.mu.Unlock()
+	if cur := tab.get(st.key); cur != nil {
 		return cur, false // a parallel request of the fetched session got here first
 	}
-	sm.sessions.put(st)
+	tab.put(st)
 	return st, isNew
 }
 
@@ -802,7 +832,7 @@ func (sm *SessionManager) handleUpdateBatch(args []byte) error {
 // generation check skips the apply, so batched entries stay framed. The
 // entry merges into the replica's record as one new string, or none when
 // every value it carries is the one held; a record the replica does not
-// hold yet is that string and its sessState.
+// hold yet is that string and its sessState, all under one stripe hold.
 func (sm *SessionManager) applyUpdate(d *wire.Decoder) error {
 	idB := d.Raw(cluster.IDLen)
 	gen := d.Uint64()
@@ -811,17 +841,11 @@ func (sm *SessionManager) applyUpdate(d *wire.Decoder) error {
 		return err
 	}
 	key, _ := tableKey(idB) // whole: attrs.Read fails after an id cut short
-	sm.mu.Lock()
-	st := sm.sessions.get(key)
-	if st == nil {
-		sm.sessions.put(newSessState(idB, attrs.Merge("", 0, nil, list), gen))
-		sm.mu.Unlock()
-		return nil
-	}
-	sm.mu.Unlock()
-	rl := st.lock()
+	rl, tab := sm.shard(&key)
 	rl.mu.Lock()
-	if gen > st.gen || st.gen == 0 {
+	if st := tab.get(key); st == nil {
+		tab.put(newSessState(idB, attrs.Merge("", 0, nil, list), gen))
+	} else if gen > st.gen || st.gen == 0 {
 		st.gen = gen
 		st.list = attrs.Merge(st.list, 0, nil, list)
 	}
@@ -830,30 +854,25 @@ func (sm *SessionManager) applyUpdate(d *wire.Decoder) error {
 }
 
 // handleFetch returns a replica's generation and attribute list (RMI
-// handler).
+// handler), read under one hold of the record's stripe.
 func (sm *SessionManager) handleFetch(args []byte) ([]byte, error) {
 	d := wire.NewDecoder(args)
 	id := d.BytesNoCopy()
 	if err := d.Err(); err != nil {
 		return nil, err
 	}
-	var st *sessState
 	if key, ok := tableKey(id); ok {
-		sm.mu.Lock()
-		st = sm.sessions.get(key)
-		sm.mu.Unlock()
+		rl, tab := sm.shard(&key)
+		rl.mu.Lock()
+		defer rl.mu.Unlock()
+		if st := tab.get(key); st != nil {
+			e := wire.NewEncoder(binary.MaxVarintLen64 + len(st.list))
+			e.Uint64(st.gen)
+			e.Raw(st.list)
+			return e.Bytes(), nil
+		}
 	}
-	if st == nil {
-		return nil, &rmi.AppError{Msg: "no such session: " + cluster.IDString(string(id))}
-	}
-	rl := st.lock()
-	rl.mu.Lock()
-	gen, list := st.gen, st.list
-	rl.mu.Unlock()
-	e := wire.NewEncoder(binary.MaxVarintLen64 + len(list))
-	e.Uint64(gen)
-	e.Raw(list)
-	return e.Bytes(), nil
+	return nil, &rmi.AppError{Msg: "no such session: " + cluster.IDString(string(id))}
 }
 
 // ---------------------------------------------------------------------------

@@ -10,20 +10,22 @@ import (
 // states, each found by its own key, so an id is held once per copy and a
 // slot is one pointer. It probes linearly, stays at most 3/4 full and
 // deletes by shifting the rest of a run back, so it keeps no tombstones.
-// The zero table is empty; SessionManager.mu guards a manager's.
-//
-// It grows in one step, rehashing every entry under the caller's lock.
+// The zero table is empty. A manager holds one per record-lock stripe, each
+// under its stripe's lock. It grows in one step, rehashing every entry.
 type sessionTable struct {
-	seed  maphash.Seed // per table: test ids share long prefixes
 	slots []*sessState // nil or a power of two
 	n     int
 }
+
+// tableSeed hashes every table's keys (test ids share long prefixes): no
+// table is filled by walking another in slot order, so one seed serves all.
+var tableSeed = maphash.MakeSeed()
 
 func (t *sessionTable) len() int { return t.n }
 
 // home is the slot a key hashes to.
 func (t *sessionTable) home(key *[cluster.IDLen]byte) int {
-	return int(maphash.Bytes(t.seed, key[:]) & uint64(len(t.slots)-1))
+	return int(maphash.Bytes(tableSeed, key[:]) & uint64(len(t.slots)-1))
 }
 
 // find returns the slot holding key, or the empty slot that ends its run.
@@ -89,15 +91,15 @@ func (t *sessionTable) each(fn func(*sessState)) {
 	}
 }
 
-// resize rehashes the table into the fewest slots, 8 or more, that hold n
-// states at most 3/4 full, under a new seed.
+// resize rehashes the table into the fewest slots, 2 or more, that hold n
+// states at most 3/4 full: most shards of a small table hold one or two.
 func (t *sessionTable) resize(n int) {
-	size := 8
+	size := 2
 	for 4*n > 3*size {
 		size *= 2
 	}
 	old := t.slots
-	t.seed, t.slots = maphash.MakeSeed(), make([]*sessState, size)
+	t.slots = make([]*sessState, size)
 	for _, st := range old {
 		if st != nil {
 			t.slots[t.find(&st.key)] = st

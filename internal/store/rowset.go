@@ -138,12 +138,9 @@ func (rs *RowSet) EncodeBinary() []byte {
 func DecodeBinary(b []byte) (*RowSet, error) {
 	d := wire.NewDecoder(b)
 	rs := &RowSet{Table: d.String()}
-	n := d.Int()
+	n := d.Count(4) // a row is at least its key, its flag and two lists
 	if err := d.Err(); err != nil {
 		return nil, err
-	}
-	if n < 0 || n > 1<<24 {
-		return nil, fmt.Errorf("store: absurd rowset size %d", n)
 	}
 	for i := 0; i < n; i++ {
 		r := RowSetRow{Key: d.String(), Deleted: d.Bool()}

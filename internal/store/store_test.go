@@ -3,6 +3,7 @@ package store
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"strconv"
 	"sync"
 	"testing"
@@ -10,6 +11,7 @@ import (
 	"time"
 
 	"wls/internal/vclock"
+	"wls/internal/wire"
 )
 
 func newStore() *Store { return New("db", vclock.System) }
@@ -519,6 +521,29 @@ func TestRowSetBinaryRoundTrip(t *testing.T) {
 	}
 	if rs2.Rows[0].Orig["price"] != "10" {
 		t.Fatal("Orig lost")
+	}
+}
+
+// TestALyingRowSetCountFails feeds DecodeBinary — a RowSet comes from a
+// client (§3.3) — a short RowSet whose row count is negative or far beyond
+// what its bytes hold: it must fail, not panic, and size nothing by the
+// count.
+func TestALyingRowSetCountFails(t *testing.T) {
+	for _, n := range []int{-1, 1 << 24, 1 << 40} {
+		e := wire.NewEncoder(8)
+		e.String("t")
+		e.Int(n)
+		e.String("k")
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		rs, err := DecodeBinary(e.Bytes())
+		runtime.ReadMemStats(&after)
+		if err == nil || rs != nil {
+			t.Fatalf("count %d: got %v, %v; want an error", n, rs, err)
+		}
+		if got := after.TotalAlloc - before.TotalAlloc; got >= 1<<20 {
+			t.Fatalf("count %d: allocated %d bytes", n, got)
+		}
 	}
 }
 

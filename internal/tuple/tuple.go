@@ -133,9 +133,9 @@ func encodeStaged(ops []kv.Op) string {
 
 func decodeStaged(b []byte) ([]kv.Op, error) {
 	d := wire.NewDecoder(b)
-	n := d.Int()
-	if d.Err() != nil || n < 0 || n > 1<<24 {
-		return nil, fmt.Errorf("staged op count %d", n)
+	n := d.Count(3) // an op is at least its kind and two empty strings
+	if err := d.Err(); err != nil {
+		return nil, fmt.Errorf("staged op count: %w", err)
 	}
 	ops := make([]kv.Op, 0, n)
 	for i := 0; i < n; i++ {

@@ -87,9 +87,9 @@ type Options struct {
 	// TraceBuffer is the shared span ring capacity (default 4096).
 	TraceBuffer int
 	// Admission, when set, gives every server an execute queue (§2.3) that
-	// admits all non-system RMI requests; with Policy rmi.Deny a full
-	// queue refuses requests with a wire-level BUSY response that stubs
-	// treat as side-effect-free and fail over from.
+	// admits all non-system RMI requests; a full queue refuses requests
+	// with a wire-level BUSY response that stubs treat as side-effect-free
+	// and fail over from.
 	Admission *rmi.QueueConfig
 	// Resilience, when set, gives every server a shared client-side
 	// overload-protection layer — retry token bucket, capped jittered
@@ -605,6 +605,7 @@ func (c *Cluster) Restart(name string) (*Server, error) {
 	if s.queue != nil {
 		s.queue.Close()
 	}
+	s.EJB.Close()
 	if s.Files != nil {
 		// A crash leaves the file as it was; closing drops the old handle.
 		_ = s.Files.Close()
@@ -688,6 +689,7 @@ func (c *Cluster) Stop() {
 		if s.queue != nil {
 			s.queue.Close()
 		}
+		s.EJB.Close()
 		s.Naming.Close()
 		if s.Files != nil {
 			_ = s.Files.Close() // shutdown path; store is done either way

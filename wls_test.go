@@ -139,6 +139,55 @@ func TestClusterCrashRestart(t *testing.T) {
 	}
 }
 
+// A stateful bean's session manager attaches its ring to the server's
+// member, which outlives a restart. Restart closes the old container, which
+// detaches the ring, so restarts and redeploys leave the member's listener
+// count where it was.
+func TestRestartDetachesBeanRings(t *testing.T) {
+	ctx := context.Background()
+	c, err := wls.New(wls.Options{Servers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Stop()
+	// use deploys the bean on s and creates and invokes a conversation
+	// through s's home, whose local preference makes s its primary.
+	use := func(s *wls.Server) {
+		t.Helper()
+		home := s.EJB.DeployStateful(ejb.StatefulSpec{
+			Name: "Counter",
+			Methods: map[string]ejb.StatefulMethod{
+				"inc": func(sc *ejb.StatefulCtx, _ []byte) ([]byte, error) {
+					sc.Set("n", "1")
+					return nil, nil
+				},
+			},
+		})
+		c.Settle(2)
+		h, err := home.Create(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := h.Invoke(ctx, "inc", nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	use(c.Servers[0])
+	use(c.Servers[1])
+	m := c.Servers[1].Member()
+	before := m.Listeners()
+	for i := 0; i < 5; i++ {
+		s, err := c.Restart("server-2")
+		if err != nil {
+			t.Fatal(err)
+		}
+		use(s)
+	}
+	if got := m.Listeners(); got != before {
+		t.Fatalf("member listeners %d after 5 restarts and redeploys, %d before", got, before)
+	}
+}
+
 func TestClusterJMSDefaultInMemory(t *testing.T) {
 	c, err := wls.New(wls.Options{Servers: 1})
 	if err != nil {
