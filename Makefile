@@ -20,8 +20,8 @@ race:
 	$(GO) test -race ./...
 
 # lint = the Go toolchain's vet plus this repo's own analyzers (walltime,
-# lockheld, errdrop, afterloop, spanleak, lockorder, goleak — see DESIGN.md
-# "Determinism & lint rules"); every one must be clean.
+# lockheld, errdrop, afterloop, spanleak, lockorder, goleak, unreached —
+# see DESIGN.md "Determinism & lint rules"); every one must be clean.
 # internal/lint/repo_test.go runs the same gate under `make test`, so CI
 # fails even without this target.
 lint:

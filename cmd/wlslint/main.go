@@ -12,9 +12,9 @@
 // how to suppress a finding.
 //
 // The whole module is always analyzed regardless of the package patterns
-// — cross-package analyzers (lockorder, goleak, lockheld) need facts from
-// every dependency — but only diagnostics in the selected packages are
-// reported.
+// — cross-package analyzers (lockorder, goleak, lockheld, unreached) need
+// facts or callers from every package — but only diagnostics in the
+// selected packages are reported.
 package main
 
 import (

@@ -1,0 +1,20 @@
+package wls
+
+import (
+	"time"
+
+	"wls/internal/rmi"
+)
+
+// ExternalClient creates a tightly-coupled external client (§2.2) with its
+// own endpoint, bootstrapped from the first server.
+func (c *Cluster) ExternalClient(addr string, refresh time.Duration) *rmi.ExternalClient {
+	node := c.fix.net.Endpoint(addr)
+	return rmi.NewExternalClient(node, c.fix.clock, refresh, c.Servers[0].endpoint.Addr())
+}
+
+// LeaseManagerAddrs returns the lease-manager addresses for singleton
+// hosting (empty without WithAdmin).
+func (c *Cluster) LeaseManagerAddrs() []string {
+	return append([]string(nil), c.fix.admins...)
+}

@@ -153,18 +153,6 @@ func (c *Cache) fresh(e *entry) bool {
 	return c.cfg.TTL <= 0 || c.clock.Since(e.loadedAt) <= c.cfg.TTL
 }
 
-// Peek returns the cached value without loading (even if stale by TTL it is
-// not returned). Used to measure staleness windows in the benchmarks.
-func (c *Cache) Peek(key string) ([]byte, uint64, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	e, ok := c.entries[key]
-	if !ok || !c.fresh(e) {
-		return nil, 0, false
-	}
-	return append([]byte(nil), e.value...), e.version, true
-}
-
 // Flush drops one entry.
 func (c *Cache) Flush(key string) {
 	c.mu.Lock()
@@ -250,6 +238,8 @@ func (c *Cache) InvalidateBackend(table, rowKey string) {
 // Preloaded slices (query through the cache)
 
 // DefineSlice registers a named slice of keys and preloads them.
+//
+//wls:nolint unreached -- library-only: §3.3, TestSlicePreloadAndQueryLocal
 func (c *Cache) DefineSlice(name string, keys []string) {
 	c.mu.Lock()
 	c.slices[name] = append([]string(nil), keys...)
@@ -281,6 +271,8 @@ func (c *Cache) RefreshSlice(name string) {
 // cache in the manner of in-memory databases". It never touches the
 // backend; with preloaded slices "the set of data in memory is known at
 // all times".
+//
+//wls:nolint unreached -- library-only: §3.3, TestSlicePreloadAndQueryLocal
 func (c *Cache) QueryLocal(match func(key string, value []byte) bool) map[string][]byte {
 	c.mu.Lock()
 	defer c.mu.Unlock()

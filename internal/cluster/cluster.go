@@ -57,16 +57,6 @@ type Config struct {
 	IDSeed int64
 }
 
-// DefaultConfig returns production-flavored defaults for the given cluster
-// name.
-func DefaultConfig(name string) Config {
-	return Config{
-		Name:              name,
-		HeartbeatInterval: 100 * time.Millisecond,
-		FailureTimeout:    350 * time.Millisecond,
-	}
-}
-
 func (c *Config) fillDefaults() {
 	if c.HeartbeatInterval <= 0 {
 		c.HeartbeatInterval = 100 * time.Millisecond
@@ -292,14 +282,8 @@ func (m *Member) Name() string {
 	return m.self.Name
 }
 
-// Config returns the cluster configuration.
-func (m *Member) Config() Config { return m.cfg }
-
 // Clock returns the member's clock.
 func (m *Member) Clock() vclock.Clock { return m.clock }
-
-// Bus returns the gossip bus the member announces on.
-func (m *Member) Bus() gossip.Bus { return m.bus }
 
 // Advertise adds a service name to this member's advertisement and beats
 // at once, so deployment is visible cluster-wide without waiting an
@@ -349,6 +333,8 @@ func (m *Member) OnEvent(fn func(Event)) (cancel func()) {
 }
 
 // Listeners reports how many membership listeners are registered.
+//
+//wls:nolint unreached -- test hook: TestRestartDetachesBeanRings
 func (m *Member) Listeners() int {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -522,19 +508,6 @@ func (m *Member) Alive() []MemberInfo {
 		}
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
-	return out
-}
-
-// AlivePeers returns the live view excluding self.
-func (m *Member) AlivePeers() []MemberInfo {
-	all := m.Alive()
-	self := m.Self().Name
-	out := all[:0]
-	for _, mi := range all {
-		if mi.Name != self {
-			out = append(out, mi)
-		}
-	}
 	return out
 }
 

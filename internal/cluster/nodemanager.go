@@ -27,6 +27,8 @@ type NodeManager struct {
 
 // NewNodeManager returns a manager that calls restart(info) restartDelay
 // after a watched member fails.
+//
+//wls:nolint unreached -- library-only: §3.4, TestNodeManagerRestartsFailedServer
 func NewNodeManager(clock vclock.Clock, restartDelay time.Duration, restart func(MemberInfo)) *NodeManager {
 	return &NodeManager{
 		clock:        clock,

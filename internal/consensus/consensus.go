@@ -103,6 +103,8 @@ type Elector struct {
 }
 
 // NewElector creates an elector and registers its RMI service on registry.
+//
+//wls:nolint unreached -- item 13: §3.4's two-level HA elects the lease manager through it, or it goes
 func NewElector(cfg Config, clock vclock.Clock, registry *rmi.Registry) *Elector {
 	cfg.fillDefaults()
 	e := &Elector{

@@ -68,6 +68,8 @@ type namedService struct {
 }
 
 // NewMigratableTarget creates an empty target.
+//
+//wls:nolint unreached -- library-only: §3.4, TestMigratableTargetAsSingleton
 func NewMigratableTarget(name string) *MigratableTarget {
 	return &MigratableTarget{Name: name}
 }

@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"sort"
 	"sync"
 
 	"wls/internal/attrs"
@@ -47,25 +46,6 @@ func (d *Domain) AddServer(cluster, server string, config map[string]string) {
 	cp["domain"] = d.Name
 	cp["cluster"] = cluster
 	d.config[server] = cp
-}
-
-// Clusters lists the domain's clusters, sorted.
-func (d *Domain) Clusters() []string {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	out := make([]string, 0, len(d.clusters))
-	for c := range d.clusters {
-		out = append(out, c)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// ServersIn lists a cluster's servers.
-func (d *Domain) ServersIn(cluster string) []string {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return append([]string(nil), d.clusters[cluster]...)
 }
 
 // ConfigOf returns a copy of a server's configuration.

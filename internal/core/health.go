@@ -178,6 +178,8 @@ func (h *HealthMonitor) Service() *rmi.Service {
 }
 
 // QueryHealth polls a server's health service remotely.
+//
+//wls:nolint unreached -- library-only: §3.4, TestHealthQueryOverRMI
 func QueryHealth(ctx context.Context, node rmi.Node, addr string) (HealthState, LifecycleState, []SubsystemHealth, error) {
 	stub := rmi.NewStub(HealthServiceName, node, rmi.StaticView(addr))
 	res, err := stub.Invoke(ctx, "check", nil)

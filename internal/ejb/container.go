@@ -67,12 +67,6 @@ func NewContainer(registry *rmi.Registry, txm *tx.Manager, db *store.Store, bus 
 // ServerName returns the hosting server's name.
 func (c *Container) ServerName() string { return c.serverName }
 
-// Tx returns the container's transaction manager.
-func (c *Container) Tx() *tx.Manager { return c.txm }
-
-// DB returns the backend store.
-func (c *Container) DB() *store.Store { return c.db }
-
 // Close stops its stateful beans' session managers, so their rings stop
 // following the membership, which outlives a container its server restarts.
 func (c *Container) Close() {

@@ -104,9 +104,6 @@ func decodeEntity(b []byte) (map[string]string, uint64, error) {
 	return attrs.Map(list), version, nil
 }
 
-// Cache exposes the home's cache (benchmarks measure hit rates on it).
-func (h *EntityHome) Cache() *cache.Cache { return h.cache }
-
 // Entity is one bean instance bound to a transaction.
 type Entity struct {
 	home    *EntityHome
@@ -181,6 +178,8 @@ func (h *EntityHome) FindReadOnly(key string) (map[string]string, error) {
 }
 
 // Create inserts a new bean row inside the transaction.
+//
+//wls:nolint unreached -- library-only: §3.3, TestEntityCreateAndRemove
 func (h *EntityHome) Create(txn *tx.Tx, key string, fields map[string]string) (*Entity, error) {
 	sess, err := h.enlistSession(txn)
 	if err != nil {
@@ -214,18 +213,6 @@ func (h *EntityHome) Remove(txn *tx.Tx, key string) error {
 
 // Get reads a bean field.
 func (e *Entity) Get(field string) string { return e.fields[field] }
-
-// Fields returns a copy of all fields.
-func (e *Entity) Fields() map[string]string {
-	out := make(map[string]string, len(e.fields))
-	for k, v := range e.fields {
-		out[k] = v
-	}
-	return out
-}
-
-// Version returns the backend version the bean was loaded at.
-func (e *Entity) Version() uint64 { return e.version }
 
 // Set writes a bean field (visible at commit).
 func (e *Entity) Set(field, value string) {

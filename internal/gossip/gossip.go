@@ -80,13 +80,6 @@ func (b *InMemory) SetLossRate(p float64) {
 	b.lossRate = p
 }
 
-// SetDelay delays every delivery by d on the bus clock.
-func (b *InMemory) SetDelay(d time.Duration) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	b.delay = d
-}
-
 // Publish implements Bus.
 func (b *InMemory) Publish(m Message) {
 	b.mu.Lock()
@@ -143,6 +136,8 @@ func (b *InMemory) Stats() (published, dropped int64) {
 }
 
 // Subscribers reports the number of live subscriptions for a topic.
+//
+//wls:nolint unreached -- test hook: TestStartStopRace
 func (b *InMemory) Subscribers(topic string) int {
 	b.mu.Lock()
 	defer b.mu.Unlock()

@@ -29,6 +29,8 @@ type UDPBus struct {
 // port) and publishes to the given peers. Peers may be added later with
 // AddPeer; the local process always receives its own announcements
 // directly.
+//
+//wls:nolint unreached -- item 7: wlsd -join announces over it across processes
 func NewUDP(listenAddr string, peers ...string) (*UDPBus, error) {
 	laddr, err := net.ResolveUDPAddr("udp", listenAddr)
 	if err != nil {

@@ -114,9 +114,6 @@ func (b *Broker) nextMsgID(queue string) string {
 	return b.server + "/" + queue + "/m" + strconv.FormatUint(n, 10)
 }
 
-// Metrics returns the broker's metric registry.
-func (b *Broker) Metrics() *metrics.Registry { return b.reg }
-
 // Queue is one FIFO destination.
 type Queue struct {
 	b     *Broker
@@ -305,6 +302,8 @@ type txReceive struct {
 
 // ReceiveTx dequeues a message whose consumption is decided by txn: commit
 // acks it, rollback returns it to the queue.
+//
+//wls:nolint unreached -- library-only: §5.1, TestConsumeAndUpdateSameFilestoreIs1PC
 func (q *Queue) ReceiveTx(txn *tx.Tx) (Message, error) {
 	m, err := q.Receive()
 	if err != nil {
@@ -479,6 +478,8 @@ func SendRemote(ctx context.Context, node rmi.Node, addr, queue string, m Messag
 }
 
 // ReceiveRemote consumes one message from a queue hosted at addr.
+//
+//wls:nolint unreached -- library-only: §4, TestRemoteSendAndReceive
 func ReceiveRemote(ctx context.Context, node rmi.Node, addr, queue string) (Message, error) {
 	e := wire.NewEncoder(32)
 	e.String(queue)
@@ -519,8 +520,6 @@ type Forwarder struct {
 	forwarded *metrics.Counter
 	retries   *metrics.Counter
 
-	tracer *trace.Tracer
-
 	mu      sync.Mutex
 	timer   vclock.Timer
 	backoff time.Duration
@@ -532,10 +531,6 @@ type Forwarder struct {
 	// Start). Same pattern as the lease manager's sweep generation.
 	gen uint64
 }
-
-// SetTracer makes the agent start a root span per forwarded message (wire
-// it before Start).
-func (f *Forwarder) SetTracer(t *trace.Tracer) { f.tracer = t }
 
 // NewForwarder creates a SAF agent draining local into remoteQ at
 // remoteAddr every interval (with exponential backoff up to 16x while the
@@ -609,28 +604,9 @@ func (f *Forwarder) deliver(msgs []Message) error {
 		e.String(m.Key)
 		e.Bytes2(m.Body)
 	}
-	sctx := context.Background()
-	var span *trace.Span
-	if f.tracer != nil {
-		// Each SAF hop is its own trace root: the forwarder runs in the
-		// background, detached from whatever request produced the message.
-		sctx, span = f.tracer.StartRoot(sctx, "jms.saf "+f.remoteQ, trace.KindJMS)
-		span.Annotate("msg", msgs[0].ID)
-		span.Annotate("to", f.remoteAddr)
-		span.AnnotateInt("batched", len(msgs))
-	}
-	ctx, cancel := context.WithTimeout(sctx, 2*time.Second)
+	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
 	_, err := f.stub.Invoke(ctx, "deliver", e.Bytes())
 	cancel()
-	if span != nil {
-		if err != nil {
-			span.Annotate("outcome", "retry")
-			span.SetError(err)
-		} else {
-			span.Annotate("outcome", "ack")
-		}
-		span.Finish()
-	}
 	return err
 }
 

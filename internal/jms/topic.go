@@ -24,6 +24,8 @@ type Topic struct {
 
 // Topic returns (creating on first use) a named topic, recovering durable
 // subscriptions from the store.
+//
+//wls:nolint unreached -- library-only: §4, TestTopicFanOut
 func (b *Broker) Topic(name string) *Topic {
 	b.mu.Lock()
 	defer b.mu.Unlock()

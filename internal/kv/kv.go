@@ -93,12 +93,6 @@ type Store interface {
 	Close() error
 }
 
-// Checkpointer is implemented by backends with a separate write-ahead log
-// that can be folded into the main file (the WAL backend).
-type Checkpointer interface {
-	Checkpoint() error
-}
-
 // Sizer reports the on-disk footprint of a durable backend.
 type Sizer interface {
 	Size() (int64, error)

@@ -22,11 +22,15 @@ func NewMem() *Mem {
 func (m *Mem) Image() *Image { return m.img }
 
 // Put implements Store.
+//
+//wls:nolint unreached -- benchmark: benchmark/trace.go forwards kv.Store.Put
 func (m *Mem) Put(key string, value []byte) error {
 	return applyFlat(m, OpPut, key, string(value))
 }
 
 // Delete implements Store.
+//
+//wls:nolint unreached -- benchmark: benchmark/trace.go forwards kv.Store.Delete
 func (m *Mem) Delete(key string) error { return applyFlat(m, OpDelete, key, "") }
 
 // Apply implements Store. In-memory application under one lock hold is

@@ -406,11 +406,15 @@ func frameSum(prev, seq uint64, payload []byte) uint64 {
 func (w *WAL) Image() *Image { return w.img }
 
 // Put implements Store.
+//
+//wls:nolint unreached -- benchmark: benchmark/trace.go forwards kv.Store.Put
 func (w *WAL) Put(key string, value []byte) error {
 	return applyFlat(w, OpPut, key, string(value))
 }
 
 // Delete implements Store.
+//
+//wls:nolint unreached -- benchmark: benchmark/trace.go forwards kv.Store.Delete
 func (w *WAL) Delete(key string) error { return applyFlat(w, OpDelete, key, "") }
 
 // Apply implements Store: one frame per batch, atomic by checksum — a
@@ -459,16 +463,6 @@ func (w *WAL) Apply(ops []Op) error {
 		return w.checkpointLocked()
 	}
 	return nil
-}
-
-// Checkpoint implements Checkpointer: fold the log into the main file now.
-func (w *WAL) Checkpoint() error {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if w.closed {
-		return ErrClosed
-	}
-	return w.checkpointLocked()
 }
 
 // checkpointLocked writes the image as a fresh page file at generation+1,
@@ -562,21 +556,6 @@ func (w *WAL) Size() (int64, error) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	return w.mainSize + w.walSize, nil
-}
-
-// WALSize reports the current write-ahead-log size in bytes (tests and
-// benchmarks watch it shrink across checkpoints).
-func (w *WAL) WALSize() int64 {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.walSize
-}
-
-// Generation reports the main file's checkpoint generation.
-func (w *WAL) Generation() uint64 {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.gen
 }
 
 // Close implements Store.

@@ -117,11 +117,10 @@ func NewManager(clock vclock.Clock, elections Elections, table *store.Store, ttl
 	return &Manager{clock: clock, elections: elections, table: table, ttl: ttl}
 }
 
-// TTL returns the lease period.
-func (m *Manager) TTL() time.Duration { return m.ttl }
-
 // OnExpired registers a push-lease expiry listener. Listeners run on the
 // sweep timer goroutine.
+//
+//wls:nolint unreached -- library-only: §3.4, TestPushLeaseExpiryNotifies
 func (m *Manager) OnExpired(fn func(Grant)) {
 	m.mu.Lock()
 	defer m.mu.Unlock()

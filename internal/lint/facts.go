@@ -19,15 +19,8 @@ import (
 // first), so by the time an analyzer sees a call into another module
 // package, the facts for the callee have already been exported.
 //
-// Implementations are typically small structs; the AFact marker method
-// keeps arbitrary values from being stored by accident.
-type Fact interface{ AFact() }
-
-// ObjectFact pairs an object with one fact attached to it.
-type ObjectFact struct {
-	Object types.Object
-	Fact   Fact
-}
+// Implementations are small structs, stored and read back by pointer.
+type Fact any
 
 // factKey identifies one fact slot: facts are namespaced per analyzer and
 // per concrete fact type, mirroring go/analysis semantics.
@@ -41,21 +34,14 @@ type factKey struct {
 // global Finish passes.
 type factStore struct {
 	m map[factKey]Fact
-	// order records insertion order per analyzer so global passes can
-	// iterate deterministically (package analysis order is deterministic).
-	order map[*Analyzer][]ObjectFact
 }
 
 func newFactStore() *factStore {
-	return &factStore{m: map[factKey]Fact{}, order: map[*Analyzer][]ObjectFact{}}
+	return &factStore{m: map[factKey]Fact{}}
 }
 
 func (s *factStore) export(a *Analyzer, obj types.Object, f Fact) {
-	key := factKey{obj: obj, analyzer: a, ftype: reflect.TypeOf(f)}
-	if _, exists := s.m[key]; !exists {
-		s.order[a] = append(s.order[a], ObjectFact{Object: obj, Fact: f})
-	}
-	s.m[key] = f
+	s.m[factKey{obj: obj, analyzer: a, ftype: reflect.TypeOf(f)}] = f
 }
 
 // imp copies the stored fact of f's type for obj into f (which must be a
@@ -105,7 +91,6 @@ type GlobalPass struct {
 	Pkgs []*Package
 
 	analyzer *Analyzer
-	facts    *factStore
 	states   map[*Analyzer]any
 	sink     *[]Diagnostic
 }
@@ -117,17 +102,6 @@ func (g *GlobalPass) Reportf(pos token.Pos, format string, args ...any) {
 		Pos:      g.Fset.Position(pos),
 		Message:  fmt.Sprintf(format, args...),
 	})
-}
-
-// ImportObjectFact is Pass.ImportObjectFact for the Finish phase.
-func (g *GlobalPass) ImportObjectFact(obj types.Object, f Fact) bool {
-	return g.facts.imp(g.analyzer, obj, f)
-}
-
-// AllObjectFacts returns every fact this analyzer exported, in export
-// order (deterministic because package analysis order is).
-func (g *GlobalPass) AllObjectFacts() []ObjectFact {
-	return g.facts.order[g.analyzer]
 }
 
 // State is Pass.State for the Finish phase.

@@ -22,8 +22,6 @@ type summaryFact struct {
 	Classes []string
 }
 
-func (*summaryFact) AFact() {}
-
 // summaryRule is what an analyzer plugs into the summary engine.
 type summaryRule struct {
 	// direct returns what a body does itself, and the module functions it

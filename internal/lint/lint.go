@@ -35,6 +35,10 @@
 //   - goleak:    flags go statements whose goroutine has no reachable
 //     termination path (an inescapable infinite loop or empty select,
 //     directly or through the functions it calls).
+//   - unreached: flags a non-test function no binary reaches — from main,
+//     init, package-level initializers, or an entry point declared with
+//     //wls:nolint unreached -- <reason> — so code only tests call does
+//     not pile up in the system packages.
 //
 // Request-path allocations are not a lint rule: the allocation gates in
 // alloc_gate_test.go measure them (DESIGN.md "Determinism & lint rules").
@@ -44,9 +48,10 @@
 //	//wls:wallclock <reason>           – suppress walltime (reason required)
 //	//wls:nolint <a>[,<b>] -- <reason> – suppress the named analyzers
 //
-// One further directive feeds an analyzer instead of suppressing it:
+// Two directives feed an analyzer instead of suppressing it:
 //
-//	//wls:lockorder A<B   – assert that lock class A is acquired before B
+//	//wls:lockorder A<B                    – assert that lock class A is acquired before B
+//	//wls:nolint unreached -- <reason>     – in a doc comment: root the function
 //
 // A suppressing directive covers matching diagnostics on its own line and,
 // when it stands alone on a line, on the line directly below it.
@@ -119,7 +124,7 @@ func (d Diagnostic) String() string {
 func Default() []*Analyzer {
 	return []*Analyzer{
 		Walltime(), LockHeld(), ErrDrop(), AfterLoop(), SpanLeak(),
-		LockOrder(), GoLeak(),
+		LockOrder(), GoLeak(), Unreached(),
 	}
 }
 
@@ -148,7 +153,7 @@ func Run(pkgs []*Package, analyzers []*Analyzer) []Diagnostic {
 			continue
 		}
 		g := &GlobalPass{Fset: fset, Pkgs: ordered, analyzer: a,
-			facts: facts, states: states, sink: &diags}
+			states: states, sink: &diags}
 		a.Finish(g)
 	}
 	diags = applyDirectives(pkgs, diags)
@@ -302,7 +307,9 @@ func applyDirectives(pkgs []*Package, diags []Diagnostic) []Diagnostic {
 						byLine[line] = set
 					}
 					for name := range d.analyzers {
-						set[name] = true
+						// unreached consumes its directive instead: it
+						// roots the function the directive documents.
+						set[name] = name != "unreached"
 					}
 				}
 			}

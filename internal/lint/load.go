@@ -171,13 +171,6 @@ func (l *Loader) Load(path string) (*Package, error) {
 	return l.loadDir(dir, path)
 }
 
-// LoadDir parses and type-checks the sources in an arbitrary directory
-// (used for analyzer fixtures under testdata, which the go tool ignores
-// but which may import module packages).
-func (l *Loader) LoadDir(dir, asPath string) (*Package, error) {
-	return l.loadDir(dir, asPath)
-}
-
 func (l *Loader) loadDir(dir, path string) (*Package, error) {
 	if pkg, ok := l.checked[path]; ok {
 		return pkg, nil

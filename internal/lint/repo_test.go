@@ -7,8 +7,8 @@ import "testing"
 // moment someone reintroduces a direct wall-clock call, holds a mutex
 // across a blocking operation, drops a wire/transport/store/tx error,
 // re-arms time.After inside a loop, starts a trace span without
-// finishing it, inverts a lock hierarchy, or spawns a goroutine with no
-// termination path.
+// finishing it, inverts a lock hierarchy, spawns a goroutine with no
+// termination path, or leaves a function that no binary reaches.
 //
 // To see the same diagnostics from the command line:
 //
@@ -18,6 +18,9 @@ import "testing"
 //
 //	//wls:wallclock <reason>
 //	//wls:nolint <analyzer>[,<analyzer>] -- <reason>
+//
+// A function only tests call is moved into a _test.go file, or declared
+// with //wls:nolint unreached -- <reason> in its doc comment.
 func TestRepoIsLintClean(t *testing.T) {
 	loader, err := sharedLoader()
 	if err != nil {

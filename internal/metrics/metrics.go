@@ -204,9 +204,6 @@ func (h *Histogram) P95() int64  { return h.Quantile(0.95) }
 func (h *Histogram) P99() int64  { return h.Quantile(0.99) }
 func (h *Histogram) P999() int64 { return h.Quantile(0.999) }
 
-// MeanDuration returns the mean as a time.Duration.
-func (h *Histogram) MeanDuration() time.Duration { return time.Duration(h.Mean()) }
-
 // String summarizes the histogram for harness output.
 func (h *Histogram) String() string {
 	return fmt.Sprintf("n=%d mean=%v p50=%v p95=%v p99=%v max=%v",

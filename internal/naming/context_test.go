@@ -7,6 +7,9 @@
 // sequence numbers (last writer wins), the same lightweight dissemination
 // used for service advertisement in §3.1; a joining server asks any peer
 // for a snapshot. Lookups are always served from local memory.
+//
+// No binary builds a naming context, so the package is test code: this
+// file holds the implementation its tests exercise.
 package naming
 
 import (

@@ -102,6 +102,8 @@ func (n *Network) recordFault(op, a, b string) {
 // as it enters the fabric — tests sniff what crosses the wire with it. fn
 // runs on the sender's goroutine and must neither modify nor retain f.Body.
 // A nil fn removes the tap.
+//
+//wls:nolint unreached -- item 26: FuzzEveryMethod captures its seed corpus through it
 func (n *Network) Tap(fn func(from, to string, f wire.Frame)) {
 	if fn == nil {
 		n.tap.Store(nil)
@@ -138,9 +140,6 @@ func New(clock vclock.Clock) *Network {
 	}
 }
 
-// Clock returns the clock driving the fabric.
-func (n *Network) Clock() vclock.Clock { return n.clock }
-
 // Endpoint attaches a new endpoint with the given address. It panics if the
 // address is already taken (configuration error).
 func (n *Network) Endpoint(addr string) *Endpoint {
@@ -163,6 +162,8 @@ func (n *Network) SetDefaultLatency(d time.Duration) {
 }
 
 // SetLatency sets the one-way latency between a and b.
+//
+//wls:nolint unreached -- test hook: TestBudgetPropagatesAndShrinksAcrossHops
 func (n *Network) SetLatency(a, b string, d time.Duration) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
@@ -197,6 +198,8 @@ func (n *Network) SetPartitioned(a, b string, broken bool) {
 }
 
 // Isolate partitions addr from every other current endpoint.
+//
+//wls:nolint unreached -- test hook: TestIsolatedLeaderStepsDown
 func (n *Network) Isolate(addr string, broken bool) {
 	n.mu.Lock()
 	for other := range n.endpoints {
@@ -273,14 +276,6 @@ func (n *Network) Restart(addr string) *Endpoint {
 	return ep
 }
 
-// Stats reports how many frames have entered the fabric, requests and
-// responses alike.
-func (n *Network) Stats() (sent int64) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.sent
-}
-
 // route decides whether a frame from src to dst may pass and with what
 // latency. It returns the destination endpoint and the latency, or why the
 // frame cannot pass.
@@ -351,13 +346,6 @@ func (e *Endpoint) Close() error {
 		e.net.recordFault("stop", e.addr, "")
 	}
 	return nil
-}
-
-// Closed reports whether the endpoint has crashed.
-func (e *Endpoint) Closed() bool {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.closed
 }
 
 func (e *Endpoint) freeze(frozen bool) {

@@ -87,6 +87,8 @@ func New(cfg Config, members []string) *Ring {
 func (r *Ring) Len() int { return len(r.members) }
 
 // Members returns the sorted member set (shared; treat as read-only).
+//
+//wls:nolint unreached -- test hook: TestClusterPartitionWiring
 func (r *Ring) Members() []string { return r.members }
 
 // Fingerprint folds the whole point table into one comparable value: two
@@ -171,6 +173,8 @@ func (r *Ring) ReplicasInto(key string, out []string) []string {
 }
 
 // Replicas is ReplicasInto with a fresh slice (convenience; allocates).
+//
+//wls:nolint unreached -- test hook: TestRingPlacedSecondary
 func (r *Ring) Replicas(key string) []string {
 	return r.ReplicasInto(key, make([]string, 0, Replicas))
 }

@@ -49,6 +49,8 @@ func (vs *Views) Current() *View { return vs.cur.Load() }
 // OnChange subscribes to epoch changes. fn runs synchronously on the
 // updating goroutine (heartbeat delivery, typically) with epochs strictly
 // in order; it must not block — hand RPC work to a goroutine.
+//
+//wls:nolint unreached -- test hook: TestAdminPartitionsEndpoint
 func (vs *Views) OnChange(fn func(old, new *View)) {
 	vs.mu.Lock()
 	defer vs.mu.Unlock()

@@ -34,9 +34,6 @@ type Budget struct {
 // Valid reports whether a budget is actually set.
 func (b Budget) Valid() bool { return b.clock != nil }
 
-// Deadline returns the absolute deadline on the budget's own clock.
-func (b Budget) Deadline() time.Time { return b.deadline }
-
 // Remaining returns the unspent budget (negative once expired).
 func (b Budget) Remaining() time.Duration {
 	if b.clock == nil {

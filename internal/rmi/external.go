@@ -101,6 +101,8 @@ func (c *ExternalClient) Refresh(ctx context.Context) error {
 }
 
 // Start begins periodic background refresh.
+//
+//wls:nolint unreached -- library-only: §2.2, TestExternalClientPeriodicRefresh
 func (c *ExternalClient) Start() {
 	c.mu.Lock()
 	c.stopped = false
@@ -135,13 +137,6 @@ func (c *ExternalClient) Stop() {
 	}
 }
 
-// Members returns the cached cluster view.
-func (c *ExternalClient) Members() []cluster.MemberInfo {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return append([]cluster.MemberInfo(nil), c.members...)
-}
-
 // Candidates implements View against the cached copy.
 func (c *ExternalClient) Candidates(service string) []cluster.MemberInfo {
 	c.mu.Lock()
@@ -159,6 +154,8 @@ func (c *ExternalClient) Candidates(service string) []cluster.MemberInfo {
 func (c *ExternalClient) LocalName() string { return "" }
 
 // Stub creates a stub for service backed by this client's cached view.
+//
+//wls:nolint unreached -- library-only: §2.2, TestExternalClientBootstrapAndInvoke
 func (c *ExternalClient) Stub(service string, opts ...StubOption) *Stub {
 	return NewStub(service, c.node, c, opts...)
 }

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"io"
 	"net"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -220,6 +221,9 @@ func TestFailureClassesOnBothFabrics(t *testing.T) {
 		{"application error", func(_ *testing.T, fx *classFixture) {
 			fx.inA = func() error { return &rmi.AppError{Msg: "card declined"} }
 		}, classWant{attempts: 1, runsA: 1, err: "app"}, classWant{attempts: 1, runsA: 1, err: "app"}},
+		{"handler panicked", func(_ *testing.T, fx *classFixture) {
+			fx.inA = func() error { panic("card reader jammed") }
+		}, classWant{attempts: 2, runsA: 1, runsB: 1}, classWant{attempts: 1, runsA: 1, err: "may have run"}},
 	}
 	fabrics := []struct {
 		name string
@@ -246,6 +250,43 @@ func TestFailureClassesOnBothFabrics(t *testing.T) {
 				})
 			}
 		}
+	}
+}
+
+// TestHandlerPanicFailsOneRequest: on both fabrics, a handler that panics
+// fails its own request, not its server. The caller gets a system error
+// and a non-idempotent method is not sent again; rmi.handler_panics counts
+// the panic, and the server runs the next request.
+func TestHandlerPanicFailsOneRequest(t *testing.T) {
+	for _, fab := range []struct {
+		name string
+		new  func(*testing.T) *classFixture
+	}{{"netsim", newNetsimClass}, {"tcp", newTCPClass}} {
+		t.Run(fab.name, func(t *testing.T) {
+			fx := fab.new(t)
+			fx.inA = func() error {
+				if fx.runsA.Load() == 1 {
+					panic("card reader jammed")
+				}
+				return nil
+			}
+			stub := rmi.NewStub("Pay", fx.caller, rmi.StaticView(fx.addrA, fx.addrB),
+				rmi.WithPolicy(pinFirst{fx.addrA}))
+			_, err := stub.Invoke(context.Background(), "charge", nil)
+			if errClass(err) != "may have run" || !strings.Contains(err.Error(), "failed after possible side effects") {
+				t.Fatalf("panicking charge: err = %v, want a system error after possible side effects", err)
+			}
+			if got := [3]int64{fx.caller.calls.Load(), fx.runsA.Load(), fx.runsB.Load()}; got != [3]int64{1, 1, 0} {
+				t.Fatalf("attempts, runs on A, runs on B = %v, want [1 1 0]", got)
+			}
+			if n := fx.regA.Metrics().Counter("rmi.handler_panics").Value(); n != 1 {
+				t.Fatalf("rmi.handler_panics = %d, want 1", n)
+			}
+			res, err := stub.Invoke(context.Background(), "charge", nil)
+			if err != nil || string(res.Body) != "paid" || fx.runsA.Load() != 2 {
+				t.Fatalf("next charge on A: %q, %v (runs %d)", res.Body, err, fx.runsA.Load())
+			}
+		})
 	}
 }
 

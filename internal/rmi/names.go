@@ -57,6 +57,8 @@ func init() {
 }
 
 // BuiltinNames returns a copy of the table, in code order.
+//
+//wls:nolint unreached -- test hook: TestBuiltinNamesTravelAsCodes
 func BuiltinNames() []string { return append([]string(nil), builtinNames[:]...) }
 
 // appendName writes name as its table code, or spelled out if the table

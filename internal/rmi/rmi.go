@@ -18,6 +18,7 @@ package rmi
 import (
 	"context"
 	"errors"
+	"fmt"
 	"sync"
 	"sync/atomic"
 
@@ -252,6 +253,8 @@ type Registry struct {
 	requests *metrics.Counter
 	// busy counts BUSY responses sent (admission denials + expiries).
 	busy *metrics.Counter
+	// panics counts handlers that panicked (see execute).
+	panics *metrics.Counter
 
 	mu       sync.Mutex
 	services map[string]*Service
@@ -271,6 +274,7 @@ func NewRegistry(node Node, member *cluster.Member, reg *metrics.Registry) *Regi
 		clock:    member.Clock(),
 		requests: reg.Counter("rmi.requests"),
 		busy:     reg.Counter("rmi.busy"),
+		panics:   reg.Counter("rmi.handler_panics"),
 		services: make(map[string]*Service),
 	}
 	node.SetHandler(r.handle)
@@ -290,9 +294,6 @@ func (r *Registry) Metrics() *metrics.Registry { return r.reg }
 // SetTracer installs the tracer that continues traces arriving in request
 // envelopes. A nil tracer (the default) disables server-side spans.
 func (r *Registry) SetTracer(t *trace.Tracer) { r.tracer.Store(t) }
-
-// Tracer returns the installed tracer, or nil.
-func (r *Registry) Tracer() *trace.Tracer { return r.tracer.Load() }
 
 // SetGate admits all non-system inbound requests through g, on the
 // goroutine that delivered them. A nil g (the default) admits everything.
@@ -316,19 +317,13 @@ func (r *Registry) Register(s *Service) {
 }
 
 // Unregister undeploys a service and withdraws its advertisement.
+//
+//wls:nolint unreached -- test hook: TestFailureClassesOnBothFabrics
 func (r *Registry) Unregister(name string) {
 	r.mu.Lock()
 	delete(r.services, name)
 	r.mu.Unlock()
 	r.member.Withdraw(name)
-}
-
-// Deployed reports whether the named service is deployed locally.
-func (r *Registry) Deployed(name string) bool {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	_, ok := r.services[name]
-	return ok
 }
 
 // handle is the node frame handler. The request fields are decoded
@@ -413,20 +408,28 @@ func (r *Registry) busyFrame(corr uint64, msg string) *wire.Frame {
 // handler and encodes the response — once: the handler either returns its
 // result, which is appended to the envelope, or has already written it
 // inside the envelope through call.Reply. A refused request gets BUSY and
-// never runs. Either way the Call goes back to the pool.
+// never runs; one whose handler panics gets a system error (see panicked).
+// Either way the Call goes back to the pool.
 func (r *Registry) execute(ctx context.Context, g *Gate, corr uint64,
-	call *Call, sc trace.SpanContext, m MethodSpec, budget Budget) *wire.Frame {
-	defer releaseCall(call)
+	call *Call, sc trace.SpanContext, m MethodSpec, budget Budget) (out *wire.Frame) {
+	var fr *wire.Frame
+	var span *trace.Span
+	defer func() {
+		// A handler that panics fails its own request, not the server.
+		if p := recover(); p != nil {
+			out = r.panicked(corr, fr, call, span, p)
+		}
+		releaseCall(call)
+	}()
 	if g != nil {
 		if err := g.Admit(budget); err != nil {
 			return r.busyFrame(corr, err.Error())
 		}
 		defer g.Done()
 	}
-	fr := wire.AcquireFrame()
+	fr = wire.AcquireFrame()
 	e := fr.Encoder()
 	call.reply = e
-	var span *trace.Span
 	if tr := r.tracer.Load(); tr != nil && sc.Sampled {
 		ctx, span = tr.StartRemote(ctx, sc, "rmi.serve "+call.Service+"."+call.Method, trace.KindServer)
 		span.Annotate("from", call.From)
@@ -452,6 +455,29 @@ func (r *Registry) execute(ctx context.Context, g *Gate, corr uint64,
 			e.String(err.Error())
 		}
 	}
+	fr.Kind, fr.Corr, fr.Body = wire.KindResponse, corr, e.Bytes()
+	return fr
+}
+
+// panicked answers a request whose handler panicked with a system error
+// in the reply frame fr (nil if the panic came before it was acquired),
+// counts it, and finishes its span. The handler may have changed state
+// before it panicked, so the answer is never ErrNotRun: a stub fails over
+// only an idempotent method.
+func (r *Registry) panicked(corr uint64, fr *wire.Frame, call *Call, span *trace.Span, p any) *wire.Frame {
+	r.panics.Inc()
+	err := fmt.Errorf("rmi: %s.%s failed after possible side effects: handler panicked: %v", call.Service, call.Method, p)
+	if span != nil {
+		span.SetError(err)
+		span.Finish()
+	}
+	if fr == nil {
+		return errorFrame(corr, respSystemError, err.Error())
+	}
+	e := fr.Encoder()
+	e.Reset()
+	e.Byte(respSystemError)
+	e.String(err.Error())
 	fr.Kind, fr.Corr, fr.Body = wire.KindResponse, corr, e.Bytes()
 	return fr
 }

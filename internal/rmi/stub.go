@@ -280,11 +280,6 @@ func (s *Stub) InvokeTx(ctx context.Context, txID, method string, args []byte) (
 	return s.invoke(ctx, nil, method, txID, "", args, nil)
 }
 
-// InvokeConv calls service.method propagating a conversation identifier.
-func (s *Stub) InvokeConv(ctx context.Context, convID, method string, args []byte) (Result, error) {
-	return s.invoke(ctx, nil, method, "", convID, args, nil)
-}
-
 // InvokeVia calls service.method on the members of first, in order (each
 // named once), then on the view's other candidates in the policy's order;
 // between two attempts the stub's failover rule applies as for Invoke. It

@@ -102,9 +102,6 @@ func NewEngine(registry *rmi.Registry, cfg Config) *Engine {
 // Sessions exposes the engine's session manager.
 func (e *Engine) Sessions() *SessionManager { return e.sessions }
 
-// ServerName returns the hosting server's name.
-func (e *Engine) ServerName() string { return e.serverName }
-
 // Handle registers a servlet at a path.
 func (e *Engine) Handle(path string, h HandlerFunc) {
 	e.mu.Lock()
@@ -405,21 +402,4 @@ func CookieValue(h http.Header, name string) string {
 		}
 	}
 	return ""
-}
-
-// HTTPHandler adapts the engine to net/http: the session cookie rides in
-// the standard Cookie header under the given name.
-func (e *Engine) HTTPHandler(cookieName string) http.Handler {
-	if cookieName == "" {
-		cookieName = "WLSESSION"
-	}
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		cookie := CookieValue(r.Header, cookieName)
-		body, ok := ReadHTTPBody(w, r)
-		if !ok {
-			return
-		}
-		// A failed write means the client left; there is no one to tell.
-		_ = WriteHTTPResponse(w, cookieName, e.ServeCtx(r.Context(), r.URL.Path, cookie, body))
-	})
 }

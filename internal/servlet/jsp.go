@@ -176,18 +176,3 @@ func (pc *PageCache) store(key string, body []byte, ttl time.Duration) {
 	defer pc.mu.Unlock()
 	pc.entries[key] = pageEntry{body: body, at: pc.clock.Now(), ttl: ttl}
 }
-
-// Renders reports the total number of render-function invocations — the
-// work the cache saves.
-func (pc *PageCache) Renders() int64 {
-	pc.mu.Lock()
-	defer pc.mu.Unlock()
-	return pc.renders
-}
-
-// Flush drops every cached page and fragment.
-func (pc *PageCache) Flush() {
-	pc.mu.Lock()
-	defer pc.mu.Unlock()
-	pc.entries = make(map[string]pageEntry)
-}

@@ -233,9 +233,6 @@ func (s *Session) Len() int {
 	return n
 }
 
-// IsNew reports whether the session was created by this request.
-func (s *Session) IsNew() bool { return s.isNew }
-
 // pendingList encodes s's writes as an attribute list — a delta's — into a
 // pooled encoder the caller releases; nil when s wrote nothing.
 func (s *Session) pendingList() *wire.Encoder {
@@ -885,6 +882,8 @@ const urlSessionMarker = ";wlsession="
 
 // EncodeURL appends the session token to a path, the servlet-spec
 // encodeURL analogue.
+//
+//wls:nolint unreached -- test hook: TestCookieElisionReplicated
 func EncodeURL(path, cookie string) string {
 	if cookie == "" {
 		return path

@@ -36,6 +36,8 @@ type odEntry struct {
 
 // NewOnDemand creates the manager for one family of instances. factory
 // builds the instance implementation when a key activates locally.
+//
+//wls:nolint unreached -- library-only: §3.4, TestOnDemandMigratesAfterPassivate
 func NewOnDemand(family, server string, clock vclock.Clock, node rmi.Node, factory func(key string) Activatable, managerAddrs ...string) *OnDemand {
 	return &OnDemand{
 		family:   family,
@@ -193,6 +195,8 @@ func (p PartitionSet) PartitionOf(key string) int {
 
 // HostsFor builds this server's Host candidacies for every partition. impl
 // is called with the partition index to build each partition's service.
+//
+//wls:nolint unreached -- library-only: §3.4, TestPartitionedHostsActivateEachPartitionOnce
 func (p PartitionSet) HostsFor(member *cluster.Member, registry *rmi.Registry, impl func(partition int) Activatable, managerAddrs ...string) []*Host {
 	hosts := make([]*Host, 0, p.N)
 	for i := 0; i < p.N; i++ {

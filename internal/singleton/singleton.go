@@ -249,6 +249,8 @@ func (h *Host) Epoch() uint64 {
 // Guard runs op only while ownership is provably held, implementing the
 // grace-period contract: the lease must be valid both before and after the
 // operation, so the op provably completed within the lease period.
+//
+//wls:nolint unreached -- library-only: §3.4, TestSplitBrainFrozenOwner
 func (h *Host) Guard(op func() error) error {
 	if !h.Active() {
 		return ErrNotOwner

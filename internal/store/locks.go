@@ -157,13 +157,3 @@ func (lt *lockTable) drop(ref rowRef) {
 		lt.locks, lt.peak = make(map[rowRef]rowLock), 0
 	}
 }
-
-// owner reports the current lock owner (for tests).
-func (lt *lockTable) ownerOf(table, key string) string {
-	lt.mu.Lock()
-	defer lt.mu.Unlock()
-	if l, ok := lt.locks[rowRef{table, key}]; ok {
-		return l.owner
-	}
-	return ""
-}

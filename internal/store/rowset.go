@@ -54,28 +54,6 @@ func (rs *RowSet) Set(key, field, value string) bool {
 	return false
 }
 
-// MarkDeleted flags a row for deletion at submit.
-func (rs *RowSet) MarkDeleted(key string) bool {
-	for i := range rs.Rows {
-		if rs.Rows[i].Key == key {
-			rs.Rows[i].Deleted = true
-			return true
-		}
-	}
-	return false
-}
-
-// Get returns the current (possibly edited) value of a field.
-func (rs *RowSet) Get(key, field string) (string, bool) {
-	for i := range rs.Rows {
-		if rs.Rows[i].Key == key {
-			v, ok := rs.Rows[i].Cur[field]
-			return v, ok
-		}
-	}
-	return "", false
-}
-
 // dirty reports the rows whose Cur differs from Orig (or are deleted).
 func (rs *RowSet) dirty() []RowSetRow {
 	var out []RowSetRow
@@ -187,14 +165,6 @@ func toXMLFields(m map[string]string) []xmlField {
 	return out
 }
 
-func fromXMLFields(fs []xmlField) map[string]string {
-	m := make(map[string]string, len(fs))
-	for _, f := range fs {
-		m[f.Name] = f.Value
-	}
-	return m
-}
-
 // EncodeXML serializes the RowSet as XML (the format the paper names for
 // sending RowSets to loosely-coupled clients).
 func (rs *RowSet) EncodeXML() ([]byte, error) {
@@ -206,20 +176,4 @@ func (rs *RowSet) EncodeXML() ([]byte, error) {
 		})
 	}
 	return xml.MarshalIndent(x, "", "  ")
-}
-
-// DecodeXML reverses EncodeXML.
-func DecodeXML(b []byte) (*RowSet, error) {
-	var x xmlRowSet
-	if err := xml.Unmarshal(b, &x); err != nil {
-		return nil, err
-	}
-	rs := &RowSet{Table: x.Table}
-	for _, r := range x.Rows {
-		rs.Rows = append(rs.Rows, RowSetRow{
-			Key: r.Key, Deleted: r.Deleted,
-			Orig: fromXMLFields(r.Orig), Cur: fromXMLFields(r.Cur),
-		})
-	}
-	return rs, nil
 }

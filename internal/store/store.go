@@ -286,6 +286,8 @@ func (s *Store) Metrics() *metrics.Registry { return s.reg }
 func (s *Store) Close() error { return s.tp.Close() }
 
 // SetChangeCap bounds the in-memory change log (default 4096 entries).
+//
+//wls:nolint unreached -- test hook: TestSnifferResyncsAfterChangeLogTrim
 func (s *Store) SetChangeCap(n int) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -537,6 +539,8 @@ func (s *Store) LastLSN() uint64 {
 
 // InDoubt lists transactions that were durably prepared but neither
 // committed nor rolled back — after a crash the coordinator resolves them.
+//
+//wls:nolint unreached -- item 11: recovery on restart lists the store's in-doubt transactions
 func (s *Store) InDoubt() []string {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
@@ -552,6 +556,8 @@ func (s *Store) InDoubt() []string {
 // commit replays the staged writes through the normal commit path, so
 // versions, LSNs, the change log and triggers behave exactly as they
 // would have without the crash.
+//
+//wls:nolint unreached -- item 11: recovery on restart resolves them from the coordinator log
 func (s *Store) ResolveInDoubt(txID string, commit bool) error {
 	s.mu.RLock()
 	writes, ok := s.pendingTx[txID]
@@ -962,12 +968,6 @@ func (s *Store) dropSession(txID string) {
 	delete(s.sessions, txID)
 }
 
-// Get reads a committed row (read-committed isolation; the paper's
-// optimistic option explicitly does not promise serializability).
-func (se *Session) Get(table, key string) (Row, bool) {
-	return se.store.Get(table, key)
-}
-
 // Insert stages a row creation; prepare fails with ErrDuplicate if the key
 // exists by then.
 func (se *Session) Insert(table, key string, fields map[string]string) {
@@ -997,11 +997,6 @@ func (se *Session) UpdateWhere(table, key string, expect, fields map[string]stri
 // Delete stages a row removal.
 func (se *Session) Delete(table, key string) {
 	se.stage(stagedWrite{kind: writeDelete, table: table, key: key}, nil)
-}
-
-// DeleteVersioned stages a removal conditioned on the row version.
-func (se *Session) DeleteVersioned(table, key string, expectVersion uint64) {
-	se.stage(stagedWrite{kind: writeDelete, table: table, key: key, expectVersion: expectVersion}, nil)
 }
 
 // stage appends w with fields as its sorted field list. The first write a

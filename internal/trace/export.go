@@ -46,6 +46,8 @@ func (r *Ring) ExportSpan(d SpanData) {
 }
 
 // Total returns the number of spans ever exported.
+//
+//wls:nolint unreached -- test hook: TestUnsampledEchoAllocs
 func (r *Ring) Total() uint64 {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -270,6 +272,8 @@ func TraceIDs(spans []SpanData) []TraceID {
 }
 
 // Filter returns the spans belonging to one trace.
+//
+//wls:nolint unreached -- test hook: TestTracePropagatesAcrossServers
 func Filter(spans []SpanData, id TraceID) []SpanData {
 	var out []SpanData
 	for _, d := range spans {

@@ -124,6 +124,8 @@ func (s *Span) Context() SpanContext {
 }
 
 // TraceID returns the span's trace ID (zero for nil).
+//
+//wls:nolint unreached -- test hook: TestTracePropagatesAcrossServers
 func (s *Span) TraceID() TraceID {
 	if s == nil {
 		return TraceID{}
@@ -328,14 +330,6 @@ func New(server string, clock vclock.Clock, opts Options) *Tracer {
 		origin64: fnv64a(server),
 		origin32: uint64(fnv32a(server)) << 32,
 	}
-}
-
-// Server returns the server name the tracer stamps on its spans.
-func (t *Tracer) Server() string {
-	if t == nil {
-		return ""
-	}
-	return t.server
 }
 
 // StartRoot starts a new trace if the sampler elects this root, returning

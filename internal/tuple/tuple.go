@@ -68,6 +68,8 @@ func New(kvs kv.Store) (*Store, error) {
 }
 
 // KV exposes the underlying backend (benchmarks size it, tests poke it).
+//
+//wls:nolint unreached -- test hook: TestStoreStaysBoundedUnderChurn
 func (st *Store) KV() kv.Store { return st.kv }
 
 // Get reads one key from a space, as a copy the caller owns.
@@ -261,6 +263,8 @@ func (st *Store) rollbackLocked(txID string) error {
 
 // InDoubt lists transactions that were prepared but neither committed nor
 // aborted — after a crash the coordinator resolves them.
+//
+//wls:nolint unreached -- item 11: recovery on restart lists the store's in-doubt transactions
 func (st *Store) InDoubt() []string {
 	st.mu.Lock()
 	defer st.mu.Unlock()
@@ -273,6 +277,8 @@ func (st *Store) InDoubt() []string {
 }
 
 // ResolveInDoubt commits or aborts a prepared transaction by id.
+//
+//wls:nolint unreached -- item 11: recovery on restart resolves them from the coordinator log
 func (st *Store) ResolveInDoubt(txID string, commit bool) error {
 	st.mu.Lock()
 	defer st.mu.Unlock()

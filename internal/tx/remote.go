@@ -92,14 +92,6 @@ func (m *Manager) Branch(txID string) *Branch {
 	return b
 }
 
-// HasBranch reports whether a branch exists for txID.
-func (m *Manager) HasBranch(txID string) bool {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	_, ok := m.branches[txID]
-	return ok
-}
-
 func (m *Manager) removeBranch(txID string) {
 	m.mu.Lock()
 	defer m.mu.Unlock()

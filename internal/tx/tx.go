@@ -202,14 +202,6 @@ func (m *Manager) BeginCtx(ctx context.Context, timeout time.Duration) *Tx {
 	return t
 }
 
-// Lookup returns the in-flight transaction with the given id.
-func (m *Manager) Lookup(id string) (*Tx, bool) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	t, ok := m.active[id]
-	return t, ok
-}
-
 func (m *Manager) finish(t *Tx) {
 	m.mu.Lock()
 	delete(m.active, t.id)
@@ -249,13 +241,6 @@ type enlisted struct {
 
 // ID returns the transaction identifier.
 func (t *Tx) ID() string { return t.id }
-
-// State returns the current state.
-func (t *Tx) State() State {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.state
-}
 
 // Enlist adds a resource under a unique name. Enlisting the same name
 // twice is a no-op, so a resource touched repeatedly joins once.

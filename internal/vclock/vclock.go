@@ -169,16 +169,9 @@ func (v *Virtual) Advance(d time.Duration) {
 	v.mu.Unlock()
 }
 
-// AdvanceTo moves the clock to the absolute time t (no-op if t is in the
-// past).
-func (v *Virtual) AdvanceTo(t time.Time) {
-	d := t.Sub(v.Now())
-	if d > 0 {
-		v.Advance(d)
-	}
-}
-
 // PendingTimers reports how many unfired, unstopped timers are scheduled.
+//
+//wls:nolint unreached -- test hook: TestSlotHandedAtExpiryRunsOnce
 func (v *Virtual) PendingTimers() int {
 	v.mu.Lock()
 	defer v.mu.Unlock()

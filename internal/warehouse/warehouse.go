@@ -225,9 +225,6 @@ func (e *ETL) schedule() {
 	e.mu.Unlock()
 }
 
-// Metrics exposes the pipeline's counters.
-func (e *ETL) Metrics() *metrics.Registry { return e.reg }
-
 // ---------------------------------------------------------------------------
 // The critical fulfilment step
 

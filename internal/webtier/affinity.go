@@ -68,14 +68,6 @@ func (l *affinityLRU) get(client string) (string, bool) {
 	return e.server, true
 }
 
-// peek reads without promoting (observability paths).
-func (l *affinityLRU) peek(client string) string {
-	if e, ok := l.m[client]; ok {
-		return e.server
-	}
-	return ""
-}
-
 // put records the client's sticky server, evicting the least-recently-used
 // entry when full. Steady-state updates of a known client allocate
 // nothing.
@@ -96,19 +88,4 @@ func (l *affinityLRU) put(client, server string) {
 	e := &affinityEntry{client: client, server: server}
 	l.m[client] = e
 	l.pushFront(e)
-}
-
-func (l *affinityLRU) len() int { return len(l.m) }
-
-// setCap rebounds the table, evicting down if needed.
-func (l *affinityLRU) setCap(capacity int) {
-	if capacity <= 0 {
-		capacity = defaultAffinityCap
-	}
-	l.cap = capacity
-	for len(l.m) > l.cap {
-		victim := l.tail
-		l.unlink(victim)
-		delete(l.m, victim.client)
-	}
 }

@@ -200,29 +200,6 @@ func NewExternalLB(node rmi.Node, view View, reg *metrics.Registry) *ExternalLB 
 	return &ExternalLB{router: newRouter(node, view, reg), affinity: newAffinityLRU(0)}
 }
 
-// SetAffinityCap bounds the sticky-affinity table (default 65536 entries);
-// the least-recently-used client is evicted when it fills.
-func (lb *ExternalLB) SetAffinityCap(n int) {
-	lb.mu.Lock()
-	defer lb.mu.Unlock()
-	lb.affinity.setCap(n)
-}
-
-// AffinityLen reports how many clients currently have a sticky entry.
-func (lb *ExternalLB) AffinityLen() int {
-	lb.mu.Lock()
-	defer lb.mu.Unlock()
-	return lb.affinity.len()
-}
-
-// RecordAffinity inserts a sticky entry directly, as Route would after a
-// successful forward (pre-warming and bounded-growth tests).
-func (lb *ExternalLB) RecordAffinity(clientID, server string) {
-	lb.mu.Lock()
-	defer lb.mu.Unlock()
-	lb.affinity.put(clientID, server)
-}
-
 // Route forwards a request for clientID, maintaining affinity: to the
 // client's sticky server while it is live, else to an arbitrary member (the
 // stub's round robin), and from there wherever the stub fails over to.
@@ -255,13 +232,6 @@ func (lb *ExternalLB) Route(ctx context.Context, clientID, path, cookie string, 
 	return resp, nil
 }
 
-// AffinityOf reports the sticky server for a client ("" if none).
-func (lb *ExternalLB) AffinityOf(clientID string) string {
-	lb.mu.Lock()
-	defer lb.mu.Unlock()
-	return lb.affinity.peek(clientID)
-}
-
 // ---------------------------------------------------------------------------
 // DNS co-listing
 
@@ -280,6 +250,8 @@ type DNSClients struct {
 }
 
 // NewDNSClients creates the DNS-based client-side router.
+//
+//wls:nolint unreached -- library-only: §2.1 (Fig 3), TestDNSClientsSpreadAcrossServers
 func NewDNSClients(node rmi.Node, view View) *DNSClients {
 	return &DNSClients{view: view, stub: newStub(node, view, nil), chosen: make(map[string]string)}
 }

@@ -31,7 +31,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math"
 	"math/bits"
 	"sync"
 	"sync/atomic"
@@ -170,6 +169,8 @@ var poisonReleased atomic.Bool
 // frames and read buffers are Encoders too) is overwritten with 0xDB before
 // it returns to the pool, so a use-after-release reads garbage instead of
 // plausible stale bytes.
+//
+//wls:nolint unreached -- test hook: TestPoolRecyclingTCP
 func PoisonReleased(on bool) { poisonReleased.Store(on) }
 
 func poison(b []byte) {
@@ -433,9 +434,6 @@ func (e *Encoder) Uint64(v uint64) { e.buf = binary.AppendUvarint(e.buf, v) }
 // Int64 appends v as a zig-zag varint.
 func (e *Encoder) Int64(v int64) { e.buf = binary.AppendVarint(e.buf, v) }
 
-// Uint32 appends v as a uvarint.
-func (e *Encoder) Uint32(v uint32) { e.Uint64(uint64(v)) }
-
 // Int appends v as a zig-zag varint.
 func (e *Encoder) Int(v int) { e.Int64(int64(v)) }
 
@@ -449,11 +447,6 @@ func (e *Encoder) Bool(b bool) {
 	} else {
 		e.Byte(0)
 	}
-}
-
-// Float64 appends v as 8 big-endian bytes of its IEEE-754 representation.
-func (e *Encoder) Float64(v float64) {
-	e.buf = binary.BigEndian.AppendUint64(e.buf, math.Float64bits(v))
 }
 
 // String appends a length-prefixed string.
@@ -559,9 +552,6 @@ func (d *Decoder) Int64() int64 {
 	return v
 }
 
-// Uint32 reads a uvarint and narrows it.
-func (d *Decoder) Uint32() uint32 { return uint32(d.Uint64()) }
-
 // Int reads a zig-zag varint and narrows it.
 func (d *Decoder) Int() int { return int(d.Int64()) }
 
@@ -605,20 +595,6 @@ func (d *Decoder) Peek() (b byte, ok bool) {
 		return 0, false
 	}
 	return d.buf[d.off], true
-}
-
-// Float64 reads 8 bytes as an IEEE-754 float.
-func (d *Decoder) Float64() float64 {
-	if d.err != nil {
-		return 0
-	}
-	if d.off+8 > len(d.buf) {
-		d.fail()
-		return 0
-	}
-	v := math.Float64frombits(binary.BigEndian.Uint64(d.buf[d.off:]))
-	d.off += 8
-	return v
 }
 
 // String reads a length-prefixed string.
@@ -691,9 +667,6 @@ func NewStringDecoder(s string) StringDecoder { return StringDecoder{s: s} }
 // Err returns the first decoding error encountered, if any.
 func (d *StringDecoder) Err() error { return d.err }
 
-// Remaining returns the number of unread bytes.
-func (d *StringDecoder) Remaining() int { return len(d.s) }
-
 func (d *StringDecoder) fail() {
 	if d.err == nil {
 		d.err = errShortBuffer
@@ -729,12 +702,6 @@ func (d *StringDecoder) Uint64() uint64 {
 	}
 	d.fail()
 	return 0
-}
-
-// Int reads a zig-zag varint and narrows it.
-func (d *StringDecoder) Int() int {
-	u := d.Uint64()
-	return int(int64(u>>1) ^ -int64(u&1))
 }
 
 // String reads a length-prefixed string, as a substring of the input.

@@ -5,7 +5,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"io"
-	"math"
 	"reflect"
 	"testing"
 	"testing/quick"
@@ -140,12 +139,10 @@ func TestEncoderDecoderAllTypes(t *testing.T) {
 	e := NewEncoder(64)
 	e.Uint64(12345)
 	e.Int64(-9876)
-	e.Uint32(77)
 	e.Int(-3)
 	e.Byte(0xAB)
 	e.Bool(true)
 	e.Bool(false)
-	e.Float64(3.14159)
 	e.String("weblogic")
 	e.Bytes2([]byte{1, 2, 3})
 	e.StringSlice([]string{"a", "bb", ""})
@@ -157,9 +154,6 @@ func TestEncoderDecoderAllTypes(t *testing.T) {
 	if got := d.Int64(); got != -9876 {
 		t.Fatalf("Int64 = %d", got)
 	}
-	if got := d.Uint32(); got != 77 {
-		t.Fatalf("Uint32 = %d", got)
-	}
 	if got := d.Int(); got != -3 {
 		t.Fatalf("Int = %d", got)
 	}
@@ -168,9 +162,6 @@ func TestEncoderDecoderAllTypes(t *testing.T) {
 	}
 	if !d.Bool() || d.Bool() {
 		t.Fatal("Bool mismatch")
-	}
-	if got := d.Float64(); got != 3.14159 {
-		t.Fatalf("Float64 = %v", got)
 	}
 	if got := d.String(); got != "weblogic" {
 		t.Fatalf("String = %q", got)
@@ -196,7 +187,7 @@ func TestDecoderShortBufferSticky(t *testing.T) {
 		t.Fatal("want error on empty buffer")
 	}
 	// All subsequent reads return zero values without panicking.
-	if d.String() != "" || d.Bytes() != nil || d.Int64() != 0 || d.Bool() || d.Float64() != 0 {
+	if d.String() != "" || d.Bytes() != nil || d.Int64() != 0 || d.Bool() {
 		t.Fatal("sticky error should yield zero values")
 	}
 }
@@ -237,19 +228,15 @@ func TestEncoderReset(t *testing.T) {
 }
 
 func TestEncodingPropertyRoundTrip(t *testing.T) {
-	f := func(u uint64, i int64, s string, b []byte, ss []string, fl float64) bool {
-		if math.IsNaN(fl) {
-			fl = 0
-		}
+	f := func(u uint64, i int64, s string, b []byte, ss []string) bool {
 		e := NewEncoder(32)
 		e.Uint64(u)
 		e.Int64(i)
 		e.String(s)
 		e.Bytes2(b)
 		e.StringSlice(ss)
-		e.Float64(fl)
 		d := NewDecoder(e.Bytes())
-		gu, gi, gs, gb, gss, gfl := d.Uint64(), d.Int64(), d.String(), d.Bytes(), d.StringSlice(), d.Float64()
+		gu, gi, gs, gb, gss := d.Uint64(), d.Int64(), d.String(), d.Bytes(), d.StringSlice()
 		if d.Err() != nil {
 			return false
 		}
@@ -266,7 +253,7 @@ func TestEncodingPropertyRoundTrip(t *testing.T) {
 			ss = []string{}
 		}
 		return gu == u && gi == i && gs == s && bytes.Equal(gb, b) &&
-			reflect.DeepEqual(gss, ss) && gfl == fl
+			reflect.DeepEqual(gss, ss)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)

@@ -56,48 +56,6 @@ func (z *Zipf) Next() string {
 	return fmt.Sprintf("key%d", z.z.Uint64())
 }
 
-// HotSpot sends fraction hot of traffic to a single key.
-type HotSpot struct {
-	mu   sync.Mutex
-	rng  *rand.Rand
-	n    int
-	frac float64
-}
-
-// NewHotSpot returns a generator sending frac of accesses to key0.
-func NewHotSpot(seed int64, n int, frac float64) *HotSpot {
-	return &HotSpot{rng: rand.New(rand.NewSource(seed)), n: n, frac: frac}
-}
-
-// Next implements KeyGen.
-func (h *HotSpot) Next() string {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if h.rng.Float64() < h.frac {
-		return "key0"
-	}
-	return fmt.Sprintf("key%d", 1+h.rng.Intn(h.n-1))
-}
-
-// Mix decides read vs write per operation.
-type Mix struct {
-	mu        sync.Mutex
-	rng       *rand.Rand
-	writeFrac float64
-}
-
-// NewMix returns a mix with the given write fraction.
-func NewMix(seed int64, writeFrac float64) *Mix {
-	return &Mix{rng: rand.New(rand.NewSource(seed)), writeFrac: writeFrac}
-}
-
-// IsWrite decides the next operation's type.
-func (m *Mix) IsWrite() bool {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.rng.Float64() < m.writeFrac
-}
-
 // ServiceTime produces per-request compute times.
 type ServiceTime struct {
 	mu   sync.Mutex

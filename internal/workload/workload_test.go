@@ -45,32 +45,6 @@ func TestZipfSkewsTowardLowKeys(t *testing.T) {
 	}
 }
 
-func TestHotSpotFraction(t *testing.T) {
-	g := NewHotSpot(1, 100, 0.8)
-	hot := 0
-	for i := 0; i < 10000; i++ {
-		if g.Next() == "key0" {
-			hot++
-		}
-	}
-	if hot < 7500 || hot > 8500 {
-		t.Fatalf("hot fraction = %d/10000, want ~8000", hot)
-	}
-}
-
-func TestMixWriteFraction(t *testing.T) {
-	m := NewMix(1, 0.3)
-	writes := 0
-	for i := 0; i < 10000; i++ {
-		if m.IsWrite() {
-			writes++
-		}
-	}
-	if writes < 2700 || writes > 3300 {
-		t.Fatalf("writes = %d/10000, want ~3000", writes)
-	}
-}
-
 func TestServiceTimeConstant(t *testing.T) {
 	s := NewServiceTime(1, time.Millisecond, 0)
 	for i := 0; i < 10; i++ {

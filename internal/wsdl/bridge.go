@@ -21,6 +21,8 @@ import (
 // Callbacks are not delivered over this bridge: HTTP clients cannot be
 // called back, exactly the asymmetry §4 discusses for the
 // loosely-coupled Internet infrastructure (they poll instead).
+//
+//wls:nolint unreached -- library-only: §4, TestSOAPBridgeDrivesConversations
 func (p *Port) SOAPHandler() soap.Handler {
 	return func(action, convID, payload string) (string, error) {
 		switch action {

@@ -110,6 +110,8 @@ func (c *Conversation) peerAddr() string {
 }
 
 // Finish ends the conversation on both sides.
+//
+//wls:nolint unreached -- library-only: §4, TestFinishTearsDownBothSides
 func (c *Conversation) Finish(ctx context.Context) error {
 	e := wire.NewEncoder(32)
 	e.String(c.ID)
@@ -125,14 +127,6 @@ func (p *Port) dropConv(id string) {
 	if p.st != nil {
 		_ = p.st.Delete(convSpace, id)
 	}
-}
-
-// Conversations reports the number of live conversation objects on this
-// port (both roles).
-func (p *Port) Conversations() int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return len(p.convs)
 }
 
 // persist writes a durable conversation's state after an operation.
@@ -314,6 +308,8 @@ func (p *Port) dispatchOperation(args []byte, wantReply bool) ([]byte, error) {
 }
 
 // Inbox drains queued one-way payloads for an operation (server side).
+//
+//wls:nolint unreached -- library-only: §4, TestOneWayQueuesInMemoryWithConversation
 func (c *Conversation) Inbox(op string) [][]byte {
 	c.mu.Lock()
 	defer c.mu.Unlock()

@@ -72,6 +72,8 @@ func (p *Port) Drop(convID string) { p.dropConv(convID) }
 // Migrate moves the server side of convID from p to the port at dstAddr,
 // which must offer the same service. It uses the destination's RMI surface
 // so the two ports may be on different servers.
+//
+//wls:nolint unreached -- library-only: §4, TestMigrateConversationKeepsState
 func (p *Port) Migrate(ctx context.Context, convID, dstAddr string) error {
 	data, err := p.Export(convID)
 	if err != nil {
@@ -82,15 +84,4 @@ func (p *Port) Migrate(ctx context.Context, convID, dstAddr string) error {
 	}
 	p.Drop(convID)
 	return nil
-}
-
-// Rebind points the client side of a conversation at the service's new
-// location after a migration. (In a full deployment the client discovers
-// this through the conversation's on-demand singleton lease; the paper
-// also anticipates "a general-purpose biscuit that each side is expected
-// to echo to the other".)
-func (c *Conversation) Rebind(newPeer string) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.Peer = newPeer
 }

@@ -201,9 +201,6 @@ func (c *Conversation) Set(key, value string) {
 	c.mu.Unlock()
 }
 
-// Role reports which side this object is.
-func (c *Conversation) Role() Role { return c.role }
-
 // convID creation: "<creator-addr>|conv|<n>" — the address prefix is the
 // location embedding.
 func (p *Port) newConvID() string {

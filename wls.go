@@ -36,7 +36,6 @@ import (
 	"wls/internal/kv"
 	"wls/internal/lease"
 	"wls/internal/metrics"
-	"wls/internal/naming"
 	"wls/internal/netsim"
 	"wls/internal/partition"
 	"wls/internal/rmi"
@@ -146,8 +145,6 @@ type Server struct {
 	// messages, durable conversations and config replicas, each in its own
 	// tuple space of one WAL file.
 	Files *tuple.Store
-	// Naming is the server's view of the cluster JNDI namespace.
-	Naming *naming.Context
 	// Health is the server's health monitor and lifecycle (§3.4), exposed
 	// cluster-wide as the wls.health service.
 	Health *core.HealthMonitor
@@ -272,7 +269,6 @@ func (c *Cluster) newServer(i int, name string) (*Server, error) {
 			ReplicationGroup:         group,
 			PreferredSecondaryGroups: c.opts.PreferredSecondaryGroups,
 		}),
-		Naming: naming.New(c.opts.ClusterName, name, fix.bus),
 	}
 	if err := c.assemble(s); err != nil {
 		return nil, err
@@ -328,6 +324,15 @@ func (c *Cluster) assemble(s *Server) error {
 	s.WS = wsdl.NewPort(s.registry, s.Files)
 	s.Health = core.NewHealthMonitor()
 	s.Health.SetLifecycle(core.LifecycleRunning)
+	// A handler panic leaves state nothing vouches for: the server stays
+	// up to answer, and reports itself failed.
+	panics := s.reg.Counter("rmi.handler_panics")
+	s.Health.RegisterCheck("rmi", func() core.HealthState {
+		if panics.Value() > 0 {
+			return core.HealthFailed
+		}
+		return core.HealthOK
+	})
 	s.registry.Register(s.JMS.RMIService())
 	s.registry.Register(s.Tx.Service())
 	s.registry.Register(s.Health.Service())
@@ -431,12 +436,6 @@ func (s *Server) Stub(service string, opts ...rmi.StubOption) *rmi.Stub {
 // service (requires Options.WithAdmin).
 func (s *Server) SingletonHost(cfg singleton.Config, impl singleton.Activatable) *singleton.Host {
 	return singleton.NewHost(cfg, s.member, s.registry, impl, s.cluster.fix.admins...)
-}
-
-// OnDemand creates this server's on-demand singleton family (requires
-// Options.WithAdmin).
-func (s *Server) OnDemand(family string, factory func(key string) singleton.Activatable) *singleton.OnDemand {
-	return singleton.NewOnDemand(family, s.Name, s.cluster.fix.clock, s.endpoint, factory, s.cluster.fix.admins...)
 }
 
 // --- Cluster operations --------------------------------------------------------
@@ -658,21 +657,8 @@ func (c *Cluster) ExternalLB(addr string) *webtier.ExternalLB {
 	return lb
 }
 
-// ExternalClient creates a tightly-coupled external client (§2.2) with its
-// own endpoint, bootstrapped from the first server.
-func (c *Cluster) ExternalClient(addr string, refresh time.Duration) *rmi.ExternalClient {
-	node := c.fix.net.Endpoint(addr)
-	return rmi.NewExternalClient(node, c.fix.clock, refresh, c.Servers[0].endpoint.Addr())
-}
-
 // Traces returns the shared span ring (nil unless Options.TraceSample > 0).
 func (c *Cluster) Traces() *trace.Ring { return c.traces }
-
-// LeaseManagerAddrs returns the lease-manager addresses for singleton
-// hosting (empty without WithAdmin).
-func (c *Cluster) LeaseManagerAddrs() []string {
-	return append([]string(nil), c.fix.admins...)
-}
 
 // Stop shuts the cluster down.
 func (c *Cluster) Stop() {
@@ -690,7 +676,6 @@ func (c *Cluster) Stop() {
 			s.queue.Close()
 		}
 		s.EJB.Close()
-		s.Naming.Close()
 		if s.Files != nil {
 			_ = s.Files.Close() // shutdown path; store is done either way
 		}

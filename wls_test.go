@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"wls"
+	"wls/internal/core"
 	"wls/internal/ejb"
 	"wls/internal/jms"
 	"wls/internal/rmi"
@@ -284,19 +285,6 @@ func TestRestartedStoreCountsIntoServerMetrics(t *testing.T) {
 	}
 }
 
-func TestNamingAcrossServers(t *testing.T) {
-	c, err := wls.New(wls.Options{Servers: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Stop()
-	c.Servers[0].Naming.Bind("ejb/OrderHome", []byte("server-1"))
-	v, ok := c.Servers[1].Naming.Lookup("ejb/OrderHome")
-	if !ok || string(v) != "server-1" {
-		t.Fatalf("lookup: %q ok=%v", v, ok)
-	}
-}
-
 // On the wall clock a cold boot is ready when New returns, and New returns
 // without waiting for a heartbeat: peers answer each joiner's announcement,
 // so views (and rings) agree as soon as the last server has started. It
@@ -333,5 +321,30 @@ func TestRealClockBootDoesNotWaitForAHeartbeat(t *testing.T) {
 	}
 	if got := len(c.Admin.Member().OffersOf("late-service")); got != 3 {
 		t.Fatalf("admin sees %d offers of the late service, want 3", got)
+	}
+}
+
+// TestHandlerPanicFailsTheServersHealth: a server whose handler panicked
+// keeps answering, and its rmi health check reports it failed.
+func TestHandlerPanicFailsTheServersHealth(t *testing.T) {
+	c, err := wls.New(wls.Options{Servers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Stop()
+	s := c.Servers[1]
+	s.Registry().Register(&rmi.Service{Name: "Jam", Methods: map[string]rmi.MethodSpec{
+		"jam": {Handler: func(context.Context, *rmi.Call) ([]byte, error) { panic("jammed") }},
+	}})
+	if got := s.Health.Overall(); got != core.HealthOK {
+		t.Fatalf("health before the panic = %v, want ok", got)
+	}
+	node := c.Servers[0].Registry().Node()
+	if _, err := rmi.NewStub("Jam", node, rmi.StaticView(s.Addr())).Invoke(context.Background(), "jam", nil); err == nil {
+		t.Fatal("a panicking handler answered ok")
+	}
+	overall, _, _, err := core.QueryHealth(context.Background(), node, s.Addr())
+	if err != nil || overall != core.HealthFailed {
+		t.Fatalf("health after the panic = %v (%v), want failed", overall, err)
 	}
 }
