@@ -56,8 +56,8 @@ const (
 // + 4, and the live heap of a resident session (both copies), at measured
 // + 10 %.
 const (
-	gateWireTCPEcho         = 65
-	gateWireTCPSessionWrite = 96
+	gateWireTCPEcho         = 63
+	gateWireTCPSessionWrite = 92
 	gateSessionFootprint    = 186
 	gateBeanFootprint       = 194
 )
@@ -361,11 +361,10 @@ func routeBytes(t *testing.T, c *tcpCluster, path string, body []byte) float64 {
 }
 
 // TestWireGateTCPEcho pins what one echo request costs between the proxy
-// and its server, 61 B, at gateWireTCPEcho. Field by field (wire format 5):
+// and its server, 59 B, at gateWireTCPEcho. Field by field (wire format 6):
 //
-//	request, 47 B: frame length 1, kind 1, correlation id 2, service
-//	wls.http 1 and method request 1 (one-byte codes), txID and convID 2,
-//	args length 1, path /echo 6, session field 26 (flag 1, id 16,
+//	request, 45 B: frame length 1, kind 1, correlation id 2, service
+//	wls.http 1 and method request 1 (one-byte codes), args length 1, path /echo 6, session field 26 (flag 1, id 16,
 //	secondary server-N 9; the primary is the callee and is left out),
 //	body hello 6
 //	reply, 14 B: frame length 1, kind 1, correlation id 2, rmi status 1,
@@ -383,14 +382,14 @@ func TestWireGateTCPEcho(t *testing.T) {
 	}
 }
 
-// TestWireGateTCPSessionWrite pins the same path with a session write, 92
-// B, at gateWireTCPSessionWrite. Field by field (wire format 5):
+// TestWireGateTCPSessionWrite pins the same path with a session write, 88
+// B, at gateWireTCPSessionWrite. Field by field (wire format 6):
 //
-//	request, 43 B: as the echo's, with path /count 7 and an empty body 1
+//	request, 41 B: as the echo's, with path /count 7 and an empty body 1
 //	reply, 11 B: header 4, rmi status 1, result length 1, servlet status 2,
 //	body ok 3
-//	delta to the secondary, 32 B: header 4, service wls.http 1 and method
-//	session.update.batch 1 (codes), txID and convID 2, args length 1, then
+//	delta to the secondary, 30 B: header 4, service wls.http 1 and method
+//	session.update.batch 1 (codes), args length 1, then
 //	the session id 16 (no length prefix), generation 1 and the attribute 5
 //	(count 1, key n 2, value 1 2)
 //	its acknowledgement, 6 B: header 4, rmi status 1, empty result 1

@@ -85,7 +85,7 @@ func BenchmarkRMIInvoke(b *testing.B) {
 		s.Registry().Register(&rmi.Service{
 			Name: "Echo",
 			Methods: map[string]rmi.MethodSpec{
-				"echo": {Idempotent: true, Handler: func(ctx context.Context, call *rmi.Call) ([]byte, error) {
+				"echo": {Handler: func(ctx context.Context, call *rmi.Call) ([]byte, error) {
 					return call.Args, nil
 				}},
 			},

@@ -151,6 +151,9 @@ func newAdminMux(cluster *wls.Cluster) *http.ServeMux {
 			for _, d := range spans {
 				j.ExportSpan(d)
 			}
+			if err := j.Err(); err != nil {
+				log.Printf("wlsd: %s %s: reply not delivered: %v", r.Method, r.URL.Path, err)
+			}
 		case "chrome":
 			if err := trace.WriteChromeTrace(w, spans); err != nil {
 				http.Error(w, err.Error(), http.StatusInternalServerError)

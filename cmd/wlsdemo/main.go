@@ -45,7 +45,6 @@ func main() {
 					return []byte("IBM@85 via " + name), nil
 				},
 			},
-			Idempotent: []string{"quote"},
 		})
 	}
 	cluster.Settle(2)

@@ -28,7 +28,7 @@ func TestHotRedeployUnderTraffic(t *testing.T) {
 		s.Registry().Register(&rmi.Service{
 			Name: "Pricing",
 			Methods: map[string]rmi.MethodSpec{
-				"price": {Idempotent: true, Handler: func(ctx context.Context, call *rmi.Call) ([]byte, error) {
+				"price": {Handler: func(ctx context.Context, call *rmi.Call) ([]byte, error) {
 					return []byte(version), nil
 				}},
 			},
@@ -101,7 +101,7 @@ func TestRollingRestartKeepsServiceAvailable(t *testing.T) {
 		s.Registry().Register(&rmi.Service{
 			Name: "Inventory",
 			Methods: map[string]rmi.MethodSpec{
-				"check": {Idempotent: true, Handler: func(ctx context.Context, call *rmi.Call) ([]byte, error) {
+				"check": {Handler: func(ctx context.Context, call *rmi.Call) ([]byte, error) {
 					return []byte(name), nil
 				}},
 			},

@@ -137,12 +137,12 @@ func runE11() *Table {
 			if mode == "flush-on-update" {
 				cfg = cache.Config{Name: "t", Mode: cache.ModeFlushOnUpdate, TTL: time.Hour}
 			}
-			ch := cache.New(cfg, clk, bus, nil, func(key string) ([]byte, uint64, bool) {
+			ch := cache.New(cfg, clk, bus, nil, func(key string) ([]byte, bool) {
 				r, ok := db.Get("t", key)
 				if !ok {
-					return nil, 0, false
+					return nil, false
 				}
-				return []byte(r.Fields["v"]), r.Version, true
+				return []byte(r.Fields["v"]), true
 			})
 			flushes := 0
 			// Simulate 10s: a read every 1ms; an update every period.
@@ -269,12 +269,12 @@ func runE13() *Table {
 		db.Put("t", "k", map[string]string{"v": "old"})
 		bus := newBusOn(clk)
 		ch := cache.New(cache.Config{Name: "t", Mode: cache.ModeFlushOnUpdate, TTL: time.Hour},
-			clk, bus, nil, func(key string) ([]byte, uint64, bool) {
+			clk, bus, nil, func(key string) ([]byte, bool) {
 				r, ok := db.Get("t", key)
 				if !ok {
-					return nil, 0, false
+					return nil, false
 				}
-				return []byte(r.Fields["v"]), r.Version, true
+				return []byte(r.Fields["v"]), true
 			})
 		ch.Get("k")
 		ch.Depend("k", "t", "k")

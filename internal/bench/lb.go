@@ -58,7 +58,7 @@ func runE01() *Table {
 			srv.Registry().Register(&rmi.Service{
 				Name: fmt.Sprintf("tier-%d", k),
 				Methods: map[string]rmi.MethodSpec{
-					"handle": {Idempotent: true, Handler: func(ctx context.Context, call *rmi.Call) ([]byte, error) {
+					"handle": {Handler: func(ctx context.Context, call *rmi.Call) ([]byte, error) {
 						if next == nil {
 							return []byte("ok"), nil
 						}
@@ -133,7 +133,7 @@ func runE02() *Table {
 			s.Registry().Register(&rmi.Service{
 				Name: "Work",
 				Methods: map[string]rmi.MethodSpec{
-					"do": {Idempotent: true, Handler: func(ctx context.Context, call *rmi.Call) ([]byte, error) {
+					"do": {Handler: func(ctx context.Context, call *rmi.Call) ([]byte, error) {
 						wall.Sleep(d)
 						return nil, nil
 					}},
@@ -193,7 +193,7 @@ func runE03() *Table {
 			c.Servers[i].Registry().Register(&rmi.Service{
 				Name: "Counter",
 				Methods: map[string]rmi.MethodSpec{
-					"inc": {Idempotent: true, Handler: func(ctx context.Context, call *rmi.Call) ([]byte, error) {
+					"inc": {Handler: func(ctx context.Context, call *rmi.Call) ([]byte, error) {
 						mu.Lock()
 						//wls:nolint lockheld -- the held mutex models the partition's serialization; the sleep is its service time
 						wall.Sleep(200 * time.Microsecond)
@@ -257,7 +257,7 @@ func runE04() *Table {
 			s.Registry().Register(&rmi.Service{
 				Name: "Step",
 				Methods: map[string]rmi.MethodSpec{
-					"do": {Idempotent: true, Handler: func(ctx context.Context, call *rmi.Call) ([]byte, error) {
+					"do": {Handler: func(ctx context.Context, call *rmi.Call) ([]byte, error) {
 						return []byte(name), nil
 					}},
 				},
@@ -284,7 +284,7 @@ func runE04() *Table {
 			touched := map[string]bool{}
 			for s := 0; s < steps; s++ {
 				ctx := rmi.WithAffinity(tctx, txn.Servers()...)
-				res, err := stub.InvokeTx(ctx, txn.ID(), "do", nil)
+				res, err := stub.Invoke(ctx, "do", nil)
 				if err != nil {
 					panic(err)
 				}
@@ -340,7 +340,7 @@ func runE05() *Table {
 				s.Registry().Register(&rmi.Service{
 					Name: "Op",
 					Methods: map[string]rmi.MethodSpec{
-						"do": {Idempotent: idempotent, Handler: func(ctx context.Context, call *rmi.Call) ([]byte, error) {
+						"do": {Handler: func(ctx context.Context, call *rmi.Call) ([]byte, error) {
 							n, _ := executions.LoadOrStore(string(call.Args), new(atomic.Int64))
 							n.(*atomic.Int64).Add(1)
 							if call.From != self && loseReply.CompareAndSwap(true, false) {

@@ -113,7 +113,7 @@ func e29SamplingOverhead(t *Table) {
 			s.Registry().Register(&rmi.Service{
 				Name: "Echo",
 				Methods: map[string]rmi.MethodSpec{
-					"echo": {Idempotent: true, Handler: func(ctx context.Context, call *rmi.Call) ([]byte, error) {
+					"echo": {Handler: func(ctx context.Context, call *rmi.Call) ([]byte, error) {
 						return call.Args, nil
 					}},
 				},

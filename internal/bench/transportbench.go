@@ -26,7 +26,6 @@ type echoCaller interface {
 }
 
 type echoResult struct {
-	calls       int64
 	callsPerSec float64
 	allocsPer   float64 // heap allocations per call, process-wide (client+server)
 }
@@ -73,7 +72,7 @@ func echoLoad(cl echoCaller, to string, callers int) echoResult {
 	runtime.ReadMemStats(&after)
 
 	n := ops.Load()
-	res := echoResult{calls: n, callsPerSec: float64(n) / elapsed.Seconds()}
+	res := echoResult{callsPerSec: float64(n) / elapsed.Seconds()}
 	if n > 0 {
 		res.allocsPer = float64(after.Mallocs-before.Mallocs) / float64(n)
 	}

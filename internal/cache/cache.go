@@ -37,9 +37,9 @@ import (
 )
 
 // Loader computes a cache entry from the backend; it returns the value (an
-// opaque byte payload — relational rows, objects, HTML or XML per §3.3),
-// the backend version it was derived from, and whether the key exists.
-type Loader func(key string) (value []byte, version uint64, ok bool)
+// opaque byte payload — relational rows, objects, HTML or XML per §3.3)
+// and whether the key exists.
+type Loader func(key string) (value []byte, ok bool)
 
 // Mode selects the consistency option.
 type Mode int
@@ -66,7 +66,6 @@ type Config struct {
 // entry is one cached value.
 type entry struct {
 	value    []byte
-	version  uint64
 	loadedAt time.Time
 }
 
@@ -138,12 +137,12 @@ func (c *Cache) Get(key string) ([]byte, bool) {
 	c.mu.Unlock()
 
 	c.reg.Counter("cache.misses").Inc()
-	value, version, found := c.load(key)
+	value, found := c.load(key)
 	if !found {
 		return nil, false
 	}
 	c.mu.Lock()
-	c.entries[key] = &entry{value: value, version: version, loadedAt: c.clock.Now()}
+	c.entries[key] = &entry{value: value, loadedAt: c.clock.Now()}
 	c.mu.Unlock()
 	return append([]byte(nil), value...), true
 }
@@ -255,10 +254,10 @@ func (c *Cache) RefreshSlice(name string) {
 	c.mu.Unlock()
 	now := c.clock.Now()
 	for _, k := range keys {
-		value, version, found := c.load(k)
+		value, found := c.load(k)
 		c.mu.Lock()
 		if found {
-			c.entries[k] = &entry{value: value, version: version, loadedAt: now}
+			c.entries[k] = &entry{value: value, loadedAt: now}
 		} else {
 			delete(c.entries, k)
 		}

@@ -19,15 +19,15 @@ type backend struct {
 }
 
 func (b *backend) loader(table string) Loader {
-	return func(key string) ([]byte, uint64, bool) {
+	return func(key string) ([]byte, bool) {
 		b.mu.Lock()
 		b.loads++
 		b.mu.Unlock()
 		r, ok := b.s.Get(table, key)
 		if !ok {
-			return nil, 0, false
+			return nil, false
 		}
-		return []byte(r.Fields["v"]), r.Version, true
+		return []byte(r.Fields["v"]), true
 	}
 }
 
@@ -142,16 +142,16 @@ func TestPeekDoesNotLoad(t *testing.T) {
 	clk := vclock.NewVirtualAtZero()
 	b, _ := setup(clk)
 	c := New(Config{Name: "t", TTL: time.Second}, clk, nil, nil, b.loader("t"))
-	if _, _, ok := c.Peek("k1"); ok {
+	if _, ok := c.Peek("k1"); ok {
 		t.Fatal("peek of unloaded key reported found")
 	}
 	c.Get("k1")
-	v, version, ok := c.Peek("k1")
-	if !ok || string(v) != "one" || version != 1 {
-		t.Fatalf("peek = %q v%d ok=%v", v, version, ok)
+	v, ok := c.Peek("k1")
+	if !ok || string(v) != "one" {
+		t.Fatalf("peek = %q ok=%v", v, ok)
 	}
 	clk.Advance(2 * time.Second)
-	if _, _, ok := c.Peek("k1"); ok {
+	if _, ok := c.Peek("k1"); ok {
 		t.Fatal("peek returned expired entry")
 	}
 }
@@ -160,10 +160,10 @@ func TestDependencyInvalidation(t *testing.T) {
 	clk := vclock.NewVirtualAtZero()
 	b, _ := setup(clk)
 	// A derived page computed from two rows.
-	pageLoader := func(key string) ([]byte, uint64, bool) {
+	pageLoader := func(key string) ([]byte, bool) {
 		r1, _ := b.s.Get("t", "k1")
 		r2, _ := b.s.Get("t", "k2")
-		return []byte(r1.Fields["v"] + "+" + r2.Fields["v"]), 0, true
+		return []byte(r1.Fields["v"] + "+" + r2.Fields["v"]), true
 	}
 	c := New(Config{Name: "pages", TTL: time.Hour}, clk, nil, nil, pageLoader)
 	c.Get("page")
@@ -216,10 +216,10 @@ func TestRefreshSliceAfterUpdate(t *testing.T) {
 	b.s.Put("t", "k1", fields("ONE"))
 	b.s.Delete("t", "k2")
 	c.RefreshSlice("all")
-	if v, _, ok := c.Peek("k1"); !ok || string(v) != "ONE" {
+	if v, ok := c.Peek("k1"); !ok || string(v) != "ONE" {
 		t.Fatalf("k1 = %q ok=%v", v, ok)
 	}
-	if _, _, ok := c.Peek("k2"); ok {
+	if _, ok := c.Peek("k2"); ok {
 		t.Fatal("deleted row still in slice")
 	}
 }

@@ -261,7 +261,7 @@ func TestEveryChaosFaultActs(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer c.Stop()
-			h := &Harness{Cluster: c, Seed: 1, State: newState()}
+			h := &Harness{Cluster: c, State: newState()}
 			// A partition is probed across its link; a server fault from
 			// the admin server, which no schedule faults.
 			from, to := "admin", st.A

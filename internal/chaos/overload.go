@@ -38,7 +38,6 @@ const (
 
 type overloadWorkload struct {
 	seed int64
-	h    *Harness
 	res  *rmi.Resilience
 	stub *rmi.Stub
 
@@ -62,7 +61,6 @@ func newOverloadWorkload(seed int64) *overloadWorkload {
 func (w *overloadWorkload) Name() string { return "overload" }
 
 func (w *overloadWorkload) Setup(h *Harness) error {
-	w.h = h
 	for _, s := range h.Cluster.Servers {
 		w.install(h, s.Name)
 	}

@@ -84,8 +84,6 @@ type Workload interface {
 // Harness runs one seeded scenario against one cluster.
 type Harness struct {
 	Cluster *wls.Cluster
-	Cfg     Config
-	Seed    int64
 	State   *State
 
 	step       int
@@ -235,12 +233,12 @@ func Run(seed int64, cfg Config) (*Result, error) {
 	var faults atomic.Int64
 	c.Net().OnFault(func(netsim.FaultEvent) { faults.Add(1) })
 
-	h := &Harness{Cluster: c, Cfg: cfg, Seed: seed, State: newState()}
+	h := &Harness{Cluster: c, State: newState()}
 	workloads := []Workload{
 		newSingletonWorkload(),
 		newTxWorkload(seed),
 		newJMSWorkload(seed),
-		newSessionWorkload(seed),
+		newSessionWorkload(),
 		newRingWorkload(),
 	}
 	if cfg.Overload {

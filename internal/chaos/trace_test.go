@@ -28,7 +28,7 @@ func runTracedScenario(t *testing.T, seed int64) []trace.SpanData {
 		s.Registry().Register(&rmi.Service{
 			Name: "Echo",
 			Methods: map[string]rmi.MethodSpec{
-				"echo": {Idempotent: true, Handler: func(ctx context.Context, call *rmi.Call) ([]byte, error) {
+				"echo": {Handler: func(ctx context.Context, call *rmi.Call) ([]byte, error) {
 					return call.Args, nil
 				}},
 			},

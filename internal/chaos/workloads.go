@@ -215,7 +215,6 @@ func (r *chaosResource) takeConflicts() []string {
 }
 
 type txWorkload struct {
-	seed int64
 	rng  *rand.Rand
 	mgr  *tx.Manager
 	resA *chaosResource
@@ -229,7 +228,6 @@ type txWorkload struct {
 
 func newTxWorkload(seed int64) *txWorkload {
 	return &txWorkload{
-		seed:     seed,
 		rng:      rand.New(rand.NewSource(seed + 101)),
 		enlisted: map[string][]*chaosResource{},
 		expect:   map[string]bool{},
@@ -349,7 +347,6 @@ func (w *txWorkload) Close() {}
 
 type jmsWorkload struct {
 	seed int64
-	h    *Harness
 	seq  int
 	sent []string
 
@@ -362,7 +359,6 @@ func newJMSWorkload(seed int64) *jmsWorkload { return &jmsWorkload{seed: seed} }
 func (w *jmsWorkload) Name() string { return "jms-saf" }
 
 func (w *jmsWorkload) Setup(h *Harness) error {
-	w.h = h
 	w.startForwarder(h)
 	return nil
 }
@@ -453,7 +449,6 @@ func (w *jmsWorkload) Close() { w.fwd.Stop() }
 // Replicated sessions: the counter survives any single failure.
 
 type sessionWorkload struct {
-	seed    int64
 	handler servlet.HandlerFunc
 	proxy   *webtier.ProxyPlugin
 
@@ -467,7 +462,7 @@ type sessionWorkload struct {
 	everAsked bool
 }
 
-func newSessionWorkload(seed int64) *sessionWorkload { return &sessionWorkload{seed: seed} }
+func newSessionWorkload() *sessionWorkload { return &sessionWorkload{} }
 
 func (w *sessionWorkload) Name() string { return "session" }
 

@@ -365,7 +365,7 @@ func (e *Elector) service() *rmi.Service {
 		Name:   ServiceName,
 		System: true,
 		Methods: map[string]rmi.MethodSpec{
-			"requestVote": {Idempotent: true, Handler: func(ctx context.Context, c *rmi.Call) ([]byte, error) {
+			"requestVote": {Handler: func(ctx context.Context, c *rmi.Call) ([]byte, error) {
 				d := wire.NewDecoder(c.Args)
 				term, candidate := d.Uint64(), d.String()
 				if err := d.Err(); err != nil {
@@ -377,7 +377,7 @@ func (e *Elector) service() *rmi.Service {
 				out.Uint64(e.Term())
 				return out.Bytes(), nil
 			}},
-			"heartbeat": {Idempotent: true, Handler: func(ctx context.Context, c *rmi.Call) ([]byte, error) {
+			"heartbeat": {Handler: func(ctx context.Context, c *rmi.Call) ([]byte, error) {
 				d := wire.NewDecoder(c.Args)
 				term, leader := d.Uint64(), d.String()
 				if err := d.Err(); err != nil {

@@ -72,7 +72,7 @@ func (d *Domain) AdminService() *rmi.Service {
 		Name:   AdminServiceName,
 		System: true,
 		Methods: map[string]rmi.MethodSpec{
-			"getConfig": {Idempotent: true, Handler: func(ctx context.Context, c *rmi.Call) ([]byte, error) {
+			"getConfig": {Handler: func(ctx context.Context, c *rmi.Call) ([]byte, error) {
 				dec := wire.NewDecoder(c.Args)
 				server := dec.String()
 				if err := dec.Err(); err != nil {

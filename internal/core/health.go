@@ -161,7 +161,7 @@ func (h *HealthMonitor) Service() *rmi.Service {
 		Name:   HealthServiceName,
 		System: true,
 		Methods: map[string]rmi.MethodSpec{
-			"check": {Idempotent: true, Handler: func(ctx context.Context, c *rmi.Call) ([]byte, error) {
+			"check": {Handler: func(ctx context.Context, c *rmi.Call) ([]byte, error) {
 				e := wire.NewEncoder(16)
 				e.Int(int(h.Overall()))
 				e.Int(int(h.Lifecycle()))

@@ -95,7 +95,7 @@ func TestQueryHealthRefusesALyingCount(t *testing.T) {
 	defer f.Stop()
 	replies := make(chan []byte, 1)
 	f.Servers[0].Registry.Register(&rmi.Service{Name: core.HealthServiceName, System: true,
-		Methods: map[string]rmi.MethodSpec{"check": {Idempotent: true,
+		Methods: map[string]rmi.MethodSpec{"check": {
 			Handler: func(context.Context, *rmi.Call) ([]byte, error) { return <-replies, nil }}}})
 	f.Settle(2)
 	for _, n := range []int{-1, 1 << 24, 1 << 40} {

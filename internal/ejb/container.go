@@ -28,7 +28,6 @@ import (
 	"wls/internal/rmi"
 	"wls/internal/store"
 	"wls/internal/trace"
-	"wls/internal/tx"
 	"wls/internal/vclock"
 )
 
@@ -39,7 +38,6 @@ type Container struct {
 	// serverName caches the (immutable) hosting server's name.
 	serverName string
 	clock      vclock.Clock
-	txm        *tx.Manager
 	db         *store.Store
 	bus        gossip.Bus
 	reg        *metrics.Registry
@@ -48,15 +46,14 @@ type Container struct {
 	stateful map[string]*statefulStore
 }
 
-// NewContainer wires a container to its server's registry, transaction
-// manager, backend database and cluster bus.
-func NewContainer(registry *rmi.Registry, txm *tx.Manager, db *store.Store, bus gossip.Bus) *Container {
+// NewContainer wires a container to its server's registry, backend
+// database and cluster bus.
+func NewContainer(registry *rmi.Registry, db *store.Store, bus gossip.Bus) *Container {
 	return &Container{
 		registry:   registry,
 		member:     registry.Member(),
 		serverName: registry.Member().Name(),
 		clock:      registry.Member().Clock(),
-		txm:        txm,
 		db:         db,
 		bus:        bus,
 		reg:        registry.Metrics(),
@@ -92,8 +89,6 @@ type StatelessSpec struct {
 	New func() any
 	// Methods maps method names to implementations.
 	Methods map[string]StatelessMethod
-	// Idempotent lists methods safe to retry after possible execution.
-	Idempotent []string
 	// PoolSize bounds concurrent instances (default 16). Calls beyond the
 	// pool block for an instance, modelling execute-queue admission.
 	PoolSize int
@@ -163,10 +158,6 @@ func (sh *statelessHandler) invoke(ctx context.Context, call *rmi.Call) ([]byte,
 // the clustered service name to create stubs against.
 func (c *Container) DeployStateless(spec StatelessSpec) string {
 	pool := newStatelessPool(spec.PoolSize, spec.New)
-	idem := make(map[string]bool, len(spec.Idempotent))
-	for _, m := range spec.Idempotent {
-		idem[m] = true
-	}
 	calls := c.reg.Counter("ejb.stateless.calls")
 	methods := make(map[string]rmi.MethodSpec, len(spec.Methods))
 	for name, impl := range spec.Methods {
@@ -176,7 +167,7 @@ func (c *Container) DeployStateless(spec StatelessSpec) string {
 			spanName: "ejb " + spec.Name + "." + name,
 			calls:    calls,
 		}
-		methods[name] = rmi.MethodSpec{Idempotent: idem[name], Handler: sh.invoke}
+		methods[name] = rmi.MethodSpec{Handler: sh.invoke}
 	}
 	c.registry.Register(&rmi.Service{Name: spec.Name, Methods: methods})
 	return spec.Name

@@ -27,6 +27,7 @@ type ejbFixture struct {
 	f          *simtest.Fixture
 	db         *store.Store
 	containers []*ejb.Container
+	txms       []*tx.Manager // each container's server's
 }
 
 func newEJBFixture(t *testing.T, servers int) *ejbFixture {
@@ -35,11 +36,12 @@ func newEJBFixture(t *testing.T, servers int) *ejbFixture {
 	t.Cleanup(f.Stop)
 	db := store.New("backend", f.Clock)
 	var cs []*ejb.Container
+	var txms []*tx.Manager
 	for _, s := range f.Servers {
-		txm := tx.NewManager(s.Name, f.Clock, nil, s.Metrics)
-		cs = append(cs, ejb.NewContainer(s.Registry, txm, db, f.Bus))
+		txms = append(txms, tx.NewManager(s.Name, f.Clock, nil, s.Metrics))
+		cs = append(cs, ejb.NewContainer(s.Registry, db, f.Bus))
 	}
-	return &ejbFixture{f: f, db: db, containers: cs}
+	return &ejbFixture{f: f, db: db, containers: cs, txms: txms}
 }
 
 // --- Stateless ---------------------------------------------------------------
@@ -365,7 +367,7 @@ func TestStatefulIDsOutliveRestart(t *testing.T) {
 	count(first, "3") // promoted on its secondary
 
 	s := fx.f.Restart("server-2")
-	c := ejb.NewContainer(s.Registry, tx.NewManager(s.Name, fx.f.Clock, nil, s.Metrics), fx.db, fx.f.Bus)
+	c := ejb.NewContainer(s.Registry, fx.db, fx.f.Bus)
 	deployCart(&ejbFixture{f: fx.f, containers: []*ejb.Container{c}}, ejb.DeltaPerTx)
 	second, err := home.Create(ctx, rmi.WithPolicy(pinServer("server-2")))
 	if err != nil {
@@ -513,7 +515,7 @@ func TestEntityTTLStalenessWindow(t *testing.T) {
 		t.Fatalf("read: %v %v", f1, err)
 	}
 	// Server 2 updates through a transaction.
-	txn := fx.containers[1].Tx().Begin(0)
+	txn := fx.txms[1].Begin(0)
 	e, err := homes[1].Find(txn, "a1")
 	if err != nil {
 		t.Fatal(err)
@@ -541,7 +543,7 @@ func TestEntityFlushOnUpdatePropagates(t *testing.T) {
 	homes := deployAccounts(fx, ejb.EntityFlushOnUpdate, time.Hour)
 
 	homes[0].FindReadOnly("a1") // warm server 1's cache
-	txn := fx.containers[1].Tx().Begin(0)
+	txn := fx.txms[1].Begin(0)
 	e, _ := homes[1].Find(txn, "a1")
 	e.Set("balance", "50")
 	if err := txn.Commit(); err != nil {
@@ -559,8 +561,8 @@ func TestEntityOptimisticConflict(t *testing.T) {
 	seedAccount(fx)
 	homes := deployAccounts(fx, ejb.EntityOptimistic, time.Hour)
 
-	tx1 := fx.containers[0].Tx().Begin(0)
-	tx2 := fx.containers[1].Tx().Begin(0)
+	tx1 := fx.txms[0].Begin(0)
+	tx2 := fx.txms[1].Begin(0)
 	e1, err := homes[0].Find(tx1, "a1")
 	if err != nil {
 		t.Fatal(err)
@@ -595,7 +597,7 @@ func TestEntityOptimisticNoDatabaseLocksHeld(t *testing.T) {
 	seedAccount(fx)
 	homes := deployAccounts(fx, ejb.EntityOptimistic, time.Hour)
 
-	tx1 := fx.containers[0].Tx().Begin(0)
+	tx1 := fx.txms[0].Begin(0)
 	e1, _ := homes[0].Find(tx1, "a1")
 	e1.Set("balance", "90")
 	// Concurrent read on server 2 proceeds immediately.
@@ -617,13 +619,13 @@ func TestEntityPessimisticBlocksWriter(t *testing.T) {
 	seedAccount(fx)
 	homes := deployAccounts(fx, ejb.EntityPessimistic, time.Hour)
 
-	tx1 := fx.containers[0].Tx().Begin(0)
+	tx1 := fx.txms[0].Begin(0)
 	if _, err := homes[0].Find(tx1, "a1"); err != nil {
 		t.Fatal(err)
 	}
 	// Second tx times out waiting for the row lock (the wait runs on the
 	// fixture's virtual clock, so the test drives it forward).
-	tx2 := fx.containers[1].Tx().Begin(0)
+	tx2 := fx.txms[1].Begin(0)
 	sess2 := fx.db.Session(tx2.ID())
 	sess2.LockTimeout = 50 * time.Millisecond
 	tx2.Enlist("db:backend", sess2)
@@ -655,7 +657,7 @@ func TestEntityReadOnlyRejectsWrites(t *testing.T) {
 	fx := newEJBFixture(t, 1)
 	seedAccount(fx)
 	homes := deployAccounts(fx, ejb.EntityReadOnly, time.Hour)
-	txn := fx.containers[0].Tx().Begin(0)
+	txn := fx.txms[0].Begin(0)
 	e, err := homes[0].Find(txn, "a1")
 	if err != nil {
 		t.Fatal(err)
@@ -670,7 +672,7 @@ func TestEntityCreateAndRemove(t *testing.T) {
 	fx := newEJBFixture(t, 2)
 	homes := deployAccounts(fx, ejb.EntityFlushOnUpdate, time.Hour)
 
-	txn := fx.containers[0].Tx().Begin(0)
+	txn := fx.txms[0].Begin(0)
 	if _, err := homes[0].Create(txn, "a9", map[string]string{"balance": "10"}); err != nil {
 		t.Fatal(err)
 	}
@@ -681,7 +683,7 @@ func TestEntityCreateAndRemove(t *testing.T) {
 		t.Fatalf("created bean not visible: %v %v", f, err)
 	}
 
-	txn2 := fx.containers[0].Tx().Begin(0)
+	txn2 := fx.txms[0].Begin(0)
 	if err := homes[0].Remove(txn2, "a9"); err != nil {
 		t.Fatal(err)
 	}

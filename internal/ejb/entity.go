@@ -67,12 +67,12 @@ func (c *Container) DeployEntity(spec EntitySpec) *EntityHome {
 	if spec.Mode == EntityFlushOnUpdate || spec.Mode == EntityOptimistic {
 		mode = cache.ModeFlushOnUpdate
 	}
-	loader := func(key string) ([]byte, uint64, bool) {
+	loader := func(key string) ([]byte, bool) {
 		row, ok := c.db.Get(spec.Table, key)
 		if !ok {
-			return nil, 0, false
+			return nil, false
 		}
-		return encodeEntity(row), row.Version, true
+		return encodeEntity(row), true
 	}
 	return &EntityHome{
 		c:    c,
@@ -197,6 +197,8 @@ func (h *EntityHome) Create(txn *tx.Tx, key string, fields map[string]string) (*
 }
 
 // Remove deletes the bean row inside the transaction.
+//
+//wls:nolint unreached -- library-only: §3.3, TestEntityCreateAndRemove
 func (h *EntityHome) Remove(txn *tx.Tx, key string) error {
 	sess, err := h.enlistSession(txn)
 	if err != nil {

@@ -432,6 +432,8 @@ func (h *Handle) Invoke(ctx context.Context, method string, args []byte) ([]byte
 }
 
 // Remove ends the conversation.
+//
+//wls:nolint unreached -- library-only: §3.2, TestStatefulRemove
 func (h *Handle) Remove(ctx context.Context) error {
 	info, ok := h.member.Lookup(h.Primary())
 	if !ok {

@@ -11,7 +11,6 @@ import (
 	"wls/internal/kv/kvtest"
 	"wls/internal/rmi"
 	"wls/internal/tuple"
-	"wls/internal/vclock"
 	"wls/internal/wire"
 )
 
@@ -50,7 +49,7 @@ func TestDeliverFailsWhenDedupMarkNotWritten(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	b := NewBroker("s1", vclock.NewVirtualAtZero(), st, nil)
+	b := NewBroker("s1", st, nil)
 	b.Queue("dst") // opened while the store still answers
 	svc := b.RMIService()
 	if err := st.Close(); err != nil { // every write fails from here on
@@ -83,7 +82,7 @@ func TestDeliverCrashAtomicity(t *testing.T) {
 	// deliverAll delivers the n messages in order and reports how many
 	// were acknowledged before the first failure.
 	deliverAll := func(st *tuple.Store) int {
-		deliver := NewBroker("s1", vclock.NewVirtualAtZero(), st, nil).RMIService().Methods["deliver"].Handler
+		deliver := NewBroker("s1", st, nil).RMIService().Methods["deliver"].Handler
 		for i := 0; i < n; i++ {
 			args := deliverArgs(Message{ID: id(i), Body: []byte("payload")})
 			if _, err := deliver(context.Background(), &rmi.Call{Args: args}); err != nil {

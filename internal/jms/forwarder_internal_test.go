@@ -19,11 +19,11 @@ import (
 func TestForwarderStopQuiescesInFlightDrain(t *testing.T) {
 	f := simtest.New(simtest.Options{Servers: 2})
 	defer f.Stop()
-	remote := NewBroker("server-2", f.Clock, nil, f.Servers[1].Metrics)
+	remote := NewBroker("server-2", nil, f.Servers[1].Metrics)
 	f.Servers[1].Registry.Register(remote.RMIService())
 	f.Settle(2)
 
-	local := NewBroker("server-1", f.Clock, nil, f.Servers[0].Metrics)
+	local := NewBroker("server-1", nil, f.Servers[0].Metrics)
 	lq := local.Queue("buffer")
 	for i := 0; i < 5; i++ {
 		if _, err := lq.Send(Message{Body: []byte{byte('a' + i)}}); err != nil {
@@ -69,7 +69,7 @@ func TestForwarderStopQuiescesInFlightDrain(t *testing.T) {
 // fmt.Sprintf: building the ID is on the broker's publish path, and the
 // concat form costs at most two allocations (digits + join).
 func TestNextMsgIDFormatAndAllocs(t *testing.T) {
-	b := NewBroker("server-9", nil, nil, nil)
+	b := NewBroker("server-9", nil, nil)
 	if got, want := b.nextMsgID("orders"), "server-9/orders/m1"; got != want {
 		t.Fatalf("nextMsgID = %q, want %q", got, want)
 	}

@@ -71,7 +71,6 @@ var ErrEmpty = errors.New("jms: queue empty")
 // in-memory conversations of §4).
 type Broker struct {
 	server string
-	clock  vclock.Clock
 	st     *tuple.Store // nil = non-persistent
 	reg    *metrics.Registry
 
@@ -86,11 +85,11 @@ type Broker struct {
 }
 
 // NewBroker creates a broker. st may be nil for non-persistent operation.
-func NewBroker(server string, clock vclock.Clock, st *tuple.Store, reg *metrics.Registry) *Broker {
+func NewBroker(server string, st *tuple.Store, reg *metrics.Registry) *Broker {
 	if reg == nil {
 		reg = metrics.NewRegistry()
 	}
-	return &Broker{server: server, clock: clock, st: st, reg: reg, queues: make(map[string]*Queue)}
+	return &Broker{server: server, st: st, reg: reg, queues: make(map[string]*Queue)}
 }
 
 // Queue returns (creating on first use) a named queue, recovering any
@@ -412,7 +411,7 @@ func (b *Broker) RMIService() *rmi.Service {
 			// per connection flush. The ACK is the RPC response; dedup is per
 			// message, so a retry that partially landed is still exactly-once
 			// (idempotent).
-			"deliver": {Idempotent: true, Handler: func(ctx context.Context, c *rmi.Call) ([]byte, error) {
+			"deliver": {Handler: func(ctx context.Context, c *rmi.Call) ([]byte, error) {
 				d := wire.NewDecoder(c.Args)
 				queue := d.String()
 				if err := d.Err(); err != nil {
@@ -508,8 +507,6 @@ const safBatchMax = 32
 // retry with backoff; the receiver deduplicates per message.
 type Forwarder struct {
 	local      *Queue
-	node       rmi.Node
-	remoteAddr string
 	remoteQ    string
 	clock      vclock.Clock
 	interval   time.Duration
@@ -538,8 +535,6 @@ type Forwarder struct {
 func NewForwarder(local *Queue, node rmi.Node, remoteAddr, remoteQ string, clock vclock.Clock, interval time.Duration) *Forwarder {
 	return &Forwarder{
 		local:      local,
-		node:       node,
-		remoteAddr: remoteAddr,
 		remoteQ:    remoteQ,
 		clock:      clock,
 		interval:   interval,

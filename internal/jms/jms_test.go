@@ -16,13 +16,19 @@ import (
 	"wls/internal/vclock"
 )
 
-func memBroker(clk vclock.Clock) *jms.Broker {
-	return jms.NewBroker("s1", clk, nil, nil)
+func memBroker() *jms.Broker {
+	return jms.NewBroker("s1", nil, nil)
 }
 
 // openStore opens a broker store the way a server lays it out: tuple
 // spaces over a WAL at path. It is closed when the test ends.
 func openStore(t *testing.T, path string) *tuple.Store {
+	st, _ := openWAL(t, path)
+	return st
+}
+
+// openWAL is openStore that also hands back the WAL under the store.
+func openWAL(t *testing.T, path string) (*tuple.Store, *kv.WAL) {
 	t.Helper()
 	w, err := kv.OpenWAL(path, kv.Options{})
 	if err != nil {
@@ -33,17 +39,17 @@ func openStore(t *testing.T, path string) *tuple.Store {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { st.Close() })
-	return st
+	return st, w
 }
 
-func fileBroker(t *testing.T, clk vclock.Clock) (*jms.Broker, string) {
+func fileBroker(t *testing.T) (*jms.Broker, string) {
 	t.Helper()
 	path := filepath.Join(t.TempDir(), "jms.store")
-	return jms.NewBroker("s1", clk, openStore(t, path), nil), path
+	return jms.NewBroker("s1", openStore(t, path), nil), path
 }
 
 func TestSendReceiveAckFIFO(t *testing.T) {
-	b := memBroker(vclock.NewVirtualAtZero())
+	b := memBroker()
 	q := b.Queue("orders")
 	for i := 0; i < 5; i++ {
 		if _, err := q.Send(jms.Message{Body: []byte(fmt.Sprintf("m%d", i))}); err != nil {
@@ -68,7 +74,7 @@ func TestSendReceiveAckFIFO(t *testing.T) {
 }
 
 func TestNackRedelivers(t *testing.T) {
-	b := memBroker(vclock.NewVirtualAtZero())
+	b := memBroker()
 	q := b.Queue("q")
 	q.Send(jms.Message{Body: []byte("x")})
 	m, _ := q.Receive()
@@ -80,15 +86,14 @@ func TestNackRedelivers(t *testing.T) {
 }
 
 func TestAckUnknownErrors(t *testing.T) {
-	b := memBroker(vclock.NewVirtualAtZero())
+	b := memBroker()
 	if err := b.Queue("q").Ack("nope"); err == nil {
 		t.Fatal("want error")
 	}
 }
 
 func TestPersistentBacklogSurvivesRestart(t *testing.T) {
-	clk := vclock.NewVirtualAtZero()
-	b, path := fileBroker(t, clk)
+	b, path := fileBroker(t)
 	q := b.Queue("orders")
 	q.Send(jms.Message{Body: []byte("m1")})
 	q.Send(jms.Message{Body: []byte("m2")})
@@ -98,7 +103,7 @@ func TestPersistentBacklogSurvivesRestart(t *testing.T) {
 	_ = m2 // m2 in flight, never acked — must come back after crash
 
 	// "Crash": reopen the store with a fresh broker.
-	b2 := jms.NewBroker("s1", clk, openStore(t, path), nil)
+	b2 := jms.NewBroker("s1", openStore(t, path), nil)
 	q2 := b2.Queue("orders")
 	if q2.Len() != 1 {
 		t.Fatalf("recovered backlog = %d, want 1", q2.Len())
@@ -111,7 +116,7 @@ func TestPersistentBacklogSurvivesRestart(t *testing.T) {
 
 func TestTransactionalSendInvisibleUntilCommit(t *testing.T) {
 	clk := vclock.NewVirtualAtZero()
-	b, _ := fileBroker(t, clk)
+	b, _ := fileBroker(t)
 	q := b.Queue("q")
 	mgr := tx.NewManager("s1", clk, nil, nil)
 
@@ -132,7 +137,7 @@ func TestTransactionalSendInvisibleUntilCommit(t *testing.T) {
 
 func TestTransactionalSendRollback(t *testing.T) {
 	clk := vclock.NewVirtualAtZero()
-	b, _ := fileBroker(t, clk)
+	b, _ := fileBroker(t)
 	q := b.Queue("q")
 	mgr := tx.NewManager("s1", clk, nil, nil)
 	txn := mgr.Begin(0)
@@ -145,7 +150,7 @@ func TestTransactionalSendRollback(t *testing.T) {
 
 func TestTransactionalReceiveRollbackRedelivers(t *testing.T) {
 	clk := vclock.NewVirtualAtZero()
-	b := memBroker(clk)
+	b := memBroker()
 	q := b.Queue("q")
 	q.Send(jms.Message{Body: []byte("x")})
 	mgr := tx.NewManager("s1", clk, nil, nil)
@@ -168,7 +173,7 @@ func TestConsumeAndUpdateSameFilestoreIs1PC(t *testing.T) {
 	// queue enlists separately but the durable writes share the store; the
 	// measured contrast (E22) is 2 resources vs 3 with a separate DB.
 	clk := vclock.NewVirtualAtZero()
-	b, _ := fileBroker(t, clk)
+	b, _ := fileBroker(t)
 	q := b.Queue("in")
 	q.Send(jms.Message{Body: []byte("work")})
 	mgr := tx.NewManager("s1", clk, nil, nil)
@@ -189,9 +194,8 @@ func TestConsumeAndUpdateSameFilestoreIs1PC(t *testing.T) {
 // image — nothing more — however many messages pass through. The
 // append-only store it replaced grew ~115 B per send+ack, without bound.
 func TestStoreStaysBoundedUnderChurn(t *testing.T) {
-	st := openStore(t, filepath.Join(t.TempDir(), "s1.store"))
-	sizer := st.KV().(kv.Sizer)
-	q := jms.NewBroker("s1", vclock.NewVirtualAtZero(), st, nil).Queue("orders")
+	st, w := openWAL(t, filepath.Join(t.TempDir(), "s1.store"))
+	q := jms.NewBroker("s1", st, nil).Queue("orders")
 	body := []byte("order: 3 anvils, 1 rocket")
 	for i := 0; i < 100; i++ { // a standing backlog keeps the image non-empty
 		if _, err := q.Send(jms.Message{Body: body}); err != nil {
@@ -211,7 +215,7 @@ func TestStoreStaysBoundedUnderChurn(t *testing.T) {
 		if err := q.Ack(m.ID); err != nil {
 			t.Fatal(err)
 		}
-		n, err := sizer.Size()
+		n, err := w.Size()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -222,7 +226,7 @@ func TestStoreStaysBoundedUnderChurn(t *testing.T) {
 		// Over the fixed part: the live image must account for the rest
 		// (each record framed with two length varints of at most 10 bytes).
 		var live int64
-		img := st.KV().Image()
+		img := w.Image()
 		for _, sp := range img.Spaces() {
 			img.Scan(sp, "", func(k, v string) bool {
 				live += int64(len(sp) + 1 + len(k) + len(v) + 20) // the flat key space\x00key
@@ -241,7 +245,7 @@ func TestStoreStaysBoundedUnderChurn(t *testing.T) {
 func TestRemoteSendAndReceive(t *testing.T) {
 	f := simtest.New(simtest.Options{Servers: 2})
 	defer f.Stop()
-	b := jms.NewBroker("server-2", f.Clock, nil, f.Servers[1].Metrics)
+	b := jms.NewBroker("server-2", nil, f.Servers[1].Metrics)
 	f.Servers[1].Registry.Register(b.RMIService())
 	f.Settle(2)
 
@@ -263,13 +267,13 @@ func TestRemoteSendAndReceive(t *testing.T) {
 func TestDeliverDeduplicates(t *testing.T) {
 	f := simtest.New(simtest.Options{Servers: 2})
 	defer f.Stop()
-	b := jms.NewBroker("server-2", f.Clock, nil, f.Servers[1].Metrics)
+	b := jms.NewBroker("server-2", nil, f.Servers[1].Metrics)
 	f.Servers[1].Registry.Register(b.RMIService())
 	f.Settle(2)
 
 	// The SAF sender retries the same message ID (lost ACK): the receiver
 	// must enqueue it once.
-	local := jms.NewBroker("server-1", f.Clock, nil, f.Servers[0].Metrics)
+	local := jms.NewBroker("server-1", nil, f.Servers[0].Metrics)
 	lq := local.Queue("buffer")
 	lq.Send(jms.Message{ID: "fixed-id", Body: []byte("once")})
 	fw := jms.NewForwarder(lq, f.Servers[0].Endpoint, f.Servers[1].Endpoint.Addr(), "dst", f.Clock, 100*time.Millisecond)
@@ -300,11 +304,11 @@ func TestSAFBuffersThroughOutage(t *testing.T) {
 	// buffering work to handle temporarily disconnected ... systems".
 	f := simtest.New(simtest.Options{Servers: 2})
 	defer f.Stop()
-	remote := jms.NewBroker("server-2", f.Clock, nil, f.Servers[1].Metrics)
+	remote := jms.NewBroker("server-2", nil, f.Servers[1].Metrics)
 	f.Servers[1].Registry.Register(remote.RMIService())
 	f.Settle(2)
 
-	local := jms.NewBroker("server-1", f.Clock, nil, f.Servers[0].Metrics)
+	local := jms.NewBroker("server-1", nil, f.Servers[0].Metrics)
 	lq := local.Queue("buffer")
 	fw := jms.NewForwarder(lq, f.Servers[0].Endpoint, f.Servers[1].Endpoint.Addr(), "dst", f.Clock, 100*time.Millisecond)
 	fw.Start()
@@ -345,7 +349,7 @@ func TestSAFBuffersThroughOutage(t *testing.T) {
 func TestForwarderStopsCleanly(t *testing.T) {
 	f := simtest.New(simtest.Options{Servers: 2})
 	defer f.Stop()
-	local := jms.NewBroker("server-1", f.Clock, nil, nil)
+	local := jms.NewBroker("server-1", nil, nil)
 	fw := jms.NewForwarder(local.Queue("b"), f.Servers[0].Endpoint, f.Servers[1].Endpoint.Addr(), "d", f.Clock, 100*time.Millisecond)
 	fw.Start()
 	fw.Stop()

@@ -6,7 +6,6 @@ import (
 	"testing/quick"
 
 	"wls/internal/jms"
-	"wls/internal/vclock"
 )
 
 // TestQueueFIFOProperty: for any interleaving of sends, receives, acks and
@@ -14,7 +13,7 @@ import (
 // acked, and (c) messages that were never nacked come out in send order.
 func TestQueueFIFOProperty(t *testing.T) {
 	f := func(ops []uint8) bool {
-		q := jms.NewBroker("s1", vclock.NewVirtualAtZero(), nil, nil).Queue("q")
+		q := jms.NewBroker("s1", nil, nil).Queue("q")
 		sent, acked := 0, map[string]bool{}
 		inflight := []jms.Message{}
 		received := []string{}

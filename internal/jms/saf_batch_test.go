@@ -17,11 +17,11 @@ import (
 func TestSAFBatchDrainGroupsBacklog(t *testing.T) {
 	f := simtest.New(simtest.Options{Servers: 2})
 	defer f.Stop()
-	remote := NewBroker("server-2", f.Clock, nil, f.Servers[1].Metrics)
+	remote := NewBroker("server-2", nil, f.Servers[1].Metrics)
 	f.Servers[1].Registry.Register(remote.RMIService())
 	f.Settle(2)
 
-	local := NewBroker("server-1", f.Clock, nil, f.Servers[0].Metrics)
+	local := NewBroker("server-1", nil, f.Servers[0].Metrics)
 	lq := local.Queue("buffer")
 	fw := NewForwarder(lq, f.Servers[0].Endpoint, f.Servers[1].Endpoint.Addr(), "dst", f.Clock, 100*time.Millisecond)
 	fw.Start()

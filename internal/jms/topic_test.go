@@ -6,11 +6,10 @@ import (
 	"testing"
 
 	"wls/internal/jms"
-	"wls/internal/vclock"
 )
 
 func TestTopicFanOut(t *testing.T) {
-	b := memBroker(vclock.NewVirtualAtZero())
+	b := memBroker()
 	top := b.Topic("prices")
 	qa := top.Subscribe("analytics")
 	qb := top.Subscribe("audit")
@@ -26,7 +25,7 @@ func TestTopicFanOut(t *testing.T) {
 }
 
 func TestTopicSubscriberIsolation(t *testing.T) {
-	b := memBroker(vclock.NewVirtualAtZero())
+	b := memBroker()
 	top := b.Topic("t")
 	qa := top.Subscribe("a")
 	qb := top.Subscribe("b")
@@ -40,7 +39,7 @@ func TestTopicSubscriberIsolation(t *testing.T) {
 }
 
 func TestTopicLateSubscriberMissesEarlier(t *testing.T) {
-	b := memBroker(vclock.NewVirtualAtZero())
+	b := memBroker()
 	top := b.Topic("t")
 	top.Subscribe("early")
 	top.Publish(jms.Message{Body: []byte("1")})
@@ -52,7 +51,7 @@ func TestTopicLateSubscriberMissesEarlier(t *testing.T) {
 }
 
 func TestTopicUnsubscribeDiscardsBacklog(t *testing.T) {
-	b := memBroker(vclock.NewVirtualAtZero())
+	b := memBroker()
 	top := b.Topic("t")
 	top.Subscribe("s")
 	top.Publish(jms.Message{Body: []byte("x")})
@@ -68,10 +67,9 @@ func TestTopicUnsubscribeDiscardsBacklog(t *testing.T) {
 }
 
 func TestDurableSubscriptionSurvivesRestart(t *testing.T) {
-	clk := vclock.NewVirtualAtZero()
 	path := filepath.Join(t.TempDir(), "jms.store")
 	st := openStore(t, path)
-	b := jms.NewBroker("s1", clk, st, nil)
+	b := jms.NewBroker("s1", st, nil)
 	top := b.Topic("alerts")
 	top.Subscribe("pager")
 	top.Publish(jms.Message{Body: []byte("disk full")})
@@ -80,7 +78,7 @@ func TestDurableSubscriptionSurvivesRestart(t *testing.T) {
 	}
 
 	// Broker restart: the durable subscription and its backlog are back.
-	b2 := jms.NewBroker("s1", clk, openStore(t, path), nil)
+	b2 := jms.NewBroker("s1", openStore(t, path), nil)
 	top2 := b2.Topic("alerts")
 	if !reflect.DeepEqual(top2.Subscribers(), []string{"pager"}) {
 		t.Fatalf("subscribers after restart = %v", top2.Subscribers())
@@ -93,14 +91,14 @@ func TestDurableSubscriptionSurvivesRestart(t *testing.T) {
 }
 
 func TestTopicPublishNoSubscribersIsNoop(t *testing.T) {
-	b := memBroker(vclock.NewVirtualAtZero())
+	b := memBroker()
 	if _, err := b.Topic("empty").Publish(jms.Message{Body: []byte("x")}); err != nil {
 		t.Fatal(err)
 	}
 }
 
 func TestTopicIdentityPerName(t *testing.T) {
-	b := memBroker(vclock.NewVirtualAtZero())
+	b := memBroker()
 	if b.Topic("a") != b.Topic("a") {
 		t.Fatal("same name should return same topic")
 	}

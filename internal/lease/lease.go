@@ -416,7 +416,7 @@ func (m *Manager) RMIService() *rmi.Service {
 				}
 				return nil, nil
 			}},
-			"owner": {Idempotent: true, Handler: func(ctx context.Context, c *rmi.Call) ([]byte, error) {
+			"owner": {Handler: func(ctx context.Context, c *rmi.Call) ([]byte, error) {
 				d := wire.NewDecoder(c.Args)
 				service := d.String()
 				if err := d.Err(); err != nil {

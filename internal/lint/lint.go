@@ -38,7 +38,8 @@
 //   - unreached: flags a non-test function no binary reaches — from main,
 //     init, package-level initializers, or an entry point declared with
 //     //wls:nolint unreached -- <reason> — so code only tests call does
-//     not pile up in the system packages.
+//     not pile up in the system packages; and an unexported struct field
+//     no non-test code reads.
 //
 // Request-path allocations are not a lint rule: the allocation gates in
 // alloc_gate_test.go measure them (DESIGN.md "Determinism & lint rules").
@@ -209,7 +210,6 @@ func analysisOrder(pkgs []*Package) []*Package {
 
 // directive is one parsed //wls: comment.
 type directive struct {
-	kind      string // "wallclock" or "nolint"
 	analyzers map[string]bool
 	reason    string
 	pos       token.Position
@@ -232,7 +232,7 @@ func parseDirectives(fset *token.FileSet, f *ast.File, known map[string]bool, re
 			pos := fset.Position(c.Pos())
 			kind, rest, _ := strings.Cut(strings.TrimSpace(text), " ")
 			rest = strings.TrimSpace(rest)
-			d := directive{kind: kind, reason: rest, pos: pos, lines: [2]int{pos.Line, pos.Line + 1}}
+			d := directive{reason: rest, pos: pos, lines: [2]int{pos.Line, pos.Line + 1}}
 			switch kind {
 			case "wallclock":
 				d.analyzers = map[string]bool{"walltime": true}

@@ -8,7 +8,8 @@ import "testing"
 // across a blocking operation, drops a wire/transport/store/tx error,
 // re-arms time.After inside a loop, starts a trace span without
 // finishing it, inverts a lock hierarchy, spawns a goroutine with no
-// termination path, or leaves a function that no binary reaches.
+// termination path, or leaves a function that no binary reaches or a
+// field that nothing reads.
 //
 // To see the same diagnostics from the command line:
 //

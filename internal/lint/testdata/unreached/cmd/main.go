@@ -16,4 +16,9 @@ func main() {
 	fmt.Println(unreached.Map([]int{1}, func(v int) int { return v + 1 }), unreached.Box[int]{V: 1}.Get())
 	unreached.Reached()
 	unreached.ByName(s)
+	var sz unreached.Sizer = unreached.NewFile("f")
+	fmt.Println(sz.Size(), sz.Label())
+	unreached.Touch()
+	unreached.Link("a", "b")
+	fmt.Println(unreached.Same(1, 2), unreached.First())
 }

@@ -27,12 +27,78 @@ func (s Square) Perimeter() int { return 4 * s.Side } // want "unreached.Square.
 // String is reached because fmt calls it through fmt.Stringer.
 func (s Square) String() string { return "square" }
 
-// Disc is never in a Shape, but a call through Shape.Area reaches every
-// module method of that name.
+// Disc is never in a Shape, but it implements Shape, so a call through
+// Shape.Area may run its Area.
 type Disc struct{ R int }
 
-// Area is reached by the fan-out.
+// Area is reached by the fan-out to implementers.
 func (d Disc) Area() int { return 3 * d.R * d.R }
+
+// Room has an Area, of another signature: it is no Shape.
+type Room struct{ W, L float64 }
+
+// Area is not reached by a call through Shape.Area.
+func (r Room) Area() float64 { return r.W * r.L } // want "unreached.Room.Area is reached by no binary"
+
+// Sizer is called through by the binary; base has half of it.
+type Sizer interface {
+	Size() int
+	Label() string
+}
+
+type base struct{ n int }
+
+// Size is reached through File, which embeds base and is a Sizer.
+func (b base) Size() int { return b.n }
+
+// File is a Sizer through its embedded base; the embedded field is never
+// reported.
+type File struct {
+	base
+	name string
+}
+
+// Label is reached through the interface call Sizer.Label.
+func (f File) Label() string { return f.name }
+
+// NewFile is called by the binary.
+func NewFile(name string) File { return File{base{1}, name} }
+
+// record's fields are written; some are read.
+type record struct {
+	written  int // want "unreached.record.written is never read"
+	testOnly int // want "unreached.record.testOnly is never read"
+	bumped   int
+}
+
+// Touch writes every field of a record; x.f++ reads bumped.
+func Touch() {
+	r := &record{written: 1}
+	r.testOnly = 2
+	r.bumped++
+}
+
+// linkKey keys a map, so each lookup reads both its fields.
+type linkKey struct{ from, to string }
+
+var links = map[linkKey]bool{}
+
+// Link fills links.
+func Link(from, to string) { links[linkKey{from, to}] = true }
+
+// version is compared with ==, which reads both its fields.
+type version struct{ major, minor int }
+
+// Same compares two versions.
+func Same(a, b int) bool { return version{major: a} == version{major: b} }
+
+// list is generic: a method of its instance reads items.
+type list[T any] struct{ items []T }
+
+func (l *list[T]) first() T { return l.items[0] }
+
+// First is called by the binary.
+func First() int { return (&list[int]{items: []int{1}}).first() }
 
 // Counter's Inc is only ever taken as a method value.
 type Counter struct{ n int }

@@ -49,23 +49,29 @@ var unreachedReasons = []string{"item ", "library-only: ", "test hook: ", "bench
 // whose doc comment carries //wls:nolint unreached -- <reason>, which is
 // how a deliberate library entry point is declared: one directive roots
 // all its callees and, since it hands its results to a caller outside the
-// binaries, the exported methods of the package's types it returns. From a reached body, every function or method it
-// names, called or used as a value, is reached; a method named through an
-// interface reaches every module method of that name. Reflection could
-// break the fan-out, so a use of reflect's Method, MethodByName, Call or
-// CallSlice, or a //go:linkname, is itself reported.
+// binaries, the exported methods of the package's types it returns. From
+// a reached body, every function or method it names, called or used as a
+// value, is reached; a method named through an interface I reaches the
+// module methods of that name in the method set of a module type that
+// implements I, promoted ones included. Reflection could break the
+// fan-out, so a use of reflect's Method, MethodByName, Call or CallSlice,
+// or a //go:linkname, is itself reported.
 //
 // Main packages are roots, never findings, and a package whose name ends
 // in "test" (simtest, kvtest) is test code, exempt like a _test.go file.
 // A directive on a function another root reaches anyway is reported, so
 // directives cannot outlive the need for them, and so is one whose reason
-// is not one of unreachedReasons.
+// is not one of unreachedReasons. The same packages' unread fields are
+// reported too (see unreadFields).
 func Unreached() *Analyzer {
 	return &Analyzer{
-		Name:   "unreached",
-		Doc:    "flags non-test functions no main, init or declared library entry point reaches",
-		Run:    func(*Pass) {},
-		Finish: unreachedFinish,
+		Name: "unreached",
+		Doc:  "flags non-test functions no main, init or declared library entry point reaches, and fields no code reads",
+		Run:  func(*Pass) {},
+		Finish: func(g *GlobalPass) {
+			unreachedFinish(g)
+			unreadFields(g)
+		},
 	}
 }
 
@@ -79,8 +85,7 @@ func unreachedFinish(g *GlobalPass) {
 		pkg  *Package
 	}
 	decls := map[*types.Func]funcDecl{}
-	methods := map[string][]*types.Func{} // concrete module methods by name
-	var order []*types.Func               // declaration order, for reporting
+	var order []*types.Func // declaration order, for reporting
 	directive := map[*types.Func]token.Pos{}
 
 	type pkgNode struct {
@@ -130,9 +135,6 @@ func unreachedFinish(g *GlobalPass) {
 					}
 					decls[fn] = funcDecl{d, p}
 					order = append(order, fn)
-					if d.Recv != nil {
-						methods[fn.Name()] = append(methods[fn.Name()], fn)
-					}
 					if c := unreachedDirective(d.Doc); c != nil {
 						attached[c] = true
 						directive[fn] = c.Pos()
@@ -176,9 +178,25 @@ func unreachedFinish(g *GlobalPass) {
 		}
 	}
 
-	// names reaches every function a node names; a method named through
-	// an interface stands for every module method of its name. Only
-	// module functions have a body to walk.
+	// The module's named non-interface types, the candidates for what an
+	// interface value holds.
+	var concrete []*types.Named
+	for _, p := range g.Pkgs {
+		scope := p.Types.Scope()
+		for _, name := range scope.Names() {
+			if tn, ok := scope.Lookup(name).(*types.TypeName); ok && !tn.IsAlias() {
+				if t, ok := tn.Type().(*types.Named); ok && !types.IsInterface(t) {
+					concrete = append(concrete, t)
+				}
+			}
+		}
+	}
+
+	// names reaches every function a node names. A method m named through
+	// an interface stands for m's name in the method set of each module
+	// type whose pointer implements the interface, and of each generic
+	// type whatever its instances implement. Only module functions have a
+	// body to walk.
 	names := func(p *Package, n ast.Node) {
 		ast.Inspect(n, func(n ast.Node) bool {
 			id, ok := n.(*ast.Ident)
@@ -190,8 +208,14 @@ func unreachedFinish(g *GlobalPass) {
 				return true
 			}
 			if recv := fn.Type().(*types.Signature).Recv(); recv != nil && types.IsInterface(recv.Type()) {
-				for _, m := range methods[fn.Name()] {
-					reach(m)
+				iface := recv.Type().Underlying().(*types.Interface)
+				for _, t := range concrete {
+					ptr := types.NewPointer(t)
+					if t.TypeParams().Len() > 0 || types.Implements(ptr, iface) {
+						if sel := types.NewMethodSet(ptr).Lookup(fn.Pkg(), fn.Name()); sel != nil {
+							reach(sel.Obj().(*types.Func))
+						}
+					}
 				}
 				return true
 			}
@@ -246,6 +270,91 @@ func unreachedFinish(g *GlobalPass) {
 			continue
 		}
 		g.Reportf(d.decl.Name.Pos(), "%s is reached by no binary: delete it, move it to a _test.go file, or declare why it stays with //wls:nolint unreached -- <reason>", funcLabel(fn))
+	}
+}
+
+// unreadFields reports an unexported field, declared in a named struct type
+// of a non-main package whose name does not end in "test", that no code
+// reads. Assigning it — as the whole left side of = or := — or naming it
+// as a composite literal's key writes it; every other use reads it, x.f++
+// and x.f += 1 included. Comparing a struct with == or != or keying a map
+// by it reads every field, nested structs' too. A field of an instantiated
+// generic type is its origin's. An embedded field is never reported: it is
+// there for what it promotes. There is no directive: an unread field goes,
+// with its writes.
+func unreadFields(g *GlobalPass) {
+	type field struct {
+		v     *types.Var
+		label string
+	}
+	var fields []field
+	read := map[*types.Var]bool{}
+	var readAll func(t types.Type)
+	readAll = func(t types.Type) {
+		switch u := t.Underlying().(type) {
+		case *types.Struct:
+			for i := 0; i < u.NumFields(); i++ {
+				read[u.Field(i).Origin()] = true
+				readAll(u.Field(i).Type())
+			}
+		case *types.Array:
+			readAll(u.Elem())
+		}
+	}
+	for _, p := range g.Pkgs {
+		report := p.Types.Name() != "main" && !strings.HasSuffix(p.Types.Name(), "test")
+		writes := map[*ast.Ident]bool{}
+		for _, f := range p.Files {
+			ast.Inspect(f, func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.TypeSpec:
+					st, ok := n.Type.(*ast.StructType)
+					if !ok || !report {
+						break
+					}
+					for _, fl := range st.Fields.List {
+						for _, id := range fl.Names {
+							if v, ok := p.Info.Defs[id].(*types.Var); ok && !v.Exported() && id.Name != "_" {
+								fields = append(fields, field{v, p.Types.Name() + "." + n.Name.Name + "." + id.Name})
+							}
+						}
+					}
+				case *ast.AssignStmt:
+					if n.Tok == token.ASSIGN || n.Tok == token.DEFINE {
+						for _, l := range n.Lhs {
+							if sel, ok := ast.Unparen(l).(*ast.SelectorExpr); ok {
+								writes[sel.Sel] = true
+							}
+						}
+					}
+				case *ast.KeyValueExpr: // a composite literal's key
+					if id, ok := n.Key.(*ast.Ident); ok {
+						writes[id] = true
+					}
+				case *ast.BinaryExpr:
+					if n.Op == token.EQL || n.Op == token.NEQ {
+						readAll(p.Info.TypeOf(n.X))
+						readAll(p.Info.TypeOf(n.Y))
+					}
+				}
+				return true
+			})
+		}
+		for id, obj := range p.Info.Uses {
+			if v, ok := obj.(*types.Var); ok && v.IsField() && !writes[id] {
+				read[v.Origin()] = true
+			}
+		}
+		for _, tv := range p.Info.Types {
+			if m, ok := tv.Type.(*types.Map); ok {
+				readAll(m.Key())
+			}
+		}
+	}
+	for _, f := range fields {
+		if !read[f.v] {
+			g.Reportf(f.v.Pos(), "%s is never read: delete it with its writes", f.label)
+		}
 	}
 }
 

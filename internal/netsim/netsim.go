@@ -4,7 +4,7 @@
 // TCP transport (internal/transport), so every distributed scenario the
 // paper discusses can be reproduced deterministically:
 //
-//   - server crash              → Network.Stop / Endpoint.Close
+//   - server crash              → Endpoint.Close
 //   - frozen server (§3.4)      → Network.Freeze — the endpoint stops
 //     processing traffic but is NOT dead, the classic split-brain setup
 //   - network partition         → Network.SetPartitioned
@@ -243,16 +243,6 @@ func (n *Network) Freeze(addr string, frozen bool) {
 		} else {
 			n.recordFault("thaw", addr, "")
 		}
-	}
-}
-
-// Stop closes the endpoint with the given address (crash).
-func (n *Network) Stop(addr string) {
-	n.mu.Lock()
-	ep := n.endpoints[addr]
-	n.mu.Unlock()
-	if ep != nil {
-		ep.Close() // Close records the "stop" event
 	}
 }
 

@@ -42,8 +42,8 @@ func TestUnknownDestination(t *testing.T) {
 }
 
 func TestCrashedDestination(t *testing.T) {
-	n, a, _ := newPair(t)
-	n.Stop("b:1")
+	_, a, b := newPair(t)
+	b.Close()
 	if _, err := a.Call(context.Background(), "b:1", wire.Frame{Kind: wire.KindRequest}); err != ErrUnreachable {
 		t.Fatalf("want ErrUnreachable, got %v", err)
 	}
@@ -176,8 +176,8 @@ func TestLatencyOnVirtualClock(t *testing.T) {
 }
 
 func TestRestartAfterCrash(t *testing.T) {
-	n, a, _ := newPair(t)
-	n.Stop("b:1")
+	n, a, b := newPair(t)
+	b.Close()
 	ep := n.Restart("b:1")
 	ep.SetHandler(echoHandler)
 	if _, err := a.Call(context.Background(), "b:1", wire.Frame{Kind: wire.KindRequest}); err != nil {

@@ -172,13 +172,6 @@ func (r *Ring) ReplicasInto(key string, out []string) []string {
 	return out
 }
 
-// Replicas is ReplicasInto with a fresh slice (convenience; allocates).
-//
-//wls:nolint unreached -- test hook: TestRingPlacedSecondary
-func (r *Ring) Replicas(key string) []string {
-	return r.ReplicasInto(key, make([]string, 0, Replicas))
-}
-
 // OwnershipShare returns each member's share of the key space, estimated
 // over sample synthetic keys (admin/report path).
 func (r *Ring) OwnershipShare(sample int) map[string]float64 {

@@ -117,12 +117,12 @@ func TestReplicaSets(t *testing.T) {
 	}
 	// Small rings cap the set at the member count.
 	r1 := New(Config{}, names(1))
-	if got := len(r1.Replicas("k")); got != 1 {
+	if got := len(r1.ReplicasInto("k", nil)); got != 1 {
 		t.Fatalf("1-member ring returned %d replicas, want 1", got)
 	}
 	// Empty ring.
 	r0 := New(Config{}, nil)
-	if r0.Owner("k") != "" || len(r0.Replicas("k")) != 0 {
+	if r0.Owner("k") != "" || len(r0.ReplicasInto("k", nil)) != 0 {
 		t.Fatal("empty ring must own nothing")
 	}
 }
@@ -174,7 +174,7 @@ func TestRingWalk(t *testing.T) {
 			if len(order) != size {
 				t.Fatalf("size %d key %s: visited %d members", size, key, len(order))
 			}
-			if reps := r.Replicas(key); !slices.Equal(reps, order[:len(reps)]) {
+			if reps := r.ReplicasInto(key, nil); !slices.Equal(reps, order[:len(reps)]) {
 				t.Fatalf("size %d key %s: replicas %v are not the walk's first %v", size, key, reps, order[:len(reps)])
 			}
 			visited := 0

@@ -21,8 +21,7 @@ import (
 
 // callIsReset reports whether releaseCall's zeroing ran on c.
 func callIsReset(c *Call) bool {
-	return c.Service == "" && c.Method == "" && c.From == "" &&
-		c.TxID == "" && c.ConvID == "" && c.Args == nil
+	return c.Service == "" && c.Method == "" && c.From == "" && c.Args == nil
 }
 
 func newDispatchRegistry() *Registry {

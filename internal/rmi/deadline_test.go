@@ -199,8 +199,6 @@ func rawRequest() *wire.Encoder {
 	e := wire.NewEncoder(64)
 	spell(e, "Echo")
 	spell(e, "echo")
-	e.String("")
-	e.String("")
 	e.Bytes2([]byte("hi"))
 	return e
 }

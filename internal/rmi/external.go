@@ -26,7 +26,6 @@ func (r *Registry) registerBuiltins() {
 		System: true,
 		Methods: map[string]MethodSpec{
 			viewMethod: {
-				Idempotent: true,
 				Handler: func(ctx context.Context, call *Call) ([]byte, error) {
 					return cluster.EncodeMembers(r.member.Alive()), nil
 				},
@@ -126,6 +125,8 @@ func (c *ExternalClient) scheduleRefresh() {
 }
 
 // Stop halts background refresh.
+//
+//wls:nolint unreached -- library-only: §2.2, TestExternalClientPeriodicRefresh
 func (c *ExternalClient) Stop() {
 	c.mu.Lock()
 	c.stopped = true

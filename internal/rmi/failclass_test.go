@@ -69,7 +69,7 @@ func (fx *classFixture) deploy(node rmi.Node, name string, runs *atomic.Int64, i
 	}
 	reg.Register(&rmi.Service{Name: "Pay", Methods: map[string]rmi.MethodSpec{
 		"charge": {Handler: h},
-		"get":    {Idempotent: true, Handler: h},
+		"get":    {Handler: h},
 	}})
 	return reg
 }

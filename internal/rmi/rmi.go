@@ -97,12 +97,6 @@ type Call struct {
 	Service, Method string
 	// Args is the wire-encoded argument payload.
 	Args []byte
-	// TxID is the propagated transaction identifier, empty outside any
-	// transaction.
-	TxID string
-	// ConvID is the propagated conversation/session identifier, empty for
-	// stateless calls.
-	ConvID string
 
 	// reply is the response frame's encoder (set by execute); replyMark is
 	// non-zero once Reply has opened the result field in it.
@@ -130,9 +124,6 @@ type Handler func(ctx context.Context, call *Call) ([]byte, error)
 // MethodSpec describes one method of a service.
 type MethodSpec struct {
 	Handler Handler
-	// Idempotent declares that the method may be safely retried on another
-	// server even after it may have executed (§3.1).
-	Idempotent bool
 	// System exempts the method from execute-queue admission: cluster
 	// infrastructure (session replication, lease renewal, transaction
 	// coordination, health probes) is small, bounded work whose denial
@@ -172,10 +163,10 @@ const (
 )
 
 // The request wire format is: service and method as names (see names.go:
-// a one-byte code for the system's own, spelled out otherwise), txID and
-// convID as length-prefixed strings, then the args payload, then the
-// optional deadline block and trace envelope. Stub.callOne encodes it field
-// by field into a pooled encoder; handle decodes it in place below.
+// a one-byte code for the system's own, spelled out otherwise), then the
+// args payload, then the optional deadline block and trace envelope.
+// Stub.callOne encodes it field by field into a pooled encoder; handle
+// decodes it in place below.
 
 // callPool recycles server-side Call objects. handle acquires one per
 // request and releases it after the handler's response frame is built
@@ -339,8 +330,6 @@ func (r *Registry) handle(from string, f wire.Frame) *wire.Frame {
 	d := wire.NewDecoder(f.Body)
 	svcB := readName(d)
 	methB := readName(d)
-	txB := d.BytesNoCopy()
-	convB := d.BytesNoCopy()
 	argsB := d.BytesNoCopy()
 	// Both parsers pass on an error the field decodes above left in d.
 	remaining, hasBudget, err := parseDeadline(d)
@@ -385,12 +374,6 @@ func (r *Registry) handle(from string, f wire.Frame) *wire.Frame {
 	call.Service = svc.Name // canonical strings: no conversion of wire bytes
 	call.Method = m.name
 	call.Args = argsB
-	if len(txB) > 0 {
-		call.TxID = string(txB)
-	}
-	if len(convB) > 0 {
-		call.ConvID = string(convB)
-	}
 
 	g := r.gate.Load()
 	if m.System || svc.System {

@@ -261,7 +261,7 @@ func TestIdempotentRetriesAfterSystemError(t *testing.T) {
 		s.Registry.Register(&rmi.Service{
 			Name: "Lookup",
 			Methods: map[string]rmi.MethodSpec{
-				"get": {Idempotent: true, Handler: func(ctx context.Context, c *rmi.Call) ([]byte, error) {
+				"get": {Handler: func(ctx context.Context, c *rmi.Call) ([]byte, error) {
 					calls.Add(1)
 					if fail {
 						return nil, errors.New("transient failure")
@@ -297,7 +297,7 @@ func TestAppErrorNeverFailsOver(t *testing.T) {
 		s.Registry.Register(&rmi.Service{
 			Name: "Biz",
 			Methods: map[string]rmi.MethodSpec{
-				"op": {Idempotent: true, Handler: func(ctx context.Context, c *rmi.Call) ([]byte, error) {
+				"op": {Handler: func(ctx context.Context, c *rmi.Call) ([]byte, error) {
 					calls.Add(1)
 					return nil, &rmi.AppError{Msg: "insufficient funds"}
 				}},

@@ -272,12 +272,7 @@ type Result struct {
 
 // Invoke calls service.method with load balancing and failover.
 func (s *Stub) Invoke(ctx context.Context, method string, args []byte) (Result, error) {
-	return s.invoke(ctx, nil, method, "", "", args, nil)
-}
-
-// InvokeTx calls service.method propagating a transaction identifier.
-func (s *Stub) InvokeTx(ctx context.Context, txID, method string, args []byte) (Result, error) {
-	return s.invoke(ctx, nil, method, txID, "", args, nil)
+	return s.invoke(ctx, nil, method, args, nil)
 }
 
 // InvokeVia calls service.method on the members of first, in order (each
@@ -290,7 +285,7 @@ func (s *Stub) InvokeTx(ctx context.Context, txID, method string, args []byte) (
 // but its outcome is recorded like any other. args writes the method's
 // arguments for the member called, once per attempt.
 func (s *Stub) InvokeVia(ctx context.Context, first []cluster.MemberInfo, method string, args func(e *wire.Encoder, callee string)) (Result, error) {
-	return s.invoke(ctx, first, method, "", "", nil, args)
+	return s.invoke(ctx, first, method, nil, args)
 }
 
 // order is the members one invocation may try: first, as its caller named
@@ -352,10 +347,10 @@ func named(ms []cluster.MemberInfo, name string) bool {
 	return false
 }
 
-// invoke makes one invocation: every attempt sends method, the
-// transaction or conversation it propagates, and its arguments — args, or
-// what argsFor writes for the member called when it is not nil.
-func (s *Stub) invoke(ctx context.Context, first []cluster.MemberInfo, method, txID, convID string, args []byte, argsFor func(e *wire.Encoder, callee string)) (Result, error) {
+// invoke makes one invocation: every attempt sends method and its
+// arguments — args, or what argsFor writes for the member called when it
+// is not nil.
+func (s *Stub) invoke(ctx context.Context, first []cluster.MemberInfo, method string, args []byte, argsFor func(e *wire.Encoder, callee string)) (Result, error) {
 	o := order{first: first, all: first}
 	if _, ok := o.at(ctx, s, 0); !ok {
 		return Result{}, fmt.Errorf("%w: %s", ErrNoServers, s.service)
@@ -438,7 +433,7 @@ func (s *Stub) invoke(ctx context.Context, first []cluster.MemberInfo, method, t
 				att.Annotate("breaker", s.res.State(cand.Name).String())
 			}
 		}
-		res, err := s.callOne(attemptCtx, cand.Name, cand.Addr, method, txID, convID, args, argsFor)
+		res, err := s.callOne(attemptCtx, cand.Name, cand.Addr, method, args, argsFor)
 		if err == nil {
 			if s.res != nil {
 				s.res.recordSuccess(cand.Name)
@@ -517,7 +512,7 @@ func (s *Stub) InvokeOn(ctx context.Context, serverAddr, method string, args []b
 			break
 		}
 	}
-	return s.callOne(ctx, name, serverAddr, method, "", "", args, nil)
+	return s.callOne(ctx, name, serverAddr, method, args, nil)
 }
 
 // BusyError is a wire-level BUSY response: the server refused the request
@@ -551,7 +546,7 @@ func (s *Stub) mayFailOver(method string, err error) bool {
 
 // callOne makes one attempt on the server name at addr. The reply does not
 // name its server, so a result and a BUSY refusal are attributed to name.
-func (s *Stub) callOne(ctx context.Context, name, addr, method, txID, convID string, args []byte, argsFor func(e *wire.Encoder, callee string)) (Result, error) {
+func (s *Stub) callOne(ctx context.Context, name, addr, method string, args []byte, argsFor func(e *wire.Encoder, callee string)) (Result, error) {
 	// Node.Call copies the frame body before it returns (see the Node
 	// contract), so the pooled encoder is released as soon as the exchange
 	// completes. The request fields are encoded directly — no intermediate
@@ -560,8 +555,6 @@ func (s *Stub) callOne(ctx context.Context, name, addr, method, txID, convID str
 	defer enc.Release()
 	appendName(enc, s.service)
 	appendName(enc, method)
-	enc.String(txID)
-	enc.String(convID)
 	if argsFor != nil {
 		mark := enc.BeginBytes()
 		argsFor(enc, name)

@@ -47,7 +47,7 @@ func TestFullStackOverRealTCP(t *testing.T) {
 		s.reg.Register(&rmi.Service{
 			Name: "Echo",
 			Methods: map[string]rmi.MethodSpec{
-				"echo": {Idempotent: true, Handler: func(ctx context.Context, c *rmi.Call) ([]byte, error) {
+				"echo": {Handler: func(ctx context.Context, c *rmi.Call) ([]byte, error) {
 					return append([]byte(name+":"), c.Args...), nil
 				}},
 			},
@@ -105,7 +105,7 @@ func TestExternalClientOverTCP(t *testing.T) {
 	reg.Register(&rmi.Service{
 		Name: "Time",
 		Methods: map[string]rmi.MethodSpec{
-			"now": {Idempotent: true, Handler: func(ctx context.Context, c *rmi.Call) ([]byte, error) {
+			"now": {Handler: func(ctx context.Context, c *rmi.Call) ([]byte, error) {
 				return []byte("tick"), nil
 			}},
 		},

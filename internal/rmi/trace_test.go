@@ -38,11 +38,13 @@ func TestTracePropagatesAcrossServers(t *testing.T) {
 	root.Finish()
 
 	spans := ring.Snapshot()
-	id := root.TraceID()
+	id := root.Context().Trace
 	// attempt -> rmi.call -> root on the client, plus one server span.
 	byName := map[string]trace.SpanData{}
-	for _, d := range trace.Filter(spans, id) {
-		byName[d.Name] = d
+	for _, d := range spans {
+		if d.Trace == id {
+			byName[d.Name] = d
+		}
 	}
 	call, ok := byName["rmi.call Echo.echo"]
 	if !ok {
@@ -117,7 +119,7 @@ func TestMixedVersionUntracedCallerTracedHandler(t *testing.T) {
 	if !strings.HasSuffix(string(res.Body), ":payload") {
 		t.Fatalf("handler saw a different request: %q", res.Body)
 	}
-	if n := ring.Total(); n != 0 {
+	if n := len(ring.Snapshot()); n != 0 {
 		t.Fatalf("untraced request produced %d spans", n)
 	}
 }
@@ -163,8 +165,8 @@ func TestFailoverRetriesAreDistinctChildSpans(t *testing.T) {
 	root.Finish()
 
 	var attempts []trace.SpanData
-	for _, d := range trace.Filter(ring.Snapshot(), root.TraceID()) {
-		if d.Name == "rmi.attempt" {
+	for _, d := range ring.Snapshot() {
+		if d.Trace == root.Context().Trace && d.Name == "rmi.attempt" {
 			attempts = append(attempts, d)
 		}
 	}
@@ -237,7 +239,7 @@ func TestUnsampledEchoAllocs(t *testing.T) {
 	}); n > 23 {
 		t.Fatalf("unsampled echo path allocates %v/op, budget 23", n)
 	}
-	if ring.Total() != 0 {
+	if len(ring.Snapshot()) != 0 {
 		t.Fatal("unsampled requests exported spans")
 	}
 }
@@ -250,10 +252,10 @@ func FuzzRequestBody(f *testing.F) {
 	f.Add(base)
 	// Names as codes: wls.cluster is entry 4 of the built-in table and view
 	// entry 5, so {8, 10} names the cluster-view method every server deploys.
-	f.Add([]byte{8, 10, 0, 0, 0})
+	f.Add([]byte{8, 10, 0})
 	f.Add([]byte{8, 0x80})                   // truncated code
-	f.Add([]byte{8, 0xFE, 0x01, 0, 0, 0})    // an index past the table's end
-	f.Add([]byte{8, 1, 0, 0, 0})             // an empty literal
+	f.Add([]byte{8, 0xFE, 0x01, 0})          // an index past the table's end
+	f.Add([]byte{8, 1, 0})                   // an empty literal
 	f.Add([]byte{8, 0x41, 'v', 'i', 'e'})    // a literal longer than the body
 	f.Add(append([]byte{0x07}, base[1:]...)) // "Echo" spelled a byte short: the rest misparses
 	f.Add(append(base, 0xC7))                // truncated envelope

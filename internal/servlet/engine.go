@@ -56,7 +56,6 @@ type HandlerFunc func(r *Request) Response
 
 // Engine is one server's servlet container.
 type Engine struct {
-	registry *rmi.Registry
 	sessions *SessionManager
 	// serverName caches the (immutable) hosting server's name; self is its
 	// bytes, a forwarded cookie's primary when the cookie's field leaves it
@@ -83,7 +82,6 @@ type Config struct {
 // it cluster-wide.
 func NewEngine(registry *rmi.Registry, cfg Config) *Engine {
 	e := &Engine{
-		registry:   registry,
 		serverName: registry.Member().Name(),
 		self:       []byte(registry.Member().Name()),
 		paths:      wire.NewInterner(256),

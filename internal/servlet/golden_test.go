@@ -29,13 +29,14 @@ func writeServlet(r *Request) Response {
 // first-write order), the Fig 3 fetch reply, the whole record a Fig 2
 // promotion seeds a new secondary with, and a client-state cookie. They
 // were captured from the engine that kept a session as a list of
-// attribute slots, before records were strings.
+// attribute slots, before records were strings; the request frames have
+// since lost the two empty id bytes wire format 6 took out of the envelope.
 var goldenSessionBytes = map[string]string{
-	"delta-first":   "0004000025494949494949494949494949494949490104046974656d08736b752d30303432016e023132",
-	"delta-both":    "0004000022494949494949494949494949494949490204016e023133046974656d05736b752d37",
-	"delta-one":     "0004000017494949494949494949494949494949490302016e023134",
+	"delta-first":   "000425494949494949494949494949494949490104046974656d08736b752d30303432016e023132",
+	"delta-both":    "000422494949494949494949494949494949490204016e023133046974656d05736b752d37",
+	"delta-one":     "000417494949494949494949494949494949490302016e023134",
 	"fetch-reply":   "0304046974656d05736b752d37016e023134",
-	"seed":          "0004000022494949494949494949494949494949490404046974656d05736b752d37016e023134",
+	"seed":          "000422494949494949494949494949494949490404046974656d05736b752d37016e023134",
 	"client-cookie": "1049494949494949494949494949494949000006046974656d08736b752d30303432016e023132047573657203616e6e",
 }
 

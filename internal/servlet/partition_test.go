@@ -37,7 +37,7 @@ func TestRingPlacedSecondary(t *testing.T) {
 	// The secondary must be the first ring replica of the session key that
 	// is not the primary.
 	var want string
-	for _, m := range views[0].Current().Ring.Replicas(c.ID) {
+	for _, m := range views[0].Current().Ring.ReplicasInto(c.ID, nil) {
 		if m != "server-1" {
 			want = m
 			break

@@ -35,8 +35,8 @@ func (sm *SessionManager) ReplicaMethods(methods map[string]rmi.MethodSpec) map[
 // Create enters a new, empty primary record and seeds the secondary chosen
 // for it; seeded reports the secondary's acknowledgement.
 func (sm *SessionManager) Create(ctx context.Context) (s *Session, seeded bool) {
-	st, _ := sm.adopt(ctx, &CookieRef{}) // no cookie: a new session
-	return acquireSession(st, true), sm.shipAcked(ctx, st, nil)
+	st := sm.adopt(ctx, &CookieRef{}) // no cookie: a new session
+	return acquireSession(st), sm.shipAcked(ctx, st, nil)
 }
 
 // Open returns a view of record id, promoting a replica first by the same
@@ -50,7 +50,7 @@ func (sm *SessionManager) Open(ctx context.Context, id []byte) (s *Session, prom
 	if p := st.placed(); !p.primary() {
 		promoted = sm.ship(ctx, st, nil, p, sm.chooseSecondary(st.id(), ""))
 	}
-	return acquireSession(st, false), promoted
+	return acquireSession(st), promoted
 }
 
 // Flush ships what s wrote since it was opened or last flushed, as a

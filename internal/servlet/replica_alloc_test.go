@@ -105,7 +105,7 @@ func TestPrimaryWriteAllocs(t *testing.T) {
 	for i := range values {
 		values[i] = strconv.Itoa(i)
 	}
-	s := acquireSession(st, false)
+	s := acquireSession(st)
 	defer releaseSession(s)
 	write := func(v string) {
 		s.Set("n", v)

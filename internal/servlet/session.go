@@ -173,21 +173,20 @@ type Session struct {
 	// first-write order, until it lands in the record (finish, Flush or
 	// Close) and, as a delta, ships.
 	pending []attrs.Pair
-	isNew   bool
 }
 
 // sessionPool recycles the view and its pending list, never a record.
 var sessionPool = sync.Pool{New: func() any { return new(Session) }}
 
-func acquireSession(st *sessState, isNew bool) *Session {
+func acquireSession(st *sessState) *Session {
 	s := sessionPool.Get().(*Session)
-	s.ID, s.st, s.isNew = st.id(), st, isNew
+	s.ID, s.st = st.id(), st
 	return s
 }
 
 func releaseSession(s *Session) {
 	clear(s.pending)
-	s.ID, s.st, s.pending, s.isNew = "", nil, s.pending[:0], false
+	s.ID, s.st, s.pending = "", nil, s.pending[:0]
 	sessionPool.Put(s)
 }
 
@@ -467,17 +466,16 @@ func (sm *SessionManager) resolve(ctx context.Context, c *CookieRef) *Session {
 	}
 	// The stateless modes: the request owns its state, filled from the
 	// cookie or from shared storage and never entered in the table.
-	isNew := len(c.ID) == 0
 	id, list := c.ID, []byte(nil)
 	switch {
 	case sm.mode == SessionsClientCookie:
-		isNew, list = c.State == nil, c.State
-	case !isNew:
+		list = c.State
+	case len(id) > 0:
 		// A persistent id with no row names no session: it gets a fresh
 		// one, as adopt's do.
 		row, ok := sm.db.Get("wls.sessions", string(c.ID))
 		if !ok {
-			id, isNew = nil, true
+			id = nil
 		}
 		e := wire.MakeEncoder(64)
 		attrs.AppendMap(&e, row.Fields)
@@ -487,14 +485,13 @@ func (sm *SessionManager) resolve(ctx context.Context, c *CookieRef) *Session {
 		nid := sm.newID()
 		id = nid[:]
 	}
-	return acquireSession(newSessState(id, attrs.Merge("", 0, nil, list), 0), isNew)
+	return acquireSession(newSessState(id, attrs.Merge("", 0, nil, list), 0))
 }
 
 func (sm *SessionManager) resolveReplicated(ctx context.Context, c *CookieRef) *Session {
 	st := sm.get(c.ID)
-	isNew := st == nil
-	if isNew {
-		st, isNew = sm.adopt(ctx, c)
+	if st == nil {
+		st = sm.adopt(ctx, c)
 	}
 	if p := st.placed(); p.primary() {
 		sm.maybeRebalance(ctx, st, p)
@@ -505,7 +502,7 @@ func (sm *SessionManager) resolveReplicated(ctx context.Context, c *CookieRef) *
 			sp.Annotate("session-promoted", cluster.IDString(st.id()))
 		}
 	}
-	return acquireSession(st, isNew)
+	return acquireSession(st)
 }
 
 // adopt makes this server the primary of a session it does not hold: a
@@ -520,7 +517,7 @@ func (sm *SessionManager) resolveReplicated(ctx context.Context, c *CookieRef) *
 // client cannot choose the id of a live session, and a replica left on a
 // secondary the fetch could not reach is never seeded over at generation 1,
 // below the generation it holds.
-func (sm *SessionManager) adopt(ctx context.Context, c *CookieRef) (*sessState, bool) {
+func (sm *SessionManager) adopt(ctx context.Context, c *CookieRef) *sessState {
 	var st *sessState
 	for _, sec := range sm.member.OffersOf(sm.service) {
 		if len(c.ID) == 0 || sec.Name != string(c.Secondary) || sec.Name == sm.selfName {
@@ -534,8 +531,7 @@ func (sm *SessionManager) adopt(ctx context.Context, c *CookieRef) (*sessState, 
 		}
 		break
 	}
-	isNew := st == nil
-	if isNew {
+	if st == nil {
 		id := sm.newID()
 		st = newSessState(id[:], attrs.Empty, 0)
 		st.place.Store(uint64(sm.chooseSecondary(st.id(), "")))
@@ -544,10 +540,10 @@ func (sm *SessionManager) adopt(ctx context.Context, c *CookieRef) (*sessState, 
 	rl.mu.Lock()
 	defer rl.mu.Unlock()
 	if cur := tab.get(st.key); cur != nil {
-		return cur, false // a parallel request of the fetched session got here first
+		return cur // a parallel request of the fetched session got here first
 	}
 	tab.put(st)
-	return st, isNew
+	return st
 }
 
 // chooseSecondary returns a primary's placement with a newly picked

@@ -348,8 +348,12 @@ func TestOpenRefusesAMalformedRecord(t *testing.T) {
 			if err == nil || !strings.Contains(err.Error(), "store: table stock key a") {
 				t.Fatalf("Open over a %s record: %v", name, err)
 			}
-			s := New("db", vclock.System)
-			if err := s.tp.KV().Put("t:stock\x00a", []byte(rec)); err != nil {
+			mem = kv.NewMem()
+			s, err := Open("db", vclock.System, mem)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := mem.Put("t:stock\x00a", []byte(rec)); err != nil {
 				t.Fatal(err)
 			}
 			s.Get("stock", "a")

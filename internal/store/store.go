@@ -146,10 +146,9 @@ type Trigger func(Change)
 
 // Store is one backend database.
 type Store struct {
-	name  string
-	clock vclock.Clock
-	reg   *metrics.Registry
-	tp    *tuple.Store // its backend's image holds the rows
+	name string
+	reg  *metrics.Registry
+	tp   *tuple.Store // its backend's image holds the rows
 
 	// commitMu is the commit-order lock: held from the moment a commit
 	// takes its LSNs until its batch has been applied by the backend, so
@@ -220,7 +219,6 @@ func Open(name string, clock vclock.Clock, kvs kv.Store) (*Store, error) {
 	reg := metrics.NewRegistry()
 	s := &Store{
 		name:         name,
-		clock:        clock,
 		reg:          reg,
 		tp:           tp,
 		sessions:     make(map[string]*Session),

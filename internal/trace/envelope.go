@@ -23,13 +23,10 @@ type SpanContext struct {
 // Valid reports whether the context identifies a span.
 func (sc SpanContext) Valid() bool { return !sc.Trace.IsZero() && sc.Span != 0 }
 
-// Envelope wire format, appended AFTER the fields of the RMI request
-// envelope (service, method, txID, convID, args). The RMI request decoder
-// deliberately ignores trailing bytes, so an old node simply never looks
-// at the header (traced caller → untraced handler works), and a new node
-// reading an old request sees zero remaining bytes and starts no span
-// (untraced caller → traced handler works). The wire frame header is
-// untouched.
+// Envelope wire format: the optional last field of an RMI request, after
+// service, method, args and the optional deadline block. A request from an
+// untraced caller ends before it and starts no span; a request with bytes
+// after its envelope is malformed. The wire frame header is untouched.
 const (
 	envelopeMagic   byte = 0xC7
 	envelopeVersion byte = 1

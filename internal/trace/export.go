@@ -45,15 +45,6 @@ func (r *Ring) ExportSpan(d SpanData) {
 	r.mu.Unlock()
 }
 
-// Total returns the number of spans ever exported.
-//
-//wls:nolint unreached -- test hook: TestUnsampledEchoAllocs
-func (r *Ring) Total() uint64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.total
-}
-
 // Snapshot returns the retained spans, oldest first.
 func (r *Ring) Snapshot() []SpanData {
 	s, _ := r.SnapshotSince(0)
@@ -268,19 +259,6 @@ func TraceIDs(spans []SpanData) []TraceID {
 		}
 		return out[i].Lo < out[j].Lo
 	})
-	return out
-}
-
-// Filter returns the spans belonging to one trace.
-//
-//wls:nolint unreached -- test hook: TestTracePropagatesAcrossServers
-func Filter(spans []SpanData, id TraceID) []SpanData {
-	var out []SpanData
-	for _, d := range spans {
-		if d.Trace == id {
-			out = append(out, d)
-		}
-	}
 	return out
 }
 

@@ -123,16 +123,6 @@ func (s *Span) Context() SpanContext {
 	return SpanContext{Trace: s.data.Trace, Span: s.data.ID, Sampled: true}
 }
 
-// TraceID returns the span's trace ID (zero for nil).
-//
-//wls:nolint unreached -- test hook: TestTracePropagatesAcrossServers
-func (s *Span) TraceID() TraceID {
-	if s == nil {
-		return TraceID{}
-	}
-	return s.data.Trace
-}
-
 // Annotate attaches a key/value note.
 func (s *Span) Annotate(key, value string) {
 	if s == nil {

@@ -25,12 +25,12 @@ func TestRootChildIdentity(t *testing.T) {
 	if root == nil {
 		t.Fatal("root not sampled")
 	}
-	if root.TraceID().IsZero() {
+	if root.Context().Trace.IsZero() {
 		t.Fatal("zero trace id")
 	}
 	clk.Advance(time.Millisecond)
 	childCtx, child := root.NewChild(ctx, "step", KindClient)
-	if child.Context().Trace != root.TraceID() {
+	if child.Context().Trace != root.Context().Trace {
 		t.Fatal("child in different trace")
 	}
 	if child.Context().Span == root.Context().Span {
@@ -119,7 +119,7 @@ func TestUnsampledRootStartsNothing(t *testing.T) {
 	if span != nil {
 		t.Fatal("Never sampler produced a span")
 	}
-	if ring.Total() != 0 {
+	if len(ring.Snapshot()) != 0 {
 		t.Fatal("unsampled root exported")
 	}
 }
@@ -163,8 +163,8 @@ func TestFinishIdempotentAndLateAnnotate(t *testing.T) {
 	span.Finish()
 	span.Annotate("late", "ignored")
 	span.SetError(errors.New("late"))
-	if ring.Total() != 1 {
-		t.Fatalf("exported %d times, want 1", ring.Total())
+	if n := len(ring.Snapshot()); n != 1 {
+		t.Fatalf("exported %d times, want 1", n)
 	}
 	d := ring.Snapshot()[0]
 	if len(d.Annotations) != 1 || d.Error != "" {
@@ -180,8 +180,8 @@ func TestRingWrapAndTail(t *testing.T) {
 		span.AnnotateInt("i", i)
 		span.Finish()
 	}
-	if ring.Total() != 5 {
-		t.Fatalf("total = %d, want 5", ring.Total())
+	if _, total := ring.SnapshotSince(0); total != 5 {
+		t.Fatalf("total = %d, want 5", total)
 	}
 	snap := ring.Snapshot()
 	if len(snap) != 3 {
@@ -218,7 +218,7 @@ func TestServersTouchedAndHopCount(t *testing.T) {
 	}
 
 	spans := ring.Snapshot()
-	id := root.TraceID()
+	id := root.Context().Trace
 	touched := ServersTouched(spans, id)
 	if want := []string{"server-1", "server-2"}; len(touched) != 2 || touched[0] != want[0] || touched[1] != want[1] {
 		t.Fatalf("ServersTouched = %v, want %v", touched, want)
@@ -229,8 +229,8 @@ func TestServersTouchedAndHopCount(t *testing.T) {
 	if ids := TraceIDs(spans); len(ids) != 1 || ids[0] != id {
 		t.Fatalf("TraceIDs = %v", ids)
 	}
-	if got := len(Filter(spans, id)); got != 5 {
-		t.Fatalf("Filter returned %d spans, want 5", got)
+	if got := len(spans); got != 5 {
+		t.Fatalf("the trace has %d spans, want 5", got)
 	}
 }
 

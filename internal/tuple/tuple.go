@@ -67,11 +67,6 @@ func New(kvs kv.Store) (*Store, error) {
 	return st, nil
 }
 
-// KV exposes the underlying backend (benchmarks size it, tests poke it).
-//
-//wls:nolint unreached -- test hook: TestStoreStaysBoundedUnderChurn
-func (st *Store) KV() kv.Store { return st.kv }
-
 // Get reads one key from a space, as a copy the caller owns.
 func (st *Store) Get(space, key string) ([]byte, bool) {
 	v, ok := st.img.View(space, key)

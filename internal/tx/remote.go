@@ -19,8 +19,6 @@ const ServiceName = "wls.tx"
 // server: the set of local resources enlisted under a foreign coordinator's
 // transaction id.
 type Branch struct {
-	id string
-
 	mu        sync.Mutex
 	resources []enlisted
 }
@@ -76,8 +74,8 @@ func (b *Branch) Rollback(txID string) error {
 }
 
 // Branch returns (creating on first use) the participant branch for a
-// foreign transaction id. Server-side request handlers call this when an
-// inbound invocation carries a TxID that this server does not coordinate.
+// foreign transaction id: the wls.tx handlers drive it, and a server whose
+// work joins that transaction enlists its resources in it.
 func (m *Manager) Branch(txID string) *Branch {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -86,7 +84,7 @@ func (m *Manager) Branch(txID string) *Branch {
 	}
 	b, ok := m.branches[txID]
 	if !ok {
-		b = &Branch{id: txID}
+		b = &Branch{}
 		m.branches[txID] = b
 	}
 	return b
@@ -118,13 +116,13 @@ func (m *Manager) Service() *rmi.Service {
 			}},
 			// Commit and rollback are idempotent by the Resource contract,
 			// so recovery may safely re-drive them.
-			"commit": {Idempotent: true, Handler: func(ctx context.Context, c *rmi.Call) ([]byte, error) {
+			"commit": {Handler: func(ctx context.Context, c *rmi.Call) ([]byte, error) {
 				id := txIDOf(c)
 				err := m.Branch(id).Commit(id)
 				m.removeBranch(id)
 				return nil, err
 			}},
-			"rollback": {Idempotent: true, Handler: func(ctx context.Context, c *rmi.Call) ([]byte, error) {
+			"rollback": {Handler: func(ctx context.Context, c *rmi.Call) ([]byte, error) {
 				id := txIDOf(c)
 				err := m.Branch(id).Rollback(id)
 				m.removeBranch(id)

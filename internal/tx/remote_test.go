@@ -87,7 +87,7 @@ func TestDistributedCommitAcrossServers(t *testing.T) {
 	localLedger.Add(txn.ID(), 10)
 
 	// The participant enlists its ledger in a branch for the foreign txID
-	// (this is what a server does when an InvokeTx arrives), and the
+	// (what a server does whose work joins a foreign transaction), and the
 	// coordinator enlists the remote branch.
 	mPart.Branch(txn.ID()).Enlist("remote-db", remoteLedger)
 	remoteLedger.Add(txn.ID(), 32)
@@ -208,7 +208,7 @@ func TestAffinityIntegration(t *testing.T) {
 		rmi.MemberView{Member: f.Servers[0].Member},
 		rmi.WithPolicy(rmi.TxAffinity{Next: rmi.NewRoundRobin()}))
 	for i := 0; i < 8; i++ {
-		res, err := stub.InvokeTx(ctx, txn.ID(), "do", nil)
+		res, err := stub.Invoke(ctx, "do", nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -19,8 +19,7 @@
 // minimal, so a frame has exactly one encoding and Frame.WireSize is what a
 // peer's socket receives; a length prefix never needs more than 4 bytes.
 // There is one format and no negotiation: connection handshakes carry
-// FormatVersion (5: a routed request carries its session cookie parsed,
-// in binary) and refuse any other (see internal/transport).
+// FormatVersion and refuse any other (see internal/transport).
 //
 // The package also provides Encoder/Decoder, a compact append-style binary
 // encoding (uvarint lengths, no reflection) used for all message bodies.
@@ -100,19 +99,11 @@ func (notRun) Is(target error) bool { return target == ErrNotRun }
 const MaxFrameSize = 64 << 20 // 64 MiB
 
 // FormatVersion names the frame layout in the package comment and the
-// method bodies it carries: 1 was a fixed 13-byte header (uint32 length,
-// kind, uint64 correlation id), 2 the varint header, 3 a JMS "deliver" of
-// many messages and a stateful "create" answering the bare id, 4 an RMI
-// envelope that says only what its receiver cannot know — the system's own
-// service and method names as one-byte codes of a fixed table, and no
-// server name in a reply, whose caller chose the server, 5 a routed request
-// whose session cookie travels as the router parsed it — a flag byte, the
-// 16-byte session id, the secondary, and the primary only when it is not
-// the callee — and a session delta naming its session by those 16 bytes. A
+// method bodies it carries, and goes up with any change to either. A
 // transport sends it in its handshake and refuses a peer that sends
 // anything else, so a build with other frames or bodies is turned away
 // instead of misparsed.
-const FormatVersion byte = 5
+const FormatVersion byte = 6
 
 // ErrFrameTooLarge is returned when a frame header announces a payload
 // exceeding MaxFrameSize.

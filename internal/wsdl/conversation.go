@@ -256,7 +256,7 @@ func (p *Port) rmiService() *rmi.Service {
 				return nil, nil
 			}},
 			// finish: tear down the peer's side.
-			"finish": {Idempotent: true, Handler: func(ctx context.Context, call *rmi.Call) ([]byte, error) {
+			"finish": {Handler: func(ctx context.Context, call *rmi.Call) ([]byte, error) {
 				d := wire.NewDecoder(call.Args)
 				id := d.String()
 				if err := d.Err(); err != nil {

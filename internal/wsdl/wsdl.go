@@ -178,7 +178,6 @@ type Conversation struct {
 	callbacks map[string]Handler
 	// inbox holds undelivered one-way payloads for in-memory queueing.
 	inbox []queued
-	done  bool
 }
 
 type queued struct {

@@ -306,7 +306,7 @@ func (c *Cluster) assemble(s *Server) error {
 	s.registry = rmi.NewRegistry(s.endpoint, s.member, s.reg)
 	s.member.Start()
 	s.Tx = tx.NewManager(s.Name, fix.clock, nil, s.reg)
-	s.EJB = ejb.NewContainer(s.registry, s.Tx, c.DB, fix.bus)
+	s.EJB = ejb.NewContainer(s.registry, c.DB, fix.bus)
 	// Application sessions live on managed servers only: the admin server
 	// deploys no servlet engine, so it never offers wls.http and no router
 	// or secondary placement can choose it.
@@ -320,7 +320,7 @@ func (c *Cluster) assemble(s *Server) error {
 		}
 		s.Web.SetPartitions(s.parts)
 	}
-	s.JMS = jms.NewBroker(s.Name, fix.clock, s.Files, s.reg)
+	s.JMS = jms.NewBroker(s.Name, s.Files, s.reg)
 	s.WS = wsdl.NewPort(s.registry, s.Files)
 	s.Health = core.NewHealthMonitor()
 	s.Health.SetLifecycle(core.LifecycleRunning)

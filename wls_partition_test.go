@@ -57,7 +57,7 @@ func TestClusterPartitionWiring(t *testing.T) {
 	}
 	ring := c.Servers[0].Partitions().Current().Ring
 	want := ""
-	for _, rep := range ring.Replicas(ck.ID) {
+	for _, rep := range ring.ReplicasInto(ck.ID, nil) {
 		if rep != "server-1" {
 			want = rep
 			break
