@@ -165,7 +165,7 @@ func TestAllocGateExternalLBEcho(t *testing.T) {
 func TestAllocGateAdmittedEcho(t *testing.T) {
 	c := allocGateCluster(t, wls.Options{
 		Admission:  &rmi.QueueConfig{},
-		Resilience: &rmi.ResilienceConfig{},
+		Resilience: true,
 	})
 	quiet(c)
 	n := routeAllocs(t, c.ProxyPlugin("webserver:80").Route, "/echo", []byte("hello"), 1)
@@ -208,7 +208,7 @@ func TestAllocGateStatelessInvoke(t *testing.T) {
 		s.EJB.DeployStateless(ejb.StatelessSpec{
 			Name: "Echo",
 			Methods: map[string]ejb.StatelessMethod{
-				"echo": func(_ context.Context, _ any, call *rmi.Call) ([]byte, error) { return call.Args, nil },
+				"echo": func(_ context.Context, call *rmi.Call) ([]byte, error) { return call.Args, nil },
 			},
 		})
 	}

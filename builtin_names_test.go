@@ -172,11 +172,11 @@ func TestBuiltinNamesTravelAsCodes(t *testing.T) {
 	// A singleton taken by a lower-ranked server, renewed, handed off to
 	// the preferred one when it starts, then released by both.
 	cfg := singleton.Config{Service: "orders", Preferred: []string{s1.Name, s2.Name}}
-	second := s2.SingletonHost(cfg, singleton.FuncService{})
+	second := s2.SingletonHost(cfg, singleton.Nop{})
 	second.Start()
 	settleUntil(t, c, "the lower-ranked candidate taking the free lease", second.Active)
 	c.Settle(10)
-	first := s1.SingletonHost(cfg, singleton.FuncService{})
+	first := s1.SingletonHost(cfg, singleton.Nop{})
 	first.Start()
 	settleUntil(t, c, "a handoff to the preferred server", func() bool { return first.Active() && !second.Active() })
 	if owner, _, err := lease.QueryOwner(ctx, s3.Node(), cfg.Service, c.LeaseManagerAddrs()...); err != nil || owner != s1.Name {

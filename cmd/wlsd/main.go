@@ -56,12 +56,10 @@ func main() {
 		RealClock:   true,
 		DataDir:     *dataDir,
 		TraceSample: *traceSample,
+		Resilience:  *resilient,
 	}
 	if *queueWorkers > 0 {
 		opts.Admission = &rmi.QueueConfig{Workers: *queueWorkers, QueueLen: 64}
-	}
-	if *resilient {
-		opts.Resilience = &rmi.ResilienceConfig{}
 	}
 	cluster, err := wls.New(opts)
 	if err != nil {
@@ -233,7 +231,7 @@ func deployDemoAppOn(cluster *wls.Cluster, s *wls.Server) {
 	s.EJB.DeployStateless(ejb.StatelessSpec{
 		Name: "PingBean",
 		Methods: map[string]ejb.StatelessMethod{
-			"ping": func(ctx context.Context, inst any, call *rmi.Call) ([]byte, error) {
+			"ping": func(ctx context.Context, call *rmi.Call) ([]byte, error) {
 				return []byte("pong from " + name), nil
 			},
 		},

@@ -41,7 +41,7 @@ func main() {
 		s.EJB.DeployStateless(ejb.StatelessSpec{
 			Name: "QuoteBean",
 			Methods: map[string]ejb.StatelessMethod{
-				"quote": func(ctx context.Context, inst any, call *rmi.Call) ([]byte, error) {
+				"quote": func(ctx context.Context, call *rmi.Call) ([]byte, error) {
 					return []byte("IBM@85 via " + name), nil
 				},
 			},
@@ -116,10 +116,9 @@ func main() {
 	hosts := make([]*singleton.Host, len(cluster.Servers))
 	for i, s := range cluster.Servers {
 		hosts[i] = s.SingletonHost(singleton.Config{
-			Service:       "order-sequencer",
-			Preferred:     []string{"server-1", "server-2", "server-3"},
-			RetryInterval: 100 * time.Millisecond,
-		}, singleton.FuncService{})
+			Service:   "order-sequencer",
+			Preferred: []string{"server-1", "server-2", "server-3"},
+		}, singleton.Nop{})
 		hosts[i].Start()
 		defer hosts[i].Stop()
 	}

@@ -1,6 +1,7 @@
 package wls_test
 
 import (
+	"fmt"
 	"go/ast"
 	"go/parser"
 	"go/token"
@@ -55,6 +56,67 @@ func TestDocsNameRealTests(t *testing.T) {
 					t.Errorf("%s names %s in %s, and no test function matches it", doc, n, s)
 				}
 			}
+		}
+	}
+}
+
+// TestLibraryOnlyTableMatchesDirectives holds DESIGN.md's "Library-only
+// features" table to the code: the tests its rows name are the tests the
+// //wls:nolint unreached -- library-only: directives name, on functions
+// and on fields alike, so a directive cannot go in without its row, nor a
+// row outlive its directive.
+func TestLibraryOnlyTableMatchesDirectives(t *testing.T) {
+	testName := regexp.MustCompile(`\bTest\w+`)
+	inCode := map[string]string{} // test -> where a directive names it
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() && path != "." && (d.Name() == "testdata" || strings.HasPrefix(d.Name(), ".")) {
+			return filepath.SkipDir
+		}
+		if d.IsDir() || !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		src, err := os.ReadFile(path)
+		for i, line := range strings.Split(string(src), "\n") {
+			if _, reason, ok := strings.Cut(line, "//wls:nolint unreached -- library-only: "); ok {
+				for _, n := range testName.FindAllString(reason, -1) {
+					inCode[n] = fmt.Sprintf("%s:%d", path, i+1)
+				}
+			}
+		}
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	text, err := os.ReadFile("DESIGN.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, section, ok := strings.Cut(string(text), "\n## Library-only features\n")
+	if !ok {
+		t.Fatal(`DESIGN.md has no "## Library-only features" section`)
+	}
+	section, _, _ = strings.Cut(section, "\n## ")
+	inTable := map[string]bool{}
+	for _, line := range strings.Split(section, "\n") {
+		if cells := strings.Split(line, "|"); strings.HasPrefix(line, "|") && len(cells) > 2 {
+			for _, n := range testName.FindAllString(cells[len(cells)-2], -1) {
+				inTable[n] = true
+			}
+		}
+	}
+	for n, at := range inCode {
+		if !inTable[n] {
+			t.Errorf("%s: a library-only directive names %s, and no row of DESIGN.md's table does", at, n)
+		}
+	}
+	for n := range inTable {
+		if _, ok := inCode[n]; !ok {
+			t.Errorf("DESIGN.md's library-only table names %s, and no library-only directive does", n)
 		}
 	}
 }

@@ -36,7 +36,7 @@ func main() {
 		s.EJB.DeployStateless(ejb.StatelessSpec{
 			Name: "GreeterBean",
 			Methods: map[string]ejb.StatelessMethod{
-				"greet": func(ctx context.Context, inst any, call *rmi.Call) ([]byte, error) {
+				"greet": func(ctx context.Context, call *rmi.Call) ([]byte, error) {
 					return []byte(fmt.Sprintf("hello %s, from %s", call.Args, name)), nil
 				},
 			},

@@ -34,8 +34,7 @@ func runE25() *Table {
 		// A line that holds every arrival: nothing is denied, and
 		// overload turns into time in line.
 		{"fixed+degrade", rmi.QueueConfig{Workers: 4, QueueLen: offered}},
-		{"self-tuning", rmi.QueueConfig{Workers: 4, QueueLen: offered,
-			SelfTuning: true, MaxWorkers: 32, TuneInterval: 5 * time.Millisecond}},
+		{"self-tuning", rmi.QueueConfig{Workers: 4, QueueLen: offered, SelfTuning: true}},
 	} {
 		reg := metrics.NewRegistry()
 		g := rmi.NewGate(c.q, vclock.System, reg)
@@ -62,9 +61,10 @@ func runE25() *Table {
 		}
 		wg.Wait()
 		// The tuner lowers the limit one step per idle interval: give it
-		// those intervals before reading where the limit ended.
-		for i := c.q.MaxWorkers; i > 0 && g.Limit() > c.q.Workers; i-- {
-			wall.Sleep(c.q.TuneInterval)
+		// those intervals, up to a second, before reading where the limit
+		// ended.
+		for deadline := wall.Now().Add(time.Second); g.Limit() > c.q.Workers && wall.Now().Before(deadline); {
+			wall.Sleep(time.Millisecond)
 		}
 		if got := reg.Counter("queue.denied").Value(); got != denied.Load() {
 			panic(fmt.Sprintf("E25 %s: queue.denied counter %d != %d observed denials", c.name, got, denied.Load()))

@@ -68,7 +68,7 @@ func e30Run(cfg e30Config) []string {
 	opts := wls.Options{Servers: 3, WithAdmin: true, Seed: 1}
 	if cfg.resilient {
 		opts.Admission = &rmi.QueueConfig{Workers: 2, QueueLen: 8}
-		opts.Resilience = &rmi.ResilienceConfig{}
+		opts.Resilience = true
 	} else {
 		// Statically provisioned: same limit, but demand queues up
 		// instead of being refused — the arm offers 1 320 requests, so

@@ -38,10 +38,9 @@ func runE16() *Table {
 		hosts := make([]*singleton.Host, 2)
 		for i, s := range c.Servers {
 			hosts[i] = s.SingletonHost(singleton.Config{
-				Service:       "q",
-				Preferred:     []string{"server-1", "server-2"},
-				RetryInterval: 100 * time.Millisecond,
-			}, singleton.FuncService{})
+				Service:   "q",
+				Preferred: []string{"server-1", "server-2"},
+			}, singleton.Nop{})
 			hosts[i].Start()
 		}
 		c.Settle(6)

@@ -62,10 +62,10 @@ func TestScheduleOverloadGatingStable(t *testing.T) {
 
 // TestScheduleHealsEverything checks the generator's safety contract:
 // every injected fault is healed by the end of every schedule, the admin
-// server is never faulted, and fault concurrency stays within MaxFaults.
+// server is never faulted, and fault concurrency stays within maxFaults.
 func TestScheduleHealsEverything(t *testing.T) {
 	for seed := int64(1); seed <= 200; seed++ {
-		cfg := Config{Overload: seed%2 == 0}.withDefaults()
+		cfg := Config{Overload: seed%2 == 0}
 		sched := Generate(seed, cfg)
 		open := map[string]int{}
 		outstanding := 0
@@ -75,8 +75,8 @@ func TestScheduleHealsEverything(t *testing.T) {
 			if open[key] < 0 || open[key] > 1 {
 				t.Fatalf("seed %d: fault %q count %d", seed, key, open[key])
 			}
-			if outstanding > cfg.MaxFaults {
-				t.Fatalf("seed %d: %d concurrent faults (max %d)", seed, outstanding, cfg.MaxFaults)
+			if outstanding > maxFaults {
+				t.Fatalf("seed %d: %d concurrent faults (max %d)", seed, outstanding, maxFaults)
 			}
 		}
 		for _, st := range sched.Steps {

@@ -201,7 +201,6 @@ func ReplayCommand(seed int64, overload bool) string {
 // and per-server middle-tier stores, install the workloads, drive the
 // generated schedule, settle, and check end-state invariants.
 func Run(seed int64, cfg Config) (*Result, error) {
-	cfg = cfg.withDefaults()
 	sched := Generate(seed, cfg)
 
 	dir, err := os.MkdirTemp("", "wls-chaos-*")
@@ -211,7 +210,7 @@ func Run(seed int64, cfg Config) (*Result, error) {
 	defer os.RemoveAll(dir)
 
 	opts := wls.Options{
-		Servers:   cfg.Servers,
+		Servers:   numServers,
 		WithAdmin: true,
 		DataDir:   dir,
 		Sessions:  servlet.SessionsReplicated,
@@ -222,7 +221,7 @@ func Run(seed int64, cfg Config) (*Result, error) {
 		// the full client-side resilience stack so the invariants exercise
 		// budgets, retries and breakers together.
 		opts.Admission = &rmi.QueueConfig{Workers: 2, QueueLen: 8}
-		opts.Resilience = &rmi.ResilienceConfig{}
+		opts.Resilience = true
 	}
 	c, err := wls.New(opts)
 	if err != nil {

@@ -33,48 +33,34 @@ import (
 	"time"
 )
 
+// A scenario faults numServers managed servers (an admin server hosting the
+// lease manager is always added and never faulted), at most maxFaults at
+// once. Rounds advance the virtual clock by multiples of tick. The healing
+// tail advances at least quiesce after every fault is undone, so leases
+// re-settle, SAF backlogs drain and recovery runs: 5s covers the 1s lease
+// TTL and the 16x SAF backoff with margin.
+const (
+	numServers = 3
+	maxFaults  = 2
+	tick       = 50 * time.Millisecond
+	quiesce    = 5 * time.Second
+)
+
 // Config bounds a generated scenario. The zero value selects the
 // small-budget defaults used by the in-tree sweep.
 type Config struct {
-	// Servers is the managed-server count (an admin server hosting the
-	// lease manager is always added and never faulted). Default 3.
-	Servers int
 	// Steps is the number of fault-decision rounds. Default 24.
+	//
+	//wls:nolint unreached -- test hook: TestChaosExtended
 	Steps int
-	// MaxFaults bounds concurrently outstanding faults. Default 2.
-	MaxFaults int
-	// Tick is the base virtual-time advance between rounds. Default 50ms.
-	Tick time.Duration
-	// Quiesce is the healing tail: after every fault is undone the clock
-	// advances at least this far so leases re-settle, SAF backlogs drain
-	// and recovery runs. Default 5s (covers the 1s lease TTL and the 16x
-	// SAF backoff with margin).
-	Quiesce time.Duration
 	// Overload adds the overload-protection faults to the generator's
 	// repertoire (slow servers, flash bursts), boots the cluster with
 	// admission control and client resilience, and installs the overload
 	// workload. Off by default so the schedules of pinned regression seeds
 	// stay byte-identical.
+	//
+	//wls:nolint unreached -- test hook: TestChaosOverloadSweep
 	Overload bool
-}
-
-func (c Config) withDefaults() Config {
-	if c.Servers <= 0 {
-		c.Servers = 3
-	}
-	if c.Steps <= 0 {
-		c.Steps = 24
-	}
-	if c.MaxFaults <= 0 {
-		c.MaxFaults = 2
-	}
-	if c.Tick <= 0 {
-		c.Tick = 50 * time.Millisecond
-	}
-	if c.Quiesce <= 0 {
-		c.Quiesce = 5 * time.Second
-	}
-	return c
 }
 
 // OpKind is one scenario operation.
@@ -201,13 +187,15 @@ func (f fault) heal() Step {
 // Generate derives the fault schedule for a seed. The generator keeps the
 // scenario honest about what the stack promises to survive: the admin
 // server (lease manager) is never faulted, at least one managed server
-// stays entirely un-faulted, at most MaxFaults faults are outstanding at
+// stays entirely un-faulted, at most maxFaults faults are outstanding at
 // once, and the schedule ends with a healing tail plus a quiescence
 // advance so end-state invariants are checked against a settled cluster.
 func Generate(seed int64, cfg Config) *Schedule {
-	cfg = cfg.withDefaults()
+	if cfg.Steps <= 0 {
+		cfg.Steps = 24
+	}
 	rng := rand.New(rand.NewSource(seed))
-	servers := make([]string, cfg.Servers)
+	servers := make([]string, numServers)
 	for i := range servers {
 		servers[i] = fmt.Sprintf("server-%d", i+1)
 	}
@@ -244,7 +232,7 @@ func Generate(seed int64, cfg Config) *Schedule {
 	}
 
 	for round := 0; round < cfg.Steps; round++ {
-		steps = append(steps, Step{Kind: OpAdvance, D: cfg.Tick * time.Duration(1+rng.Intn(3))})
+		steps = append(steps, Step{Kind: OpAdvance, D: tick * time.Duration(1+rng.Intn(3))})
 
 		// Flash crowds are momentary (no heal, no fault slot), so they are
 		// drawn independently of the fault machinery. Gated on Overload so
@@ -253,7 +241,7 @@ func Generate(seed int64, cfg Config) *Schedule {
 			steps = append(steps, Step{Kind: OpBurst})
 		}
 
-		if len(active) >= cfg.MaxFaults {
+		if len(active) >= maxFaults {
 			f := removeActive(rng.Intn(len(active)))
 			steps = append(steps, f.heal())
 			continue
@@ -327,10 +315,10 @@ func Generate(seed int64, cfg Config) *Schedule {
 	// settle long enough for leases, recovery and SAF backlogs.
 	for len(active) > 0 {
 		f := removeActive(0)
-		steps = append(steps, Step{Kind: OpAdvance, D: cfg.Tick})
+		steps = append(steps, Step{Kind: OpAdvance, D: tick})
 		steps = append(steps, f.heal())
 	}
-	steps = append(steps, Step{Kind: OpAdvance, D: cfg.Quiesce})
+	steps = append(steps, Step{Kind: OpAdvance, D: quiesce})
 
 	return &Schedule{Seed: seed, Steps: steps}
 }

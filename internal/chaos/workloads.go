@@ -48,10 +48,9 @@ func (w *singletonWorkload) Setup(h *Harness) error {
 
 func (w *singletonWorkload) install(h *Harness, name string) {
 	host := h.Server(name).SingletonHost(singleton.Config{
-		Service:       "chaos-leader",
-		Preferred:     w.preferred,
-		RetryInterval: 100 * time.Millisecond,
-	}, singleton.FuncService{})
+		Service:   "chaos-leader",
+		Preferred: w.preferred,
+	}, singleton.Nop{})
 	host.Start()
 	w.hosts[name] = host
 }

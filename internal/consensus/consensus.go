@@ -33,6 +33,8 @@ import (
 const ServiceName = "wls.consensus"
 
 // Config tunes election behaviour.
+//
+//wls:nolint unreached -- item 13: §3.4's two-level HA configures the electors that pick the lease manager, or they go
 type Config struct {
 	// Self is this management server's name.
 	Self string

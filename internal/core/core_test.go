@@ -184,10 +184,7 @@ func TestRequestsWaitWhileTheLineHasRoom(t *testing.T) {
 
 func TestSelfTuningGrowsAndShrinks(t *testing.T) {
 	clk := vclock.NewVirtualAtZero()
-	g := rmi.NewGate(rmi.QueueConfig{
-		Workers: 1, MaxWorkers: 8, QueueLen: 128,
-		SelfTuning: true, TuneInterval: 100 * time.Millisecond,
-	}, clk, nil)
+	g := rmi.NewGate(rmi.QueueConfig{Workers: 1, QueueLen: 128, SelfTuning: true}, clk, nil)
 	defer g.Close()
 
 	// Saturate: blocked requests pile up in line.

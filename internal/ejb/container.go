@@ -77,60 +77,24 @@ func (c *Container) Close() {
 // ---------------------------------------------------------------------------
 // Stateless session beans (§3.1)
 
-// StatelessMethod is one business method of a stateless bean. inst is the
-// pooled bean instance.
-type StatelessMethod func(ctx context.Context, inst any, call *rmi.Call) ([]byte, error)
+// StatelessMethod is one business method of a stateless bean. A
+// stateless bean keeps no state between invocations (§3.1), so a method is
+// all it is; the server's execute queue bounds how many run at once.
+type StatelessMethod func(ctx context.Context, call *rmi.Call) ([]byte, error)
 
 // StatelessSpec declares a stateless session bean.
 type StatelessSpec struct {
 	// Name is the bean's global JNDI-ish name (the RMI service name).
 	Name string
-	// New creates a pooled instance.
-	New func() any
 	// Methods maps method names to implementations.
 	Methods map[string]StatelessMethod
-	// PoolSize bounds concurrent instances (default 16). Calls beyond the
-	// pool block for an instance, modelling execute-queue admission.
-	PoolSize int
 }
-
-// statelessPool is a bounded pool of bean instances.
-type statelessPool struct {
-	free chan any
-}
-
-func newStatelessPool(size int, factory func() any) *statelessPool {
-	if size <= 0 {
-		size = 16
-	}
-	p := &statelessPool{free: make(chan any, size)}
-	for i := 0; i < size; i++ {
-		var inst any
-		if factory != nil {
-			inst = factory()
-		}
-		p.free <- inst
-	}
-	return p
-}
-
-func (p *statelessPool) checkout(ctx context.Context) (any, error) {
-	select {
-	case inst := <-p.free:
-		return inst, nil
-	case <-ctx.Done():
-		return nil, ctx.Err()
-	}
-}
-
-func (p *statelessPool) checkin(inst any) { p.free <- inst }
 
 // statelessHandler is the deploy-time-resolved invoke root for one
 // stateless method: the span name is precomputed and the metrics counter
 // resolved once, so the per-call path does neither string concatenation
 // nor a counter-name map lookup.
 type statelessHandler struct {
-	pool     *statelessPool
 	impl     StatelessMethod
 	spanName string
 	calls    *metrics.Counter
@@ -142,14 +106,8 @@ func (sh *statelessHandler) invoke(ctx context.Context, call *rmi.Call) ([]byte,
 		ctx, span = parent.NewChild(ctx, sh.spanName, trace.KindInternal)
 		defer span.Finish()
 	}
-	inst, err := sh.pool.checkout(ctx)
-	if err != nil {
-		span.SetError(err)
-		return nil, err
-	}
-	defer sh.pool.checkin(inst)
 	sh.calls.Inc()
-	body, err := sh.impl(ctx, inst, call)
+	body, err := sh.impl(ctx, call)
 	span.SetError(err)
 	return body, err
 }
@@ -157,12 +115,10 @@ func (sh *statelessHandler) invoke(ctx context.Context, call *rmi.Call) ([]byte,
 // DeployStateless deploys and advertises a stateless session bean. Returns
 // the clustered service name to create stubs against.
 func (c *Container) DeployStateless(spec StatelessSpec) string {
-	pool := newStatelessPool(spec.PoolSize, spec.New)
 	calls := c.reg.Counter("ejb.stateless.calls")
 	methods := make(map[string]rmi.MethodSpec, len(spec.Methods))
 	for name, impl := range spec.Methods {
 		sh := &statelessHandler{
-			pool:     pool,
 			impl:     impl,
 			spanName: "ejb " + spec.Name + "." + name,
 			calls:    calls,

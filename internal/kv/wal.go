@@ -99,6 +99,8 @@ type Options struct {
 	// CheckpointBytes is the WAL size at which the log is folded into the
 	// main file automatically. 0 selects 1 MiB; negative disables
 	// auto-checkpointing (explicit Checkpoint only).
+	//
+	//wls:nolint unreached -- test hook: TestCrashChaosSweep
 	CheckpointBytes int64
 }
 

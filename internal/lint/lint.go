@@ -38,8 +38,9 @@
 //   - unreached: flags a non-test function no binary reaches — from main,
 //     init, package-level initializers, or an entry point declared with
 //     //wls:nolint unreached -- <reason> — so code only tests call does
-//     not pile up in the system packages; and an unexported struct field
-//     no non-test code reads.
+//     not pile up in the system packages; an unexported struct field no
+//     non-test code reads; and an exported field of an exported struct no
+//     non-test code writes, a setting only tests set.
 //
 // Request-path allocations are not a lint rule: the allocation gates in
 // alloc_gate_test.go measure them (DESIGN.md "Determinism & lint rules").
@@ -52,7 +53,7 @@
 // Two directives feed an analyzer instead of suppressing it:
 //
 //	//wls:lockorder A<B                    – assert that lock class A is acquired before B
-//	//wls:nolint unreached -- <reason>     – in a doc comment: root the function
+//	//wls:nolint unreached -- <reason>     – in a doc comment: root the function, or keep the field (or every field of the struct)
 //
 // A suppressing directive covers matching diagnostics on its own line and,
 // when it stands alone on a line, on the line directly below it.

@@ -8,8 +8,8 @@ import "testing"
 // across a blocking operation, drops a wire/transport/store/tx error,
 // re-arms time.After inside a loop, starts a trace span without
 // finishing it, inverts a lock hierarchy, spawns a goroutine with no
-// termination path, or leaves a function that no binary reaches or a
-// field that nothing reads.
+// termination path, or leaves a function that no binary reaches, a field
+// that nothing reads, or a setting that only tests set.
 //
 // To see the same diagnostics from the command line:
 //
@@ -21,7 +21,8 @@ import "testing"
 //	//wls:nolint <analyzer>[,<analyzer>] -- <reason>
 //
 // A function only tests call is moved into a _test.go file, or declared
-// with //wls:nolint unreached -- <reason> in its doc comment.
+// with //wls:nolint unreached -- <reason> in its doc comment; so is a
+// setting only tests set, in the doc comment of its field or struct.
 func TestRepoIsLintClean(t *testing.T) {
 	loader, err := sharedLoader()
 	if err != nil {

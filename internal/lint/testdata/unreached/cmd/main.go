@@ -21,4 +21,6 @@ func main() {
 	unreached.Touch()
 	unreached.Link("a", "b")
 	fmt.Println(unreached.Same(1, 2), unreached.First())
+	fmt.Println(unreached.Configure())
+	fmt.Println(unreached.Decode(nil), unreached.NewWritten())
 }

@@ -2,7 +2,10 @@
 // its one binary, and fixturetest/ a test-helper package.
 package unreached
 
-import "reflect"
+import (
+	"encoding/json"
+	"reflect"
+)
 
 // Dead is named by nothing.
 func Dead() {} // want "unreached.Dead is reached by no binary"
@@ -29,13 +32,13 @@ func (s Square) String() string { return "square" }
 
 // Disc is never in a Shape, but it implements Shape, so a call through
 // Shape.Area may run its Area.
-type Disc struct{ R int }
+type Disc struct{ R int } // want "unreached.Disc.R is set by no non-test code"
 
 // Area is reached by the fan-out to implementers.
 func (d Disc) Area() int { return 3 * d.R * d.R }
 
 // Room has an Area, of another signature: it is no Shape.
-type Room struct{ W, L float64 }
+type Room struct{ W, L float64 } // want "unreached.Room.W is set" "unreached.Room.L is set"
 
 // Area is not reached by a call through Shape.Area.
 func (r Room) Area() float64 { return r.W * r.L } // want "unreached.Room.Area is reached by no binary"
@@ -181,3 +184,76 @@ func Unexplained() {
 func Misplaced() { // want "unreached.Misplaced is reached by no binary"
 	/* want "belongs in the doc comment" */ //wls:nolint unreached -- test hook: TestMisplaced
 }
+
+// Settings has a field per write form, each written outside a test.
+type Settings struct {
+	Assigned  int
+	Added     int
+	Bumped    int
+	Dropped   int
+	Keyed     int
+	Addressed int
+	Defaulted int // want "unreached.Settings.Defaulted is set by no non-test code"
+	TestSet   int // want "unreached.Settings.TestSet is set by no non-test code"
+	// Kept is set by a test alone, which its directive declares.
+	//
+	//wls:nolint unreached -- test hook: TestSettings
+	Kept int
+}
+
+// Aged's field is written, so its directive keeps nothing.
+type Aged struct {
+	// Stale is written by Configure.
+	//
+	/* want "unreached.Aged.Stale is written without this directive" */ //wls:nolint unreached -- test hook: TestSettings
+	Stale int
+}
+
+// Pair is written by position.
+type Pair struct{ Left, Right int }
+
+// Configure writes Settings every way but one: Defaulted is only filled
+// in when unset, which sets nothing.
+func Configure() (*Settings, Pair, Aged) {
+	s := &Settings{Keyed: 1}
+	s.Assigned = 2
+	s.Added += 3
+	s.Bumped++
+	s.Dropped--
+	p := &s.Addressed
+	*p = 4
+	if s.Defaulted == 0 {
+		s.Defaulted = 5
+	}
+	var a Aged
+	a.Stale = 6
+	return s, Pair{1, 2}, a
+}
+
+// Tagged carries field tags: what fills it is not in the source.
+type Tagged struct {
+	Name string `json:"name"`
+}
+
+// Decoded is filled by encoding/json.
+type Decoded struct{ Count int }
+
+// Decode fills a Decoded through reflection.
+func Decode(b []byte) (d Decoded) {
+	_ = json.Unmarshal(b, &d)
+	return d
+}
+
+// Knobs are set by tests alone, which the struct's directive declares.
+//
+//wls:nolint unreached -- item 1: a binary sets them
+type Knobs struct{ A, B int }
+
+// Written is written outside a test, so its struct's directive keeps
+// nothing.
+//
+/* want "every field of Written is written without this directive" */ //wls:nolint unreached -- item 1: a binary sets it
+type Written struct{ A int }
+
+// NewWritten writes Written.A.
+func NewWritten() Written { return Written{A: 1} }

@@ -9,3 +9,11 @@ func TestRecord(t *testing.T) {
 		t.Fatal(r.testOnly)
 	}
 }
+
+// TestSettings writes the fields only tests set.
+func TestSettings(t *testing.T) {
+	s := Settings{TestSet: 1, Kept: 2}
+	if s.TestSet+s.Kept != 3 || (Knobs{A: 1}).A != 1 {
+		t.Fatal(s)
+	}
+}

@@ -61,21 +61,22 @@ var unreachedReasons = []string{"item ", "library-only: ", "test hook: ", "bench
 // in "test" (simtest, kvtest) is test code, exempt like a _test.go file.
 // A directive on a function another root reaches anyway is reported, so
 // directives cannot outlive the need for them, and so is one whose reason
-// is not one of unreachedReasons. The same packages' unread fields are
-// reported too (see unreadFields).
+// is not one of unreachedReasons. The same packages' unread fields and
+// unwritten settings are reported too (see fieldRules).
 func Unreached() *Analyzer {
 	return &Analyzer{
 		Name: "unreached",
-		Doc:  "flags non-test functions no main, init or declared library entry point reaches, and fields no code reads",
+		Doc:  "flags non-test functions no main, init or declared library entry point reaches, fields no code reads, and settings no code sets",
 		Run:  func(*Pass) {},
 		Finish: func(g *GlobalPass) {
-			unreachedFinish(g)
-			unreadFields(g)
+			unreachedFinish(g, fieldRules(g))
 		},
 	}
 }
 
-func unreachedFinish(g *GlobalPass) {
+// unreachedFinish walks the functions; kept holds the directives
+// fieldRules read from struct and field doc comments.
+func unreachedFinish(g *GlobalPass, kept map[*ast.Comment]bool) {
 	byTypes := map[*types.Package]*Package{}
 	for _, p := range g.Pkgs {
 		byTypes[p.Types] = p
@@ -138,9 +139,7 @@ func unreachedFinish(g *GlobalPass) {
 					if c := unreachedDirective(d.Doc); c != nil {
 						attached[c] = true
 						directive[fn] = c.Pos()
-						if !hasUnreachedReason(c.Text) {
-							g.Reportf(c.Pos(), "//wls:nolint unreached must give its reason as \"item N: …\", \"library-only: §x, TestName\", \"test hook: TestName\" or \"benchmark: …\"")
-						}
+						checkUnreachedReason(g, c)
 					}
 					switch {
 					case d.Recv == nil && d.Name.Name == "main" && p.Types.Name() == "main",
@@ -161,8 +160,8 @@ func unreachedFinish(g *GlobalPass) {
 			}
 			for _, cg := range f.Comments {
 				for _, c := range cg.List {
-					if !attached[c] && isUnreachedDirective(c.Text) {
-						g.Reportf(c.Pos(), "//wls:nolint unreached belongs in the doc comment of the function it roots")
+					if !attached[c] && !kept[c] && isUnreachedDirective(c.Text) {
+						g.Reportf(c.Pos(), "//wls:nolint unreached belongs in the doc comment of the function it roots or of the exported struct or field it keeps")
 					}
 					if strings.HasPrefix(c.Text, "//go:linkname") {
 						g.Reportf(c.Pos(), "//go:linkname reaches a function no walk of the source can see")
@@ -273,22 +272,44 @@ func unreachedFinish(g *GlobalPass) {
 	}
 }
 
-// unreadFields reports an unexported field, declared in a named struct type
-// of a non-main package whose name does not end in "test", that no code
-// reads. Assigning it — as the whole left side of = or := — or naming it
-// as a composite literal's key writes it; every other use reads it, x.f++
-// and x.f += 1 included. Comparing a struct with == or != or keying a map
-// by it reads every field, nested structs' too. A field of an instantiated
-// generic type is its origin's. An embedded field is never reported: it is
-// there for what it promotes. There is no directive: an unread field goes,
-// with its writes.
-func unreadFields(g *GlobalPass) {
+// reflectPkgs are the packages whose functions may set a struct's fields
+// through reflection.
+var reflectPkgs = map[string]bool{"reflect": true, "encoding/json": true, "encoding/xml": true, "encoding/gob": true, "encoding/asn1": true}
+
+// fieldRules reports two kinds of field, declared in a named struct type
+// of a non-main package whose name does not end in "test".
+//
+// An unexported field no code reads. Assigning it — as the whole left
+// side of = or := — or naming it as a composite literal's key writes it;
+// every other use reads it, x.f++ and x.f += 1 included. Comparing a
+// struct with == or != or keying a map by it reads every field, nested
+// structs' too. There is no directive: an unread field goes, with its
+// writes.
+//
+// An exported field of an exported struct that no non-test code writes:
+// a setting only tests set. The left side of =, := or op= writes it,
+// unless the assignment sits inside an if whose condition reads the same
+// field, which fills a default; so do ++ and --, a composite literal's key
+// or position, and &x.F. A struct with field tags, or one passed to a
+// function of reflectPkgs, is exempt. A //wls:nolint unreached -- <reason>
+// in the field's doc comment keeps the field, and one in the struct's doc
+// comment keeps all its fields; a directive that keeps nothing is
+// reported.
+//
+// A field of an instantiated generic type is its origin's. An embedded
+// field is never reported: it is there for what it promotes. fieldRules
+// returns the directives it read.
+func fieldRules(g *GlobalPass) map[*ast.Comment]bool {
 	type field struct {
-		v     *types.Var
-		label string
+		v         *types.Var
+		owner     *types.TypeName
+		setting   bool         // exported, of an exported struct without tags
+		own, keep *ast.Comment // the field's directive, its struct's
 	}
 	var fields []field
-	read := map[*types.Var]bool{}
+	directives := map[*ast.Comment]bool{}
+	read, written := map[*types.Var]bool{}, map[*types.Var]bool{}
+	reflected := map[*types.TypeName]bool{}
 	var readAll func(t types.Type)
 	readAll = func(t types.Type) {
 		switch u := t.Underlying().(type) {
@@ -301,47 +322,137 @@ func unreadFields(g *GlobalPass) {
 			readAll(u.Elem())
 		}
 	}
+	directive := func(doc *ast.CommentGroup) *ast.Comment {
+		if c := unreachedDirective(doc); c != nil {
+			directives[c] = true
+			checkUnreachedReason(g, c)
+			return c
+		}
+		return nil
+	}
 	for _, p := range g.Pkgs {
 		report := p.Types.Name() != "main" && !strings.HasSuffix(p.Types.Name(), "test")
-		writes := map[*ast.Ident]bool{}
+		fieldOf := func(e ast.Expr) *types.Var {
+			if sel, ok := ast.Unparen(e).(*ast.SelectorExpr); ok {
+				if v, ok := p.Info.Uses[sel.Sel].(*types.Var); ok && v.IsField() {
+					return v.Origin()
+				}
+			}
+			return nil
+		}
+		assigned := map[*ast.Ident]bool{} // uses that are no reads
+		fills := map[ast.Expr]bool{}      // left sides that fill a default
 		for _, f := range p.Files {
 			ast.Inspect(f, func(n ast.Node) bool {
 				switch n := n.(type) {
-				case *ast.TypeSpec:
-					st, ok := n.Type.(*ast.StructType)
-					if !ok || !report {
+				case *ast.GenDecl:
+					if n.Tok != token.TYPE || !report {
 						break
 					}
-					for _, fl := range st.Fields.List {
-						for _, id := range fl.Names {
-							if v, ok := p.Info.Defs[id].(*types.Var); ok && !v.Exported() && id.Name != "_" {
-								fields = append(fields, field{v, p.Types.Name() + "." + n.Name.Name + "." + id.Name})
+					for _, spec := range n.Specs {
+						ts := spec.(*ast.TypeSpec)
+						st, ok := ts.Type.(*ast.StructType)
+						if !ok {
+							continue
+						}
+						doc := ts.Doc
+						if doc == nil && !n.Lparen.IsValid() {
+							doc = n.Doc
+						}
+						var keep *ast.Comment
+						tagged := false
+						if ts.Name.IsExported() {
+							keep = directive(doc)
+							for _, fl := range st.Fields.List {
+								tagged = tagged || fl.Tag != nil
+							}
+						}
+						for _, fl := range st.Fields.List {
+							var own *ast.Comment
+							if ts.Name.IsExported() {
+								own = directive(fl.Doc)
+							}
+							for _, id := range fl.Names {
+								if v, ok := p.Info.Defs[id].(*types.Var); ok && id.Name != "_" {
+									setting := v.Exported() && ts.Name.IsExported() && !tagged
+									fields = append(fields, field{v, p.Info.Defs[ts.Name].(*types.TypeName), setting, own, keep})
+								}
 							}
 						}
 					}
+				case *ast.IfStmt:
+					ast.Inspect(n.Cond, func(c ast.Node) bool {
+						id, _ := c.(*ast.Ident)
+						if v, ok := p.Info.Uses[id].(*types.Var); ok && v.IsField() {
+							ast.Inspect(n, func(m ast.Node) bool {
+								if as, ok := m.(*ast.AssignStmt); ok {
+									for _, l := range as.Lhs {
+										fills[l] = fills[l] || fieldOf(l) == v.Origin()
+									}
+								}
+								return true
+							})
+						}
+						return true
+					})
 				case *ast.AssignStmt:
-					if n.Tok == token.ASSIGN || n.Tok == token.DEFINE {
-						for _, l := range n.Lhs {
-							if sel, ok := ast.Unparen(l).(*ast.SelectorExpr); ok {
-								writes[sel.Sel] = true
-							}
+					for _, l := range n.Lhs {
+						if sel, ok := ast.Unparen(l).(*ast.SelectorExpr); ok && n.Tok == token.ASSIGN {
+							assigned[sel.Sel] = true
+						}
+						if v := fieldOf(l); v != nil && !fills[l] {
+							written[v] = true
 						}
 					}
-				case *ast.KeyValueExpr: // a composite literal's key
-					if id, ok := n.Key.(*ast.Ident); ok {
-						writes[id] = true
+				case *ast.IncDecStmt:
+					if v := fieldOf(n.X); v != nil {
+						written[v] = true
+					}
+				case *ast.UnaryExpr:
+					if v := fieldOf(n.X); v != nil && n.Op == token.AND {
+						written[v] = true
+					}
+				case *ast.CompositeLit:
+					t := p.Info.TypeOf(n)
+					if ptr, ok := t.(*types.Pointer); ok {
+						t = ptr.Elem()
+					}
+					st, isStruct := t.Underlying().(*types.Struct)
+					for i, e := range n.Elts {
+						if kv, ok := e.(*ast.KeyValueExpr); ok {
+							if id, ok := kv.Key.(*ast.Ident); ok {
+								assigned[id] = true
+								if v, ok := p.Info.Uses[id].(*types.Var); ok && v.IsField() {
+									written[v.Origin()] = true
+								}
+							}
+						} else if isStruct {
+							written[st.Field(i).Origin()] = true
+						}
 					}
 				case *ast.BinaryExpr:
 					if n.Op == token.EQL || n.Op == token.NEQ {
 						readAll(p.Info.TypeOf(n.X))
 						readAll(p.Info.TypeOf(n.Y))
 					}
+				case *ast.CallExpr:
+					if reflectPkgs[pkgPathOf(calleeObject(p.Info, n))] {
+						for _, a := range n.Args {
+							t := p.Info.TypeOf(a)
+							if ptr, ok := t.(*types.Pointer); ok {
+								t = ptr.Elem()
+							}
+							if named, ok := t.(*types.Named); ok {
+								reflected[named.Obj()] = true
+							}
+						}
+					}
 				}
 				return true
 			})
 		}
 		for id, obj := range p.Info.Uses {
-			if v, ok := obj.(*types.Var); ok && v.IsField() && !writes[id] {
+			if v, ok := obj.(*types.Var); ok && v.IsField() && !assigned[id] {
 				read[v.Origin()] = true
 			}
 		}
@@ -351,10 +462,38 @@ func unreadFields(g *GlobalPass) {
 			}
 		}
 	}
+	kept := map[*ast.Comment]bool{} // struct directives that keep a field
 	for _, f := range fields {
-		if !read[f.v] {
-			g.Reportf(f.v.Pos(), "%s is never read: delete it with its writes", f.label)
+		label := f.v.Pkg().Name() + "." + f.owner.Name() + "." + f.v.Name()
+		unwritten := f.setting && !written[f.v] && !reflected[f.owner]
+		switch {
+		case !f.v.Exported():
+			if !read[f.v] {
+				g.Reportf(f.v.Pos(), "%s is never read: delete it with its writes", label)
+			}
+		case f.own != nil && !unwritten:
+			g.Reportf(f.own.Pos(), "%s is written without this directive; remove it", label)
+		case f.own != nil || !unwritten:
+		case f.keep != nil:
+			kept[f.keep] = true
+		default:
+			g.Reportf(f.v.Pos(), "%s is set by no non-test code: make it a constant, delete it, or declare why it stays with //wls:nolint unreached -- <reason>", label)
 		}
+	}
+	for _, f := range fields {
+		if f.keep != nil && !kept[f.keep] {
+			kept[f.keep] = true // report once
+			g.Reportf(f.keep.Pos(), "every field of %s is written without this directive; remove it", f.owner.Name())
+		}
+	}
+	return directives
+}
+
+// checkUnreachedReason reports a //wls:nolint unreached directive whose
+// reason is not one of unreachedReasons.
+func checkUnreachedReason(g *GlobalPass, c *ast.Comment) {
+	if !hasUnreachedReason(c.Text) {
+		g.Reportf(c.Pos(), "//wls:nolint unreached must give its reason as \"item N: …\", \"library-only: §x, TestName\", \"test hook: TestName\" or \"benchmark: …\"")
 	}
 }
 

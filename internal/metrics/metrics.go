@@ -67,9 +67,6 @@ type Histogram struct {
 	count   atomic.Int64
 	sum     atomic.Int64
 	max     atomic.Int64
-	min     atomic.Int64 // stored as -min to allow CAS from zero; see Record
-	hasMin  atomic.Bool
-	mu      sync.Mutex // serializes min updates only
 }
 
 // subBucketFloor[j] is 2^(j/16) scaled so that 1.0 is 1<<63: the smallest
@@ -125,14 +122,6 @@ func (h *Histogram) Record(v int64) {
 			break
 		}
 	}
-	if !h.hasMin.Load() || v < h.min.Load() {
-		h.mu.Lock()
-		if !h.hasMin.Load() || v < h.min.Load() {
-			h.min.Store(v)
-			h.hasMin.Store(true)
-		}
-		h.mu.Unlock()
-	}
 }
 
 // RecordDuration records d in nanoseconds.
@@ -155,14 +144,6 @@ func (h *Histogram) Mean() float64 {
 
 // Max returns the largest observation, or 0 when empty.
 func (h *Histogram) Max() int64 { return h.max.Load() }
-
-// Min returns the smallest observation, or 0 when empty.
-func (h *Histogram) Min() int64 {
-	if !h.hasMin.Load() {
-		return 0
-	}
-	return h.min.Load()
-}
 
 // Quantile returns an estimate of the q-quantile (0 <= q <= 1).
 func (h *Histogram) Quantile(q float64) int64 {
@@ -285,10 +266,10 @@ type MetricValue struct {
 // HistogramSummary is the percentile digest of one histogram, in the
 // histogram's native units (nanoseconds for latencies).
 type HistogramSummary struct {
-	Count                    int64
-	Mean                     float64
-	Min, P50, P95, P99, P999 int64
-	Max                      int64
+	Count               int64
+	Mean                float64
+	P50, P95, P99, P999 int64
+	Max                 int64
 }
 
 // Summary digests the histogram.
@@ -296,7 +277,6 @@ func (h *Histogram) Summary() HistogramSummary {
 	return HistogramSummary{
 		Count: h.Count(),
 		Mean:  h.Mean(),
-		Min:   h.Min(),
 		P50:   h.P50(),
 		P95:   h.P95(),
 		P99:   h.P99(),

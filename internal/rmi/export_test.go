@@ -18,3 +18,9 @@ func (r *Registry) Deployed(name string) bool {
 	_, ok := r.services[name]
 	return ok
 }
+
+// The resilience settings the tests drive a breaker through.
+const (
+	BreakerThreshold = breakerThreshold
+	BreakerCooldown  = breakerCooldown
+)

@@ -16,8 +16,14 @@ import (
 // bounded FIFO line, and a request that finds it full is denied — the TP
 // monitor's "deny rather than degrade service". A line longer than the
 // callers can fill degrades instead: every request waits its turn.
-// SelfTuning moves the limit between Workers and MaxWorkers, the paper's
-// need to "dynamically enlist computing resources to handle peak loads".
+// SelfTuning moves the limit between Workers and tuneGrowth×Workers, one
+// step every tuneInterval, the paper's need to "dynamically enlist
+// computing resources to handle peak loads".
+
+const (
+	tuneGrowth   = 8
+	tuneInterval = 5 * time.Millisecond
+)
 
 var (
 	// ErrDenied is Admit's answer when the line is full.
@@ -34,14 +40,10 @@ type QueueConfig struct {
 	Workers int
 	// QueueLen bounds the line (default 256).
 	QueueLen int
-	// SelfTuning raises the limit toward MaxWorkers while the line is
-	// longer than the limit, and lowers it back to Workers when the line
-	// is empty — the paper's self-tuning need.
+	// SelfTuning raises the limit toward tuneGrowth×Workers while the
+	// line is longer than the limit, and lowers it back to Workers when
+	// the line is empty — the paper's self-tuning need.
 	SelfTuning bool
-	// MaxWorkers caps self-tuning growth (default 4×Workers).
-	MaxWorkers int
-	// TuneInterval is how often the tuner adjusts (default 100ms).
-	TuneInterval time.Duration
 }
 
 // Gate is a server's execute queue. A request runs between a nil Admit and
@@ -84,12 +86,6 @@ func NewGate(cfg QueueConfig, clock vclock.Clock, reg *metrics.Registry) *Gate {
 	if cfg.QueueLen <= 0 {
 		cfg.QueueLen = 256
 	}
-	if cfg.MaxWorkers <= 0 {
-		cfg.MaxWorkers = cfg.Workers * 4
-	}
-	if cfg.TuneInterval <= 0 {
-		cfg.TuneInterval = 100 * time.Millisecond
-	}
 	if reg == nil {
 		reg = metrics.NewRegistry()
 	}
@@ -105,7 +101,7 @@ func NewGate(cfg QueueConfig, clock vclock.Clock, reg *metrics.Registry) *Gate {
 	}
 	if cfg.SelfTuning {
 		g.mu.Lock() // tune, on the clock's goroutine, rewrites g.tuner
-		g.tuner = clock.AfterFunc(cfg.TuneInterval, g.tune)
+		g.tuner = clock.AfterFunc(tuneInterval, g.tune)
 		g.mu.Unlock()
 	}
 	return g
@@ -196,7 +192,7 @@ func (g *Gate) Backlog() int {
 }
 
 // tune raises the limit by one while the line is longer than the limit,
-// lowers it by one while the line is empty, and runs again TuneInterval
+// lowers it by one while the line is empty, and runs again tuneInterval
 // later.
 func (g *Gate) tune() {
 	g.mu.Lock()
@@ -205,7 +201,7 @@ func (g *Gate) tune() {
 		return
 	}
 	switch backlog := len(g.line); {
-	case backlog > g.limit && g.limit < g.cfg.MaxWorkers:
+	case backlog > g.limit && g.limit < tuneGrowth*g.cfg.Workers:
 		g.limit++
 		g.reg.Counter("queue.grown").Inc()
 		g.next()
@@ -213,7 +209,7 @@ func (g *Gate) tune() {
 		g.limit--
 		g.reg.Counter("queue.shrunk").Inc()
 	}
-	g.tuner = g.clock.AfterFunc(g.cfg.TuneInterval, g.tune)
+	g.tuner = g.clock.AfterFunc(tuneInterval, g.tune)
 }
 
 // Close refuses everyone in line and every later Admit. Requests already

@@ -6,12 +6,12 @@ import (
 	"reflect"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"wls/internal/cluster"
 	"wls/internal/metrics"
 	"wls/internal/netsim"
 	"wls/internal/rmi"
+	"wls/internal/simtest"
 	"wls/internal/vclock"
 	"wls/internal/wire"
 )
@@ -46,9 +46,7 @@ func TestInvokeViaOrder(t *testing.T) {
 	}
 	a, b, c := m[0], m[1], m[2]
 	var orders atomic.Int64
-	res := rmi.NewResilience(rmi.ResilienceConfig{
-		BreakerThreshold: 1, BreakerCooldown: time.Hour, BackoffBase: time.Millisecond, BackoffMax: time.Millisecond,
-	}, vclock.System, metrics.NewRegistry())
+	res := rmi.NewResilience(0, simtest.FrozenClock{Virtual: vclock.NewVirtualAtZero()}, metrics.NewRegistry())
 	stub := rmi.NewStub("Pay", caller, rmi.StaticView(a.Addr, b.Addr, c.Addr),
 		rmi.WithPolicy(countingPolicy{&orders}), rmi.WithIdempotent("get"), rmi.WithResilience(res))
 
@@ -76,23 +74,24 @@ func TestInvokeViaOrder(t *testing.T) {
 		t.Fatalf("the policy was asked %d times, want once", orders.Load())
 	}
 
-	// b's breaker opened on its refusal. Heal it: named first, b is tried
-	// and serves; left to the policy, it is skipped.
+	// b's refusals open its breaker, which never cools down on a frozen
+	// clock. Heal it: left to the policy, b is skipped; named first, it is
+	// tried and serves.
 	refuse(a, false)
-	refuse(b, false)
-	if res.State(b.Name) != rmi.BreakerOpen {
-		t.Fatalf("%s's breaker is %s, want open", b.Name, res.State(b.Name))
-	}
-	if served, _, err := call(b); err != nil || served != b.Name {
-		t.Fatalf("open breaker, named first: served by %q, err %v; want %s", served, err, b.Name)
-	}
-	refuse(b, true)
-	if _, _, err := call(b); err != nil { // b fails, its breaker opens again
-		t.Fatal(err)
+	for n := 1; res.State(b.Name) != rmi.BreakerOpen; n++ {
+		if n == 10 {
+			t.Fatalf("%s's breaker is %s after %d refusals, want open", b.Name, res.State(b.Name), n)
+		}
+		if _, _, err := call(b); err != nil {
+			t.Fatal(err)
+		}
 	}
 	refuse(b, false)
 	if _, callees, err := call(); err != nil || len(callees) != 1 || callees[0] == b.Name {
 		t.Fatalf("open breaker, left to the policy: callees %v, err %v; want one, not %s", callees, err, b.Name)
+	}
+	if served, _, err := call(b); err != nil || served != b.Name {
+		t.Fatalf("open breaker, named first: served by %q, err %v; want %s", served, err, b.Name)
 	}
 
 	empty := rmi.NewStub("Pay", caller, rmi.StaticView())

@@ -18,52 +18,19 @@ import (
 // caller's aggregate behaviour — a per-stub bucket would just shift the
 // retry storm one layer down.
 
-// ResilienceConfig tunes a Resilience. The zero value selects defaults.
-type ResilienceConfig struct {
-	// RetryBudget is the token-bucket capacity: the number of retries the
-	// caller may have "banked" at once (default 10). Every retry spends a
-	// token; only successes earn them back.
-	RetryBudget int
-	// RetryRatio is the fraction of a token earned per successful call
-	// (default 0.1: one banked retry per ten successes).
-	RetryRatio float64
-	// BackoffBase is the delay before the first retry (default 5ms); each
-	// further retry doubles it up to BackoffMax (default 250ms).
-	BackoffBase time.Duration
-	BackoffMax  time.Duration
-	// BreakerThreshold is the consecutive-failure count that opens a
-	// server's breaker (default 5).
-	BreakerThreshold int
-	// BreakerCooldown is how long an open breaker waits before admitting a
-	// half-open probe (default 500ms).
-	BreakerCooldown time.Duration
-	// Seed drives the backoff jitter. The jitter sequence is a pure
-	// function of (Seed, spend counter) on the virtual clock, which keeps
-	// chaos timelines byte-identical per (seed, config).
-	Seed int64
-}
-
-func (c ResilienceConfig) withDefaults() ResilienceConfig {
-	if c.RetryBudget <= 0 {
-		c.RetryBudget = 10
-	}
-	if c.RetryRatio <= 0 {
-		c.RetryRatio = 0.1
-	}
-	if c.BackoffBase <= 0 {
-		c.BackoffBase = 5 * time.Millisecond
-	}
-	if c.BackoffMax <= 0 {
-		c.BackoffMax = 250 * time.Millisecond
-	}
-	if c.BreakerThreshold <= 0 {
-		c.BreakerThreshold = 5
-	}
-	if c.BreakerCooldown <= 0 {
-		c.BreakerCooldown = 500 * time.Millisecond
-	}
-	return c
-}
+// The protection's settings. Every retry spends one of retryBudget
+// banked tokens, and each successful call earns retryRatio of one back.
+// The delay before retry n is backoffBase doubled n-1 times, capped at
+// backoffMax, then jittered. breakerThreshold consecutive failures open a
+// server's breaker, which admits a half-open probe after breakerCooldown.
+const (
+	retryBudget      = 10
+	retryRatio       = 0.1
+	backoffBase      = 5 * time.Millisecond
+	backoffMax       = 250 * time.Millisecond
+	breakerThreshold = 5
+	breakerCooldown  = 500 * time.Millisecond
+)
 
 // BreakerState is one server's circuit-breaker state.
 type BreakerState int
@@ -103,7 +70,7 @@ type breaker struct {
 // Resilience is the shared client-side overload protection consulted by
 // every stub built with WithResilience.
 type Resilience struct {
-	cfg   ResilienceConfig
+	seed  int64
 	clock vclock.Clock
 	reg   *metrics.Registry
 
@@ -126,14 +93,15 @@ type Resilience struct {
 }
 
 // NewResilience builds a Resilience on the given clock, exporting its state
-// into reg (a private registry when nil).
-func NewResilience(cfg ResilienceConfig, clock vclock.Clock, reg *metrics.Registry) *Resilience {
-	cfg = cfg.withDefaults()
+// into reg (a private registry when nil). The seed drives the backoff
+// jitter, a pure function of (seed, spend counter), which keeps
+// virtual-clock chaos timelines byte-identical per seed.
+func NewResilience(seed int64, clock vclock.Clock, reg *metrics.Registry) *Resilience {
 	if reg == nil {
 		reg = metrics.NewRegistry()
 	}
 	r := &Resilience{
-		cfg:           cfg,
+		seed:          seed,
 		clock:         clock,
 		reg:           reg,
 		retries:       reg.Counter("rmi.retries"),
@@ -141,7 +109,7 @@ func NewResilience(cfg ResilienceConfig, clock vclock.Clock, reg *metrics.Regist
 		breakerOpened: reg.Counter("rmi.breaker.opened"),
 		breakerClosed: reg.Counter("rmi.breaker.closed"),
 		tokensG:       reg.Gauge("rmi.retry.tokens"),
-		tokens:        float64(cfg.RetryBudget),
+		tokens:        retryBudget,
 		breakers:      make(map[string]*breaker),
 	}
 	r.tokensG.Set(int64(r.tokens))
@@ -176,7 +144,7 @@ func (r *Resilience) Allow(server string) bool {
 	case BreakerClosed:
 		return true
 	case BreakerOpen:
-		if r.clock.Since(b.openedAt) < r.cfg.BreakerCooldown {
+		if r.clock.Since(b.openedAt) < breakerCooldown {
 			return false
 		}
 		r.setState(b, BreakerHalfOpen)
@@ -200,10 +168,7 @@ func (r *Resilience) markAttempt(server string) {
 // server executed the request, so it is healthy) and earns retry credit.
 func (r *Resilience) recordSuccess(server string) {
 	r.mu.Lock()
-	r.tokens += r.cfg.RetryRatio
-	if max := float64(r.cfg.RetryBudget); r.tokens > max {
-		r.tokens = max
-	}
+	r.tokens = min(r.tokens+retryRatio, retryBudget)
 	r.tokensG.Set(int64(r.tokens))
 	b := r.forServer(server)
 	b.failures = 0
@@ -223,7 +188,7 @@ func (r *Resilience) recordFailure(server string) {
 	switch b.state {
 	case BreakerClosed:
 		b.failures++
-		if b.failures >= r.cfg.BreakerThreshold {
+		if b.failures >= breakerThreshold {
 			r.setState(b, BreakerOpen)
 			b.openedAt = r.clock.Now()
 			r.breakerOpened.Inc()
@@ -279,18 +244,16 @@ func splitmix64(x uint64) uint64 {
 // callers; deriving it from a counter instead of wall time keeps virtual-
 // clock chaos timelines byte-identical.
 func (r *Resilience) backoff(n int) time.Duration {
-	d := r.cfg.BackoffBase
-	for i := 1; i < n && d < r.cfg.BackoffMax; i++ {
+	d := backoffBase
+	for i := 1; i < n && d < backoffMax; i++ {
 		d *= 2
 	}
-	if d > r.cfg.BackoffMax {
-		d = r.cfg.BackoffMax
-	}
+	d = min(d, backoffMax)
 	r.mu.Lock()
 	r.jitterCtr++
 	c := r.jitterCtr
 	r.mu.Unlock()
-	h := splitmix64(uint64(r.cfg.Seed) ^ c)
+	h := splitmix64(uint64(r.seed) ^ c)
 	frac := 0.5 + 0.5*float64(h>>11)/float64(1<<53)
 	return time.Duration(float64(d) * frac)
 }

@@ -11,26 +11,25 @@ import (
 // White-box coverage of the resilience primitives: the breaker state
 // machine, the retry token bucket and the deterministic backoff jitter.
 
-func newTestResilience(cfg ResilienceConfig) (*Resilience, *vclock.Virtual, *metrics.Registry) {
+func newTestResilience(seed int64) (*Resilience, *vclock.Virtual, *metrics.Registry) {
 	clk := vclock.NewVirtualAtZero()
 	reg := metrics.NewRegistry()
-	return NewResilience(cfg, clk, reg), clk, reg
+	return NewResilience(seed, clk, reg), clk, reg
 }
 
 func TestBreakerStateMachine(t *testing.T) {
-	cfg := ResilienceConfig{BreakerThreshold: 3, BreakerCooldown: 100 * time.Millisecond}
-	r, clk, reg := newTestResilience(cfg)
+	r, clk, reg := newTestResilience(0)
 	const srv = "server-1"
 
 	// Closed: failures below the threshold keep admitting.
-	for i := 0; i < 2; i++ {
+	for i := 0; i < breakerThreshold-1; i++ {
 		if !r.Allow(srv) {
 			t.Fatalf("closed breaker refused attempt %d", i)
 		}
 		r.recordFailure(srv)
 	}
 	if st := r.State(srv); st != BreakerClosed {
-		t.Fatalf("state after 2 failures = %v, want closed", st)
+		t.Fatalf("state after %d failures = %v, want closed", breakerThreshold-1, st)
 	}
 
 	// Threshold failure opens it; open refuses until the cooldown elapses.
@@ -46,7 +45,7 @@ func TestBreakerStateMachine(t *testing.T) {
 	}
 
 	// Cooldown promotes to half-open with exactly one probe slot.
-	clk.Advance(cfg.BreakerCooldown)
+	clk.Advance(breakerCooldown)
 	if !r.Allow(srv) {
 		t.Fatal("cooled-down breaker refused the probe")
 	}
@@ -63,13 +62,13 @@ func TestBreakerStateMachine(t *testing.T) {
 	if st := r.State(srv); st != BreakerOpen {
 		t.Fatalf("state after failed probe = %v, want open", st)
 	}
-	clk.Advance(cfg.BreakerCooldown / 2)
+	clk.Advance(breakerCooldown / 2)
 	if r.Allow(srv) {
 		t.Fatal("re-opened breaker admitted before a fresh cooldown")
 	}
 
 	// Successful probe re-closes and is counted.
-	clk.Advance(cfg.BreakerCooldown)
+	clk.Advance(breakerCooldown)
 	if !r.Allow(srv) {
 		t.Fatal("breaker refused the second probe")
 	}
@@ -87,25 +86,26 @@ func TestBreakerStateMachine(t *testing.T) {
 // failures recorded while already open (forced last-resort probes under a
 // total outage) must not postpone the half-open transition.
 func TestBreakerOpenDoesNotRefreshOnFailure(t *testing.T) {
-	cfg := ResilienceConfig{BreakerThreshold: 1, BreakerCooldown: 100 * time.Millisecond}
-	r, clk, _ := newTestResilience(cfg)
+	r, clk, _ := newTestResilience(0)
 	const srv = "server-1"
-	r.recordFailure(srv)
+	for i := 0; i < breakerThreshold; i++ {
+		r.recordFailure(srv)
+	}
 	if st := r.State(srv); st != BreakerOpen {
 		t.Fatalf("state = %v, want open", st)
 	}
-	clk.Advance(90 * time.Millisecond)
+	clk.Advance(breakerCooldown * 9 / 10)
 	r.recordFailure(srv) // while open: must not restart the cooldown
-	clk.Advance(10 * time.Millisecond)
+	clk.Advance(breakerCooldown / 10)
 	if !r.Allow(srv) {
 		t.Fatal("failure while open postponed the half-open transition")
 	}
 }
 
 func TestRetryTokenBucket(t *testing.T) {
-	r, _, reg := newTestResilience(ResilienceConfig{RetryBudget: 2, RetryRatio: 0.5})
+	r, _, reg := newTestResilience(0)
 	// Bucket starts full.
-	for i := 0; i < 2; i++ {
+	for i := 0; i < retryBudget; i++ {
 		if !r.SpendRetry() {
 			t.Fatalf("spend %d refused with tokens banked", i)
 		}
@@ -116,25 +116,33 @@ func TestRetryTokenBucket(t *testing.T) {
 	if got := reg.Counter("rmi.retry.denied").Value(); got != 1 {
 		t.Fatalf("retry.denied = %d, want 1", got)
 	}
-	// Successes earn fractional credit: two at ratio 0.5 bank one retry.
-	r.recordSuccess("server-1")
+	// Successes earn fractional credit: half a token's worth grants no
+	// retry; a token and a half's worth grants one.
+	const perToken = int(1 / retryRatio)
+	for i := 0; i < perToken/2; i++ {
+		r.recordSuccess("server-1")
+	}
 	if r.SpendRetry() {
 		t.Fatal("half a token granted a retry")
 	}
-	r.recordSuccess("server-1")
+	for i := 0; i < perToken; i++ {
+		r.recordSuccess("server-1")
+	}
 	if !r.SpendRetry() {
 		t.Fatal("earned token refused")
 	}
-	if got := reg.Counter("rmi.retries").Value(); got != 3 {
-		t.Fatalf("retries = %d, want 3", got)
+	if r.SpendRetry() {
+		t.Fatal("half a token granted a second retry")
+	}
+	if got := reg.Counter("rmi.retries").Value(); got != retryBudget+1 {
+		t.Fatalf("retries = %d, want %d", got, retryBudget+1)
 	}
 }
 
 func TestBackoffDeterministicAndBounded(t *testing.T) {
-	cfg := ResilienceConfig{Seed: 42, BackoffBase: 5 * time.Millisecond, BackoffMax: 250 * time.Millisecond}
-	a, _, _ := newTestResilience(cfg)
-	b, _, _ := newTestResilience(cfg)
-	other, _, _ := newTestResilience(ResilienceConfig{Seed: 43, BackoffBase: 5 * time.Millisecond, BackoffMax: 250 * time.Millisecond})
+	a, _, _ := newTestResilience(42)
+	b, _, _ := newTestResilience(42)
+	other, _, _ := newTestResilience(43)
 
 	var seqA, seqB, seqO []time.Duration
 	for n := 1; n <= 12; n++ {
@@ -152,9 +160,9 @@ func TestBackoffDeterministicAndBounded(t *testing.T) {
 			differs = true
 		}
 		// Uncapped growth is base<<(n-1); jitter scales into [0.5, 1.0).
-		exp := cfg.BackoffBase << (n - 1)
-		if exp > cfg.BackoffMax || exp <= 0 {
-			exp = cfg.BackoffMax
+		exp := backoffBase << (n - 1)
+		if exp > backoffMax || exp <= 0 {
+			exp = backoffMax
 		}
 		if da < exp/2 || da >= exp {
 			t.Fatalf("backoff(%d) = %v outside [%v, %v)", n, da, exp/2, exp)

@@ -6,7 +6,6 @@ import (
 	"strings"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"wls/internal/metrics"
 	"wls/internal/rmi"
@@ -64,17 +63,21 @@ func TestRetryBudgetExhausted(t *testing.T) {
 	defer stop()
 
 	reg := metrics.NewRegistry()
-	res := rmi.NewResilience(rmi.ResilienceConfig{RetryBudget: 1, RetryRatio: 0.0001}, f.Clock, reg)
+	res := rmi.NewResilience(0, f.Clock, reg)
 	stub := rmi.NewStub("Echo", f.Servers[0].Endpoint,
 		rmi.StaticView(addr2, addr3), rmi.WithResilience(res))
+	for reg.Gauge("rmi.retry.tokens").Value() > 1 {
+		res.SpendRetry()
+	}
+	spent := reg.Counter("rmi.retries").Value()
 
-	// First invoke spends the only banked token failing over addr2 → addr3.
+	// First invoke spends the last banked token failing over addr2 → addr3.
 	_, err := stub.Invoke(context.Background(), "echo", nil)
 	if err == nil {
 		t.Fatal("invoke against crashed servers succeeded")
 	}
-	if got := reg.Counter("rmi.retries").Value(); got != 1 {
-		t.Fatalf("rmi.retries = %d, want 1", got)
+	if got := reg.Counter("rmi.retries").Value(); got != spent+1 {
+		t.Fatalf("rmi.retries = %d, want %d", got, spent+1)
 	}
 	// Second invoke fails its first attempt and is refused the retry.
 	_, err = stub.Invoke(context.Background(), "echo", nil)
@@ -97,23 +100,22 @@ func TestBreakerOpensAndRecloses(t *testing.T) {
 	target := f.Servers[1]
 	name, addr := target.Name, target.Endpoint.Addr()
 
-	cfg := rmi.ResilienceConfig{BreakerThreshold: 2, BreakerCooldown: 200 * time.Millisecond}
-	res := rmi.NewResilience(cfg, f.Clock, nil)
+	res := rmi.NewResilience(0, f.Clock, nil)
 	stub := rmi.NewStub("Echo", f.Servers[0].Endpoint,
 		rmi.NamedStaticView(name, addr), rmi.WithResilience(res))
 
 	f.Crash(name)
-	for i := 0; i < cfg.BreakerThreshold; i++ {
+	for i := 0; i < rmi.BreakerThreshold; i++ {
 		if _, err := stub.Invoke(context.Background(), "echo", nil); err == nil {
 			t.Fatalf("invoke %d against crashed %s succeeded", i, name)
 		}
 	}
 	if st := res.State(name); st != rmi.BreakerOpen {
-		t.Fatalf("breaker after %d failures = %v, want open", cfg.BreakerThreshold, st)
+		t.Fatalf("breaker after %d failures = %v, want open", rmi.BreakerThreshold, st)
 	}
 
 	deployEcho(f.Restart(name))
-	f.VClock.Advance(cfg.BreakerCooldown)
+	f.VClock.Advance(rmi.BreakerCooldown)
 	res2, err := stub.Invoke(context.Background(), "echo", []byte("probe"))
 	if err != nil {
 		t.Fatalf("probe after restart failed: %v", err)
@@ -142,7 +144,7 @@ func TestBusyFailoverToNextServer(t *testing.T) {
 
 	stop := advancer(f)
 	defer stop()
-	res := rmi.NewResilience(rmi.ResilienceConfig{}, f.Clock, nil)
+	res := rmi.NewResilience(0, f.Clock, nil)
 	stub := f.Servers[2].Stub("Echo",
 		rmi.WithPolicy(orderPolicy{names: []string{full.Name, next.Name}}),
 		rmi.WithResilience(res))

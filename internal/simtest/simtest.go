@@ -44,8 +44,6 @@ type Options struct {
 	// ServersPerMachine controls machine assignment (default 1: every
 	// server on its own machine).
 	ServersPerMachine int
-	// ClusterName defaults to "cluster".
-	ClusterName string
 	// HeartbeatInterval defaults to 100ms, FailureTimeout to 350ms.
 	HeartbeatInterval time.Duration
 	FailureTimeout    time.Duration
@@ -79,9 +77,6 @@ func New(opts Options) *Fixture {
 	if opts.ServersPerMachine == 0 {
 		opts.ServersPerMachine = 1
 	}
-	if opts.ClusterName == "" {
-		opts.ClusterName = "cluster"
-	}
 	if opts.HeartbeatInterval == 0 {
 		opts.HeartbeatInterval = 100 * time.Millisecond
 	}
@@ -106,7 +101,7 @@ func New(opts Options) *Fixture {
 		Net:    netsim.New(clk),
 		Bus:    gossip.NewInMemory(clk, opts.Seed),
 		cfg: cluster.Config{
-			Name:              opts.ClusterName,
+			Name:              "cluster",
 			HeartbeatInterval: opts.HeartbeatInterval,
 			FailureTimeout:    opts.FailureTimeout,
 		},
@@ -241,4 +236,16 @@ func (f *Fixture) Stop() {
 		s.Member.Stop()
 		s.Endpoint.Close()
 	}
+}
+
+// FrozenClock's time never moves and its waits end at once: a Resilience
+// on it keeps an open breaker open and backs off for no time, whatever
+// clock the fabric runs on.
+type FrozenClock struct{ *vclock.Virtual }
+
+// After fires at once.
+func (FrozenClock) After(time.Duration) <-chan time.Time {
+	c := make(chan time.Time, 1)
+	c <- time.Time{}
+	return c
 }

@@ -52,26 +52,15 @@ type Activatable interface {
 	Deactivate()
 }
 
-// FuncService adapts two funcs to Activatable.
-type FuncService struct {
-	OnActivate   func(epoch uint64) error
-	OnDeactivate func()
-}
+// Nop is an Activatable with no state to rebuild or stop: the service is
+// only its ownership.
+type Nop struct{}
 
 // Activate implements Activatable.
-func (f FuncService) Activate(epoch uint64) error {
-	if f.OnActivate == nil {
-		return nil
-	}
-	return f.OnActivate(epoch)
-}
+func (Nop) Activate(uint64) error { return nil }
 
 // Deactivate implements Activatable.
-func (f FuncService) Deactivate() {
-	if f.OnDeactivate != nil {
-		f.OnDeactivate()
-	}
-}
+func (Nop) Deactivate() {}
 
 // ErrNotOwner is returned by Guard when this server does not (provably)
 // hold the service.
@@ -85,10 +74,10 @@ type Config struct {
 	// means every cluster member is an equal candidate (ring order
 	// breaks ties).
 	Preferred []string
-	// RetryInterval is how often a non-owner candidate re-attempts the
-	// lease (defaults to the lease TTL).
-	RetryInterval time.Duration
 }
+
+// retryInterval is how often a non-owner candidate re-attempts the lease.
+const retryInterval = 100 * time.Millisecond
 
 // Host is one server's candidacy for a continuous singleton service.
 type Host struct {
@@ -100,7 +89,6 @@ type Host struct {
 	impl     Activatable
 	node     rmi.Node
 	managers []string
-	retryIv  time.Duration
 
 	// mu guards activation state; ownership checks read the lease
 	// holder while it is held (Holder.Held only, never Acquire).
@@ -129,10 +117,6 @@ func NewHost(cfg Config, member *cluster.Member, registry *rmi.Registry, impl Ac
 		node:     node,
 		managers: managerAddrs,
 		holder:   lease.NewHolder(member.Clock(), node, cfg.Service, self, lease.Push, managerAddrs...),
-		retryIv:  cfg.RetryInterval,
-	}
-	if h.retryIv <= 0 {
-		h.retryIv = 500 * time.Millisecond
 	}
 	h.holder.OnLost(h.onLeaseLost)
 	registry.Register(h.handoffService())
@@ -404,7 +388,7 @@ func (h *Host) scheduleRetry() {
 		h.mu.Unlock()
 		return
 	}
-	h.retryT = h.clock.AfterFunc(h.retryIv, func() {
+	h.retryT = h.clock.AfterFunc(retryInterval, func() {
 		go func() {
 			h.evaluate()
 			h.scheduleRetry()

@@ -23,21 +23,28 @@ type tracker struct {
 func newTracker() *tracker { return &tracker{active: map[string]bool{}} }
 
 func (tr *tracker) service(server string) singleton.Activatable {
-	return singleton.FuncService{
-		OnActivate: func(epoch uint64) error {
-			tr.mu.Lock()
-			defer tr.mu.Unlock()
-			tr.active[server] = true
-			tr.log = append(tr.log, fmt.Sprintf("activate:%s:%d", server, epoch))
-			return nil
-		},
-		OnDeactivate: func() {
-			tr.mu.Lock()
-			defer tr.mu.Unlock()
-			tr.active[server] = false
-			tr.log = append(tr.log, "deactivate:"+server)
-		},
-	}
+	return tracked{tr, server}
+}
+
+// tracked is one server's instance of the service.
+type tracked struct {
+	tr     *tracker
+	server string
+}
+
+func (s tracked) Activate(epoch uint64) error {
+	s.tr.mu.Lock()
+	defer s.tr.mu.Unlock()
+	s.tr.active[s.server] = true
+	s.tr.log = append(s.tr.log, fmt.Sprintf("activate:%s:%d", s.server, epoch))
+	return nil
+}
+
+func (s tracked) Deactivate() {
+	s.tr.mu.Lock()
+	defer s.tr.mu.Unlock()
+	s.tr.active[s.server] = false
+	s.tr.log = append(s.tr.log, "deactivate:"+s.server)
 }
 
 func (tr *tracker) activeServers() []string {

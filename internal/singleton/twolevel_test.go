@@ -81,9 +81,8 @@ func TestTwoLevelHAArchitecture(t *testing.T) {
 	var hosts []*singleton.Host
 	for _, s := range apps {
 		h := singleton.NewHost(singleton.Config{
-			Service:       "jms-server",
-			Preferred:     []string{"server-4", "server-5"},
-			RetryInterval: 200 * time.Millisecond,
+			Service:   "jms-server",
+			Preferred: []string{"server-4", "server-5"},
 		}, s.Member, s.Registry, tr.service(s.Name), mgrAddrs...)
 		h.Start()
 		defer h.Stop()

@@ -69,14 +69,21 @@ func TestTimeoutVsCommitRace(t *testing.T) {
 		wg.Wait()
 	}()
 
-	// Deterministic window: arm a deadline, then give the advancing
-	// goroutine real time to fire the rollback callback — which reads
-	// Tx.timer — while this goroutine performs no synchronizing operation
-	// after Begin's write of the same field. Under -race this is exactly
-	// the Begin-assignment vs callback-read pair the fix put under t.mu.
+	// Deterministic window: arm a deadline, then wait until the advancing
+	// goroutine's rollback callback — which reads Tx.timer — has finished
+	// the transaction. Receiving from done releases nothing, so this
+	// goroutine performs no synchronizing operation after Begin's write of
+	// the same field that the callback could acquire. Under -race this is
+	// exactly the Begin-assignment vs callback-read pair the fix put under
+	// t.mu.
+	limit := time.After(5 * time.Second)
 	for i := 0; i < 10; i++ {
 		tr := m.Begin(time.Millisecond)
-		time.Sleep(5 * time.Millisecond)
+		select {
+		case <-tr.done:
+		case <-limit:
+			t.Fatalf("tx %s: its 1ms deadline had not rolled it back after 5s", tr.ID())
+		}
 		if err := tr.Commit(); !errors.Is(err, ErrTimeout) {
 			t.Fatalf("expired tx %s: Commit = %v, want ErrTimeout", tr.ID(), err)
 		}

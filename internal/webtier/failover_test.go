@@ -6,11 +6,11 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"wls/internal/metrics"
 	"wls/internal/rmi"
 	"wls/internal/servlet"
+	"wls/internal/simtest"
 	"wls/internal/vclock"
 	"wls/internal/webtier"
 	"wls/internal/wire"
@@ -201,23 +201,16 @@ func TestRoutersAnswerAMalformedCookieWith400(t *testing.T) {
 	}
 }
 
-// TestRouterFailoversPayTheSharedBudget gives a plug-in one retry token,
-// earned back at a negligible rate, and breakers that open on the first
-// failure: the first refused primary is served by its secondary for the
-// token; the next failover is denied. While the primary's breaker is open,
-// its own sessions still go to it first, so they do not move, and new
-// sessions skip it.
+// TestRouterFailoversPayTheSharedBudget leaves a plug-in one retry token,
+// with breakers on a frozen clock, which never cool down: the first refused
+// primary is served by its secondary for the token; the next failover is
+// denied, and the primary's refusals open its breaker. While it is open,
+// the primary's own sessions still go to it first, so they do not move,
+// and new sessions skip it.
 func TestRouterFailoversPayTheSharedBudget(t *testing.T) {
 	ft := newFailTier(t)
 	reg := metrics.NewRegistry()
-	res := rmi.NewResilience(rmi.ResilienceConfig{
-		RetryBudget:      1,
-		RetryRatio:       1e-9,
-		BackoffBase:      time.Millisecond,
-		BackoffMax:       time.Millisecond,
-		BreakerThreshold: 1,
-		BreakerCooldown:  time.Hour,
-	}, vclock.System, reg)
+	res := rmi.NewResilience(0, simtest.FrozenClock{Virtual: vclock.NewVirtualAtZero()}, reg)
 	p := webtier.NewProxyPlugin(ft.node, ft.view, nil)
 	p.SetResilience(res)
 	ctx := context.Background()
@@ -240,20 +233,32 @@ func TestRouterFailoversPayTheSharedBudget(t *testing.T) {
 	}
 	P := onP[0].Primary
 	retries, denied := reg.Counter("rmi.retries"), reg.Counter("rmi.retry.denied")
+	// Spend the full bucket down to one token.
+	for tokens := reg.Gauge("rmi.retry.tokens"); tokens.Value() > 1; {
+		res.SpendRetry()
+	}
+	spent := retries.Value()
 
 	ft.refuse(P, true)
 	resp, err := p.Route(ctx, "/count", raw[0], nil)
 	if err != nil || resp.ServedBy != onP[0].Secondary {
 		t.Fatalf("first failover: served by %q, err %v; want the secondary %s", resp.ServedBy, err, onP[0].Secondary)
 	}
-	if retries.Value() != 1 {
-		t.Fatalf("rmi.retries = %d after one failover, want 1", retries.Value())
+	if retries.Value() != spent+1 {
+		t.Fatalf("rmi.retries = %d after one failover, want %d", retries.Value(), spent+1)
 	}
-	if _, err := p.Route(ctx, "/count", raw[1], nil); err == nil || !strings.Contains(err.Error(), "retry budget exhausted") {
-		t.Fatalf("second failover: err %v; want the retry budget exhausted", err)
+	var refusals int64
+	for n := 1; res.State(P) != rmi.BreakerOpen; n++ {
+		if n == 10 {
+			t.Fatalf("%s's breaker is %s after %d refusals, want open", P, res.State(P), n)
+		}
+		if _, err := p.Route(ctx, "/count", raw[1], nil); err == nil || !strings.Contains(err.Error(), "retry budget exhausted") {
+			t.Fatalf("failover %d: err %v; want the retry budget exhausted", n+1, err)
+		}
+		refusals++
 	}
-	if denied.Value() != 1 || res.State(P) != rmi.BreakerOpen {
-		t.Fatalf("rmi.retry.denied = %d, %s's breaker %s; want 1 and open", denied.Value(), P, res.State(P))
+	if denied.Value() != refusals {
+		t.Fatalf("rmi.retry.denied = %d, want one per refused failover, %d", denied.Value(), refusals)
 	}
 
 	ft.refuse(P, false)
@@ -267,7 +272,7 @@ func TestRouterFailoversPayTheSharedBudget(t *testing.T) {
 	if err != nil || resp.ServedBy != P {
 		t.Fatalf("a session of %s while its breaker is open: served by %q, err %v", P, resp.ServedBy, err)
 	}
-	if retries.Value() != 1 || denied.Value() != 1 {
-		t.Fatalf("rmi.retries = %d, rmi.retry.denied = %d after the partition healed; want 1 and 1", retries.Value(), denied.Value())
+	if retries.Value() != spent+1 || denied.Value() != refusals {
+		t.Fatalf("rmi.retries = %d, rmi.retry.denied = %d after the partition healed; want %d and %d", retries.Value(), denied.Value(), spent+1, refusals)
 	}
 }

@@ -16,14 +16,6 @@ type Arrival interface {
 	Gap(elapsed time.Duration) time.Duration
 }
 
-// ConstantRate spaces arrivals evenly at the given rate.
-type ConstantRate struct {
-	Interval time.Duration
-}
-
-// Gap implements Arrival.
-func (c ConstantRate) Gap(time.Duration) time.Duration { return c.Interval }
-
 // Poisson models independent users: exponentially distributed
 // inter-arrival gaps around a mean rate (arrivals per second).
 type Poisson struct {

@@ -74,9 +74,8 @@ type Report struct {
 	Issued   int64
 	OK       int64
 	Errors   int64
-	Shed     int64 // open-loop arrivals dropped at the MaxInFlight cap
-	Sessions int64 // sessions started across all users
-	Elapsed  time.Duration
+	Shed     int64              // open-loop arrivals dropped at the MaxInFlight cap
+	Sessions int64              // sessions started across all users
 	Latency  *metrics.Histogram // successful-request latency
 }
 
@@ -148,7 +147,6 @@ func (e *Engine) Run(do DoFunc) Report {
 	} else {
 		e.runClosed(issue, start, expired)
 	}
-	rep.Elapsed = wall.Since(start)
 	return rep
 }
 

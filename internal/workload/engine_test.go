@@ -122,3 +122,11 @@ func TestClosedLoopDeadline(t *testing.T) {
 		t.Fatal("deadline run issued nothing")
 	}
 }
+
+// ConstantRate spaces arrivals evenly at the given rate.
+type ConstantRate struct {
+	Interval time.Duration
+}
+
+// Gap implements Arrival.
+func (c ConstantRate) Gap(time.Duration) time.Duration { return c.Interval }

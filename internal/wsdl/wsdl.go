@@ -104,6 +104,8 @@ type ServiceDef struct {
 	// every operation; in-memory conversations are lost with the server.
 	Durable bool
 	// OnStart initializes a new server-side conversation.
+	//
+	//wls:nolint unreached -- library-only: §4, TestOneWayQueuesInMemoryWithConversation
 	OnStart func(c *Conversation)
 }
 

@@ -54,8 +54,6 @@ import (
 type Options struct {
 	// Servers is the cluster size (default 3).
 	Servers int
-	// ClusterName defaults to "cluster".
-	ClusterName string
 	// RealClock uses the wall clock instead of a virtual one. Virtual is
 	// the default: deterministic, and time only advances via Advance.
 	RealClock bool
@@ -66,9 +64,18 @@ type Options struct {
 	// Sessions selects the servlet session-state option.
 	Sessions servlet.SessionMode
 	// ServersPerMachine controls machine placement (default 1).
+	//
+	//wls:nolint unreached -- library-only: §3.2, TestOneMachineStillReplicates
 	ServersPerMachine int
-	// ReplicationGroups/PreferredSecondaryGroups configure §3.2 placement.
-	ReplicationGroups        []string
+	// ReplicationGroups assigns each server a §3.2 replication group,
+	// round robin.
+	//
+	//wls:nolint unreached -- library-only: §3.2, TestRingPlacementHonoursGroups
+	ReplicationGroups []string
+	// PreferredSecondaryGroups are the groups §3.2 places secondaries in
+	// first.
+	//
+	//wls:nolint unreached -- library-only: §3.2, TestRingPlacementHonoursGroups
 	PreferredSecondaryGroups []string
 	// WithAdmin adds a dedicated admin server hosting the lease manager
 	// (required for singleton services).
@@ -90,11 +97,11 @@ type Options struct {
 	// with a wire-level BUSY response that stubs treat as side-effect-free
 	// and fail over from.
 	Admission *rmi.QueueConfig
-	// Resilience, when set, gives every server a shared client-side
+	// Resilience gives every server a shared client-side
 	// overload-protection layer — retry token bucket, capped jittered
 	// backoff, per-server circuit breakers — which Server.Stub wires into
 	// every stub it creates (routers built from the cluster get their own).
-	Resilience *rmi.ResilienceConfig
+	Resilience bool
 }
 
 // Cluster is a running group of application servers plus the shared
@@ -166,9 +173,6 @@ func New(opts Options) (*Cluster, error) {
 	if opts.Servers == 0 {
 		opts.Servers = 3
 	}
-	if opts.ClusterName == "" {
-		opts.ClusterName = "cluster"
-	}
 	if opts.ServersPerMachine == 0 {
 		opts.ServersPerMachine = 1
 	}
@@ -193,7 +197,7 @@ func New(opts Options) (*Cluster, error) {
 		net:   netsim.New(clk),
 		bus:   gossip.NewInMemory(clk, opts.Seed),
 		cfg: cluster.Config{
-			Name:              opts.ClusterName,
+			Name:              "cluster",
 			HeartbeatInterval: 100 * time.Millisecond,
 			FailureTimeout:    350 * time.Millisecond,
 		},
@@ -346,24 +350,13 @@ func (c *Cluster) assemble(s *Server) error {
 		s.queue = rmi.NewGate(*c.opts.Admission, fix.clock, s.reg)
 		s.registry.SetGate(s.queue)
 	}
-	if c.opts.Resilience != nil {
+	if c.opts.Resilience {
 		// A rebooted server has no memory of old breaker state or banked
 		// retry tokens; its jitter seed follows its name, so timelines stay
 		// reproducible.
-		rc := *c.opts.Resilience
-		rc.Seed = seedFor(c.seedBase(rc.Seed), s.Name)
-		s.res = rmi.NewResilience(rc, fix.clock, s.reg)
+		s.res = rmi.NewResilience(seedFor(c.opts.Seed, s.Name), fix.clock, s.reg)
 	}
 	return nil
-}
-
-// seedBase picks the base jitter seed: an explicit ResilienceConfig.Seed
-// wins, otherwise the cluster seed.
-func (c *Cluster) seedBase(explicit int64) int64 {
-	if explicit != 0 {
-		return explicit
-	}
-	return c.opts.Seed
 }
 
 // seedFor de-correlates backoff jitter and record ids across callers
@@ -636,12 +629,10 @@ func (c *Cluster) ProxyPlugin(addr string) *webtier.ProxyPlugin {
 // Options.Resilience is unset). Routers do not share the servers' budgets:
 // a router's view of a backend's health is its own.
 func (c *Cluster) newRouterResilience(addr string) *rmi.Resilience {
-	if c.opts.Resilience == nil {
+	if !c.opts.Resilience {
 		return nil
 	}
-	rc := *c.opts.Resilience
-	rc.Seed = seedFor(c.seedBase(rc.Seed), addr)
-	return rmi.NewResilience(rc, c.fix.clock, nil)
+	return rmi.NewResilience(seedFor(c.opts.Seed, addr), c.fix.clock, nil)
 }
 
 // ExternalLB builds a Fig 3 appliance router.

@@ -29,7 +29,7 @@ func TestClusterBootAndStatelessBean(t *testing.T) {
 		s.EJB.DeployStateless(ejb.StatelessSpec{
 			Name: "Hello",
 			Methods: map[string]ejb.StatelessMethod{
-				"hi": func(ctx context.Context, inst any, call *rmi.Call) ([]byte, error) {
+				"hi": func(ctx context.Context, call *rmi.Call) ([]byte, error) {
 					return []byte("hello from " + name), nil
 				},
 			},
@@ -113,7 +113,7 @@ func TestClusterSingletonViaAdmin(t *testing.T) {
 	}
 	defer c.Stop()
 	h := c.Servers[0].SingletonHost(singleton.Config{Service: "q", Preferred: []string{"server-1"}},
-		singleton.FuncService{})
+		singleton.Nop{})
 	h.Start()
 	defer h.Stop()
 	c.Settle(4)
