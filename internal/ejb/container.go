@@ -77,9 +77,9 @@ func (c *Container) Close() {
 // ---------------------------------------------------------------------------
 // Stateless session beans (§3.1)
 
-// StatelessMethod is one business method of a stateless bean. A
-// stateless bean keeps no state between invocations (§3.1), so a method is
-// all it is; the server's execute queue bounds how many run at once.
+// StatelessMethod is one business method of a stateless bean, which keeps
+// no state between invocations (§3.1). Only an execute queue (wls
+// Options.Admission) bounds how many run at once; without one, none does.
 type StatelessMethod func(ctx context.Context, call *rmi.Call) ([]byte, error)
 
 // StatelessSpec declares a stateless session bean.

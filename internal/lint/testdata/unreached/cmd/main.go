@@ -22,5 +22,5 @@ func main() {
 	unreached.Link("a", "b")
 	fmt.Println(unreached.Same(1, 2), unreached.First())
 	fmt.Println(unreached.Configure())
-	fmt.Println(unreached.Decode(nil), unreached.NewWritten())
+	fmt.Println(unreached.Decode(nil), unreached.NewWritten(), unreached.Show(unreached.Hidden{}))
 }

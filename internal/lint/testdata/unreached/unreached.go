@@ -209,6 +209,17 @@ type Aged struct {
 	Stale int
 }
 
+// Hidden's unexported field has no directive form, read or not.
+type Hidden struct {
+	// shown is read by Show.
+	//
+	/* want "belongs in the doc comment" */ //wls:nolint unreached -- test hook: TestSettings
+	shown int
+}
+
+// Show reads Hidden.shown.
+func Show(h Hidden) int { return h.shown }
+
 // Pair is written by position.
 type Pair struct{ Left, Right int }
 

@@ -4,6 +4,7 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"slices"
 	"strings"
 )
 
@@ -284,7 +285,7 @@ var reflectPkgs = map[string]bool{"reflect": true, "encoding/json": true, "encod
 // every other use reads it, x.f++ and x.f += 1 included. Comparing a
 // struct with == or != or keying a map by it reads every field, nested
 // structs' too. There is no directive: an unread field goes, with its
-// writes.
+// writes, and a directive on it is reported as misplaced.
 //
 // An exported field of an exported struct that no non-test code writes:
 // a setting only tests set. The left side of =, := or op= writes it,
@@ -369,7 +370,7 @@ func fieldRules(g *GlobalPass) map[*ast.Comment]bool {
 						}
 						for _, fl := range st.Fields.List {
 							var own *ast.Comment
-							if ts.Name.IsExported() {
+							if ts.Name.IsExported() && slices.ContainsFunc(fl.Names, (*ast.Ident).IsExported) {
 								own = directive(fl.Doc)
 							}
 							for _, id := range fl.Names {

@@ -19,17 +19,17 @@ import (
 // retry storm one layer down.
 
 // The protection's settings. Every retry spends one of retryBudget
-// banked tokens, and each successful call earns retryRatio of one back.
-// The delay before retry n is backoffBase doubled n-1 times, capped at
+// banked tokens, and every successesPerToken successful calls earn one
+// back. The delay before retry n is backoffBase doubled n-1 times, capped at
 // backoffMax, then jittered. breakerThreshold consecutive failures open a
 // server's breaker, which admits a half-open probe after breakerCooldown.
 const (
-	retryBudget      = 10
-	retryRatio       = 0.1
-	backoffBase      = 5 * time.Millisecond
-	backoffMax       = 250 * time.Millisecond
-	breakerThreshold = 5
-	breakerCooldown  = 500 * time.Millisecond
+	retryBudget       = 10
+	successesPerToken = 10
+	backoffBase       = 5 * time.Millisecond
+	backoffMax        = 250 * time.Millisecond
+	breakerThreshold  = 5
+	breakerCooldown   = 500 * time.Millisecond
 )
 
 // BreakerState is one server's circuit-breaker state.
@@ -87,7 +87,7 @@ type Resilience struct {
 	//
 	//wls:lockorder rmi.Resilience.mu<metrics.Registry.mu
 	mu        sync.Mutex
-	tokens    float64
+	credit    int // banked successes; successesPerToken make one token
 	jitterCtr uint64
 	breakers  map[string]*breaker
 }
@@ -109,10 +109,10 @@ func NewResilience(seed int64, clock vclock.Clock, reg *metrics.Registry) *Resil
 		breakerOpened: reg.Counter("rmi.breaker.opened"),
 		breakerClosed: reg.Counter("rmi.breaker.closed"),
 		tokensG:       reg.Gauge("rmi.retry.tokens"),
-		tokens:        retryBudget,
+		credit:        retryBudget * successesPerToken,
 		breakers:      make(map[string]*breaker),
 	}
-	r.tokensG.Set(int64(r.tokens))
+	r.tokensG.Set(retryBudget)
 	return r
 }
 
@@ -168,8 +168,8 @@ func (r *Resilience) markAttempt(server string) {
 // server executed the request, so it is healthy) and earns retry credit.
 func (r *Resilience) recordSuccess(server string) {
 	r.mu.Lock()
-	r.tokens = min(r.tokens+retryRatio, retryBudget)
-	r.tokensG.Set(int64(r.tokens))
+	r.credit = min(r.credit+1, retryBudget*successesPerToken)
+	r.tokensG.Set(int64(r.credit / successesPerToken))
 	b := r.forServer(server)
 	b.failures = 0
 	b.probing = false
@@ -219,12 +219,12 @@ func (r *Resilience) State(server string) BreakerState {
 func (r *Resilience) SpendRetry() bool {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if r.tokens < 1 {
+	if r.credit < successesPerToken {
 		r.retryDenied.Inc()
 		return false
 	}
-	r.tokens--
-	r.tokensG.Set(int64(r.tokens))
+	r.credit -= successesPerToken
+	r.tokensG.Set(int64(r.credit / successesPerToken))
 	r.retries.Inc()
 	return true
 }

@@ -116,23 +116,20 @@ func TestRetryTokenBucket(t *testing.T) {
 	if got := reg.Counter("rmi.retry.denied").Value(); got != 1 {
 		t.Fatalf("retry.denied = %d, want 1", got)
 	}
-	// Successes earn fractional credit: half a token's worth grants no
-	// retry; a token and a half's worth grants one.
-	const perToken = int(1 / retryRatio)
-	for i := 0; i < perToken/2; i++ {
+	// Successes earn credit: successesPerToken-1 of them grant no retry;
+	// one more grants exactly one.
+	for i := 0; i < successesPerToken-1; i++ {
 		r.recordSuccess("server-1")
 	}
 	if r.SpendRetry() {
-		t.Fatal("half a token granted a retry")
+		t.Fatalf("%d successes granted a retry", successesPerToken-1)
 	}
-	for i := 0; i < perToken; i++ {
-		r.recordSuccess("server-1")
-	}
+	r.recordSuccess("server-1")
 	if !r.SpendRetry() {
-		t.Fatal("earned token refused")
+		t.Fatalf("%d successes did not earn a token", successesPerToken)
 	}
 	if r.SpendRetry() {
-		t.Fatal("half a token granted a second retry")
+		t.Fatal("one earned token granted a second retry")
 	}
 	if got := reg.Counter("rmi.retries").Value(); got != retryBudget+1 {
 		t.Fatalf("retries = %d, want %d", got, retryBudget+1)
