@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test race lint check gates bench-smoke bench bench-transport bench-trace bench-overload bench-alloc bench-store bench-scale chaos
+.PHONY: all build test race lint check gates bench-smoke bench bench-transport bench-trace bench-overload bench-store bench-scale chaos
 
 all: build test race lint
 
@@ -80,9 +80,8 @@ bench:
 bench-transport:
 	$(GO) run ./cmd/wlsbench -exp E27 -json BENCH_transport.json
 
-# Tracing numbers (E29): per-hop latency breakdown of a traced servlet
-# request plus echo-RPC overhead at 0%/1%/100% sampling, checked in as
-# BENCH_trace.json.
+# Tracing numbers (E29): echo-RPC throughput and allocations at 0%/1%/100%
+# sampling, checked in as BENCH_trace.json.
 bench-trace:
 	$(GO) run ./cmd/wlsbench -exp E29 -json BENCH_trace.json
 
@@ -91,12 +90,6 @@ bench-trace:
 # flash burst with a slow server, checked in as BENCH_overload.json.
 bench-overload:
 	$(GO) run ./cmd/wlsbench -exp E30 -json BENCH_overload.json
-
-# Zero-alloc request-path numbers (E31): allocations per request through
-# webtier/servlet before (recorded seed) and after pooling, plus the
-# concurrency sweep at 1/64/1024 callers, checked in as BENCH_alloc.json.
-bench-alloc:
-	$(GO) run ./cmd/wlsbench -exp E31 -json BENCH_alloc.json
 
 # Persistence numbers (E32): table-store commit throughput, fsync
 # amplification, recovery time and footprint over each kv backend

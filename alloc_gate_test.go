@@ -5,7 +5,7 @@ package wls_test
 // The race runtime drops sync.Pool items at random, so allocation counts
 // only mean something without it; `make race` skips this file.
 
-// Allocation gates for the request path (E31). Each test measures the
+// Allocation gates for the request path. Each test measures the
 // allocations per request of one root with allocsPerRun, and each gate is
 // the highest value that root reads in 20 of 20 runs
 // (`go test -count=20 -cpu 1,4 -run TestAllocGate .`) plus 0.05, rounded
@@ -14,7 +14,9 @@ package wls_test
 // goroutines the package's other tests leave behind: under `go test ./...`
 // a gate that reads exactly 3 alone read 3.003. One more allocation per
 // request still fails, and a change that saves one lowers the constant
-// with it. DESIGN.md "Determinism & lint rules" maps every
+// with it. The webtier echo is also measured from 64 callers at once,
+// under the same gate: allocations per request must not grow with
+// concurrency. DESIGN.md "Determinism & lint rules" maps every
 // request-path root to the gate that reaches it.
 
 import (
@@ -22,6 +24,7 @@ import (
 	"path/filepath"
 	"runtime"
 	"strconv"
+	"sync"
 	"testing"
 	"time"
 
@@ -127,12 +130,16 @@ func allocGateCluster(t *testing.T, opts wls.Options) *wls.Cluster {
 
 // TestAllocGateWebtierEcho pins the full path — proxy plug-in routing, the
 // RMI hop, the servlet engine, and session resolution — with tracing
-// disabled.
+// disabled, from one caller and from 64 at once: pooled requests and
+// encoders must hold the count when many requests are in flight.
 func TestAllocGateWebtierEcho(t *testing.T) {
 	c := allocGateCluster(t, wls.Options{})
 	quiet(c)
-	n := routeAllocs(t, c.ProxyPlugin("webserver:80").Route, "/echo", []byte("hello"), 1)
+	route := c.ProxyPlugin("webserver:80").Route
+	n := routeAllocs(t, route, "/echo", []byte("hello"), 1)
 	allocGate(t, "webtier echo, per request", n, "gateWebtierEcho", gateWebtierEcho)
+	n = concurrentRouteAllocs(t, route, "/echo", []byte("hello"), 64)
+	allocGate(t, "webtier echo, 64 callers, per request", n, "gateWebtierEcho", gateWebtierEcho)
 }
 
 // TestAllocGateWebtierSessionWrite pins the same path with a session write,
@@ -183,12 +190,12 @@ func TestAllocGateServletDirect(t *testing.T) {
 
 	cookie := ""
 	n := callAllocs(300, func() {
-		cookie = eng.Serve("/echo", cookie, body).Cookie
+		cookie = eng.ServeCtx(context.Background(), "/echo", cookie, body).Cookie
 	})
 	allocGate(t, "servlet direct echo, per request", n, "gateServletDirectEcho", gateServletDirectEcho)
 
 	n = callAllocs(300, func() {
-		cookie = eng.Serve("/count", cookie, nil).Cookie
+		cookie = eng.ServeCtx(context.Background(), "/count", cookie, nil).Cookie
 	})
 	allocGate(t, "servlet direct session write, per request", n, "gateServletDirectWrite", gateServletDirectWrite)
 }
@@ -309,6 +316,46 @@ func routeLoop(t *testing.T, route router, path string, body []byte, sessions, w
 func routeAllocs(t *testing.T, route router, path string, body []byte, sessions int) float64 {
 	t.Helper()
 	return allocsPerRun(300, routeLoop(t, route, path, body, sessions, 128/sessions+2))
+}
+
+// concurrentRouteAllocs measures route on path from callers goroutines at
+// once, each following its own session, at the test's GOMAXPROCS. A first
+// round grows the pools to what callers requests hold at once; the second
+// is measured.
+func concurrentRouteAllocs(t *testing.T, route router, path string, body []byte, callers int) float64 {
+	t.Helper()
+	const perCaller = 128
+	cookies := make([]string, callers)
+	errs := make(chan error, callers)
+	round := func() {
+		var wg sync.WaitGroup
+		for i := range cookies {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for j := 0; j < perCaller; j++ {
+					r, err := route(context.Background(), path, cookies[i], body)
+					if err != nil {
+						errs <- err
+						return
+					}
+					cookies[i] = r.Cookie
+				}
+			}()
+		}
+		wg.Wait()
+		select {
+		case err := <-errs:
+			t.Fatal(err)
+		default:
+		}
+	}
+	round()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	round()
+	runtime.ReadMemStats(&after)
+	return float64(after.Mallocs-before.Mallocs) / float64(callers*perCaller)
 }
 
 // TestAllocGateTCPEcho pins proxy → TCP → servlet echo: the hop's floor and
@@ -500,7 +547,7 @@ func TestAllocGateSessionFootprint(t *testing.T) {
 	create := func(n int) {
 		body := []byte("sku-0042")
 		for i := 0; i < n; i++ {
-			if resp := c.Servers[i%len(c.Servers)].Web.Serve("/cart", "", body); resp.Status != 200 {
+			if resp := c.Servers[i%len(c.Servers)].Web.ServeCtx(context.Background(), "/cart", "", body); resp.Status != 200 {
 				t.Fatalf("session %d: status %d", i, resp.Status)
 			}
 		}

@@ -1,6 +1,6 @@
 // bench_test.go wires every experiment of the reproduction harness
-// (internal/bench, E01–E26 — one per figure and falsifiable claim of the
-// paper, see DESIGN.md) into `go test -bench`, plus a set of
+// (internal/bench, E01–E33 without E31 — one per figure and falsifiable
+// claim of the paper, see DESIGN.md) into `go test -bench`, plus a set of
 // micro-benchmarks for the hot paths the experiments ride on.
 //
 // Run a single experiment:  go test -bench=BenchmarkE05 -benchtime=1x

@@ -119,7 +119,7 @@ func TestBuiltinNamesTravelAsCodes(t *testing.T) {
 	ck, _ := servlet.DecodeCookie(resp.Cookie)
 	for _, s := range c.Servers {
 		if s.Name != ck.Primary && s.Name != ck.Secondary {
-			if r := s.Web.Serve("/n", resp.Cookie, nil); r.Status != 200 {
+			if r := s.Web.ServeCtx(context.Background(), "/n", resp.Cookie, nil); r.Status != 200 {
 				t.Fatalf("Fig 3 fetch on %s: status %d", s.Name, r.Status)
 			}
 		}

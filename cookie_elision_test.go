@@ -90,8 +90,10 @@ func netsimRig(t *testing.T, mode servlet.SessionMode) *elisionRig {
 			deploy(s)
 			c.AwaitConverged()
 		},
-		keep:  c.Servers[0].Name,
-		serve: func(path, cookie string) servlet.Response { return c.Servers[0].Web.Serve(path, cookie, nil) },
+		keep: c.Servers[0].Name,
+		serve: func(path, cookie string) servlet.Response {
+			return c.Servers[0].Web.ServeCtx(context.Background(), path, cookie, nil)
+		},
 	}
 }
 
@@ -108,10 +110,12 @@ func tcpRig(t *testing.T, mode servlet.SessionMode) *elisionRig {
 		route: func(path, cookie string, body []byte) (servlet.Response, error) {
 			return c.proxy.Route(context.Background(), path, cookie, body)
 		},
-		kill:  c.kill,
-		join:  func() { c.start(); c.converge() },
-		keep:  c.servers[0].name,
-		serve: func(path, cookie string) servlet.Response { return c.servers[0].engine.Serve(path, cookie, nil) },
+		kill: c.kill,
+		join: func() { c.start(); c.converge() },
+		keep: c.servers[0].name,
+		serve: func(path, cookie string) servlet.Response {
+			return c.servers[0].engine.ServeCtx(context.Background(), path, cookie, nil)
+		},
 	}
 }
 

@@ -1,6 +1,7 @@
 package wls_test
 
 import (
+	"context"
 	"fmt"
 	"slices"
 	"testing"
@@ -26,7 +27,7 @@ func TestSeededClustersDrawTheSameIDs(t *testing.T) {
 		}
 		c.Settle(3)
 		for i := 0; i < 64; i++ {
-			resp := c.Servers[i%len(c.Servers)].Web.Serve("/n", "", nil)
+			resp := c.Servers[i%len(c.Servers)].Web.ServeCtx(context.Background(), "/n", "", nil)
 			ck, err := servlet.DecodeCookie(resp.Cookie)
 			if err != nil || len(ck.ID) != 16 {
 				t.Fatalf("seed %d, session %d: cookie %+v (%v)", seed, i, ck, err)

@@ -1,8 +1,9 @@
 // Package bench is the experiment harness: one runnable experiment per
 // figure and falsifiable claim of the paper, as indexed in DESIGN.md
-// (E01–E28). Each experiment builds a cluster with the public wls façade,
-// drives a workload, and emits a table whose *shape* (who wins, by what
-// rough factor, where the crossover falls) is the reproduction target.
+// (E01–E33 without E31, and the ablations A01–A02). Each experiment
+// builds a cluster with the public wls façade, drives a workload, and
+// emits a table whose *shape* (who wins, by what rough factor, where the
+// crossover falls) is the reproduction target.
 //
 // The same experiments back both `go test -bench` (bench_test.go at the
 // repository root) and the cmd/wlsbench binary.

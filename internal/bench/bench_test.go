@@ -7,8 +7,8 @@ import (
 
 func TestRegistryCompleteAndSorted(t *testing.T) {
 	all := All()
-	if len(all) != 35 {
-		t.Fatalf("registered %d experiments, want 35 (E01–E33 + A01–A02)", len(all))
+	if len(all) != 34 {
+		t.Fatalf("registered %d experiments, want 34 (E01–E33 without E31, + A01–A02)", len(all))
 	}
 	for i := 1; i < len(all); i++ {
 		if all[i-1].ID >= all[i].ID {

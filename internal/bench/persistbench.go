@@ -5,15 +5,11 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"runtime"
-	"sort"
-	"sync/atomic"
 	"time"
 
 	"wls"
 	"wls/internal/core"
 	"wls/internal/kv"
-	"wls/internal/metrics"
 	"wls/internal/store"
 	"wls/internal/tuple"
 	"wls/internal/tx"
@@ -192,140 +188,4 @@ func runE23() *Table {
 	}
 	t.AddRow("local replica", servers, wall.Since(start).Round(time.Millisecond), false)
 	return t
-}
-
-// checkoutResult is one run of the two-store checkout workload (E32).
-type checkoutResult struct {
-	commits         int
-	perSec          float64
-	fsyncsPerCommit float64 // kv syncs + coordinator-log appends
-	replyWaits      float64 // flushes the reply waits for one after another
-	allocsPerCommit float64
-}
-
-// slowDevice makes every flush take at least floor, so that a commit's
-// latency in floors counts the flushes it waited for in sequence. It
-// decorates the plain kv.FS and tx.Log interfaces, as benchmark/ does.
-type slowDevice struct {
-	floor   time.Duration
-	appends atomic.Int64
-}
-
-func (d *slowDevice) settle(entry time.Time) {
-	if rem := d.floor - wall.Since(entry); rem > 0 {
-		wall.Sleep(rem)
-	}
-}
-
-type slowFS struct {
-	kv.FS
-	d *slowDevice
-}
-
-func (f slowFS) OpenFile(name string, flag int, perm os.FileMode) (kv.File, error) {
-	inner, err := f.FS.OpenFile(name, flag, perm)
-	if err != nil {
-		return nil, err
-	}
-	return slowFile{File: inner, d: f.d}, nil
-}
-
-type slowFile struct {
-	kv.File
-	d *slowDevice
-}
-
-func (f slowFile) Sync() error {
-	entry := wall.Now()
-	err := f.File.Sync()
-	f.d.settle(entry)
-	return err
-}
-
-type slowLog struct {
-	tx.Log
-	d *slowDevice
-}
-
-func (l slowLog) Append(r tx.Record) error {
-	entry := wall.Now()
-	err := l.Log.Append(r)
-	l.d.appends.Add(1)
-	l.d.settle(entry)
-	return err
-}
-
-// runCheckout2PC commits the benchmark's /checkout — an order inserted in
-// one WAL-backed store, a stock row updated in another, two-phase commit
-// over a synced file log — from a single caller. A first pass on the bare
-// disk gives throughput, fsyncs and allocations per commit; a second pass
-// behind a 10 ms flush floor gives the number of flushes on the reply path.
-func runCheckout2PC(dir string) checkoutResult {
-	const commits, slowCommits, floor = 200, 30, 10 * time.Millisecond
-	pass := func(sub string, n int, floor time.Duration) (elapsed time.Duration, median time.Duration, syncs int64, allocs uint64) {
-		d := &slowDevice{floor: floor}
-		reg := metrics.NewRegistry()
-		open := func(name string) *store.Store {
-			w, err := kv.OpenWAL(filepath.Join(dir, sub+name+".db"), kv.Options{SyncEveryCommit: true, Metrics: reg, FS: slowFS{kv.OSFS(), d}})
-			if err != nil {
-				panic(err)
-			}
-			s, err := store.Open(name, vclock.System, w)
-			if err != nil {
-				panic(err)
-			}
-			return s
-		}
-		orders, inventory := open("orders"), open("inventory")
-		defer orders.Close()
-		defer inventory.Close()
-		tlog, err := tx.OpenFileLog(filepath.Join(dir, sub+"tlog"), true)
-		if err != nil {
-			panic(err)
-		}
-		defer tlog.Close()
-		mgr := tx.NewManager("s1", vclock.System, slowLog{tlog, d}, nil)
-		inventory.Put("stock", "sku-1", map[string]string{"qty": "100"})
-		keys := make([]string, n)
-		for i := range keys {
-			keys[i] = fmt.Sprintf("o-%d", i)
-		}
-		lat := make([]time.Duration, n)
-		syncs0 := reg.Counter("kv.syncs").Value()
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		start := wall.Now()
-		for i, key := range keys {
-			t0 := wall.Now()
-			txn := mgr.Begin(0)
-			so := orders.Session(txn.ID())
-			so.Insert("orders", key, map[string]string{"sku": "sku-1", "session": "s"})
-			si := inventory.Session(txn.ID())
-			si.Update("stock", "sku-1", map[string]string{"last": key})
-			if err := txn.Enlist("orders", so); err != nil {
-				panic(err)
-			}
-			if err := txn.Enlist("inventory", si); err != nil {
-				panic(err)
-			}
-			if err := txn.Commit(); err != nil {
-				panic(err)
-			}
-			lat[i] = wall.Since(t0)
-		}
-		elapsed = wall.Since(start)
-		runtime.ReadMemStats(&after)
-		mgr.Drain()
-		sort.Slice(lat, func(i, j int) bool { return lat[i] < lat[j] })
-		return elapsed, lat[n/2], reg.Counter("kv.syncs").Value() - syncs0 + d.appends.Load(), after.Mallocs - before.Mallocs
-	}
-	elapsed, _, syncs, allocs := pass("fast-", commits, 0)
-	_, median, _, _ := pass("slow-", slowCommits, floor)
-	return checkoutResult{
-		commits:         commits,
-		perSec:          float64(commits) / elapsed.Seconds(),
-		fsyncsPerCommit: float64(syncs) / commits,
-		replyWaits:      float64(median) / float64(floor),
-		allocsPerCommit: float64(allocs) / commits,
-	}
 }

@@ -316,3 +316,14 @@ func e33DepthSampler(c *wls.Cluster) (stop func() int) {
 		return int(atomic.LoadInt64(&max))
 	}
 }
+
+func fmtDuration(ns int64) string {
+	switch {
+	case ns >= 1e6:
+		return fmt.Sprintf("%.2fms", float64(ns)/1e6)
+	case ns >= 1e3:
+		return fmt.Sprintf("%.1fµs", float64(ns)/1e3)
+	default:
+		return fmt.Sprintf("%dns", ns)
+	}
+}

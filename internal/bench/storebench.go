@@ -25,13 +25,10 @@ func init() {
 func runE32() *Table {
 	t := &Table{ID: "E32", Title: "Table-store commit path per persistence backend",
 		Source:  "§5.1",
-		Columns: []string{"backend", "fsync", "workload", "commits", "commits/s", "fsyncs/commit", "reply_flush_waits", "allocs/commit", "recover_ms", "file_KiB"},
+		Columns: []string{"backend", "fsync", "workload", "commits", "commits/s", "fsyncs/commit", "recover_ms", "file_KiB"},
 		Notes: "mem = no durability (the pre-refactor store). " +
 			"wal = frame log + page checkpoint (SQLite-style). Recovery re-opens the finished file and replays; " +
-			"file size is after the workload, before any explicit maintenance. " +
-			"2-store 2PC checkout = one transaction over two wal stores and a synced coordinator log, one caller; " +
-			"reply_flush_waits = median commit latency behind a 10 ms flush floor, in floors (the flushes the reply waits for in sequence); " +
-			"the 'before' row was recorded on the parent of the durable-commit-path change with this same code."}
+			"file size is after the workload, before any explicit maintenance."}
 
 	dir, _ := os.MkdirTemp("", "e32")
 	defer os.RemoveAll(dir)
@@ -94,7 +91,7 @@ func runE32() *Table {
 			}
 			t.AddRow(b.name, b.sync, w, commits,
 				fmt.Sprintf("%.0f", float64(commits)/elapsed.Seconds()),
-				fsync, "-", "-", "-", "-")
+				fsync, "-", "-")
 		}
 
 		// Recovery + footprint of the finished file.
@@ -124,21 +121,7 @@ func runE32() *Table {
 				panic(err)
 			}
 		}
-		t.AddRow(b.name, b.sync, "recovery", "-", "-", "-", "-", "-", recover, size)
+		t.AddRow(b.name, b.sync, "recovery", "-", "-", "-", recover, size)
 	}
-
-	// The two-store transaction: serial prepare, decision, commit, done
-	// (recorded) against overlapped phases with the done record written
-	// behind the reply (measured).
-	t.AddRow("wal", true, "2-store 2PC checkout (before)", 200, checkoutBefore.perSec, checkoutBefore.fsyncs, checkoutBefore.waits, checkoutBefore.allocs, "-", "-")
-	c := runCheckout2PC(dir)
-	t.AddRow("wal", true, "2-store 2PC checkout", c.commits,
-		fmt.Sprintf("%.0f", c.perSec), fmt.Sprintf("%.1f", c.fsyncsPerCommit),
-		fmt.Sprintf("%.1f", c.replyWaits), fmt.Sprintf("%.1f", c.allocsPerCommit), "-", "-")
 	return t
 }
-
-// checkoutBefore is runCheckout2PC's result on the commit before the
-// durable commit path was rebuilt (six flushes waited for one after
-// another, 77 allocations between Begin and the WAL frame), median of three runs.
-var checkoutBefore = struct{ perSec, fsyncs, waits, allocs string }{"849", "6.0", "6.4", "77.3"}

@@ -3,11 +3,9 @@ package chaos
 import (
 	"fmt"
 	"os"
-	"sync/atomic"
 	"time"
 
 	"wls"
-	"wls/internal/netsim"
 	"wls/internal/rmi"
 	"wls/internal/servlet"
 )
@@ -229,9 +227,6 @@ func Run(seed int64, cfg Config) (*Result, error) {
 	}
 	defer c.Stop()
 
-	var faults atomic.Int64
-	c.Net().OnFault(func(netsim.FaultEvent) { faults.Add(1) })
-
 	h := &Harness{Cluster: c, State: newState()}
 	workloads := []Workload{
 		newSingletonWorkload(),
@@ -300,7 +295,7 @@ func Run(seed int64, cfg Config) (*Result, error) {
 		Overload:   cfg.Overload,
 		Schedule:   sched,
 		Timeline:   sched.String(),
-		Faults:     int(faults.Load()),
+		Faults:     int(c.Net().Faults()),
 		Violations: h.violations,
 	}, nil
 }

@@ -148,7 +148,7 @@ func TestManagersPlaceOnTheServiceRing(t *testing.T) {
 		t.Fatalf("the engine's ring holds %v, want %v", got, names)
 	}
 	for i := 0; i < 16; i++ {
-		c, err := servlet.DecodeCookie(engines[0].Serve("/", "", nil).Cookie)
+		c, err := servlet.DecodeCookie(engines[0].ServeCtx(context.Background(), "/", "", nil).Cookie)
 		if err != nil || c.Secondary != walked(c.ID, c.Primary) {
 			t.Fatalf("session %d: pair %s/%s, the ring walks to %s (err %v)", i, c.Primary, c.Secondary, walked(c.ID, c.Primary), err)
 		}

@@ -56,47 +56,17 @@ type Network struct {
 	slow        map[string]time.Duration // per-endpoint latency inflation
 	fenced      map[string]bool
 	defLatency  time.Duration
-	onFault     func(FaultEvent)
 	// tap sees every frame an endpoint sends (see Tap).
 	tap atomic.Pointer[func(from, to string, f wire.Frame)]
 
-	sent int64 // frames that entered the fabric; see Stats
+	sent   int64        // frames that entered the fabric; see Stats
+	faults atomic.Int64 // fault injections; see Faults
 }
 
-// FaultEvent is one fault-injection action on the fabric, as observed by
-// the hook installed with OnFault. Chaos harnesses use the stream as a
-// schedule recorder: the sequence of events, stamped with the fabric
-// clock, is the executed fault timeline of a run.
-type FaultEvent struct {
-	// At is the fabric clock time of the injection.
-	At time.Time
-	// Op names the action: "partition", "heal", "fence", "unfence",
-	// "freeze", "thaw", "stop", "restart", "slow".
-	Op string
-	// A is the affected endpoint; B is the peer for link-level ops.
-	A, B string
-}
-
-// OnFault installs a hook observing every fault injection (partitions,
-// fencing, freezes, crashes, restarts, slow servers). The hook runs
-// on the injecting goroutine after the fabric state has changed and must
-// not call back into the Network. A nil fn removes the hook.
-func (n *Network) OnFault(fn func(FaultEvent)) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	n.onFault = fn
-}
-
-// recordFault delivers a FaultEvent to the hook, outside n.mu.
-func (n *Network) recordFault(op, a, b string) {
-	n.mu.Lock()
-	fn := n.onFault
-	now := n.clock.Now()
-	n.mu.Unlock()
-	if fn != nil {
-		fn(FaultEvent{At: now, Op: op, A: a, B: b})
-	}
-}
+// Faults returns how many fault injections the fabric has seen:
+// partitions and heals, fences, freezes and thaws, crashes, restarts and
+// slow-server changes, each counted once.
+func (n *Network) Faults() int64 { return n.faults.Load() }
 
 // Tap installs fn to see every request an endpoint of this network sends,
 // as it enters the fabric — tests sniff what crosses the wire with it. fn
@@ -182,7 +152,7 @@ func (n *Network) SetSlow(addr string, extra time.Duration) {
 		n.slow[addr] = extra
 	}
 	n.mu.Unlock()
-	n.recordFault("slow", addr, "")
+	n.faults.Add(1)
 }
 
 // SetPartitioned splits or heals the link between a and b.
@@ -190,11 +160,7 @@ func (n *Network) SetPartitioned(a, b string, broken bool) {
 	n.mu.Lock()
 	n.partitioned[link(a, b)] = broken
 	n.mu.Unlock()
-	if broken {
-		n.recordFault("partition", a, b)
-	} else {
-		n.recordFault("heal", a, b)
-	}
+	n.faults.Add(1)
 }
 
 // Isolate partitions addr from every other current endpoint.
@@ -208,11 +174,7 @@ func (n *Network) Isolate(addr string, broken bool) {
 		}
 	}
 	n.mu.Unlock()
-	if broken {
-		n.recordFault("partition", addr, "*")
-	} else {
-		n.recordFault("heal", addr, "*")
-	}
+	n.faults.Add(1)
 }
 
 // Fence marks addr as fenced: the fabric drops everything it sends and
@@ -221,11 +183,7 @@ func (n *Network) Fence(addr string, fenced bool) {
 	n.mu.Lock()
 	n.fenced[addr] = fenced
 	n.mu.Unlock()
-	if fenced {
-		n.recordFault("fence", addr, "")
-	} else {
-		n.recordFault("unfence", addr, "")
-	}
+	n.faults.Add(1)
 }
 
 // Freeze pauses or resumes an endpoint's handler. A frozen endpoint is not
@@ -238,11 +196,7 @@ func (n *Network) Freeze(addr string, frozen bool) {
 	n.mu.Unlock()
 	if ep != nil {
 		ep.freeze(frozen)
-		if frozen {
-			n.recordFault("freeze", addr, "")
-		} else {
-			n.recordFault("thaw", addr, "")
-		}
+		n.faults.Add(1)
 	}
 }
 
@@ -256,13 +210,13 @@ func (n *Network) Restart(addr string) *Endpoint {
 		ep.handler = nil
 		ep.mu.Unlock()
 		n.mu.Unlock()
-		n.recordFault("restart", addr, "")
+		n.faults.Add(1)
 		return ep
 	}
 	ep := &Endpoint{net: n, addr: addr}
 	n.endpoints[addr] = ep
 	n.mu.Unlock()
-	n.recordFault("restart", addr, "")
+	n.faults.Add(1)
 	return ep
 }
 
@@ -333,7 +287,7 @@ func (e *Endpoint) Close() error {
 	}
 	e.mu.Unlock()
 	if wasOpen {
-		e.net.recordFault("stop", e.addr, "")
+		e.net.faults.Add(1)
 	}
 	return nil
 }

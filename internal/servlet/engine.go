@@ -107,17 +107,11 @@ func (e *Engine) Handle(path string, h HandlerFunc) {
 	e.servlets[path] = h
 }
 
-// Serve processes one request locally: resolve the session, run the
+// ServeCtx processes one request locally: resolve the session, run the
 // servlet, replicate/persist the session, return the (possibly rewritten)
-// cookie.
-func (e *Engine) Serve(path, cookie string, body []byte) Response {
-	return e.ServeCtx(context.Background(), path, cookie, body)
-}
-
-// ServeCtx is Serve with a caller context. When ctx carries a trace span
-// (the RMI surface's server span, typically), session replication and
-// fetch traffic runs under child spans and carries the trace to the
-// replica servers.
+// cookie. When ctx carries a trace span (the RMI surface's server span,
+// typically), session replication and fetch traffic runs under child
+// spans and carries the trace to the replica servers.
 func (e *Engine) ServeCtx(ctx context.Context, path, cookie string, body []byte) Response {
 	// URL rewriting (§3.2): a cookie-less client may carry the session
 	// token in the path instead.

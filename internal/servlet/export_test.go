@@ -1,8 +1,14 @@
 package servlet
 
 import (
+	"context"
 	"net/http"
 )
+
+// Serve is ServeCtx with a background context.
+func (e *Engine) Serve(path, cookie string, body []byte) Response {
+	return e.ServeCtx(context.Background(), path, cookie, body)
+}
 
 // ServerName returns the hosting server's name.
 func (e *Engine) ServerName() string { return e.serverName }

@@ -243,25 +243,6 @@ func CanonicalDump(spans []SpanData) string {
 	return b.String()
 }
 
-// TraceIDs returns the distinct trace IDs present in spans, sorted.
-func TraceIDs(spans []SpanData) []TraceID {
-	seen := make(map[TraceID]bool)
-	var out []TraceID
-	for _, d := range spans {
-		if !seen[d.Trace] {
-			seen[d.Trace] = true
-			out = append(out, d.Trace)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Hi != out[j].Hi {
-			return out[i].Hi < out[j].Hi
-		}
-		return out[i].Lo < out[j].Lo
-	})
-	return out
-}
-
 // ServersOf returns the distinct servers appearing in spans, sorted.
 func ServersOf(spans []SpanData) []string {
 	seen := make(map[string]bool)

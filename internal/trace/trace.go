@@ -101,9 +101,6 @@ type SpanData struct {
 	Annotations []Annotation
 }
 
-// Duration is the span's elapsed time on its tracer's clock.
-func (d SpanData) Duration() time.Duration { return d.End.Sub(d.Start) }
-
 // Span is a live, in-flight span handle. All methods are no-ops on a nil
 // receiver, so call sites never need to branch on whether the request is
 // traced.

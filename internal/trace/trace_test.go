@@ -51,11 +51,11 @@ func TestRootChildIdentity(t *testing.T) {
 	if spans[0].Parent != spans[1].ID {
 		t.Fatalf("child parent = %s, want root %s", spans[0].Parent, spans[1].ID)
 	}
-	if spans[0].Duration() != time.Millisecond {
-		t.Fatalf("child duration = %v, want 1ms", spans[0].Duration())
+	if d := spans[0].End.Sub(spans[0].Start); d != time.Millisecond {
+		t.Fatalf("child duration = %v, want 1ms", d)
 	}
-	if spans[1].Duration() != 2*time.Millisecond {
-		t.Fatalf("root duration = %v, want 2ms", spans[1].Duration())
+	if d := spans[1].End.Sub(spans[1].Start); d != 2*time.Millisecond {
+		t.Fatalf("root duration = %v, want 2ms", d)
 	}
 }
 
@@ -226,8 +226,10 @@ func TestServersTouchedAndHopCount(t *testing.T) {
 	if hops := HopCount(spans, id); hops != 3 {
 		t.Fatalf("HopCount = %d, want 3", hops)
 	}
-	if ids := TraceIDs(spans); len(ids) != 1 || ids[0] != id {
-		t.Fatalf("TraceIDs = %v", ids)
+	for _, d := range spans {
+		if d.Trace != id {
+			t.Fatalf("span %s is in trace %s, want %s", d.Name, d.Trace, id)
+		}
 	}
 	if got := len(spans); got != 5 {
 		t.Fatalf("the trace has %d spans, want 5", got)

@@ -13,7 +13,7 @@ import (
 // cookie.
 func newSession(t *testing.T, s *wls.Server) servlet.Cookie {
 	t.Helper()
-	resp := s.Web.Serve("/n", "", nil)
+	resp := s.Web.ServeCtx(context.Background(), "/n", "", nil)
 	ck, err := servlet.DecodeCookie(resp.Cookie)
 	if err != nil || string(resp.Body) != "1" {
 		t.Fatalf("%s: first request got %q (status %d), cookie err %v", s.Name, resp.Body, resp.Status, err)
@@ -62,13 +62,13 @@ func TestOneMachineStillReplicates(t *testing.T) {
 	if ck.Secondary == "" || ck.Secondary == ck.Primary {
 		t.Fatalf("cookie names secondary %q for primary %s", ck.Secondary, ck.Primary)
 	}
-	resp := c.Servers[0].Web.Serve("/n", ck.Encode(), nil)
+	resp := c.Servers[0].Web.ServeCtx(context.Background(), "/n", ck.Encode(), nil)
 	if string(resp.Body) != "2" {
 		t.Fatalf("second request got %q", resp.Body)
 	}
 	c.Crash(ck.Primary)
 	c.Settle(6)
-	resp = c.Server(ck.Secondary).Web.Serve("/n", resp.Cookie, nil)
+	resp = c.Server(ck.Secondary).Web.ServeCtx(context.Background(), "/n", resp.Cookie, nil)
 	if string(resp.Body) != "3" {
 		t.Fatalf("after the primary crashed, its secondary %s counted %q, want 3", ck.Secondary, resp.Body)
 	}

@@ -86,12 +86,10 @@ type Options struct {
 	Seed int64
 	// TraceSample enables distributed tracing: every server (and every
 	// router built from the cluster) gets a tracer exporting into one
-	// shared ring. 0 disables tracing entirely (the default — no tracers
+	// shared ring of traceRingSpans spans. 0 disables tracing entirely (the default — no tracers
 	// are created, keeping the hot paths allocation-free); 1 samples every
 	// root; a fraction samples deterministically (counter-based, no RNG).
 	TraceSample float64
-	// TraceBuffer is the shared span ring capacity (default 4096).
-	TraceBuffer int
 	// Admission, when set, gives every server an execute queue (§2.3) that
 	// admits all non-system RMI requests; a full queue refuses requests
 	// with a wire-level BUSY response that stubs treat as side-effect-free
@@ -103,6 +101,9 @@ type Options struct {
 	// every stub it creates (routers built from the cluster get their own).
 	Resilience bool
 }
+
+// traceRingSpans is the capacity of a traced cluster's shared span ring.
+const traceRingSpans = 4096
 
 // Cluster is a running group of application servers plus the shared
 // persistence tier.
@@ -202,16 +203,13 @@ func New(opts Options) (*Cluster, error) {
 			FailureTimeout:    350 * time.Millisecond,
 		},
 	}
-	if opts.TraceBuffer == 0 {
-		opts.TraceBuffer = 4096
-	}
 	c := &Cluster{
 		opts: opts,
 		fix:  fix,
 		DB:   store.New("backend", clk),
 	}
 	if opts.TraceSample > 0 {
-		c.traces = trace.NewRing(opts.TraceBuffer)
+		c.traces = trace.NewRing(traceRingSpans)
 	}
 
 	total := opts.Servers

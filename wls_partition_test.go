@@ -1,6 +1,7 @@
 package wls_test
 
 import (
+	"context"
 	"strconv"
 	"testing"
 
@@ -47,7 +48,7 @@ func TestClusterPartitionWiring(t *testing.T) {
 
 	// A session created on server-1 carries the ring-placed secondary: the
 	// first replica of its ID that is not the primary.
-	resp := c.Servers[0].Web.Serve("/n", "", nil)
+	resp := c.Servers[0].Web.ServeCtx(context.Background(), "/n", "", nil)
 	if string(resp.Body) != "1" {
 		t.Fatalf("first request: %q (status %d)", resp.Body, resp.Status)
 	}
