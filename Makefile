@@ -47,7 +47,8 @@ check:
 
 # gates is CI's "Alloc and wire gates" step, which runs exactly this
 # target (see the comment there): the request-path allocation gates on one
-# and four CPUs twenty times over, the wire gates, the placement, row,
+# and four CPUs twenty times over, the wire gates (bytes per routed
+# request, the same at any connection age), the placement, row,
 # lock-table and connection footprints, and the pool-recycling stress.
 # Allocation counts need a build without -race; the last two lines are
 # race-only checks.

@@ -59,8 +59,8 @@ const (
 // + 4, and the live heap of a resident session (both copies), at measured
 // + 10 %.
 const (
-	gateWireTCPEcho         = 63
-	gateWireTCPSessionWrite = 92
+	gateWireTCPEcho         = 61
+	gateWireTCPSessionWrite = 88
 	gateSessionFootprint    = 186
 	gateBeanFootprint       = 194
 )
@@ -390,12 +390,17 @@ func (c *tcpCluster) quiet() {
 }
 
 // routeBytes is routeAllocs for the wire: bytes per routed request that all
-// four nodes put on their sockets, from transport.bytes.out. The warm-up is
-// long enough that every connection's correlation ids are two bytes, as
-// they are for all but the first 127 calls of a connection's life.
+// four nodes put on their sockets, from transport.bytes.out, after a
+// warm-up that creates the session. A correlation id is its call's slot on
+// the connection, so it is one byte however long the connection has lived
+// (TestWireGateIgnoresConnectionAge).
 func routeBytes(t *testing.T, c *tcpCluster, path string, body []byte) float64 {
 	t.Helper()
-	route := routeLoop(t, c.proxy.Route, path, body, 1, 200)
+	return bytesPerRoute(c, routeLoop(t, c.proxy.Route, path, body, 1, 200))
+}
+
+// bytesPerRoute is the mean of what 300 calls of route put on the wire.
+func bytesPerRoute(c *tcpCluster, route func()) float64 {
 	const n = 300
 	before := c.bytesOut()
 	for i := 0; i < n; i++ {
@@ -408,13 +413,13 @@ func routeBytes(t *testing.T, c *tcpCluster, path string, body []byte) float64 {
 }
 
 // TestWireGateTCPEcho pins what one echo request costs between the proxy
-// and its server, 59 B, at gateWireTCPEcho. Field by field (wire format 6):
+// and its server, 57 B, at gateWireTCPEcho. Field by field (wire format 6):
 //
-//	request, 45 B: frame length 1, kind 1, correlation id 2, service
+//	request, 44 B: frame length 1, kind 1, correlation id 1, service
 //	wls.http 1 and method request 1 (one-byte codes), args length 1, path /echo 6, session field 26 (flag 1, id 16,
 //	secondary server-N 9; the primary is the callee and is left out),
 //	body hello 6
-//	reply, 14 B: frame length 1, kind 1, correlation id 2, rmi status 1,
+//	reply, 13 B: frame length 1, kind 1, correlation id 1, rmi status 1,
 //	result length 1, servlet status 200 2, body hello 6
 //
 // The reply names no server (the proxy called it) and no cookie (the one it
@@ -429,17 +434,17 @@ func TestWireGateTCPEcho(t *testing.T) {
 	}
 }
 
-// TestWireGateTCPSessionWrite pins the same path with a session write, 88
+// TestWireGateTCPSessionWrite pins the same path with a session write, 84
 // B, at gateWireTCPSessionWrite. Field by field (wire format 6):
 //
-//	request, 41 B: as the echo's, with path /count 7 and an empty body 1
-//	reply, 11 B: header 4, rmi status 1, result length 1, servlet status 2,
+//	request, 40 B: as the echo's, with path /count 7 and an empty body 1
+//	reply, 10 B: header 3, rmi status 1, result length 1, servlet status 2,
 //	body ok 3
-//	delta to the secondary, 30 B: header 4, service wls.http 1 and method
+//	delta to the secondary, 29 B: header 3, service wls.http 1 and method
 //	session.update.batch 1 (codes), args length 1, then
 //	the session id 16 (no length prefix), generation 1 and the attribute 5
 //	(count 1, key n 2, value 1 2)
-//	its acknowledgement, 6 B: header 4, rmi status 1, empty result 1
+//	its acknowledgement, 5 B: header 3, rmi status 1, empty result 1
 func TestWireGateTCPSessionWrite(t *testing.T) {
 	c := newTCPCluster(t)
 	c.handle("/count", func(r *servlet.Request) servlet.Response {
@@ -450,6 +455,25 @@ func TestWireGateTCPSessionWrite(t *testing.T) {
 	t.Logf("TCP full path (session write + replication): %.1f B/request", n)
 	if n > gateWireTCPSessionWrite {
 		t.Fatalf("TCP session-write path puts %.1f B/request on the wire, over gateWireTCPSessionWrite = %d", n, gateWireTCPSessionWrite)
+	}
+}
+
+// TestWireGateIgnoresConnectionAge: the bytes of a routed echo after 20 000
+// more calls of the same session, on the same connection, are the bytes
+// after 200. A connection's correlation ids do not grow with its age: each
+// call reuses a free one.
+func TestWireGateIgnoresConnectionAge(t *testing.T) {
+	c := newTCPCluster(t)
+	c.handle("/echo", func(r *servlet.Request) servlet.Response { return servlet.Response{Body: r.Body} })
+	route := routeLoop(t, c.proxy.Route, "/echo", []byte("hello"), 1, 200)
+	young := bytesPerRoute(c, route)
+	for i := 0; i < 20000; i++ {
+		route()
+	}
+	old := bytesPerRoute(c, route)
+	t.Logf("TCP echo: %.1f B/request after 200 calls, %.1f B after 20 000 more", young, old)
+	if old != young {
+		t.Fatalf("a routed echo puts %.1f B/request on the wire after 20 000 calls, %.1f B after 200", old, young)
 	}
 }
 

@@ -15,7 +15,7 @@ import (
 )
 
 func init() {
-	register(Experiment{ID: "E27", Title: "Transport hot path: batched writes, pooling, sharded pending",
+	register(Experiment{ID: "E27", Title: "Transport hot path: batched writes, pooling, reused call slots",
 		Source: "§2.1–2.2: session concentration requires a cheap multiplexed connection", Run: runE27})
 }
 
@@ -86,7 +86,7 @@ func echoLoad(cl echoCaller, to string, callers int) echoResult {
 // concurrent callers, on the in-proc fabric and on real TCP, with the
 // write-batching ablation.
 func runE27() *Table {
-	t := &Table{ID: "E27", Title: "Transport hot path: batched writes, pooling, sharded pending",
+	t := &Table{ID: "E27", Title: "Transport hot path: batched writes, pooling, reused call slots",
 		Source:  "§2.1–2.2",
 		Columns: []string{"fabric", "callers", "calls/s", "frames/s", "allocs/call", "mean_batch"},
 		Notes: "batched vs unbatched is the syscall-coalescing ablation: at high concurrency the " +

@@ -26,15 +26,15 @@ func liveHeap() uint64 {
 
 // gateIdleConnEnd is the live heap of an idle connection end in bytes, at
 // measured + 10 %.
-const gateIdleConnEnd = 6920
+const gateIdleConnEnd = 5750
 
 // TestIdleConnFootprint pins what an idle connection end holds. One
 // transport dials 32 peers and makes one call to each; the live heap that
 // added, net of the 33 transports built beforehand, is divided by the 64
-// connection ends. That is the 4 KiB socket buffer, the conn with its
-// call-slot shards, the writer, the TCP conn and the tracking maps; no body
-// buffer, no batch buffer (DESIGN.md "What a connection end holds" has the
-// breakdown). Measured 6 290 B, pinned at gateIdleConnEnd. A burst of 64
+// connection ends. That is the 4 KiB socket buffer, the conn with its call
+// slots, the writer, the TCP conn and the tracking maps; no body buffer, no
+// batch buffer (DESIGN.md "What a connection end holds" has the breakdown).
+// Measured 5 124–5 220 B, pinned at gateIdleConnEnd. A burst of 64
 // concurrent 200 KiB echoes over one of the connections must leave nothing
 // behind: the same gate holds after it.
 func TestIdleConnFootprint(t *testing.T) {

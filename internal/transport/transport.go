@@ -16,12 +16,12 @@
 //
 // The hot path is built for concentration economics (§2.1–2.2): frames
 // queued by concurrent callers are coalesced by a per-connection writer
-// goroutine into single buffered flushes (many frames, one syscall), the
-// correlation-id → waiter table is sharded to keep concurrent callers off
-// one mutex, inbound requests run on a bounded worker pool instead of a
-// goroutine per frame, and call slots, inbound tasks and request buffers
-// are pooled under the ownership rule stated on wire.Handler, so a call
-// allocates only the response body its caller gets to keep.
+// goroutine into single buffered flushes (many frames, one syscall), a
+// call's correlation id is its waiter's slot, reused (one byte while at
+// most 128 calls are in flight), inbound requests run on a bounded worker
+// pool, and call slots, inbound tasks and request buffers are pooled under
+// the ownership rule stated on wire.Handler, so a call allocates only the
+// response body its caller gets to keep.
 package transport
 
 import (
@@ -328,20 +328,8 @@ func (t *Transport) NumConns() int {
 
 var errConnDead = errors.New("transport: connection dead")
 
-// pendingShards is the number of slices the correlation-id → waiter table
-// is split into. Correlation ids are sequential, so id%pendingShards
-// spreads concurrent callers uniformly and cross-caller lock contention on
-// one busy connection disappears.
-const pendingShards = 16
-
-type pendingShard struct {
-	mu   sync.Mutex
-	m    map[uint64]*callSlot
-	dead bool
-}
-
 // callSlot is where one caller waits for its response. Slots are pooled,
-// which is safe because whoever removes a slot from the pending table —
+// which is safe because whoever removes a slot from the call table —
 // deliver, the connection's close, or the caller giving up — is the only
 // party that may complete it, by exactly one send on done; no channel is
 // ever closed (see abandon for the caller that loses that race).
@@ -353,23 +341,28 @@ type callSlot struct {
 
 var slotPool = sync.Pool{New: func() any { return &callSlot{done: make(chan struct{}, 1)} }}
 
+// abandoned marks the slot of a call given up after its request was
+// queued: its id stays reserved until the late response, which deliver
+// drops, so that response never reaches the next call given the id.
+var abandoned = new(callSlot)
+
 type conn struct {
 	t      *Transport
 	nc     net.Conn
 	remote string
 	w      *connWriter
 
-	nextID atomic.Uint64
-	shards [pendingShards]pendingShard
+	// A call's correlation id is the index of its slot in calls. Freed ids are
+	// reused last in, first out: no id exceeds the peak of calls in flight.
+	mu    sync.Mutex
+	calls []*callSlot // by id: nil when free, abandoned when reserved for a late response
+	free  []uint64    // the ids of nil entries, the most recently freed last
 
 	dead atomic.Pointer[error] // why the conn died; nil while it is alive
 }
 
 func newConn(t *Transport, nc net.Conn, remote string) *conn {
 	c := &conn{t: t, nc: nc, remote: remote}
-	for i := range c.shards {
-		c.shards[i].m = make(map[uint64]*callSlot)
-	}
 	c.w = newConnWriter(nc, !t.opts.UnbatchedWrites, c.writeFailed, t.batchFrames, t.batchBytes)
 	return c
 }
@@ -380,48 +373,57 @@ func (c *conn) writeFailed(err error) {
 	c.close(fmt.Errorf("%w: %v", errConnDead, err))
 }
 
-func (c *conn) shard(id uint64) *pendingShard { return &c.shards[id%pendingShards] }
-
-// register installs a response waiter, failing if the conn is already dead
-// (the close path will never visit a waiter added after the drain). The
-// request has not been written then, so the error satisfies wire.ErrNotRun.
-func (c *conn) register(id uint64, slot *callSlot) error {
-	s := c.shard(id)
-	s.mu.Lock()
-	if s.dead {
-		s.mu.Unlock()
-		return wire.NotRun(c.deadReason())
+// register installs a response waiter under a free id, failing if the conn
+// is already dead (the close path never visits a waiter added after the
+// drain). The request has not been written then: the error is ErrNotRun.
+func (c *conn) register(slot *callSlot) (uint64, error) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.dead.Load() != nil {
+		return 0, wire.NotRun(c.deadReason())
 	}
-	s.m[id] = slot
-	s.mu.Unlock()
-	return nil
+	if n := len(c.free); n > 0 {
+		id := c.free[n-1]
+		c.free, c.calls[id] = c.free[:n-1], slot
+		return id, nil
+	}
+	c.calls = append(c.calls, slot)
+	return uint64(len(c.calls) - 1), nil
 }
 
-// take removes and returns the waiter for id, if it is still registered.
-func (c *conn) take(id uint64) *callSlot {
-	s := c.shard(id)
-	s.mu.Lock()
-	slot := s.m[id]
-	delete(s.m, id)
-	s.mu.Unlock()
-	return slot
-}
-
-// deliver hands an inbound response to its waiter, if still present. The
-// body is copied out of the read buffer here: it is the caller's from now.
+// deliver hands an inbound response to its waiter, if still present, and
+// frees its id. The body is copied out of the read buffer here: it is the
+// caller's from now.
 func (c *conn) deliver(f wire.Frame) {
-	if slot := c.take(f.Corr); slot != nil {
+	var slot *callSlot
+	c.mu.Lock()
+	if f.Corr < uint64(len(c.calls)) {
+		if slot = c.calls[f.Corr]; slot != nil {
+			c.calls[f.Corr], c.free = nil, append(c.free, f.Corr)
+		}
+	}
+	c.mu.Unlock()
+	if slot != nil && slot != abandoned {
 		f.Body = append([]byte(nil), f.Body...)
 		slot.resp = f
 		slot.done <- struct{}{}
 	}
 }
 
-// abandon stops waiting on slot and returns it to the pool. If the slot is
-// no longer registered, deliver or close has claimed it and its one send is
-// on the way; wait for it so the slot is pooled with an empty channel.
-func (c *conn) abandon(id uint64, slot *callSlot) {
-	if c.take(id) == nil {
+// abandon stops waiting on slot and pools it. A queued request may still be
+// answered, so its id stays reserved; any other is freed. If the slot is no
+// longer registered, deliver or close has claimed it and its one send is on
+// the way; wait for it so the slot is pooled with an empty channel.
+func (c *conn) abandon(id uint64, slot *callSlot, queued bool) {
+	c.mu.Lock()
+	mine := id < uint64(len(c.calls)) && c.calls[id] == slot
+	if mine && queued {
+		c.calls[id] = abandoned
+	} else if mine {
+		c.calls[id], c.free = nil, append(c.free, id)
+	}
+	c.mu.Unlock()
+	if !mine {
 		<-slot.done
 	}
 	slot.resp, slot.err = wire.Frame{}, nil
@@ -457,16 +459,16 @@ func (c *conn) call(ctx context.Context, f wire.Frame) (wire.Frame, error) {
 	if f.Kind != 0 && f.Kind != wire.KindRequest {
 		return wire.Frame{}, fmt.Errorf("transport: Call with frame kind %v (want request or unset)", f.Kind)
 	}
-	id := c.nextID.Add(1)
 	slot := slotPool.Get().(*callSlot)
-	if err := c.register(id, slot); err != nil {
+	id, err := c.register(slot)
+	if err != nil {
 		slotPool.Put(slot)
 		return wire.Frame{}, err
 	}
 	f.Kind = wire.KindRequest
 	f.Corr = id
 	if err := c.write(f); err != nil {
-		c.abandon(id, slot)
+		c.abandon(id, slot, false)
 		return wire.Frame{}, err
 	}
 	select {
@@ -476,7 +478,7 @@ func (c *conn) call(ctx context.Context, f wire.Frame) (wire.Frame, error) {
 		slotPool.Put(slot)
 		return resp, err
 	case <-ctx.Done():
-		c.abandon(id, slot)
+		c.abandon(id, slot, true)
 		return wire.Frame{}, ctx.Err()
 	}
 }
@@ -487,14 +489,12 @@ func (c *conn) close(reason error) {
 	}
 	c.w.close()
 	_ = c.nc.Close() // best effort; the conn is already condemned
-	for i := range c.shards {
-		s := &c.shards[i]
-		s.mu.Lock()
-		s.dead = true
-		pend := s.m
-		s.m = nil
-		s.mu.Unlock()
-		for _, slot := range pend {
+	c.mu.Lock()
+	pend := c.calls
+	c.calls, c.free = nil, nil
+	c.mu.Unlock()
+	for _, slot := range pend {
+		if slot != nil && slot != abandoned {
 			slot.err = reason
 			slot.done <- struct{}{}
 		}

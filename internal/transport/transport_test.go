@@ -365,6 +365,175 @@ func TestCancelledCallsDoNotPoisonPooledSlots(t *testing.T) {
 	}
 }
 
+// reservedIDs returns how many ids c holds for calls in flight or for late
+// responses and how many it has handed out, and fails t if its free list
+// does not name every other id.
+func reservedIDs(t *testing.T, c *conn) (held, ids int) {
+	t.Helper()
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for _, slot := range c.calls {
+		if slot != nil {
+			held++
+		}
+	}
+	for _, id := range c.free {
+		if c.calls[id] != nil {
+			t.Fatalf("free id %d is held", id)
+		}
+	}
+	if held+len(c.free) != len(c.calls) {
+		t.Fatalf("%d ids held and %d free of %d", held, len(c.free), len(c.calls))
+	}
+	return held, len(c.calls)
+}
+
+// TestLateReplyNeverReachesTheNextCall gives up on a call whose handler
+// answers later, then makes a second call on the same connection, which is
+// still waiting when the late reply arrives. The first call's id stays
+// reserved until that reply comes, so the second call is given another id
+// and gets its own reply; freeing the id when the caller gave up would hand
+// the second call the first one's reply.
+func TestLateReplyNeverReachesTheNextCall(t *testing.T) {
+	a, b := newT(t), newT(t)
+	release, lateReturned := make(chan struct{}), make(chan struct{})
+	b.SetHandler(func(_ string, f wire.Frame) *wire.Frame {
+		switch string(f.Body) {
+		case "late":
+			<-release
+			defer close(lateReturned)
+		case "second":
+			close(release)
+			<-lateReturned
+			time.Sleep(20 * time.Millisecond) // the late reply is queued first
+		}
+		return &wire.Frame{Body: append([]byte(nil), f.Body...)}
+	})
+	ctx := context.Background()
+	if _, err := a.Call(ctx, b.Addr(), wire.Frame{Body: []byte("warm")}); err != nil {
+		t.Fatal(err)
+	}
+	c, err := a.getConn(ctx, b.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	short, cancel := context.WithTimeout(ctx, 10*time.Millisecond)
+	_, err = a.Call(short, b.Addr(), wire.Frame{Body: []byte("late")})
+	cancel()
+	if err != context.DeadlineExceeded {
+		t.Fatalf("late call: %v, want the caller's deadline", err)
+	}
+	if n, _ := reservedIDs(t, c); n != 1 {
+		t.Errorf("%d ids reserved after the caller gave up, want 1 (the late reply's)", n)
+	}
+	resp, err := a.Call(ctx, b.Addr(), wire.Frame{Body: []byte("second")})
+	if err != nil || string(resp.Body) != "second" {
+		t.Fatalf("second call got %q, %v; want its own reply", resp.Body, err)
+	}
+	if n, _ := reservedIDs(t, c); n != 0 {
+		t.Errorf("%d ids reserved once both replies arrived, want 0", n)
+	}
+}
+
+// TestIDsStayBelowTheCallsInFlight: 64 callers make 200 calls each on one
+// connection, and the peer sees no request id of 64 or more. Ids are
+// reused, so they stay below the peak number of calls in flight and take
+// one byte on the wire.
+func TestIDsStayBelowTheCallsInFlight(t *testing.T) {
+	const callers, calls = 64, 200
+	a, b := newT(t), newT(t)
+	var maxID atomic.Uint64
+	b.SetHandler(func(_ string, f wire.Frame) *wire.Frame {
+		for cur := maxID.Load(); f.Corr > cur && !maxID.CompareAndSwap(cur, f.Corr); cur = maxID.Load() {
+		}
+		return &wire.Frame{Body: f.Body}
+	})
+	ctx := context.Background()
+	if _, err := a.Call(ctx, b.Addr(), wire.Frame{}); err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	for i := 0; i < callers; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			for j := 0; j < calls; j++ {
+				body := []byte(fmt.Sprintf("%d-%d", i, j))
+				resp, err := a.Call(ctx, b.Addr(), wire.Frame{Body: body})
+				if err != nil || !bytes.Equal(resp.Body, body) {
+					t.Errorf("caller %d call %d: got %q, %v; want %q", i, j, resp.Body, err, body)
+					return
+				}
+			}
+		}(i)
+	}
+	wg.Wait()
+	if m := maxID.Load(); m >= callers {
+		t.Fatalf("a request carried id %d with at most %d calls in flight", m, callers)
+	}
+	c, err := a.getConn(ctx, b.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n, _ := reservedIDs(t, c); n != 0 {
+		t.Fatalf("%d ids reserved once every call returned", n)
+	}
+}
+
+// TestRefusedCallFreesItsID: a request the connection refuses to queue
+// (here an oversize one) never reaches the peer, so its id is free at once
+// and the next call is given it.
+func TestRefusedCallFreesItsID(t *testing.T) {
+	a, b := newT(t), newT(t)
+	seen := make(chan uint64, 2)
+	b.SetHandler(func(_ string, f wire.Frame) *wire.Frame {
+		seen <- f.Corr
+		return &wire.Frame{}
+	})
+	ctx := context.Background()
+	if _, err := a.Call(ctx, b.Addr(), wire.Frame{}); err != nil {
+		t.Fatal(err)
+	}
+	first := <-seen
+	if _, err := a.Call(ctx, b.Addr(), wire.Frame{Body: make([]byte, wire.MaxFrameSize)}); !errors.Is(err, wire.ErrFrameTooLarge) {
+		t.Fatalf("oversize call: %v, want wire.ErrFrameTooLarge", err)
+	}
+	if _, err := a.Call(ctx, b.Addr(), wire.Frame{}); err != nil {
+		t.Fatal(err)
+	}
+	if next := <-seen; next != first {
+		t.Fatalf("the call after a refused one carried id %d, want %d again", next, first)
+	}
+	c, err := a.getConn(ctx, b.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n, ids := reservedIDs(t, c); n != 0 || ids != 1 {
+		t.Fatalf("%d ids reserved of %d, want 0 of 1", n, ids)
+	}
+}
+
+// TestCallOnADeadConnIsNotRun is the "dead before write" row made
+// deterministic: the connection a call looked up dies before the call
+// registers. The call fails with an error satisfying wire.ErrNotRun and
+// leaves no id reserved.
+func TestCallOnADeadConnIsNotRun(t *testing.T) {
+	a, b := newT(t), newT(t)
+	b.SetHandler(echoHandler)
+	ctx := context.Background()
+	c, err := a.getConn(ctx, b.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.close(fmt.Errorf("%w: closed by the test", errConnDead))
+	if _, err := c.call(ctx, wire.Frame{Body: []byte("x")}); !errors.Is(err, wire.ErrNotRun) {
+		t.Fatalf("call on a dead conn: %v, want an error satisfying wire.ErrNotRun", err)
+	}
+	if n, ids := reservedIDs(t, c); n != 0 || ids != 0 {
+		t.Fatalf("%d ids reserved of %d on a dead conn, want none", n, ids)
+	}
+}
+
 // TestRequestBufferHeldUntilResponseQueued pins the release order of the
 // pooled request buffers with poisoning on: a handler may block while its
 // neighbours' buffers are recycled, and may return a frame whose body
@@ -621,7 +790,7 @@ func TestManyClientsConcentrate(t *testing.T) {
 // TestStress64CallersAcross4Transports is the -race stress test: a full
 // mesh of 4 transports, 64 concurrent callers spread across them, every
 // caller hammering every peer. It exercises the batched writer, the
-// sharded pending table, and the worker pool under contention.
+// call table, and the worker pool under contention.
 func TestStress64CallersAcross4Transports(t *testing.T) {
 	const nodes = 4
 	const callers = 64
@@ -830,6 +999,31 @@ func TestUnknownFrameKindClosesTheConnection(t *testing.T) {
 	}
 	if n := handled.Load(); n != 0 {
 		t.Fatalf("%d frames of unknown kinds reached the handler", n)
+	}
+}
+
+// TestStrayResponsesAreDropped: a response naming an id this end never
+// handed out, however large, is dropped, and the connection keeps serving.
+func TestStrayResponsesAreDropped(t *testing.T) {
+	tr := newT(t)
+	tr.SetHandler(echoHandler)
+	nc, err := net.Dial("tcp", tr.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer nc.Close()
+	stream := wire.AppendFrame(nil, helloFrame("198.51.100.1:7001"))
+	for _, id := range []uint64{0, 1, 1 << 40} {
+		stream = wire.AppendFrame(stream, wire.Frame{Kind: wire.KindResponse, Corr: id, Body: []byte("stray")})
+	}
+	stream = wire.AppendFrame(stream, wire.Frame{Kind: wire.KindRequest, Corr: 7, Body: []byte("ping")})
+	if _, err := nc.Write(stream); err != nil {
+		t.Fatal(err)
+	}
+	nc.SetReadDeadline(time.Now().Add(2 * time.Second)) //wls:wallclock test-only I/O deadline
+	f, err := wire.ReadFrame(nc)
+	if err != nil || f.Kind != wire.KindResponse || f.Corr != 7 || string(f.Body) != "ping" {
+		t.Fatalf("after stray responses, a request got %v %d %q, %v; want its echo", f.Kind, f.Corr, f.Body, err)
 	}
 }
 
