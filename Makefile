@@ -56,7 +56,7 @@ gates:
 	$(GO) test -run 'TestAllocGate' -count=20 -cpu 1,4 .
 	$(GO) test -run 'TestWireGate' -v -count=1 .
 	$(GO) test -run 'TestPlacementAllocFree' -v -count=1 ./internal/servlet
-	$(GO) test -run 'TestStoreRowFootprint|TestLockTableGivesBackItsMap' -v -count=1 ./internal/store
+	$(GO) test -run 'TestStoreRowFootprint|TestUnfollowedStoreKeepsNoWindow|TestLockTableGivesBackItsMap' -v -count=1 ./internal/store
 	$(GO) test -run 'TestIdleConnFootprint' -v -count=1 ./internal/transport
 	$(GO) test -race -run 'TestIdleWritersHoldNoBuffer|TestFramesSpanningTheReadBuffer' -v -count=1 ./internal/transport
 	$(GO) test -race -run 'TestPoolRecycling' -count=1 .

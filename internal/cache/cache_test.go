@@ -262,6 +262,30 @@ func TestSnifferCatchesBackdoorAfterPoll(t *testing.T) {
 	}
 }
 
+// TestNewSnifferFollowsWithoutResync: a sniffer's first checkpoint is the
+// store's first, so a backdoor write right after NewSniffer is in the
+// window and invalidates incrementally.
+func TestNewSnifferFollowsWithoutResync(t *testing.T) {
+	clk := vclock.NewVirtualAtZero()
+	b, _ := setup(clk)
+	c := New(Config{Name: "t", TTL: time.Hour}, clk, nil, nil, b.loader("t"))
+	c.Get("k1")
+	c.Get("k2")
+	c.Depend("k1", "t", "k1")
+	sn := NewSniffer(b.s, c, clk, time.Second, "s1")
+	b.s.Put("t", "k1", fields("BACKDOOR"))
+	sn.SniffOnce()
+	if n := c.reg.Counter("cache.sniffer_resyncs").Value(); n != 0 {
+		t.Fatalf("sniffer_resyncs = %d, want 0", n)
+	}
+	if c.Len() != 1 {
+		t.Fatalf("cache holds %d entries, want k2 alone", c.Len())
+	}
+	if v, _ := c.Get("k1"); string(v) != "BACKDOOR" {
+		t.Fatalf("sniffer missed the backdoor update: %q", v)
+	}
+}
+
 func TestSnifferCheckpointAdvances(t *testing.T) {
 	clk := vclock.NewVirtualAtZero()
 	b, _ := setup(clk)

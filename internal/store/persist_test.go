@@ -157,6 +157,7 @@ func TestStoreDurableAcrossRestart(t *testing.T) {
 func TestChangeRingBoundedAndTrimSentinel(t *testing.T) {
 	s := newStore()
 	s.SetChangeCap(8)
+	s.LastLSN() // the checkpoint the window starts at
 	for i := 0; i < 40; i++ {
 		s.Put("t", fmt.Sprintf("k%02d", i), fields("n", fmt.Sprint(i)))
 	}

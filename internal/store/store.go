@@ -137,7 +137,6 @@ type Change struct {
 	Table string
 	Key   string
 	Op    Op
-	TxID  string
 }
 
 // Trigger observes committed changes to a table, synchronously with the
@@ -180,8 +179,12 @@ type Store struct {
 	flying    atomic.Bool // set, under mu, while a commit is in flight
 	sessions  map[string]*Session
 	pendingTx map[string][]stagedWrite // durably prepared, unresolved
-	changes   []Change                 // a ring (see appendChange)
-	head, n   int                      // the live window: n changes from changes[head] on
+	// followed is set, before the LSN is read, by the first checkpoint a
+	// reader takes (LastLSN or Changes); until then no change is kept. So
+	// a checkpoint is never older than the first change kept.
+	followed  atomic.Bool
+	changes   []Change // a ring (see appendChange)
+	head, n   int      // the live window: n changes from changes[head] on
 	changeCap int
 	trimLSN   uint64 // newest LSN no longer in the window (0 = none)
 	lsn       uint64
@@ -210,7 +213,8 @@ func New(name string, clock vclock.Clock) *Store {
 // tombstones are the backend's records and stay there, but a record the
 // store could not have written refuses the open. The change ring starts
 // empty: Changes(since) for a pre-restart LSN reports ErrChangesTrimmed
-// and the sniffer rescans.
+// and the sniffer rescans. It keeps changes from the first checkpoint a
+// reader takes on.
 func Open(name string, clock vclock.Clock, kvs kv.Store) (*Store, error) {
 	tp, err := tuple.New(kvs)
 	if err != nil {
@@ -512,9 +516,11 @@ func (s *Store) RegisterTrigger(table string, t Trigger) {
 
 // Changes returns committed changes with LSN > since, for log-sniffing.
 // If that suffix is no longer fully held — the bounded ring trimmed it,
-// or the store restarted — it returns ErrChangesTrimmed and the sniffer
-// must resynchronize with a Scan and resume from LastLSN.
+// the store restarted, or no reader had taken a checkpoint when it was
+// committed — it returns ErrChangesTrimmed and the sniffer must
+// resynchronize with a Scan and resume from LastLSN.
 func (s *Store) Changes(since uint64) ([]Change, error) {
+	s.followed.Store(true)
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	if since < s.trimLSN {
@@ -528,8 +534,10 @@ func (s *Store) Changes(since uint64) ([]Change, error) {
 	return out, nil
 }
 
-// LastLSN returns the newest committed LSN.
+// LastLSN returns the newest committed LSN. It is a reader's checkpoint:
+// the store keeps every change after it for Changes.
 func (s *Store) LastLSN() uint64 {
+	s.followed.Store(true)
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	return s.lsn
@@ -634,8 +642,13 @@ func (s *Store) land() {
 func (s *Store) change(i int) Change { return s.changes[(s.head+i)%len(s.changes)] }
 
 // appendChange adds to the bounded ring. It grows by doubling up to
-// changeCap; full, the newest change overwrites the oldest.
+// changeCap; full, the newest change overwrites the oldest. Before a reader
+// has taken a checkpoint it keeps nothing.
 func (s *Store) appendChange(ch Change) {
+	if !s.followed.Load() {
+		s.trimLSN = ch.LSN
+		return
+	}
 	if s.n == len(s.changes) {
 		if s.n == s.changeCap {
 			s.trimLSN = s.changes[s.head].LSN
@@ -722,11 +735,12 @@ func (s *Store) commit(writes []stagedWrite, txID string, staged bool) (commitRe
 		}
 		f.touched = true
 		s.lsn++
-		s.appendChange(Change{LSN: s.lsn, Table: w.table, Key: w.key, Op: op, TxID: txID})
+		ch := Change{LSN: s.lsn, Table: w.table, Key: w.key, Op: op}
+		s.appendChange(ch)
 		s.writes.Inc()
 		res.applied++
 		if len(s.triggers[w.table]) > 0 {
-			res.fired = append(res.fired, s.change(s.n-1))
+			res.fired = append(res.fired, ch)
 		}
 	}
 	if res.applied == 0 && !staged {

@@ -6,6 +6,7 @@ import (
 	"runtime"
 	"strconv"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 	"time"
@@ -290,13 +291,14 @@ func TestTriggersFireOnCommitAndAutocommit(t *testing.T) {
 	if len(seen) != 3 {
 		t.Fatalf("trigger fired %d times, want 3", len(seen))
 	}
-	if seen[1].TxID != "t1" || seen[1].Op != OpPut {
+	if seen[1].Table != "t" || seen[1].Key != "k1" || seen[1].Op != OpPut {
 		t.Fatalf("change = %+v", seen[1])
 	}
 }
 
 func TestChangeLogLSNsMonotonic(t *testing.T) {
 	s := newStore()
+	s.LastLSN() // the checkpoint the window starts at
 	for i := 0; i < 5; i++ {
 		s.Put("t", fmt.Sprintf("k%d", i), fields("v", "x"))
 	}
@@ -329,6 +331,7 @@ func TestChangeLogLSNsMonotonic(t *testing.T) {
 
 func TestConcurrentAutocommitWriters(t *testing.T) {
 	s := newStore()
+	s.LastLSN() // the checkpoint the window starts at
 	var wg sync.WaitGroup
 	for i := 0; i < 8; i++ {
 		i := i
@@ -350,6 +353,107 @@ func TestConcurrentAutocommitWriters(t *testing.T) {
 	}
 	if len(changes) != 800 {
 		t.Fatalf("changes = %d", len(changes))
+	}
+}
+
+// TestUnfollowedStoreKeepsNoWindow: a store no reader has taken a
+// checkpoint of keeps no change history; a reader that asks for it gets the
+// resync signal, and from its checkpoint on the window is kept.
+func TestUnfollowedStoreKeepsNoWindow(t *testing.T) {
+	s := newStore()
+	for i := 0; i < 10000; i++ {
+		s.Put("t", "k", fields("n", strconv.Itoa(i)))
+	}
+	s.mu.RLock()
+	changes, n, trim := s.changes, s.n, s.trimLSN
+	s.mu.RUnlock()
+	if changes != nil || n != 0 || trim != 10000 {
+		t.Fatalf("unfollowed store holds a ring of %d (%d live, trimLSN %d), want none (trimLSN 10000)", len(changes), n, trim)
+	}
+	if _, err := s.Changes(0); !errors.Is(err, ErrChangesTrimmed) {
+		t.Fatalf("Changes(0) = %v, want ErrChangesTrimmed", err)
+	}
+	s.Delete("t", "k")
+	if ch, err := s.Changes(10000); err != nil || len(ch) != 1 || ch[0] != (Change{LSN: 10001, Table: "t", Key: "k", Op: OpDelete}) {
+		t.Fatalf("Changes(10000) after the first checkpoint = %+v, %v", ch, err)
+	}
+}
+
+// TestCheckpointTakenMidStreamIsNeverTrimmed: a reader that takes its
+// checkpoint while writers commit reads every change after it, densely,
+// however the checkpoint interleaves with the commits.
+func TestCheckpointTakenMidStreamIsNeverTrimmed(t *testing.T) {
+	s := newStore()
+	const writers, each = 4, 400 // 1 600 changes at most: inside the 4 096 window
+	var written atomic.Int64
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for i := 0; i < writers; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for j := 0; j < each; j++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				s.Put("t", fmt.Sprintf("k%d-%d", i, j), fields("v", "x"))
+				written.Add(1)
+			}
+		}()
+	}
+	halt := sync.OnceFunc(func() { close(stop); wg.Wait() })
+	defer halt()
+	for written.Load() < 100 {
+		runtime.Gosched()
+	}
+	checkpoint := s.LastLSN()
+	cursor := checkpoint
+	read := func() {
+		ch, err := s.Changes(cursor)
+		if err != nil {
+			t.Fatalf("Changes(%d) after checkpoint %d: %v", cursor, checkpoint, err)
+		}
+		for _, c := range ch {
+			if c.LSN != cursor+1 {
+				t.Fatalf("after LSN %d came %d: the window is not dense", cursor, c.LSN)
+			}
+			cursor = c.LSN
+		}
+	}
+	for written.Load() < int64(checkpoint)+200 && written.Load() < writers*each {
+		read()
+		runtime.Gosched()
+	}
+	halt()
+	read()
+	if last := s.LastLSN(); cursor != last {
+		t.Fatalf("read up to LSN %d, store is at %d", cursor, last)
+	}
+}
+
+// TestTriggersFireOnUnfollowedStore: a trigger's change is built from the
+// write itself, so it fires in full on a store that keeps no window.
+func TestTriggersFireOnUnfollowedStore(t *testing.T) {
+	s := newStore()
+	var seen []Change
+	s.RegisterTrigger("t", func(c Change) { seen = append(seen, c) })
+	s.Put("u", "other", fields("v", "0"))
+	s.Put("t", "k1", fields("v", "1"))
+	sess := s.Session("t1")
+	sess.Delete("t", "k1")
+	if err := sess.Commit("t1"); err != nil {
+		t.Fatal(err)
+	}
+	want := []Change{{LSN: 2, Table: "t", Key: "k1", Op: OpPut}, {LSN: 3, Table: "t", Key: "k1", Op: OpDelete}}
+	if len(seen) != len(want) || seen[0] != want[0] || seen[1] != want[1] {
+		t.Fatalf("triggers saw %+v, want %+v", seen, want)
+	}
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	if s.changes != nil {
+		t.Fatalf("a trigger made the store keep a window of %d", len(s.changes))
 	}
 }
 

@@ -127,6 +127,9 @@ type Manager struct {
 	doneCond sync.Cond // on doneMu: the queue shrank, or the drainer exited
 	doneQ    []string
 	draining bool
+	// drain is m.drainDone, built once: a go statement of a method value
+	// allocates its closure every time the drainer starts.
+	drain func()
 }
 
 // maxDoneBacklog bounds the done-record queue: committers wait when it is full.
@@ -150,6 +153,7 @@ func NewManager(server string, clock vclock.Clock, log Log, reg *metrics.Registr
 		active: make(map[string]*Tx),
 	}
 	m.doneCond.L = &m.doneMu
+	m.drain = m.drainDone
 	return m
 }
 
@@ -489,7 +493,7 @@ func (m *Manager) logDone(txID string) {
 	m.doneQ = append(m.doneQ, txID) // the drainer hands its emptied slices back
 	if !m.draining {
 		m.draining = true
-		go m.drainDone()
+		go m.drain()
 	}
 	m.doneMu.Unlock()
 }

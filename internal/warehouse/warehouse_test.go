@@ -64,6 +64,28 @@ func TestIncrementalRunPropagatesChanges(t *testing.T) {
 	}
 }
 
+// TestDeleteRightAfterInitialLoadPropagates: InitialLoad's checkpoint is
+// the first a reader takes of the operational store, so the store keeps
+// the change right after it and the next run applies it incrementally.
+func TestDeleteRightAfterInitialLoadPropagates(t *testing.T) {
+	clk := vclock.NewVirtualAtZero()
+	op, copyDB := newPair(clk)
+	op.Put("flights", "f1", seats(100))
+	op.Put("flights", "f2", seats(100))
+	etl := NewETL(op, copyDB, clk, time.Second, nil, "flights")
+	etl.InitialLoad("flights")
+	op.Delete("flights", "f1")
+	if n := etl.RunOnce(); n != 1 {
+		t.Fatalf("RunOnce applied %d, want the one delete", n)
+	}
+	if _, ok := copyDB.Get("flights", "f1"); ok {
+		t.Fatal("delete not propagated")
+	}
+	if n := etl.reg.Counter("etl.resyncs").Value(); n != 0 {
+		t.Fatalf("etl.resyncs = %d, want 0", n)
+	}
+}
+
 func TestTransformPreDigests(t *testing.T) {
 	clk := vclock.NewVirtualAtZero()
 	op, copyDB := newPair(clk)
