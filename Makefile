@@ -49,13 +49,15 @@ check:
 # target (see the comment there): the request-path allocation gates on one
 # and four CPUs twenty times over, the wire gates (bytes per routed
 # request, the same at any connection age), the placement, row,
-# lock-table and connection footprints, and the pool-recycling stress.
+# lock-table and connection footprints, a steady heartbeat's one
+# allocation, and the pool-recycling stress.
 # Allocation counts need a build without -race; the last two lines are
 # race-only checks.
 gates:
 	$(GO) test -run 'TestAllocGate' -count=20 -cpu 1,4 .
 	$(GO) test -run 'TestWireGate' -v -count=1 .
 	$(GO) test -run 'TestPlacementAllocFree' -v -count=1 ./internal/servlet
+	$(GO) test -run 'TestSteadyHeartbeatAllocsPerMember' -v -count=1 ./internal/cluster
 	$(GO) test -run 'TestStoreRowFootprint|TestUnfollowedStoreKeepsNoWindow|TestLockTableGivesBackItsMap' -v -count=1 ./internal/store
 	$(GO) test -run 'TestIdleConnFootprint' -v -count=1 ./internal/transport
 	$(GO) test -race -run 'TestIdleWritersHoldNoBuffer|TestFramesSpanningTheReadBuffer' -v -count=1 ./internal/transport

@@ -99,8 +99,9 @@ func callAllocs(runs int, call func()) float64 {
 }
 
 // quiet stops the heartbeats of c's members, once the test has deployed
-// and settled: the views stay as they converged, and no beat — about 40
-// allocations on the real clock — lands inside a measurement.
+// and settled: the views stay as they converged, and no beat — one
+// allocation per member, the timer of its next tick — lands inside a
+// measurement.
 func quiet(c *wls.Cluster) {
 	for _, s := range c.Servers {
 		s.Member().Stop()

@@ -28,6 +28,7 @@
 package cluster
 
 import (
+	"bytes"
 	"fmt"
 	"slices"
 	"sort"
@@ -170,6 +171,10 @@ type Member struct {
 	cfg   Config
 	clock vclock.Clock
 	bus   gossip.Bus
+	topic string
+	// tick is m.beatAndSweep, built once: a method value handed to
+	// AfterFunc allocates its closure every interval.
+	tick func()
 
 	mu        sync.Mutex
 	self      MemberInfo
@@ -177,12 +182,15 @@ type Member struct {
 	listeners []*func(Event)
 	started   bool
 	stopped   bool
-	hbTimer   vclock.Timer
-	sweep     vclock.Timer
+	timer     vclock.Timer
 	unsub     func()
 	// publishing is set while a goroutine is announcing for this member;
 	// republish asks it for one more heartbeat (see publish).
 	publishing, republish bool
+	// body is self encoded, built by the first publish after a change and
+	// replaced, never written in place: a delayed bus still holds the old
+	// one. Nil after Start, Advertise and Withdraw.
+	body []byte
 
 	// version counts view-visible membership changes (join, fail, service
 	// advertisement). The request path consults the view on every call, so
@@ -197,7 +205,10 @@ type Member struct {
 }
 
 type peerState struct {
-	info      MemberInfo
+	info MemberInfo
+	// raw is the heartbeat info was last decoded from: the same bytes
+	// again only refresh lastHeard (see onHeartbeat).
+	raw       []byte
 	lastHeard time.Time
 	failed    bool
 }
@@ -207,17 +218,18 @@ type peerState struct {
 // may be empty and extended later with Advertise.
 func NewMember(cfg Config, clock vclock.Clock, bus gossip.Bus, self MemberInfo) *Member {
 	cfg.fillDefaults()
-	return &Member{
+	m := &Member{
 		cfg:   cfg,
 		clock: clock,
 		bus:   bus,
+		topic: "cluster/" + cfg.Name + "/hb",
 		self:  self.clone(),
 		peers: make(map[string]*peerState),
 		ids:   newIDSource(cfg.IDSeed),
 	}
+	m.tick = m.beatAndSweep
+	return m
 }
-
-func (m *Member) topic() string { return "cluster/" + m.cfg.Name + "/hb" }
 
 // Start begins heartbeating and failure detection.
 func (m *Member) Start() {
@@ -229,12 +241,13 @@ func (m *Member) Start() {
 	m.started = true
 	m.stopped = false
 	m.self.Incarnation++
+	m.body = nil
 	m.version++
 	m.mu.Unlock()
 
 	// Subscribed before the first beat: the answers it draws (onHeartbeat)
 	// arrive while that beat is still being delivered.
-	unsub := m.bus.Subscribe(m.topic(), m.onHeartbeat)
+	unsub := m.bus.Subscribe(m.topic, m.onHeartbeat)
 	m.mu.Lock()
 	if m.stopped { // a Stop raced this restart and found nothing to cancel
 		m.mu.Unlock()
@@ -243,8 +256,8 @@ func (m *Member) Start() {
 	}
 	m.unsub = unsub
 	m.mu.Unlock()
-	m.beat()
-	m.scheduleSweep()
+	m.publish()
+	m.schedule()
 }
 
 // Stop ceases heartbeating; peers will declare this member failed after the
@@ -252,14 +265,11 @@ func (m *Member) Start() {
 func (m *Member) Stop() {
 	m.mu.Lock()
 	m.stopped = true
-	hb, sw, unsub := m.hbTimer, m.sweep, m.unsub
-	m.hbTimer, m.sweep, m.unsub = nil, nil, nil
+	timer, unsub := m.timer, m.unsub
+	m.timer, m.unsub = nil, nil
 	m.mu.Unlock()
-	if hb != nil {
-		hb.Stop()
-	}
-	if sw != nil {
-		sw.Stop()
+	if timer != nil {
+		timer.Stop()
 	}
 	if unsub != nil {
 		unsub()
@@ -296,6 +306,7 @@ func (m *Member) Advertise(service string) {
 	if !m.self.OffersService(service) {
 		m.self.Services = append(m.self.Services, service)
 		sort.Strings(m.self.Services)
+		m.body = nil
 		m.version++
 	}
 	m.mu.Unlock()
@@ -312,6 +323,7 @@ func (m *Member) Withdraw(service string) {
 		}
 	}
 	m.self.Services = out
+	m.body = nil
 	m.version++
 	m.mu.Unlock()
 	m.publish()
@@ -341,15 +353,20 @@ func (m *Member) Listeners() int {
 	return len(m.listeners)
 }
 
-// beat publishes one heartbeat and schedules the next.
-func (m *Member) beat() {
+// beatAndSweep is the periodic tick: one heartbeat, then failure
+// detection, then the next tick.
+func (m *Member) beatAndSweep() {
 	m.publish()
+	m.sweepOnce()
+	m.schedule()
+}
+
+// schedule arms the next tick unless the member has stopped.
+func (m *Member) schedule() {
 	m.mu.Lock()
-	if m.stopped {
-		m.mu.Unlock()
-		return
+	if !m.stopped {
+		m.timer = m.clock.AfterFunc(m.cfg.HeartbeatInterval, m.tick)
 	}
-	m.hbTimer = m.clock.AfterFunc(m.cfg.HeartbeatInterval, m.beat)
 	m.mu.Unlock()
 }
 
@@ -371,30 +388,18 @@ func (m *Member) publish() {
 	m.publishing = true
 	for !m.stopped && m.started {
 		m.republish = false
-		body := m.self.encode()
-		from := m.self.Name
+		if m.body == nil {
+			m.body = m.self.encode()
+		}
+		body, from := m.body, m.self.Name
 		m.mu.Unlock()
-		m.bus.Publish(gossip.Message{Topic: m.topic(), From: from, Payload: body})
+		m.bus.Publish(gossip.Message{Topic: m.topic, From: from, Payload: body})
 		m.mu.Lock()
 		if !m.republish {
 			break
 		}
 	}
 	m.publishing = false
-	m.mu.Unlock()
-}
-
-// scheduleSweep schedules periodic failure detection.
-func (m *Member) scheduleSweep() {
-	m.mu.Lock()
-	if m.stopped {
-		m.mu.Unlock()
-		return
-	}
-	m.sweep = m.clock.AfterFunc(m.cfg.HeartbeatInterval, func() {
-		m.sweepOnce()
-		m.scheduleSweep()
-	})
 	m.mu.Unlock()
 }
 
@@ -409,6 +414,16 @@ func (m *Member) sweepOnce() {
 			m.version++
 			events = append(events, Event{Kind: EventFailed, Member: p.info.clone()})
 		}
+	}
+	m.unlockAndDeliver(events)
+}
+
+// unlockAndDeliver releases m.mu and hands events to the listeners
+// registered when it was held.
+func (m *Member) unlockAndDeliver(events []Event) {
+	if len(events) == 0 {
+		m.mu.Unlock()
+		return
 	}
 	listeners := slices.Clone(m.listeners)
 	m.mu.Unlock()
@@ -434,13 +449,25 @@ func (m *Member) sweepOnce() {
 // nothing. EventUpdated and EventFailed draw no answer. A lost
 // announcement or answer is repaired by the next periodic beat, which is
 // answered the same way if it is the first one heard.
+//
+// A converged cluster's beats repeat bytes each receiver has already
+// decoded: a live peer's beat equal to the one it was last decoded from
+// only refreshes lastHeard, and the member's own beat is dropped, neither
+// decoded. Anything else — a new name, a failed peer heard again, another
+// incarnation, a changed service list — decodes.
 func (m *Member) onHeartbeat(msg gossip.Message) {
-	info, err := decodeMemberInfo(msg.Payload)
-	if err != nil {
+	m.mu.Lock()
+	if m.stopped || msg.From == m.self.Name && bytes.Equal(msg.Payload, m.body) {
+		m.mu.Unlock()
 		return
 	}
-	m.mu.Lock()
-	if m.stopped || info.Name == m.self.Name {
+	if p := m.peers[msg.From]; p != nil && !p.failed && bytes.Equal(msg.Payload, p.raw) {
+		p.lastHeard = m.clock.Now()
+		m.mu.Unlock()
+		return
+	}
+	info, err := decodeMemberInfo(msg.Payload)
+	if err != nil || info.Name == m.self.Name {
 		m.mu.Unlock()
 		return
 	}
@@ -449,11 +476,12 @@ func (m *Member) onHeartbeat(msg gossip.Message) {
 	p, ok := m.peers[info.Name]
 	switch {
 	case !ok:
-		m.peers[info.Name] = &peerState{info: info, lastHeard: m.clock.Now()}
+		m.peers[info.Name] = &peerState{info: info, raw: slices.Clone(msg.Payload), lastHeard: m.clock.Now()}
 		m.version++
 		joined = true
 	case p.failed || info.Incarnation > p.info.Incarnation:
 		p.info = info
+		p.raw = append(p.raw[:0], msg.Payload...)
 		p.failed = false
 		p.lastHeard = m.clock.Now()
 		m.version++
@@ -461,6 +489,7 @@ func (m *Member) onHeartbeat(msg gossip.Message) {
 	case info.Incarnation == p.info.Incarnation:
 		changed := !equalStrings(p.info.Services, info.Services)
 		p.info = info
+		p.raw = append(p.raw[:0], msg.Payload...)
 		p.lastHeard = m.clock.Now()
 		if changed {
 			m.version++
@@ -472,13 +501,7 @@ func (m *Member) onHeartbeat(msg gossip.Message) {
 	if joined {
 		events = append(events, Event{Kind: EventJoined, Member: info.clone()})
 	}
-	listeners := slices.Clone(m.listeners)
-	m.mu.Unlock()
-	for _, ev := range events {
-		for _, fn := range listeners {
-			(*fn)(ev)
-		}
-	}
+	m.unlockAndDeliver(events)
 	if joined {
 		m.publish()
 	}

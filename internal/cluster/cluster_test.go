@@ -2,8 +2,11 @@ package cluster
 
 import (
 	"fmt"
+	"math"
 	"runtime"
+	"slices"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 	"time"
@@ -544,7 +547,7 @@ func TestStartStopRace(t *testing.T) {
 		go func() { defer wg.Done(); m.Stop() }()
 		wg.Wait()
 		m.Stop()
-		if n := bus.Subscribers(m.topic()); n != 0 {
+		if n := bus.Subscribers(m.topic); n != 0 {
 			t.Fatalf("iteration %d: %d subscriptions left after Stop", i, n)
 		}
 	}
@@ -568,5 +571,133 @@ func TestDecodeMembersRefusesALyingCount(t *testing.T) {
 		if got := after.TotalAlloc - before.TotalAlloc; got >= 1<<20 {
 			t.Fatalf("count %d: allocated %d bytes", n, got)
 		}
+	}
+}
+
+// --- steady state -------------------------------------------------------
+
+// A converged cluster's beats repeat bytes every receiver has decoded
+// before, so a steady interval costs a member only the timer of its next
+// tick; and the peers stay alive far past FailureTimeout on beats that
+// were never decoded again.
+func TestSteadyHeartbeatAllocsPerMember(t *testing.T) {
+	clk, _, ms := testCluster(t, 3)
+	settle(clk, 3)
+	var failed atomic.Int64
+	for _, m := range ms {
+		m.OnEvent(func(ev Event) {
+			if ev.Kind == EventFailed {
+				failed.Add(1)
+			}
+		})
+	}
+	const intervals = 100
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	clk.Advance(100 * time.Millisecond)
+	// The best of three windows: a stray malloc of a goroutine another
+	// test left behind lands in one window, an allocation per beat in all.
+	perMember := math.Inf(1)
+	for w := 0; w < 3; w++ {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < intervals; i++ {
+			clk.Advance(100 * time.Millisecond)
+		}
+		runtime.ReadMemStats(&after)
+		perMember = min(perMember, float64(after.Mallocs-before.Mallocs)/float64(intervals*len(ms)))
+	}
+	t.Logf("%.3f allocations per member per interval", perMember)
+	if perMember > 1 {
+		t.Fatalf("%.3f allocations per member per interval, want at most 1 (the next tick's timer)", perMember)
+	}
+	if n := failed.Load(); n != 0 {
+		t.Fatalf("%d EventFailed over %d steady intervals", n, 3*intervals)
+	}
+	for _, m := range ms {
+		if got := len(m.Alive()); got != len(ms) {
+			t.Fatalf("%s sees %d members after %d steady intervals, want %d", m.Name(), got, 3*intervals, len(ms))
+		}
+		m.mu.Lock()
+		_, self := m.peers[m.self.Name]
+		m.mu.Unlock()
+		if self {
+			t.Fatalf("%s recorded itself as a peer", m.Name())
+		}
+	}
+}
+
+// The byte-compare skips only a live peer's repeated beat: a peer the
+// sweep failed is re-admitted by the very bytes it beat before, a new
+// service list at the same incarnation is still an update, and no beat
+// in a member's own name — its own or another's — makes it a peer.
+func TestRepeatedBytesStillCarryEvents(t *testing.T) {
+	clk := vclock.NewVirtualAtZero()
+	bus := gossip.NewInMemory(clk, 1)
+	cfg := Config{Name: "c", HeartbeatInterval: 100 * time.Millisecond, FailureTimeout: 350 * time.Millisecond}
+	m := NewMember(cfg, clk, bus, MemberInfo{Name: "s1", Machine: "m1"})
+	var mu sync.Mutex
+	heard := map[EventKind]int{}
+	m.OnEvent(func(ev Event) {
+		if ev.Member.Name == "g" {
+			mu.Lock()
+			heard[ev.Kind]++
+			mu.Unlock()
+		}
+	})
+	m.Start()
+	defer m.Stop()
+	events := func(k EventKind) int {
+		mu.Lock()
+		defer mu.Unlock()
+		return heard[k]
+	}
+	ghost := MemberInfo{Name: "g", Machine: "m2", Incarnation: 1}
+	beat := ghost.encode()
+	// beatDraws publishes one ghost beat and returns how many heartbeats
+	// m published in answer.
+	beatDraws := func(payload []byte) int64 {
+		before, _ := bus.Stats()
+		bus.Publish(gossip.Message{Topic: m.topic, From: "g", Payload: payload})
+		after, _ := bus.Stats()
+		return after - before - 1
+	}
+
+	if n := beatDraws(beat); n != 1 || events(EventJoined) != 1 {
+		t.Fatalf("first beat: %d answers, %d joins; want 1 and 1", n, events(EventJoined))
+	}
+	if n := beatDraws(slices.Clone(beat)); n != 0 || events(EventJoined) != 1 {
+		t.Fatalf("a repeated beat drew %d answers and made %d joins; want 0 and 1", n, events(EventJoined))
+	}
+	clk.Advance(500 * time.Millisecond) // past FailureTimeout with no ghost beat
+	if events(EventFailed) != 1 || len(m.Alive()) != 1 {
+		t.Fatalf("silent peer: %d failures, %d alive; want 1 and 1", events(EventFailed), len(m.Alive()))
+	}
+	if n := beatDraws(slices.Clone(beat)); n != 1 || events(EventJoined) != 2 || len(m.Alive()) != 2 {
+		t.Fatalf("failed peer heard again with the same bytes: %d answers, %d joins, %d alive; want 1, 2, 2",
+			n, events(EventJoined), len(m.Alive()))
+	}
+
+	m.mu.Lock()
+	version := m.version
+	m.mu.Unlock()
+	ghost.Services = []string{"svc"}
+	if n := beatDraws(ghost.encode()); n != 0 || events(EventUpdated) != 1 {
+		t.Fatalf("new service list: %d answers, %d updates; want 0 and 1", n, events(EventUpdated))
+	}
+	m.mu.Lock()
+	bumped := m.version > version
+	m.mu.Unlock()
+	if !bumped || len(m.OffersOf("svc")) != 1 {
+		t.Fatalf("new service list: version bumped %v, %d offers of svc; want true and 1", bumped, len(m.OffersOf("svc")))
+	}
+
+	impostor := m.Self()
+	impostor.Incarnation++
+	beatDraws(impostor.encode())
+	m.mu.Lock()
+	_, self := m.peers["s1"]
+	m.mu.Unlock()
+	if self {
+		t.Fatal("a beat in the member's own name made it a peer")
 	}
 }

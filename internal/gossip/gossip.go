@@ -13,6 +13,7 @@ package gossip
 
 import (
 	"math/rand"
+	"slices"
 	"sync"
 	"time"
 
@@ -53,8 +54,7 @@ type InMemory struct {
 	clock vclock.Clock
 
 	mu       sync.Mutex
-	subs     map[string]map[int64]func(Message)
-	nextID   int64
+	subs     subscriptions
 	lossRate float64
 	delay    time.Duration
 	rng      *rand.Rand
@@ -67,7 +67,6 @@ type InMemory struct {
 func NewInMemory(clock vclock.Clock, seed int64) *InMemory {
 	return &InMemory{
 		clock: clock,
-		subs:  make(map[string]map[int64]func(Message)),
 		rng:   rand.New(rand.NewSource(seed)),
 	}
 }
@@ -80,17 +79,27 @@ func (b *InMemory) SetLossRate(p float64) {
 	b.lossRate = p
 }
 
-// Publish implements Bus.
+// Publish implements Bus. A lossless, undelayed bus delivers to the
+// topic's subscriber slice as it read it; loss and delay need their own
+// list of targets.
 func (b *InMemory) Publish(m Message) {
 	b.mu.Lock()
 	b.published++
+	subs := b.subs.byTopic[m.Topic]
+	if b.lossRate == 0 && b.delay == 0 {
+		b.mu.Unlock()
+		for _, s := range subs {
+			s.fn(m)
+		}
+		return
+	}
 	var targets []func(Message)
-	for _, fn := range b.subs[m.Topic] {
+	for _, s := range subs {
 		if b.lossRate > 0 && b.rng.Float64() < b.lossRate {
 			b.dropped++
 			continue
 		}
-		targets = append(targets, fn)
+		targets = append(targets, s.fn)
 	}
 	delay := b.delay
 	clock := b.clock
@@ -110,20 +119,42 @@ func (b *InMemory) Publish(m Message) {
 
 // Subscribe implements Bus.
 func (b *InMemory) Subscribe(topic string, fn func(Message)) (cancel func()) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	b.nextID++
-	id := b.nextID
-	if b.subs[topic] == nil {
-		b.subs[topic] = make(map[int64]func(Message))
+	return b.subs.subscribe(&b.mu, topic, fn)
+}
+
+// subscriptions holds each topic's subscribers in subscription order, so
+// a lossy bus's seed drops the same deliveries on every run. A topic's
+// slice is never written in place, so a publisher ranges over the slice it
+// read under its bus's lock with no copy and no lock held. The bus's
+// mutex guards it.
+type subscriptions struct {
+	byTopic map[string][]subscriber
+	nextID  int64
+}
+
+type subscriber struct {
+	id int64
+	fn func(Message)
+}
+
+// subscribe adds fn to topic under mu and returns the func that removes it.
+func (s *subscriptions) subscribe(mu *sync.Mutex, topic string, fn func(Message)) (cancel func()) {
+	mu.Lock()
+	defer mu.Unlock()
+	if s.byTopic == nil {
+		s.byTopic = make(map[string][]subscriber)
 	}
-	b.subs[topic][id] = fn
+	s.nextID++
+	id, old := s.nextID, s.byTopic[topic]
+	s.byTopic[topic] = append(old[:len(old):len(old)], subscriber{id, fn})
 	return func() {
-		b.mu.Lock()
-		defer b.mu.Unlock()
-		delete(b.subs[topic], id)
-		if len(b.subs[topic]) == 0 {
-			delete(b.subs, topic)
+		mu.Lock()
+		defer mu.Unlock()
+		subs := slices.DeleteFunc(slices.Clone(s.byTopic[topic]), func(x subscriber) bool { return x.id == id })
+		if len(subs) == 0 {
+			delete(s.byTopic, topic)
+		} else {
+			s.byTopic[topic] = subs
 		}
 	}
 }
@@ -141,5 +172,5 @@ func (b *InMemory) Stats() (published, dropped int64) {
 func (b *InMemory) Subscribers(topic string) int {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	return len(b.subs[topic])
+	return len(b.subs.byTopic[topic])
 }

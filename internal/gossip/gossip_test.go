@@ -1,6 +1,9 @@
 package gossip
 
 import (
+	"fmt"
+	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -157,4 +160,37 @@ func TestConcurrentPublishSubscribe(t *testing.T) {
 	wg.Wait()
 	// No assertion on count (racy by design); the test is that -race is
 	// clean and nothing deadlocks.
+}
+
+// Subscribers are called in subscription order, so two lossy buses with
+// the same seed and the same subscriptions drop the same deliveries; a
+// cancelled subscriber, here one from the middle of the list, gets none.
+func TestLossyBusReplaysPerSeed(t *testing.T) {
+	run := func() []string {
+		b := NewInMemory(vclock.System, 42)
+		b.SetLossRate(0.5)
+		var log []string // delivery is synchronous on this goroutine
+		for i := 0; i < 8; i++ {
+			cancel := b.Subscribe("t", func(m Message) { log = append(log, fmt.Sprintf("%d<-%s", i, m.From)) })
+			if i == 3 {
+				cancel()
+			}
+		}
+		for j := 0; j < 50; j++ {
+			b.Publish(Message{Topic: "t", From: fmt.Sprint(j)})
+		}
+		return log
+	}
+	a, b := run(), run()
+	if !slices.Equal(a, b) {
+		t.Fatalf("same seed, different deliveries:\n%v\n%v", a, b)
+	}
+	for _, d := range a {
+		if strings.HasPrefix(d, "3<-") {
+			t.Fatalf("cancelled subscriber received %s", d)
+		}
+	}
+	if len(a) == 0 || len(a) == 7*50 {
+		t.Fatalf("%d of %d deliveries made at 50%% loss", len(a), 7*50)
+	}
 }

@@ -18,8 +18,7 @@ type UDPBus struct {
 
 	mu     sync.Mutex
 	peers  []*net.UDPAddr
-	subs   map[string]map[int64]func(Message)
-	nextID int64
+	subs   subscriptions
 	closed bool
 
 	wg sync.WaitGroup
@@ -40,10 +39,7 @@ func NewUDP(listenAddr string, peers ...string) (*UDPBus, error) {
 	if err != nil {
 		return nil, err
 	}
-	b := &UDPBus{
-		conn: conn,
-		subs: make(map[string]map[int64]func(Message)),
-	}
+	b := &UDPBus{conn: conn}
 	for _, p := range peers {
 		if err := b.AddPeer(p); err != nil {
 			conn.Close()
@@ -126,31 +122,16 @@ func (b *UDPBus) Publish(m Message) {
 
 func (b *UDPBus) deliverLocal(m Message) {
 	b.mu.Lock()
-	var targets []func(Message)
-	for _, fn := range b.subs[m.Topic] {
-		targets = append(targets, fn)
-	}
+	subs := b.subs.byTopic[m.Topic]
 	b.mu.Unlock()
-	for _, fn := range targets {
-		fn(m)
+	for _, s := range subs {
+		s.fn(m)
 	}
 }
 
 // Subscribe implements Bus.
 func (b *UDPBus) Subscribe(topic string, fn func(Message)) (cancel func()) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	b.nextID++
-	id := b.nextID
-	if b.subs[topic] == nil {
-		b.subs[topic] = make(map[int64]func(Message))
-	}
-	b.subs[topic][id] = fn
-	return func() {
-		b.mu.Lock()
-		defer b.mu.Unlock()
-		delete(b.subs[topic], id)
-	}
+	return b.subs.subscribe(&b.mu, topic, fn)
 }
 
 func (b *UDPBus) readLoop() {

@@ -150,6 +150,11 @@ func inFlightCommitReadsAsOneState(t *testing.T, syncErr error) {
 		t.Fatal(err)
 	}
 	defer s.Close()
+	// Deferred after Close, so it runs first: a failed assertion must not
+	// leave the commit parked on the gated fsync with Close waiting behind it.
+	var unparkOnce sync.Once
+	unpark := func() { unparkOnce.Do(func() { close(g.release) }) }
+	defer unpark()
 	s.Put("stock", "a", fields("qty", "1"))
 	s.Put("stock", "b", fields("qty", "1"))
 	since := s.LastLSN()
@@ -202,7 +207,7 @@ func inFlightCommitReadsAsOneState(t *testing.T, syncErr error) {
 		oneState("during the flush")
 		imageStillOld("before the flush ended")
 	})
-	close(g.release)
+	unpark()
 	err = <-acked
 	if syncErr == nil {
 		if err != nil {

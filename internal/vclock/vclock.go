@@ -199,8 +199,6 @@ func (t *virtualTimer) Stop() bool {
 	defer t.clock.mu.Unlock()
 	if t.stopped || t.index == -1 {
 		// already fired or stopped
-		was := !t.stopped && t.index == -1
-		_ = was
 		return false
 	}
 	t.stopped = true
