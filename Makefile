@@ -42,7 +42,7 @@ check:
 	$(GO) vet ./...
 	$(GO) build ./...
 	$(GO) run ./cmd/wlslint ./...
-	$(GO) test -race ./internal/cluster ./internal/partition ./internal/lease ./internal/singleton ./internal/tx ./internal/kv ./internal/tuple ./internal/wire ./internal/transport ./internal/rmi ./internal/netsim ./internal/servlet ./internal/ejb ./internal/webtier ./internal/chaos
+	$(GO) test -race ./internal/cluster ./internal/partition ./internal/lease ./internal/singleton ./internal/tx ./internal/kv ./internal/tuple ./internal/wire ./internal/transport ./internal/rmi ./internal/netsim ./internal/servlet ./internal/ejb ./internal/webtier ./internal/chaostest
 	$(MAKE) bench-smoke
 
 # gates is CI's "Alloc and wire gates" step, which runs exactly this
@@ -75,40 +75,46 @@ bench-smoke:
 		out=$$($(GO) run ./benchmark --workload $$w --seed 1 --seconds 3 --trace $$tr 2>&1) || { echo "$$out"; exit 1; }; \
 	done; done
 
-bench:
-	$(GO) run ./cmd/wlsbench -all
+# Every experiment (internal/benchtest, indexed in DESIGN.md) is a
+# sub-benchmark of BenchmarkExperiments in bench_test.go; EXPERIMENT runs
+# the ones its -bench pattern names, once each, and -tables writes their
+# tables as JSON.
+EXPERIMENT = $(GO) test -run '^$$' -benchtime 1x -timeout 0 .
 
-# Transport hot-path numbers (E27): echo RPC throughput, allocs/call and the
-# write-batching ablation, checked in as BENCH_transport.json.
+bench:
+	$(EXPERIMENT) -bench 'Experiments/'
+
+# Transport hot-path numbers (E27): echo RPC throughput, allocs/call and
+# frames per batched write, checked in as BENCH_transport.json.
 bench-transport:
-	$(GO) run ./cmd/wlsbench -exp E27 -json BENCH_transport.json
+	$(EXPERIMENT) -bench 'Experiments/E27$$' -args -tables BENCH_transport.json
 
 # Tracing numbers (E29): echo-RPC throughput and allocations at 0%/1%/100%
 # sampling, checked in as BENCH_trace.json.
 bench-trace:
-	$(GO) run ./cmd/wlsbench -exp E29 -json BENCH_trace.json
+	$(EXPERIMENT) -bench 'Experiments/E29$$' -args -tables BENCH_trace.json
 
 # Overload-protection numbers (E30): a static cluster vs the full
 # protection stack (budgets, admission, retry budget, breakers) under a
 # flash burst with a slow server, checked in as BENCH_overload.json.
 bench-overload:
-	$(GO) run ./cmd/wlsbench -exp E30 -json BENCH_overload.json
+	$(EXPERIMENT) -bench 'Experiments/E30$$' -args -tables BENCH_overload.json
 
 # Persistence numbers (E32): table-store commit throughput, fsync
 # amplification, recovery time and footprint over each kv backend
 # (mem / WAL), checked in as BENCH_store.json.
 bench-store:
-	$(GO) run ./cmd/wlsbench -exp E32 -json BENCH_store.json
+	$(EXPERIMENT) -bench 'Experiments/E32$$' -args -tables BENCH_store.json
 
 # Scale-out numbers (E33): a 32-server ring-partitioned cluster under the
 # closed-loop workload engine — steady-state tails, key movement of a live
 # join/leave (bound: 2/N), session survival across both rebalances, and
 # flash-crowd shedding at Deny admission. Checked in as BENCH_scale.json.
 bench-scale:
-	$(GO) run ./cmd/wlsbench -exp E33 -json BENCH_scale.json
+	$(EXPERIMENT) -bench 'Experiments/E33$$' -args -tables BENCH_scale.json
 
 # Extended chaos sweep (E28): 32 seeds at a longer horizon than the small
 # in-tree sweep TestChaosSweepSmall runs under `make test`. A failing seed
 # prints a one-command replay (see DESIGN.md "Chaos sweep").
 chaos:
-	WLS_CHAOS_SEEDS=32 $(GO) test -run TestChaosExtended -v ./internal/chaos
+	WLS_CHAOS_SEEDS=32 $(GO) test -run TestChaosExtended -v ./internal/chaostest

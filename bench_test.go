@@ -1,75 +1,61 @@
-// bench_test.go wires every experiment of the reproduction harness
-// (internal/bench, E01–E33 without E31 — one per figure and falsifiable
-// claim of the paper, see DESIGN.md) into `go test -bench`, plus a set of
+// bench_test.go runs every experiment of the reproduction harness
+// (internal/benchtest: one per figure and falsifiable claim of the paper,
+// see DESIGN.md) as a sub-benchmark of BenchmarkExperiments, plus a set of
 // micro-benchmarks for the hot paths the experiments ride on.
 //
-// Run a single experiment:  go test -bench=BenchmarkE05 -benchtime=1x
-// Run everything:           go test -bench=. -benchmem
+// Run a single experiment:  go test -run '^$' -bench 'Experiments/E05$' -benchtime 1x .
+// Write its table as JSON:  ... -benchtime 1x . -args -tables out.json
+// Run everything:           make bench
 package wls_test
 
 import (
 	"context"
+	"encoding/json"
+	"flag"
 	"fmt"
+	"os"
 	"strconv"
 	"testing"
 	"time"
 
 	"wls"
-	"wls/internal/bench"
+	"wls/internal/benchtest"
 	"wls/internal/ejb"
 	"wls/internal/jms"
 	"wls/internal/rmi"
 	"wls/internal/servlet"
 )
 
-// runExperiment executes a harness experiment once per benchmark iteration
-// and logs its table (visible with -v).
-func runExperiment(b *testing.B, id string) {
-	b.Helper()
-	e, ok := bench.Find(id)
-	if !ok {
-		b.Fatalf("unknown experiment %s", id)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		table := e.Run()
-		if i == 0 {
-			b.Log("\n" + table.String())
+var tablesPath = flag.String("tables", "", "write the tables of the experiments this run ran, as JSON, to the given file")
+
+// BenchmarkExperiments runs each experiment once per iteration as the
+// sub-benchmark named by its id and logs its table. With -tables it also
+// writes the last table of each experiment run.
+func BenchmarkExperiments(b *testing.B) {
+	var tables []*benchtest.Table
+	for _, e := range benchtest.All() {
+		var last *benchtest.Table
+		b.Run(e.ID, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				last = e.Run()
+			}
+			b.Log("\n" + last.String())
+		})
+		if last != nil {
+			tables = append(tables, last)
 		}
 	}
+	if *tablesPath == "" || len(tables) == 0 {
+		return
+	}
+	out, err := json.MarshalIndent(tables, "", "  ")
+	if err != nil {
+		b.Fatal(err)
+	}
+	if err := os.WriteFile(*tablesPath, append(out, '\n'), 0o644); err != nil {
+		b.Fatal(err)
+	}
 }
-
-func BenchmarkE01TierHops(b *testing.B)           { runExperiment(b, "E01") }
-func BenchmarkE02LoadBalancing(b *testing.B)      { runExperiment(b, "E02") }
-func BenchmarkE03Partitioning(b *testing.B)       { runExperiment(b, "E03") }
-func BenchmarkE04StatelessLocality(b *testing.B)  { runExperiment(b, "E04") }
-func BenchmarkE05Failover(b *testing.B)           { runExperiment(b, "E05") }
-func BenchmarkE06PluginFailover(b *testing.B)     { runExperiment(b, "E06") }
-func BenchmarkE07ExternalFailover(b *testing.B)   { runExperiment(b, "E07") }
-func BenchmarkE08DeltaPolicy(b *testing.B)        { runExperiment(b, "E08") }
-func BenchmarkE09RingPlacement(b *testing.B)      { runExperiment(b, "E09") }
-func BenchmarkE10CacheConsistency(b *testing.B)   { runExperiment(b, "E10") }
-func BenchmarkE11FlushCrossover(b *testing.B)     { runExperiment(b, "E11") }
-func BenchmarkE12OptimisticVsLocks(b *testing.B)  { runExperiment(b, "E12") }
-func BenchmarkE13Backdoor(b *testing.B)           { runExperiment(b, "E13") }
-func BenchmarkE14PageCache(b *testing.B)          { runExperiment(b, "E14") }
-func BenchmarkE15RowSet(b *testing.B)             { runExperiment(b, "E15") }
-func BenchmarkE16SingletonMigration(b *testing.B) { runExperiment(b, "E16") }
-func BenchmarkE17PartitionedQueue(b *testing.B)   { runExperiment(b, "E17") }
-func BenchmarkE18Aggregation(b *testing.B)        { runExperiment(b, "E18") }
-func BenchmarkE19Conversations(b *testing.B)      { runExperiment(b, "E19") }
-func BenchmarkE20SAFvsRPC(b *testing.B)           { runExperiment(b, "E20") }
-func BenchmarkE21InMemoryConv(b *testing.B)       { runExperiment(b, "E21") }
-func BenchmarkE22Colocation(b *testing.B)         { runExperiment(b, "E22") }
-func BenchmarkE23BootTime(b *testing.B)           { runExperiment(b, "E23") }
-func BenchmarkE24Warehouse(b *testing.B)          { runExperiment(b, "E24") }
-func BenchmarkE25Admission(b *testing.B)          { runExperiment(b, "E25") }
-func BenchmarkE26Concentration(b *testing.B)      { runExperiment(b, "E26") }
-func BenchmarkE27TransportHotPath(b *testing.B)   { runExperiment(b, "E27") }
-func BenchmarkE29TraceOverhead(b *testing.B)      { runExperiment(b, "E29") }
-func BenchmarkE33ScaleOut(b *testing.B)           { runExperiment(b, "E33") }
-func BenchmarkA01HeartbeatSweep(b *testing.B)     { runExperiment(b, "A01") }
-func BenchmarkA02LossyBus(b *testing.B)           { runExperiment(b, "A02") }
 
 // --- Micro-benchmarks on the hot paths ----------------------------------------
 

@@ -2,7 +2,7 @@
 // (internal/lint) over module packages:
 //
 //	go run ./cmd/wlslint ./...                        # whole module
-//	go run ./cmd/wlslint ./internal/bench             # one package
+//	go run ./cmd/wlslint ./internal/store             # one package
 //	go run ./cmd/wlslint -list                        # describe the analyzers
 //	go run ./cmd/wlslint -json ./...                  # machine-readable output
 //

@@ -4,6 +4,7 @@ import (
 	"time"
 
 	"wls/internal/rmi"
+	"wls/internal/webtier"
 )
 
 // ExternalClient creates a tightly-coupled external client (§2.2) with its
@@ -17,4 +18,9 @@ func (c *Cluster) ExternalClient(addr string, refresh time.Duration) *rmi.Extern
 // hosting (empty without WithAdmin).
 func (c *Cluster) LeaseManagerAddrs() []string {
 	return append([]string(nil), c.fix.admins...)
+}
+
+// ExternalLB builds a Fig 3 appliance router.
+func (c *Cluster) ExternalLB(addr string) *webtier.ExternalLB {
+	return webtier.NewExternalLB(c.fix.net.Endpoint(addr), rmi.MemberView{Member: c.Servers[0].member}, nil)
 }

@@ -194,6 +194,8 @@ func (c *Cache) Len() int {
 // (table, rowKey). Finer-grained registration yields longer-lived caching;
 // coarse registration (whole table) is cheaper to maintain (§3.3's
 // granularity trade-off).
+//
+//wls:nolint unreached -- library-only: §3.3, TestDependencyInvalidation
 func (c *Cache) Depend(cacheKey, table, rowKey string) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -290,6 +292,8 @@ func (c *Cache) QueryLocal(match func(key string, value []byte) bool) map[string
 // TriggerFlusher attaches a database trigger on the table that broadcasts a
 // row-level flush whenever anyone — including backdoor applications —
 // commits a change.
+//
+//wls:nolint unreached -- library-only: §3.3, TestTriggerFlusherCatchesBackdoor
 func TriggerFlusher(s *store.Store, table string, c *Cache, from string) {
 	s.RegisterTrigger(table, func(ch store.Change) {
 		c.InvalidateBackend(ch.Table, ch.Key)
@@ -314,6 +318,8 @@ type Sniffer struct {
 }
 
 // NewSniffer creates a log sniffer starting from the store's current LSN.
+//
+//wls:nolint unreached -- library-only: §3.3, TestSnifferCatchesBackdoorAfterPoll
 func NewSniffer(s *store.Store, c *Cache, clock vclock.Clock, interval time.Duration, from string) *Sniffer {
 	return &Sniffer{
 		store:    s,

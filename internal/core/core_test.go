@@ -46,13 +46,15 @@ func admitted(t *testing.T, g *rmi.Gate) {
 	}
 }
 
-// inLine waits until n requests wait in g's line.
-func inLine(t *testing.T, g *rmi.Gate, n int) {
+// inLine waits until n requests wait in the line of the gate that records
+// into reg.
+func inLine(t *testing.T, reg *metrics.Registry, n int) {
 	t.Helper()
+	depth := reg.Gauge("queue.depth")
 	deadline := time.Now().Add(2 * time.Second)
-	for g.Backlog() != n {
+	for depth.Value() != int64(n) {
 		if time.Now().After(deadline) {
-			t.Fatalf("line holds %d, want %d", g.Backlog(), n)
+			t.Fatalf("line holds %d, want %d", depth.Value(), n)
 		}
 		time.Sleep(time.Millisecond)
 	}
@@ -86,14 +88,15 @@ func TestExecuteQueueRunsTasks(t *testing.T) {
 }
 
 func TestDenyPolicyRejectsWhenFull(t *testing.T) {
-	g := rmi.NewGate(rmi.QueueConfig{Workers: 1, QueueLen: 2}, vclock.System, nil)
+	reg := metrics.NewRegistry()
+	g := rmi.NewGate(rmi.QueueConfig{Workers: 1, QueueLen: 2}, vclock.System, reg)
 	defer g.Close()
 	// Occupy the only slot, then fill the line.
 	admitted(t, g)
 	defer g.Done()
 	go g.Admit(rmi.Budget{})
 	go g.Admit(rmi.Budget{})
-	inLine(t, g, 2)
+	inLine(t, reg, 2)
 	err := g.Admit(rmi.Budget{})
 	if !errors.Is(err, rmi.ErrDenied) {
 		t.Fatalf("want ErrDenied, got %v", err)
@@ -118,7 +121,7 @@ func TestQueueMetrics(t *testing.T) {
 			}
 		}()
 	}
-	inLine(t, g, 2)
+	inLine(t, reg, 2)
 	if err := g.Admit(rmi.Budget{}); !errors.Is(err, rmi.ErrDenied) {
 		t.Fatalf("4th admit: want ErrDenied, got %v", err)
 	}
@@ -146,7 +149,8 @@ func TestQueueMetrics(t *testing.T) {
 // once a slot comes back. A line longer than the callers can fill is how a
 // gate degrades instead of denying (E25's fixed+degrade row).
 func TestRequestsWaitWhileTheLineHasRoom(t *testing.T) {
-	g := rmi.NewGate(rmi.QueueConfig{Workers: 1, QueueLen: 2}, vclock.System, nil)
+	reg := metrics.NewRegistry()
+	g := rmi.NewGate(rmi.QueueConfig{Workers: 1, QueueLen: 2}, vclock.System, reg)
 	defer g.Close()
 	admitted(t, g)
 	admit := func() <-chan error {
@@ -161,9 +165,9 @@ func TestRequestsWaitWhileTheLineHasRoom(t *testing.T) {
 		return out
 	}
 	first := admit()
-	inLine(t, g, 1)
+	inLine(t, reg, 1)
 	second := admit() // fills the line
-	inLine(t, g, 2)
+	inLine(t, reg, 2)
 	select {
 	case err := <-second:
 		t.Fatalf("a request with room in line should have waited, got %v", err)
@@ -184,7 +188,10 @@ func TestRequestsWaitWhileTheLineHasRoom(t *testing.T) {
 
 func TestSelfTuningGrowsAndShrinks(t *testing.T) {
 	clk := vclock.NewVirtualAtZero()
-	g := rmi.NewGate(rmi.QueueConfig{Workers: 1, QueueLen: 128, SelfTuning: true}, clk, nil)
+	reg := metrics.NewRegistry()
+	g := rmi.NewGate(rmi.QueueConfig{Workers: 1, QueueLen: 128, SelfTuning: true}, clk, reg)
+	// The limit starts at Workers and moves one step per grown or shrunk.
+	limit := func() int64 { return 1 + reg.Counter("queue.grown").Value() - reg.Counter("queue.shrunk").Value() }
 	defer g.Close()
 
 	// Saturate: blocked requests pile up in line.
@@ -200,22 +207,22 @@ func TestSelfTuningGrowsAndShrinks(t *testing.T) {
 			}
 		}()
 	}
-	inLine(t, g, 31)
+	inLine(t, reg, 31)
 	for i := 0; i < 10; i++ {
 		clk.Advance(100 * time.Millisecond)
 	}
-	grown := g.Limit()
+	grown := limit()
 	if grown <= 1 {
 		t.Fatalf("limit did not grow under backlog: %d", grown)
 	}
 	// Drain and idle: the limit shrinks back toward the floor.
 	close(release)
 	wg.Wait()
-	for i := 0; i < 60 && g.Limit() > 1; i++ {
+	for i := 0; i < 60 && limit() > 1; i++ {
 		clk.Advance(100 * time.Millisecond)
 	}
-	if g.Limit() != 1 {
-		t.Fatalf("limit did not shrink when idle: %d", g.Limit())
+	if limit() != 1 {
+		t.Fatalf("limit did not shrink when idle: %d", limit())
 	}
 }
 

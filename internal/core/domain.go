@@ -26,6 +26,8 @@ type Domain struct {
 }
 
 // NewDomain creates an empty domain.
+//
+//wls:nolint unreached -- library-only: §5.1, TestDomainConfig
 func NewDomain(name string) *Domain {
 	return &Domain{
 		Name:     name,
@@ -109,6 +111,8 @@ const configSpace = "wls.config"
 
 // BootFromAdmin fetches a server's configuration from the admin server —
 // the dependent boot path.
+//
+//wls:nolint unreached -- library-only: §5.1, TestBootFromAdminAndLocalReplica
 func BootFromAdmin(ctx context.Context, node rmi.Node, adminAddr, server string) (map[string]string, error) {
 	e := wire.NewEncoder(32)
 	e.String(server)
@@ -122,12 +126,16 @@ func BootFromAdmin(ctx context.Context, node rmi.Node, adminAddr, server string)
 
 // SaveLocalConfig replicates a server's configuration to its local
 // store, enabling autonomous boots.
+//
+//wls:nolint unreached -- library-only: §5.1, TestBootFromAdminAndLocalReplica
 func SaveLocalConfig(st *tuple.Store, server string, cfg map[string]string) error {
 	return st.Put(configSpace, server, encodeConfig(cfg))
 }
 
 // BootFromLocal reads the locally replicated configuration — the §5.1
 // autonomous boot path that needs no admin server round trip.
+//
+//wls:nolint unreached -- library-only: §5.1, TestBootFromAdminAndLocalReplica
 func BootFromLocal(st *tuple.Store, server string) (map[string]string, error) {
 	raw, ok := st.Get(configSpace, server)
 	if !ok {

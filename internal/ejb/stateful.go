@@ -39,10 +39,14 @@ type StatefulCtx struct {
 }
 
 // Get reads a state field.
+//
+//wls:nolint unreached -- library-only: §3.2, TestStatefulConversationKeepsState
 func (sc *StatefulCtx) Get(key string) string { return sc.s.Get(key) }
 
 // Set writes a state field. Under DeltaPerUpdate the change ships to the
 // secondary immediately.
+//
+//wls:nolint unreached -- library-only: §3.2, TestStatefulConversationKeepsState
 func (sc *StatefulCtx) Set(key, value string) {
 	sc.s.Set(key, value)
 	if sc.ss.spec.Deltas == DeltaPerUpdate {
@@ -54,6 +58,8 @@ func (sc *StatefulCtx) Set(key, value string) {
 type StatefulMethod func(sc *StatefulCtx, args []byte) ([]byte, error)
 
 // StatefulSpec declares a stateful session bean.
+//
+//wls:nolint unreached -- library-only: §3.2, TestStatefulConversationKeepsState
 type StatefulSpec struct {
 	// Name is the bean's clustered service name.
 	Name string
@@ -86,6 +92,8 @@ type statefulStore struct {
 }
 
 // DeployStateful deploys a stateful session bean and returns its home.
+//
+//wls:nolint unreached -- library-only: §3.2, TestStatefulConversationKeepsState
 func (c *Container) DeployStateful(spec StatefulSpec) *StatefulHome {
 	ss := &statefulStore{
 		c:              c,
@@ -332,6 +340,8 @@ func (ss *statefulStore) Resident() (mem, paged int) {
 }
 
 // DropNextShips injects delta-ship loss for anomaly tests.
+//
+//wls:nolint unreached -- test hook: TestStatefulRollbackAnomaly
 func (ss *statefulStore) DropNextShips(n int) {
 	ss.mu.Lock()
 	ss.dropShips = n
@@ -340,6 +350,8 @@ func (ss *statefulStore) DropNextShips(n int) {
 
 // StatefulStore exposes the per-server container state for tests and
 // benchmarks (passivation, fault injection).
+//
+//wls:nolint unreached -- test hook: TestStatefulRollbackAnomaly
 func (c *Container) StatefulStore(bean string) interface {
 	PassivateIdle(maxResident int) int
 	Resident() (mem, paged int)
@@ -411,6 +423,8 @@ func (h *Handle) Primary() string { return h.route.Load()[0] }
 // secondary when the primary is unreachable. Stateful methods are not
 // idempotent: once the primary may have run the call, an error surfaces
 // rather than a second run on the secondary.
+//
+//wls:nolint unreached -- library-only: §3.2, TestStatefulConversationKeepsState
 func (h *Handle) Invoke(ctx context.Context, method string, args []byte) ([]byte, error) {
 	r := h.route.Load()
 	var pair [2]cluster.MemberInfo

@@ -73,6 +73,8 @@ func NewInMemory(clock vclock.Clock, seed int64) *InMemory {
 
 // SetLossRate makes each (message, subscriber) delivery fail independently
 // with probability p, modelling lossy multicast.
+//
+//wls:nolint unreached -- test hook: TestLossyBusStillConverges
 func (b *InMemory) SetLossRate(p float64) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
@@ -160,6 +162,8 @@ func (s *subscriptions) subscribe(mu *sync.Mutex, topic string, fn func(Message)
 }
 
 // Stats reports (published messages, dropped deliveries).
+//
+//wls:nolint unreached -- test hook: TestJoinConvergesWithoutAdvance
 func (b *InMemory) Stats() (published, dropped int64) {
 	b.mu.Lock()
 	defer b.mu.Unlock()

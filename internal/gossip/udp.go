@@ -2,7 +2,10 @@ package gossip
 
 import (
 	"net"
+	"net/netip"
+	"slices"
 	"sync"
+	"sync/atomic"
 
 	"wls/internal/wire"
 )
@@ -15,11 +18,19 @@ import (
 // by design.
 type UDPBus struct {
 	conn *net.UDPConn
+	self netip.AddrPort // the listen address, never a peer
+
+	// peers is replaced whole under mu, so Publish reads it without a
+	// lock or a copy.
+	peers atomic.Pointer[[]netip.AddrPort]
 
 	mu     sync.Mutex
-	peers  []*net.UDPAddr
 	subs   subscriptions
 	closed bool
+
+	// sendMu guards out, the buffer every datagram is encoded into.
+	sendMu sync.Mutex
+	out    *wire.Encoder
 
 	wg sync.WaitGroup
 }
@@ -39,7 +50,8 @@ func NewUDP(listenAddr string, peers ...string) (*UDPBus, error) {
 	if err != nil {
 		return nil, err
 	}
-	b := &UDPBus{conn: conn}
+	b := &UDPBus{conn: conn, self: addrPort(conn.LocalAddr().(*net.UDPAddr)), out: wire.NewEncoder(256)}
+	b.peers.Store(new([]netip.AddrPort))
 	for _, p := range peers {
 		if err := b.AddPeer(p); err != nil {
 			conn.Close()
@@ -54,21 +66,30 @@ func NewUDP(listenAddr string, peers ...string) (*UDPBus, error) {
 // Addr returns the bus's listen address (give it to peers).
 func (b *UDPBus) Addr() string { return b.conn.LocalAddr().String() }
 
-// AddPeer adds a destination for future announcements.
+// AddPeer adds a destination for future announcements. The bus's own
+// address is no peer: its subscribers hear its announcements directly.
 func (b *UDPBus) AddPeer(addr string) error {
 	uaddr, err := net.ResolveUDPAddr("udp", addr)
 	if err != nil {
 		return err
 	}
+	ap := addrPort(uaddr)
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	for _, p := range b.peers {
-		if p.String() == uaddr.String() {
-			return nil
-		}
+	old := *b.peers.Load()
+	if ap == b.self || slices.Contains(old, ap) {
+		return nil
 	}
-	b.peers = append(b.peers, uaddr)
+	peers := append(slices.Clip(old), ap)
+	b.peers.Store(&peers)
 	return nil
+}
+
+// addrPort is a's address as WriteToUDPAddrPort takes it: an IPv4 address
+// unmapped, or an IPv4 socket refuses it.
+func addrPort(a *net.UDPAddr) netip.AddrPort {
+	ap := a.AddrPort()
+	return netip.AddrPortFrom(ap.Addr().Unmap(), ap.Port())
 }
 
 // Close stops the bus.
@@ -85,14 +106,6 @@ func (b *UDPBus) Close() error {
 	return err
 }
 
-func encodeGossip(m Message) []byte {
-	e := wire.NewEncoder(64 + len(m.Payload))
-	e.String(m.Topic)
-	e.String(m.From)
-	e.Bytes2(m.Payload)
-	return e.Bytes()
-}
-
 func decodeGossip(raw []byte) (Message, error) {
 	d := wire.NewDecoder(raw)
 	m := Message{Topic: d.String(), From: d.String(), Payload: d.Bytes()}
@@ -103,20 +116,20 @@ func decodeGossip(raw []byte) (Message, error) {
 // (same contract as InMemory); remote peers get a datagram each.
 func (b *UDPBus) Publish(m Message) {
 	b.deliverLocal(m)
-	raw := encodeGossip(m)
 	b.mu.Lock()
-	peers := append([]*net.UDPAddr{}, b.peers...)
 	closed := b.closed
 	b.mu.Unlock()
 	if closed {
 		return
 	}
-	self := b.Addr()
-	for _, p := range peers {
-		if p.String() == self {
-			continue // local delivery already happened
-		}
-		_, _ = b.conn.WriteToUDP(raw, p) // best-effort, like multicast
+	b.sendMu.Lock()
+	defer b.sendMu.Unlock()
+	b.out.Reset()
+	b.out.String(m.Topic)
+	b.out.String(m.From)
+	b.out.Bytes2(m.Payload)
+	for _, p := range *b.peers.Load() {
+		_, _ = b.conn.WriteToUDPAddrPort(b.out.Bytes(), p) // best-effort, like multicast
 	}
 }
 

@@ -461,6 +461,8 @@ func decodeMessageTail(d *wire.Decoder) (Message, error) {
 }
 
 // SendRemote produces a message onto a queue hosted at addr.
+//
+//wls:nolint unreached -- library-only: §4, TestRemoteSendAndReceive
 func SendRemote(ctx context.Context, node rmi.Node, addr, queue string, m Message) (string, error) {
 	e := wire.NewEncoder(64 + len(m.Body))
 	e.String(queue)

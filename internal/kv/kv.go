@@ -93,11 +93,6 @@ type Store interface {
 	Close() error
 }
 
-// Sizer reports the on-disk footprint of a durable backend.
-type Sizer interface {
-	Size() (int64, error)
-}
-
 // corruptf builds an ErrCorrupt with detail.
 func corruptf(format string, args ...any) error {
 	return fmt.Errorf("%w: %s", ErrCorrupt, fmt.Sprintf(format, args...))

@@ -63,7 +63,6 @@ type WAL struct {
 	seq      uint64
 	prevSum  uint64
 	walSize  int64
-	mainSize int64
 	pageSize int
 	ckptAt   int64 // auto-checkpoint threshold; <0 disables
 }
@@ -207,7 +206,6 @@ func (w *WAL) loadMain() error {
 	if err != nil {
 		return err
 	}
-	w.mainSize = st.Size()
 	if st.Size() == 0 {
 		w.gen = 0
 		return nil
@@ -512,11 +510,9 @@ func (w *WAL) checkpointLocked() error {
 	binary.BigEndian.PutUint64(hdr[40:48], crc64.Checksum(hdr[:40], crcTab))
 	page := make([]byte, w.pageSize)
 	copy(page, hdr)
-	written := int64(0)
 	if _, err := tmp.Write(page); err != nil {
 		return abort(err)
 	}
-	written += int64(w.pageSize)
 	payloadPerPage := w.pageSize - 8
 	for off := 0; off < len(payload); off += payloadPerPage {
 		for i := range page {
@@ -527,7 +523,6 @@ func (w *WAL) checkpointLocked() error {
 		if _, err := tmp.Write(page); err != nil {
 			return abort(err)
 		}
-		written += int64(w.pageSize)
 	}
 	if err := tmp.Sync(); err != nil {
 		return abort(err)
@@ -545,19 +540,11 @@ func (w *WAL) checkpointLocked() error {
 		errs = append(errs, fmt.Errorf("kv: closing checkpoint file: %w", err))
 	}
 	w.gen = newGen
-	w.mainSize = written
 	w.reg.Counter("kv.checkpoints").Inc()
 	if err := w.resetWALLocked(); err != nil {
 		errs = append(errs, fmt.Errorf("kv: resetting wal after checkpoint: %w", err))
 	}
 	return errors.Join(errs...)
-}
-
-// Size implements Sizer: the combined footprint of main file and log.
-func (w *WAL) Size() (int64, error) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.mainSize + w.walSize, nil
 }
 
 // Close implements Store.

@@ -22,13 +22,13 @@ var errdropPkgs = map[string]bool{
 	"wls/internal/tuple":     true,
 	"wls/internal/tx":        true,
 	"wls/internal/jms":       true,
-	"wls/internal/chaos":     true,
+	"wls/internal/chaostest": true,
 	"wls/internal/trace":     true,
 	"bufio":                  true,
 }
 
 // ErrDrop reports call statements that discard an error returned by the
-// wire/transport/store/kv/tuple/tx/jms/chaos packages (or by bufio,
+// wire/transport/store/kv/tuple/tx/jms/chaostest packages (or by bufio,
 // whose buffered writers defer I/O errors to Flush).
 func ErrDrop() *Analyzer {
 	a := &Analyzer{

@@ -16,7 +16,7 @@ import (
 
 // Package is one parsed, type-checked package ready for analysis.
 type Package struct {
-	// Path is the import path ("wls", "wls/internal/bench", ...).
+	// Path is the import path ("wls", "wls/internal/store", ...).
 	Path string
 	// Module is the module path of the loader that produced the package;
 	// analyzers use it to tell module-internal callees (which carry

@@ -195,6 +195,7 @@ type Settings struct {
 	Addressed int
 	Defaulted int // want "unreached.Settings.Defaulted is set by no non-test code"
 	TestSet   int // want "unreached.Settings.TestSet is set by no non-test code"
+	HelperSet int // want "unreached.Settings.HelperSet is set by no non-test code"
 	// Kept is set by a test alone, which its directive declares.
 	//
 	//wls:nolint unreached -- test hook: TestSettings

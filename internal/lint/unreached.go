@@ -288,7 +288,8 @@ var reflectPkgs = map[string]bool{"reflect": true, "encoding/json": true, "encod
 // writes, and a directive on it is reported as misplaced.
 //
 // An exported field of an exported struct that no non-test code writes:
-// a setting only tests set. The left side of =, := or op= writes it,
+// a setting only tests set. A write from a package whose name ends in
+// "test" is a test's write. The left side of =, := or op= writes it,
 // unless the assignment sits inside an if whose condition reads the same
 // field, which fills a default; so do ++ and --, a composite literal's key
 // or position, and &x.F. A struct with field tags, or one passed to a
@@ -332,7 +333,13 @@ func fieldRules(g *GlobalPass) map[*ast.Comment]bool {
 		return nil
 	}
 	for _, p := range g.Pkgs {
-		report := p.Types.Name() != "main" && !strings.HasSuffix(p.Types.Name(), "test")
+		testPkg := strings.HasSuffix(p.Types.Name(), "test")
+		report := p.Types.Name() != "main" && !testPkg
+		write := func(v *types.Var) {
+			if !testPkg {
+				written[v] = true
+			}
+		}
 		fieldOf := func(e ast.Expr) *types.Var {
 			if sel, ok := ast.Unparen(e).(*ast.SelectorExpr); ok {
 				if v, ok := p.Info.Uses[sel.Sel].(*types.Var); ok && v.IsField() {
@@ -402,16 +409,16 @@ func fieldRules(g *GlobalPass) map[*ast.Comment]bool {
 							assigned[sel.Sel] = true
 						}
 						if v := fieldOf(l); v != nil && !fills[l] {
-							written[v] = true
+							write(v)
 						}
 					}
 				case *ast.IncDecStmt:
 					if v := fieldOf(n.X); v != nil {
-						written[v] = true
+						write(v)
 					}
 				case *ast.UnaryExpr:
 					if v := fieldOf(n.X); v != nil && n.Op == token.AND {
-						written[v] = true
+						write(v)
 					}
 				case *ast.CompositeLit:
 					t := p.Info.TypeOf(n)
@@ -424,11 +431,11 @@ func fieldRules(g *GlobalPass) map[*ast.Comment]bool {
 							if id, ok := kv.Key.(*ast.Ident); ok {
 								assigned[id] = true
 								if v, ok := p.Info.Uses[id].(*types.Var); ok && v.IsField() {
-									written[v.Origin()] = true
+									write(v.Origin())
 								}
 							}
 						} else if isStruct {
-							written[st.Field(i).Origin()] = true
+							write(st.Field(i).Origin())
 						}
 					}
 				case *ast.BinaryExpr:

@@ -124,9 +124,6 @@ func (h *Histogram) Record(v int64) {
 	}
 }
 
-// RecordDuration records d in nanoseconds.
-func (h *Histogram) RecordDuration(d time.Duration) { h.Record(int64(d)) }
-
 // Count returns the number of observations.
 func (h *Histogram) Count() int64 { return h.count.Load() }
 

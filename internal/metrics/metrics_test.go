@@ -120,9 +120,9 @@ func TestHistogramPropertyQuantileWithinRange(t *testing.T) {
 
 func TestHistogramRecordDuration(t *testing.T) {
 	var h Histogram
-	h.RecordDuration(5 * time.Millisecond)
+	h.Record(int64(5 * time.Millisecond))
 	if h.Count() != 1 || h.Max() != int64(5*time.Millisecond) {
-		t.Fatalf("RecordDuration not recorded: %s", h.String())
+		t.Fatalf("duration not recorded: %s", h.String())
 	}
 	if h.MeanDuration() != 5*time.Millisecond {
 		t.Fatalf("MeanDuration = %v", h.MeanDuration())

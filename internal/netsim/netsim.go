@@ -55,18 +55,11 @@ type Network struct {
 	latency     map[linkKey]time.Duration
 	slow        map[string]time.Duration // per-endpoint latency inflation
 	fenced      map[string]bool
-	defLatency  time.Duration
 	// tap sees every frame an endpoint sends (see Tap).
 	tap atomic.Pointer[func(from, to string, f wire.Frame)]
 
-	sent   int64        // frames that entered the fabric; see Stats
-	faults atomic.Int64 // fault injections; see Faults
+	sent int64 // frames that entered the fabric; see Stats
 }
-
-// Faults returns how many fault injections the fabric has seen:
-// partitions and heals, fences, freezes and thaws, crashes, restarts and
-// slow-server changes, each counted once.
-func (n *Network) Faults() int64 { return n.faults.Load() }
 
 // Tap installs fn to see every request an endpoint of this network sends,
 // as it enters the fabric — tests sniff what crosses the wire with it. fn
@@ -123,14 +116,6 @@ func (n *Network) Endpoint(addr string) *Endpoint {
 	return ep
 }
 
-// SetDefaultLatency sets the latency applied to links with no explicit
-// setting.
-func (n *Network) SetDefaultLatency(d time.Duration) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	n.defLatency = d
-}
-
 // SetLatency sets the one-way latency between a and b.
 //
 //wls:nolint unreached -- test hook: TestBudgetPropagatesAndShrinksAcrossHops
@@ -144,6 +129,8 @@ func (n *Network) SetLatency(a, b string, d time.Duration) {
 // "slow server" whose execute threads lag without the process being down,
 // the overload-protection stack's hardest case (it still answers, late).
 // extra <= 0 clears the inflation.
+//
+//wls:nolint unreached -- test hook: TestChaosOverloadSweep
 func (n *Network) SetSlow(addr string, extra time.Duration) {
 	n.mu.Lock()
 	if extra <= 0 {
@@ -152,7 +139,6 @@ func (n *Network) SetSlow(addr string, extra time.Duration) {
 		n.slow[addr] = extra
 	}
 	n.mu.Unlock()
-	n.faults.Add(1)
 }
 
 // SetPartitioned splits or heals the link between a and b.
@@ -160,7 +146,6 @@ func (n *Network) SetPartitioned(a, b string, broken bool) {
 	n.mu.Lock()
 	n.partitioned[link(a, b)] = broken
 	n.mu.Unlock()
-	n.faults.Add(1)
 }
 
 // Isolate partitions addr from every other current endpoint.
@@ -174,29 +159,30 @@ func (n *Network) Isolate(addr string, broken bool) {
 		}
 	}
 	n.mu.Unlock()
-	n.faults.Add(1)
 }
 
 // Fence marks addr as fenced: the fabric drops everything it sends and
 // everything sent to it. This models the SNMP router-level fencing of §3.4.
+//
+//wls:nolint unreached -- test hook: TestFenceDropsBothDirections
 func (n *Network) Fence(addr string, fenced bool) {
 	n.mu.Lock()
 	n.fenced[addr] = fenced
 	n.mu.Unlock()
-	n.faults.Add(1)
 }
 
 // Freeze pauses or resumes an endpoint's handler. A frozen endpoint is not
 // dead: frames addressed to it block until it thaws (or fail when the
 // sender's context expires), exactly the "target server temporarily
 // freezes" scenario of §3.4.
+//
+//wls:nolint unreached -- test hook: TestFreezeBlocksThenThaws
 func (n *Network) Freeze(addr string, frozen bool) {
 	n.mu.Lock()
 	ep := n.endpoints[addr]
 	n.mu.Unlock()
 	if ep != nil {
 		ep.freeze(frozen)
-		n.faults.Add(1)
 	}
 }
 
@@ -210,13 +196,11 @@ func (n *Network) Restart(addr string) *Endpoint {
 		ep.handler = nil
 		ep.mu.Unlock()
 		n.mu.Unlock()
-		n.faults.Add(1)
 		return ep
 	}
 	ep := &Endpoint{net: n, addr: addr}
 	n.endpoints[addr] = ep
 	n.mu.Unlock()
-	n.faults.Add(1)
 	return ep
 }
 
@@ -243,11 +227,7 @@ func (n *Network) route(src, dst string) (*Endpoint, time.Duration, error) {
 		return nil, 0, ErrUnreachable
 	}
 	n.sent++
-	lat, ok := n.latency[link(src, dst)]
-	if !ok {
-		lat = n.defLatency
-	}
-	lat += n.slow[src] + n.slow[dst]
+	lat := n.latency[link(src, dst)] + n.slow[src] + n.slow[dst]
 	return ep, lat, nil
 }
 
@@ -276,7 +256,6 @@ func (e *Endpoint) SetHandler(h Handler) {
 // Close marks the endpoint crashed.
 func (e *Endpoint) Close() error {
 	e.mu.Lock()
-	wasOpen := !e.closed
 	e.closed = true
 	if e.frozen {
 		e.frozen = false
@@ -286,9 +265,6 @@ func (e *Endpoint) Close() error {
 		}
 	}
 	e.mu.Unlock()
-	if wasOpen {
-		e.net.faults.Add(1)
-	}
 	return nil
 }
 

@@ -20,14 +20,9 @@ import (
 	"sort"
 )
 
-const (
-	// VNodes is the number of virtual nodes per member: enough to keep
-	// each member's share of the key space within a small factor of even.
-	VNodes = 64
-	// Replicas is the replica-set size ReplicasInto fills: a primary and
-	// one secondary, the §3.2 pair.
-	Replicas = 2
-)
+// VNodes is the number of virtual nodes per member: enough to keep each
+// member's share of the key space within a small factor of even.
+const VNodes = 64
 
 // Config seeds a ring.
 type Config struct {
@@ -104,16 +99,6 @@ func (r *Ring) Fingerprint() uint64 {
 	return h
 }
 
-// Owner returns the member owning key ("" on an empty ring). This is the
-// ring-lookup hot path: a hash and a binary search, no allocation.
-func (r *Ring) Owner(key string) string {
-	if len(r.points) == 0 {
-		return ""
-	}
-	idx := r.search(hashString(key))
-	return r.members[r.points[idx].member]
-}
-
 // search returns the index of the first point at or clockwise-after h
 // (wrapping to 0 past the last point).
 func (r *Ring) search(h uint64) int {
@@ -157,19 +142,6 @@ func (r *Ring) Walk(key string, yield func(member string) bool) {
 			return
 		}
 	}
-}
-
-// ReplicasInto fills out with the key's replica set — the first
-// Replicas members of its Walk (fewer when the ring is smaller). out is
-// truncated and appended to; a caller-provided buffer with sufficient
-// capacity makes the lookup allocation-free.
-func (r *Ring) ReplicasInto(key string, out []string) []string {
-	out = out[:0]
-	r.Walk(key, func(m string) bool {
-		out = append(out, m)
-		return len(out) < Replicas
-	})
-	return out
 }
 
 // OwnershipShare returns each member's share of the key space, estimated

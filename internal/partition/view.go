@@ -7,8 +7,7 @@ import (
 	"wls/internal/cluster"
 )
 
-// View is one epoch of the cluster's partitioning: the current ring plus
-// the ring it replaced. Views are immutable; Views.Current hands out the
+// View is one epoch of the cluster's partitioning. Views are immutable; Views.Current hands out the
 // latest by atomic pointer, so the ring-lookup path takes no lock.
 type View struct {
 	// Epoch counts ring changes seen by this server, starting at 1. It is
@@ -17,9 +16,6 @@ type View struct {
 	Epoch uint64
 	// Ring is the current placement.
 	Ring *Ring
-	// Prev is the previous epoch's ring (nil at epoch 1). Rebalance
-	// consumers diff Prev against Ring to find the keys that moved.
-	Prev *Ring
 }
 
 // Views publishes epoch-versioned rings for one server. Feed it member
@@ -69,7 +65,6 @@ func (vs *Views) Update(members []string) {
 	next := &View{Epoch: 1, Ring: New(vs.cfg, members)}
 	if old != nil {
 		next.Epoch = old.Epoch + 1
-		next.Prev = old.Ring
 	}
 	vs.cur.Store(next)
 	for _, fn := range vs.subs {

@@ -2,6 +2,7 @@ package partition
 
 import (
 	"fmt"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -16,13 +17,17 @@ func TestViewsEpochsAndPrev(t *testing.T) {
 		t.Fatal("view published before first Update")
 	}
 	var seen []uint64
+	var prev *Ring // the ring the last change replaced
 	vs.OnChange(func(old, new *View) {
 		seen = append(seen, new.Epoch)
-		if new.Epoch == 1 && (old != nil || new.Prev != nil) {
+		if new.Epoch == 1 && old != nil {
 			t.Errorf("epoch 1 must have no predecessor")
 		}
-		if new.Epoch > 1 && (old == nil || new.Prev != old.Ring) {
-			t.Errorf("epoch %d: Prev not wired to previous ring", new.Epoch)
+		if new.Epoch > 1 && (old == nil || old.Epoch != new.Epoch-1) {
+			t.Errorf("epoch %d: old is not the previous view", new.Epoch)
+		}
+		if old != nil {
+			prev = old.Ring
 		}
 	})
 
@@ -36,8 +41,8 @@ func TestViewsEpochsAndPrev(t *testing.T) {
 	if v == nil || v.Epoch != 3 {
 		t.Fatalf("want epoch 3, got %+v", v)
 	}
-	if v.Prev == nil || v.Prev.Len() != 3 || v.Ring.Len() != 2 {
-		t.Fatalf("Prev/Ring not wired: prev=%v ring=%v", v.Prev, v.Ring)
+	if prev == nil || prev.Len() != 3 || v.Ring.Len() != 2 {
+		t.Fatalf("old/new rings not handed over: prev=%v ring=%v", prev, v.Ring)
 	}
 	if len(seen) != 3 || seen[0] != 1 || seen[1] != 2 || seen[2] != 3 {
 		t.Fatalf("subscribers saw epochs %v, want [1 2 3]", seen)
@@ -85,6 +90,8 @@ func TestAttachTracksMembership(t *testing.T) {
 		}
 	}
 	epochBefore := views[0].Current().Epoch
+	var prev atomic.Pointer[Ring] // the ring the leave replaced
+	views[0].OnChange(func(old, new *View) { prev.Store(old.Ring) })
 
 	members[3].Stop()
 	settle(6)
@@ -96,10 +103,10 @@ func TestAttachTracksMembership(t *testing.T) {
 	if v.Epoch <= epochBefore {
 		t.Fatalf("failure did not bump epoch: %d -> %d", epochBefore, v.Epoch)
 	}
-	if v.Prev.Len() != 4 {
-		t.Fatalf("Prev should hold the 4-member ring, has %d", v.Prev.Len())
+	if p := prev.Load(); p == nil || p.Len() != 4 {
+		t.Fatalf("the replaced ring should hold 4 members, has %v", p)
 	}
-	if got := MovedFraction(v.Prev, v.Ring, 4000); got > 2.0/3 {
+	if got := MovedFraction(prev.Load(), v.Ring, 4000); got > 2.0/3 {
 		t.Fatalf("single leave moved %.3f of keys", got)
 	}
 }

@@ -117,7 +117,7 @@ func TestCallExpiredInLineNeverRuns(t *testing.T) {
 		budget := Budget{clock: clk, deadline: clk.Now().Add(10 * time.Millisecond)}
 		out <- r.execute(context.Background(), g, 7, call, trace.SpanContext{}, countingMethod(&runs), budget)
 	}()
-	waitUntil(t, "the request is in line", func() bool { return g.Backlog() == 1 })
+	waitUntil(t, "the request is in line", func() bool { return int(g.depth.Value()) == 1 })
 	clk.Advance(10 * time.Millisecond)
 	if st, msg := statusOf(t, <-out); st != respBusy || msg != "deadline expired in queue" {
 		t.Fatalf("status %d %q, want BUSY \"deadline expired in queue\"", st, msg)
@@ -152,7 +152,7 @@ func TestSlotHandedAtExpiryRunsOnce(t *testing.T) {
 		budget := Budget{clock: clk, deadline: clk.Now().Add(time.Second)}
 		out <- r.execute(context.Background(), g, 11, call, trace.SpanContext{}, countingMethod(&runs), budget)
 	}()
-	waitUntil(t, "the request is in line", func() bool { return g.Backlog() == 1 })
+	waitUntil(t, "the request is in line", func() bool { return int(g.depth.Value()) == 1 })
 
 	// Fire the budget's timer while the gate is locked: its callback waits
 	// on g.mu while the holder's Done hands the slot over.
@@ -202,7 +202,7 @@ func TestLineIsFIFO(t *testing.T) {
 			order <- i
 			g.Done()
 		}(i)
-		waitUntil(t, "the request is in line", func() bool { return g.Backlog() == i+1 })
+		waitUntil(t, "the request is in line", func() bool { return int(g.depth.Value()) == i+1 })
 	}
 	g.Done()
 	for want := 0; want < n; want++ {
@@ -223,7 +223,7 @@ func TestCloseRefusesEveryoneInLine(t *testing.T) {
 	for i := 0; i < n; i++ {
 		go func() { errs <- g.Admit(Budget{}) }()
 	}
-	waitUntil(t, "the line is full", func() bool { return g.Backlog() == n })
+	waitUntil(t, "the line is full", func() bool { return int(g.depth.Value()) == n })
 	g.Close()
 	for i := 0; i < n; i++ {
 		if err := <-errs; !errors.Is(err, ErrQueueClosed) {

@@ -51,6 +51,8 @@ type budgetKey struct{}
 // given clock. Stubs ship the remaining budget on every hop; servers refuse
 // expired-on-arrival work and hand their services a context carrying the
 // re-derived budget, so nested EJB/tx/JMS calls inherit the shrinkage.
+//
+//wls:nolint unreached -- test hook: TestBudgetPropagatesAndShrinksAcrossHops
 func WithBudget(ctx context.Context, clock vclock.Clock, d time.Duration) context.Context {
 	return context.WithValue(ctx, budgetKey{}, Budget{clock: clock, deadline: clock.Now().Add(d)})
 }

@@ -181,7 +181,7 @@ func TestLateResponseDiscarded(t *testing.T) {
 	if err == nil {
 		t.Fatalf("late response was delivered: %+v", res)
 	}
-	if !errors.Is(err, rmi.ErrBudgetExceeded) && !rmi.IsBusy(err) {
+	if !errors.Is(err, rmi.ErrBudgetExceeded) && !errors.As(err, new(*rmi.BusyError)) {
 		t.Fatalf("want budget exhaustion or BUSY, got %v", err)
 	}
 }

@@ -43,6 +43,8 @@ type QueueConfig struct {
 	// SelfTuning raises the limit toward tuneGrowth×Workers while the
 	// line is longer than the limit, and lowers it back to Workers when
 	// the line is empty — the paper's self-tuning need.
+	//
+	//wls:nolint unreached -- library-only: §2.3, TestSelfTuningGrowsAndShrinks
 	SelfTuning bool
 }
 
@@ -175,20 +177,6 @@ func (g *Gate) leave(w *waiter) {
 		w.err = errExpiredInQueue
 		close(w.done)
 	}
-}
-
-// Limit reports how many admitted requests may run at once.
-func (g *Gate) Limit() int {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return g.limit
-}
-
-// Backlog reports the requests in line.
-func (g *Gate) Backlog() int {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return len(g.line)
 }
 
 // tune raises the limit by one while the line is longer than the limit,

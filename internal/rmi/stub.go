@@ -54,6 +54,8 @@ type Random struct {
 }
 
 // NewRandom returns a Random policy with the given seed.
+//
+//wls:nolint unreached -- library-only: §3.1, TestRandomPolicyCoversCluster
 func NewRandom(seed int64) *Random {
 	return &Random{rng: rand.New(rand.NewSource(seed))}
 }
@@ -78,6 +80,8 @@ type WeightBased struct {
 }
 
 // NewWeightBased returns a weight-based policy.
+//
+//wls:nolint unreached -- library-only: §3.1, TestWeightBasedSkew
 func NewWeightBased(seed int64, weights map[string]int) *WeightBased {
 	w := make(map[string]int, len(weights))
 	for k, v := range weights {
@@ -149,6 +153,8 @@ type affinityKey struct{}
 // WithAffinity returns a context that prefers the given servers, used to
 // "limit the spread of the transaction" (§3.1): the transaction layer adds
 // every server it has enlisted.
+//
+//wls:nolint unreached -- library-only: §3.1, TestTxAffinityPrefersEnlistedServers
 func WithAffinity(ctx context.Context, servers ...string) context.Context {
 	return context.WithValue(ctx, affinityKey{}, servers)
 }
@@ -529,12 +535,6 @@ func (e *BusyError) Error() string { return "rmi: " + e.Server + " busy: " + e.M
 
 // Is makes a BUSY refusal satisfy wire.ErrNotRun.
 func (e *BusyError) Is(target error) bool { return target == wire.ErrNotRun }
-
-// IsBusy reports whether err is a server's admission refusal.
-func IsBusy(err error) bool {
-	var be *BusyError
-	return errors.As(err, &be)
-}
 
 // mayFailOver is §3.1's rule: an application error means the request ran
 // and the application said no; any other failure is sent to the next

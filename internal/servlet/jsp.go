@@ -25,6 +25,8 @@ const (
 )
 
 // Fragment is one cacheable piece of a page.
+//
+//wls:nolint unreached -- library-only: §3.3, TestFragmentCachingSharesAcrossUsers
 type Fragment struct {
 	// Name identifies the fragment within its page.
 	Name string
@@ -38,6 +40,8 @@ type Fragment struct {
 }
 
 // Page is a JSP-like page assembled from fragments.
+//
+//wls:nolint unreached -- library-only: §3.3, TestFragmentCachingSharesAcrossUsers
 type Page struct {
 	Name      string
 	Fragments []Fragment
@@ -77,6 +81,8 @@ type pageEntry struct {
 }
 
 // NewPageCache creates a page cache.
+//
+//wls:nolint unreached -- library-only: §3.3, TestFragmentCachingSharesAcrossUsers
 func NewPageCache(mode PageCacheMode, clock vclock.Clock, reg *metrics.Registry) *PageCache {
 	if reg == nil {
 		reg = metrics.NewRegistry()

@@ -37,12 +37,12 @@ func TestRingPlacedSecondary(t *testing.T) {
 	// The secondary must be the first ring replica of the session key that
 	// is not the primary.
 	var want string
-	for _, m := range views[0].Current().Ring.ReplicasInto(c.ID, nil) {
+	views[0].Current().Ring.Walk(c.ID, func(m string) bool {
 		if m != "server-1" {
 			want = m
-			break
 		}
-	}
+		return want == ""
+	})
 	if want == "" || c.Secondary != want {
 		t.Fatalf("secondary %q, ring says %q", c.Secondary, want)
 	}

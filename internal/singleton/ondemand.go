@@ -157,6 +157,8 @@ func (o *OnDemand) Stop() {
 // instances, each of which handles a different slice of the backend data".
 // Each partition is an independent continuous singleton whose preferred
 // server list is rotated so the slices spread across the cluster.
+//
+//wls:nolint unreached -- library-only: §3.4, TestPartitionSetSpreadsAndRoutesStably
 type PartitionSet struct {
 	// Service is the base service name.
 	Service string
@@ -187,6 +189,8 @@ func (p PartitionSet) PreferredFor(i int) []string {
 
 // PartitionOf maps a data key (message producer, consumer, user ID — §3.4
 // suggests all three) to its partition.
+//
+//wls:nolint unreached -- library-only: §3.4, TestPartitionSetSpreadsAndRoutesStably
 func (p PartitionSet) PartitionOf(key string) int {
 	h := fnv.New32a()
 	h.Write([]byte(key))

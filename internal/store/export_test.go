@@ -64,3 +64,10 @@ func DecodeXML(b []byte) (*RowSet, error) {
 func (se *Session) DeleteVersioned(table, key string, expectVersion uint64) {
 	se.stage(stagedWrite{kind: writeDelete, table: table, key: key, expectVersion: expectVersion}, nil)
 }
+
+// Count returns the number of rows in a table.
+func (s *Store) Count(table string) int {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	return s.count(table)
+}

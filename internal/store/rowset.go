@@ -31,6 +31,8 @@ type RowSetRow struct {
 }
 
 // Query builds a RowSet from the committed rows matching filter.
+//
+//wls:nolint unreached -- library-only: §3.3, TestRowSetQueryEditSubmit
 func (s *Store) Query(table string, filter func(Row) bool) *RowSet {
 	rs := &RowSet{Table: table}
 	for _, r := range s.Scan(table, filter) {
@@ -113,6 +115,8 @@ func (rs *RowSet) EncodeBinary() []byte {
 }
 
 // DecodeBinary reverses EncodeBinary.
+//
+//wls:nolint unreached -- library-only: §3.3, TestRowSetBinaryRoundTrip
 func DecodeBinary(b []byte) (*RowSet, error) {
 	d := wire.NewDecoder(b)
 	rs := &RowSet{Table: d.String()}

@@ -477,13 +477,6 @@ func (s *Store) Scan(table string, filter func(Row) bool) []Row {
 	return out
 }
 
-// Count returns the number of rows in a table.
-func (s *Store) Count(table string) int {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.count(table)
-}
-
 // Tables lists the tables holding at least one live row, sorted.
 func (s *Store) Tables() []string {
 	s.mu.RLock()

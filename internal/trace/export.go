@@ -256,43 +256,3 @@ func ServersOf(spans []SpanData) []string {
 	sort.Strings(out)
 	return out
 }
-
-// ServersTouched returns the sorted set of servers that executed
-// server-side work for the given trace — the paper's "number of servers
-// involved in processing a request" (§3.1), read directly off the trace
-// instead of inferred from counters. Routing tiers and pure client spans
-// do not count as touched servers.
-func ServersTouched(spans []SpanData, id TraceID) []string {
-	seen := make(map[string]bool)
-	var out []string
-	for _, d := range spans {
-		if d.Trace != id || d.Server == "" {
-			continue
-		}
-		// KindServer is a request handled on a server; KindSession is a
-		// replication write applied on the secondary (it arrives as a
-		// server span too, but count the origin side's intent as well).
-		if d.Kind != KindServer {
-			continue
-		}
-		if !seen[d.Server] {
-			seen[d.Server] = true
-			out = append(out, d.Server)
-		}
-	}
-	sort.Strings(out)
-	return out
-}
-
-// HopCount returns the number of cross-server request handlings in the
-// trace (server-kind spans): the trace-derived measure of how far a
-// request spread.
-func HopCount(spans []SpanData, id TraceID) int {
-	n := 0
-	for _, d := range spans {
-		if d.Trace == id && d.Kind == KindServer {
-			n++
-		}
-	}
-	return n
-}

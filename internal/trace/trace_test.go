@@ -200,42 +200,6 @@ func TestRingWrapAndTail(t *testing.T) {
 	}
 }
 
-func TestServersTouchedAndHopCount(t *testing.T) {
-	ring := NewRing(16)
-	clk := vclock.NewVirtualAtZero()
-	client := New("client", clk, Options{Exporter: ring})
-	s1 := New("server-1", clk, Options{Exporter: ring})
-	s2 := New("server-2", clk, Options{Exporter: ring})
-
-	ctx, root := client.StartRoot(context.Background(), "req", KindRoute)
-	_, att := root.NewChild(ctx, "rmi.attempt", KindClient)
-	_, h1 := s1.StartRemote(context.Background(), att.Context(), "serve", KindServer)
-	_, h2 := s2.StartRemote(context.Background(), h1.Context(), "serve", KindServer)
-	// server-1 handles a second request in the same trace: still one server.
-	_, h3 := s1.StartRemote(context.Background(), h2.Context(), "serve", KindServer)
-	for _, s := range []*Span{h3, h2, h1, att, root} {
-		s.Finish()
-	}
-
-	spans := ring.Snapshot()
-	id := root.Context().Trace
-	touched := ServersTouched(spans, id)
-	if want := []string{"server-1", "server-2"}; len(touched) != 2 || touched[0] != want[0] || touched[1] != want[1] {
-		t.Fatalf("ServersTouched = %v, want %v", touched, want)
-	}
-	if hops := HopCount(spans, id); hops != 3 {
-		t.Fatalf("HopCount = %d, want 3", hops)
-	}
-	for _, d := range spans {
-		if d.Trace != id {
-			t.Fatalf("span %s is in trace %s, want %s", d.Name, d.Trace, id)
-		}
-	}
-	if got := len(spans); got != 5 {
-		t.Fatalf("the trace has %d spans, want 5", got)
-	}
-}
-
 func TestJSONLExporter(t *testing.T) {
 	var buf bytes.Buffer
 	jl := NewJSONL(&buf)

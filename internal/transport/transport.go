@@ -48,24 +48,11 @@ var ErrClosed = wire.NotRun(errors.New("transport: closed"))
 // ErrDial wraps connection-establishment failures, the handshake included.
 var ErrDial = wire.NotRun(errors.New("transport: dial failed"))
 
-// Options tunes a Transport. The zero value gives production defaults.
-type Options struct {
-	// Metrics receives the transport's frame/byte/batch metrics
-	// (transport.frames.in/out, transport.bytes.in/out,
-	// transport.batch.frames, transport.batch.bytes). Nil allocates a
-	// private registry, readable via Transport.Metrics.
-	Metrics *metrics.Registry
-	// UnbatchedWrites disables write coalescing, reverting to one Write
-	// syscall per frame. Kept for the transportbench ablation (E27).
-	UnbatchedWrites bool
-}
-
 // Transport is one server's endpoint on the network.
 type Transport struct {
 	ln      net.Listener
 	addr    string
 	handler atomic.Value // Handler
-	opts    Options
 	reg     *metrics.Registry
 	tasks   chan inbound // the worker pool's queue
 
@@ -82,24 +69,16 @@ type Transport struct {
 }
 
 // Listen starts a transport on the given TCP address ("127.0.0.1:0" picks a
-// free port) with default Options. The advertised address is the actual
-// listen address.
-func Listen(addr string) (*Transport, error) { return ListenOpts(addr, Options{}) }
-
-// ListenOpts starts a transport with explicit Options.
-func ListenOpts(addr string, opts Options) (*Transport, error) {
+// free port). The advertised address is the actual listen address.
+func Listen(addr string) (*Transport, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, err
 	}
-	reg := opts.Metrics
-	if reg == nil {
-		reg = metrics.NewRegistry()
-	}
+	reg := metrics.NewRegistry()
 	t := &Transport{
 		ln:          ln,
 		addr:        ln.Addr().String(),
-		opts:        opts,
 		reg:         reg,
 		tasks:       make(chan inbound, queueDepth),
 		framesOut:   reg.Counter("transport.frames.out"),
@@ -131,7 +110,9 @@ func (t *Transport) Addr() string { return t.addr }
 // SetHandler installs the inbound frame handler.
 func (t *Transport) SetHandler(h Handler) { t.handler.Store(h) }
 
-// Metrics returns the registry the transport records into.
+// Metrics returns the registry the transport records its frame, byte and
+// batch metrics into (transport.frames.in/out, transport.bytes.in/out,
+// transport.batch.frames, transport.batch.bytes).
 func (t *Transport) Metrics() *metrics.Registry { return t.reg }
 
 // Close shuts down the listener, all connections (including duplicate
@@ -363,7 +344,7 @@ type conn struct {
 
 func newConn(t *Transport, nc net.Conn, remote string) *conn {
 	c := &conn{t: t, nc: nc, remote: remote}
-	c.w = newConnWriter(nc, !t.opts.UnbatchedWrites, c.writeFailed, t.batchFrames, t.batchBytes)
+	c.w = newConnWriter(nc, c.writeFailed, t.batchFrames, t.batchBytes)
 	return c
 }
 
@@ -578,9 +559,8 @@ var errWriterClosed = errors.New("transport: writer closed")
 // with nothing queued holds none, and one a burst grew past the pool's cap
 // goes back to the allocator.
 type connWriter struct {
-	nc       net.Conn
-	batching bool
-	onFatal  func(error) // invoked (once) when a flush fails
+	nc      net.Conn
+	onFatal func(error) // invoked (once) when a flush fails
 
 	mu     sync.Mutex
 	cond   *sync.Cond    // signals drain to callers blocked on backpressure
@@ -593,28 +573,22 @@ type connWriter struct {
 	batchFrames, batchBytes *metrics.Histogram
 }
 
-func newConnWriter(nc net.Conn, batching bool, onFatal func(error), batchFrames, batchBytes *metrics.Histogram) *connWriter {
+func newConnWriter(nc net.Conn, onFatal func(error), batchFrames, batchBytes *metrics.Histogram) *connWriter {
 	w := &connWriter{
 		nc:          nc,
-		batching:    batching,
 		onFatal:     onFatal,
+		wake:        make(chan struct{}, 1),
 		batchFrames: batchFrames,
 		batchBytes:  batchBytes,
 	}
 	w.cond = sync.NewCond(&w.mu)
-	if batching {
-		w.wake = make(chan struct{}, 1)
-		go w.loop()
-	}
+	go w.loop()
 	return w
 }
 
 // enqueue appends f to the pending batch (copying the body) and nudges the
 // writer goroutine. It blocks only when maxQueuedBytes are already queued.
 func (w *connWriter) enqueue(f wire.Frame) error {
-	if !w.batching {
-		return w.writeDirect(f)
-	}
 	w.mu.Lock()
 	for w.buf != nil && w.buf.Len() >= maxQueuedBytes && w.err == nil && !w.closed {
 		w.cond.Wait()
@@ -636,27 +610,6 @@ func (w *connWriter) enqueue(f wire.Frame) error {
 	select {
 	case w.wake <- struct{}{}:
 	default:
-	}
-	return nil
-}
-
-// writeDirect is the unbatched (ablation) path: one locked Write per
-// frame, encoded into a pooled buffer before the lock is taken.
-func (w *connWriter) writeDirect(f wire.Frame) error {
-	e := wire.AcquireEncoder()
-	defer e.Release()
-	e.Frame(f)
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if w.err != nil {
-		return w.err
-	}
-	if w.closed {
-		return errWriterClosed
-	}
-	if _, err := w.nc.Write(e.Bytes()); err != nil {
-		w.err = err
-		return err
 	}
 	return nil
 }
@@ -707,11 +660,9 @@ func (w *connWriter) close() {
 	w.closed = true
 	w.mu.Unlock()
 	w.cond.Broadcast()
-	if w.batching {
-		select {
-		case w.wake <- struct{}{}:
-		default:
-		}
+	select {
+	case w.wake <- struct{}{}:
+	default:
 	}
 }
 

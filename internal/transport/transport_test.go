@@ -1027,27 +1027,6 @@ func TestStrayResponsesAreDropped(t *testing.T) {
 	}
 }
 
-func TestUnbatchedWritesEcho(t *testing.T) {
-	srv, err := ListenOpts("127.0.0.1:0", Options{UnbatchedWrites: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { srv.Close() })
-	srv.SetHandler(func(_ string, f wire.Frame) *wire.Frame { return &wire.Frame{Body: f.Body} })
-	cl, err := ListenOpts("127.0.0.1:0", Options{UnbatchedWrites: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { cl.Close() })
-	resp, err := cl.Call(context.Background(), srv.Addr(), wire.Frame{Body: []byte("plain")})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(resp.Body) != "plain" {
-		t.Fatalf("resp = %q", resp.Body)
-	}
-}
-
 func TestTransportMetrics(t *testing.T) {
 	a, b := newT(t), newT(t)
 	b.SetHandler(func(string, wire.Frame) *wire.Frame { return &wire.Frame{} })
@@ -1073,14 +1052,14 @@ func TestTransportMetrics(t *testing.T) {
 	}
 }
 
-func benchEcho(b *testing.B, callers int, opts Options) {
-	srv, err := ListenOpts("127.0.0.1:0", opts)
+func benchEcho(b *testing.B, callers int) {
+	srv, err := Listen("127.0.0.1:0")
 	if err != nil {
 		b.Fatal(err)
 	}
 	defer srv.Close()
 	srv.SetHandler(func(string, wire.Frame) *wire.Frame { return &wire.Frame{Body: []byte("ok")} })
-	cl, err := ListenOpts("127.0.0.1:0", opts)
+	cl, err := Listen("127.0.0.1:0")
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -1108,8 +1087,7 @@ func benchEcho(b *testing.B, callers int, opts Options) {
 	wg.Wait()
 }
 
-func BenchmarkEcho64Batched(b *testing.B)   { benchEcho(b, 64, Options{}) }
-func BenchmarkEcho64Unbatched(b *testing.B) { benchEcho(b, 64, Options{UnbatchedWrites: true}) }
+func BenchmarkEcho64Batched(b *testing.B) { benchEcho(b, 64) }
 
 func BenchmarkCallRoundTrip(b *testing.B) {
 	tr1, err := Listen("127.0.0.1:0")

@@ -177,6 +177,8 @@ func (s *Session) Put(space, key string, value []byte) {
 }
 
 // Delete stages a removal.
+//
+//wls:nolint unreached -- library-only: §5.1, TestServerStoreTransactionalCommit
 func (s *Session) Delete(space, key string) {
 	s.mu.Lock()
 	defer s.mu.Unlock()

@@ -603,6 +603,8 @@ func (e *InDoubtError) Unwrap() error { return e.Cause }
 // name, and get their done record once every resource has committed. It
 // returns the ids it completed; if a resource failed, the error is an
 // *InDoubtError naming the transactions left for the next Recover.
+//
+//wls:nolint unreached -- item 11: recovery on restart replays the coordinator log through it
 func (m *Manager) Recover(resources map[string]Resource) ([]string, error) {
 	m.Drain() // this manager's own finished transactions are not in doubt
 	recs, err := m.log.Records()

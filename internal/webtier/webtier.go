@@ -196,6 +196,8 @@ type ExternalLB struct {
 }
 
 // NewExternalLB creates an appliance front end.
+//
+//wls:nolint unreached -- library-only: §2.1 (Fig 3), TestExternalLBFig3Failover
 func NewExternalLB(node rmi.Node, view View, reg *metrics.Registry) *ExternalLB {
 	return &ExternalLB{router: newRouter(node, view, reg), affinity: newAffinityLRU(0)}
 }

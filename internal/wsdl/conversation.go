@@ -67,6 +67,8 @@ func (c *Conversation) Send(ctx context.Context, op string, payload []byte) erro
 
 // Solicit performs a solicit-response callback (server→client) and returns
 // the correlated reply.
+//
+//wls:nolint unreached -- library-only: §4, TestCallbacksReachTheClientByLocationEmbedding
 func (c *Conversation) Solicit(ctx context.Context, op string, payload []byte) ([]byte, error) {
 	if c.role != RoleServer {
 		return nil, fmt.Errorf("wsdl: Solicit is a server-side operation")

@@ -62,6 +62,8 @@ type Options struct {
 	// config replicas).
 	DataDir string
 	// Sessions selects the servlet session-state option.
+	//
+	//wls:nolint unreached -- library-only: §3.2, TestCookieElisionClientCookie
 	Sessions servlet.SessionMode
 	// ServersPerMachine controls machine placement (default 1).
 	//
@@ -83,6 +85,8 @@ type Options struct {
 	// LeaseTTL is the singleton grace period (default 1s).
 	LeaseTTL time.Duration
 	// Seed drives all simulation randomness.
+	//
+	//wls:nolint unreached -- test hook: TestSeededClustersDrawTheSameIDs
 	Seed int64
 	// TraceSample enables distributed tracing: every server (and every
 	// router built from the cluster) gets a tracer exporting into one
@@ -402,15 +406,10 @@ func (s *Server) Node() rmi.Node { return s.endpoint }
 // Metrics returns the server's metric registry.
 func (s *Server) Metrics() *metrics.Registry { return s.reg }
 
-// Tracer returns the server's tracer (nil unless Options.TraceSample > 0).
-// Use it to start roots for internal-client work on this server.
-func (s *Server) Tracer() *trace.Tracer { return s.tracer }
-
-// Queue returns the server's execute queue (nil unless Options.Admission).
-func (s *Server) Queue() *rmi.Gate { return s.queue }
-
 // Resilience returns the server's shared client-side resilience layer (nil
 // unless Options.Resilience).
+//
+//wls:nolint unreached -- test hook: TestChaosOverloadSweep
 func (s *Server) Resilience() *rmi.Resilience { return s.res }
 
 // Stub creates an internal-client stub for a clustered service. With
@@ -433,12 +432,6 @@ func (s *Server) SingletonHost(cfg singleton.Config, impl singleton.Activatable)
 
 // Clock returns the cluster clock.
 func (c *Cluster) Clock() vclock.Clock { return c.fix.clock }
-
-// VirtualClock returns the virtual clock (nil with RealClock).
-func (c *Cluster) VirtualClock() *vclock.Virtual { return c.fix.vclk }
-
-// Bus returns the announcement bus.
-func (c *Cluster) Bus() *gossip.InMemory { return c.fix.bus }
 
 // Net returns the simulated network fabric for failure injection.
 func (c *Cluster) Net() *netsim.Network { return c.fix.net }
@@ -527,15 +520,6 @@ func (c *Cluster) AwaitConverged() {
 	}
 }
 
-// Advance moves the virtual clock (no-op with RealClock).
-func (c *Cluster) Advance(d time.Duration) {
-	if c.fix.vclk != nil {
-		c.fix.vclk.Advance(d)
-	} else {
-		c.fix.clock.Sleep(d)
-	}
-}
-
 // Crash kills a server: membership stops, its endpoint closes.
 func (c *Cluster) Crash(name string) {
 	s := c.Server(name)
@@ -544,43 +528,6 @@ func (c *Cluster) Crash(name string) {
 	}
 	s.member.Stop()
 	s.endpoint.Close()
-}
-
-// Freeze pauses a server without killing it: its endpoint stops processing
-// traffic and its heartbeats stop, but its state survives — the §3.4
-// split-brain scenario.
-func (c *Cluster) Freeze(name string) {
-	s := c.Server(name)
-	if s == nil {
-		return
-	}
-	s.member.Stop()
-	c.fix.net.Freeze(s.endpoint.Addr(), true)
-}
-
-// Thaw resumes a frozen server.
-func (c *Cluster) Thaw(name string) {
-	s := c.Server(name)
-	if s == nil {
-		return
-	}
-	c.fix.net.Freeze(s.endpoint.Addr(), false)
-	s.member.Start()
-}
-
-// Fence cuts a server off at the fabric level (router fencing, §3.4).
-func (c *Cluster) Fence(name string, fenced bool) {
-	if s := c.Server(name); s != nil {
-		c.fix.net.Fence(s.endpoint.Addr(), fenced)
-	}
-}
-
-// Partition breaks or heals the link between two named servers.
-func (c *Cluster) Partition(a, b string, broken bool) {
-	sa, sb := c.Server(a), c.Server(b)
-	if sa != nil && sb != nil {
-		c.fix.net.SetPartitioned(sa.endpoint.Addr(), sb.endpoint.Addr(), broken)
-	}
 }
 
 // Restart brings a crashed server back with fresh containers (applications
@@ -631,19 +578,6 @@ func (c *Cluster) newRouterResilience(addr string) *rmi.Resilience {
 		return nil
 	}
 	return rmi.NewResilience(seedFor(c.opts.Seed, addr), c.fix.clock, nil)
-}
-
-// ExternalLB builds a Fig 3 appliance router.
-func (c *Cluster) ExternalLB(addr string) *webtier.ExternalLB {
-	node := c.fix.net.Endpoint(addr)
-	lb := webtier.NewExternalLB(node, rmi.MemberView{Member: c.Servers[0].member}, nil)
-	if t := c.newTracer(addr); t != nil {
-		lb.SetTracer(t)
-	}
-	if r := c.newRouterResilience(addr); r != nil {
-		lb.SetResilience(r)
-	}
-	return lb
 }
 
 // Traces returns the shared span ring (nil unless Options.TraceSample > 0).

@@ -8,6 +8,8 @@ import (
 )
 
 // Partitions returns the server's ring views (nil on the admin server).
+//
+//wls:nolint unreached -- test hook: TestClusterPartitionWiring
 func (s *Server) Partitions() *partition.Views { return s.parts }
 
 // AddServer boots one more managed server into the running cluster

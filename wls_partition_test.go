@@ -58,12 +58,12 @@ func TestClusterPartitionWiring(t *testing.T) {
 	}
 	ring := c.Servers[0].Partitions().Current().Ring
 	want := ""
-	for _, rep := range ring.ReplicasInto(ck.ID, nil) {
-		if rep != "server-1" {
-			want = rep
-			break
+	ring.Walk(ck.ID, func(m string) bool {
+		if m != "server-1" {
+			want = m
 		}
-	}
+		return want == ""
+	})
 	if ck.Secondary != want {
 		t.Fatalf("secondary = %s, ring says %s", ck.Secondary, want)
 	}
