@@ -31,7 +31,8 @@ lint:
 # check is the pre-PR gate: gofmt (as CI's first step runs it), vet,
 # build, the lint suite, the race detector over the lock-heaviest
 # packages (membership, whose join answers publish from inside a bus
-# delivery, and the partition rings it feeds;
+# delivery, and the partition rings it feeds; the timer loop every
+# periodic job runs on, and the SAF drain, log sniffer and ETL on it;
 # lease/tx/transport and the singletons the leases elect; the kv image,
 # whose scans share its lock with commits, and the tuple sessions over it;
 # the wire codec and the session records — of the servlet engine and of
@@ -42,7 +43,7 @@ check:
 	$(GO) vet ./...
 	$(GO) build ./...
 	$(GO) run ./cmd/wlslint ./...
-	$(GO) test -race ./internal/cluster ./internal/partition ./internal/lease ./internal/singleton ./internal/tx ./internal/kv ./internal/tuple ./internal/wire ./internal/transport ./internal/rmi ./internal/netsim ./internal/servlet ./internal/ejb ./internal/webtier ./internal/chaostest
+	$(GO) test -race ./internal/cluster ./internal/partition ./internal/vclock ./internal/jms ./internal/cache ./internal/warehouse ./internal/lease ./internal/singleton ./internal/tx ./internal/kv ./internal/tuple ./internal/wire ./internal/transport ./internal/rmi ./internal/netsim ./internal/servlet ./internal/ejb ./internal/webtier ./internal/chaostest
 	$(MAKE) bench-smoke
 
 # gates is CI's "Alloc and wire gates" step, which runs exactly this

@@ -11,6 +11,7 @@ import (
 	"wls/internal/metrics"
 	"wls/internal/rmi"
 	"wls/internal/vclock"
+	"wls/internal/wire"
 )
 
 func init() {
@@ -35,8 +36,42 @@ const (
 type e30Config struct {
 	name      string
 	resilient bool // Deny queue + budgets + retry budget + breakers
-	burst     bool // flash crowd between ticks 100 and 140
+	burst     bool // flash crowd from a third of the run, for 2/15 of it
 	slow      bool // one server answers e30Slow late each way
+	ticks     int  // request volleys, e30Tick apart
+}
+
+// e30Result is one arm's outcome.
+type e30Result struct {
+	name                               string
+	offered, ok, busy, expired, failed int
+	p50, p99, max                      time.Duration // of served requests
+	breaker                            string        // the slow server's
+}
+
+func (r e30Result) row() []string {
+	return []string{r.name, fmt.Sprint(r.offered), fmt.Sprint(r.ok), fmt.Sprint(r.busy),
+		fmt.Sprint(r.expired), fmt.Sprint(r.failed),
+		r.p50.Round(100 * time.Microsecond).String(),
+		r.p99.Round(100 * time.Microsecond).String(),
+		r.breaker}
+}
+
+// e30Node stamps the clock when a call returns, into the invocation's
+// stamp in the context: that is when the stub accepts or refuses the
+// reply, while the invoking goroutine may read the clock a few ticks
+// later. A failover's later attempt overwrites an earlier one's stamp.
+type e30Node struct {
+	rmi.Node
+	clk vclock.Clock
+}
+
+type e30StampKey struct{}
+
+func (n e30Node) Call(ctx context.Context, to string, f wire.Frame) (wire.Frame, error) {
+	reply, err := n.Node.Call(ctx, to, f)
+	*ctx.Value(e30StampKey{}).(*time.Time) = n.clk.Now()
+	return reply, err
 }
 
 // runE30 compares a statically provisioned cluster (queues too long to
@@ -56,16 +91,16 @@ func runE30() *Table {
 			"slow server. resilient: excess demand is refused at admission (busy) or times out against the slow server " +
 			"(expired) until its breaker opens; served-request p99 stays within a small multiple of baseline."}
 	for _, c := range []e30Config{
-		{name: "baseline", resilient: false, burst: false, slow: false},
-		{name: "static", resilient: false, burst: true, slow: true},
-		{name: "resilient", resilient: true, burst: true, slow: true},
+		{name: "baseline", resilient: false, burst: false, slow: false, ticks: 300},
+		{name: "static", resilient: false, burst: true, slow: true, ticks: 300},
+		{name: "resilient", resilient: true, burst: true, slow: true, ticks: 300},
 	} {
-		t.Rows = append(t.Rows, e30Run(c))
+		t.Rows = append(t.Rows, e30Run(c).row())
 	}
 	return t
 }
 
-func e30Run(cfg e30Config) []string {
+func e30Run(cfg e30Config) e30Result {
 	opts := wls.Options{Servers: 3, WithAdmin: true, Seed: 1}
 	if cfg.resilient {
 		opts.Admission = &rmi.QueueConfig{Workers: 2, QueueLen: 8}
@@ -100,51 +135,55 @@ func e30Run(cfg e30Config) []string {
 	}
 
 	// The caller is the never-faulted admin server, so one Resilience
-	// instance observes the whole run (the cluster wires it into the stub).
-	stub := c.Admin.Stub(e30Service, rmi.WithPolicy(rmi.NewRoundRobin()))
+	// instance observes the whole run.
+	stubOpts := []rmi.StubOption{rmi.WithPolicy(rmi.NewRoundRobin())}
+	if res := c.Admin.Resilience(); res != nil {
+		stubOpts = append(stubOpts, rmi.WithResilience(res))
+	}
+	stub := rmi.NewStub(e30Service, e30Node{c.Admin.Node(), clk}, rmi.MemberView{Member: c.Admin.Member()}, stubOpts...)
 
 	var (
-		mu                        sync.Mutex
-		hist                      metrics.Histogram
-		inflight                  int
-		offered                   int
-		ok, busy, expired, failed int
+		mu       sync.Mutex
+		hist     metrics.Histogram
+		inflight int
+		r        = e30Result{name: cfg.name}
 	)
 	launch := func() {
-		ctx := context.Background()
+		var replied time.Time
+		ctx := context.WithValue(context.Background(), e30StampKey{}, &replied)
 		if cfg.resilient {
 			ctx = rmi.WithBudget(ctx, clk, e30Budget)
 		}
 		start := clk.Now()
 		mu.Lock()
-		offered++
+		r.offered++
 		inflight++
 		mu.Unlock()
 		go func() {
 			_, err := stub.Invoke(ctx, "echo", nil)
-			d := clk.Now().Sub(start)
 			mu.Lock()
 			defer mu.Unlock()
 			inflight--
 			switch {
 			case err == nil:
-				ok++
-				hist.Record(int64(d))
+				r.ok++
+				hist.Record(int64(replied.Sub(start)))
 			case errors.Is(err, rmi.ErrBudgetExceeded):
-				expired++
+				r.expired++
 			case errors.As(err, new(*rmi.BusyError)):
-				busy++
+				r.busy++
 			default:
-				failed++
+				r.failed++
 			}
 		}()
 	}
 
-	// 3s of virtual time: steady 200 req/s, with a 0.4s burst at 2000 req/s
-	// (≈4x the 3-server × 2-at-once × 5ms service capacity) in the middle.
-	for tick := 0; tick < 300; tick++ {
+	// At 300 ticks, 3s of virtual time: steady 200 req/s, with a 0.4s
+	// burst at 2000 req/s (≈4x the 3-server × 2-at-once × 5ms service
+	// capacity) in the middle.
+	for tick := 0; tick < cfg.ticks; tick++ {
 		n := 2
-		if cfg.burst && tick >= 100 && tick < 140 {
+		if cfg.burst && tick >= cfg.ticks/3 && tick < cfg.ticks/3+cfg.ticks*2/15 {
 			n = 20
 		}
 		for i := 0; i < n; i++ {
@@ -166,18 +205,15 @@ func e30Run(cfg e30Config) []string {
 		clk.Advance(e30Tick)
 	}
 
-	breaker := "-"
+	r.breaker = "-"
 	if res := c.Admin.Resilience(); res != nil {
-		breaker = res.State(slowName).String()
+		r.breaker = res.State(slowName).String()
 	}
 	mu.Lock()
 	defer mu.Unlock()
 	if inflight != 0 {
 		panic(fmt.Sprintf("E30 %s: %d requests never finished", cfg.name, inflight))
 	}
-	return []string{cfg.name, fmt.Sprint(offered), fmt.Sprint(ok), fmt.Sprint(busy),
-		fmt.Sprint(expired), fmt.Sprint(failed),
-		time.Duration(hist.P50()).Round(100 * time.Microsecond).String(),
-		time.Duration(hist.P99()).Round(100 * time.Microsecond).String(),
-		breaker}
+	r.p50, r.p99, r.max = time.Duration(hist.P50()), time.Duration(hist.P99()), time.Duration(hist.Max())
+	return r
 }

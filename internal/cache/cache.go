@@ -307,61 +307,38 @@ func TriggerFlusher(s *store.Store, table string, c *Cache, from string) {
 type Sniffer struct {
 	store    *store.Store
 	cache    *Cache
-	clock    vclock.Clock
 	interval time.Duration
 	from     string
+	polls    *vclock.Loop // SniffOnce every interval
 
 	mu      sync.Mutex
 	sinceLS uint64
-	timer   vclock.Timer
-	stopped bool
 }
 
 // NewSniffer creates a log sniffer starting from the store's current LSN.
 //
 //wls:nolint unreached -- library-only: §3.3, TestSnifferCatchesBackdoorAfterPoll
 func NewSniffer(s *store.Store, c *Cache, clock vclock.Clock, interval time.Duration, from string) *Sniffer {
-	return &Sniffer{
+	sn := &Sniffer{
 		store:    s,
 		cache:    c,
-		clock:    clock,
 		interval: interval,
 		from:     from,
 		sinceLS:  s.LastLSN(),
 	}
+	sn.polls = vclock.NewLoop(clock, sn.poll, false)
+	return sn
 }
 
 // Start begins polling.
-func (sn *Sniffer) Start() {
-	sn.mu.Lock()
-	sn.stopped = false
-	sn.mu.Unlock()
-	sn.schedule()
-}
+func (sn *Sniffer) Start() { sn.polls.Start(sn.interval) }
 
 // Stop halts polling.
-func (sn *Sniffer) Stop() {
-	sn.mu.Lock()
-	sn.stopped = true
-	t := sn.timer
-	sn.timer = nil
-	sn.mu.Unlock()
-	if t != nil {
-		t.Stop()
-	}
-}
+func (sn *Sniffer) Stop() { sn.polls.Stop() }
 
-func (sn *Sniffer) schedule() {
-	sn.mu.Lock()
-	if sn.stopped {
-		sn.mu.Unlock()
-		return
-	}
-	sn.timer = sn.clock.AfterFunc(sn.interval, func() {
-		sn.SniffOnce()
-		sn.schedule()
-	})
-	sn.mu.Unlock()
+func (sn *Sniffer) poll(uint64) time.Duration {
+	sn.SniffOnce()
+	return sn.interval
 }
 
 // SniffOnce processes any new change-log entries now. If the sniffer has

@@ -172,17 +172,13 @@ type Member struct {
 	clock vclock.Clock
 	bus   gossip.Bus
 	topic string
-	// tick is m.beatAndSweep, built once: a method value handed to
-	// AfterFunc allocates its closure every interval.
-	tick func()
+	ticks *vclock.Loop // beatAndSweep every HeartbeatInterval
 
 	mu        sync.Mutex
 	self      MemberInfo
 	peers     map[string]*peerState // by name, excluding self
 	listeners []*func(Event)
-	started   bool
-	stopped   bool
-	timer     vclock.Timer
+	running   bool
 	unsub     func()
 	// publishing is set while a goroutine is announcing for this member;
 	// republish asks it for one more heartbeat (see publish).
@@ -227,19 +223,18 @@ func NewMember(cfg Config, clock vclock.Clock, bus gossip.Bus, self MemberInfo) 
 		peers: make(map[string]*peerState),
 		ids:   newIDSource(cfg.IDSeed),
 	}
-	m.tick = m.beatAndSweep
+	m.ticks = vclock.NewLoop(clock, m.beatAndSweep, false)
 	return m
 }
 
 // Start begins heartbeating and failure detection.
 func (m *Member) Start() {
 	m.mu.Lock()
-	if m.started && !m.stopped {
+	if m.running {
 		m.mu.Unlock()
 		return
 	}
-	m.started = true
-	m.stopped = false
+	m.running = true
 	m.self.Incarnation++
 	m.body = nil
 	m.version++
@@ -249,28 +244,26 @@ func (m *Member) Start() {
 	// arrive while that beat is still being delivered.
 	unsub := m.bus.Subscribe(m.topic, m.onHeartbeat)
 	m.mu.Lock()
-	if m.stopped { // a Stop raced this restart and found nothing to cancel
+	if !m.running { // a Stop raced this restart and found nothing to cancel
 		m.mu.Unlock()
 		unsub()
 		return
 	}
 	m.unsub = unsub
+	m.ticks.Start(m.cfg.HeartbeatInterval)
 	m.mu.Unlock()
 	m.publish()
-	m.schedule()
 }
 
 // Stop ceases heartbeating; peers will declare this member failed after the
 // failure timeout.
 func (m *Member) Stop() {
 	m.mu.Lock()
-	m.stopped = true
-	timer, unsub := m.timer, m.unsub
-	m.timer, m.unsub = nil, nil
+	m.running = false
+	m.ticks.Stop()
+	unsub := m.unsub
+	m.unsub = nil
 	m.mu.Unlock()
-	if timer != nil {
-		timer.Stop()
-	}
 	if unsub != nil {
 		unsub()
 	}
@@ -354,20 +347,11 @@ func (m *Member) Listeners() int {
 }
 
 // beatAndSweep is the periodic tick: one heartbeat, then failure
-// detection, then the next tick.
-func (m *Member) beatAndSweep() {
+// detection.
+func (m *Member) beatAndSweep(uint64) time.Duration {
 	m.publish()
 	m.sweepOnce()
-	m.schedule()
-}
-
-// schedule arms the next tick unless the member has stopped.
-func (m *Member) schedule() {
-	m.mu.Lock()
-	if !m.stopped {
-		m.timer = m.clock.AfterFunc(m.cfg.HeartbeatInterval, m.tick)
-	}
-	m.mu.Unlock()
+	return m.cfg.HeartbeatInterval
 }
 
 // publish announces this member's current info; a member that is not
@@ -386,7 +370,7 @@ func (m *Member) publish() {
 		return
 	}
 	m.publishing = true
-	for !m.stopped && m.started {
+	for m.running {
 		m.republish = false
 		if m.body == nil {
 			m.body = m.self.encode()
@@ -457,7 +441,7 @@ func (m *Member) unlockAndDeliver(events []Event) {
 // incarnation, a changed service list — decodes.
 func (m *Member) onHeartbeat(msg gossip.Message) {
 	m.mu.Lock()
-	if m.stopped || msg.From == m.self.Name && bytes.Equal(msg.Payload, m.body) {
+	if !m.running || msg.From == m.self.Name && bytes.Equal(msg.Payload, m.body) {
 		m.mu.Unlock()
 		return
 	}

@@ -701,3 +701,52 @@ func TestRepeatedBytesStillCarryEvents(t *testing.T) {
 		t.Fatal("a beat in the member's own name made it a peer")
 	}
 }
+
+// restartingBus counts one member's heartbeats and, once armed, stops and
+// starts that member from inside the Publish of its next beat.
+type restartingBus struct {
+	gossip.Bus
+	m     *Member
+	arm   bool
+	beats int
+}
+
+func (b *restartingBus) Publish(msg gossip.Message) {
+	b.beats++
+	if b.arm {
+		b.arm = false
+		b.m.Stop()
+		b.m.Start()
+	}
+	b.Bus.Publish(msg)
+}
+
+// TestRestartInsideATickKeepsOneChain: a member stopped and started inside
+// one of its ticks beats once an interval afterwards, and nothing stays
+// pending after its final Stop.
+func TestRestartInsideATickKeepsOneChain(t *testing.T) {
+	clk := vclock.NewVirtualAtZero()
+	bus := &restartingBus{Bus: gossip.NewInMemory(clk, 1)}
+	cfg := Config{Name: "c", HeartbeatInterval: 100 * time.Millisecond, FailureTimeout: 350 * time.Millisecond}
+	m := NewMember(cfg, clk, bus, MemberInfo{Name: "s1", Machine: "m1"})
+	bus.m = m
+	m.Start()
+	clk.Advance(300 * time.Millisecond)
+	bus.arm = true
+	clk.Advance(100 * time.Millisecond) // this tick's beat restarts m
+	if bus.arm {
+		t.Fatal("no beat in the armed tick")
+	}
+	if got := clk.PendingTimers(); got != 1 {
+		t.Errorf("%d timers pending after a restart inside a tick, want 1", got)
+	}
+	bus.beats = 0
+	clk.Advance(time.Second)
+	if bus.beats != 10 {
+		t.Errorf("%d beats in a second at a 100 ms interval, want 10", bus.beats)
+	}
+	m.Stop()
+	if got := clk.PendingTimers(); got != 0 {
+		t.Errorf("%d timers pending after Stop", got)
+	}
+}

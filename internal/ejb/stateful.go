@@ -423,8 +423,6 @@ func (h *Handle) Primary() string { return h.route.Load()[0] }
 // secondary when the primary is unreachable. Stateful methods are not
 // idempotent: once the primary may have run the call, an error surfaces
 // rather than a second run on the secondary.
-//
-//wls:nolint unreached -- library-only: §3.2, TestStatefulConversationKeepsState
 func (h *Handle) Invoke(ctx context.Context, method string, args []byte) ([]byte, error) {
 	r := h.route.Load()
 	var pair [2]cluster.MemberInfo
@@ -446,8 +444,6 @@ func (h *Handle) Invoke(ctx context.Context, method string, args []byte) ([]byte
 }
 
 // Remove ends the conversation.
-//
-//wls:nolint unreached -- library-only: §3.2, TestStatefulRemove
 func (h *Handle) Remove(ctx context.Context) error {
 	info, ok := h.member.Lookup(h.Primary())
 	if !ok {

@@ -33,9 +33,7 @@ func TestForwarderStopQuiescesInFlightDrain(t *testing.T) {
 
 	fw := NewForwarder(lq, f.Servers[0].Endpoint, f.Servers[1].Endpoint.Addr(), "dst", f.Clock, 100*time.Millisecond)
 	fw.Start()
-	fw.mu.Lock()
-	g := fw.gen
-	fw.mu.Unlock()
+	g := fw.drains.Start(fw.interval) // started: only reports the epoch
 	fw.Stop()
 
 	// The in-flight drain: started under the pre-Stop epoch, scheduled

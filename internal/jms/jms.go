@@ -301,8 +301,6 @@ type txReceive struct {
 
 // ReceiveTx dequeues a message whose consumption is decided by txn: commit
 // acks it, rollback returns it to the queue.
-//
-//wls:nolint unreached -- library-only: §5.1, TestConsumeAndUpdateSameFilestoreIs1PC
 func (q *Queue) ReceiveTx(txn *tx.Tx) (Message, error) {
 	m, err := q.Receive()
 	if err != nil {
@@ -510,7 +508,6 @@ const safBatchMax = 32
 type Forwarder struct {
 	local      *Queue
 	remoteQ    string
-	clock      vclock.Clock
 	interval   time.Duration
 	maxBackoff time.Duration
 	// stub is built once: the destination is fixed for the agent's life.
@@ -518,27 +515,20 @@ type Forwarder struct {
 	// forwarded/retries are resolved once: metric-name lookups allocate.
 	forwarded *metrics.Counter
 	retries   *metrics.Counter
-
-	mu      sync.Mutex
-	timer   vclock.Timer
+	// drains runs drain on its own goroutine: it makes deliver RPCs.
+	drains *vclock.Loop
+	// backoff is the delay after a failed drain; only drains touch it, and
+	// they never overlap.
 	backoff time.Duration
-	stopped bool
-	// gen is the agent's epoch, bumped by Start and Stop. Timer callbacks
-	// and drain loops carry the epoch they were started under and go
-	// inert when it changes, so a drain already in flight when Stop lands
-	// cannot keep forwarding (and an old drain cannot overlap the next
-	// Start). Same pattern as the lease manager's sweep generation.
-	gen uint64
 }
 
 // NewForwarder creates a SAF agent draining local into remoteQ at
 // remoteAddr every interval (with exponential backoff up to 16x while the
 // remote is down).
 func NewForwarder(local *Queue, node rmi.Node, remoteAddr, remoteQ string, clock vclock.Clock, interval time.Duration) *Forwarder {
-	return &Forwarder{
+	f := &Forwarder{
 		local:      local,
 		remoteQ:    remoteQ,
-		clock:      clock,
 		interval:   interval,
 		maxBackoff: interval * 16,
 		stub:       rmi.NewStub(ServiceName, node, rmi.StaticView(remoteAddr)),
@@ -546,49 +536,17 @@ func NewForwarder(local *Queue, node rmi.Node, remoteAddr, remoteQ string, clock
 		retries:    local.b.reg.Counter("jms.saf_retries"),
 		backoff:    interval,
 	}
+	f.drains = vclock.NewLoop(clock, f.drain, true)
+	return f
 }
 
 // Start begins draining.
-func (f *Forwarder) Start() {
-	f.mu.Lock()
-	f.stopped = false
-	f.gen++
-	g := f.gen
-	f.mu.Unlock()
-	f.schedule(f.interval, g)
-}
+func (f *Forwarder) Start() { f.drains.Start(f.interval) }
 
-// Stop halts the agent (buffered messages stay in the local queue). The
-// epoch bump makes any in-flight drain exit before its next message, so
-// after Stop returns at most the delivery already on the wire completes.
-func (f *Forwarder) Stop() {
-	f.mu.Lock()
-	f.stopped = true
-	f.gen++
-	t := f.timer
-	f.timer = nil
-	f.mu.Unlock()
-	if t != nil {
-		t.Stop()
-	}
-}
-
-func (f *Forwarder) schedule(d time.Duration, g uint64) {
-	f.mu.Lock()
-	if f.stopped || g != f.gen {
-		f.mu.Unlock()
-		return
-	}
-	f.timer = f.clock.AfterFunc(d, func() { go f.drain(g) })
-	f.mu.Unlock()
-}
-
-// current reports whether epoch g is still the live one.
-func (f *Forwarder) current(g uint64) bool {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return !f.stopped && g == f.gen
-}
+// Stop halts the agent (buffered messages stay in the local queue). A
+// drain in flight exits before its next batch, so after Stop returns at
+// most the delivery already on the wire completes.
+func (f *Forwarder) Stop() { f.drains.Stop() }
 
 // deliver ships one drain batch in one "deliver" RPC: the queue name, then
 // each message in turn. A lightly loaded agent sends batches of one.
@@ -607,10 +565,11 @@ func (f *Forwarder) deliver(msgs []Message) error {
 	return err
 }
 
-// drain forwards as many messages as possible, then re-schedules.
-func (f *Forwarder) drain(g uint64) {
+// drain forwards as many messages as possible while its epoch is live and
+// returns when to drain next.
+func (f *Forwarder) drain(epoch uint64) time.Duration {
 	var msgs []Message
-	for f.current(g) {
+	for f.drains.Current(epoch) {
 		msgs = msgs[:0]
 		for len(msgs) < safBatchMax {
 			m, err := f.local.Receive()
@@ -620,11 +579,8 @@ func (f *Forwarder) drain(g uint64) {
 			msgs = append(msgs, m)
 		}
 		if len(msgs) == 0 {
-			f.mu.Lock()
 			f.backoff = f.interval
-			f.mu.Unlock()
-			f.schedule(f.interval, g)
-			return
+			return f.interval
 		}
 		err := f.deliver(msgs)
 		if err == nil {
@@ -640,15 +596,9 @@ func (f *Forwarder) drain(g uint64) {
 			f.local.Nack(msgs[i].ID)
 		}
 		// No ACK: messages back to the buffer, back off, retry later.
-		f.mu.Lock()
-		f.backoff *= 2
-		if f.backoff > f.maxBackoff {
-			f.backoff = f.maxBackoff
-		}
-		next := f.backoff
-		f.mu.Unlock()
+		f.backoff = min(2*f.backoff, f.maxBackoff)
 		f.retries.Inc()
-		f.schedule(next, g)
-		return
+		return f.backoff
 	}
+	return -1
 }

@@ -23,19 +23,20 @@ type Holder struct {
 	service  string
 	owner    string
 	kind     Kind
+	// renewals runs renewOnce on its own goroutine, so a slow or frozen
+	// network path never stalls the clock driving everyone else.
+	renewals *vclock.Loop
 
-	mu      sync.Mutex
-	grant   Grant
-	held    bool
-	renewT  vclock.Timer
-	onLost  func()
-	stopped bool
+	mu     sync.Mutex
+	grant  Grant
+	held   bool
+	onLost func()
 }
 
 // NewHolder creates a holder for service, identifying as owner, speaking to
 // the given lease-manager addresses through node.
 func NewHolder(clock vclock.Clock, node rmi.Node, service, owner string, kind Kind, managers ...string) *Holder {
-	return &Holder{
+	h := &Holder{
 		clock:    clock,
 		node:     node,
 		managers: managers,
@@ -43,6 +44,8 @@ func NewHolder(clock vclock.Clock, node rmi.Node, service, owner string, kind Ki
 		owner:    owner,
 		kind:     kind,
 	}
+	h.renewals = vclock.NewLoop(clock, h.renewOnce, true)
+	return h
 }
 
 // OnLost registers the callback fired when the lease cannot be renewed.
@@ -88,15 +91,14 @@ func (h *Holder) Acquire(ctx context.Context) error {
 	h.mu.Lock()
 	h.grant = g
 	h.held = true
-	h.stopped = false
 	h.mu.Unlock()
-	h.scheduleRenew()
+	h.renewals.Start(h.halfLife(g))
 	return nil
 }
 
 // Release gives the lease up voluntarily and stops renewal.
 func (h *Holder) Release(ctx context.Context) error {
-	h.stopRenew()
+	h.renewals.Stop()
 	h.mu.Lock()
 	wasHeld := h.held
 	h.held = false
@@ -113,41 +115,21 @@ func (h *Holder) Release(ctx context.Context) error {
 
 // Stop halts renewal without releasing (used when the process is dying; the
 // lease will expire on its own).
-func (h *Holder) Stop() { h.stopRenew() }
+func (h *Holder) Stop() { h.renewals.Stop() }
 
-func (h *Holder) stopRenew() {
-	h.mu.Lock()
-	h.stopped = true
-	t := h.renewT
-	h.renewT = nil
-	h.mu.Unlock()
-	if t != nil {
-		t.Stop()
-	}
+// halfLife is how long from now g is renewed.
+func (h *Holder) halfLife(g Grant) time.Duration {
+	return max(g.Expires.Sub(h.clock.Now())/2, time.Millisecond)
 }
 
-func (h *Holder) scheduleRenew() {
+// renewOnce renews the lease and returns when to renew next. A renewal
+// that failed retries shortly while the lease lasts, since a transient
+// manager failover must not kill a healthy owner; once it has expired, or
+// ownership moved, the lease is lost. A renewal whose epoch Release or
+// Stop retired while its RPC was out changes nothing: the grant and the
+// held flag may already be the next Acquire's.
+func (h *Holder) renewOnce(epoch uint64) time.Duration {
 	h.mu.Lock()
-	if h.stopped {
-		h.mu.Unlock()
-		return
-	}
-	half := h.grant.Expires.Sub(h.clock.Now()) / 2
-	if half <= 0 {
-		half = time.Millisecond
-	}
-	// Renewal RPCs run off the timer goroutine so a slow or frozen network
-	// path never stalls the clock driving everyone else.
-	h.renewT = h.clock.AfterFunc(half, func() { go h.renewOnce() })
-	h.mu.Unlock()
-}
-
-func (h *Holder) renewOnce() {
-	h.mu.Lock()
-	if h.stopped {
-		h.mu.Unlock()
-		return
-	}
 	deadline := h.grant.Expires
 	h.mu.Unlock()
 
@@ -159,38 +141,34 @@ func (h *Holder) renewOnce() {
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
 	body, err := h.callLeader(ctx, "renew", e.Bytes())
 	cancel()
+	var g Grant
 	if err == nil {
-		if g, derr := DecodeGrant(body); derr == nil {
-			h.mu.Lock()
-			h.grant = g
-			h.mu.Unlock()
-			h.scheduleRenew()
-			return
-		}
-	}
-	// Renewal failed. If the lease has genuinely expired (or ownership
-	// moved), report loss; otherwise retry shortly — transient manager
-	// failover must not kill a healthy owner.
-	if errors.Is(err, ErrNotHeldApp) || h.clock.Now().After(deadline) {
-		h.loseLease()
-		return
+		g, err = DecodeGrant(body)
 	}
 	h.mu.Lock()
-	if !h.stopped {
-		h.renewT = h.clock.AfterFunc(deadline.Sub(h.clock.Now())/4+time.Millisecond, func() { go h.renewOnce() })
+	if !h.renewals.Current(epoch) {
+		h.mu.Unlock()
+		return -1
 	}
-	h.mu.Unlock()
-}
-
-func (h *Holder) loseLease() {
-	h.mu.Lock()
+	switch {
+	case err == nil:
+		h.grant = g
+		h.mu.Unlock()
+		return h.halfLife(g)
+	case !errors.Is(err, ErrNotHeldApp) && !h.clock.Now().After(deadline):
+		h.mu.Unlock()
+		return deadline.Sub(h.clock.Now())/4 + time.Millisecond
+	}
+	// Stop, not just end the chain: an Acquire racing this loss must find
+	// the loop stopped, or its Start would do nothing.
 	h.held = false
-	h.stopped = true
+	h.renewals.Stop()
 	fn := h.onLost
 	h.mu.Unlock()
 	if fn != nil {
 		fn()
 	}
+	return -1
 }
 
 // ErrNotHeldApp matches the application-error text a manager returns when

@@ -100,12 +100,10 @@ type Manager struct {
 	elections Elections
 	table     *store.Store
 	ttl       time.Duration
+	sweeps    *vclock.Loop // sweepOnce every ttl/2
 
 	mu        sync.Mutex
 	listeners []func(Grant) // push-lease expiry notifications
-	sweepT    vclock.Timer
-	running   bool
-	gen       uint64 // bumped by Stop so in-flight sweep callbacks retire
 }
 
 // NewManager creates a manager replica. ttl is the default lease period
@@ -114,7 +112,9 @@ func NewManager(clock vclock.Clock, elections Elections, table *store.Store, ttl
 	if ttl <= 0 {
 		ttl = time.Second
 	}
-	return &Manager{clock: clock, elections: elections, table: table, ttl: ttl}
+	m := &Manager{clock: clock, elections: elections, table: table, ttl: ttl}
+	m.sweeps = vclock.NewLoop(clock, m.sweep, false)
+	return m
 }
 
 // OnExpired registers a push-lease expiry listener. Listeners run on the
@@ -129,53 +129,14 @@ func (m *Manager) OnExpired(fn func(Grant)) {
 
 // Start begins the expiry sweep (push leases). Starting a running manager
 // is a no-op.
-func (m *Manager) Start() {
-	m.mu.Lock()
-	if m.running {
-		m.mu.Unlock()
-		return
-	}
-	m.running = true
-	gen := m.gen
-	m.mu.Unlock()
-	m.scheduleSweep(gen)
-}
+func (m *Manager) Start() { m.sweeps.Start(m.ttl / 2) }
 
-// Stop halts the sweep. It is idempotent and safe to race an in-flight
-// sweep callback: bumping the generation retires any callback that already
-// fired but has not re-armed yet, so no sweeper can outlive Stop.
-func (m *Manager) Stop() {
-	m.mu.Lock()
-	if !m.running {
-		m.mu.Unlock()
-		return
-	}
-	m.running = false
-	m.gen++
-	t := m.sweepT
-	m.sweepT = nil
-	m.mu.Unlock()
-	if t != nil {
-		t.Stop()
-	}
-}
+// Stop halts the sweep; once it returns, no sweep begins.
+func (m *Manager) Stop() { m.sweeps.Stop() }
 
-func (m *Manager) scheduleSweep(gen uint64) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if !m.running || gen != m.gen {
-		return
-	}
-	m.sweepT = m.clock.AfterFunc(m.ttl/2, func() {
-		m.mu.Lock()
-		live := m.running && gen == m.gen
-		m.mu.Unlock()
-		if !live {
-			return
-		}
-		m.sweepOnce()
-		m.scheduleSweep(gen)
-	})
+func (m *Manager) sweep(uint64) time.Duration {
+	m.sweepOnce()
+	return m.ttl / 2
 }
 
 // sweepOnce finds expired push leases, revokes them (bumping the epoch),

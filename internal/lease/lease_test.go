@@ -260,6 +260,56 @@ func TestHolderLosesLeaseWhenManagerUnreachable(t *testing.T) {
 	}
 }
 
+// TestHolderReacquiredOnLossKeepsRenewing: an owner that takes its lease
+// back from inside the loss callback, while the renewal that lost it is
+// still running, keeps renewing the new lease.
+func TestHolderReacquiredOnLossKeepsRenewing(t *testing.T) {
+	f := simtest.New(simtest.Options{Servers: 2})
+	defer f.Stop()
+	tbl := store.New("leasedb", f.Clock)
+	mgr := lease.NewManager(f.Clock, lease.AlwaysLeader(), tbl, time.Second)
+	f.Servers[0].Registry.Register(mgr.RMIService())
+	f.Settle(2)
+
+	h := lease.NewHolder(f.Clock, f.Servers[1].Endpoint, "q", "server-2", lease.Pull,
+		f.Servers[0].Endpoint.Addr())
+	defer h.Stop()
+	if err := h.Acquire(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	var reacquired atomic.Bool
+	h.OnLost(func() {
+		if err := mgr.Release("q", "other"); err != nil {
+			t.Error(err)
+		}
+		if err := h.Acquire(context.Background()); err != nil {
+			t.Error(err)
+		}
+		reacquired.Store(true)
+	})
+	// Ownership moves away, so the next renewal loses the lease.
+	if err := mgr.Release("q", "server-2"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := mgr.Acquire("q", "other", lease.Pull); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 5 && !reacquired.Load(); i++ {
+		f.VClock.Advance(200 * time.Millisecond)
+		time.Sleep(2 * time.Millisecond)
+	}
+	if !reacquired.Load() {
+		t.Fatal("the renewal never lost the lease")
+	}
+	for i := 0; i < 10; i++ {
+		f.VClock.Advance(400 * time.Millisecond)
+		time.Sleep(2 * time.Millisecond)
+	}
+	if !h.Held() {
+		t.Fatal("the lease taken back on loss was never renewed")
+	}
+}
+
 func TestHolderProbesForLeader(t *testing.T) {
 	// Manager replicas on two servers; only server-2's replica leads.
 	f := simtest.New(simtest.Options{Servers: 3})

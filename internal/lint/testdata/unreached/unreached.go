@@ -162,6 +162,25 @@ func (c *Client) Do() {}
 // helper is unexported, so returning a Client does not reach it.
 func (c *Client) helper() {} // want "unreached.Client.helper is reached by no binary"
 
+// Open hands out the second step of Library's API.
+func (c *Client) Open() *Session { return &Session{} }
+
+// Session is what a Client opens.
+type Session struct{}
+
+// Fetch is reached because Client.Open, which Library's result reaches,
+// returns a *Session.
+func (s *Session) Fetch() {}
+
+// End's directive is stale: the same chain reaches it.
+//
+/* want "unreached.Session.End is reached without this directive" */ //wls:nolint unreached -- test hook: TestSession
+func (s *Session) End() {
+}
+
+// drop is unexported, so the chain does not reach it.
+func (s *Session) drop() {} // want "unreached.Session.drop is reached by no binary"
+
 // Reached is called by the binary; its directive is stale.
 //
 /* want "unreached.Reached is reached without this directive" */ //wls:nolint unreached -- test hook: TestReached

@@ -50,7 +50,8 @@ var unreachedReasons = []string{"item ", "library-only: ", "test hook: ", "bench
 // whose doc comment carries //wls:nolint unreached -- <reason>, which is
 // how a deliberate library entry point is declared: one directive roots
 // all its callees and, since it hands its results to a caller outside the
-// binaries, the exported methods of the package's types it returns. From
+// binaries, the exported methods of the package's types it returns, and
+// in turn those of the types those methods return (see resultMethods). From
 // a reached body, every function or method it names, called or used as a
 // value, is reached; a method named through an interface I reaches the
 // module methods of that name in the method set of a module type that
@@ -505,23 +506,32 @@ func checkUnreachedReason(g *GlobalPass, c *ast.Comment) {
 	}
 }
 
-// resultMethods reaches the exported methods of every module type fn
-// returns: a declared entry point hands its results to a caller outside
-// the binaries, which may call any of them.
+// resultMethods reaches the exported methods of every type of fn's
+// package that fn returns, and in turn those of every type of their
+// package that those methods return, until nothing new is reached: a
+// declared entry point hands its results to a caller outside the
+// binaries, which may call any of them, and use what they return.
 func resultMethods(fn *types.Func, reach func(*types.Func)) {
-	res := fn.Type().(*types.Signature).Results()
-	for i := 0; i < res.Len(); i++ {
-		t := res.At(i).Type()
-		if p, ok := t.(*types.Pointer); ok {
-			t = p.Elem()
-		}
-		named, ok := t.(*types.Named)
-		if !ok || named.Obj().Pkg() != fn.Pkg() {
-			continue
-		}
-		for j := 0; j < named.NumMethods(); j++ {
-			if m := named.Method(j); m.Exported() {
-				reach(m)
+	seen := map[*types.Func]bool{fn: true}
+	for work := []*types.Func{fn}; len(work) > 0; {
+		fn := work[len(work)-1]
+		work = work[:len(work)-1]
+		res := fn.Type().(*types.Signature).Results()
+		for i := 0; i < res.Len(); i++ {
+			t := res.At(i).Type()
+			if p, ok := t.(*types.Pointer); ok {
+				t = p.Elem()
+			}
+			named, ok := t.(*types.Named)
+			if !ok || named.Obj().Pkg() != fn.Pkg() {
+				continue
+			}
+			for j := 0; j < named.NumMethods(); j++ {
+				if m := named.Method(j); m.Exported() && !seen[m] {
+					seen[m] = true
+					reach(m)
+					work = append(work, m)
+				}
 			}
 		}
 	}

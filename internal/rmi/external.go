@@ -40,14 +40,12 @@ func (r *Registry) registerBuiltins() {
 // it never participates in cluster heartbeating.
 type ExternalClient struct {
 	node      Node
-	clock     vclock.Clock
 	bootstrap []string
 	interval  time.Duration
+	refreshes *vclock.Loop // Refresh every interval
 
 	mu      sync.Mutex
 	members []cluster.MemberInfo
-	timer   vclock.Timer
-	stopped bool
 }
 
 // ErrNoBootstrap means no bootstrap address answered the view query.
@@ -57,7 +55,9 @@ var ErrNoBootstrap = errors.New("rmi: no bootstrap server reachable")
 // every interval from the bootstrap addresses. Call Refresh once (or Start)
 // before creating stubs.
 func NewExternalClient(node Node, clock vclock.Clock, interval time.Duration, bootstrap ...string) *ExternalClient {
-	return &ExternalClient{node: node, clock: clock, bootstrap: bootstrap, interval: interval}
+	c := &ExternalClient{node: node, bootstrap: bootstrap, interval: interval}
+	c.refreshes = vclock.NewLoop(clock, c.refresh, false)
+	return c
 }
 
 // Refresh fetches the cluster view now, trying each bootstrap address and
@@ -102,41 +102,19 @@ func (c *ExternalClient) Refresh(ctx context.Context) error {
 // Start begins periodic background refresh.
 //
 //wls:nolint unreached -- library-only: §2.2, TestExternalClientPeriodicRefresh
-func (c *ExternalClient) Start() {
-	c.mu.Lock()
-	c.stopped = false
-	c.mu.Unlock()
-	c.scheduleRefresh()
-}
+func (c *ExternalClient) Start() { c.refreshes.Start(c.interval) }
 
-func (c *ExternalClient) scheduleRefresh() {
-	c.mu.Lock()
-	if c.stopped {
-		c.mu.Unlock()
-		return
-	}
-	c.timer = c.clock.AfterFunc(c.interval, func() {
-		ctx, cancel := context.WithTimeout(context.Background(), c.interval)
-		_ = c.Refresh(ctx)
-		cancel()
-		c.scheduleRefresh()
-	})
-	c.mu.Unlock()
+func (c *ExternalClient) refresh(uint64) time.Duration {
+	ctx, cancel := context.WithTimeout(context.Background(), c.interval)
+	_ = c.Refresh(ctx)
+	cancel()
+	return c.interval
 }
 
 // Stop halts background refresh.
 //
 //wls:nolint unreached -- library-only: §2.2, TestExternalClientPeriodicRefresh
-func (c *ExternalClient) Stop() {
-	c.mu.Lock()
-	c.stopped = true
-	t := c.timer
-	c.timer = nil
-	c.mu.Unlock()
-	if t != nil {
-		t.Stop()
-	}
-}
+func (c *ExternalClient) Stop() { c.refreshes.Stop() }
 
 // Candidates implements View against the cached copy.
 func (c *ExternalClient) Candidates(service string) []cluster.MemberInfo {

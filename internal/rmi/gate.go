@@ -52,8 +52,8 @@ type QueueConfig struct {
 // its Done.
 type Gate struct {
 	cfg   QueueConfig
-	clock vclock.Clock
 	reg   *metrics.Registry
+	tuner *vclock.Loop // tune every tuneInterval, with SelfTuning
 
 	// Shedding must be observable (wlsadmin metrics, E25/E30): counters
 	// are resolved once at construction so the per-request path is a bare
@@ -69,7 +69,6 @@ type Gate struct {
 	// line is non-empty only while running ≥ limit.
 	line   []*waiter
 	closed bool
-	tuner  vclock.Timer
 }
 
 // waiter is one request in line. Whoever takes it out of the line — Done
@@ -93,7 +92,6 @@ func NewGate(cfg QueueConfig, clock vclock.Clock, reg *metrics.Registry) *Gate {
 	}
 	g := &Gate{
 		cfg:       cfg,
-		clock:     clock,
 		reg:       reg,
 		submitted: reg.Counter("queue.submitted"),
 		accepted:  reg.Counter("queue.accepted"),
@@ -101,10 +99,9 @@ func NewGate(cfg QueueConfig, clock vclock.Clock, reg *metrics.Registry) *Gate {
 		depth:     reg.Gauge("queue.depth"),
 		limit:     cfg.Workers,
 	}
+	g.tuner = vclock.NewLoop(clock, g.tune, false)
 	if cfg.SelfTuning {
-		g.mu.Lock() // tune, on the clock's goroutine, rewrites g.tuner
-		g.tuner = clock.AfterFunc(tuneInterval, g.tune)
-		g.mu.Unlock()
+		g.tuner.Start(tuneInterval)
 	}
 	return g
 }
@@ -182,11 +179,11 @@ func (g *Gate) leave(w *waiter) {
 // tune raises the limit by one while the line is longer than the limit,
 // lowers it by one while the line is empty, and runs again tuneInterval
 // later.
-func (g *Gate) tune() {
+func (g *Gate) tune(uint64) time.Duration {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	if g.closed {
-		return
+		return -1
 	}
 	switch backlog := len(g.line); {
 	case backlog > g.limit && g.limit < tuneGrowth*g.cfg.Workers:
@@ -197,7 +194,7 @@ func (g *Gate) tune() {
 		g.limit--
 		g.reg.Counter("queue.shrunk").Inc()
 	}
-	g.tuner = g.clock.AfterFunc(tuneInterval, g.tune)
+	return tuneInterval
 }
 
 // Close refuses everyone in line and every later Admit. Requests already
@@ -209,9 +206,7 @@ func (g *Gate) Close() {
 		return
 	}
 	g.closed = true
-	if g.tuner != nil {
-		g.tuner.Stop()
-	}
+	g.tuner.Stop()
 	for _, w := range g.line {
 		w.err = ErrQueueClosed
 		close(w.done)

@@ -89,6 +89,9 @@ type Host struct {
 	impl     Activatable
 	node     rmi.Node
 	managers []string
+	// retries runs evaluate every retryInterval on its own goroutine: it
+	// makes lease and handoff RPCs.
+	retries *vclock.Loop
 
 	// mu guards activation state; ownership checks read the lease
 	// holder while it is held (Holder.Held only, never Acquire).
@@ -96,9 +99,7 @@ type Host struct {
 	//wls:lockorder singleton.Host.mu<lease.Holder.mu
 	mu       sync.Mutex
 	active   bool
-	stopped  bool
-	retryT   vclock.Timer
-	unwatch  func() // removes Start's membership listener
+	unwatch  func() // removes Start's membership listener; nil while stopped
 	freeSeen int    // consecutive free-lease sightings (second-chance patience)
 }
 
@@ -118,6 +119,7 @@ func NewHost(cfg Config, member *cluster.Member, registry *rmi.Registry, impl Ac
 		managers: managerAddrs,
 		holder:   lease.NewHolder(member.Clock(), node, cfg.Service, self, lease.Push, managerAddrs...),
 	}
+	h.retries = vclock.NewLoop(h.clock, h.retry, true)
 	h.holder.OnLost(h.onLeaseLost)
 	registry.Register(h.handoffService())
 	return h
@@ -171,7 +173,7 @@ func (h *Host) rankOf(server string) int {
 }
 
 // Start begins competing for ownership and watching membership for
-// preference-based handoff.
+// preference-based handoff. Starting a started host does nothing.
 func (h *Host) Start() {
 	unwatch := h.member.OnEvent(func(ev cluster.Event) {
 		// A higher-preference candidate came back: hand off. A failure of
@@ -183,27 +185,29 @@ func (h *Host) Start() {
 		}
 	})
 	h.mu.Lock()
-	h.stopped, h.unwatch = false, unwatch
+	if h.unwatch != nil {
+		h.mu.Unlock()
+		unwatch()
+		return
+	}
+	h.unwatch = unwatch
+	h.retries.Start(retryInterval)
 	h.mu.Unlock()
 	h.evaluate()
-	h.scheduleRetry()
 }
 
 // Stop abandons the candidacy; if active, the service deactivates and the
 // lease is released so a peer can take over promptly.
 func (h *Host) Stop() {
 	h.mu.Lock()
-	h.stopped = true
-	t, unwatch := h.retryT, h.unwatch
-	h.retryT, h.unwatch = nil, nil
+	h.retries.Stop()
+	unwatch := h.unwatch
+	h.unwatch = nil
 	wasActive := h.active
 	h.active = false
 	h.mu.Unlock()
 	if unwatch != nil {
 		unwatch()
-	}
-	if t != nil {
-		t.Stop()
 	}
 	if wasActive {
 		h.impl.Deactivate()
@@ -275,7 +279,7 @@ func (h *Host) isBestCandidate() bool {
 // evaluate decides whether to acquire, keep, or hand off ownership.
 func (h *Host) evaluate() {
 	h.mu.Lock()
-	if h.stopped {
+	if h.unwatch == nil {
 		h.mu.Unlock()
 		return
 	}
@@ -382,17 +386,7 @@ func (h *Host) onLeaseLost() {
 	h.deactivate(false)
 }
 
-func (h *Host) scheduleRetry() {
-	h.mu.Lock()
-	if h.stopped {
-		h.mu.Unlock()
-		return
-	}
-	h.retryT = h.clock.AfterFunc(retryInterval, func() {
-		go func() {
-			h.evaluate()
-			h.scheduleRetry()
-		}()
-	})
-	h.mu.Unlock()
+func (h *Host) retry(uint64) time.Duration {
+	h.evaluate()
+	return retryInterval
 }

@@ -44,11 +44,11 @@ func IdentityTransform(table string, row store.Row) (string, map[string]string, 
 type ETL struct {
 	src       *store.Store
 	dst       *store.Store
-	clock     vclock.Clock
 	interval  time.Duration
 	transform Transform
 	tables    map[string]bool // nil = all tables
 	reg       *metrics.Registry
+	runs      *vclock.Loop // RunOnce every interval
 
 	// mu guards the extraction cursor; each tick reads the source
 	// store's LSN while holding it.
@@ -56,8 +56,6 @@ type ETL struct {
 	//wls:lockorder warehouse.ETL.mu<store.Store.mu
 	mu       sync.Mutex
 	sinceLSN uint64
-	timer    vclock.Timer
-	stopped  bool
 }
 
 // NewETL creates an incremental ETL pipeline. tables limits extraction
@@ -73,15 +71,16 @@ func NewETL(src, dst *store.Store, clock vclock.Clock, interval time.Duration, t
 			filter[t] = true
 		}
 	}
-	return &ETL{
+	e := &ETL{
 		src:       src,
 		dst:       dst,
-		clock:     clock,
 		interval:  interval,
 		transform: transform,
 		tables:    filter,
 		reg:       metrics.NewRegistry(),
 	}
+	e.runs = vclock.NewLoop(clock, e.run, false)
+	return e
 }
 
 // InitialLoad copies every current row of the configured tables and sets
@@ -193,36 +192,14 @@ func (e *ETL) Lag() int {
 }
 
 // Start runs RunOnce on the configured interval.
-func (e *ETL) Start() {
-	e.mu.Lock()
-	e.stopped = false
-	e.mu.Unlock()
-	e.schedule()
-}
+func (e *ETL) Start() { e.runs.Start(e.interval) }
 
 // Stop halts periodic runs.
-func (e *ETL) Stop() {
-	e.mu.Lock()
-	e.stopped = true
-	t := e.timer
-	e.timer = nil
-	e.mu.Unlock()
-	if t != nil {
-		t.Stop()
-	}
-}
+func (e *ETL) Stop() { e.runs.Stop() }
 
-func (e *ETL) schedule() {
-	e.mu.Lock()
-	if e.stopped {
-		e.mu.Unlock()
-		return
-	}
-	e.timer = e.clock.AfterFunc(e.interval, func() {
-		e.RunOnce()
-		e.schedule()
-	})
-	e.mu.Unlock()
+func (e *ETL) run(uint64) time.Duration {
+	e.RunOnce()
+	return e.interval
 }
 
 // ---------------------------------------------------------------------------

@@ -256,3 +256,44 @@ func TestETLResyncsAfterChangeLogTrim(t *testing.T) {
 		t.Fatal("incremental change not propagated after resync")
 	}
 }
+
+// TestRestartInsideARunKeepsOneChain: an ETL stopped and started inside
+// one of its own runs (here by its transform) keeps one timer chain, and
+// after the final Stop it applies nothing written later.
+func TestRestartInsideARunKeepsOneChain(t *testing.T) {
+	clk := vclock.NewVirtualAtZero()
+	op, copyDB := newPair(clk)
+	var etl *ETL
+	restarts := 0
+	etl = NewETL(op, copyDB, clk, time.Second, func(table string, row store.Row) (string, map[string]string, bool) {
+		if restarts == 0 {
+			restarts++
+			etl.Stop()
+			etl.Start()
+		}
+		return table, row.Fields, true
+	}, "flights")
+	etl.InitialLoad("flights")
+	etl.Start()
+	op.Put("flights", "f1", seats(100))
+	clk.Advance(time.Second)
+	if restarts != 1 {
+		t.Fatalf("%d restarts inside the run, want 1", restarts)
+	}
+	if _, ok := copyDB.Get("flights", "f1"); !ok {
+		t.Fatal("the run that restarted the ETL did not apply its row")
+	}
+	if got := clk.PendingTimers(); got != 1 {
+		t.Errorf("%d timers pending after a restart inside a run, want 1", got)
+	}
+
+	etl.Stop()
+	if got := clk.PendingTimers(); got != 0 {
+		t.Errorf("%d timers pending after Stop", got)
+	}
+	op.Put("flights", "f2", seats(50))
+	clk.Advance(10 * time.Second)
+	if _, ok := copyDB.Get("flights", "f2"); ok {
+		t.Error("a stopped ETL applied a row written after Stop")
+	}
+}
