@@ -49,14 +49,16 @@ check:
 # gates is CI's "Alloc and wire gates" step, which runs exactly this
 # target (see the comment there): the request-path allocation gates on one
 # and four CPUs twenty times over, the wire gates (bytes per routed
-# request, the same at any connection age), the placement, row,
-# lock-table and connection footprints, a steady heartbeat's one
-# allocation, and the pool-recycling stress.
+# request, the same at any connection age), the HTTP edge's one
+# allocation per request (no Set-Cookie for a cookie that still holds),
+# the placement, row, lock-table and connection footprints, a steady
+# heartbeat's one allocation, and the pool-recycling stress.
 # Allocation counts need a build without -race; the last two lines are
 # race-only checks.
 gates:
 	$(GO) test -run 'TestAllocGate' -count=20 -cpu 1,4 .
 	$(GO) test -run 'TestWireGate' -v -count=1 .
+	$(GO) test -run 'TestAppHandlerReadsTheCookieInPlace' -v -count=1 ./cmd/wlsd
 	$(GO) test -run 'TestPlacementAllocFree' -v -count=1 ./internal/servlet
 	$(GO) test -run 'TestSteadyHeartbeatAllocsPerMember' -v -count=1 ./internal/cluster
 	$(GO) test -run 'TestStoreRowFootprint|TestUnfollowedStoreKeepsNoWindow|TestLockTableGivesBackItsMap' -v -count=1 ./internal/store

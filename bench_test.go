@@ -156,7 +156,9 @@ func BenchmarkServletSession(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		cookie = resp.Cookie
+		if resp.Cookie != "" {
+			cookie = resp.Cookie
+		}
 	}
 }
 

@@ -91,8 +91,9 @@ func main() {
 
 // newAppHandler is the application listener's handler: the WLSESSION cookie
 // and the request body (at most servlet.MaxHTTPBody, 413 beyond) go to
-// route — the proxy plug-in's Route — and its reply comes back with the
-// rewritten cookie.
+// route — the proxy plug-in's Route — and its reply comes back with a
+// Set-Cookie only when it names a new cookie: the session was created,
+// failed over or moved its secondary. Otherwise the browser's still holds.
 func newAppHandler(route func(ctx context.Context, path, cookie string, body []byte) (servlet.Response, error)) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		cookie := servlet.CookieValue(r.Header, sessionCookie)

@@ -168,7 +168,9 @@ func TestAppHandlerForwardsBody(t *testing.T) {
 // every routed request, and once the primary is stopped through the admin
 // surface it names the secondary, which promoted itself (Fig 2). No reply
 // frame names its server, so the header comes from the member the proxy
-// called.
+// called. A Set-Cookie comes with the reply that creates the session and
+// the one that fails it over, and with no steady one: the browser's cookie
+// still holds.
 func TestServedByHeaderFollowsThePrimary(t *testing.T) {
 	cluster, err := wls.New(wls.Options{Servers: 3, RealClock: true})
 	if err != nil {
@@ -183,7 +185,7 @@ func TestServedByHeaderFollowsThePrimary(t *testing.T) {
 	defer admin.Close()
 
 	cookie := ""
-	count := func() (servedBy string, session servlet.Cookie) {
+	count := func() (servedBy string, session servlet.Cookie, set bool) {
 		t.Helper()
 		req, _ := http.NewRequest(http.MethodGet, app.URL+"/count", nil)
 		if cookie != "" {
@@ -200,24 +202,27 @@ func TestServedByHeaderFollowsThePrimary(t *testing.T) {
 		}
 		for _, c := range resp.Cookies() {
 			if c.Name == sessionCookie {
-				cookie = c.Value
+				cookie, set = c.Value, true
 			}
 		}
 		session, err = servlet.DecodeCookie(cookie)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return resp.Header.Get("X-Served-By"), session
+		return resp.Header.Get("X-Served-By"), session, set
 	}
 
 	was := servlet.Cookie{}
 	for i := 0; i < 3; i++ {
-		servedBy, session := count()
+		servedBy, session, set := count()
 		if session.Primary == "" || session.Secondary == "" || servedBy != session.Primary {
 			t.Fatalf("request %d: X-Served-By %q, session %+v; want its primary", i, servedBy, session)
 		}
 		if i > 0 && (session.ID != was.ID || session.Primary != was.Primary) {
 			t.Fatalf("request %d: session %+v, was %+v", i, session, was)
+		}
+		if created := i == 0; set != created {
+			t.Fatalf("request %d: Set-Cookie sent %v, want %v", i, set, created)
 		}
 		was = session
 	}
@@ -230,9 +235,12 @@ func TestServedByHeaderFollowsThePrimary(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("crash %s: status %d", was.Primary, resp.StatusCode)
 	}
-	servedBy, session := count()
+	servedBy, session, set := count()
 	if servedBy != was.Secondary || session.Primary != was.Secondary || session.ID != was.ID {
 		t.Fatalf("after stopping %s: X-Served-By %q, session %+v; want the promoted secondary %s", was.Primary, servedBy, session, was.Secondary)
+	}
+	if !set {
+		t.Fatalf("after stopping %s: no Set-Cookie for the rewritten cookie", was.Primary)
 	}
 }
 
@@ -241,7 +249,9 @@ func TestServedByHeaderFollowsThePrimary(t *testing.T) {
 // session cookie among others: WLSESSION is taken from the Cookie header as
 // a substring (servlet.CookieValue): 1 allocation per request here, where
 // http.Request.Cookie, which parses every cookie of the request into an
-// *http.Cookie, made it 3.
+// *http.Cookie, made it 3. The router names no new cookie, so no
+// Set-Cookie is formatted; a second router that names one gets exactly one
+// Set-Cookie for it.
 func TestAppHandlerReadsTheCookieInPlace(t *testing.T) {
 	const value = "AbCdEf-session_cookie"
 	var got string
@@ -259,9 +269,23 @@ func TestAppHandlerReadsTheCookieInPlace(t *testing.T) {
 	if got != value {
 		t.Fatalf("the router was handed cookie %q, want %q", got, value)
 	}
+	if set := w.Header().Values("Set-Cookie"); len(set) != 0 {
+		t.Fatalf("a reply naming no cookie sent Set-Cookie %q", set)
+	}
 	t.Logf("%.0f allocations per request", n)
 	if n > 1 {
 		t.Fatalf("the handler allocates %.0f per request, over 1", n)
+	}
+
+	const rewritten = "GhIjKl-promoted"
+	h = newAppHandler(func(context.Context, string, string, []byte) (servlet.Response, error) {
+		return servlet.Response{Status: http.StatusOK, Cookie: rewritten}, nil
+	})
+	w = httptest.NewRecorder()
+	h.ServeHTTP(w, r)
+	set := w.Result().Cookies()
+	if len(set) != 1 || set[0].Name != sessionCookie || set[0].Value != rewritten {
+		t.Fatalf("a reply naming cookie %q sent Set-Cookie %q, want it once", rewritten, w.Header().Values("Set-Cookie"))
 	}
 }
 

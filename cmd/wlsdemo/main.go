@@ -68,13 +68,16 @@ func main() {
 	cluster.Settle(2)
 	proxy := cluster.ProxyPlugin("web:80")
 	resp, _ := proxy.Route(ctx, "/visit", "", nil)
+	cookie := resp.Cookie
 	for i := 0; i < 2; i++ {
-		resp, _ = proxy.Route(ctx, "/visit", resp.Cookie, nil)
+		if resp, _ = proxy.Route(ctx, "/visit", cookie, nil); resp.Cookie != "" {
+			cookie = resp.Cookie
+		}
 	}
-	ck, _ := servlet.DecodeCookie(resp.Cookie)
+	ck, _ := servlet.DecodeCookie(cookie)
 	say("  session pinned to %s, replicated on %s (cookie carries both)", ck.Primary, ck.Secondary)
 	cluster.Crash(ck.Primary)
-	resp, err = proxy.Route(ctx, "/visit", resp.Cookie, nil)
+	resp, err = proxy.Route(ctx, "/visit", cookie, nil)
 	if err != nil {
 		log.Fatal(err)
 	}

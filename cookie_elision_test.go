@@ -1,12 +1,13 @@
 package wls_test
 
-// The reply of the RMI surface leaves the session cookie out when it is the
-// one the request carried (servlet.AppendResponse) and the webtier puts it
-// back (webtier's reply). These tests run one scripted client against the
-// simulated fabric and against real TCP with a decorator on the router's
-// node that keeps every reply frame, and check both sides of the rule on
-// every request: the frame carries a cookie exactly when the cookie
-// changed, and the router returns the cookie the engine set either way.
+// A Response's Cookie is the cookie the client must store now, empty when
+// the one it sent still holds, and the reply of the RMI surface carries it
+// only then (servlet.AppendResponse). These tests run one scripted client
+// against the simulated fabric and against real TCP with a decorator on the
+// router's node that keeps every reply frame, and check both sides of the
+// rule on every request: the frame carries a cookie exactly when the cookie
+// changed, and the router returns a cookie exactly when the frame carries
+// one. The client keeps the cookie it sent unless a reply names a new one.
 
 import (
 	"bytes"
@@ -124,23 +125,28 @@ var elisionFabrics = []struct {
 	rig  func(*testing.T, servlet.SessionMode) *elisionRig
 }{{"netsim", netsimRig}, {"tcp", tcpRig}}
 
-// step routes one request and holds its reply frame to the rule: no cookie
-// in it exactly when the engine's cookie is the one that was sent.
+// step routes one request and holds it to the rule: the router returns a
+// cookie exactly when the reply frame carries the session's, and never the
+// one that was sent.
 func (r *elisionRig) step(t *testing.T, path, cookie string, body []byte) servlet.Response {
 	t.Helper()
 	resp, err := r.route(path, cookie, body)
 	if err != nil {
 		t.Fatalf("%s: %v", path, err)
 	}
-	if resp.Status != 200 || !bytes.Equal(resp.Body, body) || resp.Cookie == "" {
+	if resp.Status != 200 || !bytes.Equal(resp.Body, body) {
 		t.Fatalf("%s: status %d, body %q, cookie %q", path, resp.Status, resp.Body, resp.Cookie)
 	}
-	if c, err := servlet.DecodeCookie(resp.Cookie); err != nil || (c.Primary != "" && c.Primary != resp.ServedBy) {
+	held := resp.Cookie
+	if held == "" {
+		held = cookie
+	}
+	if c, err := servlet.DecodeCookie(held); err != nil || (c.Primary != "" && c.Primary != resp.ServedBy) {
 		t.Fatalf("%s: cookie %+v (err %v) from a reply served by %s", path, c, err, resp.ServedBy)
 	}
-	carried := bytes.Contains(r.tap.reply(), []byte(resp.Cookie))
-	if unchanged := resp.Cookie == cookie; carried == unchanged {
-		t.Fatalf("%s: cookie unchanged = %v, yet carried in the reply frame = %v (%d-byte frame)", path, unchanged, carried, len(r.tap.reply()))
+	carried := bytes.Contains(r.tap.reply(), []byte(held))
+	if named := resp.Cookie != ""; carried != named || resp.Cookie == cookie && named {
+		t.Fatalf("%s: sent %q, returned %q, carried in the reply frame = %v (%d-byte frame)", path, cookie, resp.Cookie, carried, len(r.tap.reply()))
 	}
 	return resp
 }
@@ -171,39 +177,40 @@ func TestCookieElisionReplicated(t *testing.T) {
 			full := len(r.tap.reply())
 
 			// Steady state: the frame is the creation reply less the cookie
-			// field (a length byte and the cookie), Route still returns it.
+			// field (a length byte and the cookie), and Route names none.
 			for i := 0; i < 100; i++ {
 				path := "/echo"
 				if i%2 == 1 {
 					path = "/bump" // a session write changes the state, not the cookie
 				}
 				resp := r.step(t, path, cookie, body)
-				if resp.Cookie != cookie || resp.ServedBy != created.ServedBy {
-					t.Fatalf("steady request %d: cookie %q from %s, want %q from %s", i, resp.Cookie, resp.ServedBy, cookie, created.ServedBy)
+				if resp.Cookie != "" || resp.ServedBy != created.ServedBy {
+					t.Fatalf("steady request %d: cookie %q from %s, want none from %s", i, resp.Cookie, resp.ServedBy, created.ServedBy)
 				}
 				if got, want := len(r.tap.reply()), full-1-len(cookie); got != want {
 					t.Fatalf("steady request %d: %d-byte reply frame, want %d (%d with the cookie)", i, got, want, full)
 				}
 			}
 
-			// A URL-rewritten token and no Cookie header: the router holds
-			// no cookie to put back, so the reply names it. (The plug-in
-			// routes on the header alone, so the request lands anywhere and
-			// the session moves there, Fig 3: same session, new primary. It
-			// is written first, so that its secondary holds a copy to fetch.)
+			// A URL-rewritten token and no Cookie header: the reply's cookie
+			// is compared with the header, which is empty, so the reply
+			// names it. (The plug-in routes on the header alone, so the
+			// request lands anywhere and the session moves there, Fig 3:
+			// same session, new primary. It is written first, so that its
+			// secondary holds a copy to fetch.)
 			other := r.step(t, "/bump", "", body).Cookie
 			viaURL := r.step(t, servlet.EncodeURL("/echo", other), "", body)
 			a, _ := servlet.DecodeCookie(other)
 			if b, _ := servlet.DecodeCookie(viaURL.Cookie); b.ID != a.ID {
 				t.Fatalf("URL-rewritten token: session %q, want %q", b.ID, a.ID)
 			}
-			// Token and Cookie header both: the header is what was sent.
-			if resp := r.step(t, servlet.EncodeURL("/echo", viaURL.Cookie), viaURL.Cookie, body); resp.Cookie != viaURL.Cookie {
-				t.Fatalf("URL-rewritten token beside the cookie: cookie %q, want %q", resp.Cookie, viaURL.Cookie)
+			// Token and Cookie header both: the header is what was sent, and
+			// it still holds.
+			if resp := r.step(t, servlet.EncodeURL("/echo", viaURL.Cookie), viaURL.Cookie, body); resp.Cookie != "" {
+				t.Fatalf("URL-rewritten token beside the cookie: cookie %q, want none", resp.Cookie)
 			}
 
-			// An error reply has no cookie, and that is not "the one you
-			// sent": it travels as an empty one.
+			// An error reply names no cookie: the client keeps the one it sent.
 			if resp, err := r.route("/nope", cookie, nil); err != nil || resp.Status != 404 || resp.Cookie != "" {
 				t.Fatalf("404 with a cookie: %+v, %v", resp, err)
 			}
@@ -218,7 +225,7 @@ func TestCookieElisionReplicated(t *testing.T) {
 			moved := 0
 			for i, old := range cookies {
 				resp := r.step(t, "/bump", old, body)
-				if resp.Cookie != old {
+				if resp.Cookie != "" {
 					moved++
 					was, _ := servlet.DecodeCookie(old)
 					now, _ := servlet.DecodeCookie(resp.Cookie)
@@ -227,7 +234,7 @@ func TestCookieElisionReplicated(t *testing.T) {
 					}
 					cookies[i] = resp.Cookie
 				}
-				if again := r.step(t, "/echo", cookies[i], body); again.Cookie != cookies[i] {
+				if again := r.step(t, "/echo", cookies[i], body); again.Cookie != "" {
 					t.Fatalf("session %d: cookie changed twice for one join", i)
 				}
 			}
@@ -238,7 +245,7 @@ func TestCookieElisionReplicated(t *testing.T) {
 
 			// The primary dies (Fig 2): the secondary promotes itself and
 			// says so in full; the client follows, and the next reply is
-			// short again.
+			// short again and names no cookie.
 			was, _ := servlet.DecodeCookie(cookie)
 			r.kill(was.Primary)
 			promoted := r.step(t, "/bump", cookie, body)
@@ -247,8 +254,8 @@ func TestCookieElisionReplicated(t *testing.T) {
 				t.Fatalf("after killing %s: served by %s with cookie %+v, was %+v", was.Primary, promoted.ServedBy, now, was)
 			}
 			for i := 0; i < 3; i++ {
-				if resp := r.step(t, "/echo", promoted.Cookie, body); resp.Cookie != promoted.Cookie {
-					t.Fatalf("after the promotion: cookie %q, want %q", resp.Cookie, promoted.Cookie)
+				if resp := r.step(t, "/echo", promoted.Cookie, body); resp.Cookie != "" {
+					t.Fatalf("after the promotion: cookie %q, want none", resp.Cookie)
 				}
 			}
 		})
@@ -257,7 +264,7 @@ func TestCookieElisionReplicated(t *testing.T) {
 
 // TestCookieElisionClientCookie: with the state in the cookie, a request
 // that writes gets a new cookie every time, in full every time; one that
-// only reads gets the short reply.
+// only reads gets the short reply and no cookie, routed or served directly.
 func TestCookieElisionClientCookie(t *testing.T) {
 	for _, fabric := range elisionFabrics {
 		t.Run(fabric.name, func(t *testing.T) {
@@ -266,7 +273,7 @@ func TestCookieElisionClientCookie(t *testing.T) {
 			cookie := r.step(t, "/bump", "", body).Cookie
 			for i := 0; i < 20; i++ {
 				resp := r.step(t, "/bump", cookie, body)
-				if resp.Cookie == cookie {
+				if resp.Cookie == "" {
 					t.Fatalf("request %d wrote the session and kept its cookie", i)
 				}
 				// What the RMI surface returned is what the engine returns
@@ -276,8 +283,11 @@ func TestCookieElisionClientCookie(t *testing.T) {
 				}
 				cookie = resp.Cookie
 			}
-			if resp := r.step(t, "/echo", cookie, body); resp.Cookie != cookie {
+			if resp := r.step(t, "/echo", cookie, body); resp.Cookie != "" {
 				t.Fatalf("a read changed the cookie: %q -> %q", cookie, resp.Cookie)
+			}
+			if direct := r.serve("/echo", cookie); direct.Cookie != "" {
+				t.Fatalf("a read served directly changed the cookie: %q -> %q", cookie, direct.Cookie)
 			}
 		})
 	}
@@ -314,8 +324,8 @@ func TestCookieElisionOtherRouters(t *testing.T) {
 			body := []byte("hello")
 			created := r.step(t, "/echo", "", body)
 			for i := 0; i < 10; i++ {
-				if resp := r.step(t, "/bump", created.Cookie, body); resp.Cookie != created.Cookie || resp.ServedBy != created.ServedBy {
-					t.Fatalf("request %d: cookie %q from %s, want %q from %s", i, resp.Cookie, resp.ServedBy, created.Cookie, created.ServedBy)
+				if resp := r.step(t, "/bump", created.Cookie, body); resp.Cookie != "" || resp.ServedBy != created.ServedBy {
+					t.Fatalf("request %d: cookie %q from %s, want none from %s", i, resp.Cookie, resp.ServedBy, created.ServedBy)
 				}
 			}
 			// Sticky routers bring a URL-rewritten token back to the

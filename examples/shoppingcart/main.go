@@ -79,7 +79,9 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Printf("  %s  [on %s]\n", resp.Body, resp.ServedBy)
-	cookie = resp.Cookie
+	if resp.Cookie != "" {
+		cookie = resp.Cookie
+	}
 
 	fmt.Println("\n== the primary crashes mid-session (§3.2) ==")
 	cluster.Crash(ck.Primary)
@@ -89,7 +91,9 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Printf("  %s  [on %s — the old secondary, promoted]\n", resp.Body, resp.ServedBy)
-	cookie = resp.Cookie
+	if resp.Cookie != "" {
+		cookie = resp.Cookie
+	}
 	ck2, _ := servlet.DecodeCookie(cookie)
 	fmt.Printf("  cookie rewritten: primary=%s secondary=%s\n", ck2.Primary, ck2.Secondary)
 
@@ -107,7 +111,10 @@ func main() {
 	resp2, _ := proxy.Route(ctx, "/cart/add", "", []byte("anvil"))
 	c2 := resp2.Cookie
 	resp2, _ = proxy.Route(ctx, "/cart/add", c2, []byte("anvil"))
-	resp2, err = proxy.Route(ctx, "/cart/checkout", resp2.Cookie, nil)
+	if resp2.Cookie != "" {
+		c2 = resp2.Cookie
+	}
+	resp2, err = proxy.Route(ctx, "/cart/checkout", c2, nil)
 	if err != nil {
 		log.Fatal(err)
 	}

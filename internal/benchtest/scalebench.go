@@ -110,7 +110,9 @@ func e33Run(p e33Params) *Table {
 			lost.Add(1)
 		}
 		u.expect = n
-		u.cookie = resp.Cookie
+		if resp.Cookie != "" {
+			u.cookie = resp.Cookie
+		}
 		return nil
 	}
 

@@ -94,7 +94,9 @@ func runE06() *Table {
 			panic(err)
 		}
 		steady.Record(int64(wall.Since(t0)))
-		cookie = resp.Cookie
+		if resp.Cookie != "" {
+			cookie = resp.Cookie
+		}
 	}
 	t.AddRow("steady", warm, "yes", time.Duration(steady.Mean()).Round(time.Microsecond))
 
@@ -111,7 +113,9 @@ func runE06() *Table {
 	t.AddRow("failover", 1, fmt.Sprint(preserved), failoverLatency.Round(time.Microsecond))
 
 	// Post-failover steady state on the new pair.
-	cookie = resp.Cookie
+	if resp.Cookie != "" {
+		cookie = resp.Cookie
+	}
 	var after metrics.Histogram
 	for i := 0; i < 20; i++ {
 		t1 := wall.Now()
@@ -120,7 +124,9 @@ func runE06() *Table {
 			panic(err)
 		}
 		after.Record(int64(wall.Since(t1)))
-		cookie = resp.Cookie
+		if resp.Cookie != "" {
+			cookie = resp.Cookie
+		}
 	}
 	t.AddRow("post-failover", 20, "yes", time.Duration(after.Mean()).Round(time.Microsecond))
 	return t
@@ -148,7 +154,9 @@ func runE07() *Table {
 		if err != nil {
 			panic(err)
 		}
-		cookie = resp.Cookie
+		if resp.Cookie != "" {
+			cookie = resp.Cookie
+		}
 	}
 	before, _ := servlet.DecodeCookie(cookie)
 	c.Crash(before.Primary)

@@ -541,8 +541,10 @@ func (w *sessionWorkload) request(h *Harness, strict bool) {
 		}
 	}
 	w.expected = n
-	w.cookie = resp.Cookie
-	if c, err := servlet.DecodeCookie(resp.Cookie); err == nil {
+	if resp.Cookie != "" {
+		w.cookie = resp.Cookie
+	}
+	if c, err := servlet.DecodeCookie(w.cookie); err == nil {
 		w.lastP, w.lastS = c.Primary, c.Secondary
 	}
 	w.lostP = false

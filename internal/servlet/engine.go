@@ -1,6 +1,7 @@
 package servlet
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"io"
@@ -45,7 +46,9 @@ var requestPool = sync.Pool{New: func() any { return new(Request) }}
 type Response struct {
 	Status int
 	Body   []byte
-	// Cookie is set by the engine, not by servlets.
+	// Cookie is set by the engine, not by servlets: the cookie the client
+	// must store now, empty when the one it sent still holds (Set-Cookie
+	// semantics).
 	Cookie string
 	// ServedBy records the engine that ran the servlet.
 	ServedBy string
@@ -108,29 +111,25 @@ func (e *Engine) Handle(path string, h HandlerFunc) {
 }
 
 // ServeCtx processes one request locally: resolve the session, run the
-// servlet, replicate/persist the session, return the (possibly rewritten)
-// cookie. When ctx carries a trace span (the RMI surface's server span,
-// typically), session replication and fetch traffic runs under child
-// spans and carries the trace to the replica servers.
+// servlet, replicate/persist the session, return the cookie to set
+// (Response.Cookie). When ctx carries a trace span (the RMI surface's
+// server span, typically), session replication and fetch traffic runs
+// under child spans and carries the trace to the replica servers.
 func (e *Engine) ServeCtx(ctx context.Context, path, cookie string, body []byte) Response {
 	// URL rewriting (§3.2): a cookie-less client may carry the session
-	// token in the path instead.
-	if bare, urlTok := SplitURL(path); urlTok != "" {
-		path = bare
-		if cookie == "" {
-			cookie = urlTok
-		}
-	}
+	// token in the path instead. The reply's cookie is compared with the
+	// Cookie header, which is then empty, so it names the session's.
+	path, urlTok := SplitURL(path)
 	var buf CookieBuf
-	c, err := ParseCookie(cookie, &buf)
+	c, err := ParseCookie(cmp.Or(cookie, urlTok), &buf)
 	if err != nil {
 		return e.badCookie()
 	}
-	resp, same := e.serve(ctx, path, &c, body)
-	if same {
-		resp.Cookie = cookie
+	held := c
+	if cookie == "" {
+		held = CookieRef{}
 	}
-	return resp
+	return e.serve(ctx, path, &c, &held, body)
 }
 
 func (e *Engine) badCookie() Response {
@@ -138,10 +137,9 @@ func (e *Engine) badCookie() Response {
 }
 
 // serve is the common core behind ServeCtx and the RMI surface: resolve
-// the session, run the servlet (through a pooled Request), replicate, and
-// attach the response cookie — or report same: the cookie c was parsed from
-// still holds, and the caller has it.
-func (e *Engine) serve(ctx context.Context, path string, c *CookieRef, body []byte) (resp Response, same bool) {
+// the session c names, run the servlet (through a pooled Request),
+// replicate, and attach the cookie to set, none when held still holds.
+func (e *Engine) serve(ctx context.Context, path string, c, held *CookieRef, body []byte) Response {
 	sess := e.sessions.resolve(ctx, c)
 	if sp := trace.FromContext(ctx); sp != nil {
 		sp.Annotate("session", cluster.IDString(sess.ID))
@@ -151,20 +149,20 @@ func (e *Engine) serve(ctx context.Context, path string, c *CookieRef, body []by
 	e.mu.Unlock()
 	if !ok {
 		releaseSession(sess)
-		return Response{Status: 404, Body: []byte("no servlet at " + path), ServedBy: e.serverName}, false
+		return Response{Status: 404, Body: []byte("no servlet at " + path), ServedBy: e.serverName}
 	}
 	req := requestPool.Get().(*Request)
 	req.Path, req.Body, req.Session, req.Server = path, body, sess, e.serverName
-	resp = h(req)
+	resp := h(req)
 	*req = Request{}
 	requestPool.Put(req)
 	if resp.Status == 0 {
 		resp.Status = 200
 	}
-	resp.Cookie, same = e.sessions.finish(ctx, sess, c)
+	resp.Cookie = e.sessions.finish(ctx, sess, held)
 	releaseSession(sess)
 	resp.ServedBy = e.serverName
-	return resp, same
+	return resp
 }
 
 // handleRequest is the RMI surface used by the presentation tier. Fields
@@ -180,53 +178,46 @@ func (e *Engine) handleRequest(ctx context.Context, call *rmi.Call) ([]byte, err
 	if err := d.Err(); err != nil {
 		return nil, err
 	}
-	if bad != nil {
-		AppendResponse(call.Reply(), e.badCookie(), false)
-		return nil, nil
-	}
-	path := e.paths.Intern(pathB)
-	bare, urlTok := SplitURL(path)
 	var resp Response
-	same, sent := false, !c.empty()
-	if urlTok != "" && !sent {
-		// URL-rewritten token and no Cookie header (rare): the request sent
-		// no cookie, so its reply names one, changed or not.
+	path := e.paths.Intern(pathB)
+	switch bare, urlTok := SplitURL(path); {
+	case bad != nil:
+		resp = e.badCookie()
+	case urlTok != "" && c.empty():
+		// URL-rewritten token and no Cookie header (rare).
 		resp = e.ServeCtx(ctx, path, "", body)
-	} else {
-		resp, same = e.serve(ctx, bare, &c, body)
+	default:
+		resp = e.serve(ctx, bare, &c, &c, body)
 	}
 	// Encoded once, inside the RMI response envelope. resp.Body may alias
 	// the inbound frame (an echo servlet): it is copied here, before the
 	// node recycles that buffer.
-	AppendResponse(call.Reply(), resp, same || !sent && resp.Cookie == "")
+	AppendResponse(call.Reply(), resp)
 	return nil, nil
 }
 
 // AppendResponse serializes a Response for the RMI surface: status, body,
-// then the cookie — unless it is the cookie the request carried (same). A
-// session's cookie changes only on creation, promotion or a new secondary
-// (and on a client-cookie write), so on every other reply the caller
-// already holds it: the reply then ends after the body, and no cookie on
-// the RMI surface means "the one you sent". A cookie that differs, the
-// empty one of an error reply to a request that sent one included, travels
-// in full, as text: it is what the browser gets. ServedBy is not written
-// either: the caller called the server, and fills the field from
-// rmi.Result.ServedBy.
-func AppendResponse(enc *wire.Encoder, r Response, same bool) {
+// then the cookie iff there is one to set (Response.Cookie). A session's
+// changes only on creation, promotion or a new secondary (and on a
+// client-cookie write), so every other reply, a 400 or 404 included, ends
+// after the body. A cookie travels in full, as text: it is what the
+// browser gets. ServedBy is not written either: the caller called the
+// server, and fills the field from rmi.Result.ServedBy.
+func AppendResponse(enc *wire.Encoder, r Response) {
 	enc.Int(r.Status)
 	enc.Bytes2(r.Body)
-	if !same {
+	if r.Cookie != "" {
 		enc.String(r.Cookie)
 	}
 }
 
-// DecodeResponseNoCopy reverses AppendResponse for the caller that sent the
-// request with cookie sent and owns b (per the Node.Call contract): Body
-// aliases b, and a cookie the reply left out is sent. ServedBy is left for
-// the caller to take from the rmi result.
-func DecodeResponseNoCopy(b []byte, sent string) (Response, error) {
+// DecodeResponseNoCopy reverses AppendResponse for a caller that owns b
+// (per the Node.Call contract): Body aliases b, and Cookie is empty when
+// the reply names none. ServedBy is left for the caller to take from the
+// rmi result.
+func DecodeResponseNoCopy(b []byte) (Response, error) {
 	d := wire.NewDecoder(b)
-	r := Response{Status: d.Int(), Body: d.BytesNoCopy(), Cookie: sent}
+	r := Response{Status: d.Int(), Body: d.BytesNoCopy()}
 	if d.Remaining() > 0 {
 		r.Cookie = d.String()
 	}

@@ -216,15 +216,18 @@ func TestFig3FailoverContinuesTheGeneration(t *testing.T) {
 		return nil
 	}
 	resp := engines[0].Serve("/count", "", nil)
+	cookie := resp.Cookie
 	for i := 0; i < 6; i++ {
-		resp = engines[0].Serve("/count", resp.Cookie, nil)
+		if resp = engines[0].Serve("/count", cookie, nil); resp.Cookie != "" {
+			cookie = resp.Cookie
+		}
 	}
-	c, _ := servlet.DecodeCookie(resp.Cookie)
+	c, _ := servlet.DecodeCookie(cookie)
 	third := "server-2"
 	if c.Secondary == third {
 		third = "server-3"
 	}
-	moved := engine(third).Serve("/count", resp.Cookie, nil)
+	moved := engine(third).Serve("/count", cookie, nil)
 	c2, _ := servlet.DecodeCookie(moved.Cookie)
 	if string(moved.Body) != "8" || c2.Primary != third || c2.Secondary != c.Secondary {
 		t.Fatalf("Fig 3 failover to %s: body %q, cookie %+v (was %+v)", third, moved.Body, c2, c)
@@ -291,10 +294,13 @@ func TestFetchCutByPartitionStartsAFreshSession(t *testing.T) {
 		})
 	}
 	resp := engines[0].Serve("/count", "", nil)
+	cookie := resp.Cookie
 	for i := 0; i < 4; i++ {
-		resp = engines[0].Serve("/count", resp.Cookie, nil)
+		if resp = engines[0].Serve("/count", cookie, nil); resp.Cookie != "" {
+			cookie = resp.Cookie
+		}
 	}
-	was, _ := servlet.DecodeCookie(resp.Cookie)
+	was, _ := servlet.DecodeCookie(cookie)
 	if string(resp.Body) != "5" || was.Primary != "server-1" || was.Secondary == "" {
 		t.Fatalf("setup: body %q, cookie %+v", resp.Body, was)
 	}
@@ -306,7 +312,7 @@ func TestFetchCutByPartitionStartsAFreshSession(t *testing.T) {
 	f.SettleTimeout() // the secondary is the one engine the third can place a secondary on
 
 	f.Partition(third.ServerName(), was.Secondary, true)
-	moved := third.Serve("/get", resp.Cookie, nil)
+	moved := third.Serve("/get", cookie, nil)
 	now, _ := servlet.DecodeCookie(moved.Cookie)
 	if string(moved.Body) != "" || now.ID == was.ID || now.Primary != third.ServerName() || now.Secondary != was.Secondary {
 		t.Fatalf("fetch cut: body %q, cookie %+v (was %+v); want a fresh session under a new id", moved.Body, now, was)
@@ -318,7 +324,7 @@ func TestFetchCutByPartitionStartsAFreshSession(t *testing.T) {
 		t.Fatalf("first write of the fresh session counted %q", wrote.Body)
 	}
 	f.Crash(third.ServerName())
-	if promoted := sec.Serve("/get", wrote.Cookie, nil); string(promoted.Body) != "1" {
+	if promoted := sec.Serve("/get", moved.Cookie, nil); string(promoted.Body) != "1" {
 		t.Fatalf("promoted on %s, the session reads n=%q; its primary wrote 1", was.Secondary, promoted.Body)
 	}
 }

@@ -561,28 +561,28 @@ func (sm *SessionManager) chooseSecondary(id, avoid string) placement {
 }
 
 // finish persists/replicates the session after the servlet ran, and
-// returns the cookie the response must carry — or same: c, which the
-// request carried, still says all the response's cookie would, so none is
-// encoded. A replicated session's does when it names this session, this
-// server and its secondary; a stateless session's when it names this
-// session and no servers, and (client-cookie mode) the request wrote no
-// state. Deltas ride the per-secondary batcher.
-func (sm *SessionManager) finish(ctx context.Context, s *Session, c *CookieRef) (cookie string, same bool) {
-	namesOnlyIt := string(c.ID) == s.ID && len(c.Primary) == 0 && len(c.Secondary) == 0
+// returns the cookie the client must store now — none when held, the
+// cookie it sent, still says all that cookie would. A replicated
+// session's does when it names this session, this server and its
+// secondary; a stateless session's when it names this session and no
+// servers, and (client-cookie mode) the request wrote no state. Deltas
+// ride the per-secondary batcher.
+func (sm *SessionManager) finish(ctx context.Context, s *Session, held *CookieRef) string {
+	namesOnlyIt := string(held.ID) == s.ID && len(held.Primary) == 0 && len(held.Secondary) == 0
 	switch sm.mode {
 	case SessionsClientCookie:
 		if namesOnlyIt && len(s.pending) == 0 {
-			return "", true
+			return ""
 		}
 		s.land()
-		return encodeCookie(s.ID, "", "", s.st.list), false
+		return encodeCookie(s.ID, "", "", s.st.list)
 	case SessionsPersistent:
 		s.land()
 		sm.db.Put("wls.sessions", s.ID, attrs.Map(s.st.list))
-		if namesOnlyIt && c.State == nil {
-			return "", true
+		if namesOnlyIt && held.State == nil {
+			return ""
 		}
-		return Cookie{ID: s.ID}.Encode(), false
+		return Cookie{ID: s.ID}.Encode()
 	default:
 		st := s.st
 		if l := s.pendingList(); l != nil {
@@ -590,10 +590,10 @@ func (sm *SessionManager) finish(ctx context.Context, s *Session, c *CookieRef) 
 			l.Release()
 		}
 		sec := sm.secName(st.placed().sec())
-		if string(c.ID) == s.ID && string(c.Primary) == sm.selfName && string(c.Secondary) == sec {
-			return "", true
+		if string(held.ID) == s.ID && string(held.Primary) == sm.selfName && string(held.Secondary) == sec {
+			return ""
 		}
-		return encodeCookie(s.ID, sm.selfName, sec, attrs.Empty), false
+		return encodeCookie(s.ID, sm.selfName, sec, attrs.Empty)
 	}
 }
 

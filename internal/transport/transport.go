@@ -29,6 +29,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"maps"
 	"net"
 	"runtime"
 	"sync"
@@ -60,8 +61,12 @@ type Transport struct {
 	framesIn, bytesIn       *metrics.Counter
 	batchFrames, batchBytes *metrics.Histogram
 
+	// conns maps an advertised address to the conn calls to that peer go
+	// out on. It is copy-on-write, so a Call reads it with no lock; track,
+	// dropConn and Close publish a new map under mu.
+	conns atomic.Pointer[map[string]*conn]
+
 	mu      sync.Mutex
-	conns   map[string]*conn         // the conn calls to a peer go out on, by advertised address
 	extras  map[*conn]struct{}       // other live conns to the same peers, tracked so Close reaps them
 	dialing map[string]chan struct{} // dials in progress, closed when done: one per peer at a time
 	closed  bool
@@ -87,10 +92,10 @@ func Listen(addr string) (*Transport, error) {
 		bytesIn:     reg.Counter("transport.bytes.in"),
 		batchFrames: reg.Histogram("transport.batch.frames"),
 		batchBytes:  reg.Histogram("transport.batch.bytes"),
-		conns:       make(map[string]*conn),
 		extras:      make(map[*conn]struct{}),
 		dialing:     make(map[string]chan struct{}),
 	}
+	t.conns.Store(&map[string]*conn{})
 	t.handler.Store(Handler(func(string, wire.Frame) *wire.Frame { return nil }))
 	for i := 0; i < workers(); i++ {
 		go func() {
@@ -124,8 +129,10 @@ func (t *Transport) Close() error {
 		return nil
 	}
 	t.closed = true
-	conns := make([]*conn, 0, len(t.conns)+len(t.extras))
-	for _, c := range t.conns {
+	live := *t.conns.Load()
+	t.conns.Store(&map[string]*conn{})
+	conns := make([]*conn, 0, len(live)+len(t.extras))
+	for _, c := range live {
 		conns = append(conns, c)
 	}
 	for c := range t.extras {
@@ -195,33 +202,53 @@ func (t *Transport) handleInbound(nc net.Conn) {
 // track files c under its peer: as the conn the send path uses when the
 // peer has no live one, otherwise beside it in extras. Callers hold t.mu.
 func (t *Transport) track(c *conn) {
-	if cur := t.conns[c.remote]; cur != nil && cur.dead.Load() == nil {
+	if cur := t.conn(c.remote); cur != nil && cur.dead.Load() == nil {
 		t.extras[c] = struct{}{}
 	} else {
-		t.conns[c.remote] = c
+		t.publish(c.remote, c)
 	}
 }
 
 func (t *Transport) dropConn(c *conn) {
 	t.mu.Lock()
-	if t.conns[c.remote] == c {
-		delete(t.conns, c.remote)
+	if t.conn(c.remote) == c {
+		t.publish(c.remote, nil)
 	}
 	delete(t.extras, c)
 	t.mu.Unlock()
 }
 
-// getConn returns a live connection to the peer, dialing if necessary.
-// Concurrent callers wait for one dial and then look again; if it failed —
-// perhaps only because its caller's context ran out — the next one dials.
+// conn returns the conn calls to the peer at to go out on, nil if none.
+func (t *Transport) conn(to string) *conn { return (*t.conns.Load())[to] }
+
+// publish replaces conns with a copy in which to maps to c, or to nothing
+// when c is nil. Callers hold t.mu.
+func (t *Transport) publish(to string, c *conn) {
+	m := maps.Clone(*t.conns.Load())
+	if c == nil {
+		delete(m, to)
+	} else {
+		m[to] = c
+	}
+	t.conns.Store(&m)
+}
+
+// getConn returns a live connection to the peer, dialing if necessary. A
+// live conn is found without a lock; Close empties conns, so a Call after
+// it takes the lock and reads closed. Concurrent callers wait for one dial
+// and then look again; if it failed — perhaps only because its caller's
+// context ran out — the next one dials.
 func (t *Transport) getConn(ctx context.Context, to string) (*conn, error) {
+	if c := t.conn(to); c != nil && c.dead.Load() == nil {
+		return c, nil
+	}
 	for {
 		t.mu.Lock()
 		if t.closed {
 			t.mu.Unlock()
 			return nil, ErrClosed
 		}
-		if c := t.conns[to]; c != nil && c.dead.Load() == nil {
+		if c := t.conn(to); c != nil && c.dead.Load() == nil {
 			t.mu.Unlock()
 			return c, nil
 		}
@@ -269,7 +296,7 @@ func (t *Transport) dial(ctx context.Context, to string) (*conn, error) {
 		return nil, ErrClosed
 	}
 	t.track(c)
-	use := t.conns[to]
+	use := t.conn(to)
 	t.wg.Add(1)
 	t.mu.Unlock()
 
@@ -298,11 +325,7 @@ func (t *Transport) Call(ctx context.Context, to string, f wire.Frame) (wire.Fra
 // NumConns reports the number of live cached connections — the measure of
 // session concentration (§2.1): a front end multiplexing many clients
 // holds one connection per backend, not per client.
-func (t *Transport) NumConns() int {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return len(t.conns)
-}
+func (t *Transport) NumConns() int { return len(*t.conns.Load()) }
 
 // ---------------------------------------------------------------------------
 // Connection

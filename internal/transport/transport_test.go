@@ -616,7 +616,7 @@ func liveConns(tr *Transport) []*conn {
 	tr.mu.Lock()
 	defer tr.mu.Unlock()
 	var cs []*conn
-	for _, c := range tr.conns {
+	for _, c := range *tr.conns.Load() {
 		cs = append(cs, c)
 	}
 	for c := range tr.extras {
@@ -780,7 +780,7 @@ func TestManyClientsConcentrate(t *testing.T) {
 	}
 	// The 100 first calls shared one dial: one socket, not a herd of them.
 	backend.mu.Lock()
-	socks := len(backend.conns) + len(backend.extras)
+	socks := len(*backend.conns.Load()) + len(backend.extras)
 	backend.mu.Unlock()
 	if socks != 1 {
 		t.Fatalf("backend holds %d connections from one front end, want 1", socks)

@@ -90,13 +90,13 @@ func (r *router) SetResilience(res *rmi.Resilience) { r.stub = newStub(r.node, r
 // requests: the cookie travels as c, the router's parse of its text (nil:
 // it did not parse, and the engine answers 400), in the binary form
 // servlet.AppendRequest writes for each callee.
-func (r *router) route(ctx context.Context, span *trace.Span, first []cluster.MemberInfo, path, cookie string, c *servlet.CookieRef, body []byte) (servlet.Response, error) {
+func (r *router) route(ctx context.Context, span *trace.Span, first []cluster.MemberInfo, path string, c *servlet.CookieRef, body []byte) (servlet.Response, error) {
 	res, err := r.stub.InvokeVia(ctx, first, "request", func(e *wire.Encoder, callee string) {
 		servlet.AppendRequest(e, path, c, callee, body)
 	})
 	var resp servlet.Response
 	if err == nil {
-		resp, err = reply(res, cookie)
+		resp, err = reply(res)
 	} else {
 		err = errors.Join(ErrNoBackends, err)
 	}
@@ -113,13 +113,11 @@ func (r *router) route(ctx context.Context, span *trace.Span, first []cluster.Me
 	return resp, nil
 }
 
-// reply is the one decoder of engine replies, and it holds the request: a
-// reply that names no cookie means the one just sent
-// (servlet.AppendResponse), and no reply names its server, which is the
-// member called — so every router returns the Response it would have with
-// both echoed.
-func reply(res rmi.Result, cookie string) (servlet.Response, error) {
-	resp, err := servlet.DecodeResponseNoCopy(res.Body, cookie)
+// reply is the one decoder of engine replies: no reply names its server,
+// which is the member called, and one that names no cookie leaves Cookie
+// empty (servlet.Response.Cookie).
+func reply(res rmi.Result) (servlet.Response, error) {
+	resp, err := servlet.DecodeResponseNoCopy(res.Body)
 	resp.ServedBy = res.ServedBy
 	return resp, err
 }
@@ -159,7 +157,8 @@ func NewProxyPlugin(node rmi.Node, view View, reg *metrics.Registry) *ProxyPlugi
 // Route forwards one request: to the cookie's primary, then its secondary,
 // of those still in the view, then wherever the stub fails over to. A
 // request whose cookie names neither (none sent, or it did not parse) goes
-// where the stub's round robin sends it: session creation.
+// where the stub's round robin sends it: session creation. The client
+// keeps its cookie unless the reply names a new one (Response.Cookie).
 func (p *ProxyPlugin) Route(ctx context.Context, path, cookie string, body []byte) (servlet.Response, error) {
 	var span *trace.Span
 	if p.tracer != nil {
@@ -179,7 +178,7 @@ func (p *ProxyPlugin) Route(ctx context.Context, path, cookie string, body []byt
 			}
 		}
 	}
-	return p.route(ctx, span, first, path, cookie, c, body)
+	return p.route(ctx, span, first, path, c, body)
 }
 
 // ---------------------------------------------------------------------------
@@ -206,7 +205,8 @@ func NewExternalLB(node rmi.Node, view View, reg *metrics.Registry) *ExternalLB 
 // client's sticky server while it is live, else to an arbitrary member (the
 // stub's round robin), and from there wherever the stub fails over to.
 // Affinity follows the member that served; the engine there recovers the
-// session from the secondary named in the cookie.
+// session from the secondary named in the cookie. The client keeps its
+// cookie unless the reply names a new one (Response.Cookie).
 func (lb *ExternalLB) Route(ctx context.Context, clientID, path, cookie string, body []byte) (servlet.Response, error) {
 	var span *trace.Span
 	if lb.tracer != nil {
@@ -224,7 +224,7 @@ func (lb *ExternalLB) Route(ctx context.Context, clientID, path, cookie string, 
 		first = append(first, m)
 	}
 	var buf servlet.CookieBuf
-	resp, err := lb.route(ctx, span, first, path, cookie, parseForward(cookie, &buf), body)
+	resp, err := lb.route(ctx, span, first, path, parseForward(cookie, &buf), body)
 	if err != nil {
 		return servlet.Response{}, err
 	}
@@ -258,7 +258,8 @@ func NewDNSClients(node rmi.Node, view View) *DNSClients {
 	return &DNSClients{view: view, stub: newStub(node, view, nil), chosen: make(map[string]string)}
 }
 
-// Route issues a request from clientID with client-side server choice.
+// Route issues a request from clientID with client-side server choice;
+// the client keeps its cookie unless the reply names a new one.
 func (d *DNSClients) Route(ctx context.Context, clientID, path, cookie string, body []byte) (servlet.Response, error) {
 	backs := d.view.Candidates(servlet.ServiceName)
 	if len(backs) == 0 {
@@ -286,7 +287,7 @@ func (d *DNSClients) Route(ctx context.Context, clientID, path, cookie string, b
 	enc.Release()
 	var resp servlet.Response
 	if err == nil {
-		resp, err = reply(res, cookie)
+		resp, err = reply(res)
 	}
 	if err != nil {
 		// Client notices the dead server and re-resolves on the next call.

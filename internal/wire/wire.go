@@ -103,7 +103,7 @@ const MaxFrameSize = 64 << 20 // 64 MiB
 // transport sends it in its handshake and refuses a peer that sends
 // anything else, so a build with other frames or bodies is turned away
 // instead of misparsed.
-const FormatVersion byte = 6
+const FormatVersion byte = 7
 
 // ErrFrameTooLarge is returned when a frame header announces a payload
 // exceeding MaxFrameSize.

@@ -68,7 +68,7 @@ func TestOneMachineStillReplicates(t *testing.T) {
 	}
 	c.Crash(ck.Primary)
 	c.Settle(6)
-	resp = c.Server(ck.Secondary).Web.ServeCtx(context.Background(), "/n", resp.Cookie, nil)
+	resp = c.Server(ck.Secondary).Web.ServeCtx(context.Background(), "/n", ck.Encode(), nil)
 	if string(resp.Body) != "3" {
 		t.Fatalf("after the primary crashed, its secondary %s counted %q, want 3", ck.Secondary, resp.Body)
 	}
