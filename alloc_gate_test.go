@@ -48,7 +48,7 @@ const (
 	gateTransportEcho       = 3.0
 	gateTCPEcho             = 1.1
 	gateTCPSessionWrite     = 3.1
-	gateDurableCheckout     = 13.1
+	gateDurableCheckout     = 10.1
 	gateExternalLBEcho      = 3.1
 	gateStatelessInvoke     = 4.8
 	gateStatefulInvoke      = 9.1

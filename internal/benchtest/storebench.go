@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"time"
 
 	"wls/internal/kv"
 	"wls/internal/metrics"
@@ -63,28 +64,8 @@ func runE32() *Table {
 			panic(err)
 		}
 
-		for _, w := range []string{"autocommit put", "tx 2-row commit"} {
-			syncs0 := reg.Counter("kv.syncs").Value()
-			start := wall.Now()
-			for i := 0; i < commits; i++ {
-				k := fmt.Sprintf("k%04d", i%512)
-				v := map[string]string{"n": fmt.Sprint(i), "pad": "xxxxxxxxxxxxxxxx"}
-				if w == "autocommit put" {
-					if _, err := s.PutE("acct", k, v); err != nil {
-						panic(err)
-					}
-				} else {
-					txID := fmt.Sprintf("%s-%v-%d", b.name, b.sync, i)
-					sess := s.Session(txID)
-					sess.Update("acct", k, v)
-					sess.Update("audit", k, v)
-					if err := sess.Commit(txID); err != nil {
-						panic(err)
-					}
-				}
-			}
-			elapsed := wall.Since(start)
-			syncs := reg.Counter("kv.syncs").Value() - syncs0
+		for _, w := range e32Workloads {
+			elapsed, syncs := e32Drive(s, reg, w, fmt.Sprintf("%s-%v", b.name, b.sync), commits)
 			fsync := "-"
 			if b.name != "mem" {
 				fsync = fmt.Sprintf("%.1f", float64(syncs)/float64(commits))
@@ -118,6 +99,36 @@ func runE32() *Table {
 		t.AddRow(b.name, b.sync, "recovery", "-", "-", "-", recover, size)
 	}
 	return t
+}
+
+// e32Workloads are E32's two commit shapes: one row per batch, and the
+// E22 co-location shape of two rows in one transaction.
+var e32Workloads = []string{"autocommit put", "tx 2-row commit"}
+
+// e32Drive runs n commits of one workload against s, and returns how long
+// they took and how many fsyncs reg counted meanwhile. tag keeps the
+// transaction ids of different runs on one store apart.
+func e32Drive(s *store.Store, reg *metrics.Registry, workload, tag string, n int) (time.Duration, int64) {
+	syncs0 := reg.Counter("kv.syncs").Value()
+	start := wall.Now()
+	for i := 0; i < n; i++ {
+		k := fmt.Sprintf("k%04d", i%512)
+		v := map[string]string{"n": fmt.Sprint(i), "pad": "xxxxxxxxxxxxxxxx"}
+		if workload == "autocommit put" {
+			if _, err := s.PutE("acct", k, v); err != nil {
+				panic(err)
+			}
+			continue
+		}
+		txID := fmt.Sprintf("%s-%d", tag, i)
+		sess := s.Session(txID)
+		sess.Update("acct", k, v)
+		sess.Update("audit", k, v)
+		if err := sess.Commit(txID); err != nil {
+			panic(err)
+		}
+	}
+	return wall.Since(start), reg.Counter("kv.syncs").Value() - syncs0
 }
 
 // fileBytes sums the sizes of the named files: a WAL store's footprint is

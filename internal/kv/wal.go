@@ -45,14 +45,16 @@ type WAL struct {
 	walPath string
 	opts    Options
 	fs      FS
-	reg     *metrics.Registry
+
+	// Counters, resolved once: a lookup by name takes the registry's lock,
+	// and Apply counts with mu held.
+	appends, syncs, checkpoints *metrics.Counter
 
 	// mu guards the WAL file and the checkpoint swap, and is held across
 	// the fsync. The image has a lock of its own, taken by a commit only to
 	// apply its ops once they are durable, so no read waits for a flush:
 	// the image is written only with mu held.
 	//
-	//wls:lockorder kv.WAL.mu<metrics.Registry.mu
 	//wls:lockorder kv.WAL.mu<kv.Image.mu
 	mu       sync.Mutex
 	wal      File
@@ -171,7 +173,6 @@ func OpenWAL(path string, opts Options) (*WAL, error) {
 		walPath:  path + "-wal",
 		opts:     opts,
 		fs:       opts.FS,
-		reg:      opts.Metrics,
 		img:      newImage(),
 		pageSize: defaultPageSize,
 		ckptAt:   opts.CheckpointBytes,
@@ -179,9 +180,11 @@ func OpenWAL(path string, opts Options) (*WAL, error) {
 	if w.fs == nil {
 		w.fs = OSFS()
 	}
-	if w.reg == nil {
-		w.reg = metrics.NewRegistry()
+	reg := opts.Metrics
+	if reg == nil {
+		reg = metrics.NewRegistry()
 	}
+	w.appends, w.syncs, w.checkpoints = reg.Counter("kv.appends"), reg.Counter("kv.syncs"), reg.Counter("kv.checkpoints")
 	if w.ckptAt == 0 {
 		w.ckptAt = defaultCkptBytes
 	}
@@ -448,9 +451,9 @@ func (w *WAL) Apply(ops []Op) error {
 	if _, err := w.wal.Write(frame); err != nil {
 		return err
 	}
-	w.reg.Counter("kv.appends").Inc()
+	w.appends.Inc()
 	if w.opts.SyncEveryCommit {
-		w.reg.Counter("kv.syncs").Inc()
+		w.syncs.Inc()
 		if err := w.wal.Sync(); err != nil {
 			return err
 		}
@@ -540,7 +543,7 @@ func (w *WAL) checkpointLocked() error {
 		errs = append(errs, fmt.Errorf("kv: closing checkpoint file: %w", err))
 	}
 	w.gen = newGen
-	w.reg.Counter("kv.checkpoints").Inc()
+	w.checkpoints.Inc()
 	if err := w.resetWALLocked(); err != nil {
 		errs = append(errs, fmt.Errorf("kv: resetting wal after checkpoint: %w", err))
 	}

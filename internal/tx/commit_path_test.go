@@ -4,6 +4,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"strconv"
 	"sync"
 	"testing"
 	"time"
@@ -50,34 +51,46 @@ func waitEntered(t *testing.T, g *gateResource, want string) {
 	}
 }
 
-// TestPhasesOverlap: both prepares are in flight at once, and so are both
-// commits — a two-phase commit waits for its resources together, not one
-// after another.
+// TestPhasesOverlap: every prepare is in flight at once, and so is every
+// commit — a two-phase commit waits for its resources together, not one
+// after another. Three and five resources are past the Tx's two error slots.
 func TestPhasesOverlap(t *testing.T) {
-	m := newMgr()
-	a, b := newGateResource("prepare", "commit"), newGateResource("prepare", "commit")
-	tr := m.Begin(0)
-	tr.Enlist("a", a)
-	tr.Enlist("b", b)
-	done := make(chan error, 1)
-	go func() { done <- tr.Commit() }()
+	for _, n := range []int{2, 3, 5} {
+		t.Run(strconv.Itoa(n), func(t *testing.T) {
+			m := newMgr()
+			tr := m.Begin(0)
+			rs := make([]*gateResource, n)
+			for i := range rs {
+				rs[i] = newGateResource("prepare", "commit")
+				tr.Enlist(strconv.Itoa(i), rs[i])
+			}
+			done := make(chan error, 1)
+			go func() { done <- tr.Commit() }()
 
-	// Neither prepare returns until both have been entered.
-	waitEntered(t, a, "prepare")
-	waitEntered(t, b, "prepare")
-	a.release <- struct{}{}
-	b.release <- struct{}{}
-	waitEntered(t, a, "commit")
-	waitEntered(t, b, "commit")
-	select {
-	case err := <-done:
-		t.Fatalf("Commit returned %v with both phase-2 commits still in flight", err)
-	default:
-	}
-	close(a.release)
-	close(b.release)
-	if err := <-done; err != nil {
-		t.Fatal(err)
+			for _, phase := range []string{"prepare", "commit"} {
+				for _, r := range rs { // none returns until all have been entered
+					waitEntered(t, r, phase)
+				}
+				if phase == "commit" {
+					select {
+					case err := <-done:
+						t.Fatalf("Commit returned %v with phase-2 commits still in flight", err)
+					default:
+					}
+				}
+				for _, r := range rs {
+					r.release <- struct{}{}
+				}
+			}
+			if err := <-done; err != nil {
+				t.Fatal(err)
+			}
+			for i, r := range rs {
+				if p, c, _ := r.counts(); p != 1 || c != 1 {
+					t.Fatalf("resource %d: prepared %d, committed %d; want 1/1", i, p, c)
+				}
+			}
+		})
 	}
 }
 

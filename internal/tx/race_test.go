@@ -2,6 +2,7 @@ package tx
 
 import (
 	"errors"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -71,18 +72,29 @@ func TestTimeoutVsCommitRace(t *testing.T) {
 
 	// Deterministic window: arm a deadline, then wait until the advancing
 	// goroutine's rollback callback — which reads Tx.timer — has finished
-	// the transaction. Receiving from done releases nothing, so this
-	// goroutine performs no synchronizing operation after Begin's write of
-	// the same field that the callback could acquire. Under -race this is
-	// exactly the Begin-assignment vs callback-read pair the fix put under
-	// t.mu.
+	// the transaction. The wait polls the abort counter, which the callback
+	// bumps last: an atomic load releases nothing, so this goroutine
+	// performs no synchronizing operation after Begin's write of the same
+	// field that the callback could acquire. Only then does it take the
+	// completion channel, which doneCh makes under t.mu, and which must
+	// already be closed. Under -race this is exactly the Begin-assignment
+	// vs callback-read pair the fix put under t.mu.
+	aborted := m.Metrics().Counter("tx.aborted")
 	limit := time.After(5 * time.Second)
 	for i := 0; i < 10; i++ {
 		tr := m.Begin(time.Millisecond)
+		for aborted.Value() == int64(i) {
+			select {
+			case <-limit:
+				t.Fatalf("tx %s: its 1ms deadline had not rolled it back after 5s", tr.ID())
+			default:
+				runtime.Gosched()
+			}
+		}
 		select {
-		case <-tr.done:
-		case <-limit:
-			t.Fatalf("tx %s: its 1ms deadline had not rolled it back after 5s", tr.ID())
+		case <-tr.doneCh():
+		default:
+			t.Fatalf("tx %s: rolled back, but its completion channel is open", tr.ID())
 		}
 		if err := tr.Commit(); !errors.Is(err, ErrTimeout) {
 			t.Fatalf("expired tx %s: Commit = %v, want ErrTimeout", tr.ID(), err)

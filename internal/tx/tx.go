@@ -123,17 +123,38 @@ type Manager struct {
 	branches map[string]*Branch
 
 	// doneMu guards the done records waiting for the drainer (logDone).
-	doneMu   sync.Mutex
-	doneCond sync.Cond // on doneMu: the queue shrank, or the drainer exited
-	doneQ    []string
-	draining bool
+	doneMu    sync.Mutex
+	doneCond  sync.Cond // on doneMu: the queue shrank, or the drainer exited
+	doneQ     []string
+	doneSpare []string // the drainer's other backing array, handed back empty
+	draining  bool
 	// drain is m.drainDone, built once: a go statement of a method value
-	// allocates its closure every time the drainer starts.
-	drain func()
+	// allocates its closure every time the drainer starts. sendJob is
+	// m.sendPhaseJob, built once for the same reason; phase starts one per
+	// extra resource and hands it its job over jobs.
+	drain   func()
+	sendJob func()
+	jobs    chan phaseJob
+
+	// Counters, resolved once: a lookup by name takes the registry's lock.
+	twoPC, onePC, zeroPC, committed, aborted *metrics.Counter
 }
 
 // maxDoneBacklog bounds the done-record queue: committers wait when it is full.
 const maxDoneBacklog = 1024
+
+// phaseJobQueue is how many phase jobs may wait for their goroutines to
+// take them before a phase's sender waits.
+const phaseJobQueue = 16
+
+// phaseJob is one resource's message of a 2PC phase, run on a goroutine of
+// its own: the answer goes to err, then the phase's wait group is told.
+type phaseJob struct {
+	t   *Tx
+	msg message
+	e   enlisted
+	err *error
+}
 
 // NewManager creates a manager for the named server. log may be nil, in
 // which case an in-memory log is used (recovery then only works within the
@@ -146,14 +167,21 @@ func NewManager(server string, clock vclock.Clock, log Log, reg *metrics.Registr
 		reg = metrics.NewRegistry()
 	}
 	m := &Manager{
-		server: server,
-		clock:  clock,
-		log:    log,
-		reg:    reg,
-		active: make(map[string]*Tx),
+		server:    server,
+		clock:     clock,
+		log:       log,
+		reg:       reg,
+		active:    make(map[string]*Tx),
+		jobs:      make(chan phaseJob, phaseJobQueue),
+		twoPC:     reg.Counter("tx.2pc"),
+		onePC:     reg.Counter("tx.1pc"),
+		zeroPC:    reg.Counter("tx.0pc"),
+		committed: reg.Counter("tx.committed"),
+		aborted:   reg.Counter("tx.aborted"),
 	}
 	m.doneCond.L = &m.doneMu
 	m.drain = m.drainDone
+	m.sendJob = m.sendPhaseJob
 	return m
 }
 
@@ -174,10 +202,9 @@ func (m *Manager) BeginCtx(ctx context.Context, timeout time.Duration) *Tx {
 	buf := append(append(make([]byte, 0, 48), m.server...), "-tx-"...)
 	id := string(strconv.AppendUint(buf, m.nextID, 10))
 	t := &Tx{
-		id:   id,
-		mgr:  m,
-		ctx:  ctx,
-		done: make(chan struct{}),
+		id:  id,
+		mgr: m,
+		ctx: ctx,
 	}
 	t.resources = t.resBuf[:0]
 	if parent := trace.FromContext(ctx); parent != nil {
@@ -235,7 +262,7 @@ type Tx struct {
 	after    []func(committed bool)
 	timer    vclock.Timer
 	timedOut atomic.Bool
-	done     chan struct{} // closed when the state becomes terminal
+	done     chan struct{} // made by the first waiter (doneCh); closed when the state becomes terminal
 }
 
 type enlisted struct {
@@ -317,13 +344,37 @@ func (t *Tx) phaseSpan(verb, res string) (context.Context, *trace.Span) {
 	return trace.ContextWith(ctx, sp), sp
 }
 
+// doneCh returns a channel that is closed once the transaction has
+// committed or aborted. Only a waiter needs one, so the first waiter makes
+// it, already closed if the outcome is in.
+func (t *Tx) doneCh() <-chan struct{} {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if t.done == nil {
+		t.done = make(chan struct{})
+		if t.state == StateCommitted || t.state == StateAborted {
+			close(t.done)
+		}
+	}
+	return t.done
+}
+
+// settleLocked moves the transaction to its terminal state and wakes its
+// waiters, if any. The caller holds t.mu.
+func (t *Tx) settleLocked(s State) {
+	t.state = s
+	if t.done != nil {
+		close(t.done)
+	}
+}
+
 // waitOutcome blocks until the transaction reaches a terminal state and
 // reports the actual outcome. A caller that lost the race for the
 // Active→Preparing transition (e.g. Commit racing the timeout rollback, or
 // two concurrent Commits) must not guess: the winning path may still commit
 // or abort, and the loser's return value has to match reality.
 func (t *Tx) waitOutcome() error {
-	<-t.done
+	<-t.doneCh()
 	t.mu.Lock()
 	st := t.state
 	t.mu.Unlock()
@@ -386,7 +437,7 @@ func (t *Tx) Commit() error {
 	m := t.mgr
 	switch {
 	case len(resources) > 1:
-		m.reg.Counter("tx.2pc").Inc()
+		m.twoPC.Inc()
 		t.span.Annotate("mode", "2pc")
 		// Phase 1: every vote is in before anything is decided, so a no vote
 		// never races a prepare in flight; it rolls back the yes voters too.
@@ -415,7 +466,7 @@ func (t *Tx) Commit() error {
 		// One-phase optimization: a single resource decides the outcome
 		// itself, so a commit failure here is an abort, not an in-doubt
 		// state — no decision was ever logged.
-		m.reg.Counter("tx.1pc").Inc()
+		m.onePC.Inc()
 		t.span.Annotate("mode", "1pc")
 		if err := t.send(commitMsg, resources[0]); err != nil {
 			t.abort(resources)
@@ -425,7 +476,7 @@ func (t *Tx) Commit() error {
 		// No resources enlisted: nothing to prepare or commit. This is not
 		// a one-phase commit; count it apart so the 1pc/2pc ratio stays an
 		// honest measure of the co-location optimization (§5.1).
-		m.reg.Counter("tx.0pc").Inc()
+		m.zeroPC.Inc()
 		t.span.Annotate("mode", "0pc")
 	}
 	t.complete()
@@ -434,19 +485,19 @@ func (t *Tx) Commit() error {
 
 // phase sends one 2PC message to every resource at once — their flushes
 // overlap into one wait — and, once all have answered, returns the first
-// error in enlist order. The first resource is served on this goroutine.
-func (t *Tx) phase(m message, resources []enlisted) (int, error) {
+// error in enlist order. The first resource is served on this goroutine;
+// each other one on a goroutine started from the manager's sendJob, which
+// takes its job from the manager's channel, so a phase allocates nothing.
+func (t *Tx) phase(msg message, resources []enlisted) (int, error) {
 	errs := t.phaseErrs(len(resources))
-	wg := &t.phaseWG // the price of the overlap: one closure per extra resource and phase
-	wg.Add(len(resources) - 1)
+	m := t.mgr
+	t.phaseWG.Add(len(resources) - 1)
 	for i := 1; i < len(resources); i++ {
-		go func() {
-			defer wg.Done()
-			errs[i] = t.send(m, resources[i])
-		}()
+		go m.sendJob() // started before its job is sent: no job waits without a taker, no taker outlives a job
+		m.jobs <- phaseJob{t, msg, resources[i], &errs[i]}
 	}
-	errs[0] = t.send(m, resources[0])
-	wg.Wait()
+	errs[0] = t.send(msg, resources[0])
+	t.phaseWG.Wait()
 	for i, err := range errs {
 		if err != nil {
 			return i, err
@@ -464,6 +515,13 @@ func (t *Tx) phaseErrs(n int) []error {
 	errs := t.errBuf[:n]
 	clear(errs)
 	return errs
+}
+
+// sendPhaseJob takes one phase job — any transaction's — and runs it.
+func (m *Manager) sendPhaseJob() {
+	j := <-m.jobs
+	*j.err = j.t.send(j.msg, j.e)
+	j.t.phaseWG.Done()
 }
 
 // send delivers one 2PC message to one resource under its phase span.
@@ -498,19 +556,22 @@ func (m *Manager) logDone(txID string) {
 	m.doneMu.Unlock()
 }
 
+// drainDone appends the queued done records until the queue is empty. The
+// queue and doneSpare swap their backing arrays, so a steady stream of
+// records allocates none.
 func (m *Manager) drainDone() {
-	var batch []string
 	m.doneMu.Lock()
 	for len(m.doneQ) > 0 {
-		batch, m.doneQ = m.doneQ, batch[:0]
+		batch := m.doneQ
+		m.doneQ = m.doneSpare[:0]
 		m.doneCond.Broadcast()
 		m.doneMu.Unlock()
 		for _, id := range batch {
 			_ = m.log.Append(Record{TxID: id, Kind: RecordDone}) // see logDone
 		}
 		m.doneMu.Lock()
+		m.doneSpare = batch[:0]
 	}
-	m.doneQ = batch[:0] // keep a backing array for the next burst
 	m.draining = false
 	m.doneCond.Broadcast()
 	m.doneMu.Unlock()
@@ -529,12 +590,11 @@ func (m *Manager) Drain() {
 // complete finalizes a committed transaction and runs after hooks.
 func (t *Tx) complete() {
 	t.mu.Lock()
-	t.state = StateCommitted
+	t.settleLocked(StateCommitted)
 	after := t.after
-	close(t.done)
 	t.mu.Unlock()
 	t.mgr.finish(t)
-	t.mgr.reg.Counter("tx.committed").Inc()
+	t.mgr.committed.Inc()
 	if t.span != nil {
 		t.span.Annotate("outcome", "committed")
 		t.span.Finish()
@@ -570,12 +630,11 @@ func (t *Tx) abort(resources []enlisted) {
 		_ = t.send(rollbackMsg, e) // recorded on the phase span; the outcome is abort either way
 	}
 	t.mu.Lock()
-	t.state = StateAborted
+	t.settleLocked(StateAborted)
 	after := t.after
-	close(t.done)
 	t.mu.Unlock()
 	t.mgr.finish(t)
-	t.mgr.reg.Counter("tx.aborted").Inc()
+	t.mgr.aborted.Inc()
 	if t.span != nil {
 		t.span.Annotate("outcome", "aborted")
 		t.span.Finish()
