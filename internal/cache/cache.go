@@ -74,8 +74,9 @@ type Cache struct {
 	cfg   Config
 	clock vclock.Clock
 	bus   gossip.Bus
-	reg   *metrics.Registry
 	load  Loader
+
+	hits, misses, flushes, sliceRefreshes, snifferResyncs *metrics.Counter
 
 	mu      sync.Mutex
 	entries map[string]*entry
@@ -95,14 +96,18 @@ func New(cfg Config, clock vclock.Clock, bus gossip.Bus, reg *metrics.Registry, 
 		reg = metrics.NewRegistry()
 	}
 	c := &Cache{
-		cfg:     cfg,
-		clock:   clock,
-		bus:     bus,
-		reg:     reg,
-		load:    load,
-		entries: make(map[string]*entry),
-		deps:    make(map[depKey]map[string]bool),
-		slices:  make(map[string][]string),
+		cfg:            cfg,
+		clock:          clock,
+		bus:            bus,
+		load:           load,
+		hits:           reg.Counter("cache.hits"),
+		misses:         reg.Counter("cache.misses"),
+		flushes:        reg.Counter("cache.flushes"),
+		sliceRefreshes: reg.Counter("cache.slice_refreshes"),
+		snifferResyncs: reg.Counter("cache.sniffer_resyncs"),
+		entries:        make(map[string]*entry),
+		deps:           make(map[depKey]map[string]bool),
+		slices:         make(map[string][]string),
 	}
 	if cfg.Mode == ModeFlushOnUpdate && bus != nil {
 		c.unsub = bus.Subscribe(FlushTopic(cfg.Name), func(m gossip.Message) {
@@ -129,14 +134,14 @@ func (c *Cache) Get(key string) ([]byte, bool) {
 	c.mu.Lock()
 	e, ok := c.entries[key]
 	if ok && c.fresh(e) {
-		c.reg.Counter("cache.hits").Inc()
+		c.hits.Inc()
 		v := append([]byte(nil), e.value...)
 		c.mu.Unlock()
 		return v, true
 	}
 	c.mu.Unlock()
 
-	c.reg.Counter("cache.misses").Inc()
+	c.misses.Inc()
 	value, found := c.load(key)
 	if !found {
 		return nil, false
@@ -157,7 +162,7 @@ func (c *Cache) Flush(key string) {
 	c.mu.Lock()
 	delete(c.entries, key)
 	c.mu.Unlock()
-	c.reg.Counter("cache.flushes").Inc()
+	c.flushes.Inc()
 }
 
 // FlushAll drops everything.
@@ -165,7 +170,7 @@ func (c *Cache) FlushAll() {
 	c.mu.Lock()
 	c.entries = make(map[string]*entry)
 	c.mu.Unlock()
-	c.reg.Counter("cache.flushes").Inc()
+	c.flushes.Inc()
 }
 
 // BroadcastFlush signals every cache instance with this name, cluster-wide,
@@ -231,7 +236,7 @@ func (c *Cache) InvalidateBackend(table, rowKey string) {
 	}
 	c.mu.Unlock()
 	if len(victims) > 0 {
-		c.reg.Counter("cache.flushes").Add(int64(len(victims)))
+		c.flushes.Add(int64(len(victims)))
 	}
 }
 
@@ -265,7 +270,7 @@ func (c *Cache) RefreshSlice(name string) {
 		}
 		c.mu.Unlock()
 	}
-	c.reg.Counter("cache.slice_refreshes").Inc()
+	c.sliceRefreshes.Inc()
 }
 
 // QueryLocal scans the resident fresh entries — "querying through the
@@ -353,7 +358,7 @@ func (sn *Sniffer) SniffOnce() {
 	changes, err := sn.store.Changes(since)
 	if err != nil {
 		sn.cache.FlushAll()
-		sn.cache.reg.Counter("cache.sniffer_resyncs").Inc()
+		sn.cache.snifferResyncs.Inc()
 		sn.mu.Lock()
 		sn.sinceLS = sn.store.LastLSN()
 		sn.mu.Unlock()

@@ -59,8 +59,8 @@ func TestGetLoadsOnceWithinTTL(t *testing.T) {
 	if b.loadCount() != 1 {
 		t.Fatalf("loads = %d, want 1", b.loadCount())
 	}
-	if c.reg.Counter("cache.hits").Value() != 4 {
-		t.Fatalf("hits = %d", c.reg.Counter("cache.hits").Value())
+	if c.hits.Value() != 4 {
+		t.Fatalf("hits = %d", c.hits.Value())
 	}
 }
 
@@ -275,7 +275,7 @@ func TestNewSnifferFollowsWithoutResync(t *testing.T) {
 	sn := NewSniffer(b.s, c, clk, time.Second, "s1")
 	b.s.Put("t", "k1", fields("BACKDOOR"))
 	sn.SniffOnce()
-	if n := c.reg.Counter("cache.sniffer_resyncs").Value(); n != 0 {
+	if n := c.snifferResyncs.Value(); n != 0 {
 		t.Fatalf("sniffer_resyncs = %d, want 0", n)
 	}
 	if c.Len() != 1 {
@@ -293,9 +293,9 @@ func TestSnifferCheckpointAdvances(t *testing.T) {
 	sn := NewSniffer(b.s, c, clk, time.Second, "s")
 	b.s.Put("t", "k1", fields("x"))
 	sn.SniffOnce()
-	flushesAfterFirst := c.reg.Counter("cache.flushes").Value()
+	flushesAfterFirst := c.flushes.Value()
 	sn.SniffOnce() // no new changes: no more flushes
-	if c.reg.Counter("cache.flushes").Value() != flushesAfterFirst {
+	if c.flushes.Value() != flushesAfterFirst {
 		t.Fatal("sniffer reprocessed old changes")
 	}
 }
@@ -372,7 +372,7 @@ func TestSnifferResyncsAfterChangeLogTrim(t *testing.T) {
 	if c.Len() != 0 {
 		t.Fatalf("resync must flush the whole cache; %d entries remain", c.Len())
 	}
-	if n := c.reg.Counter("cache.sniffer_resyncs").Value(); n != 1 {
+	if n := c.snifferResyncs.Value(); n != 1 {
 		t.Fatalf("sniffer_resyncs = %d, want 1", n)
 	}
 
@@ -385,7 +385,7 @@ func TestSnifferResyncsAfterChangeLogTrim(t *testing.T) {
 	if v, _ := c.Get("k1"); string(v) != "BACKDOOR" {
 		t.Fatalf("post-resync incremental sniff missed the update: %q", v)
 	}
-	if n := c.reg.Counter("cache.sniffer_resyncs").Value(); n != 1 {
+	if n := c.snifferResyncs.Value(); n != 1 {
 		t.Fatalf("incremental sniff resynced again: %d", n)
 	}
 }

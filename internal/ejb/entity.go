@@ -6,6 +6,7 @@ import (
 
 	"wls/internal/attrs"
 	"wls/internal/cache"
+	"wls/internal/metrics"
 	"wls/internal/store"
 	"wls/internal/tx"
 	"wls/internal/wire"
@@ -56,6 +57,7 @@ type EntityHome struct {
 	c     *Container
 	spec  EntitySpec
 	cache *cache.Cache
+	loads *metrics.Counter
 }
 
 // DeployEntity deploys an entity bean type.
@@ -82,6 +84,7 @@ func (c *Container) DeployEntity(spec EntitySpec) *EntityHome {
 			Mode: mode,
 			TTL:  spec.TTL,
 		}, c.clock, c.bus, c.reg, loader),
+		loads: c.reg.Counter("ejb.entity.loads"),
 	}
 }
 
@@ -139,7 +142,7 @@ func (h *EntityHome) Find(txn *tx.Tx, key string) (*Entity, error) {
 		if !ok {
 			return nil, fmt.Errorf("ejb: %s[%s]: %w", h.spec.Name, key, store.ErrNotFound)
 		}
-		h.c.reg.Counter("ejb.entity.loads").Inc()
+		h.loads.Inc()
 		return h.bind(txn, key, row.Fields, row.Version), nil
 	default:
 		raw, ok := h.cache.Get(key)
@@ -150,7 +153,7 @@ func (h *EntityHome) Find(txn *tx.Tx, key string) (*Entity, error) {
 		if err != nil {
 			return nil, err
 		}
-		h.c.reg.Counter("ejb.entity.loads").Inc()
+		h.loads.Inc()
 		return h.bind(txn, key, fields, version), nil
 	}
 }

@@ -74,6 +74,8 @@ type Broker struct {
 	st     *tuple.Store // nil = non-persistent
 	reg    *metrics.Registry
 
+	sent, received, dedupDrops, topicPublished *metrics.Counter
+
 	// mu guards the queue/topic tables. newQueue reads the store while it
 	// is held, so it sits above that store in the hierarchy.
 	//
@@ -89,7 +91,14 @@ func NewBroker(server string, st *tuple.Store, reg *metrics.Registry) *Broker {
 	if reg == nil {
 		reg = metrics.NewRegistry()
 	}
-	return &Broker{server: server, st: st, reg: reg, queues: make(map[string]*Queue)}
+	return &Broker{
+		server: server, st: st, reg: reg,
+		sent:           reg.Counter("jms.sent"),
+		received:       reg.Counter("jms.received"),
+		dedupDrops:     reg.Counter("jms.dedup_drops"),
+		topicPublished: reg.Counter("jms.topic_published"),
+		queues:         make(map[string]*Queue),
+	}
 }
 
 // Queue returns (creating on first use) a named queue, recovering any
@@ -178,7 +187,7 @@ func (q *Queue) enqueue(m Message) {
 		}
 	}
 	q.mu.Unlock()
-	q.b.reg.Counter("jms.sent").Inc()
+	q.b.sent.Inc()
 }
 
 // Receive dequeues the oldest message. The message stays in flight until
@@ -195,7 +204,7 @@ func (q *Queue) Receive() (Message, error) {
 		}
 		delete(q.pending, id)
 		q.inflight[id] = m
-		q.b.reg.Counter("jms.received").Inc()
+		q.b.received.Inc()
 		return m, nil
 	}
 	return Message{}, ErrEmpty
@@ -358,7 +367,7 @@ func (b *Broker) RMIService() *rmi.Service {
 		}
 		seenMu.Unlock()
 		if dup {
-			b.reg.Counter("jms.dedup_drops").Inc()
+			b.dedupDrops.Inc()
 			return false, nil
 		}
 		q := b.Queue(queue)

@@ -126,6 +126,6 @@ func (t *Topic) Publish(m Message) (string, error) {
 			return "", err
 		}
 	}
-	t.b.reg.Counter("jms.topic_published").Inc()
+	t.b.topicPublished.Inc()
 	return m.ID, nil
 }

@@ -23,20 +23,31 @@ type Image struct {
 	spaces map[string]*space
 }
 
-// space is one keyspace: a map for lookups and an ordered index of its
-// keys in two sorted runs. run was built by the last compaction; fresh
-// holds the keys inserted since, in order, so an insert shifts at most
-// fresh. A delete takes its key out of fresh, or leaves it in run as a
-// dead entry (not in m) until the next compaction. A key is in at most
-// one of the runs, so walking both in merged order, skipping the dead, visits every
-// live key once and in order. A space is never dropped once created: the
-// stage space of a store's votes is emptied by every commit and filled by
-// the next prepare.
+// space is one keyspace: one ordered index of its entries, in two sorted
+// runs. run was built by the last compaction; fresh holds the entries
+// inserted since, in order, so an insert shifts at most fresh. A key is
+// in at most one of the runs. A delete takes its entry out of fresh, or
+// marks it dead in run — a bit of dead, its value dropped — until the
+// next compaction; a put of a dead key brings it back where it is. So
+// walking both runs in merged order, skipping the dead, visits every live
+// key once and in order. A space is never dropped once created: the stage
+// space of a store's votes is emptied by every commit and filled by the
+// next prepare.
 type space struct {
-	m     map[string]string
-	run   []string
-	fresh []string
-	dead  int // entries of run no longer in m
+	run   []entry
+	fresh []entry
+	dead  []uint64 // bit i set: run[i] is deleted; zero past len
+	ndead int      // bits set in dead
+	live  int      // keys not dead, in both runs
+}
+
+// entry is one key of a space and its value. prefix is the key's first
+// 8 bytes, big-endian and zero-padded, so ordering entries by (prefix,
+// key) orders them by key, and most probes of a search decide on the
+// integer without following the key's pointer.
+type entry struct {
+	prefix     uint64
+	key, value string
 }
 
 func newImage() *Image {
@@ -53,8 +64,14 @@ func (im *Image) View(space, key string) (string, bool) {
 	if sp == nil {
 		return "", false
 	}
-	v, ok := sp.m[key]
-	return v, ok
+	p := prefixOf(key)
+	if i, ok := search(sp.fresh, p, key); ok {
+		return sp.fresh[i].value, true
+	}
+	if i, ok := search(sp.run, p, key); ok && !sp.isDead(i) {
+		return sp.run[i].value, true
+	}
+	return "", false
 }
 
 // Scan visits the keys of space that carry prefix, in ascending byte
@@ -68,8 +85,8 @@ func (im *Image) Scan(space, prefix string, fn func(key, value string) bool) {
 		return
 	}
 	c := sp.from(prefix)
-	for k, ok := c.next(); ok && strings.HasPrefix(k, prefix); k, ok = c.next() {
-		if v, live := sp.m[k]; live && !fn(k, v) {
+	for e := c.next(); e != nil && strings.HasPrefix(e.key, prefix); e = c.next() {
+		if !fn(e.key, e.value) {
 			return
 		}
 	}
@@ -84,14 +101,12 @@ func (im *Image) Count(space, prefix string) int {
 		return 0
 	}
 	if prefix == "" {
-		return len(sp.m)
+		return sp.live
 	}
 	n := 0
 	c := sp.from(prefix)
-	for k, ok := c.next(); ok && strings.HasPrefix(k, prefix); k, ok = c.next() {
-		if _, live := sp.m[k]; live {
-			n++
-		}
+	for e := c.next(); e != nil && strings.HasPrefix(e.key, prefix); e = c.next() {
+		n++
 	}
 	return n
 }
@@ -102,7 +117,7 @@ func (im *Image) Spaces() []string {
 	defer im.mu.RUnlock()
 	var out []string
 	for name, sp := range im.spaces {
-		if len(sp.m) > 0 {
+		if sp.live > 0 {
 			out = append(out, name)
 		}
 	}
@@ -121,58 +136,77 @@ func (im *Image) apply(ops []Op) {
 		switch op.Kind {
 		case OpPut:
 			if sp == nil {
-				sp = &space{m: make(map[string]string)}
+				sp = &space{}
 				im.spaces[op.Space] = sp
 			}
-			_, had := sp.m[op.Key]
-			sp.m[op.Key] = op.Value
-			if !had {
-				sp.insert(op.Key) // after the map: a compaction keeps what m holds
-			}
+			sp.put(op.Key, op.Value)
 		case OpDelete:
-			if sp == nil {
-				continue
-			}
-			if _, ok := sp.m[op.Key]; ok {
-				delete(sp.m, op.Key)
-				sp.remove(op.Key)
+			if sp != nil {
+				sp.delete(op.Key)
 			}
 		}
 	}
 }
 
-// insert adds a key the map does not hold to the index: back to life if
-// it is a dead entry of run, else into fresh.
-func (sp *space) insert(k string) {
-	if sp.dead > 0 {
-		if _, ok := slices.BinarySearch(sp.run, k); ok {
-			sp.dead--
-			return
-		}
+// put sets the value of k: in place if either run holds k, dead or not,
+// else as a new entry of fresh.
+func (sp *space) put(k, v string) {
+	p := prefixOf(k)
+	i, ok := search(sp.fresh, p, k)
+	if ok {
+		sp.fresh[i].value = v
+		return
 	}
-	i, _ := slices.BinarySearch(sp.fresh, k)
-	sp.fresh = slices.Insert(sp.fresh, i, k)
+	if j, ok := search(sp.run, p, k); ok {
+		if sp.isDead(j) {
+			sp.dead[j>>6] &^= 1 << (j & 63)
+			sp.ndead--
+			sp.live++
+		}
+		sp.run[j].value = v
+		return
+	}
+	sp.fresh = slices.Insert(sp.fresh, i, entry{p, k, v})
+	sp.live++
 	if len(sp.fresh) > sp.slack() {
 		sp.compact()
 	}
 }
 
-// remove takes a key just deleted from the map out of the index.
-func (sp *space) remove(k string) {
-	if i, ok := slices.BinarySearch(sp.fresh, k); ok {
+// delete takes k out of fresh, or marks it dead in run.
+func (sp *space) delete(k string) {
+	p := prefixOf(k)
+	if i, ok := search(sp.fresh, p, k); ok {
 		sp.fresh = slices.Delete(sp.fresh, i, i+1)
+		sp.live--
 		return
 	}
-	sp.dead++
-	if sp.dead > sp.slack() {
+	j, ok := search(sp.run, p, k)
+	if !ok || sp.isDead(j) {
+		return
+	}
+	if w := j >> 6; w >= len(sp.dead) {
+		sp.dead = append(sp.dead, make([]uint64, w+1-len(sp.dead))...)
+	}
+	sp.dead[j>>6] |= 1 << (j & 63)
+	sp.run[j].value = ""
+	sp.ndead++
+	sp.live--
+	if sp.ndead > sp.slack() {
 		sp.compact()
 	}
 }
 
+func (sp *space) isDead(i int) bool {
+	w := i >> 6
+	return w < len(sp.dead) && sp.dead[w]&(1<<(i&63)) != 0
+}
+
 // slack is how long fresh, and how many dead entries, a space lets grow
-// before it compacts: about √n for n keys in run, at least 64. An insert
-// then shifts O(√n) keys of fresh, and a compaction, which moves at most
-// n, comes once in √n writes, so a write costs O(√n) moves either way.
+// before it compacts: about √n for n entries in run, at least 64. An
+// insert then shifts O(√n) entries of fresh, and a compaction, which
+// moves at most n, comes once in √n writes, so a write costs O(√n) moves
+// either way.
 func (sp *space) slack() int {
 	s := 64
 	for s*s < len(sp.run) {
@@ -185,49 +219,97 @@ func (sp *space) slack() int {
 // from the back, so keys inserted in ascending order — a bulk load, a
 // sequence — move nothing already in run, and run grows as append grows a
 // slice. Only a batch being applied changes the runs, under the image's
-// write lock, so no reader sees one half-merged. fresh keeps its array for
-// the inserts to come.
+// write lock, so no reader sees one half-merged. fresh and dead keep
+// their arrays for the writes to come.
 func (sp *space) compact() {
 	run := sp.run
-	if sp.dead > 0 {
-		run = slices.DeleteFunc(run, func(k string) bool {
-			_, live := sp.m[k]
-			return !live
-		})
+	if sp.ndead > 0 {
+		n := 0
+		for i := range run {
+			if !sp.isDead(i) {
+				run[n] = run[i]
+				n++
+			}
+		}
+		clear(run[n:])
+		run = run[:n]
+		clear(sp.dead)
+		sp.dead, sp.ndead = sp.dead[:0], 0
 	}
 	i, j := len(run)-1, len(sp.fresh)-1
 	run = slices.Grow(run, len(sp.fresh))[:len(run)+len(sp.fresh)]
 	for k := len(run) - 1; j >= 0; k-- {
-		if i >= 0 && run[i] > sp.fresh[j] {
+		if i >= 0 && before(&sp.fresh[j], &run[i]) {
 			run[k], i = run[i], i-1
 		} else {
 			run[k], j = sp.fresh[j], j-1
 		}
 	}
 	clear(sp.fresh)
-	sp.run, sp.fresh, sp.dead = run, sp.fresh[:0], 0
+	sp.run, sp.fresh = run, sp.fresh[:0]
+}
+
+// prefixOf returns the first 8 bytes of k as a big-endian integer, padded
+// with zero bytes. A key that sorts before another has a prefix no greater.
+func prefixOf(k string) uint64 {
+	if len(k) >= 8 {
+		return uint64(k[0])<<56 | uint64(k[1])<<48 | uint64(k[2])<<40 | uint64(k[3])<<32 |
+			uint64(k[4])<<24 | uint64(k[5])<<16 | uint64(k[6])<<8 | uint64(k[7])
+	}
+	var p uint64
+	for i := 0; i < len(k); i++ {
+		p |= uint64(k[i]) << (56 - 8*i)
+	}
+	return p
+}
+
+// before reports whether a's key sorts before b's.
+func before(a, b *entry) bool {
+	return a.prefix < b.prefix || a.prefix == b.prefix && a.key < b.key
+}
+
+// search returns the index of the first entry of es whose key is not
+// below k, p being k's prefix, and whether that entry's key is k.
+func search(es []entry, p uint64, k string) (int, bool) {
+	lo, hi := 0, len(es)
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if e := &es[m]; e.prefix < p || e.prefix == p && e.key < k {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	return lo, lo < len(es) && es[lo].prefix == p && es[lo].key == k
 }
 
 // from returns a cursor at the first key not below prefix.
 func (sp *space) from(prefix string) cursor {
-	i, _ := slices.BinarySearch(sp.run, prefix)
-	j, _ := slices.BinarySearch(sp.fresh, prefix)
-	return cursor{sp.run[i:], sp.fresh[j:]}
+	p := prefixOf(prefix)
+	i, _ := search(sp.run, p, prefix)
+	j, _ := search(sp.fresh, p, prefix)
+	return cursor{sp, i, j}
 }
 
-// cursor walks the two runs of a space in merged order, dead entries
-// included.
-type cursor struct{ run, fresh []string }
+// cursor walks the two runs of a space in merged order, skipping the
+// dead entries of run.
+type cursor struct {
+	sp   *space
+	i, j int // the next entries of run and of fresh
+}
 
-func (c *cursor) next() (string, bool) {
-	var k string
-	switch {
-	case len(c.run) > 0 && (len(c.fresh) == 0 || c.run[0] < c.fresh[0]):
-		k, c.run = c.run[0], c.run[1:]
-	case len(c.fresh) > 0:
-		k, c.fresh = c.fresh[0], c.fresh[1:]
-	default:
-		return "", false
+// next returns the next live entry, or nil past the last.
+func (c *cursor) next() *entry {
+	run, fresh := c.sp.run, c.sp.fresh
+	for c.i < len(run) && (c.j == len(fresh) || before(&run[c.i], &fresh[c.j])) {
+		c.i++
+		if !c.sp.isDead(c.i - 1) {
+			return &run[c.i-1]
+		}
 	}
-	return k, true
+	if c.j < len(fresh) {
+		c.j++
+		return &fresh[c.j-1]
+	}
+	return nil
 }

@@ -67,7 +67,8 @@ const (
 type PageCache struct {
 	mode  PageCacheMode
 	clock vclock.Clock
-	reg   *metrics.Registry
+
+	hits, misses *metrics.Counter
 
 	mu      sync.Mutex
 	entries map[string]pageEntry
@@ -87,7 +88,11 @@ func NewPageCache(mode PageCacheMode, clock vclock.Clock, reg *metrics.Registry)
 	if reg == nil {
 		reg = metrics.NewRegistry()
 	}
-	return &PageCache{mode: mode, clock: clock, reg: reg, entries: make(map[string]pageEntry)}
+	return &PageCache{
+		mode: mode, clock: clock,
+		hits: reg.Counter("jsp.hits"), misses: reg.Counter("jsp.misses"),
+		entries: make(map[string]pageEntry),
+	}
 }
 
 // scopeKey builds the cache key component for a scope.
@@ -170,10 +175,10 @@ func (pc *PageCache) lookup(key string) ([]byte, bool) {
 	defer pc.mu.Unlock()
 	e, ok := pc.entries[key]
 	if !ok || (e.ttl > 0 && pc.clock.Since(e.at) > e.ttl) {
-		pc.reg.Counter("jsp.misses").Inc()
+		pc.misses.Inc()
 		return nil, false
 	}
-	pc.reg.Counter("jsp.hits").Inc()
+	pc.hits.Inc()
 	return e.body, true
 }
 

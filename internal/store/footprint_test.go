@@ -26,20 +26,20 @@ func liveHeap() uint64 {
 }
 
 // Bytes per stored row over a WAL (TestStoreRowFootprint), measured
-// 129 / 145 B when they were set at that + 10 %, and
+// 76 / 92 B when they were set at that + 10 %, and
 // allocations per read of a two-field row (TestStoreGetAllocs).
 const (
-	gateStoreRowOneField  = 142
-	gateStoreRowTwoFields = 160
+	gateStoreRowOneField  = 84
+	gateStoreRowTwoFields = 102
 	gateStoreGet          = 2
 )
 
 // TestStoreRowFootprint pins what a stored row costs over a WAL: 8 192 rows
 // written one autocommit at a time, live heap after two collections,
-// divided by the row count. That is the kv image's slot, its space's
+// divided by the row count. That is the row's entry in its space's
 // ordered index, the row key and the record — the row's one copy. No
-// reader follows the store, so it keeps no change ring. Measured 129 B
-// (one field) and 145 B (two); DESIGN.md "What a stored row costs" has
+// reader follows the store, so it keeps no change ring. Measured 76 B
+// (one field) and 92 B (two); DESIGN.md "What a stored row costs" has
 // the breakdown.
 func TestStoreRowFootprint(t *testing.T) {
 	const rows = 8192

@@ -19,9 +19,9 @@
 // goroutine into single buffered flushes (many frames, one syscall), a
 // call's correlation id is its waiter's slot, reused (one byte while at
 // most 128 calls are in flight), inbound requests run on a bounded worker
-// pool, and call slots, inbound tasks and request buffers are pooled under
-// the ownership rule stated on wire.Handler, so a call allocates only the
-// response body its caller gets to keep.
+// pool, and call slots and request buffers are pooled under the ownership
+// rule stated on wire.Handler, so a call allocates only the response body
+// its caller gets to keep.
 package transport
 
 import (
@@ -505,12 +505,14 @@ func (c *conn) close(reason error) {
 	}
 }
 
-// inbound is one request on its way to a pool worker; buf is the body
-// buffer its body lives in, detached from the frame reader.
+// inbound is one request on its way to a pool worker: its correlation id
+// and the body buffer detached from the frame reader, which holds exactly
+// its body (a zero-copy reader takes a buffer for every frame, an empty
+// body too).
 type inbound struct {
-	c   *conn
-	f   wire.Frame
-	buf *wire.Encoder
+	c    *conn
+	corr uint64
+	buf  *wire.Encoder
 }
 
 // run executes the handler and queues the response: copied into the send
@@ -519,8 +521,8 @@ type inbound struct {
 func (in inbound) run() {
 	c := in.c
 	h := c.t.handler.Load().(Handler)
-	resp := h(c.remote, in.f)
-	out := wire.Frame{Kind: wire.KindResponse, Corr: in.f.Corr}
+	resp := h(c.remote, wire.Frame{Kind: wire.KindRequest, Corr: in.corr, Body: in.buf.Bytes()})
+	out := wire.Frame{Kind: wire.KindResponse, Corr: in.corr}
 	if resp != nil {
 		out.Body = resp.Body
 	}
@@ -556,7 +558,7 @@ func (c *conn) readLoop() {
 		if f.Kind == wire.KindResponse {
 			c.deliver(f)
 		} else {
-			c.t.submit(inbound{c: c, f: f, buf: fr.Detach()})
+			c.t.submit(inbound{c: c, corr: f.Corr, buf: fr.Detach()})
 		}
 	}
 }

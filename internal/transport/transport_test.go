@@ -13,6 +13,7 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+	"unsafe"
 
 	"wls/internal/wire"
 )
@@ -1239,5 +1240,14 @@ func TestBytesOutIsWhatThePeerReceives(t *testing.T) {
 	}
 	if got, want := b.Metrics().Counter("transport.bytes.in").Value(), toB.Load()-hello; got != want {
 		t.Errorf("b: transport.bytes.in = %d, its socket was sent %d", got, want)
+	}
+}
+
+// TestInboundSize: every slot of a node's worker-pool queue (queueDepth
+// of them) is an inbound, so it holds only what a worker cannot read from
+// the body buffer; the frame it came in is rebuilt from its id and buffer.
+func TestInboundSize(t *testing.T) {
+	if got := unsafe.Sizeof(inbound{}); got != 24 {
+		t.Fatalf("inbound is %d bytes, want 24", got)
 	}
 }

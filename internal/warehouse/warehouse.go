@@ -47,8 +47,9 @@ type ETL struct {
 	interval  time.Duration
 	transform Transform
 	tables    map[string]bool // nil = all tables
-	reg       *metrics.Registry
-	runs      *vclock.Loop // RunOnce every interval
+	runs      *vclock.Loop    // RunOnce every interval
+
+	loaded, applied, resyncs *metrics.Counter
 
 	// mu guards the extraction cursor; each tick reads the source
 	// store's LSN while holding it.
@@ -71,13 +72,16 @@ func NewETL(src, dst *store.Store, clock vclock.Clock, interval time.Duration, t
 			filter[t] = true
 		}
 	}
+	reg := metrics.NewRegistry()
 	e := &ETL{
 		src:       src,
 		dst:       dst,
 		interval:  interval,
 		transform: transform,
 		tables:    filter,
-		reg:       metrics.NewRegistry(),
+		loaded:    reg.Counter("etl.loaded"),
+		applied:   reg.Counter("etl.applied"),
+		resyncs:   reg.Counter("etl.resyncs"),
 	}
 	e.runs = vclock.NewLoop(clock, e.run, false)
 	return e
@@ -98,7 +102,7 @@ func (e *ETL) InitialLoad(tables ...string) int {
 			}
 		}
 	}
-	e.reg.Counter("etl.loaded").Add(int64(n))
+	e.loaded.Add(int64(n))
 	return n
 }
 
@@ -144,7 +148,7 @@ func (e *ETL) RunOnce() int {
 		e.sinceLSN = changes[len(changes)-1].LSN
 		e.mu.Unlock()
 	}
-	e.reg.Counter("etl.applied").Add(int64(applied))
+	e.applied.Add(int64(applied))
 	return applied
 }
 
@@ -171,8 +175,8 @@ func (e *ETL) resync() int {
 			}
 		}
 	}
-	e.reg.Counter("etl.resyncs").Inc()
-	e.reg.Counter("etl.loaded").Add(int64(n))
+	e.resyncs.Inc()
+	e.loaded.Add(int64(n))
 	return n
 }
 

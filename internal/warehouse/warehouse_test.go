@@ -81,7 +81,7 @@ func TestDeleteRightAfterInitialLoadPropagates(t *testing.T) {
 	if _, ok := copyDB.Get("flights", "f1"); ok {
 		t.Fatal("delete not propagated")
 	}
-	if n := etl.reg.Counter("etl.resyncs").Value(); n != 0 {
+	if n := etl.resyncs.Value(); n != 0 {
 		t.Fatalf("etl.resyncs = %d, want 0", n)
 	}
 }
@@ -230,7 +230,7 @@ func TestETLResyncsAfterChangeLogTrim(t *testing.T) {
 	if n != 10 {
 		t.Fatalf("resync loaded %d rows, want 10", n)
 	}
-	if v := etl.Metrics().Counter("etl.resyncs").Value(); v != 1 {
+	if v := etl.resyncs.Value(); v != 1 {
 		t.Fatalf("etl.resyncs = %d, want 1", v)
 	}
 	for i := 0; i < 10; i++ {
@@ -249,7 +249,7 @@ func TestETLResyncsAfterChangeLogTrim(t *testing.T) {
 	if etl.RunOnce() != 1 {
 		t.Fatal("post-resync incremental run misbehaved")
 	}
-	if v := etl.Metrics().Counter("etl.resyncs").Value(); v != 1 {
+	if v := etl.resyncs.Value(); v != 1 {
 		t.Fatalf("incremental run resynced again: %d", v)
 	}
 	if r, _ := copyDB.Get("flights", "f1"); r.Fields["seats"] != "42" {

@@ -49,7 +49,7 @@ func (p *Port) SOAPHandler() soap.Handler {
 				def.OnStart(c)
 			}
 			p.persist(c)
-			p.reg.Counter("ws.conversations_started").Inc()
+			p.started.Inc()
 			return id, nil
 
 		case "finish":

@@ -213,7 +213,7 @@ func (p *Port) rmiService() *rmi.Service {
 					def.OnStart(c)
 				}
 				p.persist(c)
-				p.reg.Counter("ws.conversations_started").Inc()
+				p.started.Inc()
 				return nil, nil
 			}},
 			// call: client-invoked request-response operation.
@@ -243,7 +243,7 @@ func (p *Port) rmiService() *rmi.Service {
 				if !ok {
 					return nil, &rmi.AppError{Msg: fmt.Sprintf("wsdl: conversation %s has no callback %q", id, op)}
 				}
-				p.reg.Counter("ws.callbacks").Inc()
+				p.callbacks.Inc()
 				out, err := h(c, payload)
 				if err != nil {
 					return nil, &rmi.AppError{Msg: err.Error()}
@@ -289,7 +289,7 @@ func (p *Port) dispatchOperation(args []byte, wantReply bool) ([]byte, error) {
 	if !ok {
 		return nil, &rmi.AppError{Msg: ErrNoSuchOperation.Error() + ": " + op}
 	}
-	p.reg.Counter("ws.operations").Inc()
+	p.operations.Inc()
 	if !wantReply && operation.Kind == OneWay {
 		// One-way with in-memory queueing semantics: handler runs inline
 		// here (the queue is the transport); a nil handler parks the

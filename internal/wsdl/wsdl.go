@@ -116,8 +116,9 @@ const ServiceRMIName = "wls.ws"
 // role) and client-side conversation endpoints (client role) on one node.
 type Port struct {
 	node rmi.Node
-	reg  *metrics.Registry
 	st   *tuple.Store // nil = in-memory conversations only
+
+	started, callbacks, operations *metrics.Counter
 
 	mu       sync.Mutex
 	services map[string]*ServiceDef
@@ -128,12 +129,15 @@ type Port struct {
 // NewPort creates a Web Services runtime on a server's RMI registry. st
 // may be nil when only in-memory conversations are needed.
 func NewPort(registry *rmi.Registry, st *tuple.Store) *Port {
+	reg := registry.Metrics()
 	p := &Port{
-		node:     registry.Node(),
-		reg:      registry.Metrics(),
-		st:       st,
-		services: make(map[string]*ServiceDef),
-		convs:    make(map[string]*Conversation),
+		node:       registry.Node(),
+		st:         st,
+		started:    reg.Counter("ws.conversations_started"),
+		callbacks:  reg.Counter("ws.callbacks"),
+		operations: reg.Counter("ws.operations"),
+		services:   make(map[string]*ServiceDef),
+		convs:      make(map[string]*Conversation),
 	}
 	registry.Register(p.rmiService())
 	return p
