@@ -51,9 +51,9 @@ check:
 # and four CPUs twenty times over, the wire gates (bytes per routed
 # request, the same at any connection age), the HTTP edge's one
 # allocation per request (no Set-Cookie for a cookie that still holds),
-# the placement, row, lock-table and connection footprints, a steady
-# heartbeat's one allocation, a 2PC's two (its Tx and id), and the
-# pool-recycling stress.
+# the placement, row, lock-table and connection footprints, a warm TCP
+# call's zero allocations, a steady heartbeat's one allocation, a 2PC's
+# two (its Tx and id), and the pool-recycling stress.
 # Allocation counts need a build without -race; the last two lines are
 # race-only checks.
 gates:
@@ -64,7 +64,7 @@ gates:
 	$(GO) test -run 'TestSteadyHeartbeatAllocsPerMember' -v -count=1 ./internal/cluster
 	$(GO) test -run 'TestTwoPhaseCommitAllocatesOnlyItsTx' -v -count=1 ./internal/tx
 	$(GO) test -run 'TestStoreRowFootprint|TestUnfollowedStoreKeepsNoWindow|TestLockTableGivesBackItsMap' -v -count=1 ./internal/store
-	$(GO) test -run 'TestIdleConnFootprint' -v -count=1 ./internal/transport
+	$(GO) test -run 'TestIdleConnFootprint|TestCallAllocatesNothing' -v -count=1 ./internal/transport
 	$(GO) test -race -run 'TestIdleWritersHoldNoBuffer|TestFramesSpanningTheReadBuffer' -v -count=1 ./internal/transport
 	$(GO) test -race -run 'TestPoolRecycling' -count=1 .
 

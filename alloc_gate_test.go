@@ -45,9 +45,9 @@ const (
 	gateWebtierSessionWrite = 7.1
 	gateServletDirectEcho   = 0.0
 	gateServletDirectWrite  = 4.1
-	gateTransportEcho       = 3.0
-	gateTCPEcho             = 1.1
-	gateTCPSessionWrite     = 3.1
+	gateTransportEcho       = 2.0
+	gateTCPEcho             = 0.1
+	gateTCPSessionWrite     = 1.1
 	gateDurableCheckout     = 10.1
 	gateExternalLBEcho      = 3.1
 	gateStatelessInvoke     = 4.8
@@ -268,13 +268,15 @@ func TestAllocGateStatefulInvoke(t *testing.T) {
 	allocGate(t, "stateful invoke, per call", callAllocs(300, call), "gateStatefulInvoke", gateStatefulInvoke)
 }
 
-// The same gates on the real TCP fabric. Per RPC hop the floor is the
-// response body copied for the caller: the stub returns its Result by
-// value, and everything else on the hop (call slot, inbound task, request
-// buffer, response frame and its encoder) is pooled.
+// The same gates on the real TCP fabric. An RPC hop allocates nothing
+// whole: the stub returns its Result by value, the response body copied
+// for the caller is carved from the transport's 2 KiB reply slab (a
+// fraction of an allocation per call), a call watches its context only
+// once its reply is late, and everything else on the hop (call slot,
+// inbound task, request buffer, response frame and its encoder) is pooled.
 
-// TestAllocGateTransportEcho pins a bare Transport.Call: the caller-owned
-// response body plus the two this test's handler makes itself.
+// TestAllocGateTransportEcho pins a bare Transport.Call: the two objects
+// this test's handler makes itself, and the reply slab's fraction.
 func TestAllocGateTransportEcho(t *testing.T) {
 	cl, srv := listenTCP(t), listenTCP(t)
 	srv.SetHandler(func(string, wire.Frame) *wire.Frame { return &wire.Frame{Body: []byte("ok")} })

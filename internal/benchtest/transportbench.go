@@ -29,10 +29,12 @@ type echoResult struct {
 	allocsPer   float64 // heap allocations per call, process-wide (client+server)
 }
 
+// e27LoadDur is how long E27 drives each row.
+const e27LoadDur = 250 * time.Millisecond
+
 // echoLoad drives callers concurrent echo RPCs against to for roughly
 // loadDur, reporting throughput and process-wide allocations per call.
-func echoLoad(cl echoCaller, to string, callers int) echoResult {
-	const loadDur = 250 * time.Millisecond
+func echoLoad(cl echoCaller, to string, callers int, loadDur time.Duration) echoResult {
 	ctx := context.Background()
 	body := make([]byte, 128)
 
@@ -97,35 +99,43 @@ func runE27() *Table {
 		a := sim.Endpoint("a")
 		b := sim.Endpoint("b")
 		b.SetHandler(func(string, wire.Frame) *wire.Frame { return &wire.Frame{Kind: wire.KindResponse, Body: []byte("ok")} })
-		res := echoLoad(a, "b", callers)
+		res := echoLoad(a, "b", callers, e27LoadDur)
 		addE27Row(t, "netsim", callers, res, "-")
 	}
 
 	for _, callers := range []int{1, 64, 1024} {
-		srv, err := transport.Listen("127.0.0.1:0")
-		if err != nil {
-			panic(err)
-		}
-		srv.SetHandler(func(string, wire.Frame) *wire.Frame { return &wire.Frame{Body: []byte("ok")} })
-		cl, err := transport.Listen("127.0.0.1:0")
-		if err != nil {
-			panic(err)
-		}
-		res := echoLoad(cl, srv.Addr(), callers)
-		var frames, writes int64
-		for _, tr := range []*transport.Transport{srv, cl} {
-			h := tr.Metrics().Histogram("transport.batch.frames")
-			frames, writes = frames+h.Sum(), writes+h.Count()
-		}
-		addE27Row(t, "tcp", callers, res, fmt.Sprintf("%.2f", float64(frames)/float64(max(writes, 1))))
-		if err := cl.Close(); err != nil {
-			panic(err)
-		}
-		if err := srv.Close(); err != nil {
-			panic(err)
-		}
+		res, batch := e27TCP(callers, e27LoadDur)
+		addE27Row(t, "tcp", callers, res, fmt.Sprintf("%.2f", batch))
 	}
 	return t
+}
+
+// e27TCP runs one TCP row of E27 between two fresh transports, whose
+// handler allocates two objects a call (the frame and its body), and
+// returns the load's result with the mean frames per batched write.
+func e27TCP(callers int, loadDur time.Duration) (echoResult, float64) {
+	srv, err := transport.Listen("127.0.0.1:0")
+	if err != nil {
+		panic(err)
+	}
+	srv.SetHandler(func(string, wire.Frame) *wire.Frame { return &wire.Frame{Body: []byte("ok")} })
+	cl, err := transport.Listen("127.0.0.1:0")
+	if err != nil {
+		panic(err)
+	}
+	res := echoLoad(cl, srv.Addr(), callers, loadDur)
+	var frames, writes int64
+	for _, tr := range []*transport.Transport{srv, cl} {
+		h := tr.Metrics().Histogram("transport.batch.frames")
+		frames, writes = frames+h.Sum(), writes+h.Count()
+	}
+	if err := cl.Close(); err != nil {
+		panic(err)
+	}
+	if err := srv.Close(); err != nil {
+		panic(err)
+	}
+	return res, float64(frames) / float64(max(writes, 1))
 }
 
 func addE27Row(t *Table, fabric string, callers int, res echoResult, batch string) {

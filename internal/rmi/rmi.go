@@ -46,6 +46,9 @@ import (
 // and released it (see wire.Handler), so a response may be pooled and may
 // alias the request. The Body of the frame Call returns is that one copy,
 // owned by the caller: stubs decode it in place and hand out sub-slices.
+// netsim allocates it; TCP carves a body of up to 256 B from its
+// transport's 2 KiB reply slab, capped at its length so an append
+// reallocates, so keeping such a body keeps at most one 2 KiB slab alive.
 type Node interface {
 	Addr() string
 	Call(ctx context.Context, to string, f wire.Frame) (wire.Frame, error)

@@ -17,6 +17,8 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"strings"
+	"unicode/utf8"
 )
 
 // Envelope is a SOAP-style message.
@@ -50,13 +52,45 @@ type Fault struct {
 	Reason string `xml:"faultstring"`
 }
 
-// Marshal renders an envelope as XML.
+// Marshal renders an envelope as XML. It refuses an envelope with a
+// string XML 1.0 cannot carry — a rune outside its Char production, such
+// as U+0000 or U+FFFF, or invalid UTF-8 — since encoding/xml would write
+// U+FFFD in its place and report nothing.
 func Marshal(e Envelope) ([]byte, error) {
+	fields := []string{e.Header.Action, e.Header.ConversationID, e.Body.Payload}
+	if f := e.Body.Fault; f != nil {
+		fields = append(fields, f.Code, f.Reason)
+	}
+	for _, s := range fields {
+		if !isXMLText(s) {
+			return nil, errors.New("soap: envelope text holds a character XML cannot carry")
+		}
+	}
 	out, err := xml.MarshalIndent(e, "", "  ")
 	if err != nil {
 		return nil, err
 	}
 	return append([]byte(xml.Header), out...), nil
+}
+
+// isXMLChar reports whether r is in XML 1.0's Char production.
+func isXMLChar(r rune) bool {
+	return r == 0x09 || r == 0x0A || r == 0x0D ||
+		r >= 0x20 && r <= 0xD7FF ||
+		r >= 0xE000 && r <= 0xFFFD ||
+		r >= 0x10000 && r <= 0x10FFFF
+}
+
+// isXMLText reports whether s is valid UTF-8 of XML Chars only.
+func isXMLText(s string) bool {
+	for i := 0; i < len(s); {
+		r, n := utf8.DecodeRuneInString(s[i:])
+		if r == utf8.RuneError && n == 1 || !isXMLChar(r) {
+			return false
+		}
+		i += n
+	}
+	return true
 }
 
 // Unmarshal parses an envelope.
@@ -106,7 +140,16 @@ func Endpoint(h Handler) http.Handler {
 	})
 }
 
+// writeFault sends a fault. A character of reason XML cannot carry (an
+// error may quote the bad input) becomes U+FFFD, so the fault is always
+// well formed.
 func writeFault(w http.ResponseWriter, code, reason string) {
+	reason = strings.Map(func(r rune) rune {
+		if isXMLChar(r) {
+			return r
+		}
+		return utf8.RuneError
+	}, reason)
 	b, _ := Marshal(Envelope{Body: Body{Fault: &Fault{Code: code, Reason: reason}}})
 	w.Header().Set("Content-Type", "text/xml; charset=utf-8")
 	w.WriteHeader(http.StatusInternalServerError)

@@ -32,9 +32,10 @@ const gateIdleConnEnd = 5750
 // transport dials 32 peers and makes one call to each; the live heap that
 // added, net of the 33 transports built beforehand, is divided by the 64
 // connection ends. That is the 4 KiB socket buffer, the conn with its call
-// slots, the writer, the TCP conn and the tracking maps; no body buffer, no
-// batch buffer (DESIGN.md "What a connection end holds" has the breakdown).
-// Measured 5 124–5 220 B, pinned at gateIdleConnEnd. A burst of 64
+// slots, the writer, the TCP conn and the tracking maps, and a 64th of the
+// hub's 2 KiB reply slab; no body buffer, no batch buffer (DESIGN.md "What
+// a connection end holds" has the breakdown). Measured 5 156–5 255 B,
+// pinned at gateIdleConnEnd. A burst of 64
 // concurrent 200 KiB echoes over one of the connections must leave nothing
 // behind: the same gate holds after it.
 func TestIdleConnFootprint(t *testing.T) {

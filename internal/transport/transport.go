@@ -20,8 +20,10 @@
 // call's correlation id is its waiter's slot, reused (one byte while at
 // most 128 calls are in flight), inbound requests run on a bounded worker
 // pool, and call slots and request buffers are pooled under the ownership
-// rule stated on wire.Handler, so a call allocates only the response body
-// its caller gets to keep.
+// rule stated on wire.Handler. A reply body of at most 256 B is copied for
+// its caller into the transport's current 2 KiB slab, and a call watches
+// its context only once its reply is late, so a call allocates nothing; a
+// larger reply body is the one allocation, as its caller's own copy.
 package transport
 
 import (
@@ -34,6 +36,7 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"wls/internal/metrics"
 	"wls/internal/wire"
@@ -71,6 +74,39 @@ type Transport struct {
 	dialing map[string]chan struct{} // dials in progress, closed when done: one per peer at a time
 	closed  bool
 	wg      sync.WaitGroup
+
+	// slab is the array small reply bodies are carved from, its length the
+	// bytes handed out; slabMu is held by the conns' read loops only.
+	slabMu sync.Mutex
+	slab   []byte
+}
+
+// slabSize is the size of a reply slab, and slabMax the largest body
+// carved from one: a kept body keeps at most one slab alive.
+const (
+	slabSize = 2 << 10
+	slabMax  = 256
+)
+
+// keep copies a reply body out of the read buffer for its caller. A body
+// of at most slabMax bytes goes at the end of the current slab; a slab
+// with no room left is replaced, and is never written again. The caller
+// gets a slice capped at its own bytes, so an append to it reallocates and
+// no caller can reach another's reply.
+func (t *Transport) keep(b []byte) []byte {
+	n := len(b)
+	if n == 0 || n > slabMax {
+		return append([]byte(nil), b...)
+	}
+	t.slabMu.Lock()
+	if len(t.slab)+n > cap(t.slab) {
+		t.slab = make([]byte, 0, slabSize)
+	}
+	i := len(t.slab)
+	t.slab = append(t.slab, b...)
+	out := t.slab[i : i+n : i+n]
+	t.slabMu.Unlock()
+	return out
 }
 
 // Listen starts a transport on the given TCP address ("127.0.0.1:0" picks a
@@ -338,12 +374,23 @@ var errConnDead = errors.New("transport: connection dead")
 // party that may complete it, by exactly one send on done; no channel is
 // ever closed (see abandon for the caller that loses that race).
 type callSlot struct {
-	done chan struct{} // capacity 1
-	resp wire.Frame
-	err  error
+	done     chan struct{} // capacity 1
+	patience *time.Timer
+	resp     wire.Frame
+	err      error
 }
 
-var slotPool = sync.Pool{New: func() any { return &callSlot{done: make(chan struct{}, 1)} }}
+// patience is how long a call waits for its reply before it also watches
+// its context: a cancel or a deadline is seen at most this late, and a
+// reply that comes sooner never makes a context allocate its Done channel.
+const patience = time.Millisecond
+
+var slotPool = sync.Pool{New: func() any {
+	//wls:wallclock the transport waits on real sockets
+	tm := time.NewTimer(patience)
+	tm.Stop()
+	return &callSlot{done: make(chan struct{}, 1), patience: tm}
+}}
 
 // abandoned marks the slot of a call given up after its request was
 // queued: its id stays reserved until the late response, which deliver
@@ -396,8 +443,8 @@ func (c *conn) register(slot *callSlot) (uint64, error) {
 }
 
 // deliver hands an inbound response to its waiter, if still present, and
-// frees its id. The body is copied out of the read buffer here: it is the
-// caller's from now.
+// frees its id. The body is copied out of the read buffer here (see keep):
+// it is the caller's from now.
 func (c *conn) deliver(f wire.Frame) {
 	var slot *callSlot
 	c.mu.Lock()
@@ -408,7 +455,7 @@ func (c *conn) deliver(f wire.Frame) {
 	}
 	c.mu.Unlock()
 	if slot != nil && slot != abandoned {
-		f.Body = append([]byte(nil), f.Body...)
+		f.Body = c.t.keep(f.Body)
 		slot.resp = f
 		slot.done <- struct{}{}
 	}
@@ -430,8 +477,7 @@ func (c *conn) abandon(id uint64, slot *callSlot, queued bool) {
 	if !mine {
 		<-slot.done
 	}
-	slot.resp, slot.err = wire.Frame{}, nil
-	slotPool.Put(slot)
+	slot.put()
 }
 
 func (c *conn) deadReason() error {
@@ -466,7 +512,7 @@ func (c *conn) call(ctx context.Context, f wire.Frame) (wire.Frame, error) {
 	slot := slotPool.Get().(*callSlot)
 	id, err := c.register(slot)
 	if err != nil {
-		slotPool.Put(slot)
+		slot.put()
 		return wire.Frame{}, err
 	}
 	f.Kind = wire.KindRequest
@@ -475,16 +521,43 @@ func (c *conn) call(ctx context.Context, f wire.Frame) (wire.Frame, error) {
 		c.abandon(id, slot, false)
 		return wire.Frame{}, err
 	}
+	// Wait patience for the reply before arming ctx: most replies come
+	// sooner, and then ctx.Done is never called.
+	slot.patience.Reset(patience)
 	select {
 	case <-slot.done:
-		resp, err := slot.resp, slot.err
-		slot.resp, slot.err = wire.Frame{}, nil
-		slotPool.Put(slot)
-		return resp, err
+		return slot.take()
+	case <-slot.patience.C:
+	}
+	select {
+	case <-slot.done:
+		return slot.take()
 	case <-ctx.Done():
 		c.abandon(id, slot, true)
 		return wire.Frame{}, ctx.Err()
 	}
+}
+
+// take returns a completed slot's outcome and pools the slot.
+func (s *callSlot) take() (wire.Frame, error) {
+	resp, err := s.resp, s.err
+	s.put()
+	return resp, err
+}
+
+// put pools s with its timer stopped and its channel empty. The drain after
+// Stop is non-blocking, which is right whether a stopped timer's channel
+// may still hold a tick (Go 1.22) or never does (Go 1.23); a tick sent
+// after the drain only has the slot's next call watch its context at once.
+func (s *callSlot) put() {
+	if !s.patience.Stop() {
+		select {
+		case <-s.patience.C:
+		default:
+		}
+	}
+	s.resp, s.err = wire.Frame{}, nil
+	slotPool.Put(s)
 }
 
 func (c *conn) close(reason error) {
@@ -536,11 +609,11 @@ func (in inbound) run() {
 // syscall, while a body at least that large is read straight into its
 // pooled body buffer (bufio.Reader.Read bypasses its own buffer for such
 // reads). Frames are decoded zero-copy: a response is copied once, for its
-// caller; a request takes the body buffer with it to the worker pool. The
-// reader gives a body buffer back when it looks for the next frame, so a
-// conn waiting for one holds only the socket buffer. A frame of any other
-// kind closes the connection, as a bad hello does: past the handshake a
-// peer sends requests and responses only.
+// caller (into the reply slab when small); a request takes the body buffer
+// with it to the worker pool. The reader gives a body buffer back when it
+// looks for the next frame, so a conn waiting for one holds only the socket
+// buffer. A frame of any other kind closes the connection, as a bad hello
+// does: past the handshake a peer sends requests and responses only.
 func (c *conn) readLoop() {
 	fr := wire.NewFrameReader(bufio.NewReader(c.nc))
 	fr.SetZeroCopy(true)

@@ -1251,3 +1251,123 @@ func TestInboundSize(t *testing.T) {
 		t.Fatalf("inbound is %d bytes, want 24", got)
 	}
 }
+
+// TestCancelIsSeenWithinPatience cancels calls whose handler stalls: before
+// the call's patience runs out, just after it is armed, and well after.
+// Each call returns ctx.Err() within patience of its cancel, plus 50 ms
+// for the scheduler.
+func TestCancelIsSeenWithinPatience(t *testing.T) {
+	a, b := newT(t), newT(t)
+	release := make(chan struct{})
+	defer close(release)
+	b.SetHandler(func(_ string, f wire.Frame) *wire.Frame {
+		if string(f.Body) == "stall" {
+			<-release
+		}
+		return &wire.Frame{}
+	})
+	if _, err := a.Call(context.Background(), b.Addr(), wire.Frame{}); err != nil {
+		t.Fatal(err)
+	}
+	for _, after := range []time.Duration{0, patience / 2, 5 * patience} {
+		ctx, cancel := context.WithCancel(context.Background())
+		//wls:wallclock test-only cancel on the real clock
+		time.AfterFunc(after, cancel)
+		start := time.Now() //wls:wallclock test-only elapsed check
+		_, err := a.Call(ctx, b.Addr(), wire.Frame{Body: []byte("stall")})
+		//wls:wallclock test-only elapsed check
+		elapsed := time.Since(start)
+		if err != context.Canceled {
+			t.Errorf("cancel after %v: got %v, want %v", after, err, context.Canceled)
+		}
+		if limit := after + patience + 50*time.Millisecond; elapsed > limit {
+			t.Errorf("cancel after %v: the call returned after %v, over %v", after, elapsed, limit)
+		}
+	}
+}
+
+// stamp fills b with a pattern no other (caller, call) pair writes.
+func stamp(b []byte, caller, call int) {
+	for k := range b {
+		b[k] = byte(k)
+	}
+	b[0], b[1], b[2] = byte(caller), byte(call>>8), byte(call)
+}
+
+// within reports whether b starts inside the array behind s.
+func within(b, s []byte) bool {
+	lo := uintptr(unsafe.Pointer(unsafe.SliceData(s[:cap(s)])))
+	p := uintptr(unsafe.Pointer(unsafe.SliceData(b)))
+	return p >= lo && p < lo+uintptr(cap(s))
+}
+
+// TestRepliesOwnTheirBytes: 64 callers make 500 echo calls each with
+// distinct bodies, most small enough to be carved from the transport's
+// reply slab, every hundredth 300 B, with released buffers poisoned. Each
+// caller overwrites every reply it gets and appends to it, keeps it, and
+// checks all it kept once every caller is done: no reply shares bytes with
+// another, nor with a buffer the transport reuses, and an append to a
+// reply never writes into the slab. Then a small reply lies in the slab
+// and a 300 B one does not: it has its own array.
+func TestRepliesOwnTheirBytes(t *testing.T) {
+	const callers, calls = 64, 500
+	wire.PoisonReleased(true)
+	defer wire.PoisonReleased(false)
+	a, b := newT(t), newT(t)
+	b.SetHandler(echoHandler)
+	body := func(caller, call int) []byte {
+		n := 8 + (caller+call)%48
+		if call%100 == 99 {
+			n = 300
+		}
+		p := make([]byte, n)
+		stamp(p, caller, call)
+		return p
+	}
+	kept := make([][][]byte, callers)
+	var wg sync.WaitGroup
+	for i := range kept {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for j := 0; j < calls; j++ {
+				want := body(i, j)
+				resp, err := a.Call(context.Background(), b.Addr(), wire.Frame{Body: want})
+				if err != nil || !bytes.Equal(resp.Body, want) {
+					t.Errorf("caller %d call %d: got %d B, %v; want its own %d B", i, j, len(resp.Body), err, len(want))
+					return
+				}
+				got := append(resp.Body, 0, 0, 0)
+				stamp(got, callers-1-i, calls-1-j)
+				kept[i] = append(kept[i], got)
+			}
+		}()
+	}
+	wg.Wait()
+	for i, replies := range kept {
+		for j, got := range replies {
+			want := make([]byte, len(got))
+			stamp(want, callers-1-i, calls-1-j)
+			if !bytes.Equal(got, want) {
+				t.Fatalf("caller %d call %d: its reply changed under it", i, j)
+			}
+		}
+	}
+	small, err := a.Call(context.Background(), b.Addr(), wire.Frame{Body: body(0, 0)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	large, err := a.Call(context.Background(), b.Addr(), wire.Frame{Body: body(0, 99)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	a.slabMu.Lock()
+	slab := a.slab
+	a.slabMu.Unlock()
+	if !within(small.Body, slab) || cap(small.Body) != len(small.Body) {
+		t.Errorf("a %d B reply is not carved from the slab, capped at its length", len(small.Body))
+	}
+	if within(large.Body, slab) {
+		t.Errorf("a %d B reply was carved from the slab", len(large.Body))
+	}
+}
