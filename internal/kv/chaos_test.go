@@ -4,8 +4,10 @@ package kv_test
 // against a CrashFS whose budget is swept from zero to the workload's
 // total mutating-op count, so EVERY crash window — mid-commit frame, mid
 // checkpoint, mid log reset, the torn final write itself — is visited
-// deterministically. After each simulated crash the store is
-// reopened on the real filesystem and checked against the model:
+// deterministically, in both of CrashFS's modes: a crash that keeps every
+// completed write, and one that keeps only what a Sync made durable.
+// After each simulated crash the store is reopened on the real filesystem
+// and checked against the model:
 //
 //   - every acknowledged batch is present (durability),
 //   - the one in-flight batch is either fully present or fully absent
@@ -133,11 +135,12 @@ func countMutatingOps(t *testing.T, bc chaosBackend, actions []chaosAction) int 
 
 // runCrashAt executes the workload against a CrashFS with the given step
 // budget, then reopens on the real filesystem and checks the invariants.
-func runCrashAt(t *testing.T, bc chaosBackend, actions []chaosAction, step, tearNum, tearDen int) {
+func runCrashAt(t *testing.T, bc chaosBackend, mode kvtest.Mode, actions []chaosAction, step, tearNum, tearDen int) {
 	t.Helper()
 	dir := t.TempDir()
 	cfs := kvtest.NewCrashFS(nil, step)
 	cfs.SetTear(tearNum, tearDen)
+	cfs.SetMode(mode)
 
 	acked := map[[2]string]string{}
 	var inflight []kv.Op
@@ -212,9 +215,13 @@ func TestCrashChaosSweep(t *testing.T) {
 			// Vary the tear fraction across steps: boundary tears, half
 			// tears, and almost-complete frames.
 			tears := [][2]int{{0, 1}, {1, 2}, {9, 10}}
-			for step := 0; step < total; step++ {
-				tear := tears[step%len(tears)]
-				runCrashAt(t, bc, actions, step, tear[0], tear[1])
+			for _, mode := range kvtest.Modes {
+				t.Run(mode.String(), func(t *testing.T) {
+					for step := 0; step < total; step++ {
+						tear := tears[step%len(tears)]
+						runCrashAt(t, bc, mode, actions, step, tear[0], tear[1])
+					}
+				})
 			}
 		})
 	}
@@ -225,14 +232,18 @@ func TestCrashChaosSeeded(t *testing.T) {
 	for _, bc := range chaosBackends() {
 		bc := bc
 		t.Run(bc.name, func(t *testing.T) {
-			for seed := int64(2); seed < 6; seed++ {
-				actions := chaosWorkload(seed, 30)
-				total := countMutatingOps(t, bc, actions)
-				rng := rand.New(rand.NewSource(seed * 977))
-				for i := 0; i < 12; i++ {
-					step := rng.Intn(total)
-					runCrashAt(t, bc, actions, step, rng.Intn(10), 10)
-				}
+			for _, mode := range kvtest.Modes {
+				t.Run(mode.String(), func(t *testing.T) {
+					for seed := int64(2); seed < 6; seed++ {
+						actions := chaosWorkload(seed, 30)
+						total := countMutatingOps(t, bc, actions)
+						rng := rand.New(rand.NewSource(seed * 977))
+						for i := 0; i < 12; i++ {
+							step := rng.Intn(total)
+							runCrashAt(t, bc, mode, actions, step, rng.Intn(10), 10)
+						}
+					}
+				})
 			}
 		})
 	}

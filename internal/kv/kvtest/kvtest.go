@@ -8,6 +8,11 @@
 // workload's total step count visits every crash window deterministically,
 // turning "kill -9 mid-commit" into a seeded test instead of a flaky one.
 //
+// What a crash leaves of the bytes written before it is the CrashFS's
+// Mode: every completed write (KeepWritten, the default), or only what a
+// Sync made durable (LoseUnsynced), which catches a backend that
+// acknowledges before it syncs.
+//
 // CrashFS also records every operation it sees, so tests can assert the
 // exact syscall choreography of crash-sensitive sequences (stage, sync,
 // rename, directory sync, close) rather than merely their outcome.
@@ -16,11 +21,35 @@ package kvtest
 import (
 	"errors"
 	"fmt"
+	"io"
 	"os"
 	"sync"
 
 	"wls/internal/kv"
 )
+
+// Mode is what a crash leaves of the bytes written before it. Either way,
+// create, rename and remove are durable at once.
+type Mode int
+
+const (
+	// KeepWritten keeps every completed write, synced or not.
+	KeepWritten Mode = iota
+	// LoseUnsynced puts each file back to its bytes at its last Sync; a
+	// file never synced goes back to the bytes it had when first opened,
+	// which is empty for a file the CrashFS created.
+	LoseUnsynced
+)
+
+// Modes lists both modes, for sweeps that run in each.
+var Modes = []Mode{KeepWritten, LoseUnsynced}
+
+func (m Mode) String() string {
+	if m == LoseUnsynced {
+		return "lose-unsynced"
+	}
+	return "keep-written"
+}
 
 // ErrCrashed is returned by every operation at and after the simulated
 // crash point.
@@ -38,6 +67,16 @@ type CrashFS struct {
 	crashed bool
 	ops     []string
 	mutates int
+	// durable holds, under LoseUnsynced, what a crash leaves of each file
+	// this CrashFS opened, by its current name.
+	durable map[string]*durableFile
+}
+
+// durableFile is a file's bytes as of its last Sync. name is its current
+// path, "" once it is removed or renamed over.
+type durableFile struct {
+	name  string
+	bytes []byte
 }
 
 // NewCrashFS wraps inner with a budget of steps mutating operations. The
@@ -56,6 +95,18 @@ func (c *CrashFS) SetTear(num, den int) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.tearNum, c.tearDen = num, den
+}
+
+// SetMode chooses what the crash leaves of unsynced writes. Set it before
+// the first OpenFile.
+func (c *CrashFS) SetMode(m Mode) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if m == LoseUnsynced {
+		c.durable = make(map[string]*durableFile)
+	} else {
+		c.durable = nil
+	}
 }
 
 // Crashed reports whether the budget has been exhausted.
@@ -96,11 +147,40 @@ func (c *CrashFS) step() bool {
 	}
 	if c.steps == 0 {
 		c.crashed = true
+		c.restore()
 		return true
 	}
 	c.steps--
 	c.mutates++
 	return false
+}
+
+// restore puts every file back to its durable bytes (LoseUnsynced only).
+// Every write, truncate and sync runs under c.mu, so none lands after it.
+func (c *CrashFS) restore() {
+	for name, d := range c.durable {
+		f, err := c.inner.OpenFile(name, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
+		if err == nil {
+			_, err = f.Write(d.bytes)
+			err = errors.Join(err, f.Close())
+		}
+		if err != nil {
+			panic(fmt.Sprintf("kvtest: restoring %s at the crash: %v", name, err))
+		}
+	}
+}
+
+// read returns the bytes of the file at name, none if it does not exist.
+func (c *CrashFS) read(name string) ([]byte, error) {
+	f, err := c.inner.OpenFile(name, os.O_RDONLY, 0)
+	if errors.Is(err, os.ErrNotExist) {
+		return nil, nil
+	}
+	if err != nil {
+		return nil, err
+	}
+	b, err := io.ReadAll(f)
+	return b, errors.Join(err, f.Close())
 }
 
 // OpenFile implements kv.FS. Opens are not mutating ops (a crash at the
@@ -113,11 +193,24 @@ func (c *CrashFS) OpenFile(name string, flag int, perm os.FileMode) (kv.File, er
 	if c.crashed {
 		return nil, ErrCrashed
 	}
+	var d *durableFile
+	if c.durable != nil {
+		if d = c.durable[name]; d == nil {
+			b, err := c.read(name)
+			if err != nil {
+				return nil, err
+			}
+			d = &durableFile{name: name, bytes: b}
+		}
+	}
 	f, err := c.inner.OpenFile(name, flag, perm)
 	if err != nil {
 		return nil, err
 	}
-	return &crashFile{fs: c, name: name, f: f}, nil
+	if d != nil {
+		c.durable[name] = d
+	}
+	return &crashFile{fs: c, name: name, f: f, durable: d}, nil
 }
 
 // Rename implements kv.FS: atomic, so the crash point leaves it undone.
@@ -129,7 +222,25 @@ func (c *CrashFS) Rename(oldname, newname string) error {
 		return ErrCrashed
 	}
 	c.record("rename %s %s", oldname, newname)
-	return c.inner.Rename(oldname, newname)
+	if err := c.inner.Rename(oldname, newname); err != nil {
+		return err
+	}
+	if c.durable != nil {
+		c.forget(newname)
+		if d := c.durable[oldname]; d != nil {
+			delete(c.durable, oldname)
+			d.name, c.durable[newname] = newname, d
+		}
+	}
+	return nil
+}
+
+// forget stops tracking the file at name: it was removed or renamed over.
+func (c *CrashFS) forget(name string) {
+	if d := c.durable[name]; d != nil {
+		d.name = ""
+		delete(c.durable, name)
+	}
 }
 
 // Remove implements kv.FS.
@@ -141,7 +252,11 @@ func (c *CrashFS) Remove(name string) error {
 		return ErrCrashed
 	}
 	c.record("remove %s", name)
-	return c.inner.Remove(name)
+	if err := c.inner.Remove(name); err != nil {
+		return err
+	}
+	c.forget(name)
+	return nil
 }
 
 // SyncDir implements kv.FS.
@@ -158,11 +273,13 @@ func (c *CrashFS) SyncDir(name string) error {
 
 // crashFile routes every file operation through the budget. The name is
 // the path the file was opened under, so the recorded log distinguishes a
-// staging file from the file it later replaces.
+// staging file from the file it later replaces. durable is its entry under
+// LoseUnsynced, nil otherwise.
 type crashFile struct {
-	fs   *CrashFS
-	name string
-	f    kv.File
+	fs      *CrashFS
+	name    string
+	f       kv.File
+	durable *durableFile
 }
 
 func (cf *crashFile) Read(p []byte) (int, error) {
@@ -177,23 +294,23 @@ func (cf *crashFile) Read(p []byte) (int, error) {
 
 func (cf *crashFile) Write(p []byte) (int, error) {
 	cf.fs.mu.Lock()
+	defer cf.fs.mu.Unlock()
 	dead := cf.fs.crashed
 	if cf.fs.step() {
 		// Torn write: a prefix of the bytes lands, then the machine dies.
-		// A write issued after that (another goroutine's, say) lands nothing.
+		// A write issued after that (another goroutine's, say) lands
+		// nothing, and under LoseUnsynced neither does this one.
 		n := len(p) * cf.fs.tearNum / cf.fs.tearDen
-		if dead {
+		if dead || cf.durable != nil {
 			n = 0
 		}
 		cf.fs.record("write %s %d/%d CRASH", cf.name, n, len(p))
-		cf.fs.mu.Unlock()
 		if n > 0 {
 			cf.f.Write(p[:n])
 		}
 		return n, ErrCrashed
 	}
 	cf.fs.record("write %s %d", cf.name, len(p))
-	cf.fs.mu.Unlock()
 	return cf.f.Write(p)
 }
 
@@ -221,25 +338,33 @@ func (cf *crashFile) Close() error {
 
 func (cf *crashFile) Sync() error {
 	cf.fs.mu.Lock()
+	defer cf.fs.mu.Unlock()
 	if cf.fs.step() {
 		cf.fs.record("sync %s CRASH", cf.name)
-		cf.fs.mu.Unlock()
 		return ErrCrashed
 	}
 	cf.fs.record("sync %s", cf.name)
-	cf.fs.mu.Unlock()
-	return cf.f.Sync()
+	if err := cf.f.Sync(); err != nil {
+		return err
+	}
+	if d := cf.durable; d != nil && d.name != "" {
+		b, err := cf.fs.read(d.name)
+		if err != nil {
+			return err
+		}
+		d.bytes = b
+	}
+	return nil
 }
 
 func (cf *crashFile) Truncate(size int64) error {
 	cf.fs.mu.Lock()
+	defer cf.fs.mu.Unlock()
 	if cf.fs.step() {
 		cf.fs.record("truncate %s %d CRASH", cf.name, size)
-		cf.fs.mu.Unlock()
 		return ErrCrashed
 	}
 	cf.fs.record("truncate %s %d", cf.name, size)
-	cf.fs.mu.Unlock()
 	return cf.f.Truncate(size)
 }
 

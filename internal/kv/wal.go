@@ -292,8 +292,8 @@ func walHeader(gen, salt uint64) []byte {
 // openWAL opens the log, replays valid frames onto the image, and leaves
 // the file positioned for appends. A missing, garbled, or stale-generation
 // log is reset — garbled means it never carried a durable commit (the
-// header is written and synced before any frame), stale means every frame
-// it holds was already checkpointed into the main file.
+// header is durable before any frame is), stale means every frame it holds
+// was already checkpointed into the main file.
 func (w *WAL) openWAL() error {
 	f, err := w.fs.OpenFile(w.walPath, os.O_CREATE|os.O_RDWR, 0o644)
 	if err != nil {
@@ -311,7 +311,7 @@ func (w *WAL) openWAL() error {
 		return err
 	}
 	if !valid {
-		return w.resetWALLocked()
+		return w.resetWALLocked(err != io.EOF) // io.EOF: the file is empty
 	}
 	w.salt = binary.BigEndian.Uint64(hdr[20:28])
 	w.prevSum = binary.BigEndian.Uint64(hdr[28:36])
@@ -372,8 +372,9 @@ func (w *WAL) openWAL() error {
 }
 
 // resetWALLocked truncates the log and writes a fresh header tied to the
-// current main-file generation. Caller holds w.mu (or is in Open).
-func (w *WAL) resetWALLocked() error {
+// current main-file generation, synced if discarded says the reset threw
+// bytes away. Caller holds w.mu (or is in Open).
+func (w *WAL) resetWALLocked(discarded bool) error {
 	w.salt = crc64.Checksum(binary.BigEndian.AppendUint64(
 		binary.BigEndian.AppendUint64(nil, w.salt), w.gen), crcTab)
 	if err := w.wal.Truncate(0); err != nil {
@@ -386,9 +387,15 @@ func (w *WAL) resetWALLocked() error {
 	if _, err := w.wal.Write(hdr); err != nil {
 		return err
 	}
-	// The header must be durable before any frame chains off it.
-	if err := w.wal.Sync(); err != nil {
-		return err
+	// The header must be durable before any frame chains off it. Over an
+	// empty file the first commit's sync makes it so, and a crash before
+	// that loses nothing: the file held nothing. A reset that discarded
+	// bytes syncs now, or a crash could bring them back under a header they
+	// chain from (a reset at open salts with crc(0, gen) every time).
+	if discarded {
+		if err := w.wal.Sync(); err != nil {
+			return err
+		}
 	}
 	w.prevSum = binary.BigEndian.Uint64(hdr[28:36])
 	w.seq = 0
@@ -544,7 +551,7 @@ func (w *WAL) checkpointLocked() error {
 	}
 	w.gen = newGen
 	w.checkpoints.Inc()
-	if err := w.resetWALLocked(); err != nil {
+	if err := w.resetWALLocked(true); err != nil {
 		errs = append(errs, fmt.Errorf("kv: resetting wal after checkpoint: %w", err))
 	}
 	return errors.Join(errs...)

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"wls/internal/kv"
+	"wls/internal/kv/kvtest"
 )
 
 func openWAL(t *testing.T, dir string, opts kv.Options) *kv.WAL {
@@ -344,5 +345,74 @@ func TestWALDeleteDurable(t *testing.T) {
 	defer w2.Close()
 	if _, ok := get(w2, "k"); ok {
 		t.Fatalf("delete frame lost: checkpointed put resurrected")
+	}
+}
+
+// syncsSince lists the file syncs rec has recorded after its first n ops.
+func syncsSince(rec *kvtest.CrashFS, n int) []string {
+	var out []string
+	for _, op := range rec.Ops()[n:] {
+		if strings.HasPrefix(op, "sync ") {
+			out = append(out, op)
+		}
+	}
+	return out
+}
+
+// TestWALSyncChoreography pins when a synced WAL flushes. A fresh log's
+// header is written without a sync of its own: the first commit's sync
+// makes it durable with the frame, and a crash before that leaves a file
+// that held nothing. A reset that throws bytes away (a torn log at open, or
+// the log a checkpoint folded in) syncs at once.
+func TestWALSyncChoreography(t *testing.T) {
+	dir := t.TempDir()
+	rec := kvtest.NewCrashFS(nil, -1)
+	opts := kv.Options{SyncEveryCommit: true, FS: rec, CheckpointBytes: -1}
+	w, err := kv.OpenWAL(walPath(dir), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s := syncsSince(rec, 0); len(s) != 0 {
+		t.Fatalf("opening a fresh log synced: %v", s)
+	}
+	n := len(rec.Ops())
+	if err := w.Put("s\x00a", []byte("1")); err != nil {
+		t.Fatal(err)
+	}
+	if s := syncsSince(rec, n); len(s) != 1 {
+		t.Fatalf("the first commit synced %d times (%v), want once", len(s), s)
+	}
+	n = len(rec.Ops())
+	if err := w.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	wal := walPath(dir) + "-wal"
+	want := []string{"sync " + walPath(dir) + ".ckpt", "sync " + wal}
+	if s := syncsSince(rec, n); !reflect.DeepEqual(s, want) {
+		t.Fatalf("a checkpoint synced %v, want %v", s, want)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	// Tear the log's header, as a crash mid-reset would, and reopen.
+	b, err := os.ReadFile(wal)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(wal, b[:20], 0o644); err != nil {
+		t.Fatal(err)
+	}
+	n = len(rec.Ops())
+	w, err = kv.OpenWAL(walPath(dir), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	if s := syncsSince(rec, n); !reflect.DeepEqual(s, []string{"sync " + wal}) {
+		t.Fatalf("reopening over a torn log synced %v, want its reset's one sync", s)
+	}
+	if v, ok := get(w, "a"); !ok || v != "1" {
+		t.Fatalf("checkpointed row = %q, %v after the reset", v, ok)
 	}
 }

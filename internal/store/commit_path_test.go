@@ -346,18 +346,23 @@ const txSweepCheckouts = 4
 // one CrashFS — then restarts: reopen, Manager.Recover, presumed abort for
 // votes without a decision. Every acknowledged checkout must be whole in
 // both stores, every unacknowledged one in both or in neither, and each
-// store's LSN must count exactly the changes it holds.
+// store's LSN must count exactly the changes it holds. It runs in both
+// CrashFS modes.
 func TestTxCrashSweep(t *testing.T) {
-	total := runTxSweep(t, -1)
+	total := runTxSweep(t, kvtest.KeepWritten, -1)
 	if total < 12*txSweepCheckouts {
 		t.Fatalf("only %d mutating ops for %d checkouts (12 each: 4 kv appends and 2 log appends, written and synced)", total, txSweepCheckouts)
 	}
-	for cut := 0; cut <= total; cut++ {
-		runTxSweep(t, cut)
+	for _, mode := range kvtest.Modes {
+		t.Run(mode.String(), func(t *testing.T) {
+			for cut := 0; cut <= total; cut++ {
+				runTxSweep(t, mode, cut)
+			}
+		})
 	}
 }
 
-func runTxSweep(t *testing.T, cut int) int {
+func runTxSweep(t *testing.T, mode kvtest.Mode, cut int) int {
 	t.Helper()
 	dir := t.TempDir()
 	budget := cut
@@ -365,6 +370,7 @@ func runTxSweep(t *testing.T, cut int) int {
 		budget = 1 << 30
 	}
 	cfs := kvtest.NewCrashFS(kv.OSFS(), budget)
+	cfs.SetMode(mode)
 	open := func(fsys kv.FS, name string) (*Store, error) {
 		w, err := kv.OpenWAL(filepath.Join(dir, name+".db"), kv.Options{SyncEveryCommit: true, FS: fsys})
 		if err != nil {

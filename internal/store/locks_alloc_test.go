@@ -14,11 +14,12 @@ import (
 // allocations of its own, so this is measured without it).
 func TestUncontendedAcquireAllocs(t *testing.T) {
 	lt := newLockTable(vclock.System)
+	row := []rowRef{{"t", "k"}}
 	n := testing.AllocsPerRun(1000, func() {
-		if err := lt.acquire("t1", "t", "k", 5*time.Second); err != nil {
+		if _, err := lt.acquire("t1", row, 5*time.Second); err != nil {
 			t.Fatal(err)
 		}
-		lt.release("t1", "t", "k")
+		lt.release("t1", row)
 	})
 	if n != 0 {
 		t.Fatalf("uncontended acquire/release allocates %.1f, want 0", n)

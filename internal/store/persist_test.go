@@ -426,16 +426,20 @@ func modelsEqual(a, b storeChaosModel) bool {
 // the recovered store holds exactly the acked prefix — or the acked prefix
 // plus the one in-flight action (a commit whose batch hit disk before the
 // ack errored). A torn transaction (table a updated, table b not) is an
-// atomicity violation and fails the sweep.
+// atomicity violation and fails the sweep. It runs in both CrashFS modes.
 func TestStoreCrashChaosSweep(t *testing.T) {
 	t.Run("wal", func(t *testing.T) {
 		// First, a clean run to count the crash windows.
-		total := runStoreChaos(t, -1)
+		total := runStoreChaos(t, kvtest.KeepWritten, -1)
 		if total < storeChaosActions {
 			t.Fatalf("only %d mutating ops for %d actions?", total, storeChaosActions)
 		}
-		for step := 0; step <= total; step++ {
-			runStoreChaos(t, step)
+		for _, mode := range kvtest.Modes {
+			t.Run(mode.String(), func(t *testing.T) {
+				for step := 0; step <= total; step++ {
+					runStoreChaos(t, mode, step)
+				}
+			})
 		}
 	})
 }
@@ -443,7 +447,7 @@ func TestStoreCrashChaosSweep(t *testing.T) {
 // runStoreChaos runs the workload over a WAL with a crash budget
 // (negative = never crash), then reopens on the real filesystem and checks
 // the invariant. It returns the number of mutating ops the run performed.
-func runStoreChaos(t *testing.T, crashAt int) int {
+func runStoreChaos(t *testing.T, mode kvtest.Mode, crashAt int) int {
 	t.Helper()
 	dir := t.TempDir()
 	budget := crashAt
@@ -452,6 +456,7 @@ func runStoreChaos(t *testing.T, crashAt int) int {
 	}
 	cfs := kvtest.NewCrashFS(kv.OSFS(), budget)
 	cfs.SetTear(1, 2)
+	cfs.SetMode(mode)
 
 	path := filepath.Join(dir, "store.db")
 	openKV := func(o kv.Options) (kv.Store, error) { return kv.OpenWAL(path, o) }
