@@ -46,29 +46,12 @@ check:
 	$(GO) test -race ./internal/cluster ./internal/partition ./internal/vclock ./internal/jms ./internal/cache ./internal/warehouse ./internal/lease ./internal/singleton ./internal/tx ./internal/kv ./internal/tuple ./internal/wire ./internal/transport ./internal/rmi ./internal/netsim ./internal/servlet ./internal/ejb ./internal/webtier ./internal/chaostest
 	$(MAKE) bench-smoke
 
-# gates is CI's "Alloc and wire gates" step, which runs exactly this
-# target (see the comment there): the request-path allocation gates on one
-# and four CPUs twenty times over, the wire gates (bytes per routed
-# request, the same at any connection age), the HTTP edge's one
-# allocation per request (no Set-Cookie for a cookie that still holds),
-# the placement, row, lock-table and connection footprints, the row-lock
-# pass, a WAL's syncs (none at a fresh open), a warm TCP
-# call's zero allocations, a steady heartbeat's one allocation, a 2PC's
-# two (its Tx and id), and the pool-recycling stress.
-# Allocation counts need a build without -race; the last two lines are
-# race-only checks.
+# gates runs every pinned number (DESIGN.md's gate table): the TestGate*
+# tests, built without -race, twenty times on one and four CPUs, then the
+# race-only TestGateRace* checks. CI's gate step is this target.
 gates:
-	$(GO) test -run 'TestAllocGate' -count=20 -cpu 1,4 .
-	$(GO) test -run 'TestWireGate' -v -count=1 .
-	$(GO) test -run 'TestAppHandlerReadsTheCookieInPlace' -v -count=1 ./cmd/wlsd
-	$(GO) test -run 'TestPlacementAllocFree' -v -count=1 ./internal/servlet
-	$(GO) test -run 'TestSteadyHeartbeatAllocsPerMember' -v -count=1 ./internal/cluster
-	$(GO) test -run 'TestTwoPhaseCommitAllocatesOnlyItsTx' -v -count=1 ./internal/tx
-	$(GO) test -run 'TestStoreRowFootprint|TestUnfollowedStoreKeepsNoWindow|TestLockTableGivesBackItsMap|TestLockPass|TestLockRacingRollback' -v -count=1 ./internal/store
-	$(GO) test -run 'TestWALSyncChoreography' -v -count=1 ./internal/kv
-	$(GO) test -run 'TestIdleConnFootprint|TestCallAllocatesNothing' -v -count=1 ./internal/transport
-	$(GO) test -race -run 'TestIdleWritersHoldNoBuffer|TestFramesSpanningTheReadBuffer' -v -count=1 ./internal/transport
-	$(GO) test -race -run 'TestPoolRecycling' -count=1 .
+	$(GO) test -run '^TestGate' -skip '^TestGateRace' -count=20 -cpu 1,4 ./...
+	$(GO) test -race -run '^TestGateRace' -count=1 ./...
 
 # bench-smoke builds the contract benchmark (BENCHMARK.json) against the
 # tree and runs every workload for 3 s, untraced and traced. The benchmark

@@ -244,15 +244,11 @@ func TestServedByHeaderFollowsThePrimary(t *testing.T) {
 	}
 }
 
-// TestAppHandlerReadsTheCookieInPlace measures the application handler's
-// allocations per request in front of a router that does nothing, with the
-// session cookie among others: WLSESSION is taken from the Cookie header as
-// a substring (servlet.CookieValue): 1 allocation per request here, where
-// http.Request.Cookie, which parses every cookie of the request into an
-// *http.Cookie, made it 3. The router names no new cookie, so no
-// Set-Cookie is formatted; a second router that names one gets exactly one
-// Set-Cookie for it.
-func TestAppHandlerReadsTheCookieInPlace(t *testing.T) {
+// TestAppHandlerSessionCookie: the router is handed the session cookie's
+// value from among other cookies, with a decoy whose name ends in it; a
+// reply naming no cookie sends no Set-Cookie, and one naming a cookie
+// sends exactly one Set-Cookie for it.
+func TestAppHandlerSessionCookie(t *testing.T) {
 	const value = "AbCdEf-session_cookie"
 	var got string
 	h := newAppHandler(func(_ context.Context, _, cookie string, _ []byte) (servlet.Response, error) {
@@ -262,19 +258,12 @@ func TestAppHandlerReadsTheCookieInPlace(t *testing.T) {
 	r := httptest.NewRequest(http.MethodGet, "/hello", nil)
 	r.Header.Add("Cookie", "theme=dark; XWLSESSION=decoy; "+sessionCookie+"="+value+"; lang=en")
 	w := httptest.NewRecorder()
-	n := testing.AllocsPerRun(200, func() {
-		w.Body.Reset()
-		h.ServeHTTP(w, r)
-	})
+	h.ServeHTTP(w, r)
 	if got != value {
 		t.Fatalf("the router was handed cookie %q, want %q", got, value)
 	}
 	if set := w.Header().Values("Set-Cookie"); len(set) != 0 {
 		t.Fatalf("a reply naming no cookie sent Set-Cookie %q", set)
-	}
-	t.Logf("%.0f allocations per request", n)
-	if n > 1 {
-		t.Fatalf("the handler allocates %.0f per request, over 1", n)
 	}
 
 	const rewritten = "GhIjKl-promoted"

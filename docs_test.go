@@ -3,6 +3,7 @@ package wls_test
 import (
 	"fmt"
 	"go/ast"
+	"go/build/constraint"
 	"go/parser"
 	"go/token"
 	"io/fs"
@@ -21,24 +22,17 @@ import (
 func TestDocsNameRealTests(t *testing.T) {
 	declared := map[string]bool{}
 	decl := regexp.MustCompile(`(?m)^func ((?:Test|Benchmark|Fuzz)\w*)\(`)
-	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		if d.IsDir() && path != "." && (d.Name() == "testdata" || strings.HasPrefix(d.Name(), ".")) {
-			return filepath.SkipDir
-		}
-		if d.IsDir() || !strings.HasSuffix(path, "_test.go") {
-			return nil
+	for _, path := range goFiles(t) {
+		if !strings.HasSuffix(path, "_test.go") {
+			continue
 		}
 		src, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
 		for _, m := range decl.FindAllSubmatch(src, -1) {
 			declared[string(m[1])] = true
 		}
-		return err
-	})
-	if err != nil {
-		t.Fatal(err)
 	}
 
 	fence := regexp.MustCompile("(?ms)^```.*?^```")
@@ -68,17 +62,14 @@ func TestDocsNameRealTests(t *testing.T) {
 func TestLibraryOnlyTableMatchesDirectives(t *testing.T) {
 	testName := regexp.MustCompile(`\bTest\w+`)
 	inCode := map[string]string{} // test -> where a directive names it
-	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		if d.IsDir() && path != "." && (d.Name() == "testdata" || strings.HasPrefix(d.Name(), ".")) {
-			return filepath.SkipDir
-		}
-		if d.IsDir() || !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
-			return nil
+	for _, path := range goFiles(t) {
+		if strings.HasSuffix(path, "_test.go") {
+			continue
 		}
 		src, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
 		for i, line := range strings.Split(string(src), "\n") {
 			if _, reason, ok := strings.Cut(line, "//wls:nolint unreached -- library-only: "); ok {
 				for _, n := range testName.FindAllString(reason, -1) {
@@ -86,10 +77,6 @@ func TestLibraryOnlyTableMatchesDirectives(t *testing.T) {
 				}
 			}
 		}
-		return err
-	})
-	if err != nil {
-		t.Fatal(err)
 	}
 
 	text, err := os.ReadFile("DESIGN.md")
@@ -141,19 +128,13 @@ func declaredAs(declared map[string]bool, name string, prefix bool) bool {
 func TestDocsQuoteGatesAsPinned(t *testing.T) {
 	gates := map[string]string{}
 	fset := token.NewFileSet()
-	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		if d.IsDir() && path != "." && (d.Name() == "testdata" || strings.HasPrefix(d.Name(), ".")) {
-			return filepath.SkipDir
-		}
-		if d.IsDir() || !strings.HasSuffix(path, "_test.go") {
-			return nil
+	for _, path := range goFiles(t) {
+		if !strings.HasSuffix(path, "_test.go") {
+			continue
 		}
 		f, err := parser.ParseFile(fset, path, nil, 0)
 		if err != nil {
-			return err
+			t.Fatal(err)
 		}
 		ast.Inspect(f, func(n ast.Node) bool {
 			if decl, ok := n.(*ast.GenDecl); ok && decl.Tok == token.CONST {
@@ -168,10 +149,6 @@ func TestDocsQuoteGatesAsPinned(t *testing.T) {
 			}
 			return true
 		})
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
 	}
 
 	text, err := os.ReadFile("DESIGN.md")
@@ -221,6 +198,127 @@ func TestDocsQuoteGatesAsPinned(t *testing.T) {
 	}
 }
 
+// TestPinsAreGates holds where a pinned number lives. A test that
+// measures the heap — testing.AllocsPerRun, a testing.Benchmark's
+// AllocsPerOp, runtime.MemStats's Mallocs or HeapAlloc — in its own body,
+// or through a function of its package other than a main package (whose
+// measurements are a program's output), is a pin: it is named TestGate…
+// and lives in a file built only without -race, whose race runtime drops
+// sync.Pool items and allocates on its own. Such a file declares no other
+// test, so no test leaves the race run without joining `make gates`; a
+// race-only check is a TestGateRace… test in a file every build compiles.
+// A fuzz target that measures lives in a file built only without -race
+// too. DESIGN.md's gate table names every TestGate… test.
+func TestPinsAreGates(t *testing.T) {
+	type pkg struct{ dir, name string }
+	type fn struct {
+		pos      token.Position
+		measures bool
+		names    []string // identifiers its body uses
+		test     bool     // a Test… function of a _test.go file
+		fuzz     bool     // a Fuzz… function of a _test.go file
+		raceOff  bool     // its file is built only without -race
+	}
+	measure := map[string]bool{"AllocsPerRun": true, "AllocsPerOp": true, "Mallocs": true, "HeapAlloc": true}
+	funcs := map[pkg]map[string]*fn{}
+	fset := token.NewFileSet()
+	for _, path := range goFiles(t) {
+		f, err := parser.ParseFile(fset, path, nil, parser.ParseComments)
+		if err != nil {
+			t.Fatal(err)
+		}
+		raceOff := false
+		for _, g := range f.Comments {
+			for _, c := range g.List {
+				if c.Pos() < f.Package && constraint.IsGoBuild(c.Text) {
+					expr, err := constraint.Parse(c.Text)
+					if err != nil {
+						t.Fatalf("%s: %v", path, err)
+					}
+					with := func(race bool) bool { return expr.Eval(func(tag string) bool { return tag != "race" || race }) }
+					raceOff = with(false) && !with(true)
+				}
+			}
+		}
+		key := pkg{filepath.Dir(path), f.Name.Name}
+		if funcs[key] == nil {
+			funcs[key] = map[string]*fn{}
+		}
+		for _, d := range f.Decls {
+			fd, ok := d.(*ast.FuncDecl)
+			if !ok || fd.Recv != nil || fd.Body == nil {
+				continue
+			}
+			inTest := strings.HasSuffix(path, "_test.go")
+			info := &fn{pos: fset.Position(fd.Pos()), raceOff: raceOff,
+				test: inTest && strings.HasPrefix(fd.Name.Name, "Test"),
+				fuzz: inTest && strings.HasPrefix(fd.Name.Name, "Fuzz")}
+			ast.Inspect(fd.Body, func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.SelectorExpr:
+					info.measures = info.measures || measure[n.Sel.Name]
+				case *ast.Ident:
+					info.names = append(info.names, n.Name)
+				}
+				return true
+			})
+			funcs[key][fd.Name.Name] = info
+		}
+	}
+	for key, fs := range funcs {
+		if key.name == "main" {
+			continue // a program's measurements are its output, not pins
+		}
+		for changed := true; changed; {
+			changed = false
+			for _, info := range fs {
+				for _, n := range info.names {
+					if callee := fs[n]; !info.measures && callee != nil && callee.measures {
+						info.measures, changed = true, true
+					}
+				}
+			}
+		}
+	}
+
+	text, err := os.ReadFile("DESIGN.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	inTable := map[string]bool{}
+	gateTest := regexp.MustCompile(`\bTestGate\w*`)
+	for _, line := range strings.Split(string(text), "\n") {
+		if strings.HasPrefix(line, "|") {
+			for _, n := range gateTest.FindAllString(line, -1) {
+				inTable[n] = true
+			}
+		}
+	}
+	for _, fs := range funcs {
+		for name, info := range fs {
+			if info.fuzz && info.measures && !info.raceOff {
+				t.Errorf("%s: %s measures allocations: it belongs in a //go:build !race file", info.pos, name)
+			}
+			if !info.test {
+				continue
+			}
+			race := strings.HasPrefix(name, "TestGateRace")
+			gate := strings.HasPrefix(name, "TestGate") && !race
+			switch {
+			case info.measures && !gate:
+				t.Errorf("%s: %s measures allocations: a pin is a TestGate… test in a //go:build !race file", info.pos, name)
+			case gate && !info.raceOff:
+				t.Errorf("%s: %s is a gate in a file -race builds: it belongs in a //go:build !race file", info.pos, name)
+			case !gate && info.raceOff:
+				t.Errorf("%s: %s is no gate, and its //go:build !race file keeps it out of the race run", info.pos, name)
+			}
+			if gate && !inTable[name] {
+				t.Errorf("%s: no row of DESIGN.md's gate table names %s", info.pos, name)
+			}
+		}
+	}
+}
+
 const gatePattern = `gate[A-Z]\w*`
 
 var gateName = regexp.MustCompile("^" + gatePattern + "$")
@@ -230,4 +328,27 @@ func valueAt(vs *ast.ValueSpec, i int) ast.Expr {
 		return vs.Values[i]
 	}
 	return nil
+}
+
+// goFiles lists the module's .go files in lexical order, skipping
+// testdata and dot directories.
+func goFiles(t *testing.T) []string {
+	t.Helper()
+	var paths []string
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() && path != "." && (d.Name() == "testdata" || strings.HasPrefix(d.Name(), ".")) {
+			return filepath.SkipDir
+		}
+		if !d.IsDir() && strings.HasSuffix(path, ".go") {
+			paths = append(paths, path)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return paths
 }

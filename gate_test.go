@@ -7,8 +7,8 @@ package wls_test
 
 // Allocation gates for the request path. Each test measures the
 // allocations per request of one root with allocsPerRun, and each gate is
-// the highest value that root reads in 20 of 20 runs
-// (`go test -count=20 -cpu 1,4 -run TestAllocGate .`) plus 0.05, rounded
+// the highest value that root reads in the 40 runs of `make gates`
+// (`-count=20 -cpu 1,4`) plus 0.05, rounded
 // up to 0.1, and never above the whole number it was pinned at before the
 // fraction was kept. The 0.05 — 15 mallocs in a 300-call window — is for
 // goroutines the package's other tests leave behind: under `go test ./...`
@@ -16,8 +16,8 @@ package wls_test
 // request still fails, and a change that saves one lowers the constant
 // with it. The webtier echo is also measured from 64 callers at once,
 // under the same gate: allocations per request must not grow with
-// concurrency. DESIGN.md "Determinism & lint rules" maps every
-// request-path root to the gate that reaches it.
+// concurrency. DESIGN.md's gate table maps every request-path root to
+// the gate that reaches it.
 
 import (
 	"context"
@@ -55,7 +55,7 @@ const (
 	gateAdmittedEcho        = 3.1
 )
 
-// Bytes per routed request on the TCP fabric (TestWireGate*), at measured
+// Bytes per routed request on the TCP fabric (TestGateWire*), at measured
 // + 4, and the live heap of a resident session (both copies), at measured
 // + 10 %.
 const (
@@ -129,11 +129,11 @@ func allocGateCluster(t *testing.T, opts wls.Options) *wls.Cluster {
 	return c
 }
 
-// TestAllocGateWebtierEcho pins the full path — proxy plug-in routing, the
+// TestGateWebtierEcho pins the full path — proxy plug-in routing, the
 // RMI hop, the servlet engine, and session resolution — with tracing
 // disabled, from one caller and from 64 at once: pooled requests and
 // encoders must hold the count when many requests are in flight.
-func TestAllocGateWebtierEcho(t *testing.T) {
+func TestGateWebtierEcho(t *testing.T) {
 	c := allocGateCluster(t, wls.Options{})
 	quiet(c)
 	route := c.ProxyPlugin("webserver:80").Route
@@ -143,20 +143,20 @@ func TestAllocGateWebtierEcho(t *testing.T) {
 	allocGate(t, "webtier echo, 64 callers, per request", n, "gateWebtierEcho", gateWebtierEcho)
 }
 
-// TestAllocGateWebtierSessionWrite pins the same path with a session write,
+// TestGateWebtierSessionWrite pins the same path with a session write,
 // which adds the synchronous batched replication flush to the secondary.
 // Every call is a different live session, so nothing keyed on the cookie
 // can be warm: a cache in front of the parser or the table would show.
-func TestAllocGateWebtierSessionWrite(t *testing.T) {
+func TestGateWebtierSessionWrite(t *testing.T) {
 	c := allocGateCluster(t, wls.Options{})
 	quiet(c)
 	n := routeAllocs(t, c.ProxyPlugin("webserver:80").Route, "/count", nil, 512)
 	allocGate(t, "webtier session write, per request", n, "gateWebtierSessionWrite", gateWebtierSessionWrite)
 }
 
-// TestAllocGateExternalLBEcho pins the Fig 3 appliance's echo: affinity
+// TestGateExternalLBEcho pins the Fig 3 appliance's echo: affinity
 // lookup and refresh, the RMI hop, the servlet engine.
-func TestAllocGateExternalLBEcho(t *testing.T) {
+func TestGateExternalLBEcho(t *testing.T) {
 	c := allocGateCluster(t, wls.Options{})
 	quiet(c)
 	lb := c.ExternalLB("lb:80")
@@ -167,10 +167,10 @@ func TestAllocGateExternalLBEcho(t *testing.T) {
 	allocGate(t, "external LB echo, per request", n, "gateExternalLBEcho", gateExternalLBEcho)
 }
 
-// TestAllocGateAdmittedEcho pins the proxy echo on a cluster whose servers
+// TestGateAdmittedEcho pins the proxy echo on a cluster whose servers
 // run every request through an execute queue (§2.3) and whose router keeps
 // breakers: Gate.Admit, Gate.Done and Resilience.Allow on every request.
-func TestAllocGateAdmittedEcho(t *testing.T) {
+func TestGateAdmittedEcho(t *testing.T) {
 	c := allocGateCluster(t, wls.Options{
 		Admission:  &rmi.QueueConfig{},
 		Resilience: true,
@@ -180,10 +180,10 @@ func TestAllocGateAdmittedEcho(t *testing.T) {
 	allocGate(t, "admitted echo, per request", n, "gateAdmittedEcho", gateAdmittedEcho)
 }
 
-// TestAllocGateServletDirect pins the engine boundary on its own — no
+// TestGateServletDirect pins the engine boundary on its own — no
 // webtier, no RMI hop. The echo path is allocation-free; the session-write
 // path pays only for the replication delta.
-func TestAllocGateServletDirect(t *testing.T) {
+func TestGateServletDirect(t *testing.T) {
 	c := allocGateCluster(t, wls.Options{})
 	quiet(c)
 	eng := c.Servers[0].Web
@@ -202,12 +202,12 @@ func TestAllocGateServletDirect(t *testing.T) {
 	allocGate(t, "servlet direct session write, per request", n, "gateServletDirectWrite", gateServletDirectWrite)
 }
 
-// TestAllocGateStatelessInvoke pins a stateless-bean call (§3.1) through
+// TestGateStatelessInvoke pins a stateless-bean call (§3.1) through
 // its stub: the bean's pool checkout and the RMI hop. The cluster runs on
 // the virtual clock, which the measurement does not advance: no heartbeat,
 // gossip round or timer runs beside the calls, so the count is theirs
 // alone. (On the real clock a beat landing inside the measurement read 6.)
-func TestAllocGateStatelessInvoke(t *testing.T) {
+func TestGateStatelessInvoke(t *testing.T) {
 	c, err := wls.New(wls.Options{Servers: 3})
 	if err != nil {
 		t.Fatal(err)
@@ -233,10 +233,10 @@ func TestAllocGateStatelessInvoke(t *testing.T) {
 	allocGate(t, "stateless invoke, per call", callAllocs(300, call), "gateStatelessInvoke", gateStatelessInvoke)
 }
 
-// TestAllocGateStatefulInvoke pins a stateful-bean call (§3.2) that writes
+// TestGateStatefulInvoke pins a stateful-bean call (§3.2) that writes
 // its conversation: the client handle's stub, the hop, the record's turn
 // and the delta shipped to the secondary before the reply.
-func TestAllocGateStatefulInvoke(t *testing.T) {
+func TestGateStatefulInvoke(t *testing.T) {
 	c := allocGateCluster(t, wls.Options{})
 	var home *ejb.StatefulHome
 	for _, s := range c.Servers {
@@ -275,9 +275,9 @@ func TestAllocGateStatefulInvoke(t *testing.T) {
 // once its reply is late, and everything else on the hop (call slot,
 // inbound task, request buffer, response frame and its encoder) is pooled.
 
-// TestAllocGateTransportEcho pins a bare Transport.Call: the two objects
+// TestGateTransportEcho pins a bare Transport.Call: the two objects
 // this test's handler makes itself, and the reply slab's fraction.
-func TestAllocGateTransportEcho(t *testing.T) {
+func TestGateTransportEcho(t *testing.T) {
 	cl, srv := listenTCP(t), listenTCP(t)
 	srv.SetHandler(func(string, wire.Frame) *wire.Frame { return &wire.Frame{Body: []byte("ok")} })
 	ctx := context.Background()
@@ -366,9 +366,9 @@ func concurrentRouteAllocs(t *testing.T, route router, path string, body []byte,
 	return float64(after.Mallocs-before.Mallocs) / float64(callers*perCaller)
 }
 
-// TestAllocGateTCPEcho pins proxy → TCP → servlet echo: the hop's floor and
+// TestGateTCPEcho pins proxy → TCP → servlet echo: the hop's floor and
 // nothing else.
-func TestAllocGateTCPEcho(t *testing.T) {
+func TestGateTCPEcho(t *testing.T) {
 	c := newTCPCluster(t)
 	c.handle("/echo", func(r *servlet.Request) servlet.Response { return servlet.Response{Body: r.Body} })
 	c.quiet()
@@ -376,10 +376,10 @@ func TestAllocGateTCPEcho(t *testing.T) {
 	allocGate(t, "TCP echo, per request", n, "gateTCPEcho", gateTCPEcho)
 }
 
-// TestAllocGateTCPSessionWrite pins the same path with a session write — a
+// TestGateTCPSessionWrite pins the same path with a session write — a
 // second TCP hop ships the delta to the secondary before the reply — every
-// call a different live session as in TestAllocGateWebtierSessionWrite.
-func TestAllocGateTCPSessionWrite(t *testing.T) {
+// call a different live session as in TestGateWebtierSessionWrite.
+func TestGateTCPSessionWrite(t *testing.T) {
 	c := newTCPCluster(t)
 	c.handle("/count", func(r *servlet.Request) servlet.Response {
 		r.Session.Set("n", "1")
@@ -401,7 +401,7 @@ func (c *tcpCluster) quiet() {
 // four nodes put on their sockets, from transport.bytes.out, after a
 // warm-up that creates the session. A correlation id is its call's slot on
 // the connection, so it is one byte however long the connection has lived
-// (TestWireGateIgnoresConnectionAge).
+// (TestGateWireIgnoresConnectionAge).
 func routeBytes(t *testing.T, c *tcpCluster, path string, body []byte) float64 {
 	t.Helper()
 	return bytesPerRoute(c, routeLoop(t, c.proxy.Route, path, body, 1, 200))
@@ -420,7 +420,7 @@ func bytesPerRoute(c *tcpCluster, route func()) float64 {
 	return float64(c.bytesOut()-before) / n
 }
 
-// TestWireGateTCPEcho pins what one echo request costs between the proxy
+// TestGateWireTCPEcho pins what one echo request costs between the proxy
 // and its server, 57 B, at gateWireTCPEcho. Field by field (wire format 6):
 //
 //	request, 44 B: frame length 1, kind 1, correlation id 1, service
@@ -432,7 +432,7 @@ func bytesPerRoute(c *tcpCluster, route func()) float64 {
 //
 // The reply names no server (the proxy called it) and no cookie (the one it
 // sent). DESIGN.md "The bytes of a hop" has the table.
-func TestWireGateTCPEcho(t *testing.T) {
+func TestGateWireTCPEcho(t *testing.T) {
 	c := newTCPCluster(t)
 	c.handle("/echo", func(r *servlet.Request) servlet.Response { return servlet.Response{Body: r.Body} })
 	n := routeBytes(t, c, "/echo", []byte("hello"))
@@ -442,7 +442,7 @@ func TestWireGateTCPEcho(t *testing.T) {
 	}
 }
 
-// TestWireGateTCPSessionWrite pins the same path with a session write, 84
+// TestGateWireTCPSessionWrite pins the same path with a session write, 84
 // B, at gateWireTCPSessionWrite. Field by field (wire format 6):
 //
 //	request, 40 B: as the echo's, with path /count 7 and an empty body 1
@@ -453,7 +453,7 @@ func TestWireGateTCPEcho(t *testing.T) {
 //	the session id 16 (no length prefix), generation 1 and the attribute 5
 //	(count 1, key n 2, value 1 2)
 //	its acknowledgement, 5 B: header 3, rmi status 1, empty result 1
-func TestWireGateTCPSessionWrite(t *testing.T) {
+func TestGateWireTCPSessionWrite(t *testing.T) {
 	c := newTCPCluster(t)
 	c.handle("/count", func(r *servlet.Request) servlet.Response {
 		r.Session.Set("n", "1")
@@ -466,11 +466,11 @@ func TestWireGateTCPSessionWrite(t *testing.T) {
 	}
 }
 
-// TestWireGateIgnoresConnectionAge: the bytes of a routed echo after 20 000
+// TestGateWireIgnoresConnectionAge: the bytes of a routed echo after 20 000
 // more calls of the same session, on the same connection, are the bytes
 // after 200. A connection's correlation ids do not grow with its age: each
 // call reuses a free one.
-func TestWireGateIgnoresConnectionAge(t *testing.T) {
+func TestGateWireIgnoresConnectionAge(t *testing.T) {
 	c := newTCPCluster(t)
 	c.handle("/echo", func(r *servlet.Request) servlet.Response { return servlet.Response{Body: r.Body} })
 	route := routeLoop(t, c.proxy.Route, "/echo", []byte("hello"), 1, 200)
@@ -485,11 +485,11 @@ func TestWireGateIgnoresConnectionAge(t *testing.T) {
 	}
 }
 
-// TestAllocGateMemberLookup pins the address lookup the replication path
+// TestGateMemberLookup pins the address lookup the replication path
 // makes per request (replBatcher.flush, ring-placed replicas on session
 // creation) at zero: it is served from the membership view's memoized
 // snapshot, for self and for a peer alike.
-func TestAllocGateMemberLookup(t *testing.T) {
+func TestGateMemberLookup(t *testing.T) {
 	c := allocGateCluster(t, wls.Options{})
 	quiet(c)
 	m := c.Servers[0].Member()
@@ -505,12 +505,12 @@ func TestAllocGateMemberLookup(t *testing.T) {
 	}
 }
 
-// TestAllocGateDurableCheckout pins the durable commit path: one
+// TestGateDurableCheckout pins the durable commit path: one
 // transaction inserting an order in one WAL-backed store and updating a
 // stock row in another, two-phase committed over a file transaction log —
 // the benchmark's /checkout without the request path. The application's
 // two field maps and order key are 5 of its allocations.
-func TestAllocGateDurableCheckout(t *testing.T) {
+func TestGateDurableCheckout(t *testing.T) {
 	dir := t.TempDir()
 	open := func(name string) *store.Store {
 		w, err := kv.OpenWAL(filepath.Join(dir, name+".db"), kv.Options{})
@@ -560,14 +560,14 @@ func TestAllocGateDurableCheckout(t *testing.T) {
 	allocGate(t, "durable two-store checkout, per commit", got, "gateDurableCheckout", gateDurableCheckout)
 }
 
-// TestAllocGateSessionFootprint pins what a resident session costs: 8 192
+// TestGateSessionFootprint pins what a resident session costs: 8 192
 // replicated sessions holding two short attributes, live heap after two
 // collections, divided by the count — both copies (primary record and
 // secondary replica) and both session-table entries. Measured
 // 175 B/session (169 B before the table was split into a shard per record
 // lock stripe); gateSessionFootprint is 169 B + 10 % (DESIGN.md "What a
 // resident session costs" has the breakdown).
-func TestAllocGateSessionFootprint(t *testing.T) {
+func TestGateSessionFootprint(t *testing.T) {
 	c := allocGateCluster(t, wls.Options{})
 	for _, s := range c.Servers {
 		s.Web.Handle("/cart", func(r *servlet.Request) servlet.Response {
@@ -601,14 +601,14 @@ func TestAllocGateSessionFootprint(t *testing.T) {
 	}
 }
 
-// TestAllocGateBeanFootprint pins what a stateful bean's conversation
-// costs, measured as TestAllocGateSessionFootprint measures a session:
+// TestGateBeanFootprint pins what a stateful bean's conversation
+// costs, measured as TestGateSessionFootprint measures a session:
 // 8 192 beans created and written once with two short attributes, live
 // heap after two collections, divided by the count — both copies of the
 // record and both table entries; the client handles are dropped. Measured
 // 180 B (176 B with one table); gateBeanFootprint is 176 B + 10 % (DESIGN.md
 // "Stateful session beans ride the same records").
-func TestAllocGateBeanFootprint(t *testing.T) {
+func TestGateBeanFootprint(t *testing.T) {
 	c := allocGateCluster(t, wls.Options{})
 	var home *ejb.StatefulHome
 	for _, s := range c.Servers {

@@ -48,7 +48,15 @@ const e33Work = 5 * time.Millisecond
 // rebalancing), both membership changes move at most 2/N of the keys, ring
 // lookups stay allocation-free, and the flash crowd is shed at admission
 // instead of collapsing latency.
-func runE33() *Table { return e33Run(e33Full()) }
+func runE33() *Table {
+	p := e33Full()
+	// Ring-lookup allocation cost, measured on a standalone ring of the
+	// final cluster size before any cluster goroutines add noise.
+	allocs := e33RingAllocs(p.servers + 1)
+	t := e33Run(p)
+	t.Notes = fmt.Sprintf("ring lookup: %.2f allocs/op on a %d-member ring. ", allocs, p.servers+1) + t.Notes
+	return t
+}
 
 func e33Run(p e33Params) *Table {
 	t := &Table{ID: "E33", Title: "Consistent-hash scale-out under closed-loop session load",
@@ -56,10 +64,6 @@ func e33Run(p e33Params) *Table {
 		Columns: []string{"phase", "servers", "issued", "ok", "errors", "shed", "lost",
 			"moved_frac", "bound_2/N", "accepted", "denied", "max_qdepth", "p99", "p999"},
 	}
-
-	// Ring-lookup allocation cost, measured on a standalone ring of the
-	// final cluster size before any cluster goroutines add noise.
-	allocs := e33RingAllocs(p.servers + 1)
 
 	c, err := wls.New(wls.Options{
 		Servers:   p.servers,
@@ -239,19 +243,18 @@ func e33Run(p e33Params) *Table {
 		"-", "-", acc1-acc0, den1-den0, depth,
 		fmtDuration(sat.Latency.P99()), fmtDuration(sat.Latency.P999()))
 
-	t.Notes = fmt.Sprintf("ring lookup: %.2f allocs/op on a %d-member ring. "+
-		"lost counts counter discontinuities: the join and leave rows must show 0 (sessions survive the "+
+	t.Notes = fmt.Sprintf("lost counts counter discontinuities: the join and leave rows must show 0 (sessions survive the "+
 		"rebalance epoch change), moved_frac must stay under bound_2/N, and the saturate row should refuse "+
 		"its excess as denied/shed while the served p99 stays near the steady tail. "+
 		"membership: the joiner's first ring already held %d members (the heartbeats a join costs are "+
 		"pinned by TestJoinConvergesWithoutAdvance).",
-		allocs, p.servers+1, joinedMembers)
+		joinedMembers)
 	return t
 }
 
 // e33RingAllocs measures the per-lookup heap cost of walking a key's
 // replica pair on a standalone ring, as secondary placement does
-// (TestRingLookupZeroAlloc pins the ring's lookups at 0).
+// (TestGateRingLookupZeroAlloc pins the ring's lookups at 0).
 func e33RingAllocs(n int) float64 {
 	members := make([]string, n)
 	for i := range members {

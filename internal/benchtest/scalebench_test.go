@@ -15,8 +15,9 @@ func e33Small() e33Params {
 
 // TestE33SmallN runs the scale-out experiment end to end at CI size and
 // asserts its headline invariants: sessions survive both rebalance epoch
-// changes, the key movement of a single join/leave stays under 2/N, ring
-// lookups allocate nothing, and the flash crowd is actually shed.
+// changes, the key movement of a single join/leave stays under 2/N, and
+// the flash crowd is actually shed. That ring lookups allocate nothing is
+// partition's TestGateRingLookupZeroAlloc.
 func TestE33SmallN(t *testing.T) {
 	if testing.Short() {
 		t.Skip("wall-clock load run")
@@ -54,9 +55,6 @@ func TestE33SmallN(t *testing.T) {
 		if ok, _ := strconv.Atoi(row[iOK]); ok == 0 {
 			t.Errorf("phase %s: no redrive request succeeded", row[0])
 		}
-	}
-	if !strings.Contains(tbl.Notes, "0.00 allocs/op") {
-		t.Errorf("ring lookup allocated: %s", tbl.Notes)
 	}
 	sat := tbl.Rows[3]
 	denied, _ := strconv.Atoi(sat[iDenied])

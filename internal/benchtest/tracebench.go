@@ -24,7 +24,7 @@ func runE29() *Table {
 		Source:  "Fig 1 + §2.1",
 		Columns: []string{"sampling", "calls", "calls/s", "allocs/call", "vs_disabled"},
 		Notes: "1% head-based sampling adds at most half an allocation per call over disabled, and 100% " +
-			"at least 3x disabled's allocations (TestE29SamplingCost holds both). calls/s is one run's " +
+			"at least 3x disabled's allocations (TestGateE29SamplingCost holds both). calls/s is one run's " +
 			"wall-clock rate, and vs_disabled has read 0.74–1.12 across runs, so the throughput columns claim nothing."}
 	const calls = 6000
 	baseRate, baseAllocs := e29Run(0, calls)

@@ -332,7 +332,7 @@ func (ss *statefulStore) PassivateIdle(maxResident int) int {
 // Resident reports (in-memory, passivated) conversation counts; in memory
 // counts primaries and replicas.
 //
-//wls:nolint unreached -- test hook: TestAllocGateBeanFootprint
+//wls:nolint unreached -- test hook: TestGateBeanFootprint
 func (ss *statefulStore) Resident() (mem, paged int) {
 	ss.mu.Lock()
 	defer ss.mu.Unlock()

@@ -74,3 +74,37 @@ func (osFS) SyncDir(name string) error {
 	}
 	return cerr
 }
+
+// OpenLog opens name (creating it if need be) for a durable log, with
+// os.OpenFile's flag. The File's first successful Sync also syncs name's
+// directory: POSIX makes a new file's directory entry durable only through
+// its directory's fsync (Pillai et al., OSDI 2014), and an open cannot
+// tell whether an earlier one created the file and stopped before that
+// sync. So each open pays one directory sync, and it rides the first flush.
+func OpenLog(fsys FS, name string, flag int) (File, error) {
+	f, err := fsys.OpenFile(name, flag|os.O_CREATE, 0o644)
+	if err != nil {
+		return nil, err
+	}
+	return &logFile{File: f, fs: fsys, name: name}, nil
+}
+
+// logFile is a File whose directory entry is made durable by its first
+// Sync.
+type logFile struct {
+	File
+	fs    FS
+	name  string
+	named bool // the directory has been synced since the open
+}
+
+func (f *logFile) Sync() error {
+	if err := f.File.Sync(); err != nil || f.named {
+		return err
+	}
+	if err := f.fs.SyncDir(f.name); err != nil {
+		return err
+	}
+	f.named = true
+	return nil
+}

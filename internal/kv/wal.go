@@ -67,6 +67,11 @@ type WAL struct {
 	walSize  int64
 	pageSize int
 	ckptAt   int64 // auto-checkpoint threshold; <0 disables
+	// failed is the first error of a log write or sync, or of a
+	// checkpoint's directory sync or log reset. After it the files on disk
+	// may not be the ones this WAL's state describes, so every later Apply
+	// refuses with it.
+	failed error
 }
 
 const (
@@ -295,7 +300,7 @@ func walHeader(gen, salt uint64) []byte {
 // header is durable before any frame is), stale means every frame it holds
 // was already checkpointed into the main file.
 func (w *WAL) openWAL() error {
-	f, err := w.fs.OpenFile(w.walPath, os.O_CREATE|os.O_RDWR, 0o644)
+	f, err := OpenLog(w.fs, w.walPath, os.O_RDWR)
 	if err != nil {
 		return err
 	}
@@ -442,6 +447,9 @@ func (w *WAL) Apply(ops []Op) error {
 	if w.closed {
 		return ErrClosed
 	}
+	if w.failed != nil {
+		return w.failed
+	}
 	e := wire.AcquireEncoder()
 	defer e.Release()
 	for i := 0; i < frameHdrLen; i++ {
@@ -455,14 +463,16 @@ func (w *WAL) Apply(ops []Op) error {
 	binary.BigEndian.PutUint32(frame[0:4], uint32(len(payload)))
 	binary.BigEndian.PutUint64(frame[4:12], seq)
 	binary.BigEndian.PutUint64(frame[12:20], sum)
+	// A frame that failed to write or sync may still be in the log, and
+	// the next one would reuse its sequence number: the WAL stops.
 	if _, err := w.wal.Write(frame); err != nil {
-		return err
+		return w.stop(err)
 	}
 	w.appends.Inc()
 	if w.opts.SyncEveryCommit {
 		w.syncs.Inc()
 		if err := w.wal.Sync(); err != nil {
-			return err
+			return w.stop(err)
 		}
 	}
 	w.seq = seq
@@ -480,7 +490,9 @@ func (w *WAL) Apply(ops []Op) error {
 // before the rename the old main+log pair is untouched; between the
 // rename and the log reset the log's generation is stale and recovery
 // discards it (its frames are all inside the new main file); a torn log
-// header is rewritten. Caller holds w.mu.
+// header is rewritten. A failed directory sync stops the WAL before the
+// generation moves: the rename may yet be lost, and the log it would leave
+// beside the old main file must still be that file's. Caller holds w.mu.
 func (w *WAL) checkpointLocked() error {
 	tmpPath := w.path + ".ckpt"
 	tmp, err := w.fs.OpenFile(tmpPath, os.O_CREATE|os.O_TRUNC|os.O_RDWR, 0o644)
@@ -542,19 +554,25 @@ func (w *WAL) checkpointLocked() error {
 	}
 	// The new main file is live; the staging handle is no longer needed
 	// (the main file is only read at open and rewritten at checkpoint).
-	var errs []error
 	if err := w.fs.SyncDir(w.path); err != nil {
-		errs = append(errs, fmt.Errorf("kv: checkpoint dir sync: %w", err))
+		return errors.Join(w.stop(fmt.Errorf("kv: checkpoint dir sync: %w", err)), tmp.Close())
 	}
+	var errs []error
 	if err := tmp.Close(); err != nil {
 		errs = append(errs, fmt.Errorf("kv: closing checkpoint file: %w", err))
 	}
 	w.gen = newGen
 	w.checkpoints.Inc()
 	if err := w.resetWALLocked(true); err != nil {
-		errs = append(errs, fmt.Errorf("kv: resetting wal after checkpoint: %w", err))
+		errs = append(errs, w.stop(fmt.Errorf("kv: resetting wal after checkpoint: %w", err)))
 	}
 	return errors.Join(errs...)
+}
+
+// stop makes err the WAL's sticky failure and returns it. Caller holds w.mu.
+func (w *WAL) stop(err error) error {
+	w.failed = err
+	return err
 }
 
 // Close implements Store.

@@ -348,11 +348,12 @@ func TestWALDeleteDurable(t *testing.T) {
 	}
 }
 
-// syncsSince lists the file syncs rec has recorded after its first n ops.
+// syncsSince lists the file and directory syncs rec has recorded after
+// its first n ops.
 func syncsSince(rec *kvtest.CrashFS, n int) []string {
 	var out []string
 	for _, op := range rec.Ops()[n:] {
-		if strings.HasPrefix(op, "sync ") {
+		if strings.HasPrefix(op, "sync") {
 			out = append(out, op)
 		}
 	}
@@ -362,38 +363,41 @@ func syncsSince(rec *kvtest.CrashFS, n int) []string {
 // TestWALSyncChoreography pins when a synced WAL flushes. A fresh log's
 // header is written without a sync of its own: the first commit's sync
 // makes it durable with the frame, and a crash before that leaves a file
-// that held nothing. A reset that throws bytes away (a torn log at open, or
-// the log a checkpoint folded in) syncs at once.
+// that held nothing. The first sync of every open is followed by the
+// directory's, which makes the file's name durable even when an earlier
+// open created it and never flushed. A reset that throws bytes away (a
+// torn log at open, or the log a checkpoint folded in) syncs at once.
 func TestWALSyncChoreography(t *testing.T) {
 	dir := t.TempDir()
 	rec := kvtest.NewCrashFS(nil, -1)
 	opts := kv.Options{SyncEveryCommit: true, FS: rec, CheckpointBytes: -1}
-	w, err := kv.OpenWAL(walPath(dir), opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s := syncsSince(rec, 0); len(s) != 0 {
-		t.Fatalf("opening a fresh log synced: %v", s)
-	}
-	n := len(rec.Ops())
-	if err := w.Put("s\x00a", []byte("1")); err != nil {
-		t.Fatal(err)
-	}
-	if s := syncsSince(rec, n); len(s) != 1 {
-		t.Fatalf("the first commit synced %d times (%v), want once", len(s), s)
-	}
-	n = len(rec.Ops())
-	if err := w.Checkpoint(); err != nil {
-		t.Fatal(err)
-	}
 	wal := walPath(dir) + "-wal"
-	want := []string{"sync " + walPath(dir) + ".ckpt", "sync " + wal}
-	if s := syncsSince(rec, n); !reflect.DeepEqual(s, want) {
-		t.Fatalf("a checkpoint synced %v, want %v", s, want)
+	n := 0
+	step := func(what string, do func() error, want ...string) {
+		t.Helper()
+		if err := do(); err != nil {
+			t.Fatal(err)
+		}
+		if s := syncsSince(rec, n); !reflect.DeepEqual(s, want) {
+			t.Fatalf("%s synced %v, want %v", what, s, want)
+		}
+		n = len(rec.Ops())
 	}
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
+	var w *kv.WAL
+	reopen := func() (err error) {
+		w, err = kv.OpenWAL(walPath(dir), opts)
+		return err
 	}
+	put := func(k string) func() error { return func() error { return w.Put("s\x00"+k, []byte("1")) } }
+	closeW := func() error { return w.Close() }
+
+	step("opening a fresh log", reopen)
+	step("closing a log that holds no frame", closeW)
+	step("reopening it", reopen)
+	step("its first commit", put("a"), "sync "+wal, "syncdir "+wal)
+	step("the second commit", put("b"), "sync "+wal)
+	step("a checkpoint", w.Checkpoint, "sync "+walPath(dir)+".ckpt", "syncdir "+walPath(dir), "sync "+wal)
+	step("closing", closeW)
 
 	// Tear the log's header, as a crash mid-reset would, and reopen.
 	b, err := os.ReadFile(wal)
@@ -403,16 +407,115 @@ func TestWALSyncChoreography(t *testing.T) {
 	if err := os.WriteFile(wal, b[:20], 0o644); err != nil {
 		t.Fatal(err)
 	}
-	n = len(rec.Ops())
-	w, err = kv.OpenWAL(walPath(dir), opts)
+	step("reopening over a torn log", reopen, "sync "+wal, "syncdir "+wal)
+	defer w.Close()
+	step("the next commit", put("c"), "sync "+wal)
+	if v, ok := get(w, "a"); !ok || v != "1" {
+		t.Fatalf("checkpointed row = %q, %v after the reset", v, ok)
+	}
+}
+
+// faultFS is the recorder with the next directory sync, or the next file
+// sync, failing once armed.
+type faultFS struct {
+	*kvtest.CrashFS
+	failDir, failSync bool
+	failAt            int // the recorder's op count when the sync failed
+}
+
+var errInjected = errors.New("injected sync failure")
+
+func (f *faultFS) SyncDir(name string) error {
+	if f.failDir {
+		f.failDir, f.failAt = false, len(f.Ops())
+		return errInjected
+	}
+	return f.CrashFS.SyncDir(name)
+}
+
+func (f *faultFS) OpenFile(name string, flag int, perm os.FileMode) (kv.File, error) {
+	file, err := f.CrashFS.OpenFile(name, flag, perm)
+	if err != nil {
+		return nil, err
+	}
+	return faultFile{file, f}, nil
+}
+
+type faultFile struct {
+	kv.File
+	fs *faultFS
+}
+
+func (f faultFile) Sync() error {
+	if f.fs.failSync {
+		f.fs.failSync = false
+		return errInjected
+	}
+	return f.File.Sync()
+}
+
+// TestCheckpointDirSyncFailureStopsTheWAL: a checkpoint whose directory
+// sync fails has renamed its main file in, and a crash may still lose that
+// rename. Recovery would then read the old main file beside the log, so
+// the log must stay that file's: the checkpoint returns the error before
+// it truncates or rewrites the log, and every later Apply refuses.
+func TestCheckpointDirSyncFailureStopsTheWAL(t *testing.T) {
+	dir := t.TempDir()
+	fs := &faultFS{CrashFS: kvtest.NewCrashFS(nil, -1)}
+	w, err := kv.OpenWAL(walPath(dir), kv.Options{SyncEveryCommit: true, FS: fs, CheckpointBytes: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer w.Close()
-	if s := syncsSince(rec, n); !reflect.DeepEqual(s, []string{"sync " + wal}) {
-		t.Fatalf("reopening over a torn log synced %v, want its reset's one sync", s)
+	if err := w.Put("s\x00a", []byte("1")); err != nil {
+		t.Fatal(err)
 	}
+	fs.failDir = true
+	if err := w.Checkpoint(); !errors.Is(err, errInjected) {
+		t.Fatalf("Checkpoint = %v, want the directory sync's error", err)
+	}
+	wal := walPath(dir) + "-wal"
+	for _, op := range fs.Ops()[fs.failAt:] {
+		if strings.HasPrefix(op, "truncate "+wal+" ") || strings.HasPrefix(op, "write "+wal+" ") {
+			t.Fatalf("the log changed after the failed directory sync: %s", op)
+		}
+	}
+	if err := w.Put("s\x00b", []byte("2")); !errors.Is(err, errInjected) {
+		t.Fatalf("Put after the failed checkpoint = %v, want the directory sync's error", err)
+	}
+}
+
+// TestLogSyncFailureStopsTheWAL: a frame whose sync failed is still in the
+// log, so a later frame appended behind it would reuse its sequence number,
+// and recovery would replay the refused frame and cut the acknowledged one
+// as torn. After the failure every Apply refuses, and a reopened store
+// holds every acknowledged commit.
+func TestLogSyncFailureStopsTheWAL(t *testing.T) {
+	dir := t.TempDir()
+	fs := &faultFS{CrashFS: kvtest.NewCrashFS(nil, -1)}
+	w, err := kv.OpenWAL(walPath(dir), kv.Options{SyncEveryCommit: true, FS: fs, CheckpointBytes: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Put("s\x00a", []byte("1")); err != nil {
+		t.Fatal(err)
+	}
+	fs.failSync = true
+	if err := w.Put("s\x00b", []byte("2")); !errors.Is(err, errInjected) {
+		t.Fatalf("Put with a failing sync = %v, want the sync's error", err)
+	}
+	if err := w.Put("s\x00c", []byte("3")); !errors.Is(err, errInjected) {
+		t.Fatalf("Put after a failed sync = %v, want the sync's error", err)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	w = openWAL(t, dir, manualCkpt)
+	defer w.Close()
 	if v, ok := get(w, "a"); !ok || v != "1" {
-		t.Fatalf("checkpointed row = %q, %v after the reset", v, ok)
+		t.Fatalf("acknowledged row a = %q, %v after a reopen", v, ok)
+	}
+	if v, ok := get(w, "c"); ok {
+		t.Fatalf("refused row c = %q after a reopen", v)
 	}
 }

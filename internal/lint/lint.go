@@ -43,7 +43,7 @@
 //     non-test code writes, a setting only tests set.
 //
 // Request-path allocations are not a lint rule: the allocation gates in
-// alloc_gate_test.go measure them (DESIGN.md "Determinism & lint rules").
+// gate_test.go measure them (DESIGN.md "Determinism & lint rules").
 //
 // Diagnostics can be suppressed line-by-line with directives:
 //

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"testing"
 
-	"wls/internal/attrs"
 	"wls/internal/wire"
 )
 
@@ -49,27 +48,6 @@ func TestForwardedSessionFields(t *testing.T) {
 	appendSession(e, nil, "server-1")
 	if _, err := readSession(wire.NewDecoder(e.Bytes()), []byte("server-1")); err == nil {
 		t.Fatal("the field of an unparsable cookie reads as a session")
-	}
-}
-
-// The steady-state field — a replicated session's, at its primary — is read
-// in place, with no allocation.
-func TestForwardedSessionReadsInPlace(t *testing.T) {
-	var buf CookieBuf
-	c, err := ParseCookie(encodeCookie(testID, "server-1", "server-2", attrs.Empty), &buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	e := wire.NewEncoder(64)
-	appendSession(e, &c, "server-1")
-	if len(e.Bytes()) != 1+16+9 {
-		t.Fatalf("field is %d bytes, want flag 1, id 16, secondary 9", len(e.Bytes()))
-	}
-	self := []byte("server-1")
-	if n := testing.AllocsPerRun(100, func() {
-		_, _ = readSession(wire.NewDecoder(e.Bytes()), self)
-	}); n != 0 {
-		t.Fatalf("reading the field allocates %.0f", n)
 	}
 }
 

@@ -2,7 +2,11 @@
 
 package servlet
 
+// Allocation pins (`make gates`): the race runtime drops sync.Pool items
+// and allocates on its own, so these tests build only without it.
+
 import (
+	"encoding/base64"
 	"fmt"
 	"strconv"
 	"testing"
@@ -12,11 +16,11 @@ import (
 	"wls/internal/wire"
 )
 
-// TestReplicaUpdateAllocsPerChangedValue pins the secondary's steady state:
+// TestGateReplicaUpdateAllocsPerChangedValue pins the secondary's steady state:
 // applying a delta to keys the replica already holds allocates exactly one
 // string, the merged record, however many of its values changed, and
 // nothing at all when the values are unchanged.
-func TestReplicaUpdateAllocsPerChangedValue(t *testing.T) {
+func TestGateReplicaUpdateAllocsPerChangedValue(t *testing.T) {
 	const replicaID = "0123456789abcdef"
 	sm := &SessionManager{}
 	var gen uint64
@@ -96,10 +100,10 @@ func TestReplicaUpdateAllocsPerChangedValue(t *testing.T) {
 	}
 }
 
-// TestPrimaryWriteAllocs pins the primary's side: a request's writes land
+// TestGatePrimaryWriteAllocs pins the primary's side: a request's writes land
 // as one new attribute list when a value changes and none when every value
 // written is the one held, and reading an attribute allocates nothing.
-func TestPrimaryWriteAllocs(t *testing.T) {
+func TestGatePrimaryWriteAllocs(t *testing.T) {
 	st := newSessState("0123456789abcdef", attrs.Merge("", 0, nil, listOf("item", "sku-0", "n", "0")), 0)
 	values := make([]string, 202)
 	for i := range values {
@@ -130,10 +134,10 @@ func TestPrimaryWriteAllocs(t *testing.T) {
 	}
 }
 
-// TestPlacementAllocFree pins secondary placement at zero allocations, with
+// TestGatePlacementAllocFree pins secondary placement at zero allocations, with
 // and without a secondary to avoid: it runs for every new session, every
 // promotion, every failed ship and every ring-epoch re-check.
-func TestPlacementAllocFree(t *testing.T) {
+func TestGatePlacementAllocFree(t *testing.T) {
 	f := simtest.New(simtest.Options{Servers: 4,
 		ReplicationGroups: []string{"gA", "gB"}, PreferredSecondaryGroups: []string{"gB"}})
 	t.Cleanup(f.Stop)
@@ -155,5 +159,66 @@ func TestPlacementAllocFree(t *testing.T) {
 		if sec := sm.secName(p.sec()); sec != "server-2" && sec != "server-4" || sec == avoid {
 			t.Errorf("avoid %q: picked %q, want the other gB server", avoid, sec)
 		}
+	}
+}
+
+// The steady-state field — a replicated session's, at its primary — is read
+// in place, with no allocation.
+func TestGateForwardedSessionReadsInPlace(t *testing.T) {
+	var buf CookieBuf
+	c, err := ParseCookie(encodeCookie(testID, "server-1", "server-2", attrs.Empty), &buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := wire.NewEncoder(64)
+	appendSession(e, &c, "server-1")
+	if len(e.Bytes()) != 1+16+9 {
+		t.Fatalf("field is %d bytes, want flag 1, id 16, secondary 9", len(e.Bytes()))
+	}
+	self := []byte("server-1")
+	if n := testing.AllocsPerRun(100, func() {
+		_, _ = readSession(wire.NewDecoder(e.Bytes()), self)
+	}); n != 0 {
+		t.Fatalf("reading the field allocates %.0f", n)
+	}
+}
+
+// TestGateParseCookie: an accepted cookie that is state-less and fits the
+// array parses with no allocation, from the string and from the bytes.
+func TestGateParseCookie(t *testing.T) {
+	for _, s := range cookieCases() {
+		checkParseAllocs(t, s)
+	}
+}
+
+// FuzzParseCookie: testdata/fuzz/FuzzParseCookie holds the seed corpus (the
+// same shapes as cookieCases, as files the fuzzer can start from). Every
+// input gets checkParse, and one that parses gets the allocation check.
+// TestParseCookieMatchesGeneralDecoder runs checkParse under -race.
+func FuzzParseCookie(f *testing.F) {
+	for _, s := range cookieCases() {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		checkParse(t, s)
+		checkParseAllocs(t, s)
+	})
+}
+
+// checkParseAllocs: s, if it is an accepted cookie that is state-less and
+// fits the array, parses with no allocation from the string and the bytes.
+func checkParseAllocs(t *testing.T, s string) {
+	t.Helper()
+	want, err := DecodeCookie(s)
+	if err != nil || want.State != nil || base64.RawURLEncoding.DecodedLen(len(s)) > len(CookieBuf{}) {
+		return
+	}
+	var buf CookieBuf
+	b := []byte(s)
+	if n := testing.AllocsPerRun(10, func() { _, _ = ParseCookie(s, &buf) }); n != 0 {
+		t.Fatalf("%q (string): %.0f allocations for a state-less cookie", s, n)
+	}
+	if n := testing.AllocsPerRun(10, func() { _, _ = ParseCookie(b, &buf) }); n != 0 {
+		t.Fatalf("%q (bytes): %.0f allocations for a state-less cookie", s, n)
 	}
 }

@@ -2,8 +2,9 @@
 
 package store
 
-// Heap figures of a store's resident state. The race runtime keeps shadow
-// memory of its own, so these are measured without it.
+// Heap and allocation pins (`make gates`) of a store's resident state and
+// its lock table. The race runtime keeps shadow memory and allocates on
+// its own, so these tests build only without it.
 
 import (
 	"fmt"
@@ -11,6 +12,7 @@ import (
 	"runtime"
 	"strconv"
 	"testing"
+	"time"
 
 	"wls/internal/kv"
 	"wls/internal/vclock"
@@ -25,23 +27,23 @@ func liveHeap() uint64 {
 	return m.HeapAlloc
 }
 
-// Bytes per stored row over a WAL (TestStoreRowFootprint), measured
+// Bytes per stored row over a WAL (TestGateStoreRowFootprint), measured
 // 76 / 92 B when they were set at that + 10 %, and
-// allocations per read of a two-field row (TestStoreGetAllocs).
+// allocations per read of a two-field row (TestGateStoreGetAllocs).
 const (
 	gateStoreRowOneField  = 84
 	gateStoreRowTwoFields = 102
 	gateStoreGet          = 2
 )
 
-// TestStoreRowFootprint pins what a stored row costs over a WAL: 8 192 rows
+// TestGateStoreRowFootprint pins what a stored row costs over a WAL: 8 192 rows
 // written one autocommit at a time, live heap after two collections,
 // divided by the row count. That is the row's entry in its space's
 // ordered index, the row key and the record — the row's one copy. No
 // reader follows the store, so it keeps no change ring. Measured 76 B
 // (one field) and 92 B (two); DESIGN.md "What a stored row costs" has
 // the breakdown.
-func TestStoreRowFootprint(t *testing.T) {
+func TestGateStoreRowFootprint(t *testing.T) {
 	const rows = 8192
 	for _, tc := range []struct {
 		name   string
@@ -77,11 +79,11 @@ func TestStoreRowFootprint(t *testing.T) {
 	}
 }
 
-// TestStoreGetAllocs: a read walks the row's record in the kv image in
+// TestGateStoreGetAllocs: a read walks the row's record in the kv image in
 // place, so the field map it hands out is all it allocates — its keys and
 // values are substrings of the record — and the caller's key is neither
 // copied nor kept.
-func TestStoreGetAllocs(t *testing.T) {
+func TestGateStoreGetAllocs(t *testing.T) {
 	w, err := kv.OpenWAL(filepath.Join(t.TempDir(), "store.db"), kv.Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -104,12 +106,12 @@ func TestStoreGetAllocs(t *testing.T) {
 	t.Logf("a read of a two-field row: %.1f allocs", n)
 }
 
-// TestLockTableGivesBackItsMap: a Go map keeps the buckets it grew after
+// TestGateLockTableGivesBackItsMap: a Go map keeps the buckets it grew after
 // its entries are deleted, so the lock table of a store that once
 // committed a bulk transaction would hold them for the store's life. Once
 // the table empties it is a small map again: what it holds beyond a fresh
 // map, after one 4 096-row transaction, is next to nothing.
-func TestLockTableGivesBackItsMap(t *testing.T) {
+func TestGateLockTableGivesBackItsMap(t *testing.T) {
 	s := New("db", vclock.System)
 	se := s.Session("bulk")
 	for i := 0; i < 4096; i++ {
@@ -130,5 +132,50 @@ func TestLockTableGivesBackItsMap(t *testing.T) {
 	t.Logf("the emptied lock table holds %d B beyond a fresh map", extra)
 	if extra > 1024 {
 		t.Fatalf("the emptied lock table holds %d B beyond a fresh map: the map it grew was kept", extra)
+	}
+}
+
+// TestGateUncontendedAcquireAllocs pins an uncontended acquire/release at
+// no allocation: the entry lives in the table's map.
+func TestGateUncontendedAcquireAllocs(t *testing.T) {
+	lt := newLockTable(vclock.System)
+	row := []rowRef{{"t", "k"}}
+	n := testing.AllocsPerRun(1000, func() {
+		if _, err := lt.acquire("t1", row, 5*time.Second); err != nil {
+			t.Fatal(err)
+		}
+		lt.release("t1", row)
+	})
+	if n != 0 {
+		t.Fatalf("uncontended acquire/release allocates %.1f, want 0", n)
+	}
+}
+
+// TestGateLockThenUpdateFitsInline: a transaction that locks a row and then
+// updates it holds the row twice (the Lock and the write's prepare hold).
+// Both holds fit the session's inline lock buffer, so it allocates nothing
+// the plain update does not.
+func TestGateLockThenUpdateFitsInline(t *testing.T) {
+	s := New("db", vclock.System)
+	s.Put("stock", "sku1", map[string]string{"qty": "1"})
+	fields := map[string]string{"qty": "2"}
+	commit := func(lock bool) func() {
+		return func() {
+			se := s.Session("t")
+			if lock {
+				if err := se.Lock("stock", "sku1"); err != nil {
+					t.Fatal(err)
+				}
+			}
+			se.Update("stock", "sku1", fields)
+			if err := se.Commit("t"); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	plain := testing.AllocsPerRun(500, commit(false))
+	locked := testing.AllocsPerRun(500, commit(true))
+	if locked > plain {
+		t.Fatalf("lock-then-update allocates %.1f/commit, plain update %.1f", locked, plain)
 	}
 }

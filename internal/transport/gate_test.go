@@ -2,8 +2,9 @@
 
 package transport
 
-// Heap figures of idle connections. The race runtime keeps shadow memory of
-// its own, so these are measured without it.
+// Heap and allocation pins (`make gates`) of idle connections and the call
+// path. The race runtime keeps shadow memory of its own and drops sync.Pool
+// items at random, so these tests build only without it.
 
 import (
 	"context"
@@ -28,7 +29,7 @@ func liveHeap() uint64 {
 // measured + 10 %.
 const gateIdleConnEnd = 5750
 
-// TestIdleConnFootprint pins what an idle connection end holds. One
+// TestGateIdleConnFootprint pins what an idle connection end holds. One
 // transport dials 32 peers and makes one call to each; the live heap that
 // added, net of the 33 transports built beforehand, is divided by the 64
 // connection ends. That is the 4 KiB socket buffer, the conn with its call
@@ -38,7 +39,7 @@ const gateIdleConnEnd = 5750
 // pinned at gateIdleConnEnd. A burst of 64
 // concurrent 200 KiB echoes over one of the connections must leave nothing
 // behind: the same gate holds after it.
-func TestIdleConnFootprint(t *testing.T) {
+func TestGateIdleConnFootprint(t *testing.T) {
 	const peers = 32
 	const gate = float64(gateIdleConnEnd)
 	hub := newT(t)
@@ -82,5 +83,43 @@ func TestIdleConnFootprint(t *testing.T) {
 	}
 	if afterBurst > gate {
 		t.Errorf("after a burst of 200 KiB echoes an idle connection end holds %.0f B, gate is %.0f", afterBurst, gate)
+	}
+}
+
+// TestGateCallAllocatesNothing pins a warm Call with a 16 B reply at 0
+// allocations, under context.Background and under a WithCancel context
+// whose Done was never called (a fresh one each call, made beforehand, as
+// net/http makes one per request). The reply is carved from the
+// transport's slab, one 2 KiB array per 128 such replies, which
+// testing.AllocsPerRun's whole count reads as 0; and a reply that comes
+// within patience never makes the context allocate its Done channel. The
+// handler returns a frame it already has, so it allocates nothing either.
+func TestGateCallAllocatesNothing(t *testing.T) {
+	const runs = 1000
+	a, b := newT(t), newT(t)
+	reply := &wire.Frame{Body: make([]byte, 16)}
+	b.SetHandler(func(string, wire.Frame) *wire.Frame { return reply })
+	req := wire.Frame{Body: make([]byte, 16)}
+	call := func(ctx context.Context) {
+		resp, err := a.Call(ctx, b.Addr(), req)
+		if err != nil || len(resp.Body) != 16 {
+			t.Fatalf("call: %d B, %v", len(resp.Body), err)
+		}
+	}
+	for i := 0; i < 64; i++ {
+		call(context.Background())
+	}
+	if n := testing.AllocsPerRun(runs, func() { call(context.Background()) }); n != 0 {
+		t.Errorf("a call under context.Background allocates %v, want 0", n)
+	}
+	ctxs := make([]context.Context, runs+1) // AllocsPerRun's warm-up call takes one more
+	for i := range ctxs {
+		ctx, cancel := context.WithCancel(context.Background())
+		defer cancel()
+		ctxs[i] = ctx
+	}
+	i := 0
+	if n := testing.AllocsPerRun(runs, func() { call(ctxs[i]); i++ }); n != 0 {
+		t.Errorf("a call under a fresh WithCancel context allocates %v, want 0", n)
 	}
 }

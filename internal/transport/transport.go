@@ -545,17 +545,10 @@ func (s *callSlot) take() (wire.Frame, error) {
 	return resp, err
 }
 
-// put pools s with its timer stopped and its channel empty. The drain after
-// Stop is non-blocking, which is right whether a stopped timer's channel
-// may still hold a tick (Go 1.22) or never does (Go 1.23); a tick sent
-// after the drain only has the slot's next call watch its context at once.
+// put pools s with its timer stopped: a stopped timer's channel holds no
+// tick (Go 1.23 timers), so the slot's next call waits its full patience.
 func (s *callSlot) put() {
-	if !s.patience.Stop() {
-		select {
-		case <-s.patience.C:
-		default:
-		}
-	}
+	s.patience.Stop()
 	s.resp, s.err = wire.Frame{}, nil
 	slotPool.Put(s)
 }

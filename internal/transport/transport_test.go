@@ -648,11 +648,11 @@ func waitWritersIdle(trs ...*Transport) (holding int) {
 	return holding
 }
 
-// TestIdleWritersHoldNoBuffer: a burst of 200 KiB echoes grows the batch
+// TestGateRaceIdleWritersHoldNoBuffer: a burst of 200 KiB echoes grows the batch
 // buffers at both ends of the connection; once it is idle, neither writer
 // holds one. A writer that kept its last two batch buffers for the life of
 // the connection pinned up to 512 KiB per end after one burst.
-func TestIdleWritersHoldNoBuffer(t *testing.T) {
+func TestGateRaceIdleWritersHoldNoBuffer(t *testing.T) {
 	a, b := newT(t), newT(t)
 	b.SetHandler(echoHandler)
 	echoBurst(t, a, b)
@@ -664,13 +664,13 @@ func TestIdleWritersHoldNoBuffer(t *testing.T) {
 	}
 }
 
-// TestFramesSpanningTheReadBuffer: concurrent callers' frames share write
+// TestGateRaceFramesSpanningTheReadBuffer: concurrent callers' frames share write
 // batches and socket reads, so bodies on either side of the 4 KiB socket
 // buffer — and past it, up to one near MaxFrameSize, which the reader takes
 // straight into its body buffer — start and end at every offset of it.
 // With every released buffer poisoned, each echo must come back
 // byte-identical.
-func TestFramesSpanningTheReadBuffer(t *testing.T) {
+func TestGateRaceFramesSpanningTheReadBuffer(t *testing.T) {
 	wire.PoisonReleased(true)
 	defer wire.PoisonReleased(false)
 	a, b := newT(t), newT(t)

@@ -4,11 +4,14 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"slices"
 	"strconv"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"wls/internal/kv/kvtest"
 	"wls/internal/vclock"
 )
 
@@ -292,4 +295,52 @@ func TestFileLogCutsTornTailOnOpen(t *testing.T) {
 	if err != nil || len(recs) != 2 || recs[1] != (Record{TxID: "tx-1", Kind: RecordDone}) {
 		t.Fatalf("after restart the log reads %v, %v; want the whole record and the new one", recs, err)
 	}
+}
+
+// TestFileLogSyncChoreography pins when a synced log flushes: opening a
+// log syncs nothing; the first record of every open syncs the file and
+// then its directory, which makes the file's name durable even when an
+// earlier open created it and never flushed; later records sync the file
+// only.
+func TestFileLogSyncChoreography(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "tlog")
+	rec := kvtest.NewCrashFS(nil, -1)
+	syncs := func(n int) []string {
+		var out []string
+		for _, op := range rec.Ops()[n:] {
+			if strings.HasPrefix(op, "sync") {
+				out = append(out, op)
+			}
+		}
+		return out
+	}
+	append1 := func(l *FileLog, want ...string) {
+		t.Helper()
+		n := len(rec.Ops())
+		if err := l.Append(Record{TxID: "tx-1", Kind: RecordCommit}); err != nil {
+			t.Fatal(err)
+		}
+		if got := syncs(n); !slices.Equal(got, want) {
+			t.Fatalf("an append synced %v, want %v", got, want)
+		}
+	}
+	l, err := OpenFileLogFS(rec, path, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s := syncs(0); len(s) != 0 {
+		t.Fatalf("opening a fresh log synced %v", s)
+	}
+	append1(l, "sync "+path, "syncdir "+path)
+	append1(l, "sync "+path)
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	l, err = OpenFileLogFS(rec, path, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	append1(l, "sync "+path, "syncdir "+path)
+	append1(l, "sync "+path)
 }

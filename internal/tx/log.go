@@ -83,7 +83,7 @@ func OpenFileLog(path string, syncEvery bool) (*FileLog, error) {
 // OpenFileLogFS is OpenFileLog on a given filesystem (the transaction crash
 // sweep runs the log and its stores on one kvtest.CrashFS).
 func OpenFileLogFS(fsys kv.FS, path string, syncEvery bool) (*FileLog, error) {
-	f, err := fsys.OpenFile(path, os.O_CREATE|os.O_RDWR|os.O_APPEND, 0o644)
+	f, err := kv.OpenLog(fsys, path, os.O_RDWR|os.O_APPEND)
 	if err != nil {
 		return nil, err
 	}

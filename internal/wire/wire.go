@@ -161,7 +161,7 @@ var poisonReleased atomic.Bool
 // it returns to the pool, so a use-after-release reads garbage instead of
 // plausible stale bytes.
 //
-//wls:nolint unreached -- test hook: TestPoolRecyclingTCP
+//wls:nolint unreached -- test hook: TestGateRacePoolRecyclingTCP
 func PoisonReleased(on bool) { poisonReleased.Store(on) }
 
 func poison(b []byte) {

@@ -22,12 +22,12 @@ import (
 	"wls/internal/wire"
 )
 
-// TestPoolRecyclingNoCrossRequestBleed drives many concurrent callers,
+// TestGateRacePoolRecyclingNoCrossRequestBleed drives many concurrent callers,
 // each with its own session, through the proxy plug-in. The servlet echoes
 // the body and stamps the session with the caller's identity; a recycled
 // Request, Session, or response buffer that leaked between callers shows
 // up as a foreign tag or a corrupted echo.
-func TestPoolRecyclingNoCrossRequestBleed(t *testing.T) {
+func TestGateRacePoolRecyclingNoCrossRequestBleed(t *testing.T) {
 	c, err := wls.New(wls.Options{Servers: 3, RealClock: true})
 	if err != nil {
 		t.Fatal(err)
@@ -85,12 +85,12 @@ func TestPoolRecyclingNoCrossRequestBleed(t *testing.T) {
 	}
 }
 
-// TestPoolRecyclingResponseBodyOwnership pins the response-ownership
+// TestGateRacePoolRecyclingResponseBodyOwnership pins the response-ownership
 // contract at the webtier boundary: the bytes returned by Route remain
 // valid after the pooled call/response objects behind them are recycled by
 // later requests. A pool that handed the same backing buffer to the next
 // request would corrupt the held response.
-func TestPoolRecyclingResponseBodyOwnership(t *testing.T) {
+func TestGateRacePoolRecyclingResponseBodyOwnership(t *testing.T) {
 	wire.PoisonReleased(true) // the pooled response frame behind held.Body is released on delivery
 	defer wire.PoisonReleased(false)
 	c, err := wls.New(wls.Options{Servers: 3, RealClock: true})
@@ -123,7 +123,7 @@ func TestPoolRecyclingResponseBodyOwnership(t *testing.T) {
 	}
 }
 
-// TestPoolRecyclingTCP is the use-after-release test for the TCP hop's
+// TestGateRacePoolRecyclingTCP is the use-after-release test for the TCP hop's
 // pooled buffers (request read buffers, response frames and encoders, call
 // slots). With wire.PoisonReleased on, every buffer is overwritten with
 // 0xDB the moment it is released, so a handler or caller still looking at
@@ -133,7 +133,7 @@ func TestPoolRecyclingResponseBodyOwnership(t *testing.T) {
 // its request body, over real transport nodes; every reply must carry its
 // own request's bytes, and a reply must stay intact after later requests
 // have recycled everything behind it.
-func TestPoolRecyclingTCP(t *testing.T) {
+func TestGateRacePoolRecyclingTCP(t *testing.T) {
 	wire.PoisonReleased(true)
 	defer wire.PoisonReleased(false)
 	c := newTCPCluster(t)

@@ -4,7 +4,7 @@ package wls_test
 // internal packages the way benchmark/cluster.go assembles its system
 // under test (wls.New only builds on netsim): one transport.Listen node per
 // server plus one for the proxy plug-in, real-clock in-memory membership,
-// replicated sessions. The TCP alloc and wire gates, TestPoolRecyclingTCP
+// replicated sessions. The TCP alloc and wire gates, TestGateRacePoolRecyclingTCP
 // and the cookie-elision script share it.
 
 import (
